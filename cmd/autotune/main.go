@@ -217,8 +217,8 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("tuner %q has no ask/tell form and cannot run a fidelity schedule", *tuner))
 		}
-		if _, ok := target.(tune.FidelityTarget); !ok {
-			fatal(fmt.Errorf("target %q has no fidelity-aware evaluation path", target.Name()))
+		if err := tune.Resolve(target).RequireFidelity(); err != nil {
+			fatal(err)
 		}
 		mf, err := tune.NewMultiFidelity(bt, tune.FidelitySpace{Min: *fidMin, Eta: *fidEta}, *fidelity, *seed)
 		if err != nil {

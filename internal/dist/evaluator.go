@@ -63,11 +63,10 @@ type Evaluator struct {
 	targets     map[string]*boundModel // sysmodel key → built target
 }
 
-// boundModel caches one reconstructed target with its concurrency faces.
+// boundModel caches one reconstructed target with its resolved capabilities.
 type boundModel struct {
 	space *tune.Space
-	ct    tune.ConcurrentTarget
-	cft   tune.ConcurrentFidelityTarget // nil: no fidelity path
+	caps  tune.Capabilities
 }
 
 // NewEvaluator returns an evaluator server.
@@ -217,17 +216,10 @@ func (e *Evaluator) run(ctx context.Context, a TrialAssignment, fault Fault) Tri
 		c.Err = fmt.Sprintf("dist: config has %d coordinates, target space has %d", len(a.Config), bm.space.Dim())
 		return c
 	}
-	cfg := bm.space.FromVector(a.Config)
-	full := a.Fidelity <= 0 || a.Fidelity >= 1
-	if !full && bm.cft == nil {
-		c.Err = fmt.Sprintf("dist: target %q has no fidelity-aware evaluation path", a.SysModel.System+"/"+a.SysModel.Workload)
+	c.Result, err = bm.caps.Eval(ctx, a.RunIndex, tune.Candidate{Config: bm.space.FromVector(a.Config), Fidelity: a.Fidelity})
+	if err != nil {
+		c.Err = "dist: " + err.Error()
 		return c
-	}
-	if full {
-		c.Result = bm.ct.RunIndexed(a.RunIndex, cfg)
-	} else {
-		c.Result = bm.cft.RunIndexedFidelity(ctx, a.RunIndex, a.Fidelity, cfg)
-		c.Result.Fidelity = a.Fidelity
 	}
 	e.evaluations.Add(1)
 	return c
@@ -249,13 +241,9 @@ func (e *Evaluator) target(m SysModel) (*boundModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	ct, ok := t.(tune.ConcurrentTarget)
-	if !ok {
+	bm := &boundModel{space: t.Space(), caps: tune.Resolve(t)}
+	if !bm.caps.Indexed() {
 		return nil, fmt.Errorf("dist: target %q has no run-index-keyed evaluation path", t.Name())
-	}
-	bm := &boundModel{space: t.Space(), ct: ct}
-	if cft, ok := t.(tune.ConcurrentFidelityTarget); ok {
-		bm.cft = cft
 	}
 	e.targets[key] = bm
 	return bm, nil

@@ -1,21 +1,23 @@
-// Package engine is the concurrent tuning engine: it drives ask/tell tuners
-// (tune.BatchTuner) by fanning each proposed batch of configurations out to
-// a worker pool, memoizing repeated evaluations in a config-keyed cache,
-// and scheduling many independent (target, tuner) sessions concurrently.
+// Package engine is the concurrent tuning engine: it runs ask/tell tuners
+// (tune.BatchTuner, tune.FidelityBatchTuner) through the one drive loop,
+// tune.Drive, with an evaluator that fans each proposed batch out to a worker
+// pool (and a remote fleet's slots), memoizes repeated evaluations in a
+// candidate-keyed cache and replays checkpointed history on resume — and it
+// schedules many independent (target, tuner) sessions concurrently.
 //
 // Determinism is the design constraint everything here bends around: for a
 // fixed seed the engine produces bit-identical results at any worker count.
 // Three rules make that true:
 //
-//  1. Proposers are single-threaded. The engine asks for a batch, evaluates
-//     it, and tells the proposer every outcome in proposal order ("ordered
-//     observation merge") — never in completion order.
+//  1. Proposers are single-threaded. The loop asks for a batch, the evaluator
+//     evaluates it, and the proposer is told every outcome in proposal order
+//     ("ordered observation merge") — never in completion order.
 //  2. Run-index reservation. Targets implementing tune.ConcurrentTarget key
 //     their run-to-run noise by a reserved index, assigned in proposal
 //     order, so a trial's noise does not depend on which worker ran it
 //     first. Targets without the interface are evaluated sequentially.
-//  3. Cache decisions happen on the driver goroutine, before and after the
-//     fan-out, never inside it.
+//  3. Cache and replay decisions happen on the driver goroutine, before and
+//     after the fan-out, never inside it.
 package engine
 
 import (
@@ -71,11 +73,17 @@ type Options struct {
 
 // Engine evaluates tuning sessions concurrently.
 type Engine struct {
+	driver               // serves direct Tune/Drive/DriveFidelity calls
+	sem    chan struct{} // scheduler slots for Submit/RunJobs
+}
+
+// driver is one session's evaluation setup — what Options give a direct call
+// and what a submitted Job gives its run.
+type driver struct {
 	workers    int
 	cache      bool
 	cacheCap   int           // >0: bounded GDSF memo instead of the map
 	remote     RemoteBackend // nil: all evaluation is local
-	sem        chan struct{} // scheduler slots for Submit/RunJobs
 	checkpoint func(tune.CheckpointState)
 	ckptEvery  int
 	replay     *tune.Replay
@@ -88,306 +96,297 @@ func New(o Options) *Engine {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		workers: w, cache: o.Cache || o.CacheCap > 0, cacheCap: o.CacheCap,
-		remote: o.Remote, sem: make(chan struct{}, w),
-		checkpoint: o.Checkpoint, ckptEvery: o.CheckpointEvery, replay: o.Replay,
+		driver: driver{
+			workers: w, cache: o.Cache || o.CacheCap > 0, cacheCap: o.CacheCap, remote: o.Remote,
+			checkpoint: o.Checkpoint, ckptEvery: o.CheckpointEvery, replay: o.Replay,
+		},
+		sem: make(chan struct{}, w),
 	}
 }
 
 // Workers returns the configured parallelism.
 func (e *Engine) Workers() int { return e.workers }
 
-// Tune runs tuner against target under b. Tuners exposing the ask/tell
+// Tune runs tuner against target under b. Tuners exposing an ask/tell
 // interface are driven with parallel batch evaluation; everything else
 // (inherently sequential tuners: online/adaptive controllers, diagnose-act
 // loops) falls back to the blocking Tune facade unchanged. Both paths give
 // identical results at any worker count for a fixed seed.
-func (e *Engine) Tune(ctx context.Context, target tune.Target, tuner tune.Tuner, b tune.Budget) (*tune.TuningResult, error) {
-	if ft, ok := tuner.(tune.FidelityBatchTuner); ok {
-		fp, err := ft.NewFidelityProposer(target, b)
-		if err != nil {
-			return nil, err
+func (d driver) Tune(ctx context.Context, target tune.Target, tuner tune.Tuner, b tune.Budget) (*tune.TuningResult, error) {
+	var fp tune.FidelityProposer
+	var err error
+	switch t := tuner.(type) {
+	case tune.FidelityBatchTuner:
+		fp, err = t.NewFidelityProposer(target, b)
+	case tune.BatchTuner:
+		var p tune.Proposer
+		if p, err = t.NewProposer(target, b); err == nil {
+			fp = tune.LiftProposer(p)
 		}
-		return e.DriveFidelity(ctx, tuner.Name(), target, b, fp)
-	}
-	bt, ok := tuner.(tune.BatchTuner)
-	if !ok {
-		if rep := e.replay; !rep.Empty() {
+	default:
+		if !d.replay.Empty() {
 			return nil, fmt.Errorf("engine: replay: tuner %q has no ask/tell proposal form; its sessions cannot be resumed", tuner.Name())
 		}
 		return tuner.Tune(ctx, target, b)
 	}
-	p, err := bt.NewProposer(target, b)
 	if err != nil {
 		return nil, err
 	}
-	return e.Drive(ctx, tuner.Name(), target, b, p)
+	return d.drive(ctx, tuner.Name(), target, b, fp)
 }
 
-// Drive is the parallel counterpart of tune.DriveProposer: it evaluates
-// each proposed batch on the worker pool and observes results in proposal
-// order.
+// Drive is the parallel counterpart of tune.DriveProposer.
 func (e *Engine) Drive(ctx context.Context, name string, target tune.Target, b tune.Budget, p tune.Proposer) (*tune.TuningResult, error) {
+	return e.drive(ctx, name, target, b, tune.LiftProposer(p))
+}
+
+// DriveFidelity is the parallel counterpart of tune.DriveFidelity.
+func (e *Engine) DriveFidelity(ctx context.Context, name string, target tune.Target, b tune.Budget, fp tune.FidelityProposer) (*tune.TuningResult, error) {
+	return e.drive(ctx, name, target, b, fp)
+}
+
+// drive runs tune.Drive over the session's evaluator stack, outermost first:
+//
+//	replay prefix → memo → pool (or inline) → target capabilities
+//
+// Parallel and remote evaluation, checkpoints and resume all ride on
+// run-index reservation: without an index-keyed noise stream an evaluation
+// could not name which draw of the target's noise it is, so plain targets
+// stay inline, uncheckpointed and non-resumable.
+func (d driver) drive(ctx context.Context, name string, target tune.Target, b tune.Budget, fp tune.FidelityProposer) (*tune.TuningResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s := tune.NewSession(ctx, target, b)
-	// Scenario-aware proposers (drift detectors, guardrails) get the session
-	// handle before anything — replay included — runs, so re-anchors land on
-	// the live session.
-	if sa, ok := p.(tune.SessionAware); ok {
-		sa.BindSession(s)
+	caps := tune.Resolve(target)
+	ev := tune.Inline(caps)
+	if caps.Indexed() && (d.workers > 1 || d.remote != nil) {
+		ev = &pool{caps: caps, workers: d.workers, remote: d.remote, lookahead: b.SimTime > 0}
 	}
-	ev := e.newEvaluator(target)
-	// When a run-handle monitor rides on the context, honor its pause gate
-	// between batches (the session honors it for sequential tuners).
-	gate := func() {}
-	if m := tune.MonitorFrom(ctx); m != nil && m.Gate != nil {
-		gate = m.Gate
+	var cache memo
+	if d.cache {
+		cache = newMapMemo()
+		if d.cacheCap > 0 {
+			cache = newGDSFMemo(d.cacheCap)
+		}
+		ev = &memoized{next: ev, cache: cache}
 	}
-	// Crash-resume: feed the checkpointed observation history back through a
-	// fresh proposer before evaluating anything new, then offer checkpoints
-	// at batch boundaries. Both are gated on index-keyed noise (ConcurrentTarget)
-	// — without it a resumed session could not reproduce the uninterrupted one.
-	if rep := e.replay; !rep.Empty() {
-		if ev.ct == nil {
+	var rep *replayed
+	lastCkpt := 0
+	if !d.replay.Empty() {
+		if !caps.Indexed() {
 			return nil, fmt.Errorf("engine: replay: target %q has no run-index determinism (tune.ConcurrentTarget); sessions on it cannot be resumed", target.Name())
 		}
-		if err := replayDrive(s, p, ev, rep); err != nil {
-			return nil, err
-		}
+		rep = &replayed{live: ev, caps: caps, cache: cache, log: d.replay}
+		ev = rep
+		lastCkpt = len(d.replay.Trials) // replayed boundaries are already durable
 	}
-	ckpt := e.checkpoint
-	if ev.ct == nil {
-		ckpt = nil
-	}
-	lastCkpt := len(s.Trials())
-	// Under a sim-time budget the exhaustion point is unknowable before
-	// running, so evaluate in worker-sized chunks and re-check between
-	// them: waste past the cut is bounded by one chunk instead of one
-	// batch. Recorded trials stay identical at any worker count either
-	// way — chunks merge in proposal order against the same session state.
-	// Caveat: a mid-chunk sim-time cut leaves up to chunk-1 reserved run
-	// indices unrecorded, so after such a session the target's counter
-	// may differ by that much across worker counts; reuse the target for
-	// seed-sensitive comparisons only after trial-bounded sessions.
-	chunk := int(^uint(0) >> 1)
-	if b.SimTime > 0 {
-		chunk = e.workers + remoteSlots(e.remote)
-	}
-	for !s.Exhausted() {
-		gate()
-		if s.Exhausted() {
-			break // the gate may have unblocked on cancellation
-		}
-		remaining := s.Remaining()
-		cfgs := p.Propose(remaining)
-		if len(cfgs) == 0 {
-			break
-		}
-		if len(cfgs) > remaining {
-			cfgs = cfgs[:remaining]
-		}
-		stopped := false
-		for off := 0; off < len(cfgs) && !stopped && !s.Exhausted(); off += chunk {
-			end := off + chunk
-			if end > len(cfgs) {
-				end = len(cfgs)
-			}
-			part := cfgs[off:end]
-			results, err := ev.runBatch(ctx, part)
-			if err != nil {
-				return nil, err
-			}
-			for i := range part {
-				if s.Exhausted() {
-					stopped = true
-					break
-				}
-				p.Observe(s.RecordExternal(part[i], results[i]))
+	var boundary func(*tune.Session)
+	if d.checkpoint != nil && caps.Indexed() {
+		every := max(d.ckptEvery, 1)
+		// Offer the session's resumable state once at least `every` new trials
+		// were observed since the last snapshot; see tune.CheckpointState for
+		// the aliasing contract.
+		boundary = func(s *tune.Session) {
+			if trials := s.Trials(); len(trials)-lastCkpt >= every {
+				d.checkpoint(tune.CheckpointState{Trials: trials, RunsReserved: reservedRuns(caps)})
+				lastCkpt = len(trials)
 			}
 		}
-		if stopped {
-			break
-		}
-		// The batch boundary: every proposed configuration observed, no
-		// reservation outstanding — the only place the session's resumable
-		// state is well-defined.
-		if ckpt != nil {
-			lastCkpt = offerCheckpoint(ckpt, s, ev.ct, lastCkpt, e.ckptEvery)
-		}
 	}
-	// A cancelled session is an error, not a short tuning run — matching
-	// tune.DriveProposer, so callers see cancellation the same way on
-	// both the batch and the sequential path.
-	if err := ctx.Err(); err != nil {
+	res, err := tune.Drive(ctx, name, target, b, fp, ev, boundary)
+	if err == nil {
+		err = rep.unfinished()
+	}
+	if err != nil {
 		return nil, err
 	}
-	rec := tune.Config{}
-	if r, ok := p.(tune.Recommender); ok {
-		rec = r.Recommend()
-	}
-	return s.Finish(name, rec), nil
+	return res, nil
 }
 
-// evaluator runs batches of configurations against one target.
-type evaluator struct {
-	target  tune.Target
-	ct      tune.ConcurrentTarget // nil: evaluate sequentially
-	workers int
-	remote  RemoteBackend // nil: all evaluation local
-	cache   memo          // nil: cache disabled
+// pool is the ordered streaming dispatch: local workers and the remote
+// fleet's slots pull batch positions from one queue, and results are yielded
+// in proposal order as soon as their turn is complete. Run indices are
+// reserved here on the driver goroutine, in proposal order, for exactly the
+// candidates that evaluate (memo hits and duplicates never reach the pool);
+// because every evaluation is pure in (seed, index, fidelity, config) it
+// does not matter which executor ran which trial.
+//
+// Waste past a budget cut is bounded two ways. The batch context is
+// cancelled as soon as the session stops taking results, which early-stops
+// whatever is still executing — outstanding remote leases included. And
+// under a sim-time budget, where the exhaustion point is unknowable before
+// running and targets may ignore cancellation, a position is only handed to
+// a slot while it is within `slots` of the merge cursor. Recorded trials are
+// identical at any worker count either way. Caveat: a mid-batch cut leaves
+// the reserved tail of run indices unrecorded, so after such a session the
+// target's counter may differ across worker counts; reuse the target for
+// seed-sensitive comparisons only after trial-bounded sessions.
+type pool struct {
+	caps      tune.Capabilities
+	workers   int
+	remote    RemoteBackend
+	lookahead bool // sim-time budget: bound dispatch ahead of the merge
 }
 
-func (e *Engine) newEvaluator(target tune.Target) *evaluator {
-	ev := &evaluator{target: target, workers: e.workers}
-	if ct, ok := target.(tune.ConcurrentTarget); ok {
-		ev.ct = ct
-		// Remote dispatch rides on run-index reservation: without an
-		// index-keyed noise stream the assignment could not name which
-		// draw of the target's noise it evaluates, so plain targets stay
-		// local and sequential.
-		ev.remote = e.remote
+func (p *pool) Evaluate(ctx context.Context, batch []tune.Candidate, yield func(int, tune.Result) bool) error {
+	// The fleet is re-read at every batch, so one that grows or drains
+	// changes the session's concurrency at the next batch.
+	remote := remoteSlots(p.remote)
+	slots := p.workers + remote
+	if slots == 1 {
+		return tune.Inline(p.caps).Evaluate(ctx, batch, yield) // no goroutine, no channel
 	}
-	if e.cache {
-		if e.cacheCap > 0 {
-			ev.cache = newGDSFMemo(e.cacheCap)
-		} else {
-			ev.cache = newMapMemo()
+	n := len(batch)
+	bctx, cancel := context.WithCancel(ctx)
+	next := make(chan int, n) // positions handed to slots
+	done := make(chan int, n) // positions evaluated (or skipped after cancel)
+	var wg sync.WaitGroup
+	// wg.Wait is bounded by the FidelityTarget and RemoteBackend contracts —
+	// evaluations return promptly once their context is done — so a hanging
+	// or fault-injected evaluation cannot wedge the scheduler or leak the
+	// run's slot.
+	defer func() {
+		cancel()
+		close(next)
+		wg.Wait()
+	}()
+
+	start := p.caps.ReserveRuns(int64(n))
+	results := make([]tune.Result, n)
+	errs := make([]error, n)
+	slot := func(eval func(context.Context, int64, tune.Candidate) (tune.Result, error)) {
+		defer wg.Done()
+		for i := range next {
+			// A cancelled batch skips the evaluation: the merge only reaches
+			// a skipped position after the session is already exhausted, so
+			// the zero result is never recorded.
+			if bctx.Err() == nil {
+				res, err := eval(bctx, start+int64(i), batch[i])
+				if err == nil {
+					results[i] = res
+				} else if bctx.Err() == nil {
+					errs[i] = err
+				}
+			}
+			done <- i
 		}
 	}
-	return ev
+	wg.Add(min(p.workers, n) + min(remote, n))
+	for w := 0; w < min(p.workers, n); w++ {
+		go slot(p.caps.Eval)
+	}
+	for w := 0; w < min(remote, n); w++ {
+		go slot(p.evalRemote)
+	}
+
+	fed := 0
+	feed := func(upto int) {
+		for ; fed < min(upto, n); fed++ {
+			next <- fed
+		}
+	}
+	window := n
+	if p.lookahead {
+		window = slots
+	}
+	ready := make([]bool, n)
+	for cur := 0; cur < n; cur++ {
+		feed(cur + window)
+		for !ready[cur] {
+			ready[<-done] = true
+		}
+		// A remote evaluation lost beyond recovery fails the session: infra
+		// loss is not a recordable trial outcome.
+		if errs[cur] != nil && bctx.Err() == nil {
+			return errs[cur]
+		}
+		if !yield(cur, results[cur]) {
+			break
+		}
+	}
+	return nil
 }
 
-// runBatch evaluates cfgs and returns results aligned with them. Cache
-// lookups, duplicate folding, and run-index reservation all happen here on
-// the caller's goroutine, in batch order, so the outcome is independent of
-// worker scheduling — local and remote slots pull from one shared queue,
-// and because every evaluation is pure in (seed, index, config) it does not
-// matter which executor ran which trial. A remote evaluation lost beyond
-// recovery aborts the batch with its error (the session fails; infra loss
-// is not a recordable trial outcome).
-func (ev *evaluator) runBatch(ctx context.Context, cfgs []tune.Config) ([]tune.Result, error) {
-	results := make([]tune.Result, len(cfgs))
-	type job struct {
-		pos int
-		idx int64
+func (p *pool) evalRemote(ctx context.Context, idx int64, c tune.Candidate) (tune.Result, error) {
+	res, err := p.remote.Evaluate(ctx, idx, c.Fidelity, c.Config)
+	if err != nil {
+		err = fmt.Errorf("engine: remote evaluation: %w", err)
 	}
-	var jobs []job
-	keys := make([]string, len(cfgs))
-	dupOf := make([]int, len(cfgs)) // earlier in-batch position with the same config, else -1
+	return res, err
+}
+
+// memoized decorates an evaluator with the result memo. Lookups, in-batch
+// duplicate folding and stores all happen on the driver goroutine in batch
+// order, so hits, misses and the retained set are independent of how the
+// misses were scheduled. The key is the exact candidate — unit-cube vector
+// and normalized fidelity — so a rung that re-measures a promoted
+// configuration at a higher fidelity is a miss, and a repeated (config,
+// fidelity) pair is a hit.
+type memoized struct {
+	next  tune.Evaluator
+	cache memo
+}
+
+func (m *memoized) Evaluate(ctx context.Context, batch []tune.Candidate, yield func(int, tune.Result) bool) error {
+	n := len(batch)
+	results := make([]tune.Result, n)
+	keys := make([]string, n)
+	dupOf := make([]int, n) // earlier in-batch position with the same key, else -1
+	var misses []tune.Candidate
+	var missAt []int // batch position of each miss
 	firstAt := map[string]int{}
-	for i, cfg := range cfgs {
-		dupOf[i] = -1
-		if ev.cache == nil {
-			jobs = append(jobs, job{pos: i})
-			continue
-		}
-		keys[i] = configKey(cfg)
-		if r, ok := ev.cache.get(keys[i]); ok {
+	for i, c := range batch {
+		keys[i], dupOf[i] = candidateKey(c), -1
+		if r, ok := m.cache.get(keys[i]); ok {
 			results[i] = r
-			keys[i] = "" // already memoized; nothing to store later
-			continue
-		}
-		if at, ok := firstAt[keys[i]]; ok {
+		} else if at, ok := firstAt[keys[i]]; ok {
 			dupOf[i] = at
-			continue
-		}
-		firstAt[keys[i]] = i
-		jobs = append(jobs, job{pos: i})
-	}
-
-	var evalErr error
-	if len(jobs) > 0 {
-		if ev.ct != nil {
-			start := ev.ct.ReserveRuns(int64(len(jobs)))
-			for k := range jobs {
-				jobs[k].idx = start + int64(k)
-			}
-			workers := ev.workers
-			if workers > len(jobs) {
-				workers = len(jobs)
-			}
-			errs := make([]error, len(cfgs))
-			var wg sync.WaitGroup
-			next := make(chan job, len(jobs))
-			for _, j := range jobs {
-				next <- j
-			}
-			close(next)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for j := range next {
-						if ctx.Err() != nil {
-							continue // session will stop at the merge
-						}
-						results[j.pos] = ev.ct.RunIndexed(j.idx, cfgs[j.pos])
-					}
-				}()
-			}
-			// Remote fleet slots drain the same queue as the local workers.
-			for w := 0; w < remoteSlots(ev.remote); w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for j := range next {
-						if ctx.Err() != nil {
-							continue
-						}
-						res, err := ev.remote.Evaluate(ctx, j.idx, 0, cfgs[j.pos])
-						if err != nil {
-							if ctx.Err() == nil {
-								errs[j.pos] = err
-							}
-							continue
-						}
-						results[j.pos] = res
-					}
-				}()
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil && ctx.Err() == nil {
-					evalErr = fmt.Errorf("engine: remote evaluation: %w", err)
-					break
-				}
-			}
 		} else {
-			// No index-keyed noise stream: parallel evaluation would tie
-			// results to worker scheduling, so stay sequential.
-			for _, j := range jobs {
-				if ctx.Err() != nil {
-					break
-				}
-				results[j.pos] = ev.target.Run(cfgs[j.pos])
+			firstAt[keys[i]] = i
+			misses = append(misses, c)
+			missAt = append(missAt, i)
+		}
+	}
+	// flush yields the hits and duplicates queued before position upto.
+	cur, live := 0, true
+	flush := func(upto int) bool {
+		for ; live && cur < upto; cur++ {
+			if dupOf[cur] >= 0 {
+				results[cur] = results[dupOf[cur]]
 			}
+			live = yield(cur, results[cur])
+		}
+		return live
+	}
+	if len(misses) > 0 {
+		err := m.next.Evaluate(ctx, misses, func(k int, res tune.Result) bool {
+			at := missAt[k]
+			if !flush(at) {
+				return false
+			}
+			results[at] = res
+			m.cache.put(keys[at], res)
+			return flush(at + 1)
+		})
+		if err != nil {
+			return err
 		}
 	}
-	if evalErr != nil {
-		return nil, evalErr
-	}
-
-	for i := range cfgs {
-		if dupOf[i] >= 0 {
-			results[i] = results[dupOf[i]]
-		} else if ev.cache != nil && keys[i] != "" {
-			ev.cache.put(keys[i], results[i])
-		}
-	}
-	return results, nil
+	flush(n)
+	return nil
 }
 
-// configKey renders a configuration's exact unit-cube coordinates as a map
-// key (hex float bits, so distinct points never collide).
-func configKey(cfg tune.Config) string {
-	v := cfg.Vector()
+// candidateKey renders a candidate's exact unit-cube coordinates and
+// normalized fidelity as a map key (hex float bits, so distinct candidates
+// never collide).
+func candidateKey(c tune.Candidate) string {
+	v := c.Config.Vector()
 	var b strings.Builder
-	b.Grow(len(v) * 17)
+	b.Grow((len(v) + 1) * 17)
 	for _, x := range v {
 		b.WriteString(strconv.FormatUint(math.Float64bits(x), 16))
 		b.WriteByte(',')
 	}
+	b.WriteString(strconv.FormatUint(math.Float64bits(tune.NormFidelity(c.Fidelity)), 16))
 	return b.String()
 }

@@ -198,6 +198,103 @@ func TestSimTimeBudgetMatchesFacadeAndBoundsWaste(t *testing.T) {
 	if waste < 0 || waste >= 4 {
 		t.Errorf("engine wasted %d runs past the cut, want < 4 (one chunk)", waste)
 	}
+
+	// The fidelity case: one wide low-fidelity rung on a target that ignores
+	// cancellation (as the bundled sysmodels do). The cut lands mid-rung and
+	// the same bound holds — the rest of the rung is never evaluated.
+	rung := func(tgt *countingFidelityTarget) *scriptedRungs {
+		cands := make([]tune.Candidate, 200)
+		for i := range cands {
+			cands[i] = tune.Candidate{Config: tgt.space.Default(), Fidelity: 0.5}
+		}
+		return &scriptedRungs{rungs: [][]tune.Candidate{cands}}
+	}
+	facadeFid := &countingFidelityTarget{countingTarget: newCountingTarget()}
+	facade, err = tune.DriveFidelity(ctx, "stub", facadeFid, b, rung(facadeFid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engFid := &countingFidelityTarget{countingTarget: newCountingTarget()}
+	eng, err = New(Options{Workers: 4}).DriveFidelity(ctx, "stub", engFid, b, rung(engFid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, facade, eng, "simtime fidelity facade vs engine")
+	if n := len(eng.Trials); n == 0 || n >= 200 {
+		t.Fatalf("fidelity session recorded %d of 200 rung members; the cut should land mid-rung", n)
+	}
+	if waste := engFid.calls.Load() - int64(len(eng.Trials)); waste < 0 || waste >= 4 {
+		t.Errorf("engine wasted %d fidelity runs past the cut, want < 4", waste)
+	}
+	if waste := facadeFid.calls.Load() - int64(len(facade.Trials)); waste != 0 {
+		t.Errorf("inline evaluation wasted %d runs past the cut, want 0", waste)
+	}
+}
+
+// countingFidelityTarget adds a low-fidelity path (cost linear in the
+// fraction, context ignored) to countingTarget.
+type countingFidelityTarget struct{ *countingTarget }
+
+func (c *countingFidelityTarget) RunFidelity(ctx context.Context, f float64, cfg tune.Config) tune.Result {
+	return c.RunIndexedFidelity(ctx, c.ReserveRuns(1), f, cfg)
+}
+func (c *countingFidelityTarget) RunIndexedFidelity(_ context.Context, _ int64, f float64, cfg tune.Config) tune.Result {
+	c.calls.Add(1)
+	return tune.Result{Time: f * (1 + cfg.Float("a"))}
+}
+
+// scriptedRungs is a FidelityProposer handing out prepared rungs, one per
+// ProposeFidelity call, and pruning nothing.
+type scriptedRungs struct{ rungs [][]tune.Candidate }
+
+func (p *scriptedRungs) ProposeFidelity(n int) []tune.Candidate {
+	if len(p.rungs) == 0 {
+		return nil
+	}
+	out := p.rungs[0]
+	p.rungs = p.rungs[1:]
+	return out[:min(n, len(out))]
+}
+func (p *scriptedRungs) ObserveFidelity(tune.Trial) {}
+func (p *scriptedRungs) PruneNotices() []int        { return nil }
+
+// TestMemoKeyedByConfigAndFidelity: with the memo on, a repeated (config,
+// fidelity) candidate costs one real run — within a rung and across rungs —
+// while the same configuration at a different fidelity is a miss; every
+// trial is still recorded, stamped with its own fidelity.
+func TestMemoKeyedByConfigAndFidelity(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		tgt := &countingFidelityTarget{countingTarget: newCountingTarget()}
+		a, b := tgt.space.Default(), tgt.space.Default().With("a", 0.25)
+		at := func(cfg tune.Config, f float64) tune.Candidate { return tune.Candidate{Config: cfg, Fidelity: f} }
+		fp := &scriptedRungs{rungs: [][]tune.Candidate{
+			{at(a, 1.0/3), at(b, 1.0/3), at(a, 1.0/3)}, // in-rung duplicate of a@⅓
+			{at(a, 1), at(a, 1.0/3), at(b, 1)},         // a@1 and b@1 are new; a@⅓ is a hit
+			{at(a, 0), at(b, 1.0/3)},                   // 0 and 1 both mean full fidelity: two hits
+		}}
+		res, err := New(Options{Workers: workers, Cache: true}).DriveFidelity(context.Background(), "stub", tgt, tune.Budget{Trials: 20}, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tgt.calls.Load(); got != 4 {
+			t.Errorf("workers=%d: %d real runs, want 4 (a@⅓, b@⅓, a@1, b@1)", workers, got)
+		}
+		if len(res.Trials) != 8 {
+			t.Fatalf("workers=%d: %d trials recorded, want 8", workers, len(res.Trials))
+		}
+		wantFid := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3, 0, 1.0 / 3, 0, 0, 1.0 / 3}
+		for i, tr := range res.Trials {
+			if tr.Result.Fidelity != wantFid[i] {
+				t.Errorf("workers=%d: trial %d stamped fidelity %v, want %v", workers, i+1, tr.Result.Fidelity, wantFid[i])
+			}
+		}
+		if res.Trials[0].Result.Time != res.Trials[2].Result.Time || res.Trials[0].Result.Time != res.Trials[4].Result.Time {
+			t.Errorf("workers=%d: repeated a@⅓ trials differ: %v", workers, res.Trials)
+		}
+		if res.Trials[0].Result.Time == res.Trials[3].Result.Time {
+			t.Errorf("workers=%d: a@1 returned the a@⅓ result — the memo ignored fidelity", workers)
+		}
+	}
 }
 
 // TestDriveReportsCancellation: a cancelled context is an error on both

@@ -6,9 +6,10 @@ import (
 	"repro/internal/tune"
 )
 
-// memo is the evaluator's config-keyed result cache. Both implementations
-// are driven only from the driver goroutine (runBatch makes every cache
-// decision in batch order), so neither locks, and both are deterministic:
+// memo is the candidate-keyed result cache behind the memoized evaluator.
+// Both implementations are driven only from the driver goroutine (memoized
+// makes every cache decision in batch order), so neither locks, and both are
+// deterministic:
 // the same sequence of get/put calls produces the same hits, misses, and
 // retained set at any worker count.
 type memo interface {
@@ -104,7 +105,7 @@ func (c *gdsfMemo) get(key string) (tune.Result, bool) {
 
 func (c *gdsfMemo) put(key string, r tune.Result) {
 	if e, ok := c.byKey[key]; ok {
-		// Refresh in place: runBatch never stores over a hit, but a replayed
+		// Refresh in place: memoized never stores over a hit, but a replayed
 		// history can legitimately re-put a key.
 		e.res = r
 		e.pri = c.clock + float64(e.freq)*gdsfCost(r)

@@ -71,8 +71,5 @@ func remoteSlots(r RemoteBackend) int {
 	if r == nil {
 		return 0
 	}
-	if n := r.Slots(); n > 0 {
-		return n
-	}
-	return 0
+	return max(r.Slots(), 0)
 }

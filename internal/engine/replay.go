@@ -1,163 +1,92 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/tune"
 )
 
-// This file is the crash-resume mechanics shared by Drive and DriveFidelity:
-// replaying a checkpointed observation history into a fresh proposer, and
-// offering batch-boundary checkpoints to the configured sink. See
+// This file is crash-resume: an evaluator that serves the checkpointed
+// prefix of a session before handing over to the live one. See
 // internal/tune/checkpoint.go for why resume-by-observation-replay is exact.
 //
-// Replay mirrors the live drive loop — it asks the proposer for batches and
-// verifies each proposed configuration against the recorded history instead
-// of evaluating it. Observe-only replay would not work: proposers mutate
-// state on Propose as well as on Observe (a fixed-schedule proposer pops its
-// pending queue, a model-based one advances its design phase), so skipping
-// the proposals would leave the resumed proposer out of sync with the one
-// that produced the checkpoint.
+// Replay runs through the ordinary drive loop — the fresh proposer is asked
+// for batches and each proposed candidate is verified against the recorded
+// history instead of being evaluated. Observe-only replay would not work:
+// proposers mutate state on Propose as well as on Observe (a fixed-schedule
+// proposer pops its pending queue, a model-based one advances its design
+// phase), so skipping the proposals would leave the resumed proposer out of
+// sync with the one that produced the checkpoint. Going through the loop
+// also re-emits every recorded event, prune notices included, in its
+// original position.
 
-// runReserver is the slice of ConcurrentTarget/ConcurrentFidelityTarget the
-// resume path needs: the reserved-run counter.
-type runReserver interface {
-	ReserveRuns(n int64) int64
+// reservedRuns reads the target's run counter without reserving anything:
+// ReserveRuns(n) returns the first index of the reserved block (1-based), so
+// a zero-width block starts one past the last reserved index.
+func reservedRuns(caps tune.Capabilities) int64 {
+	return caps.ReserveRuns(0) - 1
 }
 
-// reservedRuns reads the counter without reserving anything: ReserveRuns(n)
-// returns the first index of the reserved block (1-based), so a zero-width
-// block starts one past the last reserved index.
-func reservedRuns(rr runReserver) int64 {
-	return rr.ReserveRuns(0) - 1
+// replayed serves log's trials, in order, for the batches the fresh proposer
+// proposes, then delegates to live.
+type replayed struct {
+	live  tune.Evaluator
+	caps  tune.Capabilities
+	cache memo // nil: memo disabled
+	log   *tune.Replay
+	pos   int // log trials served so far
 }
 
-// restoreReserved advances the target's run counter to the checkpointed
-// value, so every post-resume evaluation draws the same noise index it
-// would have drawn in the uninterrupted run. Replayed trials consume no
-// target runs themselves (they are recorded, not evaluated), which is why
-// the counter must be restored explicitly.
-func restoreReserved(rr runReserver, want int64) {
-	if d := want - reservedRuns(rr); d > 0 {
-		rr.ReserveRuns(d)
+func (r *replayed) Evaluate(ctx context.Context, batch []tune.Candidate, yield func(int, tune.Result) bool) error {
+	n := len(r.log.Trials)
+	if r.pos == n {
+		return r.live.Evaluate(ctx, batch, yield)
 	}
-}
-
-// offerCheckpoint hands the session's resumable state to the sink if at
-// least `every` new trials were observed since the last snapshot (minimum
-// one — empty checkpoints are never offered). Returns the new high-water
-// trial count. Callers invoke it only at batch/rung boundaries; see
-// tune.CheckpointState for the aliasing contract.
-func offerCheckpoint(sink func(tune.CheckpointState), s *tune.Session, rr runReserver, last, every int) int {
-	trials := s.Trials()
-	if every < 1 {
-		every = 1
+	if len(batch) > n-r.pos {
+		return r.fail("checkpoint ends mid-batch (checkpoints are only written at batch boundaries — is this a checkpoint from a different spec?)")
 	}
-	if len(trials)-last < every {
-		return last
-	}
-	sink(tune.CheckpointState{Trials: trials, RunsReserved: reservedRuns(rr)})
-	return len(trials)
-}
-
-// replayDrive feeds a checkpointed single-fidelity history back through a
-// fresh proposer: for each batch the proposer proposes, the recorded results
-// are recorded and observed in order. The memo cache (when enabled) is
-// seeded with the replayed results so post-resume repeat proposals hit it
-// exactly as they would have without the interruption.
-func replayDrive(s *tune.Session, p tune.Proposer, ev *evaluator, rep *tune.Replay) error {
-	i := 0
-	for i < len(rep.Trials) {
-		if s.Exhausted() {
-			return replayErr(i, len(rep.Trials), "budget exhausted mid-replay (resume must use the original spec's budget)")
+	for i, c := range batch {
+		rt := r.log.Trials[r.pos]
+		// Unit-cube coordinates compare bitwise: a deterministic proposer
+		// reproduces its history exactly, so any difference is divergence,
+		// not rounding.
+		if !slices.Equal(c.Config.Vector(), rt.Vector) || tune.NormFidelity(c.Fidelity) != tune.NormFidelity(rt.Result.Fidelity) {
+			return r.fail("fresh proposer diverged from the checkpointed history (spec, seed, or warm-start corpus changed since the checkpoint)")
 		}
-		remaining := s.Remaining()
-		cfgs := p.Propose(remaining)
-		if len(cfgs) == 0 {
-			return replayErr(i, len(rep.Trials), "fresh proposer stopped proposing before the checkpointed history ended")
+		// Seed the memo so post-resume repeat proposals hit it exactly as
+		// they would have without the interruption.
+		if r.cache != nil {
+			r.cache.put(candidateKey(c), rt.Result)
 		}
-		if len(cfgs) > remaining {
-			cfgs = cfgs[:remaining]
-		}
-		if len(cfgs) > len(rep.Trials)-i {
-			return replayErr(i, len(rep.Trials), "checkpoint ends mid-batch (checkpoints are only written at batch boundaries — is this a checkpoint from a different spec?)")
-		}
-		for _, cfg := range cfgs {
-			rt := rep.Trials[i]
-			if !vectorsEqual(cfg.Vector(), rt.Vector) {
-				return replayErr(i, len(rep.Trials), "fresh proposer diverged from the checkpointed history (spec, seed, or warm-start corpus changed since the checkpoint)")
+		if r.pos++; r.pos == n {
+			// Replayed trials consume no target runs, so the counter is
+			// advanced to the checkpointed value explicitly: every
+			// post-resume evaluation then draws the noise index it would
+			// have drawn in the uninterrupted run.
+			if d := r.log.RunsReserved - reservedRuns(r.caps); d > 0 {
+				r.caps.ReserveRuns(d)
 			}
-			if ev.cache != nil {
-				ev.cache.put(configKey(cfg), rt.Result)
-			}
-			p.Observe(s.RecordExternal(cfg, rt.Result))
-			i++
+		}
+		if !yield(i, rt.Result) {
+			break
 		}
 	}
-	restoreReserved(ev.ct, rep.RunsReserved)
 	return nil
 }
 
-// replayFidelity is replayDrive for multi-fidelity schedules: candidates are
-// verified against the recorded history (configuration and fidelity), and
-// each replayed observation re-runs the proposer's prune decisions so
-// TrialPruned events are re-emitted in their original positions.
-func replayFidelity(s *tune.Session, fp tune.FidelityProposer, rr runReserver, rep *tune.Replay) error {
-	i := 0
-	for i < len(rep.Trials) {
-		if s.Exhausted() {
-			return replayErr(i, len(rep.Trials), "budget exhausted mid-replay (resume must use the original spec's budget)")
-		}
-		remaining := s.Remaining()
-		cands := fp.ProposeFidelity(remaining)
-		if len(cands) == 0 {
-			return replayErr(i, len(rep.Trials), "fresh proposer stopped proposing before the checkpointed history ended")
-		}
-		if len(cands) > remaining {
-			cands = cands[:remaining]
-		}
-		if len(cands) > len(rep.Trials)-i {
-			return replayErr(i, len(rep.Trials), "checkpoint ends mid-rung (checkpoints are only written at rung boundaries — is this a checkpoint from a different spec?)")
-		}
-		for _, c := range cands {
-			rt := rep.Trials[i]
-			if !vectorsEqual(c.Config.Vector(), rt.Vector) || normFidelity(c.Fidelity) != normFidelity(rt.Result.Fidelity) {
-				return replayErr(i, len(rep.Trials), "fresh proposer diverged from the checkpointed history (spec, seed, or warm-start corpus changed since the checkpoint)")
-			}
-			fp.ObserveFidelity(s.RecordFidelity(c, rt.Result))
-			s.Prune(fp.PruneNotices()...)
-			i++
-		}
+// unfinished reports a session that ended with checkpointed history still
+// unserved. Nil-safe: a session that is not resuming has nothing to finish.
+func (r *replayed) unfinished() error {
+	if r == nil || r.pos == len(r.log.Trials) {
+		return nil
 	}
-	restoreReserved(rr, rep.RunsReserved)
-	return nil
+	return r.fail("session ended before the checkpointed history did (resume must use the original spec: its budget cut the replay short, or the fresh proposer stopped proposing)")
 }
 
-// normFidelity maps any full-fidelity encoding (≤0 or ≥1) to 0, matching the
-// session's partial-fidelity normalization.
-func normFidelity(f float64) float64 {
-	if f <= 0 || f >= 1 {
-		return 0
-	}
-	return f
-}
-
-// vectorsEqual compares unit-cube coordinates bitwise: a deterministic
-// proposer reproduces its history exactly, so any difference is divergence,
-// not rounding.
-func vectorsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// replayErr formats a resume failure at 1-based trial position i+1 of n.
-func replayErr(i, n int, msg string) error {
-	return fmt.Errorf("engine: replay trial %d/%d: %s", i+1, n, msg)
+// fail formats a resume failure at the 1-based position of the next
+// unserved trial.
+func (r *replayed) fail(msg string) error {
+	return fmt.Errorf("engine: replay trial %d/%d: %s", r.pos+1, len(r.log.Trials), msg)
 }

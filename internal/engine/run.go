@@ -143,21 +143,17 @@ func (r *Run) run(e *Engine, record bool) {
 	r.running = true
 	r.mu.Unlock()
 
-	workers := r.job.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	// Deliberately job.Remote only — never the engine's: an engine-level
-	// backend is bound to one target's sysmodel and would evaluate other
-	// jobs' trials against the wrong system.
 	memoCap := r.job.MemoCap
 	if memoCap == 0 {
 		memoCap = e.cacheCap
 	}
-	sub := &Engine{
-		workers: workers, cache: e.cache || r.job.Memo || memoCap > 0, cacheCap: memoCap,
+	// Deliberately job.Remote only — never the engine's: an engine-level
+	// backend is bound to one target's sysmodel and would evaluate other
+	// jobs' trials against the wrong system.
+	d := driver{
+		workers: max(r.job.Parallel, 1),
+		cache:   e.cache || r.job.Memo || memoCap > 0, cacheCap: memoCap,
 		remote:     r.job.Remote,
-		sem:        make(chan struct{}, workers),
 		checkpoint: r.job.Checkpoint, ckptEvery: r.job.CheckpointEvery, replay: r.job.Replay,
 	}
 	ctx := r.ctx
@@ -167,7 +163,7 @@ func (r *Run) run(e *Engine, record bool) {
 	if sc := (tune.Scenario{Pareto: r.job.Pareto, Guardrail: r.job.Guardrail}); sc.Pareto || sc.Guardrail > 0 {
 		ctx = tune.WithScenario(ctx, sc)
 	}
-	res, err := sub.Tune(ctx, r.job.Target, r.job.Tuner, r.job.Budget)
+	res, err := d.Tune(ctx, r.job.Target, r.job.Tuner, r.job.Budget)
 	r.archive(res, err)
 	r.finish(res, err)
 }

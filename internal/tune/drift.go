@@ -94,9 +94,7 @@ func NewDriftDetector(inner Proposer, fresh func(remaining Budget) (Proposer, er
 // BindSession implements SessionAware.
 func (d *DriftDetector) BindSession(s *Session) {
 	d.sess = s
-	if sa, ok := d.inner.(SessionAware); ok {
-		sa.BindSession(s)
-	}
+	bindSession(d.inner, s)
 }
 
 // Propose implements Proposer.

@@ -2,7 +2,6 @@ package tune
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -12,9 +11,8 @@ import (
 // full-cost runs only on the survivors. This file holds the fidelity ladder
 // and the successive-halving/Hyperband rung schedule — pure arithmetic,
 // deterministic in its inputs — plus the interfaces targets and tuners
-// implement and the sequential driver. The bracket tuner itself lives in
-// multifidelity.go; the parallel driver with trial early-stopping lives in
-// internal/engine.
+// implement. The bracket tuner itself lives in multifidelity.go; the drive
+// loop every schedule runs through lives in drive.go.
 
 // FidelitySpace describes the geometric ladder of budget levels a
 // multi-fidelity tuner evaluates trials at: Min, Min·Eta, Min·Eta², …, 1.
@@ -295,45 +293,6 @@ type FidelityBatchTuner interface {
 	// NewFidelityProposer starts one session's fidelity proposer for target
 	// under b. It errors descriptively when target lacks a fidelity path.
 	NewFidelityProposer(t Target, b Budget) (FidelityProposer, error)
-}
-
-// DriveFidelity evaluates a FidelityProposer sequentially against target
-// under b — the blocking counterpart of the engine's parallel fidelity
-// driver, producing the identical trial and event sequence for a fixed
-// seed.
-func DriveFidelity(ctx context.Context, name string, target Target, b Budget, fp FidelityProposer) (*TuningResult, error) {
-	ft, ok := target.(FidelityTarget)
-	if !ok {
-		return nil, fmt.Errorf("tune: target %q has no fidelity-aware evaluation path", target.Name())
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s := NewSession(ctx, target, b)
-	for !s.Exhausted() {
-		cands := fp.ProposeFidelity(s.Remaining())
-		if len(cands) == 0 {
-			break
-		}
-		for _, c := range cands {
-			if _, err := s.RunFidelity(ft, c); err != nil {
-				if err == ErrBudgetExhausted {
-					break
-				}
-				return nil, err
-			}
-			fp.ObserveFidelity(s.LastTrial())
-			s.Prune(fp.PruneNotices()...)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rec := Config{}
-	if r, ok := fp.(Recommender); ok {
-		rec = r.Recommend()
-	}
-	return s.Finish(name, rec), nil
 }
 
 // sortByObjective orders member indices by objective ascending with a

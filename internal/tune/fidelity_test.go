@@ -317,6 +317,17 @@ func TestDriveFidelityRequiresFidelityTarget(t *testing.T) {
 	}
 }
 
+// runCandidate evaluates c on target's own run counter and records it — one
+// step of the inline drive loop.
+func runCandidate(t *testing.T, s *Session, target Target, c Candidate) {
+	t.Helper()
+	res, err := Resolve(target).Eval(context.Background(), NextRun, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Record(c, res)
+}
+
 // TestSessionPruneEmitsOrderedEvents: Session.Prune emits TrialPruned with
 // the trial's configuration and fidelity, ignoring out-of-range numbers.
 func TestSessionPruneEmitsOrderedEvents(t *testing.T) {
@@ -325,9 +336,7 @@ func TestSessionPruneEmitsOrderedEvents(t *testing.T) {
 	ctx := WithMonitor(context.Background(), &Monitor{OnEvent: func(ev Event) { events = append(events, ev) }})
 	s := NewSession(ctx, target, Budget{Trials: 4})
 	for i := 0; i < 3; i++ {
-		if _, err := s.RunFidelity(target, Candidate{Config: target.Space().Random(rand.New(rand.NewSource(int64(i)))), Fidelity: 1.0 / 3}); err != nil {
-			t.Fatal(err)
-		}
+		runCandidate(t, s, target, Candidate{Config: target.Space().Random(rand.New(rand.NewSource(int64(i)))), Fidelity: 1.0 / 3})
 	}
 	s.Prune(2, 3, 99, 0)
 	var got []Event
@@ -357,12 +366,8 @@ func TestSessionPartialFidelityNeverHoldsIncumbency(t *testing.T) {
 	s := NewSession(context.Background(), target, Budget{Trials: 3})
 	good := target.Space().Default().With("x", 0.2)
 	cheap := target.Space().Default().With("x", 0.0)
-	if _, err := s.RunFidelity(target, Candidate{Config: good, Fidelity: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunFidelity(target, Candidate{Config: cheap, Fidelity: 0.1}); err != nil {
-		t.Fatal(err)
-	}
+	runCandidate(t, s, target, Candidate{Config: good, Fidelity: 1})
+	runCandidate(t, s, target, Candidate{Config: cheap, Fidelity: 0.1})
 	_, bestRes := s.Best()
 	if !bestRes.FullFidelity() {
 		t.Fatalf("incumbent went to a partial-fidelity trial: %+v", bestRes)

@@ -111,9 +111,7 @@ func NewGuardrail(inner Proposer, space *Space, opts GuardrailOptions) (*Guardra
 
 // BindSession implements SessionAware, forwarding to the inner proposer.
 func (g *Guardrail) BindSession(s *Session) {
-	if sa, ok := g.inner.(SessionAware); ok {
-		sa.BindSession(s)
-	}
+	bindSession(g.inner, s)
 }
 
 // Vetoes reports how many inner proposals the screen replaced.

@@ -42,9 +42,8 @@ func NewMultiFidelity(inner BatchTuner, fs FidelitySpace, strategy string, seed 
 // Name implements Tuner, e.g. "hyperband(ituned)".
 func (t *MultiFidelityTuner) Name() string { return t.strategy + "(" + t.inner.Name() + ")" }
 
-// Tune implements Tuner through the sequential fidelity driver; the
-// concurrent engine replaces it with the parallel driver obeying the same
-// observation and prune order.
+// Tune implements Tuner through the sequential drive loop; the concurrent
+// engine runs the same loop with a parallel evaluator.
 func (t *MultiFidelityTuner) Tune(ctx context.Context, target Target, b Budget) (*TuningResult, error) {
 	fp, err := t.NewFidelityProposer(target, b)
 	if err != nil {
@@ -55,8 +54,8 @@ func (t *MultiFidelityTuner) Tune(ctx context.Context, target Target, b Budget) 
 
 // NewFidelityProposer implements FidelityBatchTuner.
 func (t *MultiFidelityTuner) NewFidelityProposer(target Target, b Budget) (FidelityProposer, error) {
-	if _, ok := target.(FidelityTarget); !ok {
-		return nil, fmt.Errorf("tune: target %q has no fidelity-aware evaluation path", target.Name())
+	if err := Resolve(target).RequireFidelity(); err != nil {
+		return nil, err
 	}
 	p, err := t.inner.NewProposer(target, b)
 	if err != nil {

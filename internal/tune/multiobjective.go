@@ -60,9 +60,7 @@ func NewMultiObjective(subs []Proposer, weights []float64) (*MultiObjective, err
 func (m *MultiObjective) BindSession(s *Session) {
 	m.sess = s
 	for _, sub := range m.subs {
-		if sa, ok := sub.(SessionAware); ok {
-			sa.BindSession(s)
-		}
+		bindSession(sub, s)
 	}
 }
 

@@ -1,7 +1,5 @@
 package tune
 
-import "context"
-
 // Proposer is the ask/tell (propose–observe) face of a tuning algorithm.
 // Instead of owning the evaluation loop the way Tuner.Tune does, a proposer
 // is driven from outside: the driver asks for up to n candidate
@@ -52,44 +50,6 @@ type Recommender interface {
 	// Recommend returns the current best recommendation, which may be the
 	// invalid zero Config when none exists yet.
 	Recommend() Config
-}
-
-// DriveProposer evaluates a Proposer sequentially against target under b
-// and packages the outcome — the generic adapter that preserves the
-// blocking Tuner facade for ask/tell tuners. Tuner implementations built
-// around a Proposer implement Tune as a one-line call to it; the concurrent
-// engine replaces it with a parallel driver obeying the same observation
-// order, which is why both produce identical results for a fixed seed.
-func DriveProposer(ctx context.Context, name string, target Target, b Budget, p Proposer) (*TuningResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s := NewSession(ctx, target, b)
-	bindSession(p, s)
-	for !s.Exhausted() {
-		cfgs := p.Propose(s.Remaining())
-		if len(cfgs) == 0 {
-			break
-		}
-		for _, cfg := range cfgs {
-			if _, err := s.Run(cfg); err != nil {
-				if err == ErrBudgetExhausted {
-					break
-				}
-				return nil, err
-			}
-			p.Observe(s.LastTrial())
-		}
-	}
-	// Cancellation is an error even when first noticed at the loop head.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rec := Config{}
-	if r, ok := p.(Recommender); ok {
-		rec = r.Recommend()
-	}
-	return s.Finish(name, rec), nil
 }
 
 // RecommendProposer is the ask/tell form shared by tuners that compute one

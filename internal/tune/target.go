@@ -27,7 +27,7 @@ type Result struct {
 }
 
 // FullFidelity reports whether the result measured the complete workload.
-func (r Result) FullFidelity() bool { return r.Fidelity <= 0 || r.Fidelity >= 1 }
+func (r Result) FullFidelity() bool { return NormFidelity(r.Fidelity) == 0 }
 
 // Objective returns the value tuners minimize: the runtime, heavily
 // penalized on failure so optimizers steer away from crashing regions while

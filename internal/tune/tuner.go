@@ -150,7 +150,7 @@ func (s *Session) exhaustedLocked() bool {
 // ErrBudgetExhausted when no budget remains and the context error if the
 // session was cancelled. The session lock is held across the run, so
 // concurrent Run calls serialize; parallel evaluation belongs to the engine,
-// which runs trials outside the session and merges them via RecordExternal.
+// which runs trials outside the session and merges them via Record.
 func (s *Session) Run(cfg Config) (Result, error) {
 	s.gate()
 	s.mu.Lock()
@@ -167,17 +167,27 @@ func (s *Session) Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// RecordExternal records a trial whose result was obtained outside Run —
-// adaptive tuners drive tune.AdaptiveTarget.RunAdaptive directly, and the
-// concurrent engine evaluates batches on its worker pool; both charge the
-// run to the session so cost accounting stays uniform across categories.
-// It returns the recorded trial.
-func (s *Session) RecordExternal(cfg Config, res Result) Trial {
+// Record records a trial whose result was obtained outside Run — the drive
+// loop evaluates batches through its Evaluator and merges each outcome here
+// in proposal order — stamping a partial result with the candidate's
+// fidelity. It returns the recorded trial.
+func (s *Session) Record(c Candidate, res Result) Trial {
 	s.gate()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.emitLocked(Event{Kind: TrialStarted, Trial: len(s.trials) + 1, Config: cfg})
-	return s.recordLocked(cfg, res)
+	fid := NormFidelity(c.Fidelity)
+	if fid != 0 {
+		res.Fidelity = fid
+	}
+	s.emitLocked(Event{Kind: TrialStarted, Trial: len(s.trials) + 1, Config: c.Config, Fidelity: fid})
+	return s.recordLocked(c.Config, res)
+}
+
+// RecordExternal is Record for a full-fidelity run: adaptive tuners drive
+// tune.AdaptiveTarget.RunAdaptive directly and charge the run to the session
+// here, so cost accounting stays uniform across categories.
+func (s *Session) RecordExternal(cfg Config, res Result) Trial {
+	return s.Record(Candidate{Config: cfg}, res)
 }
 
 func (s *Session) recordLocked(cfg Config, res Result) Trial {
@@ -206,55 +216,13 @@ func (s *Session) recordLocked(cfg Config, res Result) Trial {
 	return t
 }
 
-// partialFidelity normalizes a candidate fidelity: 0 for the full workload,
-// otherwise the partial fraction in (0, 1).
-func partialFidelity(f float64) float64 {
+// NormFidelity normalizes a fidelity: 0 for the full workload (any encoding,
+// ≤0 or ≥1), otherwise the partial fraction in (0, 1).
+func NormFidelity(f float64) float64 {
 	if f <= 0 || f >= 1 {
 		return 0
 	}
 	return f
-}
-
-// RunFidelity evaluates c against the fidelity-aware target, recording the
-// trial with its fidelity. Full-fidelity candidates run through Target.Run,
-// so a fidelity session's top-rung trials draw the plain path's noise
-// stream.
-func (s *Session) RunFidelity(ft FidelityTarget, c Candidate) (Result, error) {
-	s.gate()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if s.exhaustedLocked() {
-		return Result{}, ErrBudgetExhausted
-	}
-	fid := partialFidelity(c.Fidelity)
-	s.emitLocked(Event{Kind: TrialStarted, Trial: len(s.trials) + 1, Config: c.Config, Fidelity: fid})
-	var res Result
-	if fid == 0 {
-		res = s.target.Run(c.Config)
-	} else {
-		res = ft.RunFidelity(s.ctx, fid, c.Config)
-		res.Fidelity = fid
-	}
-	s.recordLocked(c.Config, res)
-	return res, nil
-}
-
-// RecordFidelity is RecordExternal for fidelity candidates: the concurrent
-// engine evaluates rungs on its worker pool and merges each outcome here in
-// proposal order, stamping the result with the candidate's fidelity.
-func (s *Session) RecordFidelity(c Candidate, res Result) Trial {
-	s.gate()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fid := partialFidelity(c.Fidelity)
-	if fid != 0 {
-		res.Fidelity = fid
-	}
-	s.emitLocked(Event{Kind: TrialStarted, Trial: len(s.trials) + 1, Config: c.Config, Fidelity: fid})
-	return s.recordLocked(c.Config, res)
 }
 
 // Prune emits TrialPruned for the given recorded trial numbers — the
@@ -272,7 +240,7 @@ func (s *Session) Prune(ns ...int) {
 			continue
 		}
 		t := s.trials[n-1]
-		s.emitLocked(Event{Kind: TrialPruned, Trial: n, Config: t.Config, Fidelity: partialFidelity(t.Result.Fidelity)})
+		s.emitLocked(Event{Kind: TrialPruned, Trial: n, Config: t.Config, Fidelity: NormFidelity(t.Result.Fidelity)})
 	}
 }
 
@@ -324,16 +292,6 @@ func (s *Session) Trials() []Trial {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.trials
-}
-
-// LastTrial returns the most recently recorded trial (zero Trial if none).
-func (s *Session) LastTrial() Trial {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.trials) == 0 {
-		return Trial{}
-	}
-	return s.trials[len(s.trials)-1]
 }
 
 // SimTimeUsed returns the cumulative simulated seconds consumed.

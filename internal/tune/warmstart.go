@@ -178,9 +178,7 @@ func (w *WarmStarter) Observe(t Trial) { w.inner.Observe(t) }
 // (see SessionAware) — warm starting must not hide a drift detector from
 // its driver.
 func (w *WarmStarter) BindSession(s *Session) {
-	if sa, ok := w.inner.(SessionAware); ok {
-		sa.BindSession(s)
-	}
+	bindSession(w.inner, s)
 }
 
 // Recommend implements Recommender when the inner proposer does; otherwise

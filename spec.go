@@ -335,8 +335,8 @@ func (s Spec) JobWithWarm(repo *Repository, warm tune.WarmSource, archive func(S
 		if !ok {
 			return Job{}, fmt.Errorf("repro: tuner %q has no ask/tell form and cannot run a fidelity schedule", s.Tuner)
 		}
-		if _, ok := target.(tune.FidelityTarget); !ok {
-			return Job{}, fmt.Errorf("repro: target %q has no fidelity-aware evaluation path", target.Name())
+		if err := tune.Resolve(target).RequireFidelity(); err != nil {
+			return Job{}, err
 		}
 		mf, err := tune.NewMultiFidelity(bt,
 			tune.FidelitySpace{Min: s.Fidelity.Min, Eta: s.Fidelity.Eta}, s.Fidelity.Strategy, s.Seed)

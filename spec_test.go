@@ -541,3 +541,54 @@ func TestSpecFidelityMaterialization(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecMemoWithFidelity: Memo/MemoCap combined with a fidelity schedule
+// is honoured, not ignored — the memo is keyed by (configuration, fidelity),
+// so rungs still re-measure promoted configurations and the whole event
+// stream stays byte-identical at parallel 1 and parallel 4.
+func TestSpecMemoWithFidelity(t *testing.T) {
+	stream := func(parallel int) []byte {
+		run, err := Start(context.Background(), Spec{
+			System: "dbms", Workload: "tpch", Tuner: "random",
+			Seed: 9, Budget: Budget{Trials: 30}, Target: TargetOptions{ScaleGB: 2},
+			Fidelity: &FidelitySpec{Strategy: "hyperband"}, MemoCap: 4, Parallel: parallel,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		for ev := range run.Events() {
+			data, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(append(out, data...), '\n')
+		}
+		res, err := run.Wait(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A promoted configuration's higher rung is a fresh, costlier run.
+		byConfig := map[string]map[float64]float64{}
+		for _, tr := range res.Trials {
+			k := tr.Config.String()
+			if byConfig[k] == nil {
+				byConfig[k] = map[float64]float64{}
+			}
+			byConfig[k][tr.Result.Fidelity] = tr.Result.Time
+		}
+		promoted := 0
+		for _, times := range byConfig {
+			if len(times) > 1 {
+				promoted++
+			}
+		}
+		if promoted == 0 {
+			t.Fatal("no configuration was measured at two fidelities; the memo served a rung from the wrong fidelity")
+		}
+		return out
+	}
+	if seq, par := stream(1), stream(4); !bytes.Equal(seq, par) {
+		t.Fatalf("memo + fidelity stream differs across parallelism:\nparallel 1:\n%s\nparallel 4:\n%s", seq, par)
+	}
+}
