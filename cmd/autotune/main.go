@@ -259,11 +259,16 @@ func main() {
 				}
 			}
 		}
+		warned := false
 		ckptHook = func(cs tune.CheckpointState) {
-			_ = st.SaveCheckpoint(store.SessionCheckpoint{
+			err := st.SaveCheckpoint(store.SessionCheckpoint{
 				SID: ckptSID, Spec: meta, Replay: cs.Replay(),
 				Trials: len(cs.Trials), UpdatedAt: time.Now(),
 			})
+			if err != nil && !warned {
+				warned = true
+				fmt.Fprintf(os.Stderr, "autotune: checkpoint not saved, an interruption now would lose progress: %v\n", err)
+			}
 		}
 	}
 	eng := repro.NewEngine(repro.EngineOptions{

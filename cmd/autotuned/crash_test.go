@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/tune/store"
 )
 
 // TestKillNineMidSessionResumes is the whole-process fault-injection test:
@@ -54,7 +56,7 @@ func TestKillNineMidSessionResumes(t *testing.T) {
 		}
 	}
 	spec := `{"system": "dbms", "workload": "tpch", "tuner": "random",
-		"seed": 42, "budget": {"trials": 600}, "target": {"scale_gb": 2},
+		"seed": 42, "budget": {"trials": 2000}, "target": {"scale_gb": 2},
 		"fidelity": {"strategy": "hyperband"}}`
 	submit := func() string {
 		resp, err := http.Post(base+"/sessions", "application/json", strings.NewReader(spec))
@@ -115,17 +117,11 @@ func TestKillNineMidSessionResumes(t *testing.T) {
 
 	// Wait for a durable checkpoint carrying observations, reading the file
 	// exactly as the next process will — then SIGKILL with no warning.
-	ckptPath := filepath.Join(repoDir, "checkpoints", id+".json")
+	ckptPath := filepath.Join(repoDir, "checkpoints", id+".jsonl")
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		data, err := os.ReadFile(ckptPath)
-		if err == nil {
-			var cp struct {
-				Trials int `json:"trials"`
-			}
-			if json.Unmarshal(data, &cp) == nil && cp.Trials > 0 {
-				break
-			}
+		if cp, err := store.ReadCheckpoint(ckptPath); err == nil && cp.Trials > 0 {
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("no checkpoint with observations ever became durable")

@@ -129,6 +129,7 @@ type session struct {
 	mu         sync.Mutex
 	archiveID  int64 // repository id once archived
 	archiveErr error
+	ckptErr    error // outcome of the latest boundary checkpoint save
 }
 
 // New returns a daemon server scheduling sessions on its own engine. With a
@@ -543,9 +544,14 @@ func (s *Server) startSession(spec repro.Spec, sid string, replay *tune.Replay, 
 		job.CheckpointEvery = s.opts.CheckpointEvery
 		job.Replay = replay
 		job.Checkpoint = func(cs tune.CheckpointState) {
-			_ = s.repo.SaveCheckpoint(store.SessionCheckpoint{
+			// Saves are state-based, so the next boundary retries a failed
+			// one; until it succeeds the session reports checkpoint_error.
+			err := s.repo.SaveCheckpoint(store.SessionCheckpoint{
 				SID: sid, Spec: rawSpec, Replay: cs.Replay(), Trials: len(cs.Trials), UpdatedAt: time.Now(),
 			})
+			sess.mu.Lock()
+			sess.ckptErr = err
+			sess.mu.Unlock()
 		}
 		if replay == nil {
 			if err := s.repo.SaveCheckpoint(store.SessionCheckpoint{SID: sid, Spec: rawSpec, UpdatedAt: time.Now()}); err != nil {
@@ -608,6 +614,9 @@ type status struct {
 	ArchivedAs int64 `json:"archived_as,omitempty"`
 	// ArchiveError reports a failed archive attempt.
 	ArchiveError string `json:"archive_error,omitempty"`
+	// CheckpointError reports that the latest boundary checkpoint was not
+	// made durable: a crash now would resume from an earlier boundary.
+	CheckpointError string `json:"checkpoint_error,omitempty"`
 }
 
 type incumbent struct {
@@ -643,6 +652,9 @@ func (sess *session) status() status {
 	st.ArchivedAs = sess.archiveID
 	if sess.archiveErr != nil {
 		st.ArchiveError = sess.archiveErr.Error()
+	}
+	if sess.ckptErr != nil {
+		st.CheckpointError = sess.ckptErr.Error()
 	}
 	sess.mu.Unlock()
 	return st

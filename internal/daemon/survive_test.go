@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/tune/store"
 )
 
 const longSpec = `{"system": "dbms", "workload": "tpch", "tuner": "random",
@@ -294,16 +299,18 @@ func TestDrainClosesStreamsAndRefusesWork(t *testing.T) {
 }
 
 // TestRestartResumesInFlightSessions is the in-process crash-resume
-// acceptance flow: a daemon is drained mid-session and a fresh daemon on
-// the same repository resumes it — same session id, resumed flag set — and
-// its final incumbent and recorded event stream are byte-identical to an
-// uninterrupted run of the same spec and seed.
+// acceptance flow: a daemon is drained mid-session, a fresh daemon on the
+// same repository resumes it and is drained in turn, and a third resumes
+// that — same session id, resumed flag set — and the final incumbent and
+// recorded event stream are byte-identical to an uninterrupted run of the
+// same spec and seed.
 func TestRestartResumesInFlightSessions(t *testing.T) {
-	// A cheap proposer with a big budget: the session runs for seconds —
-	// orders of magnitude longer than the observe-checkpoint→drain window —
-	// so the drain deterministically catches it mid-flight.
+	// A cheap proposer with a big budget: the session runs several times
+	// longer than both observe-checkpoint→drain windows together (they close
+	// within the first few hundred trials), so each drain catches it
+	// mid-flight.
 	spec := `{"system": "dbms", "workload": "tpch", "tuner": "random",
-		"seed": 42, "budget": {"trials": 600}, "target": {"scale_gb": 2},
+		"seed": 42, "budget": {"trials": 2000}, "target": {"scale_gb": 2},
 		"fidelity": {"strategy": "hyperband"}}`
 
 	// Reference: the same spec, uninterrupted.
@@ -319,26 +326,44 @@ func TestRestartResumesInFlightSessions(t *testing.T) {
 	}
 	refEvents := readSSE(t, refResp)
 
-	// Interrupted: drain mid-session, restart on the same repository.
+	// Interrupted twice: drain mid-session and restart on the same
+	// repository, then drain that lifetime too once the resumed session has
+	// made a later boundary durable — appending to a checkpoint log this
+	// process did not create — and restart again.
 	dir := t.TempDir()
-	ts1, srv1 := newTestServerWith(t, Options{Workers: 1, RepoDir: dir})
-	id, code, _ := postSpec(t, ts1, spec)
-	if code != http.StatusCreated {
-		t.Fatalf("POST = %d", code)
+	var id, ckptFile string
+	durable := 0 // trials in the checkpoint the previous lifetime left behind
+	for life := 1; life <= 2; life++ {
+		ts, srv := newTestServerWith(t, Options{Workers: 1, RepoDir: dir})
+		if life == 1 {
+			var code int
+			if id, code, _ = postSpec(t, ts, spec); code != http.StatusCreated {
+				t.Fatalf("POST = %d", code)
+			}
+			ckptFile = filepath.Join(dir, "checkpoints", id+".jsonl")
+		} else if srv.resumed != 1 {
+			t.Fatalf("lifetime %d resumed %d sessions, want 1", life, srv.resumed)
+		}
+		// Wait until a checkpoint with new observations is durable — each
+		// resume must genuinely replay history, not restart from scratch.
+		waitFor(t, "a durable checkpoint with new observations", func() bool {
+			cp, err := store.ReadCheckpoint(ckptFile)
+			return err == nil && cp.Trials > durable
+		})
+		drainCtx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		if err := srv.Drain(drainCtx); err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+		ts.Close()
+		srv.Close()
+		cp, err := store.ReadCheckpoint(ckptFile)
+		if err != nil {
+			t.Fatalf("lifetime %d left no readable checkpoint: %v", life, err)
+		}
+		durable = cp.Trials
+		t.Logf("lifetime %d drained with %d trials durable", life, durable)
 	}
-	// Wait until a checkpoint with real observations is durable — the resume
-	// must genuinely replay history, not restart from scratch.
-	waitFor(t, "a durable checkpoint with observations", func() bool {
-		cps, err := srv1.repo.Checkpoints()
-		return err == nil && len(cps) == 1 && cps[0].Trials > 0
-	})
-	drainCtx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := srv1.Drain(drainCtx); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	ts1.Close()
-	srv1.Close()
 
 	ts2, srv2 := newTestServerWith(t, Options{Workers: 1, RepoDir: dir})
 	if srv2.resumed != 1 {
@@ -412,4 +437,70 @@ func TestQueuedSessionSurvivesRestart(t *testing.T) {
 	if n, _ := st["trials_done"].(float64); n != 3 {
 		t.Errorf("trials_done = %v, want 3", st["trials_done"])
 	}
+}
+
+// fullDisk is a repository whose boundary checkpoint saves fail on demand
+// (admission saves carry no trials and pass through).
+type fullDisk struct {
+	store.Store
+	full atomic.Bool
+}
+
+func (f *fullDisk) SaveCheckpoint(cp store.SessionCheckpoint) error {
+	if f.full.Load() && cp.Trials > 0 {
+		return errors.New("no space left on device")
+	}
+	return f.Store.SaveCheckpoint(cp)
+}
+
+// TestCheckpointErrorSurfacesInStatus: a boundary save that fails is not
+// silent — the session reports checkpoint_error while its latest boundary is
+// not durable — and because saves are state-based the first one that succeeds
+// again makes the whole history durable and clears the report.
+func TestCheckpointErrorSurfacesInStatus(t *testing.T) {
+	dir := t.TempDir()
+	ts, srv := newTestServerWith(t, Options{Workers: 1, RepoDir: dir})
+	disk := &fullDisk{Store: srv.repo}
+	disk.full.Store(true)
+	srv.repo = disk
+	// Rung boundaries every few trials, and a budget that outlasts the test.
+	id, code, _ := postSpec(t, ts, `{"system": "dbms", "workload": "tpch", "tuner": "random",
+		"seed": 3, "budget": {"trials": 50000}, "target": {"scale_gb": 2},
+		"fidelity": {"strategy": "hyperband"}}`)
+	if code != http.StatusCreated {
+		t.Fatalf("POST = %d", code)
+	}
+	checkpointError := func() string {
+		resp, err := http.Get(ts.URL + "/sessions/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			CheckpointError string `json:"checkpoint_error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.CheckpointError
+	}
+	waitFor(t, "the failed save to be reported", func() bool {
+		return strings.Contains(checkpointError(), "no space left on device")
+	})
+	ckptFile := filepath.Join(dir, "checkpoints", id+".jsonl")
+	if cp, err := store.ReadCheckpoint(ckptFile); err != nil || cp.Trials != 0 {
+		t.Fatalf("with every boundary save failing the durable checkpoint has %d trials (err %v), want the admission state", cp.Trials, err)
+	}
+
+	disk.full.Store(false)
+	waitFor(t, "the report to clear once a save succeeds", func() bool { return checkpointError() == "" })
+	if cp, err := store.ReadCheckpoint(ckptFile); err != nil || cp.Trials == 0 {
+		t.Fatalf("after recovery the durable checkpoint has %d trials (err %v), want the full history", cp.Trials, err)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 }

@@ -1,13 +1,16 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/tune"
@@ -16,12 +19,36 @@ import (
 // This file is the session-checkpoint store: the crash-resume state of
 // in-flight tuning sessions, persisted alongside the archive so a restarted
 // daemon can pick interrupted work back up. Checkpoints are not WAL records —
-// each lives in its own file under checkpoints/, replaced whole via
-// tmp+rename+fsync on every update, so the newest complete checkpoint always
-// survives a crash (a torn write loses at most the in-progress update, never
-// the previous one).
+// each session owns an append-only log, checkpoints/<sid>.jsonl, under the
+// same JSON-lines + torn-tail discipline as wal.jsonl (scanLog): a header
+// line {sid, spec, updated_at}, then one line per batch boundary carrying
+// only the trials the log does not hold yet plus runs_reserved. Every line is
+// enveloped as {"crc":<IEEE CRC-32 of body>,"body":{...}}, so a damaged line
+// ends the log instead of replaying as different trials.
+//
+// Flush policy: every SaveCheckpoint returns only after its bytes are
+// fsynced — one fsync per boundary, on the driver goroutine that called it,
+// never deferred, coalesced or skipped; a save that creates the file (the
+// admission save) additionally fsyncs the directory. The loss bound after a
+// crash is at most the batch in flight.
+//
+// SaveCheckpoint is state-based ("make this state durable"): it appends the
+// suffix of cp.Replay.Trials past what the session's open log holds. When the
+// state does not extend the log — first save of a sid, a different spec,
+// fewer trials, or an earlier write/fsync on this log failed — it falls back
+// to an atomic whole-log rewrite (tmp + fsync + rename + directory fsync). A
+// whole-object <sid>.json written before the log existed is still read, and
+// is replaced by a log on that session's first save.
+//
+// Checkpoint I/O never takes FileStore.mu: each session's log has its own
+// lock, so archive readers and writers (Nearest, WarmConfigs, Append) and
+// other sessions' saves do not queue behind an fsync.
 
-const checkpointDir = "checkpoints"
+const (
+	checkpointDir = "checkpoints"
+	ckptLogExt    = ".jsonl"
+	ckptLegacyExt = ".json"
+)
 
 // SessionCheckpoint is the durable resume state of one in-flight daemon
 // session: the original submission spec (verbatim, so the daemon can rebuild
@@ -39,74 +66,291 @@ type SessionCheckpoint struct {
 	// Trials mirrors len(Replay.Trials) for listings without decoding the
 	// full history.
 	Trials int `json:"trials"`
-	// UpdatedAt is when this checkpoint was written.
+	// UpdatedAt is when this checkpoint was written; a loaded log reports
+	// when it was created or last rewritten.
 	UpdatedAt time.Time `json:"updated_at"`
 }
 
-// checkpointPath returns the file for sid, rejecting ids that would escape
-// the checkpoints directory. Daemon session ids are decimal integers; anything
-// else is refused rather than sanitized.
-func (s *FileStore) checkpointPath(sid string) (string, error) {
+// ckptHeader is the body of a log's first line.
+type ckptHeader struct {
+	SID       string          `json:"sid"`
+	Spec      json.RawMessage `json:"spec"`
+	UpdatedAt time.Time       `json:"updated_at"`
+}
+
+// ckptBoundary is the body of every later line: the trials observed since
+// the line before it, and the run counter at this boundary.
+type ckptBoundary struct {
+	Trials       []tune.ReplayTrial `json:"trials"`
+	RunsReserved int64              `json:"runs_reserved"`
+}
+
+// appendCkptLine appends body's enveloped, newline-terminated line to buf.
+func appendCkptLine(buf []byte, body any) ([]byte, error) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		return buf, err
+	}
+	buf = append(buf, `{"crc":`...)
+	buf = strconv.AppendUint(buf, uint64(crc32.ChecksumIEEE(b)), 10)
+	buf = append(buf, `,"body":`...)
+	buf = append(buf, b...)
+	return append(buf, "}\n"...), nil
+}
+
+// ckptBody checks a line's envelope and decodes its body into v.
+func ckptBody(line []byte, v any) bool {
+	var env struct {
+		CRC  uint32          `json:"crc"`
+		Body json.RawMessage `json:"body"`
+	}
+	return json.Unmarshal(line, &env) == nil &&
+		crc32.ChecksumIEEE(env.Body) == env.CRC &&
+		json.Unmarshal(env.Body, v) == nil
+}
+
+// parseCkptLog decodes a checkpoint log: the state its complete, intact
+// lines add up to, and the byte length of that prefix (anything past it is a
+// torn tail). ok is false when not even the header survives.
+func parseCkptLog(data []byte) (cp SessionCheckpoint, good int, ok bool) {
+	good = scanLog(data, func(line []byte) bool {
+		if !ok {
+			var h ckptHeader
+			if !ckptBody(line, &h) || h.SID == "" {
+				return false
+			}
+			cp.SID, cp.Spec, cp.UpdatedAt, ok = h.SID, h.Spec, h.UpdatedAt, true
+			return true
+		}
+		var b ckptBoundary
+		if !ckptBody(line, &b) {
+			return false
+		}
+		cp.Replay.Trials = append(cp.Replay.Trials, b.Trials...)
+		cp.Replay.RunsReserved = b.RunsReserved
+		return true
+	})
+	cp.Trials = len(cp.Replay.Trials)
+	return cp, good, ok
+}
+
+// ReadCheckpoint loads the checkpoint file at path — a <sid>.jsonl log, read
+// up to its last intact line, or a legacy whole-object <sid>.json. It takes
+// no lock and touches no store state, so it is safe beside a live writer in
+// this process or another: it returns what a process opening the directory
+// now would resume from.
+func ReadCheckpoint(path string) (SessionCheckpoint, error) {
+	ext := filepath.Ext(path)
+	if ext != ckptLogExt && ext != ckptLegacyExt {
+		return SessionCheckpoint{}, fmt.Errorf("store: %s is not a checkpoint file", path)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return SessionCheckpoint{}, fmt.Errorf("store: reading checkpoint: %w", err)
+	}
+	var cp SessionCheckpoint
+	if ext == ckptLogExt {
+		var ok bool
+		if cp, _, ok = parseCkptLog(data); !ok {
+			return SessionCheckpoint{}, fmt.Errorf("store: checkpoint log %s has no intact header", path)
+		}
+	} else if err := json.Unmarshal(data, &cp); err != nil {
+		return SessionCheckpoint{}, fmt.Errorf("store: checkpoint %s is corrupt: %w", path, err)
+	}
+	// Files are named after their session; one that says otherwise would
+	// shadow the real checkpoint of the session it names.
+	if cp.SID != strings.TrimSuffix(filepath.Base(path), ext) {
+		return SessionCheckpoint{}, fmt.Errorf("store: checkpoint %s names session %q", path, cp.SID)
+	}
+	return cp, nil
+}
+
+// logFile is the part of *os.File a checkpoint log writes through; tests
+// substitute one (FileStore.wrapCkptFile) to inject faults and observe Sync.
+type logFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// ckptLog is one session's open log. mu serializes that session's checkpoint
+// I/O only.
+type ckptLog struct {
+	mu     sync.Mutex
+	f      logFile // nil: nothing to extend, the next save rewrites
+	spec   []byte  // the header's spec
+	trials int     // trials the log holds
+	size   int64   // bytes the log holds, every one fsynced
+}
+
+// close releases the handle. Its error is dropped: every byte a save
+// acknowledged was already fsynced.
+func (l *ckptLog) close() {
+	if l.f != nil {
+		_ = l.f.Close()
+		l.f = nil
+	}
+}
+
+// checkpointStem returns sid's path under checkpoints/ without an extension,
+// rejecting ids that would escape the directory. Daemon session ids are
+// decimal integers; anything else is refused rather than sanitized.
+func (s *FileStore) checkpointStem(sid string) (string, error) {
 	if sid == "" || strings.ContainsAny(sid, "/\\.") {
 		return "", fmt.Errorf("store: invalid checkpoint session id %q", sid)
 	}
-	return filepath.Join(s.dir, checkpointDir, sid+".json"), nil
+	return filepath.Join(s.dir, checkpointDir, sid), nil
 }
 
-// SaveCheckpoint durably writes (or replaces) the checkpoint for cp.SID.
+// lockCkptLog returns sid's log entry with its mu held. The entry lock is
+// taken before the table lock is released, so whoever holds ckptMu and then
+// an entry's mu (DeleteCheckpoint, Close) knows no saver still references
+// that entry. An entry created here first adopts the log a previous lifetime
+// left at path, if any.
+func (s *FileStore) lockCkptLog(sid, path string) (*ckptLog, error) {
+	s.ckptMu.Lock()
+	if s.ckpts == nil {
+		s.ckptMu.Unlock()
+		return nil, fmt.Errorf("store: %s is closed", s.dir)
+	}
+	l, ok := s.ckpts[sid]
+	if !ok {
+		l = &ckptLog{}
+		s.ckpts[sid] = l
+	}
+	l.mu.Lock()
+	s.ckptMu.Unlock()
+	if !ok {
+		s.reopenCkptLog(l, sid, path)
+	}
+	return l, nil
+}
+
+func (s *FileStore) ckptFile(f *os.File) logFile {
+	if s.wrapCkptFile != nil {
+		return s.wrapCkptFile(f)
+	}
+	return f
+}
+
+// SaveCheckpoint makes cp the durable resume state of cp.SID: when it returns
+// nil the state has been fsynced (see the flush policy above).
 func (s *FileStore) SaveCheckpoint(cp SessionCheckpoint) error {
-	path, err := s.checkpointPath(cp.SID)
+	stem, err := s.checkpointStem(cp.SID)
 	if err != nil {
 		return err
 	}
-	data, err := json.Marshal(cp)
+	l, err := s.lockCkptLog(cp.SID, stem+ckptLogExt)
+	if err != nil {
+		return err
+	}
+	defer l.mu.Unlock()
+	if l.f != nil && len(cp.Replay.Trials) >= l.trials && bytes.Equal(l.spec, cp.Spec) {
+		return l.append(cp)
+	}
+	return s.rewriteCkptLog(l, stem, cp)
+}
+
+// reopenCkptLog adopts the log a previous lifetime left for sid (a resumed
+// session appends to a log it did not create): its torn tail, if any, is
+// truncated away exactly as replayWAL does for the archive WAL. Anything
+// short of an intact header for this sid leaves l empty, and the save falls
+// back to a rewrite.
+func (s *FileStore) reopenCkptLog(l *ckptLog, sid, path string) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return
+	}
+	cp, good, ok := parseCkptLog(data)
+	if !ok || cp.SID != sid {
+		return
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return
+	}
+	if good < len(data) {
+		if err := f.Truncate(int64(good)); err != nil {
+			f.Close()
+			return
+		}
+	}
+	l.f, l.spec, l.trials, l.size = s.ckptFile(f), cp.Spec, cp.Trials, int64(good)
+}
+
+// append makes cp durable by writing the trials past l.trials as one line and
+// fsyncing it. On a failed write or fsync the log is cut back to its last
+// good length and dropped, so the next save rewrites it whole.
+func (l *ckptLog) append(cp SessionCheckpoint) error {
+	line, err := appendCkptLine(nil, ckptBoundary{Trials: cp.Replay.Trials[l.trials:], RunsReserved: cp.Replay.RunsReserved})
 	if err != nil {
 		return fmt.Errorf("store: encoding checkpoint %s: %w", cp.SID, err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: %s is closed", s.dir)
+	if _, err = l.f.Write(line); err == nil {
+		err = l.f.Sync()
 	}
-	dir := filepath.Dir(path)
+	if err != nil {
+		_ = l.f.Truncate(l.size) // best effort: readers stop at a torn tail anyway
+		l.close()
+		return fmt.Errorf("store: appending checkpoint %s: %w", cp.SID, err)
+	}
+	l.trials = len(cp.Replay.Trials)
+	l.size += int64(len(line))
+	return nil
+}
+
+// rewriteCkptLog replaces the session's log with one holding exactly cp — the
+// header and one boundary line — via tmp + fsync + rename + directory fsync,
+// so a crash leaves either the old log or the new one. The renamed file stays
+// open as the log later saves append to.
+func (s *FileStore) rewriteCkptLog(l *ckptLog, stem string, cp SessionCheckpoint) error {
+	l.close()
+	buf, err := appendCkptLine(nil, ckptHeader{SID: cp.SID, Spec: cp.Spec, UpdatedAt: cp.UpdatedAt})
+	if err == nil {
+		buf, err = appendCkptLine(buf, ckptBoundary{Trials: cp.Replay.Trials, RunsReserved: cp.Replay.RunsReserved})
+	}
+	if err != nil {
+		return fmt.Errorf("store: encoding checkpoint %s: %w", cp.SID, err)
+	}
+	dir := filepath.Dir(stem)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: creating %s: %w", dir, err)
 	}
+	path := stem + ckptLogExt
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	raw, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: writing checkpoint %s: %w", cp.SID, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	f := s.ckptFile(raw)
+	if _, err = f.Write(buf); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		// The rename is the commit point, same discipline as the manifest.
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = f.Close()
+		_ = os.Remove(tmp)
 		return fmt.Errorf("store: writing checkpoint %s: %w", cp.SID, err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: fsyncing checkpoint %s: %w", cp.SID, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: closing checkpoint %s: %w", cp.SID, err)
-	}
-	// The rename is the commit point, same discipline as the snapshot.
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: installing checkpoint %s: %w", cp.SID, err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
+	// A legacy whole-object checkpoint is superseded; if a crash keeps both,
+	// Checkpoints prefers the log.
+	_ = os.Remove(stem + ckptLegacyExt)
+	fsyncDir(dir)
+	l.f, l.spec, l.trials, l.size = f, append([]byte(nil), cp.Spec...), len(cp.Replay.Trials), int64(len(buf))
 	return nil
 }
 
 // Checkpoints returns every persisted session checkpoint, ordered by session
 // id (numeric ids numerically, so resumed sessions re-admit in submission
 // order). Unreadable or corrupt files are skipped — a torn .tmp left by a
-// crash must not block recovery of the valid checkpoints beside it.
+// crash must not block recovery of the valid checkpoints beside it. It reads
+// the files as any other process would (ReadCheckpoint), taking no lock.
 func (s *FileStore) Checkpoints() ([]SessionCheckpoint, error) {
-	s.mu.Lock()
 	dir := filepath.Join(s.dir, checkpointDir)
-	s.mu.Unlock()
 	ents, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -115,19 +359,23 @@ func (s *FileStore) Checkpoints() ([]SessionCheckpoint, error) {
 		return nil, fmt.Errorf("store: reading checkpoints: %w", err)
 	}
 	var out []SessionCheckpoint
+	at := map[string]int{} // sid → index in out
 	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".json") {
+		if ent.IsDir() {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		cp, err := ReadCheckpoint(filepath.Join(dir, ent.Name()))
 		if err != nil {
 			continue
 		}
-		var cp SessionCheckpoint
-		if err := json.Unmarshal(data, &cp); err != nil || cp.SID == "" {
+		if i, dup := at[cp.SID]; dup {
+			// Both forms of one session: the log superseded the legacy file.
+			if filepath.Ext(ent.Name()) == ckptLogExt {
+				out[i] = cp
+			}
 			continue
 		}
+		at[cp.SID] = len(out)
 		out = append(out, cp)
 	}
 	sort.Slice(out, func(i, j int) bool { return sidLess(out[i].SID, out[j].SID) })
@@ -162,16 +410,38 @@ func splitSid(s string) (prefix string, n int64, ok bool) {
 	return s[:i], n, true
 }
 
-// DeleteCheckpoint removes sid's checkpoint. Deleting a checkpoint that does
-// not exist is not an error — success, user DELETE, and failure paths all
-// race benignly toward the same end state.
+// DeleteCheckpoint closes sid's log and removes its checkpoint (either form).
+// Deleting a checkpoint that does not exist is not an error — success, user
+// DELETE, and failure paths all race benignly toward the same end state.
 func (s *FileStore) DeleteCheckpoint(sid string) error {
-	path, err := s.checkpointPath(sid)
+	stem, err := s.checkpointStem(sid)
 	if err != nil {
 		return err
 	}
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: removing checkpoint %s: %w", sid, err)
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	if l := s.ckpts[sid]; l != nil {
+		l.mu.Lock() // waits out a save in flight on this session
+		defer l.mu.Unlock()
+		l.close()
+		delete(s.ckpts, sid)
+	}
+	for _, ext := range []string{ckptLogExt, ckptLegacyExt} {
+		if err := os.Remove(stem + ext); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("store: removing checkpoint %s: %w", sid, err)
+		}
 	}
 	return nil
+}
+
+// closeCkptLogs closes every open log and refuses further saves.
+func (s *FileStore) closeCkptLogs() {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	for _, l := range s.ckpts {
+		l.mu.Lock()
+		l.close()
+		l.mu.Unlock()
+	}
+	s.ckpts = nil
 }

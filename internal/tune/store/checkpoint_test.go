@@ -1,9 +1,16 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,42 +34,106 @@ func ckpt(sid string, trials int) SessionCheckpoint {
 	return cp
 }
 
+func logPath(dir, sid string) string {
+	return filepath.Join(dir, checkpointDir, sid+ckptLogExt)
+}
+
+// loadOne returns the single checkpoint the store holds.
+func loadOne(t *testing.T, s *FileStore) SessionCheckpoint {
+	t.Helper()
+	cps, err := s.Checkpoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cps) != 1 {
+		t.Fatalf("loaded %d checkpoints, want 1", len(cps))
+	}
+	return cps[0]
+}
+
+// wantLoaded asserts the store holds exactly one checkpoint, equal to want.
+func wantLoaded(t *testing.T, s *FileStore, want SessionCheckpoint, when string) {
+	t.Helper()
+	if got := loadOne(t, s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: loaded %+v\nwant %+v", when, got, want)
+	}
+}
+
+// fileHooks is the fault-injection state shared by every log file a store
+// opens while it is installed (see hook).
+type fileHooks struct {
+	syncs      atomic.Int64
+	written    atomic.Int64
+	shortWrite atomic.Bool // the next Write lands half its bytes and fails
+	failSync   atomic.Bool // the next Sync fails
+	parkSync   atomic.Bool // the next Sync signals parked, then waits for release
+	parked     chan struct{}
+	release    chan struct{}
+}
+
+type hookedFile struct {
+	*os.File
+	h *fileHooks
+}
+
+func (f hookedFile) Write(p []byte) (int, error) {
+	if f.h.shortWrite.CompareAndSwap(true, false) {
+		n, _ := f.File.Write(p[:len(p)/2])
+		f.h.written.Add(int64(n))
+		return n, io.ErrShortWrite
+	}
+	n, err := f.File.Write(p)
+	f.h.written.Add(int64(n))
+	return n, err
+}
+
+func (f hookedFile) Sync() error {
+	f.h.syncs.Add(1)
+	if f.h.failSync.CompareAndSwap(true, false) {
+		return errors.New("injected fsync failure")
+	}
+	if f.h.parkSync.CompareAndSwap(true, false) {
+		f.h.parked <- struct{}{}
+		<-f.h.release
+	}
+	return f.File.Sync()
+}
+
+// hook routes every checkpoint log file s opens from now on through h.
+func hook(s *FileStore) *fileHooks {
+	h := &fileHooks{parked: make(chan struct{}), release: make(chan struct{})}
+	s.wrapCkptFile = func(f *os.File) logFile { return hookedFile{f, h} }
+	return h
+}
+
 // TestCheckpointRoundTrip: checkpoints survive a save/reopen cycle intact,
-// later saves for the same session replace earlier ones, and deletes (also
-// of absent sessions) are clean.
+// later saves for the same session supersede earlier ones — by appending to
+// the session's log, not rewriting it — and deletes (also of absent sessions)
+// are clean.
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
 	if err := s.SaveCheckpoint(ckpt("s1", 2)); err != nil {
 		t.Fatal(err)
 	}
+	first, err := os.ReadFile(logPath(dir, "s1"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.SaveCheckpoint(ckpt("s1", 5)); err != nil {
 		t.Fatal(err)
+	}
+	second, err := os.ReadFile(logPath(dir, "s1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(second, first) || bytes.Count(second, []byte("\n")) != bytes.Count(first, []byte("\n"))+1 {
+		t.Fatalf("second save did not append one line to the log:\n%s\nthen\n%s", first, second)
 	}
 	s.Close()
 
 	s2 := open(t, dir)
-	cps, err := s2.Checkpoints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) != 1 {
-		t.Fatalf("loaded %d checkpoints, want 1 (later save replaces earlier)", len(cps))
-	}
-	got := cps[0]
-	want := ckpt("s1", 5)
-	if got.SID != want.SID || got.Trials != 5 || len(got.Replay.Trials) != 5 {
-		t.Fatalf("loaded checkpoint = %+v", got)
-	}
-	for i := range want.Replay.Trials {
-		if got.Replay.Trials[i].Vector[0] != want.Replay.Trials[i].Vector[0] ||
-			got.Replay.Trials[i].Result.Time != want.Replay.Trials[i].Result.Time {
-			t.Fatalf("replay trial %d = %+v, want %+v", i, got.Replay.Trials[i], want.Replay.Trials[i])
-		}
-	}
-	if got.Replay.RunsReserved != 5 {
-		t.Errorf("RunsReserved = %d, want 5", got.Replay.RunsReserved)
-	}
+	wantLoaded(t, s2, ckpt("s1", 5), "after reopen")
 
 	if err := s2.DeleteCheckpoint("s1"); err != nil {
 		t.Fatal(err)
@@ -72,6 +143,65 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if cps, _ := s2.Checkpoints(); len(cps) != 0 {
 		t.Errorf("%d checkpoints after delete", len(cps))
+	}
+}
+
+// TestCheckpointResumedSessionAppends: a store that did not create a log (the
+// next daemon lifetime) adopts it on the session's first save and appends
+// only the new trials; the bytes already on disk are not rewritten.
+func TestCheckpointResumedSessionAppends(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	for _, n := range []int{0, 2, 4} {
+		if err := s.SaveCheckpoint(ckpt("s1", n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	before, err := os.ReadFile(logPath(dir, "s1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := open(t, dir)
+	h := hook(s2)
+	if err := s2.SaveCheckpoint(ckpt("s1", 7)); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(logPath(dir, "s1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, before) || h.written.Load() != int64(len(after)-len(before)) {
+		t.Fatalf("resumed save wrote %d bytes, log grew %d → %d: not an append", h.written.Load(), len(before), len(after))
+	}
+	wantLoaded(t, s2, ckpt("s1", 7), "after the resumed save")
+}
+
+// TestCheckpointRewriteFallback: a state that does not extend the open log —
+// a different spec, or fewer trials — replaces the log whole, and what loads
+// afterwards is exactly that state.
+func TestCheckpointRewriteFallback(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	save := func(cp SessionCheckpoint) {
+		t.Helper()
+		if err := s.SaveCheckpoint(cp); err != nil {
+			t.Fatal(err)
+		}
+		wantLoaded(t, s, cp, "after the save")
+	}
+	save(ckpt("s1", 0))
+	save(ckpt("s1", 4))
+	save(ckpt("s1", 2)) // fewer trials
+	respec := ckpt("s1", 3)
+	respec.Spec = json.RawMessage(`{"system":"spark"}`)
+	save(respec) // different spec
+	respec = ckpt("s1", 5)
+	respec.Spec = json.RawMessage(`{"system":"spark"}`)
+	save(respec) // and the rewritten log is appendable again
+	if ents, _ := os.ReadDir(filepath.Join(dir, checkpointDir)); len(ents) != 1 {
+		t.Errorf("rewrites left %d files in checkpoints/, want just the log", len(ents))
 	}
 }
 
@@ -93,38 +223,45 @@ func TestCheckpointsNaturalOrder(t *testing.T) {
 		order = append(order, cp.SID)
 	}
 	want := []string{"cli-dbms-tpch-x", "s1", "s2", "s10"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("checkpoint order = %v, want %v", order, want)
-		}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("checkpoint order = %v, want %v", order, want)
 	}
 }
 
-// TestCheckpointsSkipCorrupt: a torn or garbage checkpoint file (the crash
-// window) is skipped, not fatal — the healthy checkpoints still load.
+// TestCheckpointsSkipCorrupt: torn or garbage checkpoint files (the crash
+// window), in either form, are skipped, not fatal — the healthy checkpoints
+// still load.
 func TestCheckpointsSkipCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
 	if err := s.SaveCheckpoint(ckpt("s1", 3)); err != nil {
 		t.Fatal(err)
 	}
-	cdir := filepath.Join(dir, "checkpoints")
-	if err := os.WriteFile(filepath.Join(cdir, "torn.json"), []byte(`{"sid":"s9","re`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(cdir, "nosid.json"), []byte(`{"trials":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(cdir, "notes.txt"), []byte("not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cps, err := s.Checkpoints()
+	good, err := os.ReadFile(logPath(dir, "s1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cps) != 1 || cps[0].SID != "s1" {
-		t.Fatalf("checkpoints with corrupt neighbors = %+v, want just s1", cps)
+	header := good[:bytes.IndexByte(good, '\n')+1]
+	nosid, err := appendCkptLine(nil, ckptHeader{Spec: json.RawMessage(`{}`)})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for name, data := range map[string][]byte{
+		"torn.jsonl":     header[:len(header)/2],                                   // header cut mid-line
+		"unsealed.jsonl": bytes.TrimSuffix(header, []byte("\n")),                   // header missing its newline
+		"badcrc.jsonl":   bytes.Replace(header, []byte("dbms"), []byte("dbmz"), 1), // body no longer matches its checksum
+		"nosid.jsonl":    nosid,
+		"s2.jsonl":       good, // intact, but names session s1
+		"s3.jsonl.tmp":   good, // an interrupted rewrite
+		"torn.json":      []byte(`{"sid":"torn","re`),
+		"nosid.json":     []byte(`{"trials":1}`),
+		"notes.txt":      []byte("not a checkpoint"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, checkpointDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantLoaded(t, s, ckpt("s1", 3), "checkpoints with corrupt neighbors")
 }
 
 // TestCheckpointRejectsUnsafeSIDs: ids that could escape the checkpoint
@@ -139,4 +276,320 @@ func TestCheckpointRejectsUnsafeSIDs(t *testing.T) {
 			t.Errorf("DeleteCheckpoint(%q) accepted an unsafe sid", sid)
 		}
 	}
+	if len(s.ckpts) != 0 {
+		t.Errorf("refused sids left %d log entries behind", len(s.ckpts))
+	}
+}
+
+// TestCheckpointLegacyReadThenReplaced: a whole-object <sid>.json written
+// before the log format is still resumed from, and the session's first save
+// replaces it with a log; nothing writes the legacy form any more.
+func TestCheckpointLegacyReadThenReplaced(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	legacy := filepath.Join(dir, checkpointDir, "s1"+ckptLegacyExt)
+	data, err := json.Marshal(ckpt("s1", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(legacy), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantLoaded(t, s, ckpt("s1", 3), "legacy checkpoint")
+	if err := s.SaveCheckpoint(ckpt("s1", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Errorf("legacy file after the session's first save: stat = %v, want it gone", err)
+	}
+	wantLoaded(t, s, ckpt("s1", 5), "after replacement")
+	// A crash between installing the log and unlinking the legacy file leaves
+	// both: the log wins, and a delete clears both.
+	if err := os.WriteFile(legacy, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantLoaded(t, s, ckpt("s1", 5), "with both forms present")
+	if err := s.DeleteCheckpoint("s1"); err != nil {
+		t.Fatal(err)
+	}
+	if ents, _ := os.ReadDir(filepath.Join(dir, checkpointDir)); len(ents) != 0 {
+		t.Errorf("delete left %d files behind", len(ents))
+	}
+}
+
+// boundaryLog builds the log of one admission plus three boundaries (2, 4 and
+// 6 trials) and returns its bytes and the offset its last line starts at.
+func boundaryLog(t testing.TB) (full []byte, lastLine int) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, n := range []int{0, 2, 4, 6} {
+		if err := s.SaveCheckpoint(ckpt("s1", n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full, err = os.ReadFile(logPath(dir, "s1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return full, bytes.LastIndexByte(full[:len(full)-1], '\n') + 1
+}
+
+// TestCheckpointEveryTornTail: however the last line of a log is damaged —
+// cut at any byte, or any one byte of it corrupted — the log loads as the
+// state before that line, never panics and never yields trials past the bad
+// line; the session's next save repairs the tail in place.
+func TestCheckpointEveryTornTail(t *testing.T) {
+	full, lastLine := boundaryLog(t)
+	dir := t.TempDir()
+	s := open(t, dir)
+	if err := os.MkdirAll(filepath.Join(dir, checkpointDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, damaged []byte) {
+		t.Helper()
+		if err := os.WriteFile(logPath(dir, "s1"), damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wantLoaded(t, s, ckpt("s1", 4), what+": want the 2-boundary state")
+		if err := s.SaveCheckpoint(ckpt("s1", 6)); err != nil {
+			t.Fatalf("%s: save after damage: %v", what, err)
+		}
+		wantLoaded(t, s, ckpt("s1", 6), what+": after repair want the 3-boundary state")
+		if repaired, _ := os.ReadFile(logPath(dir, "s1")); !bytes.Equal(repaired, full) {
+			t.Fatalf("%s: repaired log differs from an undamaged one:\n%s\nwant\n%s", what, repaired, full)
+		}
+		// Drop the open log so the next case starts from the file alone.
+		if err := s.DeleteCheckpoint("s1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for cut := lastLine; cut < len(full); cut++ {
+		check(fmt.Sprintf("cut at byte %d of %d", cut, len(full)), full[:cut])
+	}
+	for at := lastLine; at < len(full); at++ {
+		for _, mask := range []byte{0xFF, 0x01} {
+			damaged := append([]byte(nil), full...)
+			damaged[at] ^= mask
+			check(fmt.Sprintf("byte %d ^ %#x", at, mask), damaged)
+		}
+	}
+}
+
+// TestCheckpointFailedSaveRecovers: a short write or a failed fsync fails the
+// save, leaves the log at its last good length, and the next successful save
+// round-trips the full state. Every save — appending, failing or rewriting —
+// calls File.Sync at most once, and every successful one exactly once.
+func TestCheckpointFailedSaveRecovers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(h *fileHooks)
+	}{
+		{"short write", func(h *fileHooks) { h.shortWrite.Store(true) }},
+		{"failed fsync", func(h *fileHooks) { h.failSync.Store(true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := open(t, dir)
+			h := hook(s)
+			for i, n := range []int{0, 2} {
+				if err := s.SaveCheckpoint(ckpt("s1", n)); err != nil {
+					t.Fatal(err)
+				}
+				if got := h.syncs.Load(); got != int64(i+1) {
+					t.Fatalf("%d File.Sync calls after %d saves", got, i+1)
+				}
+			}
+			good, err := os.ReadFile(logPath(dir, "s1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			tc.arm(h)
+			if err := s.SaveCheckpoint(ckpt("s1", 4)); err == nil {
+				t.Fatal("save with an injected fault reported success")
+			}
+			if left, _ := os.ReadFile(logPath(dir, "s1")); !bytes.Equal(left, good) {
+				t.Fatalf("failed save left the log at %d bytes, last good length %d", len(left), len(good))
+			}
+			wantLoaded(t, s, ckpt("s1", 2), "after the failed save")
+
+			syncs := h.syncs.Load()
+			if err := s.SaveCheckpoint(ckpt("s1", 6)); err != nil {
+				t.Fatalf("save after the fault cleared: %v", err)
+			}
+			if got := h.syncs.Load() - syncs; got != 1 {
+				t.Errorf("recovering save called File.Sync %d times, want 1", got)
+			}
+			wantLoaded(t, s, ckpt("s1", 6), "after recovery")
+			s.Close()
+			wantLoaded(t, open(t, dir), ckpt("s1", 6), "after reopen")
+		})
+	}
+}
+
+// TestCheckpointSaveBlocksNobodyElse: while one session sits inside its
+// checkpoint fsync (parked there holding its log's lock), archive lookups
+// and appends, listing, and every other session's saves and deletes complete.
+func TestCheckpointSaveBlocksNobodyElse(t *testing.T) {
+	s := open(t, t.TempDir())
+	if _, err := s.Append(rec("dbms", "tpch", 3)); err != nil {
+		t.Fatal(err)
+	}
+	h := hook(s)
+	h.parkSync.Store(true)
+	saved := make(chan error, 1)
+	go func() { saved <- s.SaveCheckpoint(ckpt("s1", 2)) }()
+	<-h.parked
+
+	others := make(chan error, 1)
+	go func() {
+		if _, ok := s.Nearest("dbms", map[string]float64{"size": 3}); !ok {
+			others <- errors.New("Nearest found nothing")
+			return
+		}
+		s.WarmConfigs("dbms", map[string]float64{"size": 3}, lookupSpace(), 2)
+		if _, err := s.Append(rec("dbms", "tpch", 4)); err != nil {
+			others <- err
+			return
+		}
+		if err := s.SaveCheckpoint(ckpt("s2", 1)); err != nil {
+			others <- err
+			return
+		}
+		if _, err := s.Checkpoints(); err != nil {
+			others <- err
+			return
+		}
+		others <- s.DeleteCheckpoint("s2")
+	}()
+	select {
+	case err := <-others:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		close(h.release)
+		t.Fatal("store operations queued behind another session's checkpoint fsync")
+	}
+	select {
+	case err := <-saved:
+		t.Fatalf("parked save returned early: %v", err)
+	default:
+	}
+	close(h.release)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointLogsFollowLiveSessions: the store holds one open log per
+// checkpointed session and nothing for a deleted one (retained entries would
+// be a leak proportional to sessions ever served); concurrent sessions each
+// saving, listing and deleting run clean under the race detector; a closed
+// store refuses saves.
+func TestCheckpointLogsFollowLiveSessions(t *testing.T) {
+	s := open(t, t.TempDir())
+	const sessions = 8
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		sid := fmt.Sprintf("s%d", i+1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for _, n := range []int{0, 1, 3} {
+					if err := s.SaveCheckpoint(ckpt(sid, n)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if _, err := s.Checkpoints(); err != nil {
+					t.Error(err)
+				}
+				if round < 2 {
+					if err := s.DeleteCheckpoint(sid); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(s.ckpts) != sessions {
+		t.Fatalf("%d open logs for %d live sessions", len(s.ckpts), sessions)
+	}
+	cps, err := s.Checkpoints()
+	if err != nil || len(cps) != sessions {
+		t.Fatalf("%d checkpoints (err %v), want %d", len(cps), err, sessions)
+	}
+	for _, cp := range cps {
+		if cp.Trials != 3 {
+			t.Errorf("%s reloaded with %d trials, want 3", cp.SID, cp.Trials)
+		}
+		if err := s.DeleteCheckpoint(cp.SID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.ckpts) != 0 {
+		t.Fatalf("%d open logs after every session was deleted", len(s.ckpts))
+	}
+	s.Close()
+	if err := s.SaveCheckpoint(ckpt("s1", 1)); err == nil {
+		t.Error("closed store accepted a checkpoint")
+	}
+}
+
+// benchTrial is a trial the size the dbms model produces: a 16-knob vector
+// and 22 runtime counters, about 1.2 KB of JSON.
+func benchTrial(i int) tune.ReplayTrial {
+	tr := tune.ReplayTrial{Result: tune.Result{Time: 1293.1465420660884 / float64(i+1), Cost: 0.1608979123150373}}
+	for d := 0; d < 16; d++ {
+		tr.Vector = append(tr.Vector, 0.26463763506057986*float64(d+1)/float64(i+17))
+	}
+	tr.Result.Metrics = map[string]float64{}
+	for m := 0; m < 22; m++ {
+		tr.Result.Metrics[fmt.Sprintf("runtime_counter_%02d", m)] = 88643.0425162951 * float64(m) / float64(i+3)
+	}
+	return tr
+}
+
+// BenchmarkCheckpointSession is one session's checkpoint traffic as the
+// daemon issues it: the admission save, seven boundary saves of a history
+// growing to 30 trials, then the delete.
+func BenchmarkCheckpointSession(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := hook(s)
+	cp := SessionCheckpoint{SID: "b1", Spec: json.RawMessage(`{"system":"dbms","workload":"tpch","tuner":"ituned","seed":42,"budget":{"trials":30},"warm_start":true}`)}
+	for i := 0; i < 30; i++ {
+		cp.Replay.Trials = append(cp.Replay.Trials, benchTrial(i))
+	}
+	boundaries := []int{0, 6, 10, 14, 18, 22, 26, 30}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, n := range boundaries {
+			at := cp
+			at.Replay = tune.Replay{Trials: cp.Replay.Trials[:n], RunsReserved: int64(n)}
+			at.Trials, at.UpdatedAt = n, time.Now()
+			if err := s.SaveCheckpoint(at); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.DeleteCheckpoint(cp.SID); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(h.written.Load())/float64(b.N), "written-B/session")
+	b.ReportMetric(float64(h.syncs.Load())/float64(b.N), "fsyncs/session")
 }

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -223,6 +225,62 @@ func FuzzWALReplay(f *testing.F) {
 		defer s2.Close()
 		if s2.Len() != before+1 {
 			t.Fatalf("recovered state unstable: %d live before append, %d after reopen", before, s2.Len())
+		}
+	})
+}
+
+// FuzzCheckpointLog loads arbitrary bytes as a session's checkpoint log:
+// loading must not panic and never fails the listing; whatever state it
+// yields, the session's next save — one more trial — must repair the file so
+// that the next process reloads exactly that state.
+func FuzzCheckpointLog(f *testing.F) {
+	full, lastLine := boundaryLog(f)
+	f.Add(full)
+	f.Add(full[:lastLine])                      // ends cleanly one boundary earlier
+	f.Add(full[:lastLine+7])                    // torn inside the last line
+	f.Add(full[:len(full)-1])                   // last line missing its newline
+	f.Add(full[:bytes.IndexByte(full, '\n')+1]) // header only
+	flipped := append([]byte(nil), full...)
+	flipped[lastLine+20] ^= 0x01 // last line fails its checksum
+	f.Add(flipped)
+	f.Add(append(append([]byte(nil), full...), "garbage\n"...))
+	f.Add([]byte(`{"crc":0,"body":null}` + "\n"))
+	f.Add([]byte(`{"sid":"s1","spec":{},"replay":{"trials":[]}}`)) // the legacy form under the log's name
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, checkpointDir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(logPath(dir, "s1"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := open(t, dir)
+		cps, err := s.Checkpoints()
+		if err != nil {
+			t.Fatalf("listing beside arbitrary log bytes: %v", err)
+		}
+		next := ckpt("s1", 0)
+		if len(cps) == 1 {
+			next = cps[0]
+		} else if len(cps) != 0 {
+			t.Fatalf("one file loaded as %d checkpoints", len(cps))
+		}
+		next.Replay.Trials = append(next.Replay.Trials, ckpt("s1", 1).Replay.Trials...)
+		next.Replay.RunsReserved++
+		next.Trials = len(next.Replay.Trials)
+		want, err := json.Marshal(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SaveCheckpoint(next); err != nil {
+			t.Fatalf("save over arbitrary log bytes: %v", err)
+		}
+		s.Close()
+		// Compared in wire form: an empty metrics map and an absent one are
+		// the same checkpoint.
+		if got, _ := json.Marshal(loadOne(t, open(t, dir))); !bytes.Equal(got, want) {
+			t.Fatalf("reloaded\n%s\nwant\n%s", got, want)
 		}
 	})
 }

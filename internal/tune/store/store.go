@@ -12,6 +12,8 @@
 //	wal.jsonl      the active tail: one JSON entry per line appended since
 //	               the last fold — {"op":"add","id":N,"record":{...}} or
 //	               {"op":"del","id":N}
+//	checkpoints/   one append-only <sid>.jsonl log per in-flight session
+//	               (see checkpoint.go)
 //
 // Every Append and Delete fsyncs the log before returning, so an
 // acknowledged record survives a crash. Loading reads the manifest, each
@@ -84,8 +86,9 @@ type Store interface {
 	// Nearest returns the digest of the session nearest to features among
 	// the named system's sessions (ties toward the earlier session).
 	Nearest(system string, features map[string]float64) (Summary, bool)
-	// SaveCheckpoint durably writes (or replaces) an in-flight session's
-	// resume state; see SessionCheckpoint.
+	// SaveCheckpoint makes cp the durable resume state of an in-flight
+	// session: it returns only once that state is fsynced; see
+	// SessionCheckpoint.
 	SaveCheckpoint(cp SessionCheckpoint) error
 	// Checkpoints returns every persisted session checkpoint in session-id
 	// order.
@@ -178,6 +181,15 @@ type FileStore struct {
 	corpus   *tune.CorpusIndex
 	refs     []recRef
 	corpusOK bool
+
+	// ckptMu guards ckpts, the open session-checkpoint logs by session id
+	// (nil once closed); checkpoint I/O runs under each log's own lock, never
+	// under mu (see checkpoint.go).
+	ckptMu sync.Mutex
+	ckpts  map[string]*ckptLog
+	// wrapCkptFile, set only by tests, wraps every checkpoint log file the
+	// store opens.
+	wrapCkptFile func(*os.File) logFile
 }
 
 func (s *FileStore) path(name string) string { return filepath.Join(s.dir, name) }
@@ -196,6 +208,7 @@ func Open(dir string) (*FileStore, error) {
 		nextID:       1,
 		tailRecs:     map[int64]tune.SessionRecord{},
 		dead:         map[int64]bool{},
+		ckpts:        map[string]*ckptLog{},
 	}
 	// One process owns a store directory at a time: two daemons appending
 	// to the same WAL would hand out duplicate ids and each fold would
@@ -333,6 +346,21 @@ func (s *FileStore) findSeg(id int64) (segIdx, entIdx int, ok bool) {
 	return 0, 0, false
 }
 
+// scanLog feeds each complete (newline-terminated) line of a JSON-lines log
+// to accept until one is refused, and returns the byte offset past the last
+// accepted line. Everything beyond it is a torn tail: a final line missing its
+// newline, or one a crash cut short or damaged before the newline landed.
+func scanLog(data []byte, accept func(line []byte) bool) (good int) {
+	for good < len(data) {
+		nl := bytes.IndexByte(data[good:], '\n')
+		if nl < 0 || !accept(data[good:good+nl]) {
+			break
+		}
+		good += nl + 1
+	}
+	return good
+}
+
 // replayWAL applies every complete log entry and truncates a torn tail.
 func (s *FileStore) replayWAL() error {
 	data, err := os.ReadFile(s.path(walFile))
@@ -342,22 +370,15 @@ func (s *FileStore) replayWAL() error {
 	if err != nil {
 		return fmt.Errorf("store: reading WAL: %w", err)
 	}
-	good := 0 // byte offset past the last complete, decodable entry
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn: final line has no newline
-		}
-		line := data[off : off+nl]
+	good := scanLog(data, func(line []byte) bool {
 		var e logEntry
 		if err := json.Unmarshal(line, &e); err != nil {
-			break // torn: crash cut the line mid-JSON before the newline
+			return false
 		}
 		s.apply(e)
 		s.walLen++
-		off += nl + 1
-		good = off
-	}
+		return true
+	})
 	if good < len(data) {
 		if err := os.Truncate(s.path(walFile), int64(good)); err != nil {
 			return fmt.Errorf("store: truncating torn WAL tail: %w", err)
@@ -921,8 +942,10 @@ func (s *FileStore) Compact() error {
 
 // syncDir fsyncs the store directory so renames are durable; best-effort
 // because not every platform supports directory fsync.
-func (s *FileStore) syncDir() {
-	if d, err := os.Open(s.dir); err == nil {
+func (s *FileStore) syncDir() { fsyncDir(s.dir) }
+
+func fsyncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
@@ -936,6 +959,7 @@ func (s *FileStore) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.closeCkptLogs()
 	err := s.wal.Close()
 	for _, sg := range s.segs {
 		sg.close()
