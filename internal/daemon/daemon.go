@@ -265,6 +265,11 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 	type repoSummaryz struct {
 		Enabled  bool `json:"enabled"`
 		Sessions int  `json:"sessions,omitempty"`
+		// The feature index's rebuild history (store.IndexStats): a build
+		// holds the store's exclusive lock, so it is a stall worth seeing.
+		IndexBuilds      int64   `json:"index_builds,omitempty"`
+		IndexBuildMSLast float64 `json:"index_build_ms_last,omitempty"`
+		IndexPoints      int     `json:"index_points,omitempty"`
 	}
 	type fleetSummary struct {
 		Configured int   `json:"configured"`
@@ -342,6 +347,10 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 	repo := repoSummaryz{Enabled: s.repo != nil}
 	if s.repo != nil {
 		repo.Sessions = s.repo.Len()
+		ixs := s.repo.IndexStats()
+		repo.IndexBuilds = ixs.Builds
+		repo.IndexBuildMSLast = float64(ixs.LastBuild) / float64(time.Millisecond)
+		repo.IndexPoints = ixs.Points
 	}
 	var fleet fleetSummary
 	for _, h := range s.pool.Health(r.Context()) {

@@ -69,6 +69,30 @@ func TestHealthzSummaries(t *testing.T) {
 	if fleet["configured"] != float64(1) || fleet["healthy"] != float64(1) {
 		t.Fatalf("fleet summary = %v", fleet)
 	}
+
+	// No lookup yet, so no index: the first one builds it, the second
+	// finds it ready.
+	if _, built := repo["index_builds"]; built {
+		t.Fatalf("index built before any lookup: %v", repo)
+	}
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(ts.URL+"/repository/nearest", "application/json",
+			strings.NewReader(`{"system":"dbms","features":{"data_gb":2}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("nearest status = %d", resp.StatusCode)
+		}
+	}
+	repo, _ = getJSON(t, ts.URL+"/healthz")["repository"].(map[string]any)
+	if repo["index_builds"] != float64(1) || repo["index_points"] != float64(1) {
+		t.Fatalf("repository summary after two lookups = %v", repo)
+	}
+	if ms, _ := repo["index_build_ms_last"].(float64); ms <= 0 {
+		t.Fatalf("index_build_ms_last = %v", repo["index_build_ms_last"])
+	}
 }
 
 // TestHealthzWithoutExtras: a bare daemon still answers with zeroed

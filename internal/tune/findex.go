@@ -1,9 +1,14 @@
 package tune
 
 import (
-	"container/heap"
+	"cmp"
+	"encoding/binary"
 	"math"
-	"sort"
+	"math/bits"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
 )
 
 // This file is the feature-space index behind million-session nearest-workload
@@ -37,6 +42,14 @@ import (
 // Ties break exactly as the oracle's stable sort does: equal distances order
 // by insertion position. The best-first traversal emits (d², index) in
 // ascending lexicographic order, which is precisely that stable order.
+//
+// Property 1 also pays for the kernel. When q and c carry the same key list —
+// the rule within one system — the accumulation over sorted(keys(q) ∪ keys(c))
+// meets both operands at every key, so a loop over aligned positions with the
+// scales resolved once (alignedDist2) performs the same operations in the
+// same order as the string merge (mergeDist2). The build groups points by key
+// list, their "shape", so that test is one integer compare per pair; pairs of
+// different shapes run the merge itself.
 
 // KV is one workload feature as a (key, value) pair. Feature lists handed to
 // the index must be sorted ascending by key.
@@ -54,8 +67,22 @@ func featList(m map[string]float64) []KV {
 	for k, v := range m {
 		out = append(out, KV{k, v})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
+	slices.SortFunc(out, func(a, b KV) int { return strings.Compare(a.K, b.K) })
 	return out
+}
+
+// sameKeys reports whether two feature lists carry the same keys in the same
+// order.
+func sameKeys(a, b []KV) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].K != b[k].K {
+			return false
+		}
+	}
+	return true
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -79,8 +106,16 @@ type vpNode struct {
 type FeatureIndex struct {
 	pts   [][]KV
 	scale map[string]float64 // frozen per-key max-abs over pts
-	nodes []vpNode
-	root  int32
+	// The points of one system nearly all carry one key list. Each distinct
+	// list is a shape: shapeOf names every point's, shapeScale holds scale
+	// aligned to the shape's keys, and shapeID (keyed by shapeKey) finds a
+	// query's. Two operands of one shape take alignedDist2; any other pair
+	// takes mergeDist2, the specification.
+	shapeOf    []int32
+	shapeScale [][]float64
+	shapeID    map[string]int32
+	nodes      []vpNode
+	root       int32
 	// degenerate marks a corpus with non-finite feature values: pruning
 	// bounds are meaningless there, so every query takes the scan path
 	// (which replicates the oracle's behavior bit for bit, NaNs included).
@@ -97,18 +132,60 @@ func NewFeatureIndex(features []map[string]float64) *FeatureIndex {
 	return NewFeatureIndexKV(pts)
 }
 
+// shapeKey appends an injective encoding of p's key list to buf.
+func shapeKey(buf []byte, p []KV) []byte {
+	for _, kv := range p {
+		buf = binary.AppendUvarint(buf, uint64(len(kv.K)))
+		buf = append(buf, kv.K...)
+	}
+	return buf
+}
+
 // NewFeatureIndexKV builds an index over pre-sorted KV feature lists. The
 // caller must not mutate pts afterwards.
 func NewFeatureIndexKV(pts [][]KV) *FeatureIndex {
-	ix := &FeatureIndex{pts: pts, scale: map[string]float64{}, root: -1}
-	for _, p := range pts {
-		for _, kv := range p {
+	ix := &FeatureIndex{pts: pts, scale: map[string]float64{}, root: -1,
+		shapeOf: make([]int32, len(pts)), shapeID: map[string]int32{}}
+	// One pass assigns shapes and takes each shape's per-key max-abs in its
+	// aligned slice; the maxima then fold into the per-key scale, and every
+	// shape's slice is refilled from it.
+	var first []int32 // per shape: the first point carrying it
+	var buf []byte
+	for i, p := range pts {
+		var s int32
+		if i > 0 && sameKeys(p, pts[i-1]) {
+			s = ix.shapeOf[i-1]
+		} else {
+			buf = shapeKey(buf[:0], p)
+			var ok bool
+			if s, ok = ix.shapeID[string(buf)]; !ok {
+				s = int32(len(first))
+				ix.shapeID[string(buf)] = s
+				first = append(first, int32(i))
+				ix.shapeScale = append(ix.shapeScale, make([]float64, len(p)))
+			}
+		}
+		ix.shapeOf[i] = s
+		mx := ix.shapeScale[s]
+		for k, kv := range p {
 			if !finite(kv.V) {
 				ix.degenerate = true
 			}
-			if a := math.Abs(kv.V); a > ix.scale[kv.K] {
+			if a := math.Abs(kv.V); a > mx[k] {
+				mx[k] = a
+			}
+		}
+	}
+	for s, i := range first {
+		for k, kv := range pts[i] {
+			if a := ix.shapeScale[s][k]; a > ix.scale[kv.K] {
 				ix.scale[kv.K] = a
 			}
+		}
+	}
+	for s, i := range first {
+		for k, kv := range pts[i] {
+			ix.shapeScale[s][k] = ix.scale[kv.K]
 		}
 	}
 	if ix.degenerate || len(pts) == 0 {
@@ -118,59 +195,158 @@ func NewFeatureIndexKV(pts [][]KV) *FeatureIndex {
 	for i := range idxs {
 		idxs[i] = int32(i)
 	}
-	ix.root = ix.build(idxs)
+	ix.nodes = make([]vpNode, vpNodes(len(pts)))
+	ix.root = 0
+	// One token per spare CPU: a subtree takes one to build its inside half
+	// concurrently and builds it inline when none is free.
+	b := vpBuild{ix: ix, spare: make(chan struct{}, runtime.GOMAXPROCS(0)-1)}
+	b.subtree(0, idxs, make([]vpDist, len(pts)))
+	b.wg.Wait()
 	return ix
 }
 
 // Len returns the number of indexed points.
 func (ix *FeatureIndex) Len() int { return len(ix.pts) }
 
-// build constructs the subtree over idxs and returns its node id. Vantage
-// selection (first index) and the median split (sorted by distance, then by
-// index) are deterministic, so the tree shape is a pure function of the
-// point set — though no observable result depends on it.
-func (ix *FeatureIndex) build(idxs []int32) int32 {
-	if len(idxs) <= vpLeafSize {
-		ix.nodes = append(ix.nodes, vpNode{leafPts: idxs, inside: -1, outside: -1})
-		return int32(len(ix.nodes) - 1)
+// vpNodes is how many nodes a subtree over n points has — a pure function of
+// n, so every subtree's node ids are known before any of it is built.
+func vpNodes(n int) int32 {
+	if n <= vpLeafSize {
+		return 1
 	}
-	vp := idxs[0]
-	rest := idxs[1:]
-	type dc struct {
-		d float64
-		i int32
-	}
-	ds := make([]dc, len(rest))
-	for j, i := range rest {
-		ds[j] = dc{math.Sqrt(ix.buildDist2(ix.pts[vp], ix.pts[i])), i}
-	}
-	sort.Slice(ds, func(a, b int) bool {
-		if ds[a].d != ds[b].d {
-			return ds[a].d < ds[b].d
-		}
-		return ds[a].i < ds[b].i
-	})
-	h := len(ds) / 2
-	in := make([]int32, h)
-	out := make([]int32, len(ds)-h)
-	for j := 0; j < h; j++ {
-		in[j] = ds[j].i
-	}
-	for j := h; j < len(ds); j++ {
-		out[j-h] = ds[j].i
-	}
-	id := int32(len(ix.nodes))
-	ix.nodes = append(ix.nodes, vpNode{}) // reserve the slot; children append after
-	n := vpNode{vp: vp, rIn: ds[h-1].d, rOut: ds[h].d}
-	n.inside = ix.build(in)
-	n.outside = ix.build(out)
-	ix.nodes[id] = n
-	return id
+	h := (n - 1) / 2
+	return 1 + vpNodes(h) + vpNodes(n-1-h)
 }
 
-// buildDist2 is the squared build-metric distance between two stored points:
-// the reference formula under the frozen build scale.
-func (ix *FeatureIndex) buildDist2(a, b []KV) float64 {
+// vpParallelMin is the subtree size from which the inside half may build on
+// its own goroutine.
+const vpParallelMin = 4096
+
+// vpDist is a point and its build-metric distance to the vantage point of
+// the subtree being split.
+type vpDist struct {
+	d float64
+	i int32
+}
+
+// less is the strict (distance, index) order the median split is taken in.
+func (a vpDist) less(b vpDist) bool { return a.d < b.d || (a.d == b.d && a.i < b.i) }
+
+// selectNth partitions ds around its n-th element in less order: ds[n] ends
+// up where a full sort would put it, everything before it is smaller and
+// everything after it larger. Quickselect on the middle element; small ranges,
+// and any range left after 2·log₂ len rounds, are sorted outright.
+func selectNth(ds []vpDist, n int) {
+	lo, hi := 0, len(ds)
+	for limit := 2 * bits.Len(uint(len(ds))); ; limit-- {
+		if hi-lo <= 12 || limit == 0 {
+			slices.SortFunc(ds[lo:hi], func(a, b vpDist) int {
+				return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.i, b.i))
+			})
+			return
+		}
+		m := ds[lo+(hi-lo)/2]
+		i, j := lo, hi-1
+		for i <= j {
+			for ds[i].less(m) {
+				i++
+			}
+			for m.less(ds[j]) {
+				j--
+			}
+			if i <= j {
+				ds[i], ds[j] = ds[j], ds[i]
+				i++
+				j--
+			}
+		}
+		// ds[lo:j+1] ≤ pivot ≤ ds[i:hi], and anything between is the pivot.
+		switch {
+		case n <= j:
+			hi = j + 1
+		case n >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+// vpBuild is one tree construction in flight.
+type vpBuild struct {
+	ix    *FeatureIndex
+	spare chan struct{}
+	wg    sync.WaitGroup
+}
+
+// subtree builds node id over idxs, splitting idxs in place with ds as
+// scratch of the same length. The vantage point is the first index; the rest
+// split at the median of their (distance to it, index) order, found by
+// selection. Which points land in which half, and so rIn and rOut, are what a
+// full sort would give; the order inside a half, and with it the next
+// vantage point, is selectNth's — deterministic, so the tree is a pure
+// function of the point set at any GOMAXPROCS, though no observable result
+// depends on its shape. The inside subtree takes ids from id+1 and the outside
+// one follows it, so halves built concurrently write disjoint ranges of
+// nodes, idxs and ds.
+func (b *vpBuild) subtree(id int32, idxs []int32, ds []vpDist) {
+	ix := b.ix
+	if len(idxs) <= vpLeafSize {
+		ix.nodes[id] = vpNode{leafPts: idxs, inside: -1, outside: -1}
+		return
+	}
+	vp, rest, ds := idxs[0], idxs[1:], ds[1:]
+	for j, i := range rest {
+		ds[j] = vpDist{math.Sqrt(ix.buildDist2(vp, i)), i}
+	}
+	h := len(rest) / 2
+	selectNth(ds, h)
+	rIn := ds[0].d
+	for j, x := range ds {
+		rest[j] = x.i
+		if j < h && x.d > rIn {
+			rIn = x.d
+		}
+	}
+	in, out := id+1, id+1+vpNodes(h)
+	ix.nodes[id] = vpNode{vp: vp, rIn: rIn, rOut: ds[h].d, inside: in, outside: out}
+	spare := b.spare
+	if len(idxs) < vpParallelMin {
+		spare = nil // never ready: a small subtree builds both halves inline
+	}
+	select {
+	case spare <- struct{}{}:
+		b.wg.Add(1)
+		go func() {
+			defer b.wg.Done()
+			b.subtree(in, rest[:h], ds[:h])
+			<-spare
+		}()
+	default:
+		b.subtree(in, rest[:h], ds[:h])
+	}
+	b.subtree(out, rest[h:], ds[h:])
+}
+
+// alignedDist2 is the reference accumulation for two lists of one key list,
+// sc holding the scale of each key: the operands, their order and the IEEE
+// result are mergeDist2's, which takes its both-sides branch at every key.
+func alignedDist2(a, b []KV, sc []float64) float64 {
+	var d float64
+	b, sc = b[:len(a)], sc[:len(a)]
+	for k := range a {
+		if sc[k] == 0 {
+			continue
+		}
+		dd := (a[k].V - b[k].V) / sc[k]
+		d += dd * dd
+	}
+	return d
+}
+
+// mergeDist2 is the reference formula over sorted(keys(a) ∪ keys(b)): each
+// key's scale is the frozen build scale unless override carries it.
+func (ix *FeatureIndex) mergeDist2(a, b []KV, override map[string]float64) float64 {
 	var d float64
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
@@ -189,6 +365,9 @@ func (ix *FeatureIndex) buildDist2(a, b []KV) float64 {
 			j++
 		}
 		sc := ix.scale[k]
+		if o, ok := override[k]; ok {
+			sc = o
+		}
 		if sc == 0 {
 			continue
 		}
@@ -198,11 +377,24 @@ func (ix *FeatureIndex) buildDist2(a, b []KV) float64 {
 	return d
 }
 
-// fiQuery is one prepared lookup: the sorted query features, the per-key
-// scale overrides the query introduces, the exact constant the query-only
-// keys add to every candidate's distance, and whether tree pruning is sound.
+// buildDist2 is the squared build-metric distance between two stored points:
+// the reference formula under the frozen build scale.
+func (ix *FeatureIndex) buildDist2(a, b int32) float64 {
+	if s := ix.shapeOf[a]; s == ix.shapeOf[b] {
+		return alignedDist2(ix.pts[a], ix.pts[b], ix.shapeScale[s])
+	}
+	return ix.mergeDist2(ix.pts[a], ix.pts[b], nil)
+}
+
+// fiQuery is one prepared lookup: the sorted query features with each key's
+// reference scale, the shape that carries exactly the query's key list, the
+// per-key scale overrides the query introduces, the exact constant the
+// query-only keys add to every candidate's distance, and whether tree pruning
+// is sound.
 type fiQuery struct {
 	q        []KV
+	sc       []float64 // per query key: max(build scale, |q[k]|)
+	shape    int32     // -1 when no indexed point has the query's key list
 	override map[string]float64
 	constC   float64
 	fast     bool
@@ -210,18 +402,21 @@ type fiQuery struct {
 
 // prepare classifies a query against the frozen build scale.
 func (ix *FeatureIndex) prepare(features map[string]float64) *fiQuery {
-	fq := &fiQuery{q: featList(features), fast: !ix.degenerate}
-	for _, kv := range fq.q {
+	fq := &fiQuery{q: featList(features), shape: -1, fast: !ix.degenerate}
+	fq.sc = make([]float64, len(fq.q))
+	for k, kv := range fq.q {
 		if !finite(kv.V) {
 			fq.fast = false
 		}
 		a := math.Abs(kv.V)
 		bs := ix.scale[kv.K]
+		fq.sc[k] = bs
 		if a > bs {
 			if fq.override == nil {
 				fq.override = map[string]float64{}
 			}
 			fq.override[kv.K] = a
+			fq.sc[k] = a
 			if bs > 0 {
 				// A corpus key whose scale the query raises: the query
 				// metric differs from the build metric everywhere, so
@@ -235,43 +430,36 @@ func (ix *FeatureIndex) prepare(features map[string]float64) *fiQuery {
 			}
 		}
 	}
+	if s, ok := ix.shapeID[string(shapeKey(make([]byte, 0, 128), fq.q))]; ok {
+		fq.shape = s
+	}
 	return fq
 }
 
 // refDist2 evaluates the reference squared distance between the prepared
 // query and candidate c — bit-identical to the oracle's accumulation.
 func (ix *FeatureIndex) refDist2(fq *fiQuery, c []KV) float64 {
-	var d float64
-	q := fq.q
-	i, j := 0, 0
-	for i < len(q) || j < len(c) {
-		var k string
-		var qv, cv float64
-		switch {
-		case j >= len(c) || (i < len(q) && q[i].K < c[j].K):
-			k, qv = q[i].K, q[i].V
-			i++
-		case i >= len(q) || c[j].K < q[i].K:
-			k, cv = c[j].K, c[j].V
-			j++
-		default:
-			k, qv, cv = q[i].K, q[i].V, c[j].V
-			i++
-			j++
-		}
-		sc := ix.scale[k]
-		if fq.override != nil {
-			if o, ok := fq.override[k]; ok {
-				sc = o
-			}
-		}
-		if sc == 0 {
-			continue
-		}
-		dd := (qv - cv) / sc
-		d += dd * dd
+	if sameKeys(fq.q, c) {
+		return alignedDist2(fq.q, c, fq.sc)
 	}
-	return d
+	return ix.mergeDist2(fq.q, c, fq.override)
+}
+
+// refDist2At is refDist2 for indexed point p, its key list known by shape.
+func (ix *FeatureIndex) refDist2At(fq *fiQuery, p int32) float64 {
+	if ix.shapeOf[p] == fq.shape {
+		return alignedDist2(fq.q, ix.pts[p], fq.sc)
+	}
+	return ix.mergeDist2(fq.q, ix.pts[p], fq.override)
+}
+
+// queryBuildDist2 is the squared build-metric distance between the query and
+// indexed point p (the frozen scale alone, as buildDist2).
+func (ix *FeatureIndex) queryBuildDist2(fq *fiQuery, p int32) float64 {
+	if s := ix.shapeOf[p]; s == fq.shape {
+		return alignedDist2(fq.q, ix.pts[p], ix.shapeScale[s])
+	}
+	return ix.mergeDist2(fq.q, ix.pts[p], nil)
 }
 
 // shrink turns a mathematically-true lower bound into a float-safe one: the
@@ -296,11 +484,7 @@ type fiItem struct {
 	pt   int32
 }
 
-type fiHeap []fiItem
-
-func (h fiHeap) Len() int { return len(h) }
-func (h fiHeap) Less(a, b int) bool {
-	x, y := h[a], h[b]
+func (x fiItem) less(y fiItem) bool {
 	if x.key != y.key {
 		return x.key < y.key
 	}
@@ -315,9 +499,69 @@ func (h fiHeap) Less(a, b int) bool {
 	}
 	return x.pt < y.pt
 }
-func (h fiHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *fiHeap) Push(x any)   { *h = append(*h, x.(fiItem)) }
-func (h *fiHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+// fiHeap is a binary min-heap of frontier entries in less order.
+type fiHeap []fiItem
+
+func (h *fiHeap) push(it fiItem) {
+	s := append(*h, it)
+	*h = s
+	for j := len(s) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !s[j].less(s[p]) {
+			break
+		}
+		s[j], s[p] = s[p], s[j]
+		j = p
+	}
+}
+
+func (h *fiHeap) pop() fiItem {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	for j := 0; ; {
+		c := 2*j + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].less(s[c]) {
+			c++
+		}
+		if !s[c].less(s[j]) {
+			break
+		}
+		s[j], s[c] = s[c], s[j]
+		j = c
+	}
+	return top
+}
+
+// scan is the linear-scan path over pts (the indexed points, or a corpus
+// that has outgrown them): the oracle verbatim — distances by the reference
+// formula, order by its stable sort on `<` alone, under which a NaN ties with
+// everything — so even adversarial inputs (NaN features, scale-raising
+// queries) match bit for bit.
+func (ix *FeatureIndex) scan(fq *fiQuery, pts [][]KV) (order []int, dist []float64) {
+	dist = make([]float64, len(pts))
+	order = make([]int, len(pts))
+	for i, p := range pts {
+		dist[i] = ix.refDist2(fq, p)
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case dist[a] < dist[b]:
+			return -1
+		case dist[a] > dist[b]:
+			return 1
+		}
+		return 0
+	})
+	return order, dist
+}
 
 // fiIter yields point indices in ascending (reference d², index) order — the
 // oracle's exact ranking — lazily, so prefix consumers (nearest, warm-start)
@@ -336,29 +580,16 @@ type fiIter struct {
 func (ix *FeatureIndex) iter(fq *fiQuery) *fiIter {
 	it := &fiIter{ix: ix, fq: fq}
 	if !fq.fast || ix.root < 0 {
-		// Linear-scan path: replicate the oracle verbatim — distances by the
-		// reference formula, order by its stable sort — so even adversarial
-		// inputs (NaN features, scale-raising queries) match bit for bit.
-		it.dist = make([]float64, len(ix.pts))
-		for i := range ix.pts {
-			it.dist[i] = ix.refDist2(fq, ix.pts[i])
-		}
-		it.order = make([]int, len(ix.pts))
-		for i := range it.order {
-			it.order[i] = i
-		}
-		sort.SliceStable(it.order, func(a, b int) bool {
-			return it.dist[it.order[a]] < it.dist[it.order[b]]
-		})
+		it.order, it.dist = ix.scan(fq, ix.pts)
 		return it
 	}
-	it.h = fiHeap{{key: fq.constC, lb: 0, node: ix.root, pt: -1}}
+	it.h = append(make(fiHeap, 0, 64), fiItem{key: fq.constC, lb: 0, node: ix.root, pt: -1})
 	return it
 }
 
 // next returns the next point in rank order.
 func (it *fiIter) next() (pt int, d2 float64, ok bool) {
-	if it.order != nil || it.h == nil {
+	if it.order != nil {
 		if it.at >= len(it.order) {
 			return 0, 0, false
 		}
@@ -367,7 +598,7 @@ func (it *fiIter) next() (pt int, d2 float64, ok bool) {
 		return i, it.dist[i], true
 	}
 	for len(it.h) > 0 {
-		top := heap.Pop(&it.h).(fiItem)
+		top := it.h.pop()
 		if top.node < 0 {
 			return int(top.pt), top.key, true
 		}
@@ -383,21 +614,18 @@ func (it *fiIter) expand(item fiItem) {
 	n := &ix.nodes[item.node]
 	if n.leafPts != nil {
 		for _, p := range n.leafPts {
-			heap.Push(&it.h, fiItem{key: ix.refDist2(fq, ix.pts[p]), node: -1, pt: p})
+			it.h.push(fiItem{key: ix.refDist2At(fq, p), node: -1, pt: p})
 		}
 		return
 	}
-	heap.Push(&it.h, fiItem{key: ix.refDist2(fq, ix.pts[n.vp]), node: -1, pt: n.vp})
-	dq := math.Sqrt(ix.buildDist2(fq.q, ix.pts[n.vp]))
+	it.h.push(fiItem{key: ix.refDist2At(fq, n.vp), node: -1, pt: n.vp})
+	dq := math.Sqrt(ix.queryBuildDist2(fq, n.vp))
 	push := func(node int32, lb float64) {
-		if node < 0 {
-			return
-		}
 		if lb < item.lb {
 			lb = item.lb // a parent's bound constrains every descendant
 		}
 		m := shrink(lb)
-		heap.Push(&it.h, fiItem{key: m*m + fq.constC, lb: lb, node: node, pt: -1})
+		it.h.push(fiItem{key: m*m + fq.constC, lb: lb, node: node, pt: -1})
 	}
 	push(n.inside, dq-n.rIn)
 	push(n.outside, n.rOut-dq)
@@ -530,20 +758,21 @@ func (ci *CorpusIndex) Walk(system string, features map[string]float64, yield fu
 	if s == nil || len(s.feats) == 0 {
 		return
 	}
-	if s.idx == nil || s.stale || len(s.feats)-s.built > rebuildTail(s.built) {
-		s.idx = NewFeatureIndexKV(s.feats[:len(s.feats):len(s.feats)])
-		s.built = len(s.feats)
-		s.stale = false
+	if !ci.Ready(system) {
+		ci.Rebuild(system)
 	}
 	fq := s.idx.prepare(features)
-	if !fq.fast || len(s.feats) > s.built {
-		// With a tail (or a scan-path query) the tree alone cannot reproduce
-		// the oracle's stable order across the full corpus; when the query is
-		// fast the tail merges below, otherwise scan everything as one unit.
-		if !fq.fast {
-			ci.walkScan(s, fq, yield)
-			return
+	if !fq.fast {
+		// The tree cannot serve the query, and a tree-side scan merged with
+		// the tail would not reproduce the oracle's stable order across the
+		// full corpus: scan everything as one unit.
+		order, _ := s.idx.scan(fq, s.feats)
+		for _, ord := range order {
+			if !yield(s.poss[ord], ord) {
+				return
+			}
 		}
+		return
 	}
 	type tc struct {
 		d2  float64
@@ -553,11 +782,8 @@ func (ci *CorpusIndex) Walk(system string, features map[string]float64, yield fu
 	for j := s.built; j < len(s.feats); j++ {
 		tail = append(tail, tc{s.idx.refDist2(fq, s.feats[j]), j})
 	}
-	sort.Slice(tail, func(a, b int) bool {
-		if tail[a].d2 != tail[b].d2 {
-			return tail[a].d2 < tail[b].d2
-		}
-		return tail[a].ord < tail[b].ord
+	slices.SortFunc(tail, func(a, b tc) int {
+		return cmp.Or(cmp.Compare(a.d2, b.d2), cmp.Compare(a.ord, b.ord))
 	})
 	it := s.idx.iter(fq)
 	ti := 0
@@ -580,24 +806,6 @@ func (ci *CorpusIndex) Walk(system string, features map[string]float64, yield fu
 			hi, hd2, hok = it.next()
 		} else {
 			ti++
-		}
-	}
-}
-
-// walkScan is the full-corpus oracle path for queries the tree cannot serve.
-func (ci *CorpusIndex) walkScan(s *sysCorpus, fq *fiQuery, yield func(pos, ord int) bool) {
-	dist := make([]float64, len(s.feats))
-	for i := range s.feats {
-		dist[i] = s.idx.refDist2(fq, s.feats[i])
-	}
-	order := make([]int, len(s.feats))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return dist[order[a]] < dist[order[b]] })
-	for _, ord := range order {
-		if !yield(s.poss[ord], ord) {
-			return
 		}
 	}
 }

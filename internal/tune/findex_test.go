@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -49,6 +51,22 @@ func randQuery(rng *rand.Rand) map[string]float64 {
 			m = map[string]float64{}
 		}
 		m[featureKeys[rng.Intn(len(featureKeys))]] = 100
+	}
+	return m
+}
+
+// shapedKeys are two systems' whole key lists. Sessions drawn from them share
+// a key list with half the corpus, so an index over them evaluates same-shape
+// pairs by the aligned kernel and mixed pairs by the merge, inside one tree.
+var shapedKeys = [][]string{
+	{"cpu", "io", "mem", "ratio", "rows", "skew"},
+	{"executors", "io", "rows", "shuffle"},
+}
+
+func randShapedFeatures(rng *rand.Rand) map[string]float64 {
+	m := map[string]float64{}
+	for _, k := range shapedKeys[rng.Intn(len(shapedKeys))] {
+		m[k] = featureVals[rng.Intn(len(featureVals))]
 	}
 	return m
 }
@@ -124,11 +142,17 @@ func TestIndexedLookupsMatchOracleRandomized(t *testing.T) {
 			if rng.Float64() < 0.3 {
 				sys = "spark"
 			}
-			repo.Add(randSession(rng, sys))
+			rec := randSession(rng, sys)
+			if trial%2 == 1 {
+				// Mixed-shape corpus: two whole key lists interleaved.
+				rec.Features = randShapedFeatures(rng)
+			}
+			repo.Add(rec)
 		}
 		for q := 0; q < 8; q++ {
 			assertLookupsMatchOracle(t, repo, "dbms", randQuery(rng))
 			assertLookupsMatchOracle(t, repo, "spark", randQuery(rng))
+			assertLookupsMatchOracle(t, repo, "dbms", randShapedFeatures(rng))
 		}
 	}
 }
@@ -277,5 +301,165 @@ func TestFeatureIndexWalkStopsEarly(t *testing.T) {
 	})
 	if seen != 10 {
 		t.Fatalf("walk yielded %d points, want 10", seen)
+	}
+}
+
+// TestFeatureIndexKernelIsTheFormula pins the aligned kernel to the string
+// merge it stands in for: over corpora with few key lists (so same-shape
+// pairs are common), a zero-scale key, and values up to ±1e300, every
+// distance the index evaluates by shape equals mergeDist2's bit for bit —
+// between stored points, and against queries with missing keys, query-only
+// keys and scale-raising values.
+func TestFeatureIndexKernelIsTheFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	lists := [][]string{
+		{"a", "b", "c", "zero"},
+		{"a", "c", "zero"},
+		{"b", "d"},
+		{},
+	}
+	vals := []float64{0, 0.5, -1, 3, 1e-300, -1e300, 1e300, 7.25}
+	point := func(keys []string) []KV {
+		p := make([]KV, len(keys))
+		for k, key := range keys {
+			p[k] = KV{K: key, V: vals[rng.Intn(len(vals))]}
+			if key == "zero" {
+				p[k].V = 0
+			}
+		}
+		return p
+	}
+	same := func(what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: aligned %x (%g), merge %x (%g)", what, math.Float64bits(got), got, math.Float64bits(want), want)
+		}
+	}
+	var alignedPairs, alignedQueries int
+	for trial := 0; trial < 30; trial++ {
+		pts := make([][]KV, 1+rng.Intn(60))
+		for i := range pts {
+			pts[i] = point(lists[rng.Intn(len(lists))])
+		}
+		ix := NewFeatureIndexKV(pts)
+		for n := 0; n < 200; n++ {
+			a, b := int32(rng.Intn(len(pts))), int32(rng.Intn(len(pts)))
+			if ix.shapeOf[a] == ix.shapeOf[b] {
+				alignedPairs++
+			}
+			same("buildDist2", ix.buildDist2(a, b), ix.mergeDist2(pts[a], pts[b], nil))
+		}
+		for n := 0; n < 40; n++ {
+			q := map[string]float64{}
+			for _, kv := range point(lists[rng.Intn(len(lists))]) {
+				q[kv.K] = kv.V
+			}
+			switch rng.Intn(4) {
+			case 0:
+				q["novel"] = 2 // query-only key
+			case 1:
+				q["zero"] = -4 // raises a zero scale
+			case 2:
+				q["a"] = 2e300 // raises a corpus scale
+			}
+			fq := ix.prepare(q)
+			for p := range pts {
+				if ix.shapeOf[p] == fq.shape {
+					alignedQueries++
+				}
+				want := ix.mergeDist2(fq.q, pts[p], fq.override)
+				same("refDist2At", ix.refDist2At(fq, int32(p)), want)
+				same("refDist2", ix.refDist2(fq, pts[p]), want)
+				same("queryBuildDist2", ix.queryBuildDist2(fq, int32(p)), ix.mergeDist2(fq.q, pts[p], nil))
+			}
+		}
+	}
+	if alignedPairs == 0 || alignedQueries == 0 {
+		t.Fatalf("aligned kernel not exercised: %d stored pairs, %d query pairs", alignedPairs, alignedQueries)
+	}
+}
+
+// TestSelectNthMatchesSortSplit: selection gives the median split the full
+// sort gave — the same element at n, the same set before it (so the same rIn)
+// and after it — on random, all-equal, heavily duplicated and ±Inf distances.
+func TestSelectNthMatchesSortSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	// A slice, not a map: the generators share rng, so a failure reproduces
+	// only if they run in one order.
+	gens := []struct {
+		name string
+		gen  func() float64
+	}{
+		{"random", rng.Float64},
+		{"all-equal", func() float64 { return 1.5 }},
+		{"duplicates", func() float64 { return float64(rng.Intn(4)) }},
+		{"infinite", func() float64 { return []float64{math.Inf(1), math.Inf(-1), 0, 1}[rng.Intn(4)] }},
+	}
+	for _, g := range gens {
+		name, gen := g.name, g.gen
+		for trial := 0; trial < 200; trial++ {
+			ds := make([]vpDist, 1+rng.Intn(400))
+			for j, i := range rng.Perm(len(ds)) {
+				ds[j] = vpDist{gen(), int32(i)}
+			}
+			n := len(ds) / 2
+			if trial%4 == 0 {
+				n = rng.Intn(len(ds))
+			}
+			want := slices.Clone(ds)
+			slices.SortFunc(want, func(a, b vpDist) int {
+				if a.less(b) {
+					return -1
+				}
+				return 1
+			})
+			selectNth(ds, n)
+			if ds[n] != want[n] {
+				t.Fatalf("%s: ds[%d] = %v, sort puts %v there", name, n, ds[n], want[n])
+			}
+			for j, x := range ds {
+				if (j < n && !x.less(ds[n])) || (j > n && !ds[n].less(x)) {
+					t.Fatalf("%s: ds[%d] = %v on the wrong side of ds[%d] = %v", name, j, x, n, ds[n])
+				}
+			}
+			if n > 0 {
+				rIn := ds[0].d
+				for _, x := range ds[:n] {
+					rIn = math.Max(rIn, x.d)
+				}
+				if rIn != want[n-1].d {
+					t.Fatalf("%s: rIn = %g, sort gives %g", name, rIn, want[n-1].d)
+				}
+			}
+		}
+	}
+}
+
+// TestFeatureIndexBuildSameTreeAtAnyGOMAXPROCS: node ids are preassigned and
+// the split is deterministic, so builds that run halves concurrently and a
+// serial build produce the same nodes (under -race, also: the concurrent
+// halves share nothing they write).
+func TestFeatureIndexBuildSameTreeAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(47))
+	pts := make([][]KV, 5*vpParallelMin)
+	for i := range pts {
+		pts[i] = featList(randShapedFeatures(rng))
+		for k := range pts[i] {
+			pts[i][k].V += rng.Float64()
+		}
+	}
+	var want []vpNode
+	for _, procs := range []int{1, 2, 2, 1} {
+		runtime.GOMAXPROCS(procs)
+		ix := NewFeatureIndexKV(pts)
+		if int(vpNodes(len(pts))) != len(ix.nodes) {
+			t.Fatalf("vpNodes(%d) = %d, built %d", len(pts), vpNodes(len(pts)), len(ix.nodes))
+		}
+		if want == nil {
+			want = ix.nodes
+		} else if !reflect.DeepEqual(ix.nodes, want) {
+			t.Fatalf("GOMAXPROCS=%d built a different tree", procs)
+		}
 	}
 }

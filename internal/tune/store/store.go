@@ -34,6 +34,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/tune"
 )
@@ -96,8 +97,20 @@ type Store interface {
 	// DeleteCheckpoint removes a session's checkpoint; removing a missing
 	// checkpoint is not an error.
 	DeleteCheckpoint(sid string) error
+	// IndexStats reports how often lookups have had to (re)build the
+	// feature index, and what the last build cost.
+	IndexStats() IndexStats
 	// Close releases the store's file handles. The store stays loadable.
 	Close() error
+}
+
+// IndexStats is the feature index's rebuild history. A build runs inside the
+// lookup that found the index missing or stale, under the store's exclusive
+// lock: while it lasts, every other operation on the store waits.
+type IndexStats struct {
+	Builds    int64         // builds since Open
+	LastBuild time.Duration // what the last one took, corpus collection included
+	Points    int           // sessions of the system the last one indexed
 }
 
 const (
@@ -181,6 +194,7 @@ type FileStore struct {
 	corpus   *tune.CorpusIndex
 	refs     []recRef
 	corpusOK bool
+	index    IndexStats
 
 	// ckptMu guards ckpts, the open session-checkpoint logs by session id
 	// (nil once closed); checkpoint I/O runs under each log's own lock, never
@@ -727,9 +741,20 @@ func (s *FileStore) lookupWalk(system string, features map[string]float64, visit
 	s.mu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ensureCorpusLocked()
-	s.corpus.Rebuild(system)
+	if !s.corpusOK || !s.corpus.Ready(system) {
+		t0 := time.Now()
+		s.ensureCorpusLocked()
+		s.corpus.Rebuild(system)
+		s.index = IndexStats{Builds: s.index.Builds + 1, LastBuild: time.Since(t0), Points: s.corpus.Len(system)}
+	}
 	s.corpus.Walk(system, features, visit)
+}
+
+// IndexStats implements Store.
+func (s *FileStore) IndexStats() IndexStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.index
 }
 
 // WarmConfigs implements Store (and tune.WarmSource): identical results to

@@ -324,3 +324,43 @@ func TestStoreSingleOwner(t *testing.T) {
 	}
 	s3.Close()
 }
+
+// TestIndexStatsCountsBuilds: the first lookup collects the corpus (all a
+// lookup for an absent system has to do), the first one per system builds its
+// tree, later ones and appends inside the tail bound reuse it, and a delete
+// invalidates it.
+func TestIndexStatsCountsBuilds(t *testing.T) {
+	s := open(t, t.TempDir())
+	var ids []int64
+	for n := 1; n <= 3; n++ {
+		id, err := s.Append(rec("dbms", "tpch", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	q := map[string]float64{"size": 2}
+	want := func(when string, builds int64, points int) {
+		t.Helper()
+		got := s.IndexStats()
+		if got.Builds != builds || got.Points != points || (builds > 0) != (got.LastBuild > 0) {
+			t.Fatalf("%s: IndexStats = %+v, want %d builds over %d points", when, got, builds, points)
+		}
+	}
+	want("before any lookup", 0, 0)
+	s.Nearest("spark", q)
+	want("lookup for an absent system", 1, 0)
+	s.Nearest("dbms", q)
+	want("first lookup", 2, 3)
+	s.Nearest("dbms", q)
+	if _, err := s.Append(rec("dbms", "oltp", 1)); err != nil {
+		t.Fatal(err)
+	}
+	s.Nearest("dbms", q)
+	want("lookups on a ready index", 2, 3)
+	if err := s.Delete(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	s.Nearest("dbms", q)
+	want("lookup after a delete", 3, 3)
+}
