@@ -80,10 +80,10 @@ type (
 	// events bounded subscriptions emit.
 	StreamSummary = tune.StreamSummary
 	// CheckpointState is the resumable session snapshot handed to
-	// Job/EngineOptions Checkpoint hooks at batch boundaries.
+	// Job.Checkpoint hooks at batch boundaries.
 	CheckpointState = tune.CheckpointState
 	// Replay is the serialized observation history a resumed session feeds
-	// back through a fresh proposer (Job/EngineOptions Replay).
+	// back through a fresh proposer (Job.Replay).
 	Replay = tune.Replay
 	// Run is the live handle to a submitted tuning session: an ordered
 	// Events() stream, Pause/Resume/Stop control, and Wait for the result.

@@ -205,8 +205,9 @@ func TestFidelityReachesIncumbentAtHalfCost(t *testing.T) {
 // columns: every tier row is present at every n, the cheap tiers agree with
 // the exact GP to a usable tolerance, and the exact row's speedup is exactly
 // 1× (it is its own baseline). Wall-clock columns are only checked for shape
-// — CI hosts are too noisy to assert on absolute timings here; the hard
-// performance claims live in BenchmarkSurrogateFit and BENCH_pr6.json.
+// — CI hosts are too noisy to assert on absolute timings here; fit cost per
+// tier is measured by BenchmarkSurrogateFit (internal/mathx/gp) and the
+// gp.fit_ms_* rows of `go run ./benchmark`.
 func TestSurrogateFast(t *testing.T) {
 	tb := Surrogate(fastOpts())
 	if len(tb.Rows) != 6 {

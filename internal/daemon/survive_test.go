@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -89,6 +90,78 @@ func TestAdmissionSessionCap(t *testing.T) {
 	if hz.Admission.MaxSessions != 2 || hz.Admission.Rejected < 1 {
 		t.Errorf("healthz admission = %+v", hz.Admission)
 	}
+}
+
+// TestAdmissionFlood: a concurrent burst far past -max-sessions is shed, not
+// served and not failed — every POST is answered 201 or 429-with-Retry-After
+// (never a 5xx), healthz stays ok and its rejection counter equals the 429s
+// the clients saw, and deleting the admitted sessions reopens admission.
+func TestAdmissionFlood(t *testing.T) {
+	const burst, maxSessions = 200, 8
+	ts, _ := newTestServerWith(t, Options{Workers: 2, MaxSessions: maxSessions})
+	type answer struct {
+		code       int
+		id         string
+		retryAfter string
+	}
+	answers := make([]answer, burst)
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/sessions", "application/json", strings.NewReader(fmt.Sprintf(longSpec, i)))
+			if err != nil {
+				t.Errorf("POST %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			var body struct {
+				ID string `json:"id"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Errorf("POST %d: undecodable %d answer: %v", i, resp.StatusCode, err)
+			}
+			answers[i] = answer{resp.StatusCode, body.ID, resp.Header.Get("Retry-After")}
+		}()
+	}
+	wg.Wait()
+	var admitted []string
+	shed := 0
+	for i, a := range answers {
+		switch {
+		case a.code == http.StatusCreated && a.id != "":
+			admitted = append(admitted, a.id)
+		case a.code == http.StatusTooManyRequests && a.retryAfter != "":
+			shed++
+		default:
+			t.Errorf("POST %d answered %d (id %q, Retry-After %q): want 201 with an id or 429 with Retry-After", i, a.code, a.id, a.retryAfter)
+		}
+	}
+	if len(admitted) == 0 || shed == 0 {
+		t.Fatalf("%d admitted, %d shed of %d: the burst must split across the cap", len(admitted), shed, burst)
+	}
+
+	hz := getJSON(t, ts.URL+"/healthz") // fails the test on anything but a 200
+	if hz["status"] != "ok" {
+		t.Errorf("healthz status after the flood = %v, want ok", hz["status"])
+	}
+	if adm, _ := hz["admission"].(map[string]any); adm["rejected"] != float64(shed) {
+		t.Errorf("healthz counts %v rejections, clients saw %d", adm["rejected"], shed)
+	}
+
+	for _, id := range admitted {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	waitFor(t, "admission to reopen after deleting the admitted sessions", func() bool {
+		_, code, _ := postSpec(t, ts, fmt.Sprintf(longSpec, burst))
+		return code == http.StatusCreated
+	})
 }
 
 // TestAdmissionQueueCap: -max-queue bounds sessions waiting for a

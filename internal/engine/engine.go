@@ -63,12 +63,6 @@ type Options struct {
 	// this one (a fleet backend built for one target would silently
 	// evaluate another job's trials against the wrong system).
 	Remote RemoteBackend
-	// Checkpoint, CheckpointEvery, and Replay are the crash-resume hooks
-	// for direct Tune/Drive/DriveFidelity calls — Job carries its own
-	// copies for submitted runs. See Job.Checkpoint/Job.Replay.
-	Checkpoint      func(tune.CheckpointState)
-	CheckpointEvery int
-	Replay          *tune.Replay
 }
 
 // Engine evaluates tuning sessions concurrently.
@@ -78,7 +72,7 @@ type Engine struct {
 }
 
 // driver is one session's evaluation setup — what Options give a direct call
-// and what a submitted Job gives its run.
+// and what a submitted Job gives its run. Only a Job can checkpoint or resume.
 type driver struct {
 	workers    int
 	cache      bool
@@ -96,11 +90,8 @@ func New(o Options) *Engine {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		driver: driver{
-			workers: w, cache: o.Cache || o.CacheCap > 0, cacheCap: o.CacheCap, remote: o.Remote,
-			checkpoint: o.Checkpoint, ckptEvery: o.CheckpointEvery, replay: o.Replay,
-		},
-		sem: make(chan struct{}, w),
+		driver: driver{workers: w, cache: o.Cache || o.CacheCap > 0, cacheCap: o.CacheCap, remote: o.Remote},
+		sem:    make(chan struct{}, w),
 	}
 }
 

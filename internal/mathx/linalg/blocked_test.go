@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -175,4 +176,37 @@ func TestRank1UpdatePanicsOnLengthMismatch(t *testing.T) {
 		}
 	}()
 	ch.Rank1Update([]float64{1})
+}
+
+// BenchmarkBlockedCholesky compares the serial right-looking factorization
+// against the blocked parallel one at sizes above parallelMinDim. On a
+// single-CPU host the parallel path measures its scheduling overhead.
+func BenchmarkBlockedCholesky(b *testing.B) {
+	for _, n := range []int{256, 512} {
+		a := New(n, n)
+		rnd := rand.New(rand.NewSource(int64(n)))
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				v := rnd.Float64() - 0.5
+				a.Set(i, j, v)
+				a.Set(j, i, v)
+			}
+			a.Add(i, i, float64(n))
+		}
+		l := New(n, n)
+		b.Run("serial/n="+strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := CholeskyInto(a, l); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("parallel/n="+strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := ParallelCholeskyInto(a, l, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

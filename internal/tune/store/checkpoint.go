@@ -36,9 +36,9 @@ import (
 // suffix of cp.Replay.Trials past what the session's open log holds. When the
 // state does not extend the log — first save of a sid, a different spec,
 // fewer trials, or an earlier write/fsync on this log failed — it falls back
-// to an atomic whole-log rewrite (tmp + fsync + rename + directory fsync). A
-// whole-object <sid>.json written before the log existed is still read, and
-// is replaced by a log on that session's first save.
+// to an atomic whole-log rewrite (tmp + fsync + rename + directory fsync). The
+// log is the only checkpoint form: Open refuses a directory still holding a
+// whole-object <sid>.json from before it (errLegacyLayout).
 //
 // Checkpoint I/O never takes FileStore.mu: each session's log has its own
 // lock, so archive readers and writers (Nearest, WarmConfigs, Append) and
@@ -47,7 +47,6 @@ import (
 const (
 	checkpointDir = "checkpoints"
 	ckptLogExt    = ".jsonl"
-	ckptLegacyExt = ".json"
 )
 
 // SessionCheckpoint is the durable resume state of one in-flight daemon
@@ -134,32 +133,25 @@ func parseCkptLog(data []byte) (cp SessionCheckpoint, good int, ok bool) {
 	return cp, good, ok
 }
 
-// ReadCheckpoint loads the checkpoint file at path — a <sid>.jsonl log, read
-// up to its last intact line, or a legacy whole-object <sid>.json. It takes
-// no lock and touches no store state, so it is safe beside a live writer in
-// this process or another: it returns what a process opening the directory
-// now would resume from.
+// ReadCheckpoint loads the checkpoint log at path (a <sid>.jsonl), read up to
+// its last intact line. It takes no lock and touches no store state, so it is
+// safe beside a live writer in this process or another: it returns what a
+// process opening the directory now would resume from.
 func ReadCheckpoint(path string) (SessionCheckpoint, error) {
-	ext := filepath.Ext(path)
-	if ext != ckptLogExt && ext != ckptLegacyExt {
-		return SessionCheckpoint{}, fmt.Errorf("store: %s is not a checkpoint file", path)
+	if filepath.Ext(path) != ckptLogExt {
+		return SessionCheckpoint{}, fmt.Errorf("store: %s is not a checkpoint log", path)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return SessionCheckpoint{}, fmt.Errorf("store: reading checkpoint: %w", err)
 	}
-	var cp SessionCheckpoint
-	if ext == ckptLogExt {
-		var ok bool
-		if cp, _, ok = parseCkptLog(data); !ok {
-			return SessionCheckpoint{}, fmt.Errorf("store: checkpoint log %s has no intact header", path)
-		}
-	} else if err := json.Unmarshal(data, &cp); err != nil {
-		return SessionCheckpoint{}, fmt.Errorf("store: checkpoint %s is corrupt: %w", path, err)
+	cp, _, ok := parseCkptLog(data)
+	if !ok {
+		return SessionCheckpoint{}, fmt.Errorf("store: checkpoint log %s has no intact header", path)
 	}
 	// Files are named after their session; one that says otherwise would
 	// shadow the real checkpoint of the session it names.
-	if cp.SID != strings.TrimSuffix(filepath.Base(path), ext) {
+	if cp.SID != strings.TrimSuffix(filepath.Base(path), ckptLogExt) {
 		return SessionCheckpoint{}, fmt.Errorf("store: checkpoint %s names session %q", path, cp.SID)
 	}
 	return cp, nil
@@ -336,9 +328,6 @@ func (s *FileStore) rewriteCkptLog(l *ckptLog, stem string, cp SessionCheckpoint
 		_ = os.Remove(tmp)
 		return fmt.Errorf("store: writing checkpoint %s: %w", cp.SID, err)
 	}
-	// A legacy whole-object checkpoint is superseded; if a crash keeps both,
-	// Checkpoints prefers the log.
-	_ = os.Remove(stem + ckptLegacyExt)
 	fsyncDir(dir)
 	l.f, l.spec, l.trials, l.size = f, append([]byte(nil), cp.Spec...), len(cp.Replay.Trials), int64(len(buf))
 	return nil
@@ -359,24 +348,10 @@ func (s *FileStore) Checkpoints() ([]SessionCheckpoint, error) {
 		return nil, fmt.Errorf("store: reading checkpoints: %w", err)
 	}
 	var out []SessionCheckpoint
-	at := map[string]int{} // sid → index in out
 	for _, ent := range ents {
-		if ent.IsDir() {
-			continue
+		if cp, err := ReadCheckpoint(filepath.Join(dir, ent.Name())); err == nil {
+			out = append(out, cp)
 		}
-		cp, err := ReadCheckpoint(filepath.Join(dir, ent.Name()))
-		if err != nil {
-			continue
-		}
-		if i, dup := at[cp.SID]; dup {
-			// Both forms of one session: the log superseded the legacy file.
-			if filepath.Ext(ent.Name()) == ckptLogExt {
-				out[i] = cp
-			}
-			continue
-		}
-		at[cp.SID] = len(out)
-		out = append(out, cp)
 	}
 	sort.Slice(out, func(i, j int) bool { return sidLess(out[i].SID, out[j].SID) })
 	return out, nil
@@ -410,7 +385,7 @@ func splitSid(s string) (prefix string, n int64, ok bool) {
 	return s[:i], n, true
 }
 
-// DeleteCheckpoint closes sid's log and removes its checkpoint (either form).
+// DeleteCheckpoint closes sid's log and removes its checkpoint.
 // Deleting a checkpoint that does not exist is not an error — success, user
 // DELETE, and failure paths all race benignly toward the same end state.
 func (s *FileStore) DeleteCheckpoint(sid string) error {
@@ -426,10 +401,8 @@ func (s *FileStore) DeleteCheckpoint(sid string) error {
 		l.close()
 		delete(s.ckpts, sid)
 	}
-	for _, ext := range []string{ckptLogExt, ckptLegacyExt} {
-		if err := os.Remove(stem + ext); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: removing checkpoint %s: %w", sid, err)
-		}
+	if err := os.Remove(stem + ckptLogExt); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store: removing checkpoint %s: %w", sid, err)
 	}
 	return nil
 }

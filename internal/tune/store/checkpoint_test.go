@@ -281,45 +281,6 @@ func TestCheckpointRejectsUnsafeSIDs(t *testing.T) {
 	}
 }
 
-// TestCheckpointLegacyReadThenReplaced: a whole-object <sid>.json written
-// before the log format is still resumed from, and the session's first save
-// replaces it with a log; nothing writes the legacy form any more.
-func TestCheckpointLegacyReadThenReplaced(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir)
-	legacy := filepath.Join(dir, checkpointDir, "s1"+ckptLegacyExt)
-	data, err := json.Marshal(ckpt("s1", 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Dir(legacy), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(legacy, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wantLoaded(t, s, ckpt("s1", 3), "legacy checkpoint")
-	if err := s.SaveCheckpoint(ckpt("s1", 5)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Errorf("legacy file after the session's first save: stat = %v, want it gone", err)
-	}
-	wantLoaded(t, s, ckpt("s1", 5), "after replacement")
-	// A crash between installing the log and unlinking the legacy file leaves
-	// both: the log wins, and a delete clears both.
-	if err := os.WriteFile(legacy, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wantLoaded(t, s, ckpt("s1", 5), "with both forms present")
-	if err := s.DeleteCheckpoint("s1"); err != nil {
-		t.Fatal(err)
-	}
-	if ents, _ := os.ReadDir(filepath.Join(dir, checkpointDir)); len(ents) != 0 {
-		t.Errorf("delete left %d files behind", len(ents))
-	}
-}
-
 // boundaryLog builds the log of one admission plus three boundaries (2, 4 and
 // 6 trials) and returns its bytes and the offset its last line starts at.
 func boundaryLog(t testing.TB) (full []byte, lastLine int) {

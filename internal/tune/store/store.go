@@ -20,9 +20,9 @@
 // committed segment's index, and the tail; a torn tail (a final line
 // missing its newline or cut mid-JSON by a crash) is truncated away,
 // recovering every complete record. When the tail grows past CompactEvery
-// entries it is folded into a new segment and truncated. A v1 directory
-// (snapshot.json + wal.jsonl) migrates transparently on open: the snapshot
-// becomes the first segment, ids preserved, and the tail carries on.
+// entries it is folded into a new segment and truncated. This is the only
+// layout the store reads: Open refuses a directory still in a retired one
+// (see errLegacyLayout).
 package store
 
 import (
@@ -114,7 +114,7 @@ type IndexStats struct {
 }
 
 const (
-	snapshotFile = "snapshot.json" // v1 layout, migrated on open
+	snapshotFile = "snapshot.json" // v1 layout, refused on open
 	walFile      = "wal.jsonl"
 	lockFile     = ".lock"
 )
@@ -135,12 +135,6 @@ type logEntry struct {
 	Op     string              `json:"op"` // "add" or "del"
 	ID     int64               `json:"id"`
 	Record *tune.SessionRecord `json:"record,omitempty"`
-}
-
-// v1Snapshot is the legacy compacted state, read only during migration.
-type v1Snapshot struct {
-	NextID   int64    `json:"next_id"`
-	Sessions []Stored `json:"sessions"`
 }
 
 // recRef locates one live record: a (segment, entry) pair, or a tail id
@@ -209,8 +203,7 @@ type FileStore struct {
 func (s *FileStore) path(name string) string { return filepath.Join(s.dir, name) }
 
 // Open loads (or initializes) the store rooted at dir, recovering from any
-// torn WAL tail left by a crash and migrating a v1 snapshot directory to
-// the segment layout.
+// torn WAL tail left by a crash. A directory in a retired layout is refused.
 func Open(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
@@ -245,15 +238,30 @@ func Open(dir string) (*FileStore, error) {
 	if err != nil {
 		return fail(err)
 	}
+	// The segment layout and the checkpoint log are the only forms this
+	// release reads, and a directory still in an older one is refused whole:
+	// a v1 store (snapshot.json, no MANIFEST) opened as fresh would hide every
+	// archived session, and a whole-object checkpoints/<sid>.json skipped like
+	// a torn .tmp would silently drop a resumable one.
+	if _, err := os.Stat(s.path(snapshotFile)); err == nil && !haveMan {
+		return fail(errLegacyLayout(s.path(snapshotFile)))
+	}
+	ckpts, err := os.ReadDir(s.path(checkpointDir))
+	if err != nil && !os.IsNotExist(err) {
+		return fail(fmt.Errorf("store: reading checkpoints: %w", err))
+	}
+	for _, ent := range ckpts {
+		if !ent.IsDir() && filepath.Ext(ent.Name()) == ".json" {
+			return fail(errLegacyLayout(filepath.Join(s.path(checkpointDir), ent.Name())))
+		}
+	}
 	if !haveMan {
-		man, err = s.migrateV1()
-		if err != nil {
+		// Fresh directory: commit an empty manifest.
+		man = manifest{Version: 2, NextID: 1}
+		if err := writeManifest(s.path(manifestFile), man); err != nil {
 			return fail(err)
 		}
-	} else {
-		// A crash between manifest install and snapshot removal during
-		// migration leaves a stale v1 snapshot behind; the manifest wins.
-		_ = os.Remove(s.path(snapshotFile))
+		s.syncDir()
 	}
 	s.man = man
 	if s.man.NextID > s.nextID {
@@ -289,48 +297,14 @@ func Open(dir string) (*FileStore, error) {
 	return s, nil
 }
 
-// migrateV1 converts a legacy snapshot.json directory into the segment
-// layout: the snapshot's sessions become the first segment (ids preserved)
-// and the WAL carries on as the tail. Called only when no manifest exists;
-// returns the fresh manifest. Crash-safe: until the manifest rename lands,
-// reopening still sees a v1 directory and redoes the migration.
-func (s *FileStore) migrateV1() (manifest, error) {
-	man := manifest{Version: 2, NextID: 1}
-	data, err := os.ReadFile(s.path(snapshotFile))
-	if os.IsNotExist(err) {
-		// Fresh directory (or v1 with an empty snapshot): nothing to fold.
-		if err := writeManifest(s.path(manifestFile), man); err != nil {
-			return man, err
-		}
-		s.syncDir()
-		return man, nil
-	}
-	if err != nil {
-		return man, fmt.Errorf("store: reading snapshot: %w", err)
-	}
-	var snap v1Snapshot
-	// The v1 snapshot was written atomically (rename), so a decode failure
-	// is corruption worth surfacing, not a crash artifact to skip.
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return man, fmt.Errorf("store: snapshot %s is corrupt: %w", s.path(snapshotFile), err)
-	}
-	if snap.NextID > man.NextID {
-		man.NextID = snap.NextID
-	}
-	if len(snap.Sessions) > 0 {
-		name := segName(man.Seq)
-		man.Seq++
-		if _, err := writeSegment(s.path(name), snap.Sessions); err != nil {
-			return man, err
-		}
-		man.Segments = append(man.Segments, name)
-	}
-	if err := writeManifest(s.path(manifestFile), man); err != nil {
-		return man, err
-	}
-	s.syncDir()
-	_ = os.Remove(s.path(snapshotFile))
-	return man, nil
+// lastLegacyRelease is the last release that reads the two layouts Open
+// refuses: it migrates a v1 snapshot on open and replaces a whole-object
+// checkpoint at the resumed session's first save.
+const lastLegacyRelease = "PR 15 (commit a76525a)"
+
+// errLegacyLayout is Open's refusal of a directory holding path.
+func errLegacyLayout(path string) error {
+	return fmt.Errorf("store: %s is in a layout this release no longer reads; %s is the last release that reads and converts it — run that on the directory once, then retry", path, lastLegacyRelease)
 }
 
 // findSeg locates a live-or-dead segment-resident id.

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/tune"
@@ -363,4 +365,130 @@ func TestIndexStatsCountsBuilds(t *testing.T) {
 	}
 	s.Nearest("dbms", q)
 	want("lookup after a delete", 3, 3)
+}
+
+// lookupSpace matches the two-parameter records rec() builds, so
+// WarmConfigs finds transferable sessions.
+func lookupSpace() *tune.Space {
+	return tune.NewSpace(tune.Float("a", 0, 1, 0.5), tune.Float("b", 0, 1, 0.5))
+}
+
+// TestCompactBytesTriggersFold: the size trigger alone (count trigger
+// disabled) folds the WAL tail into a committed segment once the log
+// outgrows CompactBytes — the guard that keeps replay time bounded when a
+// workload writes few but large sessions.
+func TestCompactBytesTriggersFold(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	s.CompactEvery = 0 // isolate the size trigger
+	s.CompactBytes = 4 << 10
+	for i := 0; i < 12; i++ {
+		if _, err := s.Append(rec("dbms", "tpch", 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	man, ok, err := readManifest(filepath.Join(dir, manifestFile))
+	if err != nil || !ok {
+		t.Fatalf("no manifest after size-triggered fold: %v", err)
+	}
+	if len(man.Segments) == 0 {
+		t.Fatal("no segments: CompactBytes never fired")
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(wal)) >= s.CompactBytes {
+		t.Errorf("WAL still %d bytes after folding, trigger at %d", len(wal), s.CompactBytes)
+	}
+	s.Close()
+	s2 := open(t, dir)
+	if s2.Len() != 12 {
+		t.Fatalf("lost records across size-triggered fold: %d", s2.Len())
+	}
+
+	// Both triggers off: the WAL grows unbounded and nothing folds.
+	dir2 := t.TempDir()
+	u := open(t, dir2)
+	u.CompactEvery = 0
+	u.CompactBytes = 0
+	for i := 0; i < 12; i++ {
+		if _, err := u.Append(rec("dbms", "tpch", 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if man, ok, err := readManifest(filepath.Join(dir2, manifestFile)); err == nil && ok && len(man.Segments) > 0 {
+		t.Error("segments folded with both compaction triggers disabled")
+	}
+}
+
+// TestConcurrentReadersDuringArchive: lookups, payload reads, and full
+// materializations run concurrently with appends and an explicit Compact.
+// The assertions are deliberately weak (no lookup may error or return a
+// malformed record) — the real check is the race detector over the RLock
+// fast path in lookupWalk and the read methods.
+func TestConcurrentReadersDuringArchive(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	s.CompactEvery = 8
+	for i := 0; i < 16; i++ {
+		if _, err := s.Append(rec("dbms", fmt.Sprintf("wl%d", i), 4+i%5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feats := map[string]float64{"size": 5}
+	space := lookupSpace()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				switch (i + r) % 4 {
+				case 0:
+					if _, found := s.Nearest("dbms", feats); !found {
+						t.Error("Nearest lost the corpus mid-archive")
+						return
+					}
+				case 1:
+					if ids := s.RankIDs("dbms", feats, 8); len(ids) == 0 {
+						t.Error("RankIDs returned nothing mid-archive")
+						return
+					}
+				case 2:
+					if cfgs := s.WarmConfigs("dbms", feats, space, 3); len(cfgs) == 0 {
+						t.Error("WarmConfigs returned nothing mid-archive")
+						return
+					}
+				case 3:
+					if _, err := s.Sessions(); err != nil {
+						t.Errorf("Sessions mid-archive: %v", err)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 48; i++ {
+		if _, err := s.Append(rec("dbms", fmt.Sprintf("new%d", i), 3)); err != nil {
+			t.Fatal(err)
+		}
+		if i%16 == 15 {
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if s.Len() != 64 {
+		t.Fatalf("records lost under concurrent readers: %d", s.Len())
+	}
 }
