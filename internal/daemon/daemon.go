@@ -17,7 +17,8 @@
 //	                              cancellation error); delete a finished
 //	                              one, releasing its event log
 //	GET    /healthz               liveness probe with session, repository,
-//	                              and evaluator-fleet summaries
+//	                              and evaluator-fleet summaries, and the
+//	                              linalg kernel in use
 //
 // With remote evaluators (Options.Evaluators, or registered at runtime) the
 // daemon leases trial evaluations to an autotune-evaluator fleet through
@@ -53,6 +54,7 @@ import (
 
 	repro "repro"
 	"repro/internal/dist"
+	"repro/internal/mathx/linalg"
 	"repro/internal/tune"
 	"repro/internal/tune/store"
 )
@@ -369,6 +371,9 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 		"scenarios":  scen,
 		"repository": repo,
 		"evaluators": fleet,
+		// Which path the numerical kernels under the GP tier take in this
+		// process ("avx2" or "generic"); results are the same on both.
+		"linalg_kernel": linalg.Kernel(),
 	})
 }
 

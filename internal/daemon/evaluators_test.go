@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/mathx/linalg"
 )
 
 // startEvaluator runs one in-process evaluator server.
@@ -110,6 +111,9 @@ func TestHealthzWithoutExtras(t *testing.T) {
 	fleet, _ := body["evaluators"].(map[string]any)
 	if fleet["configured"] != float64(0) {
 		t.Fatalf("fleet summary = %v", fleet)
+	}
+	if body["linalg_kernel"] != linalg.Kernel() {
+		t.Fatalf("linalg_kernel = %v, the process runs %q", body["linalg_kernel"], linalg.Kernel())
 	}
 }
 

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	repro "repro"
 	"repro/internal/engine"
+	"repro/internal/mathx/linalg"
 	"repro/internal/tune"
 )
 
@@ -327,5 +330,18 @@ func TestRegistrationAndHealth(t *testing.T) {
 		if ev.Info().InFlight != 0 {
 			t.Fatalf("idle evaluator reports in-flight work: %+v", ev.Info())
 		}
+	}
+	// An evaluator's own probe also names the linalg kernel its process runs.
+	resp, err := http.Get(health[0].URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var hz map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+		t.Fatal(err)
+	}
+	if hz["status"] != "ok" || hz["linalg_kernel"] != linalg.Kernel() {
+		t.Fatalf("evaluator /healthz = %v, want status ok and linalg_kernel %q", hz, linalg.Kernel())
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	repro "repro"
+	"repro/internal/mathx/linalg"
 	"repro/internal/tune"
 )
 
@@ -102,14 +103,14 @@ func (e *Evaluator) Info() Info {
 //	POST /evaluate  lease one TrialAssignment; ndjson heartbeat frames
 //	                stream until the TrialCompletion frame closes the lease
 //	POST /register  a coordinator announces itself; returns Info
-//	GET  /healthz   liveness + Info
+//	GET  /healthz   liveness + Info + the linalg kernel in use
 func (e *Evaluator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /evaluate", e.evaluate)
 	mux.HandleFunc("POST /register", e.register)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"status": "ok", "info": e.Info()})
+		_ = json.NewEncoder(w).Encode(map[string]any{"status": "ok", "info": e.Info(), "linalg_kernel": linalg.Kernel()})
 	})
 	return mux
 }

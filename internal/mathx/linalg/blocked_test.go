@@ -178,22 +178,44 @@ func TestRank1UpdatePanicsOnLengthMismatch(t *testing.T) {
 	ch.Rank1Update([]float64{1})
 }
 
+// benchSPD returns a diagonally dominant (so positive definite) n×n matrix.
+func benchSPD(n int) *Matrix {
+	a := New(n, n)
+	rnd := rand.New(rand.NewSource(int64(n)))
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			v := rnd.Float64() - 0.5
+			a.Set(i, j, v)
+			a.Set(j, i, v)
+		}
+		a.Add(i, i, float64(n))
+	}
+	return a
+}
+
+// BenchmarkCholeskyInto times the serial factorization at the sizes a tuning
+// session factors at: n = 12 and 24 are small fits whose rows mostly stay
+// under kernelMinLen (the guard that the kernels cost them nothing), 64 is
+// the sparse tier's inducing subset, 160 the largest exact fit.
+func BenchmarkCholeskyInto(b *testing.B) {
+	for _, n := range []int{12, 24, 64, 160} {
+		a, l := benchSPD(n), New(n, n)
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := CholeskyInto(a, l); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkBlockedCholesky compares the serial right-looking factorization
 // against the blocked parallel one at sizes above parallelMinDim. On a
 // single-CPU host the parallel path measures its scheduling overhead.
 func BenchmarkBlockedCholesky(b *testing.B) {
 	for _, n := range []int{256, 512} {
-		a := New(n, n)
-		rnd := rand.New(rand.NewSource(int64(n)))
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				v := rnd.Float64() - 0.5
-				a.Set(i, j, v)
-				a.Set(j, i, v)
-			}
-			a.Add(i, i, float64(n))
-		}
-		l := New(n, n)
+		a, l := benchSPD(n), New(n, n)
 		b.Run("serial/n="+strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := CholeskyInto(a, l); err != nil {

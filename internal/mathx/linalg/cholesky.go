@@ -28,13 +28,32 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 	return &Cholesky{L: l}, nil
 }
 
+// kernelMinLen is the row length from which dot4 and CholeskyInto hand a row
+// to the assembly kernels; shorter rows (small fits) stay on the Go loops,
+// where a call would cost more than it saves. The two paths agree bit for
+// bit, so the threshold is invisible in every result.
+const kernelMinLen = 8
+
+// Kernel names the path dot4 and CholeskyInto take in this process: "avx2"
+// for the assembly kernels, "generic" for the Go loops alone.
+func Kernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "generic"
+}
+
 // dot4 returns Σ a[i]·b[i] accumulated in four interleaved partial sums.
 // The interleaving breaks the floating-point add dependency chain (the
 // Cholesky inner-loop bottleneck) while keeping a fixed, deterministic
 // summation order. CholeskyInto and Extend share it so a bordered extension
-// stays bit-identical to a full refactorization.
+// stays bit-identical to a full refactorization. The loop below is the
+// specification; dot4AVX2 reproduces its every rounding step.
 func dot4(a, b []float64) float64 {
 	b = b[:len(a)] // bounds-check elimination hint
+	if useAVX2 && len(a) >= kernelMinLen {
+		return dot4AVX2(&a[0], &b[0], len(a))
+	}
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
@@ -70,6 +89,19 @@ func CholeskyInto(a, l *Matrix) error {
 		ld[j*n+j] = d
 		for k := j + 1; k < n; k++ {
 			ld[j*n+k] = 0
+		}
+		if useAVX2 && j >= kernelMinLen {
+			// Four rows per pass against one load of rowj; the last n-i < 4
+			// rows take the same arithmetic one dot4 at a time.
+			i := j + 1
+			if groups := (n - i) / 4; groups > 0 {
+				cholColumnAVX2(&ld[0], &ad[0], n, j, i, groups, d)
+				i += 4 * groups
+			}
+			for ; i < n; i++ {
+				ld[i*n+j] = (ad[i*n+j] - dot4(ld[i*n:i*n+j], rowj)) / d
+			}
+			continue
 		}
 		for i := j + 1; i < n; i++ {
 			// dot4(ld[i*n:i*n+j], rowj) inlined by hand (a closed loop keeps

@@ -129,9 +129,16 @@ func randSPD(n int, r *rand.Rand) *Matrix {
 // what lets the GP condition on one new observation in O(n²) without
 // breaking the repository's byte-identical determinism guarantee.
 func TestCholeskyExtendBitIdenticalToFullFactorization(t *testing.T) {
+	assertExtendBitIdentical(t)
+}
+
+// assertExtendBitIdentical is the body of the test above; the kernel tests
+// repeat it with the assembly kernels forced on and forced off. Sizes reach
+// past kernelMinLen so both row lengths occur.
+func assertExtendBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(12)
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(40)
 		a := randSPD(n+1, rng)
 		lead := New(n, n)
 		for i := 0; i < n; i++ {

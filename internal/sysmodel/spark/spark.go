@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -518,6 +519,16 @@ func (s *Spark) simulate(cfg tune.Config, rng *rand.Rand, single bool, epoch int
 		}
 	}
 
+	skew := job.SkewTheta
+	if sqlAdaptive {
+		skew *= 0.5 // AQE re-splits skewed partitions
+	}
+	// Every stage of a run splits by the same skew, and all of them (bar an
+	// input stage under spark_default_parallelism) into the same number of
+	// tasks: shares holds zipfShares(len(shares), skew) from one stage to the
+	// next. sorted is quantileOf's scratch.
+	var shares, sorted []float64
+
 	// stageTime computes one pass over dataMB with shuffleMB shuffled.
 	// Input (non-cache) stages parallelize by spark_default_parallelism when
 	// it is set higher than the shuffle partitioning.
@@ -529,11 +540,9 @@ func (s *Spark) simulate(cfg tune.Config, rng *rand.Rand, single bool, epoch int
 		if tasks < 1 {
 			tasks = 1
 		}
-		skew := job.SkewTheta
-		if sqlAdaptive {
-			skew *= 0.5 // AQE re-splits skewed partitions
+		if len(shares) != tasks {
+			shares = zipfShares(tasks, skew)
 		}
-		shares := zipfShares(tasks, skew)
 		var gcFrac float64
 		durations := make([]float64, tasks)
 		spilledMB := 0.0
@@ -589,7 +598,8 @@ func (s *Spark) simulate(cfg tune.Config, rng *rand.Rand, single bool, epoch int
 			durations[i] *= f
 		}
 		if spec {
-			med := quantileOf(durations, specQuantile)
+			sorted = append(sorted[:0], durations...)
+			med := quantileOf(sorted, specQuantile)
 			for i, d := range durations {
 				if d > specMult*med {
 					b := med * 1.35
@@ -599,7 +609,7 @@ func (s *Spark) simulate(cfg tune.Config, rng *rand.Rand, single bool, epoch int
 				}
 			}
 		}
-		_, makespan := slotSchedule(durations, slots)
+		makespan := slotMakespan(durations, slots)
 		// Shuffle transfer over the fabric, overlapped ~50% with compute.
 		shufNet := shuffleMB * serRatio * codecRatio / netBW
 		return makespan + 0.5*shufNet, spilledMB
@@ -716,41 +726,100 @@ func zipfShares(n int, theta float64) []float64 {
 	return shares
 }
 
-func slotSchedule(durations []float64, nSlots int) (completions []float64, makespan float64) {
+// slot is one task slot of the list scheduler: when it next falls idle.
+type slot struct {
+	avail float64
+	index int
+}
+
+// before orders slots by when they fall idle, ties to the lower index — the
+// slot a left-to-right scan for the minimum would stop at.
+func (a slot) before(b slot) bool {
+	return a.avail < b.avail || (a.avail == b.avail && a.index < b.index)
+}
+
+// slotMakespan runs durations, in order, each on the slot that falls idle
+// first (the lowest-numbered of several), and returns when the last slot
+// finishes. The idle slots are a binary min-heap in before order, so a task
+// costs O(log nSlots).
+func slotMakespan(durations []float64, nSlots int) float64 {
 	if nSlots < 1 {
 		nSlots = 1
 	}
-	avail := make([]float64, nSlots)
-	completions = make([]float64, len(durations))
-	for t, d := range durations {
-		bi := 0
-		for i := 1; i < nSlots; i++ {
-			if avail[i] < avail[bi] {
-				bi = i
-			}
-		}
-		avail[bi] += d
-		completions[t] = avail[bi]
-		if avail[bi] > makespan {
-			makespan = avail[bi]
-		}
+	heap := make([]slot, nSlots) // all idle at 0: index order is heap order
+	for i := range heap {
+		heap[i].index = i
 	}
-	return completions, makespan
+	var makespan float64
+	for _, d := range durations {
+		top := heap[0]
+		top.avail += d
+		if top.avail > makespan {
+			makespan = top.avail
+		}
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= nSlots {
+				break
+			}
+			if c+1 < nSlots && heap[c+1].before(heap[c]) {
+				c++
+			}
+			if !heap[c].before(top) {
+				break
+			}
+			heap[i] = heap[c]
+			i = c
+		}
+		heap[i] = top
+	}
+	return makespan
 }
 
-func medianOf(xs []float64) float64 { return quantileOf(xs, 0.5) }
-
+// quantileOf returns the element sort.Float64s would leave at index
+// int(q·(len-1)) of xs, found by selection; it reorders xs.
 func quantileOf(xs []float64, q float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(q * float64(len(s)-1))
-	if i < 0 {
-		i = 0
+	n := int(q * float64(len(xs)-1))
+	if n < 0 {
+		n = 0
 	}
-	if i >= len(s) {
-		i = len(s) - 1
+	if n >= len(xs) {
+		n = len(xs) - 1
 	}
-	return s[i]
+	// sort.Float64s' order: NaNs first.
+	less := func(a, b float64) bool { return a < b || (a != a && b == b) }
+	lo, hi := 0, len(xs)
+	// Quickselect on the middle element; a range that is small, or is left
+	// after 2·log₂ len rounds, is sorted outright.
+	for limit := 2 * bits.Len(uint(len(xs))); hi-lo > 12 && limit > 0; limit-- {
+		m := xs[lo+(hi-lo)/2]
+		i, j := lo, hi-1
+		for i <= j {
+			for less(xs[i], m) {
+				i++
+			}
+			for less(m, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo:j+1] ≤ pivot ≤ xs[i:hi], and anything between is the pivot.
+		switch {
+		case n <= j:
+			hi = j + 1
+		case n >= i:
+			lo = i
+		default:
+			return xs[n]
+		}
+	}
+	sort.Float64s(xs[lo:hi])
+	return xs[n]
 }
 
 // Interface conformance checks.

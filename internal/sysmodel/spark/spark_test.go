@@ -2,8 +2,14 @@ package spark
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -245,5 +251,144 @@ func TestMultiMetricBitwiseRepeatable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// slotScheduleOracle is the list scheduler as first written — a linear scan
+// for the idle slot, per task — kept as the definition slotMakespan must
+// reproduce.
+func slotScheduleOracle(durations []float64, nSlots int) (completions []float64, makespan float64) {
+	if nSlots < 1 {
+		nSlots = 1
+	}
+	avail := make([]float64, nSlots)
+	completions = make([]float64, len(durations))
+	for t, d := range durations {
+		bi := 0
+		for i := 1; i < nSlots; i++ {
+			if avail[i] < avail[bi] {
+				bi = i
+			}
+		}
+		avail[bi] += d
+		completions[t] = avail[bi]
+		if avail[bi] > makespan {
+			makespan = avail[bi]
+		}
+	}
+	return completions, makespan
+}
+
+// quantileBySort is quantileOf as first written: sort a copy, index it.
+func quantileBySort(xs []float64, q float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	i := int(q * float64(len(s)-1))
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(s) {
+		i = len(s) - 1
+	}
+	return s[i]
+}
+
+// taskDurations draws n durations with the ties a real stage has none of:
+// a few distinct values repeated, so equal-avail slots and equal order
+// statistics are the common case rather than the never case.
+func taskDurations(r *rand.Rand, n int) []float64 {
+	ds := make([]float64, n)
+	distinct := 1 + r.Intn(n)
+	for i := range ds {
+		ds[i] = float64(1+r.Intn(distinct)) * 0.25
+		if r.Intn(4) == 0 {
+			ds[i] = math.Exp(r.NormFloat64())
+		}
+	}
+	return ds
+}
+
+func TestSlotMakespanMatchesLinearScan(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 2000; trial++ {
+		ds := taskDurations(r, 1+r.Intn(300))
+		slots := r.Intn(70) - 1 // -1 and 0 mean one slot
+		_, want := slotScheduleOracle(ds, slots)
+		if got := slotMakespan(ds, slots); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d tasks on %d slots: makespan %v, linear scan %v", len(ds), slots, got, want)
+		}
+	}
+}
+
+func TestQuantileOfMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 2000; trial++ {
+		ds := taskDurations(r, 1+r.Intn(400))
+		if r.Intn(8) == 0 {
+			ds[r.Intn(len(ds))] = math.NaN()
+		}
+		q := r.Float64()
+		if r.Intn(10) == 0 {
+			q = float64(r.Intn(3)) * 0.5 // 0, 0.5, 1
+		}
+		want := quantileBySort(ds, q)
+		got := quantileOf(append([]float64(nil), ds...), q)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("n=%d q=%v: selected %v, sorted %v", len(ds), q, got, want)
+		}
+	}
+}
+
+// resultDigest folds every bit of a result into h.
+func resultDigest(h hash.Hash64, res tune.Result) {
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	put(res.Time)
+	put(res.Cost)
+	put(boolMetric(res.Failed))
+	names := make([]string, 0, len(res.Metrics))
+	for k := range res.Metrics {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		h.Write([]byte(k))
+		put(res.Metrics[k])
+	}
+}
+
+// The simulator's results are part of every recorded event stream, so the
+// scheduler, the quantile and the shares may get faster but not different.
+// The digest below is of Run and RunIndexedFidelity over random jobs, spaces,
+// seeds, configurations and fidelities, taken with the three functions as
+// first written (the two oracles above, and zipfShares called per stage).
+func TestSimulateResultsUnchanged(t *testing.T) {
+	const want = uint64(0x4342a34598e7daa7)
+	r := rand.New(rand.NewSource(47))
+	jobs := []func() *workload.SparkJob{
+		func() *workload.SparkJob { return workload.PageRank(2, 6) },
+		func() *workload.SparkJob { return workload.TeraSortSpark(5) },
+		func() *workload.SparkJob { return workload.KMeansSpark(3, 5) },
+		func() *workload.SparkJob { return workload.StreamingDrift(200, 12, 5, 0.03) },
+	}
+	h := fnv.New64a()
+	for trial := 0; trial < 400; trial++ {
+		cl, job, seed := cluster.Commodity(4+r.Intn(8)), jobs[r.Intn(len(jobs))](), r.Int63n(1000)
+		s := New(cl, job, seed)
+		if r.Intn(3) == 0 {
+			s = NewFull(cl, job, seed)
+		}
+		cfg := s.Space().Random(r)
+		if r.Intn(2) == 0 {
+			resultDigest(h, s.Run(cfg))
+		} else {
+			resultDigest(h, s.RunIndexedFidelity(context.Background(), 1+r.Int63n(50), 0.05+r.Float64(), cfg))
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("digest of 400 simulated runs = %#x, want %#x: a result changed", got, want)
 	}
 }

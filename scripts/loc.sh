@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Non-test, non-blank, non-comment Go lines per package — the reproducible
-# source for ROADMAP's "count net lines". Report-only: it never fails a build.
+# Non-test, non-blank, non-comment lines of Go and Go assembly (*.s) per
+# package — the reproducible source for ROADMAP's "count net lines".
+# Report-only: it never fails a build.
 #
 #   scripts/loc.sh                              # every package under the repo
 #   scripts/loc.sh internal/tune internal/engine   # just these, plus a total
@@ -14,7 +15,7 @@ fi
 total=0
 for pkg in "$@"; do
 	n=0
-	for f in "$pkg"/*.go; do
+	for f in "$pkg"/*.go "$pkg"/*.s; do
 		case "$f" in *_test.go) continue ;; esac
 		[ -f "$f" ] || continue
 		n=$((n + $(grep -cv '^\s*\(//.*\)\?$' "$f" || true)))
