@@ -151,11 +151,13 @@ type (
 func NewEngine(o EngineOptions) *Engine { return engine.New(o) }
 
 // Tune runs tuner against target through the concurrent engine with the
-// given parallelism (≤1 or 0 means sequential). Ask/tell tuners fan each
-// proposed batch out to a worker pool; inherently sequential tuners run
-// through their blocking Tune unchanged. For a fixed seed the result is
-// identical at any parallelism — and identical to what the session-handle
-// path (Start) produces for the equivalent Spec.
+// given parallelism (≤1 or 0 means sequential). Every tuner that proposes
+// configurations is ask/tell and has each proposed batch fanned out to a
+// worker pool (a sequential search body proposes one configuration per
+// batch); only the adaptive family — online controllers whose trial is a
+// whole controlled run — goes through its blocking Tune unchanged. For a
+// fixed seed the result is identical at any parallelism — and identical to
+// what the session-handle path (Start) produces for the equivalent Spec.
 func Tune(ctx context.Context, target Target, tuner Tuner, b Budget, parallel int) (*TuningResult, error) {
 	if parallel <= 0 {
 		parallel = 1

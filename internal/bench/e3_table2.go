@@ -210,7 +210,7 @@ func Table2(o Options) *Table {
 	// --- SARD: screening quality ---------------------------------------------
 	{
 		sard := experiment.NewSARD(o.Seed + 43)
-		ranking, _, err := sard.Screen(ctx, newTarget(7), b)
+		ranking, err := sard.Screen(ctx, newTarget(7), b)
 		out := "error"
 		if err == nil {
 			rho := rankingQuality(space, ranking, truth)

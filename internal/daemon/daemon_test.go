@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -265,6 +266,32 @@ func TestDaemonRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestDaemonRefusesUnrunnableSpecs: a tuner that cannot serve the spec's
+// target or budget is a 400 carrying the message its session used to fail
+// with on the first step — not a 201 and a dead session.
+func TestDaemonRefusesUnrunnableSpecs(t *testing.T) {
+	ts := newTestServer(t)
+	for _, c := range []struct{ spec, want string }{
+		{`{"system": "dbms", "workload": "tpch", "tuner": "starfish", "budget": {"trials": 12}}`,
+			`costmodel/starfish: target "dbms/tpch" is not a Hadoop deployment`},
+		{`{"system": "hadoop", "workload": "terasort", "tuner": "ernest", "budget": {"trials": 12}}`,
+			`costmodel/ernest: target "hadoop/terasort" is not a Spark deployment`},
+		{`{"system": "spark", "workload": "pagerank", "tuner": "ernest", "budget": {"trials": 12}, "pareto": true}`,
+			`costmodel/ernest: budget 3 too small (need ≥4 trials)`},
+		{`{"system": "hadoop", "workload": "terasort", "tuner": "colt", "budget": {"trials": 12}}`,
+			`adaptive/colt: target "hadoop/terasort" does not support online reconfiguration`},
+		{`{"system": "dbms", "workload": "oltp-olap-shift", "tuner": "partitions", "budget": {"trials": 12}}`,
+			`adaptive/partitions: target "dbms/oltp-olap-shift" does not support online reconfiguration`},
+		{`{"system": "hadoop", "workload": "terasort", "tuner": "memory-manager", "budget": {"trials": 12}}`,
+			`adaptive/memory-manager: target "hadoop/terasort" does not support online reconfiguration`},
+	} {
+		_, code, body := postSpec(t, ts, c.spec)
+		if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, c.want) {
+			t.Errorf("POST %s = %d %q, want 400 with %q", c.spec, code, msg, c.want)
+		}
+	}
+}
+
 // TestDaemonSurrogateSpecRuns: a spec pinning the surrogate tier schedule is
 // accepted, runs to completion, and the recorded spec echoes the schedule.
 func TestDaemonSurrogateSpecRuns(t *testing.T) {
@@ -358,6 +385,56 @@ func TestDaemonStop(t *testing.T) {
 			t.Fatalf("session never failed; state %q", st.State)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestSequentialSessionsLeaveNoGoroutines: an rrs session's search body is
+// parked on a coroutine between trials. A hundred of them — most finishing on
+// their budget, every fourth stopped by DELETE while its body is mid-search —
+// must leave the process with the goroutines it started with.
+func TestSequentialSessionsLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ts, _ := newTestServerWith(t, Options{Workers: 2})
+	var ids []string
+	for i := 0; i < 100; i++ {
+		trials := 20
+		if i%4 == 0 {
+			trials = 200000 // only DELETE ends it
+		}
+		id, code, body := postSpec(t, ts, fmt.Sprintf(`{
+			"system": "dbms", "workload": "tpch", "tuner": "rrs", "target": {"scale_gb": 1},
+			"seed": %d, "budget": {"trials": %d}, "parallel": %d}`, i, trials, 1+i%2))
+		if code != http.StatusCreated {
+			t.Fatalf("POST %d = %d %v", i, code, body)
+		}
+		if i%4 == 0 {
+			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+id, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+		}
+		ids = append(ids, id)
+	}
+	for i, id := range ids {
+		want := "done"
+		if i%4 == 0 {
+			want = "failed"
+		}
+		if st := waitDone(t, ts, id); st["state"] != want {
+			t.Fatalf("session %d (%s) = %v, want %s", i, id, st["state"], want)
+		}
+	}
+	ts.Close()
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before, %d after:\n%s", base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -623,10 +700,10 @@ func TestDaemonRepositoryGuards(t *testing.T) {
 	}
 	// Warm-start on a tuner with no ask/tell form is a descriptive 400.
 	_, code, body = postSpec(t, ts2, `{
-		"system": "dbms", "workload": "tpch", "tuner": "rrs",
+		"system": "dbms", "workload": "tpch", "tuner": "colt",
 		"seed": 1, "budget": {"trials": 2}, "warm_start": true}`)
 	if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(body["error"]), "ask/tell") {
-		t.Errorf("warm_start on rrs = %d %v, want 400 about ask/tell", code, body)
+		t.Errorf("warm_start on colt = %d %v, want 400 about ask/tell", code, body)
 	}
 }
 

@@ -382,10 +382,20 @@ func TestRestartResumesInFlightSessions(t *testing.T) {
 	// longer than both observe-checkpoint→drain windows together (they close
 	// within the first few hundred trials), so each drain catches it
 	// mid-flight.
-	spec := `{"system": "dbms", "workload": "tpch", "tuner": "random",
-		"seed": 42, "budget": {"trials": 2000}, "target": {"scale_gb": 2},
-		"fidelity": {"strategy": "hyperband"}}`
+	t.Run("hyperband(random)", func(t *testing.T) {
+		restartResumes(t, `{"system": "dbms", "workload": "tpch", "tuner": "random",
+			"seed": 42, "budget": {"trials": 2000}, "target": {"scale_gb": 2},
+			"fidelity": {"strategy": "hyperband"}}`)
+	})
+	// A sequential body: every trial is a batch boundary, and each resume
+	// re-runs the body from its first line against the replayed history.
+	t.Run("rrs", func(t *testing.T) {
+		restartResumes(t, `{"system": "dbms", "workload": "tpch", "tuner": "rrs",
+			"seed": 42, "budget": {"trials": 1500}, "target": {"scale_gb": 2}}`)
+	})
+}
 
+func restartResumes(t *testing.T, spec string) {
 	// Reference: the same spec, uninterrupted.
 	tsRef := newTestServer(t)
 	refID, code, _ := postSpec(t, tsRef, spec)

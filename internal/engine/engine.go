@@ -1,9 +1,11 @@
-// Package engine is the concurrent tuning engine: it runs ask/tell tuners
-// (tune.BatchTuner, tune.FidelityBatchTuner) through the one drive loop,
-// tune.Drive, with an evaluator that fans each proposed batch out to a worker
-// pool (and a remote fleet's slots), memoizes repeated evaluations in a
-// candidate-keyed cache and replays checkpointed history on resume — and it
-// schedules many independent (target, tuner) sessions concurrently.
+// Package engine is the concurrent tuning engine: it runs every tuner that
+// proposes configurations (tune.BatchTuner, tune.FidelityBatchTuner — all but
+// the adaptive family, whose unit of work is a controlled run) through the one
+// drive loop, tune.Drive, with an evaluator that fans each proposed batch out
+// to a worker pool (and a remote fleet's slots), memoizes repeated
+// evaluations in a candidate-keyed cache and replays checkpointed history on
+// resume — and it schedules many independent (target, tuner) sessions
+// concurrently.
 //
 // Determinism is the design constraint everything here bends around: for a
 // fixed seed the engine produces bit-identical results at any worker count.
@@ -50,8 +52,8 @@ type Options struct {
 	// CacheCap bounds the memo cache to this many retained results,
 	// evicting by cost-aware GDSF (see gdsfMemo): entries are valued by
 	// hit frequency × simulated seconds a hit saves, with an aging clock
-	// so stale expensive entries eventually yield. 0 keeps the historical
-	// unbounded map. Setting CacheCap implies Cache. The retained set and
+	// so stale expensive entries eventually yield. 0 retains every result.
+	// Setting CacheCap implies Cache. The retained set and
 	// all results remain deterministic at any worker count — eviction
 	// decisions happen in batch order on the driver goroutine, with exact
 	// priority ties broken by insertion order.
@@ -76,7 +78,7 @@ type Engine struct {
 type driver struct {
 	workers    int
 	cache      bool
-	cacheCap   int           // >0: bounded GDSF memo instead of the map
+	cacheCap   int           // >0: the memo retains at most this many results
 	remote     RemoteBackend // nil: all evaluation is local
 	checkpoint func(tune.CheckpointState)
 	ckptEvery  int
@@ -99,10 +101,14 @@ func New(o Options) *Engine {
 func (e *Engine) Workers() int { return e.workers }
 
 // Tune runs tuner against target under b. Tuners exposing an ask/tell
-// interface are driven with parallel batch evaluation; everything else
-// (inherently sequential tuners: online/adaptive controllers, diagnose-act
-// loops) falls back to the blocking Tune facade unchanged. Both paths give
-// identical results at any worker count for a fixed seed.
+// interface — every tuner that proposes configurations, sequential bodies
+// included (tune.Sequential) — go through the drive loop and the evaluator
+// stack. The default branch serves the adaptive family only (colt,
+// partitions, memory-manager, recommender; plus external Tuner-only
+// registrations): their trial is a controlled run, not a configuration, so
+// they keep the blocking facade, evaluate inline, and cannot be checkpointed
+// or resumed (DESIGN.md §2, "Why the adaptive family stays outside"). Both
+// paths give identical results at any worker count for a fixed seed.
 func (d driver) Tune(ctx context.Context, target tune.Target, tuner tune.Tuner, b tune.Budget) (*tune.TuningResult, error) {
 	var fp tune.FidelityProposer
 	var err error
@@ -114,7 +120,7 @@ func (d driver) Tune(ctx context.Context, target tune.Target, tuner tune.Tuner, 
 		if p, err = t.NewProposer(target, b); err == nil {
 			fp = tune.LiftProposer(p)
 		}
-	default:
+	default: // the adaptive family: a controlled run is not a Candidate
 		if !d.replay.Empty() {
 			return nil, fmt.Errorf("engine: replay: tuner %q has no ask/tell proposal form; its sessions cannot be resumed", tuner.Name())
 		}
@@ -153,12 +159,9 @@ func (d driver) drive(ctx context.Context, name string, target tune.Target, b tu
 	if caps.Indexed() && (d.workers > 1 || d.remote != nil) {
 		ev = &pool{caps: caps, workers: d.workers, remote: d.remote, lookahead: b.SimTime > 0}
 	}
-	var cache memo
+	var cache *gdsfMemo
 	if d.cache {
-		cache = newMapMemo()
-		if d.cacheCap > 0 {
-			cache = newGDSFMemo(d.cacheCap)
-		}
+		cache = newGDSFMemo(d.cacheCap)
 		ev = &memoized{next: ev, cache: cache}
 	}
 	var rep *replayed
@@ -315,7 +318,7 @@ func (p *pool) evalRemote(ctx context.Context, idx int64, c tune.Candidate) (tun
 // fidelity) pair is a hit.
 type memoized struct {
 	next  tune.Evaluator
-	cache memo
+	cache *gdsfMemo
 }
 
 func (m *memoized) Evaluate(ctx context.Context, batch []tune.Candidate, yield func(int, tune.Result) bool) error {

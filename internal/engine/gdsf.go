@@ -6,45 +6,15 @@ import (
 	"repro/internal/tune"
 )
 
-// memo is the candidate-keyed result cache behind the memoized evaluator.
-// Both implementations are driven only from the driver goroutine (memoized
-// makes every cache decision in batch order), so neither locks, and both are
-// deterministic:
-// the same sequence of get/put calls produces the same hits, misses, and
-// retained set at any worker count.
-type memo interface {
-	get(key string) (tune.Result, bool)
-	put(key string, r tune.Result)
-	// counters reports lifetime lookup hits and misses.
-	counters() (hits, misses int)
-}
-
-// mapMemo is the unbounded memo: a plain map, retaining every result for
-// the session's lifetime. This is the historical cache — golden event
-// streams were recorded against it, so it stays the default.
-type mapMemo struct {
-	m            map[string]tune.Result
-	hits, misses int
-}
-
-func newMapMemo() *mapMemo { return &mapMemo{m: map[string]tune.Result{}} }
-
-func (c *mapMemo) get(key string) (tune.Result, bool) {
-	r, ok := c.m[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return r, ok
-}
-
-func (c *mapMemo) put(key string, r tune.Result) { c.m[key] = r }
-
-func (c *mapMemo) counters() (int, int) { return c.hits, c.misses }
-
-// gdsfMemo is the bounded memo: Greedy-Dual-Size-Frequency eviction with
-// every entry the same size, so an entry's retention value is
+// gdsfMemo is the candidate-keyed result cache behind the memoized evaluator:
+// it retains up to cap results (every result when cap ≤ 0, where nothing is
+// ever evicted and it behaves as a plain map). It is driven only from the
+// driver goroutine — memoized makes every cache decision in batch order — so
+// it does not lock, and it is deterministic: the same sequence of get/put
+// calls produces the same hits, misses, and retained set at any worker count.
+//
+// Under a cap it evicts by Greedy-Dual-Size-Frequency with every entry the
+// same size, so an entry's retention value is
 //
 //	priority = clock + frequency × cost
 //
@@ -65,7 +35,7 @@ type gdsfMemo struct {
 	seq          int64
 	byKey        map[string]*gdsfEntry
 	h            gdsfHeap
-	hits, misses int
+	hits, misses int // lifetime lookups
 }
 
 type gdsfEntry struct {
@@ -112,10 +82,7 @@ func (c *gdsfMemo) put(key string, r tune.Result) {
 		heap.Fix(&c.h, e.idx)
 		return
 	}
-	if c.cap <= 0 {
-		return
-	}
-	for len(c.byKey) >= c.cap {
+	for c.cap > 0 && len(c.byKey) >= c.cap {
 		evicted := heap.Pop(&c.h).(*gdsfEntry)
 		delete(c.byKey, evicted.key)
 		// The GDSF aging step: future entries start at the priority level
@@ -130,8 +97,6 @@ func (c *gdsfMemo) put(key string, r tune.Result) {
 	c.byKey[key] = e
 	heap.Push(&c.h, e)
 }
-
-func (c *gdsfMemo) counters() (int, int) { return c.hits, c.misses }
 
 type gdsfHeap []*gdsfEntry
 

@@ -85,11 +85,11 @@ func zero() float64 { return 0 } // defeats the constant-division vet check
 
 // TestGDSFHitRateApproachesUnbounded: on a skewed access stream a GDSF
 // cache holding a tenth of the key space should recover most of the
-// unbounded map's hits — and must beat plain recency-blind clairvoyance of
+// unbounded cache's hits — and must beat plain recency-blind clairvoyance of
 // nothing (0%). This is the memo-pressure scenario the bench harness
 // measures; here it gates a floor so regressions fail fast.
 func TestGDSFHitRateApproachesUnbounded(t *testing.T) {
-	stream := func(m memo) (hits, misses int) {
+	stream := func(m *gdsfMemo) (hits, misses int) {
 		rng := rand.New(rand.NewSource(41))
 		zipf := rand.NewZipf(rng, 1.3, 1, 199) // 200 keys, heavily skewed
 		for i := 0; i < 20000; i++ {
@@ -99,9 +99,12 @@ func TestGDSFHitRateApproachesUnbounded(t *testing.T) {
 				m.put(key, res(1+float64(k%7)))
 			}
 		}
-		return m.counters()
+		return m.hits, m.misses
 	}
-	mapHits, _ := stream(newMapMemo())
+	mapHits, mapMisses := stream(newGDSFMemo(0)) // cap 0: nothing is ever evicted
+	if mapMisses > 200 {
+		t.Fatalf("the unbounded memo missed %d times on 200 keys: it evicted", mapMisses)
+	}
 	gdsfHits, _ := stream(newGDSFMemo(20)) // a tenth of the key space
 	if mapHits == 0 {
 		t.Fatal("skewed stream produced no repeats")

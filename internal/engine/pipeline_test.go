@@ -13,6 +13,7 @@ import (
 	"repro/internal/sysmodel/dbms"
 	"repro/internal/tune"
 	"repro/internal/tuners/experiment"
+	"repro/internal/tuners/simulation"
 	"repro/internal/workload"
 )
 
@@ -41,6 +42,17 @@ func pipelineRows() []pipelineRow {
 			return mf, plainTarget()
 		}
 	}
+	shiftTarget := func(t *testing.T) tune.Target {
+		node := cluster.CommodityNode()
+		d, err := workload.NewDrift("oltp-olap-shift", false,
+			workload.Phase{Name: "oltp", Target: dbms.New(node, workload.OLTP(64, 2), seed), Runs: 7},
+			workload.Phase{Name: "olap", Target: dbms.New(node, workload.TPCHLike(4), seed), Runs: 7},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
 	return []pipelineRow{
 		{name: "ituned", trials: 14, want: tune.IncumbentImproved,
 			mk: func(*testing.T) (tune.Tuner, tune.Target) { return experiment.NewITuned(seed), plainTarget() }},
@@ -63,15 +75,7 @@ func pipelineRows() []pipelineRow {
 			}},
 		{name: "drift_detect", trials: 20, want: tune.DriftDetected,
 			mk: func(t *testing.T) (tune.Tuner, tune.Target) {
-				node := cluster.CommodityNode()
-				d, err := workload.NewDrift("oltp-olap-shift", false,
-					workload.Phase{Name: "oltp", Target: dbms.New(node, workload.OLTP(64, 2), seed), Runs: 7},
-					workload.Phase{Name: "olap", Target: dbms.New(node, workload.TPCHLike(4), seed), Runs: 7},
-				)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return tune.DriftDetectTuner(experiment.NewITuned(seed), tune.DriftOptions{}), d
+				return tune.DriftDetectTuner(experiment.NewITuned(seed), tune.DriftOptions{}), shiftTarget(t)
 			}},
 		{name: "guardrail", trials: 14, scenario: tune.Scenario{Guardrail: 150}, want: tune.GuardrailViolation,
 			mk: func(t *testing.T) (tune.Tuner, tune.Target) {
@@ -92,6 +96,24 @@ func pipelineRows() []pipelineRow {
 					t.Fatal(err)
 				}
 				return mo, plainTarget()
+			}},
+		// Sequential bodies (tune.Sequential): one proposal per batch, so every
+		// trial is a boundary a kill can land on, and a resume re-runs the body
+		// from its first line against the replayed history.
+		{name: "rrs", trials: 12, want: tune.IncumbentImproved,
+			mk: func(*testing.T) (tune.Tuner, tune.Target) { return &experiment.RRS{Seed: seed}, plainTarget() }},
+		{name: "sard", trials: 12, want: tune.IncumbentImproved,
+			mk: func(*testing.T) (tune.Tuner, tune.Target) { return experiment.NewSARD(seed), plainTarget() }},
+		{name: "adaptive-sampling", trials: 12, want: tune.IncumbentImproved,
+			mk: func(*testing.T) (tune.Tuner, tune.Target) { return experiment.NewAdaptiveSampling(seed), plainTarget() }},
+		{name: "addm", trials: 8, want: tune.IncumbentImproved,
+			mk: func(*testing.T) (tune.Tuner, tune.Target) { return simulation.NewADDM(), plainTarget() }},
+		// A detection swaps the sequential body mid-session: the resumed run
+		// has to release the first coroutine and start the second at the same
+		// trial.
+		{name: "drift_detect(rrs)", trials: 24, want: tune.DriftDetected,
+			mk: func(t *testing.T) (tune.Tuner, tune.Target) {
+				return tune.DriftDetectTuner(&experiment.RRS{Seed: seed}, tune.DriftOptions{}), shiftTarget(t)
 			}},
 	}
 }

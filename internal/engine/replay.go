@@ -34,7 +34,7 @@ func reservedRuns(caps tune.Capabilities) int64 {
 type replayed struct {
 	live  tune.Evaluator
 	caps  tune.Capabilities
-	cache memo // nil: memo disabled
+	cache *gdsfMemo // nil: memo disabled
 	log   *tune.Replay
 	pos   int // log trials served so far
 }

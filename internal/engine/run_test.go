@@ -146,17 +146,13 @@ type seqTuner struct{ n int }
 
 func (s *seqTuner) Name() string { return "stub/seq" }
 func (s *seqTuner) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	sess := tune.NewSession(ctx, target, b)
-	def := target.Space().Default()
-	for i := 0; i < s.n; i++ {
-		if _, err := sess.Run(def); err != nil {
-			if err == tune.ErrBudgetExhausted {
-				break
+	return tune.DriveProposer(ctx, s.Name(), target, b, tune.Sequential(func(run tune.RunFunc) {
+		for i := 0; i < s.n; i++ {
+			if _, ok := run(target.Space().Default()); !ok {
+				return
 			}
-			return nil, err
 		}
-	}
-	return sess.Finish(s.Name(), tune.Config{}), nil
+	}))
 }
 
 // TestPauseResumeStopsNewTrials: after Pause, the in-flight trial finishes

@@ -142,13 +142,15 @@ func TestSlowSubscriberGetsLagged(t *testing.T) {
 		Budget: tune.Budget{Trials: 10}, EventBuffer: 3,
 	})
 	events := run.EventsSince(context.Background(), 0)
+	// A trial's events are emitted when it is recorded, so the first one
+	// arrives once trial 1 has been released.
 	<-target.started
+	target.release <- struct{}{}
 	first := <-events // subscriber is now attached and caught up
 	if first.Seq != 1 {
 		t.Fatalf("first event seq = %d, want 1", first.Seq)
 	}
-	// Stall the subscriber while the whole session runs past the ring.
-	target.release <- struct{}{}
+	// Stall the subscriber while the rest of the session runs past the ring.
 	for i := 1; i < 10; i++ {
 		<-target.started
 		target.release <- struct{}{}

@@ -1,9 +1,6 @@
 package tune
 
-import (
-	"context"
-	"math"
-)
+import "math"
 
 // This file is the change-detector half of the workload-drift scenario: a
 // proposer wrapper that watches the observed objective stream for evidence
@@ -145,9 +142,10 @@ func (d *DriftDetector) Observe(t Trial) {
 			}
 		}
 		if p, err := d.fresh(remaining); err == nil {
+			bindSession(d.inner, nil) // the replaced stack's session is over
 			d.inner = p
-			if sa, ok := p.(SessionAware); ok && d.sess != nil {
-				sa.BindSession(d.sess)
+			if d.sess != nil {
+				bindSession(p, d.sess)
 			}
 		}
 	}
@@ -164,39 +162,13 @@ func (d *DriftDetector) Recommend() Config {
 	return Config{}
 }
 
-// driftTuner is a BatchTuner whose sessions run under drift detection.
-type driftTuner struct {
-	BatchTuner
-	opts DriftOptions
-}
-
 // DriftDetectTuner wraps t so every session it starts watches for workload
 // drift and re-anchors on detection. Compose it OUTSIDE warm starting and
 // any other proposer wrapper: a detection rebuilds the detector's entire
 // inner stack fresh, which is the "re-warm-start" the drift scenario wants.
 func DriftDetectTuner(t BatchTuner, opts DriftOptions) BatchTuner {
-	return &driftTuner{BatchTuner: t, opts: opts}
-}
-
-// Name implements Tuner.
-func (t *driftTuner) Name() string { return t.BatchTuner.Name() + "+drift" }
-
-// NewProposer implements BatchTuner.
-func (t *driftTuner) NewProposer(target Target, b Budget) (Proposer, error) {
-	inner, err := t.BatchTuner.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	fresh := func(remaining Budget) (Proposer, error) { return t.BatchTuner.NewProposer(target, remaining) }
-	return NewDriftDetector(inner, fresh, b, t.opts), nil
-}
-
-// Tune implements Tuner through the detecting proposer so the blocking path
-// and the engine path stay identical.
-func (t *driftTuner) Tune(ctx context.Context, target Target, b Budget) (*TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return DriveProposer(ctx, t.Name(), target, b, p)
+	return &wrapped{subs: []BatchTuner{t}, suffix: "+drift", wrap: func(target Target, b Budget, inner []Proposer) (Proposer, error) {
+		fresh := func(remaining Budget) (Proposer, error) { return t.NewProposer(target, remaining) }
+		return NewDriftDetector(inner[0], fresh, b, opts), nil
+	}}
 }

@@ -151,8 +151,10 @@ func Drive(ctx context.Context, name string, target Target, b Budget, fp Fidelit
 	}
 	s := NewSession(ctx, target, b)
 	// Scenario-aware proposers (drift detectors) get the session handle before
-	// anything — replay included — runs, so re-anchors land on the live session.
+	// anything — replay included — runs, so re-anchors land on the live session;
+	// the unbind is what releases a Sequential body however the session ends.
 	bindSession(fp, s)
+	defer bindSession(fp, nil)
 	for !s.Exhausted() {
 		s.gate()
 		if s.Exhausted() {
@@ -207,6 +209,16 @@ func Drive(ctx context.Context, name string, target Target, b Budget, fp Fidelit
 // is why both produce identical results for a fixed seed.
 func DriveProposer(ctx context.Context, name string, target Target, b Budget, p Proposer) (*TuningResult, error) {
 	return DriveFidelity(ctx, name, target, b, LiftProposer(p))
+}
+
+// DriveTuner is every BatchTuner's Tune: a fresh proposer, driven
+// sequentially.
+func DriveTuner(ctx context.Context, t BatchTuner, target Target, b Budget) (*TuningResult, error) {
+	p, err := t.NewProposer(target, b)
+	if err != nil {
+		return nil, err
+	}
+	return DriveProposer(ctx, t.Name(), target, b, p)
 }
 
 // DriveFidelity is DriveProposer for a multi-fidelity schedule.

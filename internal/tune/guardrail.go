@@ -1,7 +1,6 @@
 package tune
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -418,12 +417,6 @@ func (g *Guardrail) Recommend() Config {
 	return Config{}
 }
 
-// grTuner is a BatchTuner whose sessions run behind the guardrail screen.
-type grTuner struct {
-	BatchTuner
-	opts GuardrailOptions
-}
-
 // GuardrailTuner wraps t so no session it starts knowingly proposes a
 // configuration predicted to exceed opts.Limit. Compose it outside the base
 // tuner but inside warm starting and drift detection (transferred seeds are
@@ -432,27 +425,7 @@ func GuardrailTuner(t BatchTuner, opts GuardrailOptions) (BatchTuner, error) {
 	if !(opts.Limit > 0) {
 		return nil, fmt.Errorf("tune: guardrail requires a positive limit, got %v", opts.Limit)
 	}
-	return &grTuner{BatchTuner: t, opts: opts}, nil
-}
-
-// Name implements Tuner.
-func (t *grTuner) Name() string { return t.BatchTuner.Name() + "+guardrail" }
-
-// NewProposer implements BatchTuner.
-func (t *grTuner) NewProposer(target Target, b Budget) (Proposer, error) {
-	inner, err := t.BatchTuner.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return NewGuardrail(inner, target.Space(), t.opts)
-}
-
-// Tune implements Tuner through the screened proposer so the blocking path
-// and the engine path stay identical.
-func (t *grTuner) Tune(ctx context.Context, target Target, b Budget) (*TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return DriveProposer(ctx, t.Name(), target, b, p)
+	return &wrapped{subs: []BatchTuner{t}, suffix: "+guardrail", wrap: func(target Target, _ Budget, inner []Proposer) (Proposer, error) {
+		return NewGuardrail(inner[0], target.Space(), opts)
+	}}, nil
 }

@@ -52,6 +52,15 @@ func (t *MultiFidelityTuner) Tune(ctx context.Context, target Target, b Budget) 
 	return DriveFidelity(ctx, t.Name(), target, b, fp)
 }
 
+// Check implements Checker: the target needs a fidelity path, and the inner
+// tuner has to accept it.
+func (t *MultiFidelityTuner) Check(target Target, b Budget) error {
+	if err := Resolve(target).RequireFidelity(); err != nil {
+		return err
+	}
+	return CheckTuner(t.inner, target, b)
+}
+
 // NewFidelityProposer implements FidelityBatchTuner.
 func (t *MultiFidelityTuner) NewFidelityProposer(target Target, b Budget) (FidelityProposer, error) {
 	if err := Resolve(target).RequireFidelity(); err != nil {
@@ -279,6 +288,9 @@ func (p *mfProposer) PruneNotices() []int {
 	p.prunes = nil
 	return out
 }
+
+// BindSession implements SessionAware, forwarding to the inner proposer.
+func (p *mfProposer) BindSession(s *Session) { bindSession(p.inner, s) }
 
 // Recommend implements Recommender when the inner proposer does.
 func (p *mfProposer) Recommend() Config {

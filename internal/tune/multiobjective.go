@@ -1,7 +1,6 @@
 package tune
 
 import (
-	"context"
 	"fmt"
 	"math"
 )
@@ -162,58 +161,17 @@ func (m *MultiObjective) Recommend() Config {
 	return Config{}
 }
 
-// moTuner is a BatchTuner running the multi-objective sweep.
-type moTuner struct {
-	subs    []BatchTuner
-	weights []float64
-}
-
 // MultiObjectiveTuner runs one sub-tuner per scalarization weight. Sub-
 // tuners must be independent instances (ideally differently seeded, so
 // their design phases do not propose identical points); subs[i] optimizes
-// cost weight weights[i]. Sessions driving the result should opt into
+// cost weight weights[i] and is built with its share of the trial budget,
+// not the whole of it. Sessions driving the result should opt into
 // Scenario.Pareto to track the front the sweep uncovers.
 func MultiObjectiveTuner(subs []BatchTuner, weights []float64) (BatchTuner, error) {
 	if len(subs) == 0 || len(subs) != len(weights) {
 		return nil, fmt.Errorf("tune: multi-objective needs one sub-tuner per weight (got %d tuners, %d weights)", len(subs), len(weights))
 	}
-	return &moTuner{subs: subs, weights: weights}, nil
-}
-
-// Name implements Tuner.
-func (t *moTuner) Name() string { return t.subs[0].Name() + "+pareto" }
-
-// NewProposer implements BatchTuner. Each sub-search is built with its SHARE
-// of the trial budget, not the whole of it: the round-robin hands every sub
-// ~Trials/K evaluations, and a budget-aware tuner that believes it owns all
-// of them sizes its design phase for a session it will never get — with K=4
-// on a 30-trial budget every sub would still be space-filling when the
-// session ends, and the "sweep" degenerates to stratified random sampling.
-func (t *moTuner) NewProposer(target Target, b Budget) (Proposer, error) {
-	share := b
-	if n := len(t.subs); b.Trials > 0 && n > 1 {
-		share.Trials = b.Trials / n
-		if share.Trials < 1 {
-			share.Trials = 1
-		}
-	}
-	subs := make([]Proposer, len(t.subs))
-	for i, st := range t.subs {
-		p, err := st.NewProposer(target, share)
-		if err != nil {
-			return nil, err
-		}
-		subs[i] = p
-	}
-	return NewMultiObjective(subs, t.weights)
-}
-
-// Tune implements Tuner through the sweep proposer so the blocking path and
-// the engine path stay identical.
-func (t *moTuner) Tune(ctx context.Context, target Target, b Budget) (*TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return DriveProposer(ctx, t.Name(), target, b, p)
+	return &wrapped{subs: subs, suffix: "+pareto", wrap: func(_ Target, _ Budget, inner []Proposer) (Proposer, error) {
+		return NewMultiObjective(inner, weights)
+	}}, nil
 }

@@ -1,5 +1,7 @@
 package tune
 
+import "context"
+
 // Proposer is the ask/tell (propose–observe) face of a tuning algorithm.
 // Instead of owning the evaluation loop the way Tuner.Tune does, a proposer
 // is driven from outside: the driver asks for up to n candidate
@@ -40,6 +42,79 @@ type BatchTuner interface {
 	// rulebook application, repository analysis) but must not run the
 	// target.
 	NewProposer(t Target, b Budget) (Proposer, error)
+}
+
+// Checker is implemented by tuners that cannot serve every (target, budget)
+// pair — Starfish models Hadoop only, Ernest needs four trials, the adaptive
+// family needs an AdaptiveTarget. Check returns the error the tuner's
+// NewProposer or Tune would fail with, before a session exists: whoever
+// builds a job calls it once (CheckTuner) so the refusal reaches the
+// submitter instead of the session's first step, and the tuner itself calls
+// the same method rather than a copy of the test.
+type Checker interface {
+	Check(t Target, b Budget) error
+}
+
+// CheckTuner runs tuner's Check when it has one.
+func CheckTuner(tuner Tuner, t Target, b Budget) error {
+	if c, ok := tuner.(Checker); ok {
+		return c.Check(t, b)
+	}
+	return nil
+}
+
+// wrapped is the one BatchTuner shell behind WarmStartTuner, GuardrailTuner,
+// MultiObjectiveTuner and DriftDetectTuner: it builds the inner proposers —
+// one per sub-tuner, each with its share of the budget — and hands them to
+// wrap. Tune goes through the wrapped proposer, so the blocking path and the
+// engine path stay identical.
+type wrapped struct {
+	subs   []BatchTuner
+	suffix string // appended to subs[0].Name()
+	wrap   func(t Target, b Budget, inner []Proposer) (Proposer, error)
+}
+
+// share is the budget each sub-tuner is built and checked with. A round-robin
+// over K subs hands every sub ~Trials/K evaluations, and a budget-aware tuner
+// that believes it owns all of them sizes its design phase for a session it
+// will never get — with K=4 on a 30-trial budget every sub would still be
+// space-filling when the session ends.
+func (w *wrapped) share(b Budget) Budget {
+	if n := len(w.subs); b.Trials > 0 && n > 1 {
+		b.Trials = max(b.Trials/n, 1)
+	}
+	return b
+}
+
+// Name implements Tuner.
+func (w *wrapped) Name() string { return w.subs[0].Name() + w.suffix }
+
+// Check implements Checker for the sub-tuners.
+func (w *wrapped) Check(t Target, b Budget) error {
+	for _, st := range w.subs {
+		if err := CheckTuner(st, t, w.share(b)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// NewProposer implements BatchTuner.
+func (w *wrapped) NewProposer(t Target, b Budget) (Proposer, error) {
+	inner := make([]Proposer, len(w.subs))
+	for i, st := range w.subs {
+		p, err := st.NewProposer(t, w.share(b))
+		if err != nil {
+			return nil, err
+		}
+		inner[i] = p
+	}
+	return w.wrap(t, b, inner)
+}
+
+// Tune implements Tuner.
+func (w *wrapped) Tune(ctx context.Context, t Target, b Budget) (*TuningResult, error) {
+	return DriveTuner(ctx, w, t, b)
 }
 
 // Recommender is implemented by proposers that can recommend a

@@ -49,9 +49,12 @@ func ScenarioFrom(ctx context.Context) Scenario {
 
 // SessionAware is implemented by proposers that need the live session handle
 // beyond the observed trials — the drift detector calls ReAnchor on it when
-// it concludes the workload shifted. Drive binds the session before the
-// first Propose. Wrappers that may enclose a session-aware proposer forward
-// the bind.
+// it concludes the workload shifted — or that hold something for the
+// session's lifetime (Sequential's coroutine). Drive binds the session before
+// the first Propose and binds nil when the session ends, on every exit path;
+// a wrapper that replaces an inner proposer mid-session unbinds the old one
+// the same way. Wrappers that may enclose a session-aware proposer forward
+// both.
 type SessionAware interface {
 	BindSession(*Session)
 }

@@ -2,7 +2,6 @@ package tune
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sync"
 )
@@ -83,13 +82,10 @@ type Tuner interface {
 	Tune(ctx context.Context, t Target, b Budget) (*TuningResult, error)
 }
 
-// ErrBudgetExhausted is returned by Session.Run when the budget does not
-// admit another trial.
-var ErrBudgetExhausted = errors.New("tune: budget exhausted")
-
 // Session tracks trials against a budget on behalf of a tuner and maintains
-// the incumbent best. Tuners should evaluate configurations exclusively
-// through a session so accounting is uniform across categories. Sessions
+// the incumbent best. Every trial is charged to a session — by Drive for
+// configuration trials, by RecordExternal for the adaptive family's
+// controlled runs — so accounting is uniform across categories. Sessions
 // are safe for concurrent use: the engine records trials from its driver
 // goroutine while monitors may read progress from others.
 type Session struct {
@@ -146,31 +142,10 @@ func (s *Session) exhaustedLocked() bool {
 	return s.ctx.Err() != nil
 }
 
-// Run evaluates cfg against the target, recording the trial. It returns
-// ErrBudgetExhausted when no budget remains and the context error if the
-// session was cancelled. The session lock is held across the run, so
-// concurrent Run calls serialize; parallel evaluation belongs to the engine,
-// which runs trials outside the session and merges them via Record.
-func (s *Session) Run(cfg Config) (Result, error) {
-	s.gate()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if s.exhaustedLocked() {
-		return Result{}, ErrBudgetExhausted
-	}
-	s.emitLocked(Event{Kind: TrialStarted, Trial: len(s.trials) + 1, Config: cfg})
-	res := s.target.Run(cfg)
-	s.recordLocked(cfg, res)
-	return res, nil
-}
-
-// Record records a trial whose result was obtained outside Run — the drive
-// loop evaluates batches through its Evaluator and merges each outcome here
-// in proposal order — stamping a partial result with the candidate's
-// fidelity. It returns the recorded trial.
+// Record is the one way a trial enters a session: the drive loop evaluates
+// batches through its Evaluator and merges each outcome here in proposal
+// order, stamping a partial result with the candidate's fidelity. It returns
+// the recorded trial.
 func (s *Session) Record(c Candidate, res Result) Trial {
 	s.gate()
 	s.mu.Lock()

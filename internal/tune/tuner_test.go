@@ -28,65 +28,84 @@ func (s *stubTarget) Run(cfg Config) Result {
 	return Result{Time: t, Metrics: map[string]float64{"x": x}}
 }
 
+// driveList runs cfgs, in order, through the one trial path: Drive →
+// Inline → Session.Record.
+func driveList(t *testing.T, ctx context.Context, target Target, b Budget, cfgs ...Config) (*TuningResult, error) {
+	t.Helper()
+	return DriveProposer(ctx, "t", target, b, &listProposer{pending: cfgs})
+}
+
+func repeatConfig(cfg Config, n int) []Config {
+	out := make([]Config, n)
+	for i := range out {
+		out[i] = cfg
+	}
+	return out
+}
+
 func TestSessionBudgetEnforced(t *testing.T) {
 	target := newStubTarget()
-	s := NewSession(nil, target, Budget{Trials: 3})
-	for i := 0; i < 3; i++ {
-		if _, err := s.Run(target.Space().Default()); err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
+	r, err := driveList(t, nil, target, Budget{Trials: 3}, repeatConfig(target.Space().Default(), 5)...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !s.Exhausted() {
-		t.Error("session should be exhausted after 3 trials")
-	}
-	if _, err := s.Run(target.Space().Default()); !errors.Is(err, ErrBudgetExhausted) {
-		t.Errorf("expected ErrBudgetExhausted, got %v", err)
-	}
-	if target.runs != 3 {
-		t.Errorf("target ran %d times, want 3", target.runs)
+	if len(r.Trials) != 3 || target.runs != 3 {
+		t.Errorf("budget 3 recorded %d trials over %d target runs", len(r.Trials), target.runs)
 	}
 }
 
 func TestSessionSimTimeBudget(t *testing.T) {
 	target := newStubTarget()
-	s := NewSession(nil, target, Budget{Trials: 100, SimTime: 2.5})
-	n := 0
-	for !s.Exhausted() {
-		if _, err := s.Run(target.Space().Default()); err != nil {
-			break
-		}
-		n++
+	r, err := driveList(t, nil, target, Budget{Trials: 100, SimTime: 2.5}, repeatConfig(target.Space().Default(), 100)...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Each run costs ≥1 simulated second, so the 2.5s budget admits ≤3.
-	if n > 3 {
-		t.Errorf("sim-time budget admitted %d runs", n)
+	if n := len(r.Trials); n == 0 || n > 3 || target.runs != n {
+		t.Errorf("sim-time budget admitted %d trials over %d target runs", n, target.runs)
 	}
 }
 
 func TestSessionTracksBest(t *testing.T) {
 	target := newStubTarget()
-	s := NewSession(nil, target, Budget{Trials: 10})
 	good := target.Space().Default().With("x", 0.7).With("y", 0.3)
 	bad := target.Space().Default().With("x", 0.0).With("y", 1.0)
-	if _, err := s.Run(bad); err != nil {
+	r, err := driveList(t, nil, target, Budget{Trials: 10}, bad, good)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(good); err != nil {
-		t.Fatal(err)
+	if r.Best.Float("x") != good.Float("x") || r.BestResult.Time > 1.01 {
+		t.Errorf("best = %s (%.3f)", r.Best, r.BestResult.Time)
 	}
-	best, res := s.Best()
-	if best.Float("x") != good.Float("x") || res.Time > 1.01 {
-		t.Errorf("best = %s (%.3f)", best, res.Time)
+}
+
+// The incumbency compares penalized objectives: a failed run holds it until
+// a successful run beats its penalized time, and a later failure needs a
+// penalized time below the incumbent's, not a raw one.
+func TestSessionFailedRunIncumbent(t *testing.T) {
+	target := newStubTarget()
+	s := NewSession(nil, target, Budget{Trials: 10})
+	def := target.Space().Default()
+	s.Record(Candidate{Config: def.With("x", 0.1)}, Result{Time: 5, Failed: true})
+	if _, res := s.Best(); !res.Failed {
+		t.Fatalf("the only trial so far is the incumbent, failed or not: %+v", res)
+	}
+	s.Record(Candidate{Config: def.With("x", 0.2)}, Result{Time: 40})
+	s.Record(Candidate{Config: def.With("x", 0.3)}, Result{Time: 4.5, Failed: true})
+	if best, res := s.Best(); res.Failed || best.Float("x") != 0.2 {
+		t.Errorf("incumbent = %s (%+v), want the successful run", best, res)
 	}
 }
 
 func TestSessionContextCancel(t *testing.T) {
 	target := newStubTarget()
 	ctx, cancel := context.WithCancel(context.Background())
-	s := NewSession(ctx, target, Budget{Trials: 10})
 	cancel()
-	if _, err := s.Run(target.Space().Default()); err == nil {
-		t.Error("expected context error after cancel")
+	if _, err := driveList(t, ctx, target, Budget{Trials: 10}, target.Space().Default()); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled session returned %v, want context.Canceled", err)
+	}
+	if target.runs != 0 {
+		t.Errorf("cancelled session ran the target %d times", target.runs)
 	}
 }
 
@@ -120,18 +139,14 @@ func TestFinishFallbacks(t *testing.T) {
 
 func TestTuningResultCurve(t *testing.T) {
 	target := newStubTarget()
-	s := NewSession(nil, target, Budget{Trials: 3})
-	cfgs := []Config{
+	r, err := driveList(t, nil, target, Budget{Trials: 3},
 		target.Space().Default().With("x", 0.0).With("y", 1.0), // bad
 		target.Space().Default().With("x", 0.7).With("y", 0.3), // best
 		target.Space().Default().With("x", 0.5).With("y", 0.5), // middling
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cfgs {
-		if _, err := s.Run(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := s.Finish("t", Config{})
 	curve := r.Curve()
 	if len(curve) != 3 {
 		t.Fatalf("curve length %d", len(curve))
@@ -149,14 +164,16 @@ func TestTuningResultCurve(t *testing.T) {
 
 func TestRepositoryRoundTrip(t *testing.T) {
 	target := newStubTarget()
-	s := NewSession(nil, target, Budget{Trials: 4})
+	var cfgs []Config
 	for i := 0; i < 4; i++ {
-		if _, err := s.Run(target.Space().Random(randSource(int64(i)))); err != nil {
-			t.Fatal(err)
-		}
+		cfgs = append(cfgs, target.Space().Random(randSource(int64(i))))
+	}
+	res, err := driveList(t, nil, target, Budget{Trials: 4}, cfgs...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	repo := &Repository{}
-	repo.AddResult("stub", "bowl", map[string]float64{"size": 2}, s.Finish("t", Config{}))
+	repo.AddResult("stub", "bowl", map[string]float64{"size": 2}, res)
 
 	var buf bytes.Buffer
 	if err := repo.Save(&buf); err != nil {

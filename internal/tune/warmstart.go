@@ -1,7 +1,6 @@
 package tune
 
 import (
-	"context"
 	"math"
 	"sort"
 )
@@ -190,12 +189,6 @@ func (w *WarmStarter) Recommend() Config {
 	return Config{}
 }
 
-// warmTuner is a BatchTuner whose proposers are warm-started with seeds.
-type warmTuner struct {
-	BatchTuner
-	seeds []Config
-}
-
 // WarmStartTuner wraps t so every session it starts proposes seeds first.
 // The wrapper preserves the ask/tell form, so the concurrent engine batches
 // the seed evaluations like any other proposals.
@@ -203,24 +196,7 @@ func WarmStartTuner(t BatchTuner, seeds []Config) BatchTuner {
 	if len(seeds) == 0 {
 		return t
 	}
-	return &warmTuner{BatchTuner: t, seeds: seeds}
-}
-
-// NewProposer implements BatchTuner.
-func (t *warmTuner) NewProposer(target Target, b Budget) (Proposer, error) {
-	p, err := t.BatchTuner.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return NewWarmStarter(p, t.seeds), nil
-}
-
-// Tune implements Tuner through the warm-started proposer so the blocking
-// path and the engine path stay identical.
-func (t *warmTuner) Tune(ctx context.Context, target Target, b Budget) (*TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return DriveProposer(ctx, t.Name(), target, b, p)
+	return &wrapped{subs: []BatchTuner{t}, wrap: func(_ Target, _ Budget, inner []Proposer) (Proposer, error) {
+		return NewWarmStarter(inner[0], seeds), nil
+	}}
 }

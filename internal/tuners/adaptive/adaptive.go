@@ -208,7 +208,8 @@ func (t *COLT) Controller(space *tune.Space, rng *rand.Rand, epochs int) tune.Ep
 	}
 }
 
-// probeIndices selects the runtime-adjustable, effective knobs to probe.
+// probeIndices selects the runtime-adjustable, effective knobs to probe: a
+// live system cannot restart mid-workload, and inert knobs waste probe epochs.
 func (t *COLT) probeIndices(space *tune.Space) []int {
 	topK := t.TopKnobs
 	if topK <= 0 {
@@ -231,60 +232,58 @@ func (t *COLT) probeIndices(space *tune.Space) []int {
 	return probeIdx
 }
 
+// Check implements tune.Checker.
+func (t *COLT) Check(target tune.Target, _ tune.Budget) error {
+	_, err := adaptiveTarget(t.Name(), target)
+	return err
+}
+
 // Tune implements tune.Tuner over adaptive targets: each budgeted trial is
 // one adaptive run; within a run, reconfiguration is free of trial cost but
-// pays real (simulated) time, exactly the trade the category makes.
+// pays real (simulated) time, exactly the trade the category makes. The
+// first run explores from the default; later runs start where the previous
+// one converged.
 func (t *COLT) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
+	space := target.Space()
+	return tuneAdaptive(ctx, t.Name(), target, b, t.Runs, space.Default(), func(r, epochs int) tune.EpochController {
+		return t.Controller(space, rand.New(rand.NewSource(t.Seed+int64(r)*7919)), epochs)
+	})
+}
+
+// adaptiveTarget is the family's one precondition (and its one message).
+func adaptiveTarget(name string, target tune.Target) (tune.AdaptiveTarget, error) {
 	at, ok := target.(tune.AdaptiveTarget)
 	if !ok {
-		return nil, fmt.Errorf("adaptive/colt: target %q does not support online reconfiguration", target.Name())
+		return nil, fmt.Errorf("%s: target %q does not support online reconfiguration", name, target.Name())
 	}
-	runs := t.Runs
+	return at, nil
+}
+
+// tuneAdaptive is the adaptive family's one run loop. Its unit of work is a
+// controlled run — AdaptiveTarget.RunAdaptive(start, controller) — not a
+// configuration, which is why it charges a session directly instead of going
+// through tune.Drive (DESIGN.md §2, "Why the adaptive family stays outside"):
+// up to runs (default 2) runs within the trial budget, each recorded as one
+// trial under its start configuration; a COLT controller's converged
+// configuration is where the next run starts and what a run-less session
+// recommends.
+func tuneAdaptive(ctx context.Context, name string, target tune.Target, b tune.Budget, runs int, start tune.Config, ctl func(r, epochs int) tune.EpochController) (*tune.TuningResult, error) {
+	at, err := adaptiveTarget(name, target)
+	if err != nil {
+		return nil, err
+	}
 	if runs <= 0 {
 		runs = 2
 	}
-	if runs > b.Trials {
-		runs = b.Trials
-	}
 	s := tune.NewSession(ctx, target, b)
-	space := target.Space()
-	start := space.Default()
-	// Probe only runtime-adjustable, effective knobs: a live system cannot
-	// restart mid-workload, and inert knobs waste probe epochs.
-	probeIdx := t.probeIndices(space)
-	var lastBest tune.Config
-	for r := 0; r < runs && !s.Exhausted(); r++ {
-		ctl := &controller{
-			rng:        rand.New(rand.NewSource(t.Seed + int64(r)*7919)),
-			radius:     t.Radius,
-			switchCost: t.SwitchCost,
-			epochs:     at.Epochs(),
-			space:      space,
-			probeIdx:   probeIdx,
+	for r := 0; r < min(runs, b.Trials) && !s.Exhausted(); r++ {
+		c := ctl(r, at.Epochs())
+		s.RecordExternal(start, at.RunAdaptive(start, c))
+		if colt, ok := c.(*controller); ok {
+			start = colt.best
 		}
-		res := adaptiveRunViaSession(s, at, start, ctl)
-		if res == nil {
-			break
-		}
-		lastBest = ctl.best
-		start = ctl.best // next run starts where this one converged
 	}
-	return s.Finish(t.Name(), lastBest), nil
-}
-
-// adaptiveRunViaSession performs one adaptive run, charging it to the
-// session as a single trial (recorded under the run's final configuration).
-// It returns nil when the budget is exhausted.
-func adaptiveRunViaSession(s *tune.Session, at tune.AdaptiveTarget, start tune.Config, ctl tune.EpochController) *tune.Result {
-	if s.Exhausted() {
-		return nil
-	}
-	res := at.RunAdaptive(start, ctl)
-	// Record through the session for uniform accounting: we re-inject the
-	// result by running a zero-cost shadow... the session API only supports
-	// Run, so instead we account the adaptive run directly.
-	s.RecordExternal(start, res)
-	return &res
+	return s.Finish(name, start), nil
 }
 
 var _ tune.Tuner = (*COLT)(nil)

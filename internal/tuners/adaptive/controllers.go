@@ -2,7 +2,6 @@ package adaptive
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"repro/internal/tune"
@@ -124,26 +123,17 @@ type AdaptiveTuner struct {
 // Name implements tune.Tuner.
 func (a *AdaptiveTuner) Name() string { return "adaptive/" + a.Label }
 
-// Tune implements tune.Tuner.
+// Check implements tune.Checker.
+func (a *AdaptiveTuner) Check(target tune.Target, _ tune.Budget) error {
+	_, err := adaptiveTarget(a.Name(), target)
+	return err
+}
+
+// Tune implements tune.Tuner: every run starts from the default under the
+// one controller.
 func (a *AdaptiveTuner) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	at, ok := target.(tune.AdaptiveTarget)
-	if !ok {
-		return nil, fmt.Errorf("adaptive/%s: target %q does not support online reconfiguration", a.Label, target.Name())
-	}
-	runs := a.Runs
-	if runs <= 0 {
-		runs = 2
-	}
-	if runs > b.Trials {
-		runs = b.Trials
-	}
-	s := tune.NewSession(ctx, target, b)
-	start := target.Space().Default()
-	for r := 0; r < runs && !s.Exhausted(); r++ {
-		res := at.RunAdaptive(start, a.Controller)
-		s.RecordExternal(start, res)
-	}
-	return s.Finish(a.Name(), tune.Config{}), nil
+	return tuneAdaptive(ctx, a.Name(), target, b, a.Runs, target.Space().Default(),
+		func(int, int) tune.EpochController { return a.Controller })
 }
 
 // Recommender is the mrMoulder-style recommendation tuner: cold-start from
@@ -201,37 +191,18 @@ func system(name string) string {
 // start directly (recommendation without refinement).
 func (r *Recommender) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
 	start := r.warmStart(target)
-	s := tune.NewSession(ctx, target, b)
-	at, adaptive := target.(tune.AdaptiveTarget)
-	if !adaptive {
-		if b.Trials > 0 {
-			if _, err := s.Run(start); err != nil && err != tune.ErrBudgetExhausted {
-				return nil, err
-			}
-		}
-		return s.Finish(r.Name(), start), nil
+	if _, adaptive := target.(tune.AdaptiveTarget); !adaptive {
+		return tune.DriveProposer(ctx, r.Name(), target, b, tune.NewRecommendProposer(start, nil))
 	}
-	runs := r.Runs
-	if runs <= 0 {
-		runs = 2
-	}
-	if runs > b.Trials {
-		runs = b.Trials
-	}
-	cur := start
-	for i := 0; i < runs && !s.Exhausted(); i++ {
-		ctl := &controller{
+	return tuneAdaptive(ctx, r.Name(), target, b, r.Runs, start, func(i, epochs int) tune.EpochController {
+		return &controller{
 			rng:        rand.New(rand.NewSource(r.Seed + int64(i)*104729)),
 			radius:     0.08, // refine, don't wander: the start is informed
 			switchCost: 0.08,
-			epochs:     at.Epochs(),
+			epochs:     epochs,
 			space:      target.Space(),
 		}
-		res := at.RunAdaptive(cur, ctl)
-		s.RecordExternal(cur, res)
-		cur = ctl.best
-	}
-	return s.Finish(r.Name(), cur), nil
+	})
 }
 
 var (

@@ -35,11 +35,7 @@ func ernestFeatures(m float64) []float64 {
 
 // Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *Ernest) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return tune.DriveProposer(ctx, t.Name(), target, b, p)
+	return tune.DriveTuner(ctx, t, target, b)
 }
 
 var _ tune.Tuner = (*Ernest)(nil)

@@ -24,12 +24,20 @@ func (t *STMM) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, er
 	return tune.NewRecommendProposer(t.recommend(target), nil), nil
 }
 
+// Check implements tune.Checker: the what-if model is of MapReduce.
+func (t *Starfish) Check(target tune.Target, _ tune.Budget) error {
+	if _, ok := target.(*mapreduce.Hadoop); !ok {
+		return fmt.Errorf("costmodel/starfish: target %q is not a Hadoop deployment", target.Name())
+	}
+	return nil
+}
+
 // NewProposer implements tune.BatchTuner.
 func (t *Starfish) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
-	h, ok := target.(*mapreduce.Hadoop)
-	if !ok {
-		return nil, fmt.Errorf("costmodel/starfish: target %q is not a Hadoop deployment", target.Name())
+	if err := t.Check(target, b); err != nil {
+		return nil, err
 	}
+	h := target.(*mapreduce.Hadoop)
 	job, cl := h.Job(), h.Cluster()
 	space := target.Space()
 	budget := t.SearchBudget
@@ -66,24 +74,38 @@ type ernestProposer struct {
 	fitted      bool
 }
 
-// NewProposer implements tune.BatchTuner.
-func (t *Ernest) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
-	if _, ok := target.(*spark.Spark); !ok {
-		return nil, fmt.Errorf("costmodel/ernest: target %q is not a Spark deployment", target.Name())
-	}
-	space := target.Space()
-	pp, _ := space.Param(spark.NumExecutors)
-	maxExec := pp.Max
+// trainPoints is how many scale-out samples a b-trial session trains on: the
+// configured count, less when the budget (which also has to cover the
+// verification run) does not afford it.
+func (t *Ernest) trainPoints(b tune.Budget) int {
 	points := t.TrainPoints
 	if points < 3 {
 		points = 5
 	}
-	if points > b.Trials-1 {
-		points = b.Trials - 1
+	return min(points, b.Trials-1)
+}
+
+// Check implements tune.Checker: the model is of Spark's scale-out, and the
+// NNLS fit needs three training runs.
+func (t *Ernest) Check(target tune.Target, b tune.Budget) error {
+	if _, ok := target.(*spark.Spark); !ok {
+		return fmt.Errorf("costmodel/ernest: target %q is not a Spark deployment", target.Name())
 	}
-	if points < 3 {
-		return nil, fmt.Errorf("costmodel/ernest: budget %d too small (need ≥4 trials)", b.Trials)
+	if t.trainPoints(b) < 3 {
+		return fmt.Errorf("costmodel/ernest: budget %d too small (need ≥4 trials)", b.Trials)
 	}
+	return nil
+}
+
+// NewProposer implements tune.BatchTuner.
+func (t *Ernest) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
+	if err := t.Check(target, b); err != nil {
+		return nil, err
+	}
+	space := target.Space()
+	pp, _ := space.Param(spark.NumExecutors)
+	maxExec := pp.Max
+	points := t.trainPoints(b)
 	p := &ernestProposer{base: space.Default(), maxExec: maxExec}
 	// Sample small scales geometrically up to maxExec/2 (Ernest trains on
 	// cheap small configurations).

@@ -119,11 +119,7 @@ func Predict(job *workload.MRJob, cl *cluster.Cluster, cfg tune.Config) float64 
 // Tune implements tune.Tuner: optimize the analytical model, then spend one
 // real run (if budgeted) verifying the winner, via the ask/tell adapter.
 func (t *Starfish) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return tune.DriveProposer(ctx, t.Name(), target, b, p)
+	return tune.DriveTuner(ctx, t, target, b)
 }
 
 var _ tune.Tuner = (*Starfish)(nil)

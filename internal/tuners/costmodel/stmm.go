@@ -47,11 +47,7 @@ func (t *STMM) Name() string { return "costmodel/stmm" }
 
 // Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *STMM) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return tune.DriveProposer(ctx, t.Name(), target, b, p)
+	return tune.DriveTuner(ctx, t, target, b)
 }
 
 // recommend performs the analytical memory balancing.

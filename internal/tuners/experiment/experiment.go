@@ -42,11 +42,7 @@ func (t *Random) Name() string { return "experiment/random" }
 
 // Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *Random) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return tune.DriveProposer(ctx, t.Name(), target, b, p)
+	return tune.DriveTuner(ctx, t, target, b)
 }
 
 // Grid sweeps a full factorial grid over the TopK highest-impact parameters
@@ -60,11 +56,7 @@ func (t *Grid) Name() string { return "experiment/grid" }
 
 // Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *Grid) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return tune.DriveProposer(ctx, t.Name(), target, b, p)
+	return tune.DriveTuner(ctx, t, target, b)
 }
 
 // RRS wraps recursive random search over real runs.
@@ -75,29 +67,44 @@ type RRS struct {
 // Name implements tune.Tuner.
 func (t *RRS) Name() string { return "experiment/rrs" }
 
-// Tune implements tune.Tuner.
+// Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *RRS) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	rng := rand.New(rand.NewSource(t.Seed))
+	return tune.DriveTuner(ctx, t, target, b)
+}
+
+// NewProposer implements tune.BatchTuner: the search is a sequential body.
+func (t *RRS) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
 	space := target.Space()
-	s := tune.NewSession(ctx, target, b)
-	var runErr error
-	opt.RecursiveRandomSearch(func(x []float64) float64 {
-		if s.Exhausted() || runErr != nil {
-			return math.Inf(1)
-		}
-		res, err := s.Run(space.FromVector(x))
-		if err != nil {
-			if err != tune.ErrBudgetExhausted {
-				runErr = err
-			}
+	return tune.Sequential(func(run tune.RunFunc) {
+		rng := rand.New(rand.NewSource(t.Seed))
+		opt.RecursiveRandomSearch(objective(space, run), space.Dim(), b.Trials, rng)
+	}), nil
+}
+
+// objective scores a unit-cube point by running it. Once the session has
+// ended every point scores +Inf, so a search that cannot be interrupted
+// unwinds without further runs.
+func objective(space *tune.Space, run tune.RunFunc) opt.Func {
+	return func(x []float64) float64 {
+		res, ok := run(space.FromVector(x))
+		if !ok {
 			return math.Inf(1)
 		}
 		return res.Objective()
-	}, space.Dim(), b.Trials, rng)
-	if runErr != nil {
-		return nil, runErr
 	}
-	return s.Finish(t.Name(), tune.Config{}), nil
+}
+
+// incumbent tracks the best configuration a sequential body has run, by the
+// session's own rule (strictly lower objective wins, failures included).
+type incumbent struct {
+	cfg tune.Config
+	obj float64
+}
+
+func (in *incumbent) note(cfg tune.Config, res tune.Result) {
+	if !in.cfg.Valid() || res.Objective() < in.obj {
+		in.cfg, in.obj = cfg, res.Objective()
+	}
 }
 
 // SARD ranks parameters with a Plackett–Burman screening design (plus
@@ -126,25 +133,27 @@ func NewSARD(seed int64) *SARD { return &SARD{Seed: seed, TopK: 4, Lo: 0.15, Hi:
 func (t *SARD) Name() string { return "experiment/sard" }
 
 // Screen runs only the screening phase and returns the parameter ranking.
-func (t *SARD) Screen(ctx context.Context, target tune.Target, b tune.Budget) ([]string, *tune.Session, error) {
-	space := target.Space()
+func (t *SARD) Screen(ctx context.Context, target tune.Target, b tune.Budget) ([]string, error) {
+	p := tune.Sequential(func(run tune.RunFunc) { t.screen(target.Space(), run) })
+	if _, err := tune.DriveProposer(ctx, t.Name(), target, b, p); err != nil {
+		return nil, err
+	}
+	return t.LastRanking, nil
+}
+
+// screen runs the screening design through run, records the ranking, and
+// returns the best configuration it saw and how many runs it spent.
+func (t *SARD) screen(space *tune.Space, run tune.RunFunc) (best incumbent, runs int) {
 	d := space.Dim()
-	design := sample.Foldover(sample.PlackettBurman(d))
-	s := tune.NewSession(ctx, target, b)
 	var rows [][]int
 	var ys []float64
-	for _, row := range design {
-		if s.Exhausted() {
+	for _, row := range sample.Foldover(sample.PlackettBurman(d)) {
+		cfg := space.FromVector(sample.LevelsToPoint(row, t.Lo, t.Hi))
+		res, ok := run(cfg)
+		if !ok {
 			break
 		}
-		point := sample.LevelsToPoint(row, t.Lo, t.Hi)
-		res, err := s.Run(space.FromVector(point))
-		if err != nil {
-			if err == tune.ErrBudgetExhausted {
-				break
-			}
-			return nil, nil, err
-		}
+		best.note(cfg, res)
 		rows = append(rows, row)
 		ys = append(ys, res.Objective())
 	}
@@ -177,53 +186,46 @@ func (t *SARD) Screen(ctx context.Context, target tune.Target, b tune.Budget) ([
 		ranking[i] = names[j]
 	}
 	t.LastRanking = ranking
-	return ranking, s, nil
+	return best, len(rows)
 }
 
-// Tune implements tune.Tuner: screen, then recursive random search over the
-// top-ranked parameters only.
+// Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *SARD) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	ranking, s, err := t.Screen(ctx, target, b)
-	if err != nil {
-		return nil, err
-	}
+	return tune.DriveTuner(ctx, t, target, b)
+}
+
+// NewProposer implements tune.BatchTuner: screen, then recursive random
+// search over the top-ranked parameters only, as one sequential body.
+func (t *SARD) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
 	space := target.Space()
-	topK := t.TopK
-	if topK <= 0 {
-		topK = 4
-	}
-	if topK > len(ranking) {
-		topK = len(ranking)
-	}
-	idx := make([]int, topK)
-	for i, name := range ranking[:topK] {
-		idx[i] = space.IndexOf(name)
-	}
-	bestCfg, _ := s.Best()
-	base := bestCfg.Vector()
-	rng := rand.New(rand.NewSource(t.Seed + 1))
-	var runErr error
-	opt.RecursiveRandomSearch(func(sub []float64) float64 {
-		if s.Exhausted() || runErr != nil {
-			return math.Inf(1)
+	return tune.Sequential(func(run tune.RunFunc) {
+		best, runs := t.screen(space, run)
+		ranking := t.LastRanking
+		topK := t.TopK
+		if topK <= 0 {
+			topK = 4
 		}
-		x := append([]float64(nil), base...)
-		for i, v := range sub {
-			x[idx[i]] = v
+		if topK > len(ranking) {
+			topK = len(ranking)
 		}
-		res, err := s.Run(space.FromVector(x))
-		if err != nil {
-			if err != tune.ErrBudgetExhausted {
-				runErr = err
+		idx := make([]int, topK)
+		for i, name := range ranking[:topK] {
+			idx[i] = space.IndexOf(name)
+		}
+		if !best.cfg.Valid() {
+			best.cfg = space.Default()
+		}
+		base := best.cfg.Vector()
+		f := objective(space, run)
+		rng := rand.New(rand.NewSource(t.Seed + 1))
+		opt.RecursiveRandomSearch(func(sub []float64) float64 {
+			x := append([]float64(nil), base...)
+			for i, v := range sub {
+				x[idx[i]] = v
 			}
-			return math.Inf(1)
-		}
-		return res.Objective()
-	}, topK, s.Remaining(), rng)
-	if runErr != nil {
-		return nil, runErr
-	}
-	return s.Finish(t.Name(), tune.Config{}), nil
+			return f(x)
+		}, topK, b.Trials-runs, rng)
+	}), nil
 }
 
 // AdaptiveSampling is the HotOS'09 experiment planner: bootstrap randomly,
@@ -246,12 +248,20 @@ func NewAdaptiveSampling(seed int64) *AdaptiveSampling {
 // Name implements tune.Tuner.
 func (t *AdaptiveSampling) Name() string { return "experiment/adaptive-sampling" }
 
-// Tune implements tune.Tuner.
+// Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *AdaptiveSampling) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
+	return tune.DriveTuner(ctx, t, target, b)
+}
+
+// NewProposer implements tune.BatchTuner: the planner is a sequential body.
+func (t *AdaptiveSampling) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
 	space := target.Space()
+	return tune.Sequential(func(run tune.RunFunc) { t.plan(space, run) }), nil
+}
+
+func (t *AdaptiveSampling) plan(space *tune.Space, run tune.RunFunc) {
 	d := space.Dim()
 	rng := rand.New(rand.NewSource(t.Seed))
-	s := tune.NewSession(ctx, target, b)
 	boot := t.Bootstrap
 	if boot <= 0 {
 		boot = d
@@ -259,15 +269,15 @@ func (t *AdaptiveSampling) Tune(ctx context.Context, target tune.Target, b tune.
 			boot = 5
 		}
 	}
+	var best incumbent
 	var seen [][]float64
-	for i := 0; i < boot && !s.Exhausted(); i++ {
+	for i := 0; i < boot; i++ {
 		cfg := space.Random(rng)
-		if _, err := s.Run(cfg); err != nil {
-			if err == tune.ErrBudgetExhausted {
-				break
-			}
-			return nil, err
+		res, ok := run(cfg)
+		if !ok {
+			return
 		}
+		best.note(cfg, res)
 		seen = append(seen, cfg.Vector())
 	}
 	explore := t.ExploreFrac
@@ -275,7 +285,7 @@ func (t *AdaptiveSampling) Tune(ctx context.Context, target tune.Target, b tune.
 		explore = 0.3
 	}
 	radius := 0.2
-	for !s.Exhausted() {
+	for {
 		var next []float64
 		if rng.Float64() < explore {
 			// Exploration: among candidates, pick the one farthest from
@@ -295,23 +305,21 @@ func (t *AdaptiveSampling) Tune(ctx context.Context, target tune.Target, b tune.
 			}
 		} else {
 			// Exploitation: perturb the incumbent within a shrinking box.
-			bestCfg, _ := s.Best()
-			bv := bestCfg.Vector()
+			bv := best.cfg.Vector()
 			next = make([]float64, d)
 			for j := range next {
 				next[j] = clamp01(bv[j] + (rng.Float64()*2-1)*radius)
 			}
 			radius = math.Max(0.03, radius*0.97)
 		}
-		if _, err := s.Run(space.FromVector(next)); err != nil {
-			if err == tune.ErrBudgetExhausted {
-				break
-			}
-			return nil, err
+		cfg := space.FromVector(next)
+		res, ok := run(cfg)
+		if !ok {
+			return
 		}
+		best.note(cfg, res)
 		seen = append(seen, next)
 	}
-	return s.Finish(t.Name(), tune.Config{}), nil
 }
 
 // ITuned is the PVLDB'09 GP/EI experiment planner.
@@ -350,11 +358,7 @@ func (t *ITuned) Name() string { return "experiment/ituned" }
 
 // Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *ITuned) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return tune.DriveProposer(ctx, t.Name(), target, b, p)
+	return tune.DriveTuner(ctx, t, target, b)
 }
 
 func randPoint(d int, rng *rand.Rand) []float64 {

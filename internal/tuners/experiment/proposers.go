@@ -14,9 +14,10 @@ import (
 // experiment-driven tuners. Random and Grid are embarrassingly batchable;
 // iTuned batches its Latin-hypercube initialization outright and its GP
 // phase through a constant-liar-style penalized EI that keeps within-batch
-// candidates apart. RRS, SARD and AdaptiveSampling stay sequential: their
-// next experiment depends on the previous result through recursive search
-// state that has no natural batch form.
+// candidates apart. RRS, SARD and AdaptiveSampling are ask/tell too, but
+// their next experiment depends on the previous result through search state
+// with no batch form: they keep their loops as sequential bodies behind
+// tune.Sequential, next to their types in experiment.go.
 
 // randomProposer streams uniform random configurations.
 type randomProposer struct {

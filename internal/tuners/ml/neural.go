@@ -31,11 +31,7 @@ func (t *NeuralTuner) Name() string { return "ml/neural" }
 
 // Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *NeuralTuner) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return tune.DriveProposer(ctx, t.Name(), target, b, p)
+	return tune.DriveTuner(ctx, t, target, b)
 }
 
 var _ tune.Tuner = (*NeuralTuner)(nil)

@@ -273,11 +273,7 @@ func sessionSignature(s tune.SessionRecord, pruned []string) map[string]float64 
 
 // Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *OtterTune) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return tune.DriveProposer(ctx, t.Name(), target, b, p)
+	return tune.DriveTuner(ctx, t, target, b)
 }
 
 func subVector(x []float64, idx []int) []float64 {

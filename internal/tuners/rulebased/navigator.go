@@ -29,11 +29,7 @@ func (n *Navigator) Name() string { return "rules/navigator" }
 // time sweeps over the highest-impact parameters, keeping each parameter's
 // best value before moving on.
 func (n *Navigator) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	p, err := n.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return tune.DriveProposer(ctx, n.Name(), target, b, p)
+	return tune.DriveTuner(ctx, n, target, b)
 }
 
 var (

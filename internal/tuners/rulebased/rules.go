@@ -68,11 +68,7 @@ func (t *Tuner) Name() string { return "rules/" + t.Book.System }
 
 // Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *Tuner) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return tune.DriveProposer(ctx, t.Name(), target, b, p)
+	return tune.DriveTuner(ctx, t, target, b)
 }
 
 // clampMin returns v, at least lo.

@@ -98,46 +98,47 @@ func diagnose(space *tune.Space, m map[string]float64) []finding {
 	return fs
 }
 
-// Tune implements tune.Tuner: iterative run → diagnose → remedy. A remedy
-// that regresses performance is rolled back and the next finding is tried.
+// Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *ADDM) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	space := target.Space()
-	s := tune.NewSession(ctx, target, b)
-	cur := space.Default()
-	res, err := s.Run(cur)
-	if err != nil {
-		if err == tune.ErrBudgetExhausted {
-			return s.Finish(t.Name(), tune.Config{}), nil
-		}
-		return nil, err
-	}
-	curTime := res.Objective()
-	skip := 0 // findings to skip after a regression
-	for !s.Exhausted() {
-		fs := diagnose(space, res.Metrics)
-		if len(fs) == 0 || skip >= len(fs) {
-			break
-		}
-		cand := fs[skip].Apply(cur)
-		if cand.Distance(cur) < 1e-9 {
-			skip++
-			continue
-		}
-		candRes, err := s.Run(cand)
-		if err != nil {
-			if err == tune.ErrBudgetExhausted {
-				break
-			}
-			return nil, err
-		}
-		if candRes.Objective() < curTime {
-			cur, res, curTime = cand, candRes, candRes.Objective()
-			skip = 0
-		} else {
-			skip++
-		}
-	}
-	return s.Finish(t.Name(), tune.Config{}), nil
+	return tune.DriveTuner(ctx, t, target, b)
 }
 
-var _ tune.Tuner = (*ADDM)(nil)
+// NewProposer implements tune.BatchTuner: iterative run → diagnose → remedy
+// as one sequential body — every step needs the metrics of the run before
+// it. A remedy that regresses performance is rolled back and the next
+// finding is tried.
+func (t *ADDM) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
+	space := target.Space()
+	return tune.Sequential(func(run tune.RunFunc) {
+		cur := space.Default()
+		res, ok := run(cur)
+		if !ok {
+			return
+		}
+		curTime := res.Objective()
+		skip := 0 // findings to skip after a regression
+		for {
+			fs := diagnose(space, res.Metrics)
+			if len(fs) == 0 || skip >= len(fs) {
+				return
+			}
+			cand := fs[skip].Apply(cur)
+			if cand.Distance(cur) < 1e-9 {
+				skip++
+				continue
+			}
+			candRes, ok := run(cand)
+			if !ok {
+				return
+			}
+			if candRes.Objective() < curTime {
+				cur, res, curTime = cand, candRes, candRes.Objective()
+				skip = 0
+			} else {
+				skip++
+			}
+		}
+	}), nil
+}
+
+var _ tune.BatchTuner = (*ADDM)(nil)

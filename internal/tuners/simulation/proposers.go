@@ -13,8 +13,9 @@ import (
 // the last probe's counters, searches the replay model offline, and
 // proposes the winner for verification. ScaledProxy searches its replica at
 // construction (proxy executions cost no budget) and proposes the top
-// candidates as one verification batch. ADDM stays sequential: every
-// diagnose-remedy step needs the metrics of the run before it.
+// candidates as one verification batch. ADDM proposes one remedy at a time —
+// every diagnose-remedy step needs the metrics of the run before it — as a
+// sequential body behind tune.Sequential (addm.go).
 
 // traceProposer is TraceWhatIf in ask/tell form.
 type traceProposer struct {

@@ -36,11 +36,7 @@ func (t *ScaledProxy) Name() string { return "simulation/scaled-proxy" }
 
 // Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *ScaledProxy) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return tune.DriveProposer(ctx, t.Name(), target, b, p)
+	return tune.DriveTuner(ctx, t, target, b)
 }
 
 func distance(a, b []float64) float64 {

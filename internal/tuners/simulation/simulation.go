@@ -48,11 +48,7 @@ func (t *TraceWhatIf) Name() string { return "simulation/trace-whatif" }
 
 // Tune implements tune.Tuner via the generic ask/tell adapter.
 func (t *TraceWhatIf) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return tune.DriveProposer(ctx, t.Name(), target, b, p)
+	return tune.DriveTuner(ctx, t, target, b)
 }
 
 // TraceFromMetrics reconstructs a resource trace from one run's counters.

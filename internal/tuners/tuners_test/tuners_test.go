@@ -107,7 +107,7 @@ func TestExperimentTunersImprove(t *testing.T) {
 
 func TestSARDScreeningRanksEffectiveKnobs(t *testing.T) {
 	sard := experiment.NewSARD(19)
-	ranking, _, err := sard.Screen(context.Background(), dbmsTarget(19), tune.Budget{Trials: 64})
+	ranking, err := sard.Screen(context.Background(), dbmsTarget(19), tune.Budget{Trials: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,8 @@ type Spec struct {
 	// Memo enables the config-keyed result memo cache for this session.
 	Memo bool `json:"memo,omitempty"`
 	// MemoCap bounds the memo cache to this many retained results with
-	// cost-aware GDSF eviction; >0 implies Memo, 0 keeps the unbounded
-	// map. Bounded sessions still evaluate deterministically at any
+	// cost-aware GDSF eviction; >0 implies Memo, 0 retains every result.
+	// Bounded sessions still evaluate deterministically at any
 	// parallelism — only which repeats are served memoized can differ
 	// from the unbounded cache.
 	MemoCap int `json:"memo_cap,omitempty"`
@@ -56,7 +56,8 @@ type Spec struct {
 	// WarmStart seeds the session's proposer with the best configurations
 	// transferred from the mapped nearest past workload of the same system
 	// in the repository (see tune.WarmConfigs). It requires an ask/tell
-	// tuner; over an empty repository it degrades to a cold start.
+	// tuner (every tuner but the adaptive family); over an empty repository
+	// it degrades to a cold start.
 	WarmStart bool `json:"warm_start,omitempty"`
 	// Fidelity, when set, runs the session as a multi-fidelity schedule:
 	// successive-halving/Hyperband brackets over the tuner's proposals,
@@ -206,10 +207,8 @@ func (s Spec) Validate() error {
 	if s.Guardrail < 0 {
 		return fmt.Errorf("repro: guardrail must be ≥ 0 (0 = off), got %v", s.Guardrail)
 	}
-	// The scenario wrappers reshape the proposal stream per observation;
-	// a fidelity schedule reshapes it per rung. Composing them would make
-	// rung promotion decisions depend on scalarized or screened objectives
-	// — silently different semantics — so the combination is rejected.
+	// Rung promotion on scalarized or screened objectives would be silently
+	// different semantics: DESIGN.md §2, "Fidelity × scenario wrappers".
 	if s.Fidelity != nil && (s.Pareto || s.Guardrail > 0 || s.DriftDetect) {
 		return fmt.Errorf("repro: pareto, guardrail, and drift_detect are incompatible with a fidelity schedule")
 	}
@@ -272,16 +271,20 @@ func (s Spec) JobWithWarm(repo *Repository, warm tune.WarmSource, archive func(S
 	if err != nil {
 		return Job{}, err
 	}
+	// Every wrapper below composes over the ask/tell form. Only the adaptive
+	// family lacks one, on purpose: its trial is a controlled run, not a
+	// configuration (DESIGN.md §2, "Why the adaptive family stays outside").
+	noAskTell := fmt.Errorf("repro: tuner %q has no ask/tell form: pareto, guardrail, warm_start, fidelity and drift_detect cannot wrap it", s.Tuner)
+	bt, batch := tuner.(tune.BatchTuner)
+	if !batch && (s.Pareto || s.Guardrail > 0 || s.WarmStart || s.Fidelity != nil || s.DriftDetect) {
+		return Job{}, noAskTell
+	}
 	// Scenario wrapper order, inside out: base tuner → pareto fan-out →
 	// guardrail screen → warm-start seeding → drift detection. The guardrail
 	// screens everything the sweep proposes; warm seeds flow through the
 	// screen as evidence; the drift detector sits outermost so a re-anchor
 	// rebuilds the whole stack (screen, seeds, and all) fresh.
 	if s.Pareto {
-		bt, ok := tuner.(tune.BatchTuner)
-		if !ok {
-			return Job{}, fmt.Errorf("repro: tuner %q has no ask/tell form and cannot run multi-objective", s.Tuner)
-		}
 		subs := []tune.BatchTuner{bt}
 		for i := 1; i < len(tune.DefaultParetoWeights); i++ {
 			// Each scalarization weight gets its own differently seeded
@@ -294,32 +297,20 @@ func (s Spec) JobWithWarm(repo *Repository, warm tune.WarmSource, archive func(S
 			}
 			sbt, ok := sub.(tune.BatchTuner)
 			if !ok {
-				return Job{}, fmt.Errorf("repro: tuner %q has no ask/tell form and cannot run multi-objective", s.Tuner)
+				return Job{}, noAskTell
 			}
 			subs = append(subs, sbt)
 		}
-		mo, err := tune.MultiObjectiveTuner(subs, tune.DefaultParetoWeights)
-		if err != nil {
+		if bt, err = tune.MultiObjectiveTuner(subs, tune.DefaultParetoWeights); err != nil {
 			return Job{}, err
 		}
-		tuner = mo
 	}
 	if s.Guardrail > 0 {
-		bt, ok := tuner.(tune.BatchTuner)
-		if !ok {
-			return Job{}, fmt.Errorf("repro: tuner %q has no ask/tell form and cannot run a guardrail screen", s.Tuner)
-		}
-		gt, err := tune.GuardrailTuner(bt, tune.GuardrailOptions{Limit: s.Guardrail})
-		if err != nil {
+		if bt, err = tune.GuardrailTuner(bt, tune.GuardrailOptions{Limit: s.Guardrail}); err != nil {
 			return Job{}, err
 		}
-		tuner = gt
 	}
 	if s.WarmStart {
-		bt, ok := tuner.(tune.BatchTuner)
-		if !ok {
-			return Job{}, fmt.Errorf("repro: tuner %q has no ask/tell form and cannot warm-start", s.Tuner)
-		}
 		var features map[string]float64
 		if d, ok := target.(tune.Describer); ok {
 			features = d.WorkloadFeatures()
@@ -328,29 +319,27 @@ func (s Spec) JobWithWarm(repo *Repository, warm tune.WarmSource, archive func(S
 		if warm != nil {
 			seeds = warm.WarmConfigs(s.System, features, target.Space(), WarmSeeds)
 		}
-		tuner = tune.WarmStartTuner(bt, seeds)
-	}
-	if s.Fidelity != nil {
-		bt, ok := tuner.(tune.BatchTuner)
-		if !ok {
-			return Job{}, fmt.Errorf("repro: tuner %q has no ask/tell form and cannot run a fidelity schedule", s.Tuner)
-		}
-		if err := tune.Resolve(target).RequireFidelity(); err != nil {
-			return Job{}, err
-		}
-		mf, err := tune.NewMultiFidelity(bt,
-			tune.FidelitySpace{Min: s.Fidelity.Min, Eta: s.Fidelity.Eta}, s.Fidelity.Strategy, s.Seed)
-		if err != nil {
-			return Job{}, err
-		}
-		tuner = mf
+		bt = tune.WarmStartTuner(bt, seeds)
 	}
 	if s.DriftDetect {
-		bt, ok := tuner.(tune.BatchTuner)
-		if !ok {
-			return Job{}, fmt.Errorf("repro: tuner %q has no ask/tell form and cannot run drift detection", s.Tuner)
+		bt = tune.DriftDetectTuner(bt, tune.DriftOptions{})
+	}
+	if batch {
+		tuner = bt
+	}
+	if s.Fidelity != nil {
+		// Validate keeps fidelity apart from the three scenario wrappers.
+		if tuner, err = tune.NewMultiFidelity(bt,
+			tune.FidelitySpace{Min: s.Fidelity.Min, Eta: s.Fidelity.Eta}, s.Fidelity.Strategy, s.Seed); err != nil {
+			return Job{}, err
 		}
-		tuner = tune.DriftDetectTuner(bt, tune.DriftOptions{})
+	}
+	// What the session's first step would refuse — a cost model on the wrong
+	// system, a budget (or Pareto share of one) too small to train on, an
+	// online controller on a target without epochs, a fidelity schedule on a
+	// target without a partial path — is refused here, with the same message.
+	if err := tune.CheckTuner(tuner, target, s.Budget); err != nil {
+		return Job{}, err
 	}
 	return Job{
 		Name:      s.Name(),

@@ -303,22 +303,20 @@ func (f *flatTarget) Run(cfg tune.Config) tune.Result {
 	return tune.Result{Time: 1 + d*d}
 }
 
-// fixedTuner is a minimal external algorithm: it evaluates a fixed ladder
-// of configurations through a session.
+// fixedTuner is a minimal external algorithm: a straight-line loop over a
+// fixed ladder of configurations, driven through tune.Sequential. It is a
+// Tuner only (no NewProposer), so the engine takes the blocking facade.
 type fixedTuner struct{ seed int64 }
 
 func (f *fixedTuner) Name() string { return "custom/fixed" }
 func (f *fixedTuner) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	s := tune.NewSession(ctx, target, b)
-	for _, a := range []float64{0.1, 0.5, 0.7, 0.9} {
-		if _, err := s.Run(target.Space().Default().With("a", a)); err != nil {
-			if err == tune.ErrBudgetExhausted {
-				break
+	return tune.DriveProposer(ctx, f.Name(), target, b, tune.Sequential(func(run tune.RunFunc) {
+		for _, a := range []float64{0.1, 0.5, 0.7, 0.9} {
+			if _, ok := run(target.Space().Default().With("a", a)); !ok {
+				return
 			}
-			return nil, err
 		}
-	}
-	return s.Finish(f.Name(), tune.Config{}), nil
+	}))
 }
 
 // TestRegistriesPlugInByName registers an external system and tuner and
@@ -481,10 +479,11 @@ func TestSpecRepositoryLifecycle(t *testing.T) {
 }
 
 // TestSpecWarmStartRequiresAskTell: warm-starting a tuner with no proposer
-// form fails with a descriptive error at materialization.
+// form — only the adaptive family is left without one — fails with a
+// descriptive error at materialization.
 func TestSpecWarmStartRequiresAskTell(t *testing.T) {
 	_, err := Spec{
-		System: "dbms", Workload: "tpch", Tuner: "rrs",
+		System: "dbms", Workload: "tpch", Tuner: "colt",
 		Seed: 1, Budget: Budget{Trials: 2}, WarmStart: true,
 	}.Job()
 	if err == nil || !strings.Contains(err.Error(), "ask/tell") {
@@ -492,10 +491,10 @@ func TestSpecWarmStartRequiresAskTell(t *testing.T) {
 	}
 	// Without WarmStart the same tuner materializes fine.
 	if _, err := (Spec{
-		System: "dbms", Workload: "tpch", Tuner: "rrs",
+		System: "dbms", Workload: "tpch", Tuner: "colt",
 		Seed: 1, Budget: Budget{Trials: 2},
 	}).Job(); err != nil {
-		t.Fatalf("rrs without warm start: %v", err)
+		t.Fatalf("colt without warm start: %v", err)
 	}
 	// Warm start over an empty corpus degrades to cold, not to an error.
 	if _, err := (Spec{
@@ -511,7 +510,7 @@ func TestSpecWarmStartRequiresAskTell(t *testing.T) {
 // the wrapped hyperband tuner.
 func TestSpecFidelityMaterialization(t *testing.T) {
 	_, err := Spec{
-		System: "dbms", Workload: "tpch", Tuner: "rrs",
+		System: "dbms", Workload: "tpch", Tuner: "colt",
 		Seed: 1, Budget: Budget{Trials: 22}, Fidelity: &FidelitySpec{},
 	}.Job()
 	if err == nil || !strings.Contains(err.Error(), "ask/tell") {
