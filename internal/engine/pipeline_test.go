@@ -56,6 +56,17 @@ func pipelineRows() []pipelineRow {
 	return []pipelineRow{
 		{name: "ituned", trials: 14, want: tune.IncumbentImproved,
 			mk: func(*testing.T) (tune.Tuner, tune.Target) { return experiment.NewITuned(seed), plainTarget() }},
+		// The model lifecycle (tune.SurrogateModel): the session crosses exact →
+		// sparse at n = 22, then alternates append rounds with tail-triggered
+		// rebuilds (a quarter of 16 inducing points = one batch of four), so
+		// half the resume boundaries cut inside a tail and the resumed run has
+		// to arrive at the same size-at-last-Fit by replay alone.
+		{name: "ituned(sparse)", trials: 60, want: tune.IncumbentImproved,
+			mk: func(*testing.T) (tune.Tuner, tune.Target) {
+				it := experiment.NewITuned(seed)
+				it.Surrogate = &tune.SurrogateConfig{SparseAbove: 20, Inducing: 16}
+				return it, plainTarget()
+			}},
 		{name: "random", trials: 12, want: tune.IncumbentImproved,
 			mk: func(*testing.T) (tune.Tuner, tune.Target) { return &experiment.Random{Seed: seed}, plainTarget() }},
 		{name: "hyperband(random)", trials: 30, want: tune.TrialPruned,

@@ -90,7 +90,7 @@ func BenchmarkSurrogateFit(b *testing.B) {
 }
 
 // BenchmarkGPAppend measures incremental conditioning on one new observation
-// — the bordered-Cholesky append behind ReoptimizeEvery > 1 — against the
+// — the exact tier's bordered-Cholesky append — against the
 // O(n³) hyper-searched refit it replaces (BenchmarkGPFit at the same n).
 func BenchmarkGPAppend(b *testing.B) {
 	for _, n := range []int{20, 40, 60} {

@@ -98,17 +98,9 @@ func New(kernel KernelKind) *GP {
 // mutate them afterwards without corrupting the model. It returns an error
 // when the kernel matrix cannot be factorized even with jitter.
 func (g *GP) Fit(x [][]float64, y []float64, optimize bool) error {
-	if len(x) != len(y) {
-		return errors.New("gp: x and y length mismatch")
-	}
-	if len(x) == 0 {
-		return errors.New("gp: empty training set")
-	}
-	d := len(x[0])
-	for _, row := range x {
-		if len(row) != d {
-			return errors.New("gp: ragged training inputs")
-		}
+	if _, err := checkTrainingSet(x, y); err != nil {
+		g.chol = nil // a refused Fit must not leave the previous model answering
+		return err
 	}
 	n := len(x)
 	g.x = linalg.FromRows(x)
@@ -253,6 +245,9 @@ func (g *GP) Append(x []float64, y float64) error {
 	if len(x) != d {
 		return errors.New("gp: Append dimension mismatch")
 	}
+	if err := checkObservation(x, y); err != nil {
+		return err
+	}
 	m := n + 1
 	nx := linalg.New(m, d)
 	copy(nx.Data, g.x.Data)
@@ -391,9 +386,10 @@ func (g *GP) Predict(p []float64) (mu, sigma float64) {
 	ks := g.wsK[:n]
 	g.kernelVecInto(ks, p, n, d)
 	muStd := linalg.Dot(ks, g.alpha)
+	// k*ᵀK⁻¹k* = ‖L⁻¹k*‖²: the forward half of the solve suffices.
 	v := g.wsV[:n]
-	g.chol.SolveVecInto(v, ks)
-	varStd := g.Hyper.SignalVar - linalg.Dot(ks, v)
+	g.chol.SolveLowerInto(v, ks)
+	varStd := g.Hyper.SignalVar - linalg.Dot(v, v)
 	if varStd < 1e-12 {
 		varStd = 1e-12
 	}

@@ -121,8 +121,13 @@ func (g *naiveGP) predict(p []float64) (mu, sigma float64) {
 		ks[i] = g.kernelAt(g.x[i], p)
 	}
 	muStd := linalg.Dot(ks, g.alpha)
-	v := g.chol.SolveVec(ks)
-	varStd := g.kernelAt(p, p) - linalg.Dot(ks, v)
+	// The variance goes through the forward-substitution identity
+	// k*ᵀK⁻¹k* = ‖L⁻¹k*‖² that Predict uses — mathematically equal to
+	// Dot(ks, K⁻¹ks), which TestForwardVarianceMatchesFullSolve bounds, but
+	// shared bit for bit.
+	v := make([]float64, n)
+	g.chol.SolveLowerInto(v, ks)
+	varStd := g.kernelAt(p, p) - linalg.Dot(v, v)
 	if varStd < 1e-12 {
 		varStd = 1e-12
 	}

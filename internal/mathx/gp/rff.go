@@ -34,20 +34,21 @@ type RFF struct {
 	// (0 = GOMAXPROCS). Results are bit-identical at every value.
 	Workers int
 
-	x     *linalg.Matrix // n×d training inputs (deep copy)
-	yRaw  []float64
-	yMean float64
-	yStd  float64
-	ys    []float64
+	trainingSet
 	w0    *linalg.Matrix // D×d unit-lengthscale frequencies
 	b0    []float64      // D phases in [0, 2π)
-	phi   *linalg.Matrix // n×D features at the current hyperparameters
+	phi   *linalg.Matrix // n×D features at the current hyperparameters (grown in place by Append)
 	lg    *linalg.Cholesky
 	wv    []float64 // D posterior weight means
 	noise float64   // observation noise variance (incl. jitter) behind lg
 	wsPhi []float64 // D: feature vector at the query point
-	wsV   []float64 // D: forward-solve scratch
+	wsV   []float64 // D: forward-solve scratch; Append's rank-1 vector, solveWeights' right-hand side
 }
+
+// hyperSubset is the k-center subset size the RFF hyperparameter search runs
+// on; Fit reserves capacity for half as many Appends (see
+// SparseGP.appendRoom).
+const hyperSubset = 64
 
 // NewRFF returns an RFF surrogate with the given kernel, feature count
 // (0 = default 128), and spectral seed.
@@ -127,16 +128,14 @@ func (r *RFF) featureInto(dst, p []float64) {
 // hyperparameters on a deterministic k-center subset, build the feature
 // matrix, and factor the Gram matrix — O(n·D²).
 func (r *RFF) Fit(x [][]float64, y []float64, optimize bool) error {
-	d, err := checkTrainingSet(x, y)
+	d, err := r.load(x, y, hyperSubset/2)
 	if err != nil {
+		r.lg = nil
 		return err
 	}
-	r.x = linalg.FromRows(x)
-	r.yRaw = append(r.yRaw[:0], y...)
-	r.ys, r.yMean, r.yStd = standardize(r.ys, r.yRaw)
 	r.sampleSpectrum(d)
 	if optimize {
-		sub := kCenterIndices(r.x, min(64, len(y)))
+		sub := kCenterIndices(r.x, min(hyperSubset, len(y)))
 		r.Hyper = subsetHypers(r.Kernel, r.x, r.yRaw, sub, r.Hyper)
 	}
 	return r.refit()
@@ -147,7 +146,7 @@ func (r *RFF) Fit(x [][]float64, y []float64, optimize bool) error {
 func (r *RFF) refit() error {
 	n, d := r.x.R, r.x.C
 	D := r.w0.R
-	r.phi = linalg.New(n, D)
+	r.phi = newRows(n, D, hyperSubset/2)
 	xd := r.x.Data
 	parallelGram((n+255)/256, r.workers(), func(c int) {
 		lo, hi := c*256, (c+1)*256
@@ -169,18 +168,19 @@ func (r *RFF) refit() error {
 	}
 	r.lg = lg
 	r.wv = resize(r.wv, D)
-	r.solveWeights()
 	if cap(r.wsPhi) < D {
 		r.wsPhi = make([]float64, D)
 		r.wsV = make([]float64, D)
 	}
+	r.solveWeights()
 	return nil
 }
 
 // solveWeights recomputes wv = G⁻¹·Φᵀys — O(n·D + D²).
 func (r *RFF) solveWeights() {
 	n, D := r.phi.R, r.phi.C
-	b := make([]float64, D)
+	b := r.wsV[:D]
+	clear(b)
 	for i := 0; i < n; i++ {
 		row := r.phi.Data[i*D : (i+1)*D]
 		yi := r.ys[i]
@@ -193,30 +193,19 @@ func (r *RFF) solveWeights() {
 
 // Append implements Surrogate: the new observation's feature row joins Φ,
 // the Gram factor absorbs it as a rank-1 update, and the weights re-solve
-// against the re-standardized targets — O(n·D + D²), no refactorization.
+// against the re-standardized targets — O(n·D + D²), no refactorization, and
+// no allocation while the capacity Fit reserved lasts.
 func (r *RFF) Append(x []float64, y float64) error {
 	if r.lg == nil {
 		return errors.New("gp: rff Append before Fit")
 	}
-	n, d := r.x.R, r.x.C
-	if len(x) != d {
-		return errors.New("gp: rff Append dimension mismatch")
+	if err := r.push(x, y); err != nil {
+		return err
 	}
 	D := r.phi.C
-	nx := linalg.New(n+1, d)
-	copy(nx.Data, r.x.Data)
-	copy(nx.Data[n*d:], x)
-	r.x = nx
-	r.yRaw = append(r.yRaw, y)
-	r.ys, r.yMean, r.yStd = standardize(r.ys, r.yRaw)
-
-	nphi := linalg.New(n+1, D)
-	copy(nphi.Data, r.phi.Data)
-	row := nphi.Data[n*D : (n+1)*D]
-	r.featureInto(row, x)
-	r.phi = nphi
-
-	v := append([]float64(nil), row...)
+	r.featureInto(r.wsPhi[:D], x)
+	v := r.wsV[:D]
+	copy(v, appendRow(r.phi, r.wsPhi[:D]))
 	r.lg.Rank1Update(v)
 	r.solveWeights()
 	return nil

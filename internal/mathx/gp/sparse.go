@@ -36,22 +36,18 @@ type SparseGP struct {
 	// (0 = GOMAXPROCS). Results are bit-identical at every value.
 	Workers int
 
-	x         *linalg.Matrix // n×d training inputs (deep copy)
-	yRaw      []float64
-	yMean     float64
-	yStd      float64
-	ys        []float64
+	trainingSet
 	inducing  []int          // ascending row indices of the inducing set
 	z         *linalg.Matrix // m×d inducing inputs
 	lm        *linalg.Cholesky
-	knm       *linalg.Matrix // n×m cross-kernel rows
+	knm       *linalg.Matrix // n×m cross-kernel rows (grown in place by Append)
 	lam       []float64      // FITC diagonal Λᵢ (includes noise)
 	la        *linalg.Cholesky
 	alpha     []float64
 	jitterKmm float64
 	wsK       []float64 // m: kernel vector at the query point
-	wsU       []float64 // m: Lmm forward-solve scratch
-	wsW       []float64 // m: La forward-solve scratch
+	wsU       []float64 // m: Lmm forward-solve scratch; solveAlpha's right-hand side
+	wsW       []float64 // m: La forward-solve scratch; Append's rank-1 vector
 }
 
 // NewSparse returns a sparse GP with the given kernel and the exact GP's
@@ -76,16 +72,20 @@ func (s *SparseGP) maxInducing() int {
 	return 64
 }
 
+// appendRoom is how many Appends Fit reserves capacity for: half the
+// hyperparameter-search subset, twice the tail a caller that re-fits once the
+// appended observations reach a quarter of it (tune.SurrogateModel) lets
+// grow. Appends past it still work; they grow the arrays the amortized way.
+func (s *SparseGP) appendRoom() int { return s.maxInducing() / 2 }
+
 // Fit implements Surrogate. It selects the inducing set by greedy k-center,
 // optionally grid-searches hyperparameters on that subset, and conditions
 // the FITC model in O(n·m²).
 func (s *SparseGP) Fit(x [][]float64, y []float64, optimize bool) error {
-	if _, err := checkTrainingSet(x, y); err != nil {
+	if _, err := s.load(x, y, s.appendRoom()); err != nil {
+		s.invalidate()
 		return err
 	}
-	s.x = linalg.FromRows(x)
-	s.yRaw = append(s.yRaw[:0], y...)
-	s.ys, s.yMean, s.yStd = standardize(s.ys, s.yRaw)
 	m := s.maxInducing()
 	if m > len(y) {
 		m = len(y)
@@ -151,7 +151,7 @@ func (s *SparseGP) refit() error {
 	s.lm, s.jitterKmm = lm, added
 
 	// Cross-kernel rows and the whitened rows V = (Lmm⁻¹·Knmᵀ)ᵀ.
-	s.knm = linalg.New(n, m)
+	s.knm = newRows(n, m, s.appendRoom())
 	xd := s.x.Data
 	parallelGram((n+255)/256, s.workers(), func(c int) {
 		lo, hi := c*256, (c+1)*256
@@ -167,7 +167,7 @@ func (s *SparseGP) refit() error {
 
 	// FITC diagonal: prior variance minus the Nyström explained part, plus
 	// noise; floored to keep the weights finite on duplicated points.
-	s.lam = resize(s.lam, n)
+	s.lam = make([]float64, n, n+s.appendRoom())
 	for i := 0; i < n; i++ {
 		row := v.Data[i*m : (i+1)*m]
 		var q float64
@@ -194,15 +194,16 @@ func (s *SparseGP) refit() error {
 	}
 	s.la = la
 	s.alpha = resize(s.alpha, m)
-	s.solveAlpha()
 	s.growWorkspaces(m)
+	s.solveAlpha()
 	return nil
 }
 
 // solveAlpha recomputes alpha = A⁻¹·Σ kmᵢ·ysᵢ/Λᵢ — O(n·m + m²).
 func (s *SparseGP) solveAlpha() {
 	n, m := s.knm.R, s.knm.C
-	b := make([]float64, m)
+	b := s.wsU[:m]
+	clear(b)
 	for i := 0; i < n; i++ {
 		w := s.ys[i] / s.lam[i]
 		row := s.knm.Data[i*m : (i+1)*m]
@@ -227,43 +228,29 @@ func (s *SparseGP) invalidate() {
 // Append implements Surrogate: one new observation with the inducing set
 // and hyperparameters frozen. The information matrix absorbs the point as
 // a rank-1 Cholesky update and alpha is re-solved against the
-// re-standardized targets — O(n·m + m²) total, no refactorization.
+// re-standardized targets — O(n·m + m²) total, no refactorization, and no
+// allocation while the capacity Fit reserved lasts.
 func (s *SparseGP) Append(x []float64, y float64) error {
 	if s.la == nil {
 		return errors.New("gp: sparse Append before Fit")
 	}
-	n, d := s.x.R, s.x.C
-	if len(x) != d {
-		return errors.New("gp: sparse Append dimension mismatch")
+	if err := s.push(x, y); err != nil {
+		return err
 	}
 	m := len(s.inducing)
-	nx := linalg.New(n+1, d)
-	copy(nx.Data, s.x.Data)
-	copy(nx.Data[n*d:], x)
-	s.x = nx
-	s.yRaw = append(s.yRaw, y)
-	s.ys, s.yMean, s.yStd = standardize(s.ys, s.yRaw)
-
-	nknm := linalg.New(n+1, m)
-	copy(nknm.Data, s.knm.Data)
-	row := nknm.Data[n*m : (n+1)*m]
-	s.kernelRowInto(row, x)
-	s.knm = nknm
+	s.kernelRowInto(s.wsK[:m], x)
+	row := appendRow(s.knm, s.wsK[:m])
 
 	u := s.wsU[:m]
 	s.lm.SolveLowerInto(u, row)
-	var q float64
-	for _, w := range u {
-		q += w * w
-	}
 	noise := s.Hyper.NoiseStd*s.Hyper.NoiseStd + 1e-8
-	li := s.Hyper.SignalVar - q + noise
+	li := s.Hyper.SignalVar - linalg.Dot(u, u) + noise
 	if li < 1e-10 {
 		li = 1e-10
 	}
 	s.lam = append(s.lam, li)
 
-	v := make([]float64, m)
+	v := s.wsW[:m]
 	inv := 1 / math.Sqrt(li)
 	for j, kv := range row {
 		v[j] = kv * inv

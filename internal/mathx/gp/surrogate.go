@@ -79,7 +79,9 @@ func standardize(ys []float64, yRaw []float64) ([]float64, float64, float64) {
 }
 
 // checkTrainingSet validates the (x, y) pair every Fit accepts and returns
-// the input dimension.
+// the input dimension. A non-finite value is refused here, loudly: conditioned
+// on one, every tier would fit without complaint and then predict (NaN, NaN)
+// for the rest of the session.
 func checkTrainingSet(x [][]float64, y []float64) (int, error) {
 	if len(x) != len(y) {
 		return 0, errors.New("gp: x and y length mismatch")
@@ -88,12 +90,86 @@ func checkTrainingSet(x [][]float64, y []float64) (int, error) {
 		return 0, errors.New("gp: empty training set")
 	}
 	d := len(x[0])
-	for _, row := range x {
+	for i, row := range x {
 		if len(row) != d {
 			return 0, errors.New("gp: ragged training inputs")
 		}
+		if err := checkObservation(row, y[i]); err != nil {
+			return 0, err
+		}
 	}
 	return d, nil
+}
+
+// checkObservation refuses a non-finite input coordinate or target — the
+// per-point half of checkTrainingSet, shared with every tier's Append.
+func checkObservation(x []float64, y float64) error {
+	if math.IsNaN(y) || math.IsInf(y, 0) {
+		return errors.New("gp: non-finite observation")
+	}
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return errors.New("gp: non-finite input coordinate")
+		}
+	}
+	return nil
+}
+
+// trainingSet is the conditioning data of the sparse and RFF tiers: inputs
+// and targets that Append grows in place, in capacity load reserved.
+type trainingSet struct {
+	x     *linalg.Matrix // n×d training inputs (deep copy)
+	yRaw  []float64
+	yMean float64
+	yStd  float64
+	ys    []float64 // standardized targets
+}
+
+// load validates and deep-copies (x, y), reserving room more rows, and
+// returns the input dimension.
+func (t *trainingSet) load(x [][]float64, y []float64, room int) (int, error) {
+	d, err := checkTrainingSet(x, y)
+	if err != nil {
+		return 0, err
+	}
+	n := len(y)
+	t.x = newRows(n, d, room)
+	for i, row := range x {
+		copy(t.x.Data[i*d:(i+1)*d], row)
+	}
+	t.yRaw = append(make([]float64, 0, n+room), y...)
+	t.ys, t.yMean, t.yStd = standardize(make([]float64, 0, n+room), t.yRaw)
+	return d, nil
+}
+
+// push validates one more observation, appends it and re-standardizes the
+// targets (ys is extended by append so that, past the reserved room, it grows
+// the amortized way rather than to the exact size standardize would give it).
+func (t *trainingSet) push(x []float64, y float64) error {
+	if len(x) != t.x.C {
+		return errors.New("gp: Append dimension mismatch")
+	}
+	if err := checkObservation(x, y); err != nil {
+		return err
+	}
+	appendRow(t.x, x)
+	t.yRaw = append(t.yRaw, y)
+	t.ys, t.yMean, t.yStd = standardize(append(t.ys, 0), t.yRaw)
+	return nil
+}
+
+// newRows returns an n×c matrix whose backing array has capacity for room
+// more rows, so appendRow extends it in place.
+func newRows(n, c, room int) *linalg.Matrix {
+	return &linalg.Matrix{R: n, C: c, Data: make([]float64, n*c, (n+room)*c)}
+}
+
+// appendRow adds row to m — in place while the capacity newRows reserved
+// lasts, the amortized way after — and returns the row as stored.
+func appendRow(m *linalg.Matrix, row []float64) []float64 {
+	m.Data = append(m.Data, row...)
+	m.R++
+	return m.Data[len(m.Data)-m.C:]
 }
 
 // kCenterIndices returns m row indices of x chosen by deterministic greedy
@@ -103,7 +179,9 @@ func checkTrainingSet(x [][]float64, y []float64) (int, error) {
 // reads only the inputs, so for fixed data the inducing set is a pure
 // function of (x, m) — no randomness, no map-order dependence — which keeps
 // sparse-tier sessions byte-identical at any parallelism. Indices are
-// returned in ascending order. Cost O(n·m·d).
+// returned in ascending order, none twice: when fewer than m rows are
+// distinct the selection stops at the distinct count instead of picking
+// coincident points at distance 0. Cost O(n·m·d).
 func kCenterIndices(x *linalg.Matrix, m int) []int {
 	n, d := x.R, x.C
 	if m >= n {
@@ -150,6 +228,9 @@ func kCenterIndices(x *linalg.Matrix, m int) []int {
 			if minD[i] > nextD {
 				next, nextD = i, minD[i]
 			}
+		}
+		if nextD <= 0 {
+			break // every remaining row coincides with a chosen one
 		}
 		chosen = append(chosen, next)
 		for i := 0; i < n; i++ {

@@ -391,3 +391,201 @@ func TestSparseAcquisitions(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardVarianceMatchesFullSolve: Predict takes the posterior variance
+// from the forward substitution alone (‖L⁻¹k*‖²). It must equal the full-solve
+// formula k*ᵀK⁻¹k* to 1e-9 in standardized units on random training sets at
+// small, frozen-hyperparameter and tier-boundary sizes, on both kernels, and
+// never fall below the 1e-12 floor.
+func TestForwardVarianceMatchesFullSolve(t *testing.T) {
+	for _, kernel := range []KernelKind{SquaredExponential, Matern52} {
+		for _, n := range []int{5, 60, 160} {
+			xs, ys := goldenData(n, 4, int64(100+n))
+			g := New(kernel)
+			if err := g.Fit(xs, ys, n <= 60); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(n)))
+			ks, v := make([]float64, n), make([]float64, n)
+			for trial := 0; trial < 50; trial++ {
+				p := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+				if trial%10 == 0 {
+					p = xs[trial%n] // a training point: the variance is near its floor
+				}
+				_, sigma := g.Predict(p)
+				got := (sigma / g.yStd) * (sigma / g.yStd)
+				g.kernelVecInto(ks, p, n, 4)
+				g.chol.SolveVecInto(v, ks)
+				want := math.Max(g.Hyper.SignalVar-linalg.Dot(ks, v), 1e-12)
+				if math.Abs(got-want) > 1e-9 || got < 1e-12*(1-1e-9) {
+					t.Fatalf("kernel %v n=%d at %v: forward-only variance %v, full solve %v", kernel, n, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSparseAppendMatchesFullFit: 15 observations absorbed one rank-1 update
+// at a time must land where a full conditioning on the same inducing set and
+// hyperparameters lands, up to rank-1-update rounding.
+func TestSparseAppendMatchesFullFit(t *testing.T) {
+	xs, ys := surfaceData(55, 4)
+	inc := NewSparse(Matern52)
+	inc.MaxInducing = 20
+	if err := inc.Fit(xs[:40], ys[:40], true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 40; i < 55; i++ {
+		if err := inc.Append(xs[i], ys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := NewSparse(Matern52)
+	full.Hyper = inc.Hyper
+	if _, err := full.load(xs, ys, 0); err != nil {
+		t.Fatal(err)
+	}
+	full.inducing = inc.inducing
+	if err := full.refit(); err != nil {
+		t.Fatal(err)
+	}
+	if inc.TrainingSize() != 55 || full.TrainingSize() != 55 {
+		t.Fatalf("training sizes %d, %d", inc.TrainingSize(), full.TrainingSize())
+	}
+	for _, p := range testGrid() {
+		am, as := inc.Predict(p)
+		fm, fs := full.Predict(p)
+		if math.Abs(am-fm) > 1e-6 || math.Abs(as-fs) > 1e-6 {
+			t.Fatalf("at %v: append (%v, %v) vs full conditioning (%v, %v)", p, am, as, fm, fs)
+		}
+	}
+}
+
+// TestAppendAndPredictAllocateNothing: inside the capacity Fit reserves, the
+// sparse and RFF Appends grow the model in place, and every tier's Predict
+// runs on per-instance workspaces.
+func TestAppendAndPredictAllocateNothing(t *testing.T) {
+	xs, ys := surfaceData(320, 5)
+	p := []float64{0.3, 0.7}
+	for _, s := range []Surrogate{New(Matern52), NewSparse(Matern52), NewRFF(Matern52, 0, 1)} {
+		if err := s.Fit(xs[:300], ys[:300], false); err != nil {
+			t.Fatal(err)
+		}
+		if s.Tier() != "exact" { // the exact tier's Append re-allocates by design (GP.Append)
+			next := 300
+			if n := testing.AllocsPerRun(15, func() {
+				if err := s.Append(xs[next], ys[next]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}); n != 0 {
+				t.Errorf("%s: Append allocates %v times a call", s.Tier(), n)
+			}
+		}
+		if n := testing.AllocsPerRun(20, func() { s.Predict(p) }); n != 0 {
+			t.Errorf("%s: Predict allocates %v times a call", s.Tier(), n)
+		}
+	}
+}
+
+// duplicatedData is 200 rows over 20 distinct points — the shape a session
+// produces when a wrapper re-evaluates configurations.
+func duplicatedData() ([][]float64, []float64) {
+	base, _ := surfaceData(20, 15)
+	xs := make([][]float64, 200)
+	ys := make([]float64, 200)
+	for i := range xs {
+		xs[i] = base[i%20]
+		ys[i] = testSurface(xs[i])
+	}
+	return xs, ys
+}
+
+// TestKCenterNeverRepeatsAnIndex: with fewer distinct rows than m the
+// selection stops at the distinct count instead of "selecting" coincident
+// points at distance 0.
+func TestKCenterNeverRepeatsAnIndex(t *testing.T) {
+	xs, _ := duplicatedData()
+	got := kCenterIndices(linalg.FromRows(xs), 64)
+	if len(got) != 20 {
+		t.Fatalf("selected %d indices %v, want the 20 distinct points", len(got), got)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("indices repeat or descend: %v", got)
+		}
+	}
+}
+
+// TestSparseOnDuplicatedPointsMatchesExact: the inducing set shrinks to the
+// distinct points, Kmm needs no rescue jitter, and — every distinct location
+// inducing — the sparse posterior agrees with the exact GP's.
+func TestSparseOnDuplicatedPointsMatchesExact(t *testing.T) {
+	xs, ys := duplicatedData()
+	for _, kernel := range []KernelKind{SquaredExponential, Matern52} {
+		ex := New(kernel)
+		if err := ex.Fit(xs, ys, false); err != nil {
+			t.Fatal(err)
+		}
+		sp := NewSparse(kernel)
+		if err := sp.Fit(xs, ys, false); err != nil {
+			t.Fatal(err)
+		}
+		if sp.InducingCount() != 20 || sp.jitterKmm != 0 {
+			t.Fatalf("kernel %v: %d inducing points, Kmm jitter %v; want 20 and 0", kernel, sp.InducingCount(), sp.jitterKmm)
+		}
+		for _, p := range testGrid() {
+			em, es := ex.Predict(p)
+			sm, ss := sp.Predict(p)
+			if math.Abs(em-sm) > 1e-5 || math.Abs(es-ss) > 1e-4 {
+				t.Fatalf("kernel %v at %v: exact (%v, %v) vs sparse (%v, %v)", kernel, p, em, es, sm, ss)
+			}
+		}
+	}
+}
+
+// TestNonFiniteObservationsAreRefused: one ±Inf or NaN target (or input
+// coordinate) used to make every tier fit without complaint and then predict
+// (NaN, NaN) for good. Fit and Append must return an error instead, and a
+// refused Append must leave the model as it was.
+func TestNonFiniteObservationsAreRefused(t *testing.T) {
+	xs, ys := surfaceData(30, 16)
+	p := []float64{0.4, 0.6}
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, mk := range []func() Surrogate{
+			func() Surrogate { return New(Matern52) },
+			func() Surrogate { return NewSparse(Matern52) },
+			func() Surrogate { return NewRFF(Matern52, 32, 1) },
+		} {
+			s := mk()
+			badY := append(append([]float64(nil), ys[:29]...), bad)
+			if err := s.Fit(xs, badY, false); err == nil {
+				t.Fatalf("%s: Fit accepted y = %v", s.Tier(), bad)
+			}
+			if mu, sigma := s.Predict(p); mu != 0 || !math.IsInf(sigma, 1) {
+				t.Fatalf("%s: Predict after a refused Fit = (%v, %v), want (0, +Inf)", s.Tier(), mu, sigma)
+			}
+			badX := append(append([][]float64(nil), xs[:29]...), []float64{0.5, bad})
+			if err := s.Fit(badX, ys, false); err == nil {
+				t.Fatalf("%s: Fit accepted x = %v", s.Tier(), bad)
+			}
+			if err := s.Fit(xs[:29], ys[:29], false); err != nil {
+				t.Fatal(err)
+			}
+			mu0, sigma0 := s.Predict(p)
+			if err := s.Append(xs[29], bad); err == nil {
+				t.Fatalf("%s: Append accepted y = %v", s.Tier(), bad)
+			}
+			if err := s.Append([]float64{bad, 0.5}, ys[29]); err == nil {
+				t.Fatalf("%s: Append accepted x = %v", s.Tier(), bad)
+			}
+			if mu, sigma := s.Predict(p); mu != mu0 || sigma != sigma0 || s.TrainingSize() != 29 {
+				t.Fatalf("%s: a refused Append changed the model: (%v, %v) vs (%v, %v), n = %d",
+					s.Tier(), mu, sigma, mu0, sigma0, s.TrainingSize())
+			}
+			if err := s.Append(xs[29], ys[29]); err != nil {
+				t.Fatalf("%s: Append after a refused one: %v", s.Tier(), err)
+			}
+		}
+	}
+}

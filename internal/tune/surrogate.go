@@ -92,8 +92,8 @@ func (c *SurrogateConfig) withDefaults() SurrogateConfig {
 
 // SurrogateSelector resolves which surrogate tier a model-based tuner fits
 // at a given training-set size. It is pure arithmetic over the resolved
-// config — no state — so the tier schedule is deterministic for a fixed
-// spec.
+// config, so the tier schedule is deterministic for a fixed spec; the state
+// of a session's model lives in SurrogateModel.
 type SurrogateSelector struct {
 	cfg SurrogateConfig
 }
@@ -140,4 +140,75 @@ func (s *SurrogateSelector) New(kernel gp.KernelKind, tier string, seed int64) g
 	default:
 		return gp.New(kernel)
 	}
+}
+
+// SurrogateModel owns a model-based proposer's surrogate across GP rounds:
+// Sync brings it in step with the observed history, and is the one place that
+// decides between re-fitting and absorbing. The exact tier is re-fitted every
+// round — the historical path, bit for bit. A sparse or RFF model is rebuilt
+// (subset re-selected, hyperparameters re-searched, full conditioning) only
+// when there is none, the tier changed, an Append failed, or the observations
+// appended since its last Fit have reached a quarter of the subset its
+// hyperparameter search ran on; otherwise a round's observations are
+// appended. The size at the last Fit is a pure function of the Sync sequence,
+// which a resumed session replays, so parallelism and resume change nothing.
+type SurrogateModel struct {
+	sel    *SurrogateSelector
+	kernel gp.KernelKind
+	seed   int64
+
+	model gp.Surrogate
+	fitN  int // training-set size at the last Fit
+}
+
+// NewSurrogateModel returns the lifecycle of one session's surrogate under
+// cfg (nil = all defaults); kernel and seed are what SurrogateSelector.New
+// takes.
+func NewSurrogateModel(cfg *SurrogateConfig, kernel gp.KernelKind, seed int64) *SurrogateModel {
+	return &SurrogateModel{sel: NewSurrogateSelector(cfg), kernel: kernel, seed: seed}
+}
+
+// Model returns the surrogate of the last successful Sync (nil if none).
+func (m *SurrogateModel) Model() gp.Surrogate { return m.model }
+
+// Sync returns a surrogate conditioned on (xs, ys), or nil when none can be
+// fitted. The history may only grow between calls. optimizeExact is the
+// caller's rule for searching hyperparameters on the exact tier; the sparse
+// and RFF tiers search on a subset — O(m³) — so they search at every Fit.
+func (m *SurrogateModel) Sync(xs [][]float64, ys []float64, optimizeExact bool) gp.Surrogate {
+	if len(xs) == 0 {
+		return nil
+	}
+	tier := m.sel.TierFor(len(xs), len(xs[0]))
+	if m.model != nil && tier == m.model.Tier() && tier != SurrogateExact &&
+		m.model.TrainingSize()-m.fitN < m.sel.hyperSubset(tier)/4 && m.absorb(xs, ys) {
+		return m.model
+	}
+	model := m.sel.New(m.kernel, tier, m.seed)
+	if err := model.Fit(xs, ys, optimizeExact || tier != SurrogateExact); err != nil {
+		model = nil
+	}
+	m.model, m.fitN = model, len(xs)
+	return model
+}
+
+// absorb appends the observations the model has not seen; false when one is
+// refused (Sync then rebuilds in the same round).
+func (m *SurrogateModel) absorb(xs [][]float64, ys []float64) bool {
+	for i := m.model.TrainingSize(); i < len(xs); i++ {
+		if err := m.model.Append(xs[i], ys[i]); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// hyperSubset is the size of the subset a tier's hyperparameter search runs
+// on: the inducing set for the sparse tier, the RFF tier's fixed 64-point
+// k-center subset.
+func (s *SurrogateSelector) hyperSubset(tier string) int {
+	if tier == SurrogateSparse {
+		return s.cfg.Inducing
+	}
+	return 64
 }

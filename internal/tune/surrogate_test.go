@@ -1,6 +1,9 @@
 package tune
 
 import (
+	"errors"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/mathx/gp"
@@ -101,5 +104,78 @@ func TestSurrogateSelectorNew(t *testing.T) {
 	}
 	if s := rf.(*gp.RFF).Seed; s != 7 {
 		t.Errorf("rff Seed = %d, want 7", s)
+	}
+}
+
+// refusingAppend is a fitted surrogate whose next Append fails.
+type refusingAppend struct{ gp.Surrogate }
+
+func (refusingAppend) Append([]float64, float64) error { return errors.New("refused") }
+
+// TestSurrogateModelLifecycle walks one history through the three tiers in
+// rounds of four observations and checks every Sync against the rule: the
+// exact tier is rebuilt every call; a sparse or RFF model is rebuilt at a tier
+// change, once the appended tail has reached a quarter of its hyper-search
+// subset, and after a refused Append — in the same round — and is appended to,
+// the same instance returned, everywhere in between.
+func TestSurrogateModelLifecycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var xs [][]float64
+	var ys []float64
+	grow := func(k int) {
+		for i := 0; i < k; i++ {
+			x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+			xs = append(xs, x)
+			ys = append(ys, math.Sin(3*x[0])+x[1]*x[2])
+		}
+	}
+	// Sparse above 12 with a 16-point subset (tail limit 4: one appended round
+	// of four reaches it); RFF above 40 with its fixed 64-point subset (limit
+	// 16: four appended rounds).
+	lm := NewSurrogateModel(&SurrogateConfig{SparseAbove: 12, RFFAbove: 40, Inducing: 16, Features: 32}, gp.Matern52, 1)
+	if lm.Sync(nil, nil, true) != nil || lm.Model() != nil {
+		t.Fatal("Sync on an empty history must report no model")
+	}
+	var last gp.Surrogate
+	fitN := 0
+	for round := 0; round < 22; round++ {
+		grow(4)
+		n := len(xs)
+		wantTier := SurrogateExact
+		if n > 40 {
+			wantTier = SurrogateRFF
+		} else if n > 12 {
+			wantTier = SurrogateSparse
+		}
+		limit := map[string]int{SurrogateExact: 0, SurrogateSparse: 4, SurrogateRFF: 16}[wantTier]
+		wantRebuild := last == nil || last.Tier() != wantTier || last.TrainingSize()-fitN >= limit
+		if round == 19 { // an RFF append round, by the rule — until the model refuses
+			if wantRebuild {
+				t.Fatal("round 19 was meant to be an append round")
+			}
+			lm.model = refusingAppend{last}
+			wantRebuild = true
+		}
+		m := lm.Sync(xs, ys, true)
+		if m == nil || m != lm.Model() || m.Tier() != wantTier || m.TrainingSize() != n {
+			t.Fatalf("round %d (n=%d): got %v, want a %s model over all %d observations", round, n, m, wantTier, n)
+		}
+		if rebuilt := m != last; rebuilt != wantRebuild {
+			t.Fatalf("round %d (n=%d, %s, tail %d): rebuilt = %v, want %v",
+				round, n, wantTier, last.TrainingSize()-fitN, rebuilt, wantRebuild)
+		}
+		if m != last {
+			fitN = n
+		}
+		last = m
+	}
+	// A history the tiers refuse: no model this round, a rebuild the next.
+	xs, ys = append(xs, xs[0]), append(ys, math.Inf(1))
+	if lm.Sync(xs, ys, true) != nil || lm.Model() != nil {
+		t.Fatal("Sync over a non-finite observation must report no model")
+	}
+	ys[len(ys)-1] = 1
+	if m := lm.Sync(xs, ys, true); m == nil || m == last || m.TrainingSize() != len(xs) {
+		t.Fatalf("Sync after a failed round: got %v, want a rebuilt model", m)
 	}
 }

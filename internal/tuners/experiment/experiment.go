@@ -333,16 +333,6 @@ type ITuned struct {
 	// Batch is how many candidates each GP round proposes (default 4);
 	// the concurrent engine evaluates them in parallel.
 	Batch int
-	// ReoptimizeEvery re-selects GP hyperparameters every k-th GP round.
-	// Between re-optimizations the model absorbs new observations
-	// incrementally — an O(n²) bordered-Cholesky append with frozen
-	// hyperparameters instead of an O(n³) grid-searched refit. 0 or 1
-	// (the default) refits with hyperparameter search every round; >1
-	// trades hyperparameter freshness for speed on long sessions. Either
-	// way the stream is deterministic for a fixed seed and identical at
-	// any worker count, but streams recorded under different settings
-	// are not comparable to each other.
-	ReoptimizeEvery int
 	// Surrogate selects the GP surrogate tier and its switch-over
 	// thresholds (nil = auto with defaults). Below the sparse threshold the
 	// exact tier runs the historical code path, so event streams recorded

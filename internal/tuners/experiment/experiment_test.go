@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"repro/internal/mathx/gp"
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/sysmodel/dbms"
 	"repro/internal/tune"
@@ -126,36 +128,127 @@ func TestITunedProposerPhases(t *testing.T) {
 	}
 }
 
-// TestITunedReoptimizeEvery: with ReoptimizeEvery > 1 the GP conditions
-// incrementally between hyperparameter searches. The stream must stay
-// deterministic, respect the budget, and still tune.
-func TestITunedReoptimizeEvery(t *testing.T) {
-	b := tune.Budget{Trials: 24}
-	run := func() *tune.TuningResult {
-		it := NewITuned(6)
-		it.ReoptimizeEvery = 3
-		r, err := it.Tune(context.Background(), testTarget(6), b)
-		if err != nil {
-			t.Fatal(err)
+// drive runs p against target for the given number of trials the way
+// tune.Drive would (whole batches, observed in order), calling round before
+// each Propose past the design phase, and returns the best time seen.
+func drive(t *testing.T, p *itunedProposer, target tune.Target, trials int, round func(n int)) float64 {
+	t.Helper()
+	best := math.Inf(1)
+	for n := 0; n < trials; {
+		if len(p.pending) == 0 && round != nil {
+			round(n)
 		}
-		return r
-	}
-	a, c := run(), run()
-	if len(a.Trials) == 0 || len(a.Trials) > 24 {
-		t.Fatalf("ran %d trials under budget 24", len(a.Trials))
-	}
-	if len(a.Trials) != len(c.Trials) {
-		t.Fatalf("trial counts differ: %d vs %d", len(a.Trials), len(c.Trials))
-	}
-	for i := range a.Trials {
-		if a.Trials[i].Config.String() != c.Trials[i].Config.String() {
-			t.Fatalf("trial %d differs between identical runs", i+1)
+		batch := p.Propose(trials - n)
+		if len(batch) == 0 {
+			t.Fatalf("no proposal after %d trials", n)
+		}
+		for _, cfg := range batch {
+			n++
+			res := target.Run(cfg)
+			if res.Time < best {
+				best = res.Time
+			}
+			p.Observe(tune.Trial{N: n, Config: cfg, Result: res})
 		}
 	}
-	def := testTarget(6).Run(testTarget(6).Space().Default())
-	if a.BestResult.Time >= def.Time {
-		t.Errorf("ReoptimizeEvery=3 run did not improve on default: %v vs %v",
-			a.BestResult.Time, def.Time)
+	return best
+}
+
+func newITunedProposer(t *testing.T, it *ITuned, target tune.Target, trials int) *itunedProposer {
+	t.Helper()
+	p, err := it.NewProposer(target, tune.Budget{Trials: trials})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.(*itunedProposer)
+}
+
+// TestITunedAppendsBetweenRebuilds: past the sparse threshold the model
+// persists — most rounds absorb their observations into the surrogate of the
+// round before, the rest rebuild it — and a 200-trial session still improves
+// on its design phase.
+func TestITunedAppendsBetweenRebuilds(t *testing.T) {
+	target := testTarget(6)
+	p := newITunedProposer(t, NewITuned(6), target, 200)
+	design := drive(t, p, target, len(p.pending), nil)
+	var last gp.Surrogate
+	appends, rebuilds := 0, 0
+	best := drive(t, p, target, 200-len(p.xs), func(int) {
+		m := p.model.Model()
+		if m != nil && m.Tier() == tune.SurrogateSparse {
+			if m == last {
+				appends++
+			} else {
+				rebuilds++
+			}
+		}
+		last = m
+	})
+	if rebuilds < 2 || appends <= rebuilds {
+		t.Errorf("sparse rounds: %d appended, %d rebuilt; want mostly appends and at least 2 rebuilds", appends, rebuilds)
+	}
+	if m := p.model.Model(); m == nil || m.TrainingSize() >= len(p.xs) {
+		t.Errorf("the last round's model should hold all but the last batch of %d observations", len(p.xs))
+	}
+	if best >= design {
+		t.Errorf("200 trials did not improve on the design phase: %v vs %v", best, design)
+	}
+}
+
+// infAt returns +Inf in place of its k-th run's time.
+type infAt struct {
+	tune.Target
+	k, runs int
+}
+
+func (f *infAt) Run(cfg tune.Config) tune.Result {
+	res := f.Target.Run(cfg)
+	if f.runs++; f.runs == f.k {
+		res.Time = math.Inf(1)
+	}
+	return res
+}
+
+// TestITunedNonFiniteObjectiveKeepsModelling: one trial with an infinite
+// objective must not blind the session. It stays out of the model and can
+// never be the incumbent; every later round still proposes from a fitted
+// surrogate with finite predictions.
+func TestITunedNonFiniteObjectiveKeepsModelling(t *testing.T) {
+	const trials, k = 40, 15
+	r, err := NewITuned(6).Tune(context.Background(), &infAt{Target: testTarget(6), k: k}, tune.Budget{Trials: trials})
+	if err != nil || len(r.Trials) != trials || math.IsInf(r.BestResult.Time, 0) {
+		t.Fatalf("session with one infinite trial: %d trials, best %v, err %v", len(r.Trials), r.BestResult.Time, err)
+	}
+
+	target := &infAt{Target: testTarget(6), k: k}
+	p := newITunedProposer(t, NewITuned(6), target, trials)
+	rounds, prev := 0, 0
+	drive(t, p, target, trials, func(n int) {
+		if n <= k {
+			return
+		}
+		// A model-proposed round is a whole batch; the degenerate-surface
+		// fallback is one random probe.
+		if prev != 0 && n-prev != p.batch {
+			t.Fatalf("the round before trial %d proposed %d configurations, want a batch of %d", n, n-prev, p.batch)
+		}
+		rounds, prev = rounds+1, n
+		m := p.model.Model() // the round before's: all but the last batch
+		if m == nil {
+			t.Fatalf("no model after %d trials", n)
+		}
+		if mu, sigma := m.Predict(p.bestX); math.IsNaN(mu) || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
+			t.Fatalf("after %d trials the model predicts (%v, %v) at the incumbent", n, mu, sigma)
+		}
+		if ei := m.ExpectedImprovement(p.space.Default().Vector(), p.incumbent); math.IsNaN(ei) {
+			t.Fatalf("after %d trials EI is NaN", n)
+		}
+	})
+	if rounds == 0 {
+		t.Fatal("no GP round ran after the infinite trial")
+	}
+	if len(p.xs) != trials-1 || math.IsInf(p.incumbent, 0) {
+		t.Fatalf("model history holds %d of %d trials, incumbent %v; want the infinite one left out", len(p.xs), trials, p.incumbent)
 	}
 }
 

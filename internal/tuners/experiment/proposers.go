@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/mathx/gp"
 	"repro/internal/mathx/opt"
 	"repro/internal/mathx/sample"
 	"repro/internal/tune"
@@ -90,14 +89,13 @@ func (p *gridProposer) Observe(tune.Trial) {}
 // ScoreCandidates call, then polishes the best screened start with a local
 // simplex search — far fewer acquisition evaluations than cold multi-start,
 // and the ones that remain are allocation-free. The model persists across
-// rounds: with ReoptimizeEvery > 1, in-between rounds absorb new
-// observations through gp.Append instead of refitting.
+// rounds behind tune.SurrogateModel, which decides per round whether the
+// new observations are appended or the model is rebuilt.
 type itunedProposer struct {
 	t     *ITuned
 	space *tune.Space
 	rng   *rand.Rand
 	batch int
-	sel   *tune.SurrogateSelector
 
 	pending   []tune.Config
 	xs        [][]float64
@@ -105,10 +103,8 @@ type itunedProposer struct {
 	bestX     []float64
 	incumbent float64
 
-	model    gp.Surrogate
-	absorbed int // observations the model has conditioned on
-	round    int // GP rounds run
-	scores   []float64
+	model  *tune.SurrogateModel
+	scores []float64
 }
 
 // screenPool is how many uniform candidates each GP round scores in the
@@ -123,43 +119,6 @@ func batchPenalty(x []float64, chosen [][]float64) float64 {
 		pen *= 1 - math.Exp(-sqDist(x, c)/(0.15*0.15))
 	}
 	return pen
-}
-
-// ensureModel brings the surrogate in sync with the observed history: a full
-// hyperparameter-searched refit on re-optimization rounds, an incremental
-// append otherwise. Reports false when fitting failed (degenerate surface).
-// The surrogate tier is resolved per re-optimization round from the observed
-// history size — sessions grow exact → sparse → RFF as trials accumulate —
-// while below the sparse threshold the selector hands back exactly the
-// historical gp.New path, keeping existing event streams byte-identical.
-func (p *itunedProposer) ensureModel() bool {
-	every := p.t.ReoptimizeEvery
-	if every < 1 {
-		every = 1
-	}
-	reopt := p.model == nil || p.round%every == 0
-	p.round++
-	if reopt {
-		tier := p.sel.TierFor(len(p.xs), p.space.Dim())
-		m := p.sel.New(p.t.Kernel, tier, p.t.Seed)
-		// The sparse and RFF tiers select hyperparameters on an inducing
-		// subset — O(m³) — so they can afford the search at every size; the
-		// exact tier keeps its historical n ≤ 60 optimize rule bit-for-bit.
-		optimize := len(p.xs) <= 60 || tier != tune.SurrogateExact
-		if err := m.Fit(p.xs, p.ys, optimize); err != nil {
-			p.model = nil
-			return false
-		}
-		p.model, p.absorbed = m, len(p.xs)
-		return true
-	}
-	for ; p.absorbed < len(p.xs); p.absorbed++ {
-		if err := p.model.Append(p.xs[p.absorbed], p.ys[p.absorbed]); err != nil {
-			p.model = nil
-			return false
-		}
-	}
-	return true
 }
 
 // NewProposer implements tune.BatchTuner.
@@ -183,7 +142,7 @@ func (t *ITuned) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, 
 	}
 	p := &itunedProposer{
 		t: t, space: space, rng: rng, batch: batch, incumbent: math.Inf(1),
-		sel: tune.NewSurrogateSelector(t.Surrogate),
+		model: tune.NewSurrogateModel(t.Surrogate, t.Kernel, t.Seed),
 	}
 	for _, x := range sample.LatinHypercube(initN, d, rng) {
 		p.pending = append(p.pending, space.FromVector(x))
@@ -199,11 +158,12 @@ func (p *itunedProposer) Propose(n int) []tune.Config {
 		return nil
 	}
 	d := p.space.Dim()
-	if !p.ensureModel() {
+	// The exact tier keeps its historical n ≤ 60 hyperparameter-search rule.
+	model := p.model.Sync(p.xs, p.ys, len(p.xs) <= 60)
+	if model == nil {
 		// Degenerate surface: fall back to one random probe.
 		return []tune.Config{p.space.Random(p.rng)}
 	}
-	model := p.model
 	k := p.batch
 	if k > n {
 		k = n
@@ -243,6 +203,11 @@ func (p *itunedProposer) Propose(n int) []tune.Config {
 func (p *itunedProposer) Observe(t tune.Trial) {
 	x := t.Config.Vector()
 	y := t.Result.Objective()
+	if math.IsNaN(y) || math.IsInf(y, 0) {
+		// A failed trial carries no value the model can condition on (every
+		// tier refuses it), and −Inf must never become the incumbent.
+		return
+	}
 	p.xs = append(p.xs, x)
 	p.ys = append(p.ys, y)
 	if y < p.incumbent {

@@ -2,9 +2,11 @@ package ml
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/mathx/gp"
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/sysmodel/dbms"
 	"repro/internal/tune"
@@ -132,31 +134,118 @@ func TestOtterTuneProposerPhases(t *testing.T) {
 	}
 }
 
-// TestOtterTuneReoptimizeEvery mirrors the iTuned knob: incremental GP
-// conditioning between hyper searches must stay deterministic and tune.
-func TestOtterTuneReoptimizeEvery(t *testing.T) {
-	run := func() *tune.TuningResult {
-		ot := NewOtterTune(9, nil)
-		ot.ReoptimizeEvery = 4
-		r, err := ot.Tune(context.Background(), testTarget(9), tune.Budget{Trials: 20})
-		if err != nil {
-			t.Fatal(err)
+// drive runs p against target for the given number of trials the way
+// tune.Drive would, calling round before each Propose past the initial
+// batch, and returns the best time seen.
+func drive(t *testing.T, p *otProposer, target tune.Target, trials int, round func(n int)) float64 {
+	t.Helper()
+	best := math.Inf(1)
+	for n := 0; n < trials; {
+		if len(p.pending) == 0 && round != nil {
+			round(n)
 		}
-		return r
-	}
-	a, b := run(), run()
-	if len(a.Trials) != len(b.Trials) {
-		t.Fatalf("trial counts differ: %d vs %d", len(a.Trials), len(b.Trials))
-	}
-	for i := range a.Trials {
-		if a.Trials[i].Config.String() != b.Trials[i].Config.String() {
-			t.Fatalf("trial %d differs between identical runs", i+1)
+		batch := p.Propose(trials - n)
+		if len(batch) == 0 {
+			t.Fatalf("no proposal after %d trials", n)
+		}
+		for _, cfg := range batch {
+			n++
+			res := target.Run(cfg)
+			if res.Time < best {
+				best = res.Time
+			}
+			p.Observe(tune.Trial{N: n, Config: cfg, Result: res})
 		}
 	}
-	def := testTarget(9).Run(testTarget(9).Space().Default())
-	if a.BestResult.Time >= def.Time {
-		t.Errorf("ReoptimizeEvery=4 run did not improve on default: %v vs %v",
-			a.BestResult.Time, def.Time)
+	return best
+}
+
+func newOtterTuneProposer(t *testing.T, target tune.Target, trials int) *otProposer {
+	t.Helper()
+	p, err := NewOtterTune(9, nil).NewProposer(target, tune.Budget{Trials: trials})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.(*otProposer)
+}
+
+// TestOtterTuneAppendsBetweenRebuilds mirrors the iTuned test: past the
+// sparse threshold most rounds append to the persistent model, the rest
+// rebuild it, and a 200-trial session improves on its initial batch.
+func TestOtterTuneAppendsBetweenRebuilds(t *testing.T) {
+	target := testTarget(9)
+	p := newOtterTuneProposer(t, target, 200)
+	initial := drive(t, p, target, len(p.pending), nil)
+	var last gp.Surrogate
+	appends, rebuilds := 0, 0
+	best := drive(t, p, target, 200-len(p.xs), func(int) {
+		m := p.model.Model()
+		if m != nil && m.Tier() == tune.SurrogateSparse {
+			if m == last {
+				appends++
+			} else {
+				rebuilds++
+			}
+		}
+		last = m
+	})
+	if rebuilds < 2 || appends <= rebuilds {
+		t.Errorf("sparse rounds: %d appended, %d rebuilt; want mostly appends and at least 2 rebuilds", appends, rebuilds)
+	}
+	if best >= initial {
+		t.Errorf("200 trials did not improve on the initial batch: %v vs %v", best, initial)
+	}
+}
+
+// infAt returns +Inf in place of its k-th run's time.
+type infAt struct {
+	tune.Target
+	k, runs int
+}
+
+func (f *infAt) Run(cfg tune.Config) tune.Result {
+	res := f.Target.Run(cfg)
+	if f.runs++; f.runs == f.k {
+		res.Time = math.Inf(1)
+	}
+	return res
+}
+
+// TestOtterTuneNonFiniteObjectiveKeepsModelling: a trial with an infinite
+// objective stays out of the model and the incumbent, and every later round
+// still proposes from a surrogate with finite predictions.
+func TestOtterTuneNonFiniteObjectiveKeepsModelling(t *testing.T) {
+	const trials, k = 30, 12
+	r, err := NewOtterTune(9, nil).Tune(context.Background(), &infAt{Target: testTarget(9), k: k}, tune.Budget{Trials: trials})
+	if err != nil || len(r.Trials) != trials || math.IsInf(r.BestResult.Time, 0) {
+		t.Fatalf("session with one infinite trial: %d trials, best %v, err %v", len(r.Trials), r.BestResult.Time, err)
+	}
+
+	target := &infAt{Target: testTarget(9), k: k}
+	p := newOtterTuneProposer(t, target, trials)
+	rounds, prev := 0, 0
+	drive(t, p, target, trials, func(n int) {
+		if n <= k {
+			return
+		}
+		// A model-proposed round is a whole batch; the fallback is one probe.
+		if prev != 0 && n-prev != p.batch {
+			t.Fatalf("the round before trial %d proposed %d configurations, want a batch of %d", n, n-prev, p.batch)
+		}
+		rounds, prev = rounds+1, n
+		m := p.model.Model() // the round before's: all but the last batch
+		if m == nil {
+			t.Fatalf("no model after %d trials", n)
+		}
+		if mu, sigma := m.Predict(p.bestX); math.IsNaN(mu) || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
+			t.Fatalf("after %d trials the model predicts (%v, %v) at the incumbent", n, mu, sigma)
+		}
+	})
+	if rounds == 0 {
+		t.Fatal("no GP round ran after the infinite trial")
+	}
+	if len(p.xs) != trials-1 || math.IsInf(p.incumbent, 0) {
+		t.Fatalf("model history holds %d of %d trials, incumbent %v; want the infinite one left out", len(p.xs), trials, p.incumbent)
 	}
 }
 

@@ -22,14 +22,12 @@ import (
 // otProposer is OtterTune in ask/tell form. Like the iTuned proposer, its
 // GP rounds screen a candidate pool over the active knobs with one batched
 // ScoreCandidates call and polish the best start with a local simplex
-// search; the model persists across rounds, absorbing new observations
-// incrementally between hyperparameter re-optimizations.
+// search; the model persists across rounds behind tune.SurrogateModel.
 type otProposer struct {
 	t     *OtterTune
 	space *tune.Space
 	rng   *rand.Rand
 	batch int
-	sel   *tune.SurrogateSelector
 
 	sessions []tune.SessionRecord
 	pruned   []string
@@ -46,10 +44,8 @@ type otProposer struct {
 	bestX       []float64
 	incumbent   float64
 
-	model    gp.Surrogate
-	absorbed int // target observations the model has conditioned on
-	round    int // GP rounds run
-	scores   []float64
+	model  *tune.SurrogateModel
+	scores []float64
 }
 
 // screenPool is how many candidate knob settings each GP round scores in
@@ -73,41 +69,6 @@ func (p *otProposer) embed(dst, base, sub []float64) []float64 {
 		dst[p.active[j]] = v
 	}
 	return dst
-}
-
-// ensureModel syncs the GP with the mapped corpus plus observed history:
-// a hyperparameter-searched refit on re-optimization rounds, incremental
-// appends otherwise. Reports false when fitting failed.
-func (p *otProposer) ensureModel() bool {
-	every := p.t.ReoptimizeEvery
-	if every < 1 {
-		every = 1
-	}
-	reopt := p.model == nil || p.round%every == 0
-	p.round++
-	if reopt {
-		gx := append(append([][]float64(nil), p.mappedX...), p.xs...)
-		gy := append(append([]float64(nil), p.mappedY...), p.ys...)
-		// The transferred corpus counts toward the tier decision: mapping a
-		// thousand-trial repository session pushes the model straight into
-		// the sparse or RFF tier instead of an O(n³) exact fit.
-		tier := p.sel.TierFor(len(gx), p.space.Dim())
-		m := p.sel.New(gp.Matern52, tier, p.t.Seed)
-		optimize := len(gx) <= 80 || tier != tune.SurrogateExact
-		if err := m.Fit(gx, gy, optimize); err != nil {
-			p.model = nil
-			return false
-		}
-		p.model, p.absorbed = m, len(p.xs)
-		return true
-	}
-	for ; p.absorbed < len(p.xs); p.absorbed++ {
-		if err := p.model.Append(p.xs[p.absorbed], p.ys[p.absorbed]); err != nil {
-			p.model = nil
-			return false
-		}
-	}
-	return true
 }
 
 // NewProposer implements tune.BatchTuner: the offline phase.
@@ -150,7 +111,7 @@ func (t *OtterTune) NewProposer(target tune.Target, b tune.Budget) (tune.Propose
 	}
 	p := &otProposer{
 		t: t, space: space, rng: rng, batch: batch,
-		sel:      tune.NewSurrogateSelector(t.Surrogate),
+		model:    tune.NewSurrogateModel(t.Surrogate, gp.Matern52, t.Seed),
 		sessions: sessions, pruned: pruned, active: active, topK: topK,
 		observed: map[string]float64{}, incumbent: math.Inf(1),
 	}
@@ -203,10 +164,19 @@ func (p *otProposer) Propose(n int) []tune.Config {
 	if !p.mapped {
 		p.mapWorkloadOnce()
 	}
-	if !p.ensureModel() {
+	if len(p.xs) == 0 {
+		// Every initial trial failed: nothing to anchor a model round on.
 		return []tune.Config{p.space.Random(p.rng)}
 	}
-	model := p.model
+	// The transferred corpus counts toward the tier decision: mapping a
+	// thousand-trial repository session pushes the model straight into the
+	// sparse or RFF tier instead of an O(n³) exact fit.
+	gx := append(append([][]float64(nil), p.mappedX...), p.xs...)
+	gy := append(append([]float64(nil), p.mappedY...), p.ys...)
+	model := p.model.Sync(gx, gy, len(gx) <= 80)
+	if model == nil {
+		return []tune.Config{p.space.Random(p.rng)}
+	}
 	k := p.batch
 	if k > n {
 		k = n
@@ -258,6 +228,9 @@ func (p *otProposer) Propose(n int) []tune.Config {
 func (p *otProposer) Observe(t tune.Trial) {
 	x := t.Config.Vector()
 	y := t.Result.Objective()
+	if math.IsNaN(y) || math.IsInf(y, 0) {
+		return // a failed trial: see itunedProposer.Observe
+	}
 	p.xs = append(p.xs, x)
 	p.ys = append(p.ys, y)
 	for k, v := range t.Result.Metrics {
