@@ -118,6 +118,7 @@ type Server struct {
 	nextID   int
 	draining bool
 	rejected int64 // sessions refused by admission control (429s)
+	reserved int   // sessions admit let in that startSession has not yet put in the table
 	resumed  int   // sessions resumed from checkpoints at startup
 }
 
@@ -425,37 +426,41 @@ func (s *Server) lookup(r *http.Request) (*session, error) {
 // draining (503) or past the configured session/queue caps (429, with a
 // Retry-After hint — the client's release valves are waiting for sessions to
 // finish and DELETEing finished ones). Counting walks the session table, so
-// the decision reflects live run states, not stale counters.
+// the decision reflects live run states, not stale counters. An admitted
+// session holds a reserved place, counted as pending, from here until
+// startSession puts it in the table (or create releases it on failure) — the
+// two are separate critical sections, and without the reservation a burst
+// between them would overshoot the caps.
 func (s *Server) admit() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return http.StatusServiceUnavailable, fmt.Errorf("daemon is draining; in-flight sessions are being checkpointed for the next start")
 	}
-	if s.opts.MaxSessions <= 0 && s.opts.MaxQueue <= 0 {
-		return 0, nil
-	}
-	var unfinished, pending int
-	for _, id := range s.order {
-		switch s.sessions[id].Run.State() {
-		case repro.RunDone, repro.RunFailed:
-		case repro.RunPending:
-			pending++
-			unfinished++
-		default:
-			unfinished++
+	if s.opts.MaxSessions > 0 || s.opts.MaxQueue > 0 {
+		unfinished, pending := s.reserved, s.reserved
+		for _, id := range s.order {
+			switch s.sessions[id].Run.State() {
+			case repro.RunDone, repro.RunFailed:
+			case repro.RunPending:
+				pending++
+				unfinished++
+			default:
+				unfinished++
+			}
+		}
+		if s.opts.MaxSessions > 0 && unfinished >= s.opts.MaxSessions {
+			s.rejected++
+			return http.StatusTooManyRequests,
+				fmt.Errorf("session cap reached (%d unfinished, max %d); retry later or DELETE finished sessions", unfinished, s.opts.MaxSessions)
+		}
+		if s.opts.MaxQueue > 0 && pending >= s.opts.MaxQueue {
+			s.rejected++
+			return http.StatusTooManyRequests,
+				fmt.Errorf("queue depth reached (%d pending, max %d); retry later", pending, s.opts.MaxQueue)
 		}
 	}
-	if s.opts.MaxSessions > 0 && unfinished >= s.opts.MaxSessions {
-		s.rejected++
-		return http.StatusTooManyRequests,
-			fmt.Errorf("session cap reached (%d unfinished, max %d); retry later or DELETE finished sessions", unfinished, s.opts.MaxSessions)
-	}
-	if s.opts.MaxQueue > 0 && pending >= s.opts.MaxQueue {
-		s.rejected++
-		return http.StatusTooManyRequests,
-			fmt.Errorf("queue depth reached (%d pending, max %d); retry later", pending, s.opts.MaxQueue)
-	}
+	s.reserved++
 	return 0, nil
 }
 
@@ -486,6 +491,9 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, err := s.startSession(spec, "", nil, false)
 	if err != nil {
+		s.mu.Lock()
+		s.reserved--
+		s.mu.Unlock()
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -579,6 +587,9 @@ func (s *Server) startSession(spec repro.Spec, sid string, replay *tune.Replay, 
 	s.mu.Lock()
 	s.sessions[sid] = sess
 	s.order = append(s.order, sid)
+	if !resumed {
+		s.reserved-- // the place admit reserved is now a row of the table
+	}
 	s.mu.Unlock()
 	if s.repo != nil {
 		go s.reapCheckpoint(sess)

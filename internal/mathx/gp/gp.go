@@ -79,7 +79,7 @@ type GP struct {
 	alpha  []float64
 	jitter float64 // extra diagonal jitter the factorization needed
 
-	// Reusable workspaces for Predict/EI/LCB (kernel vector and solve
+	// Reusable workspaces for Predict/EI (kernel vector and solve
 	// scratch). These make single-point prediction allocation-free but make
 	// a GP instance unsafe for concurrent use.
 	wsK []float64
@@ -475,13 +475,6 @@ func (g *GP) ScoreCandidates(points [][]float64, best float64, dst []float64) []
 		dst[i] = g.ExpectedImprovement(p, best)
 	}
 	return dst
-}
-
-// LCB returns the lower confidence bound mu − beta·sigma (minimization form
-// of UCB). Smaller is more promising.
-func (g *GP) LCB(p []float64, beta float64) float64 {
-	mu, sigma := g.Predict(p)
-	return mu - beta*sigma
 }
 
 // TrainingSize returns the number of conditioning points.

@@ -92,17 +92,6 @@ func TestExpectedImprovement(t *testing.T) {
 	}
 }
 
-func TestLCB(t *testing.T) {
-	g := New(SquaredExponential)
-	if err := g.Fit([][]float64{{0.5}}, []float64{2}, false); err != nil {
-		t.Fatal(err)
-	}
-	mu, sigma := g.Predict([]float64{0.5})
-	if got := g.LCB([]float64{0.5}, 2); math.Abs(got-(mu-2*sigma)) > 1e-9 {
-		t.Errorf("LCB = %v", got)
-	}
-}
-
 func TestHyperoptImprovesLikelihood(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	xs, ys := trainGrid(bowl, 30, rng)

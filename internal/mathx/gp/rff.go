@@ -271,9 +271,3 @@ func (r *RFF) ScoreCandidates(points [][]float64, best float64, dst []float64) [
 	}
 	return dst
 }
-
-// LCB implements Surrogate.
-func (r *RFF) LCB(p []float64, beta float64) float64 {
-	mu, sigma := r.Predict(p)
-	return mu - beta*sigma
-}

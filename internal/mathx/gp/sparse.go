@@ -320,12 +320,6 @@ func (s *SparseGP) ScoreCandidates(points [][]float64, best float64, dst []float
 	return dst
 }
 
-// LCB implements Surrogate.
-func (s *SparseGP) LCB(p []float64, beta float64) float64 {
-	mu, sigma := s.Predict(p)
-	return mu - beta*sigma
-}
-
 func (s *SparseGP) growWorkspaces(m int) {
 	if cap(s.wsK) < m {
 		s.wsK = make([]float64, m)

@@ -36,8 +36,6 @@ type Surrogate interface {
 	// ScoreCandidates batch-scores expected improvement for a candidate
 	// pool, writing into dst when it has capacity.
 	ScoreCandidates(points [][]float64, best float64, dst []float64) []float64
-	// LCB returns the lower confidence bound mu − beta·sigma.
-	LCB(p []float64, beta float64) float64
 	// TrainingSize returns the number of conditioning observations.
 	TrainingSize() int
 	// Tier names the surrogate tier ("exact", "sparse", "rff").

@@ -381,10 +381,6 @@ func TestSparseAcquisitions(t *testing.T) {
 		if ei := s.ExpectedImprovement(p, 2); !(ei >= 0) || math.IsInf(ei, 0) {
 			t.Fatalf("%s: EI = %v", s.Tier(), ei)
 		}
-		mu, sigma := s.Predict(p)
-		if lcb := s.LCB(p, 2); math.Abs(lcb-(mu-2*sigma)) > 1e-12 {
-			t.Fatalf("%s: LCB = %v, want %v", s.Tier(), lcb, mu-2*sigma)
-		}
 		scores := s.ScoreCandidates([][]float64{p, {0.1, 0.1}}, 2, make([]float64, 1))
 		if len(scores) != 2 {
 			t.Fatalf("%s: ScoreCandidates len %d", s.Tier(), len(scores))

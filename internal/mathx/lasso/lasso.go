@@ -114,18 +114,6 @@ func Fit(x [][]float64, y []float64, lambda float64, iters int) *Model {
 	return &Model{Beta: beta, Intercept: yMean, xMean: mean, xStd: std}
 }
 
-// Predict evaluates the model on a raw input.
-func (m *Model) Predict(x []float64) float64 {
-	s := m.Intercept
-	for j, b := range m.Beta {
-		if b == 0 {
-			continue
-		}
-		s += b * (x[j] - m.xMean[j]) / m.xStd[j]
-	}
-	return s
-}
-
 // PathRank ranks features by sweeping λ from large to small and recording
 // the order in which coefficients activate — OtterTune's knob-importance
 // procedure. Features never activated rank last; ties (same activation step)

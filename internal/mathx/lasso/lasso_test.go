@@ -50,7 +50,11 @@ func TestPredictTracksTargets(t *testing.T) {
 	m := Fit(x, y, 0.01, 500)
 	var mae float64
 	for i := range x[:50] {
-		mae += math.Abs(m.Predict(x[i]) - y[i])
+		pred := m.Intercept
+		for j, b := range m.Beta {
+			pred += b * (x[i][j] - m.xMean[j]) / m.xStd[j]
+		}
+		mae += math.Abs(pred - y[i])
 	}
 	if mae/50 > 0.5 {
 		t.Errorf("mean abs error %v too high", mae/50)

@@ -239,20 +239,6 @@ func CholeskyWithJitter(a *Matrix, jitter float64, maxTries int) (*Cholesky, flo
 	return nil, added, ErrNotPositiveDefinite
 }
 
-// SolveRidge solves the ridge-regularized least squares problem
-// (XᵀX + λI)·β = Xᵀy and returns β. λ must be ≥ 0; with λ = 0 the system may
-// be singular, in which case a tiny jitter is applied automatically.
-func SolveRidge(x *Matrix, y []float64, lambda float64) ([]float64, error) {
-	xt := x.T()
-	a := xt.Mul(x).AddDiag(lambda)
-	b := xt.MulVec(y)
-	ch, _, err := CholeskyWithJitter(a, 1e-10, 10)
-	if err != nil {
-		return nil, err
-	}
-	return ch.SolveVec(b), nil
-}
-
 // SolveNNLS solves min ‖X·β − y‖ subject to β ≥ 0 using projected
 // coordinate descent. Ernest-style scale-out models require non-negative
 // coefficients so each cost term contributes physically plausible time.

@@ -249,25 +249,6 @@ func TestCholeskyWithJitterRecovers(t *testing.T) {
 	}
 }
 
-func TestSolveRidgeRecoversLinear(t *testing.T) {
-	// y = 2a − 3b, overdetermined.
-	rng := rand.New(rand.NewSource(4))
-	rows := make([][]float64, 50)
-	y := make([]float64, 50)
-	for i := range rows {
-		a, b := rng.Float64(), rng.Float64()
-		rows[i] = []float64{a, b}
-		y[i] = 2*a - 3*b
-	}
-	beta, err := SolveRidge(FromRows(rows), y, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(beta[0], 2, 1e-3) || !almostEq(beta[1], -3, 1e-3) {
-		t.Errorf("beta = %v", beta)
-	}
-}
-
 func TestSolveNNLSNonNegative(t *testing.T) {
 	// y = 5a + 0·b with b anti-correlated: the unconstrained solution would
 	// push b negative; NNLS must clamp it.
@@ -290,25 +271,11 @@ func TestSolveNNLSNonNegative(t *testing.T) {
 	}
 }
 
-func TestSymEigenKnown(t *testing.T) {
-	// [[2,1],[1,2]] has eigenvalues 3 and 1 with vectors (1,1)/√2, (1,−1)/√2.
-	a := FromRows([][]float64{{2, 1}, {1, 2}})
-	vals, vecs := SymEigen(a, 50)
-	if !almostEq(vals[0], 3, 1e-9) || !almostEq(vals[1], 1, 1e-9) {
-		t.Errorf("eigenvalues = %v", vals)
-	}
-	// First eigenvector parallel to (1,1).
-	ratio := vecs.At(0, 0) / vecs.At(1, 0)
-	if !almostEq(ratio, 1, 1e-6) {
-		t.Errorf("first eigenvector = (%v, %v)", vecs.At(0, 0), vecs.At(1, 0))
-	}
-}
-
 func TestDotAndNorm(t *testing.T) {
 	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Error("dot wrong")
 	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-12) {
-		t.Error("norm wrong")
+	if Dot([]float64{3, 4}, []float64{3, 4}) != 25 {
+		t.Error("squared norm wrong")
 	}
 }

@@ -7,7 +7,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 )
 
 // Matrix is a dense row-major matrix.
@@ -61,13 +60,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.C)
-	copy(out, m.Data[i*m.C:(i+1)*m.C])
-	return out
-}
-
 // T returns the transpose.
 func (m *Matrix) T() *Matrix {
 	out := New(m.C, m.R)
@@ -116,14 +108,6 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 	return out
 }
 
-// Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
 // AddDiag adds v to the diagonal in place and returns m.
 func (m *Matrix) AddDiag(v float64) *Matrix {
 	n := m.R
@@ -147,6 +131,3 @@ func Dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }

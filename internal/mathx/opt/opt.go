@@ -1,8 +1,8 @@
-// Package opt provides generic derivative-free minimizers over the unit
-// hypercube: random search, recursive random search, hill climbing,
-// simulated annealing, and Nelder–Mead. Tuners use them both to search real
-// systems (experiment-driven) and to search cheap surrogates (cost models,
-// GP acquisitions, neural networks).
+// Package opt provides the two derivative-free minimizers over the unit
+// hypercube that the tuners use: recursive random search, which searches both
+// real systems (RRS, SARD's refinement) and cheap surrogates (cost models,
+// simulators, the neural network), and Nelder–Mead, which polishes the start
+// points of a GP acquisition round.
 package opt
 
 import (
@@ -38,19 +38,6 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// RandomSearch evaluates n uniform points and returns the best.
-func RandomSearch(f Func, d, n int, rng *rand.Rand) Best {
-	best := newBest(d)
-	x := make([]float64, d)
-	for i := 0; i < n; i++ {
-		for j := range x {
-			x[j] = rng.Float64()
-		}
-		best.consider(x, f(x))
-	}
-	return best
 }
 
 // RecursiveRandomSearch implements the explore/exploit scheme of Ye & Kalyanaraman:
@@ -102,78 +89,6 @@ func RecursiveRandomSearch(f Func, d, budget int, rng *rand.Rand) Best {
 				}
 			}
 		}
-	}
-	return best
-}
-
-// HillClimb runs steepest-neighbor stochastic hill climbing with restarts.
-func HillClimb(f Func, d, budget int, rng *rand.Rand) Best {
-	best := newBest(d)
-	if budget <= 0 {
-		return best
-	}
-	evals := 0
-	for evals < budget {
-		cur := make([]float64, d)
-		for j := range cur {
-			cur[j] = rng.Float64()
-		}
-		curF := f(cur)
-		evals++
-		best.consider(cur, curF)
-		step := 0.2
-		for evals < budget && step > 0.005 {
-			cand := make([]float64, d)
-			improved := false
-			for try := 0; try < d+2 && evals < budget; try++ {
-				for j := range cand {
-					cand[j] = clamp01(cur[j] + (rng.Float64()*2-1)*step)
-				}
-				cf := f(cand)
-				evals++
-				if cf < curF {
-					copy(cur, cand)
-					curF = cf
-					best.consider(cur, curF)
-					improved = true
-					break
-				}
-			}
-			if !improved {
-				step *= 0.5
-			}
-		}
-	}
-	return best
-}
-
-// Anneal runs simulated annealing with a geometric temperature schedule.
-func Anneal(f Func, d, budget int, rng *rand.Rand) Best {
-	best := newBest(d)
-	if budget <= 0 {
-		return best
-	}
-	cur := make([]float64, d)
-	for j := range cur {
-		cur[j] = rng.Float64()
-	}
-	curF := f(cur)
-	best.consider(cur, curF)
-	t0, t1 := 1.0, 0.001
-	cand := make([]float64, d)
-	for i := 1; i < budget; i++ {
-		frac := float64(i) / float64(budget)
-		temp := t0 * math.Pow(t1/t0, frac)
-		step := 0.3*(1-frac) + 0.02
-		for j := range cand {
-			cand[j] = clamp01(cur[j] + (rng.Float64()*2-1)*step)
-		}
-		cf := f(cand)
-		if cf < curF || rng.Float64() < math.Exp((curF-cf)/math.Max(temp*math.Abs(curF)+1e-12, 1e-12)) {
-			copy(cur, cand)
-			curF = cf
-		}
-		best.consider(cand, cf)
 	}
 	return best
 }
@@ -285,28 +200,6 @@ func NelderMead(f Func, start []float64, scale float64, maxIter int) Best {
 				}
 			}
 		}
-	}
-	return best
-}
-
-// MultiStart runs NelderMead from n random starts plus the provided seeds and
-// returns the overall best. Used to maximize GP acquisition surfaces (negate
-// inside f).
-func MultiStart(f Func, d, n, perStart int, seeds [][]float64, rng *rand.Rand) Best {
-	best := newBest(d)
-	run := func(start []float64) {
-		b := NelderMead(f, start, 0.15, perStart)
-		best.consider(b.X, b.F)
-	}
-	for _, s := range seeds {
-		run(s)
-	}
-	start := make([]float64, d)
-	for i := 0; i < n; i++ {
-		for j := range start {
-			start[j] = rng.Float64()
-		}
-		run(start)
 	}
 	return best
 }

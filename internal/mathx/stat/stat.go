@@ -59,17 +59,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// ArgMin returns the index of the smallest value; -1 for empty input.
-func ArgMin(xs []float64) int {
-	best, at := math.Inf(1), -1
-	for i, x := range xs {
-		if x < best {
-			best, at = x, i
-		}
-	}
-	return at
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation on
 // a sorted copy of xs.
 func Quantile(xs []float64, q float64) float64 {
@@ -152,28 +141,6 @@ func NormPDF(z float64) float64 {
 // NormCDF returns the standard normal CDF at z.
 func NormCDF(z float64) float64 {
 	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
-}
-
-// WelchT returns Welch's t statistic and approximate degrees of freedom for
-// two samples. SARD-style screening uses it to decide whether a parameter's
-// effect is statistically significant.
-func WelchT(a, b []float64) (t, df float64) {
-	na, nb := float64(len(a)), float64(len(b))
-	if na < 2 || nb < 2 {
-		return 0, 0
-	}
-	va, vb := Variance(a)/na, Variance(b)/nb
-	se := math.Sqrt(va + vb)
-	if se == 0 {
-		return 0, na + nb - 2
-	}
-	t = (Mean(a) - Mean(b)) / se
-	denom := va*va/(na-1) + vb*vb/(nb-1)
-	if denom == 0 {
-		return t, na + nb - 2
-	}
-	df = (va + vb) * (va + vb) / denom
-	return t, df
 }
 
 // MeanAbs returns the mean absolute value.

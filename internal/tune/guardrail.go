@@ -11,7 +11,7 @@ import (
 // vetoes candidate configurations whose surrogate-predicted objective
 // exceeds a hard guardrail, substituting a conservatively interpolated
 // configuration instead. The prediction model is an upper confidence bound
-// from a Matérn-5/2 GP refit on the session's full-fidelity observations:
+// from a Matérn-5/2 surrogate over the session's full-fidelity observations:
 // a proposal passes only when mu + Kappa·sigma ≤ limit, so the gate errs on
 // the side of rejecting when the surrogate is unsure.
 //
@@ -31,8 +31,10 @@ import (
 //     the wrapper then falls back to the best observed safe configuration,
 //     so the search degenerates to exploitation rather than stalling.
 //
-// Determinism: the surrogate is refit at the head of each Propose from the
-// observation history, which every driver delivers in proposal order, so
+// Determinism: the surrogate is brought in step with the observation history
+// at the head of each Propose (SurrogateModel.Sync — the lifecycle the
+// model-based tuners run), and every driver delivers that history in proposal
+// order, so
 // vetoes — and the substituted configurations — are a pure function of the
 // observation sequence, identical at any worker count.
 
@@ -69,10 +71,9 @@ type Guardrail struct {
 	space *Space
 	opts  GuardrailOptions
 
-	xs    [][]float64 // full-fidelity observation vectors
-	ys    []float64   // matching log-objectives (see refit)
-	model *gp.GP      // refit lazily; nil until MinObs observations
-	dirty bool        // observations arrived since the last fit
+	model   *SurrogateModel // full-fidelity observations, as log-objectives (see refit)
+	armed   gp.Surrogate    // the last good model; nil until MinObs observations
+	refused [][]float64     // configurations whose outcome the model refused as non-finite
 
 	bestSafe    Config
 	bestSafeObj float64
@@ -105,7 +106,10 @@ func NewGuardrail(inner Proposer, space *Space, opts GuardrailOptions) (*Guardra
 	if space == nil {
 		return nil, fmt.Errorf("tune: guardrail requires the target space")
 	}
-	return &Guardrail{inner: inner, space: space, opts: opts.WithDefaults()}, nil
+	return &Guardrail{
+		inner: inner, space: space, opts: opts.WithDefaults(),
+		model: NewSurrogateModel(nil, gp.Matern52, 0),
+	}, nil
 }
 
 // BindSession implements SessionAware, forwarding to the inner proposer.
@@ -116,11 +120,13 @@ func (g *Guardrail) BindSession(s *Session) {
 // Vetoes reports how many inner proposals the screen replaced.
 func (g *Guardrail) Vetoes() int { return g.vetoes }
 
-// refit rebuilds the surrogate when observations arrived since the last fit.
-// Hyperparameter optimization is skipped: the screen refits every batch and
+// refit brings the screen in step with the observations. On the exact tier
+// hyperparameter optimization is skipped: the screen refits every batch and
 // an MLE search per batch would dominate session cost; fixed Matérn-5/2
 // hyperparameters with standardized targets are accurate enough to rank
-// "safe" against "over the limit".
+// "safe" against "over the limit". Past the exact tier's size limit the model
+// is appended to rather than refit. A refused fit keeps the last good screen —
+// never "everything is safe".
 //
 // The model is fit in LOG objective space. Tuning objectives are
 // multiplicative — a bad configuration is 10× or 100× the incumbent, and
@@ -132,14 +138,12 @@ func (g *Guardrail) Vetoes() int { return g.vetoes }
 // units, the UCB is informative, and the comparison against log(Limit) is
 // exactly the multiplicative margin a guardrail means.
 func (g *Guardrail) refit() {
-	if !g.dirty || len(g.ys) < g.opts.MinObs {
+	if _, ys := g.model.Observations(); len(ys) < g.opts.MinObs {
 		return
 	}
-	m := gp.New(gp.Matern52)
-	if err := m.Fit(g.xs, g.ys, false); err == nil {
-		g.model = m
+	if m := g.model.Sync(0); m != nil {
+		g.armed = m
 	}
-	g.dirty = false
 }
 
 // safe reports whether x clears the limit under ALL three screens:
@@ -159,25 +163,29 @@ func (g *Guardrail) refit() {
 //
 // With no armed surrogate everything is (optimistically) safe.
 func (g *Guardrail) safe(x []float64) bool {
-	if g.model == nil {
+	if g.armed == nil {
 		return true
 	}
-	mu, sigma := g.model.Predict(x)
-	if mu+g.opts.Kappa*sigma > math.Log(g.opts.Limit) {
+	logLimit := math.Log(g.opts.Limit)
+	mu, sigma := g.armed.Predict(x)
+	if mu+g.opts.Kappa*sigma > logLimit {
 		return false
 	}
-	nn, nnDist := -1, math.Inf(1)
-	for i, xi := range g.xs {
-		var d2 float64
-		for j := range xi {
-			d := xi[j] - x[j]
-			d2 += d * d
-		}
-		if d2 < nnDist {
-			nn, nnDist = i, d2
+	// A refused observation has no value to learn from, but a run that did not
+	// even yield a finite objective is over any limit.
+	nnOver, nnDist := false, math.Inf(1)
+	xs, ys := g.model.Observations()
+	for i, xi := range xs {
+		if d2 := sqDist(xi, x); d2 < nnDist {
+			nnOver, nnDist = ys[i] > logLimit, d2
 		}
 	}
-	if nn >= 0 && g.ys[nn] > math.Log(g.opts.Limit) {
+	for _, xi := range g.refused {
+		if d2 := sqDist(xi, x); d2 < nnDist {
+			nnOver, nnDist = true, d2
+		}
+	}
+	if nnOver {
 		return false
 	}
 	if len(g.safeXs) == 0 {
@@ -268,7 +276,7 @@ func (g *Guardrail) Propose(n int) []Config {
 	if n <= 0 {
 		return nil
 	}
-	if g.model != nil {
+	if g.armed != nil {
 		if i := g.releasableDeferred(); i >= 0 {
 			cfg := g.deferred[i]
 			// Full release needs local evidence: a demonstrated-safe
@@ -298,7 +306,7 @@ func (g *Guardrail) Propose(n int) []Config {
 	}
 	cfg := g.pending[0]
 	g.pending = g.pending[1:]
-	if g.model == nil {
+	if g.armed == nil {
 		return []Config{cfg} // unscreened cold start, throttled to one per round-trip
 	}
 	scr, vetoed := g.screen(cfg)
@@ -389,12 +397,12 @@ func (g *Guardrail) Observe(t Trial) {
 	if !t.Result.FullFidelity() {
 		return
 	}
-	obj := t.Result.Objective()
-	g.xs = append(g.xs, t.Config.Vector())
-	g.ys = append(g.ys, math.Log(math.Max(obj, 1e-9)))
-	g.dirty = true
+	x, obj := t.Config.Vector(), t.Result.Objective()
+	if !g.model.Observe(x, math.Log(math.Max(obj, 1e-9))) {
+		g.refused = append(g.refused, x)
+	}
 	if !t.Result.Failed && obj <= g.opts.Limit {
-		g.safeXs = append(g.safeXs, t.Config.Vector())
+		g.safeXs = append(g.safeXs, x)
 		if !g.hasSafe || obj < g.bestSafeObj {
 			g.bestSafe, g.bestSafeObj, g.hasSafe = t.Config, obj, true
 		}

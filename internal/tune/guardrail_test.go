@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"math"
 	"testing"
 )
 
@@ -136,8 +137,8 @@ func TestGuardrailObserveTracksSafeSetOnly(t *testing.T) {
 	failed := obs(space, 0.5, 3)
 	failed.Result.Failed = true
 	g.Observe(failed)
-	if len(g.xs) != 3 {
-		t.Fatalf("model data has %d points, want all 3", len(g.xs))
+	if xs, _ := g.model.Observations(); len(xs) != 3 {
+		t.Fatalf("model data has %d points, want all 3", len(xs))
 	}
 	if len(g.safeXs) != 1 {
 		t.Fatalf("safe set has %d points, want only the in-limit success", len(g.safeXs))
@@ -157,5 +158,69 @@ func TestGuardrailTunerName(t *testing.T) {
 	}
 	if _, err := GuardrailTuner(&fakeBatchTuner{name: "probe"}, GuardrailOptions{}); err == nil {
 		t.Error("guardrail tuner without a limit accepted")
+	}
+}
+
+// TestGuardrailNonFiniteObjectiveKeepsScreening: a trial whose objective is
+// +Inf (the target died without a time) must not blind the screen for the
+// rest of the session. The model refuses that one value and keeps absorbing
+// the finite ones after it; the configuration itself stays a keep-out.
+func TestGuardrailNonFiniteObjectiveKeepsScreening(t *testing.T) {
+	space := driftSpace()
+	g, err := NewGuardrail(&scriptProposer{}, space, GuardrailOptions{Limit: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range []float64{0.1, 0.2, 0.3} {
+		g.Observe(obs(space, a, 1+float64(i)))
+	}
+	g.Propose(1)
+	if g.armed == nil || g.armed.TrainingSize() != 3 {
+		t.Fatalf("screen not armed on three observations: %v", g.armed)
+	}
+	g.Observe(obs(space, 0.9, math.Inf(1)))
+	g.Propose(1)
+	if g.armed == nil || g.armed.TrainingSize() != 3 {
+		t.Fatalf("the infinite trial must leave the last good screen in place: %v", g.armed)
+	}
+	for i, a := range []float64{0.4, 0.5, 0.6} {
+		g.Observe(obs(space, a, 2+float64(i)))
+	}
+	g.Propose(1)
+	if n := g.armed.TrainingSize(); n != 6 {
+		t.Fatalf("screen model holds %d observations after the infinite trial, want all 6 finite ones", n)
+	}
+	if len(g.refused) != 1 || g.safe(space.Default().With("a", 0.9).Vector()) {
+		t.Errorf("the configuration that returned +Inf must stay off-limits (refused = %v)", g.refused)
+	}
+}
+
+// TestGuardrailLongSessionLeavesTheExactTier: past the exact tier's size
+// limit the screen is a sparse model that absorbs a round's observations,
+// not a cubic refit of the whole history at every Propose.
+func TestGuardrailLongSessionLeavesTheExactTier(t *testing.T) {
+	space := driftSpace()
+	g, err := NewGuardrail(&scriptProposer{}, space, GuardrailOptions{Limit: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 160; i++ {
+		a := float64(i) / 200
+		g.Observe(obs(space, a, 1+a))
+	}
+	g.Propose(1)
+	if tier := g.armed.Tier(); tier != SurrogateExact {
+		t.Fatalf("160 observations: tier %q, want exact", tier)
+	}
+	g.Observe(obs(space, 0.9, 1.9))
+	g.Propose(1)
+	sparse := g.armed
+	if sparse.Tier() != SurrogateSparse || sparse.TrainingSize() != 161 {
+		t.Fatalf("161 observations: %s model over %d, want sparse over 161", sparse.Tier(), sparse.TrainingSize())
+	}
+	g.Observe(obs(space, 0.95, 1.95))
+	g.Propose(1)
+	if g.armed != sparse || sparse.TrainingSize() != 162 {
+		t.Fatalf("the next observation must be appended to the same model: %v over %d", g.armed == sparse, g.armed.TrainingSize())
 	}
 }

@@ -1,9 +1,6 @@
 package tune
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"sort"
 )
@@ -97,25 +94,6 @@ func (r *Repository) ForSystem(system string) []SessionRecord {
 		}
 	}
 	return out
-}
-
-// Save writes the repository as JSON.
-func (r *Repository) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("tune: saving repository: %w", err)
-	}
-	return nil
-}
-
-// LoadRepository reads a repository previously written by Save.
-func LoadRepository(rd io.Reader) (*Repository, error) {
-	var r Repository
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("tune: loading repository: %w", err)
-	}
-	return &r, nil
 }
 
 // SimilarSessions ranks sessions of the given system by Euclidean distance

@@ -981,18 +981,3 @@ func (s *FileStore) IDs() []int64 {
 
 var _ Store = (*FileStore)(nil)
 var _ tune.WarmSource = (*FileStore)(nil)
-
-// SortedBySystem returns stored sessions grouped by system then workload —
-// a stable presentation order for listings (insertion order preserved
-// within a group).
-func SortedBySystem(sessions []Stored) []Stored {
-	out := append([]Stored(nil), sessions...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i].Record, out[j].Record
-		if a.System != b.System {
-			return a.System < b.System
-		}
-		return a.Workload < b.Workload
-	})
-	return out
-}

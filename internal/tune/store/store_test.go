@@ -287,21 +287,6 @@ func TestStoreConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestSortedBySystem(t *testing.T) {
-	in := []Stored{
-		{ID: 1, Record: tune.SessionRecord{System: "spark", Workload: "pagerank"}},
-		{ID: 2, Record: tune.SessionRecord{System: "dbms", Workload: "tpch"}},
-		{ID: 3, Record: tune.SessionRecord{System: "dbms", Workload: "oltp"}},
-	}
-	out := SortedBySystem(in)
-	if out[0].ID != 3 || out[1].ID != 2 || out[2].ID != 1 {
-		t.Errorf("order: %+v", out)
-	}
-	if in[0].ID != 1 {
-		t.Error("input mutated")
-	}
-}
-
 // TestStoreSingleOwner: a second Open on a held directory fails with a
 // descriptive error instead of silently sharing the WAL, and the directory
 // becomes openable again once the owner closes.

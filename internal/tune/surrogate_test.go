@@ -120,27 +120,27 @@ func (refusingAppend) Append([]float64, float64) error { return errors.New("refu
 // the same instance returned, everywhere in between.
 func TestSurrogateModelLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var xs [][]float64
-	var ys []float64
-	grow := func(k int) {
-		for i := 0; i < k; i++ {
-			x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			xs = append(xs, x)
-			ys = append(ys, math.Sin(3*x[0])+x[1]*x[2])
-		}
-	}
 	// Sparse above 12 with a 16-point subset (tail limit 4: one appended round
 	// of four reaches it); RFF above 40 with its fixed 64-point subset (limit
 	// 16: four appended rounds).
 	lm := NewSurrogateModel(&SurrogateConfig{SparseAbove: 12, RFFAbove: 40, Inducing: 16, Features: 32}, gp.Matern52, 1)
-	if lm.Sync(nil, nil, true) != nil || lm.Model() != nil {
+	n := 0
+	grow := func(k int) {
+		for i := 0; i < k; i++ {
+			x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+			if !lm.Observe(x, math.Sin(3*x[0])+x[1]*x[2]) {
+				t.Fatal("a finite observation was refused")
+			}
+			n++
+		}
+	}
+	if lm.Sync(math.MaxInt) != nil || lm.Model() != nil {
 		t.Fatal("Sync on an empty history must report no model")
 	}
 	var last gp.Surrogate
 	fitN := 0
 	for round := 0; round < 22; round++ {
 		grow(4)
-		n := len(xs)
 		wantTier := SurrogateExact
 		if n > 40 {
 			wantTier = SurrogateRFF
@@ -156,7 +156,7 @@ func TestSurrogateModelLifecycle(t *testing.T) {
 			lm.model = refusingAppend{last}
 			wantRebuild = true
 		}
-		m := lm.Sync(xs, ys, true)
+		m := lm.Sync(math.MaxInt)
 		if m == nil || m != lm.Model() || m.Tier() != wantTier || m.TrainingSize() != n {
 			t.Fatalf("round %d (n=%d): got %v, want a %s model over all %d observations", round, n, m, wantTier, n)
 		}
@@ -169,13 +169,156 @@ func TestSurrogateModelLifecycle(t *testing.T) {
 		}
 		last = m
 	}
-	// A history the tiers refuse: no model this round, a rebuild the next.
-	xs, ys = append(xs, xs[0]), append(ys, math.Inf(1))
-	if lm.Sync(xs, ys, true) != nil || lm.Model() != nil {
+	// Nothing new: the same instance, whatever the tail.
+	if m := lm.Sync(math.MaxInt); m != last {
+		t.Fatal("Sync with nothing new must return the model it has")
+	}
+	// A non-finite observation never enters the history ...
+	for _, y := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if lm.Observe([]float64{.5, .5, .5}, y) {
+			t.Fatalf("Observe accepted %v", y)
+		}
+	}
+	if xs, _ := lm.Observations(); len(xs) != n || lm.Sync(math.MaxInt) != last {
+		t.Fatal("a refused observation changed the history")
+	}
+	// ... and a history the tiers refuse all the same (here: forced in behind
+	// Observe's back) means no model this round, a rebuild the next.
+	grow(1)
+	lm.ys[len(lm.ys)-1] = math.Inf(1)
+	if lm.Sync(math.MaxInt) != nil || lm.Model() != nil {
 		t.Fatal("Sync over a non-finite observation must report no model")
 	}
-	ys[len(ys)-1] = 1
-	if m := lm.Sync(xs, ys, true); m == nil || m == last || m.TrainingSize() != len(xs) {
+	lm.ys[len(lm.ys)-1] = 1
+	if m := lm.Sync(math.MaxInt); m == nil || m == last || m.TrainingSize() != n {
 		t.Fatalf("Sync after a failed round: got %v, want a rebuilt model", m)
+	}
+}
+
+// peakEI is a stub surrogate whose expected improvement is a bump of the
+// given height around c (0 = no positive EI anywhere); Acquire calls nothing
+// but the two scoring methods.
+type peakEI struct {
+	gp.Surrogate
+	c      []float64
+	height float64
+}
+
+func (s peakEI) ExpectedImprovement(p []float64, _ float64) float64 {
+	return s.height * math.Exp(-sqDist(p, s.c)/(2*0.2*0.2))
+}
+
+func (s peakEI) ScoreCandidates(points [][]float64, best float64, dst []float64) []float64 {
+	dst = dst[:0]
+	for _, p := range points {
+		dst = append(dst, s.ExpectedImprovement(p, best))
+	}
+	return dst
+}
+
+// TestAcquireRound checks the one acquisition round every GP consumer runs,
+// on a fitted model and on stubs that pin each branch.
+func TestAcquireRound(t *testing.T) {
+	const d = 5
+	base := []float64{0.11, 0.22, 0.33, 0.44, 0.55}
+	identity := []int{0, 1, 2, 3, 4}
+	fitted := func() *SurrogateModel {
+		m := NewSurrogateModel(nil, gp.Matern52, 1)
+		rng := rand.New(rand.NewSource(8))
+		for i := 0; i < 12; i++ {
+			x := make([]float64, d)
+			for j := range x {
+				x[j] = rng.Float64()
+			}
+			m.Observe(x, 1+sqDist(x, base))
+		}
+		m.Observe(base, 1)
+		if m.Sync(60) == nil {
+			t.Fatal("no model over 13 clean observations")
+		}
+		return m
+	}
+	stub := func(height float64) *SurrogateModel {
+		m := NewSurrogateModel(nil, gp.Matern52, 1)
+		m.Observe(base, 1)
+		m.model = peakEI{c: []float64{0.7, 0.7, 0.7, 0.7, 0.7}, height: height}
+		return m
+	}
+	for _, c := range []struct {
+		name   string
+		model  func() *SurrogateModel
+		k      int
+		active []int
+	}{
+		{"fitted/all", fitted, 4, nil},
+		{"fitted/identity", fitted, 4, identity},
+		{"fitted/subspace", fitted, 3, []int{3, 1}},
+		{"fitted/one", fitted, 1, []int{4}},
+		{"peak/subspace", func() *SurrogateModel { return stub(1) }, 2, []int{0, 2, 4}},
+		{"flat/subspace", func() *SurrogateModel { return stub(0) }, 3, []int{2, 0}},
+	} {
+		got := c.model().Acquire(c.k, c.active, 50, rand.New(rand.NewSource(21)))
+		if len(got) != c.k {
+			t.Fatalf("%s: %d points, want exactly %d", c.name, len(got), c.k)
+		}
+		searched := map[int]bool{}
+		for _, a := range c.active {
+			searched[a] = true
+		}
+		for i, x := range got {
+			if len(x) != d {
+				t.Fatalf("%s: point %d has %d coordinates, want %d", c.name, i, len(x), d)
+			}
+			for j, v := range x {
+				if !(v >= 0 && v <= 1) {
+					t.Errorf("%s: point %d leaves the unit cube: %v", c.name, i, x)
+				}
+				if c.active != nil && !searched[j] && v != base[j] {
+					t.Errorf("%s: point %d moved coordinate %d (%v, best point has %v) outside active %v", c.name, i, j, v, base[j], c.active)
+				}
+			}
+		}
+	}
+
+	// The spread penalty: on a single-peaked acquisition surface the first pick
+	// polishes onto the peak and the second, scored under the penalty of the
+	// first, is pushed off it.
+	picks := stub(1).Acquire(2, nil, 200, rand.New(rand.NewSource(21)))
+	peak := []float64{0.7, 0.7, 0.7, 0.7, 0.7}
+	if d1, d2 := math.Sqrt(sqDist(picks[0], peak)), math.Sqrt(sqDist(picks[1], picks[0])); d1 > 0.05 || d2 < 0.1 {
+		t.Errorf("first pick %.3f from the peak (want < 0.05), second %.3f from the first (want pushed > 0.1 away)", d1, d2)
+	}
+
+	// No positive EI anywhere: every pick is a uniform draw, and the RNG is
+	// consumed in the documented order — screenPool × len(active) draws for
+	// the pool, then len(active) per pick.
+	active := []int{2, 0}
+	explored := stub(0).Acquire(3, active, 50, rand.New(rand.NewSource(21)))
+	ref := rand.New(rand.NewSource(21))
+	for i := 0; i < screenPool*len(active); i++ {
+		ref.Float64()
+	}
+	for i, x := range explored {
+		for _, a := range active {
+			if want := ref.Float64(); x[a] != want {
+				t.Fatalf("explore pick %d coordinate %d = %v, want the RNG's next draw %v", i, a, x[a], want)
+			}
+		}
+	}
+
+	// Every dimension active is the sub-space path fed the identity index set:
+	// same points, same RNG state after — iTuned is a special case of the round
+	// OtterTune runs, not a fork of it.
+	rngAll, rngID := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	all, id := fitted().Acquire(4, nil, 60, rngAll), fitted().Acquire(4, identity, 60, rngID)
+	for i := range all {
+		for j := range all[i] {
+			if math.Float64bits(all[i][j]) != math.Float64bits(id[i][j]) {
+				t.Fatalf("point %d: all-active %v != identity %v", i, all[i], id[i])
+			}
+		}
+	}
+	if rngAll.Float64() != rngID.Float64() {
+		t.Error("all-active and identity rounds consumed different numbers of RNG draws")
 	}
 }

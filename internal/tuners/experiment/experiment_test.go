@@ -173,7 +173,8 @@ func TestITunedAppendsBetweenRebuilds(t *testing.T) {
 	design := drive(t, p, target, len(p.pending), nil)
 	var last gp.Surrogate
 	appends, rebuilds := 0, 0
-	best := drive(t, p, target, 200-len(p.xs), func(int) {
+	seen, _, _ := observed(p.model)
+	best := drive(t, p, target, 200-seen, func(int) {
 		m := p.model.Model()
 		if m != nil && m.Tier() == tune.SurrogateSparse {
 			if m == last {
@@ -187,12 +188,25 @@ func TestITunedAppendsBetweenRebuilds(t *testing.T) {
 	if rebuilds < 2 || appends <= rebuilds {
 		t.Errorf("sparse rounds: %d appended, %d rebuilt; want mostly appends and at least 2 rebuilds", appends, rebuilds)
 	}
-	if m := p.model.Model(); m == nil || m.TrainingSize() >= len(p.xs) {
-		t.Errorf("the last round's model should hold all but the last batch of %d observations", len(p.xs))
+	if n, _, _ := observed(p.model); p.model.Model() == nil || p.model.Model().TrainingSize() >= n {
+		t.Errorf("the last round's model should hold all but the last batch of %d observations", n)
 	}
 	if best >= design {
 		t.Errorf("200 trials did not improve on the design phase: %v vs %v", best, design)
 	}
+}
+
+// observed returns how many observations the proposer's model accepted, and
+// the best of them.
+func observed(m *tune.SurrogateModel) (n int, bestX []float64, incumbent float64) {
+	xs, ys := m.Observations()
+	incumbent = math.Inf(1)
+	for i, y := range ys {
+		if y < incumbent {
+			bestX, incumbent = xs[i], y
+		}
+	}
+	return len(xs), bestX, incumbent
 }
 
 // infAt returns +Inf in place of its k-th run's time.
@@ -237,18 +251,19 @@ func TestITunedNonFiniteObjectiveKeepsModelling(t *testing.T) {
 		if m == nil {
 			t.Fatalf("no model after %d trials", n)
 		}
-		if mu, sigma := m.Predict(p.bestX); math.IsNaN(mu) || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
+		_, bestX, incumbent := observed(p.model)
+		if mu, sigma := m.Predict(bestX); math.IsNaN(mu) || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
 			t.Fatalf("after %d trials the model predicts (%v, %v) at the incumbent", n, mu, sigma)
 		}
-		if ei := m.ExpectedImprovement(p.space.Default().Vector(), p.incumbent); math.IsNaN(ei) {
+		if ei := m.ExpectedImprovement(p.space.Default().Vector(), incumbent); math.IsNaN(ei) {
 			t.Fatalf("after %d trials EI is NaN", n)
 		}
 	})
 	if rounds == 0 {
 		t.Fatal("no GP round ran after the infinite trial")
 	}
-	if len(p.xs) != trials-1 || math.IsInf(p.incumbent, 0) {
-		t.Fatalf("model history holds %d of %d trials, incumbent %v; want the infinite one left out", len(p.xs), trials, p.incumbent)
+	if n, _, incumbent := observed(p.model); n != trials-1 || math.IsInf(incumbent, 0) {
+		t.Fatalf("model history holds %d of %d trials, incumbent %v; want the infinite one left out", n, trials, incumbent)
 	}
 }
 

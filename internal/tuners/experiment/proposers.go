@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/mathx/opt"
 	"repro/internal/mathx/sample"
 	"repro/internal/tune"
 )
@@ -80,45 +79,16 @@ func (p *gridProposer) Propose(n int) []tune.Config { return tune.ProposeFixed(&
 func (p *gridProposer) Observe(tune.Trial) {}
 
 // itunedProposer is iTuned in ask/tell form: a Latin-hypercube design
-// proposed as one batch, then GP/EI rounds of up to Batch candidates. The
-// within-round candidates are separated by penalizing EI near already-
-// chosen points (a liar-free stand-in for q-EI), so a round's proposals
-// depend only on observed history — never on worker scheduling.
-//
-// Each GP round screens a pool of uniform candidates with one batched
-// ScoreCandidates call, then polishes the best screened start with a local
-// simplex search — far fewer acquisition evaluations than cold multi-start,
-// and the ones that remain are allocation-free. The model persists across
-// rounds behind tune.SurrogateModel, which decides per round whether the
-// new observations are appended or the model is rebuilt.
+// proposed as one batch, then GP/EI rounds of up to Batch candidates. History,
+// model lifecycle and the acquisition round are tune.SurrogateModel's; iTuned
+// is its round searched over every coordinate.
 type itunedProposer struct {
-	t     *ITuned
 	space *tune.Space
 	rng   *rand.Rand
 	batch int
 
-	pending   []tune.Config
-	xs        [][]float64
-	ys        []float64
-	bestX     []float64
-	incumbent float64
-
-	model  *tune.SurrogateModel
-	scores []float64
-}
-
-// screenPool is how many uniform candidates each GP round scores in the
-// batched screening pass before polishing.
-const screenPool = 48
-
-// batchPenalty shrinks an acquisition score near points already chosen this
-// round so a batch spreads out instead of piling onto one optimum.
-func batchPenalty(x []float64, chosen [][]float64) float64 {
-	pen := 1.0
-	for _, c := range chosen {
-		pen *= 1 - math.Exp(-sqDist(x, c)/(0.15*0.15))
-	}
-	return pen
+	pending []tune.Config
+	model   *tune.SurrogateModel
 }
 
 // NewProposer implements tune.BatchTuner.
@@ -141,7 +111,7 @@ func (t *ITuned) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, 
 		batch = 4
 	}
 	p := &itunedProposer{
-		t: t, space: space, rng: rng, batch: batch, incumbent: math.Inf(1),
+		space: space, rng: rng, batch: batch,
 		model: tune.NewSurrogateModel(t.Surrogate, t.Kernel, t.Seed),
 	}
 	for _, x := range sample.LatinHypercube(initN, d, rng) {
@@ -157,62 +127,20 @@ func (p *itunedProposer) Propose(n int) []tune.Config {
 	if n <= 0 {
 		return nil
 	}
-	d := p.space.Dim()
 	// The exact tier keeps its historical n ≤ 60 hyperparameter-search rule.
-	model := p.model.Sync(p.xs, p.ys, len(p.xs) <= 60)
-	if model == nil {
+	if p.model.Sync(60) == nil {
 		// Degenerate surface: fall back to one random probe.
 		return []tune.Config{p.space.Random(p.rng)}
 	}
-	k := p.batch
-	if k > n {
-		k = n
-	}
-	// Screen: one batched scoring pass over the incumbent plus a uniform
-	// candidate pool.
-	pool := make([][]float64, 0, screenPool+1)
-	pool = append(pool, p.bestX)
-	for i := 0; i < screenPool; i++ {
-		pool = append(pool, randPoint(d, p.rng))
-	}
-	p.scores = model.ScoreCandidates(pool, p.incumbent, p.scores)
-	out := make([]tune.Config, 0, k)
-	var chosen [][]float64
-	for i := 0; i < k; i++ {
-		// Pick the best screened start under the spread penalty, then
-		// polish it with a local simplex search on penalized EI.
-		bestAt, bestScore := 0, math.Inf(-1)
-		for c, cand := range pool {
-			if s := p.scores[c] * batchPenalty(cand, chosen); s > bestScore {
-				bestAt, bestScore = c, s
-			}
-		}
-		next := opt.NelderMead(func(x []float64) float64 {
-			return -model.ExpectedImprovement(x, p.incumbent) * batchPenalty(x, chosen)
-		}, pool[bestAt], 0.15, 60)
-		x := next.X
-		if next.F >= 0 { // no positive EI left: explore
-			x = randPoint(d, p.rng)
-		}
-		chosen = append(chosen, x)
+	var out []tune.Config
+	for _, x := range p.model.Acquire(min(p.batch, n), nil, 60, p.rng) {
 		out = append(out, p.space.FromVector(x))
 	}
 	return out
 }
 
 func (p *itunedProposer) Observe(t tune.Trial) {
-	x := t.Config.Vector()
-	y := t.Result.Objective()
-	if math.IsNaN(y) || math.IsInf(y, 0) {
-		// A failed trial carries no value the model can condition on (every
-		// tier refuses it), and −Inf must never become the incumbent.
-		return
-	}
-	p.xs = append(p.xs, x)
-	p.ys = append(p.ys, y)
-	if y < p.incumbent {
-		p.incumbent, p.bestX = y, x
-	}
+	p.model.Observe(t.Config.Vector(), t.Result.Objective())
 }
 
 // Interface conformance checks.

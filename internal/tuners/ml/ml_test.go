@@ -178,7 +178,8 @@ func TestOtterTuneAppendsBetweenRebuilds(t *testing.T) {
 	initial := drive(t, p, target, len(p.pending), nil)
 	var last gp.Surrogate
 	appends, rebuilds := 0, 0
-	best := drive(t, p, target, 200-len(p.xs), func(int) {
+	seen, _, _ := observed(p.model)
+	best := drive(t, p, target, 200-seen, func(int) {
 		m := p.model.Model()
 		if m != nil && m.Tier() == tune.SurrogateSparse {
 			if m == last {
@@ -195,6 +196,19 @@ func TestOtterTuneAppendsBetweenRebuilds(t *testing.T) {
 	if best >= initial {
 		t.Errorf("200 trials did not improve on the initial batch: %v vs %v", best, initial)
 	}
+}
+
+// observed returns how many observations the proposer's model accepted, and
+// the best of them.
+func observed(m *tune.SurrogateModel) (n int, bestX []float64, incumbent float64) {
+	xs, ys := m.Observations()
+	incumbent = math.Inf(1)
+	for i, y := range ys {
+		if y < incumbent {
+			bestX, incumbent = xs[i], y
+		}
+	}
+	return len(xs), bestX, incumbent
 }
 
 // infAt returns +Inf in place of its k-th run's time.
@@ -237,15 +251,16 @@ func TestOtterTuneNonFiniteObjectiveKeepsModelling(t *testing.T) {
 		if m == nil {
 			t.Fatalf("no model after %d trials", n)
 		}
-		if mu, sigma := m.Predict(p.bestX); math.IsNaN(mu) || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
+		_, bestX, _ := observed(p.model)
+		if mu, sigma := m.Predict(bestX); math.IsNaN(mu) || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
 			t.Fatalf("after %d trials the model predicts (%v, %v) at the incumbent", n, mu, sigma)
 		}
 	})
 	if rounds == 0 {
 		t.Fatal("no GP round ran after the infinite trial")
 	}
-	if len(p.xs) != trials-1 || math.IsInf(p.incumbent, 0) {
-		t.Fatalf("model history holds %d of %d trials, incumbent %v; want the infinite one left out", len(p.xs), trials, p.incumbent)
+	if n, _, incumbent := observed(p.model); n != trials-1 || math.IsInf(incumbent, 0) {
+		t.Fatalf("model history holds %d of %d trials, incumbent %v; want the infinite one left out", n, trials, incumbent)
 	}
 }
 

@@ -270,12 +270,4 @@ func (t *OtterTune) Tune(ctx context.Context, target tune.Target, b tune.Budget)
 	return tune.DriveTuner(ctx, t, target, b)
 }
 
-func subVector(x []float64, idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = x[j]
-	}
-	return out
-}
-
 var _ tune.Tuner = (*OtterTune)(nil)

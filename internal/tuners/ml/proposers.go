@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/mathx/gp"
@@ -19,10 +18,10 @@ import (
 // initialization and stays one-at-a-time afterwards — each proposal
 // retrains the surrogate on everything observed so far.
 
-// otProposer is OtterTune in ask/tell form. Like the iTuned proposer, its
-// GP rounds screen a candidate pool over the active knobs with one batched
-// ScoreCandidates call and polish the best start with a local simplex
-// search; the model persists across rounds behind tune.SurrogateModel.
+// otProposer is OtterTune in ask/tell form. History, model lifecycle and the
+// acquisition round are tune.SurrogateModel's; OtterTune's own parts are the
+// offline phase, the mapped workload it places ahead of its observations, and
+// a round searched over the top-ranked knobs only.
 type otProposer struct {
 	t     *OtterTune
 	space *tune.Space
@@ -32,43 +31,14 @@ type otProposer struct {
 	sessions []tune.SessionRecord
 	pruned   []string
 	active   []int
-	topK     int
 
 	pending []tune.Config
 	mapped  bool
 
-	xs, mappedX [][]float64
-	ys, mappedY []float64
-	observed    map[string]float64
-	nObs        float64
-	bestX       []float64
-	incumbent   float64
+	observed map[string]float64
+	nObs     float64
 
-	model  *tune.SurrogateModel
-	scores []float64
-}
-
-// screenPool is how many candidate knob settings each GP round scores in
-// the batched screening pass before polishing.
-const screenPool = 48
-
-// batchPenalty shrinks an acquisition score near sub-vectors already chosen
-// this round so a batch spreads out across the active knobs.
-func batchPenalty(sub []float64, chosen [][]float64) float64 {
-	pen := 1.0
-	for _, c := range chosen {
-		pen *= 1 - math.Exp(-sqDistSub(sub, c)/(0.15*0.15))
-	}
-	return pen
-}
-
-// embed writes sub into the active knob positions of dst (a copy of base).
-func (p *otProposer) embed(dst, base, sub []float64) []float64 {
-	copy(dst, base)
-	for j, v := range sub {
-		dst[p.active[j]] = v
-	}
-	return dst
+	model *tune.SurrogateModel
 }
 
 // NewProposer implements tune.BatchTuner: the offline phase.
@@ -112,8 +82,8 @@ func (t *OtterTune) NewProposer(target tune.Target, b tune.Budget) (tune.Propose
 	p := &otProposer{
 		t: t, space: space, rng: rng, batch: batch,
 		model:    tune.NewSurrogateModel(t.Surrogate, gp.Matern52, t.Seed),
-		sessions: sessions, pruned: pruned, active: active, topK: topK,
-		observed: map[string]float64{}, incumbent: math.Inf(1),
+		sessions: sessions, pruned: pruned, active: active,
+		observed: map[string]float64{},
 	}
 	p.pending = append(p.pending, space.Default())
 	for _, x := range sample.LatinHypercube(initN, d, rng) {
@@ -147,11 +117,15 @@ func (p *otProposer) mapWorkloadOnce() {
 		vals = append(vals, tr.Time)
 	}
 	tm, tsd := medianIQR(vals)
-	om, osd := medianIQR(p.ys)
+	_, ys := p.model.Observations()
+	om, osd := medianIQR(ys)
+	var mappedX [][]float64
+	var mappedY []float64
 	for _, tr := range sess.Trials {
-		p.mappedX = append(p.mappedX, tr.Vector)
-		p.mappedY = append(p.mappedY, om+(tr.Time-tm)/tsd*osd)
+		mappedX = append(mappedX, tr.Vector)
+		mappedY = append(mappedY, om+(tr.Time-tm)/tsd*osd)
 	}
+	p.model.SetPrior(mappedX, mappedY)
 }
 
 func (p *otProposer) Propose(n int) []tune.Config {
@@ -164,91 +138,26 @@ func (p *otProposer) Propose(n int) []tune.Config {
 	if !p.mapped {
 		p.mapWorkloadOnce()
 	}
-	if len(p.xs) == 0 {
-		// Every initial trial failed: nothing to anchor a model round on.
+	// No model — every initial trial failed, or a degenerate surface: one
+	// random probe. The exact tier keeps its historical n ≤ 80 rule.
+	if p.model.Sync(80) == nil {
 		return []tune.Config{p.space.Random(p.rng)}
 	}
-	// The transferred corpus counts toward the tier decision: mapping a
-	// thousand-trial repository session pushes the model straight into the
-	// sparse or RFF tier instead of an O(n³) exact fit.
-	gx := append(append([][]float64(nil), p.mappedX...), p.xs...)
-	gy := append(append([]float64(nil), p.mappedY...), p.ys...)
-	model := p.model.Sync(gx, gy, len(gx) <= 80)
-	if model == nil {
-		return []tune.Config{p.space.Random(p.rng)}
-	}
-	k := p.batch
-	if k > n {
-		k = n
-	}
-	base := p.bestX
-	// Screen: batch-score the incumbent's active knobs plus a uniform pool
-	// of knob settings, each embedded into the incumbent configuration.
-	subs := make([][]float64, 0, screenPool+1)
-	subs = append(subs, subVector(base, p.active))
-	for i := 0; i < screenPool; i++ {
-		sub := make([]float64, p.topK)
-		for j := range sub {
-			sub[j] = p.rng.Float64()
-		}
-		subs = append(subs, sub)
-	}
-	fulls := make([][]float64, len(subs))
-	for i, sub := range subs {
-		fulls[i] = p.embed(make([]float64, len(base)), base, sub)
-	}
-	p.scores = model.ScoreCandidates(fulls, p.incumbent, p.scores)
-	out := make([]tune.Config, 0, k)
-	var chosen [][]float64
-	xbuf := make([]float64, len(base))
-	for i := 0; i < k; i++ {
-		bestAt, bestScore := 0, math.Inf(-1)
-		for c, sub := range subs {
-			if s := p.scores[c] * batchPenalty(sub, chosen); s > bestScore {
-				bestAt, bestScore = c, s
-			}
-		}
-		next := opt.NelderMead(func(sub []float64) float64 {
-			p.embed(xbuf, base, sub)
-			return -model.ExpectedImprovement(xbuf, p.incumbent) * batchPenalty(sub, chosen)
-		}, subs[bestAt], 0.15, 50)
-		sub := next.X
-		if next.F >= 0 { // no positive EI: explore the active knobs
-			sub = make([]float64, p.topK)
-			for j := range sub {
-				sub[j] = p.rng.Float64()
-			}
-		}
-		chosen = append(chosen, sub)
-		out = append(out, p.space.FromVector(p.embed(make([]float64, len(base)), base, sub)))
+	var out []tune.Config
+	for _, x := range p.model.Acquire(min(p.batch, n), p.active, 50, p.rng) {
+		out = append(out, p.space.FromVector(x))
 	}
 	return out
 }
 
 func (p *otProposer) Observe(t tune.Trial) {
-	x := t.Config.Vector()
-	y := t.Result.Objective()
-	if math.IsNaN(y) || math.IsInf(y, 0) {
-		return // a failed trial: see itunedProposer.Observe
+	if !p.model.Observe(t.Config.Vector(), t.Result.Objective()) {
+		return // a failed trial: its metrics describe no workload either
 	}
-	p.xs = append(p.xs, x)
-	p.ys = append(p.ys, y)
 	for k, v := range t.Result.Metrics {
 		p.observed[k] += v
 	}
 	p.nObs++
-	if y < p.incumbent {
-		p.incumbent, p.bestX = y, x
-	}
-}
-
-func sqDistSub(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
 }
 
 // neuralProposer is the Rodd & Kulkarni tuner in ask/tell form.
