@@ -23,6 +23,14 @@
 //	for ev := range run.Events() { ... }
 //	result, _ := run.Wait(ctx)
 //
+// A session that learns from, and adds to, a durable repository of past
+// sessions is built on the open store (internal/tune/store) — the one way the
+// CLI and the daemon launch theirs:
+//
+//	st, _ := store.Open(dir)
+//	job, _ := spec.JobOn(st, "", nil, nil) // spec.WarmStart seeds from st; the result is archived into st
+//	run := repro.NewEngine(repro.EngineOptions{}).Submit(job)
+//
 // External systems and algorithms plug in by name through RegisterTarget
 // and RegisterTuner; cmd/autotuned serves Start over HTTP/JSON with
 // server-sent event streams. Everything underneath lives in internal/
@@ -46,7 +54,7 @@ type (
 	Budget = tune.Budget
 	// Config is a point in a configuration space.
 	Config = tune.Config
-	// Repository is a corpus of past tuning sessions.
+	// Repository is the plain in-memory corpus of past tuning sessions.
 	Repository = tune.Repository
 	// SessionRecord is one archived tuning session: what the durable
 	// repository stores and what Job.Archive hands off.

@@ -32,7 +32,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,11 +39,9 @@ import (
 	"os"
 	"regexp"
 	"strings"
-	"time"
 
 	repro "repro"
 	"repro/internal/dist"
-	"repro/internal/tune"
 	"repro/internal/tune/store"
 )
 
@@ -111,19 +108,6 @@ func main() {
 	}
 }
 
-// countedWarm notes how many seeds the repository transferred, for the "warm
-// start" line.
-type countedWarm struct {
-	tune.WarmSource
-	seeds *int
-}
-
-func (c countedWarm) WarmConfigs(system string, features map[string]float64, space *tune.Space, k int) []tune.Config {
-	cfgs := c.WarmSource.WarmConfigs(system, features, space, k)
-	*c.seeds = len(cfgs)
-	return cfgs
-}
-
 func run(args []string, out io.Writer) error {
 	o, err := parseFlags(args)
 	if err != nil {
@@ -142,31 +126,49 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 	spec := o.spec
-	var st *store.FileStore
-	var repo *repro.Repository
-	var warm tune.WarmSource
-	var seeds int
-	var archive func(repro.SessionRecord)
-	var archivedAs int64
-	var archiveErr error
+	var st store.Store // stays a nil interface without -repo
 	if o.repoDir != "" {
-		if st, err = store.Open(o.repoDir); err != nil {
+		fs, err := store.Open(o.repoDir)
+		if err != nil {
 			return err
 		}
-		defer st.Close()
+		defer fs.Close()
+		st = fs
 		fmt.Fprintf(out, "repository %s: %d past sessions\n", o.repoDir, st.Len())
-		// Only repository-driven tuners need every past session in memory;
-		// warm start runs on the store's feature index, so a million-session
-		// repository opens in index-read time on the common path.
-		if repro.TunerNeedsRepository(spec.Tuner) {
-			if repo, err = st.Repository(); err != nil {
-				return err
+	}
+	// With -resume the session's observation history is checkpointed into
+	// the repository at every batch boundary and picked back up on the next
+	// invocation with the same flags: the history replays into a fresh
+	// proposer, so the continued run is identical to an uninterrupted one.
+	var ckptSID string
+	var replay *repro.Replay
+	if o.resume {
+		ckptSID = cliCheckpointID(spec)
+		if cps, cerr := st.Checkpoints(); cerr == nil {
+			for _, cp := range cps {
+				if cp.SID == ckptSID && len(cp.Replay.Trials) > 0 {
+					replay = &cp.Replay
+					break
+				}
 			}
 		}
-		warm = countedWarm{st, &seeds}
-		archive = func(rec repro.SessionRecord) { archivedAs, archiveErr = st.Append(rec) }
 	}
-	job, err := spec.JobWithWarm(repo, warm, archive)
+	var seeds, archivedAs int64
+	var archiveErr error
+	warned := false
+	job, err := spec.JobOn(st, ckptSID, replay, func(op repro.StoreOp, n int64, err error) {
+		switch op {
+		case repro.WarmStarted:
+			seeds = n
+		case repro.Archived:
+			archivedAs, archiveErr = n, err
+		case repro.Checkpointed:
+			if err != nil && !warned {
+				warned = true
+				fmt.Fprintf(os.Stderr, "autotune: checkpoint not saved, an interruption now would lose progress: %v\n", err)
+			}
+		}
+	})
 	if err != nil {
 		return err
 	}
@@ -181,35 +183,8 @@ func run(args []string, out io.Writer) error {
 	if spec.WarmStart {
 		fmt.Fprintf(out, "warm start: %d configurations transferred from the nearest past workload\n", seeds)
 	}
-	// With -resume the session's observation history is checkpointed into
-	// the repository at every batch boundary and picked back up on the next
-	// invocation with the same flags: the history replays into a fresh
-	// proposer, so the continued run is identical to an uninterrupted one.
-	ckptSID := cliCheckpointID(spec)
-	if o.resume {
-		meta, merr := json.Marshal(spec)
-		if merr != nil {
-			return merr
-		}
-		if cps, cerr := st.Checkpoints(); cerr == nil {
-			for _, cp := range cps {
-				if cp.SID == ckptSID && len(cp.Replay.Trials) > 0 {
-					job.Replay = &cp.Replay
-					fmt.Fprintf(out, "resuming from checkpoint: %d trials already observed\n", len(cp.Replay.Trials))
-					break
-				}
-			}
-		}
-		warned := false
-		job.Checkpoint = func(cs tune.CheckpointState) {
-			err := st.SaveCheckpoint(store.SessionCheckpoint{
-				SID: ckptSID, Spec: meta, Replay: cs.Replay(), Trials: len(cs.Trials), UpdatedAt: time.Now(),
-			})
-			if err != nil && !warned {
-				warned = true
-				fmt.Fprintf(os.Stderr, "autotune: checkpoint not saved, an interruption now would lose progress: %v\n", err)
-			}
-		}
+	if replay != nil {
+		fmt.Fprintf(out, "resuming from checkpoint: %d trials already observed\n", len(replay.Trials))
 	}
 
 	session := repro.NewEngine(repro.EngineOptions{Workers: 1}).Submit(job)

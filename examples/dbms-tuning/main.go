@@ -61,7 +61,7 @@ func main() {
 		{"simulation", "addm", repro.TunerOptions{}},
 		{"experiment-driven", "ituned", repro.TunerOptions{Seed: seed}},
 		{"machine learning (cold)", "ottertune", repro.TunerOptions{Seed: seed}},
-		{"machine learning (repo)", "ottertune", repro.TunerOptions{Seed: seed, Repo: repo}},
+		{"machine learning (repo)", "ottertune", repro.TunerOptions{Seed: seed, Repo: repo, TargetName: "dbms/mixed"}},
 		{"adaptive", "colt", repro.TunerOptions{Seed: seed}},
 	}
 	fmt.Printf("%-26s %-22s %8s %6s %12s\n", "category", "tuner", "best", "runs", "speedup")

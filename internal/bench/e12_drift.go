@@ -74,7 +74,7 @@ func Drift(o Options) *Table {
 		tuner    tune.Tuner
 	}{
 		{"iTuned (no detection)", experiment.NewITuned(o.Seed)},
-		{"iTuned + drift detection", tune.DriftDetectTuner(experiment.NewITuned(o.Seed), tune.DriftOptions{})},
+		{"iTuned + drift detection", tune.DriftDetectTuner(experiment.NewITuned(o.Seed))},
 	}
 	eng := o.engine()
 	runs := make([]*engine.Run, len(variants))
@@ -132,7 +132,7 @@ func Drift(o Options) *Table {
 	t.Note("budget %d trials at seed %d; workload shifts oltp→olap at trial %d; regret = per-step runtime of the deployed incumbent on the ENDING workload, averaged over post-shift steps",
 		b.Trials, o.Seed, shiftAt)
 	t.Note("detection = windowed incumbent-regression test (window %d, factor %.1f); a detection re-anchors the incumbent and restarts the search with the remaining budget",
-		tune.DriftOptions{}.WithDefaults().Window, tune.DriftOptions{}.WithDefaults().Factor)
+		tune.DriftWindow, tune.DriftFactor)
 	return t
 }
 

@@ -34,7 +34,7 @@ const GuardrailFactor = 0.7
 //
 // The claim reproduced: the screen removes the violations without giving up
 // the incumbent — equal-or-better best at zero violations. The screen's
-// cold start (first GuardrailOptions.MinObs trials pass unscreened) is the
+// cold start (first tune.GuardrailMinObs trials pass unscreened) is the
 // documented residual risk; the violations column makes it visible rather
 // than hiding it.
 func Guardrail(o Options) *Table {
@@ -56,7 +56,7 @@ func Guardrail(o Options) *Table {
 	probe := DBMSTarget(workload.TPCHLike(scale), o.Seed)
 	limit := DefaultTime(probe, 3) * GuardrailFactor
 
-	guarded, err := tune.GuardrailTuner(experiment.NewITuned(o.Seed), tune.GuardrailOptions{Limit: limit})
+	guarded, err := tune.GuardrailTuner(experiment.NewITuned(o.Seed), limit)
 	if err != nil {
 		panic(fmt.Sprintf("bench: building guardrail tuner: %v", err))
 	}
@@ -107,6 +107,6 @@ func Guardrail(o Options) *Table {
 	t.Note("budget %d trials each at seed %d; guardrail = %.1f× the default config's runtime (%s); violations counted by the session, not the tuner",
 		b.Trials, o.Seed, GuardrailFactor, fmtSeconds(limit))
 	t.Note("screen = Matérn-5/2 GP upper confidence bound + safe-set keep-outs, armed after %d observations; vetoed proposals are deferred and re-proposed once the safe set expands to cover them",
-		tune.GuardrailOptions{}.WithDefaults().MinObs)
+		tune.GuardrailMinObs)
 	return t
 }

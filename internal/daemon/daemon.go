@@ -90,16 +90,12 @@ type Options struct {
 	// new trials between durable snapshots (0 = every batch/rung boundary).
 	// Only meaningful with a RepoDir.
 	CheckpointEvery int
-	// SSEWriteTimeout bounds each SSE write: a client that stops reading
-	// long enough to block the server past it is disconnected (its
-	// subscription is released) instead of pinning the handler forever.
-	// Default 30s; negative disables.
-	SSEWriteTimeout time.Duration
 }
 
-// DefaultSSEWriteTimeout bounds a single blocked SSE write before the
-// subscriber is disconnected.
-const DefaultSSEWriteTimeout = 30 * time.Second
+// sseWriteTimeout bounds each SSE write: a client that stops reading long
+// enough to block the server past it is disconnected (its subscription is
+// released) instead of pinning the handler forever.
+const sseWriteTimeout = 30 * time.Second
 
 // Server owns the engine, the session table, and the durable repository.
 type Server struct {
@@ -142,9 +138,6 @@ type session struct {
 // (crash or drain) is resubmitted with its observation history replayed, so
 // interrupted sessions continue instead of vanishing.
 func New(o Options) (*Server, error) {
-	if o.SSEWriteTimeout == 0 {
-		o.SSEWriteTimeout = DefaultSSEWriteTimeout
-	}
 	s := &Server{
 		eng:      repro.NewEngine(repro.EngineOptions{Workers: o.Workers, Cache: o.Memo}),
 		pool:     dist.NewPool(o.Evaluators, dist.PoolOptions{Name: "autotuned"}),
@@ -472,11 +465,6 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
 		return
 	}
-	if spec.Repository != "" {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("the daemon owns its repository (start it with -repo); submit warm_start without a repository path"))
-		return
-	}
 	if spec.WarmStart && s.repo == nil {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("warm_start requires the daemon to have a repository (start it with -repo)"))
@@ -508,35 +496,33 @@ func (s *Server) create(w http.ResponseWriter, r *http.Request) {
 
 // startSession builds and submits one session job — the shared path behind
 // POST /sessions (fresh ids, no replay) and checkpoint resume at startup
-// (preserved ids, replayed history). With a repository the job is wired for
-// crash-resume: its state is checkpointed durably at admission (a queued
+// (preserved ids, replayed history). repro.JobOn wires the job to the
+// repository (nil without one): history is read as the job is built, so
+// sessions archived while this one runs do not retroactively change its
+// transfer, and its state is checkpointed durably at admission (a queued
 // session must survive a restart even before its first batch boundary) and
-// at every batch/rung boundary after.
+// at every batch/rung boundary after. A session id is spent even when the
+// spec is then refused.
 func (s *Server) startSession(spec repro.Spec, sid string, replay *tune.Replay, resumed bool) (*session, error) {
-	sess := &session{Created: time.Now(), Resumed: resumed}
-	var repo *repro.Repository
-	var warm tune.WarmSource
-	var archive func(repro.SessionRecord)
-	if s.repo != nil {
-		// Warm-start transfer runs on the store's feature index; only
-		// repository-driven tuners get the corpus materialized. Either way
-		// history is snapshotted at submission: sessions archived while this
-		// one runs do not retroactively change its transfer.
-		if repro.TunerNeedsRepository(spec.Tuner) {
-			var rerr error
-			if repo, rerr = s.repo.Repository(); rerr != nil {
-				return nil, fmt.Errorf("loading repository corpus: %w", rerr)
-			}
-		}
-		warm = s.repo
-		archive = func(rec repro.SessionRecord) {
-			id, err := s.repo.Append(rec)
-			sess.mu.Lock()
-			sess.archiveID, sess.archiveErr = id, err
-			sess.mu.Unlock()
-		}
+	if sid == "" {
+		s.mu.Lock()
+		s.nextID++
+		sid = fmt.Sprintf("s%d", s.nextID)
+		s.mu.Unlock()
 	}
-	job, err := spec.JobWithWarm(repo, warm, archive)
+	sess := &session{ID: sid, Spec: spec, Created: time.Now(), Resumed: resumed}
+	job, err := spec.JobOn(s.repo, sid, replay, func(op repro.StoreOp, n int64, err error) {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		switch op {
+		case repro.Archived:
+			sess.archiveID, sess.archiveErr = n, err
+		case repro.Checkpointed:
+			// Saves are state-based, so the next boundary retries a failed
+			// one; until it succeeds the session reports checkpoint_error.
+			sess.ckptErr = err
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -550,35 +536,11 @@ func (s *Server) startSession(spec repro.Spec, sid string, replay *tune.Replay, 
 		Target:   spec.Target,
 	})
 	job.EventBuffer = s.opts.EventBuffer
-	if sid == "" {
-		s.mu.Lock()
-		s.nextID++
-		sid = fmt.Sprintf("s%d", s.nextID)
-		s.mu.Unlock()
-	}
-	sess.ID = sid
-	sess.Spec = spec
-	if s.repo != nil {
-		rawSpec, merr := json.Marshal(spec)
-		if merr != nil {
-			return nil, fmt.Errorf("encoding spec for checkpointing: %w", merr)
-		}
-		job.CheckpointEvery = s.opts.CheckpointEvery
-		job.Replay = replay
-		job.Checkpoint = func(cs tune.CheckpointState) {
-			// Saves are state-based, so the next boundary retries a failed
-			// one; until it succeeds the session reports checkpoint_error.
-			err := s.repo.SaveCheckpoint(store.SessionCheckpoint{
-				SID: sid, Spec: rawSpec, Replay: cs.Replay(), Trials: len(cs.Trials), UpdatedAt: time.Now(),
-			})
-			sess.mu.Lock()
-			sess.ckptErr = err
-			sess.mu.Unlock()
-		}
-		if replay == nil {
-			if err := s.repo.SaveCheckpoint(store.SessionCheckpoint{SID: sid, Spec: rawSpec, UpdatedAt: time.Now()}); err != nil {
-				return nil, fmt.Errorf("checkpointing session at admission: %w", err)
-			}
+	job.CheckpointEvery = s.opts.CheckpointEvery
+	if s.repo != nil && replay == nil {
+		job.Checkpoint(tune.CheckpointState{})
+		if sess.ckptErr != nil {
+			return nil, fmt.Errorf("checkpointing session at admission: %w", sess.ckptErr)
 		}
 	}
 	// The session outlives the HTTP request by design; its lifetime is
@@ -719,7 +681,7 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request) {
 // stream_checkpoint summarizing what was compacted away in the meantime.
 //
 // The handler defends the daemon against its clients: every write runs
-// under SSEWriteTimeout (a blocked client is disconnected, not buffered
+// under sseWriteTimeout (a blocked client is disconnected, not buffered
 // indefinitely), and a graceful drain terminates the stream with a
 // "draining" event telling the client to reconnect after the restart.
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
@@ -755,9 +717,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return false
 		}
-		if s.opts.SSEWriteTimeout > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(s.opts.SSEWriteTimeout))
-		}
+		_ = rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout))
 		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data); err != nil {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/tune"
+	"repro/internal/tune/store"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -284,6 +288,16 @@ func TestDaemonRefusesUnrunnableSpecs(t *testing.T) {
 			`adaptive/partitions: target "dbms/oltp-olap-shift" does not support online reconfiguration`},
 		{`{"system": "hadoop", "workload": "terasort", "tuner": "memory-manager", "budget": {"trials": 12}}`,
 			`adaptive/memory-manager: target "hadoop/terasort" does not support online reconfiguration`},
+		// A sequential body fills one configuration per bracket: the session
+		// used to be accepted and end after 8 of its 30 trials.
+		{`{"system": "dbms", "workload": "tpch", "tuner": "rrs", "budget": {"trials": 30}, "fidelity": {"strategy": "hyperband"}}`,
+			`experiment/rrs proposes one configuration at a time, each chosen from the last result, so a hyperband schedule`},
+		{`{"system": "dbms", "workload": "tpch", "tuner": "sard", "budget": {"trials": 30}, "fidelity": {"strategy": "halving"}}`,
+			`experiment/sard proposes one configuration at a time, each chosen from the last result, so a halving schedule`},
+		{`{"system": "spark", "workload": "pagerank", "tuner": "adaptive-sampling", "budget": {"trials": 30}, "fidelity": {}}`,
+			`experiment/adaptive-sampling proposes one configuration at a time, each chosen from the last result, so a hyperband schedule`},
+		{`{"system": "hadoop", "workload": "terasort", "tuner": "addm", "budget": {"trials": 30}, "fidelity": {}}`,
+			`simulation/addm proposes one configuration at a time, each chosen from the last result, so a hyperband schedule`},
 	} {
 		_, code, body := postSpec(t, ts, c.spec)
 		if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, c.want) {
@@ -704,6 +718,33 @@ func TestDaemonRepositoryGuards(t *testing.T) {
 		"seed": 1, "budget": {"trials": 2}, "warm_start": true}`)
 	if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(body["error"]), "ask/tell") {
 		t.Errorf("warm_start on colt = %d %v, want 400 about ask/tell", code, body)
+	}
+}
+
+// unreadableCorpus is a repository whose per-system read fails.
+type unreadableCorpus struct{ store.Store }
+
+func (unreadableCorpus) ForSystem(string) ([]tune.SessionRecord, error) {
+	return nil, errors.New("segment unreadable")
+}
+
+// TestDaemonCorpusReadErrorFailsSubmission: a repository-driven tuner reads
+// its history while the job is built, so an unreadable corpus is an error on
+// the POST — not a 201 and a session that fails later — and costs a tuner
+// that never reads the corpus nothing.
+func TestDaemonCorpusReadErrorFailsSubmission(t *testing.T) {
+	ts, srv := newTestServerWith(t, Options{Workers: 1, RepoDir: t.TempDir()})
+	srv.repo = unreadableCorpus{srv.repo}
+	_, code, body := postSpec(t, ts, `{"system": "spark", "workload": "pagerank", "tuner": "ottertune", "budget": {"trials": 8}}`)
+	if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "segment unreadable") {
+		t.Errorf("ottertune on an unreadable corpus = %d %q, want 400 naming the read error", code, msg)
+	}
+	id, code, body := postSpec(t, ts, `{"system": "spark", "workload": "pagerank", "tuner": "ituned", "budget": {"trials": 8}, "warm_start": true}`)
+	if code != http.StatusCreated {
+		t.Fatalf("ituned on the same repository = %d %v, want 201", code, body)
+	}
+	if st := waitDone(t, ts, id); st["state"] != "done" {
+		t.Errorf("ituned session ended %v", st)
 	}
 }
 

@@ -164,7 +164,7 @@ func TestCheckpointResumeThroughDriftReanchor(t *testing.T) {
 		}
 		return Job{
 			Name:   "drift-resume",
-			Tuner:  tune.DriftDetectTuner(experiment.NewITuned(21), tune.DriftOptions{}),
+			Tuner:  tune.DriftDetectTuner(experiment.NewITuned(21)),
 			Target: d, Budget: b,
 		}
 	}

@@ -174,17 +174,23 @@ func (d driver) drive(ctx context.Context, name string, target tune.Target, b tu
 		ev = rep
 		lastCkpt = len(d.replay.Trials) // replayed boundaries are already durable
 	}
-	var boundary func(*tune.Session)
-	if d.checkpoint != nil && caps.Indexed() {
-		every := max(d.ckptEvery, 1)
+	every := max(d.ckptEvery, 1)
+	boundary := func(s *tune.Session) {
+		// A one-slot session evaluates inline and never blocks, so without this
+		// yield it holds its processor until the 10 ms preemption tick: the
+		// handlers streaming its events wait that long, and with every core
+		// running a session so does the collector's mark worker, while the other
+		// sessions allocate past the heap goal (peak RSS then follows timing).
+		runtime.Gosched()
+		if d.checkpoint == nil || !caps.Indexed() {
+			return
+		}
 		// Offer the session's resumable state once at least `every` new trials
 		// were observed since the last snapshot; see tune.CheckpointState for
 		// the aliasing contract.
-		boundary = func(s *tune.Session) {
-			if trials := s.Trials(); len(trials)-lastCkpt >= every {
-				d.checkpoint(tune.CheckpointState{Trials: trials, RunsReserved: reservedRuns(caps)})
-				lastCkpt = len(trials)
-			}
+		if trials := s.Trials(); len(trials)-lastCkpt >= every {
+			d.checkpoint(tune.CheckpointState{Trials: trials, RunsReserved: reservedRuns(caps)})
+			lastCkpt = len(trials)
 		}
 	}
 	res, err := tune.Drive(ctx, name, target, b, fp, ev, boundary)

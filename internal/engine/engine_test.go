@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -325,5 +326,50 @@ func BenchmarkDrive(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// oneAtATime proposes one configuration per batch, so a session of n trials
+// crosses n batch boundaries.
+type oneAtATime struct{ cfg tune.Config }
+
+func (p *oneAtATime) Propose(int) []tune.Config { return []tune.Config{p.cfg} }
+func (p *oneAtATime) Observe(tune.Trial)        {}
+
+// yieldProbe notes, at its third evaluation, whether the goroutine the test
+// left runnable has run yet. (Not the second: every 61st pass of the
+// scheduler takes the yielding goroutine straight back off the global queue.)
+type yieldProbe struct {
+	*countingTarget
+	ran   *atomic.Bool
+	third bool
+}
+
+func (y *yieldProbe) Run(cfg tune.Config) tune.Result {
+	if y.calls.Load() == 2 {
+		y.third = y.ran.Load()
+	}
+	return y.countingTarget.Run(cfg)
+}
+
+// TestInlineSessionYieldsAtBatchBoundaries: a one-slot session evaluates
+// inline and never blocks, so the engine yields the processor at each batch
+// boundary. On one processor, a goroutine made runnable before the session
+// starts has therefore run by the session's third batch; without the yield
+// it waits for the 10 ms preemption tick or the session's end — which is how
+// a daemon with a session on every core starved its event handlers and the
+// collector's mark worker.
+func TestInlineSessionYieldsAtBatchBoundaries(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ran atomic.Bool
+	target := &yieldProbe{countingTarget: newCountingTarget(), ran: &ran}
+	go ran.Store(true) // runnable, not running: this goroutine holds the only processor
+	_, err := New(Options{Workers: 1}).Drive(context.Background(), "probe", target,
+		tune.Budget{Trials: 4}, &oneAtATime{cfg: target.space.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !target.third {
+		t.Fatal("the session reached its third batch without yielding the processor")
 	}
 }

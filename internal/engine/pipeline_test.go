@@ -86,11 +86,11 @@ func pipelineRows() []pipelineRow {
 			}},
 		{name: "drift_detect", trials: 20, want: tune.DriftDetected,
 			mk: func(t *testing.T) (tune.Tuner, tune.Target) {
-				return tune.DriftDetectTuner(experiment.NewITuned(seed), tune.DriftOptions{}), shiftTarget(t)
+				return tune.DriftDetectTuner(experiment.NewITuned(seed)), shiftTarget(t)
 			}},
 		{name: "guardrail", trials: 14, scenario: tune.Scenario{Guardrail: 150}, want: tune.GuardrailViolation,
 			mk: func(t *testing.T) (tune.Tuner, tune.Target) {
-				gt, err := tune.GuardrailTuner(experiment.NewITuned(seed), tune.GuardrailOptions{Limit: 150})
+				gt, err := tune.GuardrailTuner(experiment.NewITuned(seed), 150)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,7 +124,7 @@ func pipelineRows() []pipelineRow {
 		// trial.
 		{name: "drift_detect(rrs)", trials: 24, want: tune.DriftDetected,
 			mk: func(t *testing.T) (tune.Tuner, tune.Target) {
-				return tune.DriftDetectTuner(&experiment.RRS{Seed: seed}, tune.DriftOptions{}), shiftTarget(t)
+				return tune.DriftDetectTuner(&experiment.RRS{Seed: seed}), shiftTarget(t)
 			}},
 	}
 }

@@ -115,7 +115,7 @@ func TestSequentialReleasesCoroutine(t *testing.T) {
 	}
 	// Every wrapper, ended by its budget and cancelled mid-session.
 	target := dbmsTarget(seed)
-	guarded, err := tune.GuardrailTuner(rrs(0), tune.GuardrailOptions{Limit: 150})
+	guarded, err := tune.GuardrailTuner(rrs(0), 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSequentialReleasesCoroutine(t *testing.T) {
 		{"WarmStartTuner", tune.WarmStartTuner(rrs(0), []tune.Config{target.Space().Default()})},
 		{"GuardrailTuner", guarded},
 		{"MultiObjectiveTuner", pareto},
-		{"DriftDetectTuner", tune.DriftDetectTuner(rrs(0), tune.DriftOptions{})},
+		{"DriftDetectTuner", tune.DriftDetectTuner(rrs(0))},
 		{"NewMultiFidelity", hyperband},
 	} {
 		cases = append(cases, struct {

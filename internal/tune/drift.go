@@ -15,10 +15,10 @@ import "math"
 // incumbent, so recent objectives hover near the best-since-anchor. After a
 // shift, the same configurations measure a different workload: every recent
 // result lands far above the anchor-era best. Drift is declared when the
-// BEST of the last Window full-fidelity objectives exceeds Factor× the
-// best-since-anchor — a whole window without one near-incumbent result is
+// BEST of the last DriftWindow full-fidelity objectives exceeds DriftFactor×
+// the best-since-anchor — a whole window without one near-incumbent result is
 // regression of the incumbent itself, not noise (noise would have to break
-// the same way Window times in a row).
+// the same way DriftWindow times in a row).
 //
 // Determinism: detection state advances only in Observe, which every driver
 // calls in proposal order, so the detection trial — and the DriftDetected
@@ -26,39 +26,25 @@ import "math"
 // identical at any worker count and reproduced exactly by checkpoint-resume
 // replay (which re-observes the same history).
 
-// DriftOptions tunes the windowed incumbent-regression detector.
-type DriftOptions struct {
-	// Window is how many consecutive recent full-fidelity objectives must
-	// all regress before drift is declared (default 4).
-	Window int
-	// Warmup is how many observations must accumulate since the last anchor
-	// before the test arms (default 2×Window): the anchor-era best needs
-	// evidence before regression against it means anything.
-	Warmup int
-	// Factor is the regression threshold: drift is declared when
-	// min(last Window objectives) > Factor × best-since-anchor (default 3).
-	// The default is deliberately coarse: a Bayesian tuner's own exploration
-	// routinely proposes configurations 1.5–2× off its incumbent, and a
-	// detector tuned into that band re-triggers on its own restart's design
-	// phase (a detection cascade). Real workload shifts move the whole
-	// objective surface — typically well past 3× — so a coarse threshold
-	// loses little detection latency and buys cascade immunity.
-	Factor float64
-}
-
-// WithDefaults returns o with zero fields replaced by the defaults.
-func (o DriftOptions) WithDefaults() DriftOptions {
-	if o.Window <= 0 {
-		o.Window = 4
-	}
-	if o.Warmup <= 0 {
-		o.Warmup = 2 * o.Window
-	}
-	if !(o.Factor > 1) {
-		o.Factor = 3
-	}
-	return o
-}
+// The windowed incumbent-regression detector's settings.
+const (
+	// DriftWindow is how many consecutive recent full-fidelity objectives
+	// must all regress before drift is declared.
+	DriftWindow = 4
+	// DriftWarmup is how many observations must accumulate since the last
+	// anchor before the test arms: the anchor-era best needs evidence before
+	// regression against it means anything.
+	DriftWarmup = 2 * DriftWindow
+	// DriftFactor is the regression threshold: drift is declared when
+	// min(last DriftWindow objectives) > DriftFactor × best-since-anchor. It
+	// is deliberately coarse: a Bayesian tuner's own exploration routinely
+	// proposes configurations 1.5–2× off its incumbent, and a detector tuned
+	// into that band re-triggers on its own restart's design phase (a
+	// detection cascade). Real workload shifts move the whole objective
+	// surface — typically well past 3× — so a coarse threshold loses little
+	// detection latency and buys cascade immunity.
+	DriftFactor = 3.0
+)
 
 // DriftDetector wraps a proposer with workload-drift detection. On
 // detection it re-anchors the bound session and replaces the inner proposer
@@ -68,10 +54,9 @@ type DriftDetector struct {
 	inner  Proposer
 	fresh  func(remaining Budget) (Proposer, error)
 	budget Budget
-	opts   DriftOptions
 	sess   *Session
 
-	recent     []float64 // ring of the last Window full-fidelity objectives
+	recent     []float64 // ring of the last DriftWindow full-fidelity objectives
 	seen       int       // observations since the last anchor
 	lifetime   int       // observations over the whole session (never reset)
 	bestAnchor float64   // best full-fidelity objective since the last anchor
@@ -84,8 +69,8 @@ type DriftDetector struct {
 // strictly weaker. fresh receives the budget REMAINING at the detection, not
 // the original one, so a budget-aware tuner sizes its design phase to the
 // runway actually left instead of re-spending a full session's exploration.
-func NewDriftDetector(inner Proposer, fresh func(remaining Budget) (Proposer, error), b Budget, opts DriftOptions) *DriftDetector {
-	return &DriftDetector{inner: inner, fresh: fresh, budget: b, opts: opts.WithDefaults(), bestAnchor: math.Inf(1)}
+func NewDriftDetector(inner Proposer, fresh func(remaining Budget) (Proposer, error), b Budget) *DriftDetector {
+	return &DriftDetector{inner: inner, fresh: fresh, budget: b, bestAnchor: math.Inf(1)}
 }
 
 // BindSession implements SessionAware.
@@ -112,10 +97,10 @@ func (d *DriftDetector) Observe(t Trial) {
 		d.bestAnchor = obj
 	}
 	d.recent = append(d.recent, obj)
-	if len(d.recent) > d.opts.Window {
+	if len(d.recent) > DriftWindow {
 		d.recent = d.recent[1:]
 	}
-	if d.seen < d.opts.Warmup || len(d.recent) < d.opts.Window {
+	if d.seen < DriftWarmup || len(d.recent) < DriftWindow {
 		return
 	}
 	windowBest := math.Inf(1)
@@ -124,7 +109,7 @@ func (d *DriftDetector) Observe(t Trial) {
 			windowBest = v
 		}
 	}
-	if windowBest <= d.opts.Factor*d.bestAnchor {
+	if windowBest <= DriftFactor*d.bestAnchor {
 		return
 	}
 	// Regression across the whole window: re-anchor and restart the search.
@@ -166,9 +151,9 @@ func (d *DriftDetector) Recommend() Config {
 // drift and re-anchors on detection. Compose it OUTSIDE warm starting and
 // any other proposer wrapper: a detection rebuilds the detector's entire
 // inner stack fresh, which is the "re-warm-start" the drift scenario wants.
-func DriftDetectTuner(t BatchTuner, opts DriftOptions) BatchTuner {
+func DriftDetectTuner(t BatchTuner) BatchTuner {
 	return &wrapped{subs: []BatchTuner{t}, suffix: "+drift", wrap: func(target Target, b Budget, inner []Proposer) (Proposer, error) {
 		fresh := func(remaining Budget) (Proposer, error) { return t.NewProposer(target, remaining) }
-		return NewDriftDetector(inner[0], fresh, b, opts), nil
+		return NewDriftDetector(inner[0], fresh, b), nil
 	}}
 }

@@ -43,18 +43,17 @@ func TestDriftDetectorFiresOnRegression(t *testing.T) {
 		freshBudget = remaining
 		return rebuilt, nil
 	}
-	d := NewDriftDetector(inner, fresh, Budget{Trials: 30}, DriftOptions{})
-	opts := DriftOptions{}.WithDefaults()
+	d := NewDriftDetector(inner, fresh, Budget{Trials: 30})
 
 	// Anchor era: Warmup observations hovering near 1.0.
-	for i := 0; i < opts.Warmup; i++ {
+	for i := 0; i < DriftWarmup; i++ {
 		d.Observe(obs(space, 0.5, 1.0))
 	}
 	if d.Detections() != 0 {
-		t.Fatalf("detected drift on a stationary stream after %d obs", opts.Warmup)
+		t.Fatalf("detected drift on a stationary stream after %d obs", DriftWarmup)
 	}
 	// Shift: every result lands far past Factor× the anchor best.
-	for i := 0; i < opts.Window; i++ {
+	for i := 0; i < DriftWindow; i++ {
 		if d.Detections() != 0 {
 			t.Fatalf("fired before the window filled (after %d regressed obs)", i)
 		}
@@ -66,7 +65,7 @@ func TestDriftDetectorFiresOnRegression(t *testing.T) {
 	if freshCalls != 1 {
 		t.Fatalf("fresh proposer built %d times, want 1", freshCalls)
 	}
-	wantRemaining := 30 - (opts.Warmup + opts.Window)
+	wantRemaining := 30 - (DriftWarmup + DriftWindow)
 	if freshBudget.Trials != wantRemaining {
 		t.Errorf("fresh budget = %d trials, want the remaining %d", freshBudget.Trials, wantRemaining)
 	}
@@ -86,7 +85,7 @@ func TestDriftDetectorFiresOnRegression(t *testing.T) {
 // matter how long the stream runs.
 func TestDriftDetectorIgnoresExplorationNoise(t *testing.T) {
 	space := driftSpace()
-	d := NewDriftDetector(&scriptProposer{}, nil, Budget{Trials: 100}, DriftOptions{})
+	d := NewDriftDetector(&scriptProposer{}, nil, Budget{Trials: 100})
 	for i := 0; i < 60; i++ {
 		time := 1.0
 		if i%2 == 1 {
@@ -103,12 +102,11 @@ func TestDriftDetectorIgnoresExplorationNoise(t *testing.T) {
 // truncated workload and must not feed the regression test.
 func TestDriftDetectorIgnoresPartialFidelity(t *testing.T) {
 	space := driftSpace()
-	d := NewDriftDetector(&scriptProposer{}, nil, Budget{Trials: 100}, DriftOptions{})
-	opts := DriftOptions{}.WithDefaults()
-	for i := 0; i < opts.Warmup; i++ {
+	d := NewDriftDetector(&scriptProposer{}, nil, Budget{Trials: 100})
+	for i := 0; i < DriftWarmup; i++ {
 		d.Observe(obs(space, 0.5, 1.0))
 	}
-	for i := 0; i < 3*opts.Window; i++ {
+	for i := 0; i < 3*DriftWindow; i++ {
 		tr := obs(space, 0.5, 50)
 		tr.Result.Fidelity = 0.3
 		d.Observe(tr)
@@ -122,7 +120,7 @@ func TestDriftDetectorIgnoresPartialFidelity(t *testing.T) {
 // name, so results and archives distinguish detecting sessions.
 func TestDriftDetectTunerName(t *testing.T) {
 	bt := &fakeBatchTuner{name: "probe"}
-	if got := DriftDetectTuner(bt, DriftOptions{}).Name(); got != "probe+drift" {
+	if got := DriftDetectTuner(bt).Name(); got != "probe+drift" {
 		t.Errorf("name = %q", got)
 	}
 }

@@ -122,16 +122,6 @@ type FeatureIndex struct {
 	degenerate bool
 }
 
-// NewFeatureIndex builds an index over the given feature maps. The i-th map
-// keeps identity i in every lookup result.
-func NewFeatureIndex(features []map[string]float64) *FeatureIndex {
-	pts := make([][]KV, len(features))
-	for i, m := range features {
-		pts[i] = featList(m)
-	}
-	return NewFeatureIndexKV(pts)
-}
-
 // shapeKey appends an injective encoding of p's key list to buf.
 func shapeKey(buf []byte, p []KV) []byte {
 	for _, kv := range p {
@@ -643,21 +633,6 @@ func (ix *FeatureIndex) Walk(features map[string]float64, yield func(i int, d2 f
 	}
 }
 
-// Nearest returns the index of the nearest point (ties toward the lower
-// index), or -1 for an empty index.
-func (ix *FeatureIndex) Nearest(features map[string]float64) int {
-	at := -1
-	ix.Walk(features, func(i int, _ float64) bool { at = i; return false })
-	return at
-}
-
-// Rank returns every point index in the oracle's rank order.
-func (ix *FeatureIndex) Rank(features map[string]float64) []int {
-	out := make([]int, 0, len(ix.pts))
-	ix.Walk(features, func(i int, _ float64) bool { out = append(out, i); return true })
-	return out
-}
-
 // CorpusIndex maintains per-system feature indexes over a growing corpus:
 // an immutable tree over the prefix seen at the last rebuild plus a small
 // linear tail of recent additions, rebuilt when the tail outgrows its bound
@@ -681,13 +656,9 @@ type sysCorpus struct {
 // NewCorpusIndex returns an empty corpus index.
 func NewCorpusIndex() *CorpusIndex { return &CorpusIndex{sys: map[string]*sysCorpus{}} }
 
-// Add appends one session's features under its system. pos is the opaque
-// caller position handed back by Walk.
-func (ci *CorpusIndex) Add(system string, features map[string]float64, pos int) {
-	ci.AddKV(system, featList(features), pos)
-}
-
-// AddKV is Add for a pre-sorted feature list (not mutated afterwards).
+// AddKV appends one session's pre-sorted feature list (not mutated
+// afterwards) under its system. pos is the opaque caller position handed back
+// by Walk.
 func (ci *CorpusIndex) AddKV(system string, kvs []KV, pos int) {
 	s := ci.sys[system]
 	if s == nil {
@@ -752,7 +723,7 @@ func (ci *CorpusIndex) Rebuild(system string) {
 
 // Walk yields (pos, ord) pairs in exactly the oracle's rank order for the
 // system — ord is the session's insertion ordinal within the system (the
-// index RankSessions would report), pos the caller position from Add.
+// index RankSessions would report), pos the caller position from AddKV.
 func (ci *CorpusIndex) Walk(system string, features map[string]float64, yield func(pos, ord int) bool) {
 	s := ci.sys[system]
 	if s == nil || len(s.feats) == 0 {

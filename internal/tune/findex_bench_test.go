@@ -56,7 +56,7 @@ func BenchmarkFeatureIndexNearest(b *testing.B) {
 	b.Run("n=100000", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchSink += ix.Nearest(queries[i%len(queries)])
+			ix.Walk(queries[i%len(queries)], func(at int, _ float64) bool { benchSink += at; return false })
 		}
 	})
 }

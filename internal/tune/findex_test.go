@@ -10,12 +10,12 @@ import (
 )
 
 // The indexed lookup path must be indistinguishable from the linear-scan
-// oracle: same ranks, same nearest, same warm-start configurations, bit for
-// bit, on any corpus. These tests generate adversarial corpora — quantized
-// feature values so exact distance ties are common, sparse maps so keys go
-// missing, sessions with incompatible ParamNames, queries with keys no
-// session carries and keys that exceed every stored magnitude — and compare
-// every indexed result against the retained free functions.
+// oracle: same ranks, same nearest, bit for bit, on any corpus (the store's
+// oracle tests add warm-start configurations, which read record payloads).
+// These tests generate adversarial corpora — quantized feature values so
+// exact distance ties are common, sparse maps so keys go missing, queries
+// with keys no session carries and keys that exceed every stored magnitude —
+// and compare every indexed result against the retained free functions.
 
 // featurePool is a small key/value pool: few keys and quantized values make
 // shared keys, missing keys, and exact distance ties all frequent.
@@ -71,6 +71,15 @@ func randShapedFeatures(rng *rand.Rand) map[string]float64 {
 	return m
 }
 
+// featLists sorts each feature map into the KV list the index takes.
+func featLists(feats []map[string]float64) [][]KV {
+	pts := make([][]KV, len(feats))
+	for i, m := range feats {
+		pts[i] = featList(m)
+	}
+	return pts
+}
+
 func fiSpace() *Space { return NewSpace(Float("x", 0, 1, 0.5), Float("y", 0, 1, 0.5)) }
 
 // randSession emits records with compatible, incompatible, and differently-
@@ -104,38 +113,59 @@ func randSession(rng *rand.Rand, system string) SessionRecord {
 	return rec
 }
 
-// assertLookupsMatchOracle compares every indexed lookup on repo against the
-// free-function oracle for one (system, query) pair.
-func assertLookupsMatchOracle(t *testing.T, repo *Repository, system string, q map[string]float64) {
+// indexedRepo is a plain Repository beside a CorpusIndex fed the same
+// sessions in the same order — what store.FileStore keeps over its live
+// records, without the files.
+type indexedRepo struct {
+	Repository
+	ci *CorpusIndex
+}
+
+func newIndexedRepo() *indexedRepo { return &indexedRepo{ci: NewCorpusIndex()} }
+
+func (r *indexedRepo) Add(rec SessionRecord) {
+	r.ci.AddKV(rec.System, featList(rec.Features), len(r.Sessions))
+	r.Repository.Add(rec)
+}
+
+// assertLookupsMatchOracle compares the index's walk for one (system, query)
+// pair against the free-function oracle: the whole ranking, the nearest
+// session, and each walked position naming the session the oracle ranked.
+func assertLookupsMatchOracle(t *testing.T, repo *indexedRepo, system string, q map[string]float64) {
 	t.Helper()
-	sessions := repo.ForSystem(system)
+	var sessions []SessionRecord
+	var poss []int
+	for pos, s := range repo.Sessions {
+		if s.System == system {
+			sessions, poss = append(sessions, s), append(poss, pos)
+		}
+	}
 	wantRank := RankSessions(sessions, q)
-	gotRank := repo.RankSessions(system, q)
+	var gotRank []int
+	repo.ci.Walk(system, q, func(pos, ord int) bool {
+		if pos != poss[ord] {
+			t.Fatalf("Walk(%s, %v): the system's session %d is at position %d, walked %d", system, q, ord, poss[ord], pos)
+		}
+		gotRank = append(gotRank, ord)
+		return true
+	})
 	if !reflect.DeepEqual(gotRank, wantRank) {
 		t.Fatalf("RankSessions(%s, %v):\nindexed %v\noracle  %v", system, q, gotRank, wantRank)
 	}
-	if got, want := repo.NearestSession(system, q), NearestSession(sessions, q); got != want {
+	got := -1
+	repo.ci.Walk(system, q, func(_, ord int) bool { got = ord; return false })
+	if want := NearestSession(sessions, q); got != want {
 		t.Fatalf("NearestSession(%s, %v): indexed %d oracle %d", system, q, got, want)
 	}
-	space := fiSpace()
-	for _, k := range []int{0, 1, 3} {
-		got := repo.WarmConfigs(system, q, space, k)
-		want := WarmConfigs(repo, system, q, space, k)
-		if len(got) != len(want) {
-			t.Fatalf("WarmConfigs(%s, k=%d): indexed %d cfgs, oracle %d", system, k, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].String() != want[i].String() {
-				t.Fatalf("WarmConfigs(%s, k=%d)[%d]: indexed %s oracle %s", system, k, i, got[i], want[i])
-			}
-		}
+	if got := repo.ci.Len(system); got != len(sessions) {
+		t.Fatalf("Len(%s) = %d, want %d", system, got, len(sessions))
 	}
 }
 
 func TestIndexedLookupsMatchOracleRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 40; trial++ {
-		repo := &Repository{}
+		repo := newIndexedRepo()
 		n := rng.Intn(120)
 		for i := 0; i < n; i++ {
 			sys := "dbms"
@@ -162,7 +192,7 @@ func TestIndexedLookupsMatchOracleRandomized(t *testing.T) {
 // tail addition that raises a frozen scale (forcing the stale-rebuild path).
 func TestIndexedLookupsAcrossTailStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	repo := &Repository{}
+	repo := newIndexedRepo()
 	q := map[string]float64{"rows": 1, "ratio": 0.5}
 	// Tail-only: lookups before the corpus outgrows a single build.
 	for i := 0; i < 5; i++ {
@@ -191,7 +221,7 @@ func TestIndexedLookupsAcrossTailStates(t *testing.T) {
 // inputs the tree cannot bound: NaN and Inf feature values in the corpus
 // and in the query.
 func TestIndexedLookupsDegenerateValues(t *testing.T) {
-	repo := &Repository{}
+	repo := newIndexedRepo()
 	feats := []map[string]float64{
 		{"rows": 1},
 		{"rows": math.NaN(), "ratio": 2},
@@ -217,11 +247,8 @@ func TestIndexedLookupsDegenerateValues(t *testing.T) {
 // meets in practice: empty repository, unknown system, sessions with no
 // features at all, and an empty query map.
 func TestIndexedLookupsEmptyAndMissing(t *testing.T) {
-	repo := &Repository{}
+	repo := newIndexedRepo()
 	assertLookupsMatchOracle(t, repo, "dbms", map[string]float64{"rows": 1})
-	if got := repo.NearestSession("dbms", nil); got != -1 {
-		t.Fatalf("NearestSession on empty repo = %d, want -1", got)
-	}
 	repo.Add(SessionRecord{System: "dbms", Workload: "w"})
 	repo.Add(SessionRecord{System: "dbms", Workload: "w", Features: map[string]float64{"rows": 0}})
 	assertLookupsMatchOracle(t, repo, "dbms", nil)
@@ -232,8 +259,8 @@ func TestIndexedLookupsEmptyAndMissing(t *testing.T) {
 	if nilRepo.WarmConfigs("dbms", nil, fiSpace(), 3) != nil {
 		t.Fatal("nil repository must warm-start to nothing")
 	}
-	if nilRepo.NearestSession("dbms", nil) != -1 || nilRepo.RankSessions("dbms", nil) != nil {
-		t.Fatal("nil repository lookups must be empty")
+	if got, err := nilRepo.ForSystem("dbms"); got != nil || err != nil {
+		t.Fatal("nil repository must hold nothing")
 	}
 }
 
@@ -251,29 +278,17 @@ func TestFeatureIndexStandalone(t *testing.T) {
 		}
 		ix := NewFeatureIndexKV(nil)
 		_ = ix // exercise the empty constructor path
-		ix = NewFeatureIndex(feats)
+		ix = NewFeatureIndexKV(featLists(feats))
 		if ix.Len() != len(feats) {
 			t.Fatalf("Len = %d, want %d", ix.Len(), len(feats))
 		}
 		for qn := 0; qn < 6; qn++ {
 			q := randQuery(rng)
 			want := RankSessions(sessions, q)
-			got := ix.Rank(q)
-			if want == nil {
-				want = []int{}
-			}
-			if got == nil {
-				got = []int{}
-			}
+			var got []int
+			ix.Walk(q, func(i int, _ float64) bool { got = append(got, i); return true })
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("Rank(%v):\nindexed %v\noracle  %v", q, got, want)
-			}
-			nearest := -1
-			if len(want) > 0 {
-				nearest = want[0]
-			}
-			if gotN := ix.Nearest(q); gotN != nearest {
-				t.Fatalf("Nearest(%v) = %d, want %d", q, gotN, nearest)
+				t.Fatalf("Walk(%v):\nindexed %v\noracle  %v", q, got, want)
 			}
 		}
 	}
@@ -287,7 +302,7 @@ func TestFeatureIndexWalkStopsEarly(t *testing.T) {
 	for i := range feats {
 		feats[i] = randFeatures(rng)
 	}
-	ix := NewFeatureIndex(feats)
+	ix := NewFeatureIndexKV(featLists(feats))
 	q := map[string]float64{"rows": 1, "mem": 2}
 	var seen int
 	lastD, lastI := math.Inf(-1), -1

@@ -12,23 +12,23 @@ import (
 // exceeds a hard guardrail, substituting a conservatively interpolated
 // configuration instead. The prediction model is an upper confidence bound
 // from a Matérn-5/2 surrogate over the session's full-fidelity observations:
-// a proposal passes only when mu + Kappa·sigma ≤ limit, so the gate errs on
-// the side of rejecting when the surrogate is unsure.
+// a proposal passes only when mu + GuardrailKappa·sigma ≤ limit, so the gate
+// errs on the side of rejecting when the surrogate is unsure.
 //
 // Failure modes, by construction:
-//   - Cold start: until MinObs full-fidelity observations exist there is no
-//     surrogate, and proposals pass unscreened. The wrapper throttles the
-//     exposure — while unarmed it releases the inner proposer's configs one
-//     per batch instead of forwarding a whole space-filling design at once,
-//     so at most MinObs trials ever run unscreened — but those trials can
-//     still violate the guardrail; the session counts such violations
-//     (Scenario.Guardrail) and they surface on events and /healthz rather
-//     than being hidden.
+//   - Cold start: until GuardrailMinObs full-fidelity observations exist
+//     there is no surrogate, and proposals pass unscreened. The wrapper
+//     throttles the exposure — while unarmed it releases the inner proposer's
+//     configs one per batch instead of forwarding a whole space-filling
+//     design at once, so at most GuardrailMinObs trials ever run unscreened —
+//     but those trials can still violate the guardrail; the session counts
+//     such violations (Scenario.Guardrail) and they surface on events and
+//     /healthz rather than being hidden.
 //   - Surrogate error: the GP can underpredict a cliff it has never sampled;
-//     Kappa widens the margin but cannot make the screen sound. The
+//     the margin widens the gate but cannot make the screen sound. The
 //     guardrail is best-effort risk reduction, not a certified bound.
-//   - Over-conservatism: a large Kappa or a tight limit can veto everything;
-//     the wrapper then falls back to the best observed safe configuration,
+//   - Over-conservatism: a tight limit can veto everything; the wrapper then
+//     falls back to the best observed safe configuration,
 //     so the search degenerates to exploitation rather than stalling.
 //
 // Determinism: the surrogate is brought in step with the observation history
@@ -38,41 +38,27 @@ import (
 // vetoes — and the substituted configurations — are a pure function of the
 // observation sequence, identical at any worker count.
 
-// GuardrailOptions tunes the surrogate screen.
-type GuardrailOptions struct {
-	// Limit is the objective guardrail: no configuration predicted to exceed
-	// it is proposed. Required, > 0.
-	Limit float64
-	// MinObs is how many full-fidelity observations must exist before the
-	// surrogate screen arms (default 3).
-	MinObs int
-	// Kappa is the confidence margin: a proposal needs mu + Kappa·sigma ≤
-	// log(Limit) to pass (default 2). The UCB is evaluated in log-objective
-	// space, where sigma is already a multiplicative margin; two posterior
-	// deviations is what it takes to catch near-wall marching steps, whose
-	// predicted mean sits just under the limit by construction.
-	Kappa float64
-}
-
-// WithDefaults returns o with zero fields replaced by the defaults.
-func (o GuardrailOptions) WithDefaults() GuardrailOptions {
-	if o.MinObs <= 0 {
-		o.MinObs = 3
-	}
-	if o.Kappa <= 0 {
-		o.Kappa = 2.0
-	}
-	return o
-}
+// The surrogate screen's two settings.
+const (
+	// GuardrailMinObs is how many full-fidelity observations must exist
+	// before the surrogate screen arms.
+	GuardrailMinObs = 3
+	// GuardrailKappa is the confidence margin: a proposal needs
+	// mu + GuardrailKappa·sigma ≤ log(limit) to pass. The UCB is evaluated in
+	// log-objective space, where sigma is already a multiplicative margin;
+	// two posterior deviations is what it takes to catch near-wall marching
+	// steps, whose predicted mean sits just under the limit by construction.
+	GuardrailKappa = 2.0
+)
 
 // Guardrail wraps a proposer with a surrogate safety screen.
 type Guardrail struct {
 	inner Proposer
 	space *Space
-	opts  GuardrailOptions
+	limit float64 // the objective guardrail: nothing predicted to exceed it is proposed
 
 	model   *SurrogateModel // full-fidelity observations, as log-objectives (see refit)
-	armed   gp.Surrogate    // the last good model; nil until MinObs observations
+	armed   gp.Surrogate    // the last good model; nil until GuardrailMinObs observations
 	refused [][]float64     // configurations whose outcome the model refused as non-finite
 
 	bestSafe    Config
@@ -97,17 +83,18 @@ const (
 	trustGrow   = 0.01
 )
 
-// NewGuardrail wraps inner; space is the target's configuration space (used
-// to interpolate replacement configurations).
-func NewGuardrail(inner Proposer, space *Space, opts GuardrailOptions) (*Guardrail, error) {
-	if !(opts.Limit > 0) {
-		return nil, fmt.Errorf("tune: guardrail requires a positive limit, got %v", opts.Limit)
+// NewGuardrail wraps inner so that no configuration predicted to exceed
+// limit (required, > 0) is proposed; space is the target's configuration
+// space (used to interpolate replacement configurations).
+func NewGuardrail(inner Proposer, space *Space, limit float64) (*Guardrail, error) {
+	if !(limit > 0) {
+		return nil, fmt.Errorf("tune: guardrail requires a positive limit, got %v", limit)
 	}
 	if space == nil {
 		return nil, fmt.Errorf("tune: guardrail requires the target space")
 	}
 	return &Guardrail{
-		inner: inner, space: space, opts: opts.WithDefaults(),
+		inner: inner, space: space, limit: limit,
 		model: NewSurrogateModel(nil, gp.Matern52, 0),
 	}, nil
 }
@@ -132,13 +119,13 @@ func (g *Guardrail) Vetoes() int { return g.vetoes }
 // multiplicative — a bad configuration is 10× or 100× the incumbent, and
 // failure penalties stretch the range further — so a GP on raw values is
 // dominated by the cliffs: its posterior variance is cliff-sized everywhere
-// and mu + Kappa·sigma exceeds any sane limit for every candidate,
+// and mu + GuardrailKappa·sigma exceeds any sane limit for every candidate,
 // collapsing the screen into always-veto (and the search into pure
 // exploitation of the safe anchor). In log space the same data spans a few
 // units, the UCB is informative, and the comparison against log(Limit) is
 // exactly the multiplicative margin a guardrail means.
 func (g *Guardrail) refit() {
-	if _, ys := g.model.Observations(); len(ys) < g.opts.MinObs {
+	if _, ys := g.model.Observations(); len(ys) < GuardrailMinObs {
 		return
 	}
 	if m := g.model.Sync(0); m != nil {
@@ -148,7 +135,7 @@ func (g *Guardrail) refit() {
 
 // safe reports whether x clears the limit under ALL three screens:
 //
-//   - GP upper confidence bound: mu + Kappa·sigma ≤ log(Limit).
+//   - GP upper confidence bound: mu + GuardrailKappa·sigma ≤ log(limit).
 //   - Nearest-neighbor keep-out: the nearest observed configuration must
 //     itself have been in-limit. A smooth GP posterior averages a single
 //     observed cliff point away among many smooth neighbors — an OOM cliff
@@ -166,9 +153,9 @@ func (g *Guardrail) safe(x []float64) bool {
 	if g.armed == nil {
 		return true
 	}
-	logLimit := math.Log(g.opts.Limit)
+	logLimit := math.Log(g.limit)
 	mu, sigma := g.armed.Predict(x)
-	if mu+g.opts.Kappa*sigma > logLimit {
+	if mu+GuardrailKappa*sigma > logLimit {
 		return false
 	}
 	// A refused observation has no value to learn from, but a run that did not
@@ -401,7 +388,7 @@ func (g *Guardrail) Observe(t Trial) {
 	if !g.model.Observe(x, math.Log(math.Max(obj, 1e-9))) {
 		g.refused = append(g.refused, x)
 	}
-	if !t.Result.Failed && obj <= g.opts.Limit {
+	if !t.Result.Failed && obj <= g.limit {
 		g.safeXs = append(g.safeXs, x)
 		if !g.hasSafe || obj < g.bestSafeObj {
 			g.bestSafe, g.bestSafeObj, g.hasSafe = t.Config, obj, true
@@ -426,14 +413,14 @@ func (g *Guardrail) Recommend() Config {
 }
 
 // GuardrailTuner wraps t so no session it starts knowingly proposes a
-// configuration predicted to exceed opts.Limit. Compose it outside the base
+// configuration predicted to exceed limit. Compose it outside the base
 // tuner but inside warm starting and drift detection (transferred seeds are
 // evidence worth screening; a drift re-anchor should rebuild the screen).
-func GuardrailTuner(t BatchTuner, opts GuardrailOptions) (BatchTuner, error) {
-	if !(opts.Limit > 0) {
-		return nil, fmt.Errorf("tune: guardrail requires a positive limit, got %v", opts.Limit)
+func GuardrailTuner(t BatchTuner, limit float64) (BatchTuner, error) {
+	if !(limit > 0) {
+		return nil, fmt.Errorf("tune: guardrail requires a positive limit, got %v", limit)
 	}
 	return &wrapped{subs: []BatchTuner{t}, suffix: "+guardrail", wrap: func(target Target, _ Budget, inner []Proposer) (Proposer, error) {
-		return NewGuardrail(inner[0], target.Space(), opts)
+		return NewGuardrail(inner[0], target.Space(), limit)
 	}}, nil
 }

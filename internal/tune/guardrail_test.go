@@ -15,15 +15,11 @@ func guardrailInner(space *Space, as ...float64) *scriptProposer {
 
 func TestNewGuardrailValidates(t *testing.T) {
 	space := driftSpace()
-	if _, err := NewGuardrail(&scriptProposer{}, space, GuardrailOptions{}); err == nil {
+	if _, err := NewGuardrail(&scriptProposer{}, space, 0); err == nil {
 		t.Error("zero limit accepted")
 	}
-	if _, err := NewGuardrail(&scriptProposer{}, nil, GuardrailOptions{Limit: 1}); err == nil {
+	if _, err := NewGuardrail(&scriptProposer{}, nil, 1); err == nil {
 		t.Error("nil space accepted")
-	}
-	o := GuardrailOptions{Limit: 5}.WithDefaults()
-	if o.MinObs != 3 || o.Kappa != 2.0 {
-		t.Errorf("defaults = %+v, want MinObs 3, Kappa 2", o)
 	}
 }
 
@@ -33,7 +29,7 @@ func TestNewGuardrailValidates(t *testing.T) {
 func TestGuardrailColdStartThrottle(t *testing.T) {
 	space := driftSpace()
 	inner := guardrailInner(space, 0.1, 0.3, 0.5, 0.7, 0.9)
-	g, err := NewGuardrail(inner, space, GuardrailOptions{Limit: 10})
+	g, err := NewGuardrail(inner, space, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +44,7 @@ func TestGuardrailColdStartThrottle(t *testing.T) {
 		g.Observe(obs(space, want, 1))
 	}
 	// Exhausted inner, nothing deferred: the session ends cleanly.
-	empty, _ := NewGuardrail(&scriptProposer{}, space, GuardrailOptions{Limit: 10})
+	empty, _ := NewGuardrail(&scriptProposer{}, space, 10)
 	if got := empty.Propose(3); got != nil {
 		t.Errorf("exhausted inner proposed %v, want nil", got)
 	}
@@ -62,7 +58,7 @@ func TestGuardrailColdStartThrottle(t *testing.T) {
 func TestGuardrailVetoDeferMarchRelease(t *testing.T) {
 	space := driftSpace()
 	inner := guardrailInner(space, 0.1, 0.15, 0.95, 0.55)
-	g, err := NewGuardrail(inner, space, GuardrailOptions{Limit: 10})
+	g, err := NewGuardrail(inner, space, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +124,7 @@ func TestGuardrailVetoDeferMarchRelease(t *testing.T) {
 // the surrogate's training data but never the safe set.
 func TestGuardrailObserveTracksSafeSetOnly(t *testing.T) {
 	space := driftSpace()
-	g, err := NewGuardrail(&scriptProposer{}, space, GuardrailOptions{Limit: 10})
+	g, err := NewGuardrail(&scriptProposer{}, space, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +145,14 @@ func TestGuardrailObserveTracksSafeSetOnly(t *testing.T) {
 }
 
 func TestGuardrailTunerName(t *testing.T) {
-	gt, err := GuardrailTuner(&fakeBatchTuner{name: "probe"}, GuardrailOptions{Limit: 5})
+	gt, err := GuardrailTuner(&fakeBatchTuner{name: "probe"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := gt.Name(); got != "probe+guardrail" {
 		t.Errorf("name = %q", got)
 	}
-	if _, err := GuardrailTuner(&fakeBatchTuner{name: "probe"}, GuardrailOptions{}); err == nil {
+	if _, err := GuardrailTuner(&fakeBatchTuner{name: "probe"}, 0); err == nil {
 		t.Error("guardrail tuner without a limit accepted")
 	}
 }
@@ -167,7 +163,7 @@ func TestGuardrailTunerName(t *testing.T) {
 // the finite ones after it; the configuration itself stays a keep-out.
 func TestGuardrailNonFiniteObjectiveKeepsScreening(t *testing.T) {
 	space := driftSpace()
-	g, err := NewGuardrail(&scriptProposer{}, space, GuardrailOptions{Limit: 10})
+	g, err := NewGuardrail(&scriptProposer{}, space, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +196,7 @@ func TestGuardrailNonFiniteObjectiveKeepsScreening(t *testing.T) {
 // not a cubic refit of the whole history at every Propose.
 func TestGuardrailLongSessionLeavesTheExactTier(t *testing.T) {
 	space := driftSpace()
-	g, err := NewGuardrail(&scriptProposer{}, space, GuardrailOptions{Limit: 10})
+	g, err := NewGuardrail(&scriptProposer{}, space, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,9 +52,12 @@ func (t *MultiFidelityTuner) Tune(ctx context.Context, target Target, b Budget) 
 	return DriveFidelity(ctx, t.Name(), target, b, fp)
 }
 
-// Check implements Checker: the target needs a fidelity path, and the inner
-// tuner has to accept it.
+// Check implements Checker: the inner tuner must be able to fill a bracket,
+// the target needs a fidelity path, and the inner tuner has to accept it.
 func (t *MultiFidelityTuner) Check(target Target, b Budget) error {
+	if hasSequentialBody(t.inner) {
+		return fmt.Errorf("tune: %s proposes one configuration at a time, each chosen from the last result, so a %s schedule would fill one configuration per bracket and end far short of its budget; run it without a fidelity schedule", t.inner.Name(), t.strategy)
+	}
 	if err := Resolve(target).RequireFidelity(); err != nil {
 		return err
 	}

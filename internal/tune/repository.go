@@ -1,8 +1,9 @@
 package tune
 
 import (
+	"fmt"
 	"math"
-	"sort"
+	"strings"
 )
 
 // TrialRecord is the serializable form of one observed trial: the unit-cube
@@ -44,18 +45,59 @@ func (s *SessionRecord) BestTrial() int {
 	return at
 }
 
-// Repository is a corpus of past tuning sessions. Machine learning tuners
-// reuse it for workload mapping and transfer; recommendation tuners seed new
-// jobs from the most similar past job.
+// Corpus is where a session reads past sessions from; the in-memory
+// *Repository and the on-disk store both implement it. Repository-driven
+// tuners (OtterTune, the recommender) are built on a Snapshot of one.
+type Corpus interface {
+	// ForSystem returns the sessions recorded against the named system, in
+	// insertion order.
+	ForSystem(system string) ([]SessionRecord, error)
+}
+
+// WarmSource supplies warm-start seed configurations for a new session. Both
+// the in-memory *Repository and the segmented on-disk store implement it, so
+// the daemon can warm-start from a million-session archive without
+// materializing it.
+type WarmSource interface {
+	// WarmConfigs returns the k best configurations of the nearest
+	// transferable past session of the named system, or nil when nothing
+	// transfers. Must behave exactly like the free WarmConfigs.
+	WarmConfigs(system string, features map[string]float64, space *Space, k int) []Config
+}
+
+// WarmSourceFunc adapts a function to WarmSource.
+type WarmSourceFunc func(system string, features map[string]float64, space *Space, k int) []Config
+
+// WarmConfigs implements WarmSource.
+func (f WarmSourceFunc) WarmConfigs(system string, features map[string]float64, space *Space, k int) []Config {
+	return f(system, features, space, k)
+}
+
+// Repository is the plain in-memory corpus: a slice of past sessions. It
+// keeps no index — lookups over it are the linear-scan functions
+// (RankSessions, NearestSession, WarmConfigs) that the store's feature index
+// is tested against.
 type Repository struct {
 	Sessions []SessionRecord `json:"sessions"`
+}
 
-	// Lazy feature-space index behind the indexed lookup methods
-	// (NearestSession/RankSessions/WarmConfigs). Synced against Sessions on
-	// first indexed use and after every append; results are bit-identical to
-	// the linear-scan functions of the same names, which remain the oracle.
-	ci    *CorpusIndex
-	ciLen int
+// Snapshot reads the sessions of targetName's system ("system/workload") out
+// of c into an in-memory repository: a tuner built on it sees history as of
+// now, and a read error surfaces here instead of inside a session. A nil
+// corpus snapshots to a nil (empty) repository.
+func Snapshot(c Corpus, targetName string) (*Repository, error) {
+	if c == nil {
+		return nil, nil
+	}
+	system, _, _ := strings.Cut(targetName, "/")
+	if system == "" {
+		return nil, fmt.Errorf("tune: a corpus snapshot needs the target's name (\"system/workload\") to select its system's sessions, got %q", targetName)
+	}
+	sessions, err := c.ForSystem(system)
+	if err != nil {
+		return nil, fmt.Errorf("tune: reading past %s sessions: %w", system, err)
+	}
+	return &Repository{Sessions: sessions}, nil
 }
 
 // Add appends a session record.
@@ -85,49 +127,22 @@ func (r *Repository) AddResult(system, workload string, features map[string]floa
 	r.Add(NewSessionRecord(system, workload, features, tr))
 }
 
-// ForSystem returns the sessions recorded against the named system.
-func (r *Repository) ForSystem(system string) []SessionRecord {
+// ForSystem implements Corpus; in memory it cannot fail. A nil repository
+// holds nothing.
+func (r *Repository) ForSystem(system string) ([]SessionRecord, error) {
+	if r == nil {
+		return nil, nil
+	}
 	var out []SessionRecord
 	for _, s := range r.Sessions {
 		if s.System == system {
 			out = append(out, s)
 		}
 	}
-	return out
+	return out, nil
 }
 
-// SimilarSessions ranks sessions of the given system by Euclidean distance
-// between feature maps (missing keys treated as zero), nearest first.
-func (r *Repository) SimilarSessions(system string, features map[string]float64) []SessionRecord {
-	sessions := r.ForSystem(system)
-	type scored struct {
-		rec  SessionRecord
-		dist float64
-	}
-	sc := make([]scored, 0, len(sessions))
-	for _, s := range sessions {
-		sc = append(sc, scored{s, featureDistance(features, s.Features)})
-	}
-	sort.SliceStable(sc, func(i, j int) bool { return sc[i].dist < sc[j].dist })
-	out := make([]SessionRecord, len(sc))
-	for i, s := range sc {
-		out[i] = s.rec
-	}
-	return out
-}
-
-func featureDistance(a, b map[string]float64) float64 {
-	keys := make(map[string]struct{}, len(a)+len(b))
-	for k := range a {
-		keys[k] = struct{}{}
-	}
-	for k := range b {
-		keys[k] = struct{}{}
-	}
-	var s float64
-	for k := range keys {
-		d := a[k] - b[k]
-		s += d * d
-	}
-	return math.Sqrt(s)
+// WarmConfigs implements WarmSource with the free WarmConfigs.
+func (r *Repository) WarmConfigs(system string, features map[string]float64, space *Space, k int) []Config {
+	return WarmConfigs(r, system, features, space, k)
 }

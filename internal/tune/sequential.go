@@ -54,6 +54,24 @@ type sequential struct {
 	done    bool
 }
 
+// SequentialBody marks a BatchTuner whose proposer is a Sequential: embed it.
+// Such a tuner proposes one configuration per batch, so a fidelity schedule —
+// which fills a bracket's base rung from one Propose — cannot spend its
+// budget on it and is refused (MultiFidelityTuner.Check).
+type SequentialBody struct{}
+
+func (SequentialBody) sequentialBody() {}
+
+// hasSequentialBody reports whether t, or a tuner under t's wrapper shells,
+// is marked SequentialBody.
+func hasSequentialBody(t Tuner) bool {
+	if w, ok := t.(*wrapped); ok {
+		return slices.ContainsFunc(w.subs, func(s BatchTuner) bool { return hasSequentialBody(s) })
+	}
+	_, ok := t.(interface{ sequentialBody() })
+	return ok
+}
+
 // Propose implements Proposer.
 func (p *sequential) Propose(n int) []Config {
 	if n <= 0 || p.done || p.waiting {

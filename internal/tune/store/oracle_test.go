@@ -8,7 +8,7 @@ import (
 	"repro/internal/tune"
 )
 
-// The store's indexed lookups (WarmConfigs, Nearest, RankIDs) must be
+// The store's indexed lookups (WarmConfigs, Nearest, the walk under them) must be
 // indistinguishable from linearly scanning the materialized corpus with the
 // retained tune free functions — across every physical layout the store
 // passes through: tail-only, mixed segments + tail, reopened from disk,
@@ -82,6 +82,17 @@ func randOracleRecord(rng *rand.Rand, system string) tune.SessionRecord {
 	return rec
 }
 
+// rankIDs walks the store's feature index for up to limit live ids of the
+// named system, nearest first (every one of them when limit <= 0).
+func rankIDs(s *FileStore, system string, features map[string]float64, limit int) []int64 {
+	var out []int64
+	s.lookupWalk(system, features, func(pos, _ int) bool {
+		out = append(out, s.refs[pos].id)
+		return limit <= 0 || len(out) < limit
+	})
+	return out
+}
+
 // assertStoreMatchesOracle compares every indexed store lookup against the
 // linear-scan oracle over the materialized corpus.
 func assertStoreMatchesOracle(t *testing.T, s *FileStore, system string, q map[string]float64) {
@@ -100,7 +111,7 @@ func assertStoreMatchesOracle(t *testing.T, s *FileStore, system string, q map[s
 	for i, at := range rank {
 		wantIDs[i] = ids[at]
 	}
-	gotIDs := s.RankIDs(system, q, 0)
+	gotIDs := rankIDs(s, system, q, 0)
 	if len(gotIDs) == 0 {
 		gotIDs = nil
 	}
@@ -108,11 +119,11 @@ func assertStoreMatchesOracle(t *testing.T, s *FileStore, system string, q map[s
 		wantIDs = nil
 	}
 	if !reflect.DeepEqual(gotIDs, wantIDs) {
-		t.Fatalf("RankIDs(%s, %v):\nindexed %v\noracle  %v", system, q, gotIDs, wantIDs)
+		t.Fatalf("rankIDs(%s, %v):\nindexed %v\noracle  %v", system, q, gotIDs, wantIDs)
 	}
 	if limit := 3; len(wantIDs) > limit {
-		if got := s.RankIDs(system, q, limit); !reflect.DeepEqual(got, wantIDs[:limit]) {
-			t.Fatalf("RankIDs(%s, limit=%d): indexed %v oracle %v", system, limit, got, wantIDs[:limit])
+		if got := rankIDs(s, system, q, limit); !reflect.DeepEqual(got, wantIDs[:limit]) {
+			t.Fatalf("rankIDs(%s, limit=%d): indexed %v oracle %v", system, limit, got, wantIDs[:limit])
 		}
 	}
 	sum, found := s.Nearest(system, q)
@@ -132,10 +143,15 @@ func assertStoreMatchesOracle(t *testing.T, s *FileStore, system string, q map[s
 			t.Fatalf("Nearest(%s, %v): summary %+v, oracle %+v", system, q, sum, want)
 		}
 	}
-	repo, err := s.Repository()
+	// The per-system read is the materialized corpus filtered by system.
+	forSystem, err := s.ForSystem(system)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(forSystem, recs) {
+		t.Fatalf("ForSystem(%s): %d records, filtering Sessions() gives %d:\n got %+v\nwant %+v", system, len(forSystem), len(recs), forSystem, recs)
+	}
+	repo := &tune.Repository{Sessions: recs}
 	space := oracleSpace()
 	for _, k := range []int{0, 1, 3} {
 		got := s.WarmConfigs(system, q, space, k)

@@ -70,8 +70,10 @@ type Store interface {
 	Len() int
 	// Get returns the record with the given id.
 	Get(id int64) (Stored, bool, error)
-	// Repository materializes the live records into a tune.Repository.
-	Repository() (*tune.Repository, error)
+	// ForSystem returns the live records of the named system in insertion
+	// order, reading only that system's payloads. Store implements
+	// tune.Corpus.
+	ForSystem(system string) ([]tune.SessionRecord, error)
 	// Append durably archives rec and returns its assigned id.
 	Append(rec tune.SessionRecord) (int64, error)
 	// Delete durably removes the record with the given id.
@@ -80,8 +82,8 @@ type Store interface {
 	// dropping tombstones.
 	Compact() error
 	// WarmConfigs warm-starts from the nearest transferable session of the
-	// named system — identical results to tune.WarmConfigs over a
-	// materialized Repository, but served by the feature index with lazy
+	// named system — identical results to tune.WarmConfigs over the
+	// materialized corpus, but served by the feature index with lazy
 	// record loads. Store implements tune.WarmSource.
 	WarmConfigs(system string, features map[string]float64, space *tune.Space, k int) []tune.Config
 	// Nearest returns the digest of the session nearest to features among
@@ -164,7 +166,7 @@ type FileStore struct {
 	// exclusively; materializing readers (Sessions, Get, Summaries) share
 	// it — segment payload reads go through ReadAt on immutable files, so
 	// concurrent readers never contend on file position. Lookup methods
-	// (WarmConfigs, Nearest, RankIDs) also share it on their fast path:
+	// (WarmConfigs, Nearest) also share it on their fast path:
 	// when the lazy feature index is built and fresh (CorpusIndex.Ready) a
 	// walk is read-only, so concurrent lookups serve in parallel; only when
 	// the index must be (re)built does a lookup upgrade to the write lock
@@ -635,17 +637,30 @@ func (s *FileStore) summaryLocked(ref recRef) Summary {
 	return sum
 }
 
-// Repository implements Store.
-func (s *FileStore) Repository() (*tune.Repository, error) {
-	sessions, err := s.Sessions()
+// ForSystem implements Store (and tune.Corpus). The segment entry index
+// carries each record's system, so a foreign system's payload is never read.
+func (s *FileStore) ForSystem(system string) ([]tune.SessionRecord, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []tune.SessionRecord
+	var err error
+	s.iterLiveLocked(func(ref recRef) bool {
+		if ref.seg >= 0 && s.segs[ref.seg].entries[ref.ent].system != system {
+			return true
+		}
+		var rec tune.SessionRecord
+		if rec, err = s.readRefLocked(ref); err != nil {
+			return false
+		}
+		if rec.System == system { // a tail record's system is only on the record
+			out = append(out, rec)
+		}
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	repo := &tune.Repository{}
-	for _, st := range sessions {
-		repo.Add(st.Record)
-	}
-	return repo, nil
+	return out, nil
 }
 
 func (s *FileStore) lenLocked() int {
@@ -766,18 +781,6 @@ func (s *FileStore) Nearest(system string, features map[string]float64) (Summary
 		return false
 	})
 	return sum, found
-}
-
-// RankIDs returns up to limit live session ids of the named system in
-// nearest-first order (every one of them when limit <= 0) — the indexed
-// equivalent of tune.RankSessions over the materialized corpus.
-func (s *FileStore) RankIDs(system string, features map[string]float64, limit int) []int64 {
-	var out []int64
-	s.lookupWalk(system, features, func(pos, _ int) bool {
-		out = append(out, s.refs[pos].id)
-		return limit <= 0 || len(out) < limit
-	})
-	return out
 }
 
 // maybeCompactLocked folds the tail when the WAL has grown past
@@ -967,17 +970,6 @@ func (s *FileStore) Close() error {
 	return err
 }
 
-// IDs returns the live ids in insertion order (primarily for tests).
-func (s *FileStore) IDs() []int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []int64
-	s.iterLiveLocked(func(ref recRef) bool {
-		out = append(out, ref.id)
-		return true
-	})
-	return out
-}
-
 var _ Store = (*FileStore)(nil)
 var _ tune.WarmSource = (*FileStore)(nil)
+var _ tune.Corpus = (*FileStore)(nil)

@@ -77,12 +77,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got[0].Record, rec("dbms", "tpch", 3)) {
 		t.Errorf("record 1 mutated: %+v", got[0].Record)
 	}
-	repo, err := s2.Repository()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(repo.ForSystem("spark")) != 1 {
-		t.Errorf("repository view wrong: %+v", repo)
+	if spark, err := s2.ForSystem("spark"); err != nil || len(spark) != 1 {
+		t.Errorf("per-system view wrong: %+v (err=%v)", spark, err)
 	}
 
 	// New ids never reuse old ones, even after deletes.
@@ -277,13 +273,67 @@ func TestStoreConcurrentAppends(t *testing.T) {
 	if s.Len() != 40 {
 		t.Fatalf("lost appends: %d", s.Len())
 	}
-	ids := s.IDs()
 	seen := map[int64]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			t.Fatalf("duplicate id %d", id)
+	for _, sum := range s.Summaries() {
+		if seen[sum.ID] {
+			t.Fatalf("duplicate id %d", sum.ID)
 		}
-		seen[id] = true
+		seen[sum.ID] = true
+	}
+}
+
+// TestForSystemReadsOnlyItsOwnPayloads: the per-system read takes each
+// record's system from the segment index, so another system's payload is
+// never read — here every spark payload on disk is damaged, and the dbms read
+// (segments and WAL tail) does not notice, while reads that do touch the
+// damage report it.
+func TestForSystemReadsOnlyItsOwnPayloads(t *testing.T) {
+	s := open(t, t.TempDir())
+	s.CompactEvery = 4 // two segments of four, then a tail of two
+	var want []tune.SessionRecord
+	for i := 0; i < 10; i++ {
+		r := rec("dbms", fmt.Sprintf("wl%d", i), 2+i)
+		if i%2 == 1 {
+			r = rec("spark", fmt.Sprintf("wl%d", i), 2+i)
+		} else {
+			want = append(want, r)
+		}
+		if _, err := s.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.segs) != 2 || len(s.tailOrder) != 2 {
+		t.Fatalf("layout: %d segments, %d tail records; want 2 and 2", len(s.segs), len(s.tailOrder))
+	}
+	for _, sg := range s.segs {
+		f, err := os.OpenFile(sg.path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range sg.entries {
+			if e.system == "spark" {
+				if _, err := f.WriteAt([]byte("XXXX"), e.off); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		f.Close()
+	}
+	got, err := s.ForSystem("dbms")
+	if err != nil {
+		t.Fatalf("ForSystem(dbms) read a foreign payload: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ForSystem(dbms) = %d records, want the %d appended", len(got), len(want))
+	}
+	if got, err := s.ForSystem("hadoop"); err != nil || got != nil {
+		t.Fatalf("ForSystem(hadoop) = %v, %v; want nothing, read nothing", got, err)
+	}
+	if _, err := s.ForSystem("spark"); err == nil {
+		t.Fatal("ForSystem(spark) returned damaged payloads without an error")
+	}
+	if _, err := s.Sessions(); err == nil {
+		t.Fatal("the damage is not visible to a full read: the test corrupts nothing")
 	}
 }
 
@@ -443,8 +493,8 @@ func TestConcurrentReadersDuringArchive(t *testing.T) {
 						return
 					}
 				case 1:
-					if ids := s.RankIDs("dbms", feats, 8); len(ids) == 0 {
-						t.Error("RankIDs returned nothing mid-archive")
+					if recs, err := s.ForSystem("dbms"); err != nil || len(recs) == 0 {
+						t.Errorf("ForSystem returned %d records mid-archive (err=%v)", len(recs), err)
 						return
 					}
 				case 2:

@@ -255,6 +255,11 @@ func (m *SurrogateModel) absorb() bool {
 	return true
 }
 
+// AcquireBatch is how many candidates the model-based tuners (iTuned,
+// OtterTune) ask of one acquisition round; the concurrent engine evaluates
+// them in parallel.
+const AcquireBatch = 4
+
 // screenPool is how many uniform candidates an acquisition round scores in
 // its batched screening pass before polishing.
 const screenPool = 48

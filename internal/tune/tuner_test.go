@@ -195,17 +195,6 @@ func TestRepositoryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSimilarSessionsOrdering(t *testing.T) {
-	repo := &Repository{}
-	repo.Add(SessionRecord{System: "s", Workload: "far", Features: map[string]float64{"a": 100}})
-	repo.Add(SessionRecord{System: "s", Workload: "near", Features: map[string]float64{"a": 1}})
-	repo.Add(SessionRecord{System: "other", Workload: "x", Features: map[string]float64{"a": 0}})
-	got := repo.SimilarSessions("s", map[string]float64{"a": 2})
-	if len(got) != 2 || got[0].Workload != "near" {
-		t.Errorf("SimilarSessions = %+v", got)
-	}
-}
-
 func TestBestTrialSkipsFailures(t *testing.T) {
 	rec := SessionRecord{Trials: []TrialRecord{
 		{Time: 1, Failed: true},

@@ -126,10 +126,7 @@ func sameNames(a, b []string) bool {
 // repository holds nothing transferable — a warm start over an empty
 // repository degrades to a cold start, never to an error.
 func WarmConfigs(repo *Repository, system string, features map[string]float64, space *Space, k int) []Config {
-	if repo == nil {
-		return nil
-	}
-	sessions := repo.ForSystem(system)
+	sessions, _ := repo.ForSystem(system) // in memory: never fails
 	// Prefer the nearest session that actually transfers; the nearest one
 	// may have been recorded against an incompatible space. Sessions are
 	// ranked once — one normalization pass for the whole lookup batch — and

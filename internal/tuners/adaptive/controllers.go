@@ -154,27 +154,26 @@ func NewRecommender(seed int64, repo *tune.Repository) *Recommender {
 // Name implements tune.Tuner.
 func (r *Recommender) Name() string { return "adaptive/recommender" }
 
-// warmStart returns the best configuration of the most similar session, or
-// the default when the repository has nothing usable.
+// warmStart returns the best configuration of the nearest past session of
+// the target's system (tune.RankSessions order: features normalized per key,
+// so no one large-valued feature decides), or the default when the repository
+// has nothing usable.
 func (r *Recommender) warmStart(target tune.Target) tune.Config {
 	space := target.Space()
-	def := space.Default()
-	if r.Repo == nil {
-		return def
-	}
 	var features map[string]float64
 	if d, ok := target.(tune.Describer); ok {
 		features = d.WorkloadFeatures()
 	}
-	for _, sess := range r.Repo.SimilarSessions(system(target.Name()), features) {
-		if len(sess.ParamNames) != space.Dim() {
+	sessions, _ := r.Repo.ForSystem(system(target.Name())) // in memory: never fails
+	for _, at := range tune.RankSessions(sessions, features) {
+		if len(sessions[at].ParamNames) != space.Dim() {
 			continue
 		}
-		if at := sess.BestTrial(); at >= 0 {
-			return space.FromVector(sess.Trials[at].Vector)
+		if best := sessions[at].BestTrial(); best >= 0 {
+			return space.FromVector(sessions[at].Trials[best].Vector)
 		}
 	}
-	return def
+	return space.Default()
 }
 
 func system(name string) string {

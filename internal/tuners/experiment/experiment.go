@@ -61,6 +61,7 @@ func (t *Grid) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tu
 
 // RRS wraps recursive random search over real runs.
 type RRS struct {
+	tune.SequentialBody
 	Seed int64
 }
 
@@ -111,6 +112,7 @@ func (in *incumbent) note(cfg tune.Config, res tune.Result) {
 // foldover) and then tunes only the influential ones with the remaining
 // budget.
 type SARD struct {
+	tune.SequentialBody
 	Seed int64
 	// TopK parameters to tune after screening (default 4).
 	TopK int
@@ -232,6 +234,7 @@ func (t *SARD) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, er
 // then alternate between exploiting near the incumbent and exploring the
 // least-sampled region.
 type AdaptiveSampling struct {
+	tune.SequentialBody
 	Seed int64
 	// Bootstrap is the number of initial random runs (default max(5, d)).
 	Bootstrap int
@@ -330,9 +333,6 @@ type ITuned struct {
 	InitLHS int
 	// Kernel selects the GP kernel (default Matérn 5/2).
 	Kernel gp.KernelKind
-	// Batch is how many candidates each GP round proposes (default 4);
-	// the concurrent engine evaluates them in parallel.
-	Batch int
 	// Surrogate selects the GP surrogate tier and its switch-over
 	// thresholds (nil = auto with defaults). Below the sparse threshold the
 	// exact tier runs the historical code path, so event streams recorded

@@ -79,13 +79,12 @@ func (p *gridProposer) Propose(n int) []tune.Config { return tune.ProposeFixed(&
 func (p *gridProposer) Observe(tune.Trial) {}
 
 // itunedProposer is iTuned in ask/tell form: a Latin-hypercube design
-// proposed as one batch, then GP/EI rounds of up to Batch candidates. History,
+// proposed as one batch, then GP/EI rounds of up to tune.AcquireBatch candidates. History,
 // model lifecycle and the acquisition round are tune.SurrogateModel's; iTuned
 // is its round searched over every coordinate.
 type itunedProposer struct {
 	space *tune.Space
 	rng   *rand.Rand
-	batch int
 
 	pending []tune.Config
 	model   *tune.SurrogateModel
@@ -106,12 +105,8 @@ func (t *ITuned) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, 
 			initN = 4
 		}
 	}
-	batch := t.Batch
-	if batch <= 0 {
-		batch = 4
-	}
 	p := &itunedProposer{
-		space: space, rng: rng, batch: batch,
+		space: space, rng: rng,
 		model: tune.NewSurrogateModel(t.Surrogate, t.Kernel, t.Seed),
 	}
 	for _, x := range sample.LatinHypercube(initN, d, rng) {
@@ -133,7 +128,7 @@ func (p *itunedProposer) Propose(n int) []tune.Config {
 		return []tune.Config{p.space.Random(p.rng)}
 	}
 	var out []tune.Config
-	for _, x := range p.model.Acquire(min(p.batch, n), nil, 60, p.rng) {
+	for _, x := range p.model.Acquire(min(tune.AcquireBatch, n), nil, 60, p.rng) {
 		out = append(out, p.space.FromVector(x))
 	}
 	return out

@@ -243,8 +243,8 @@ func TestOtterTuneNonFiniteObjectiveKeepsModelling(t *testing.T) {
 			return
 		}
 		// A model-proposed round is a whole batch; the fallback is one probe.
-		if prev != 0 && n-prev != p.batch {
-			t.Fatalf("the round before trial %d proposed %d configurations, want a batch of %d", n, n-prev, p.batch)
+		if prev != 0 && n-prev != tune.AcquireBatch {
+			t.Fatalf("the round before trial %d proposed %d configurations, want a batch of %d", n, n-prev, tune.AcquireBatch)
 		}
 		rounds, prev = rounds+1, n
 		m := p.model.Model() // the round before's: all but the last batch

@@ -40,9 +40,6 @@ type OtterTune struct {
 	// InitObs is the number of initial observations on the new target
 	// (default 5).
 	InitObs int
-	// Batch is how many candidates each GP round proposes (default 4);
-	// the concurrent engine evaluates them in parallel.
-	Batch int
 	// Surrogate selects the GP surrogate tier and its switch-over
 	// thresholds (nil = auto with defaults). The mapped workload's
 	// observations count toward the tier decision: a large transferred

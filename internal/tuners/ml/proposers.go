@@ -13,7 +13,7 @@ import (
 // Ask/tell forms of the ML tuners. OtterTune's offline phase (metric
 // pruning, Lasso knob ranking) runs at proposer construction; the initial
 // observations are one batch; workload mapping happens once, after the
-// batch is observed; GP rounds then propose up to Batch candidates via
+// batch is observed; GP rounds then propose up to tune.AcquireBatch candidates via
 // penalized EI over the active knobs. The neural tuner batches its
 // initialization and stays one-at-a-time afterwards — each proposal
 // retrains the surrogate on everything observed so far.
@@ -26,7 +26,6 @@ type otProposer struct {
 	t     *OtterTune
 	space *tune.Space
 	rng   *rand.Rand
-	batch int
 
 	sessions []tune.SessionRecord
 	pruned   []string
@@ -47,10 +46,7 @@ func (t *OtterTune) NewProposer(target tune.Target, b tune.Budget) (tune.Propose
 	d := space.Dim()
 	rng := rand.New(rand.NewSource(t.Seed))
 
-	var sessions []tune.SessionRecord
-	if t.Repo != nil {
-		sessions = t.Repo.ForSystem(system(target.Name()))
-	}
+	sessions, _ := t.Repo.ForSystem(system(target.Name())) // in memory: never fails
 	keep := t.PrunedMetrics
 	if keep <= 0 {
 		keep = 6
@@ -75,12 +71,8 @@ func (t *OtterTune) NewProposer(target tune.Target, b tune.Budget) (tune.Propose
 	if initN <= 0 {
 		initN = 5
 	}
-	batch := t.Batch
-	if batch <= 0 {
-		batch = 4
-	}
 	p := &otProposer{
-		t: t, space: space, rng: rng, batch: batch,
+		t: t, space: space, rng: rng,
 		model:    tune.NewSurrogateModel(t.Surrogate, gp.Matern52, t.Seed),
 		sessions: sessions, pruned: pruned, active: active,
 		observed: map[string]float64{},
@@ -144,7 +136,7 @@ func (p *otProposer) Propose(n int) []tune.Config {
 		return []tune.Config{p.space.Random(p.rng)}
 	}
 	var out []tune.Config
-	for _, x := range p.model.Acquire(min(p.batch, n), p.active, 50, p.rng) {
+	for _, x := range p.model.Acquire(min(tune.AcquireBatch, n), p.active, 50, p.rng) {
 		out = append(out, p.space.FromVector(x))
 	}
 	return out

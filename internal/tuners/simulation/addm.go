@@ -13,7 +13,7 @@ import (
 // applies its targeted remedy. Diagnosis is cheap and explainable — the
 // strength the paper credits to the approach — but each remedy is a local
 // rule, so convergence stalls once no single component dominates.
-type ADDM struct{}
+type ADDM struct{ tune.SequentialBody }
 
 // NewADDM returns an ADDM tuner.
 func NewADDM() *ADDM { return &ADDM{} }

@@ -216,6 +216,40 @@ func TestRecommenderWarmStart(t *testing.T) {
 	}
 }
 
+// TestRecommenderRanksByNormalizedDistance: the recommender starts from the
+// nearest past session under tune.RankSessions' per-key normalization. Under
+// raw Euclidean distance the gigabyte-scaled input_gb swamps the unit-scaled
+// selectivities and the other session would win.
+func TestRecommenderRanksByNormalizedDistance(t *testing.T) {
+	fresh := hadoopTarget(27)
+	space := fresh.Space()
+	past := func(wl string, x float64, edit func(f map[string]float64)) tune.SessionRecord {
+		f := fresh.WorkloadFeatures()
+		edit(f)
+		vec := make([]float64, space.Dim())
+		for i := range vec {
+			vec[i] = x
+		}
+		return tune.SessionRecord{System: "hadoop", Workload: wl, ParamNames: space.Names(), Features: f,
+			Trials: []tune.TrialRecord{{Vector: vec, Time: 100}}}
+	}
+	// Raw distances: 1 GB and a different job ≈ 1.2; 3 GB and the same job = 3.
+	otherJob := past("other-job", 0.25, func(f map[string]float64) {
+		f["input_gb"]++
+		f["map_sel"], f["reduce_sel"] = f["map_sel"]+0.5, f["reduce_sel"]+0.5
+	})
+	sameJob := past("same-job", 0.75, func(f map[string]float64) { f["input_gb"] += 3 })
+	repo := &tune.Repository{Sessions: []tune.SessionRecord{otherJob, sameJob}}
+
+	res, err := adaptive.NewRecommender(27, repo).Tune(context.Background(), fresh, tune.Budget{Trials: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Trials[0].Config.String(), space.FromVector(sameJob.Trials[0].Vector).String(); got != want {
+		t.Errorf("recommender started from\n  %s\nwant the same job at another scale\n  %s", got, want)
+	}
+}
+
 func TestSPEXCheckerDetectsAndRepairs(t *testing.T) {
 	target := dbmsTarget(28)
 	checker := rulebased.DBMSChecker()
@@ -552,34 +586,34 @@ func TestGoldenDeterminismFidelity(t *testing.T) {
 // order, so the transferred trials batch like any others).
 func TestGoldenDeterminismWarmStart(t *testing.T) {
 	dir := t.TempDir()
-	// Seed the repository with one past session.
-	hist := repro.Spec{
-		System: "spark", Workload: "kmeans", Tuner: "ituned",
-		Seed: 5, Budget: repro.Budget{Trials: 10}, Repository: dir,
-	}
-	run, err := repro.Start(context.Background(), hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run.Wait(nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Freeze the corpus: both comparison runs must transfer from identical
-	// history, and a Spec.Repository run would archive itself into the
-	// directory between them.
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := st.Repository()
+	// Seed the repository with one past session.
+	hist, err := repro.Spec{
+		System: "spark", Workload: "kmeans", Tuner: "ituned",
+		Seed: 5, Budget: repro.Budget{Trials: 10},
+	}.JobOn(st, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Close()
-	if len(repo.Sessions) != 1 {
-		t.Fatalf("repository has %d sessions, want the 1 archived by Start", len(repo.Sessions))
+	if _, err := repro.NewEngine(repro.EngineOptions{}).Submit(hist).Wait(nil); err != nil {
+		t.Fatal(err)
 	}
+
+	// Freeze the corpus: both comparison runs must transfer from identical
+	// history, and a run built on the store would archive itself into the
+	// directory between them.
+	sessions, err := st.ForSystem("spark")
+	st.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sessions) != 1 {
+		t.Fatalf("repository has %d sessions, want the 1 the history run archived", len(sessions))
+	}
+	repo := &tune.Repository{Sessions: sessions}
 
 	stream := func(parallel int) []string {
 		spec := repro.Spec{
@@ -587,7 +621,7 @@ func TestGoldenDeterminismWarmStart(t *testing.T) {
 			Seed: 11, Budget: repro.Budget{Trials: 10}, Target: repro.TargetOptions{ScaleGB: 1},
 			WarmStart: true, Parallel: parallel,
 		}
-		job, err := spec.JobWith(repo, nil)
+		job, err := spec.JobWithWarm(repo, repo, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,9 +55,11 @@ type TunerOptions struct {
 	// Seed drives the tuner's randomness.
 	Seed int64
 	// Repo supplies past sessions to repository-based tuners (ottertune,
-	// recommender); nil is allowed.
-	Repo *Repository
-	// TargetName helps rule-based tuners pick a rulebook ("dbms/tpch").
+	// recommender), whose builders read TargetName's system out of it once,
+	// when the tuner is built (tune.Snapshot); nil is allowed.
+	Repo tune.Corpus
+	// TargetName ("dbms/tpch") helps rule-based tuners pick a rulebook and
+	// names the system whose sessions a repository-based tuner reads.
 	TargetName string
 	// Proxy is the scaled replica required by the "scaled-proxy" tuner.
 	Proxy Target
@@ -194,20 +196,6 @@ func TunerInfo(name string) (category, doc string, ok bool) {
 	defer registry.RUnlock()
 	f, ok := registry.tuners[name]
 	return f.Category, f.Doc, ok
-}
-
-// TunerNeedsRepository reports whether the named tuner consumes the
-// materialized session corpus itself (TunerOptions.Repo) beyond what
-// warm-start seeding needs. Builtins that ignore Repo return false, which
-// lets callers skip loading every past session from a large store; external
-// registrations are conservatively assumed to want the corpus.
-func TunerNeedsRepository(name string) bool {
-	for _, t := range builtinTuners {
-		if t.name == name {
-			return name == "ottertune" || name == "recommender"
-		}
-	}
-	return true
 }
 
 // NewTuner builds a tuner by name.
@@ -414,7 +402,11 @@ var builtinTuners = []builtinTuner{
 		return t, nil
 	}},
 	{"ottertune", "machine learning", "metric pruning + Lasso + workload mapping + GP (Van Aken et al.)", func(o TunerOptions) (Tuner, error) {
-		t := ml.NewOtterTune(o.Seed, o.Repo)
+		repo, err := tune.Snapshot(o.Repo, o.TargetName)
+		if err != nil {
+			return nil, err
+		}
+		t := ml.NewOtterTune(o.Seed, repo)
 		t.Surrogate = o.Surrogate
 		return t, nil
 	}},
@@ -431,7 +423,11 @@ var builtinTuners = []builtinTuner{
 		return &adaptive.AdaptiveTuner{Label: "memory-manager", Controller: adaptive.NewMemoryManager()}, nil
 	}},
 	{"recommender", "adaptive", "repository warm start + online refinement (mrMoulder)", func(o TunerOptions) (Tuner, error) {
-		return adaptive.NewRecommender(o.Seed, o.Repo), nil
+		repo, err := tune.Snapshot(o.Repo, o.TargetName)
+		if err != nil {
+			return nil, err
+		}
+		return adaptive.NewRecommender(o.Seed, repo), nil
 	}},
 }
 

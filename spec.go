@@ -2,10 +2,11 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/tune"
@@ -46,18 +47,12 @@ type Spec struct {
 	// parallelism — only which repeats are served memoized can differ
 	// from the unbounded cache.
 	MemoCap int `json:"memo_cap,omitempty"`
-	// Repository names a directory holding the durable tuning repository
-	// (internal/tune/store layout). Start and StartOn load past sessions
-	// from it — feeding repository-driven tuners and WarmStart — and
-	// archive the finished session back into it. The HTTP daemon rejects
-	// specs carrying this field: the daemon owns its own repository
-	// directory and clients opt into it with WarmStart alone.
-	Repository string `json:"repository,omitempty"`
 	// WarmStart seeds the session's proposer with the best configurations
 	// transferred from the mapped nearest past workload of the same system
-	// in the repository (see tune.WarmConfigs). It requires an ask/tell
-	// tuner (every tuner but the adaptive family); over an empty repository
-	// it degrades to a cold start.
+	// in the store the job is built on (see JobOn and tune.WarmConfigs). It
+	// requires an ask/tell tuner (every tuner but the adaptive family); over
+	// an empty repository, or with no store at all, it degrades to a cold
+	// start.
 	WarmStart bool `json:"warm_start,omitempty"`
 	// Fidelity, when set, runs the session as a multi-fidelity schedule:
 	// successive-halving/Hyperband brackets over the tuner's proposals,
@@ -218,33 +213,77 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Job materializes the spec: it validates, builds the target and tuner,
-// and returns the engine job describing the session. The Repository field
-// is not resolved here — store lifecycle belongs to Start/StartOn (or to a
-// caller passing a loaded corpus through JobWith).
-func (s Spec) Job() (Job, error) { return s.JobWith(nil, nil) }
+// StoreOp names one dealing a job built by JobOn has with its store, as
+// handed to JobOn's report callback.
+type StoreOp int
 
-// JobWith materializes the spec against an explicit repository corpus: repo
-// (which may be nil) supplies past sessions to repository-driven tuners and
-// to WarmStart's transfer mapping, and archive (which may be nil) receives
-// the finished session's record after a successful run. Callers own the
-// corpus and the durability of archive — the daemon passes its store's
-// snapshot and append; Start wires a store from Spec.Repository.
-func (s Spec) JobWith(repo *Repository, archive func(SessionRecord)) (Job, error) {
-	var warm tune.WarmSource
-	if repo != nil {
-		warm = repo
+const (
+	// WarmStarted: n seed configurations were transferred from the nearest
+	// past workload (0 = cold start). Reported while the job is built.
+	WarmStarted StoreOp = iota
+	// Archived: the finished session was appended as repository id n, or the
+	// append failed with err.
+	Archived
+	// Checkpointed: a boundary state of n trials was saved, or the save
+	// failed with err — a crash now would resume from an earlier boundary.
+	Checkpointed
+)
+
+// Job materializes the spec with no repository behind it: JobOn(nil, ...).
+func (s Spec) Job() (Job, error) { return s.JobOn(nil, "", nil, nil) }
+
+// JobOn is the one place a session meets its repository: it builds the
+// spec's job against an open store (nil = none). The store is the corpus
+// repository-driven tuners snapshot while the job is built, the source of
+// WarmStart's seeds, and where the finished session's record is appended.
+// Given a session id, the job is also wired for crash-resume: its state is
+// saved under that id at every batch boundary (the hook is state-based, so
+// calling job.Checkpoint with an empty state saves the admission-time
+// checkpoint), and replay (which may be nil) is the history a resumed
+// session feeds back first. report (which may be nil) hears every outcome —
+// see StoreOp; Archived and Checkpointed arrive on the session's goroutine.
+// The caller owns the store and closes it after the run.
+func (s Spec) JobOn(st store.Store, sid string, replay *Replay, report func(op StoreOp, n int64, err error)) (Job, error) {
+	if report == nil {
+		report = func(StoreOp, int64, error) {}
 	}
-	return s.JobWithWarm(repo, warm, archive)
+	var warm tune.WarmSource
+	var archive func(SessionRecord)
+	if st != nil {
+		warm = tune.WarmSourceFunc(func(system string, features map[string]float64, space *tune.Space, k int) []tune.Config {
+			seeds := st.WarmConfigs(system, features, space, k)
+			report(WarmStarted, int64(len(seeds)), nil)
+			return seeds
+		})
+		archive = func(rec SessionRecord) {
+			id, err := st.Append(rec)
+			report(Archived, id, err)
+		}
+	}
+	job, err := s.JobWithWarm(st, warm, archive) // a nil store is a nil corpus
+	if err != nil || st == nil || sid == "" {
+		return job, err
+	}
+	rawSpec, err := json.Marshal(s)
+	if err != nil {
+		return Job{}, fmt.Errorf("repro: encoding spec for checkpointing: %w", err)
+	}
+	job.Replay = replay
+	job.Checkpoint = func(cs CheckpointState) {
+		report(Checkpointed, int64(len(cs.Trials)), st.SaveCheckpoint(store.SessionCheckpoint{
+			SID: sid, Spec: rawSpec, Replay: cs.Replay(), Trials: len(cs.Trials), UpdatedAt: time.Now(),
+		}))
+	}
+	return job, nil
 }
 
-// JobWithWarm is JobWith with the warm-start seed source decoupled from the
-// materialized corpus: warm (which may be nil) answers WarmStart's
-// nearest-workload transfer query, so a caller holding an indexed store can
-// warm-start against a million-session repository without materializing it.
-// repo still feeds repository-driven tuners; TunerNeedsRepository reports
-// whether s.Tuner actually wants one.
-func (s Spec) JobWithWarm(repo *Repository, warm tune.WarmSource, archive func(SessionRecord)) (Job, error) {
+// JobWithWarm materializes the spec against explicit sources: corpus (which
+// may be nil) is what a repository-driven tuner's builder reads its snapshot
+// of past sessions from, warm (which may be nil) answers WarmStart's
+// nearest-workload transfer query, and archive (which may be nil) receives
+// the finished session's record after a successful run. JobOn is the caller
+// for a store; this form remains for harnesses that decorate the sources.
+func (s Spec) JobWithWarm(corpus tune.Corpus, warm tune.WarmSource, archive func(SessionRecord)) (Job, error) {
 	if err := s.Validate(); err != nil {
 		return Job{}, err
 	}
@@ -252,7 +291,7 @@ func (s Spec) JobWithWarm(repo *Repository, warm tune.WarmSource, archive func(S
 	if err != nil {
 		return Job{}, err
 	}
-	topt := TunerOptions{Seed: s.Seed, Repo: repo, TargetName: target.Name(), Surrogate: s.Surrogate}
+	topt := TunerOptions{Seed: s.Seed, Repo: corpus, TargetName: target.Name(), Surrogate: s.Surrogate}
 	if s.Proxy != nil {
 		po := s.Target
 		po.ScaleGB = s.Proxy.ScaleGB
@@ -306,7 +345,7 @@ func (s Spec) JobWithWarm(repo *Repository, warm tune.WarmSource, archive func(S
 		}
 	}
 	if s.Guardrail > 0 {
-		if bt, err = tune.GuardrailTuner(bt, tune.GuardrailOptions{Limit: s.Guardrail}); err != nil {
+		if bt, err = tune.GuardrailTuner(bt, s.Guardrail); err != nil {
 			return Job{}, err
 		}
 	}
@@ -322,7 +361,7 @@ func (s Spec) JobWithWarm(repo *Repository, warm tune.WarmSource, archive func(S
 		bt = tune.WarmStartTuner(bt, seeds)
 	}
 	if s.DriftDetect {
-		bt = tune.DriftDetectTuner(bt, tune.DriftOptions{})
+		bt = tune.DriftDetectTuner(bt)
 	}
 	if batch {
 		tuner = bt
@@ -374,58 +413,13 @@ func Start(ctx context.Context, spec Spec) (*Run, error) {
 	return StartOn(ctx, defaultEngine(), spec)
 }
 
-// StartOn is Start on a caller-owned engine — the daemon uses it to bound
-// concurrent sessions with its own scheduler.
-//
-// When spec.Repository names a directory, the durable store there is loaded
-// at submission (its sessions feed repository-driven tuners and
-// warm-starting) and reopened briefly to archive a successful run's record
-// before the run reports done — the store is never held across the run, so
-// sequential sessions on one directory cannot collide on its process lock.
-// On this convenience path an append failure surfaces on stderr only;
-// callers that must observe archival errors should open the store
-// themselves and use JobWith.
+// StartOn is Start on a caller-owned engine — for bounding concurrent
+// sessions with one's own scheduler. Neither touches a repository: a session
+// that reads or feeds one is built with JobOn and submitted to an engine.
 func StartOn(ctx context.Context, e *Engine, spec Spec) (*Run, error) {
-	if spec.Repository == "" {
-		job, err := spec.Job()
-		if err != nil {
-			return nil, err
-		}
-		return e.SubmitContext(ctx, job), nil
-	}
-	st, err := store.Open(spec.Repository)
+	job, err := spec.Job()
 	if err != nil {
 		return nil, err
-	}
-	// Only repository-driven tuners need the corpus materialized; everyone
-	// else (including warm start, which runs on the store's feature index)
-	// gets by on the open store alone, keeping submission cheap at scale.
-	var repo *Repository
-	if TunerNeedsRepository(spec.Tuner) {
-		if repo, err = st.Repository(); err != nil {
-			st.Close()
-			return nil, err
-		}
-	}
-	job, err := spec.JobWithWarm(repo, st, func(rec SessionRecord) {
-		st, err := store.Open(spec.Repository)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "repro: archiving session: %v\n", err)
-			return
-		}
-		defer st.Close()
-		if _, err := st.Append(rec); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: archiving session: %v\n", err)
-		}
-	})
-	// Warm-start seeds are drawn eagerly inside JobWithWarm, so the store is
-	// no longer needed once the job exists.
-	cerr := st.Close()
-	if err != nil {
-		return nil, err
-	}
-	if cerr != nil {
-		return nil, cerr
 	}
 	return e.SubmitContext(ctx, job), nil
 }

@@ -11,8 +11,10 @@ import (
 // TestSpecCrossProduct is "accepted means runnable": every registered tuner ×
 // four targets × twelve session shapes at a 12-trial budget is either refused
 // when the job is built (Validate / JobWithWarm — the daemon's 400) or runs to
-// a result whose trials are identical at any Parallel. A spec that is accepted
-// and then fails from Run.Wait is the bug this test exists to catch.
+// a result whose trials are identical at any Parallel — and, for a tuner whose
+// search has no natural end, that spent its trial budget. A spec that is
+// accepted and then fails from Run.Wait, or quietly stops short, is the bug
+// this test exists to catch.
 func TestSpecCrossProduct(t *testing.T) {
 	targets := []struct{ system, workload string }{
 		{"dbms", "tpch"}, {"spark", "pagerank"}, {"hadoop", "terasort"}, {"dbms", "oltp-olap-shift"},
@@ -34,8 +36,15 @@ func TestSpecCrossProduct(t *testing.T) {
 		{"sim_time", func(s *Spec) { s.Budget.SimTime = 4000 }},
 		{"fidelity+memo+parallel", func(s *Spec) { s.Fidelity, s.Memo, s.Parallel = &FidelitySpec{}, true, 2 }},
 	}
-	// The tuners that moved onto the drive loop last: no shape may refuse them.
+	// The sequential-body tuners: only a fidelity schedule may refuse them (a
+	// bracket cannot be filled one dependent configuration at a time).
 	ported := map[string]bool{"rrs": true, "sard": true, "adaptive-sampling": true, "addm": true}
+	// Tuners that search until told to stop: accepted, they run every trial of
+	// the budget unless sim_time cuts it first. The others finish by design —
+	// one recommendation and its verification, a factorial grid, a diagnosis
+	// with no finding left, the adaptive family's controlled runs.
+	searches := map[string]bool{"random": true, "rrs": true, "sard": true, "adaptive-sampling": true,
+		"ituned": true, "ottertune": true, "neural": true}
 
 	eng := NewEngine(EngineOptions{Workers: 4})
 	ctx := context.Background()
@@ -59,8 +68,7 @@ func TestSpecCrossProduct(t *testing.T) {
 						if err != nil {
 							if want != nil {
 								t.Errorf("%s: refused at parallel %d only: %v", label, parallel, err)
-							} else if ported[tuner] && !(spec.Fidelity != nil && tg.workload == "oltp-olap-shift") {
-								// (The drift workloads have no partial-fidelity path.)
+							} else if ported[tuner] && spec.Fidelity == nil {
 								t.Errorf("%s: refused: %v", label, err)
 							}
 							refused++
@@ -69,6 +77,10 @@ func TestSpecCrossProduct(t *testing.T) {
 						res, err := run.Wait(ctx)
 						if err != nil {
 							t.Errorf("%s: accepted, then failed at parallel %d: %v", label, parallel, err)
+							break
+						}
+						if cut := spec.Budget.SimTime > 0 && res.SimTimeUsed >= spec.Budget.SimTime; searches[tuner] && len(res.Trials) < spec.Budget.Trials && !cut {
+							t.Errorf("%s: accepted, then ended after %d of %d trials at parallel %d", label, len(res.Trials), spec.Budget.Trials, parallel)
 							break
 						}
 						got, err := json.Marshal(res.Trials)

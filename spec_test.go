@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -399,22 +400,36 @@ func TestRegistriesPlugInByName(t *testing.T) {
 	}
 }
 
-// TestSpecRepositoryLifecycle drives the facade's durable-repository path:
-// Start with Spec.Repository archives the finished session into the
-// directory; a later warm-started session loads that history, transfers
-// seed configurations, and archives itself too.
-func TestSpecRepositoryLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	run, err := Start(context.Background(), Spec{
-		System: "spark", Workload: "kmeans", Tuner: "ituned",
-		Seed: 3, Budget: Budget{Trials: 8}, Repository: dir,
-	})
+// runOn runs spec against the repository directory in the library's
+// three-line form: open the store, build the job on it, submit.
+func runOn(t *testing.T, dir string, spec Spec) *TuningResult {
+	t.Helper()
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run.Wait(nil); err != nil {
+	defer st.Close()
+	job, err := spec.JobOn(st, "", nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := defaultEngine().Submit(job).Wait(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestSpecRepositoryLifecycle drives the facade's durable-repository path:
+// a job built on an open store archives the finished session into it; a
+// later warm-started session reads that history, transfers seed
+// configurations, and archives itself too.
+func TestSpecRepositoryLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	runOn(t, dir, Spec{
+		System: "spark", Workload: "kmeans", Tuner: "ituned",
+		Seed: 3, Budget: Budget{Trials: 8},
+	})
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -430,18 +445,11 @@ func TestSpecRepositoryLifecycle(t *testing.T) {
 	}
 	st.Close()
 
-	warm, err := Start(context.Background(), Spec{
+	res := runOn(t, dir, Spec{
 		System: "spark", Workload: "pagerank", Tuner: "ituned",
 		Seed: 4, Budget: Budget{Trials: 8}, Target: TargetOptions{ScaleGB: 1},
-		Repository: dir, WarmStart: true,
+		WarmStart: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := warm.Wait(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The first WarmSeeds trials are the transferred configurations: they
 	// must equal the best trials of the archived kmeans session.
 	st, err = store.Open(dir)
@@ -475,6 +483,120 @@ func TestSpecRepositoryLifecycle(t *testing.T) {
 			t.Errorf("trial %d is not transferred seed %d:\n  got  %s\n  want %s",
 				i+1, i, res.Trials[i].Config, seeds[i])
 		}
+	}
+}
+
+// corpusProbe is a store whose per-system read is counted and can fail.
+type corpusProbe struct {
+	store.Store
+	reads int
+	err   error
+}
+
+func (c *corpusProbe) ForSystem(system string) ([]SessionRecord, error) {
+	c.reads++
+	if c.err != nil {
+		return nil, c.err
+	}
+	return c.Store.ForSystem(system)
+}
+
+// TestJobOnReadsTheCorpusWhenTheTunerIsBuilt pins who reads past sessions,
+// and when: a repository-driven tuner snapshots its system's history while
+// the job is built — a record appended afterwards is not seen, a read error
+// fails the build — and a tuner that ignores the corpus never reads it.
+func TestJobOnReadsTheCorpusWhenTheTunerIsBuilt(t *testing.T) {
+	past := func(workload string, seed int64) (rec SessionRecord) {
+		job, err := Spec{System: "spark", Workload: workload, Tuner: "ituned", Seed: seed, Budget: Budget{Trials: 10}}.
+			JobWithWarm(nil, nil, func(r SessionRecord) { rec = r })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := defaultEngine().Submit(job).Wait(nil); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	kmeans, wordcount := past("kmeans", 5), past("wordcount", 6)
+	spec := Spec{System: "spark", Workload: "pagerank", Tuner: "ottertune", Seed: 9,
+		Budget: Budget{Trials: 12}, Target: TargetOptions{ScaleGB: 1}}
+	// trials runs spec on a store holding kmeans, with wordcount appended
+	// before the job is built, after it (before it runs), or not at all.
+	trials := func(before, after bool) string {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		appendRec := func(rec SessionRecord) {
+			if _, err := st.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appendRec(kmeans)
+		if before {
+			appendRec(wordcount)
+		}
+		probe := &corpusProbe{Store: st}
+		job, err := spec.JobOn(probe, "", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after {
+			appendRec(wordcount)
+		}
+		res, err := defaultEngine().Submit(job).Wait(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probe.reads != 1 {
+			t.Errorf("ottertune read the corpus %d times, want once, at build", probe.reads)
+		}
+		out, err := json.Marshal(res.Trials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	base := trials(false, false)
+	if trials(true, false) == base {
+		t.Fatal("a second past session does not change the ottertune session: the test could not see a late read")
+	}
+	if trials(false, true) != base {
+		t.Error("a record appended after the job was built changed its session")
+	}
+
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Append(kmeans); err != nil {
+		t.Fatal(err)
+	}
+	broken := &corpusProbe{Store: st, err: errors.New("segment unreadable")}
+	for _, tuner := range []string{"ottertune", "recommender"} {
+		s := spec
+		s.Tuner = tuner
+		if _, err := s.JobOn(broken, "", nil, nil); err == nil || !strings.Contains(err.Error(), "segment unreadable") {
+			t.Errorf("%s on an unreadable corpus: err = %v, want the read error", tuner, err)
+		}
+	}
+	// ituned ignores the corpus — warm-started or not, nothing reads it.
+	broken.reads = 0
+	for _, warm := range []bool{false, true} {
+		s := spec
+		s.Tuner, s.WarmStart = "ituned", warm
+		job, err := s.JobOn(broken, "", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := defaultEngine().Submit(job).Wait(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if broken.reads != 0 {
+		t.Errorf("ituned sessions read the corpus %d times", broken.reads)
 	}
 }
 
