@@ -147,9 +147,10 @@ const (
 	RunFailed  = engine.RunFailed
 )
 
-// Engine is the concurrent tuning engine; EngineOptions configures it.
-// NewEngine is the full-control constructor — Tune, TuneJobs, and Start
-// below are the common-case conveniences.
+// Engine is the concurrent tuning engine; EngineOptions sizes its scheduler,
+// and each submitted Job configures its own session. NewEngine is the
+// full-control constructor — Tune, TuneJobs, and Start below are the
+// common-case conveniences.
 type (
 	Engine        = engine.Engine
 	EngineOptions = engine.Options
@@ -167,10 +168,8 @@ func NewEngine(o EngineOptions) *Engine { return engine.New(o) }
 // fixed seed the result is identical at any parallelism — and identical to
 // what the session-handle path (Start) produces for the equivalent Spec.
 func Tune(ctx context.Context, target Target, tuner Tuner, b Budget, parallel int) (*TuningResult, error) {
-	if parallel <= 0 {
-		parallel = 1
-	}
-	return engine.New(engine.Options{Workers: parallel}).Tune(ctx, target, tuner, b)
+	r := TuneJobs(ctx, []Job{{Name: tuner.Name(), Tuner: tuner, Target: target, Budget: b, Parallel: parallel}}, 1)[0]
+	return r.Result, r.Err
 }
 
 // TuneJobs runs many independent tuning sessions concurrently, at most

@@ -35,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"regexp"
 	"strings"
@@ -252,23 +251,19 @@ func run(args []string, out io.Writer) error {
 }
 
 // renderProgress draws the live trial/incumbent line from the run's event
-// stream until the session is done.
+// stream, folded as it arrives, until the session is done.
 func renderProgress(out io.Writer, run *repro.Run, trials int) {
-	best, simUsed := math.Inf(1), 0.0
+	var sum repro.StreamSummary
 	for ev := range run.Events() {
-		switch ev.Kind {
-		case repro.TrialDone:
-			simUsed = ev.SimTimeUsed
-		case repro.IncumbentImproved:
-			best = ev.Result.Time
-		default:
+		sum.Add(ev)
+		if ev.Kind != repro.TrialDone && ev.Kind != repro.IncumbentImproved {
 			continue
 		}
-		if !math.IsInf(best, 1) { // else no incumbent yet: its event follows immediately
-			fmt.Fprintf(out, "\rtrial %3d/%d  incumbent %.1fs  (%.1fs simulated)   ", ev.Trial, trials, best, simUsed)
+		if best := sum.Rendered().BestResult; best != nil { // else no incumbent yet: its event follows immediately
+			fmt.Fprintf(out, "\rtrial %3d/%d  incumbent %.1fs  (%.1fs simulated)   ", ev.Trial, trials, best.Time, sum.SimTimeUsed)
 		}
 	}
-	if !math.IsInf(best, 1) {
+	if sum.BestTrial > 0 {
 		fmt.Fprintln(out)
 	}
 }

@@ -13,6 +13,10 @@
 // /evaluators); event streams and results stay byte-identical to local
 // evaluation, only wall-clock and fault exposure change.
 //
+// Everything that shapes one session's results — parallelism, the memo
+// ("memo", "memo_cap"), fidelity, scenarios — is in its POSTed spec, which a
+// checkpoint records; the flags only size and place the service.
+//
 // With -repo the daemon archives every completed session into the named
 // directory, serves the corpus under /repository/sessions, survives
 // restarts with its history intact, and accepts "warm_start": true in a
@@ -47,7 +51,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "max concurrently running sessions (0 = all cores)")
-		memo        = flag.Bool("memo", false, "memoize repeat evaluations of identical configurations")
 		repoDir     = flag.String("repo", "", "durable tuning-repository directory (archives completed sessions; enables warm_start and crash-resume)")
 		evals       = flag.String("evaluators", "", "comma-separated base URLs of autotune-evaluator processes to lease trials to")
 		maxSessions = flag.Int("max-sessions", 0, "max unfinished sessions before POST /sessions returns 429 (0 = unlimited)")
@@ -59,7 +62,7 @@ func main() {
 	flag.Parse()
 
 	d, err := daemon.New(daemon.Options{
-		Workers: *workers, Memo: *memo, RepoDir: *repoDir, Evaluators: splitURLs(*evals),
+		Workers: *workers, RepoDir: *repoDir, Evaluators: splitURLs(*evals),
 		MaxSessions: *maxSessions, MaxQueue: *maxQueue,
 		EventBuffer: *eventBuffer, CheckpointEvery: *ckptEvery,
 	})

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/tune"
@@ -95,5 +96,48 @@ func TestEndToEndThroughFacade(t *testing.T) {
 	}
 	if r.BestResult.Time >= def.Time {
 		t.Errorf("tuning did not improve: %v vs %v", r.BestResult.Time, def.Time)
+	}
+}
+
+// TestTuneIsOneJob: there is one way to configure a session. Tune at any
+// parallelism, the spec's Job submitted to an engine, and the tuner's own
+// blocking Tune return the same result — a fidelity schedule included.
+func TestTuneIsOneJob(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range []Spec{
+		{System: "dbms", Workload: "tpch", Tuner: "ituned", Seed: 5, Budget: Budget{Trials: 14}},
+		{System: "dbms", Workload: "tpch", Tuner: "random", Seed: 5, Budget: Budget{Trials: 30},
+			Fidelity: &FidelitySpec{Strategy: "hyperband"}},
+	} {
+		for _, p := range []int{1, 4} {
+			spec.Parallel = p
+			job := func() Job {
+				job, err := spec.Job()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return job
+			}
+			result := func(res *TuningResult, err error) string {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(data)
+			}
+			j := job()
+			blocking := result(j.Tuner.Tune(ctx, j.Target, j.Budget))
+			j = job()
+			if got := result(Tune(ctx, j.Target, j.Tuner, j.Budget, p)); got != blocking {
+				t.Errorf("%s at parallel %d: Tune differs from the blocking Tune:\n  %s\n  %s", spec.Name(), p, got, blocking)
+			}
+			if got := result(NewEngine(EngineOptions{}).Submit(job()).Wait(ctx)); got != blocking {
+				t.Errorf("%s at parallel %d: the spec's Job differs from the blocking Tune:\n  %s\n  %s", spec.Name(), p, got, blocking)
+			}
+		}
 	}
 }

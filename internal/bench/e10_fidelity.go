@@ -93,7 +93,7 @@ func Fidelity(o Options) *Table {
 				full++
 			}
 		}
-		pruned, _ := runs[i].FidelityProgress()
+		pruned := runs[i].Progress().TrialsPruned
 		reach := ReachCost(res, fullBest, FidelityReachFactor)
 		reachS, ratioS := "never", "—"
 		if reach >= 0 {

@@ -107,7 +107,7 @@ func Drift(o Options) *Table {
 		if err != nil {
 			panic(fmt.Sprintf("bench: drift session %s failed: %v", variants[i].approach, err))
 		}
-		_, _, detections := r.ScenarioProgress()
+		detections := r.Progress().DriftDetections
 		// Re-anchor positions come from the event stream: DriftDetected
 		// carries the trial count at the moment the incumbent was discarded.
 		var anchors []int

@@ -84,7 +84,7 @@ func Guardrail(o Options) *Table {
 		if err != nil {
 			panic(fmt.Sprintf("bench: guardrail session %s failed: %v", variants[i].approach, err))
 		}
-		_, violations, _ := r.ScenarioProgress()
+		violations := r.Progress().GuardrailViolations
 		worst := 0.0
 		for _, tr := range res.Trials {
 			if obj := tr.Result.Objective(); obj > worst {

@@ -63,8 +63,6 @@ import (
 type Options struct {
 	// Workers bounds concurrently running sessions (default: GOMAXPROCS).
 	Workers int
-	// Memo enables the engine's config-keyed result memo cache.
-	Memo bool
 	// RepoDir, when set, is the directory of the durable tuning repository
 	// (internal/tune/store layout). Completed sessions are archived there
 	// and warm-started sessions transfer from it.
@@ -139,7 +137,7 @@ type session struct {
 // interrupted sessions continue instead of vanishing.
 func New(o Options) (*Server, error) {
 	s := &Server{
-		eng:      repro.NewEngine(repro.EngineOptions{Workers: o.Workers, Cache: o.Memo}),
+		eng:      repro.NewEngine(repro.EngineOptions{Workers: o.Workers}),
 		pool:     dist.NewPool(o.Evaluators, dist.PoolOptions{Name: "autotuned"}),
 		opts:     o,
 		drainCh:  make(chan struct{}),
@@ -181,28 +179,12 @@ func (s *Server) resumeCheckpoints() {
 			continue
 		}
 		s.mu.Lock()
-		if _, n, ok := splitSid(cp.SID); ok && n > s.nextID {
-			s.nextID = n
+		if _, n, ok := store.SplitSID(cp.SID); ok && n > int64(s.nextID) {
+			s.nextID = int(n)
 		}
 		s.resumed++
 		s.mu.Unlock()
 	}
-}
-
-// splitSid splits the trailing decimal off a session id ("s12" → "s", 12).
-func splitSid(sid string) (prefix string, n int, ok bool) {
-	i := len(sid)
-	for i > 0 && sid[i-1] >= '0' && sid[i-1] <= '9' {
-		i--
-	}
-	if i == len(sid) {
-		return sid, 0, false
-	}
-	n, err := strconv.Atoi(sid[i:])
-	if err != nil {
-		return sid, 0, false
-	}
-	return sid[:i], n, true
 }
 
 // Close releases the repository store (if any). Live sessions keep running;
@@ -331,10 +313,10 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 		}
 		mem.EventRingBytes += sess.Run.MemoryBytes()
 		mem.EventSubscribers += sess.Run.Subscribers()
-		pp, gv, dd := sess.Run.ScenarioProgress()
-		scen.ParetoPoints += pp
-		scen.GuardrailViolations += gv
-		scen.DriftDetections += dd
+		p := sess.Run.Progress()
+		scen.ParetoPoints += p.ParetoPoints
+		scen.GuardrailViolations += p.GuardrailViolations
+		scen.DriftDetections += p.DriftDetections
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -621,12 +603,12 @@ func (sess *session) status() status {
 		Created: sess.Created,
 		Resumed: sess.Resumed,
 	}
-	trials, inc, ok := sess.Run.Progress()
-	st.TrialsDone = trials
-	st.TrialsPruned, st.RungsDecided = sess.Run.FidelityProgress()
-	st.ParetoPoints, st.GuardrailViolations, st.DriftDetections = sess.Run.ScenarioProgress()
-	if ok {
-		st.Incumbent = &incumbent{Trial: inc.Trial, Config: inc.Config.Map(), Result: inc.Result}
+	// Read after the state, so a finished session reports its final counts.
+	p := sess.Run.Progress()
+	st.TrialsDone, st.TrialsPruned, st.RungsDecided = p.TrialsDone, p.TrialsPruned, p.RungsDecided
+	st.ParetoPoints, st.GuardrailViolations, st.DriftDetections = p.ParetoPoints, p.GuardrailViolations, p.DriftDetections
+	if p.BestResult != nil {
+		st.Incumbent = &incumbent{Trial: p.BestTrial, Config: p.BestConfig, Result: *p.BestResult}
 	}
 	if st.State == repro.RunDone || st.State == repro.RunFailed {
 		res, err := sess.Run.Result()
@@ -734,10 +716,13 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 			if !write(ev) {
 				return
 			}
+			after = ev.Seq
 		case <-s.drainCh:
 			// Terminal: the session is being checkpointed; the client should
-			// reconnect (with Last-Event-ID) against the next daemon start.
-			write(tune.Event{Kind: tune.Draining})
+			// reconnect (with Last-Event-ID) against the next daemon start. The
+			// frame repeats the last id this client was sent, so a reconnect
+			// resumes past it instead of replaying from the start.
+			write(tune.Event{Kind: tune.Draining, Seq: after})
 			return
 		case <-r.Context().Done():
 			return

@@ -1,11 +1,13 @@
 package daemon
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -588,4 +590,102 @@ func TestCheckpointErrorSurfacesInStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+}
+
+// sseFrames parses an SSE body frame by frame as it arrives; the channel
+// closes when the body ends (or is closed).
+func sseFrames(body io.Reader) <-chan sseEvent {
+	out := make(chan sseEvent)
+	go func() {
+		defer close(out)
+		var cur sseEvent
+		sc := bufio.NewScanner(body)
+		sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+		for sc.Scan() {
+			line := sc.Text()
+			switch {
+			case strings.HasPrefix(line, "id: "):
+				cur.ID = strings.TrimPrefix(line, "id: ")
+			case strings.HasPrefix(line, "event: "):
+				cur.Name = strings.TrimPrefix(line, "event: ")
+			case line == "" && cur.Name != "":
+				out <- cur
+				cur = sseEvent{}
+			}
+		}
+	}()
+	return out
+}
+
+// TestDrainFrameKeepsTheClientsPosition: the terminal draining frame carries
+// the last id its client was sent, so an EventSource reconnecting after the
+// restart (Last-Event-ID is the last id it saw) resumes past everything it
+// already holds instead of replaying the stream from the start.
+func TestDrainFrameKeepsTheClientsPosition(t *testing.T) {
+	dir := t.TempDir()
+	o := Options{Workers: 1, RepoDir: dir, EventBuffer: -1}
+	ts, srv := newTestServerWith(t, o)
+	id, code, _ := postSpec(t, ts, fmt.Sprintf(longSpec, 4))
+	if code != http.StatusCreated {
+		t.Fatalf("POST = %d", code)
+	}
+	resp, err := http.Get(ts.URL + "/sessions/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := sseFrames(resp.Body)
+	held := ""                // an EventSource keeps the last id field it saw
+	seen := map[string]bool{} // ids of the events the client holds
+	drained := make(chan error, 1)
+	last := sseEvent{}
+	for ev := range frames {
+		if ev.ID != "" {
+			held = ev.ID
+		}
+		if ev.Name != "draining" {
+			seen[ev.ID] = true
+		}
+		if len(seen) == 5 { // the client holds a few events: drain under it
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				drained <- srv.Drain(ctx)
+			}()
+		}
+		last = ev
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if last.Name != "draining" {
+		t.Fatalf("drained stream ended with %q, want draining", last.Name)
+	}
+	ts.Close()
+	srv.Close()
+
+	ts2, srv2 := newTestServerWith(t, o)
+	defer srv2.Drain(context.Background())
+	req, _ := http.NewRequest(http.MethodGet, ts2.URL+"/sessions/"+id+"/events", nil)
+	req.Header.Set("Last-Event-ID", held)
+	resp2, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := sseFrames(resp2.Body)
+	n := 0
+	for ev := range after {
+		if seen[ev.ID] {
+			t.Errorf("reconnecting with Last-Event-ID %s replayed event %s, which the client already holds", held, ev.ID)
+		}
+		if n++; n == 20 {
+			break
+		}
+	}
+	resp2.Body.Close()
+	for range after {
+	}
+	if n == 0 {
+		t.Fatal("no event arrived after the reconnect")
+	}
 }

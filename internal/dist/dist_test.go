@@ -65,8 +65,9 @@ func tuneWith(t *testing.T, remote engine.RemoteBackend, tunerName string, trial
 		}
 		tn = mf
 	}
-	eng := engine.New(engine.Options{Workers: 2, Remote: remote})
-	res, err := eng.Tune(context.Background(), target, tn, tune.Budget{Trials: trials})
+	res, err := engine.New(engine.Options{}).Submit(engine.Job{
+		Name: tunerName, Tuner: tn, Target: target, Budget: tune.Budget{Trials: trials}, Parallel: 2, Remote: remote,
+	}).Wait(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

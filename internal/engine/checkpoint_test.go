@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -321,10 +320,7 @@ func TestCheckpointEveryThrottles(t *testing.T) {
 // checkpoint a daemon writes before the first batch) is a plain start.
 func TestResumeFromEmptyReplay(t *testing.T) {
 	b := tune.Budget{Trials: 6}
-	plain, err := New(Options{Workers: 1}).Tune(context.Background(), dbmsTarget(15), experiment.NewITuned(15), b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := tuneJob(t, Job{Name: "plain", Tuner: experiment.NewITuned(15), Target: dbmsTarget(15), Budget: b})
 	empty := tune.Replay{}
 	job := Job{Name: "empty", Tuner: experiment.NewITuned(15), Target: dbmsTarget(15), Budget: b, Replay: &empty}
 	res, err := New(Options{Workers: 1}).Submit(job).Wait(nil)

@@ -34,55 +34,20 @@ import (
 	"repro/internal/tune"
 )
 
-// Options configures an Engine.
+// Options configures an Engine. A session's own setup — parallelism, memo,
+// remote fleet, checkpoints, replay — is its Job's; the engine only owns the
+// scheduler.
 type Options struct {
-	// Workers bounds total concurrency (default: GOMAXPROCS): concurrent
-	// trial evaluations in a single Tune/Drive session, or concurrent
-	// sessions in RunJobs (whose jobs evaluate sequentially inside, so
-	// the bounds never multiply).
+	// Workers is the number of scheduler slots (default: GOMAXPROCS): how
+	// many submitted sessions run at once. Trials inside a session evaluate
+	// on its Job.Parallel workers, so the bounds multiply only when a job
+	// opts into inner parallelism.
 	Workers int
-	// Cache enables the per-session config-keyed result memo cache:
-	// proposing an already-evaluated configuration returns the memoized
-	// result instead of a fresh noisy run, so converged tuners stop
-	// paying wall-clock for repeat proposals. Off by default because
-	// repeated measurements of a noisy target are sometimes deliberate
-	// (e.g. multi-probe trace capture) — without the cache the engine
-	// reproduces the blocking facade exactly.
-	Cache bool
-	// CacheCap bounds the memo cache to this many retained results,
-	// evicting by cost-aware GDSF (see gdsfMemo): entries are valued by
-	// hit frequency × simulated seconds a hit saves, with an aging clock
-	// so stale expensive entries eventually yield. 0 retains every result.
-	// Setting CacheCap implies Cache. The retained set and
-	// all results remain deterministic at any worker count — eviction
-	// decisions happen in batch order on the driver goroutine, with exact
-	// priority ties broken by insertion order.
-	CacheCap int
-	// Remote, when non-nil, adds a remote evaluator fleet's slots to every
-	// batch fan-out of Tune/Drive/DriveFidelity. The backend is bound to
-	// one target's sysmodel, so it applies to direct single-session calls
-	// only; submitted jobs carry their own Job.Remote and never inherit
-	// this one (a fleet backend built for one target would silently
-	// evaluate another job's trials against the wrong system).
-	Remote RemoteBackend
 }
 
-// Engine evaluates tuning sessions concurrently.
+// Engine schedules tuning sessions concurrently.
 type Engine struct {
-	driver               // serves direct Tune/Drive/DriveFidelity calls
-	sem    chan struct{} // scheduler slots for Submit/RunJobs
-}
-
-// driver is one session's evaluation setup — what Options give a direct call
-// and what a submitted Job gives its run. Only a Job can checkpoint or resume.
-type driver struct {
-	workers    int
-	cache      bool
-	cacheCap   int           // >0: the memo retains at most this many results
-	remote     RemoteBackend // nil: all evaluation is local
-	checkpoint func(tune.CheckpointState)
-	ckptEvery  int
-	replay     *tune.Replay
+	sem chan struct{} // scheduler slots for Submit/RunJobs
 }
 
 // New returns an engine with the given options.
@@ -91,16 +56,10 @@ func New(o Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{
-		driver: driver{workers: w, cache: o.Cache || o.CacheCap > 0, cacheCap: o.CacheCap, remote: o.Remote},
-		sem:    make(chan struct{}, w),
-	}
+	return &Engine{sem: make(chan struct{}, w)}
 }
 
-// Workers returns the configured parallelism.
-func (e *Engine) Workers() int { return e.workers }
-
-// Tune runs tuner against target under b. Tuners exposing an ask/tell
+// tune runs the job's tuner against its target. Tuners exposing an ask/tell
 // interface — every tuner that proposes configurations, sequential bodies
 // included (tune.Sequential) — go through the drive loop and the evaluator
 // stack. The default branch serves the adaptive family only (colt,
@@ -109,40 +68,31 @@ func (e *Engine) Workers() int { return e.workers }
 // they keep the blocking facade, evaluate inline, and cannot be checkpointed
 // or resumed (DESIGN.md §2, "Why the adaptive family stays outside"). Both
 // paths give identical results at any worker count for a fixed seed.
-func (d driver) Tune(ctx context.Context, target tune.Target, tuner tune.Tuner, b tune.Budget) (*tune.TuningResult, error) {
+func (j *Job) tune(ctx context.Context) (*tune.TuningResult, error) {
 	var fp tune.FidelityProposer
 	var err error
-	switch t := tuner.(type) {
+	switch t := j.Tuner.(type) {
 	case tune.FidelityBatchTuner:
-		fp, err = t.NewFidelityProposer(target, b)
+		fp, err = t.NewFidelityProposer(j.Target, j.Budget)
 	case tune.BatchTuner:
 		var p tune.Proposer
-		if p, err = t.NewProposer(target, b); err == nil {
+		if p, err = t.NewProposer(j.Target, j.Budget); err == nil {
 			fp = tune.LiftProposer(p)
 		}
 	default: // the adaptive family: a controlled run is not a Candidate
-		if !d.replay.Empty() {
-			return nil, fmt.Errorf("engine: replay: tuner %q has no ask/tell proposal form; its sessions cannot be resumed", tuner.Name())
+		if !j.Replay.Empty() {
+			return nil, fmt.Errorf("engine: replay: tuner %q has no ask/tell proposal form; its sessions cannot be resumed", j.Tuner.Name())
 		}
-		return tuner.Tune(ctx, target, b)
+		return j.Tuner.Tune(ctx, j.Target, j.Budget)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return d.drive(ctx, tuner.Name(), target, b, fp)
+	return j.drive(ctx, fp)
 }
 
-// Drive is the parallel counterpart of tune.DriveProposer.
-func (e *Engine) Drive(ctx context.Context, name string, target tune.Target, b tune.Budget, p tune.Proposer) (*tune.TuningResult, error) {
-	return e.drive(ctx, name, target, b, tune.LiftProposer(p))
-}
-
-// DriveFidelity is the parallel counterpart of tune.DriveFidelity.
-func (e *Engine) DriveFidelity(ctx context.Context, name string, target tune.Target, b tune.Budget, fp tune.FidelityProposer) (*tune.TuningResult, error) {
-	return e.drive(ctx, name, target, b, fp)
-}
-
-// drive runs tune.Drive over the session's evaluator stack, outermost first:
+// drive runs tune.Drive over the evaluator stack the job's fields build,
+// outermost first:
 //
 //	replay prefix → memo → pool (or inline) → target capabilities
 //
@@ -150,31 +100,28 @@ func (e *Engine) DriveFidelity(ctx context.Context, name string, target tune.Tar
 // run-index reservation: without an index-keyed noise stream an evaluation
 // could not name which draw of the target's noise it is, so plain targets
 // stay inline, uncheckpointed and non-resumable.
-func (d driver) drive(ctx context.Context, name string, target tune.Target, b tune.Budget, fp tune.FidelityProposer) (*tune.TuningResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	caps := tune.Resolve(target)
+func (j *Job) drive(ctx context.Context, fp tune.FidelityProposer) (*tune.TuningResult, error) {
+	caps := tune.Resolve(j.Target)
 	ev := tune.Inline(caps)
-	if caps.Indexed() && (d.workers > 1 || d.remote != nil) {
-		ev = &pool{caps: caps, workers: d.workers, remote: d.remote, lookahead: b.SimTime > 0}
+	if workers := max(j.Parallel, 1); caps.Indexed() && (workers > 1 || j.Remote != nil) {
+		ev = &pool{caps: caps, workers: workers, remote: j.Remote, lookahead: j.Budget.SimTime > 0}
 	}
 	var cache *gdsfMemo
-	if d.cache {
-		cache = newGDSFMemo(d.cacheCap)
+	if j.Memo || j.MemoCap > 0 {
+		cache = newGDSFMemo(j.MemoCap)
 		ev = &memoized{next: ev, cache: cache}
 	}
 	var rep *replayed
 	lastCkpt := 0
-	if !d.replay.Empty() {
+	if !j.Replay.Empty() {
 		if !caps.Indexed() {
-			return nil, fmt.Errorf("engine: replay: target %q has no run-index determinism (tune.ConcurrentTarget); sessions on it cannot be resumed", target.Name())
+			return nil, fmt.Errorf("engine: replay: target %q has no run-index determinism (tune.ConcurrentTarget); sessions on it cannot be resumed", j.Target.Name())
 		}
-		rep = &replayed{live: ev, caps: caps, cache: cache, log: d.replay}
+		rep = &replayed{live: ev, caps: caps, cache: cache, log: j.Replay}
 		ev = rep
-		lastCkpt = len(d.replay.Trials) // replayed boundaries are already durable
+		lastCkpt = len(j.Replay.Trials) // replayed boundaries are already durable
 	}
-	every := max(d.ckptEvery, 1)
+	every := max(j.CheckpointEvery, 1)
 	boundary := func(s *tune.Session) {
 		// A one-slot session evaluates inline and never blocks, so without this
 		// yield it holds its processor until the 10 ms preemption tick: the
@@ -182,18 +129,18 @@ func (d driver) drive(ctx context.Context, name string, target tune.Target, b tu
 		// running a session so does the collector's mark worker, while the other
 		// sessions allocate past the heap goal (peak RSS then follows timing).
 		runtime.Gosched()
-		if d.checkpoint == nil || !caps.Indexed() {
+		if j.Checkpoint == nil || !caps.Indexed() {
 			return
 		}
 		// Offer the session's resumable state once at least `every` new trials
 		// were observed since the last snapshot; see tune.CheckpointState for
 		// the aliasing contract.
 		if trials := s.Trials(); len(trials)-lastCkpt >= every {
-			d.checkpoint(tune.CheckpointState{Trials: trials, RunsReserved: reservedRuns(caps)})
+			j.Checkpoint(tune.CheckpointState{Trials: trials, RunsReserved: reservedRuns(caps)})
 			lastCkpt = len(trials)
 		}
 	}
-	res, err := tune.Drive(ctx, name, target, b, fp, ev, boundary)
+	res, err := tune.Drive(ctx, j.Tuner.Name(), j.Target, j.Budget, fp, ev, boundary)
 	if err == nil {
 		err = rep.unfinished()
 	}

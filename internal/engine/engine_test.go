@@ -17,6 +17,37 @@ func dbmsTarget(seed int64) *dbms.DBMS {
 	return dbms.New(cluster.CommodityNode(), workload.TPCHLike(2), seed)
 }
 
+// tuneJob runs job on a fresh engine and returns its result.
+func tuneJob(t testing.TB, job Job) *tune.TuningResult {
+	t.Helper()
+	res, err := New(Options{}).Submit(job).Wait(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// proposing presents a bare proposer — a tune.Proposer or a
+// tune.FidelityProposer — as a tuner whose one session it drives, so tests
+// run hand-written proposal sequences through a Job like any session.
+func proposing(p any) tune.Tuner {
+	fp, ok := p.(tune.FidelityProposer)
+	if !ok {
+		fp = tune.LiftProposer(p.(tune.Proposer))
+	}
+	return proposerTuner{fp}
+}
+
+type proposerTuner struct{ fp tune.FidelityProposer }
+
+func (p proposerTuner) Name() string { return "stub" }
+func (p proposerTuner) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
+	return tune.DriveFidelity(ctx, p.Name(), target, b, p.fp)
+}
+func (p proposerTuner) NewFidelityProposer(tune.Target, tune.Budget) (tune.FidelityProposer, error) {
+	return p.fp, nil
+}
+
 // sameResult asserts two tuning results have identical trial sequences and
 // incumbents.
 func sameResult(t *testing.T, a, b *tune.TuningResult, label string) {
@@ -43,15 +74,9 @@ func sameResult(t *testing.T, a, b *tune.TuningResult, label string) {
 // fixed seed, parallel and sequential evaluation report identical trials
 // and the same best configuration.
 func TestDriveDeterministicAcrossWorkers(t *testing.T) {
-	ctx := context.Background()
 	b := tune.Budget{Trials: 20}
 	run := func(workers int) *tune.TuningResult {
-		eng := New(Options{Workers: workers})
-		r, err := eng.Tune(ctx, dbmsTarget(7), experiment.NewITuned(7), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return tuneJob(t, Job{Tuner: experiment.NewITuned(7), Target: dbmsTarget(7), Budget: b, Parallel: workers})
 	}
 	seq := run(1)
 	if len(seq.Trials) == 0 {
@@ -73,11 +98,7 @@ func TestDriveMatchesSequentialFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(Options{Workers: 4})
-	parallel, err := eng.Tune(ctx, dbmsTarget(11), experiment.NewITuned(11), b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parallel := tuneJob(t, Job{Tuner: experiment.NewITuned(11), Target: dbmsTarget(11), Budget: b, Parallel: 4})
 	sameResult(t, facade, parallel, "facade vs engine")
 }
 
@@ -149,14 +170,10 @@ func (p *repeatProposer) Observe(tune.Trial) {}
 // one real run with the cache on, one per trial with it off — and the
 // session still records every trial either way.
 func TestMemoCacheDeduplicates(t *testing.T) {
-	ctx := context.Background()
 	b := tune.Budget{Trials: 8}
 
 	cached := newCountingTarget()
-	r, err := New(Options{Workers: 4, Cache: true}).Drive(ctx, "stub", cached, b, &repeatProposer{cfg: cached.space.Default()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := tuneJob(t, Job{Tuner: proposing(&repeatProposer{cfg: cached.space.Default()}), Target: cached, Budget: b, Parallel: 4, Memo: true})
 	if got := cached.calls.Load(); got != 1 {
 		t.Errorf("cache on: %d real runs, want 1", got)
 	}
@@ -165,9 +182,7 @@ func TestMemoCacheDeduplicates(t *testing.T) {
 	}
 
 	uncached := newCountingTarget()
-	if _, err := New(Options{Workers: 4}).Drive(ctx, "stub", uncached, b, &repeatProposer{cfg: uncached.space.Default()}); err != nil {
-		t.Fatal(err)
-	}
+	tuneJob(t, Job{Tuner: proposing(&repeatProposer{cfg: uncached.space.Default()}), Target: uncached, Budget: b, Parallel: 4})
 	if got := uncached.calls.Load(); got != 8 {
 		t.Errorf("cache off (default): %d real runs, want 8", got)
 	}
@@ -187,10 +202,7 @@ func TestSimTimeBudgetMatchesFacadeAndBoundsWaste(t *testing.T) {
 	}
 
 	engTarget := newCountingTarget()
-	eng, err := New(Options{Workers: 4}).Drive(ctx, "stub", engTarget, b, &repeatProposer{cfg: engTarget.space.Default()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := tuneJob(t, Job{Tuner: proposing(&repeatProposer{cfg: engTarget.space.Default()}), Target: engTarget, Budget: b, Parallel: 4})
 	sameResult(t, facade, eng, "simtime facade vs engine")
 	if eng.SimTimeUsed > b.SimTime+2 { // each stub trial costs 1.5
 		t.Errorf("engine overspent sim time: %v", eng.SimTimeUsed)
@@ -216,10 +228,7 @@ func TestSimTimeBudgetMatchesFacadeAndBoundsWaste(t *testing.T) {
 		t.Fatal(err)
 	}
 	engFid := &countingFidelityTarget{countingTarget: newCountingTarget()}
-	eng, err = New(Options{Workers: 4}).DriveFidelity(ctx, "stub", engFid, b, rung(engFid))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng = tuneJob(t, Job{Tuner: proposing(rung(engFid)), Target: engFid, Budget: b, Parallel: 4})
 	sameResult(t, facade, eng, "simtime fidelity facade vs engine")
 	if n := len(eng.Trials); n == 0 || n >= 200 {
 		t.Fatalf("fidelity session recorded %d of 200 rung members; the cut should land mid-rung", n)
@@ -273,10 +282,7 @@ func TestMemoKeyedByConfigAndFidelity(t *testing.T) {
 			{at(a, 1), at(a, 1.0/3), at(b, 1)},         // a@1 and b@1 are new; a@⅓ is a hit
 			{at(a, 0), at(b, 1.0/3)},                   // 0 and 1 both mean full fidelity: two hits
 		}}
-		res, err := New(Options{Workers: workers, Cache: true}).DriveFidelity(context.Background(), "stub", tgt, tune.Budget{Trials: 20}, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := tuneJob(t, Job{Tuner: proposing(fp), Target: tgt, Budget: tune.Budget{Trials: 20}, Parallel: workers, Memo: true})
 		if got := tgt.calls.Load(); got != 4 {
 			t.Errorf("workers=%d: %d real runs, want 4 (a@⅓, b@⅓, a@1, b@1)", workers, got)
 		}
@@ -304,7 +310,7 @@ func TestDriveReportsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	b := tune.Budget{Trials: 10}
-	if _, err := New(Options{Workers: 4}).Tune(ctx, dbmsTarget(1), experiment.NewITuned(1), b); err != context.Canceled {
+	if _, err := New(Options{}).SubmitContext(ctx, Job{Tuner: experiment.NewITuned(1), Target: dbmsTarget(1), Budget: b, Parallel: 4}).Wait(nil); err != context.Canceled {
 		t.Errorf("engine path: got %v, want context.Canceled", err)
 	}
 	if _, err := experiment.NewITuned(1).Tune(ctx, dbmsTarget(1), b); err != context.Canceled {
@@ -319,11 +325,8 @@ func BenchmarkDrive(b *testing.B) {
 		name := map[int]string{1: "workers=1", 4: "workers=4"}[workers]
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := New(Options{Workers: workers})
-				if _, err := eng.Tune(context.Background(), dbmsTarget(int64(i)),
-					experiment.NewITuned(int64(i)), tune.Budget{Trials: 24}); err != nil {
-					b.Fatal(err)
-				}
+				tuneJob(b, Job{Tuner: experiment.NewITuned(int64(i)), Target: dbmsTarget(int64(i)),
+					Budget: tune.Budget{Trials: 24}, Parallel: workers})
 			}
 		})
 	}
@@ -364,9 +367,10 @@ func TestInlineSessionYieldsAtBatchBoundaries(t *testing.T) {
 	var ran atomic.Bool
 	target := &yieldProbe{countingTarget: newCountingTarget(), ran: &ran}
 	go ran.Store(true) // runnable, not running: this goroutine holds the only processor
-	_, err := New(Options{Workers: 1}).Drive(context.Background(), "probe", target,
-		tune.Budget{Trials: 4}, &oneAtATime{cfg: target.space.Default()})
-	if err != nil {
+	// On the test goroutine, not a run's: Submit's goroutine handoff would
+	// itself let the probe run.
+	job := Job{Tuner: proposing(&oneAtATime{cfg: target.space.Default()}), Target: target, Budget: tune.Budget{Trials: 4}}
+	if _, err := job.tune(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !target.third {

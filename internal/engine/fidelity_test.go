@@ -36,10 +36,7 @@ func TestFidelityEngineMatchesSequentialDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := New(Options{Workers: 4}).Tune(context.Background(), fidelityDBMS(5), hyperbandITuned(t, 5), b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := tuneJob(t, Job{Tuner: hyperbandITuned(t, 5), Target: fidelityDBMS(5), Budget: b, Parallel: 4})
 	sj, _ := json.Marshal(seq)
 	pj, _ := json.Marshal(par)
 	if string(sj) != string(pj) {
@@ -69,9 +66,9 @@ func TestFidelityRunHandleProgress(t *testing.T) {
 	if _, err := run.Wait(nil); err != nil {
 		t.Fatal(err)
 	}
-	pruned, rungs := run.FidelityProgress()
-	if pruned == 0 || rungs == 0 {
-		t.Fatalf("FidelityProgress = (%d, %d), want both positive", pruned, rungs)
+	p := run.Progress()
+	if p.TrialsPruned == 0 || p.RungsDecided == 0 {
+		t.Fatalf("Progress reports %d pruned over %d rungs, want both positive", p.TrialsPruned, p.RungsDecided)
 	}
 	var seen int
 	for _, ev := range run.History() {
@@ -82,8 +79,8 @@ func TestFidelityRunHandleProgress(t *testing.T) {
 			}
 		}
 	}
-	if seen != pruned {
-		t.Fatalf("history holds %d TrialPruned events, progress reports %d", seen, pruned)
+	if seen != p.TrialsPruned {
+		t.Fatalf("history holds %d TrialPruned events, progress reports %d", seen, p.TrialsPruned)
 	}
 }
 
@@ -138,10 +135,7 @@ func TestFidelityFailingLowRungsDoNotWedgeTheSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(Options{Workers: 4}).Tune(context.Background(), target, mf, tune.Budget{Trials: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := tuneJob(t, Job{Tuner: mf, Target: target, Budget: tune.Budget{Trials: 25}, Parallel: 4})
 	if !res.BestResult.FullFidelity() || res.BestResult.Failed {
 		t.Fatalf("incumbent should be a successful full-fidelity run, got %+v", res.BestResult)
 	}
@@ -216,11 +210,7 @@ func TestFidelityStopMidRungCancelsSuperfluousEvals(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The sim-time budget cuts the first rung after a few screens.
-		res, err := New(Options{Workers: workers}).Tune(context.Background(), fidelityDBMS(3), mf,
-			tune.Budget{Trials: 20, SimTime: 200})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := tuneJob(t, Job{Tuner: mf, Target: fidelityDBMS(3), Budget: tune.Budget{Trials: 20, SimTime: 200}, Parallel: workers})
 		j, _ := json.Marshal(res)
 		return string(j)
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -119,16 +118,10 @@ func TestGDSFHitRateApproachesUnbounded(t *testing.T) {
 // are still identical at any worker count — eviction happens in batch order
 // on the driver goroutine.
 func TestEngineMemoCapDeterministicAcrossWorkers(t *testing.T) {
-	ctx := context.Background()
 	b := tune.Budget{Trials: 24}
 	run := func(workers int) *tune.TuningResult {
-		eng := New(Options{Workers: workers, CacheCap: 4})
 		tgt := newCountingTarget()
-		r, err := eng.Drive(ctx, "stub", tgt, b, &cyclingProposer{space: tgt.space})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return tuneJob(t, Job{Tuner: proposing(&cyclingProposer{space: tgt.space}), Target: tgt, Budget: b, Parallel: workers, MemoCap: 4})
 	}
 	seq := run(1)
 	for _, w := range []int{2, 8} {
@@ -140,19 +133,12 @@ func TestEngineMemoCapDeterministicAcrossWorkers(t *testing.T) {
 // cap, re-proposals of evicted configurations re-run; with an unbounded
 // cache they would not.
 func TestEngineMemoCapBoundsRetention(t *testing.T) {
-	ctx := context.Background()
 	b := tune.Budget{Trials: 20}
 
 	bounded := newCountingTarget()
-	if _, err := New(Options{Workers: 1, CacheCap: 2}).Drive(ctx, "stub", bounded, b,
-		&cyclingProposer{space: bounded.space, distinct: 5}); err != nil {
-		t.Fatal(err)
-	}
+	tuneJob(t, Job{Tuner: proposing(&cyclingProposer{space: bounded.space, distinct: 5}), Target: bounded, Budget: b, MemoCap: 2})
 	unbounded := newCountingTarget()
-	if _, err := New(Options{Workers: 1, Cache: true}).Drive(ctx, "stub", unbounded, b,
-		&cyclingProposer{space: unbounded.space, distinct: 5}); err != nil {
-		t.Fatal(err)
-	}
+	tuneJob(t, Job{Tuner: proposing(&cyclingProposer{space: unbounded.space, distinct: 5}), Target: unbounded, Budget: b, Memo: true})
 	if got, want := unbounded.calls.Load(), int64(5); got != want {
 		t.Errorf("unbounded cache ran %d evaluations, want %d (one per distinct config)", got, want)
 	}

@@ -36,17 +36,10 @@ func (b *mirrorBackend) Evaluate(ctx context.Context, idx int64, f float64, cfg 
 // fan-out changes nothing about the result — remote evaluation is pure in
 // (seed, run index, config), so local-only and mixed dispatch coincide.
 func TestRemoteBackendMatchesLocal(t *testing.T) {
-	ctx := context.Background()
 	b := tune.Budget{Trials: 20}
-	local, err := New(Options{Workers: 2}).Tune(ctx, dbmsTarget(7), experiment.NewITuned(7), b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := tuneJob(t, Job{Tuner: experiment.NewITuned(7), Target: dbmsTarget(7), Budget: b, Parallel: 2})
 	back := &mirrorBackend{ct: dbmsTarget(7), slots: 3}
-	mixed, err := New(Options{Workers: 2, Remote: back}).Tune(ctx, dbmsTarget(7), experiment.NewITuned(7), b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mixed := tuneJob(t, Job{Tuner: experiment.NewITuned(7), Target: dbmsTarget(7), Budget: b, Parallel: 2, Remote: back})
 	sameResult(t, local, mixed, "local vs mixed remote")
 	if back.calls.Load() == 0 {
 		t.Fatal("remote backend was never used")
@@ -57,18 +50,13 @@ func TestRemoteBackendMatchesLocal(t *testing.T) {
 // multi-fidelity driver: rung batches leased to remote slots produce the
 // identical trial sequence, including partial-fidelity screens.
 func TestRemoteFidelityMatchesLocal(t *testing.T) {
-	ctx := context.Background()
 	b := tune.Budget{Trials: 40}
 	run := func(remote RemoteBackend) *tune.TuningResult {
 		mf, err := tune.NewMultiFidelity(experiment.NewITuned(7), tune.FidelitySpace{}, tune.StrategyHyperband, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := New(Options{Workers: 2, Remote: remote}).Tune(ctx, dbmsTarget(7), mf, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return tuneJob(t, Job{Tuner: mf, Target: dbmsTarget(7), Budget: b, Parallel: 2, Remote: remote})
 	}
 	local := run(nil)
 	back := &mirrorBackend{ct: dbmsTarget(7), slots: 3}
@@ -84,10 +72,7 @@ func TestRemoteFidelityMatchesLocal(t *testing.T) {
 func TestRemoteIgnoredForPlainTargets(t *testing.T) {
 	back := &failingBackend{slots: 4}
 	seq := &sequentialTarget{space: tune.NewSpace(tune.Float("a", 0, 1, 0.5))}
-	res, err := New(Options{Workers: 4, Remote: back}).Tune(context.Background(), seq, &experiment.Random{Seed: 3}, tune.Budget{Trials: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := tuneJob(t, Job{Tuner: &experiment.Random{Seed: 3}, Target: seq, Budget: tune.Budget{Trials: 6}, Parallel: 4, Remote: back})
 	if len(res.Trials) != 6 {
 		t.Fatalf("recorded %d trials, want 6", len(res.Trials))
 	}

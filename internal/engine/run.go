@@ -61,32 +61,18 @@ type Run struct {
 	total  int           // events ever appended == Seq of the newest
 	bufCap int           // retention bound; <0 means unbounded
 	notify chan struct{} // closed and replaced on every append
-	// summary compacts every event evicted from the ring; evictKind tracks
-	// rung grouping across evictions (mirroring lastKind for appends).
-	summary   tune.StreamSummary
-	evictKind tune.EventKind
-	memBytes  int // estimated bytes retained by the ring
-	subs      int // live subscription goroutines (gauge)
+	// progress folds every appended event, summary every evicted one.
+	progress tune.StreamSummary
+	summary  tune.StreamSummary
+	memBytes int // estimated bytes retained by the ring
+	subs     int // live subscription goroutines (gauge)
 
-	running    bool
-	finished   bool
-	holdsSlot  bool
-	pauseCh    chan struct{} // non-nil while paused; closed on resume
-	trialsDone int
-	incumbent  tune.Event // last IncumbentImproved (zero until one arrives)
-	// Multi-fidelity progress: pruned trials, and rung promotion decisions
-	// (counted as maximal groups of consecutive TrialPruned events — a
-	// rung's prune notices are always emitted contiguously).
-	trialsPruned int
-	rungsDecided int
-	lastKind     tune.EventKind
-	// Scenario progress: Pareto points admitted, guardrail violations, and
-	// drift re-anchors, tracked as events are appended.
-	paretoPoints        int
-	guardrailViolations int
-	driftDetections     int
-	result              *tune.TuningResult
-	err                 error
+	running   bool
+	finished  bool
+	holdsSlot bool
+	pauseCh   chan struct{} // non-nil while paused; closed on resume
+	result    *tune.TuningResult
+	err       error
 }
 
 // Submit schedules job on the engine and returns its handle immediately.
@@ -125,11 +111,11 @@ func (e *Engine) submit(ctx context.Context, job Job, record bool) *Run {
 		bufCap: bufCap,
 		notify: make(chan struct{}),
 	}
-	go r.run(e, record)
+	go r.run(record)
 	return r
 }
 
-func (r *Run) run(e *Engine, record bool) {
+func (r *Run) run(record bool) {
 	// A run stopped while still queued must not wait for a slot: without
 	// the ctx arm in acquireSlot, Stop on a pending run (or a daemon
 	// DELETE on a queued session) would only take effect once earlier
@@ -143,19 +129,6 @@ func (r *Run) run(e *Engine, record bool) {
 	r.running = true
 	r.mu.Unlock()
 
-	memoCap := r.job.MemoCap
-	if memoCap == 0 {
-		memoCap = e.cacheCap
-	}
-	// Deliberately job.Remote only — never the engine's: an engine-level
-	// backend is bound to one target's sysmodel and would evaluate other
-	// jobs' trials against the wrong system.
-	d := driver{
-		workers: max(r.job.Parallel, 1),
-		cache:   e.cache || r.job.Memo || memoCap > 0, cacheCap: memoCap,
-		remote:     r.job.Remote,
-		checkpoint: r.job.Checkpoint, ckptEvery: r.job.CheckpointEvery, replay: r.job.Replay,
-	}
 	ctx := r.ctx
 	if record {
 		ctx = tune.WithMonitor(ctx, &tune.Monitor{OnEvent: r.observe, Gate: r.gate})
@@ -163,7 +136,7 @@ func (r *Run) run(e *Engine, record bool) {
 	if sc := (tune.Scenario{Pareto: r.job.Pareto, Guardrail: r.job.Guardrail}); sc.Pareto || sc.Guardrail > 0 {
 		ctx = tune.WithScenario(ctx, sc)
 	}
-	res, err := d.Tune(ctx, r.job.Target, r.job.Tuner, r.job.Budget)
+	res, err := r.job.tune(ctx)
 	r.archive(res, err)
 	r.finish(res, err)
 }
@@ -231,28 +204,13 @@ func (r *Run) observe(ev tune.Event) {
 func (r *Run) appendLocked(ev tune.Event) {
 	r.total++
 	ev.Seq = r.total
-	switch ev.Kind {
-	case tune.TrialDone:
-		r.trialsDone++
-	case tune.IncumbentImproved:
-		r.incumbent = ev
-	case tune.TrialPruned:
-		r.trialsPruned++
-		if r.lastKind != tune.TrialPruned {
-			r.rungsDecided++
-		}
-	case tune.ParetoIncumbent:
-		r.paretoPoints++
-	case tune.GuardrailViolation:
-		r.guardrailViolations++
-	case tune.DriftDetected:
-		r.driftDetections++
-	}
-	r.lastKind = ev.Kind
+	r.progress.Add(ev)
 	if r.bufCap < 0 || len(r.buf) < r.bufCap {
 		r.buf = append(r.buf, ev)
 	} else {
-		r.foldLocked(r.buf[r.head])
+		// The evicted prefix folds into the summary, so a summary-then-tail
+		// replay leaves a subscriber where the full stream would have.
+		r.summary.Add(r.buf[r.head])
 		r.memBytes -= eventBytes(r.buf[r.head])
 		r.buf[r.head] = ev
 		r.head = (r.head + 1) % r.bufCap
@@ -260,37 +218,6 @@ func (r *Run) appendLocked(ev tune.Event) {
 	r.memBytes += eventBytes(ev)
 	close(r.notify)
 	r.notify = make(chan struct{})
-}
-
-// foldLocked compacts one evicted event into the run's stream summary, so a
-// summary-then-tail replay leaves a subscriber in the same state as the full
-// stream would have.
-func (r *Run) foldLocked(ev tune.Event) {
-	r.summary.CoveredThrough = ev.Seq
-	switch ev.Kind {
-	case tune.TrialDone:
-		r.summary.TrialsDone++
-		r.summary.SimTimeUsed = ev.SimTimeUsed
-	case tune.IncumbentImproved:
-		r.summary.BestTrial = ev.Trial
-		if ev.Config.Valid() {
-			r.summary.BestConfig = ev.Config.Map()
-		}
-		res := ev.Result
-		r.summary.BestResult = &res
-	case tune.TrialPruned:
-		r.summary.TrialsPruned++
-		if r.evictKind != tune.TrialPruned {
-			r.summary.RungsDecided++
-		}
-	case tune.ParetoIncumbent:
-		r.summary.ParetoPoints++
-	case tune.GuardrailViolation:
-		r.summary.GuardrailViolations++
-	case tune.DriftDetected:
-		r.summary.DriftDetections++
-	}
-	r.evictKind = ev.Kind
 }
 
 // eventBytes estimates one event's retained footprint for memory accounting.
@@ -321,34 +248,13 @@ func (r *Run) tailLocked(after int) []tune.Event {
 	return out
 }
 
-// Progress reports how many trials have completed and the last
-// incumbent-improvement event (ok is false until the first improvement).
-// O(1), tracked as events are appended — status endpoints poll this
-// instead of rescanning History.
-func (r *Run) Progress() (trialsDone int, incumbent tune.Event, ok bool) {
+// Progress is the fold of every event appended so far: trials done and
+// pruned, rungs decided, the incumbent, scenario counts. Status endpoints
+// poll it instead of rescanning History.
+func (r *Run) Progress() tune.StreamSummary {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.trialsDone, r.incumbent, r.incumbent.Kind == tune.IncumbentImproved
-}
-
-// FidelityProgress reports multi-fidelity progress: how many recorded
-// trials a rung decision has early-stopped, and how many pruning rung
-// decisions have been made. Both are zero for single-fidelity sessions.
-// O(1), tracked as events are appended.
-func (r *Run) FidelityProgress() (trialsPruned, rungsDecided int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trialsPruned, r.rungsDecided
-}
-
-// ScenarioProgress reports scenario-class progress: Pareto points admitted
-// to the front, guardrail violations observed, and drift re-anchors. All are
-// zero for plain single-objective sessions. O(1), tracked as events are
-// appended.
-func (r *Run) ScenarioProgress() (paretoPoints, guardrailViolations, driftDetections int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.paretoPoints, r.guardrailViolations, r.driftDetections
+	return r.progress.Rendered()
 }
 
 // MemoryBytes estimates the bytes the run's event ring currently retains.
@@ -486,7 +392,7 @@ func (r *Run) History() []tune.Event {
 func (r *Run) Summary() (s tune.StreamSummary, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.summary, r.summary.CoveredThrough > 0
+	return r.summary.Rendered(), r.summary.CoveredThrough > 0
 }
 
 // Events returns an ordered event stream for the run. Every call starts a
@@ -547,7 +453,7 @@ func (r *Run) EventsSince(ctx context.Context, after int) <-chan tune.Event {
 				// synthetic event. A fresh or reconnecting subscriber gets a
 				// checkpoint; one that was already attached and fell behind
 				// gets a lagged notice with its personal drop count.
-				sum := r.summary
+				sum := r.summary.Rendered()
 				kind := tune.StreamCheckpoint
 				if caughtUp {
 					kind = tune.StreamLagged

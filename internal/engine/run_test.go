@@ -12,10 +12,10 @@ import (
 )
 
 // TestSubmitMatchesBlockingTune: the handle path returns exactly what the
-// blocking engine path returns for the same seed.
+// tuner's blocking Tune returns for the same seed.
 func TestSubmitMatchesBlockingTune(t *testing.T) {
 	b := tune.Budget{Trials: 12}
-	blocking, err := New(Options{Workers: 1}).Tune(context.Background(), dbmsTarget(9), experiment.NewITuned(9), b)
+	blocking, err := experiment.NewITuned(9).Tune(context.Background(), dbmsTarget(9), b)
 	if err != nil {
 		t.Fatal(err)
 	}

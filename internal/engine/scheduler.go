@@ -19,12 +19,17 @@ type Job struct {
 	// job (≤1 or 0 means sequential). Results are identical at any value
 	// for a fixed seed; only wall-clock changes.
 	Parallel int
-	// Memo opts this job into the config-keyed result memo cache even
-	// when the engine's cache is off.
+	// Memo enables the config-keyed result memo cache: proposing an
+	// already-evaluated configuration (at the same fidelity) returns the
+	// memoized result instead of a fresh noisy run, so converged tuners stop
+	// paying wall-clock for repeat proposals. Off by default because repeated
+	// measurements of a noisy target are sometimes deliberate — without it the
+	// session reproduces the blocking facade exactly.
 	Memo bool
-	// MemoCap bounds this job's memo cache to the given entry count with
-	// cost-aware GDSF eviction (see Options.CacheCap); >0 implies Memo,
-	// 0 inherits the engine's CacheCap (which may itself be unbounded).
+	// MemoCap bounds the memo cache to this many retained results, evicting
+	// by cost-aware GDSF (see gdsfMemo); >0 implies Memo, 0 retains every
+	// result. Eviction decisions happen in batch order on the driver
+	// goroutine, so results stay deterministic at any worker count.
 	MemoCap int
 	// Remote, when non-nil, adds a remote evaluator fleet's slots to this
 	// job's trial evaluation. The backend must be bound to this job's
@@ -116,10 +121,9 @@ type JobResult struct {
 // built on Submit. At most Workers jobs hold a slot at once, and each job
 // evaluates its own trials sequentially unless it sets Parallel, so total
 // concurrency is exactly Workers by default. Cross-session parallelism is
-// the scheduler's lever; per-batch fan-out belongs to single-session
-// Tune/Drive (or per-job Parallel). Results are returned in job order and
-// each job is deterministic in its own seed, so the output is identical to
-// running the jobs sequentially.
+// the scheduler's lever; per-batch fan-out is each job's Parallel. Results
+// are returned in job order and each job is deterministic in its own seed,
+// so the output is identical to running the jobs sequentially.
 func (e *Engine) RunJobs(ctx context.Context, jobs []Job) []JobResult {
 	runs := make([]*Run, len(jobs))
 	for i := range jobs {

@@ -35,11 +35,7 @@ func TestSequentialReleasesCoroutine(t *testing.T) {
 	ctx := context.Background()
 	mustTune := func(t *testing.T, tuner tune.Tuner, target tune.Target, b tune.Budget) *tune.TuningResult {
 		t.Helper()
-		res, err := New(Options{Workers: 2}).Tune(ctx, target, tuner, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return tuneJob(t, Job{Tuner: tuner, Target: target, Budget: b, Parallel: 2})
 	}
 	// cancelAfter cancels the returned context once n trials are done.
 	cancelAfter := func(n int) (context.Context, context.CancelFunc) {

@@ -140,12 +140,7 @@ func (d *DriftDetector) Observe(t Trial) {
 func (d *DriftDetector) Detections() int { return d.detections }
 
 // Recommend implements Recommender when the inner proposer does.
-func (d *DriftDetector) Recommend() Config {
-	if r, ok := d.inner.(Recommender); ok {
-		return r.Recommend()
-	}
-	return Config{}
-}
+func (d *DriftDetector) Recommend() Config { return recommend(d.inner) }
 
 // DriftDetectTuner wraps t so every session it starts watches for workload
 // drift and re-anchors on detection. Compose it OUTSIDE warm starting and

@@ -133,12 +133,7 @@ func (l lifted) ProposeFidelity(n int) []Candidate {
 func (l lifted) ObserveFidelity(t Trial) { l.p.Observe(t) }
 func (l lifted) PruneNotices() []int     { return nil }
 func (l lifted) BindSession(s *Session)  { bindSession(l.p, s) }
-func (l lifted) Recommend() Config {
-	if r, ok := l.p.(Recommender); ok {
-		return r.Recommend()
-	}
-	return Config{}
-}
+func (l lifted) Recommend() Config       { return recommend(l.p) }
 
 // Drive is the ask/tell loop: gate → propose → evaluate → record, observe and
 // prune in proposal order → batch boundary → finish. ev decides how a batch
@@ -195,11 +190,7 @@ func Drive(ctx context.Context, name string, target Target, b Budget, fp Fidelit
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rec := Config{}
-	if r, ok := fp.(Recommender); ok {
-		rec = r.Recommend()
-	}
-	return s.Finish(name, rec), nil
+	return s.Finish(name, recommend(fp)), nil
 }
 
 // DriveProposer evaluates a Proposer sequentially against target under b

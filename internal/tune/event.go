@@ -64,13 +64,16 @@ const (
 	// Draining is the terminal event a daemon writes on every open SSE
 	// stream when it begins a graceful shutdown: the session is being
 	// checkpointed and will resume on the next daemon start; clients should
-	// reconnect (with Last-Event-ID) after the restart.
+	// reconnect (with Last-Event-ID) after the restart. Its Seq repeats the
+	// last event that subscriber was sent.
 	Draining EventKind = "draining"
 )
 
-// StreamSummary is the compacted replacement for a prefix of a session's
-// event stream: applying it, then every event after CoveredThrough, leaves a
-// client in the same state as replaying the full stream.
+// StreamSummary is the one fold of a session's event stream (Add): a run's
+// live totals, the compacted replacement for the prefix its bounded buffer
+// evicted, and what a subscriber accumulates from the events it receives.
+// Applying a summary, then every event after CoveredThrough, leaves a client
+// in the same state as replaying the full stream.
 type StreamSummary struct {
 	// CoveredThrough is the last event Seq folded into this summary.
 	CoveredThrough int `json:"covered_through"`
@@ -85,7 +88,8 @@ type StreamSummary struct {
 	SimTimeUsed float64 `json:"sim_time_used,omitempty"`
 	// BestTrial/BestConfig/BestResult carry the last covered
 	// IncumbentImproved (absent when the prefix contains none — a later,
-	// still-buffered incumbent event then supplies it).
+	// still-buffered incumbent event then supplies it). Add records the
+	// incumbent; BestConfig and BestResult are filled in by Rendered.
 	BestTrial  int               `json:"best_trial,omitempty"`
 	BestConfig map[string]string `json:"best_config,omitempty"`
 	BestResult *Result           `json:"best_result,omitempty"`
@@ -98,6 +102,56 @@ type StreamSummary struct {
 	// Dropped is set on StreamLagged only: how many events this subscriber
 	// missed between its position and the summary's coverage.
 	Dropped int `json:"dropped,omitempty"`
+
+	lastKind   EventKind // rungs are maximal runs of TrialPruned across Add calls
+	bestConfig Config    // the last IncumbentImproved, rendered by Rendered
+	bestResult Result
+}
+
+// Add folds one event into the summary. A synthetic StreamCheckpoint or
+// StreamLagged carries the fold of everything through its Seq, so it
+// replaces the summary instead. Add allocates nothing.
+func (s *StreamSummary) Add(ev Event) {
+	switch ev.Kind {
+	case StreamCheckpoint, StreamLagged:
+		*s = *ev.Summary
+		s.Dropped = 0
+		return
+	case TrialDone:
+		s.TrialsDone++
+		s.SimTimeUsed = ev.SimTimeUsed
+	case IncumbentImproved:
+		s.BestTrial, s.bestResult = ev.Trial, ev.Result
+		if ev.Config.Valid() {
+			s.bestConfig = ev.Config
+		}
+	case TrialPruned:
+		s.TrialsPruned++
+		if s.lastKind != TrialPruned {
+			s.RungsDecided++
+		}
+	case ParetoIncumbent:
+		s.ParetoPoints++
+	case GuardrailViolation:
+		s.GuardrailViolations++
+	case DriftDetected:
+		s.DriftDetections++
+	}
+	s.CoveredThrough = ev.Seq
+	s.lastKind = ev.Kind
+}
+
+// Rendered returns the summary with BestConfig and BestResult filled in from
+// the last folded IncumbentImproved (both nil before one).
+func (s StreamSummary) Rendered() StreamSummary {
+	if s.BestTrial > 0 {
+		if s.bestConfig.Valid() {
+			s.BestConfig = s.bestConfig.Map()
+		}
+		res := s.bestResult
+		s.BestResult = &res
+	}
+	return s
 }
 
 // Event is one entry in a session's ordered event stream. Which fields are

@@ -140,3 +140,35 @@ func TestConfigJSON(t *testing.T) {
 		t.Errorf("default config: %s, %v", b, err)
 	}
 }
+
+// TestStreamSummaryAddAllocatesNothing: the live fold runs on every event a
+// run appends, so the incumbent's configuration map is rendered only when the
+// summary is read (Rendered), never by Add.
+func TestStreamSummaryAddAllocatesNothing(t *testing.T) {
+	cfg := newEventTarget().space.Default()
+	events := []Event{
+		{Kind: TrialStarted, Trial: 1, Config: cfg},
+		{Kind: TrialDone, Trial: 1, Config: cfg, Result: Result{Time: 9.5}, SimTimeUsed: 9.5},
+		{Kind: IncumbentImproved, Trial: 1, Config: cfg, Result: Result{Time: 9.5}},
+		{Kind: TrialPruned, Trial: 1, Config: cfg},
+		{Kind: ParetoIncumbent, Trial: 1, Config: cfg},
+		{Kind: GuardrailViolation, Trial: 1, Config: cfg, Limit: 9},
+		{Kind: DriftDetected, Trial: 1},
+	}
+	var s StreamSummary
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i, ev := range events {
+			ev.Seq = i + 1
+			s.Add(ev)
+		}
+	}); allocs != 0 {
+		t.Errorf("Add allocates %v times per pass, want 0", allocs)
+	}
+	r := s.Rendered()
+	if r.BestTrial != 1 || r.BestResult == nil || r.BestResult.Time != 9.5 || r.BestConfig["a"] != "0.5" {
+		t.Errorf("rendered incumbent = trial %d, %v, %v", r.BestTrial, r.BestResult, r.BestConfig)
+	}
+	if s.BestConfig != nil || s.BestResult != nil {
+		t.Error("Add rendered the incumbent")
+	}
+}

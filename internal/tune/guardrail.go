@@ -399,12 +399,10 @@ func (g *Guardrail) Observe(t Trial) {
 // Recommend implements Recommender: an unsafe inner recommendation is
 // screened like any proposal.
 func (g *Guardrail) Recommend() Config {
-	if r, ok := g.inner.(Recommender); ok {
-		if cfg := r.Recommend(); cfg.Valid() {
-			g.refit()
-			scr, _ := g.screen(cfg)
-			return scr
-		}
+	if cfg := recommend(g.inner); cfg.Valid() {
+		g.refit()
+		scr, _ := g.screen(cfg)
+		return scr
 	}
 	if g.hasSafe {
 		return g.bestSafe

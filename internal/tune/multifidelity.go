@@ -296,12 +296,7 @@ func (p *mfProposer) PruneNotices() []int {
 func (p *mfProposer) BindSession(s *Session) { bindSession(p.inner, s) }
 
 // Recommend implements Recommender when the inner proposer does.
-func (p *mfProposer) Recommend() Config {
-	if r, ok := p.inner.(Recommender); ok {
-		return r.Recommend()
-	}
-	return Config{}
-}
+func (p *mfProposer) Recommend() Config { return recommend(p.inner) }
 
 // Interface conformance checks.
 var (

@@ -36,10 +36,8 @@ var DefaultParetoWeights = []float64{0, 1.0 / 3, 2.0 / 3, 1}
 type MultiObjective struct {
 	subs                []Proposer
 	weights             []float64
-	owners              []int // FIFO: owner sub-index per outstanding proposal
-	next                int   // round-robin cursor
+	next                int // round-robin cursor
 	objScale, costScale float64
-	sess                *Session
 }
 
 // NewMultiObjective pairs subs[i] with weights[i] (cost weight in [0, 1]).
@@ -57,15 +55,13 @@ func NewMultiObjective(subs []Proposer, weights []float64) (*MultiObjective, err
 
 // BindSession implements SessionAware, forwarding to session-aware subs.
 func (m *MultiObjective) BindSession(s *Session) {
-	m.sess = s
 	for _, sub := range m.subs {
 		bindSession(sub, s)
 	}
 }
 
 // Propose implements Proposer: it collects up to one round-robin lap of
-// configurations from the sub-proposers, remembering each proposal's owner
-// so the matching Observe retires the slot. A sub that stops proposing is
+// configurations from the sub-proposers. A sub that stops proposing is
 // skipped; the batch ends when all subs decline in turn.
 //
 // The lap cap is load-bearing: the Proposer contract allows returning fewer
@@ -92,7 +88,6 @@ func (m *MultiObjective) Propose(n int) []Config {
 		}
 		declined = 0
 		out = append(out, cfgs[0])
-		m.owners = append(m.owners, i)
 	}
 	return out
 }
@@ -109,9 +104,6 @@ func (m *MultiObjective) Propose(n int) []Config {
 // events and the front carry real measurements; only the inner models see
 // the weighted view.
 func (m *MultiObjective) Observe(t Trial) {
-	if len(m.owners) > 0 {
-		m.owners = m.owners[1:] // retire the proposal slot
-	}
 	if t.Result.FullFidelity() && !t.Result.Failed && m.objScale == 0 {
 		m.objScale = t.Result.Objective()
 		m.costScale = t.Result.Cost
@@ -155,10 +147,7 @@ func (m *MultiObjective) Recommend() Config {
 			bestAt, bestW = i, w
 		}
 	}
-	if r, ok := m.subs[bestAt].(Recommender); ok {
-		return r.Recommend()
-	}
-	return Config{}
+	return recommend(m.subs[bestAt])
 }
 
 // MultiObjectiveTuner runs one sub-tuner per scalarization weight. Sub-

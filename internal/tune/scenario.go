@@ -66,6 +66,15 @@ func bindSession(p any, s *Session) {
 	}
 }
 
+// recommend returns p's recommendation when p is a Recommender, else the
+// invalid zero Config.
+func recommend(p any) Config {
+	if r, ok := p.(Recommender); ok {
+		return r.Recommend()
+	}
+	return Config{}
+}
+
 // dominates reports strict Pareto dominance of a over b on (objective, cost):
 // no worse on both axes and better on at least one. Equal points do not
 // dominate each other, so the first of two identical trials keeps its front

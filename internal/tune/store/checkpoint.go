@@ -361,16 +361,17 @@ func (s *FileStore) Checkpoints() ([]SessionCheckpoint, error) {
 // suffixes (the daemon's "s1", "s2", … "s10") compare by number, everything
 // else lexically — so resumed sessions re-admit in submission order.
 func sidLess(a, b string) bool {
-	pa, na, aok := splitSid(a)
-	pb, nb, bok := splitSid(b)
+	pa, na, aok := SplitSID(a)
+	pb, nb, bok := SplitSID(b)
 	if aok && bok && pa == pb {
 		return na < nb
 	}
 	return a < b
 }
 
-// splitSid splits a trailing decimal suffix off a session id.
-func splitSid(s string) (prefix string, n int64, ok bool) {
+// SplitSID splits a trailing decimal suffix off a session id ("s12" → "s",
+// 12). ok is false when there is no suffix or it overflows an int64.
+func SplitSID(s string) (prefix string, n int64, ok bool) {
 	i := len(s)
 	for i > 0 && s[i-1] >= '0' && s[i-1] <= '9' {
 		i--

@@ -554,3 +554,41 @@ func BenchmarkCheckpointSession(b *testing.B) {
 	b.ReportMetric(float64(h.written.Load())/float64(b.N), "written-B/session")
 	b.ReportMetric(float64(h.syncs.Load())/float64(b.N), "fsyncs/session")
 }
+
+// TestSplitSID: the one session-id parser, behind both checkpoint ordering
+// and the daemon's next fresh id after a restart.
+func TestSplitSID(t *testing.T) {
+	for _, c := range []struct {
+		sid    string
+		prefix string
+		n      int64
+		ok     bool
+	}{
+		{"s9", "s", 9, true},
+		{"s10", "s", 10, true},
+		{"cli-dbms-tpch-ituned-42", "cli-dbms-tpch-ituned-", 42, true},
+		{"cli-dbms-tpch-ituned-hyperband-7", "cli-dbms-tpch-ituned-hyperband-", 7, true},
+		{"s99999999999999999999", "s99999999999999999999", 0, false}, // overflows int64
+		{"manual", "manual", 0, false},
+		{"", "", 0, false},
+	} {
+		prefix, n, ok := SplitSID(c.sid)
+		if prefix != c.prefix || n != c.n || ok != c.ok {
+			t.Errorf("SplitSID(%q) = (%q, %d, %v), want (%q, %d, %v)", c.sid, prefix, n, ok, c.prefix, c.n, c.ok)
+		}
+	}
+	for _, c := range []struct {
+		a, b string
+		less bool
+	}{
+		{"s9", "s10", true},
+		{"s10", "s9", false},
+		{"cli-dbms-tpch-ituned-9", "cli-dbms-tpch-ituned-42", true},
+		{"s99999999999999999999", "s9", false}, // no number: lexical order
+		{"cli-dbms-tpch-ituned-42", "s1", true},
+	} {
+		if got := sidLess(c.a, c.b); got != c.less {
+			t.Errorf("sidLess(%q, %q) = %v, want %v", c.a, c.b, got, c.less)
+		}
+	}
+}

@@ -179,12 +179,7 @@ func (w *WarmStarter) BindSession(s *Session) {
 
 // Recommend implements Recommender when the inner proposer does; otherwise
 // it returns the invalid zero Config.
-func (w *WarmStarter) Recommend() Config {
-	if r, ok := w.inner.(Recommender); ok {
-		return r.Recommend()
-	}
-	return Config{}
-}
+func (w *WarmStarter) Recommend() Config { return recommend(w.inner) }
 
 // WarmStartTuner wraps t so every session it starts proposes seeds first.
 // The wrapper preserves the ask/tell form, so the concurrent engine batches
