@@ -221,19 +221,6 @@ func PCA(x [][]float64, k, iters int, rng *rand.Rand) (components [][]float64, e
 	return components, explained
 }
 
-// Project maps row x onto the given components.
-func Project(x []float64, components [][]float64) []float64 {
-	out := make([]float64, len(components))
-	for c, comp := range components {
-		var s float64
-		for j := range x {
-			s += x[j] * comp[j]
-		}
-		out[c] = s
-	}
-	return out
-}
-
 func matVec(m [][]float64, v []float64) []float64 {
 	out := make([]float64, len(m))
 	for i, row := range m {

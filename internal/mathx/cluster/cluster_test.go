@@ -90,14 +90,6 @@ func TestPCADominantDirection(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	comps := [][]float64{{1, 0}, {0, 1}}
-	p := Project([]float64{3, 4}, comps)
-	if p[0] != 3 || p[1] != 4 {
-		t.Errorf("Project = %v", p)
-	}
-}
-
 func TestPCAEmpty(t *testing.T) {
 	c, e := PCA(nil, 2, 10, rand.New(rand.NewSource(5)))
 	if c != nil || e != nil {

@@ -1,25 +1,12 @@
 // Package sample provides the experimental designs used by experiment-driven
 // tuners: Latin hypercube samples for space-filling initialization (iTuned),
 // Plackett–Burman two-level screening designs with foldover (SARD), and
-// plain uniform/grid designs as baselines.
+// plain grid designs as baselines.
 package sample
 
 import (
 	"math/rand"
 )
-
-// Uniform returns n points drawn uniformly from [0,1]^d.
-func Uniform(n, d int, rng *rand.Rand) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		p := make([]float64, d)
-		for j := range p {
-			p[j] = rng.Float64()
-		}
-		out[i] = p
-	}
-	return out
-}
 
 // LatinHypercube returns n points in [0,1]^d where each dimension is
 // stratified into n equal bins with exactly one point per bin — the

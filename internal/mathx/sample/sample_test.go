@@ -35,17 +35,6 @@ func TestLatinHypercubeStratification(t *testing.T) {
 	}
 }
 
-func TestUniformBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, p := range Uniform(50, 4, rng) {
-		for _, v := range p {
-			if v < 0 || v >= 1 {
-				t.Fatalf("uniform point out of bounds: %v", v)
-			}
-		}
-	}
-}
-
 func TestGridCountAndCenters(t *testing.T) {
 	g := Grid(3, 2)
 	if len(g) != 9 {

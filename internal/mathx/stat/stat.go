@@ -143,18 +143,6 @@ func NormCDF(z float64) float64 {
 	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
 }
 
-// MeanAbs returns the mean absolute value.
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Abs(x)
-	}
-	return s / float64(len(xs))
-}
-
 // MAPE returns the mean absolute percentage error of predictions vs actuals,
 // skipping zero actuals. Cost-model accuracy is reported with it.
 func MAPE(pred, actual []float64) float64 {

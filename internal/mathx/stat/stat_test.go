@@ -95,12 +95,3 @@ func TestMAPE(t *testing.T) {
 		t.Error("zero actuals must be skipped")
 	}
 }
-
-func TestMeanAbs(t *testing.T) {
-	if MeanAbs([]float64{-2, 2}) != 2 {
-		t.Error("MeanAbs wrong")
-	}
-	if MeanAbs(nil) != 0 {
-		t.Error("MeanAbs(nil) should be 0")
-	}
-}

@@ -195,9 +195,6 @@ func NewFeatureIndexKV(pts [][]KV) *FeatureIndex {
 	return ix
 }
 
-// Len returns the number of indexed points.
-func (ix *FeatureIndex) Len() int { return len(ix.pts) }
-
 // vpNodes is how many nodes a subtree over n points has — a pure function of
 // n, so every subtree's node ids are known before any of it is built.
 func vpNodes(n int) int32 {

@@ -38,7 +38,7 @@ func BenchmarkFeatureIndexBuild(b *testing.B) {
 	b.Run("n=100000", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchSink += NewFeatureIndexKV(pts).Len()
+			benchSink += len(NewFeatureIndexKV(pts).nodes)
 		}
 	})
 }

@@ -279,8 +279,8 @@ func TestFeatureIndexStandalone(t *testing.T) {
 		ix := NewFeatureIndexKV(nil)
 		_ = ix // exercise the empty constructor path
 		ix = NewFeatureIndexKV(featLists(feats))
-		if ix.Len() != len(feats) {
-			t.Fatalf("Len = %d, want %d", ix.Len(), len(feats))
+		if len(ix.pts) != len(feats) {
+			t.Fatalf("indexed %d points, want %d", len(ix.pts), len(feats))
 		}
 		for qn := 0; qn < 6; qn++ {
 			q := randQuery(rng)

@@ -19,12 +19,12 @@ import (
 // This file is the session-checkpoint store: the crash-resume state of
 // in-flight tuning sessions, persisted alongside the archive so a restarted
 // daemon can pick interrupted work back up. Checkpoints are not WAL records —
-// each session owns an append-only log, checkpoints/<sid>.jsonl, under the
-// same JSON-lines + torn-tail discipline as wal.jsonl (scanLog): a header
-// line {sid, spec, updated_at}, then one line per batch boundary carrying
-// only the trials the log does not hold yet plus runs_reserved. Every line is
-// enveloped as {"crc":<IEEE CRC-32 of body>,"body":{...}}, so a damaged line
-// ends the log instead of replaying as different trials.
+// each session owns an append-only log, checkpoints/<sid>.jsonl, of the same
+// appendLog type as wal.jsonl (fs.go): a header line {sid, spec, updated_at},
+// then one line per batch boundary carrying only the trials the log does not
+// hold yet plus runs_reserved. Every line is enveloped as
+// {"crc":<IEEE CRC-32 of body>,"body":{...}}, so a damaged line ends the log
+// instead of replaying as different trials.
 //
 // Flush policy: every SaveCheckpoint returns only after its bytes are
 // fsynced — one fsync per boundary, on the driver goroutine that called it,
@@ -35,10 +35,10 @@ import (
 // SaveCheckpoint is state-based ("make this state durable"): it appends the
 // suffix of cp.Replay.Trials past what the session's open log holds. When the
 // state does not extend the log — first save of a sid, a different spec,
-// fewer trials, or an earlier write/fsync on this log failed — it falls back
-// to an atomic whole-log rewrite (tmp + fsync + rename + directory fsync). The
-// log is the only checkpoint form: Open refuses a directory still holding a
-// whole-object <sid>.json from before it (errLegacyLayout).
+// fewer trials, or an earlier append to this log failed (and was cut back) —
+// it falls back to a whole-log rewrite through install. The log is the only
+// checkpoint form: Open refuses a directory still holding a whole-object
+// <sid>.json from before it (errLegacyLayout).
 //
 // Checkpoint I/O never takes FileStore.mu: each session's log has its own
 // lock, so archive readers and writers (Nearest, WarmConfigs, Append) and
@@ -157,42 +157,32 @@ func ReadCheckpoint(path string) (SessionCheckpoint, error) {
 	return cp, nil
 }
 
-// logFile is the part of *os.File a checkpoint log writes through; tests
-// substitute one (FileStore.wrapCkptFile) to inject faults and observe Sync.
-type logFile interface {
-	Write(p []byte) (int, error)
-	Sync() error
-	Truncate(size int64) error
-	Close() error
-}
-
 // ckptLog is one session's open log. mu serializes that session's checkpoint
 // I/O only.
 type ckptLog struct {
 	mu     sync.Mutex
-	f      logFile // nil: nothing to extend, the next save rewrites
-	spec   []byte  // the header's spec
-	trials int     // trials the log holds
-	size   int64   // bytes the log holds, every one fsynced
+	log    *appendLog // nil: nothing to extend, the next save rewrites
+	spec   []byte     // the header's spec
+	trials int        // trials the log holds
 }
 
 // close releases the handle. Its error is dropped: every byte a save
 // acknowledged was already fsynced.
 func (l *ckptLog) close() {
-	if l.f != nil {
-		_ = l.f.Close()
-		l.f = nil
+	if l.log != nil {
+		_ = l.log.f.Close()
+		l.log = nil
 	}
 }
 
-// checkpointStem returns sid's path under checkpoints/ without an extension,
-// rejecting ids that would escape the directory. Daemon session ids are
-// decimal integers; anything else is refused rather than sanitized.
-func (s *FileStore) checkpointStem(sid string) (string, error) {
+// checkpointPath returns the path of sid's log, rejecting ids that would
+// escape the checkpoint directory. Daemon session ids are decimal integers;
+// anything else is refused rather than sanitized.
+func (s *FileStore) checkpointPath(sid string) (string, error) {
 	if sid == "" || strings.ContainsAny(sid, "/\\.") {
 		return "", fmt.Errorf("store: invalid checkpoint session id %q", sid)
 	}
-	return filepath.Join(s.dir, checkpointDir, sid), nil
+	return filepath.Join(s.dir, checkpointDir, sid+ckptLogExt), nil
 }
 
 // lockCkptLog returns sid's log entry with its mu held. The entry lock is
@@ -219,36 +209,28 @@ func (s *FileStore) lockCkptLog(sid, path string) (*ckptLog, error) {
 	return l, nil
 }
 
-func (s *FileStore) ckptFile(f *os.File) logFile {
-	if s.wrapCkptFile != nil {
-		return s.wrapCkptFile(f)
-	}
-	return f
-}
-
 // SaveCheckpoint makes cp the durable resume state of cp.SID: when it returns
 // nil the state has been fsynced (see the flush policy above).
 func (s *FileStore) SaveCheckpoint(cp SessionCheckpoint) error {
-	stem, err := s.checkpointStem(cp.SID)
+	path, err := s.checkpointPath(cp.SID)
 	if err != nil {
 		return err
 	}
-	l, err := s.lockCkptLog(cp.SID, stem+ckptLogExt)
+	l, err := s.lockCkptLog(cp.SID, path)
 	if err != nil {
 		return err
 	}
 	defer l.mu.Unlock()
-	if l.f != nil && len(cp.Replay.Trials) >= l.trials && bytes.Equal(l.spec, cp.Spec) {
+	if l.log != nil && len(cp.Replay.Trials) >= l.trials && bytes.Equal(l.spec, cp.Spec) {
 		return l.append(cp)
 	}
-	return s.rewriteCkptLog(l, stem, cp)
+	return s.rewriteCkptLog(l, path, cp)
 }
 
 // reopenCkptLog adopts the log a previous lifetime left for sid (a resumed
-// session appends to a log it did not create): its torn tail, if any, is
-// truncated away exactly as replayWAL does for the archive WAL. Anything
-// short of an intact header for this sid leaves l empty, and the save falls
-// back to a rewrite.
+// session appends to a log it did not create), its torn tail cut away as the
+// WAL's is. Anything short of an intact header for this sid leaves l empty,
+// and the save falls back to a rewrite.
 func (s *FileStore) reopenCkptLog(l *ckptLog, sid, path string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -258,45 +240,33 @@ func (s *FileStore) reopenCkptLog(l *ckptLog, sid, path string) {
 	if !ok || cp.SID != sid {
 		return
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return
+	if l.log, err = openLog(s.fs, path, good, len(data)); err == nil {
+		l.spec, l.trials = cp.Spec, cp.Trials
 	}
-	if good < len(data) {
-		if err := f.Truncate(int64(good)); err != nil {
-			f.Close()
-			return
-		}
-	}
-	l.f, l.spec, l.trials, l.size = s.ckptFile(f), cp.Spec, cp.Trials, int64(good)
 }
 
-// append makes cp durable by writing the trials past l.trials as one line and
-// fsyncing it. On a failed write or fsync the log is cut back to its last
-// good length and dropped, so the next save rewrites it whole.
+// append makes cp durable by appending the trials past l.trials as one line.
+// A failed append has been cut back; the log is dropped anyway, so the next
+// save rewrites the whole state rather than trust the file further.
 func (l *ckptLog) append(cp SessionCheckpoint) error {
 	line, err := appendCkptLine(nil, ckptBoundary{Trials: cp.Replay.Trials[l.trials:], RunsReserved: cp.Replay.RunsReserved})
 	if err != nil {
 		return fmt.Errorf("store: encoding checkpoint %s: %w", cp.SID, err)
 	}
-	if _, err = l.f.Write(line); err == nil {
-		err = l.f.Sync()
-	}
-	if err != nil {
-		_ = l.f.Truncate(l.size) // best effort: readers stop at a torn tail anyway
+	if err := l.log.append(line); err != nil {
 		l.close()
 		return fmt.Errorf("store: appending checkpoint %s: %w", cp.SID, err)
 	}
 	l.trials = len(cp.Replay.Trials)
-	l.size += int64(len(line))
 	return nil
 }
 
-// rewriteCkptLog replaces the session's log with one holding exactly cp — the
-// header and one boundary line — via tmp + fsync + rename + directory fsync,
-// so a crash leaves either the old log or the new one. The renamed file stays
-// open as the log later saves append to.
-func (s *FileStore) rewriteCkptLog(l *ckptLog, stem string, cp SessionCheckpoint) error {
+// rewriteCkptLog installs a log at path holding exactly cp — the header and
+// one boundary line — so a crash leaves either the old log or the new one,
+// and reopens it for the session's later saves to append to. The install is
+// the commit: if the reopen fails the save has still succeeded, and the next
+// one rewrites again.
+func (s *FileStore) rewriteCkptLog(l *ckptLog, path string, cp SessionCheckpoint) error {
 	l.close()
 	buf, err := appendCkptLine(nil, ckptHeader{SID: cp.SID, Spec: cp.Spec, UpdatedAt: cp.UpdatedAt})
 	if err == nil {
@@ -305,31 +275,15 @@ func (s *FileStore) rewriteCkptLog(l *ckptLog, stem string, cp SessionCheckpoint
 	if err != nil {
 		return fmt.Errorf("store: encoding checkpoint %s: %w", cp.SID, err)
 	}
-	dir := filepath.Dir(stem)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: creating %s: %w", dir, err)
+	if err = s.fs.MkdirAll(filepath.Dir(path), 0o755); err == nil {
+		err = installBytes(s.fs, path, buf)
 	}
-	path := stem + ckptLogExt
-	tmp := path + ".tmp"
-	raw, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: writing checkpoint %s: %w", cp.SID, err)
 	}
-	f := s.ckptFile(raw)
-	if _, err = f.Write(buf); err == nil {
-		err = f.Sync()
+	if l.log, err = openLog(s.fs, path, len(buf), len(buf)); err == nil {
+		l.spec, l.trials = append([]byte(nil), cp.Spec...), len(cp.Replay.Trials)
 	}
-	if err == nil {
-		// The rename is the commit point, same discipline as the manifest.
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("store: writing checkpoint %s: %w", cp.SID, err)
-	}
-	fsyncDir(dir)
-	l.f, l.spec, l.trials, l.size = f, append([]byte(nil), cp.Spec...), len(cp.Replay.Trials), int64(len(buf))
 	return nil
 }
 
@@ -390,7 +344,7 @@ func SplitSID(s string) (prefix string, n int64, ok bool) {
 // Deleting a checkpoint that does not exist is not an error — success, user
 // DELETE, and failure paths all race benignly toward the same end state.
 func (s *FileStore) DeleteCheckpoint(sid string) error {
-	stem, err := s.checkpointStem(sid)
+	path, err := s.checkpointPath(sid)
 	if err != nil {
 		return err
 	}
@@ -402,7 +356,7 @@ func (s *FileStore) DeleteCheckpoint(sid string) error {
 		l.close()
 		delete(s.ckpts, sid)
 	}
-	if err := os.Remove(stem + ckptLogExt); err != nil && !os.IsNotExist(err) {
+	if err := s.fs.Remove(path); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: removing checkpoint %s: %w", sid, err)
 	}
 	return nil

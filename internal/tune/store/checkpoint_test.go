@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,53 +55,6 @@ func wantLoaded(t *testing.T, s *FileStore, want SessionCheckpoint, when string)
 	if got := loadOne(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: loaded %+v\nwant %+v", when, got, want)
 	}
-}
-
-// fileHooks is the fault-injection state shared by every log file a store
-// opens while it is installed (see hook).
-type fileHooks struct {
-	syncs      atomic.Int64
-	written    atomic.Int64
-	shortWrite atomic.Bool // the next Write lands half its bytes and fails
-	failSync   atomic.Bool // the next Sync fails
-	parkSync   atomic.Bool // the next Sync signals parked, then waits for release
-	parked     chan struct{}
-	release    chan struct{}
-}
-
-type hookedFile struct {
-	*os.File
-	h *fileHooks
-}
-
-func (f hookedFile) Write(p []byte) (int, error) {
-	if f.h.shortWrite.CompareAndSwap(true, false) {
-		n, _ := f.File.Write(p[:len(p)/2])
-		f.h.written.Add(int64(n))
-		return n, io.ErrShortWrite
-	}
-	n, err := f.File.Write(p)
-	f.h.written.Add(int64(n))
-	return n, err
-}
-
-func (f hookedFile) Sync() error {
-	f.h.syncs.Add(1)
-	if f.h.failSync.CompareAndSwap(true, false) {
-		return errors.New("injected fsync failure")
-	}
-	if f.h.parkSync.CompareAndSwap(true, false) {
-		f.h.parked <- struct{}{}
-		<-f.h.release
-	}
-	return f.File.Sync()
-}
-
-// hook routes every checkpoint log file s opens from now on through h.
-func hook(s *FileStore) *fileHooks {
-	h := &fileHooks{parked: make(chan struct{}), release: make(chan struct{})}
-	s.wrapCkptFile = func(f *os.File) logFile { return hookedFile{f, h} }
-	return h
 }
 
 // TestCheckpointRoundTrip: checkpoints survive a save/reopen cycle intact,
@@ -163,8 +114,8 @@ func TestCheckpointResumedSessionAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := open(t, dir)
-	h := hook(s2)
+	s2, fs := openFaulty(t, dir)
+	written := fs.written.Load()
 	if err := s2.SaveCheckpoint(ckpt("s1", 7)); err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +123,8 @@ func TestCheckpointResumedSessionAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(after, before) || h.written.Load() != int64(len(after)-len(before)) {
-		t.Fatalf("resumed save wrote %d bytes, log grew %d → %d: not an append", h.written.Load(), len(before), len(after))
+	if written = fs.written.Load() - written; !bytes.HasPrefix(after, before) || written != int64(len(after)-len(before)) {
+		t.Fatalf("resumed save wrote %d bytes, log grew %d → %d: not an append", written, len(before), len(after))
 	}
 	wantLoaded(t, s2, ckpt("s1", 7), "after the resumed save")
 }
@@ -310,7 +261,7 @@ func boundaryLog(t testing.TB) (full []byte, lastLine int) {
 func TestCheckpointEveryTornTail(t *testing.T) {
 	full, lastLine := boundaryLog(t)
 	dir := t.TempDir()
-	s := open(t, dir)
+	s, _ := openFaulty(t, dir)
 	if err := os.MkdirAll(filepath.Join(dir, checkpointDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -351,20 +302,20 @@ func TestCheckpointEveryTornTail(t *testing.T) {
 func TestCheckpointFailedSaveRecovers(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		arm  func(h *fileHooks)
+		arm  func(fs *faultFS)
 	}{
-		{"short write", func(h *fileHooks) { h.shortWrite.Store(true) }},
-		{"failed fsync", func(h *fileHooks) { h.failSync.Store(true) }},
+		{"short write", func(fs *faultFS) { fs.once("Write", short) }},
+		{"failed fsync", func(fs *faultFS) { fs.once("Sync", fail) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s := open(t, dir)
-			h := hook(s)
+			s, fs := openFaulty(t, dir)
+			opened := fs.fileSyncs.Load()
 			for i, n := range []int{0, 2} {
 				if err := s.SaveCheckpoint(ckpt("s1", n)); err != nil {
 					t.Fatal(err)
 				}
-				if got := h.syncs.Load(); got != int64(i+1) {
+				if got := fs.fileSyncs.Load() - opened; got != int64(i+1) {
 					t.Fatalf("%d File.Sync calls after %d saves", got, i+1)
 				}
 			}
@@ -373,7 +324,7 @@ func TestCheckpointFailedSaveRecovers(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			tc.arm(h)
+			tc.arm(fs)
 			if err := s.SaveCheckpoint(ckpt("s1", 4)); err == nil {
 				t.Fatal("save with an injected fault reported success")
 			}
@@ -382,11 +333,11 @@ func TestCheckpointFailedSaveRecovers(t *testing.T) {
 			}
 			wantLoaded(t, s, ckpt("s1", 2), "after the failed save")
 
-			syncs := h.syncs.Load()
+			syncs := fs.fileSyncs.Load()
 			if err := s.SaveCheckpoint(ckpt("s1", 6)); err != nil {
 				t.Fatalf("save after the fault cleared: %v", err)
 			}
-			if got := h.syncs.Load() - syncs; got != 1 {
+			if got := fs.fileSyncs.Load() - syncs; got != 1 {
 				t.Errorf("recovering save called File.Sync %d times, want 1", got)
 			}
 			wantLoaded(t, s, ckpt("s1", 6), "after recovery")
@@ -400,15 +351,14 @@ func TestCheckpointFailedSaveRecovers(t *testing.T) {
 // checkpoint fsync (parked there holding its log's lock), archive lookups
 // and appends, listing, and every other session's saves and deletes complete.
 func TestCheckpointSaveBlocksNobodyElse(t *testing.T) {
-	s := open(t, t.TempDir())
+	s, fs := openFaulty(t, t.TempDir())
 	if _, err := s.Append(rec("dbms", "tpch", 3)); err != nil {
 		t.Fatal(err)
 	}
-	h := hook(s)
-	h.parkSync.Store(true)
+	fs.once("Sync", park)
 	saved := make(chan error, 1)
 	go func() { saved <- s.SaveCheckpoint(ckpt("s1", 2)) }()
-	<-h.parked
+	<-fs.parked
 
 	others := make(chan error, 1)
 	go func() {
@@ -437,7 +387,7 @@ func TestCheckpointSaveBlocksNobodyElse(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		close(h.release)
+		close(fs.release)
 		t.Fatal("store operations queued behind another session's checkpoint fsync")
 	}
 	select {
@@ -445,7 +395,7 @@ func TestCheckpointSaveBlocksNobodyElse(t *testing.T) {
 		t.Fatalf("parked save returned early: %v", err)
 	default:
 	}
-	close(h.release)
+	close(fs.release)
 	if err := <-saved; err != nil {
 		t.Fatal(err)
 	}
@@ -526,17 +476,13 @@ func benchTrial(i int) tune.ReplayTrial {
 // daemon issues it: the admission save, seven boundary saves of a history
 // growing to 30 trials, then the delete.
 func BenchmarkCheckpointSession(b *testing.B) {
-	s, err := Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	h := hook(s)
+	s, fs := openFaulty(b, b.TempDir())
 	cp := SessionCheckpoint{SID: "b1", Spec: json.RawMessage(`{"system":"dbms","workload":"tpch","tuner":"ituned","seed":42,"budget":{"trials":30},"warm_start":true}`)}
 	for i := 0; i < 30; i++ {
 		cp.Replay.Trials = append(cp.Replay.Trials, benchTrial(i))
 	}
 	boundaries := []int{0, 6, 10, 14, 18, 22, 26, 30}
+	written, syncs := fs.written.Load(), fs.fileSyncs.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, n := range boundaries {
@@ -551,8 +497,8 @@ func BenchmarkCheckpointSession(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(h.written.Load())/float64(b.N), "written-B/session")
-	b.ReportMetric(float64(h.syncs.Load())/float64(b.N), "fsyncs/session")
+	b.ReportMetric(float64(fs.written.Load()-written)/float64(b.N), "written-B/session")
+	b.ReportMetric(float64(fs.fileSyncs.Load()-syncs)/float64(b.N), "fsyncs/session")
 }
 
 // TestSplitSID: the one session-id parser, behind both checkpoint ordering

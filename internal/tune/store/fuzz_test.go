@@ -18,15 +18,11 @@ func segBytes(t testing.TB) ([]byte, []Stored) {
 		{ID: 2, Record: rec("spark", "pagerank", 2)},
 		{ID: 5, Record: rec("dbms", "oltp", 1)},
 	}
-	path := filepath.Join(t.TempDir(), "seg-fixture.seg")
-	if _, err := writeSegment(path, recs); err != nil {
+	var buf bytes.Buffer
+	if _, err := writeSegment(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, recs
+	return buf.Bytes(), recs
 }
 
 func openSegBytes(t *testing.T, data []byte) (*segment, error) {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 )
 
 // The manifest is the store's commit point: a small JSON file naming the
@@ -43,30 +42,14 @@ func readManifest(path string) (manifest, bool, error) {
 	return m, true, nil
 }
 
-// writeManifest durably installs m at path via temp-file + rename.
-func writeManifest(path string, m manifest) error {
-	sort.Slice(m.Deleted, func(i, j int) bool { return m.Deleted[i] < m.Deleted[j] })
+// installManifest durably installs m as the store's manifest; its rename is
+// the commit point of a fold, a bulk append or a compaction.
+func (s *FileStore) installManifest(m manifest) error {
 	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("store: encoding manifest: %w", err)
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: writing manifest: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("store: writing manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: fsyncing manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := installBytes(s.fs, s.path(manifestFile), data); err != nil {
 		return fmt.Errorf("store: installing manifest: %w", err)
 	}
 	return nil

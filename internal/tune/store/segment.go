@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -34,7 +35,7 @@ import (
 // vector (exact float64 bits, so indexed distances are bit-identical to
 // distances over the decoded record).
 //
-// A segment is written whole to a temporary file, fsynced, and renamed; the
+// A segment is installed whole (install: temporary file, fsync, rename); the
 // manifest references it only after the rename, so a reader never sees a
 // partial segment through the manifest. If the index block is damaged
 // anyway, the reader falls back to scanning the CRC-framed records region
@@ -140,39 +141,24 @@ func sortedFeats(m map[string]float64) []tune.KV {
 	return out
 }
 
-// writeSegment writes recs (in order) as a complete segment at path via a
-// temporary file and rename. It returns the written index entries.
-func writeSegment(path string, recs []Stored) ([]segEntry, error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: writing segment: %w", err)
-	}
-	cleanup := func(err error) ([]segEntry, error) {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if _, err := w.Write(segMagic); err != nil {
-		return cleanup(fmt.Errorf("store: writing segment: %w", err))
-	}
+// writeSegment encodes recs (in order) as a complete segment onto dst and
+// returns its index entries. A bufio.Writer latches its first error, so only
+// the final Flush needs checking.
+func writeSegment(dst io.Writer, recs []Stored) ([]segEntry, error) {
+	w := bufio.NewWriterSize(dst, 1<<20)
+	w.Write(segMagic)
 	off := int64(len(segMagic))
 	entries := make([]segEntry, 0, len(recs))
 	var frame [8]byte
 	for _, st := range recs {
 		payload, err := json.Marshal(st)
 		if err != nil {
-			return cleanup(fmt.Errorf("store: encoding record %d: %w", st.ID, err))
+			return nil, fmt.Errorf("store: encoding record %d: %w", st.ID, err)
 		}
 		binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-		if _, err := w.Write(frame[:]); err != nil {
-			return cleanup(fmt.Errorf("store: writing segment: %w", err))
-		}
-		if _, err := w.Write(payload); err != nil {
-			return cleanup(fmt.Errorf("store: writing segment: %w", err))
-		}
+		w.Write(frame[:])
+		w.Write(payload)
 		e := entryFor(st)
 		e.off = off + 8
 		e.length = uint32(len(payload))
@@ -180,32 +166,37 @@ func writeSegment(path string, recs []Stored) ([]segEntry, error) {
 		off += 8 + int64(len(payload))
 	}
 	index := encodeSegmentIndex(entries)
-	if _, err := w.Write(index); err != nil {
-		return cleanup(fmt.Errorf("store: writing segment index: %w", err))
-	}
+	w.Write(index)
 	var footer [segFooterLen]byte
 	binary.LittleEndian.PutUint64(footer[0:], uint64(off))
 	binary.LittleEndian.PutUint32(footer[8:], uint32(len(index)))
 	binary.LittleEndian.PutUint32(footer[12:], crc32.ChecksumIEEE(index))
 	copy(footer[16:], segIdxMagic)
-	if _, err := w.Write(footer[:]); err != nil {
-		return cleanup(fmt.Errorf("store: writing segment footer: %w", err))
-	}
+	w.Write(footer[:])
 	if err := w.Flush(); err != nil {
-		return cleanup(fmt.Errorf("store: flushing segment: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(fmt.Errorf("store: fsyncing segment: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("store: closing segment: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("store: installing segment: %w", err)
+		return nil, fmt.Errorf("store: writing segment: %w", err)
 	}
 	return entries, nil
+}
+
+// installSegment durably installs recs as the segment file name and opens it
+// for reading. The caller commits it by naming it in the manifest; opening it
+// here, before that commit, leaves nothing fallible after it.
+func (s *FileStore) installSegment(name string, recs []Stored) (*segment, error) {
+	path := s.path(name)
+	var entries []segEntry
+	err := install(s.fs, path, func(w io.Writer) (err error) {
+		entries, err = writeSegment(w, recs)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: installing segment: %w", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("store: opening segment: %w", err)
+	}
+	return &segment{path: path, f: f, entries: entries, sorted: entriesSorted(entries)}, nil
 }
 
 // encodeSegmentIndex serializes the index block: an interned string table

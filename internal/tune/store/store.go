@@ -20,13 +20,13 @@
 // committed segment's index, and the tail; a torn tail (a final line
 // missing its newline or cut mid-JSON by a crash) is truncated away,
 // recovering every complete record. When the tail grows past CompactEvery
-// entries it is folded into a new segment and truncated. This is the only
-// layout the store reads: Open refuses a directory still in a retired one
-// (see errLegacyLayout).
+// entries it is folded into a new segment and truncated. Every write goes
+// through fs.go: one append-only log type, one atomic install, one file-system
+// seam. This is the only layout the store reads: Open refuses a directory
+// still in a retired one (see errLegacyLayout).
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -150,6 +150,7 @@ type recRef struct {
 // FileStore is the file-backed Store.
 type FileStore struct {
 	dir string
+	fs  fileSystem
 
 	// CompactEvery is the number of WAL entries that triggers an automatic
 	// tail fold on the next mutation (default DefaultCompactEvery; set it
@@ -172,8 +173,8 @@ type FileStore struct {
 	// the index must be (re)built does a lookup upgrade to the write lock
 	// (see lookupWalk).
 	mu        sync.RWMutex
-	wal       *os.File
-	lock      *os.File // held flock guarding the directory against other processes
+	wal       *appendLog // its size is the WAL's bytes since the last fold
+	lock      *os.File   // held flock guarding the directory against other processes
 	closed    bool
 	man       manifest
 	segs      []*segment
@@ -181,7 +182,6 @@ type FileStore struct {
 	tailRecs  map[int64]tune.SessionRecord
 	dead      map[int64]bool // tombstoned segment-resident ids
 	walLen    int            // entries in the WAL since the last fold
-	walBytes  int64          // bytes in the WAL since the last fold
 	nextID    int64
 
 	// Lazy feature-space index over the live corpus; refs maps its walk
@@ -197,21 +197,22 @@ type FileStore struct {
 	// under mu (see checkpoint.go).
 	ckptMu sync.Mutex
 	ckpts  map[string]*ckptLog
-	// wrapCkptFile, set only by tests, wraps every checkpoint log file the
-	// store opens.
-	wrapCkptFile func(*os.File) logFile
 }
 
 func (s *FileStore) path(name string) string { return filepath.Join(s.dir, name) }
 
 // Open loads (or initializes) the store rooted at dir, recovering from any
 // torn WAL tail left by a crash. A directory in a retired layout is refused.
-func Open(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func Open(dir string) (*FileStore, error) { return openFS(dir, osFS{}) }
+
+// openFS is Open writing through fs.
+func openFS(dir string, fs fileSystem) (*FileStore, error) {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
 	s := &FileStore{
 		dir:          dir,
+		fs:           fs,
 		CompactEvery: DefaultCompactEvery,
 		CompactBytes: DefaultCompactBytes,
 		nextID:       1,
@@ -260,10 +261,9 @@ func Open(dir string) (*FileStore, error) {
 	if !haveMan {
 		// Fresh directory: commit an empty manifest.
 		man = manifest{Version: 2, NextID: 1}
-		if err := writeManifest(s.path(manifestFile), man); err != nil {
+		if err := s.installManifest(man); err != nil {
 			return fail(err)
 		}
-		s.syncDir()
 	}
 	s.man = man
 	if s.man.NextID > s.nextID {
@@ -287,11 +287,6 @@ func Open(dir string) (*FileStore, error) {
 	if err := s.replayWAL(); err != nil {
 		return fail(err)
 	}
-	wal, err := os.OpenFile(s.path(walFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fail(fmt.Errorf("store: opening WAL: %w", err))
-	}
-	s.wal = wal
 	// A WAL past the fold threshold (e.g. the previous owner's folds kept
 	// failing) is folded now rather than re-replayed on every future open;
 	// best-effort like any auto-fold.
@@ -336,28 +331,11 @@ func (s *FileStore) findSeg(id int64) (segIdx, entIdx int, ok bool) {
 	return 0, 0, false
 }
 
-// scanLog feeds each complete (newline-terminated) line of a JSON-lines log
-// to accept until one is refused, and returns the byte offset past the last
-// accepted line. Everything beyond it is a torn tail: a final line missing its
-// newline, or one a crash cut short or damaged before the newline landed.
-func scanLog(data []byte, accept func(line []byte) bool) (good int) {
-	for good < len(data) {
-		nl := bytes.IndexByte(data[good:], '\n')
-		if nl < 0 || !accept(data[good:good+nl]) {
-			break
-		}
-		good += nl + 1
-	}
-	return good
-}
-
-// replayWAL applies every complete log entry and truncates a torn tail.
+// replayWAL applies every complete log entry and opens the WAL for appending,
+// its torn tail cut away.
 func (s *FileStore) replayWAL() error {
 	data, err := os.ReadFile(s.path(walFile))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: reading WAL: %w", err)
 	}
 	good := scanLog(data, func(line []byte) bool {
@@ -369,12 +347,9 @@ func (s *FileStore) replayWAL() error {
 		s.walLen++
 		return true
 	})
-	if good < len(data) {
-		if err := os.Truncate(s.path(walFile), int64(good)); err != nil {
-			return fmt.Errorf("store: truncating torn WAL tail: %w", err)
-		}
+	if s.wal, err = openLog(s.fs, s.path(walFile), good, len(data)); err != nil {
+		return fmt.Errorf("store: opening WAL: %w", err)
 	}
-	s.walBytes = int64(good)
 	return nil
 }
 
@@ -414,7 +389,7 @@ func (s *FileStore) apply(e logEntry) {
 	}
 }
 
-// appendEntry writes one WAL line and fsyncs it.
+// appendEntry makes one WAL line durable.
 func (s *FileStore) appendEntry(e logEntry) error {
 	if s.closed {
 		return fmt.Errorf("store: %s is closed", s.dir)
@@ -423,15 +398,10 @@ func (s *FileStore) appendEntry(e logEntry) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding log entry: %w", err)
 	}
-	line = append(line, '\n')
-	if _, err := s.wal.Write(line); err != nil {
+	if err := s.wal.append(append(line, '\n')); err != nil {
 		return fmt.Errorf("store: appending to WAL: %w", err)
 	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: fsyncing WAL: %w", err)
-	}
 	s.walLen++
-	s.walBytes += int64(len(line))
 	return nil
 }
 
@@ -481,32 +451,19 @@ func (s *FileStore) BulkAppend(recs []tune.SessionRecord) (int64, error) {
 	}
 	man := s.man
 	man.NextID = first + int64(len(recs))
-	name := segName(man.Seq)
-	man.Seq++
-	entries, err := writeSegment(s.path(name), stored)
+	sg, err := s.commitLocked(man, stored)
 	if err != nil {
 		return 0, err
 	}
-	man.Segments = append(append([]string(nil), s.man.Segments...), name)
-	s.syncDir()
-	if err := writeManifest(s.path(manifestFile), man); err != nil {
-		return 0, err
-	}
-	s.syncDir()
-	f, err := os.Open(s.path(name))
-	if err != nil {
-		return 0, fmt.Errorf("store: reopening bulk segment: %w", err)
-	}
-	s.segs = append(s.segs, &segment{path: s.path(name), f: f, entries: entries, sorted: entriesSorted(entries)})
-	s.man = man
+	s.segs = append(s.segs, sg)
 	s.nextID = man.NextID
 	if s.corpusOK {
 		// Bulk appends extend the live order just like Append does, so the
 		// lazy index absorbs them incrementally.
 		si := int32(len(s.segs) - 1)
-		for i := range entries {
-			s.corpus.AddKV(entries[i].system, entries[i].feats, len(s.refs))
-			s.refs = append(s.refs, recRef{seg: si, ent: int32(i), id: entries[i].id})
+		for i := range sg.entries {
+			s.corpus.AddKV(sg.entries[i].system, sg.entries[i].feats, len(s.refs))
+			s.refs = append(s.refs, recRef{seg: si, ent: int32(i), id: sg.entries[i].id})
 		}
 	}
 	return first, nil
@@ -790,16 +747,40 @@ func (s *FileStore) Nearest(system string, features map[string]float64) (Summary
 // next mutation and folded at the latest on reopen.
 func (s *FileStore) maybeCompactLocked() {
 	byCount := s.CompactEvery > 0 && s.walLen >= s.CompactEvery
-	bySize := s.CompactBytes > 0 && s.walBytes >= s.CompactBytes
+	bySize := s.CompactBytes > 0 && s.wal.size >= s.CompactBytes
 	if byCount || bySize {
 		_ = s.foldTailLocked()
 	}
 }
 
-// foldTailLocked turns the WAL tail into a new committed segment: segment
-// rename, then manifest rename (the commit point), then WAL truncation.
-// A crash between any two steps loses nothing — an orphan segment is
-// ignored, and already-folded WAL entries deduplicate on replay.
+// commitLocked makes man the store's manifest, first installing recs (if any)
+// as the new segment it names last. The manifest rename is the commit point: a
+// failure before it leaves the committed state as it was (an orphan segment is
+// ignored on reopen, and overwritten by the next commit), and the segment is
+// already open, so nothing after it can fail.
+func (s *FileStore) commitLocked(man manifest, recs []Stored) (*segment, error) {
+	var sg *segment
+	if len(recs) > 0 {
+		name := segName(man.Seq)
+		man.Seq++
+		var err error
+		if sg, err = s.installSegment(name, recs); err != nil {
+			return nil, err
+		}
+		man.Segments = append(append([]string(nil), man.Segments...), name)
+	}
+	if err := s.installManifest(man); err != nil {
+		if sg != nil {
+			sg.close()
+		}
+		return nil, err
+	}
+	s.man = man
+	return sg, nil
+}
+
+// foldTailLocked turns the WAL tail into a new committed segment, then
+// empties the WAL.
 func (s *FileStore) foldTailLocked() error {
 	if s.closed {
 		return fmt.Errorf("store: %s is closed", s.dir)
@@ -810,58 +791,41 @@ func (s *FileStore) foldTailLocked() error {
 	man := s.man
 	man.NextID = s.nextID
 	man.Deleted = deadList(s.dead)
-	var entries []segEntry
-	if len(s.tailOrder) > 0 {
-		recs := make([]Stored, 0, len(s.tailOrder))
-		for _, id := range s.tailOrder {
-			recs = append(recs, Stored{ID: id, Record: s.tailRecs[id]})
-		}
-		name := segName(man.Seq)
-		man.Seq++
-		var err error
-		if entries, err = writeSegment(s.path(name), recs); err != nil {
-			return err
-		}
-		man.Segments = append(append([]string(nil), s.man.Segments...), name)
-		s.syncDir()
-		if err := writeManifest(s.path(manifestFile), man); err != nil {
-			return err
-		}
-		f, err := os.Open(s.path(name))
-		if err != nil {
-			return fmt.Errorf("store: reopening folded segment: %w", err)
-		}
-		s.segs = append(s.segs, &segment{path: s.path(name), f: f, entries: entries, sorted: entriesSorted(entries)})
-		s.tailOrder = nil
-		s.tailRecs = map[int64]tune.SessionRecord{}
-	} else if err := writeManifest(s.path(manifestFile), man); err != nil {
+	recs := make([]Stored, 0, len(s.tailOrder))
+	for _, id := range s.tailOrder {
+		recs = append(recs, Stored{ID: id, Record: s.tailRecs[id]})
+	}
+	sg, err := s.commitLocked(man, recs)
+	if err != nil {
 		return err
 	}
-	s.syncDir()
-	s.man = man
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: truncating WAL after fold: %w", err)
+	if sg != nil {
+		s.segs = append(s.segs, sg)
+		s.tailOrder = nil
+		s.tailRecs = map[int64]tune.SessionRecord{}
 	}
-	// O_APPEND writes continue at the (now zero) end of file; reset our
-	// entry and byte counts so auto-folding re-arms.
-	s.walLen = 0
-	s.walBytes = 0
-	// The fold preserved the live order, so a valid index stays valid —
-	// only its record references moved from the tail into the new segment.
-	if s.corpusOK {
-		s.rebuildRefsLocked()
-	}
-	return nil
+	return s.resetWALLocked()
 }
 
-// rebuildRefsLocked re-derives refs after a fold. The live order is
-// unchanged, so positions (and the corpus index built over them) survive.
-func (s *FileStore) rebuildRefsLocked() {
-	s.refs = s.refs[:0]
-	s.iterLiveLocked(func(ref recRef) bool {
-		s.refs = append(s.refs, ref)
-		return true
-	})
+// resetWALLocked empties the WAL once a commit holds everything in it, and
+// re-derives the index's record references: the live order is unchanged, so
+// positions (and the corpus index built over them) survive. The truncate is
+// the only fallible step after a commit point, and failing it loses nothing:
+// replay skips entries a committed segment already holds, and the next fold
+// empties the WAL again.
+func (s *FileStore) resetWALLocked() error {
+	if s.corpusOK {
+		s.refs = s.refs[:0]
+		s.iterLiveLocked(func(ref recRef) bool {
+			s.refs = append(s.refs, ref)
+			return true
+		})
+	}
+	if err := s.wal.reset(); err != nil {
+		return fmt.Errorf("store: truncating WAL: %w", err)
+	}
+	s.walLen = 0
+	return nil
 }
 
 func deadList(dead map[int64]bool) []int64 {
@@ -897,60 +861,23 @@ func (s *FileStore) Compact() error {
 	if err != nil {
 		return err
 	}
-	man := manifest{Version: 2, NextID: s.nextID, Seq: s.man.Seq}
-	var segs []*segment
-	if len(recs) > 0 {
-		name := segName(man.Seq)
-		man.Seq++
-		entries, werr := writeSegment(s.path(name), recs)
-		if werr != nil {
-			return werr
-		}
-		s.syncDir()
-		f, oerr := os.Open(s.path(name))
-		if oerr != nil {
-			return fmt.Errorf("store: reopening compacted segment: %w", oerr)
-		}
-		man.Segments = []string{name}
-		segs = []*segment{{path: s.path(name), f: f, entries: entries, sorted: entriesSorted(entries)}}
-	}
-	if err := writeManifest(s.path(manifestFile), man); err != nil {
-		for _, sg := range segs {
-			sg.close()
-		}
+	sg, err := s.commitLocked(manifest{Version: 2, NextID: s.nextID, Seq: s.man.Seq}, recs)
+	if err != nil {
 		return err
 	}
-	s.syncDir()
 	old := s.segs
-	s.segs = segs
-	s.man = man
+	s.segs = nil
+	if sg != nil {
+		s.segs = []*segment{sg}
+	}
 	s.tailOrder = nil
 	s.tailRecs = map[int64]tune.SessionRecord{}
 	s.dead = map[int64]bool{}
 	for _, sg := range old {
 		sg.close()
-		_ = os.Remove(sg.path)
+		_ = s.fs.Remove(sg.path) // no longer named: a leftover is ignored
 	}
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: truncating WAL after compaction: %w", err)
-	}
-	s.walLen = 0
-	s.walBytes = 0
-	if s.corpusOK {
-		s.rebuildRefsLocked()
-	}
-	return nil
-}
-
-// syncDir fsyncs the store directory so renames are durable; best-effort
-// because not every platform supports directory fsync.
-func (s *FileStore) syncDir() { fsyncDir(s.dir) }
-
-func fsyncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
+	return s.resetWALLocked()
 }
 
 // Close implements Store.
@@ -962,7 +889,7 @@ func (s *FileStore) Close() error {
 	}
 	s.closed = true
 	s.closeCkptLogs()
-	err := s.wal.Close()
+	err := s.wal.f.Close()
 	for _, sg := range s.segs {
 		sg.close()
 	}
