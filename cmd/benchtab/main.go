@@ -3,11 +3,14 @@
 // Usage:
 //
 //	benchtab -exp table1            # one experiment
-//	benchtab -exp all               # everything (minutes)
+//	benchtab -exp all               # everything (seconds)
 //	benchtab -exp table1 -parallel 8
 //	benchtab -exp table2 -csv out.csv
 //	benchtab -exp all -json out.json
 //	benchtab -list
+//
+// A tuning session that fails makes benchtab exit 1 with an error naming the
+// experiment and the cell.
 package main
 
 import (
@@ -22,9 +25,8 @@ import (
 	"repro/internal/bench"
 )
 
-// record is one experiment's JSON form: the table plus enough run metadata
-// (options, wall-clock) that successive BENCH_*.json files form a
-// performance trajectory across PRs.
+// record is one experiment's JSON form: the table plus the options that
+// regenerate it and the wall-clock it took.
 type record struct {
 	Experiment     string     `json:"experiment"`
 	Title          string     `json:"title"`

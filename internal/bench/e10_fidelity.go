@@ -1,13 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/engine"
+	"repro"
 	"repro/internal/tune"
-	"repro/internal/tuners/experiment"
-	"repro/internal/workload"
 )
 
 // FidelityReachFactor is the incumbent-parity tolerance: a session has
@@ -31,7 +28,7 @@ const FidelityReachFactor = 1.10
 // cost is the order-of-magnitude claim; it holds here because a
 // sampled-ops DBMS workload ranks configurations faithfully at low
 // fidelity (see DESIGN.md §11 for when it would not).
-func Fidelity(o Options) *Table {
+func Fidelity(o Options) (*Table, error) {
 	t := &Table{
 		Title: "E10 (fidelity): successive-halving/Hyperband vs full-fidelity tuning (dbms/tpch)",
 		Columns: []string{
@@ -46,54 +43,37 @@ func Fidelity(o Options) *Table {
 		// comparison is only interesting with at least one whole sweep.
 		b.Trials = 22
 	}
-	scale := o.scaleGB(3, 2)
-
-	mustMF := func(strategy string, seed int64) tune.Tuner {
-		mf, err := tune.NewMultiFidelity(experiment.NewITuned(seed), tune.FidelitySpace{}, strategy, seed)
-		if err != nil {
-			panic(err.Error())
-		}
-		return mf
-	}
 	variants := []struct {
 		approach string
-		tuner    func(seed int64) tune.Tuner
+		fidelity *repro.FidelitySpec
 	}{
-		{"iTuned (full fidelity)", func(seed int64) tune.Tuner { return experiment.NewITuned(seed) }},
-		{"Hyperband-iTuned", func(seed int64) tune.Tuner { return mustMF(tune.StrategyHyperband, seed) }},
-		{"SuccessiveHalving-iTuned", func(seed int64) tune.Tuner { return mustMF(tune.StrategyHalving, seed) }},
+		{"iTuned (full fidelity)", nil},
+		{"Hyperband-iTuned", &repro.FidelitySpec{Strategy: tune.StrategyHyperband}},
+		{"SuccessiveHalving-iTuned", &repro.FidelitySpec{Strategy: tune.StrategyHalving}},
 	}
-	// Submitted through run handles (not RunJobs) so the pruned-trial count
-	// is observable from each session's event log.
-	eng := o.engine()
-	runs := make([]*engine.Run, len(variants))
-	for i, v := range variants {
-		runs[i] = eng.Submit(engine.Job{
-			Name:   v.approach,
-			Tuner:  v.tuner(o.Seed),
-			Target: DBMSTarget(workload.TPCHLike(scale), o.Seed),
-			Budget: b,
-		})
+	var cells []cell
+	for _, v := range variants {
+		cells = append(cells, cell{spec: repro.Spec{
+			System: "dbms", Workload: "tpch", Tuner: "ituned", Seed: o.Seed, Budget: b,
+			Target: repro.TargetOptions{ScaleGB: o.scaleGB(3, 2)}, Fidelity: v.fidelity,
+		}})
 	}
-	results := make([]*tune.TuningResult, len(runs))
-	for i, r := range runs {
-		res, err := r.Wait(context.Background())
-		if err != nil {
-			panic(fmt.Sprintf("bench: fidelity session %s failed: %v", variants[i].approach, err))
-		}
-		results[i] = res
+	sessions, err := runCells(o, cells)
+	if err != nil {
+		return nil, err
 	}
 
-	fullBest := results[0].BestResult.Time
-	fullCost := results[0].SimTimeUsed
-	for i, res := range results {
+	fullBest := sessions[0].result.BestResult.Time
+	fullCost := sessions[0].result.SimTimeUsed
+	for i, s := range sessions {
+		res := s.result
 		full := 0
 		for _, tr := range res.Trials {
 			if tr.Result.FullFidelity() {
 				full++
 			}
 		}
-		pruned := runs[i].Progress().TrialsPruned
+		pruned := s.run.Progress().TrialsPruned
 		reach := ReachCost(res, fullBest, FidelityReachFactor)
 		reachS, ratioS := "never", "—"
 		if reach >= 0 {
@@ -111,7 +91,7 @@ func Fidelity(o Options) *Table {
 	t.Note("budget %d trials each at seed %d; fidelity ladder 1/9 → 1/3 → 1 (η=3); reach = first full-fidelity trial within %.0f%% of the full run's final best",
 		b.Trials, o.Seed, 100*(FidelityReachFactor-1))
 	t.Note("cost ratio = reach cost / the full-fidelity run's total evaluation cost (%.0fs); results identical at any -parallel", fullCost)
-	return t
+	return t, nil
 }
 
 // ReachCost returns the cumulative simulated evaluation cost at the first

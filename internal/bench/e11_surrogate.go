@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"time"
 
+	"repro"
 	"repro/internal/mathx/gp"
 	"repro/internal/mathx/stat"
-	"repro/internal/workload"
 )
 
 // Surrogate measures the scalable-surrogate tier: the exact GP against the
@@ -21,7 +21,7 @@ import (
 //
 // Timings are min-of-3 wall clock so the table is stable on a loaded host;
 // agreement is fully deterministic (fixed seed, fixed hyperparameters).
-func Surrogate(o Options) *Table {
+func Surrogate(o Options) (*Table, error) {
 	t := &Table{
 		Title: "E11 (surrogate): exact vs sparse-inducing vs RFF surrogate cost and agreement (dbms/tpch)",
 		Columns: []string{
@@ -33,7 +33,10 @@ func Surrogate(o Options) *Table {
 	if o.Fast {
 		ns = []int{120, 240}
 	}
-	target := DBMSTarget(workload.TPCHLike(o.scaleGB(3, 2)), o.Seed)
+	target, err := repro.NewTarget("dbms", "tpch", o.Seed, repro.TargetOptions{ScaleGB: o.scaleGB(3, 2)})
+	if err != nil {
+		return nil, err
+	}
 	space := target.Space()
 	rnd := rand.New(rand.NewSource(o.Seed))
 
@@ -66,15 +69,16 @@ func Surrogate(o Options) *Table {
 		// the approximation error rather than grid-search luck.
 		hyperRef := gp.New(gp.Matern52)
 		if err := hyperRef.Fit(xs[:n], ys[:n], true); err != nil {
-			panic(fmt.Sprintf("bench: surrogate hyper search failed: %v", err))
+			return nil, fmt.Errorf("surrogate hyper search: %w", err)
 		}
 		hp := hyperRef.Hyper
 
 		exact := gp.New(gp.Matern52)
+		var fitErr error
 		exactFit := minWall(3, func() {
 			exact = gp.New(gp.Matern52)
 			exact.Hyper = hp
-			mustFit(exact, xs[:n], ys[:n])
+			fitErr = exact.Fit(xs[:n], ys[:n], false)
 		})
 		refMu := make([]float64, len(cands))
 		for i, c := range cands {
@@ -105,8 +109,11 @@ func Surrogate(o Options) *Table {
 			if tier.name != "exact GP" { // the exact row is its own baseline
 				fit = minWall(3, func() {
 					m = tier.make()
-					mustFit(m, xs[:n], ys[:n])
+					fitErr = m.Fit(xs[:n], ys[:n], false)
 				})
+			}
+			if fitErr != nil {
+				return nil, fmt.Errorf("%s fit at n=%d: %w", tier.name, n, fitErr)
 			}
 			score := minWall(3, func() {
 				m.ScoreCandidates(cands, best, scores)
@@ -125,13 +132,7 @@ func Surrogate(o Options) *Table {
 	}
 	t.Note("seed %d; hyperparameters searched once on the exact GP and shared (timed fits use optimize=false) so rows compare factorization cost; agreement = rmse of posterior means vs the exact GP over 256 held-out candidates, in training-σy units", o.Seed)
 	t.Note("timings are min-of-3 wall clock; agreement and speedup trends are the stable columns")
-	return t
-}
-
-func mustFit(m gp.Surrogate, xs [][]float64, ys []float64) {
-	if err := m.Fit(xs, ys, false); err != nil {
-		panic(fmt.Sprintf("bench: surrogate fit failed: %v", err))
-	}
+	return t, nil
 }
 
 // minWall runs f reps times and returns the fastest wall-clock duration.

@@ -1,27 +1,22 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"repro/internal/engine"
-	"repro/internal/sysmodel/cluster"
-	"repro/internal/sysmodel/dbms"
+	"repro"
 	"repro/internal/tune"
-	"repro/internal/tuners/experiment"
-	"repro/internal/workload"
 )
 
 // Drift measures tuning under workload drift — the scenario every static
-// tuner in the survey silently assumes away. The target starts as an OLTP
-// transaction mix and shifts to TPC-H-style analytics a third of the way
-// through the budget (workload.Drift keyed by global run index, so the
-// shift point is identical at any parallelism). Baseline iTuned keeps the
-// incumbent it converged to on the pre-shift workload; drift-detecting
-// iTuned (tune.DriftDetectTuner) notices the windowed incumbent regression,
-// re-anchors the session, and restarts its search against the post-shift
-// landscape.
+// tuner in the survey silently assumes away. The target is the registered
+// dbms "oltp-olap-shift" workload: an OLTP transaction mix for the first
+// driftShiftAt runs, then TPC-H-style analytics (workload.Drift keyed by
+// global run index, so the shift point is identical at any parallelism).
+// Baseline iTuned keeps the incumbent it converged to on the pre-shift
+// workload; drift-detecting iTuned (Spec.DriftDetect) notices the windowed
+// incumbent regression, re-anchors the session, and restarts its search
+// against the post-shift landscape.
 //
 // The headline metric is deployed regret-over-time: at every post-shift
 // step, the configuration the session would deploy (its incumbent — the
@@ -33,7 +28,7 @@ import (
 // promotes — but not for offline exploration it never deploys. Both
 // variants share the seed, budget, and shift point; they differ only in
 // whether anything reacts to the shift.
-func Drift(o Options) *Table {
+func Drift(o Options) (*Table, error) {
 	t := &Table{
 		Title: "E12 (drift): workload shift mid-session — static tuning vs drift detection (dbms oltp→olap)",
 		Columns: []string{
@@ -42,54 +37,42 @@ func Drift(o Options) *Table {
 		},
 	}
 	b := o.budget()
-	if b.Trials < 20 {
-		// The shift lands a third of the way in; with fewer than ~7 trials
-		// pre-shift neither variant has time to converge before drifting.
-		b.Trials = 20
+	if b.Trials < 3*driftShiftAt {
+		// Drift detection pays a fixed reaction cost (detection latency + a
+		// fresh design phase), so the comparison needs post-shift runway for
+		// the recovered search to amortize it: the shift lands at most a
+		// third of the way in. A shift in the final trials is unrecoverable
+		// for any detector and measures nothing.
+		b.Trials = 3 * driftShiftAt
 	}
-	// Shift after the first third: drift detection pays a fixed reaction cost
-	// (detection latency + a fresh design phase), so the comparison needs
-	// enough post-shift runway for the recovered search to amortize it — the
-	// regime the scenario is about. A shift in the final trials is
-	// unrecoverable for any detector and measures nothing.
-	shiftAt := int64(b.Trials / 3)
-	scale := o.scaleGB(4, 2)
-
-	// Each job owns its target (engine contract), so the drift schedule is
-	// rebuilt per variant: OLTP for the first half of the budget, then
-	// TPC-H-like analytics forever.
-	node := cluster.CommodityNode()
-	mkTarget := func() tune.Target {
-		d, err := workload.NewDrift("oltp-olap-shift", false,
-			workload.Phase{Name: "oltp", Target: dbms.New(node, workload.OLTP(64, scale), o.Seed), Runs: shiftAt},
-			workload.Phase{Name: "olap", Target: dbms.New(node, workload.TPCHLike(scale*2), o.Seed), Runs: shiftAt},
-		)
-		if err != nil {
-			panic(fmt.Sprintf("bench: building drift target: %v", err))
-		}
-		return d
-	}
+	// Full scale is the registry's 4 GB OLTP → 10 GB analytics; fast runs
+	// both phases at 2 GB.
+	topts := repro.TargetOptions{ScaleGB: o.scaleGB(0, 2)}
 	variants := []struct {
 		approach string
-		tuner    tune.Tuner
+		detect   bool
 	}{
-		{"iTuned (no detection)", experiment.NewITuned(o.Seed)},
-		{"iTuned + drift detection", tune.DriftDetectTuner(experiment.NewITuned(o.Seed))},
+		{"iTuned (no detection)", false},
+		{"iTuned + drift detection", true},
 	}
-	eng := o.engine()
-	runs := make([]*engine.Run, len(variants))
-	for i, v := range variants {
-		runs[i] = eng.Submit(engine.Job{
-			Name:   v.approach,
-			Tuner:  v.tuner,
-			Target: mkTarget(),
-			Budget: b,
-		})
+	var cells []cell
+	for _, v := range variants {
+		cells = append(cells, cell{spec: repro.Spec{
+			System: "dbms", Workload: "oltp-olap-shift", Tuner: "ituned", Seed: o.Seed, Budget: b,
+			Target: topts, DriftDetect: v.detect,
+		}})
+	}
+	sessions, err := runCells(o, cells)
+	if err != nil {
+		return nil, err
 	}
 	// A fresh pure-OLAP target scores deployed configs against the ending
 	// workload; one evaluation per distinct config, cached, so the scoring
 	// pass is deterministic and cheap.
-	evalEnd := dbms.New(node, workload.TPCHLike(scale*2), o.Seed+999)
+	evalEnd, err := repro.NewTarget("dbms", "tpch", o.Seed+999, topts)
+	if err != nil {
+		return nil, err
+	}
 	cache := map[string]float64{}
 	evalCfg := func(cfg tune.Config) float64 {
 		k := cfg.String()
@@ -102,21 +85,16 @@ func Drift(o Options) *Table {
 	}
 
 	var baselineRegret float64
-	for i, r := range runs {
-		res, err := r.Wait(context.Background())
-		if err != nil {
-			panic(fmt.Sprintf("bench: drift session %s failed: %v", variants[i].approach, err))
-		}
-		detections := r.Progress().DriftDetections
+	for i, s := range sessions {
 		// Re-anchor positions come from the event stream: DriftDetected
 		// carries the trial count at the moment the incumbent was discarded.
 		var anchors []int
-		for _, ev := range r.History() {
+		for _, ev := range s.run.History() {
 			if ev.Kind == tune.DriftDetected {
 				anchors = append(anchors, ev.Trial)
 			}
 		}
-		regret, final := deployedRegret(res.Trials, anchors, int(shiftAt), evalCfg)
+		regret, final := deployedRegret(s.result.Trials, anchors, driftShiftAt, evalCfg)
 		reduction := "—"
 		if i == 0 {
 			baselineRegret = regret
@@ -124,17 +102,21 @@ func Drift(o Options) *Table {
 			reduction = fmt.Sprintf("%.0f%%", 100*(baselineRegret-regret)/baselineRegret)
 		}
 		t.AddRow(variants[i].approach,
-			fmt.Sprintf("%d", len(res.Trials)),
-			fmt.Sprintf("%d", detections),
+			fmt.Sprintf("%d", len(s.result.Trials)),
+			fmt.Sprintf("%d", s.run.Progress().DriftDetections),
 			fmtSeconds(final),
 			fmtSeconds(regret), reduction)
 	}
 	t.Note("budget %d trials at seed %d; workload shifts oltp→olap at trial %d; regret = per-step runtime of the deployed incumbent on the ENDING workload, averaged over post-shift steps",
-		b.Trials, o.Seed, shiftAt)
+		b.Trials, o.Seed, driftShiftAt)
 	t.Note("detection = windowed incumbent-regression test (window %d, factor %.1f); a detection re-anchors the incumbent and restarts the search with the remaining budget",
 		tune.DriftWindow, tune.DriftFactor)
-	return t
+	return t, nil
 }
+
+// driftShiftAt is the run after which the registered dbms "oltp-olap-shift"
+// workload turns from OLTP to analytics.
+const driftShiftAt = 15
 
 // deployedRegret replays the session's incumbent trajectory — best observed
 // objective since the last re-anchor, with the previously deployed config

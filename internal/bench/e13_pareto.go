@@ -1,20 +1,18 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
+	"repro"
 	"repro/internal/engine"
 	"repro/internal/tune"
-	"repro/internal/tuners/experiment"
-	"repro/internal/workload"
 )
 
 // Pareto measures multi-objective tuning: latency vs dollar cost on the
 // DBMS, whose cost model prices the provisioned footprint (memory,
 // connection slots) rather than scaling with elapsed time — so the two
 // objectives genuinely conflict. Single-objective iTuned optimizes latency
-// alone; the multi-objective sweep (tune.MultiObjectiveTuner) fans the same
+// alone; the multi-objective sweep (Spec.Pareto) fans the same
 // tuner across scalarization weights from pure-latency to pure-cost. Both
 // sessions track the Pareto front over their trials (Scenario.Pareto), so
 // the comparison is front quality: normalized hypervolume over the union of
@@ -24,7 +22,7 @@ import (
 // fast-but-expensive corner, so the front it incidentally uncovers covers a
 // sliver of the trade-off; the weighted sweep maps it, dominating strictly
 // more of objective space for the same trial budget.
-func Pareto(o Options) *Table {
+func Pareto(o Options) (*Table, error) {
 	t := &Table{
 		Title: "E13 (pareto): latency-vs-cost multi-objective tuning (dbms/tpch)",
 		Columns: []string{
@@ -41,52 +39,28 @@ func Pareto(o Options) *Table {
 	if b.Trials < 60 {
 		b.Trials = 60
 	}
-	scale := o.scaleGB(3, 2)
-
-	single := experiment.NewITuned(o.Seed)
-	subs := make([]tune.BatchTuner, len(tune.DefaultParetoWeights))
-	for i := range subs {
-		// One differently seeded sub-search per weight, mirroring the spec
-		// layer's wiring.
-		subs[i] = experiment.NewITuned(o.Seed + int64(i))
-	}
-	multi, err := tune.MultiObjectiveTuner(subs, tune.DefaultParetoWeights)
+	// Both sessions track their fronts: the weighted sweep by its spec, the
+	// latency-only search by setting the job's front tracking directly.
+	single := repro.Spec{System: "dbms", Workload: "tpch", Tuner: "ituned", Seed: o.Seed, Budget: b,
+		Target: repro.TargetOptions{ScaleGB: o.scaleGB(3, 2)}}
+	multi := single
+	multi.Pareto = true
+	sessions, err := runCells(o, []cell{
+		{spec: single, adjust: func(j *engine.Job) { j.Pareto = true }},
+		{spec: multi},
+	})
 	if err != nil {
-		panic(fmt.Sprintf("bench: building multi-objective tuner: %v", err))
+		return nil, err
 	}
-	variants := []struct {
-		approach string
-		tuner    tune.Tuner
-	}{
-		{"iTuned (latency only)", single},
-		{"iTuned × weights (multi-objective)", multi},
-	}
-	eng := o.engine()
-	runs := make([]*engine.Run, len(variants))
-	for i, v := range variants {
-		runs[i] = eng.Submit(engine.Job{
-			Name:   v.approach,
-			Tuner:  v.tuner,
-			Target: DBMSTarget(workload.TPCHLike(scale), o.Seed),
-			Budget: b,
-			Pareto: true, // both sessions track their fronts
-		})
-	}
-	results := make([]*tune.TuningResult, len(runs))
-	for i, r := range runs {
-		res, err := r.Wait(context.Background())
-		if err != nil {
-			panic(fmt.Sprintf("bench: pareto session %s failed: %v", variants[i].approach, err))
-		}
-		results[i] = res
-	}
+	approaches := []string{"iTuned (latency only)", "iTuned × weights (multi-objective)"}
 
 	// Both fronts scored on the unit square spanned by their union, so the
 	// hypervolumes are comparable and not drowned by outlier trials.
-	hvs := tune.NormalizedHypervolume(results[0].Front, results[1].Front)
+	hvs := tune.NormalizedHypervolume(sessions[0].result.Front, sessions[1].result.Front)
 
 	var baseHV float64
-	for i, res := range results {
+	for i, s := range sessions {
+		res := s.result
 		front := res.Front
 		hv := hvs[i]
 		minCost, maxCost := frontCostRange(front)
@@ -96,7 +70,7 @@ func Pareto(o Options) *Table {
 		} else if baseHV > 0 {
 			gain = fmt.Sprintf("%.0f%%", 100*(hv-baseHV)/baseHV)
 		}
-		t.AddRow(variants[i].approach,
+		t.AddRow(approaches[i],
 			fmt.Sprintf("%d", len(res.Trials)),
 			fmt.Sprintf("%d", len(front)),
 			fmtSeconds(res.BestResult.Time),
@@ -108,7 +82,7 @@ func Pareto(o Options) *Table {
 	t.Note("budget %d trials each at seed %d; weights %v (cost weight per sub-search); hypervolume normalized over the union of both fronts",
 		b.Trials, o.Seed, tune.DefaultParetoWeights)
 	t.Note("cost = flat provisioned-footprint dollars (base + memory + connection slots), independent of elapsed time; results identical at any -parallel")
-	return t
+	return t, nil
 }
 
 // frontCostRange returns the cheapest and dearest cost on the front.

@@ -1,13 +1,11 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
+	"repro"
 	"repro/internal/engine"
 	"repro/internal/tune"
-	"repro/internal/tuners/experiment"
-	"repro/internal/workload"
 )
 
 // GuardrailFactor sets the experiment's safety limit relative to the
@@ -23,7 +21,7 @@ import (
 const GuardrailFactor = 0.7
 
 // Guardrail measures safe exploration: the same tuner with and without the
-// surrogate safety screen (tune.GuardrailTuner), both judged against the
+// surrogate safety screen (Spec.Guardrail), both judged against the
 // same objective guardrail (Scenario.Guardrail counts every full-fidelity
 // trial over the limit and emits GuardrailViolation events). Unscreened
 // iTuned explores wherever its design takes it, paying real violations to
@@ -37,7 +35,7 @@ const GuardrailFactor = 0.7
 // cold start (first tune.GuardrailMinObs trials pass unscreened) is the
 // documented residual risk; the violations column makes it visible rather
 // than hiding it.
-func Guardrail(o Options) *Table {
+func Guardrail(o Options) (*Table, error) {
 	t := &Table{
 		Title: "E14 (guardrail): safe exploration under an objective limit (dbms/tpch)",
 		Columns: []string{
@@ -49,42 +47,30 @@ func Guardrail(o Options) *Table {
 	if b.Trials < 16 {
 		b.Trials = 16
 	}
-	scale := o.scaleGB(3, 2)
-
 	// The limit derives from the default configuration on a probe target so
-	// both sessions face the same number.
-	probe := DBMSTarget(workload.TPCHLike(scale), o.Seed)
-	limit := DefaultTime(probe, 3) * GuardrailFactor
-
-	guarded, err := tune.GuardrailTuner(experiment.NewITuned(o.Seed), limit)
+	// both sessions face the same number; the unguarded session is judged
+	// against it by setting the job's guardrail directly.
+	topts := repro.TargetOptions{ScaleGB: o.scaleGB(3, 2)}
+	probe, err := repro.NewTarget("dbms", "tpch", o.Seed, topts)
 	if err != nil {
-		panic(fmt.Sprintf("bench: building guardrail tuner: %v", err))
+		return nil, err
 	}
-	variants := []struct {
-		approach string
-		tuner    tune.Tuner
-	}{
-		{"iTuned (unguarded)", experiment.NewITuned(o.Seed)},
-		{"iTuned + guardrail", guarded},
+	limit := DefaultTime(probe, 3) * GuardrailFactor
+	unguarded := repro.Spec{System: "dbms", Workload: "tpch", Tuner: "ituned", Seed: o.Seed, Budget: b, Target: topts}
+	guarded := unguarded
+	guarded.Guardrail = limit
+	sessions, err := runCells(o, []cell{
+		{spec: unguarded, adjust: func(j *engine.Job) { j.Guardrail = limit }},
+		{spec: guarded},
+	})
+	if err != nil {
+		return nil, err
 	}
-	eng := o.engine()
-	runs := make([]*engine.Run, len(variants))
-	for i, v := range variants {
-		runs[i] = eng.Submit(engine.Job{
-			Name:      v.approach,
-			Tuner:     v.tuner,
-			Target:    DBMSTarget(workload.TPCHLike(scale), o.Seed),
-			Budget:    b,
-			Guardrail: limit, // both sessions judged against the same limit
-		})
-	}
+	approaches := []string{"iTuned (unguarded)", "iTuned + guardrail"}
 	var baseBest float64
-	for i, r := range runs {
-		res, err := r.Wait(context.Background())
-		if err != nil {
-			panic(fmt.Sprintf("bench: guardrail session %s failed: %v", variants[i].approach, err))
-		}
-		violations := r.Progress().GuardrailViolations
+	for i, s := range sessions {
+		res := s.result
+		violations := s.run.Progress().GuardrailViolations
 		worst := 0.0
 		for _, tr := range res.Trials {
 			if obj := tr.Result.Objective(); obj > worst {
@@ -97,7 +83,7 @@ func Guardrail(o Options) *Table {
 		} else if baseBest > 0 {
 			vs = fmt.Sprintf("%+.1f%%", 100*(res.BestResult.Objective()-baseBest)/baseBest)
 		}
-		t.AddRow(variants[i].approach,
+		t.AddRow(approaches[i],
 			fmt.Sprintf("%d", len(res.Trials)),
 			fmt.Sprintf("%d", violations),
 			fmtSeconds(worst),
@@ -108,5 +94,5 @@ func Guardrail(o Options) *Table {
 		b.Trials, o.Seed, GuardrailFactor, fmtSeconds(limit))
 	t.Note("screen = Matérn-5/2 GP upper confidence bound + safe-set keep-outs, armed after %d observations; vetoed proposals are deferred and re-proposed once the safe set expands to cover them",
 		tune.GuardrailMinObs)
-	return t
+	return t, nil
 }

@@ -3,9 +3,8 @@ package bench
 import (
 	"math/rand"
 
+	"repro"
 	"repro/internal/mathx/stat"
-	"repro/internal/tune"
-	"repro/internal/workload"
 )
 
 // Motivation regenerates the paper's §1 motivating claims: improper
@@ -13,7 +12,7 @@ import (
 // buys improvements "sometimes measured in orders of magnitude". For each
 // system we sample random configurations and compare their runtime
 // distribution against the shipped default and a tuned configuration.
-func Motivation(o Options) *Table {
+func Motivation(o Options) (*Table, error) {
 	t := &Table{
 		Title: "E1 (§1): cost of misconfiguration and value of tuning",
 		Columns: []string{
@@ -25,23 +24,39 @@ func Motivation(o Options) *Table {
 	if o.Fast {
 		samples = 60
 	}
-	run := func(name string, target tune.Target) {
+	systems := []struct {
+		system, workload string
+		scale            float64
+	}{
+		{"dbms", "tpch", o.scaleGB(10, 2)},
+		{"dbms", "oltp", o.scaleGB(4, 1)},
+		{"hadoop", "terasort", o.scaleGB(50, 4)},
+		{"spark", "pagerank", o.scaleGB(5, 1)},
+	}
+	for i, s := range systems {
+		target, err := repro.NewTarget(s.system, s.workload, o.Seed+int64(i+1), repro.TargetOptions{ScaleGB: s.scale})
+		if err != nil {
+			return nil, err
+		}
 		rng := rand.New(rand.NewSource(o.Seed + 11))
 		def := DefaultTime(target, 3)
 		var times []float64
 		fails := 0
-		for i := 0; i < samples; i++ {
+		for range samples {
 			res := target.Run(target.Space().Random(rng))
 			if res.Failed {
 				fails++
 			}
 			times = append(times, res.Time)
 		}
-		_, bestTime := Reference(target, o.Seed, referenceBudget(o))
+		_, bestTime, err := Reference(target, o.Seed, referenceBudget(o))
+		if err != nil {
+			return nil, err
+		}
 		worst := stat.Max(times)
 		best := stat.Min(times)
 		t.AddRow(
-			name,
+			s.system+"/"+s.workload,
 			fmtSeconds(def),
 			fmtSeconds(stat.Quantile(times, 0.5)),
 			fmtSeconds(stat.Quantile(times, 0.95)),
@@ -52,21 +67,9 @@ func Motivation(o Options) *Table {
 		)
 	}
 
-	run("dbms/tpch", DBMSTarget(workload.TPCHLike(o.scaleGB(10, 2)), o.Seed+1))
-	run("dbms/oltp", DBMSTarget(workload.OLTP(64, o.scaleGB(4, 1)), o.Seed+2))
-	run("hadoop/terasort", HadoopTarget(workload.TeraSort(o.scaleGB(50, 4)), o.Seed+3))
-	run("spark/pagerank", SparkTarget(workload.PageRank(o.scaleGB(5, 1), pagerankIters(o)), o.Seed+4))
-
 	t.Note("%d random configurations per system; crash %% = failed runs (OOM, placement)", samples)
 	t.Note("worst/best spans the random sample: the 'orders of magnitude' the paper cites")
-	return t
-}
-
-func pagerankIters(o Options) int {
-	if o.Fast {
-		return 4
-	}
-	return 8
+	return t, nil
 }
 
 func referenceBudget(o Options) int {

@@ -1,21 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/engine"
-	"repro/internal/sysmodel/dbms"
-	"repro/internal/sysmodel/mapreduce"
-	"repro/internal/sysmodel/spark"
+	"repro"
 	"repro/internal/tune"
-	"repro/internal/tuners/adaptive"
-	"repro/internal/tuners/costmodel"
-	"repro/internal/tuners/experiment"
-	"repro/internal/tuners/ml"
-	"repro/internal/tuners/rulebased"
-	"repro/internal/tuners/simulation"
-	"repro/internal/workload"
 )
 
 // Table1 regenerates the paper's Table 1 quantitatively: one representative
@@ -31,7 +20,7 @@ import (
 //     run cost (ML converging faster thanks to repository transfer),
 //   - adaptive needs no offline runs at all and improves the live workload,
 //     at the risk of bad probe epochs.
-func Table1(o Options) *Table {
+func Table1(o Options) (*Table, error) {
 	t := &Table{
 		Title: "E2 (Table 1): six tuning categories × three systems",
 		Columns: []string{
@@ -41,172 +30,78 @@ func Table1(o Options) *Table {
 			"spark speedup", "runs", "tuning cost",
 		},
 	}
-	ctx := context.Background()
 	b := o.budget()
 
-	// Targets: one workload per system, fresh per tuner for independence.
-	newDBMS := func(seed int64) tune.Target {
-		return DBMSTarget(workload.TPCHLike(o.scaleGB(10, 2)), seed)
+	// One workload per system; proxy is the scaled replica the simulation
+	// category searches on Hadoop and Spark.
+	systems := []struct {
+		system, workload string
+		scale, proxy     float64
+		def              float64
+		repo             *tune.Repository
+	}{
+		{system: "dbms", workload: "tpch", scale: o.scaleGB(10, 2)},
+		{system: "hadoop", workload: "terasort", scale: o.scaleGB(50, 4), proxy: o.scaleGB(5, 1)},
+		{system: "spark", workload: "pagerank", scale: o.scaleGB(5, 1), proxy: o.scaleGB(1, 0.3)},
 	}
-	newHadoop := func(seed int64) tune.Target {
-		return HadoopTarget(workload.TeraSort(o.scaleGB(50, 4)), seed)
-	}
-	newSpark := func(seed int64) tune.Target {
-		return SparkTarget(workload.PageRank(o.scaleGB(5, 1), pagerankIters(o)), seed)
-	}
-
-	defDBMS := DefaultTime(newDBMS(o.Seed+900), 3)
-	defHadoop := DefaultTime(newHadoop(o.Seed+901), 3)
-	defSpark := DefaultTime(newSpark(o.Seed+902), 3)
-
-	dbmsRepo := BuildDBMSRepository(o, "tpch")
-	hadoopRepo := BuildHadoopRepository(o, "terasort")
-	sparkRepo := BuildSparkRepository(o, "pagerank")
-
-	// scaled proxies for the simulation category on Hadoop and Spark.
-	hadoopProxy := func(seed int64) tune.Target {
-		h := HadoopTarget(workload.TeraSort(o.scaleGB(5, 1)), seed)
-		h.NoiseStd = 0.001
-		return h
-	}
-	sparkProxy := func(seed int64) tune.Target {
-		s := SparkTarget(workload.PageRank(o.scaleGB(1, 0.3), 3), seed)
-		s.NoiseStd = 0.001
-		return s
-	}
-
-	type cell struct {
-		speedup string
-		runs    string
-		cost    string
-	}
-	na := cell{"n/a", "-", "-"}
-
-	type rowSpec struct {
-		category string
-		label    string
-		dbms     func(seed int64) tune.Tuner
-		hadoop   func(seed int64) tune.Tuner
-		spark    func(seed int64) tune.Tuner
-	}
-	rows := []rowSpec{
-		{
-			category: "Rule-based", label: "expert rulebooks",
-			dbms:   func(int64) tune.Tuner { return rulebased.NewTuner(rulebased.DBMSRules()) },
-			hadoop: func(int64) tune.Tuner { return rulebased.NewTuner(rulebased.HadoopRules()) },
-			spark:  func(int64) tune.Tuner { return rulebased.NewTuner(rulebased.SparkRules()) },
-		},
-		{
-			category: "Cost modeling", label: "STMM / Starfish / Ernest",
-			dbms:   func(int64) tune.Tuner { return costmodel.NewSTMM() },
-			hadoop: func(seed int64) tune.Tuner { return costmodel.NewStarfish(seed) },
-			spark:  func(int64) tune.Tuner { return costmodel.NewErnest() },
-		},
-		{
-			category: "Simulation", label: "trace what-if / scaled replica",
-			dbms: func(seed int64) tune.Tuner { return simulation.NewTraceWhatIf(seed) },
-			hadoop: func(seed int64) tune.Tuner {
-				return simulation.NewScaledProxy(hadoopProxy(seed+5000), seed)
-			},
-			spark: func(seed int64) tune.Tuner {
-				return simulation.NewScaledProxy(sparkProxy(seed+6000), seed)
-			},
-		},
-		{
-			category: "Experiment-driven", label: "iTuned (LHS+GP+EI)",
-			dbms:   func(seed int64) tune.Tuner { return experiment.NewITuned(seed) },
-			hadoop: func(seed int64) tune.Tuner { return experiment.NewITuned(seed) },
-			spark:  func(seed int64) tune.Tuner { return experiment.NewITuned(seed) },
-		},
-		{
-			category: "Machine learning", label: "OtterTune (with repository)",
-			dbms:   func(seed int64) tune.Tuner { return ml.NewOtterTune(seed, dbmsRepo) },
-			hadoop: func(seed int64) tune.Tuner { return ml.NewOtterTune(seed, hadoopRepo) },
-			spark:  func(seed int64) tune.Tuner { return ml.NewOtterTune(seed, sparkRepo) },
-		},
-		{
-			category: "Adaptive", label: "COLT online / recommender",
-			dbms: func(seed int64) tune.Tuner {
-				c := adaptive.NewCOLT(seed)
-				c.Runs = 3
-				return c
-			},
-			hadoop: func(seed int64) tune.Tuner { return adaptive.NewRecommender(seed, hadoopRepo) },
-			spark: func(seed int64) tune.Tuner {
-				c := adaptive.NewCOLT(seed)
-				c.Runs = 3
-				return c
-			},
-		},
-	}
-
-	// Every (category, system) cell is an independent job with its own
-	// target and seed: the multi-session scheduler runs them across all
-	// workers, and the table is identical at any parallelism.
-	type cellRef struct {
-		row, col int
-		target   tune.Target
-		def      float64
-	}
-	var jobs []engine.Job
-	var refs []cellRef
-	for i, spec := range rows {
-		seed := o.Seed + int64(i+1)*31
-		add := func(col int, tn tune.Tuner, target tune.Target, def float64) {
-			jobs = append(jobs, engine.Job{Name: spec.category, Tuner: tn, Target: target, Budget: b})
-			refs = append(refs, cellRef{row: i, col: col, target: target, def: def})
+	for j := range systems {
+		s := &systems[j]
+		target, err := repro.NewTarget(s.system, s.workload, o.Seed+900+int64(j), repro.TargetOptions{ScaleGB: s.scale})
+		if err != nil {
+			return nil, err
 		}
-		if spec.dbms != nil {
-			add(0, spec.dbms(seed), newDBMS(seed+1), defDBMS)
-		}
-		if spec.hadoop != nil {
-			add(1, spec.hadoop(seed), newHadoop(seed+2), defHadoop)
-		}
-		if spec.spark != nil {
-			add(2, spec.spark(seed), newSpark(seed+3), defSpark)
+		s.def = DefaultTime(target, 3)
+		if s.repo, err = BuildRepository(o, s.system, s.workload); err != nil {
+			return nil, err
 		}
 	}
-	results := o.engine().RunJobs(ctx, jobs)
 
-	cells := make([][3]cell, len(rows))
-	for i := range cells {
-		cells[i] = [3]cell{na, na, na}
+	rows := []struct {
+		category, label string
+		tuners          [3]string // dbms, hadoop, spark
+	}{
+		{"Rule-based", "expert rulebooks", [3]string{"rules", "rules", "rules"}},
+		{"Cost modeling", "STMM / Starfish / Ernest", [3]string{"stmm", "starfish", "ernest"}},
+		{"Simulation", "trace what-if / scaled replica", [3]string{"trace-whatif", "scaled-proxy", "scaled-proxy"}},
+		{"Experiment-driven", "iTuned (LHS+GP+EI)", [3]string{"ituned", "ituned", "ituned"}},
+		{"Machine learning", "OtterTune (with repository)", [3]string{"ottertune", "ottertune", "ottertune"}},
+		{"Adaptive", "COLT online / recommender", [3]string{"colt", "recommender", "colt"}},
 	}
-	for k, jr := range results {
-		ref := refs[k]
-		if jr.Err != nil {
-			cells[ref.row][ref.col] = cell{"err", "-", "-"}
-			continue
-		}
-		r := jr.Result
-		best := r.BestResult.Time
-		if len(r.Trials) == 0 {
-			// Pure recommendation: measure it once out-of-budget.
-			best = ref.target.Run(r.Best).Time
-		}
-		cells[ref.row][ref.col] = cell{
-			fmtSpeedup(speedup(ref.def, best)),
-			fmt.Sprintf("%d", len(r.Trials)),
-			fmtSeconds(r.SimTimeUsed),
+	// Every (category, system) cell is an independent session with its own
+	// target and seed.
+	var cells []cell
+	for i, row := range rows {
+		for j, s := range systems {
+			spec := repro.Spec{
+				System: s.system, Workload: s.workload, Tuner: row.tuners[j],
+				Seed:   o.Seed + int64(i+1)*31 + int64(j+1),
+				Budget: b,
+				Target: repro.TargetOptions{ScaleGB: s.scale},
+			}
+			if spec.Tuner == "scaled-proxy" {
+				spec.Proxy = &repro.ProxySpec{ScaleGB: s.proxy}
+			}
+			cells = append(cells, cell{spec: spec, corpus: s.repo})
 		}
 	}
-	for i, spec := range rows {
-		cd, ch, cs := cells[i][0], cells[i][1], cells[i][2]
-		t.AddRow(spec.category, spec.label,
-			cd.speedup, cd.runs, cd.cost,
-			ch.speedup, ch.runs, ch.cost,
-			cs.speedup, cs.runs, cs.cost)
+	sessions, err := runCells(o, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, row := range rows {
+		out := []any{row.category, row.label}
+		for j, s := range systems {
+			ses := sessions[i*len(systems)+j]
+			out = append(out,
+				fmtSpeedup(speedup(s.def, ses.bestTime())),
+				fmt.Sprintf("%d", len(ses.result.Trials)),
+				fmtSeconds(ses.result.SimTimeUsed))
+		}
+		t.AddRow(out...)
 	}
 
 	t.Note("budget %d trials per tuner; defaults: dbms %s, hadoop %s, spark %s",
-		b.Trials, fmtSeconds(defDBMS), fmtSeconds(defHadoop), fmtSeconds(defSpark))
+		b.Trials, fmtSeconds(systems[0].def), fmtSeconds(systems[1].def), fmtSeconds(systems[2].def))
 	t.Note("tuning cost = cumulative simulated time of real runs; adaptive runs count whole online executions")
-	return t
+	return t, nil
 }
-
-// Interface-conformance guards for the simulators used above.
-var (
-	_ tune.Target = (*dbms.DBMS)(nil)
-	_ tune.Target = (*mapreduce.Hadoop)(nil)
-	_ tune.Target = (*spark.Spark)(nil)
-)

@@ -5,17 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/engine"
+	"repro"
 	"repro/internal/mathx/stat"
 	"repro/internal/sysmodel/trace"
 	"repro/internal/tune"
-	"repro/internal/tuners/adaptive"
-	"repro/internal/tuners/costmodel"
 	"repro/internal/tuners/experiment"
 	"repro/internal/tuners/ml"
 	"repro/internal/tuners/rulebased"
 	"repro/internal/tuners/simulation"
-	"repro/internal/workload"
 )
 
 // groundTruthImportance estimates each parameter's true effect on the target
@@ -60,7 +57,7 @@ func rankingQuality(space *tune.Space, ranking []string, truth []float64) float6
 // surveyed DBMS tuning approach re-implemented and exercised on the DBMS
 // simulator against its own target problem (ranking quality, misconfiguration
 // detection, prediction error, or tuning speedup).
-func Table2(o Options) *Table {
+func Table2(o Options) (*Table, error) {
 	t := &Table{
 		Title: "E3 (Table 2): DBMS parameter-tuning approaches, reproduced and measured",
 		Columns: []string{
@@ -69,69 +66,61 @@ func Table2(o Options) *Table {
 	}
 	ctx := context.Background()
 	b := o.budget()
-	wl := workload.MixedDB(o.scaleGB(6, 1.5))
+	scale := o.scaleGB(6, 1.5)
+	topts := repro.TargetOptions{ScaleGB: scale}
 	seed := o.Seed + 40
 
-	newTarget := func(i int64) tune.Target { return DBMSTarget(wl, seed+i) }
-	def := DefaultTime(newTarget(0), 3)
+	// targets[i] runs on seed+i: the measurement blocks use 0, 1, 2, 5 and 7,
+	// and each tuning session below builds its own.
+	var targets [8]tune.Target
+	for i := range targets {
+		var err error
+		if targets[i], err = repro.NewTarget("dbms", "mixed", seed+int64(i), topts); err != nil {
+			return nil, err
+		}
+	}
+	def := DefaultTime(targets[0], 3)
 
 	gtLevels, gtReps := 5, 2
 	if o.Fast {
 		gtLevels, gtReps = 3, 1
 	}
-	truthTarget := newTarget(1)
-	truth := groundTruthImportance(truthTarget, gtLevels, gtReps)
-	space := truthTarget.Space()
+	truth := groundTruthImportance(targets[1], gtLevels, gtReps)
+	space := targets[1].Space()
 
-	// All plain tuning cells run concurrently on the scheduler up front;
-	// each owns its target (newTarget(i)), so the table is identical at any
-	// parallelism. The bespoke measurement blocks below stay inline.
-	repo := BuildDBMSRepository(o, wl.Name)
-	ot := ml.NewOtterTune(o.Seed+47, repo)
-	colt := adaptive.NewCOLT(o.Seed + 48)
-	colt.Runs = 3
-	type tuned struct {
-		result *tune.TuningResult
-		target tune.Target
-		err    error
+	// Every plain tuning approach is a session on its own target (seed+i),
+	// run up front; the bespoke measurement blocks below stay inline.
+	repo, err := BuildRepository(o, "dbms", "mixed")
+	if err != nil {
+		return nil, err
 	}
-	sessions := map[int64]*tuned{}
-	var jobs []engine.Job
-	var jobIdx []int64
-	addJob := func(i int64, tn tune.Tuner) {
-		target := newTarget(i)
-		sessions[i] = &tuned{target: target}
-		jobs = append(jobs, engine.Job{Name: fmt.Sprintf("table2/%d", i), Tuner: tn, Target: target, Budget: b})
-		jobIdx = append(jobIdx, i)
+	tuned := []struct {
+		i     int64
+		tuner string
+	}{{3, "navigator"}, {4, "stmm"}, {6, "addm"}, {8, "adaptive-sampling"}, {9, "ituned"}, {10, "neural"}, {11, "ottertune"}, {12, "colt"}}
+	var cells []cell
+	for _, c := range tuned {
+		cells = append(cells, cell{spec: repro.Spec{
+			System: "dbms", Workload: "mixed", Tuner: c.tuner, Seed: seed + c.i, Budget: b, Target: topts,
+		}, corpus: repo})
 	}
-	addJob(3, rulebased.NewNavigator())
-	addJob(4, costmodel.NewSTMM())
-	addJob(6, simulation.NewADDM())
-	addJob(8, experiment.NewAdaptiveSampling(o.Seed+44))
-	addJob(9, experiment.NewITuned(o.Seed+45))
-	addJob(10, ml.NewNeuralTuner(o.Seed+46))
-	addJob(11, ot)
-	addJob(12, colt)
-	for k, jr := range o.engine().RunJobs(ctx, jobs) {
-		s := sessions[jobIdx[k]]
-		s.result, s.err = jr.Result, jr.Err
+	sessions, err := runCells(o, cells)
+	if err != nil {
+		return nil, err
 	}
-	tuneOutcome := func(i int64) string {
-		s := sessions[i]
-		if s.err != nil {
-			return "error: " + s.err.Error()
-		}
-		best := s.result.BestResult.Time
-		if len(s.result.Trials) == 0 {
-			best = s.target.Run(s.result.Best).Time
-		}
-		return fmt.Sprintf("%s speedup in %d runs", fmtSpeedup(speedup(def, best)), len(s.result.Trials))
+	by := map[string]session{}
+	for k, c := range tuned {
+		by[c.tuner] = sessions[k]
+	}
+	tuneOutcome := func(tuner string) string {
+		s := by[tuner]
+		return fmt.Sprintf("%s speedup in %d runs", fmtSpeedup(speedup(def, s.bestTime())), len(s.result.Trials))
 	}
 
 	// --- SPEX: misconfiguration detection --------------------------------
 	{
 		checker := rulebased.DBMSChecker()
-		target := newTarget(2)
+		target := targets[2]
 		specs := target.(tune.SpecProvider).Specs()
 		rng := rand.New(rand.NewSource(o.Seed + 41))
 		n := 120
@@ -171,18 +160,18 @@ func Table2(o Options) *Table {
 	{
 		ranking := space.ByImpact()
 		rho := rankingQuality(space, ranking, truth)
-		out := tuneOutcome(3)
+		out := tuneOutcome("navigator")
 		t.AddRow("Rule-based", "Tianyin [26]", "Configuration navigation", "Ranking the effects of parameters",
 			fmt.Sprintf("doc-impact ranking ρ=%.2f vs ground truth; %s", rho, out))
 	}
 
 	// --- STMM -------------------------------------------------------------
 	t.AddRow("Cost modeling", "STMM [22]", "Cost-benefit analysis", "Tuning, Recommendation",
-		tuneOutcome(4))
+		tuneOutcome("stmm"))
 
 	// --- Dushyanth: trace-based prediction ---------------------------------
 	{
-		target := newTarget(5)
+		target := targets[5]
 		specs := target.(tune.SpecProvider).Specs()
 		probe := target.Run(target.Space().Default())
 		tr := simulation.TraceFromMetrics(probe.Metrics, specs)
@@ -205,12 +194,12 @@ func Table2(o Options) *Table {
 
 	// --- ADDM ---------------------------------------------------------------
 	t.AddRow("Simulation", "ADDM [8]", "DAG model & simulation", "Profiling, Tuning",
-		tuneOutcome(6))
+		tuneOutcome("addm"))
 
 	// --- SARD: screening quality ---------------------------------------------
 	{
 		sard := experiment.NewSARD(o.Seed + 43)
-		ranking, err := sard.Screen(ctx, newTarget(7), b)
+		ranking, err := sard.Screen(ctx, targets[7], b)
 		out := "error"
 		if err == nil {
 			rho := rankingQuality(space, ranking, truth)
@@ -222,20 +211,20 @@ func Table2(o Options) *Table {
 
 	// --- Shivnath adaptive sampling -------------------------------------------
 	t.AddRow("Experiment-driven", "Shivnath [3]", "Adaptive sampling", "Profiling, Tuning",
-		tuneOutcome(8))
+		tuneOutcome("adaptive-sampling"))
 
 	// --- iTuned ------------------------------------------------------------------
 	t.AddRow("Experiment-driven", "iTuned [9]", "LHS & Gaussian Process", "Profiling, Tuning",
-		tuneOutcome(9))
+		tuneOutcome("ituned"))
 
 	// --- Rodd NN -------------------------------------------------------------------
 	t.AddRow("Machine learning", "Rodd [19]", "Neural Networks", "Tuning, Recommendation",
-		tuneOutcome(10))
+		tuneOutcome("neural"))
 
 	// --- OtterTune --------------------------------------------------------------------
 	{
-		out := tuneOutcome(11)
-		if ot.LastMappedWorkload != "" {
+		out := tuneOutcome("ottertune")
+		if ot := by["ottertune"].job.Tuner.(*ml.OtterTune); ot.LastMappedWorkload != "" {
 			out += fmt.Sprintf("; mapped to %q", ot.LastMappedWorkload)
 		}
 		t.AddRow("Machine learning", "OtterTune [24]", "Gaussian Process", "Tuning, Recommendation", out)
@@ -243,19 +232,19 @@ func Table2(o Options) *Table {
 
 	// --- COLT -------------------------------------------------------------------------
 	{
-		target := sessions[12].target
-		r, err := sessions[12].result, sessions[12].err
-		out := "error"
-		if err == nil && len(r.Trials) > 0 {
+		s := by["colt"]
+		r := s.result
+		out := "no online runs"
+		if len(r.Trials) > 0 {
 			first := r.Trials[0].Result.Time
 			last := r.Trials[len(r.Trials)-1].Result.Time
 			out = fmt.Sprintf("online runs improve %s → %s (default %s); converged config %s",
 				fmtSeconds(first), fmtSeconds(last), fmtSeconds(def),
-				fmtSpeedup(speedup(def, target.Run(r.Best).Time)))
+				fmtSpeedup(speedup(def, s.job.Target.Run(r.Best).Time)))
 		}
 		t.AddRow("Adaptive", "COLT [20]", "Cost Vs. Gain analysis", "Profiling, Tuning", out)
 	}
 
-	t.Note("workload: %s (%0.1f GB), budget %d trials; ground truth from one-at-a-time sweeps", wl.Name, o.scaleGB(6, 1.5), b.Trials)
-	return t
+	t.Note("workload: mixed (%0.1f GB), budget %d trials; ground truth from one-at-a-time sweeps", scale, b.Trials)
+	return t, nil
 }

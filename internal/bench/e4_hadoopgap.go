@@ -1,16 +1,8 @@
 package bench
 
 import (
-	"context"
-	"fmt"
-
-	"repro/internal/sysmodel/cluster"
-	"repro/internal/sysmodel/mapreduce"
-	"repro/internal/sysmodel/paralleldb"
+	"repro"
 	"repro/internal/tune"
-	"repro/internal/tuners/experiment"
-	"repro/internal/tuners/rulebased"
-	"repro/internal/workload"
 )
 
 // HadoopGap regenerates the §2.3 claim: in the Pavlo et al. comparison a
@@ -19,7 +11,7 @@ import (
 // tuning studies closed most of the gap. Rows are the three benchmark
 // tasks; columns compare the parallel database against Hadoop at three
 // configuration levels.
-func HadoopGap(o Options) *Table {
+func HadoopGap(o Options) (*Table, error) {
 	t := &Table{
 		Title: "E4 (§2.3): Hadoop vs parallel DB on the Pavlo benchmark",
 		Columns: []string{
@@ -27,46 +19,43 @@ func HadoopGap(o Options) *Table {
 			"hadoop practices", "practices gap", "hadoop tuned", "tuned gap",
 		},
 	}
-	ctx := context.Background()
-	cl := cluster.Commodity(16)
-	gb := o.scaleGB(20, 3)
+	topts := repro.TargetOptions{ScaleGB: o.scaleGB(20, 3)}
+	tasks := []string{"grep", "aggregation", "join"}
 
-	jobs := []*workload.MRJob{
-		workload.Grep(gb),
-		workload.Aggregation(gb),
-		workload.JoinMR(gb),
-	}
-	var gaps []float64
-	for i, job := range jobs {
+	// Per task: the rulebook's one recommendation ("practices") and an iTuned
+	// search, each a session on its own target.
+	var cells []cell
+	for i, task := range tasks {
 		seed := o.Seed + int64(i)*17
-		pdb := paralleldb.New(cl, job, seed+1)
+		practices := repro.Spec{System: "hadoop", Workload: task, Tuner: "rules", Seed: seed + 3, Budget: tune.Budget{Trials: 1}, Target: topts}
+		tuned := practices
+		tuned.Tuner, tuned.Seed, tuned.Budget = "ituned", seed+4, o.budget()
+		cells = append(cells, cell{spec: practices}, cell{spec: tuned})
+	}
+	sessions, err := runCells(o, cells)
+	if err != nil {
+		return nil, err
+	}
+
+	var gaps []float64
+	for i, task := range tasks {
+		seed := o.Seed + int64(i)*17
+		pdb, err := repro.NewTarget("paralleldb", task, seed+1, topts)
+		if err != nil {
+			return nil, err
+		}
+		stock, err := repro.NewTarget("hadoop", task, seed+2, topts)
+		if err != nil {
+			return nil, err
+		}
 		pdbTime := DefaultTime(pdb, 3)
-
-		stock := HadoopTargetOn(cl, job, seed+2)
 		stockTime := DefaultTime(stock, 3)
-
-		practices := HadoopTargetOn(cl, job, seed+3)
-		rules := rulebased.NewTuner(rulebased.HadoopRules())
-		rr, err := rules.Tune(ctx, practices, tune.Budget{Trials: 1})
-		if err != nil {
-			panic(fmt.Sprintf("bench: hadoopgap rules: %v", err))
-		}
-		practicesTime := rr.BestResult.Time
-		if len(rr.Trials) == 0 {
-			practicesTime = practices.Run(rr.Best).Time
-		}
-
-		tunedTarget := HadoopTargetOn(cl, job, seed+4)
-		it := experiment.NewITuned(seed + 5)
-		tr, err := it.Tune(ctx, tunedTarget, o.budget())
-		if err != nil {
-			panic(fmt.Sprintf("bench: hadoopgap ituned: %v", err))
-		}
-		tunedTime := tr.BestResult.Time
+		practicesTime := sessions[2*i].bestTime()
+		tunedTime := sessions[2*i+1].bestTime()
 
 		gap := speedup(practicesTime, pdbTime)
 		gaps = append(gaps, gap)
-		t.AddRow(job.Name,
+		t.AddRow(task,
 			fmtSeconds(pdbTime),
 			fmtSeconds(stockTime), fmtSpeedup(speedup(stockTime, pdbTime)),
 			fmtSeconds(practicesTime), fmtSpeedup(gap),
@@ -75,10 +64,5 @@ func HadoopGap(o Options) *Table {
 	}
 	t.Note("paper band: best-practices Hadoop trails the parallel DB by 3.1–6.5×; tuning narrows it")
 	t.Note("measured practices gaps: %s / %s / %s", fmtSpeedup(gaps[0]), fmtSpeedup(gaps[1]), fmtSpeedup(gaps[2]))
-	return t
-}
-
-// HadoopTargetOn builds a Hadoop target on a specific cluster.
-func HadoopTargetOn(cl *cluster.Cluster, job *workload.MRJob, seed int64) *mapreduce.Hadoop {
-	return mapreduce.New(cl, job, seed)
+	return t, nil
 }

@@ -25,7 +25,7 @@ import (
 // distribution (most parameters are null), guarded by replicate noise and a
 // practical floor. The discovered set is scored against the simulator's
 // ground-truth effective/inert labeling.
-func SparkParams(o Options) *Table {
+func SparkParams(o Options) (*Table, error) {
 	t := &Table{
 		Title:   "E5 (§2.4): screening Spark's ~200-parameter surface",
 		Columns: []string{"quantity", "value"},
@@ -38,7 +38,7 @@ func SparkParams(o Options) *Table {
 
 	jobs := []*workload.SparkJob{
 		workload.TeraSortSpark(o.scaleGB(20, 2)),
-		workload.PageRank(o.scaleGB(4, 1), pagerankIters(o)),
+		workload.PageRank(o.scaleGB(4, 1), 8),
 		workload.StreamingAgg(o.scaleGB(1, 0.3)*1024, 6, 10),
 	}
 
@@ -172,7 +172,7 @@ func SparkParams(o Options) *Table {
 			fmt.Sprintf("%s (Δ %s)", globalEffects[i].name, fmtSeconds(globalEffects[i].effect)))
 	}
 	t.Note("paper claim: ~30 of ~200 Spark parameters significantly affect performance")
-	return t
+	return t, nil
 }
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -1,15 +1,9 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/sysmodel/cluster"
-	"repro/internal/tune"
-	"repro/internal/tuners/costmodel"
-	"repro/internal/tuners/experiment"
-	"repro/internal/tuners/rulebased"
-	"repro/internal/workload"
+	"repro"
 )
 
 // Heterogeneity probes the paper's first open challenge (§2.5): tuning over
@@ -18,7 +12,7 @@ import (
 // equal aggregate capacity and compared with tuning directly on that fleet.
 // Cost models suffer most — their homogeneity assumption is baked in — which
 // is exactly the weakness Table 1 lists.
-func Heterogeneity(o Options) *Table {
+func Heterogeneity(o Options) (*Table, error) {
 	t := &Table{
 		Title: "E6 (§2.5-1): configuration transfer homogeneous → heterogeneous",
 		Columns: []string{
@@ -26,51 +20,45 @@ func Heterogeneity(o Options) *Table {
 			"retuned on hetero", "recovered",
 		},
 	}
-	ctx := context.Background()
-	gb := o.scaleGB(40, 4)
-	b := o.budget()
-	homog := cluster.Commodity(16)
-	hetero := cluster.Heterogeneous(16)
+	homog := repro.TargetOptions{ScaleGB: o.scaleGB(40, 4)}
+	hetero := homog
+	hetero.Heterogeneous = true
 
-	heteroDef := DefaultTime(HadoopTargetOn(hetero, workload.TeraSort(gb), o.Seed+71), 3)
-
-	type approach struct {
-		name  string
-		tuner func(seed int64) tune.Tuner
+	approaches := []struct{ name, tuner string }{
+		{"rules", "rules"},
+		{"costmodel/starfish", "starfish"},
+		{"experiment/ituned", "ituned"},
 	}
-	approaches := []approach{
-		{"rules", func(int64) tune.Tuner { return rulebased.NewTuner(rulebased.HadoopRules()) }},
-		{"costmodel/starfish", func(seed int64) tune.Tuner { return costmodel.NewStarfish(seed) }},
-		{"experiment/ituned", func(seed int64) tune.Tuner { return experiment.NewITuned(seed) }},
-	}
+	// Per approach: a session on the homogeneous cluster and one retuning
+	// natively on the heterogeneous fleet.
+	var cells []cell
 	for i, a := range approaches {
 		seed := o.Seed + int64(i+1)*101
-		homogTarget := HadoopTargetOn(homog, workload.TeraSort(gb), seed+1)
-		r, err := a.tuner(seed).Tune(ctx, homogTarget, b)
-		if err != nil {
-			t.AddRow(a.name, "err", "-", "-", "-", "-")
-			continue
-		}
-		homogTime := r.BestResult.Time
-		if len(r.Trials) == 0 {
-			homogTime = homogTarget.Run(r.Best).Time
-		}
+		onHomog := repro.Spec{System: "hadoop", Workload: "terasort", Tuner: a.tuner, Seed: seed + 1, Budget: o.budget(), Target: homog}
+		onHetero := onHomog
+		onHetero.Seed, onHetero.Target = seed+3, hetero
+		cells = append(cells, cell{spec: onHomog}, cell{spec: onHetero})
+	}
+	sessions, err := runCells(o, cells)
+	if err != nil {
+		return nil, err
+	}
 
-		// Transplant the configuration onto the heterogeneous fleet.
-		heteroTarget := HadoopTargetOn(hetero, workload.TeraSort(gb), seed+2)
-		transplanted := averageRun(heteroTarget, r.Best, 3)
-
-		// Retune natively on the heterogeneous fleet.
-		retuneTarget := HadoopTargetOn(hetero, workload.TeraSort(gb), seed+3)
-		r2, err := a.tuner(seed+4).Tune(ctx, retuneTarget, b)
+	heteroDefTarget, err := repro.NewTarget("hadoop", "terasort", o.Seed+71, hetero)
+	if err != nil {
+		return nil, err
+	}
+	heteroDef := DefaultTime(heteroDefTarget, 3)
+	for i, a := range approaches {
+		homogRun, retune := sessions[2*i], sessions[2*i+1]
+		homogTime := homogRun.bestTime()
+		// Transplant the homogeneous configuration onto the heterogeneous fleet.
+		heteroTarget, err := repro.NewTarget("hadoop", "terasort", o.Seed+int64(i+1)*101+2, hetero)
 		if err != nil {
-			t.AddRow(a.name, fmtSeconds(homogTime), fmtSeconds(transplanted), "-", "err", "-")
-			continue
+			return nil, err
 		}
-		retuned := r2.BestResult.Time
-		if len(r2.Trials) == 0 {
-			retuned = retuneTarget.Run(r2.Best).Time
-		}
+		transplanted := averageRun(heteroTarget, homogRun.result.Best, 3)
+		retuned := retune.bestTime()
 
 		t.AddRow(a.name,
 			fmtSeconds(homogTime),
@@ -82,13 +70,5 @@ func Heterogeneity(o Options) *Table {
 	}
 	t.Note("hetero default: %s; clusters have equal node count (16), mixed beefy/commodity/wimpy", fmtSeconds(heteroDef))
 	t.Note("wave scheduling is paced by the weakest node; models assuming the first node's spec mispredict")
-	return t
-}
-
-func averageRun(target tune.Target, cfg tune.Config, runs int) float64 {
-	var s float64
-	for i := 0; i < runs; i++ {
-		s += target.Run(cfg).Time
-	}
-	return s / float64(runs)
+	return t, nil
 }

@@ -1,14 +1,9 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/engine"
-	"repro/internal/tune"
-	"repro/internal/tuners/experiment"
-	"repro/internal/tuners/ml"
-	"repro/internal/workload"
+	"repro"
 )
 
 // Transfer measures cross-session warm-starting — the production lesson the
@@ -17,9 +12,9 @@ import (
 // accumulates) is built first; spark/pagerank is deliberately excluded so
 // it is unseen. Then iTuned and OtterTune each tune pagerank twice under
 // the same budget and target noise stream: cold (no history) and warm
-// (seeded with the best configurations transferred from the mapped nearest
-// past workload via tune.WarmConfigs; OtterTune additionally gets the
-// repository for its own metric-signature mapping).
+// (Spec.WarmStart: seeded with the best configurations of the mapped
+// nearest past workload; OtterTune additionally gets the repository for its
+// own metric-signature mapping).
 //
 // The headline column is "trials to cold incumbent": the trial at which
 // each session first reaches within 5% of the cold run's final best. Warm
@@ -28,7 +23,7 @@ import (
 // remainder improving on it. Transfer is not guaranteed to help (see
 // DESIGN.md §10): a mapping onto a dissimilar workload seeds the search in
 // the wrong basin, which is why the experiment reports the cold rows too.
-func Transfer(o Options) *Table {
+func Transfer(o Options) (*Table, error) {
 	t := &Table{
 		Title: "E9 (transfer): cold vs warm start on an unseen workload (spark/pagerank)",
 		Columns: []string{
@@ -36,80 +31,50 @@ func Transfer(o Options) *Table {
 			"best", "trials to cold incumbent", "speedup vs default",
 		},
 	}
-	ctx := context.Background()
 	b := o.budget()
-
-	job := func() *workload.SparkJob { return workload.PageRank(o.scaleGB(5, 1), pagerankIters(o)) }
-	repo := BuildSparkRepository(o, "pagerank")
-
-	defTime := DefaultTime(SparkTarget(job(), o.Seed+990), 3)
-
-	type variant struct {
-		approach string
-		start    string
-		tuner    func(seed int64, target tune.Target) (tune.Tuner, error)
+	topts := repro.TargetOptions{ScaleGB: o.scaleGB(5, 1)}
+	repo, err := BuildRepository(o, "spark", "pagerank")
+	if err != nil {
+		return nil, err
 	}
-	warmWrap := func(bt tune.BatchTuner, target tune.Target) (tune.Tuner, error) {
-		var features map[string]float64
-		if d, ok := target.(tune.Describer); ok {
-			features = d.WorkloadFeatures()
-		}
-		seeds := tune.WarmConfigs(repo, "spark", features, target.Space(), 3)
-		if len(seeds) == 0 {
-			return nil, fmt.Errorf("bench: repository transferred no configurations")
-		}
-		return tune.WarmStartTuner(bt, seeds), nil
+	defTarget, err := repro.NewTarget("spark", "pagerank", o.Seed+990, topts)
+	if err != nil {
+		return nil, err
 	}
-	variants := []variant{
-		{"iTuned", "cold", func(seed int64, _ tune.Target) (tune.Tuner, error) {
-			return experiment.NewITuned(seed), nil
-		}},
-		{"iTuned", "warm", func(seed int64, target tune.Target) (tune.Tuner, error) {
-			return warmWrap(experiment.NewITuned(seed), target)
-		}},
-		{"OtterTune", "cold", func(seed int64, _ tune.Target) (tune.Tuner, error) {
-			return ml.NewOtterTune(seed, nil), nil
-		}},
-		{"OtterTune", "warm", func(seed int64, target tune.Target) (tune.Tuner, error) {
-			return warmWrap(ml.NewOtterTune(seed, repo), target)
-		}},
+	defTime := DefaultTime(defTarget, 3)
+
+	// Cold and warm share the seed — the target's noise stream and the
+	// tuner's — so each pair differs only in starting knowledge. Cold
+	// OtterTune gets no repository; warm OtterTune also maps onto it.
+	approaches := []struct{ label, tuner string }{{"iTuned", "ituned"}, {"OtterTune", "ottertune"}}
+	var cells []cell
+	for _, a := range approaches {
+		cold := repro.Spec{System: "spark", Workload: "pagerank", Tuner: a.tuner, Seed: o.Seed, Budget: b, Target: topts}
+		warm := cold
+		warm.WarmStart = true
+		cells = append(cells, cell{spec: cold}, cell{spec: warm, corpus: repo})
+	}
+	sessions, err := runCells(o, cells)
+	if err != nil {
+		return nil, err
 	}
 
-	// Cold and warm run against fresh target instances with the same seed,
-	// so each pair differs only in starting knowledge; every variant is an
-	// independent job for the multi-session scheduler.
-	var jobs []engine.Job
-	for _, v := range variants {
-		// Every variant shares the noise seed, so pairs differ only in
-		// starting knowledge.
-		target := SparkTarget(job(), o.Seed)
-		tn, err := v.tuner(o.Seed, target)
-		if err != nil {
-			panic(err.Error())
-		}
-		jobs = append(jobs, engine.Job{Name: v.approach + "/" + v.start, Tuner: tn, Target: target, Budget: b})
-	}
-	results := o.engine().RunJobs(ctx, jobs)
-
-	for i := 0; i < len(variants); i += 2 {
-		cold, warm := results[i], results[i+1]
-		if cold.Err != nil || warm.Err != nil {
-			panic(fmt.Sprintf("bench: transfer session failed: %v / %v", cold.Err, warm.Err))
-		}
-		coldBest := cold.Result.BestResult.Time
-		for j, r := range []engine.JobResult{cold, warm} {
-			reach := r.Result.TrialsToWithin(coldBest, 1.05)
+	for i, a := range approaches {
+		coldBest := sessions[2*i].result.BestResult.Time
+		for j, start := range []string{"cold", "warm"} {
+			r := sessions[2*i+j].result
+			reach := r.TrialsToWithin(coldBest, 1.05)
 			reachS := "never"
 			if reach > 0 {
 				reachS = fmt.Sprintf("%d", reach)
 			}
-			t.AddRow(variants[i+j].approach, variants[i+j].start,
-				fmtSeconds(r.Result.BestResult.Time), reachS,
-				fmtSpeedup(speedup(defTime, r.Result.BestResult.Time)))
+			t.AddRow(a.label, start,
+				fmtSeconds(r.BestResult.Time), reachS,
+				fmtSpeedup(speedup(defTime, r.BestResult.Time)))
 		}
 	}
 	t.Note("budget %d trials each; repository: %d past spark sessions (wordcount, terasort, kmeans), pagerank unseen; default %s",
 		b.Trials, len(repo.Sessions), fmtSeconds(defTime))
 	t.Note("trials to cold incumbent = first trial within 5%% of the cold run's final best; warm < cold means transfer helped")
-	return t
+	return t, nil
 }

@@ -9,7 +9,7 @@ import (
 type Experiment struct {
 	Name  string
 	Doc   string
-	Run   func(Options) *Table
+	Run   func(Options) (*Table, error)
 	Paper string // the table/claim in the paper this regenerates
 }
 
@@ -100,13 +100,18 @@ func Experiments() []Experiment {
 	return out
 }
 
-// Run executes the named experiment.
+// Run executes the named experiment. A failure names the experiment and,
+// for a tuning session, the cell that failed.
 func Run(name string, o Options) (*Table, error) {
 	e, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown experiment %q (have: %v)", name, names())
 	}
-	return e.Run(o), nil
+	tb, err := e.Run(o)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", name, err)
+	}
+	return tb, nil
 }
 
 func names() []string {

@@ -1,132 +1,66 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/engine"
+	"repro"
 	"repro/internal/tune"
-	"repro/internal/tuners/experiment"
-	"repro/internal/workload"
 )
 
-// repoSession describes one synthetic past-tuning session to record: a
-// tuner bound to its own target instance (sessions never share a target, so
-// the scheduler can run them concurrently without entangling noise
-// streams).
-type repoSession struct {
-	system, name string
-	target       tune.Target
-	tuner        tune.Tuner
-	trials       int
+// pastWorkloads is the history a synthetic repository is built from: per
+// system, the past workloads and their scale in GB (full, fast).
+var pastWorkloads = map[string][]struct {
+	workload   string
+	full, fast float64
+}{
+	"dbms":   {{"tpch", 10, 2}, {"oltp", 4, 1}, {"mixed", 6, 1.5}},
+	"hadoop": {{"wordcount", 30, 3}, {"terasort", 30, 3}, {"aggregation", 20, 2}},
+	"spark":  {{"wordcount", 20, 2}, {"terasort", 20, 2}, {"pagerank", 5, 1}, {"kmeans", 8, 1}},
 }
 
-// buildRepository runs the sessions on the scheduler and records them in
-// order, so the repository contents are independent of parallelism.
-func buildRepository(o Options, sessions []repoSession) *tune.Repository {
-	jobs := make([]engine.Job, len(sessions))
-	for i, s := range sessions {
-		jobs[i] = engine.Job{Name: s.name, Tuner: s.tuner, Target: s.target, Budget: tune.Budget{Trials: s.trials}}
+// BuildRepository synthesizes a tuning repository from past sessions over
+// the system's workloads other than exclude — the corpus OtterTune-style
+// transfer requires. Each past workload contributes a guided session
+// (iTuned) and an exploratory one (random, half the trials, recorded as
+// "<workload>/explore"), each on its own target and seed. The sessions are
+// recorded in cell order, so the repository is independent of parallelism.
+func BuildRepository(o Options, system, exclude string) (*tune.Repository, error) {
+	past, ok := pastWorkloads[system]
+	if !ok {
+		return nil, fmt.Errorf("no past workloads for system %q", system)
 	}
-	results := o.engine().RunJobs(context.Background(), jobs)
-	repo := &tune.Repository{}
-	for i, r := range results {
-		if r.Err != nil {
-			panic(fmt.Sprintf("bench: repository session failed: %v", r.Err))
+	trials := 20
+	if o.Fast {
+		trials = 8
+	}
+	var cells []cell
+	var names []string
+	for i, p := range past {
+		if p.workload == exclude {
+			continue
 		}
-		s := sessions[i]
+		guided := repro.Spec{
+			System: system, Workload: p.workload, Tuner: "ituned",
+			Seed:   o.Seed + 100 + int64(10*i),
+			Budget: tune.Budget{Trials: trials},
+			Target: repro.TargetOptions{ScaleGB: o.scaleGB(p.full, p.fast)},
+		}
+		explore := guided
+		explore.Tuner, explore.Seed, explore.Budget.Trials = "random", guided.Seed+5000, trials/2
+		cells = append(cells, cell{spec: guided}, cell{spec: explore})
+		names = append(names, p.workload, p.workload+"/explore")
+	}
+	sessions, err := runCells(o, cells)
+	if err != nil {
+		return nil, fmt.Errorf("building the %s repository: %w", system, err)
+	}
+	repo := &tune.Repository{}
+	for i, s := range sessions {
 		var features map[string]float64
-		if d, ok := s.target.(tune.Describer); ok {
+		if d, ok := s.job.Target.(tune.Describer); ok {
 			features = d.WorkloadFeatures()
 		}
-		repo.AddResult(s.system, s.name, features, r.Result)
+		repo.AddResult(system, names[i], features, s.result)
 	}
-	return repo
-}
-
-// sessionPair returns the standard exploratory + guided session pair for
-// one past workload: an iTuned session and a random session, each on its
-// own fresh target built by mk with a distinct seed offset — distinct so
-// the two sessions' noise streams are independent, not copies.
-func sessionPair(system, name string, mk func(ofs int64) tune.Target, seed int64, trials int) []repoSession {
-	return []repoSession{
-		{system, name, mk(0), experiment.NewITuned(seed + 1), trials},
-		{system, name + "/explore", mk(5000), &experiment.Random{Seed: seed + 2}, trials / 2},
-	}
-}
-
-// BuildDBMSRepository synthesizes a tuning repository from past sessions over
-// DBMS workloads other than the one about to be tuned — the corpus
-// OtterTune-style transfer requires. Each past workload contributes one
-// exploratory session (random) and one guided session (iTuned).
-func BuildDBMSRepository(o Options, exclude string) *tune.Repository {
-	past := []*workload.DBWorkload{
-		workload.TPCHLike(o.scaleGB(10, 2)),
-		workload.OLTP(64, o.scaleGB(4, 1)),
-		workload.MixedDB(o.scaleGB(6, 1.5)),
-	}
-	trials := 20
-	if o.Fast {
-		trials = 8
-	}
-	var sessions []repoSession
-	for i, wl := range past {
-		if wl.Name == exclude {
-			continue
-		}
-		wl := wl
-		targetSeed := o.Seed + int64(100+i)
-		mk := func(ofs int64) tune.Target { return DBMSTarget(wl, targetSeed+ofs) }
-		sessions = append(sessions, sessionPair("dbms", wl.Name, mk, o.Seed+int64(10*i), trials)...)
-	}
-	return buildRepository(o, sessions)
-}
-
-// BuildSparkRepository is the Spark analogue of BuildDBMSRepository.
-func BuildSparkRepository(o Options, exclude string) *tune.Repository {
-	past := []*workload.SparkJob{
-		workload.WordCountSpark(o.scaleGB(20, 2)),
-		workload.TeraSortSpark(o.scaleGB(20, 2)),
-		workload.PageRank(o.scaleGB(5, 1), 8),
-		workload.KMeansSpark(o.scaleGB(8, 1), 10),
-	}
-	trials := 20
-	if o.Fast {
-		trials = 8
-	}
-	var sessions []repoSession
-	for i, job := range past {
-		if job.Name == exclude {
-			continue
-		}
-		job := job
-		targetSeed := o.Seed + int64(200+i)
-		mk := func(ofs int64) tune.Target { return SparkTarget(job, targetSeed+ofs) }
-		sessions = append(sessions, sessionPair("spark", job.Name, mk, o.Seed+int64(20*i), trials)...)
-	}
-	return buildRepository(o, sessions)
-}
-
-// BuildHadoopRepository is the Hadoop analogue of BuildDBMSRepository.
-func BuildHadoopRepository(o Options, exclude string) *tune.Repository {
-	past := []*workload.MRJob{
-		workload.WordCount(o.scaleGB(30, 3)),
-		workload.TeraSort(o.scaleGB(30, 3)),
-		workload.Aggregation(o.scaleGB(20, 2)),
-	}
-	trials := 20
-	if o.Fast {
-		trials = 8
-	}
-	var sessions []repoSession
-	for i, job := range past {
-		if job.Name == exclude {
-			continue
-		}
-		job := job
-		targetSeed := o.Seed + int64(300+i)
-		mk := func(ofs int64) tune.Target { return HadoopTarget(job, targetSeed+ofs) }
-		sessions = append(sessions, sessionPair("hadoop", job.Name, mk, o.Seed+int64(30*i), trials)...)
-	}
-	return buildRepository(o, sessions)
+	return repo, nil
 }

@@ -5,14 +5,10 @@ import (
 	"fmt"
 	"math"
 
+	"repro"
 	"repro/internal/engine"
-	"repro/internal/sysmodel/cluster"
-	"repro/internal/sysmodel/dbms"
-	"repro/internal/sysmodel/mapreduce"
-	"repro/internal/sysmodel/spark"
 	"repro/internal/tune"
 	"repro/internal/tuners/experiment"
-	"repro/internal/workload"
 )
 
 // Options configures an experiment run.
@@ -24,7 +20,7 @@ type Options struct {
 	// Fast shrinks workloads and budgets for test-suite runs.
 	Fast bool
 	// Parallel is the worker count for the multi-session scheduler
-	// (default 1). Every tuning job owns its target and seed, so tables
+	// (default 1). Every tuning session owns its target and seed, so tables
 	// are identical at any parallelism.
 	Parallel int
 }
@@ -57,27 +53,82 @@ func (o Options) scaleGB(full, small float64) float64 {
 	return full
 }
 
-// Standard deployments shared by the experiments.
-
-// DBMSTarget returns the standard single-node DBMS running wl.
-func DBMSTarget(wl *workload.DBWorkload, seed int64) *dbms.DBMS {
-	return dbms.New(cluster.CommodityNode(), wl, seed)
+// cell is one tuning session of an experiment: the spec that builds it, the
+// repository its repository-driven tuner reads and its warm start draws
+// from (nil = none), and an optional last adjustment to the built job.
+type cell struct {
+	spec   repro.Spec
+	corpus *tune.Repository
+	adjust func(*engine.Job)
 }
 
-// HadoopTarget returns the standard 16-node Hadoop cluster running job.
-func HadoopTarget(job *workload.MRJob, seed int64) *mapreduce.Hadoop {
-	return mapreduce.New(cluster.Commodity(16), job, seed)
+// session is a finished cell: the job its spec built (target and tuner), the
+// run handle (progress, event history) and the result.
+type session struct {
+	job    engine.Job
+	run    *engine.Run
+	result *tune.TuningResult
 }
 
-// SparkTarget returns the standard 16-node Spark cluster running job.
-func SparkTarget(job *workload.SparkJob, seed int64) *spark.Spark {
-	return spark.New(cluster.Commodity(16), job, seed)
+// runCells is the one way an experiment runs tuning sessions: it builds
+// every cell with Spec.JobWithWarm, submits them all to one engine and
+// returns the finished sessions in cell order, or an error naming the first
+// cell that failed to build or to run. Every cell owns its target and seed,
+// so the sessions are identical at any Options.Parallel.
+func runCells(o Options, cells []cell) ([]session, error) {
+	jobs := make([]engine.Job, len(cells))
+	for i, c := range cells {
+		var corpus tune.Corpus
+		var warm tune.WarmSource
+		if c.corpus != nil {
+			corpus, warm = c.corpus, c.corpus
+		}
+		job, err := c.spec.JobWithWarm(corpus, warm, nil)
+		if err != nil {
+			return nil, fmt.Errorf("cell %d (%s): %w", i, c.spec.Name(), err)
+		}
+		if c.adjust != nil {
+			c.adjust(&job)
+		}
+		jobs[i] = job
+	}
+	// The first failure stops the cells still running: the experiment is
+	// lost either way.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	eng := o.engine()
+	out := make([]session, len(jobs))
+	for i, job := range jobs {
+		out[i] = session{job: job, run: eng.SubmitContext(ctx, job)}
+	}
+	var first error
+	for i := range out {
+		res, err := out[i].run.Wait(context.Background())
+		if err != nil && first == nil {
+			first = fmt.Errorf("cell %d (%s): %w", i, cells[i].spec.Name(), err)
+			cancel()
+		}
+		out[i].result = res
+	}
+	if first != nil {
+		return nil, first
+	}
+	return out, nil
+}
+
+// bestTime is the session's best runtime. A pure recommendation (no trials)
+// is measured once on the session's own target, out of budget.
+func (s session) bestTime() float64 {
+	if len(s.result.Trials) == 0 {
+		return s.job.Target.Run(s.result.Best).Time
+	}
+	return s.result.BestResult.Time
 }
 
 // Reference finds a best-known configuration for target by spending a
 // generous search budget (iTuned plus random), returning its runtime. It is
 // the denominator for "trials to within 10% of best-known" measurements.
-func Reference(target tune.Target, seed int64, budget int) (tune.Config, float64) {
+func Reference(target tune.Target, seed int64, budget int) (tune.Config, float64, error) {
 	if budget <= 0 {
 		budget = 120
 	}
@@ -85,17 +136,17 @@ func Reference(target tune.Target, seed int64, budget int) (tune.Config, float64
 	it := experiment.NewITuned(seed + 1000)
 	r1, err := it.Tune(ctx, target, tune.Budget{Trials: budget * 2 / 3})
 	if err != nil {
-		panic(fmt.Sprintf("bench: reference search failed: %v", err))
+		return tune.Config{}, 0, fmt.Errorf("reference search: %w", err)
 	}
 	rd := &experiment.Random{Seed: seed + 2000}
 	r2, err := rd.Tune(ctx, target, tune.Budget{Trials: budget / 3})
 	if err != nil {
-		panic(fmt.Sprintf("bench: reference search failed: %v", err))
+		return tune.Config{}, 0, fmt.Errorf("reference search: %w", err)
 	}
 	if r2.BestResult.Objective() < r1.BestResult.Objective() {
-		return r2.Best, r2.BestResult.Time
+		return r2.Best, r2.BestResult.Time, nil
 	}
-	return r1.Best, r1.BestResult.Time
+	return r1.Best, r1.BestResult.Time, nil
 }
 
 // DefaultTime measures the target's default configuration, averaged over a
@@ -104,15 +155,16 @@ func DefaultTime(target tune.Target, runs int) float64 {
 	if runs <= 0 {
 		runs = 3
 	}
-	def := target.Space().Default()
+	return averageRun(target, target.Space().Default(), runs)
+}
+
+// averageRun is cfg's mean runtime over runs fresh runs on target.
+func averageRun(target tune.Target, cfg tune.Config, runs int) float64 {
 	var s float64
-	n := 0
 	for i := 0; i < runs; i++ {
-		r := target.Run(def)
-		s += r.Time
-		n++
+		s += target.Run(cfg).Time
 	}
-	return s / float64(n)
+	return s / float64(runs)
 }
 
 // speedup guards against division blowups for failed or zero baselines.

@@ -9,7 +9,7 @@ import (
 )
 
 // TestSpecCrossProduct is "accepted means runnable": every registered tuner ×
-// four targets × twelve session shapes at a 12-trial budget is either refused
+// four targets × fifteen session shapes at a 12-trial budget is either refused
 // when the job is built (Validate / JobWithWarm — the daemon's 400) or runs to
 // a result whose trials are identical at any Parallel — and, for a tuner whose
 // search has no natural end, that spent its trial budget. A spec that is
@@ -35,6 +35,10 @@ func TestSpecCrossProduct(t *testing.T) {
 		{"pareto+guardrail+drift", func(s *Spec) { s.Pareto, s.Guardrail, s.DriftDetect = true, 1200, true }},
 		{"sim_time", func(s *Spec) { s.Budget.SimTime = 4000 }},
 		{"fidelity+memo+parallel", func(s *Spec) { s.Fidelity, s.Memo, s.Parallel = &FidelitySpec{}, true, 2 }},
+		{"surrogate sparse", func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "sparse"} }},
+		{"surrogate rff", func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "rff"} }},
+		// Exact → sparse → RFF inside the 12-trial session.
+		{"surrogate switch", func(s *Spec) { s.Surrogate = &SurrogateSpec{SparseAbove: 3, RFFAbove: 7} }},
 	}
 	// The sequential-body tuners: only a fidelity schedule may refuse them (a
 	// bracket cannot be filled one dependent configuration at a time).
