@@ -661,6 +661,9 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request) {
 // from where it left off by sending Last-Event-ID (or ?after=N) — it
 // receives only the events past that point, or a synthetic
 // stream_checkpoint summarizing what was compacted away in the meantime.
+// A frame is "id: N\nevent: KIND\ndata: JSON\n\n", appended into one
+// buffer the stream reuses (JSON by tune.Event.AppendJSON) and written and
+// flushed once per event.
 //
 // The handler defends the daemon against its clients: every write runs
 // under sseWriteTimeout (a blocked client is disconnected, not buffered
@@ -694,13 +697,20 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	rc := http.NewResponseController(w)
+	var frame []byte // one event's frame; the stream reuses it
 	write := func(ev tune.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
+		frame = append(frame[:0], "id: "...)
+		frame = strconv.AppendInt(frame, int64(ev.Seq), 10)
+		frame = append(frame, "\nevent: "...)
+		frame = append(frame, ev.Kind...)
+		frame = append(frame, "\ndata: "...)
+		var err error
+		if frame, err = ev.AppendJSON(frame); err != nil {
 			return false
 		}
+		frame = append(frame, "\n\n"...)
 		_ = rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout))
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data); err != nil {
+		if _, err := w.Write(frame); err != nil {
 			return false
 		}
 		fl.Flush()

@@ -1,7 +1,6 @@
 package tune
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -113,14 +112,33 @@ func (c Config) Map() map[string]string {
 }
 
 // MarshalJSON renders the configuration as a name→formatted-value object
-// (keys sorted by encoding/json), or null for the invalid zero Config.
-// Deserializing requires the space, so there is deliberately no
-// UnmarshalJSON; configurations flow out of the API, not in.
-func (c Config) MarshalJSON() ([]byte, error) {
+// with sorted keys, or null for the invalid zero Config. Deserializing
+// requires the space, so there is deliberately no UnmarshalJSON;
+// configurations flow out of the API, not in.
+func (c Config) MarshalJSON() ([]byte, error) { return c.appendJSON(nil), nil }
+
+// appendJSON appends MarshalJSON's bytes: keys in the space's name order,
+// values as FormatValue renders them.
+func (c Config) appendJSON(dst []byte) []byte {
 	if !c.Valid() {
-		return []byte("null"), nil
+		return append(dst, "null"...)
 	}
-	return json.Marshal(c.Map())
+	dst = append(dst, '{')
+	for k, i := range c.space.byName {
+		if k > 0 {
+			dst = append(dst, ',')
+		}
+		p := c.space.params[i]
+		dst = append(appendJSONString(dst, p.Name), ':', '"')
+		start := len(dst)
+		dst = p.appendValue(dst, p.decode(c.x[i]))
+		if jsonSafe(dst[start:]) {
+			dst = append(dst, '"')
+		} else { // a unit or choice that needs escaping: re-quote it
+			dst = appendJSONString(dst[:start-1], string(dst[start:]))
+		}
+	}
+	return append(dst, '}')
 }
 
 // String renders the configuration as a deterministic, sorted key=value list.

@@ -1,9 +1,6 @@
 package tune
 
-import (
-	"context"
-	"encoding/json"
-)
+import "context"
 
 // EventKind names one kind of session event.
 type EventKind string
@@ -184,47 +181,8 @@ type Event struct {
 	Summary *StreamSummary
 }
 
-// eventJSON is the wire form of an Event.
-type eventJSON struct {
-	Kind        EventKind         `json:"kind"`
-	Seq         int               `json:"seq"`
-	Trial       int               `json:"trial,omitempty"`
-	Fidelity    float64           `json:"fidelity,omitempty"`
-	Config      map[string]string `json:"config,omitempty"`
-	Result      *Result           `json:"result,omitempty"`
-	SimTimeUsed float64           `json:"sim_time_used,omitempty"`
-	Limit       float64           `json:"limit,omitempty"`
-	Final       *TuningResult     `json:"final,omitempty"`
-	Err         string            `json:"error,omitempty"`
-	Summary     *StreamSummary    `json:"summary,omitempty"`
-}
-
-// MarshalJSON renders the event with only the fields its kind populates;
-// configurations marshal as name→value maps.
-func (e Event) MarshalJSON() ([]byte, error) {
-	j := eventJSON{Kind: e.Kind, Seq: e.Seq, Trial: e.Trial, Fidelity: e.Fidelity}
-	if e.Config.Valid() {
-		j.Config = e.Config.Map()
-	}
-	switch e.Kind {
-	case TrialDone, IncumbentImproved, ParetoIncumbent:
-		r := e.Result
-		j.Result = &r
-		j.SimTimeUsed = e.SimTimeUsed
-	case GuardrailViolation:
-		r := e.Result
-		j.Result = &r
-		j.Limit = e.Limit
-	case SessionDone:
-		j.Final = e.Final
-		if e.Err != nil {
-			j.Err = e.Err.Error()
-		}
-	case StreamCheckpoint, StreamLagged:
-		j.Summary = e.Summary
-	}
-	return json.Marshal(j)
-}
+// MarshalJSON renders the event as AppendJSON does.
+func (e Event) MarshalJSON() ([]byte, error) { return e.AppendJSON(nil) }
 
 // Monitor observes and controls one tuning session. A monitor reaches the
 // session through the context given to NewSession (see WithMonitor), which

@@ -12,6 +12,7 @@ package tune
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Kind enumerates the value types a configuration parameter may take.
@@ -238,22 +239,29 @@ func (p Param) unlerp(v float64) float64 {
 
 // FormatValue renders a native value of this parameter for humans.
 func (p Param) FormatValue(v float64) string {
+	var buf [32]byte
+	return string(p.appendValue(buf[:0], v))
+}
+
+// appendValue appends FormatValue's text: four significant digits for
+// floats, the rounded integer for ints, each followed by the unit.
+func (p Param) appendValue(dst []byte, v float64) []byte {
 	switch p.Kind {
 	case KindFloat:
-		return fmt.Sprintf("%.4g%s", v, p.Unit)
+		return append(strconv.AppendFloat(dst, v, 'g', 4, 64), p.Unit...)
 	case KindInt:
-		return fmt.Sprintf("%d%s", int(math.Round(v)), p.Unit)
+		return append(strconv.AppendInt(dst, int64(int(math.Round(v))), 10), p.Unit...)
 	case KindBool:
 		if v != 0 {
-			return "on"
+			return append(dst, "on"...)
 		}
-		return "off"
+		return append(dst, "off"...)
 	case KindCategorical:
 		i := int(math.Round(v))
 		if i >= 0 && i < len(p.Choices) {
-			return p.Choices[i]
+			return append(dst, p.Choices[i]...)
 		}
-		return fmt.Sprintf("choice(%d)", i)
+		return append(strconv.AppendInt(append(dst, "choice("...), int64(i), 10), ')')
 	}
-	return fmt.Sprintf("%v", v)
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }

@@ -3,6 +3,7 @@ package tune
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -12,6 +13,7 @@ import (
 type Space struct {
 	params []Param
 	index  map[string]int
+	byName []int // parameter positions in name order: a config's JSON key order
 }
 
 // NewSpace builds a space from params. It panics on duplicate parameter
@@ -19,12 +21,15 @@ type Space struct {
 // error.
 func NewSpace(params ...Param) *Space {
 	s := &Space{params: append([]Param(nil), params...), index: make(map[string]int, len(params))}
+	s.byName = make([]int, len(params))
 	for i, p := range s.params {
 		if _, dup := s.index[p.Name]; dup {
 			panic(fmt.Sprintf("tune: duplicate parameter %q", p.Name))
 		}
 		s.index[p.Name] = i
+		s.byName[i] = i
 	}
+	slices.SortFunc(s.byName, func(a, b int) int { return strings.Compare(s.params[a].Name, s.params[b].Name) })
 	return s
 }
 

@@ -6,15 +6,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+
+	"repro/internal/tune"
 )
 
 // TestSpecCrossProduct is "accepted means runnable": every registered tuner ×
-// four targets × fifteen session shapes at a 12-trial budget is either refused
-// when the job is built (Validate / JobWithWarm — the daemon's 400) or runs to
-// a result whose trials are identical at any Parallel — and, for a tuner whose
-// search has no natural end, that spent its trial budget. A spec that is
-// accepted and then fails from Run.Wait, or quietly stops short, is the bug
-// this test exists to catch.
+// four targets × sixteen session shapes (one with remote evaluator slots) at
+// a 12-trial budget is either refused when the job is built (Validate /
+// JobWithWarm — the daemon's 400) or runs to a result whose trials are
+// identical at any Parallel — and, for a tuner whose search has no natural
+// end, that spent its trial budget. A spec that is accepted and then fails
+// from Run.Wait, or quietly stops short, is the bug this test exists to
+// catch.
 func TestSpecCrossProduct(t *testing.T) {
 	targets := []struct{ system, workload string }{
 		{"dbms", "tpch"}, {"spark", "pagerank"}, {"hadoop", "terasort"}, {"dbms", "oltp-olap-shift"},
@@ -22,23 +25,27 @@ func TestSpecCrossProduct(t *testing.T) {
 	shapes := []struct {
 		name  string
 		apply func(*Spec)
+		// slots, when > 0, gives the job a stub evaluator fleet of that many
+		// remote slots, evaluating on a mirror of the target.
+		slots int
 	}{
-		{"plain", func(*Spec) {}},
-		{"memo", func(s *Spec) { s.Memo = true }},
-		{"memo_cap 3", func(s *Spec) { s.MemoCap = 3 }},
-		{"parallel 4", func(s *Spec) { s.Parallel = 4 }},
-		{"hyperband", func(s *Spec) { s.Fidelity = &FidelitySpec{Strategy: "hyperband"} }},
-		{"halving", func(s *Spec) { s.Fidelity = &FidelitySpec{Strategy: "halving"} }},
-		{"pareto", func(s *Spec) { s.Pareto = true }},
-		{"guardrail", func(s *Spec) { s.Guardrail = 1200 }},
-		{"drift_detect", func(s *Spec) { s.DriftDetect = true }},
-		{"pareto+guardrail+drift", func(s *Spec) { s.Pareto, s.Guardrail, s.DriftDetect = true, 1200, true }},
-		{"sim_time", func(s *Spec) { s.Budget.SimTime = 4000 }},
-		{"fidelity+memo+parallel", func(s *Spec) { s.Fidelity, s.Memo, s.Parallel = &FidelitySpec{}, true, 2 }},
-		{"surrogate sparse", func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "sparse"} }},
-		{"surrogate rff", func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "rff"} }},
+		{name: "plain", apply: func(*Spec) {}},
+		{name: "memo", apply: func(s *Spec) { s.Memo = true }},
+		{name: "memo_cap 3", apply: func(s *Spec) { s.MemoCap = 3 }},
+		{name: "parallel 4", apply: func(s *Spec) { s.Parallel = 4 }},
+		{name: "hyperband", apply: func(s *Spec) { s.Fidelity = &FidelitySpec{Strategy: "hyperband"} }},
+		{name: "halving", apply: func(s *Spec) { s.Fidelity = &FidelitySpec{Strategy: "halving"} }},
+		{name: "pareto", apply: func(s *Spec) { s.Pareto = true }},
+		{name: "guardrail", apply: func(s *Spec) { s.Guardrail = 1200 }},
+		{name: "drift_detect", apply: func(s *Spec) { s.DriftDetect = true }},
+		{name: "pareto+guardrail+drift", apply: func(s *Spec) { s.Pareto, s.Guardrail, s.DriftDetect = true, 1200, true }},
+		{name: "sim_time", apply: func(s *Spec) { s.Budget.SimTime = 4000 }},
+		{name: "fidelity+memo+parallel", apply: func(s *Spec) { s.Fidelity, s.Memo, s.Parallel = &FidelitySpec{}, true, 2 }},
+		{name: "surrogate sparse", apply: func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "sparse"} }},
+		{name: "surrogate rff", apply: func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "rff"} }},
 		// Exact → sparse → RFF inside the 12-trial session.
-		{"surrogate switch", func(s *Spec) { s.Surrogate = &SurrogateSpec{SparseAbove: 3, RFFAbove: 7} }},
+		{name: "surrogate switch", apply: func(s *Spec) { s.Surrogate = &SurrogateSpec{SparseAbove: 3, RFFAbove: 7} }},
+		{name: "remote slots", apply: func(*Spec) {}, slots: 2},
 	}
 	// The sequential-body tuners: only a fidelity schedule may refuse them (a
 	// bracket cannot be filled one dependent configuration at a time).
@@ -68,7 +75,7 @@ func TestSpecCrossProduct(t *testing.T) {
 					var want []byte
 					for _, parallel := range []int{spec.Parallel, 3} {
 						spec.Parallel = parallel
-						run, err := StartOn(ctx, eng, spec)
+						job, err := spec.Job()
 						if err != nil {
 							if want != nil {
 								t.Errorf("%s: refused at parallel %d only: %v", label, parallel, err)
@@ -78,7 +85,10 @@ func TestSpecCrossProduct(t *testing.T) {
 							refused++
 							break
 						}
-						res, err := run.Wait(ctx)
+						if shape.slots > 0 {
+							job.Remote = newMirrorBackend(t, spec, shape.slots)
+						}
+						res, err := eng.SubmitContext(ctx, job).Wait(ctx)
 						if err != nil {
 							t.Errorf("%s: accepted, then failed at parallel %d: %v", label, parallel, err)
 							break
@@ -105,4 +115,28 @@ func TestSpecCrossProduct(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mirrorBackend is a stub evaluator fleet. Its slots evaluate on a second
+// instance of the spec's target, built from the same seed and options, as an
+// evaluator process rebuilds the target from a trial assignment.
+type mirrorBackend struct {
+	space *tune.Space
+	caps  tune.Capabilities
+	slots int
+}
+
+func newMirrorBackend(t *testing.T, spec Spec, slots int) *mirrorBackend {
+	t.Helper()
+	target, err := NewTarget(spec.System, spec.Workload, spec.Seed, spec.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &mirrorBackend{space: target.Space(), caps: tune.Resolve(target), slots: slots}
+}
+
+func (b *mirrorBackend) Slots() int { return b.slots }
+
+func (b *mirrorBackend) Evaluate(ctx context.Context, idx int64, f float64, cfg tune.Config) (tune.Result, error) {
+	return b.caps.Eval(ctx, idx, tune.Candidate{Config: b.space.FromVector(cfg.Vector()), Fidelity: f})
 }
