@@ -346,3 +346,29 @@ func TestRegistrationAndHealth(t *testing.T) {
 		t.Fatalf("evaluator /healthz = %v, want status ok and linalg_kernel %q", hz, linalg.Kernel())
 	}
 }
+
+// TestHealthDuringReregistration: POST /evaluators re-registering a known
+// URL reaches Add, which rewrites the evaluator's name and worker count while
+// a /healthz request may be reporting them — Health must read both under the
+// pool's lock (go test -race).
+func TestHealthDuringReregistration(t *testing.T) {
+	pool, _ := newFleet(t, 1, func(int) EvaluatorOptions {
+		return EvaluatorOptions{Name: "ev", Workers: 2}
+	})
+	url := pool.Health(context.Background())[0].URL
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			pool.Add(url)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		for _, h := range pool.Health(context.Background()) {
+			if h.Name != "ev" || h.Workers != 2 {
+				t.Errorf("health during re-registration = %+v, want name ev and 2 workers", h)
+			}
+		}
+	}
+	<-done
+}

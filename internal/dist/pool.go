@@ -205,29 +205,28 @@ func (p *Pool) Health(ctx context.Context) []RemoteHealth {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Add rewrites name and workers under p.mu, so they are copied under it.
 	p.mu.Lock()
 	remotes := make([]*remote, len(p.remotes))
 	copy(remotes, p.remotes)
-	p.mu.Unlock()
 	out := make([]RemoteHealth, len(remotes))
+	for i, r := range remotes {
+		out[i] = RemoteHealth{URL: r.url, Name: r.name, Workers: r.workers}
+	}
+	p.mu.Unlock()
 	var wg sync.WaitGroup
 	for i, r := range remotes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			h := &out[i]
 			r.mu.Lock()
-			lastErr := r.lastErr
+			h.LastError = r.lastErr
 			r.mu.Unlock()
-			out[i] = RemoteHealth{
-				URL:       r.url,
-				Name:      r.name,
-				Workers:   r.workers,
-				InFlight:  r.inflight.Load(),
-				Completed: r.completed.Load(),
-				Failures:  r.failures.Load(),
-				LastError: lastErr,
-			}
-			out[i].Healthy = p.probe(ctx, r.url)
+			h.InFlight = r.inflight.Load()
+			h.Completed = r.completed.Load()
+			h.Failures = r.failures.Load()
+			h.Healthy = p.probe(ctx, r.url)
 		}()
 	}
 	wg.Wait()

@@ -148,35 +148,6 @@ func codec(name string) (ratio, cpu float64) {
 	}
 }
 
-// slotSchedule list-schedules task durations over nSlots slots whose slot i
-// belongs to node nodeOf(i), returning the per-task completion times and the
-// makespan given a common start time.
-func slotSchedule(durations []float64, nSlots int, start float64) (completions []float64, makespan float64) {
-	if nSlots < 1 {
-		nSlots = 1
-	}
-	avail := make([]float64, nSlots)
-	for i := range avail {
-		avail[i] = start
-	}
-	completions = make([]float64, len(durations))
-	for t, d := range durations {
-		// earliest available slot
-		bi := 0
-		for i := 1; i < nSlots; i++ {
-			if avail[i] < avail[bi] {
-				bi = i
-			}
-		}
-		avail[bi] += d
-		completions[t] = avail[bi]
-		if avail[bi] > makespan {
-			makespan = avail[bi]
-		}
-	}
-	return completions, makespan
-}
-
 // zipfShares returns n partition shares summing to 1 with skew theta.
 func zipfShares(n int, theta float64) []float64 {
 	shares := make([]float64, n)
@@ -340,7 +311,8 @@ func (h *Hadoop) simulate(cfg tune.Config, rng *rand.Rand) tune.Result {
 			}
 		}
 	}
-	mapCompletions, mapEnd := slotSchedule(mapDur, nNodes*mapSlots, 0)
+	mapCompletions := make([]float64, mapTasks)
+	mapEnd := cluster.ListSchedule(mapDur, nNodes*mapSlots, 0, mapCompletions)
 
 	// --- shuffle ---------------------------------------------------------------
 	shuffleMB := job.InputMB * job.MapSelectivity * combFactor * codecRatio
@@ -352,10 +324,9 @@ func (h *Hadoop) simulate(cfg tune.Config, rng *rand.Rand) tune.Result {
 	shuffleDur := shuffleMB / shuffleBW
 	// Reducers begin fetching once slowstart of maps finished; only the
 	// first reduce wave overlaps.
-	sorted := append([]float64(nil), mapCompletions...)
-	sort.Float64s(sorted)
-	idx := int(slowstart * float64(len(sorted)-1))
-	shuffleStart := sorted[idx]
+	sort.Float64s(mapCompletions)
+	idx := int(slowstart * float64(len(mapCompletions)-1))
+	shuffleStart := mapCompletions[idx]
 	firstWaveFrac := math.Min(1, float64(nNodes*redSlots)/float64(reduceTasks))
 	overlapWindow := math.Max(0, mapEnd-shuffleStart)
 	overlapped := math.Min(shuffleDur*firstWaveFrac, overlapWindow)
@@ -407,7 +378,7 @@ func (h *Hadoop) simulate(cfg tune.Config, rng *rand.Rand) tune.Result {
 			}
 		}
 	}
-	_, redEnd := slotSchedule(redDur, nNodes*redSlots, shuffleEnd)
+	redEnd := cluster.ListSchedule(redDur, nNodes*redSlots, shuffleEnd, nil)
 
 	elapsed := redEnd + 4.0 // job setup/teardown
 	elapsed *= math.Exp(rng.NormFloat64() * h.NoiseStd)

@@ -1,7 +1,13 @@
 package mapreduce
 
 import (
+	"context"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -160,6 +166,88 @@ func TestRunAlwaysWellFormed(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
+}
+
+// resultDigest folds every bit of a result into h.
+func resultDigest(h hash.Hash64, res tune.Result) {
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	put(res.Time)
+	put(res.Cost)
+	if res.Failed {
+		h.Write([]byte(res.FailReason))
+	}
+	names := make([]string, 0, len(res.Metrics))
+	for k := range res.Metrics {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		h.Write([]byte(k))
+		put(res.Metrics[k])
+	}
+}
+
+// The simulator's results are part of every recorded event stream, so the
+// scheduler may get faster but not different. The digest below is of Run and
+// RunIndexedFidelity over random jobs, homogeneous, heterogeneous and shared
+// clusters, seeds, configurations and fidelities, taken with the map and
+// reduce waves scheduled by a linear scan for the idle slot.
+func TestMapReduceResultsUnchanged(t *testing.T) {
+	const want = uint64(0x3b95c060311a8600)
+	r := rand.New(rand.NewSource(53))
+	jobs := []func() *workload.MRJob{
+		func() *workload.MRJob { return workload.TeraSort(2 + 8*r.Float64()) },
+		func() *workload.MRJob { return workload.WordCount(2 + 8*r.Float64()) },
+		func() *workload.MRJob { return workload.Grep(2 + 8*r.Float64()) },
+		func() *workload.MRJob { return workload.Aggregation(2 + 8*r.Float64()) },
+		func() *workload.MRJob { return workload.JoinMR(2 + 8*r.Float64()) },
+	}
+	h := fnv.New64a()
+	failed := 0
+	for trial := 0; trial < 400; trial++ {
+		n := 4 + r.Intn(8)
+		cl := cluster.Commodity(n)
+		switch r.Intn(3) {
+		case 1:
+			cl = cluster.Heterogeneous(n)
+		case 2:
+			cl = cl.MultiTenant(0.3, 0.2)
+		}
+		hd := New(cl, jobs[r.Intn(len(jobs))](), r.Int63n(1000))
+		// Most random configurations fail simulate's memory checks before a
+		// task is scheduled: redraw such a configuration seven times in eight.
+		cfg := hd.Space().Random(r)
+		for !fits(cl, cfg) && r.Intn(8) != 0 {
+			cfg = hd.Space().Random(r)
+		}
+		var res tune.Result
+		if r.Intn(2) == 0 {
+			res = hd.Run(cfg)
+		} else {
+			res = hd.RunIndexedFidelity(context.Background(), 1+r.Int63n(50), 0.05+r.Float64(), cfg)
+		}
+		if res.Failed {
+			failed++
+		}
+		resultDigest(h, res)
+	}
+	if failed > 100 {
+		t.Errorf("%d of 400 runs failed — the digest would hardly reach the scheduler", failed)
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("digest of 400 simulated runs = %#x, want %#x: a result changed", got, want)
+	}
+}
+
+// fits reports whether cfg passes simulate's two memory checks on cl.
+func fits(cl *cluster.Cluster, cfg tune.Config) bool {
+	heap := cfg.Float(JVMHeapMB)
+	return cfg.Float(IOSortMB) <= 0.7*heap &&
+		heap*float64(cfg.Int(MapSlots)+cfg.Int(RedSlots)) <= cl.MinNode().RAMMB*0.9
 }
 
 // TestFidelityContract pins the tune.FidelityTarget contract for Hadoop:

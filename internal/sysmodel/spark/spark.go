@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -526,8 +527,16 @@ func (s *Spark) simulate(cfg tune.Config, rng *rand.Rand, single bool, epoch int
 	// Every stage of a run splits by the same skew, and all of them (bar an
 	// input stage under spark_default_parallelism) into the same number of
 	// tasks: shares holds zipfShares(len(shares), skew) from one stage to the
-	// next. sorted is quantileOf's scratch.
-	var shares, sorted []float64
+	// next. sorted is quantileOf's scratch, durations every stage's.
+	var shares, sorted, durations []float64
+	// base holds the task durations of the stage under baseKey up to the
+	// first random draw, and baseSpill the MB it spilled: an iterative job
+	// repeats its second stage to the end, so those stages redo only the
+	// draws. Results stay bit for bit only while the draws keep their order
+	// and every expression stays as written: arm64 may fuse x*y+z (DESIGN §5).
+	var base []float64
+	var baseKey stageKey
+	var baseSpill float64
 
 	// stageTime computes one pass over dataMB with shuffleMB shuffled.
 	// Input (non-cache) stages parallelize by spark_default_parallelism when
@@ -543,45 +552,49 @@ func (s *Spark) simulate(cfg tune.Config, rng *rand.Rand, single bool, epoch int
 		if len(shares) != tasks {
 			shares = zipfShares(tasks, skew)
 		}
-		var gcFrac float64
-		durations := make([]float64, tasks)
-		spilledMB := 0.0
+		if key := (stageKey{dataMB, shuffleMB, readFromCache, tasks}); key != baseKey {
+			baseKey, baseSpill = key, 0
+			base = slices.Grow(base[:0], tasks)[:tasks]
+			for i := 0; i < tasks; i++ {
+				dMB := dataMB * shares[i]
+				sMB := shuffleMB * shares[i]
+				// Compute.
+				cpu := dMB * job.CPUPerMB / clock
+				// Serialization of shuffled data (write + read side).
+				cpu += sMB * (serCPU + codecCPU) * 2 / clock
+				// Working set vs execution memory: spill or GC pressure.
+				working := sMB * serRatio
+				if working > memPerTask {
+					spill := working - memPerTask
+					cpu += spill * 0.002 / clock
+					baseSpill += spill
+					base[i] = cpu + spill*2*spillIOFactor/(diskMBps/float64(perNode*execCores))
+				} else {
+					base[i] = cpu
+				}
+				util := working / math.Max(memPerTask, 1)
+				if util > 0.7 {
+					g := 0.08 + 0.5*math.Min(1, (util-0.7)/0.3)
+					base[i] *= 1 + g
+				}
+				// Input read: from cache, local disk, or remote.
+				if readFromCache {
+					missing := dMB * (1 - cacheRatio)
+					switch storage {
+					case "memory_and_disk", "disk_only":
+						base[i] += missing / (diskMBps / float64(perNode*execCores))
+					default:
+						// memory_only: evicted partitions are recomputed.
+						base[i] += missing * job.CPUPerMB * 1.5 / clock
+					}
+				} else {
+					base[i] += dMB / (diskMBps / float64(perNode*execCores))
+				}
+			}
+		}
+		durations = append(durations[:0], base...)
 		for i := 0; i < tasks; i++ {
 			dMB := dataMB * shares[i]
-			sMB := shuffleMB * shares[i]
-			// Compute.
-			cpu := dMB * job.CPUPerMB / clock
-			// Serialization of shuffled data (write + read side).
-			cpu += sMB * (serCPU + codecCPU) * 2 / clock
-			// Working set vs execution memory: spill or GC pressure.
-			working := sMB * serRatio
-			if working > memPerTask {
-				spill := working - memPerTask
-				cpu += spill * 0.002 / clock
-				spilledMB += spill
-				durations[i] = cpu + spill*2*spillIOFactor/(diskMBps/float64(perNode*execCores))
-			} else {
-				durations[i] = cpu
-			}
-			util := working / math.Max(memPerTask, 1)
-			if util > 0.7 {
-				g := 0.08 + 0.5*math.Min(1, (util-0.7)/0.3)
-				durations[i] *= 1 + g
-				gcFrac += g
-			}
-			// Input read: from cache, local disk, or remote.
-			if readFromCache {
-				missing := dMB * (1 - cacheRatio)
-				switch storage {
-				case "memory_and_disk", "disk_only":
-					durations[i] += missing / (diskMBps / float64(perNode*execCores))
-				default:
-					// memory_only: evicted partitions are recomputed.
-					durations[i] += missing * job.CPUPerMB * 1.5 / clock
-				}
-			} else {
-				durations[i] += dMB / (diskMBps / float64(perNode*execCores))
-			}
 			// Non-local tasks pay a network read after the locality wait
 			// expires; generous waits improve locality at idle cost.
 			nonLocalP := math.Max(0.02, 0.25-0.06*localityWait)
@@ -609,10 +622,10 @@ func (s *Spark) simulate(cfg tune.Config, rng *rand.Rand, single bool, epoch int
 				}
 			}
 		}
-		makespan := slotMakespan(durations, slots)
+		makespan := cluster.ListSchedule(durations, slots, 0, nil)
 		// Shuffle transfer over the fabric, overlapped ~50% with compute.
 		shufNet := shuffleMB * serRatio * codecRatio / netBW
-		return makespan + 0.5*shufNet, spilledMB
+		return makespan + 0.5*shufNet, baseSpill
 	}
 
 	var elapsed, totalSpill float64
@@ -713,6 +726,14 @@ func boolMetric(b bool) float64 {
 	return 0
 }
 
+// stageKey is what a stage's task durations before the random draws depend
+// on within one run.
+type stageKey struct {
+	dataMB, shuffleMB float64
+	readFromCache     bool
+	tasks             int
+}
+
 func zipfShares(n int, theta float64) []float64 {
 	shares := make([]float64, n)
 	var h float64
@@ -724,57 +745,6 @@ func zipfShares(n int, theta float64) []float64 {
 		shares[i] /= h
 	}
 	return shares
-}
-
-// slot is one task slot of the list scheduler: when it next falls idle.
-type slot struct {
-	avail float64
-	index int
-}
-
-// before orders slots by when they fall idle, ties to the lower index — the
-// slot a left-to-right scan for the minimum would stop at.
-func (a slot) before(b slot) bool {
-	return a.avail < b.avail || (a.avail == b.avail && a.index < b.index)
-}
-
-// slotMakespan runs durations, in order, each on the slot that falls idle
-// first (the lowest-numbered of several), and returns when the last slot
-// finishes. The idle slots are a binary min-heap in before order, so a task
-// costs O(log nSlots).
-func slotMakespan(durations []float64, nSlots int) float64 {
-	if nSlots < 1 {
-		nSlots = 1
-	}
-	heap := make([]slot, nSlots) // all idle at 0: index order is heap order
-	for i := range heap {
-		heap[i].index = i
-	}
-	var makespan float64
-	for _, d := range durations {
-		top := heap[0]
-		top.avail += d
-		if top.avail > makespan {
-			makespan = top.avail
-		}
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= nSlots {
-				break
-			}
-			if c+1 < nSlots && heap[c+1].before(heap[c]) {
-				c++
-			}
-			if !heap[c].before(top) {
-				break
-			}
-			heap[i] = heap[c]
-			i = c
-		}
-		heap[i] = top
-	}
-	return makespan
 }
 
 // quantileOf returns the element sort.Float64s would leave at index

@@ -254,31 +254,6 @@ func TestMultiMetricBitwiseRepeatable(t *testing.T) {
 	}
 }
 
-// slotScheduleOracle is the list scheduler as first written — a linear scan
-// for the idle slot, per task — kept as the definition slotMakespan must
-// reproduce.
-func slotScheduleOracle(durations []float64, nSlots int) (completions []float64, makespan float64) {
-	if nSlots < 1 {
-		nSlots = 1
-	}
-	avail := make([]float64, nSlots)
-	completions = make([]float64, len(durations))
-	for t, d := range durations {
-		bi := 0
-		for i := 1; i < nSlots; i++ {
-			if avail[i] < avail[bi] {
-				bi = i
-			}
-		}
-		avail[bi] += d
-		completions[t] = avail[bi]
-		if avail[bi] > makespan {
-			makespan = avail[bi]
-		}
-	}
-	return completions, makespan
-}
-
 // quantileBySort is quantileOf as first written: sort a copy, index it.
 func quantileBySort(xs []float64, q float64) float64 {
 	s := append([]float64(nil), xs...)
@@ -294,8 +269,8 @@ func quantileBySort(xs []float64, q float64) float64 {
 }
 
 // taskDurations draws n durations with the ties a real stage has none of:
-// a few distinct values repeated, so equal-avail slots and equal order
-// statistics are the common case rather than the never case.
+// a few distinct values repeated, so equal order statistics are the common
+// case rather than the never case.
 func taskDurations(r *rand.Rand, n int) []float64 {
 	ds := make([]float64, n)
 	distinct := 1 + r.Intn(n)
@@ -306,18 +281,6 @@ func taskDurations(r *rand.Rand, n int) []float64 {
 		}
 	}
 	return ds
-}
-
-func TestSlotMakespanMatchesLinearScan(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 2000; trial++ {
-		ds := taskDurations(r, 1+r.Intn(300))
-		slots := r.Intn(70) - 1 // -1 and 0 mean one slot
-		_, want := slotScheduleOracle(ds, slots)
-		if got := slotMakespan(ds, slots); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%d tasks on %d slots: makespan %v, linear scan %v", len(ds), slots, got, want)
-		}
-	}
 }
 
 func TestQuantileOfMatchesSort(t *testing.T) {
@@ -336,6 +299,24 @@ func TestQuantileOfMatchesSort(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
 			t.Fatalf("n=%d q=%v: selected %v, sorted %v", len(ds), q, got, want)
 		}
+	}
+}
+
+// BenchmarkSimulate times one simulated trial of the spark/pagerank target
+// the registry builds (5 GB, 8 iterations, 16 commodity nodes): 243 random
+// configurations, each run at one of a Hyperband bracket's fidelities 1/9,
+// 1/3 and 1 in turn. ns/op is per run.
+func BenchmarkSimulate(b *testing.B) {
+	s := New(cluster.Commodity(16), workload.PageRank(5, 8), 1)
+	r := rand.New(rand.NewSource(1))
+	cfgs := make([]tune.Config, 243)
+	for i := range cfgs {
+		cfgs[i] = s.Space().Random(r)
+	}
+	fids := []float64{1.0 / 9, 1.0 / 3, 1}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		s.RunIndexedFidelity(nil, int64(i), fids[i%3], cfgs[i%len(cfgs)])
 	}
 }
 
@@ -361,10 +342,12 @@ func resultDigest(h hash.Hash64, res tune.Result) {
 }
 
 // The simulator's results are part of every recorded event stream, so the
-// scheduler, the quantile and the shares may get faster but not different.
-// The digest below is of Run and RunIndexedFidelity over random jobs, spaces,
-// seeds, configurations and fidelities, taken with the three functions as
-// first written (the two oracles above, and zipfShares called per stage).
+// scheduler, the quantile, the shares and the stage durations may get faster
+// but not different. The digest below is of Run and RunIndexedFidelity over
+// random jobs, spaces, seeds, configurations and fidelities, taken with all
+// four as first written: the linear-scan scheduler (cluster's
+// slotScheduleOracle), quantileBySort above, zipfShares called per stage and
+// every task's duration computed afresh in every stage.
 func TestSimulateResultsUnchanged(t *testing.T) {
 	const want = uint64(0x4342a34598e7daa7)
 	r := rand.New(rand.NewSource(47))
