@@ -10,7 +10,7 @@
 //
 //	target, _ := repro.NewTarget("dbms", "tpch", 42)
 //	tuner, _ := repro.NewTuner("ituned", repro.TunerOptions{Seed: 42})
-//	result, _ := tuner.Tune(context.Background(), target, tune.Budget{Trials: 30})
+//	result, _ := repro.Tune(context.Background(), target, tuner, tune.Budget{Trials: 30}, 1)
 //
 // The session-handle path describes the same run declaratively and returns
 // a live handle with an ordered event stream and pause/resume/stop control
@@ -48,7 +48,7 @@ import (
 type (
 	// Target is the black box a tuner optimizes.
 	Target = tune.Target
-	// Tuner searches for a good configuration within a budget.
+	// Tuner is a named tuning approach; Tune runs it.
 	Tuner = tune.Tuner
 	// Budget caps trials and simulated time.
 	Budget = tune.Budget
@@ -159,14 +159,15 @@ type (
 // NewEngine returns a concurrent tuning engine.
 func NewEngine(o EngineOptions) *Engine { return engine.New(o) }
 
-// Tune runs tuner against target through the concurrent engine with the
-// given parallelism (≤1 or 0 means sequential). Every tuner that proposes
-// configurations is ask/tell and has each proposed batch fanned out to a
-// worker pool (a sequential search body proposes one configuration per
-// batch); only the adaptive family — online controllers whose trial is a
-// whole controlled run — goes through its blocking Tune unchanged. For a
-// fixed seed the result is identical at any parallelism — and identical to
-// what the session-handle path (Start) produces for the equivalent Spec.
+// Tune is the blocking call for every tuner: it runs tuner against target
+// through the concurrent engine with the given parallelism (≤1 or 0 means
+// sequential). Every tuner that proposes configurations is ask/tell and has
+// each proposed batch fanned out to a worker pool (a sequential search body
+// proposes one configuration per batch); only the adaptive family — online
+// controllers whose trial is a whole controlled run, tune.BlockingTuner —
+// runs its own loop inline. For a fixed seed the result is identical at any
+// parallelism — and identical to what the session-handle path (Start)
+// produces for the equivalent Spec.
 func Tune(ctx context.Context, target Target, tuner Tuner, b Budget, parallel int) (*TuningResult, error) {
 	r := TuneJobs(ctx, []Job{{Name: tuner.Name(), Tuner: tuner, Target: target, Budget: b, Parallel: parallel}}, 1)[0]
 	return r.Result, r.Err

@@ -33,7 +33,7 @@ func main() {
 		untuned := target.Run(target.Space().Default()).Time
 
 		it := experiment.NewITuned(seed + int64(n))
-		r, err := it.Tune(ctx, target, tune.Budget{Trials: 15})
+		r, err := repro.Tune(ctx, target, it, tune.Budget{Trials: 15}, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func main() {
 	noisy := cluster.Commodity(bestNodes).MultiTenant(0.3, 0.2)
 	target := mapreduce.New(noisy, job, seed+100)
 	it := experiment.NewITuned(seed + 100)
-	r, err := it.Tune(ctx, target, tune.Budget{Trials: 15})
+	r, err := repro.Tune(ctx, target, it, tune.Budget{Trials: 15}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func main() {
 			log.Fatal(err)
 		}
 		it, _ := repro.NewTuner("ituned", repro.TunerOptions{Seed: seed + int64(i)})
-		r, err := it.Tune(ctx, past, tune.Budget{Trials: 20})
+		r, err := repro.Tune(ctx, past, it, tune.Budget{Trials: 20}, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func main() {
 			log.Fatal(err)
 		}
 		target := fresh()
-		r, err := tn.Tune(ctx, target, budget)
+		r, err := repro.Tune(ctx, target, tn, budget, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func main() {
 			log.Fatal(err)
 		}
 		target := fresh()
-		r, err := tn.Tune(ctx, target, tune.Budget{Trials: 25})
+		r, err := repro.Tune(ctx, target, tn, tune.Budget{Trials: 25}, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func main() {
 	fmt.Println("\nkey knobs chosen by the what-if model:")
 	tn, _ := repro.NewTuner("starfish", repro.TunerOptions{Seed: seed})
 	target := fresh()
-	r, err := tn.Tune(ctx, target, tune.Budget{Trials: 2})
+	r, err := repro.Tune(ctx, target, tn, tune.Budget{Trials: 2}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

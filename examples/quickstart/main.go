@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	result, err := tuner.Tune(context.Background(), target, tune.Budget{Trials: 25})
+	result, err := repro.Tune(context.Background(), target, tuner, tune.Budget{Trials: 25}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

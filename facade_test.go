@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/tune"
@@ -57,7 +58,11 @@ func TestNewTargetOptions(t *testing.T) {
 	}
 }
 
+// TestNewTunerAll builds every registered tuner and pins its form: each has
+// exactly one of the three the engine drives, and only the adaptive family's
+// controlled-run loop is a tune.BlockingTuner.
 func TestNewTunerAll(t *testing.T) {
+	var blocking []string
 	for _, name := range Tuners() {
 		cat, doc, ok := TunerInfo(name)
 		if !ok || cat == "" || doc == "" {
@@ -68,9 +73,30 @@ func TestNewTunerAll(t *testing.T) {
 			proxy, _ := NewTarget("dbms", "tpch", 2, TargetOptions{ScaleGB: 0.5})
 			opts.Proxy = proxy
 		}
-		if _, err := NewTuner(name, opts); err != nil {
+		tuner, err := NewTuner(name, opts)
+		if err != nil {
 			t.Errorf("NewTuner(%q): %v", name, err)
+			continue
 		}
+		_, fidelity := tuner.(tune.FidelityBatchTuner)
+		_, askTell := tuner.(tune.BatchTuner)
+		_, block := tuner.(tune.BlockingTuner)
+		forms := 0
+		for _, has := range []bool{fidelity, askTell, block} {
+			if has {
+				forms++
+			}
+		}
+		if forms != 1 {
+			t.Errorf("%s has %d forms (fidelity ask/tell %v, ask/tell %v, blocking %v), want exactly one",
+				name, forms, fidelity, askTell, block)
+		}
+		if block {
+			blocking = append(blocking, name)
+		}
+	}
+	if want := []string{"colt", "memory-manager", "partitions", "recommender"}; !slices.Equal(blocking, want) {
+		t.Errorf("blocking tuners %v, want the adaptive family %v", blocking, want)
 	}
 	if _, err := NewTuner("nosuch", TunerOptions{}); err == nil {
 		t.Error("unknown tuner should error")
@@ -90,7 +116,7 @@ func TestEndToEndThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := tn.Tune(context.Background(), target, tune.Budget{Trials: 15})
+	r, err := Tune(context.Background(), target, tn, tune.Budget{Trials: 15}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +126,8 @@ func TestEndToEndThroughFacade(t *testing.T) {
 }
 
 // TestTuneIsOneJob: there is one way to configure a session. Tune at any
-// parallelism, the spec's Job submitted to an engine, and the tuner's own
-// blocking Tune return the same result — a fidelity schedule included.
+// parallelism and the spec's Job submitted to an engine return the same
+// result — a fidelity schedule included.
 func TestTuneIsOneJob(t *testing.T) {
 	ctx := context.Background()
 	for _, spec := range []Spec{
@@ -109,6 +135,7 @@ func TestTuneIsOneJob(t *testing.T) {
 		{System: "dbms", Workload: "tpch", Tuner: "random", Seed: 5, Budget: Budget{Trials: 30},
 			Fidelity: &FidelitySpec{Strategy: "hyperband"}},
 	} {
+		var first string // Tune at parallel 1
 		for _, p := range []int{1, 4} {
 			spec.Parallel = p
 			job := func() Job {
@@ -130,13 +157,14 @@ func TestTuneIsOneJob(t *testing.T) {
 				return string(data)
 			}
 			j := job()
-			blocking := result(j.Tuner.Tune(ctx, j.Target, j.Budget))
-			j = job()
-			if got := result(Tune(ctx, j.Target, j.Tuner, j.Budget, p)); got != blocking {
-				t.Errorf("%s at parallel %d: Tune differs from the blocking Tune:\n  %s\n  %s", spec.Name(), p, got, blocking)
+			tuned := result(Tune(ctx, j.Target, j.Tuner, j.Budget, p))
+			if first == "" {
+				first = tuned
+			} else if tuned != first {
+				t.Errorf("%s: Tune at parallel %d differs from parallel 1:\n  %s\n  %s", spec.Name(), p, tuned, first)
 			}
-			if got := result(NewEngine(EngineOptions{}).Submit(job()).Wait(ctx)); got != blocking {
-				t.Errorf("%s at parallel %d: the spec's Job differs from the blocking Tune:\n  %s\n  %s", spec.Name(), p, got, blocking)
+			if got := result(NewEngine(EngineOptions{}).Submit(job()).Wait(ctx)); got != tuned {
+				t.Errorf("%s at parallel %d: the spec's Job differs from Tune:\n  %s\n  %s", spec.Name(), p, got, tuned)
 			}
 		}
 	}

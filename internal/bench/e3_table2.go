@@ -199,7 +199,7 @@ func Table2(o Options) (*Table, error) {
 	// --- SARD: screening quality ---------------------------------------------
 	{
 		sard := experiment.NewSARD(o.Seed + 43)
-		ranking, err := sard.Screen(ctx, targets[7], b)
+		ranking, _, err := sard.Screen(ctx, targets[7], b)
 		out := "error"
 		if err == nil {
 			rho := rankingQuality(space, ranking, truth)

@@ -133,13 +133,11 @@ func Reference(target tune.Target, seed int64, budget int) (tune.Config, float64
 		budget = 120
 	}
 	ctx := context.Background()
-	it := experiment.NewITuned(seed + 1000)
-	r1, err := it.Tune(ctx, target, tune.Budget{Trials: budget * 2 / 3})
+	r1, err := repro.Tune(ctx, target, experiment.NewITuned(seed+1000), tune.Budget{Trials: budget * 2 / 3}, 1)
 	if err != nil {
 		return tune.Config{}, 0, fmt.Errorf("reference search: %w", err)
 	}
-	rd := &experiment.Random{Seed: seed + 2000}
-	r2, err := rd.Tune(ctx, target, tune.Budget{Trials: budget / 3})
+	r2, err := repro.Tune(ctx, target, &experiment.Random{Seed: seed + 2000}, tune.Budget{Trials: budget / 3}, 1)
 	if err != nil {
 		return tune.Config{}, 0, fmt.Errorf("reference search: %w", err)
 	}

@@ -62,12 +62,11 @@ func New(o Options) *Engine {
 // tune runs the job's tuner against its target. Tuners exposing an ask/tell
 // interface — every tuner that proposes configurations, sequential bodies
 // included (tune.Sequential) — go through the drive loop and the evaluator
-// stack. The default branch serves the adaptive family only (colt,
-// partitions, memory-manager, recommender; plus external Tuner-only
-// registrations): their trial is a controlled run, not a configuration, so
-// they keep the blocking facade, evaluate inline, and cannot be checkpointed
-// or resumed (DESIGN.md §2, "Why the adaptive family stays outside"). Both
-// paths give identical results at any worker count for a fixed seed.
+// stack. A tune.BlockingTuner is the adaptive family (colt, partitions,
+// memory-manager, recommender): its trial is a controlled run, not a
+// configuration, so it runs its own loop inline and cannot be checkpointed
+// or resumed (DESIGN.md §2, "Why the adaptive family stays outside"). Every
+// path gives identical results at any worker count for a fixed seed.
 func (j *Job) tune(ctx context.Context) (*tune.TuningResult, error) {
 	var fp tune.FidelityProposer
 	var err error
@@ -79,11 +78,13 @@ func (j *Job) tune(ctx context.Context) (*tune.TuningResult, error) {
 		if p, err = t.NewProposer(j.Target, j.Budget); err == nil {
 			fp = tune.LiftProposer(p)
 		}
-	default: // the adaptive family: a controlled run is not a Candidate
+	case tune.BlockingTuner: // the adaptive family: a controlled run is not a Candidate
 		if !j.Replay.Empty() {
 			return nil, fmt.Errorf("engine: replay: tuner %q has no ask/tell proposal form; its sessions cannot be resumed", j.Tuner.Name())
 		}
-		return j.Tuner.Tune(ctx, j.Target, j.Budget)
+		return t.Tune(ctx, j.Target, j.Budget)
+	default: // no form to drive: CheckTuner's refusal
+		return nil, tune.CheckTuner(j.Tuner, j.Target, j.Budget)
 	}
 	if err != nil {
 		return nil, err

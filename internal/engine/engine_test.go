@@ -41,11 +41,29 @@ func proposing(p any) tune.Tuner {
 type proposerTuner struct{ fp tune.FidelityProposer }
 
 func (p proposerTuner) Name() string { return "stub" }
-func (p proposerTuner) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveFidelity(ctx, p.Name(), target, b, p.fp)
-}
 func (p proposerTuner) NewFidelityProposer(tune.Target, tune.Budget) (tune.FidelityProposer, error) {
 	return p.fp, nil
+}
+
+// driveInline runs one session of an ask/tell tuner through tune.Drive with
+// the inline evaluator and no engine: the reference every engine path must
+// reproduce.
+func driveInline(ctx context.Context, tuner tune.Tuner, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
+	var fp tune.FidelityProposer
+	var err error
+	switch t := tuner.(type) {
+	case tune.FidelityBatchTuner:
+		fp, err = t.NewFidelityProposer(target, b)
+	case tune.BatchTuner:
+		var p tune.Proposer
+		if p, err = t.NewProposer(target, b); err == nil {
+			fp = tune.LiftProposer(p)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return tune.Drive(ctx, tuner.Name(), target, b, fp, tune.Inline(tune.Resolve(target)), nil)
 }
 
 // sameResult asserts two tuning results have identical trial sequences and
@@ -88,13 +106,13 @@ func TestDriveDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestDriveMatchesSequentialFacade: with the cache disabled, the engine's
-// parallel driver reproduces tune.DriveProposer (and hence Tuner.Tune)
-// exactly — run-index reservation hands each trial the same noise stream
-// the blocking facade would have drawn.
+// parallel driver reproduces the inline drive loop exactly — run-index
+// reservation hands each trial the same noise stream inline evaluation
+// would have drawn.
 func TestDriveMatchesSequentialFacade(t *testing.T) {
 	ctx := context.Background()
 	b := tune.Budget{Trials: 18}
-	facade, err := experiment.NewITuned(11).Tune(ctx, dbmsTarget(11), b)
+	facade, err := driveInline(ctx, experiment.NewITuned(11), dbmsTarget(11), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +241,7 @@ func TestSimTimeBudgetMatchesFacadeAndBoundsWaste(t *testing.T) {
 		return &scriptedRungs{rungs: [][]tune.Candidate{cands}}
 	}
 	facadeFid := &countingFidelityTarget{countingTarget: newCountingTarget()}
-	facade, err = tune.DriveFidelity(ctx, "stub", facadeFid, b, rung(facadeFid))
+	facade, err = driveInline(ctx, proposing(rung(facadeFid)), facadeFid, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +322,26 @@ func TestMemoKeyedByConfigAndFidelity(t *testing.T) {
 	}
 }
 
+// TestTunerWithoutAFormIsRefused: a tuner the engine has no way to drive
+// fails its session with tune.CheckTuner's refusal — the one a job build
+// reports — instead of running.
+func TestTunerWithoutAFormIsRefused(t *testing.T) {
+	job := Job{Tuner: nameOnly{}, Target: dbmsTarget(1), Budget: tune.Budget{Trials: 3}}
+	want := tune.CheckTuner(job.Tuner, job.Target, job.Budget)
+	if want == nil {
+		t.Fatal("CheckTuner accepted a tuner with no form")
+	}
+	if _, err := New(Options{}).Submit(job).Wait(nil); err == nil || err.Error() != want.Error() {
+		t.Fatalf("session ended with %v, want %v", err, want)
+	}
+}
+
+type nameOnly struct{}
+
+func (nameOnly) Name() string { return "name-only" }
+
 // TestDriveReportsCancellation: a cancelled context is an error on both
-// the batch path and the sequential facade, never a short success.
+// the engine path and the inline drive loop, never a short success.
 func TestDriveReportsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -313,8 +349,8 @@ func TestDriveReportsCancellation(t *testing.T) {
 	if _, err := New(Options{}).SubmitContext(ctx, Job{Tuner: experiment.NewITuned(1), Target: dbmsTarget(1), Budget: b, Parallel: 4}).Wait(nil); err != context.Canceled {
 		t.Errorf("engine path: got %v, want context.Canceled", err)
 	}
-	if _, err := experiment.NewITuned(1).Tune(ctx, dbmsTarget(1), b); err != context.Canceled {
-		t.Errorf("facade path: got %v, want context.Canceled", err)
+	if _, err := driveInline(ctx, experiment.NewITuned(1), dbmsTarget(1), b); err != context.Canceled {
+		t.Errorf("inline path: got %v, want context.Canceled", err)
 	}
 }
 

@@ -28,11 +28,11 @@ func hyperbandITuned(t *testing.T, seed int64) *tune.MultiFidelityTuner {
 }
 
 // TestFidelityEngineMatchesSequentialDriver: the engine's parallel rung
-// driver and the blocking tune.DriveFidelity produce identical results for
-// the same seed, including trial fidelities.
+// driver and the inline drive loop produce identical results for the same
+// seed, including trial fidelities.
 func TestFidelityEngineMatchesSequentialDriver(t *testing.T) {
 	b := tune.Budget{Trials: 26}
-	seq, err := hyperbandITuned(t, 5).Tune(context.Background(), fidelityDBMS(5), b)
+	seq, err := driveInline(context.Background(), hyperbandITuned(t, 5), fidelityDBMS(5), b)
 	if err != nil {
 		t.Fatal(err)
 	}

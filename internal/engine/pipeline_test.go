@@ -173,16 +173,15 @@ func sameStream(t *testing.T, label string, want, got []byte) {
 
 // TestPipelineEquivalence pins the single drive loop: every session shape
 // produces byte-identical event JSON and an equal TuningResult through every
-// entry point — the sequential facade (tune.DriveProposer / DriveFidelity
-// behind Tuner.Tune), the engine at 1 worker, at 4 workers, and at 1 worker
-// plus 2 remote slots — both uninterrupted and killed and resumed at every
-// batch/rung boundary.
+// entry point — the inline drive loop without an engine (driveInline), the
+// engine at 1 worker, at 4 workers, and at 1 worker plus 2 remote slots —
+// both uninterrupted and killed and resumed at every batch/rung boundary.
 func TestPipelineEquivalence(t *testing.T) {
 	for _, row := range pipelineRows() {
 		t.Run(row.name, func(t *testing.T) {
 			b := tune.Budget{Trials: row.trials}
 
-			// Entry 0, the sequential facade. It has no run handle, so the
+			// Entry 0, the inline drive loop. It has no run handle, so the
 			// monitor numbers the events the way a run does, and there is no
 			// SessionDone.
 			var seqEvents []tune.Event
@@ -192,7 +191,7 @@ func TestPipelineEquivalence(t *testing.T) {
 				seqEvents = append(seqEvents, ev)
 			}})
 			ctx = tune.WithScenario(ctx, row.scenario)
-			seqRes, err := tuner.Tune(ctx, target, b)
+			seqRes, err := driveInline(ctx, tuner, target, b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -322,8 +322,8 @@ func (r *Run) Resume() {
 	r.mu.Unlock()
 }
 
-// Stop cancels the run. The session finishes with a cancellation error —
-// matching the blocking facade, a stopped session is an error, not a short
+// Stop cancels the run. The session finishes with a cancellation error — as
+// for any cancelled drive loop, a stopped session is an error, not a short
 // success — delivered through Wait and the SessionDone event.
 func (r *Run) Stop() { r.cancel() }
 

@@ -12,10 +12,10 @@ import (
 )
 
 // TestSubmitMatchesBlockingTune: the handle path returns exactly what the
-// tuner's blocking Tune returns for the same seed.
+// inline drive loop returns for the same seed.
 func TestSubmitMatchesBlockingTune(t *testing.T) {
 	b := tune.Budget{Trials: 12}
-	blocking, err := experiment.NewITuned(9).Tune(context.Background(), dbmsTarget(9), b)
+	blocking, err := driveInline(context.Background(), experiment.NewITuned(9), dbmsTarget(9), b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ type Job struct {
 	// memoized result instead of a fresh noisy run, so converged tuners stop
 	// paying wall-clock for repeat proposals. Off by default because repeated
 	// measurements of a noisy target are sometimes deliberate — without it the
-	// session reproduces the blocking facade exactly.
+	// session reproduces the inline drive loop exactly.
 	Memo bool
 	// MemoCap bounds the memo cache to this many retained results, evicting
 	// by cost-aware GDSF (see gdsfMemo); >0 implies Memo, 0 retains every

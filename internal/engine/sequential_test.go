@@ -82,7 +82,7 @@ func TestSequentialReleasesCoroutine(t *testing.T) {
 		{"context cancel", func(t *testing.T) {
 			cctx, cancel := cancelAfter(4)
 			defer cancel()
-			if _, err := rrs(0).Tune(cctx, dbmsTarget(seed), tune.Budget{Trials: 50000}); !errors.Is(err, context.Canceled) {
+			if _, err := driveInline(cctx, rrs(0), dbmsTarget(seed), tune.Budget{Trials: 50000}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled session finished with %v", err)
 			}
 		}},
@@ -140,7 +140,7 @@ func TestSequentialReleasesCoroutine(t *testing.T) {
 			mustTune(t, w.tuner, dbmsTarget(seed), tune.Budget{Trials: 14})
 			cctx, cancel := cancelAfter(6)
 			defer cancel()
-			if _, err := w.tuner.Tune(cctx, dbmsTarget(seed), tune.Budget{Trials: 50000}); !errors.Is(err, context.Canceled) {
+			if _, err := driveInline(cctx, w.tuner, dbmsTarget(seed), tune.Budget{Trials: 50000}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled session finished with %v", err)
 			}
 		}})

@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the one ask/tell drive loop and the pieces it composes. Every
-// session — plain or multi-fidelity, sequential facade or concurrent engine,
+// session — plain or multi-fidelity, inline (DriveProposer) or on the engine,
 // fresh or resumed — is the same pipeline:
 //
 //	proposer view → Drive loop → evaluator stack → target capabilities
@@ -193,26 +193,11 @@ func Drive(ctx context.Context, name string, target Target, b Budget, fp Fidelit
 	return s.Finish(name, recommend(fp)), nil
 }
 
-// DriveProposer evaluates a Proposer sequentially against target under b
-// and packages the outcome — the adapter that preserves the blocking Tuner
-// facade for ask/tell tuners, which implement Tune as a one-line call to it.
-// The concurrent engine runs the same loop with a parallel evaluator, which
-// is why both produce identical results for a fixed seed.
+// DriveProposer evaluates a Proposer inline against target under b and
+// packages the outcome, for code below the engine that drives a proposer of
+// its own (SARD's screen, the recommender on a plain target). The engine runs
+// the same loop with its evaluator stack, which is why both produce identical
+// results for a fixed seed.
 func DriveProposer(ctx context.Context, name string, target Target, b Budget, p Proposer) (*TuningResult, error) {
-	return DriveFidelity(ctx, name, target, b, LiftProposer(p))
-}
-
-// DriveTuner is every BatchTuner's Tune: a fresh proposer, driven
-// sequentially.
-func DriveTuner(ctx context.Context, t BatchTuner, target Target, b Budget) (*TuningResult, error) {
-	p, err := t.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return DriveProposer(ctx, t.Name(), target, b, p)
-}
-
-// DriveFidelity is DriveProposer for a multi-fidelity schedule.
-func DriveFidelity(ctx context.Context, name string, target Target, b Budget, fp FidelityProposer) (*TuningResult, error) {
-	return Drive(ctx, name, target, b, fp, Inline(Resolve(target)), nil)
+	return Drive(ctx, name, target, b, LiftProposer(p), Inline(Resolve(target)), nil)
 }

@@ -161,11 +161,7 @@ func (p *streamProposer) Observe(t Trial) { p.observed = append(p.observed, t) }
 
 type streamTuner struct{ p *streamProposer }
 
-func (t *streamTuner) Name() string { return "counting" }
-func (t *streamTuner) Tune(ctx context.Context, target Target, b Budget) (*TuningResult, error) {
-	pr, _ := t.NewProposer(target, b)
-	return DriveProposer(ctx, t.Name(), target, b, pr)
-}
+func (t *streamTuner) Name() string                                          { return "counting" }
 func (t *streamTuner) NewProposer(target Target, b Budget) (Proposer, error) { return t.p, nil }
 
 // TestMultiFidelityPromotionSemantics drives a Hyperband schedule against
@@ -183,11 +179,7 @@ func TestMultiFidelityPromotionSemantics(t *testing.T) {
 
 	var events []Event
 	ctx := WithMonitor(context.Background(), &Monitor{OnEvent: func(ev Event) { events = append(events, ev) }})
-	fp, err := mf.NewFidelityProposer(target, Budget{Trials: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := DriveFidelity(ctx, mf.Name(), target, Budget{Trials: 30}, fp)
+	res, err := driveSchedule(ctx, mf, target, Budget{Trials: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +286,17 @@ func TestMultiFidelityPromotionSemantics(t *testing.T) {
 	}
 }
 
+// driveSchedule runs one session of mf inline.
+func driveSchedule(ctx context.Context, mf *MultiFidelityTuner, target Target, b Budget) (*TuningResult, error) {
+	fp, err := mf.NewFidelityProposer(target, b)
+	if err != nil {
+		return nil, err
+	}
+	return Drive(ctx, mf.Name(), target, b, fp, Inline(Resolve(target)), nil)
+}
+
 // TestDriveFidelityRequiresFidelityTarget: a plain target is rejected
-// descriptively on both construction and drive.
+// descriptively by both the check and the construction.
 func TestDriveFidelityRequiresFidelityTarget(t *testing.T) {
 	target := newStubTarget()
 	inner := &streamTuner{p: &streamProposer{rng: rand.New(rand.NewSource(1)), space: target.Space()}}
@@ -306,8 +307,8 @@ func TestDriveFidelityRequiresFidelityTarget(t *testing.T) {
 	if _, err := mf.NewFidelityProposer(target, Budget{Trials: 5}); err == nil {
 		t.Error("NewFidelityProposer accepted a target without a fidelity path")
 	}
-	if _, err := mf.Tune(context.Background(), target, Budget{Trials: 5}); err == nil {
-		t.Error("Tune accepted a target without a fidelity path")
+	if err := mf.Check(target, Budget{Trials: 5}); err == nil {
+		t.Error("Check accepted a target without a fidelity path")
 	}
 	if _, err := NewMultiFidelity(inner, FidelitySpace{}, "bogus", 1); err == nil {
 		t.Error("NewMultiFidelity accepted an unknown strategy")
@@ -405,11 +406,7 @@ func (p *finiteProposer) Observe(Trial) {}
 
 type finiteTuner struct{ p *finiteProposer }
 
-func (t *finiteTuner) Name() string { return "finite" }
-func (t *finiteTuner) Tune(ctx context.Context, target Target, b Budget) (*TuningResult, error) {
-	pr, _ := t.NewProposer(target, b)
-	return DriveProposer(ctx, t.Name(), target, b, pr)
-}
+func (t *finiteTuner) Name() string                                          { return "finite" }
 func (t *finiteTuner) NewProposer(target Target, b Budget) (Proposer, error) { return t.p, nil }
 
 // TestMultiFidelityUnderDeliveryStillReachesFullFidelity: when the inner
@@ -424,7 +421,7 @@ func TestMultiFidelityUnderDeliveryStillReachesFullFidelity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mf.Tune(context.Background(), target, Budget{Trials: 50})
+		res, err := driveSchedule(context.Background(), mf, target, Budget{Trials: 50})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package tune
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -41,16 +40,6 @@ func NewMultiFidelity(inner BatchTuner, fs FidelitySpace, strategy string, seed 
 
 // Name implements Tuner, e.g. "hyperband(ituned)".
 func (t *MultiFidelityTuner) Name() string { return t.strategy + "(" + t.inner.Name() + ")" }
-
-// Tune implements Tuner through the sequential drive loop; the concurrent
-// engine runs the same loop with a parallel evaluator.
-func (t *MultiFidelityTuner) Tune(ctx context.Context, target Target, b Budget) (*TuningResult, error) {
-	fp, err := t.NewFidelityProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return DriveFidelity(ctx, t.Name(), target, b, fp)
-}
 
 // Check implements Checker: the inner tuner must be able to fill a bracket,
 // the target needs a fidelity path, and the inner tuner has to accept it.

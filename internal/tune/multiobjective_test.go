@@ -1,7 +1,6 @@
 package tune
 
 import (
-	"context"
 	"math"
 	"testing"
 )
@@ -14,14 +13,6 @@ type fakeBatchTuner struct {
 }
 
 func (f *fakeBatchTuner) Name() string { return f.name }
-
-func (f *fakeBatchTuner) Tune(ctx context.Context, target Target, b Budget) (*TuningResult, error) {
-	p, err := f.NewProposer(target, b)
-	if err != nil {
-		return nil, err
-	}
-	return DriveProposer(ctx, f.name, target, b, p)
-}
 
 func (f *fakeBatchTuner) NewProposer(_ Target, b Budget) (Proposer, error) {
 	f.budgets = append(f.budgets, b)

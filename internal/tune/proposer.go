@@ -1,13 +1,12 @@
 package tune
 
-import "context"
+import "fmt"
 
 // Proposer is the ask/tell (propose–observe) face of a tuning algorithm.
-// Instead of owning the evaluation loop the way Tuner.Tune does, a proposer
-// is driven from outside: the driver asks for up to n candidate
-// configurations, evaluates them however it likes (sequentially, in
-// parallel, against a cache), and tells the proposer each outcome in trial
-// order. Decoupling proposal from evaluation is what lets the concurrent
+// Instead of owning the evaluation loop, a proposer is driven from outside:
+// the driver asks for up to n candidate configurations, evaluates them
+// however it likes (sequentially, in parallel, against a cache), and tells
+// the proposer each outcome in trial order. Decoupling proposal from evaluation is what lets the concurrent
 // engine fan trials out to a worker pool while the algorithm stays single-
 // threaded and deterministic.
 //
@@ -32,9 +31,8 @@ type Proposer interface {
 	Observe(Trial)
 }
 
-// BatchTuner is a Tuner whose search is also available in ask/tell form.
-// The concurrent engine prefers this interface; everything else still works
-// through the sequential Tune facade.
+// BatchTuner is a Tuner whose search is in ask/tell form: the engine drives
+// a fresh proposer per session (Drive), and DriveProposer drives one inline.
 type BatchTuner interface {
 	Tuner
 	// NewProposer starts one tuning session's proposer for target under b.
@@ -46,17 +44,23 @@ type BatchTuner interface {
 
 // Checker is implemented by tuners that cannot serve every (target, budget)
 // pair — Starfish models Hadoop only, Ernest needs four trials, the adaptive
-// family needs an AdaptiveTarget. Check returns the error the tuner's
-// NewProposer or Tune would fail with, before a session exists: whoever
-// builds a job calls it once (CheckTuner) so the refusal reaches the
-// submitter instead of the session's first step, and the tuner itself calls
-// the same method rather than a copy of the test.
+// family needs an AdaptiveTarget. Check returns the error the tuner's session
+// would fail with, before a session exists: whoever builds a job calls it
+// once (CheckTuner) so the refusal reaches the submitter instead of the
+// session's first step, and the tuner itself calls the same method rather
+// than a copy of the test.
 type Checker interface {
 	Check(t Target, b Budget) error
 }
 
-// CheckTuner runs tuner's Check when it has one.
+// CheckTuner refuses a tuner with none of the forms the engine drives — a
+// registration can name any Tuner — and runs its Check when it has one.
 func CheckTuner(tuner Tuner, t Target, b Budget) error {
+	switch tuner.(type) {
+	case BatchTuner, FidelityBatchTuner, BlockingTuner:
+	default:
+		return fmt.Errorf("tune: tuner %q implements none of BatchTuner, FidelityBatchTuner and BlockingTuner", tuner.Name())
+	}
 	if c, ok := tuner.(Checker); ok {
 		return c.Check(t, b)
 	}
@@ -66,8 +70,7 @@ func CheckTuner(tuner Tuner, t Target, b Budget) error {
 // wrapped is the one BatchTuner shell behind WarmStartTuner, GuardrailTuner,
 // MultiObjectiveTuner and DriftDetectTuner: it builds the inner proposers —
 // one per sub-tuner, each with its share of the budget — and hands them to
-// wrap. Tune goes through the wrapped proposer, so the blocking path and the
-// engine path stay identical.
+// wrap.
 type wrapped struct {
 	subs   []BatchTuner
 	suffix string // appended to subs[0].Name()
@@ -110,11 +113,6 @@ func (w *wrapped) NewProposer(t Target, b Budget) (Proposer, error) {
 		inner[i] = p
 	}
 	return w.wrap(t, b, inner)
-}
-
-// Tune implements Tuner.
-func (w *wrapped) Tune(ctx context.Context, t Target, b Budget) (*TuningResult, error) {
-	return DriveTuner(ctx, w, t, b)
 }
 
 // Recommender is implemented by proposers that can recommend a

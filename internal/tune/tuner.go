@@ -70,24 +70,32 @@ func (r *TuningResult) TrialsToWithin(reference, factor float64) int {
 	return 0
 }
 
-// Tuner finds a good configuration for a target within a budget.
-// Implementations must be deterministic given their construction seed.
+// Tuner is a named tuning approach. How it searches is one of three forms
+// the engine drives: BatchTuner or FidelityBatchTuner (ask/tell, every
+// category that proposes configurations) or BlockingTuner (the adaptive
+// family). Implementations must be deterministic given their construction
+// seed.
 type Tuner interface {
 	// Name identifies the tuner, e.g. "ituned" or "rules/dbms".
 	Name() string
-	// Tune searches for a good configuration. Implementations should
-	// respect ctx cancellation between trials and must never exceed the
-	// budget. A tuner that performs no real runs (rule-based, pure cost
-	// model) may return a result with zero trials.
+}
+
+// BlockingTuner is the adaptive family's form: its trial is a whole
+// controlled run (AdaptiveTarget.RunAdaptive), not a configuration, so it
+// owns its loop and charges each run to a Session itself (DESIGN.md §2, "Why
+// the adaptive family stays outside").
+type BlockingTuner interface {
+	Tuner
+	// Tune searches within the budget, respecting ctx between runs.
 	Tune(ctx context.Context, t Target, b Budget) (*TuningResult, error)
 }
 
 // Session tracks trials against a budget on behalf of a tuner and maintains
 // the incumbent best. Every trial is charged to a session — by Drive for
-// configuration trials, by RecordExternal for the adaptive family's
-// controlled runs — so accounting is uniform across categories. Sessions
-// are safe for concurrent use: the engine records trials from its driver
-// goroutine while monitors may read progress from others.
+// configuration trials, by RecordExternal for a BlockingTuner's controlled
+// runs — so accounting is uniform across categories. Sessions are safe for
+// concurrent use: the engine records trials from its driver goroutine while
+// monitors may read progress from others.
 type Session struct {
 	target Target
 	budget Budget

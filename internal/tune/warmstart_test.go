@@ -197,10 +197,6 @@ func TestWarmStarterInjectsSeedsFirst(t *testing.T) {
 type warmBatchTuner struct{ space *Space }
 
 func (warmBatchTuner) Name() string { return "counting" }
-func (t warmBatchTuner) Tune(ctx context.Context, target Target, b Budget) (*TuningResult, error) {
-	p, _ := t.NewProposer(target, b)
-	return DriveProposer(ctx, t.Name(), target, b, p)
-}
 func (t warmBatchTuner) NewProposer(target Target, b Budget) (Proposer, error) {
 	return &countingProposer{space: t.space}, nil
 }
@@ -213,7 +209,12 @@ func TestWarmStartTunerSeedsSessions(t *testing.T) {
 	if wrapped.Name() != "counting" {
 		t.Errorf("wrapper must keep the inner name, got %q", wrapped.Name())
 	}
-	res, err := wrapped.Tune(context.Background(), target, Budget{Trials: 3})
+	b := Budget{Trials: 3}
+	p, err := wrapped.NewProposer(target, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := DriveProposer(context.Background(), wrapped.Name(), target, b, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,27 +31,28 @@ import (
 )
 
 // COLT is an online epoch tuner usable as a tune.EpochController and, via
-// Tune, as a tune.Tuner over adaptive targets.
+// Tune, as a tune.BlockingTuner over adaptive targets.
 type COLT struct {
 	Seed int64
-	// Radius is the perturbation radius for candidate generation
-	// (default 0.10).
-	Radius float64
-	// SwitchCost is the assumed epochs-equivalent cost of adopting a new
-	// configuration (default 0.08).
-	SwitchCost float64
-	// Runs is how many adaptive runs Tune performs (default 2): the first
-	// explores, later runs start from the best found so far.
-	Runs int
-	// TopKnobs bounds online probing to the highest-impact parameters
-	// (default 6): a live system cannot afford to wiggle every knob.
-	TopKnobs int
 }
 
-// NewCOLT returns a COLT tuner with defaults.
-func NewCOLT(seed int64) *COLT {
-	return &COLT{Seed: seed, Radius: 0.18, SwitchCost: 0.08, Runs: 2, TopKnobs: 6}
-}
+const (
+	// coltRadius is the perturbation radius for candidate generation.
+	coltRadius = 0.18
+	// switchCost is the assumed epochs-equivalent cost of adopting a new
+	// configuration.
+	switchCost = 0.08
+	// coltTopKnobs bounds online probing to the highest-impact parameters: a
+	// live system cannot afford to wiggle every knob.
+	coltTopKnobs = 6
+	// sessionRuns is how many adaptive runs a session performs within its
+	// trial budget: the first explores, later ones start from the best found
+	// so far.
+	sessionRuns = 2
+)
+
+// NewCOLT returns a COLT tuner.
+func NewCOLT(seed int64) *COLT { return &COLT{Seed: seed} }
 
 // Name implements tune.Tuner.
 func (t *COLT) Name() string { return "adaptive/colt" }
@@ -200,24 +201,18 @@ func epochObjective(m map[string]float64) float64 {
 func (t *COLT) Controller(space *tune.Space, rng *rand.Rand, epochs int) tune.EpochController {
 	return &controller{
 		rng:        rng,
-		radius:     t.Radius,
-		switchCost: t.SwitchCost,
+		radius:     coltRadius,
+		switchCost: switchCost,
 		epochs:     epochs,
 		space:      space,
-		probeIdx:   t.probeIndices(space),
+		probeIdx:   probeIndices(space),
 	}
 }
 
 // probeIndices selects the runtime-adjustable, effective knobs to probe: a
 // live system cannot restart mid-workload, and inert knobs waste probe epochs.
-func (t *COLT) probeIndices(space *tune.Space) []int {
-	topK := t.TopKnobs
-	if topK <= 0 {
-		topK = 6
-	}
-	if topK > space.Dim() {
-		topK = space.Dim()
-	}
+func probeIndices(space *tune.Space) []int {
+	topK := min(coltTopKnobs, space.Dim())
 	probeIdx := make([]int, 0, topK)
 	for _, name := range space.ByImpact() {
 		p, _ := space.Param(name)
@@ -238,14 +233,14 @@ func (t *COLT) Check(target tune.Target, _ tune.Budget) error {
 	return err
 }
 
-// Tune implements tune.Tuner over adaptive targets: each budgeted trial is
-// one adaptive run; within a run, reconfiguration is free of trial cost but
-// pays real (simulated) time, exactly the trade the category makes. The
-// first run explores from the default; later runs start where the previous
-// one converged.
+// Tune implements tune.BlockingTuner over adaptive targets: each budgeted
+// trial is one adaptive run; within a run, reconfiguration is free of trial
+// cost but pays real (simulated) time, exactly the trade the category makes.
+// The first run explores from the default; later runs start where the
+// previous one converged.
 func (t *COLT) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
 	space := target.Space()
-	return tuneAdaptive(ctx, t.Name(), target, b, t.Runs, space.Default(), func(r, epochs int) tune.EpochController {
+	return tuneAdaptive(ctx, t.Name(), target, b, space.Default(), func(r, epochs int) tune.EpochController {
 		return t.Controller(space, rand.New(rand.NewSource(t.Seed+int64(r)*7919)), epochs)
 	})
 }
@@ -263,20 +258,16 @@ func adaptiveTarget(name string, target tune.Target) (tune.AdaptiveTarget, error
 // controlled run — AdaptiveTarget.RunAdaptive(start, controller) — not a
 // configuration, which is why it charges a session directly instead of going
 // through tune.Drive (DESIGN.md §2, "Why the adaptive family stays outside"):
-// up to runs (default 2) runs within the trial budget, each recorded as one
-// trial under its start configuration; a COLT controller's converged
-// configuration is where the next run starts and what a run-less session
-// recommends.
-func tuneAdaptive(ctx context.Context, name string, target tune.Target, b tune.Budget, runs int, start tune.Config, ctl func(r, epochs int) tune.EpochController) (*tune.TuningResult, error) {
+// up to sessionRuns runs within the trial budget, each recorded as one trial
+// under its start configuration; a COLT controller's converged configuration
+// is where the next run starts and what a run-less session recommends.
+func tuneAdaptive(ctx context.Context, name string, target tune.Target, b tune.Budget, start tune.Config, ctl func(r, epochs int) tune.EpochController) (*tune.TuningResult, error) {
 	at, err := adaptiveTarget(name, target)
 	if err != nil {
 		return nil, err
 	}
-	if runs <= 0 {
-		runs = 2
-	}
 	s := tune.NewSession(ctx, target, b)
-	for r := 0; r < min(runs, b.Trials) && !s.Exhausted(); r++ {
+	for r := 0; r < min(sessionRuns, b.Trials) && !s.Exhausted(); r++ {
 		c := ctl(r, at.Epochs())
 		s.RecordExternal(start, at.RunAdaptive(start, c))
 		if colt, ok := c.(*controller); ok {
@@ -286,5 +277,5 @@ func tuneAdaptive(ctx context.Context, name string, target tune.Target, b tune.B
 	return s.Finish(name, start), nil
 }
 
-var _ tune.Tuner = (*COLT)(nil)
+var _ tune.BlockingTuner = (*COLT)(nil)
 var _ tune.EpochController = (*controller)(nil)

@@ -3,6 +3,7 @@ package adaptive
 import (
 	"context"
 	"math/rand"
+	"strings"
 
 	"repro/internal/tune"
 )
@@ -11,23 +12,21 @@ import (
 // iterations, after Gounaris et al.: spills mean partitions are too coarse
 // (grow them); vanishing per-task work means scheduling overhead dominates
 // (shrink them). It is a pure tune.EpochController; pair it with
-// AdaptiveTuner to use it as a tune.Tuner.
+// AdaptiveTuner to use it as a tune.BlockingTuner.
 type PartitionController struct {
-	// Param is the partition parameter name (default
-	// "spark_sql_shuffle_partitions").
-	Param string
-	// Grow and Shrink are the adjustment factors (defaults 1.6 / 0.7).
-	Grow, Shrink float64
-
 	lastPerf   float64
 	lastAction int // -1 shrink, 0 none, +1 grow
 	cooldown   int
 }
 
-// NewPartitionController returns a controller with defaults.
-func NewPartitionController() *PartitionController {
-	return &PartitionController{Param: "spark_sql_shuffle_partitions", Grow: 1.6, Shrink: 0.7}
-}
+// The partition knob and its adjustment factors.
+const (
+	partitionParam = "spark_sql_shuffle_partitions"
+	grow, shrink   = 1.6, 0.7
+)
+
+// NewPartitionController returns a controller.
+func NewPartitionController() *PartitionController { return &PartitionController{} }
 
 // Epoch implements tune.EpochController. A change that regressed the epoch
 // objective is reverted and followed by a cooldown, so the controller cannot
@@ -36,23 +35,21 @@ func (p *PartitionController) Epoch(i int, current tune.Config, prev map[string]
 	if i == 0 || prev == nil {
 		return current
 	}
-	if _, ok := current.Space().Param(p.Param); !ok {
+	if _, ok := current.Space().Param(partitionParam); !ok {
 		return current
 	}
 	perf := epochObjective(prev)
-	parts := current.Native(p.Param)
+	parts := current.Native(partitionParam)
 	defer func() { p.lastPerf = perf }()
 	if p.lastAction != 0 && p.lastPerf > 0 && perf > p.lastPerf*1.05 {
 		// Revert the regressing change.
-		factor := p.Grow
+		factor := 1 / shrink
 		if p.lastAction > 0 {
-			factor = 1 / p.Grow
-		} else {
-			factor = 1 / p.Shrink
+			factor = 1 / grow
 		}
 		p.lastAction = 0
 		p.cooldown = 2
-		return current.WithNative(p.Param, parts*factor)
+		return current.WithNative(partitionParam, parts*factor)
 	}
 	if p.cooldown > 0 {
 		p.cooldown--
@@ -62,12 +59,12 @@ func (p *PartitionController) Epoch(i int, current tune.Config, prev map[string]
 	switch {
 	case prev["spilled_mb"] > 1:
 		p.lastAction = 1
-		return current.WithNative(p.Param, parts*p.Grow)
+		return current.WithNative(partitionParam, parts*grow)
 	case prev["spilled_mb"] == 0 && parts > 32:
 		// No spill and plenty of headroom: fewer, larger tasks cut
 		// scheduling overhead.
 		p.lastAction = -1
-		return current.WithNative(p.Param, parts*p.Shrink)
+		return current.WithNative(partitionParam, parts*shrink)
 	}
 	p.lastAction = 0
 	return current
@@ -76,15 +73,13 @@ func (p *PartitionController) Epoch(i int, current tune.Config, prev map[string]
 // MemoryManager is the online STMM: between DBMS epochs it grows work
 // memory while spills persist and shrinks it when memory pressure
 // (oversubscription) appears, trading against the buffer pool.
-type MemoryManager struct {
-	// WorkParam and BufferParam name the managed knobs.
-	WorkParam, BufferParam string
-}
+type MemoryManager struct{}
+
+// The DBMS simulator's knobs a MemoryManager manages.
+const workParam, bufferParam = "work_mem_mb", "buffer_pool_mb"
 
 // NewMemoryManager returns a manager for the DBMS simulator's knobs.
-func NewMemoryManager() *MemoryManager {
-	return &MemoryManager{WorkParam: "work_mem_mb", BufferParam: "buffer_pool_mb"}
-}
+func NewMemoryManager() *MemoryManager { return &MemoryManager{} }
 
 // Epoch implements tune.EpochController.
 func (m *MemoryManager) Epoch(i int, current tune.Config, prev map[string]float64) tune.Config {
@@ -94,30 +89,28 @@ func (m *MemoryManager) Epoch(i int, current tune.Config, prev map[string]float6
 	cfg := current
 	if prev["mem_oversubscription"] > 1 {
 		// Swapping is catastrophic: shed memory immediately.
-		if _, ok := cfg.Space().Param(m.WorkParam); ok {
-			cfg = cfg.WithNative(m.WorkParam, cfg.Native(m.WorkParam)*0.5)
+		if _, ok := cfg.Space().Param(workParam); ok {
+			cfg = cfg.WithNative(workParam, cfg.Native(workParam)*0.5)
 		}
 		return cfg
 	}
 	if prev["spilled_queries"] > 0 {
-		if _, ok := cfg.Space().Param(m.WorkParam); ok {
-			cfg = cfg.WithNative(m.WorkParam, cfg.Native(m.WorkParam)*1.8)
+		if _, ok := cfg.Space().Param(workParam); ok {
+			cfg = cfg.WithNative(workParam, cfg.Native(workParam)*1.8)
 		}
 	} else if prev["buffer_hit_ratio"] < 0.85 {
-		if _, ok := cfg.Space().Param(m.BufferParam); ok {
-			cfg = cfg.WithNative(m.BufferParam, cfg.Native(m.BufferParam)*1.4)
+		if _, ok := cfg.Space().Param(bufferParam); ok {
+			cfg = cfg.WithNative(bufferParam, cfg.Native(bufferParam)*1.4)
 		}
 	}
 	return cfg
 }
 
-// AdaptiveTuner lifts any tune.EpochController into a tune.Tuner: each
-// budgeted trial is one adaptive run under the controller.
+// AdaptiveTuner lifts any tune.EpochController into a tune.BlockingTuner:
+// each budgeted trial is one adaptive run under the controller.
 type AdaptiveTuner struct {
 	Label      string
 	Controller tune.EpochController
-	// Runs per Tune call (default 2).
-	Runs int
 }
 
 // Name implements tune.Tuner.
@@ -129,10 +122,10 @@ func (a *AdaptiveTuner) Check(target tune.Target, _ tune.Budget) error {
 	return err
 }
 
-// Tune implements tune.Tuner: every run starts from the default under the
-// one controller.
+// Tune implements tune.BlockingTuner: every run starts from the default under
+// the one controller.
 func (a *AdaptiveTuner) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tuneAdaptive(ctx, a.Name(), target, b, a.Runs, target.Space().Default(),
+	return tuneAdaptive(ctx, a.Name(), target, b, target.Space().Default(),
 		func(int, int) tune.EpochController { return a.Controller })
 }
 
@@ -142,13 +135,11 @@ func (a *AdaptiveTuner) Tune(ctx context.Context, target tune.Target, b tune.Bud
 type Recommender struct {
 	Seed int64
 	Repo *tune.Repository
-	// Runs per Tune call (default 2).
-	Runs int
 }
 
 // NewRecommender returns a repository-backed recommender.
 func NewRecommender(seed int64, repo *tune.Repository) *Recommender {
-	return &Recommender{Seed: seed, Repo: repo, Runs: 2}
+	return &Recommender{Seed: seed, Repo: repo}
 }
 
 // Name implements tune.Tuner.
@@ -164,7 +155,8 @@ func (r *Recommender) warmStart(target tune.Target) tune.Config {
 	if d, ok := target.(tune.Describer); ok {
 		features = d.WorkloadFeatures()
 	}
-	sessions, _ := r.Repo.ForSystem(system(target.Name())) // in memory: never fails
+	system, _, _ := strings.Cut(target.Name(), "/")
+	sessions, _ := r.Repo.ForSystem(system) // in memory: never fails
 	for _, at := range tune.RankSessions(sessions, features) {
 		if len(sessions[at].ParamNames) != space.Dim() {
 			continue
@@ -176,28 +168,19 @@ func (r *Recommender) warmStart(target tune.Target) tune.Config {
 	return space.Default()
 }
 
-func system(name string) string {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '/' {
-			return name[:i]
-		}
-	}
-	return name
-}
-
-// Tune implements tune.Tuner. On adaptive targets it refines the warm start
-// online with COLT's controller; on plain targets it evaluates the warm
+// Tune implements tune.BlockingTuner. On adaptive targets it refines the warm
+// start online with COLT's controller; on plain targets it evaluates the warm
 // start directly (recommendation without refinement).
 func (r *Recommender) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
 	start := r.warmStart(target)
 	if _, adaptive := target.(tune.AdaptiveTarget); !adaptive {
 		return tune.DriveProposer(ctx, r.Name(), target, b, tune.NewRecommendProposer(start, nil))
 	}
-	return tuneAdaptive(ctx, r.Name(), target, b, r.Runs, start, func(i, epochs int) tune.EpochController {
+	return tuneAdaptive(ctx, r.Name(), target, b, start, func(i, epochs int) tune.EpochController {
 		return &controller{
 			rng:        rand.New(rand.NewSource(r.Seed + int64(i)*104729)),
 			radius:     0.08, // refine, don't wander: the start is informed
-			switchCost: 0.08,
+			switchCost: switchCost,
 			epochs:     epochs,
 			space:      target.Space(),
 		}
@@ -207,6 +190,6 @@ func (r *Recommender) Tune(ctx context.Context, target tune.Target, b tune.Budge
 var (
 	_ tune.EpochController = (*PartitionController)(nil)
 	_ tune.EpochController = (*MemoryManager)(nil)
-	_ tune.Tuner           = (*AdaptiveTuner)(nil)
-	_ tune.Tuner           = (*Recommender)(nil)
+	_ tune.BlockingTuner   = (*AdaptiveTuner)(nil)
+	_ tune.BlockingTuner   = (*Recommender)(nil)
 )

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sysmodel/cluster"
+	"repro/internal/sysmodel/dbms"
 	"repro/internal/sysmodel/mapreduce"
 	"repro/internal/sysmodel/spark"
 	"repro/internal/tune"
@@ -36,14 +37,27 @@ func isInf(v float64) bool { return v > 1e300 }
 
 func TestSTMMRespondsToWorkloadShape(t *testing.T) {
 	// STMM's split should shift toward the buffer pool for point-read
-	// workloads and toward work memory for sort/join-heavy ones. Exercise
-	// the recommendation path through the DBMS target in the integration
-	// suite; here check the tuner's knobs exist and defaults are sane.
-	s := NewSTMM()
-	if s.Step <= 0 || s.Iterations <= 0 {
-		t.Errorf("defaults = %+v", s)
+	// workloads and toward work memory for sort/join-heavy ones.
+	d := dbms.New(cluster.CommodityNode(), workload.TPCHLike(8), 1)
+	point := NewSTMM().recommend(shaped{d, map[string]float64{"data_gb": 8, "clients": 8}})
+	sorts := NewSTMM().recommend(shaped{d, map[string]float64{"data_gb": 8, "clients": 8, "sort_frac": 0.5, "join_frac": 0.5}})
+	if point.Float(dbms.BufferPoolMB) <= sorts.Float(dbms.BufferPoolMB) {
+		t.Errorf("buffer pool: point reads %v MB, sorts %v MB; want more for point reads",
+			point.Float(dbms.BufferPoolMB), sorts.Float(dbms.BufferPoolMB))
+	}
+	if point.Float(dbms.WorkMemMB) >= sorts.Float(dbms.WorkMemMB) {
+		t.Errorf("work memory: point reads %v MB, sorts %v MB; want more for sorts",
+			point.Float(dbms.WorkMemMB), sorts.Float(dbms.WorkMemMB))
 	}
 }
+
+// shaped is a DBMS target with the given workload features.
+type shaped struct {
+	*dbms.DBMS
+	features map[string]float64
+}
+
+func (s shaped) WorkloadFeatures() map[string]float64 { return s.features }
 
 func TestErnestFeatureBasis(t *testing.T) {
 	f := ernestFeatures(4)
@@ -58,8 +72,7 @@ func TestErnestFeatureBasis(t *testing.T) {
 func TestErnestRequiresBudget(t *testing.T) {
 	cl := cluster.Commodity(4)
 	sp := sparkTargetFor(cl)
-	e := NewErnest()
-	if _, err := e.Tune(nil, sp, tune.Budget{Trials: 2}); err == nil {
+	if _, err := NewErnest().NewProposer(sp, tune.Budget{Trials: 2}); err == nil {
 		t.Error("tiny budget should error")
 	}
 }

@@ -1,11 +1,6 @@
 package costmodel
 
-import (
-	"context"
-	"math"
-
-	"repro/internal/tune"
-)
+import "math"
 
 // Ernest reproduces the NSDI'16 scale-out predictor: runtime as a function
 // of the machine (executor) count m is modeled as
@@ -17,13 +12,13 @@ import (
 // executor count without running it. Ernest tunes scale, not the long tail
 // of knobs — the comparison harness shows it complements rather than
 // replaces knob tuners.
-type Ernest struct {
-	// TrainPoints is how many executor counts to sample (default 5).
-	TrainPoints int
-}
+type Ernest struct{}
 
-// NewErnest returns an Ernest tuner with defaults.
-func NewErnest() *Ernest { return &Ernest{TrainPoints: 5} }
+// ernestTrainPoints is how many executor counts Ernest samples.
+const ernestTrainPoints = 5
+
+// NewErnest returns an Ernest tuner.
+func NewErnest() *Ernest { return &Ernest{} }
 
 // Name implements tune.Tuner.
 func (t *Ernest) Name() string { return "costmodel/ernest" }
@@ -32,10 +27,3 @@ func (t *Ernest) Name() string { return "costmodel/ernest" }
 func ernestFeatures(m float64) []float64 {
 	return []float64{1, 1 / m, math.Log(m), m}
 }
-
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *Ernest) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
-}
-
-var _ tune.Tuner = (*Ernest)(nil)

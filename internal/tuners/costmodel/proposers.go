@@ -40,14 +40,10 @@ func (t *Starfish) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer
 	h := target.(*mapreduce.Hadoop)
 	job, cl := h.Job(), h.Cluster()
 	space := target.Space()
-	budget := t.SearchBudget
-	if budget <= 0 {
-		budget = 3000
-	}
 	rng := rand.New(rand.NewSource(t.Seed + 17))
 	best := opt.RecursiveRandomSearch(func(x []float64) float64 {
 		return Predict(job, cl, space.FromVector(x))
-	}, space.Dim(), budget, rng)
+	}, space.Dim(), starfishSearchBudget, rng)
 	rec := space.FromVector(best.X)
 	// The model can recommend an infeasible point: repair by halving memory
 	// demands and retry once.
@@ -74,16 +70,10 @@ type ernestProposer struct {
 	fitted      bool
 }
 
-// trainPoints is how many scale-out samples a b-trial session trains on: the
-// configured count, less when the budget (which also has to cover the
+// trainPoints is how many scale-out samples a b-trial session trains on:
+// ernestTrainPoints, less when the budget (which also has to cover the
 // verification run) does not afford it.
-func (t *Ernest) trainPoints(b tune.Budget) int {
-	points := t.TrainPoints
-	if points < 3 {
-		points = 5
-	}
-	return min(points, b.Trials-1)
-}
+func trainPoints(b tune.Budget) int { return min(ernestTrainPoints, b.Trials-1) }
 
 // Check implements tune.Checker: the model is of Spark's scale-out, and the
 // NNLS fit needs three training runs.
@@ -91,7 +81,7 @@ func (t *Ernest) Check(target tune.Target, b tune.Budget) error {
 	if _, ok := target.(*spark.Spark); !ok {
 		return fmt.Errorf("costmodel/ernest: target %q is not a Spark deployment", target.Name())
 	}
-	if t.trainPoints(b) < 3 {
+	if trainPoints(b) < 3 {
 		return fmt.Errorf("costmodel/ernest: budget %d too small (need ≥4 trials)", b.Trials)
 	}
 	return nil
@@ -105,7 +95,7 @@ func (t *Ernest) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, 
 	space := target.Space()
 	pp, _ := space.Param(spark.NumExecutors)
 	maxExec := pp.Max
-	points := t.trainPoints(b)
+	points := trainPoints(b)
 	p := &ernestProposer{base: space.Default(), maxExec: maxExec}
 	// Sample small scales geometrically up to maxExec/2 (Ernest trains on
 	// cheap small configurations).

@@ -1,7 +1,6 @@
 package costmodel
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/sysmodel/cluster"
@@ -20,14 +19,15 @@ import (
 // Those assumptions are exactly the weaknesses Table 1 lists for cost
 // modeling, and the heterogeneity experiment exposes them.
 type Starfish struct {
-	// SearchBudget is the number of model evaluations (default 3000).
-	SearchBudget int
 	// Seed drives the model search.
 	Seed int64
 }
 
-// NewStarfish returns a Starfish tuner with defaults.
-func NewStarfish(seed int64) *Starfish { return &Starfish{SearchBudget: 3000, Seed: seed} }
+// starfishSearchBudget is the number of model evaluations Starfish searches.
+const starfishSearchBudget = 3000
+
+// NewStarfish returns a Starfish tuner.
+func NewStarfish(seed int64) *Starfish { return &Starfish{Seed: seed} }
 
 // Name implements tune.Tuner.
 func (t *Starfish) Name() string { return "costmodel/starfish" }
@@ -115,11 +115,3 @@ func Predict(job *workload.MRJob, cl *cluster.Cluster, cfg tune.Config) float64 
 
 	return mapPhase + shufflePhase + redPhase + 4
 }
-
-// Tune implements tune.Tuner: optimize the analytical model, then spend one
-// real run (if budgeted) verifying the winner, via the ask/tell adapter.
-func (t *Starfish) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
-}
-
-var _ tune.Tuner = (*Starfish)(nil)

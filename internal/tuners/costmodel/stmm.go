@@ -18,7 +18,6 @@
 package costmodel
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/tune"
@@ -32,23 +31,20 @@ import (
 // marginal benefits equalize — DB2's self-tuning memory manager in
 // miniature. It needs specs and workload features but zero runs; with
 // budget, one verification run is spent.
-type STMM struct {
-	// Step is the reallocation granularity in MB (default 64).
-	Step float64
-	// Iterations bounds the balancing loop (default 200).
-	Iterations int
-}
+type STMM struct{}
 
-// NewSTMM returns an STMM tuner with defaults.
-func NewSTMM() *STMM { return &STMM{Step: 64, Iterations: 200} }
+const (
+	// stmmStep is the reallocation granularity in MB.
+	stmmStep = 64
+	// stmmIterations bounds the balancing loop.
+	stmmIterations = 200
+)
+
+// NewSTMM returns an STMM tuner.
+func NewSTMM() *STMM { return &STMM{} }
 
 // Name implements tune.Tuner.
 func (t *STMM) Name() string { return "costmodel/stmm" }
-
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *STMM) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
-}
 
 // recommend performs the analytical memory balancing.
 func (t *STMM) recommend(target tune.Target) tune.Config {
@@ -99,25 +95,17 @@ func (t *STMM) recommend(target tune.Target) tune.Config {
 		return 2.0 / typicalOpMB * sortShare
 	}
 
-	iters := t.Iterations
-	if iters <= 0 {
-		iters = 200
-	}
-	step := t.Step
-	if step <= 0 {
-		step = 64
-	}
-	for i := 0; i < iters; i++ {
+	for i := 0; i < stmmIterations; i++ {
 		bb, wb := bufBenefit(buffer), workBenefit(workTotal)
 		switch {
-		case bb > wb*1.05 && workTotal > step:
-			buffer += step
-			workTotal -= step
-		case wb > bb*1.05 && buffer > step:
-			buffer -= step
-			workTotal += step
+		case bb > wb*1.05 && workTotal > stmmStep:
+			buffer += stmmStep
+			workTotal -= stmmStep
+		case wb > bb*1.05 && buffer > stmmStep:
+			buffer -= stmmStep
+			workTotal += stmmStep
 		default:
-			i = iters // balanced
+			i = stmmIterations // balanced
 		}
 	}
 
@@ -133,5 +121,3 @@ func (t *STMM) recommend(target tune.Target) tune.Config {
 	}
 	return rec
 }
-
-var _ tune.Tuner = (*STMM)(nil)

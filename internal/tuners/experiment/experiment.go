@@ -25,7 +25,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/mathx/gp"
 	"repro/internal/mathx/opt"
 	"repro/internal/mathx/sample"
 	"repro/internal/tune"
@@ -40,24 +39,16 @@ type Random struct {
 // Name implements tune.Tuner.
 func (t *Random) Name() string { return "experiment/random" }
 
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *Random) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
-}
+// Grid sweeps a full factorial grid over the gridTopK highest-impact
+// parameters (others stay at defaults), with as many levels as the budget
+// affords.
+type Grid struct{}
 
-// Grid sweeps a full factorial grid over the TopK highest-impact parameters
-// (others stay at defaults), with as many levels as the budget affords.
-type Grid struct {
-	TopK int
-}
+// gridTopK is how many parameters Grid sweeps.
+const gridTopK = 3
 
 // Name implements tune.Tuner.
 func (t *Grid) Name() string { return "experiment/grid" }
-
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *Grid) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
-}
 
 // RRS wraps recursive random search over real runs.
 type RRS struct {
@@ -67,11 +58,6 @@ type RRS struct {
 
 // Name implements tune.Tuner.
 func (t *RRS) Name() string { return "experiment/rrs" }
-
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *RRS) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
-}
 
 // NewProposer implements tune.BatchTuner: the search is a sequential body.
 func (t *RRS) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
@@ -114,43 +100,41 @@ func (in *incumbent) note(cfg tune.Config, res tune.Result) {
 type SARD struct {
 	tune.SequentialBody
 	Seed int64
-	// TopK parameters to tune after screening (default 4).
-	TopK int
-	// Lo and Hi are the unit-cube positions of the two levels (default
-	// 0.15/0.85).
-	Lo, Hi float64
-
-	// LastRanking records the most recent screening ranking (parameter
-	// names, most important first) for inspection by the harness.
-	LastRanking []string
-	// LastEffects records |main effect| per parameter, aligned with the
-	// space's parameter order.
-	LastEffects []float64
 }
 
-// NewSARD returns a SARD tuner with defaults.
-func NewSARD(seed int64) *SARD { return &SARD{Seed: seed, TopK: 4, Lo: 0.15, Hi: 0.85} }
+const (
+	// sardTopK is how many parameters SARD tunes after screening.
+	sardTopK = 4
+	// sardLo and sardHi are the unit-cube positions of the two levels.
+	sardLo, sardHi = 0.15, 0.85
+)
+
+// NewSARD returns a SARD tuner.
+func NewSARD(seed int64) *SARD { return &SARD{Seed: seed} }
 
 // Name implements tune.Tuner.
 func (t *SARD) Name() string { return "experiment/sard" }
 
-// Screen runs only the screening phase and returns the parameter ranking.
-func (t *SARD) Screen(ctx context.Context, target tune.Target, b tune.Budget) ([]string, error) {
-	p := tune.Sequential(func(run tune.RunFunc) { t.screen(target.Space(), run) })
+// Screen runs only the screening phase and returns the parameter ranking
+// (names, most important first) and |main effect| per parameter in the
+// space's parameter order.
+func (t *SARD) Screen(ctx context.Context, target tune.Target, b tune.Budget) (ranking []string, effects []float64, err error) {
+	p := tune.Sequential(func(run tune.RunFunc) { _, _, ranking, effects = screen(target.Space(), run) })
 	if _, err := tune.DriveProposer(ctx, t.Name(), target, b, p); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return t.LastRanking, nil
+	return ranking, effects, nil
 }
 
-// screen runs the screening design through run, records the ranking, and
-// returns the best configuration it saw and how many runs it spent.
-func (t *SARD) screen(space *tune.Space, run tune.RunFunc) (best incumbent, runs int) {
+// screen runs the screening design through run and returns the best
+// configuration it saw, how many runs it spent, the parameter ranking and the
+// main effects.
+func screen(space *tune.Space, run tune.RunFunc) (best incumbent, runs int, ranking []string, effects []float64) {
 	d := space.Dim()
 	var rows [][]int
 	var ys []float64
 	for _, row := range sample.Foldover(sample.PlackettBurman(d)) {
-		cfg := space.FromVector(sample.LevelsToPoint(row, t.Lo, t.Hi))
+		cfg := space.FromVector(sample.LevelsToPoint(row, sardLo, sardHi))
 		res, ok := run(cfg)
 		if !ok {
 			break
@@ -160,7 +144,7 @@ func (t *SARD) screen(space *tune.Space, run tune.RunFunc) (best incumbent, runs
 		ys = append(ys, res.Objective())
 	}
 	// Main effect of parameter j: mean(y | +) − mean(y | −).
-	effects := make([]float64, d)
+	effects = make([]float64, d)
 	for j := 0; j < d; j++ {
 		var hi, lo, nHi, nLo float64
 		for i, row := range rows {
@@ -176,24 +160,17 @@ func (t *SARD) screen(space *tune.Space, run tune.RunFunc) (best incumbent, runs
 			effects[j] = math.Abs(hi/nHi - lo/nLo)
 		}
 	}
-	t.LastEffects = effects
 	names := space.Names()
 	order := make([]int, d)
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return effects[order[a]] > effects[order[b]] })
-	ranking := make([]string, d)
+	ranking = make([]string, d)
 	for i, j := range order {
 		ranking[i] = names[j]
 	}
-	t.LastRanking = ranking
-	return best, len(rows)
-}
-
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *SARD) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
+	return best, len(rows), ranking, effects
 }
 
 // NewProposer implements tune.BatchTuner: screen, then recursive random
@@ -201,15 +178,8 @@ func (t *SARD) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tu
 func (t *SARD) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
 	space := target.Space()
 	return tune.Sequential(func(run tune.RunFunc) {
-		best, runs := t.screen(space, run)
-		ranking := t.LastRanking
-		topK := t.TopK
-		if topK <= 0 {
-			topK = 4
-		}
-		if topK > len(ranking) {
-			topK = len(ranking)
-		}
+		best, runs, ranking, _ := screen(space, run)
+		topK := min(sardTopK, len(ranking))
 		idx := make([]int, topK)
 		for i, name := range ranking[:topK] {
 			idx[i] = space.IndexOf(name)
@@ -236,25 +206,17 @@ func (t *SARD) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, er
 type AdaptiveSampling struct {
 	tune.SequentialBody
 	Seed int64
-	// Bootstrap is the number of initial random runs (default max(5, d)).
-	Bootstrap int
-	// ExploreFrac is the fraction of post-bootstrap trials spent exploring
-	// (default 0.3).
-	ExploreFrac float64
 }
 
-// NewAdaptiveSampling returns an adaptive-sampling tuner with defaults.
-func NewAdaptiveSampling(seed int64) *AdaptiveSampling {
-	return &AdaptiveSampling{Seed: seed, ExploreFrac: 0.3}
-}
+// exploreFrac is the fraction of post-bootstrap trials AdaptiveSampling
+// spends exploring.
+const exploreFrac = 0.3
+
+// NewAdaptiveSampling returns an adaptive-sampling tuner.
+func NewAdaptiveSampling(seed int64) *AdaptiveSampling { return &AdaptiveSampling{Seed: seed} }
 
 // Name implements tune.Tuner.
 func (t *AdaptiveSampling) Name() string { return "experiment/adaptive-sampling" }
-
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *AdaptiveSampling) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
-}
 
 // NewProposer implements tune.BatchTuner: the planner is a sequential body.
 func (t *AdaptiveSampling) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
@@ -265,13 +227,7 @@ func (t *AdaptiveSampling) NewProposer(target tune.Target, b tune.Budget) (tune.
 func (t *AdaptiveSampling) plan(space *tune.Space, run tune.RunFunc) {
 	d := space.Dim()
 	rng := rand.New(rand.NewSource(t.Seed))
-	boot := t.Bootstrap
-	if boot <= 0 {
-		boot = d
-		if boot < 5 {
-			boot = 5
-		}
-	}
+	boot := max(d, 5) // random bootstrap runs
 	var best incumbent
 	var seen [][]float64
 	for i := 0; i < boot; i++ {
@@ -283,14 +239,10 @@ func (t *AdaptiveSampling) plan(space *tune.Space, run tune.RunFunc) {
 		best.note(cfg, res)
 		seen = append(seen, cfg.Vector())
 	}
-	explore := t.ExploreFrac
-	if explore <= 0 || explore >= 1 {
-		explore = 0.3
-	}
 	radius := 0.2
 	for {
 		var next []float64
-		if rng.Float64() < explore {
+		if rng.Float64() < exploreFrac {
 			// Exploration: among candidates, pick the one farthest from
 			// every seen sample (maximin).
 			bestD := -1.0
@@ -325,14 +277,10 @@ func (t *AdaptiveSampling) plan(space *tune.Space, run tune.RunFunc) {
 	}
 }
 
-// ITuned is the PVLDB'09 GP/EI experiment planner.
+// ITuned is the PVLDB'09 GP/EI experiment planner: a Matérn 5/2 GP over a
+// Latin-hypercube initialization of budget/3 points, clamped to [4, 10].
 type ITuned struct {
 	Seed int64
-	// InitLHS is the Latin-hypercube initialization size (default
-	// min(10, budget/3), at least 4).
-	InitLHS int
-	// Kernel selects the GP kernel (default Matérn 5/2).
-	Kernel gp.KernelKind
 	// Surrogate selects the GP surrogate tier and its switch-over
 	// thresholds (nil = auto with defaults). Below the sparse threshold the
 	// exact tier runs the historical code path, so event streams recorded
@@ -340,16 +288,11 @@ type ITuned struct {
 	Surrogate *tune.SurrogateConfig
 }
 
-// NewITuned returns an iTuned tuner with defaults.
-func NewITuned(seed int64) *ITuned { return &ITuned{Seed: seed, Kernel: gp.Matern52} }
+// NewITuned returns an iTuned tuner with the auto surrogate tier.
+func NewITuned(seed int64) *ITuned { return &ITuned{Seed: seed} }
 
 // Name implements tune.Tuner.
 func (t *ITuned) Name() string { return "experiment/ituned" }
-
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *ITuned) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
-}
 
 func randPoint(d int, rng *rand.Rand) []float64 {
 	p := make([]float64, d)
@@ -378,12 +321,9 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Interface conformance checks.
+// Interface conformance checks (the batchable three are in proposers.go).
 var (
-	_ tune.Tuner = (*Random)(nil)
-	_ tune.Tuner = (*Grid)(nil)
-	_ tune.Tuner = (*RRS)(nil)
-	_ tune.Tuner = (*SARD)(nil)
-	_ tune.Tuner = (*AdaptiveSampling)(nil)
-	_ tune.Tuner = (*ITuned)(nil)
+	_ tune.BatchTuner = (*RRS)(nil)
+	_ tune.BatchTuner = (*SARD)(nil)
+	_ tune.BatchTuner = (*AdaptiveSampling)(nil)
 )

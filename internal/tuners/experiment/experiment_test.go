@@ -58,7 +58,7 @@ func TestGridProposerCoversFactorialDesign(t *testing.T) {
 	target := testTarget(2)
 	space := target.Space()
 	b := tune.Budget{Trials: 30} // 3 levels over 3 knobs (floor(30^(1/3)) = 3)
-	p, err := (&Grid{TopK: 3}).NewProposer(target, b)
+	p, err := (&Grid{}).NewProposer(target, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,8 @@ func (f *infAt) Run(cfg tune.Config) tune.Result {
 // surrogate with finite predictions.
 func TestITunedNonFiniteObjectiveKeepsModelling(t *testing.T) {
 	const trials, k = 40, 15
-	r, err := NewITuned(6).Tune(context.Background(), &infAt{Target: testTarget(6), k: k}, tune.Budget{Trials: trials})
+	inf := &infAt{Target: testTarget(6), k: k}
+	r, err := tune.DriveProposer(context.Background(), "ituned", inf, tune.Budget{Trials: trials}, newITunedProposer(t, NewITuned(6), inf, trials))
 	if err != nil || len(r.Trials) != trials || math.IsInf(r.BestResult.Time, 0) {
 		t.Fatalf("session with one infinite trial: %d trials, best %v, err %v", len(r.Trials), r.BestResult.Time, err)
 	}
@@ -270,7 +271,8 @@ func TestITunedNonFiniteObjectiveKeepsModelling(t *testing.T) {
 func TestITunedProposerDeterminism(t *testing.T) {
 	b := tune.Budget{Trials: 16}
 	run := func() []string {
-		r, err := NewITuned(4).Tune(context.Background(), testTarget(4), b)
+		target := testTarget(4)
+		r, err := tune.DriveProposer(context.Background(), "ituned", target, b, newITunedProposer(t, NewITuned(4), target, b.Trials))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/mathx/gp"
 	"repro/internal/mathx/sample"
 	"repro/internal/tune"
 )
@@ -46,13 +47,7 @@ type gridProposer struct {
 // NewProposer implements tune.BatchTuner.
 func (t *Grid) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
 	space := target.Space()
-	k := t.TopK
-	if k <= 0 {
-		k = 3
-	}
-	if k > space.Dim() {
-		k = space.Dim()
-	}
+	k := min(gridTopK, space.Dim())
 	levels := int(math.Floor(math.Pow(float64(b.Trials), 1/float64(k))))
 	if levels < 2 {
 		levels = 2
@@ -95,19 +90,10 @@ func (t *ITuned) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, 
 	space := target.Space()
 	d := space.Dim()
 	rng := rand.New(rand.NewSource(t.Seed))
-	initN := t.InitLHS
-	if initN <= 0 {
-		initN = b.Trials / 3
-		if initN > 10 {
-			initN = 10
-		}
-		if initN < 4 {
-			initN = 4
-		}
-	}
+	initN := min(max(b.Trials/3, 4), 10) // the Latin-hypercube design
 	p := &itunedProposer{
 		space: space, rng: rng,
-		model: tune.NewSurrogateModel(t.Surrogate, t.Kernel, t.Seed),
+		model: tune.NewSurrogateModel(t.Surrogate, gp.Matern52, t.Seed),
 	}
 	for _, x := range sample.LatinHypercube(initN, d, rng) {
 		p.pending = append(p.pending, space.FromVector(x))

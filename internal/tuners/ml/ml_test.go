@@ -230,7 +230,8 @@ func (f *infAt) Run(cfg tune.Config) tune.Result {
 // still proposes from a surrogate with finite predictions.
 func TestOtterTuneNonFiniteObjectiveKeepsModelling(t *testing.T) {
 	const trials, k = 30, 12
-	r, err := NewOtterTune(9, nil).Tune(context.Background(), &infAt{Target: testTarget(9), k: k}, tune.Budget{Trials: trials})
+	inf := &infAt{Target: testTarget(9), k: k}
+	r, err := tune.DriveProposer(context.Background(), "ottertune", inf, tune.Budget{Trials: trials}, newOtterTuneProposer(t, inf, trials))
 	if err != nil || len(r.Trials) != trials || math.IsInf(r.BestResult.Time, 0) {
 		t.Fatalf("session with one infinite trial: %d trials, best %v, err %v", len(r.Trials), r.BestResult.Time, err)
 	}
@@ -267,7 +268,12 @@ func TestOtterTuneNonFiniteObjectiveKeepsModelling(t *testing.T) {
 func TestOtterTuneColdStartImproves(t *testing.T) {
 	target := testTarget(5)
 	def := target.Run(target.Space().Default())
-	r, err := NewOtterTune(5, nil).Tune(context.Background(), testTarget(6), tune.Budget{Trials: 15})
+	b, tuned := tune.Budget{Trials: 15}, testTarget(6)
+	p, err := NewOtterTune(5, nil).NewProposer(tuned, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := tune.DriveProposer(context.Background(), "ottertune", tuned, b, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@
 package ml
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -32,14 +31,6 @@ type OtterTune struct {
 	Seed int64
 	// Repo is the corpus of past sessions; nil degrades to cold-start GP.
 	Repo *tune.Repository
-	// TopKnobs bounds the knobs actively tuned after Lasso ranking
-	// (default 8); remaining knobs stay at their defaults.
-	TopKnobs int
-	// PrunedMetrics is the metric count kept after pruning (default 6).
-	PrunedMetrics int
-	// InitObs is the number of initial observations on the new target
-	// (default 5).
-	InitObs int
 	// Surrogate selects the GP surrogate tier and its switch-over
 	// thresholds (nil = auto with defaults). The mapped workload's
 	// observations count toward the tier decision: a large transferred
@@ -55,24 +46,24 @@ type OtterTune struct {
 	LastMappedWorkload string
 }
 
+const (
+	// otTopKnobs bounds the knobs actively tuned after Lasso ranking;
+	// remaining knobs stay at their defaults.
+	otTopKnobs = 8
+	// otPrunedMetrics is the metric count kept after pruning.
+	otPrunedMetrics = 6
+	// otInitObs is the number of initial observations on the new target
+	// (after the default configuration).
+	otInitObs = 5
+)
+
 // NewOtterTune returns an OtterTune instance using repo (which may be nil).
 func NewOtterTune(seed int64, repo *tune.Repository) *OtterTune {
-	return &OtterTune{Seed: seed, Repo: repo, TopKnobs: 8, PrunedMetrics: 6, InitObs: 5}
+	return &OtterTune{Seed: seed, Repo: repo}
 }
 
 // Name implements tune.Tuner.
 func (t *OtterTune) Name() string { return "ml/ottertune" }
-
-// system extracts the repository system key from a target name
-// ("dbms/tpch" → "dbms").
-func system(name string) string {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '/' {
-			return name[:i]
-		}
-	}
-	return name
-}
 
 // metricNames returns the sorted union of metric keys across sessions.
 func metricNames(sessions []tune.SessionRecord) []string {
@@ -261,10 +252,3 @@ func sessionSignature(s tune.SessionRecord, pruned []string) map[string]float64 
 	}
 	return sig
 }
-
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *OtterTune) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
-}
-
-var _ tune.Tuner = (*OtterTune)(nil)

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"strings"
 
 	"repro/internal/mathx/gp"
 	"repro/internal/mathx/nn"
@@ -46,31 +47,18 @@ func (t *OtterTune) NewProposer(target tune.Target, b tune.Budget) (tune.Propose
 	d := space.Dim()
 	rng := rand.New(rand.NewSource(t.Seed))
 
-	sessions, _ := t.Repo.ForSystem(system(target.Name())) // in memory: never fails
-	keep := t.PrunedMetrics
-	if keep <= 0 {
-		keep = 6
-	}
-	pruned := pruneMetrics(sessions, keep, rng)
+	system, _, _ := strings.Cut(target.Name(), "/")
+	sessions, _ := t.Repo.ForSystem(system) // in memory: never fails
+	pruned := pruneMetrics(sessions, otPrunedMetrics, rng)
 	t.LastPrunedMetrics = pruned
 	ranking := rankKnobs(space, sessions)
 	t.LastKnobRanking = ranking
-	topK := t.TopKnobs
-	if topK <= 0 {
-		topK = 8
-	}
-	if topK > len(ranking) {
-		topK = len(ranking)
-	}
+	topK := min(otTopKnobs, len(ranking))
 	active := make([]int, topK)
 	for i, n := range ranking[:topK] {
 		active[i] = space.IndexOf(n)
 	}
 
-	initN := t.InitObs
-	if initN <= 0 {
-		initN = 5
-	}
 	p := &otProposer{
 		t: t, space: space, rng: rng,
 		model:    tune.NewSurrogateModel(t.Surrogate, gp.Matern52, t.Seed),
@@ -78,7 +66,7 @@ func (t *OtterTune) NewProposer(target tune.Target, b tune.Budget) (tune.Propose
 		observed: map[string]float64{},
 	}
 	p.pending = append(p.pending, space.Default())
-	for _, x := range sample.LatinHypercube(initN, d, rng) {
+	for _, x := range sample.LatinHypercube(otInitObs, d, rng) {
 		p.pending = append(p.pending, space.FromVector(x))
 	}
 	return p, nil
@@ -161,8 +149,6 @@ type neuralProposer struct {
 	pending []tune.Config
 	xs      [][]float64
 	ys      []float64
-	hidden  int
-	eps     float64
 }
 
 // NewProposer implements tune.BatchTuner.
@@ -170,25 +156,13 @@ func (t *NeuralTuner) NewProposer(target tune.Target, b tune.Budget) (tune.Propo
 	space := target.Space()
 	d := space.Dim()
 	rng := rand.New(rand.NewSource(t.Seed))
-	initN := t.InitObs
-	if initN <= 0 {
-		initN = 2 * d
-		if initN < 6 {
-			initN = 6
-		}
-		if initN > b.Trials/2 && b.Trials >= 4 {
-			initN = b.Trials / 2
-		}
+	// The surrogate's seed observations: 2·dim, at least 6, at most half a
+	// budget of four or more trials.
+	initN := max(2*d, 6)
+	if initN > b.Trials/2 && b.Trials >= 4 {
+		initN = b.Trials / 2
 	}
-	hidden := t.Hidden
-	if hidden <= 0 {
-		hidden = 24
-	}
-	eps := t.Epsilon
-	if eps <= 0 {
-		eps = 0.2
-	}
-	p := &neuralProposer{t: t, space: space, rng: rng, hidden: hidden, eps: eps}
+	p := &neuralProposer{t: t, space: space, rng: rng}
 	for _, x := range sample.LatinHypercube(initN, d, rng) {
 		p.pending = append(p.pending, space.FromVector(x))
 	}
@@ -204,8 +178,8 @@ func (p *neuralProposer) Propose(n int) []tune.Config {
 	}
 	d := p.space.Dim()
 	var x []float64
-	if len(p.xs) >= 4 && p.rng.Float64() >= p.eps {
-		net := nn.NewMLP(rand.New(rand.NewSource(p.t.Seed+int64(len(p.xs)))), d, p.hidden, p.hidden, 1)
+	if len(p.xs) >= 4 && p.rng.Float64() >= neuralEpsilon {
+		net := nn.NewMLP(rand.New(rand.NewSource(p.t.Seed+int64(len(p.xs)))), d, neuralHidden, neuralHidden, 1)
 		net.Train(p.xs, p.ys, 150, 0.01)
 		best := opt.RecursiveRandomSearch(func(q []float64) float64 {
 			return net.Predict(q)

@@ -32,7 +32,6 @@ func (t *Tuner) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, e
 type navProposer struct {
 	space  *tune.Space
 	ranked []string
-	levels int
 
 	pending []tune.Config
 	started bool
@@ -44,23 +43,11 @@ type navProposer struct {
 
 // NewProposer implements tune.BatchTuner.
 func (n *Navigator) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
-	topK := n.TopK
-	if topK <= 0 {
-		topK = 5
-	}
-	levels := n.Levels
-	if levels < 2 {
-		levels = 4
-	}
 	space := target.Space()
 	ranked := space.ByImpact()
-	if topK > len(ranked) {
-		topK = len(ranked)
-	}
 	return &navProposer{
 		space:   space,
-		ranked:  ranked[:topK],
-		levels:  levels,
+		ranked:  ranked[:min(navTopK, len(ranked))],
 		bestObj: math.Inf(1),
 	}, nil
 }
@@ -80,9 +67,9 @@ func (p *navProposer) Propose(n int) []tune.Config {
 			if !base.Valid() {
 				base = p.space.Default()
 			}
-			for l := 0; l < p.levels; l++ {
+			for l := 0; l < navLevels; l++ {
 				x := base.Vector()
-				x[idx] = (float64(l) + 0.5) / float64(p.levels)
+				x[idx] = (float64(l) + 0.5) / navLevels
 				p.pending = append(p.pending, p.space.FromVector(x))
 			}
 		}

@@ -96,9 +96,27 @@ func TestSumSpecConstraint(t *testing.T) {
 }
 
 func TestNavigatorStopsAtBudget(t *testing.T) {
-	// Covered end-to-end in tuners_test; here just the TopK clamp.
-	n := NewNavigator()
-	if n.TopK != 5 || n.Levels != 4 {
-		t.Errorf("defaults = %+v", n)
+	// Covered end-to-end in tuners_test; here the design's size: the default,
+	// then one sweep of navLevels values per parameter, clamped to the space.
+	p, err := NewNavigator().NewProposer(spaceTarget{ruleSpace()}, tune.Budget{Trials: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proposed := 0
+	for batch := p.Propose(100); len(batch) > 0; batch = p.Propose(100) {
+		for _, cfg := range batch {
+			proposed++
+			p.Observe(tune.Trial{N: proposed, Config: cfg, Result: tune.Result{Time: 1}})
+		}
+	}
+	if want := 1 + ruleSpace().Dim()*navLevels; proposed != want {
+		t.Errorf("navigator proposed %d configurations, want %d", proposed, want)
 	}
 }
+
+// spaceTarget is a target over a bare space, for proposers that only read it.
+type spaceTarget struct{ space *tune.Space }
+
+func (s spaceTarget) Name() string                { return "dbms/rules" }
+func (s spaceTarget) Space() *tune.Space          { return s.space }
+func (s spaceTarget) Run(tune.Config) tune.Result { return tune.Result{Time: 1} }

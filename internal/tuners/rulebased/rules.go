@@ -16,7 +16,6 @@
 package rulebased
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/tune"
@@ -53,7 +52,7 @@ func (rb *Rulebook) Apply(space *tune.Space, specs, features map[string]float64)
 	return cfg
 }
 
-// Tuner applies a rulebook to a target. It implements tune.Tuner; with a
+// Tuner applies a rulebook to a target. It implements tune.BatchTuner; with a
 // nonzero budget it spends one trial verifying the recommendation (and falls
 // back to the default configuration if the recommendation fails outright).
 type Tuner struct {
@@ -65,11 +64,6 @@ func NewTuner(book *Rulebook) *Tuner { return &Tuner{Book: book} }
 
 // Name implements tune.Tuner.
 func (t *Tuner) Name() string { return "rules/" + t.Book.System }
-
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *Tuner) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
-}
 
 // clampMin returns v, at least lo.
 func clampMin(v, lo float64) float64 {

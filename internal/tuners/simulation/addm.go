@@ -1,7 +1,6 @@
 package simulation
 
 import (
-	"context"
 	"sort"
 
 	"repro/internal/tune"
@@ -96,11 +95,6 @@ func diagnose(space *tune.Space, m map[string]float64) []finding {
 	}
 	sort.SliceStable(fs, func(i, j int) bool { return fs[i].Seconds > fs[j].Seconds })
 	return fs
-}
-
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *ADDM) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
 }
 
 // NewProposer implements tune.BatchTuner: iterative run → diagnose → remedy

@@ -36,13 +36,9 @@ func (t *TraceWhatIf) NewProposer(target tune.Target, b tune.Budget) (tune.Propo
 	if sp, ok := target.(tune.SpecProvider); ok {
 		specs = sp.Specs()
 	}
-	probes := t.ProbeRuns
-	if probes < 1 {
-		probes = 1
-	}
-	p := &traceProposer{t: t, space: target.Space(), specs: specs, probesLeft: probes}
+	p := &traceProposer{t: t, space: target.Space(), specs: specs, probesLeft: traceProbeRuns}
 	probe := p.space.Default()
-	for i := 0; i < probes; i++ {
+	for i := 0; i < traceProbeRuns; i++ {
 		p.pending = append(p.pending, probe)
 	}
 	return p, nil
@@ -55,15 +51,11 @@ func (p *traceProposer) ensureSearch() {
 	}
 	p.searched = true
 	rng := rand.New(rand.NewSource(p.t.Seed + 99))
-	budget := p.t.SearchBudget
-	if budget <= 0 {
-		budget = 2000
-	}
 	best := opt.RecursiveRandomSearch(func(x []float64) float64 {
 		cfg := p.space.FromVector(x)
 		res := ResourcesFor(cfg, p.specs)
 		return trace.Replay(p.captured, res)
-	}, p.space.Dim(), budget, rng)
+	}, p.space.Dim(), traceSearchBudget, rng)
 	p.rec = p.space.FromVector(best.X)
 }
 
@@ -104,14 +96,6 @@ type proxyProposer struct {
 func (t *ScaledProxy) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
 	space := target.Space()
 	rng := rand.New(rand.NewSource(t.Seed + 7))
-	budget := t.SearchBudget
-	if budget <= 0 {
-		budget = 400
-	}
-	verify := t.Verify
-	if verify <= 0 {
-		verify = 3
-	}
 	// Keep the best few distinct proxy candidates.
 	type cand struct {
 		x []float64
@@ -132,8 +116,8 @@ func (t *ScaledProxy) NewProposer(target tune.Target, b tune.Budget) (tune.Propo
 		for i := len(top) - 1; i > 0 && top[i].f < top[i-1].f; i-- {
 			top[i], top[i-1] = top[i-1], top[i]
 		}
-		if len(top) > verify {
-			top = top[:verify]
+		if len(top) > proxyVerify {
+			top = top[:proxyVerify]
 		}
 	}
 	opt.RecursiveRandomSearch(func(x []float64) float64 {
@@ -141,7 +125,7 @@ func (t *ScaledProxy) NewProposer(target tune.Target, b tune.Budget) (tune.Propo
 		f := res.Objective()
 		consider(x, f)
 		return f
-	}, space.Dim(), budget, rng)
+	}, space.Dim(), proxySearchBudget, rng)
 
 	p := &proxyProposer{}
 	for _, c := range top {

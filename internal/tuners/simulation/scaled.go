@@ -1,7 +1,6 @@
 package simulation
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/tune"
@@ -18,26 +17,23 @@ import (
 type ScaledProxy struct {
 	// Proxy is the scaled-down replica sharing the target's space.
 	Proxy tune.Target
-	// SearchBudget is the number of proxy evaluations (default 400).
-	SearchBudget int
-	// Verify is how many top proxy candidates to verify at full scale
-	// (default 3).
-	Verify int
-	Seed   int64
+	Seed  int64
 }
+
+const (
+	// proxySearchBudget is the number of proxy evaluations.
+	proxySearchBudget = 400
+	// proxyVerify is how many top proxy candidates to verify at full scale.
+	proxyVerify = 3
+)
 
 // NewScaledProxy returns a scaled-proxy tuner over the given replica.
 func NewScaledProxy(proxy tune.Target, seed int64) *ScaledProxy {
-	return &ScaledProxy{Proxy: proxy, SearchBudget: 400, Verify: 3, Seed: seed}
+	return &ScaledProxy{Proxy: proxy, Seed: seed}
 }
 
 // Name implements tune.Tuner.
 func (t *ScaledProxy) Name() string { return "simulation/scaled-proxy" }
-
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *ScaledProxy) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
-}
 
 func distance(a, b []float64) float64 {
 	var s float64
@@ -47,5 +43,3 @@ func distance(a, b []float64) float64 {
 	}
 	return math.Sqrt(s / float64(len(a)))
 }
-
-var _ tune.Tuner = (*ScaledProxy)(nil)

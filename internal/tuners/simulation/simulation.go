@@ -19,7 +19,6 @@
 package simulation
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/sysmodel/trace"
@@ -30,26 +29,22 @@ import (
 // expose resource metrics compatible with the DBMS simulator (cpu_seconds,
 // seq_read_mb, rand_read_mb, temp_io_mb) and hardware specs.
 type TraceWhatIf struct {
-	// SearchBudget is the number of replay evaluations (default 2000).
-	SearchBudget int
 	// Seed drives the model search.
 	Seed int64
-	// ProbeRuns is how many instrumented runs to capture (default 1).
-	ProbeRuns int
 }
 
-// NewTraceWhatIf returns a trace-based what-if tuner with defaults.
-func NewTraceWhatIf(seed int64) *TraceWhatIf {
-	return &TraceWhatIf{SearchBudget: 2000, Seed: seed, ProbeRuns: 1}
-}
+const (
+	// traceSearchBudget is the number of replay evaluations.
+	traceSearchBudget = 2000
+	// traceProbeRuns is how many instrumented runs to capture.
+	traceProbeRuns = 1
+)
+
+// NewTraceWhatIf returns a trace-based what-if tuner.
+func NewTraceWhatIf(seed int64) *TraceWhatIf { return &TraceWhatIf{Seed: seed} }
 
 // Name implements tune.Tuner.
 func (t *TraceWhatIf) Name() string { return "simulation/trace-whatif" }
-
-// Tune implements tune.Tuner via the generic ask/tell adapter.
-func (t *TraceWhatIf) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveTuner(ctx, t, target, b)
-}
 
 // TraceFromMetrics reconstructs a resource trace from one run's counters.
 func TraceFromMetrics(m, specs map[string]float64) *trace.Trace {
@@ -124,5 +119,3 @@ func ResourcesFor(cfg tune.Config, specs map[string]float64) trace.Resources {
 	}
 	return r
 }
-
-var _ tune.Tuner = (*TraceWhatIf)(nil)

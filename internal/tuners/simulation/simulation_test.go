@@ -103,7 +103,12 @@ func TestTraceWhatIfProposerFlow(t *testing.T) {
 func TestTraceWhatIfTuneReplayGuidedImprovement(t *testing.T) {
 	target := testTarget(10)
 	def := target.Run(target.Space().Default())
-	r, err := NewTraceWhatIf(10).Tune(context.Background(), testTarget(11), tune.Budget{Trials: 3})
+	b, tuned := tune.Budget{Trials: 3}, testTarget(11)
+	p, err := NewTraceWhatIf(10).NewProposer(tuned, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := tune.DriveProposer(context.Background(), "trace-whatif", tuned, b, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func sparkTarget(seed int64) *spark.Spark {
 func requireImproves(t *testing.T, tuner tune.Tuner, target tune.Target, budget int, factor float64) *tune.TuningResult {
 	t.Helper()
 	def := target.Run(target.Space().Default())
-	r, err := tuner.Tune(context.Background(), target, tune.Budget{Trials: budget})
+	r, err := repro.Tune(context.Background(), target, tuner, tune.Budget{Trials: budget}, 1)
 	if err != nil {
 		t.Fatalf("%s: %v", tuner.Name(), err)
 	}
@@ -80,10 +80,10 @@ func TestCostModelsImprove(t *testing.T) {
 }
 
 func TestCostModelsRejectWrongTargets(t *testing.T) {
-	if _, err := costmodel.NewStarfish(1).Tune(context.Background(), dbmsTarget(8), tune.Budget{Trials: 2}); err == nil {
+	if _, err := repro.Tune(context.Background(), dbmsTarget(8), costmodel.NewStarfish(1), tune.Budget{Trials: 2}, 1); err == nil {
 		t.Error("starfish should reject non-Hadoop targets")
 	}
-	if _, err := costmodel.NewErnest().Tune(context.Background(), dbmsTarget(9), tune.Budget{Trials: 8}); err == nil {
+	if _, err := repro.Tune(context.Background(), dbmsTarget(9), costmodel.NewErnest(), tune.Budget{Trials: 8}, 1); err == nil {
 		t.Error("ernest should reject non-Spark targets")
 	}
 }
@@ -98,7 +98,7 @@ func TestSimulationTunersImprove(t *testing.T) {
 
 func TestExperimentTunersImprove(t *testing.T) {
 	requireImproves(t, &experiment.Random{Seed: 13}, dbmsTarget(13), 25, 2)
-	requireImproves(t, &experiment.Grid{TopK: 3}, dbmsTarget(14), 25, 1.2)
+	requireImproves(t, &experiment.Grid{}, dbmsTarget(14), 25, 1.2)
 	requireImproves(t, &experiment.RRS{Seed: 15}, dbmsTarget(15), 25, 2)
 	requireImproves(t, experiment.NewSARD(16), dbmsTarget(16), 40, 2)
 	requireImproves(t, experiment.NewAdaptiveSampling(17), dbmsTarget(17), 25, 2)
@@ -106,8 +106,7 @@ func TestExperimentTunersImprove(t *testing.T) {
 }
 
 func TestSARDScreeningRanksEffectiveKnobs(t *testing.T) {
-	sard := experiment.NewSARD(19)
-	ranking, err := sard.Screen(context.Background(), dbmsTarget(19), tune.Budget{Trials: 64})
+	ranking, effects, err := experiment.NewSARD(19).Screen(context.Background(), dbmsTarget(19), tune.Budget{Trials: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +121,39 @@ func TestSARDScreeningRanksEffectiveKnobs(t *testing.T) {
 	if pos[dbms.WorkMemMB] > pos[dbms.LogLevel] && pos[dbms.BufferPoolMB] > pos[dbms.LogLevel] {
 		t.Errorf("screening ranked log_level above both memory knobs: %v", ranking)
 	}
-	if len(sard.LastEffects) == 0 {
-		t.Error("effects should be recorded")
+	if len(effects) != len(ranking) {
+		t.Errorf("%d effects for %d params", len(effects), len(ranking))
+	}
+}
+
+// TestSARDSessionsShareNothing: one *SARD serves concurrent sessions on
+// different targets, and each searches the ranking its own screen computed —
+// the result of each equals that session run alone.
+func TestSARDSessionsShareNothing(t *testing.T) {
+	ctx := context.Background()
+	sard := experiment.NewSARD(7)
+	b := tune.Budget{Trials: 40}
+	targets := []func() tune.Target{
+		func() tune.Target { return dbmsTarget(7) },
+		func() tune.Target { return sparkTarget(7) },
+	}
+	var jobs []repro.Job
+	for _, target := range targets {
+		jobs = append(jobs, repro.Job{Name: "sard", Tuner: sard, Target: target(), Budget: b})
+	}
+	for i, together := range repro.TuneJobs(ctx, jobs, 2) {
+		if together.Err != nil {
+			t.Fatal(together.Err)
+		}
+		alone, err := repro.Tune(ctx, targets[i](), sard, b, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(alone)
+		c, _ := json.Marshal(together.Result)
+		if string(a) != string(c) {
+			t.Errorf("%s: the concurrent session differs from the session run alone", together.Result.Target)
+		}
 	}
 }
 
@@ -136,8 +166,7 @@ func TestOtterTuneUsesRepository(t *testing.T) {
 	// Build a repository from tpch sessions, then tune mixed.
 	repo := &tune.Repository{}
 	past := dbms.New(cluster.CommodityNode(), workload.TPCHLike(3), 100)
-	it := experiment.NewITuned(100)
-	r, err := it.Tune(context.Background(), past, tune.Budget{Trials: 15})
+	r, err := repro.Tune(context.Background(), past, experiment.NewITuned(100), tune.Budget{Trials: 15}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +174,7 @@ func TestOtterTuneUsesRepository(t *testing.T) {
 
 	target := dbms.New(cluster.CommodityNode(), workload.MixedDB(2), 101)
 	ot := ml.NewOtterTune(101, repo)
-	if _, err := ot.Tune(context.Background(), target, tune.Budget{Trials: 15}); err != nil {
+	if _, err := repro.Tune(context.Background(), target, ot, tune.Budget{Trials: 15}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if ot.LastMappedWorkload == "" {
@@ -157,11 +186,9 @@ func TestOtterTuneUsesRepository(t *testing.T) {
 }
 
 func TestAdaptiveTunersRun(t *testing.T) {
-	colt := adaptive.NewCOLT(22)
-	colt.Runs = 3
-	r := requireImproves(t, colt, dbmsTarget(22), 5, 0.5) // adaptive pays online cost
-	if len(r.Trials) != 3 {
-		t.Errorf("COLT should record one trial per adaptive run, got %d", len(r.Trials))
+	r := requireImproves(t, adaptive.NewCOLT(22), dbmsTarget(22), 5, 0.5) // adaptive pays online cost
+	if len(r.Trials) != 2 {
+		t.Errorf("COLT should record one trial per adaptive run (two in a session), got %d", len(r.Trials))
 	}
 	// Across runs the online tuner should improve (the last run benefits
 	// from the previous run's converged configuration).
@@ -173,11 +200,11 @@ func TestAdaptiveTunersRun(t *testing.T) {
 
 func TestAdaptiveRejectsPlainTargets(t *testing.T) {
 	// Hadoop does not implement AdaptiveTarget.
-	if _, err := adaptive.NewCOLT(23).Tune(context.Background(), hadoopTarget(23), tune.Budget{Trials: 2}); err == nil {
+	if _, err := repro.Tune(context.Background(), hadoopTarget(23), adaptive.NewCOLT(23), tune.Budget{Trials: 2}, 1); err == nil {
 		t.Error("COLT should reject non-adaptive targets")
 	}
 	at := &adaptive.AdaptiveTuner{Label: "x", Controller: adaptive.NewMemoryManager()}
-	if _, err := at.Tune(context.Background(), hadoopTarget(24), tune.Budget{Trials: 2}); err == nil {
+	if _, err := repro.Tune(context.Background(), hadoopTarget(24), at, tune.Budget{Trials: 2}, 1); err == nil {
 		t.Error("AdaptiveTuner should reject non-adaptive targets")
 	}
 }
@@ -197,16 +224,14 @@ func TestMemoryManagerReducesSpills(t *testing.T) {
 func TestRecommenderWarmStart(t *testing.T) {
 	repo := &tune.Repository{}
 	past := hadoopTarget(26)
-	it := experiment.NewITuned(26)
-	r, err := it.Tune(context.Background(), past, tune.Budget{Trials: 15})
+	r, err := repro.Tune(context.Background(), past, experiment.NewITuned(26), tune.Budget{Trials: 15}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	repo.AddResult("hadoop", "terasort", past.WorkloadFeatures(), r)
 
-	rec := adaptive.NewRecommender(27, repo)
 	fresh := hadoopTarget(27)
-	rr, err := rec.Tune(context.Background(), fresh, tune.Budget{Trials: 1})
+	rr, err := repro.Tune(context.Background(), fresh, adaptive.NewRecommender(27, repo), tune.Budget{Trials: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +266,7 @@ func TestRecommenderRanksByNormalizedDistance(t *testing.T) {
 	sameJob := past("same-job", 0.75, func(f map[string]float64) { f["input_gb"] += 3 })
 	repo := &tune.Repository{Sessions: []tune.SessionRecord{otherJob, sameJob}}
 
-	res, err := adaptive.NewRecommender(27, repo).Tune(context.Background(), fresh, tune.Budget{Trials: 1})
+	res, err := repro.Tune(context.Background(), fresh, adaptive.NewRecommender(27, repo), tune.Budget{Trials: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +346,7 @@ func TestTunersRespectContextCancellation(t *testing.T) {
 		&experiment.Random{Seed: 31},
 		ml.NewNeuralTuner(31),
 	} {
-		r, err := tn.Tune(ctx, dbmsTarget(31), tune.Budget{Trials: 10})
+		r, err := repro.Tune(ctx, dbmsTarget(31), tn, tune.Budget{Trials: 10}, 1)
 		if err == nil && len(r.Trials) > 0 {
 			t.Errorf("%s: ran %d trials after cancellation", tn.Name(), len(r.Trials))
 		}

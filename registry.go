@@ -385,7 +385,7 @@ var builtinTuners = []builtinTuner{
 		return &experiment.Random{Seed: o.Seed}, nil
 	}},
 	{"grid", "experiment-driven", "factorial grid over the top-impact knobs", func(o TunerOptions) (Tuner, error) {
-		return &experiment.Grid{TopK: 3}, nil
+		return &experiment.Grid{}, nil
 	}},
 	{"rrs", "experiment-driven", "recursive random search (Ye & Kalyanaraman)", func(o TunerOptions) (Tuner, error) {
 		return &experiment.RRS{Seed: o.Seed}, nil

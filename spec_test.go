@@ -305,19 +305,18 @@ func (f *flatTarget) Run(cfg tune.Config) tune.Result {
 }
 
 // fixedTuner is a minimal external algorithm: a straight-line loop over a
-// fixed ladder of configurations, driven through tune.Sequential. It is a
-// Tuner only (no NewProposer), so the engine takes the blocking facade.
+// fixed ladder of configurations, proposed through tune.Sequential.
 type fixedTuner struct{ seed int64 }
 
 func (f *fixedTuner) Name() string { return "custom/fixed" }
-func (f *fixedTuner) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
-	return tune.DriveProposer(ctx, f.Name(), target, b, tune.Sequential(func(run tune.RunFunc) {
+func (f *fixedTuner) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
+	return tune.Sequential(func(run tune.RunFunc) {
 		for _, a := range []float64{0.1, 0.5, 0.7, 0.9} {
 			if _, ok := run(target.Space().Default().With("a", a)); !ok {
 				return
 			}
 		}
-	}))
+	}), nil
 }
 
 // TestRegistriesPlugInByName registers an external system and tuner and
