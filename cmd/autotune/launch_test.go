@@ -20,8 +20,7 @@ import (
 // library form (store.Open → Spec.JobOn → Submit) are one launch path, so one
 // spec against identically seeded repository directories transfers the same
 // warm seeds, streams byte-identical event JSON and archives the same
-// record through all three (the CLI's after the default-configuration run it
-// alone makes first).
+// record through all three.
 func TestLaunchEquivalence(t *testing.T) {
 	args := strings.Fields("-system spark -workload pagerank -tuner ituned -trials 12 -seed 11 -scale 1 -warm-start")
 	o, err := parseFlags(append(args, "-repo", "unused"))
@@ -66,10 +65,8 @@ func TestLaunchEquivalence(t *testing.T) {
 		return all[1].Record
 	}
 
-	// Library. The CLI measures the default configuration before it submits,
-	// which takes the target's first run (and its noise draw): defaultFirst
-	// does the same, so the CLI's record has a library twin to equal.
-	library := func(defaultFirst bool) (events []string, rec repro.SessionRecord) {
+	// Library.
+	library := func() (events []string, rec repro.SessionRecord) {
 		dir := seeded()
 		st, err := store.Open(dir)
 		if err != nil {
@@ -87,9 +84,6 @@ func TestLaunchEquivalence(t *testing.T) {
 		if seeds != repro.WarmSeeds {
 			t.Fatalf("library launch transferred %d seeds, want %d", seeds, repro.WarmSeeds)
 		}
-		if defaultFirst {
-			job.Target.Run(job.Target.Space().Default())
-		}
 		session := repro.NewEngine(repro.EngineOptions{Workers: 1}).Submit(job)
 		for ev := range session.Events() {
 			data, err := json.Marshal(ev)
@@ -104,13 +98,7 @@ func TestLaunchEquivalence(t *testing.T) {
 		st.Close()
 		return events, archived(dir)
 	}
-	libEvents, want := library(false)
-	_, wantCLI := library(true)
-	for i := 0; i < repro.WarmSeeds; i++ {
-		if !reflect.DeepEqual(want.Trials[i].Vector, wantCLI.Trials[i].Vector) {
-			t.Fatalf("warm seed %d depends on the target's run counter", i)
-		}
-	}
+	libEvents, want := library()
 
 	// CLI.
 	cliDir := seeded()
@@ -121,8 +109,8 @@ func TestLaunchEquivalence(t *testing.T) {
 	if line := fmt.Sprintf("warm start: %d configurations transferred", repro.WarmSeeds); !strings.Contains(out.String(), line) {
 		t.Errorf("CLI output lacks %q:\n%s", line, out.String())
 	}
-	if got := archived(cliDir); !reflect.DeepEqual(got, wantCLI) {
-		t.Errorf("CLI archived a different record:\n got %+v\nwant %+v", got, wantCLI)
+	if got := archived(cliDir); !reflect.DeepEqual(got, want) {
+		t.Errorf("CLI archived a different record:\n got %+v\nwant %+v", got, want)
 	}
 
 	// Daemon.

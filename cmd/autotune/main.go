@@ -176,7 +176,14 @@ func run(args []string, out io.Writer) error {
 		job.Remote = pool.Backend(dist.SysModel{System: spec.System, Workload: spec.Workload, Seed: spec.Seed, Target: spec.Target})
 		fmt.Fprintf(out, "evaluator fleet: %d evaluators, %d remote slots\n", len(urls), pool.Slots())
 	}
-	target, tuner := job.Target, job.Tuner.Name()
+	// The default-configuration baseline and a run-less session's verification
+	// run go to a second target built from the same spec, so the session's own
+	// target draws exactly the noise it would in the daemon or the library.
+	target, err := repro.NewTarget(spec.System, spec.Workload, spec.Seed, spec.Target)
+	if err != nil {
+		return err
+	}
+	tuner := job.Tuner.Name()
 	defRes := target.Run(target.Space().Default())
 	fmt.Fprintf(out, "target %s: default configuration runs in %.1fs\n", target.Name(), defRes.Time)
 	if spec.WarmStart {

@@ -168,3 +168,5 @@ func TestKillNineMidSessionResumes(t *testing.T) {
 		t.Errorf("resumed ran %v trials, uninterrupted %v", rd, fd)
 	}
 }
+
+func TestKillNineMidSessionResumesRace3(t *testing.T) { TestKillNineMidSessionResumes(t) }

@@ -224,8 +224,9 @@ func Table2(o Options) (*Table, error) {
 	// --- OtterTune --------------------------------------------------------------------
 	{
 		out := tuneOutcome("ottertune")
-		if ot := by["ottertune"].job.Tuner.(*ml.OtterTune); ot.LastMappedWorkload != "" {
-			out += fmt.Sprintf("; mapped to %q", ot.LastMappedWorkload)
+		s := by["ottertune"]
+		if wl := s.job.Tuner.(*ml.OtterTune).MappedWorkload("dbms", s.result.Trials); wl != "" {
+			out += fmt.Sprintf("; mapped to %q", wl)
 		}
 		t.AddRow("Machine learning", "OtterTune [24]", "Gaussian Process", "Tuning, Recommendation", out)
 	}

@@ -452,6 +452,10 @@ func TestSequentialSessionsLeaveNoGoroutines(t *testing.T) {
 	}
 }
 
+func TestSequentialSessionsLeaveNoGoroutinesRace3(t *testing.T) {
+	TestSequentialSessionsLeaveNoGoroutines(t)
+}
+
 // TestDaemonDeleteFinishedSessionRemovesIt: DELETE on a finished session
 // releases its record and event log; subsequent GETs 404.
 func TestDaemonDeleteFinishedSessionRemovesIt(t *testing.T) {

@@ -149,8 +149,12 @@ func TestEvaluatorEndpoints(t *testing.T) {
 		t.Fatalf("evaluator entry = %v", entry)
 	}
 
+	// Local workers finish a simulated trial in microseconds and can drain a
+	// whole batch before the evaluator's slot pulls a position; a session of
+	// several GP rounds gives the slot a position in one of them (a single
+	// 6-trial batch left it idle about once in 30 runs).
 	id, code, _ := postSpec(t, ts,
-		`{"system":"dbms","workload":"tpch","tuner":"ituned","seed":42,"budget":{"trials":6},"parallel":2,"target":{"scale_gb":2}}`)
+		`{"system":"dbms","workload":"tpch","tuner":"ituned","seed":42,"budget":{"trials":24},"parallel":2,"target":{"scale_gb":2}}`)
 	if code != http.StatusCreated {
 		t.Fatalf("create status = %d", code)
 	}

@@ -168,6 +168,8 @@ func TestAdmissionFlood(t *testing.T) {
 	})
 }
 
+func TestAdmissionFloodRace5(t *testing.T) { TestAdmissionFlood(t) }
+
 // TestAdmissionQueueCap: -max-queue bounds sessions waiting for a
 // scheduler slot independently of the total session cap.
 func TestAdmissionQueueCap(t *testing.T) {
@@ -398,6 +400,8 @@ func TestRestartResumesInFlightSessions(t *testing.T) {
 			"seed": 42, "budget": {"trials": 1500}, "target": {"scale_gb": 2}}`)
 	})
 }
+
+func TestRestartResumesInFlightSessionsRace3(t *testing.T) { TestRestartResumesInFlightSessions(t) }
 
 func restartResumes(t *testing.T, spec string) {
 	// Reference: the same spec, uninterrupted.

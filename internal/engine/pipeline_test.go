@@ -273,3 +273,5 @@ func TestPipelineEquivalence(t *testing.T) {
 		})
 	}
 }
+
+func TestPipelineEquivalenceRace5(t *testing.T) { TestPipelineEquivalence(t) }

@@ -163,3 +163,5 @@ func TestSequentialReleasesCoroutine(t *testing.T) {
 		})
 	}
 }
+
+func TestSequentialReleasesCoroutineRace3(t *testing.T) { TestSequentialReleasesCoroutine(t) }

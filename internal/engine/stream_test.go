@@ -194,6 +194,8 @@ func TestSlowSubscriberGetsLagged(t *testing.T) {
 	}
 }
 
+func TestSlowSubscriberGetsLaggedRace5(t *testing.T) { TestSlowSubscriberGetsLagged(t) }
+
 // TestSubscriberCleanupOnDisconnect is the regression test for subscriber
 // leaks: cancelled subscriptions release their goroutines (the Subscribers
 // gauge returns to zero) even while the run is still in flight, and

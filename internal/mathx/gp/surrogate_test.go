@@ -190,6 +190,8 @@ func TestRFFAppendMatchesFullFit(t *testing.T) {
 	}
 }
 
+func TestRFFAppendMatchesFullFitRace3(t *testing.T) { TestRFFAppendMatchesFullFit(t) }
+
 // TestSparseAppendConditionsOnNewData: Append must actually absorb the new
 // observation (frozen inducing set), pulling the posterior mean toward it.
 func TestSparseAppendConditionsOnNewData(t *testing.T) {
@@ -457,6 +459,8 @@ func TestSparseAppendMatchesFullFit(t *testing.T) {
 	}
 }
 
+func TestSparseAppendMatchesFullFitRace3(t *testing.T) { TestSparseAppendMatchesFullFit(t) }
+
 // TestAppendAndPredictAllocateNothing: inside the capacity Fit reserves, the
 // sparse and RFF Appends grow the model in place, and every tier's Predict
 // runs on per-instance workspaces.
@@ -512,6 +516,8 @@ func TestKCenterNeverRepeatsAnIndex(t *testing.T) {
 		}
 	}
 }
+
+func TestKCenterNeverRepeatsAnIndexRace3(t *testing.T) { TestKCenterNeverRepeatsAnIndex(t) }
 
 // TestSparseOnDuplicatedPointsMatchesExact: the inducing set shrinks to the
 // distinct points, Kmm needs no rescue jitter, and — every distinct location
@@ -585,3 +591,5 @@ func TestNonFiniteObservationsAreRefused(t *testing.T) {
 		}
 	}
 }
+
+func TestNonFiniteObservationsAreRefusedRace3(t *testing.T) { TestNonFiniteObservationsAreRefused(t) }

@@ -114,6 +114,8 @@ func TestDot4KernelMatchesGoLoop(t *testing.T) {
 	}
 }
 
+func TestDot4KernelMatchesGoLoopRace3(t *testing.T) { TestDot4KernelMatchesGoLoop(t) }
+
 // columnStepBoth computes column j of an n×n l for rows i0 … n-1 by the
 // scalar definition and by the fused kernel (whole groups of four, then
 // dot4 row by row — what CholeskyInto does) and returns the two columns.
@@ -161,6 +163,8 @@ func TestCholColumnKernelMatchesGoLoop(t *testing.T) {
 		}
 	}
 }
+
+func TestCholColumnKernelMatchesGoLoopRace3(t *testing.T) { TestCholColumnKernelMatchesGoLoop(t) }
 
 // choleskyBoth factors a on both paths into workspaces holding the same
 // stale contents, so a failure at the same column leaves the same matrix.
@@ -237,6 +241,8 @@ func TestCholeskyIntoKernelMatchesGoLoop(t *testing.T) {
 	}
 }
 
+func TestCholeskyIntoKernelMatchesGoLoopRace3(t *testing.T) { TestCholeskyIntoKernelMatchesGoLoop(t) }
+
 // Extend promises the factor a refactorization would give; that must hold on
 // each path, and (dot4 being shared) across them.
 func TestCholeskyExtendBitIdenticalOnBothKernels(t *testing.T) {
@@ -246,6 +252,10 @@ func TestCholeskyExtendBitIdenticalOnBothKernels(t *testing.T) {
 			assertExtendBitIdentical(t)
 		})
 	}
+}
+
+func TestCholeskyExtendBitIdenticalOnBothKernelsRace3(t *testing.T) {
+	TestCholeskyExtendBitIdenticalOnBothKernels(t)
 }
 
 // The triangular solves reach the kernel only through dot4; one check that
@@ -268,6 +278,8 @@ func TestSolveKernelMatchesGoLoop(t *testing.T) {
 		}
 	}
 }
+
+func TestSolveKernelMatchesGoLoopRace3(t *testing.T) { TestSolveKernelMatchesGoLoop(t) }
 
 func TestKernelName(t *testing.T) {
 	ForceKernel(t, true)

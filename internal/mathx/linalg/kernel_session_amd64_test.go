@@ -61,3 +61,7 @@ func TestSessionStreamsIdenticalOnBothKernels(t *testing.T) {
 		})
 	}
 }
+
+func TestSessionStreamsIdenticalOnBothKernelsRace3(t *testing.T) {
+	TestSessionStreamsIdenticalOnBothKernels(t)
+}

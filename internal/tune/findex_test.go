@@ -187,6 +187,10 @@ func TestIndexedLookupsMatchOracleRandomized(t *testing.T) {
 	}
 }
 
+func TestIndexedLookupsMatchOracleRandomizedRace3(t *testing.T) {
+	TestIndexedLookupsMatchOracleRandomized(t)
+}
+
 // TestIndexedLookupsAcrossTailStates drives the prefix-tree + linear-tail
 // lifecycle explicitly: tree-only, tail-only, mixed, post-rebuild, and a
 // tail addition that raises a frozen scale (forcing the stale-rebuild path).
@@ -217,6 +221,8 @@ func TestIndexedLookupsAcrossTailStates(t *testing.T) {
 	assertLookupsMatchOracle(t, repo, "dbms", map[string]float64{"rows": 1e7})
 }
 
+func TestIndexedLookupsAcrossTailStatesRace3(t *testing.T) { TestIndexedLookupsAcrossTailStates(t) }
+
 // TestIndexedLookupsDegenerateValues pins the scan-fallback equality on
 // inputs the tree cannot bound: NaN and Inf feature values in the corpus
 // and in the query.
@@ -243,6 +249,8 @@ func TestIndexedLookupsDegenerateValues(t *testing.T) {
 	}
 }
 
+func TestIndexedLookupsDegenerateValuesRace3(t *testing.T) { TestIndexedLookupsDegenerateValues(t) }
+
 // TestIndexedLookupsEmptyAndMissing covers the degenerate shapes warm start
 // meets in practice: empty repository, unknown system, sessions with no
 // features at all, and an empty query map.
@@ -263,6 +271,8 @@ func TestIndexedLookupsEmptyAndMissing(t *testing.T) {
 		t.Fatal("nil repository must hold nothing")
 	}
 }
+
+func TestIndexedLookupsEmptyAndMissingRace3(t *testing.T) { TestIndexedLookupsEmptyAndMissing(t) }
 
 // TestFeatureIndexStandalone pins the FeatureIndex primitive itself:
 // rank order against a direct oracle computation, lazy Walk cutoff, and
@@ -394,6 +404,8 @@ func TestFeatureIndexKernelIsTheFormula(t *testing.T) {
 	}
 }
 
+func TestFeatureIndexKernelIsTheFormulaRace3(t *testing.T) { TestFeatureIndexKernelIsTheFormula(t) }
+
 // TestSelectNthMatchesSortSplit: selection gives the median split the full
 // sort gave — the same element at n, the same set before it (so the same rIn)
 // and after it — on random, all-equal, heavily duplicated and ±Inf distances.
@@ -450,6 +462,8 @@ func TestSelectNthMatchesSortSplit(t *testing.T) {
 	}
 }
 
+func TestSelectNthMatchesSortSplitRace3(t *testing.T) { TestSelectNthMatchesSortSplit(t) }
+
 // TestFeatureIndexBuildSameTreeAtAnyGOMAXPROCS: node ids are preassigned and
 // the split is deterministic, so builds that run halves concurrently and a
 // serial build produce the same nodes (under -race, also: the concurrent
@@ -477,4 +491,8 @@ func TestFeatureIndexBuildSameTreeAtAnyGOMAXPROCS(t *testing.T) {
 			t.Fatalf("GOMAXPROCS=%d built a different tree", procs)
 		}
 	}
+}
+
+func TestFeatureIndexBuildSameTreeAtAnyGOMAXPROCSRace3(t *testing.T) {
+	TestFeatureIndexBuildSameTreeAtAnyGOMAXPROCS(t)
 }

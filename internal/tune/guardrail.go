@@ -182,19 +182,7 @@ func (g *Guardrail) safe(x []float64) bool {
 	if r >= 1 {
 		return true // trust region has grown past the whole unit cube
 	}
-	for _, sx := range g.safeXs {
-		far := false
-		for j := range sx {
-			if d := math.Abs(sx[j] - x[j]); d > r {
-				far = true
-				break
-			}
-		}
-		if !far {
-			return true
-		}
-	}
-	return false
+	return g.nearSafe(x, r)
 }
 
 // screen returns (cfg, false) when it passes; on a veto it returns the
@@ -212,27 +200,36 @@ func (g *Guardrail) screen(cfg Config) (_ Config, vetoed bool) {
 	if !g.hasSafe {
 		return cfg, true
 	}
-	anchor := g.bestSafe.Vector()
-	lo, hi := 0.0, 1.0 // fraction of the way from anchor toward cfg
-	mix := func(t float64) []float64 {
-		p := make([]float64, len(anchor))
-		for i := range p {
-			p[i] = anchor[i] + t*(x[i]-anchor[i])
-		}
-		return p
+	lo, p := g.bisect(g.bestSafe.Vector(), x, 1)
+	if lo == 0 {
+		return g.bestSafe, true
 	}
-	for i := 0; i < 8; i++ {
+	return g.space.FromVector(p), true
+}
+
+// bisect halves [0, hi] eight times toward the furthest fraction of the way
+// from anchor to x whose point passes the screen, and returns that fraction
+// (0 when no probe passed) with its point.
+func (g *Guardrail) bisect(anchor, x []float64, hi float64) (float64, []float64) {
+	lo := 0.0
+	for range 8 {
 		mid := (lo + hi) / 2
-		if g.safe(mix(mid)) {
+		if g.safe(lerp(anchor, x, mid)) {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	if lo == 0 {
-		return g.bestSafe, true
+	return lo, lerp(anchor, x, lo)
+}
+
+// lerp returns the point the fraction t of the way from a toward b.
+func lerp(a, b []float64, t float64) []float64 {
+	p := make([]float64, len(a))
+	for i := range p {
+		p[i] = a[i] + t*(b[i]-a[i])
 	}
-	return g.space.FromVector(mix(lo)), true
+	return p
 }
 
 // Propose implements Proposer: it refits the surrogate on everything
@@ -319,18 +316,22 @@ func (g *Guardrail) releasableDeferred() int {
 // max-norm r of x.
 func (g *Guardrail) nearSafe(x []float64, r float64) bool {
 	for _, sx := range g.safeXs {
-		far := false
-		for j := range sx {
-			if math.Abs(sx[j]-x[j]) > r {
-				far = true
-				break
-			}
-		}
-		if !far {
+		if maxDist(sx, x) <= r {
 			return true
 		}
 	}
 	return false
+}
+
+// maxDist is the max-norm distance between a and b, the trust region's metric.
+func maxDist(a, b []float64) float64 {
+	d := 0.0
+	for j := range a {
+		if v := math.Abs(a[j] - b[j]); v > d {
+			d = v
+		}
+	}
+	return d
 }
 
 // expandToward returns one marching step of safe-set expansion: the furthest
@@ -340,13 +341,7 @@ func (g *Guardrail) nearSafe(x []float64, r float64) bool {
 func (g *Guardrail) expandToward(x []float64) Config {
 	anchor, bestD := g.bestSafe.Vector(), math.Inf(1)
 	for _, sx := range g.safeXs {
-		d := 0.0
-		for j := range sx {
-			if a := math.Abs(sx[j] - x[j]); a > d {
-				d = a
-			}
-		}
-		if d < bestD {
+		if d := maxDist(sx, x); d < bestD {
 			bestD, anchor = d, sx
 		}
 	}
@@ -354,26 +349,11 @@ func (g *Guardrail) expandToward(x []float64) Config {
 	if bestD > trustRadius {
 		hi = trustRadius / bestD
 	}
-	mix := func(t float64) []float64 {
-		p := make([]float64, len(anchor))
-		for i := range p {
-			p[i] = anchor[i] + t*(x[i]-anchor[i])
-		}
-		return p
+	if p := lerp(anchor, x, hi); g.safe(p) {
+		return g.space.FromVector(p)
 	}
-	lo := 0.0
-	if g.safe(mix(hi)) {
-		return g.space.FromVector(mix(hi))
-	}
-	for i := 0; i < 8; i++ {
-		mid := (lo + hi) / 2
-		if g.safe(mix(mid)) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return g.space.FromVector(mix(lo))
+	_, p := g.bisect(anchor, x, hi)
+	return g.space.FromVector(p)
 }
 
 // Observe implements Proposer: the surrogate trains on the true outcome of

@@ -191,6 +191,10 @@ func TestGuardrailNonFiniteObjectiveKeepsScreening(t *testing.T) {
 	}
 }
 
+func TestGuardrailNonFiniteObjectiveKeepsScreeningRace3(t *testing.T) {
+	TestGuardrailNonFiniteObjectiveKeepsScreening(t)
+}
+
 // TestGuardrailLongSessionLeavesTheExactTier: past the exact tier's size
 // limit the screen is a sparse model that absorbs a round's observations,
 // not a cubic refit of the whole history at every Propose.
@@ -219,4 +223,8 @@ func TestGuardrailLongSessionLeavesTheExactTier(t *testing.T) {
 	if g.armed != sparse || sparse.TrainingSize() != 162 {
 		t.Fatalf("the next observation must be appended to the same model: %v over %d", g.armed == sparse, g.armed.TrainingSize())
 	}
+}
+
+func TestGuardrailLongSessionLeavesTheExactTierRace3(t *testing.T) {
+	TestGuardrailLongSessionLeavesTheExactTier(t)
 }

@@ -97,6 +97,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+func TestCheckpointRoundTripRace3(t *testing.T) { TestCheckpointRoundTrip(t) }
+
 // TestCheckpointResumedSessionAppends: a store that did not create a log (the
 // next daemon lifetime) adopts it on the session's first save and appends
 // only the new trials; the bytes already on disk are not rewritten.
@@ -129,6 +131,8 @@ func TestCheckpointResumedSessionAppends(t *testing.T) {
 	wantLoaded(t, s2, ckpt("s1", 7), "after the resumed save")
 }
 
+func TestCheckpointResumedSessionAppendsRace3(t *testing.T) { TestCheckpointResumedSessionAppends(t) }
+
 // TestCheckpointRewriteFallback: a state that does not extend the open log —
 // a different spec, or fewer trials — replaces the log whole, and what loads
 // afterwards is exactly that state.
@@ -156,6 +160,8 @@ func TestCheckpointRewriteFallback(t *testing.T) {
 	}
 }
 
+func TestCheckpointRewriteFallbackRace3(t *testing.T) { TestCheckpointRewriteFallback(t) }
+
 // TestCheckpointsNaturalOrder: session ids sharing a prefix sort by their
 // numeric suffix — s2 before s10 — so resume order matches creation order.
 func TestCheckpointsNaturalOrder(t *testing.T) {
@@ -178,6 +184,8 @@ func TestCheckpointsNaturalOrder(t *testing.T) {
 		t.Fatalf("checkpoint order = %v, want %v", order, want)
 	}
 }
+
+func TestCheckpointsNaturalOrderRace3(t *testing.T) { TestCheckpointsNaturalOrder(t) }
 
 // TestCheckpointsSkipCorrupt: torn or garbage checkpoint files (the crash
 // window), in either form, are skipped, not fatal — the healthy checkpoints
@@ -215,6 +223,8 @@ func TestCheckpointsSkipCorrupt(t *testing.T) {
 	wantLoaded(t, s, ckpt("s1", 3), "checkpoints with corrupt neighbors")
 }
 
+func TestCheckpointsSkipCorruptRace3(t *testing.T) { TestCheckpointsSkipCorrupt(t) }
+
 // TestCheckpointRejectsUnsafeSIDs: ids that could escape the checkpoint
 // directory are refused.
 func TestCheckpointRejectsUnsafeSIDs(t *testing.T) {
@@ -231,6 +241,8 @@ func TestCheckpointRejectsUnsafeSIDs(t *testing.T) {
 		t.Errorf("refused sids left %d log entries behind", len(s.ckpts))
 	}
 }
+
+func TestCheckpointRejectsUnsafeSIDsRace3(t *testing.T) { TestCheckpointRejectsUnsafeSIDs(t) }
 
 // boundaryLog builds the log of one admission plus three boundaries (2, 4 and
 // 6 trials) and returns its bytes and the offset its last line starts at.
@@ -295,6 +307,8 @@ func TestCheckpointEveryTornTail(t *testing.T) {
 	}
 }
 
+func TestCheckpointEveryTornTailRace3(t *testing.T) { TestCheckpointEveryTornTail(t) }
+
 // TestCheckpointFailedSaveRecovers: a short write or a failed fsync fails the
 // save, leaves the log at its last good length, and the next successful save
 // round-trips the full state. Every save — appending, failing or rewriting —
@@ -346,6 +360,8 @@ func TestCheckpointFailedSaveRecovers(t *testing.T) {
 		})
 	}
 }
+
+func TestCheckpointFailedSaveRecoversRace3(t *testing.T) { TestCheckpointFailedSaveRecovers(t) }
 
 // TestCheckpointSaveBlocksNobodyElse: while one session sits inside its
 // checkpoint fsync (parked there holding its log's lock), archive lookups
@@ -400,6 +416,8 @@ func TestCheckpointSaveBlocksNobodyElse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCheckpointSaveBlocksNobodyElseRace3(t *testing.T) { TestCheckpointSaveBlocksNobodyElse(t) }
 
 // TestCheckpointLogsFollowLiveSessions: the store holds one open log per
 // checkpointed session and nothing for a deleted one (retained entries would
@@ -457,6 +475,8 @@ func TestCheckpointLogsFollowLiveSessions(t *testing.T) {
 		t.Error("closed store accepted a checkpoint")
 	}
 }
+
+func TestCheckpointLogsFollowLiveSessionsRace3(t *testing.T) { TestCheckpointLogsFollowLiveSessions(t) }
 
 // benchTrial is a trial the size the dbms model produces: a 16-knob vector
 // and 22 runtime counters, about 1.2 KB of JSON.

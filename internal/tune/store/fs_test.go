@@ -223,6 +223,8 @@ func TestWALFailedAppendLosesNothing(t *testing.T) {
 	}
 }
 
+func TestWALFailedAppendLosesNothingRace3(t *testing.T) { TestWALFailedAppendLosesNothing(t) }
+
 // TestFsyncsPerOperation pins how many file and directory fsyncs each store
 // operation makes.
 func TestFsyncsPerOperation(t *testing.T) {
@@ -255,6 +257,8 @@ func TestFsyncsPerOperation(t *testing.T) {
 	}
 	s.Close()
 }
+
+func TestFsyncsPerOperationRace3(t *testing.T) { TestFsyncsPerOperation(t) }
 
 // model is what a store must hold after a scripted lifetime: the acknowledged
 // records in insertion order and each session's acknowledged checkpoint.
@@ -566,6 +570,8 @@ func TestFaultAtEveryWriteBoundary(t *testing.T) {
 		}
 	}
 }
+
+func TestFaultAtEveryWriteBoundaryRace3(t *testing.T) { TestFaultAtEveryWriteBoundary(t) }
 
 type faultMode struct {
 	name  string

@@ -226,6 +226,8 @@ func TestStoreLookupsMatchOracle(t *testing.T) {
 	}
 }
 
+func TestStoreLookupsMatchOracleRace3(t *testing.T) { TestStoreLookupsMatchOracle(t) }
+
 // TestStoreLookupsTailOnly pins the pure-WAL state (no segment ever
 // written): the smallest deployment shape and the one the v1 store
 // effectively always ran in between compactions.
@@ -310,6 +312,8 @@ func TestStoreBulkAppendMatchesOracle(t *testing.T) {
 		assertStoreMatchesOracle(t, s2, "dbms", randOracleQuery(rng))
 	}
 }
+
+func TestStoreBulkAppendMatchesOracleRace3(t *testing.T) { TestStoreBulkAppendMatchesOracle(t) }
 
 // TestStoreLookupsSeeIncrementalAppends: an already-built index must absorb
 // appends that arrive after it (the incremental AddKV path) without going

@@ -195,6 +195,8 @@ func TestSurrogateModelLifecycle(t *testing.T) {
 	}
 }
 
+func TestSurrogateModelLifecycleRace3(t *testing.T) { TestSurrogateModelLifecycle(t) }
+
 // peakEI is a stub surrogate whose expected improvement is a bump of the
 // given height around c (0 = no positive EI anywhere); Acquire calls nothing
 // but the two scoring methods.
@@ -322,3 +324,5 @@ func TestAcquireRound(t *testing.T) {
 		t.Error("all-active and identity rounds consumed different numbers of RNG draws")
 	}
 }
+
+func TestAcquireRoundRace3(t *testing.T) { TestAcquireRound(t) }

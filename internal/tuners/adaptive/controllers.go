@@ -109,8 +109,10 @@ func (m *MemoryManager) Epoch(i int, current tune.Config, prev map[string]float6
 // AdaptiveTuner lifts any tune.EpochController into a tune.BlockingTuner:
 // each budgeted trial is one adaptive run under the controller.
 type AdaptiveTuner struct {
-	Label      string
-	Controller tune.EpochController
+	Label string
+	// NewController builds a session's controller: every session gets its
+	// own, and that session's runs share it.
+	NewController func() tune.EpochController
 }
 
 // Name implements tune.Tuner.
@@ -123,10 +125,11 @@ func (a *AdaptiveTuner) Check(target tune.Target, _ tune.Budget) error {
 }
 
 // Tune implements tune.BlockingTuner: every run starts from the default under
-// the one controller.
+// the session's one controller.
 func (a *AdaptiveTuner) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
+	ctl := a.NewController()
 	return tuneAdaptive(ctx, a.Name(), target, b, target.Space().Default(),
-		func(int, int) tune.EpochController { return a.Controller })
+		func(int, int) tune.EpochController { return ctl })
 }
 
 // Recommender is the mrMoulder-style recommendation tuner: cold-start from
@@ -145,27 +148,20 @@ func NewRecommender(seed int64, repo *tune.Repository) *Recommender {
 // Name implements tune.Tuner.
 func (r *Recommender) Name() string { return "adaptive/recommender" }
 
-// warmStart returns the best configuration of the nearest past session of
-// the target's system (tune.RankSessions order: features normalized per key,
-// so no one large-valued feature decides), or the default when the repository
-// has nothing usable.
+// warmStart returns the best configuration of the nearest transferable past
+// session of the target's system — the warm start's own lookup,
+// tune.WarmConfigs with k 1 — or the default when the repository has nothing
+// usable.
 func (r *Recommender) warmStart(target tune.Target) tune.Config {
-	space := target.Space()
 	var features map[string]float64
 	if d, ok := target.(tune.Describer); ok {
 		features = d.WorkloadFeatures()
 	}
 	system, _, _ := strings.Cut(target.Name(), "/")
-	sessions, _ := r.Repo.ForSystem(system) // in memory: never fails
-	for _, at := range tune.RankSessions(sessions, features) {
-		if len(sessions[at].ParamNames) != space.Dim() {
-			continue
-		}
-		if best := sessions[at].BestTrial(); best >= 0 {
-			return space.FromVector(sessions[at].Trials[best].Vector)
-		}
+	if cfgs := tune.WarmConfigs(r.Repo, system, features, target.Space(), 1); len(cfgs) > 0 {
+		return cfgs[0]
 	}
-	return space.Default()
+	return target.Space().Default()
 }
 
 // Tune implements tune.BlockingTuner. On adaptive targets it refines the warm

@@ -268,6 +268,10 @@ func TestITunedNonFiniteObjectiveKeepsModelling(t *testing.T) {
 	}
 }
 
+func TestITunedNonFiniteObjectiveKeepsModellingRace3(t *testing.T) {
+	TestITunedNonFiniteObjectiveKeepsModelling(t)
+}
+
 func TestITunedProposerDeterminism(t *testing.T) {
 	b := tune.Budget{Trials: 16}
 	run := func() []string {

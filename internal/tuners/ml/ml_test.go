@@ -265,6 +265,10 @@ func TestOtterTuneNonFiniteObjectiveKeepsModelling(t *testing.T) {
 	}
 }
 
+func TestOtterTuneNonFiniteObjectiveKeepsModellingRace3(t *testing.T) {
+	TestOtterTuneNonFiniteObjectiveKeepsModelling(t)
+}
+
 func TestOtterTuneColdStartImproves(t *testing.T) {
 	target := testTarget(5)
 	def := target.Run(target.Space().Default())

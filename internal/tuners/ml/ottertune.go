@@ -36,14 +36,6 @@ type OtterTune struct {
 	// observations count toward the tier decision: a large transferred
 	// corpus pushes the model into the sparse or RFF tier immediately.
 	Surrogate *tune.SurrogateConfig
-
-	// LastKnobRanking records the most recent Lasso knob ranking.
-	LastKnobRanking []string
-	// LastPrunedMetrics records the metric names kept by pruning.
-	LastPrunedMetrics []string
-	// LastMappedWorkload records the repository workload the target was
-	// mapped to ("" when no repository).
-	LastMappedWorkload string
 }
 
 const (
@@ -60,6 +52,30 @@ const (
 // NewOtterTune returns an OtterTune instance using repo (which may be nil).
 func NewOtterTune(seed int64, repo *tune.Repository) *OtterTune {
 	return &OtterTune{Seed: seed, Repo: repo}
+}
+
+// MappedWorkload returns the past workload a plain session of this tuner on
+// the named system mapped its target onto, given the session's trials: the
+// mapping reads the initial design's successful observations and the metrics
+// pruning keeps, both pure functions of the seed and the corpus. It is ""
+// when the session ended before mapping or nothing was mapped.
+func (t *OtterTune) MappedWorkload(system string, trials []tune.Trial) string {
+	if len(trials) <= otInitObs+1 {
+		return ""
+	}
+	sessions, _ := t.Repo.ForSystem(system) // in memory: never fails
+	pruned := pruneMetrics(sessions, otPrunedMetrics, rand.New(rand.NewSource(t.Seed)))
+	var initial []tune.Trial
+	for _, tr := range trials[:otInitObs+1] {
+		// The model refuses a non-finite objective, and the trial's metrics with it.
+		if o := tr.Result.Objective(); !math.IsInf(o, 0) && !math.IsNaN(o) {
+			initial = append(initial, tr)
+		}
+	}
+	if at := mapWorkload(sessions, pruned, initial); at >= 0 {
+		return sessions[at].Workload
+	}
+	return ""
 }
 
 // Name implements tune.Tuner.
@@ -215,9 +231,22 @@ func meanStd(xs []float64) (mean, sd float64) {
 	return mean, sd
 }
 
-// mapWorkload picks the repository session whose metric signature is nearest
-// the target's observed signature over the pruned metrics.
-func mapWorkload(sessions []tune.SessionRecord, pruned []string, observed map[string]float64) int {
+// mapWorkload picks the repository session whose metric signature is nearest,
+// over the pruned metrics, the mean metrics of the target's observed trials;
+// -1 when there are no sessions or no trials.
+func mapWorkload(sessions []tune.SessionRecord, pruned []string, trials []tune.Trial) int {
+	if len(trials) == 0 {
+		return -1
+	}
+	observed := map[string]float64{}
+	for _, t := range trials {
+		for k, v := range t.Result.Metrics {
+			observed[k] += v
+		}
+	}
+	for k, v := range observed {
+		observed[k] = v / float64(len(trials))
+	}
 	bestAt, bestD := -1, math.Inf(1)
 	for i, s := range sessions {
 		sig := sessionSignature(s, pruned)

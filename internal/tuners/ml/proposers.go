@@ -33,10 +33,8 @@ type otProposer struct {
 	active   []int
 
 	pending []tune.Config
+	initial []tune.Trial // the accepted observations before the mapping
 	mapped  bool
-
-	observed map[string]float64
-	nObs     float64
 
 	model *tune.SurrogateModel
 }
@@ -50,9 +48,7 @@ func (t *OtterTune) NewProposer(target tune.Target, b tune.Budget) (tune.Propose
 	system, _, _ := strings.Cut(target.Name(), "/")
 	sessions, _ := t.Repo.ForSystem(system) // in memory: never fails
 	pruned := pruneMetrics(sessions, otPrunedMetrics, rng)
-	t.LastPrunedMetrics = pruned
 	ranking := rankKnobs(space, sessions)
-	t.LastKnobRanking = ranking
 	topK := min(otTopKnobs, len(ranking))
 	active := make([]int, topK)
 	for i, n := range ranking[:topK] {
@@ -63,7 +59,6 @@ func (t *OtterTune) NewProposer(target tune.Target, b tune.Budget) (tune.Propose
 		t: t, space: space, rng: rng,
 		model:    tune.NewSurrogateModel(t.Surrogate, gp.Matern52, t.Seed),
 		sessions: sessions, pruned: pruned, active: active,
-		observed: map[string]float64{},
 	}
 	p.pending = append(p.pending, space.Default())
 	for _, x := range sample.LatinHypercube(otInitObs, d, rng) {
@@ -76,19 +71,12 @@ func (t *OtterTune) NewProposer(target tune.Target, b tune.Budget) (tune.Propose
 // to the target's observed objective level.
 func (p *otProposer) mapWorkloadOnce() {
 	p.mapped = true
-	if len(p.sessions) == 0 || p.nObs == 0 {
-		return
-	}
-	avg := make(map[string]float64, len(p.observed))
-	for k, v := range p.observed {
-		avg[k] = v / p.nObs
-	}
-	at := mapWorkload(p.sessions, p.pruned, avg)
+	at := mapWorkload(p.sessions, p.pruned, p.initial)
+	p.initial = nil
 	if at < 0 {
 		return
 	}
 	sess := p.sessions[at]
-	p.t.LastMappedWorkload = sess.Workload
 	if len(sess.ParamNames) != p.space.Dim() {
 		return
 	}
@@ -131,13 +119,10 @@ func (p *otProposer) Propose(n int) []tune.Config {
 }
 
 func (p *otProposer) Observe(t tune.Trial) {
-	if !p.model.Observe(t.Config.Vector(), t.Result.Objective()) {
-		return // a failed trial: its metrics describe no workload either
+	// A refused observation's metrics describe no workload either.
+	if p.model.Observe(t.Config.Vector(), t.Result.Objective()) && !p.mapped {
+		p.initial = append(p.initial, t)
 	}
-	for k, v := range t.Result.Metrics {
-		p.observed[k] += v
-	}
-	p.nObs++
 }
 
 // neuralProposer is the Rodd & Kulkarni tuner in ask/tell form.

@@ -120,8 +120,19 @@ func (t *ScaledProxy) NewProposer(target tune.Target, b tune.Budget) (tune.Propo
 			top = top[:proxyVerify]
 		}
 	}
+	// An indexed replica runs each session's search on indices 1, 2, … — the
+	// runs a fresh replica's own counter would draw — so sessions sharing the
+	// tuner share no noise stream.
+	runProxy := t.Proxy.Run
+	if ct, ok := t.Proxy.(tune.ConcurrentTarget); ok {
+		var run int64
+		runProxy = func(cfg tune.Config) tune.Result {
+			run++
+			return ct.RunIndexed(run, cfg)
+		}
+	}
 	opt.RecursiveRandomSearch(func(x []float64) float64 {
-		res := t.Proxy.Run(space.FromVector(x))
+		res := runProxy(space.FromVector(x))
 		f := res.Objective()
 		consider(x, f)
 		return f

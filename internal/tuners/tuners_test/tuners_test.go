@@ -126,34 +126,75 @@ func TestSARDScreeningRanksEffectiveKnobs(t *testing.T) {
 	}
 }
 
-// TestSARDSessionsShareNothing: one *SARD serves concurrent sessions on
-// different targets, and each searches the ranking its own screen computed —
-// the result of each equals that session run alone.
-func TestSARDSessionsShareNothing(t *testing.T) {
+// TestSessionsShareNothing: one instance of every registered tuner serves two
+// concurrent sessions on two targets of one system it accepts, and each
+// session equals the same session run alone on that instance afterwards —
+// nothing one session computes (a screen's ranking, a mapped workload, a
+// controller's cooldown, a replica's run counter) reaches another.
+func TestSessionsShareNothing(t *testing.T) {
 	ctx := context.Background()
-	sard := experiment.NewSARD(7)
-	b := tune.Budget{Trials: 40}
-	targets := []func() tune.Target{
-		func() tune.Target { return dbmsTarget(7) },
-		func() tune.Target { return sparkTarget(7) },
-	}
-	var jobs []repro.Job
-	for _, target := range targets {
-		jobs = append(jobs, repro.Job{Name: "sard", Tuner: sard, Target: target(), Budget: b})
-	}
-	for i, together := range repro.TuneJobs(ctx, jobs, 2) {
-		if together.Err != nil {
-			t.Fatal(together.Err)
-		}
-		alone, err := repro.Tune(ctx, targets[i](), sard, b, 1)
+	b := tune.Budget{Trials: 12}
+	// One past session per system, for the repository-driven tuners.
+	repo := &tune.Repository{}
+	for _, past := range []interface {
+		tune.Target
+		WorkloadFeatures() map[string]float64
+	}{dbmsTarget(3), sparkTarget(3), hadoopTarget(3)} {
+		r, err := repro.Tune(ctx, past, &experiment.Random{Seed: 3}, tune.Budget{Trials: 12}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, _ := json.Marshal(alone)
-		c, _ := json.Marshal(together.Result)
-		if string(a) != string(c) {
-			t.Errorf("%s: the concurrent session differs from the session run alone", together.Result.Target)
-		}
+		system, wl, _ := strings.Cut(past.Name(), "/")
+		repo.AddResult(system, wl, past.WorkloadFeatures(), r)
+	}
+	systems := []struct{ name, workloads string }{
+		{"spark", "pagerank kmeans"}, {"dbms", "tpch mixed"}, {"hadoop", "terasort wordcount"},
+	}
+	opts := repro.TargetOptions{ScaleGB: 1}
+	for _, name := range repro.Tuners() {
+		t.Run(name, func(t *testing.T) {
+			for _, sys := range systems {
+				wls := strings.Fields(sys.workloads)
+				target := func(i int) tune.Target {
+					tg, err := repro.NewTarget(sys.name, wls[i], 7, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return tg
+				}
+				proxy, err := repro.NewTarget(sys.name, wls[0], 8, repro.TargetOptions{ScaleGB: 0.2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tuner, err := repro.NewTuner(name, repro.TunerOptions{Seed: 7, Repo: repo, TargetName: target(0).Name(), Proxy: proxy})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tune.CheckTuner(tuner, target(0), b) != nil || tune.CheckTuner(tuner, target(1), b) != nil {
+					continue
+				}
+				jobs := []repro.Job{
+					{Name: name, Tuner: tuner, Target: target(0), Budget: b},
+					{Name: name, Tuner: tuner, Target: target(1), Budget: b},
+				}
+				for i, together := range repro.TuneJobs(ctx, jobs, 2) {
+					if together.Err != nil {
+						t.Fatal(together.Err)
+					}
+					alone, err := repro.Tune(ctx, target(i), tuner, b, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					a, _ := json.Marshal(alone)
+					c, _ := json.Marshal(together.Result)
+					if string(a) != string(c) {
+						t.Errorf("%s: the concurrent session differs from the session run alone", together.Result.Target)
+					}
+				}
+				return
+			}
+			t.Fatal("no system with two workloads the tuner accepts")
+		})
 	}
 }
 
@@ -174,14 +215,12 @@ func TestOtterTuneUsesRepository(t *testing.T) {
 
 	target := dbms.New(cluster.CommodityNode(), workload.MixedDB(2), 101)
 	ot := ml.NewOtterTune(101, repo)
-	if _, err := repro.Tune(context.Background(), target, ot, tune.Budget{Trials: 15}, 1); err != nil {
+	r, err = repro.Tune(context.Background(), target, ot, tune.Budget{Trials: 15}, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ot.LastMappedWorkload == "" {
-		t.Error("workload mapping should have selected a session")
-	}
-	if len(ot.LastKnobRanking) == 0 || len(ot.LastPrunedMetrics) == 0 {
-		t.Error("pipeline stages should record their outputs")
+	if wl := ot.MappedWorkload("dbms", r.Trials); wl != "tpch" {
+		t.Errorf("workload mapping selected %q, want the one past session, tpch", wl)
 	}
 }
 
@@ -203,7 +242,7 @@ func TestAdaptiveRejectsPlainTargets(t *testing.T) {
 	if _, err := repro.Tune(context.Background(), hadoopTarget(23), adaptive.NewCOLT(23), tune.Budget{Trials: 2}, 1); err == nil {
 		t.Error("COLT should reject non-adaptive targets")
 	}
-	at := &adaptive.AdaptiveTuner{Label: "x", Controller: adaptive.NewMemoryManager()}
+	at := &adaptive.AdaptiveTuner{Label: "x", NewController: func() tune.EpochController { return adaptive.NewMemoryManager() }}
 	if _, err := repro.Tune(context.Background(), hadoopTarget(24), at, tune.Budget{Trials: 2}, 1); err == nil {
 		t.Error("AdaptiveTuner should reject non-adaptive targets")
 	}

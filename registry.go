@@ -417,10 +417,10 @@ var builtinTuners = []builtinTuner{
 		return adaptive.NewCOLT(o.Seed), nil
 	}},
 	{"partitions", "adaptive", "dynamic Spark partition control (Gounaris et al.)", func(o TunerOptions) (Tuner, error) {
-		return &adaptive.AdaptiveTuner{Label: "partitions", Controller: adaptive.NewPartitionController()}, nil
+		return &adaptive.AdaptiveTuner{Label: "partitions", NewController: func() tune.EpochController { return adaptive.NewPartitionController() }}, nil
 	}},
 	{"memory-manager", "adaptive", "online STMM memory rebalancing", func(o TunerOptions) (Tuner, error) {
-		return &adaptive.AdaptiveTuner{Label: "memory-manager", Controller: adaptive.NewMemoryManager()}, nil
+		return &adaptive.AdaptiveTuner{Label: "memory-manager", NewController: func() tune.EpochController { return adaptive.NewMemoryManager() }}, nil
 	}},
 	{"recommender", "adaptive", "repository warm start + online refinement (mrMoulder)", func(o TunerOptions) (Tuner, error) {
 		repo, err := tune.Snapshot(o.Repo, o.TargetName)

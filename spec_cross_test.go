@@ -117,6 +117,8 @@ func TestSpecCrossProduct(t *testing.T) {
 	}
 }
 
+func TestSpecCrossProductRace3(t *testing.T) { TestSpecCrossProduct(t) }
+
 // mirrorBackend is a stub evaluator fleet. Its slots evaluate on a second
 // instance of the spec's target, built from the same seed and options, as an
 // evaluator process rebuilds the target from a trial assignment.

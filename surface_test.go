@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"regexp"
@@ -40,14 +41,44 @@ var retiredSurfaces = []string{
 	// The inline Tune copies and their drivers: repro.Tune is the blocking
 	// call for every tuner.
 	`DriveTuner\(`, `DriveFidelity\(`,
+	// The second smoke script: scripts/ci.sh holds every CI stage.
+	`dist_smoke`,
+}
+
+// The one CI step list: the workflow's only command is scripts/ci.sh, and
+// ci.sh picks the tests it repeats by name marker, never by a test's name.
+var (
+	workflowRun = regexp.MustCompile(`^\s*(-\s+)?run:(.*)$`)
+	goCommand   = regexp.MustCompile(`\bgo\s+(test|build|vet|run)\b|\bTest[A-Z]`)
+	runPattern  = regexp.MustCompile(`-run[= ]\s*('[^']*'|"[^"]*"|\S+)`)
+)
+
+// ciForks reports the lines of the CI workflow or of scripts/ci.sh that open
+// a second step list.
+func ciForks(name string, lines []string) (forks []string) {
+	for i, line := range lines {
+		switch name {
+		case ".github/workflows/ci.yml":
+			if m := workflowRun.FindStringSubmatch(line); m != nil && strings.TrimSpace(m[2]) != "scripts/ci.sh" || goCommand.MatchString(line) {
+				forks = append(forks, fmt.Sprintf("%s:%d runs something other than scripts/ci.sh: %s", name, i+1, strings.TrimSpace(line)))
+			}
+		case "scripts/ci.sh":
+			for _, m := range runPattern.FindAllStringSubmatch(line, -1) {
+				if strings.Contains(m[1], "Test") {
+					forks = append(forks, fmt.Sprintf("%s:%d names a test in a -run pattern: %s", name, i+1, strings.TrimSpace(line)))
+				}
+			}
+		}
+	}
+	return forks
 }
 
 // TestRetiredSurfacesStayRetired checks every tracked file for the retired
 // surfaces and the one-owner rules: one feature index owner (the store; the
-// in-memory repository is the linear-scan oracle, not a second index) and one
+// in-memory repository is the linear-scan oracle, not a second index), one
 // launch site (only Spec.JobOn calls JobWithWarm outside the harnesses that
 // decorate its sources, benchmark/ and the experiments' cell runner in
-// internal/bench).
+// internal/bench) and one CI step list (scripts/ci.sh).
 func TestRetiredSurfacesStayRetired(t *testing.T) {
 	if _, err := exec.LookPath("git"); err != nil {
 		t.Skip("git is not installed")
@@ -83,7 +114,11 @@ func TestRetiredSurfacesStayRetired(t *testing.T) {
 			name != "internal/tune/findex.go" && name != "internal/tune/store/store.go" {
 			t.Errorf("%s calls NewCorpusIndex; only internal/tune/store/store.go may", name)
 		}
-		for i, line := range strings.Split(string(data), "\n") {
+		lines := strings.Split(string(data), "\n")
+		for _, fork := range ciForks(name, lines) {
+			t.Error(fork)
+		}
+		for i, line := range lines {
 			if !exempt(name) && retired.MatchString(line) {
 				t.Errorf("%s:%d mentions a retired surface: %s", name, i+1, strings.TrimSpace(line))
 			}
