@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/tune"
+	"repro/internal/tuners/experiment"
 )
 
 func TestNewTargetAllSystems(t *testing.T) {
@@ -167,5 +168,89 @@ func TestTuneIsOneJob(t *testing.T) {
 				t.Errorf("%s at parallel %d: the spec's Job differs from Tune:\n  %s\n  %s", spec.Name(), p, got, tuned)
 			}
 		}
+	}
+}
+
+// TestScenarioWrappersDeclareTheScenario: the proposer stack is where a
+// session's scenario is declared, so Tune over a guardrail or multi-objective
+// wrapper built by hand reports what Start reports for the equivalent Spec —
+// the same violations, the same front, the same result — and a Job carrying
+// the wrapper emits the same event stream.
+func TestScenarioWrappersDeclareTheScenario(t *testing.T) {
+	const seed = 17
+	ctx := context.Background()
+	for _, c := range []struct {
+		name  string
+		spec  Spec
+		tuner func() (tune.BatchTuner, error)
+	}{
+		{"guardrail", Spec{System: "dbms", Workload: "tpch", Tuner: "ituned", Seed: seed, Budget: Budget{Trials: 14}, Guardrail: 150},
+			func() (tune.BatchTuner, error) { return tune.GuardrailTuner(experiment.NewITuned(seed), 150) }},
+		{"pareto", Spec{System: "dbms", Workload: "tpch", Tuner: "ituned", Seed: seed, Budget: Budget{Trials: 16}, Pareto: true},
+			func() (tune.BatchTuner, error) {
+				var subs []tune.BatchTuner
+				for i := range tune.DefaultParetoWeights {
+					subs = append(subs, experiment.NewITuned(seed+int64(i)))
+				}
+				return tune.MultiObjectiveTuner(subs, tune.DefaultParetoWeights)
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stream := func(run *Run) (events []string, res *TuningResult) {
+				t.Helper()
+				for ev := range run.Events() {
+					data, err := json.Marshal(ev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					events = append(events, string(data))
+				}
+				res, err := run.Wait(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return events, res
+			}
+			target := func() Target {
+				target, err := NewTarget(c.spec.System, c.spec.Workload, c.spec.Seed, c.spec.Target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return target
+			}
+			tuner := func() Tuner {
+				tn, err := c.tuner()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tn
+			}
+			run, err := Start(ctx, c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantEvents, want := stream(run)
+			if want.GuardrailViolations == 0 && len(want.Front) == 0 {
+				t.Fatal("the spec's session kept no scenario bookkeeping; the comparison would be vacuous")
+			}
+
+			got, err := Tune(ctx, target(), tuner(), c.spec.Budget, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.GuardrailViolations != want.GuardrailViolations || len(got.Front) != len(want.Front) {
+				t.Errorf("Tune: %d violations and a %d-point front, the spec: %d and %d",
+					got.GuardrailViolations, len(got.Front), want.GuardrailViolations, len(want.Front))
+			}
+			wantJSON, _ := json.Marshal(want)
+			if gotJSON, _ := json.Marshal(got); string(gotJSON) != string(wantJSON) {
+				t.Errorf("Tune's result differs from the spec's:\n  Tune: %s\n  spec: %s", gotJSON, wantJSON)
+			}
+
+			events, _ := stream(NewEngine(EngineOptions{}).Submit(Job{Name: c.spec.Name(), Tuner: tuner(), Target: target(), Budget: c.spec.Budget}))
+			if !slices.Equal(events, wantEvents) {
+				t.Errorf("a Job carrying the wrapper emits %d events, the spec's session %d, or they differ", len(events), len(wantEvents))
+			}
+		})
 	}
 }

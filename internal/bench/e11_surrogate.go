@@ -119,14 +119,14 @@ func Surrogate(o Options) (*Table, error) {
 				m.ScoreCandidates(cands, best, scores)
 			})
 			var sq float64
-			mu, _ := m.PredictAll(cands)
-			for i := range mu {
-				d := mu[i] - refMu[i]
+			for i, p := range cands {
+				mu, _ := m.Predict(p)
+				d := mu - refMu[i]
 				sq += d * d
 			}
 			t.AddRow(tier.name, fmt.Sprintf("%d", n),
 				fmtWall(fit), fmtWall(score),
-				fmt.Sprintf("%.4f", math.Sqrt(sq/float64(len(mu)))/sigmaY),
+				fmt.Sprintf("%.4f", math.Sqrt(sq/float64(len(cands)))/sigmaY),
 				fmtSpeedup(speedup(exactFit.Seconds(), fit.Seconds())))
 		}
 	}

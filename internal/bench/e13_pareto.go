@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro"
-	"repro/internal/engine"
 	"repro/internal/tune"
 )
 
@@ -14,9 +13,10 @@ import (
 // objectives genuinely conflict. Single-objective iTuned optimizes latency
 // alone; the multi-objective sweep (Spec.Pareto) fans the same
 // tuner across scalarization weights from pure-latency to pure-cost. Both
-// sessions track the Pareto front over their trials (Scenario.Pareto), so
-// the comparison is front quality: normalized hypervolume over the union of
-// both fronts (tune.NormalizedHypervolume), and front breadth (cost spread).
+// runs are scored by the Pareto front over their trials (tune.ParetoFront,
+// the front the sweep's session tracks), so the comparison is front
+// quality: normalized hypervolume over the union of both fronts
+// (tune.NormalizedHypervolume), and front breadth (cost spread).
 //
 // The claim reproduced: a latency-only search piles its trials onto the
 // fast-but-expensive corner, so the front it incidentally uncovers covers a
@@ -39,14 +39,12 @@ func Pareto(o Options) (*Table, error) {
 	if b.Trials < 60 {
 		b.Trials = 60
 	}
-	// Both sessions track their fronts: the weighted sweep by its spec, the
-	// latency-only search by setting the job's front tracking directly.
 	single := repro.Spec{System: "dbms", Workload: "tpch", Tuner: "ituned", Seed: o.Seed, Budget: b,
 		Target: repro.TargetOptions{ScaleGB: o.scaleGB(3, 2)}}
 	multi := single
 	multi.Pareto = true
 	sessions, err := runCells(o, []cell{
-		{spec: single, adjust: func(j *engine.Job) { j.Pareto = true }},
+		{spec: single},
 		{spec: multi},
 	})
 	if err != nil {
@@ -56,12 +54,13 @@ func Pareto(o Options) (*Table, error) {
 
 	// Both fronts scored on the unit square spanned by their union, so the
 	// hypervolumes are comparable and not drowned by outlier trials.
-	hvs := tune.NormalizedHypervolume(sessions[0].result.Front, sessions[1].result.Front)
+	fronts := [][]tune.Trial{tune.ParetoFront(sessions[0].result.Trials), tune.ParetoFront(sessions[1].result.Trials)}
+	hvs := tune.NormalizedHypervolume(fronts...)
 
 	var baseHV float64
 	for i, s := range sessions {
 		res := s.result
-		front := res.Front
+		front := fronts[i]
 		hv := hvs[i]
 		minCost, maxCost := frontCostRange(front)
 		gain := "—"

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro"
-	"repro/internal/engine"
 	"repro/internal/tune"
 )
 
@@ -22,8 +21,8 @@ const GuardrailFactor = 0.7
 
 // Guardrail measures safe exploration: the same tuner with and without the
 // surrogate safety screen (Spec.Guardrail), both judged against the
-// same objective guardrail (Scenario.Guardrail counts every full-fidelity
-// trial over the limit and emits GuardrailViolation events). Unscreened
+// same objective guardrail: a violation is a full-fidelity trial over the
+// limit, the rule by which the guarded session counts its own. Unscreened
 // iTuned explores wherever its design takes it, paying real violations to
 // learn where the cliffs are; the screened variant releases one
 // configuration per observation round-trip, vetoes anything its GP upper
@@ -48,8 +47,7 @@ func Guardrail(o Options) (*Table, error) {
 		b.Trials = 16
 	}
 	// The limit derives from the default configuration on a probe target so
-	// both sessions face the same number; the unguarded session is judged
-	// against it by setting the job's guardrail directly.
+	// both sessions face the same number.
 	topts := repro.TargetOptions{ScaleGB: o.scaleGB(3, 2)}
 	probe, err := repro.NewTarget("dbms", "tpch", o.Seed, topts)
 	if err != nil {
@@ -60,7 +58,7 @@ func Guardrail(o Options) (*Table, error) {
 	guarded := unguarded
 	guarded.Guardrail = limit
 	sessions, err := runCells(o, []cell{
-		{spec: unguarded, adjust: func(j *engine.Job) { j.Guardrail = limit }},
+		{spec: unguarded},
 		{spec: guarded},
 	})
 	if err != nil {
@@ -70,12 +68,13 @@ func Guardrail(o Options) (*Table, error) {
 	var baseBest float64
 	for i, s := range sessions {
 		res := s.result
-		violations := s.run.Progress().GuardrailViolations
-		worst := 0.0
+		violations, worst := 0, 0.0
 		for _, tr := range res.Trials {
-			if obj := tr.Result.Objective(); obj > worst {
-				worst = obj
+			obj := tr.Result.Objective()
+			if tr.Result.FullFidelity() && obj > limit {
+				violations++
 			}
+			worst = max(worst, obj)
 		}
 		vs := "—"
 		if i == 0 {
@@ -90,7 +89,7 @@ func Guardrail(o Options) (*Table, error) {
 			fmtSeconds(res.BestResult.Time),
 			vs)
 	}
-	t.Note("budget %d trials each at seed %d; guardrail = %.1f× the default config's runtime (%s); violations counted by the session, not the tuner",
+	t.Note("budget %d trials each at seed %d; guardrail = %.1f× the default config's runtime (%s); violations = full-fidelity trials over the limit, counted from the trials",
 		b.Trials, o.Seed, GuardrailFactor, fmtSeconds(limit))
 	t.Note("screen = Matérn-5/2 GP upper confidence bound + safe-set keep-outs, armed after %d observations; vetoed proposals are deferred and re-proposed once the safe set expands to cover them",
 		tune.GuardrailMinObs)

@@ -53,13 +53,12 @@ func (o Options) scaleGB(full, small float64) float64 {
 	return full
 }
 
-// cell is one tuning session of an experiment: the spec that builds it, the
-// repository its repository-driven tuner reads and its warm start draws
-// from (nil = none), and an optional last adjustment to the built job.
+// cell is one tuning session of an experiment: the spec that builds it and
+// the repository its repository-driven tuner reads and its warm start draws
+// from (nil = none).
 type cell struct {
 	spec   repro.Spec
 	corpus *tune.Repository
-	adjust func(*engine.Job)
 }
 
 // session is a finished cell: the job its spec built (target and tuner), the
@@ -86,9 +85,6 @@ func runCells(o Options, cells []cell) ([]session, error) {
 		job, err := c.spec.JobWithWarm(corpus, warm, nil)
 		if err != nil {
 			return nil, fmt.Errorf("cell %d (%s): %w", i, c.spec.Name(), err)
-		}
-		if c.adjust != nil {
-			c.adjust(&job)
 		}
 		jobs[i] = job
 	}

@@ -23,11 +23,10 @@ import (
 // the row must emit, so a row cannot pass by silently not exercising its
 // feature.
 type pipelineRow struct {
-	name     string
-	trials   int
-	scenario tune.Scenario
-	want     tune.EventKind
-	mk       func(t *testing.T) (tune.Tuner, tune.Target)
+	name   string
+	trials int
+	want   tune.EventKind
+	mk     func(t *testing.T) (tune.Tuner, tune.Target)
 }
 
 func pipelineRows() []pipelineRow {
@@ -88,7 +87,7 @@ func pipelineRows() []pipelineRow {
 			mk: func(t *testing.T) (tune.Tuner, tune.Target) {
 				return tune.DriftDetectTuner(experiment.NewITuned(seed)), shiftTarget(t)
 			}},
-		{name: "guardrail", trials: 14, scenario: tune.Scenario{Guardrail: 150}, want: tune.GuardrailViolation,
+		{name: "guardrail", trials: 14, want: tune.GuardrailViolation,
 			mk: func(t *testing.T) (tune.Tuner, tune.Target) {
 				gt, err := tune.GuardrailTuner(experiment.NewITuned(seed), 150)
 				if err != nil {
@@ -96,7 +95,7 @@ func pipelineRows() []pipelineRow {
 				}
 				return gt, plainTarget()
 			}},
-		{name: "pareto", trials: 16, scenario: tune.Scenario{Pareto: true}, want: tune.ParetoIncumbent,
+		{name: "pareto", trials: 16, want: tune.ParetoIncumbent,
 			mk: func(t *testing.T) (tune.Tuner, tune.Target) {
 				var subs []tune.BatchTuner
 				for i := range tune.DefaultParetoWeights {
@@ -190,7 +189,6 @@ func TestPipelineEquivalence(t *testing.T) {
 				ev.Seq = len(seqEvents) + 1
 				seqEvents = append(seqEvents, ev)
 			}})
-			ctx = tune.WithScenario(ctx, row.scenario)
 			seqRes, err := driveInline(ctx, tuner, target, b)
 			if err != nil {
 				t.Fatal(err)
@@ -212,8 +210,7 @@ func TestPipelineEquivalence(t *testing.T) {
 				t.Run(entry.name, func(t *testing.T) {
 					job := func() Job {
 						tuner, target := row.mk(t)
-						j := Job{Name: row.name, Tuner: tuner, Target: target, Budget: b, Parallel: entry.parallel,
-							Pareto: row.scenario.Pareto, Guardrail: row.scenario.Guardrail, CheckpointEvery: 1}
+						j := Job{Name: row.name, Tuner: tuner, Target: target, Budget: b, Parallel: entry.parallel, CheckpointEvery: 1}
 						if entry.slots > 0 {
 							_, mirror := row.mk(t)
 							j.Remote = stubRemote{caps: tune.Resolve(mirror), slots: entry.slots}

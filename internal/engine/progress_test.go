@@ -52,7 +52,7 @@ func foldSessions(t *testing.T) []foldSession {
 	if err != nil {
 		t.Fatal(err)
 	}
-	record("ituned+pareto+guardrail", Job{Tuner: guarded, Target: dbmsTarget(seed), Budget: tune.Budget{Trials: 16}, Pareto: true, Guardrail: 150})
+	record("ituned+pareto+guardrail", Job{Tuner: guarded, Target: dbmsTarget(seed), Budget: tune.Budget{Trials: 16}})
 	node := cluster.CommodityNode()
 	shift, err := workload.NewDrift("oltp-olap-shift", false,
 		workload.Phase{Name: "oltp", Target: dbms.New(node, workload.OLTP(64, 2), seed), Runs: 7},

@@ -133,9 +133,6 @@ func (r *Run) run(record bool) {
 	if record {
 		ctx = tune.WithMonitor(ctx, &tune.Monitor{OnEvent: r.observe, Gate: r.gate})
 	}
-	if sc := (tune.Scenario{Pareto: r.job.Pareto, Guardrail: r.job.Guardrail}); sc.Pareto || sc.Guardrail > 0 {
-		ctx = tune.WithScenario(ctx, sc)
-	}
 	res, err := r.job.tune(ctx)
 	r.archive(res, err)
 	r.finish(res, err)

@@ -73,16 +73,6 @@ type Job struct {
 	// checkpoint of the same spec; a divergence (the fresh proposer
 	// proposing something other than the recorded history) fails the run.
 	Replay *tune.Replay
-	// Pareto opts the session into latency-vs-cost front tracking: the
-	// session maintains the Pareto front over full-fidelity trials and emits
-	// a ParetoIncumbent event whenever a trial joins it.
-	Pareto bool
-	// Guardrail, when > 0, is the session's objective guardrail: every
-	// full-fidelity trial whose objective exceeds it is counted and emitted
-	// as a GuardrailViolation event. Pair with tune.GuardrailTuner so the
-	// proposer actively avoids violations; the session-side count measures
-	// how well the screen worked.
-	Guardrail float64
 }
 
 // names returns the job's repository system/workload naming, deriving

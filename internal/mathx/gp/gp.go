@@ -427,54 +427,18 @@ func (g *GP) kernelVecInto(ks, p []float64, n, d int) {
 	}
 }
 
-// PredictAll evaluates the posterior at every point, reusing the GP's
-// workspaces between points; only the two result slices are allocated. It
-// honors Predict's pre-Fit guard: an unfitted GP yields (0, +Inf) for every
-// point rather than panicking.
-func (g *GP) PredictAll(points [][]float64) (mu, sigma []float64) {
-	mu = make([]float64, len(points))
-	sigma = make([]float64, len(points))
-	if g.chol == nil {
-		for i := range sigma {
-			sigma[i] = math.Inf(1)
-		}
-		return mu, sigma
-	}
-	for i, p := range points {
-		mu[i], sigma[i] = g.Predict(p)
-	}
-	return mu, sigma
-}
-
 // ExpectedImprovement returns EI at p for minimization against the incumbent
 // best observed value. Larger is better; 0 before a successful Fit.
 func (g *GP) ExpectedImprovement(p []float64, best float64) float64 {
-	mu, sigma := g.Predict(p)
-	return expectedImprovement(mu, sigma, best)
+	return expectedImprovementAt(g, p, best)
 }
 
 // ScoreCandidates returns Expected Improvement against best for every
 // candidate, writing into dst when it has capacity (pass nil to allocate).
 // One batched call serves a whole candidate pool allocation-free — the
-// screening step of the iTuned and OtterTune proposal loops. Like Predict,
-// it tolerates an unfitted model, scoring every candidate 0 instead of
-// propagating the unfitted sigma = +Inf through the EI formula (which would
-// hand the downstream argmax ±Inf/NaN scores).
+// screening step of the iTuned and OtterTune proposal loops.
 func (g *GP) ScoreCandidates(points [][]float64, best float64, dst []float64) []float64 {
-	if cap(dst) < len(points) {
-		dst = make([]float64, len(points))
-	}
-	dst = dst[:len(points)]
-	if g.chol == nil {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-	for i, p := range points {
-		dst[i] = g.ExpectedImprovement(p, best)
-	}
-	return dst
+	return scoreCandidates(g, points, best, dst)
 }
 
 // TrainingSize returns the number of conditioning points.

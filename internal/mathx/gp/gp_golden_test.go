@@ -278,12 +278,6 @@ func TestPredictBeforeFit(t *testing.T) {
 	if g.TrainingSize() != 0 {
 		t.Errorf("unfitted TrainingSize = %d", g.TrainingSize())
 	}
-	mus, sigmas := g.PredictAll([][]float64{{0.1}, {0.9}})
-	for i := range mus {
-		if mus[i] != 0 || !math.IsInf(sigmas[i], 1) {
-			t.Fatalf("unfitted PredictAll[%d] = (%v, %v)", i, mus[i], sigmas[i])
-		}
-	}
 }
 
 // TestFailedFitInvalidatesModel: when factorization fails, the GP must not
@@ -311,8 +305,8 @@ func TestRaggedInputsRejected(t *testing.T) {
 	}
 }
 
-// TestBatchedScoringMatchesPointwise: ScoreCandidates and PredictAll must
-// agree with their per-point counterparts exactly.
+// TestBatchedScoringMatchesPointwise: ScoreCandidates must agree with its
+// per-point counterpart exactly.
 func TestBatchedScoringMatchesPointwise(t *testing.T) {
 	xs, ys := goldenData(20, 2, 13)
 	g := New(Matern52)
@@ -324,13 +318,8 @@ func TestBatchedScoringMatchesPointwise(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		points = append(points, []float64{rng.Float64(), rng.Float64()})
 	}
-	mu, sigma := g.PredictAll(points)
 	scores := g.ScoreCandidates(points, ys[0], nil)
 	for i, p := range points {
-		m, s := g.Predict(p)
-		if mu[i] != m || sigma[i] != s {
-			t.Fatalf("PredictAll[%d] diverged", i)
-		}
 		if scores[i] != g.ExpectedImprovement(p, ys[0]) {
 			t.Fatalf("ScoreCandidates[%d] diverged", i)
 		}

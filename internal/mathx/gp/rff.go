@@ -232,42 +232,12 @@ func (r *RFF) Predict(p []float64) (mu, sigma float64) {
 	return muStd*r.yStd + r.yMean, math.Sqrt(varStd) * r.yStd
 }
 
-// PredictAll implements Surrogate.
-func (r *RFF) PredictAll(points [][]float64) (mu, sigma []float64) {
-	mu = make([]float64, len(points))
-	sigma = make([]float64, len(points))
-	if r.lg == nil {
-		for i := range sigma {
-			sigma[i] = math.Inf(1)
-		}
-		return mu, sigma
-	}
-	for i, p := range points {
-		mu[i], sigma[i] = r.Predict(p)
-	}
-	return mu, sigma
-}
-
 // ExpectedImprovement implements Surrogate.
 func (r *RFF) ExpectedImprovement(p []float64, best float64) float64 {
-	mu, sigma := r.Predict(p)
-	return expectedImprovement(mu, sigma, best)
+	return expectedImprovementAt(r, p, best)
 }
 
 // ScoreCandidates implements Surrogate.
 func (r *RFF) ScoreCandidates(points [][]float64, best float64, dst []float64) []float64 {
-	if cap(dst) < len(points) {
-		dst = make([]float64, len(points))
-	}
-	dst = dst[:len(points)]
-	if r.lg == nil {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-	for i, p := range points {
-		dst[i] = r.ExpectedImprovement(p, best)
-	}
-	return dst
+	return scoreCandidates(r, points, best, dst)
 }

@@ -280,44 +280,14 @@ func (s *SparseGP) Predict(p []float64) (mu, sigma float64) {
 	return muStd*s.yStd + s.yMean, math.Sqrt(varStd) * s.yStd
 }
 
-// PredictAll implements Surrogate.
-func (s *SparseGP) PredictAll(points [][]float64) (mu, sigma []float64) {
-	mu = make([]float64, len(points))
-	sigma = make([]float64, len(points))
-	if s.la == nil {
-		for i := range sigma {
-			sigma[i] = math.Inf(1)
-		}
-		return mu, sigma
-	}
-	for i, p := range points {
-		mu[i], sigma[i] = s.Predict(p)
-	}
-	return mu, sigma
-}
-
 // ExpectedImprovement implements Surrogate.
 func (s *SparseGP) ExpectedImprovement(p []float64, best float64) float64 {
-	mu, sigma := s.Predict(p)
-	return expectedImprovement(mu, sigma, best)
+	return expectedImprovementAt(s, p, best)
 }
 
 // ScoreCandidates implements Surrogate.
 func (s *SparseGP) ScoreCandidates(points [][]float64, best float64, dst []float64) []float64 {
-	if cap(dst) < len(points) {
-		dst = make([]float64, len(points))
-	}
-	dst = dst[:len(points)]
-	if s.la == nil {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-	for i, p := range points {
-		dst[i] = s.ExpectedImprovement(p, best)
-	}
-	return dst
+	return scoreCandidates(s, points, best, dst)
 }
 
 func (s *SparseGP) growWorkspaces(m int) {

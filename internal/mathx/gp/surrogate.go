@@ -28,8 +28,6 @@ type Surrogate interface {
 	// Predict returns the posterior mean and standard deviation at p in
 	// original y units; (0, +Inf) before a successful Fit.
 	Predict(p []float64) (mu, sigma float64)
-	// PredictAll evaluates the posterior at every point.
-	PredictAll(points [][]float64) (mu, sigma []float64)
 	// ExpectedImprovement scores p against the incumbent best (larger is
 	// better); 0 before a successful Fit.
 	ExpectedImprovement(p []float64, best float64) float64
@@ -49,10 +47,36 @@ var (
 	_ Surrogate = (*RFF)(nil)
 )
 
+// predictor is the one method the shared scoring path needs from a tier.
+type predictor interface {
+	Predict(p []float64) (mu, sigma float64)
+}
+
+// expectedImprovementAt is every tier's ExpectedImprovement: EI at p of m's
+// posterior against the incumbent best.
+func expectedImprovementAt(m predictor, p []float64, best float64) float64 {
+	mu, sigma := m.Predict(p)
+	return expectedImprovement(mu, sigma, best)
+}
+
+// scoreCandidates is every tier's ScoreCandidates: EI against best at every
+// point, written into dst when it has capacity.
+func scoreCandidates(m predictor, points [][]float64, best float64, dst []float64) []float64 {
+	if cap(dst) < len(points) {
+		dst = make([]float64, len(points))
+	}
+	dst = dst[:len(points)]
+	for i, p := range points {
+		dst[i] = expectedImprovementAt(m, p, best)
+	}
+	return dst
+}
+
 // expectedImprovement is the shared EI arithmetic: identical to the exact
 // GP's historical formula for finite sigma, and 0 for the unfitted case
 // (sigma = +Inf), where the raw formula would produce ±Inf/NaN scores that
-// a candidate-screening argmax would then propagate.
+// a candidate-screening argmax would then propagate. An unfitted tier's
+// Predict returns exactly that case, so no tier needs a guard of its own.
 func expectedImprovement(mu, sigma, best float64) float64 {
 	if sigma < 1e-12 || math.IsInf(sigma, 1) {
 		return 0

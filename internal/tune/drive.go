@@ -145,9 +145,10 @@ func Drive(ctx context.Context, name string, target Target, b Budget, fp Fidelit
 		ctx = context.Background()
 	}
 	s := NewSession(ctx, target, b)
-	// Scenario-aware proposers (drift detectors) get the session handle before
-	// anything — replay included — runs, so re-anchors land on the live session;
-	// the unbind is what releases a Sequential body however the session ends.
+	// Session-aware proposers get the session handle before anything — replay
+	// included — runs, so the scenario bookkeeping the wrappers switch on and
+	// the drift detector's re-anchors land on the live session; the unbind is
+	// what releases a Sequential body however the session ends.
 	bindSession(fp, s)
 	defer bindSession(fp, nil)
 	for !s.Exhausted() {

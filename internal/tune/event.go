@@ -25,13 +25,13 @@ const (
 	// SessionDone closes the stream with the final result or the error.
 	SessionDone EventKind = "session_done"
 	// ParetoIncumbent reports that a TrialDone joined the session's
-	// latency-vs-cost Pareto front (tracked only when the session opts in;
-	// see Scenario.Pareto). Every front insertion is announced, so replaying
+	// latency-vs-cost Pareto front (tracked only when a MultiObjective is
+	// bound to the session). Every front insertion is announced, so replaying
 	// the stream reconstructs the front exactly: keep each announced trial,
 	// drop the ones later insertions dominate.
 	ParetoIncumbent EventKind = "pareto_incumbent"
 	// GuardrailViolation follows a TrialDone whose full-fidelity objective
-	// exceeded the session's guardrail limit (see Scenario.Guardrail). The
+	// exceeded the limit of the Guardrail bound to the session. The
 	// event carries the limit so consumers need no side channel to judge by.
 	GuardrailViolation EventKind = "guardrail_violation"
 	// DriftDetected marks a workload-drift re-anchor: the session discarded

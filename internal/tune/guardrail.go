@@ -21,9 +21,9 @@ import (
 //     throttles the exposure — while unarmed it releases the inner proposer's
 //     configs one per batch instead of forwarding a whole space-filling
 //     design at once, so at most GuardrailMinObs trials ever run unscreened —
-//     but those trials can still violate the guardrail; the session counts
-//     such violations (Scenario.Guardrail) and they surface on events and
-//     /healthz rather than being hidden.
+//     but those trials can still violate the guardrail; the bound session
+//     counts such violations and they surface on events and /healthz rather
+//     than being hidden.
 //   - Surrogate error: the GP can underpredict a cliff it has never sampled;
 //     the margin widens the gate but cannot make the screen sound. The
 //     guardrail is best-effort risk reduction, not a certified bound.
@@ -99,8 +99,13 @@ func NewGuardrail(inner Proposer, space *Space, limit float64) (*Guardrail, erro
 	}, nil
 }
 
-// BindSession implements SessionAware, forwarding to the inner proposer.
+// BindSession implements SessionAware: the bound session counts every
+// full-fidelity trial over the limit, and the inner proposer is forwarded the
+// handle.
 func (g *Guardrail) BindSession(s *Session) {
+	if s != nil {
+		s.guard(g.limit)
+	}
 	bindSession(g.inner, s)
 }
 

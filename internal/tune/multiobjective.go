@@ -9,8 +9,8 @@ import (
 // turns any ask/tell tuner into a latency-vs-cost front search by running
 // one inner proposer per scalarization weight, round-robin one lap per
 // Propose call, and broadcasting every observation to every sub with that
-// sub's scalarized objective. The session tracks the actual front
-// (Scenario.Pareto) from the true results; the wrapper's job is only to make
+// sub's scalarized objective. The session it is bound to tracks the
+// actual front from the true results; the wrapper's job is only to make
 // the proposals spread along the trade-off curve instead of piling onto the
 // latency-optimal corner.
 //
@@ -53,8 +53,12 @@ func NewMultiObjective(subs []Proposer, weights []float64) (*MultiObjective, err
 	return &MultiObjective{subs: subs, weights: weights}, nil
 }
 
-// BindSession implements SessionAware, forwarding to session-aware subs.
+// BindSession implements SessionAware: the bound session tracks the Pareto
+// front over its trials, and session-aware subs are forwarded the handle.
 func (m *MultiObjective) BindSession(s *Session) {
+	if s != nil {
+		s.trackFront()
+	}
 	for _, sub := range m.subs {
 		bindSession(sub, s)
 	}
@@ -154,8 +158,8 @@ func (m *MultiObjective) Recommend() Config {
 // tuners must be independent instances (ideally differently seeded, so
 // their design phases do not propose identical points); subs[i] optimizes
 // cost weight weights[i] and is built with its share of the trial budget,
-// not the whole of it. Sessions driving the result should opt into
-// Scenario.Pareto to track the front the sweep uncovers.
+// not the whole of it. A session driving the result tracks the front the
+// sweep uncovers.
 func MultiObjectiveTuner(subs []BatchTuner, weights []float64) (BatchTuner, error) {
 	if len(subs) == 0 || len(subs) != len(weights) {
 		return nil, fmt.Errorf("tune: multi-objective needs one sub-tuner per weight (got %d tuners, %d weights)", len(subs), len(weights))

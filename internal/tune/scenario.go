@@ -1,51 +1,6 @@
 package tune
 
-import (
-	"context"
-	"math"
-)
-
-// Scenario opts a session into the scenario-class bookkeeping layered on top
-// of the plain single-objective protocol: latency-vs-cost Pareto tracking
-// and safety guardrails. Like the Monitor, a Scenario reaches the session
-// through the context given to NewSession, so tuners that build their
-// sessions internally (every BatchTuner driven through the engine) pick it
-// up without signature changes. The zero Scenario is a no-op: sessions
-// without one record, emit, and marshal exactly as before.
-type Scenario struct {
-	// Pareto enables latency-vs-cost front tracking: every full-fidelity,
-	// non-failed trial is tested against the incumbent front on
-	// (Objective, Cost), insertions emit ParetoIncumbent events, and
-	// Finish reports the final front on the TuningResult.
-	Pareto bool
-	// Guardrail, when positive, is the objective limit a safe session must
-	// not breach: any full-fidelity result whose Objective() exceeds it
-	// emits a GuardrailViolation event and increments the session's
-	// violation count. Detection is the session's job; prevention belongs
-	// to the GuardrailTuner wrapper, which vetoes proposals the surrogate
-	// predicts unsafe.
-	Guardrail float64
-}
-
-// enabled reports whether the scenario asks for any session bookkeeping.
-func (sc Scenario) enabled() bool { return sc.Pareto || sc.Guardrail > 0 }
-
-type scenarioKey struct{}
-
-// WithScenario returns a context carrying sc; NewSession applies the carried
-// scenario to the session it creates.
-func WithScenario(ctx context.Context, sc Scenario) context.Context {
-	return context.WithValue(ctx, scenarioKey{}, sc)
-}
-
-// ScenarioFrom returns the scenario carried by ctx (zero when absent).
-func ScenarioFrom(ctx context.Context) Scenario {
-	if ctx == nil {
-		return Scenario{}
-	}
-	sc, _ := ctx.Value(scenarioKey{}).(Scenario)
-	return sc
-}
+import "math"
 
 // SessionAware is implemented by proposers that need the live session handle
 // beyond the observed trials — the drift detector calls ReAnchor on it when
@@ -95,8 +50,8 @@ func ParetoDominates(a, b Trial) bool {
 
 // ParetoFront extracts the non-dominated full-fidelity, non-failed trials
 // from a recorded trial sequence, in recording order — the offline
-// counterpart of the session's incremental front, used to score runs that
-// did not opt into live tracking.
+// counterpart of the session's incremental front, used to score runs no
+// MultiObjective tracked.
 func ParetoFront(trials []Trial) []Trial {
 	var front []Trial
 	for _, t := range trials {

@@ -1,7 +1,6 @@
 package tune
 
 import (
-	"context"
 	"math"
 	"testing"
 )
@@ -10,17 +9,6 @@ func ptrial(space *Space, a, time, cost float64) Trial {
 	tr := obs(space, a, time)
 	tr.Result.Cost = cost
 	return tr
-}
-
-func TestScenarioContextRoundTrip(t *testing.T) {
-	if sc := ScenarioFrom(context.Background()); sc.enabled() {
-		t.Errorf("bare context carries a scenario: %+v", sc)
-	}
-	ctx := WithScenario(context.Background(), Scenario{Pareto: true, Guardrail: 30})
-	sc := ScenarioFrom(ctx)
-	if !sc.Pareto || sc.Guardrail != 30 {
-		t.Errorf("round-tripped scenario = %+v", sc)
-	}
 }
 
 func TestParetoDominates(t *testing.T) {

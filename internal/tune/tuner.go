@@ -32,10 +32,10 @@ type TuningResult struct {
 	Trials      []Trial `json:"trials,omitempty"`
 	SimTimeUsed float64 `json:"sim_time_used,omitempty"`
 	// Front is the latency-vs-cost Pareto front over the session's trials,
-	// populated only when the session opted into Scenario.Pareto.
+	// populated only when a MultiObjective proposer was bound to the session.
 	Front []Trial `json:"pareto_front,omitempty"`
 	// GuardrailViolations counts full-fidelity results whose objective
-	// breached Scenario.Guardrail (zero when no guardrail was set).
+	// breached the bound Guardrail's limit (zero without one).
 	GuardrailViolations int `json:"guardrail_violations,omitempty"`
 	// DriftDetections counts the session's re-anchors (see Session.ReAnchor).
 	DriftDetections int `json:"drift_detections,omitempty"`
@@ -109,9 +109,11 @@ type Session struct {
 	bestRes Result
 	hasBest bool
 
-	// Scenario bookkeeping (see Scenario; all zero for plain sessions).
-	scenario   Scenario
+	// Scenario bookkeeping, switched on by the wrappers bound to the session
+	// (trackFront, guard); all zero for plain sessions.
+	pareto     bool
 	front      []Trial // non-dominated (Objective, Cost) trials, Pareto only
+	limit      float64 // guardrail limit; 0 = no guardrail
 	violations int     // guardrail breaches observed
 	drifts     int     // ReAnchor count
 }
@@ -123,7 +125,7 @@ func NewSession(ctx context.Context, target Target, budget Budget) *Session {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Session{target: target, budget: budget, ctx: ctx, mon: MonitorFrom(ctx), scenario: ScenarioFrom(ctx)}
+	return &Session{target: target, budget: budget, ctx: ctx, mon: MonitorFrom(ctx)}
 }
 
 // Remaining returns how many trials the budget still admits.
@@ -186,17 +188,38 @@ func (s *Session) recordLocked(cfg Config, res Result) Trial {
 	}
 	// Scenario bookkeeping runs under the same lock, in the same trial
 	// order, so its events stay byte-identical at any worker count.
-	if s.scenario.Guardrail > 0 && res.FullFidelity() && res.Objective() > s.scenario.Guardrail {
+	if s.limit > 0 && res.FullFidelity() && res.Objective() > s.limit {
 		s.violations++
-		s.emitLocked(Event{Kind: GuardrailViolation, Trial: t.N, Config: cfg, Result: res, Limit: s.scenario.Guardrail})
+		s.emitLocked(Event{Kind: GuardrailViolation, Trial: t.N, Config: cfg, Result: res, Limit: s.limit})
 	}
-	if s.scenario.Pareto && res.FullFidelity() && !res.Failed {
+	if s.pareto && res.FullFidelity() && !res.Failed {
 		var joined bool
 		if s.front, joined = insertFront(s.front, t); joined {
 			s.emitLocked(Event{Kind: ParetoIncumbent, Trial: t.N, Config: cfg, Result: res, SimTimeUsed: s.simUsed})
 		}
 	}
 	return t
+}
+
+// trackFront switches on latency-vs-cost front tracking: from now on every
+// full-fidelity, non-failed trial is tested against the front on
+// (Objective, Cost), each insertion emits ParetoIncumbent, and Finish reports
+// the front. MultiObjective calls it when bound.
+func (s *Session) trackFront() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pareto = true
+}
+
+// guard switches on the guardrail count at limit: from now on every
+// full-fidelity result whose objective exceeds it emits GuardrailViolation and
+// is counted. Guardrail calls it when bound; of two limits the lower holds.
+func (s *Session) guard(limit float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.limit == 0 || limit < s.limit {
+		s.limit = limit
+	}
 }
 
 // NormFidelity normalizes a fidelity: 0 for the full workload (any encoding,

@@ -291,6 +291,9 @@ func (s Spec) JobWithWarm(corpus tune.Corpus, warm tune.WarmSource, archive func
 	if err != nil {
 		return Job{}, err
 	}
+	if corpus != nil {
+		corpus = &readOnce{corpus: corpus, read: map[string]corpusRead{}}
+	}
 	topt := TunerOptions{Seed: s.Seed, Repo: corpus, TargetName: target.Name(), Surrogate: s.Surrogate}
 	if s.Proxy != nil {
 		po := s.Target
@@ -381,19 +384,40 @@ func (s Spec) JobWithWarm(corpus tune.Corpus, warm tune.WarmSource, archive func
 		return Job{}, err
 	}
 	return Job{
-		Name:      s.Name(),
-		Tuner:     tuner,
-		Target:    target,
-		Budget:    s.Budget,
-		Parallel:  s.Parallel,
-		Memo:      s.Memo,
-		MemoCap:   s.MemoCap,
-		System:    s.System,
-		Workload:  s.Workload,
-		Archive:   archive,
-		Pareto:    s.Pareto,
-		Guardrail: s.Guardrail,
+		Name:     s.Name(),
+		Tuner:    tuner,
+		Target:   target,
+		Budget:   s.Budget,
+		Parallel: s.Parallel,
+		Memo:     s.Memo,
+		MemoCap:  s.MemoCap,
+		System:   s.System,
+		Workload: s.Workload,
+		Archive:  archive,
 	}, nil
+}
+
+// readOnce reads each system's past sessions from corpus at most once, on
+// first use, so every tuner one build makes (a Pareto sweep makes one per
+// weight) is built on the same history.
+type readOnce struct {
+	corpus tune.Corpus
+	read   map[string]corpusRead
+}
+
+type corpusRead struct {
+	sessions []SessionRecord
+	err      error
+}
+
+// ForSystem implements tune.Corpus.
+func (c *readOnce) ForSystem(system string) ([]SessionRecord, error) {
+	r, ok := c.read[system]
+	if !ok {
+		r.sessions, r.err = c.corpus.ForSystem(system)
+		c.read[system] = r
+	}
+	return r.sessions, r.err
 }
 
 // defaultEngine serves package-level Start calls: one shared scheduler

@@ -599,6 +599,29 @@ func TestJobOnReadsTheCorpusWhenTheTunerIsBuilt(t *testing.T) {
 	}
 }
 
+// TestJobReadsTheCorpusOncePerBuild: a Pareto sweep builds one tuner per
+// weight, and all of them are built on one read of the corpus, so a record
+// archived between two of those builds cannot split their histories. A tuner
+// that ignores the corpus still never reads it.
+func TestJobReadsTheCorpusOncePerBuild(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for tuner, want := range map[string]int{"ottertune": 1, "ituned": 0} {
+		probe := &corpusProbe{Store: st}
+		spec := Spec{System: "spark", Workload: "pagerank", Tuner: tuner, Seed: 9,
+			Budget: Budget{Trials: 40}, Target: TargetOptions{ScaleGB: 1}, Pareto: true}
+		if _, err := spec.JobOn(probe, "", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if probe.reads != want {
+			t.Errorf("%s under pareto read the corpus %d times while the job was built, want %d", tuner, probe.reads, want)
+		}
+	}
+}
+
 // TestSpecWarmStartRequiresAskTell: warm-starting a tuner with no proposer
 // form — only the adaptive family is left without one — fails with a
 // descriptive error at materialization.

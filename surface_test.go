@@ -43,6 +43,9 @@ var retiredSurfaces = []string{
 	`DriveTuner\(`, `DriveFidelity\(`,
 	// The second smoke script: scripts/ci.sh holds every CI stage.
 	`dist_smoke`,
+	// The second scenario declaration and the bench cells' job adjustments: a
+	// wrapper switches on its session's bookkeeping when bound.
+	`WithScenario\(`, `ScenarioFrom\(`, `tune\.Scenario\b`, `adjust func\(\*engine\.Job\)`,
 }
 
 // The one CI step list: the workflow's only command is scripts/ci.sh, and
