@@ -2,8 +2,15 @@ package dbms
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash"
+	"hash/fnv"
+	"maps"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -309,5 +316,109 @@ func TestMultiMetricBitwiseRepeatable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// resultDigest folds every bit of a result into h.
+func resultDigest(h hash.Hash64, res tune.Result) {
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	put(res.Time)
+	put(res.Cost)
+	if res.Failed {
+		h.Write([]byte(res.FailReason))
+	}
+	for _, k := range slices.Sorted(maps.Keys(res.Metrics)) {
+		h.Write([]byte(k))
+		put(res.Metrics[k])
+	}
+}
+
+// runAny runs cfg on t through one of the four run entry points, picked by
+// r, at an index and fidelity drawn from r (fidelities above 1 clamp to 1).
+func runAny(r *rand.Rand, t tune.ConcurrentFidelityTarget, cfg tune.Config) tune.Result {
+	i, f := 1+r.Int63n(50), 0.05+r.Float64()
+	switch r.Intn(4) {
+	case 0:
+		return t.Run(cfg)
+	case 1:
+		return t.RunIndexed(i, cfg)
+	case 2:
+		return t.RunFidelity(context.Background(), f, cfg)
+	default:
+		return t.RunIndexedFidelity(context.Background(), i, f, cfg)
+	}
+}
+
+// The simulator's results are part of every recorded event stream, so the
+// way runs are keyed may be rewritten but no result may change. The digest
+// is of 400 runs through all four entry points over random workloads,
+// seeds, tenant loads, configurations, run indices and fidelities; a target
+// serves several runs, so the run counter is digested too.
+func TestDBMSResultsUnchanged(t *testing.T) {
+	const want = uint64(0x860403a9c3bf4075)
+	r := rand.New(rand.NewSource(59))
+	wls := []func() *workload.DBWorkload{
+		func() *workload.DBWorkload { return workload.TPCHLike(2 + 10*r.Float64()) },
+		func() *workload.DBWorkload { return workload.OLTP(8+r.Intn(200), 1+4*r.Float64()) },
+		func() *workload.DBWorkload { return workload.MixedDB(2 + 6*r.Float64()) },
+	}
+	h := fnv.New64a()
+	var d *DBMS
+	failed := 0
+	for trial := 0; trial < 400; trial++ {
+		if d == nil || r.Intn(3) == 0 {
+			d = New(cluster.CommodityNode(), wls[r.Intn(len(wls))](), r.Int63n(1000))
+			if r.Intn(3) == 0 {
+				d.Tenant = cluster.Commodity(4).MultiTenant(0.1+0.5*r.Float64(), 0.3*r.Float64())
+			}
+		}
+		res := runAny(r, d, d.Space().Random(r))
+		if res.Failed {
+			failed++
+		}
+		resultDigest(h, res)
+	}
+	if failed > 100 {
+		t.Errorf("%d of 400 runs failed — the digest would hardly reach the cost model", failed)
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("digest of 400 simulated runs = %#x, want %#x: a result changed", got, want)
+	}
+}
+
+// TestDBMSAdaptiveResultsUnchanged pins RunAdaptive the same way: a fixed
+// controller that keeps the configuration on even epochs and draws a new
+// one on odd epochs (so restart penalties fire), with plain runs between
+// adaptive ones on the same target. The metrics each epoch hands the
+// controller are digested too.
+func TestDBMSAdaptiveResultsUnchanged(t *testing.T) {
+	const want = uint64(0x2339f46ed2b989e9)
+	r := rand.New(rand.NewSource(61))
+	h := fnv.New64a()
+	ctl := epochFunc(func(i int, cur tune.Config, prev map[string]float64) tune.Config {
+		resultDigest(h, tune.Result{Metrics: prev})
+		if i%2 == 0 {
+			return cur
+		}
+		return cur.Space().Random(r)
+	})
+	for trial := 0; trial < 24; trial++ {
+		d := New(cluster.CommodityNode(), []*workload.DBWorkload{
+			workload.TPCHLike(4), workload.OLTP(64, 2), workload.MixedDB(3),
+		}[trial%3], int64(trial))
+		if trial%4 == 3 {
+			d.Tenant = cluster.Commodity(4).MultiTenant(0.3, 0.2)
+		}
+		for k := 0; k < 3; k++ {
+			resultDigest(h, d.Run(d.Space().Random(r)))
+			resultDigest(h, d.RunAdaptive(d.Space().Default(), ctl))
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("digest of 72 adaptive runs = %#x, want %#x: a result changed", got, want)
 	}
 }

@@ -375,3 +375,38 @@ func TestSimulateResultsUnchanged(t *testing.T) {
 		t.Errorf("digest of 400 simulated runs = %#x, want %#x: a result changed", got, want)
 	}
 }
+
+// TestAdaptiveResultsUnchanged pins RunAdaptive as TestSimulateResultsUnchanged
+// pins the plain paths: a fixed controller that keeps the configuration on
+// even epochs and draws a new one on odd epochs (only its runtime knobs take
+// effect), over iterative, streaming and batch jobs, with plain runs between
+// adaptive ones on the same target. The metrics each epoch hands the
+// controller are digested too.
+func TestAdaptiveResultsUnchanged(t *testing.T) {
+	const want = uint64(0x4fde230ad1d664a8)
+	r := rand.New(rand.NewSource(71))
+	h := fnv.New64a()
+	ctl := epochFunc(func(i int, cur tune.Config, prev map[string]float64) tune.Config {
+		resultDigest(h, tune.Result{Metrics: prev})
+		if i%2 == 0 {
+			return cur
+		}
+		return cur.Space().Random(r)
+	})
+	jobs := []func() *workload.SparkJob{
+		func() *workload.SparkJob { return workload.PageRank(2, 6) },
+		func() *workload.SparkJob { return workload.TeraSortSpark(5) },
+		func() *workload.SparkJob { return workload.KMeansSpark(3, 5) },
+		func() *workload.SparkJob { return workload.StreamingDrift(200, 12, 5, 0.03) },
+	}
+	for trial := 0; trial < 24; trial++ {
+		s := New(cluster.Commodity(4+trial%8), jobs[trial%len(jobs)](), int64(trial))
+		for k := 0; k < 3; k++ {
+			resultDigest(h, s.Run(s.Space().Random(r)))
+			resultDigest(h, s.RunAdaptive(s.Space().Default(), ctl))
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("digest of 72 adaptive runs = %#x, want %#x: a result changed", got, want)
+	}
+}
