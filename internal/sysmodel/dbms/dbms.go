@@ -10,12 +10,10 @@
 package dbms
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/tune"
@@ -85,23 +83,29 @@ func Space(ramMB float64) *tune.Space {
 }
 
 // DBMS is a simulated database bound to a node and a workload. It implements
-// tune.Target, tune.SpecProvider, tune.AdaptiveTarget and tune.Describer.
+// tune.ConcurrentFidelityTarget through the embedded cluster.Runs, and
+// tune.SpecProvider, tune.AdaptiveTarget and tune.Describer.
 type DBMS struct {
+	*cluster.Runs
 	node cluster.Node
 	wl   *workload.DBWorkload
 	// Tenant models optional multi-tenant interference (nil = dedicated).
 	Tenant *cluster.Cluster
 	space  *tune.Space
-	seed   int64
-	runs   atomic.Int64
 	// NoiseStd is the log-normal run-to-run noise (default 0.03).
 	NoiseStd float64
 }
 
 // New returns a simulated DBMS on the given node running wl. The seed fixes
-// the noise stream.
+// the noise stream. Fidelity samples the workload to fraction f of its
+// operations (a sampled scale factor): cost scales ≈ linearly with f while
+// the cache, planner, and memory responses — which depend on configuration,
+// not operation count — are unchanged, so low fidelity ranks configurations
+// faithfully here (see DESIGN.md §11).
 func New(node cluster.Node, wl *workload.DBWorkload, seed int64) *DBMS {
-	return &DBMS{node: node, wl: wl, space: Space(node.RAMMB), seed: seed, NoiseStd: 0.03}
+	d := &DBMS{node: node, wl: wl, space: Space(node.RAMMB), NoiseStd: 0.03}
+	d.Runs = cluster.NewRuns(seed, 2654435761, d.simulate)
+	return d
 }
 
 // Name implements tune.Target.
@@ -159,44 +163,6 @@ func (d *DBMS) WorkloadFeatures() map[string]float64 {
 	}
 }
 
-// rng returns the noise stream for the next run. Each Run consumes one
-// stream so repeated evaluations of the same configuration vary like real
-// benchmark runs while the whole experiment stays deterministic per seed.
-func (d *DBMS) rng() *rand.Rand {
-	return rand.New(rand.NewSource(d.seed + d.ReserveRuns(1)*2654435761))
-}
-
-// ReserveRuns implements tune.ConcurrentTarget.
-func (d *DBMS) ReserveRuns(n int64) int64 { return d.runs.Add(n) - n + 1 }
-
-// RunIndexed implements tune.ConcurrentTarget: the noise stream is keyed by
-// the run index, so concurrent runs with reserved indices reproduce exactly
-// what the same sequence of plain Run calls would have produced.
-func (d *DBMS) RunIndexed(i int64, cfg tune.Config) tune.Result {
-	return d.simulate(cfg, rand.New(rand.NewSource(d.seed+i*2654435761)), 1.0)
-}
-
-// Run implements tune.Target.
-func (d *DBMS) Run(cfg tune.Config) tune.Result {
-	return d.RunIndexed(d.ReserveRuns(1), cfg)
-}
-
-// RunFidelity implements tune.FidelityTarget: fidelity samples the workload
-// to fraction f of its operations (a sampled scale factor). Cost scales
-// ≈ linearly with f while the cache, planner, and memory responses — which
-// depend on configuration, not operation count — are unchanged, so low
-// fidelity ranks configurations faithfully here (see DESIGN.md §11).
-// f = 1 is exactly the plain Run path. The simulator is pure and fast, so
-// ctx is not consulted.
-func (d *DBMS) RunFidelity(_ context.Context, f float64, cfg tune.Config) tune.Result {
-	return d.RunIndexedFidelity(nil, d.ReserveRuns(1), f, cfg)
-}
-
-// RunIndexedFidelity implements tune.ConcurrentFidelityTarget.
-func (d *DBMS) RunIndexedFidelity(_ context.Context, i int64, f float64, cfg tune.Config) tune.Result {
-	return d.simulate(cfg, rand.New(rand.NewSource(d.seed+i*2654435761)), tune.ClampFidelity(f))
-}
-
 // Epochs implements tune.AdaptiveTarget: a run divides into 20 windows,
 // modeling a long-running workload with natural reconfiguration points.
 func (d *DBMS) Epochs() int { return 20 }
@@ -206,33 +172,15 @@ func (d *DBMS) Epochs() int { return 20 }
 // restart-only parameters (buffer pool, connections) imposes a warm-up
 // penalty on the following epoch.
 func (d *DBMS) RunAdaptive(start tune.Config, ctrl tune.EpochController) tune.Result {
-	rng := d.rng()
 	epochs := d.Epochs()
 	frac := 1.0 / float64(epochs)
-	cfg := start
-	var total tune.Result
-	total.Metrics = map[string]float64{}
-	var prev map[string]float64
-	for e := 0; e < epochs; e++ {
-		next := ctrl.Epoch(e, cfg, prev)
-		penalty := 1.0
-		if e > 0 && restartPenalty(cfg, next) {
-			penalty = 1.15 // partially cold cache after a disruptive change
+	total := d.RunEpochs(start, ctrl, epochs, func(rng *rand.Rand, e int, cur, next tune.Config) (tune.Config, tune.Result) {
+		res := d.simulate(rng, frac, next)
+		if e > 0 && restartPenalty(cur, next) {
+			res.Time *= 1.15 // partially cold cache after a disruptive change
 		}
-		cfg = next
-		res := d.simulate(cfg, rng, frac)
-		res.Time *= penalty
-		total.Time += res.Time
-		total.Cost += res.Cost
-		if res.Failed {
-			total.Failed = true
-			total.FailReason = res.FailReason
-		}
-		for k, v := range res.Metrics {
-			total.Metrics[k] += v / float64(epochs)
-		}
-		prev = res.Metrics
-	}
+		return next, res
+	})
 	total.Metrics["epochs"] = float64(epochs)
 	return total
 }
@@ -248,8 +196,8 @@ func restartPenalty(a, b tune.Config) bool {
 		a.Int(MaxConnections) != b.Int(MaxConnections)
 }
 
-// simulate executes opsFraction of the workload under cfg.
-func (d *DBMS) simulate(cfg tune.Config, rng *rand.Rand, opsFraction float64) tune.Result {
+// simulate executes fraction opsFraction of the workload under cfg.
+func (d *DBMS) simulate(rng *rand.Rand, opsFraction float64, cfg tune.Config) tune.Result {
 	node := d.node
 	wl := d.wl
 	m := make(map[string]float64, 24)

@@ -9,12 +9,10 @@
 package mapreduce
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/tune"
@@ -75,20 +73,26 @@ func Space(c *cluster.Cluster) *tune.Space {
 }
 
 // Hadoop is a simulated MapReduce cluster bound to one job. It implements
-// tune.Target, tune.SpecProvider and tune.Describer.
+// tune.ConcurrentFidelityTarget through the embedded cluster.Runs, and
+// tune.SpecProvider and tune.Describer.
 type Hadoop struct {
-	cl   *cluster.Cluster
-	job  *workload.MRJob
-	s    *tune.Space
-	seed int64
-	runs atomic.Int64
+	*cluster.Runs
+	cl  *cluster.Cluster
+	job *workload.MRJob
+	s   *tune.Space
 	// NoiseStd is the log-normal run-to-run noise (default 0.04).
 	NoiseStd float64
 }
 
-// New returns a simulated Hadoop deployment running job on cl.
+// New returns a simulated Hadoop deployment running job on cl. Fidelity is
+// the input fraction: map-wave counts, spill pressure, and shuffle volume
+// all shrink with the input, so cost scales ≈ linearly; reduce-task sizing
+// tuned at very low fidelity can mislead (fewer, smaller partitions — see
+// DESIGN.md §11).
 func New(cl *cluster.Cluster, job *workload.MRJob, seed int64) *Hadoop {
-	return &Hadoop{cl: cl, job: job, s: Space(cl), seed: seed, NoiseStd: 0.04}
+	h := &Hadoop{cl: cl, job: job, s: Space(cl), NoiseStd: 0.04}
+	h.Runs = cluster.NewRuns(seed, 1442695040888963407, h.simulate)
+	return h
 }
 
 // Name implements tune.Target.
@@ -124,18 +128,6 @@ func (h *Hadoop) WorkloadFeatures() map[string]float64 {
 	}
 }
 
-func (h *Hadoop) rng() *rand.Rand {
-	return rand.New(rand.NewSource(h.seed + h.ReserveRuns(1)*1442695040888963407))
-}
-
-// ReserveRuns implements tune.ConcurrentTarget.
-func (h *Hadoop) ReserveRuns(n int64) int64 { return h.runs.Add(n) - n + 1 }
-
-// RunIndexed implements tune.ConcurrentTarget.
-func (h *Hadoop) RunIndexed(i int64, cfg tune.Config) tune.Result {
-	return h.simulate(cfg, rand.New(rand.NewSource(h.seed+i*1442695040888963407)))
-}
-
 // codec returns (size ratio, CPU seconds per raw MB) for a codec name.
 func codec(name string) (ratio, cpu float64) {
 	switch name {
@@ -148,56 +140,10 @@ func codec(name string) (ratio, cpu float64) {
 	}
 }
 
-// zipfShares returns n partition shares summing to 1 with skew theta.
-func zipfShares(n int, theta float64) []float64 {
-	shares := make([]float64, n)
-	var h float64
-	for i := 1; i <= n; i++ {
-		shares[i-1] = 1 / math.Pow(float64(i), theta)
-		h += shares[i-1]
-	}
-	for i := range shares {
-		shares[i] /= h
-	}
-	return shares
-}
-
-// Run implements tune.Target.
-func (h *Hadoop) Run(cfg tune.Config) tune.Result {
-	return h.simulate(cfg, h.rng())
-}
-
-// atFidelity returns a deployment whose job reads fraction f of the input —
-// the MapReduce fidelity knob. Cluster, space, and seed are shared so the
-// noise stream lines up with the full-scale target.
-func (h *Hadoop) atFidelity(f float64) *Hadoop {
-	j := *h.job
-	j.InputMB *= f
-	return &Hadoop{cl: h.cl, job: &j, s: h.s, seed: h.seed, NoiseStd: h.NoiseStd}
-}
-
-// RunFidelity implements tune.FidelityTarget: fidelity is the input
-// fraction. Map-wave counts, spill pressure, and shuffle volume all shrink
-// with the input, so cost scales ≈ linearly; reduce-task sizing tuned at
-// very low fidelity can mislead (fewer, smaller partitions — see DESIGN.md
-// §11). f = 1 is exactly the plain Run path.
-func (h *Hadoop) RunFidelity(_ context.Context, f float64, cfg tune.Config) tune.Result {
-	return h.RunIndexedFidelity(nil, h.ReserveRuns(1), f, cfg)
-}
-
-// RunIndexedFidelity implements tune.ConcurrentFidelityTarget.
-func (h *Hadoop) RunIndexedFidelity(_ context.Context, i int64, f float64, cfg tune.Config) tune.Result {
-	f = tune.ClampFidelity(f)
-	t := h
-	if f < 1 {
-		t = h.atFidelity(f)
-	}
-	return t.simulate(cfg, rand.New(rand.NewSource(h.seed+i*1442695040888963407)))
-}
-
-// simulate executes the job once under cfg drawing noise from rng.
-func (h *Hadoop) simulate(cfg tune.Config, rng *rand.Rand) tune.Result {
-	job := h.job
+// simulate executes the job once, reading fraction fidelity of its input,
+// under cfg drawing noise from rng.
+func (h *Hadoop) simulate(rng *rand.Rand, fidelity float64, cfg tune.Config) tune.Result {
+	job := h.job.Scaled(fidelity)
 	cl := h.cl
 	node := cl.MinNode() // wave pacing is set by the weakest machine
 	share := cl.EffectiveShare(rng)
@@ -338,7 +284,7 @@ func (h *Hadoop) simulate(cfg tune.Config, rng *rand.Rand) tune.Result {
 		redCPUShare = float64(node.Cores) / float64(redSlots)
 	}
 	diskPerRedSlot := node.DiskMBps * share / float64(redSlots)
-	shares := zipfShares(reduceTasks, job.SkewTheta)
+	shares := workload.ZipfShares(reduceTasks, job.SkewTheta)
 	outRatio := 1.0
 	outCPU := 0.0
 	if outCompress {
@@ -407,13 +353,6 @@ func medianOf(xs []float64) float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	return s[len(s)/2]
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Interface conformance checks.

@@ -11,10 +11,8 @@
 package paralleldb
 
 import (
-	"context"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/tune"
@@ -41,18 +39,21 @@ func Space() *tune.Space {
 }
 
 // ParallelDB is a simulated shared-nothing database running one of the
-// Pavlo tasks. It implements tune.Target and tune.SpecProvider.
+// Pavlo tasks. It implements tune.ConcurrentFidelityTarget through the
+// embedded cluster.Runs, and tune.SpecProvider.
 type ParallelDB struct {
-	cl   *cluster.Cluster
-	job  *workload.MRJob // reuse the MR job profile: same data, same task
-	s    *tune.Space
-	seed int64
-	runs atomic.Int64
+	*cluster.Runs
+	cl  *cluster.Cluster
+	job *workload.MRJob // reuse the MR job profile: same data, same task
+	s   *tune.Space
 }
 
 // New returns a parallel DB executing the same logical task as job on cl.
+// Fidelity is the input fraction, as for the MapReduce targets.
 func New(cl *cluster.Cluster, job *workload.MRJob, seed int64) *ParallelDB {
-	return &ParallelDB{cl: cl, job: job, s: Space(), seed: seed}
+	p := &ParallelDB{cl: cl, job: job, s: Space()}
+	p.Runs = cluster.NewRuns(seed, 982451653, p.simulate)
+	return p
 }
 
 // Name implements tune.Target.
@@ -64,21 +65,13 @@ func (p *ParallelDB) Space() *tune.Space { return p.s }
 // Specs implements tune.SpecProvider.
 func (p *ParallelDB) Specs() map[string]float64 { return p.cl.Specs() }
 
-// ReserveRuns implements tune.ConcurrentTarget.
-func (p *ParallelDB) ReserveRuns(n int64) int64 { return p.runs.Add(n) - n + 1 }
-
-// Run implements tune.Target.
-func (p *ParallelDB) Run(cfg tune.Config) tune.Result {
-	return p.RunIndexed(p.ReserveRuns(1), cfg)
-}
-
-// RunIndexed implements tune.ConcurrentTarget.
-func (p *ParallelDB) RunIndexed(i int64, cfg tune.Config) tune.Result {
-	rng := rand.New(rand.NewSource(p.seed + i*982451653))
+// simulate executes the task once, reading fraction fidelity of its input,
+// under cfg drawing noise from rng.
+func (p *ParallelDB) simulate(rng *rand.Rand, fidelity float64, cfg tune.Config) tune.Result {
 	cl := p.cl
 	node := cl.MinNode()
 	share := cl.EffectiveShare(rng)
-	job := p.job
+	job := p.job.Scaled(fidelity)
 
 	useIndex := cfg.Bool(IndexScans)
 	compress := cfg.Bool(CompressTables)
@@ -124,25 +117,6 @@ func (p *ParallelDB) RunIndexed(i int64, cfg tune.Config) tune.Result {
 			"io_s":             io,
 		},
 	}
-}
-
-// RunFidelity implements tune.FidelityTarget: fidelity is the input
-// fraction, as for the MapReduce targets. f = 1 is exactly the plain Run
-// path.
-func (p *ParallelDB) RunFidelity(_ context.Context, f float64, cfg tune.Config) tune.Result {
-	return p.RunIndexedFidelity(nil, p.ReserveRuns(1), f, cfg)
-}
-
-// RunIndexedFidelity implements tune.ConcurrentFidelityTarget.
-func (p *ParallelDB) RunIndexedFidelity(_ context.Context, i int64, f float64, cfg tune.Config) tune.Result {
-	f = tune.ClampFidelity(f)
-	if f >= 1 {
-		return p.RunIndexed(i, cfg)
-	}
-	j := *p.job
-	j.InputMB *= f
-	scaled := &ParallelDB{cl: p.cl, job: &j, s: p.s, seed: p.seed}
-	return scaled.RunIndexed(i, cfg)
 }
 
 // Interface conformance checks.

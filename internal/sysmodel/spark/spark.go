@@ -9,14 +9,12 @@
 package spark
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/tune"
@@ -205,27 +203,38 @@ func FullSpace(cl *cluster.Cluster) *tune.Space {
 }
 
 // Spark is a simulated Spark deployment bound to one job. It implements
-// tune.Target, tune.SpecProvider, tune.AdaptiveTarget and tune.Describer.
+// tune.ConcurrentFidelityTarget through the embedded cluster.Runs, and
+// tune.SpecProvider, tune.AdaptiveTarget and tune.Describer.
 type Spark struct {
+	*cluster.Runs
 	cl  *cluster.Cluster
 	job *workload.SparkJob
 	s   *tune.Space
-	// full marks targets built over FullSpace.
-	seed int64
-	runs atomic.Int64
 	// NoiseStd is the log-normal run-to-run noise (default 0.04).
 	NoiseStd float64
 }
 
 // New returns a simulated Spark deployment running job on cl with the
-// effective configuration space.
+// effective configuration space. Fidelity is the input fraction: cost
+// scales ≈ linearly with f, but a scaled-down input may fit in executor
+// memory where the full input spills, so very low fidelities can flatter
+// undersized-memory configurations (the misleading case documented in
+// DESIGN.md §11).
 func New(cl *cluster.Cluster, job *workload.SparkJob, seed int64) *Spark {
-	return &Spark{cl: cl, job: job, s: Space(cl), seed: seed, NoiseStd: 0.04}
+	return newSpark(cl, job, Space(cl), seed)
 }
 
 // NewFull is New over the ~200-parameter FullSpace.
 func NewFull(cl *cluster.Cluster, job *workload.SparkJob, seed int64) *Spark {
-	return &Spark{cl: cl, job: job, s: FullSpace(cl), seed: seed, NoiseStd: 0.04}
+	return newSpark(cl, job, FullSpace(cl), seed)
+}
+
+func newSpark(cl *cluster.Cluster, job *workload.SparkJob, space *tune.Space, seed int64) *Spark {
+	s := &Spark{cl: cl, job: job, s: space, NoiseStd: 0.04}
+	s.Runs = cluster.NewRuns(seed, 6364136223846793005, func(rng *rand.Rand, f float64, cfg tune.Config) tune.Result {
+		return s.simulate(s.job.Scaled(f), cfg, rng, false, 0)
+	})
+	return s
 }
 
 // Name implements tune.Target.
@@ -261,55 +270,6 @@ func (s *Spark) WorkloadFeatures() map[string]float64 {
 	}
 }
 
-func (s *Spark) rng() *rand.Rand {
-	return rand.New(rand.NewSource(s.seed + s.ReserveRuns(1)*6364136223846793005))
-}
-
-// ReserveRuns implements tune.ConcurrentTarget.
-func (s *Spark) ReserveRuns(n int64) int64 { return s.runs.Add(n) - n + 1 }
-
-// RunIndexed implements tune.ConcurrentTarget.
-func (s *Spark) RunIndexed(i int64, cfg tune.Config) tune.Result {
-	return s.simulate(cfg, rand.New(rand.NewSource(s.seed+i*6364136223846793005)), false, 0)
-}
-
-// Run implements tune.Target.
-func (s *Spark) Run(cfg tune.Config) tune.Result {
-	return s.RunIndexed(s.ReserveRuns(1), cfg)
-}
-
-// atFidelity returns a deployment whose job processes fraction f of the
-// input (input, cacheable, and shuffle volumes all scaled) — the Spark
-// fidelity knob. The copy shares cluster, space, and seed so noise streams
-// line up with the full-scale target; the run counter is not shared, which
-// is fine because fidelity runs always arrive with explicit indices.
-func (s *Spark) atFidelity(f float64) *Spark {
-	j := *s.job
-	j.InputMB *= f
-	j.CacheableMB *= f
-	j.ShuffleMB *= f
-	return &Spark{cl: s.cl, job: &j, s: s.s, seed: s.seed, NoiseStd: s.NoiseStd}
-}
-
-// RunFidelity implements tune.FidelityTarget: fidelity is the input
-// fraction. Cost scales ≈ linearly with f; note that a scaled-down input
-// may fit in executor memory where the full input spills, so very low
-// fidelities can flatter undersized-memory configurations (the misleading
-// case documented in DESIGN.md §11). f = 1 is exactly the plain Run path.
-func (s *Spark) RunFidelity(_ context.Context, f float64, cfg tune.Config) tune.Result {
-	return s.RunIndexedFidelity(nil, s.ReserveRuns(1), f, cfg)
-}
-
-// RunIndexedFidelity implements tune.ConcurrentFidelityTarget.
-func (s *Spark) RunIndexedFidelity(_ context.Context, i int64, f float64, cfg tune.Config) tune.Result {
-	f = tune.ClampFidelity(f)
-	t := s
-	if f < 1 {
-		t = s.atFidelity(f)
-	}
-	return t.simulate(cfg, rand.New(rand.NewSource(s.seed+i*6364136223846793005)), false, 0)
-}
-
 // Epochs implements tune.AdaptiveTarget: iterations (or batches) are the
 // natural reconfiguration points; batch jobs get 4 synthetic epochs.
 func (s *Spark) Epochs() int {
@@ -328,34 +288,18 @@ func (s *Spark) Epochs() int {
 // allocation) between iterations/batches; executor sizing changes are
 // ignored mid-run, exactly as on a live cluster.
 func (s *Spark) RunAdaptive(start tune.Config, ctrl tune.EpochController) tune.Result {
-	rng := s.rng()
-	epochs := s.Epochs()
-	cfg := start
-	var total tune.Result
-	total.Metrics = map[string]float64{}
-	var prev map[string]float64
 	var latencies []float64
-	for e := 0; e < epochs; e++ {
-		next := ctrl.Epoch(e, cfg, prev)
+	total := s.RunEpochs(start, ctrl, s.Epochs(), func(rng *rand.Rand, e int, cur, next tune.Config) (tune.Config, tune.Result) {
 		// Only runtime-adjustable knobs take effect mid-run.
-		cfg = cfg.
+		cfg := cur.
 			WithNative(ShuffleParts, next.Native(ShuffleParts)).
 			WithNative(LocalityWaitS, next.Native(LocalityWaitS)).
 			WithNative(DynamicAlloc, next.Native(DynamicAlloc)).
 			WithNative(SpeculationOn, next.Native(SpeculationOn))
-		res := s.simulate(cfg, rng, true, e)
-		total.Time += res.Time
-		total.Cost += res.Cost
-		if res.Failed {
-			total.Failed = true
-			total.FailReason = res.FailReason
-		}
-		for k, v := range res.Metrics {
-			total.Metrics[k] += v / float64(epochs)
-		}
+		res := s.simulate(s.job, cfg, rng, true, e)
 		latencies = append(latencies, res.Time)
-		prev = res.Metrics
-	}
+		return cfg, res
+	})
 	if s.job.Streaming && len(latencies) > 0 {
 		misses := 0.0
 		for _, l := range latencies {
@@ -372,10 +316,9 @@ func (s *Spark) RunAdaptive(start tune.Config, ctrl tune.EpochController) tune.R
 	return total
 }
 
-// simulate executes the job under cfg. With single set it runs only the
+// simulate executes job under cfg. With single set it runs only the
 // epoch'th iteration/batch (adaptive mode); otherwise the whole job.
-func (s *Spark) simulate(cfg tune.Config, rng *rand.Rand, single bool, epoch int) tune.Result {
-	job := s.job
+func (s *Spark) simulate(job *workload.SparkJob, cfg tune.Config, rng *rand.Rand, single bool, epoch int) tune.Result {
 	cl := s.cl
 	node := cl.Nodes[0]
 	share := cl.EffectiveShare(rng)
@@ -526,7 +469,7 @@ func (s *Spark) simulate(cfg tune.Config, rng *rand.Rand, single bool, epoch int
 	}
 	// Every stage of a run splits by the same skew, and all of them (bar an
 	// input stage under spark_default_parallelism) into the same number of
-	// tasks: shares holds zipfShares(len(shares), skew) from one stage to the
+	// tasks: shares holds workload.ZipfShares(len(shares), skew) from one stage to the
 	// next. sorted is quantileOf's scratch, durations every stage's.
 	var shares, sorted, durations []float64
 	// base holds the task durations of the stage under baseKey up to the
@@ -550,7 +493,7 @@ func (s *Spark) simulate(cfg tune.Config, rng *rand.Rand, single bool, epoch int
 			tasks = 1
 		}
 		if len(shares) != tasks {
-			shares = zipfShares(tasks, skew)
+			shares = workload.ZipfShares(tasks, skew)
 		}
 		if key := (stageKey{dataMB, shuffleMB, readFromCache, tasks}); key != baseKey {
 			baseKey, baseSpill = key, 0
@@ -637,10 +580,10 @@ func (s *Spark) simulate(cfg tune.Config, rng *rand.Rand, single bool, epoch int
 	}
 
 	switch {
-	case s.job.Streaming:
+	case job.Streaming:
 		// One batch per simulate call in adaptive mode; standalone Run
 		// executes all batches.
-		batches := s.job.Batches
+		batches := job.Batches
 		if single {
 			batches = 1
 		}
@@ -732,19 +675,6 @@ type stageKey struct {
 	dataMB, shuffleMB float64
 	readFromCache     bool
 	tasks             int
-}
-
-func zipfShares(n int, theta float64) []float64 {
-	shares := make([]float64, n)
-	var h float64
-	for i := 1; i <= n; i++ {
-		shares[i-1] = 1 / math.Pow(float64(i), theta)
-		h += shares[i-1]
-	}
-	for i := range shares {
-		shares[i] /= h
-	}
-	return shares
 }
 
 // quantileOf returns the element sort.Float64s would leave at index

@@ -9,6 +9,8 @@
 // can read them like a Starfish job profile would.
 package workload
 
+import "math"
+
 // ---------------------------------------------------------------------------
 // DBMS workloads
 
@@ -220,6 +222,32 @@ type MRJob struct {
 	Compressibility float64
 }
 
+// Scaled returns the job reading fraction f of its input — the fidelity
+// knob of the simulators that run an MRJob. At f = 1 it is j itself.
+func (j *MRJob) Scaled(f float64) *MRJob {
+	if f >= 1 {
+		return j
+	}
+	c := *j
+	c.InputMB *= f
+	return &c
+}
+
+// ZipfShares returns n partition shares summing to 1 under Zipf skew theta
+// (0 = uniform): how the simulators split a job's data by its SkewTheta.
+func ZipfShares(n int, theta float64) []float64 {
+	shares := make([]float64, n)
+	var h float64
+	for i := 1; i <= n; i++ {
+		shares[i-1] = 1 / math.Pow(float64(i), theta)
+		h += shares[i-1]
+	}
+	for i := range shares {
+		shares[i] /= h
+	}
+	return shares
+}
+
 // Grep is the Pavlo-benchmark selection task: scan-heavy, tiny output.
 func Grep(gb float64) *MRJob {
 	return &MRJob{
@@ -299,6 +327,20 @@ type SparkJob struct {
 	DriftPerBatch  float64
 	// Compressibility as for MRJob.
 	Compressibility float64
+}
+
+// Scaled returns the job processing fraction f of its input, with the
+// cacheable and shuffled volumes scaled alike — Spark's fidelity knob. At
+// f = 1 it is j itself.
+func (j *SparkJob) Scaled(f float64) *SparkJob {
+	if f >= 1 {
+		return j
+	}
+	c := *j
+	c.InputMB *= f
+	c.CacheableMB *= f
+	c.ShuffleMB *= f
+	return &c
 }
 
 // WordCountSpark is the batch WordCount on Spark.
