@@ -26,6 +26,22 @@ func TestNewTargetAllSystems(t *testing.T) {
 	}
 }
 
+// TestBuiltinWorkloads pins each builtin system's workload list and its
+// order, which -list, the daemon and Spec validation all show.
+func TestBuiltinWorkloads(t *testing.T) {
+	mr := []string{"grep", "aggregation", "join", "wordcount", "terasort"}
+	for sys, want := range map[string][]string{
+		"dbms":       {"tpch", "oltp", "mixed", "oltp-olap-shift", "diurnal"},
+		"hadoop":     mr,
+		"spark":      {"wordcount", "terasort", "pagerank", "kmeans", "streaming"},
+		"paralleldb": mr,
+	} {
+		if got := Workloads(sys); !slices.Equal(got, want) {
+			t.Errorf("Workloads(%q) = %v, want %v", sys, got, want)
+		}
+	}
+}
+
 func TestNewTargetErrors(t *testing.T) {
 	if _, err := NewTarget("nosuch", "x", 1); err == nil {
 		t.Error("unknown system should error")

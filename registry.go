@@ -236,28 +236,47 @@ func scaleOr(o TargetOptions, def float64) float64 {
 	return def
 }
 
-func buildDBMS(wl string, seed int64, o TargetOptions) (Target, error) {
-	var w *workload.DBWorkload
-	switch wl {
-	case "tpch":
-		w = workload.TPCHLike(scaleOr(o, 10))
-	case "oltp":
-		w = workload.OLTP(64, scaleOr(o, 4))
-	case "mixed":
-		w = workload.MixedDB(scaleOr(o, 6))
-	case "oltp-olap-shift", "diurnal":
-		return buildDBMSDrift(wl, seed, o)
-	default:
-		return nil, fmt.Errorf("repro: unknown dbms workload %q (have %s)", wl, strings.Join(Workloads("dbms"), ", "))
+// builtinWorkload is one workload a builtin system accepts: its name and the
+// constructor of the target that runs it.
+type builtinWorkload struct {
+	name string
+	new  func(seed int64, o TargetOptions) (Target, error)
+}
+
+// builtinFactory registers a builtin system's workloads in listing order:
+// their names are the system's Workloads, and any other name is the one
+// lookup-miss error.
+func builtinFactory(system string, wls []builtinWorkload) TargetFactory {
+	names := make([]string, len(wls))
+	for i, w := range wls {
+		names[i] = w.name
 	}
+	return TargetFactory{Workloads: names, New: func(wl string, seed int64, o TargetOptions) (Target, error) {
+		for _, w := range wls {
+			if w.name == wl {
+				return w.new(seed, o)
+			}
+		}
+		return nil, fmt.Errorf("repro: unknown %s workload %q (have %s)", system, wl, strings.Join(names, ", "))
+	}}
+}
+
+// newDBMS binds w to a stationary dbms target.
+func newDBMS(w *workload.DBWorkload, seed int64, o TargetOptions) *dbms.DBMS {
 	d := dbms.New(cluster.CommodityNode(), w, seed)
 	if o.TenantLoad > 0 {
 		d.Tenant = buildCluster(o)
 	}
-	return d, nil
+	return d
 }
 
-// buildDBMSDrift builds the time-varying DBMS workloads: every phase is an
+// onDBMS is the constructor of a stationary dbms workload whose scale
+// defaults to def GB.
+func onDBMS(def float64, w func(gb float64) *workload.DBWorkload) func(int64, TargetOptions) (Target, error) {
+	return func(seed int64, o TargetOptions) (Target, error) { return newDBMS(w(scaleOr(o, def)), seed, o), nil }
+}
+
+// dbmsWorkloads ends with the time-varying workloads: every phase is an
 // ordinary stationary dbms target (sharing one configuration space, since
 // the system is the same) and the workload.Drift wrapper schedules trials
 // across them by global run index.
@@ -266,80 +285,60 @@ func buildDBMS(wl string, seed int64, o TargetOptions) (Target, error) {
 //     a one-way workload change mid-session.
 //   - "diurnal": alternating 8-run low-load and 8-run high-load OLTP
 //     phases, repeating — cyclic load rather than a one-way shift.
-func buildDBMSDrift(wl string, seed int64, o TargetOptions) (Target, error) {
-	node := cluster.CommodityNode()
-	mk := func(w *workload.DBWorkload) tune.ConcurrentTarget {
-		d := dbms.New(node, w, seed)
-		if o.TenantLoad > 0 {
-			d.Tenant = buildCluster(o)
-		}
-		return d
-	}
-	switch wl {
-	case "oltp-olap-shift":
-		return workload.NewDrift(wl, false,
-			workload.Phase{Name: "oltp", Target: mk(workload.OLTP(64, scaleOr(o, 4))), Runs: 15},
-			workload.Phase{Name: "olap", Target: mk(workload.TPCHLike(scaleOr(o, 10))), Runs: 15},
+var dbmsWorkloads = []builtinWorkload{
+	{"tpch", onDBMS(10, workload.TPCHLike)},
+	{"oltp", onDBMS(4, func(gb float64) *workload.DBWorkload { return workload.OLTP(64, gb) })},
+	{"mixed", onDBMS(6, workload.MixedDB)},
+	{"oltp-olap-shift", func(seed int64, o TargetOptions) (Target, error) {
+		return workload.NewDrift("oltp-olap-shift", false,
+			workload.Phase{Name: "oltp", Target: newDBMS(workload.OLTP(64, scaleOr(o, 4)), seed, o), Runs: 15},
+			workload.Phase{Name: "olap", Target: newDBMS(workload.TPCHLike(scaleOr(o, 10)), seed, o), Runs: 15},
 		)
-	case "diurnal":
-		return workload.NewDrift(wl, true,
-			workload.Phase{Name: "night", Target: mk(workload.OLTP(16, scaleOr(o, 4))), Runs: 8},
-			workload.Phase{Name: "day", Target: mk(workload.OLTP(192, scaleOr(o, 4))), Runs: 8},
+	}},
+	{"diurnal", func(seed int64, o TargetOptions) (Target, error) {
+		return workload.NewDrift("diurnal", true,
+			workload.Phase{Name: "night", Target: newDBMS(workload.OLTP(16, scaleOr(o, 4)), seed, o), Runs: 8},
+			workload.Phase{Name: "day", Target: newDBMS(workload.OLTP(192, scaleOr(o, 4)), seed, o), Runs: 8},
 		)
-	}
-	return nil, fmt.Errorf("repro: unknown dbms drift workload %q", wl)
+	}},
 }
 
-func mrJob(system, wl string, gb float64) (*workload.MRJob, error) {
-	switch wl {
-	case "grep":
-		return workload.Grep(gb), nil
-	case "aggregation":
-		return workload.Aggregation(gb), nil
-	case "join":
-		return workload.JoinMR(gb), nil
-	case "wordcount":
-		return workload.WordCount(gb), nil
-	case "terasort":
-		return workload.TeraSort(gb), nil
+// mrWorkloads are the jobs hadoop and paralleldb both run, at 20 GB by
+// default, each bound to a target by bind.
+func mrWorkloads[T Target](bind func(cl *cluster.Cluster, job *workload.MRJob, seed int64) T) []builtinWorkload {
+	jobs := []struct {
+		name string
+		job  func(gb float64) *workload.MRJob
+	}{
+		{"grep", workload.Grep}, {"aggregation", workload.Aggregation}, {"join", workload.JoinMR},
+		{"wordcount", workload.WordCount}, {"terasort", workload.TeraSort},
 	}
-	return nil, fmt.Errorf("repro: unknown %s workload %q (have %s)", system, wl, strings.Join(Workloads(system), ", "))
+	wls := make([]builtinWorkload, len(jobs))
+	for i, j := range jobs {
+		wls[i] = builtinWorkload{j.name, func(seed int64, o TargetOptions) (Target, error) {
+			return bind(buildCluster(o), j.job(scaleOr(o, 20)), seed), nil
+		}}
+	}
+	return wls
 }
 
-func buildMR(system string) func(string, int64, TargetOptions) (Target, error) {
-	return func(wl string, seed int64, o TargetOptions) (Target, error) {
-		job, err := mrJob(system, wl, scaleOr(o, 20))
-		if err != nil {
-			return nil, err
+// onSpark is the constructor of a spark workload whose scale defaults to
+// def GB.
+func onSpark(def float64, job func(gb float64) *workload.SparkJob) func(int64, TargetOptions) (Target, error) {
+	return func(seed int64, o TargetOptions) (Target, error) {
+		if o.FullSparkSpace {
+			return spark.NewFull(buildCluster(o), job(scaleOr(o, def)), seed), nil
 		}
-		if system == "paralleldb" {
-			return paralleldb.New(buildCluster(o), job, seed), nil
-		}
-		return mapreduce.New(buildCluster(o), job, seed), nil
+		return spark.New(buildCluster(o), job(scaleOr(o, def)), seed), nil
 	}
 }
 
-func buildSpark(wl string, seed int64, o TargetOptions) (Target, error) {
-	var job *workload.SparkJob
-	switch wl {
-	case "wordcount":
-		job = workload.WordCountSpark(scaleOr(o, 20))
-	case "terasort":
-		job = workload.TeraSortSpark(scaleOr(o, 20))
-	case "pagerank":
-		job = workload.PageRank(scaleOr(o, 5), 8)
-	case "kmeans":
-		job = workload.KMeansSpark(scaleOr(o, 8), 10)
-	case "streaming":
-		job = workload.StreamingAgg(scaleOr(o, 2)*1024, 20, 10)
-	default:
-		return nil, fmt.Errorf("repro: unknown spark workload %q (have %s)", wl, strings.Join(Workloads("spark"), ", "))
-	}
-	cl := buildCluster(o)
-	if o.FullSparkSpace {
-		return spark.NewFull(cl, job, seed), nil
-	}
-	return spark.New(cl, job, seed), nil
+var sparkWorkloads = []builtinWorkload{
+	{"wordcount", onSpark(20, workload.WordCountSpark)},
+	{"terasort", onSpark(20, workload.TeraSortSpark)},
+	{"pagerank", onSpark(5, func(gb float64) *workload.SparkJob { return workload.PageRank(gb, 8) })},
+	{"kmeans", onSpark(8, func(gb float64) *workload.SparkJob { return workload.KMeansSpark(gb, 10) })},
+	{"streaming", onSpark(2, func(gb float64) *workload.SparkJob { return workload.StreamingAgg(gb*1024, 20, 10) })},
 }
 
 // —— builtin tuners ———————————————————————————————————————————————————————
@@ -437,22 +436,10 @@ func init() {
 			panic(err)
 		}
 	}
-	mustNil(RegisterTarget("dbms", TargetFactory{
-		Workloads: []string{"tpch", "oltp", "mixed", "oltp-olap-shift", "diurnal"},
-		New:       buildDBMS,
-	}))
-	mustNil(RegisterTarget("hadoop", TargetFactory{
-		Workloads: []string{"grep", "aggregation", "join", "wordcount", "terasort"},
-		New:       buildMR("hadoop"),
-	}))
-	mustNil(RegisterTarget("spark", TargetFactory{
-		Workloads: []string{"wordcount", "terasort", "pagerank", "kmeans", "streaming"},
-		New:       buildSpark,
-	}))
-	mustNil(RegisterTarget("paralleldb", TargetFactory{
-		Workloads: []string{"grep", "aggregation", "join", "wordcount", "terasort"},
-		New:       buildMR("paralleldb"),
-	}))
+	mustNil(RegisterTarget("dbms", builtinFactory("dbms", dbmsWorkloads)))
+	mustNil(RegisterTarget("hadoop", builtinFactory("hadoop", mrWorkloads(mapreduce.New))))
+	mustNil(RegisterTarget("spark", builtinFactory("spark", sparkWorkloads)))
+	mustNil(RegisterTarget("paralleldb", builtinFactory("paralleldb", mrWorkloads(paralleldb.New))))
 	for _, t := range builtinTuners {
 		mustNil(RegisterTuner(t.name, t.category, t.doc, t.build))
 	}
