@@ -32,11 +32,12 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
-	"regexp"
 	"strings"
 
 	repro "repro"
@@ -76,7 +77,7 @@ func parseFlags(args []string) (o options, err error) {
 	fs.BoolVar(&o.progress, "progress", false, "render a live trial/incumbent line from the event stream")
 	fs.StringVar(&o.repoDir, "repo", "", "durable tuning-repository directory (load history, archive this session)")
 	fs.BoolVar(&o.spec.WarmStart, "warm-start", false, "seed the tuner from the nearest past workload in -repo")
-	fs.BoolVar(&o.resume, "resume", false, "with -repo: durably checkpoint progress at batch boundaries and resume a matching interrupted session (same system/workload/tuner/seed)")
+	fs.BoolVar(&o.resume, "resume", false, "with -repo: durably checkpoint progress at batch boundaries and resume the interrupted session of the identical spec (every tuning flag the same)")
 	fs.StringVar(&fid.Strategy, "fidelity", "", `multi-fidelity bracket strategy: "hyperband" or "halving" (off when empty)`)
 	fs.Float64Var(&fid.Min, "fidelity-min", 0, "lowest fidelity fraction evaluated (0 = default 1/9)")
 	fs.Float64Var(&fid.Eta, "fidelity-eta", 0, "rung promotion ratio (0 = default 3)")
@@ -275,15 +276,12 @@ func renderProgress(out io.Writer, run *repro.Run, trials int) {
 	}
 }
 
-// cliCheckpointID names the resume checkpoint for one flag combination: two
-// invocations with the same system/workload/tuner/fidelity/seed address the
-// same interrupted session. Sanitized to the store's session-id alphabet.
+// cliCheckpointID names the resume checkpoint of one spec: "cli-" and the
+// FNV-64a of the spec's JSON, so only the identical spec resumes it. A spec
+// JSON cannot encode fails in JobOn, which encodes it again to checkpoint it.
 func cliCheckpointID(s repro.Spec) string {
-	id := fmt.Sprintf("cli-%s-%s-%s-%d", s.System, s.Workload, s.Tuner, s.Seed)
-	if s.Fidelity != nil {
-		id = fmt.Sprintf("cli-%s-%s-%s-%s-%d", s.System, s.Workload, s.Tuner, s.Fidelity.Strategy, s.Seed)
-	}
-	return notSIDRune.ReplaceAllString(id, "-")
+	b, _ := json.Marshal(s)
+	h := fnv.New64a()
+	h.Write(b)
+	return fmt.Sprintf("cli-%016x", h.Sum64())
 }
-
-var notSIDRune = regexp.MustCompile(`[^a-zA-Z0-9_-]`)
