@@ -272,6 +272,39 @@ func TestExhaustedRetriesBecomeEvaluationLost(t *testing.T) {
 	}
 }
 
+// TestCompletionForAnotherTrialIsRequeued: a completion is this trial's
+// result only if it answers the leased assignment. An evaluator that answers
+// with another run index costs the lease, as an invalid completion does,
+// until the retries run out.
+func TestCompletionForAnotherTrialIsRequeued(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/evaluate" {
+			http.NotFound(w, req)
+			return
+		}
+		var a TrialAssignment
+		if err := json.NewDecoder(req.Body).Decode(&a); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		json.NewEncoder(w).Encode(frame{Completion: &TrialCompletion{ID: a.ID, RunIndex: a.RunIndex + 1, Result: tune.Result{Time: 1}}})
+	}))
+	t.Cleanup(srv.Close)
+	pool := NewPool([]string{srv.URL}, PoolOptions{MaxRetries: 2, RetryBackoff: time.Millisecond})
+	target, err := repro.NewTarget("dbms", "tpch", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pool.Backend(dbmsModel).Evaluate(context.Background(), 3, 0, target.Space().Default())
+	var lost *engine.EvaluationLostError
+	if !errors.As(err, &lost) {
+		t.Fatalf("err = %v (result %+v), want *engine.EvaluationLostError", err, res)
+	}
+	if lost.RunIndex != 3 || lost.Attempts != 3 || pool.Retries() != 2 {
+		t.Fatalf("lost = {RunIndex: %d, Attempts: %d}, retries %d; want {3, 3}, 2", lost.RunIndex, lost.Attempts, pool.Retries())
+	}
+}
+
 // TestCancellationAbortsLease: cancelling the evaluation context (rung
 // decided, session stopped) returns promptly with the context's error and
 // consumes no retries — cancellation is not lease loss.

@@ -401,7 +401,11 @@ func (p *Pool) tryEval(ctx context.Context, r *remote, a TrialAssignment) (tune.
 			continue
 		}
 		c := *fr.Completion
-		if err := c.Validate(); err != nil {
+		err = c.Validate()
+		if err == nil && (c.ID != a.ID || c.RunIndex != a.RunIndex) {
+			err = fmt.Errorf("it answers lease %q run %d, not lease %q run %d", c.ID, c.RunIndex, a.ID, a.RunIndex)
+		}
+		if err != nil {
 			err = fmt.Errorf("dist: evaluator %s: invalid completion: %w", r.url, err)
 			r.fail(err)
 			return tune.Result{}, err
