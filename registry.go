@@ -237,10 +237,10 @@ func scaleOr(o TargetOptions, def float64) float64 {
 }
 
 // builtinWorkload is one workload a builtin system accepts: its name and the
-// constructor of the target that runs it.
+// constructor of the target that runs it, which is handed that name.
 type builtinWorkload struct {
 	name string
-	new  func(seed int64, o TargetOptions) (Target, error)
+	new  func(wl string, seed int64, o TargetOptions) (Target, error)
 }
 
 // builtinFactory registers a builtin system's workloads in listing order:
@@ -254,7 +254,7 @@ func builtinFactory(system string, wls []builtinWorkload) TargetFactory {
 	return TargetFactory{Workloads: names, New: func(wl string, seed int64, o TargetOptions) (Target, error) {
 		for _, w := range wls {
 			if w.name == wl {
-				return w.new(seed, o)
+				return w.new(wl, seed, o)
 			}
 		}
 		return nil, fmt.Errorf("repro: unknown %s workload %q (have %s)", system, wl, strings.Join(names, ", "))
@@ -272,8 +272,10 @@ func newDBMS(w *workload.DBWorkload, seed int64, o TargetOptions) *dbms.DBMS {
 
 // onDBMS is the constructor of a stationary dbms workload whose scale
 // defaults to def GB.
-func onDBMS(def float64, w func(gb float64) *workload.DBWorkload) func(int64, TargetOptions) (Target, error) {
-	return func(seed int64, o TargetOptions) (Target, error) { return newDBMS(w(scaleOr(o, def)), seed, o), nil }
+func onDBMS(def float64, w func(gb float64) *workload.DBWorkload) func(string, int64, TargetOptions) (Target, error) {
+	return func(_ string, seed int64, o TargetOptions) (Target, error) {
+		return newDBMS(w(scaleOr(o, def)), seed, o), nil
+	}
 }
 
 // dbmsWorkloads ends with the time-varying workloads: every phase is an
@@ -289,14 +291,14 @@ var dbmsWorkloads = []builtinWorkload{
 	{"tpch", onDBMS(10, workload.TPCHLike)},
 	{"oltp", onDBMS(4, func(gb float64) *workload.DBWorkload { return workload.OLTP(64, gb) })},
 	{"mixed", onDBMS(6, workload.MixedDB)},
-	{"oltp-olap-shift", func(seed int64, o TargetOptions) (Target, error) {
-		return workload.NewDrift("oltp-olap-shift", false,
+	{"oltp-olap-shift", func(wl string, seed int64, o TargetOptions) (Target, error) {
+		return workload.NewDrift(wl, false,
 			workload.Phase{Name: "oltp", Target: newDBMS(workload.OLTP(64, scaleOr(o, 4)), seed, o), Runs: 15},
 			workload.Phase{Name: "olap", Target: newDBMS(workload.TPCHLike(scaleOr(o, 10)), seed, o), Runs: 15},
 		)
 	}},
-	{"diurnal", func(seed int64, o TargetOptions) (Target, error) {
-		return workload.NewDrift("diurnal", true,
+	{"diurnal", func(wl string, seed int64, o TargetOptions) (Target, error) {
+		return workload.NewDrift(wl, true,
 			workload.Phase{Name: "night", Target: newDBMS(workload.OLTP(16, scaleOr(o, 4)), seed, o), Runs: 8},
 			workload.Phase{Name: "day", Target: newDBMS(workload.OLTP(192, scaleOr(o, 4)), seed, o), Runs: 8},
 		)
@@ -315,7 +317,7 @@ func mrWorkloads[T Target](bind func(cl *cluster.Cluster, job *workload.MRJob, s
 	}
 	wls := make([]builtinWorkload, len(jobs))
 	for i, j := range jobs {
-		wls[i] = builtinWorkload{j.name, func(seed int64, o TargetOptions) (Target, error) {
+		wls[i] = builtinWorkload{j.name, func(_ string, seed int64, o TargetOptions) (Target, error) {
 			return bind(buildCluster(o), j.job(scaleOr(o, 20)), seed), nil
 		}}
 	}
@@ -324,8 +326,8 @@ func mrWorkloads[T Target](bind func(cl *cluster.Cluster, job *workload.MRJob, s
 
 // onSpark is the constructor of a spark workload whose scale defaults to
 // def GB.
-func onSpark(def float64, job func(gb float64) *workload.SparkJob) func(int64, TargetOptions) (Target, error) {
-	return func(seed int64, o TargetOptions) (Target, error) {
+func onSpark(def float64, job func(gb float64) *workload.SparkJob) func(string, int64, TargetOptions) (Target, error) {
+	return func(_ string, seed int64, o TargetOptions) (Target, error) {
 		if o.FullSparkSpace {
 			return spark.NewFull(buildCluster(o), job(scaleOr(o, def)), seed), nil
 		}
