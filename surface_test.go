@@ -46,6 +46,10 @@ var retiredSurfaces = []string{
 	// The second scenario declaration and the bench cells' job adjustments: a
 	// wrapper switches on its session's bookkeeping when bound.
 	`WithScenario\(`, `ScenarioFrom\(`, `tune\.Scenario\b`, `adjust func\(\*engine\.Job\)`,
+	// The simulators' per-target fidelity copies — cluster.Runs is the one
+	// run path and a job scales itself — and the CLI checkpoint id's field
+	// list sanitizer: the id is a hash of the whole spec.
+	`atFidelity\(`, `notSIDRune`,
 }
 
 // The one CI step list: the workflow's only command is scripts/ci.sh, and
