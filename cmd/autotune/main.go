@@ -278,7 +278,8 @@ func renderProgress(out io.Writer, run *repro.Run, trials int) {
 
 // cliCheckpointID names the resume checkpoint of one spec: "cli-" and the
 // FNV-64a of the spec's JSON, so only the identical spec resumes it. A spec
-// JSON cannot encode fails in JobOn, which encodes it again to checkpoint it.
+// that JSON cannot encode fails in JobOn, which encodes it again to
+// checkpoint it.
 func cliCheckpointID(s repro.Spec) string {
 	b, _ := json.Marshal(s)
 	h := fnv.New64a()

@@ -11,11 +11,12 @@ import (
 // Runs is the run path every simulator shares: a run is a pure function of
 // (construction seed, run index, fidelity, configuration). Run i draws its
 // noise from rand.NewSource(seed + i·mult), mult being the simulator's own
-// multiplier, so runs at reserved indices reproduce exactly what the same
-// sequence of plain Run calls would have produced, on any worker or
-// evaluator process. A simulator embeds *Runs built over its one eval
-// function, and Runs supplies every run entry point of
-// tune.ConcurrentFidelityTarget, plus RunEpochs for tune.AdaptiveTarget.
+// multiplier. Each run thus draws a fresh stream, so repeated runs of one
+// configuration vary like real benchmark runs, and runs at reserved indices
+// reproduce exactly what the same sequence of plain Run calls would have
+// produced, on any worker or evaluator process. A simulator embeds *Runs
+// built over its one eval function, and Runs supplies every run entry point
+// of tune.ConcurrentFidelityTarget, plus RunEpochs for tune.AdaptiveTarget.
 type Runs struct {
 	seed, mult int64
 	eval       func(rng *rand.Rand, f float64, cfg tune.Config) tune.Result
