@@ -58,11 +58,15 @@ func TestLaunchEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		all, err := st.Sessions()
-		if err != nil || len(all) != 2 {
-			t.Fatalf("%d records after the session (err=%v), want the history and the session", len(all), err)
+		all := st.Summaries()
+		if len(all) != 2 {
+			t.Fatalf("%d records after the session, want the history and the session", len(all))
 		}
-		return all[1].Record
+		got, ok, err := st.Get(all[1].ID)
+		if err != nil || !ok {
+			t.Fatalf("reading the session's record back: found %v, err %v", ok, err)
+		}
+		return got.Record
 	}
 
 	// Library.

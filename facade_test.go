@@ -39,6 +39,17 @@ func TestBuiltinWorkloads(t *testing.T) {
 		if got := Workloads(sys); !slices.Equal(got, want) {
 			t.Errorf("Workloads(%q) = %v, want %v", sys, got, want)
 		}
+		// Every consumer of a target's name reads its system back with
+		// tune.SplitTargetName.
+		for _, wl := range want {
+			target, err := NewTarget(sys, wl, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, w := tune.SplitTargetName(target.Name()); s != sys || w != wl {
+				t.Errorf("%s/%s: target %q splits to %q, %q", sys, wl, target.Name(), s, w)
+			}
+		}
 	}
 }
 

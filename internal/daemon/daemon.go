@@ -24,7 +24,8 @@
 // daemon leases trial evaluations to an autotune-evaluator fleet through
 // internal/dist — byte-identical event streams, distributed wall-clock:
 //
-//	GET    /evaluators            fleet health (per-evaluator routing state)
+//	GET    /evaluators            fleet health (per-evaluator routing state,
+//	                              each evaluator's /healthz probed)
 //	POST   /evaluators            register an evaluator: {"url": ...}
 //
 // With a repository directory (Options.RepoDir) the daemon is restartable
@@ -230,8 +231,11 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 // healthz is the liveness probe, enriched with operational summaries: the
-// session table by state, the repository, and the evaluator fleet.
-func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
+// session table by state, the repository, and the evaluator fleet. It does
+// no network I/O, so a frozen evaluator cannot stall it: the fleet block is
+// the pool's routing state (healthy = no consecutive failures), and GET
+// /evaluators is where each evaluator is probed.
+func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 	type sessionSummary struct {
 		Total   int `json:"total"`
 		Pending int `json:"pending"`
@@ -331,7 +335,7 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 		repo.IndexPoints = ixs.Points
 	}
 	var fleet fleetSummary
-	for _, h := range s.pool.Health(r.Context()) {
+	for _, h := range s.pool.State() {
 		fleet.Configured++
 		if h.Healthy {
 			fleet.Healthy++

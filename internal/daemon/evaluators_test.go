@@ -200,3 +200,25 @@ func waitForState(t *testing.T, ts *httptest.Server, id, want string) {
 	}
 	t.Fatalf("session %s never reached %q", id, want)
 }
+
+// TestHealthzWithFrozenEvaluator: an evaluator that accepts connections and
+// never answers cannot stall the liveness probe. /healthz reads the pool's
+// routing state, where the evaluator's timed-out registration counts as a
+// failure, so it answers at once and reports the evaluator as not healthy.
+func TestHealthzWithFrozenEvaluator(t *testing.T) {
+	release := make(chan struct{})
+	frozen := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	t.Cleanup(frozen.Close)
+	t.Cleanup(func() { close(release) }) // runs first: frees the handlers Close waits for
+	ts, _ := newTestServerWith(t, Options{Workers: 1, Evaluators: []string{frozen.URL}})
+
+	start := time.Now()
+	body := getJSON(t, ts.URL+"/healthz")
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("/healthz took %v with a frozen evaluator, want under 1s", took)
+	}
+	fleet, _ := body["evaluators"].(map[string]any)
+	if fleet["configured"] != float64(1) || fleet["healthy"] != float64(0) {
+		t.Fatalf("fleet summary = %v, want the frozen evaluator configured and not healthy", fleet)
+	}
+}

@@ -199,12 +199,10 @@ func (p *Pool) Slots() int {
 // Retries reports how many lease losses the pool has requeued, lifetime.
 func (p *Pool) Retries() int64 { return p.retries.Load() }
 
-// Health probes every evaluator's /healthz (bounded to 2s each, in
-// parallel) and reports the fleet's routing state.
-func (p *Pool) Health(ctx context.Context) []RemoteHealth {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// State reports the fleet's routing state without network I/O: an
+// evaluator is healthy while it has no consecutive failures — the state the
+// lease router steers by.
+func (p *Pool) State() []RemoteHealth {
 	// Add rewrites name and workers under p.mu, so they are copied under it.
 	p.mu.Lock()
 	remotes := make([]*remote, len(p.remotes))
@@ -214,19 +212,32 @@ func (p *Pool) Health(ctx context.Context) []RemoteHealth {
 		out[i] = RemoteHealth{URL: r.url, Name: r.name, Workers: r.workers}
 	}
 	p.mu.Unlock()
-	var wg sync.WaitGroup
 	for i, r := range remotes {
+		h := &out[i]
+		r.mu.Lock()
+		h.LastError = r.lastErr
+		r.mu.Unlock()
+		h.InFlight = r.inflight.Load()
+		h.Completed = r.completed.Load()
+		h.Failures = r.failures.Load()
+		h.Healthy = r.consecutive.Load() == 0
+	}
+	return out
+}
+
+// Health is State with Healthy answered by each evaluator's own /healthz,
+// probed in parallel and bounded to 2s each.
+func (p *Pool) Health(ctx context.Context) []RemoteHealth {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	out := p.State()
+	var wg sync.WaitGroup
+	for i := range out {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h := &out[i]
-			r.mu.Lock()
-			h.LastError = r.lastErr
-			r.mu.Unlock()
-			h.InFlight = r.inflight.Load()
-			h.Completed = r.completed.Load()
-			h.Failures = r.failures.Load()
-			h.Healthy = p.probe(ctx, r.url)
+			out[i].Healthy = p.probe(ctx, out[i].URL)
 		}()
 	}
 	wg.Wait()

@@ -398,16 +398,10 @@ func (r *Run) Summary() (s tune.StreamSummary, ok bool) {
 // closes. For sessions within the event buffer, late and repeated
 // subscribers see the identical sequence; past it, the evicted prefix is
 // replaced by one synthetic stream_checkpoint event carrying its compacted
-// summary. The caller must drain the channel (or use EventsContext to
-// abandon it early).
+// summary. The caller must drain the channel (or use EventsSince with a
+// cancellable context to abandon it early).
 func (r *Run) Events() <-chan tune.Event {
 	return r.EventsSince(context.Background(), 0)
-}
-
-// EventsContext is Events with a subscription lifetime: the stream closes
-// early when ctx is cancelled, releasing the subscription's goroutine.
-func (r *Run) EventsContext(ctx context.Context) <-chan tune.Event {
-	return r.EventsSince(ctx, 0)
 }
 
 // EventsSince streams the run's events with Seq > after — the resume form

@@ -82,20 +82,12 @@ func (j Job) names() (system, workload string) {
 	if system != "" && workload != "" {
 		return system, workload
 	}
-	name := j.Target.Name()
-	for i := 0; i < len(name); i++ {
-		if name[i] == '/' {
-			if system == "" {
-				system = name[:i]
-			}
-			if workload == "" {
-				workload = name[i+1:]
-			}
-			return system, workload
-		}
-	}
+	sys, wl := tune.SplitTargetName(j.Target.Name())
 	if system == "" {
-		system = name
+		system = sys
+	}
+	if workload == "" {
+		workload = wl
 	}
 	return system, workload
 }

@@ -210,7 +210,7 @@ func TestSubscriberCleanupOnDisconnect(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 5
 	for i := 0; i < n; i++ {
-		run.EventsContext(ctx) // deliberately never drained
+		run.EventsSince(ctx, 0) // deliberately never drained
 	}
 	if got := run.Subscribers(); got != n {
 		t.Fatalf("Subscribers = %d after %d subscriptions, want %d", got, n, n)

@@ -101,7 +101,11 @@ func BenchmarkGPAppend(b *testing.B) {
 			var ys []float64
 			rnd := space.Default()
 			for i := 0; i <= n; i++ {
-				rnd = space.Perturb(rnd, 0.3, rand.New(rand.NewSource(int64(i))))
+				rng, x := rand.New(rand.NewSource(int64(i))), rnd.Vector()
+				for j := range x {
+					x[j] += (rng.Float64()*2 - 1) * 0.3
+				}
+				rnd = space.FromVector(x)
 				xs = append(xs, rnd.Vector())
 				ys = append(ys, target.Run(rnd).Time)
 			}

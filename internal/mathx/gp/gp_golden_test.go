@@ -64,7 +64,8 @@ func (g *naiveGP) refit() error {
 		return err
 	}
 	g.chol = ch
-	g.alpha = ch.SolveVec(g.ys)
+	g.alpha = make([]float64, len(g.ys))
+	ch.SolveVecInto(g.alpha, g.ys)
 	return nil
 }
 

@@ -62,9 +62,6 @@ func (s *SparseGP) Tier() string { return "sparse" }
 // TrainingSize implements Surrogate.
 func (s *SparseGP) TrainingSize() int { return len(s.yRaw) }
 
-// InducingCount reports the size of the current inducing set (0 before Fit).
-func (s *SparseGP) InducingCount() int { return len(s.inducing) }
-
 func (s *SparseGP) maxInducing() int {
 	if s.MaxInducing > 0 {
 		return s.MaxInducing

@@ -79,8 +79,8 @@ func TestSparseMatchesExactAtFullInducing(t *testing.T) {
 		if err := sp.Fit(xs, ys, false); err != nil {
 			t.Fatal(err)
 		}
-		if sp.InducingCount() != len(xs) {
-			t.Fatalf("inducing count %d, want %d", sp.InducingCount(), len(xs))
+		if len(sp.inducing) != len(xs) {
+			t.Fatalf("inducing count %d, want %d", len(sp.inducing), len(xs))
 		}
 		for _, p := range testGrid() {
 			em, es := ex.Predict(p)
@@ -215,8 +215,8 @@ func TestSparseAppendConditionsOnNewData(t *testing.T) {
 	if sp.TrainingSize() != 50 {
 		t.Fatalf("training size %d, want 50", sp.TrainingSize())
 	}
-	if sp.InducingCount() != 25 {
-		t.Fatalf("append must freeze the inducing set, got %d", sp.InducingCount())
+	if len(sp.inducing) != 25 {
+		t.Fatalf("append must freeze the inducing set, got %d", len(sp.inducing))
 	}
 }
 
@@ -528,8 +528,8 @@ func TestSparseOnDuplicatedPointsMatchesExact(t *testing.T) {
 		if err := sp.Fit(xs, ys, false); err != nil {
 			t.Fatal(err)
 		}
-		if sp.InducingCount() != 20 || sp.jitterKmm != 0 {
-			t.Fatalf("kernel %v: %d inducing points, Kmm jitter %v; want 20 and 0", kernel, sp.InducingCount(), sp.jitterKmm)
+		if len(sp.inducing) != 20 || sp.jitterKmm != 0 {
+			t.Fatalf("kernel %v: %d inducing points, Kmm jitter %v; want 20 and 0", kernel, len(sp.inducing), sp.jitterKmm)
 		}
 		for _, p := range testGrid() {
 			em, es := ex.Predict(p)

@@ -163,13 +163,6 @@ func (c *Cholesky) Extend(row []float64, diag float64) (*Cholesky, error) {
 	return &Cholesky{L: nl}, nil
 }
 
-// SolveVec solves A·x = b given the factorization.
-func (c *Cholesky) SolveVec(b []float64) []float64 {
-	x := make([]float64, len(b))
-	c.SolveVecInto(x, b)
-	return x
-}
-
 // SolveLowerInto solves the triangular system L·y = b into the preallocated
 // dst (forward substitution only). The GP grid search uses it to get the
 // quadratic form yᵀA⁻¹y = ‖L⁻¹y‖² without the backward half of a full solve.

@@ -35,15 +35,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.C+j] }
 
@@ -67,43 +58,6 @@ func (m *Matrix) T() *Matrix {
 		for j := 0; j < m.C; j++ {
 			out.Set(j, i, m.At(i, j))
 		}
-	}
-	return out
-}
-
-// Mul returns m·o. It panics on a dimension mismatch.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
-	if m.C != o.R {
-		panic(fmt.Sprintf("linalg: mul dimension mismatch %dx%d · %dx%d", m.R, m.C, o.R, o.C))
-	}
-	out := New(m.R, o.C)
-	for i := 0; i < m.R; i++ {
-		for k := 0; k < m.C; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < o.C; j++ {
-				out.Add(i, j, a*o.At(k, j))
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m·v.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if m.C != len(v) {
-		panic(fmt.Sprintf("linalg: mulvec dimension mismatch %dx%d · %d", m.R, m.C, len(v)))
-	}
-	out := make([]float64, m.R)
-	for i := 0; i < m.R; i++ {
-		var s float64
-		row := m.Data[i*m.C : (i+1)*m.C]
-		for j, x := range v {
-			s += row[j] * x
-		}
-		out[i] = s
 	}
 	return out
 }

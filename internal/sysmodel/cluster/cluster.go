@@ -117,27 +117,6 @@ func (c *Cluster) EffectiveShare(rng *rand.Rand) float64 {
 	return 1 - load
 }
 
-// NumNodes returns the node count.
-func (c *Cluster) NumNodes() int { return len(c.Nodes) }
-
-// TotalCores sums cores across nodes.
-func (c *Cluster) TotalCores() int {
-	t := 0
-	for _, n := range c.Nodes {
-		t += n.Cores
-	}
-	return t
-}
-
-// TotalRAMMB sums RAM across nodes.
-func (c *Cluster) TotalRAMMB() float64 {
-	var t float64
-	for _, n := range c.Nodes {
-		t += n.RAMMB
-	}
-	return t
-}
-
 // MinNode returns the weakest node (by core×clock product); wave-based
 // schedulers are often limited by it.
 func (c *Cluster) MinNode() Node {

@@ -7,11 +7,13 @@ import (
 
 func TestHomogeneousShape(t *testing.T) {
 	c := Commodity(8)
-	if c.NumNodes() != 8 || c.TotalCores() != 64 {
-		t.Errorf("commodity cluster wrong: %d nodes, %d cores", c.NumNodes(), c.TotalCores())
+	cores, ram := 0, 0.0
+	for _, n := range c.Nodes {
+		cores += n.Cores
+		ram += n.RAMMB
 	}
-	if c.TotalRAMMB() != 8*16*1024 {
-		t.Errorf("RAM = %v", c.TotalRAMMB())
+	if len(c.Nodes) != 8 || cores != 64 || ram != 8*16*1024 {
+		t.Errorf("commodity cluster wrong: %d nodes, %d cores, %v MB RAM", len(c.Nodes), cores, ram)
 	}
 	if c.BisectionMBps <= 0 {
 		t.Error("bisection bandwidth must be positive")

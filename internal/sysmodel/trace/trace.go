@@ -63,26 +63,6 @@ func (t *Trace) Totals() Op {
 	return sum
 }
 
-// Prefix returns the trace truncated to the first ceil(f·len(Ops))
-// operations — the trace-replay fidelity knob. Replaying a prefix costs
-// proportionally less, and its prediction tracks the full trace when
-// demands are stationary across the capture; phase-changing workloads are
-// the misleading case (the prefix never sees the later phase). f ≥ 1
-// returns the trace unchanged.
-func (t *Trace) Prefix(f float64) *Trace {
-	if f >= 1 || len(t.Ops) == 0 {
-		return t
-	}
-	if f < 0 {
-		f = 0
-	}
-	n := int(math.Ceil(f * float64(len(t.Ops))))
-	if n < 1 {
-		n = 1
-	}
-	return &Trace{Ops: t.Ops[:n], Concurrency: t.Concurrency}
-}
-
 // Resources describes the hypothetical machine a trace is replayed against.
 type Resources struct {
 	Cores     float64

@@ -85,29 +85,3 @@ func TestPassesBoundary(t *testing.T) {
 		t.Errorf("passes not monotone: %v vs %v", passes(1000, 4), passes(1000, 64))
 	}
 }
-
-// TestPrefixFidelity: the trace prefix is the replay fidelity knob — it
-// costs proportionally less, never exceeds the full replay, and f ≥ 1
-// returns the trace unchanged.
-func TestPrefixFidelity(t *testing.T) {
-	var tr Trace
-	for i := 0; i < 40; i++ {
-		tr.Ops = append(tr.Ops, Op{CPUSeconds: 1, SeqReadMB: 100})
-	}
-	r := Resources{Cores: 4, ClockGHz: 2, SeqMBps: 200, RandMBps: 20, WriteMBps: 100}
-	full := Replay(&tr, r)
-	prev := 0.0
-	for _, f := range []float64{0.1, 0.5, 1} {
-		p := Replay(tr.Prefix(f), r)
-		if p <= prev || p > full {
-			t.Fatalf("prefix replay not monotone within the full bound: f=%v cost=%v (prev %v, full %v)", f, p, prev, full)
-		}
-		prev = p
-	}
-	if got := tr.Prefix(1.5); got != &tr {
-		t.Error("f ≥ 1 should return the trace unchanged")
-	}
-	if got := tr.Prefix(0); len(got.Ops) != 1 {
-		t.Errorf("f = 0 clamps to one op, got %d", len(got.Ops))
-	}
-}

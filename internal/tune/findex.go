@@ -58,8 +58,9 @@ type KV struct {
 	V float64
 }
 
-// featList converts a feature map into a sorted KV list.
-func featList(m map[string]float64) []KV {
+// FeatureList converts a feature map into the KV list, sorted by key, that
+// the index takes.
+func FeatureList(m map[string]float64) []KV {
 	if len(m) == 0 {
 		return nil
 	}
@@ -389,7 +390,7 @@ type fiQuery struct {
 
 // prepare classifies a query against the frozen build scale.
 func (ix *FeatureIndex) prepare(features map[string]float64) *fiQuery {
-	fq := &fiQuery{q: featList(features), shape: -1, fast: !ix.degenerate}
+	fq := &fiQuery{q: FeatureList(features), shape: -1, fast: !ix.degenerate}
 	fq.sc = make([]float64, len(fq.q))
 	for k, kv := range fq.q {
 		if !finite(kv.V) {

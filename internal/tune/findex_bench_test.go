@@ -21,7 +21,7 @@ func benchCorpus(n int, seed int64) [][]KV {
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([][]KV, n)
 	for i := range pts {
-		pts[i] = featList(benchBases[i%3])
+		pts[i] = FeatureList(benchBases[i%3])
 		if i >= 3 {
 			for k := range pts[i] {
 				pts[i][k].V *= 0.25 + 0.75*rng.Float64()

@@ -75,7 +75,7 @@ func randShapedFeatures(rng *rand.Rand) map[string]float64 {
 func featLists(feats []map[string]float64) [][]KV {
 	pts := make([][]KV, len(feats))
 	for i, m := range feats {
-		pts[i] = featList(m)
+		pts[i] = FeatureList(m)
 	}
 	return pts
 }
@@ -124,7 +124,7 @@ type indexedRepo struct {
 func newIndexedRepo() *indexedRepo { return &indexedRepo{ci: NewCorpusIndex()} }
 
 func (r *indexedRepo) Add(rec SessionRecord) {
-	r.ci.AddKV(rec.System, featList(rec.Features), len(r.Sessions))
+	r.ci.AddKV(rec.System, FeatureList(rec.Features), len(r.Sessions))
 	r.Repository.Add(rec)
 }
 
@@ -473,7 +473,7 @@ func TestFeatureIndexBuildSameTreeAtAnyGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	pts := make([][]KV, 5*vpParallelMin)
 	for i := range pts {
-		pts[i] = featList(randShapedFeatures(rng))
+		pts[i] = FeatureList(randShapedFeatures(rng))
 		for k := range pts[i] {
 			pts[i][k].V += rng.Float64()
 		}

@@ -90,7 +90,7 @@ func TestSessionConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			cfg := target.space.Default().With("a", float64(w))
 			for i := 0; i < 50; i++ {
-				s.RecordExternal(cfg, Result{Time: 1 + float64(w)})
+				s.Record(Candidate{Config: cfg}, Result{Time: 1 + float64(w)})
 				s.Best()
 				s.Exhausted()
 				s.SimTimeUsed()

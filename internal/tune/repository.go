@@ -3,7 +3,6 @@ package tune
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // TrialRecord is the serializable form of one observed trial: the unit-cube
@@ -89,7 +88,7 @@ func Snapshot(c Corpus, targetName string) (*Repository, error) {
 	if c == nil {
 		return nil, nil
 	}
-	system, _, _ := strings.Cut(targetName, "/")
+	system, _ := SplitTargetName(targetName)
 	if system == "" {
 		return nil, fmt.Errorf("tune: a corpus snapshot needs the target's name (\"system/workload\") to select its system's sessions, got %q", targetName)
 	}

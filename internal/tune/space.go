@@ -98,44 +98,6 @@ func (s *Space) Random(rng *rand.Rand) Config {
 	return Config{space: s, x: x}
 }
 
-// Perturb returns a copy of cfg with each coordinate moved by a uniform step
-// in [-scale, scale], clamped to the cube. Discrete parameters may or may not
-// change bucket; that is intentional for local search.
-func (s *Space) Perturb(cfg Config, scale float64, rng *rand.Rand) Config {
-	x := cfg.Vector()
-	for i := range x {
-		x[i] = clamp01(x[i] + (rng.Float64()*2-1)*scale)
-	}
-	return Config{space: s, x: x}
-}
-
-// Subspace returns a new space containing only the named parameters, in the
-// given order. Unknown names are an error.
-func (s *Space) Subspace(names ...string) (*Space, error) {
-	ps := make([]Param, 0, len(names))
-	for _, n := range names {
-		p, ok := s.Param(n)
-		if !ok {
-			return nil, fmt.Errorf("tune: no parameter %q in space", n)
-		}
-		ps = append(ps, p)
-	}
-	return NewSpace(ps...), nil
-}
-
-// Project maps a configuration of this space onto dst, copying values of
-// parameters that exist (by name) in both spaces and using dst defaults for
-// the rest.
-func (s *Space) Project(cfg Config, dst *Space) Config {
-	out := dst.Default()
-	for _, p := range s.params {
-		if _, ok := dst.Param(p.Name); ok {
-			out = out.WithNative(p.Name, cfg.Native(p.Name))
-		}
-	}
-	return out
-}
-
 // ByImpact returns parameter names sorted by declared documentation impact,
 // descending (ties broken by name for determinism). This is the primitive
 // behind configuration-navigation tuning.

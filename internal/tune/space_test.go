@@ -1,7 +1,6 @@
 package tune
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -78,33 +77,6 @@ func TestFromVectorPanicsOnDimension(t *testing.T) {
 	testSpace().FromVector([]float64{0.5})
 }
 
-func TestSubspace(t *testing.T) {
-	s := testSpace()
-	sub, err := s.Subspace("compress", "mem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Dim() != 2 || sub.Names()[0] != "compress" {
-		t.Errorf("Subspace = %v", sub.Names())
-	}
-	if _, err := s.Subspace("ghost"); err == nil {
-		t.Error("expected error for unknown parameter")
-	}
-}
-
-func TestProject(t *testing.T) {
-	src := testSpace()
-	dst := NewSpace(LogFloat("mem", 1, 1024, 16), Int("threads", 1, 4, 1))
-	cfg := src.Default().WithNative("mem", 256)
-	out := src.Project(cfg, dst)
-	if v := out.Float("mem"); v < 255 || v > 257 {
-		t.Errorf("projected mem = %v, want 256", v)
-	}
-	if out.Int("threads") != 1 {
-		t.Errorf("threads should stay at dst default, got %d", out.Int("threads"))
-	}
-}
-
 func TestByImpactOrdering(t *testing.T) {
 	got := testSpace().ByImpact()
 	want := []string{"mem", "workers", "compress", "policy"}
@@ -117,19 +89,5 @@ func TestEffectiveDim(t *testing.T) {
 	s := NewSpace(Float("a", 0, 1, 0), Float("b", 0, 1, 0).AsInert())
 	if s.EffectiveDim() != 1 {
 		t.Errorf("EffectiveDim = %d, want 1", s.EffectiveDim())
-	}
-}
-
-func TestPerturbStaysInCube(t *testing.T) {
-	s := testSpace()
-	rng := rand.New(rand.NewSource(2))
-	cfg := s.Default()
-	for i := 0; i < 100; i++ {
-		cfg = s.Perturb(cfg, 0.4, rng)
-		for _, v := range cfg.Vector() {
-			if v < 0 || v > 1 {
-				t.Fatalf("perturb left the cube: %v", v)
-			}
-		}
 	}
 }

@@ -360,7 +360,7 @@ func saveOp(cp SessionCheckpoint) op {
 }
 
 // lifetime is the scripted store lifetime the fault table replays, with
-// CompactEvery 4: after the fresh Open, three appends and a delete (which
+// compactEvery 4: after the fresh Open, three appends and a delete (which
 // folds the tail), checkpoints for two sessions — s1 rewritten, then appended
 // to twice — a bulk append, appends up to the next count-triggered fold, the
 // delete of a segment-resident record, a full compaction, and s2's checkpoint
@@ -416,7 +416,7 @@ func runLifetime(dir string, fs *faultFS, after func(i int, r *lifetimeRun)) lif
 		return r
 	}
 	r.opened = true
-	s.CompactEvery = 4
+	s.compactEvery = 4
 	for i, op := range lifetime() {
 		before := fs.faulted()
 		effect, err := op(s, &r.acked)

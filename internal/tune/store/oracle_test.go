@@ -174,7 +174,7 @@ func TestStoreLookupsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dir := t.TempDir()
 	s := open(t, dir)
-	s.CompactEvery = 16 // several segment folds across the appends below
+	s.compactEvery = 16 // several segment folds across the appends below
 	var live []int64
 	for i := 0; i < 140; i++ {
 		sys := "dbms"
@@ -234,7 +234,7 @@ func TestStoreLookupsMatchOracleRace3(t *testing.T) { TestStoreLookupsMatchOracl
 func TestStoreLookupsTailOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := open(t, t.TempDir())
-	s.CompactEvery = 0 // never fold
+	s.compactEvery = 0 // never fold
 	assertStoreMatchesOracle(t, s, "dbms", randOracleQuery(rng))
 	for i := 0; i < 30; i++ {
 		if _, err := s.Append(randOracleRecord(rng, "dbms")); err != nil {
@@ -256,7 +256,7 @@ func TestStoreBulkAppendMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dir := t.TempDir()
 	s := open(t, dir)
-	s.CompactEvery = 16
+	s.compactEvery = 16
 	mkBatch := func(n int) []tune.SessionRecord {
 		out := make([]tune.SessionRecord, n)
 		for i := range out {
@@ -321,7 +321,7 @@ func TestStoreBulkAppendMatchesOracleRace3(t *testing.T) { TestStoreBulkAppendMa
 func TestStoreLookupsSeeIncrementalAppends(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := open(t, t.TempDir())
-	s.CompactEvery = 8
+	s.compactEvery = 8
 	for i := 0; i < 20; i++ {
 		if _, err := s.Append(randOracleRecord(rng, "dbms")); err != nil {
 			t.Fatal(err)

@@ -116,7 +116,7 @@ func entryFor(st Stored) segEntry {
 		workload: st.Record.Workload,
 		ntrials:  uint32(len(st.Record.Trials)),
 		best:     math.NaN(),
-		feats:    sortedFeats(st.Record.Features),
+		feats:    tune.FeatureList(st.Record.Features),
 	}
 	if n := len(st.Record.ParamNames); n <= math.MaxUint16 {
 		e.nparams = uint16(n)
@@ -127,18 +127,6 @@ func entryFor(st Stored) segEntry {
 		e.best = st.Record.Trials[at].Time
 	}
 	return e
-}
-
-func sortedFeats(m map[string]float64) []tune.KV {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]tune.KV, 0, len(m))
-	for k, v := range m {
-		out = append(out, tune.KV{K: k, V: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
-	return out
 }
 
 // writeSegment encodes recs (in order) as a complete segment onto dst and

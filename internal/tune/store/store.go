@@ -19,11 +19,12 @@
 // acknowledged record survives a crash. Loading reads the manifest, each
 // committed segment's index, and the tail; a torn tail (a final line
 // missing its newline or cut mid-JSON by a crash) is truncated away,
-// recovering every complete record. When the tail grows past CompactEvery
-// entries it is folded into a new segment and truncated. Every write goes
-// through fs.go: one append-only log type, one atomic install, one file-system
-// seam. This is the only layout the store reads: Open refuses a directory
-// still in a retired one (see errLegacyLayout).
+// recovering every complete record. When the tail grows past
+// DefaultCompactEvery entries or DefaultCompactBytes bytes it is folded into
+// a new segment and truncated. Every write goes through fs.go: one
+// append-only log type, one atomic install, one file-system seam. This is the
+// only layout the store reads: Open refuses a directory still in a retired
+// one (see errLegacyLayout).
 package store
 
 import (
@@ -60,9 +61,6 @@ type Summary struct {
 // Store is a durable corpus of past tuning sessions. Implementations are
 // safe for concurrent use.
 type Store interface {
-	// Sessions returns the live records in insertion order, reading every
-	// payload — an O(corpus) materialization; prefer Summaries for listings.
-	Sessions() ([]Stored, error)
 	// Summaries returns the live sessions' digests in insertion order from
 	// the index alone.
 	Summaries() []Summary
@@ -152,19 +150,15 @@ type FileStore struct {
 	dir string
 	fs  fileSystem
 
-	// CompactEvery is the number of WAL entries that triggers an automatic
-	// tail fold on the next mutation (default DefaultCompactEvery; set it
-	// right after Open, before concurrent use).
-	CompactEvery int
-
-	// CompactBytes is the WAL byte size that triggers an automatic tail
-	// fold on the next mutation, independent of CompactEvery (default
-	// DefaultCompactBytes; 0 disables the size trigger; set it right after
-	// Open, before concurrent use). Either trigger firing folds the tail.
-	CompactBytes int64
+	// compactEvery is the number of WAL entries and compactBytes the WAL
+	// byte size that trigger an automatic tail fold on the next mutation,
+	// whichever fires first; 0 disables a trigger. Open sets the defaults;
+	// only in-package tests change them, right after Open.
+	compactEvery int
+	compactBytes int64
 
 	// mu guards all mutable state. Writers (Append, Delete, folds) take it
-	// exclusively; materializing readers (Sessions, Get, Summaries) share
+	// exclusively; materializing readers (ForSystem, Get, Summaries) share
 	// it — segment payload reads go through ReadAt on immutable files, so
 	// concurrent readers never contend on file position. Lookup methods
 	// (WarmConfigs, Nearest) also share it on their fast path:
@@ -213,8 +207,8 @@ func openFS(dir string, fs fileSystem) (*FileStore, error) {
 	s := &FileStore{
 		dir:          dir,
 		fs:           fs,
-		CompactEvery: DefaultCompactEvery,
-		CompactBytes: DefaultCompactBytes,
+		compactEvery: DefaultCompactEvery,
+		compactBytes: DefaultCompactBytes,
 		nextID:       1,
 		tailRecs:     map[int64]tune.SessionRecord{},
 		dead:         map[int64]bool{},
@@ -418,7 +412,7 @@ func (s *FileStore) Append(rec tune.SessionRecord) (int64, error) {
 	s.tailRecs[id] = rec
 	if s.corpusOK {
 		// Appends extend the live order, so the lazy index stays valid.
-		s.corpus.AddKV(rec.System, sortedFeats(rec.Features), len(s.refs))
+		s.corpus.AddKV(rec.System, tune.FeatureList(rec.Features), len(s.refs))
 		s.refs = append(s.refs, recRef{seg: -1, id: id})
 	}
 	s.maybeCompactLocked()
@@ -545,26 +539,6 @@ func (s *FileStore) Get(id int64) (Stored, bool, error) {
 	return Stored{ID: id, Record: rec}, true, nil
 }
 
-// Sessions implements Store.
-func (s *FileStore) Sessions() ([]Stored, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Stored
-	var err error
-	s.iterLiveLocked(func(ref recRef) bool {
-		var rec tune.SessionRecord
-		if rec, err = s.readRefLocked(ref); err != nil {
-			return false
-		}
-		out = append(out, Stored{ID: ref.id, Record: rec})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Summaries implements Store.
 func (s *FileStore) Summaries() []Summary {
 	s.mu.RLock()
@@ -647,7 +621,7 @@ func (s *FileStore) ensureCorpusLocked() {
 		var feats []tune.KV
 		if ref.seg < 0 {
 			rec := s.tailRecs[ref.id]
-			system, feats = rec.System, sortedFeats(rec.Features)
+			system, feats = rec.System, tune.FeatureList(rec.Features)
 		} else {
 			e := &s.segs[ref.seg].entries[ref.ent]
 			system, feats = e.system, e.feats
@@ -741,13 +715,13 @@ func (s *FileStore) Nearest(system string, features map[string]float64) (Summary
 }
 
 // maybeCompactLocked folds the tail when the WAL has grown past
-// CompactEvery entries or CompactBytes bytes — whichever fires first. Fold
+// compactEvery entries or compactBytes bytes — whichever fires first. Fold
 // failure is not an error for the triggering mutation — the mutation itself
 // is already durable in the log; the oversized WAL will be retried on the
 // next mutation and folded at the latest on reopen.
 func (s *FileStore) maybeCompactLocked() {
-	byCount := s.CompactEvery > 0 && s.walLen >= s.CompactEvery
-	bySize := s.CompactBytes > 0 && s.wal.size >= s.CompactBytes
+	byCount := s.compactEvery > 0 && s.walLen >= s.compactEvery
+	bySize := s.compactBytes > 0 && s.wal.size >= s.compactBytes
 	if byCount || bySize {
 		_ = s.foldTailLocked()
 	}

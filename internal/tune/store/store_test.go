@@ -40,6 +40,28 @@ func open(t *testing.T, dir string) *FileStore {
 	return s
 }
 
+// Sessions returns the live records in insertion order, reading every
+// payload under one read lock: the whole-corpus view the tests check the
+// store's other reads against.
+func (s *FileStore) Sessions() ([]Stored, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []Stored
+	var err error
+	s.iterLiveLocked(func(ref recRef) bool {
+		var rec tune.SessionRecord
+		if rec, err = s.readRefLocked(ref); err != nil {
+			return false
+		}
+		out = append(out, Stored{ID: ref.id, Record: rec})
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // sessions materializes the live records, failing the test on read errors.
 func sessions(t *testing.T, s *FileStore) []Stored {
 	t.Helper()
@@ -119,7 +141,7 @@ func TestStoreDeleteSurvivesReopen(t *testing.T) {
 func TestStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
-	s.CompactEvery = 4
+	s.compactEvery = 4
 	for i := 0; i < 10; i++ {
 		if _, err := s.Append(rec("dbms", "tpch", 1)); err != nil {
 			t.Fatal(err)
@@ -252,7 +274,7 @@ func TestStoreCrashSafety(t *testing.T) {
 // TestStoreConcurrentAppends exercises the mutex under the race detector.
 func TestStoreConcurrentAppends(t *testing.T) {
 	s := open(t, t.TempDir())
-	s.CompactEvery = 8
+	s.compactEvery = 8
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func() {
@@ -289,7 +311,7 @@ func TestStoreConcurrentAppends(t *testing.T) {
 // damage report it.
 func TestForSystemReadsOnlyItsOwnPayloads(t *testing.T) {
 	s := open(t, t.TempDir())
-	s.CompactEvery = 4 // two segments of four, then a tail of two
+	s.compactEvery = 4 // two segments of four, then a tail of two
 	var want []tune.SessionRecord
 	for i := 0; i < 10; i++ {
 		r := rec("dbms", fmt.Sprintf("wl%d", i), 2+i)
@@ -410,13 +432,13 @@ func lookupSpace() *tune.Space {
 
 // TestCompactBytesTriggersFold: the size trigger alone (count trigger
 // disabled) folds the WAL tail into a committed segment once the log
-// outgrows CompactBytes — the guard that keeps replay time bounded when a
+// outgrows compactBytes — the guard that keeps replay time bounded when a
 // workload writes few but large sessions.
 func TestCompactBytesTriggersFold(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
-	s.CompactEvery = 0 // isolate the size trigger
-	s.CompactBytes = 4 << 10
+	s.compactEvery = 0 // isolate the size trigger
+	s.compactBytes = 4 << 10
 	for i := 0; i < 12; i++ {
 		if _, err := s.Append(rec("dbms", "tpch", 40)); err != nil {
 			t.Fatal(err)
@@ -427,14 +449,14 @@ func TestCompactBytesTriggersFold(t *testing.T) {
 		t.Fatalf("no manifest after size-triggered fold: %v", err)
 	}
 	if len(man.Segments) == 0 {
-		t.Fatal("no segments: CompactBytes never fired")
+		t.Fatal("no segments: compactBytes never fired")
 	}
 	wal, err := os.ReadFile(filepath.Join(dir, walFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(wal)) >= s.CompactBytes {
-		t.Errorf("WAL still %d bytes after folding, trigger at %d", len(wal), s.CompactBytes)
+	if int64(len(wal)) >= s.compactBytes {
+		t.Errorf("WAL still %d bytes after folding, trigger at %d", len(wal), s.compactBytes)
 	}
 	s.Close()
 	s2 := open(t, dir)
@@ -445,8 +467,8 @@ func TestCompactBytesTriggersFold(t *testing.T) {
 	// Both triggers off: the WAL grows unbounded and nothing folds.
 	dir2 := t.TempDir()
 	u := open(t, dir2)
-	u.CompactEvery = 0
-	u.CompactBytes = 0
+	u.compactEvery = 0
+	u.compactBytes = 0
 	for i := 0; i < 12; i++ {
 		if _, err := u.Append(rec("dbms", "tpch", 40)); err != nil {
 			t.Fatal(err)
@@ -465,7 +487,7 @@ func TestCompactBytesTriggersFold(t *testing.T) {
 func TestConcurrentReadersDuringArchive(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
-	s.CompactEvery = 8
+	s.compactEvery = 8
 	for i := 0; i < 16; i++ {
 		if _, err := s.Append(rec("dbms", fmt.Sprintf("wl%d", i), 4+i%5)); err != nil {
 			t.Fatal(err)

@@ -1,5 +1,7 @@
 package tune
 
+import "strings"
+
 // Result is the outcome of running a target once under a configuration.
 // Time is the objective (simulated execution seconds, lower is better).
 // Metrics carries the internal runtime counters the system exposed during
@@ -50,6 +52,13 @@ type Target interface {
 	Space() *Space
 	// Run executes the workload once under cfg.
 	Run(cfg Config) Result
+}
+
+// SplitTargetName splits a target name ("system/workload") at its first '/'.
+// A name without one is all system: the workload is then "".
+func SplitTargetName(name string) (system, workload string) {
+	system, workload, _ = strings.Cut(name, "/")
+	return system, workload
 }
 
 // ConcurrentTarget is implemented by targets whose per-run noise stream is

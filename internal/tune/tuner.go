@@ -91,8 +91,8 @@ type BlockingTuner interface {
 }
 
 // Session tracks trials against a budget on behalf of a tuner and maintains
-// the incumbent best. Every trial is charged to a session — by Drive for
-// configuration trials, by RecordExternal for a BlockingTuner's controlled
+// the incumbent best. Every trial enters a session through Record — called
+// by Drive for configuration trials and by a BlockingTuner for its controlled
 // runs — so accounting is uniform across categories. Sessions are safe for
 // concurrent use: the engine records trials from its driver goroutine while
 // monitors may read progress from others.
@@ -154,8 +154,9 @@ func (s *Session) exhaustedLocked() bool {
 
 // Record is the one way a trial enters a session: the drive loop evaluates
 // batches through its Evaluator and merges each outcome here in proposal
-// order, stamping a partial result with the candidate's fidelity. It returns
-// the recorded trial.
+// order, stamping a partial result with the candidate's fidelity; a
+// BlockingTuner records each controlled run here as a full-fidelity
+// candidate. It returns the recorded trial.
 func (s *Session) Record(c Candidate, res Result) Trial {
 	s.gate()
 	s.mu.Lock()
@@ -166,13 +167,6 @@ func (s *Session) Record(c Candidate, res Result) Trial {
 	}
 	s.emitLocked(Event{Kind: TrialStarted, Trial: len(s.trials) + 1, Config: c.Config, Fidelity: fid})
 	return s.recordLocked(c.Config, res)
-}
-
-// RecordExternal is Record for a full-fidelity run: adaptive tuners drive
-// tune.AdaptiveTarget.RunAdaptive directly and charge the run to the session
-// here, so cost accounting stays uniform across categories.
-func (s *Session) RecordExternal(cfg Config, res Result) Trial {
-	return s.Record(Candidate{Config: cfg}, res)
 }
 
 func (s *Session) recordLocked(cfg Config, res Result) Trial {

@@ -109,10 +109,10 @@ func TestSessionContextCancel(t *testing.T) {
 	}
 }
 
-func TestSessionRecordExternal(t *testing.T) {
+func TestSessionRecordFullFidelity(t *testing.T) {
 	target := newStubTarget()
 	s := NewSession(nil, target, Budget{Trials: 5})
-	s.RecordExternal(target.Space().Default(), Result{Time: 42})
+	s.Record(Candidate{Config: target.Space().Default()}, Result{Time: 42})
 	if len(s.Trials()) != 1 || s.SimTimeUsed() != 42 {
 		t.Errorf("external trial not recorded: %d trials, %.0f sim", len(s.Trials()), s.SimTimeUsed())
 	}
@@ -218,3 +218,20 @@ func TestObjectiveInfinityGuard(t *testing.T) {
 }
 
 func randSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+func TestSplitTargetName(t *testing.T) {
+	for _, c := range []struct{ name, system, workload string }{
+		{"dbms/tpch", "dbms", "tpch"},
+		{"dbms/oltp-olap-shift", "dbms", "oltp-olap-shift"},
+		{"spark/pagerank", "spark", "pagerank"},
+		{"a/b/c", "a", "b/c"}, // only the first '/' separates
+		{"dbms", "dbms", ""},
+		{"/tpch", "", "tpch"},
+		{"dbms/", "dbms", ""},
+		{"", "", ""},
+	} {
+		if system, workload := SplitTargetName(c.name); system != c.system || workload != c.workload {
+			t.Errorf("SplitTargetName(%q) = %q, %q; want %q, %q", c.name, system, workload, c.system, c.workload)
+		}
+	}
+}

@@ -269,7 +269,7 @@ func tuneAdaptive(ctx context.Context, name string, target tune.Target, b tune.B
 	s := tune.NewSession(ctx, target, b)
 	for r := 0; r < min(sessionRuns, b.Trials) && !s.Exhausted(); r++ {
 		c := ctl(r, at.Epochs())
-		s.RecordExternal(start, at.RunAdaptive(start, c))
+		s.Record(tune.Candidate{Config: start}, at.RunAdaptive(start, c))
 		if colt, ok := c.(*controller); ok {
 			start = colt.best
 		}

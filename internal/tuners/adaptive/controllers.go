@@ -3,7 +3,6 @@ package adaptive
 import (
 	"context"
 	"math/rand"
-	"strings"
 
 	"repro/internal/tune"
 )
@@ -157,7 +156,7 @@ func (r *Recommender) warmStart(target tune.Target) tune.Config {
 	if d, ok := target.(tune.Describer); ok {
 		features = d.WorkloadFeatures()
 	}
-	system, _, _ := strings.Cut(target.Name(), "/")
+	system, _ := tune.SplitTargetName(target.Name())
 	if cfgs := tune.WarmConfigs(r.Repo, system, features, target.Space(), 1); len(cfgs) > 0 {
 		return cfgs[0]
 	}

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"math/rand"
-	"strings"
 
 	"repro/internal/mathx/gp"
 	"repro/internal/mathx/nn"
@@ -45,7 +44,7 @@ func (t *OtterTune) NewProposer(target tune.Target, b tune.Budget) (tune.Propose
 	d := space.Dim()
 	rng := rand.New(rand.NewSource(t.Seed))
 
-	system, _, _ := strings.Cut(target.Name(), "/")
+	system, _ := tune.SplitTargetName(target.Name())
 	sessions, _ := t.Repo.ForSystem(system) // in memory: never fails
 	pruned := pruneMetrics(sessions, otPrunedMetrics, rng)
 	ranking := rankKnobs(space, sessions)

@@ -280,17 +280,15 @@ func minf(a, b float64) float64 {
 	return b
 }
 
-// BookFor returns the rulebook matching a target name prefix, or an error.
+// BookFor returns the rulebook for a target name's system, or an error.
 func BookFor(targetName string) (*Rulebook, error) {
-	switch {
-	case hasPrefix(targetName, "dbms/"):
+	switch system, _ := tune.SplitTargetName(targetName); system {
+	case "dbms":
 		return DBMSRules(), nil
-	case hasPrefix(targetName, "hadoop/"):
+	case "hadoop":
 		return HadoopRules(), nil
-	case hasPrefix(targetName, "spark/"):
+	case "spark":
 		return SparkRules(), nil
 	}
 	return nil, fmt.Errorf("rulebased: no rulebook for target %q", targetName)
 }
-
-func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }

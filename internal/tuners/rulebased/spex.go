@@ -14,8 +14,6 @@ type Constraint interface {
 	// Check returns a violation description, or "" if cfg satisfies the
 	// constraint. specs supplies deployment facts for resource budgets.
 	Check(cfg tune.Config, specs map[string]float64) string
-	// Repair returns cfg adjusted to satisfy the constraint where possible.
-	Repair(cfg tune.Config, specs map[string]float64) tune.Config
 }
 
 // RangeConstraint requires lo ≤ param ≤ hi (native units).
@@ -31,43 +29,6 @@ func (c RangeConstraint) Check(cfg tune.Config, _ map[string]float64) string {
 		return fmt.Sprintf("%s=%.4g outside valid range [%.4g, %.4g]", c.Param, v, c.Lo, c.Hi)
 	}
 	return ""
-}
-
-// Repair implements Constraint.
-func (c RangeConstraint) Repair(cfg tune.Config, _ map[string]float64) tune.Config {
-	v := cfg.Native(c.Param)
-	if v < c.Lo {
-		return cfg.WithNative(c.Param, c.Lo)
-	}
-	if v > c.Hi {
-		return cfg.WithNative(c.Param, c.Hi)
-	}
-	return cfg
-}
-
-// RatioConstraint requires param ≤ factor × other (both native).
-type RatioConstraint struct {
-	Param  string
-	Other  string
-	Factor float64
-}
-
-// Check implements Constraint.
-func (c RatioConstraint) Check(cfg tune.Config, _ map[string]float64) string {
-	v, o := cfg.Native(c.Param), cfg.Native(c.Other)
-	if v > c.Factor*o {
-		return fmt.Sprintf("%s=%.4g exceeds %.2f×%s=%.4g", c.Param, v, c.Factor, c.Other, c.Factor*o)
-	}
-	return ""
-}
-
-// Repair implements Constraint.
-func (c RatioConstraint) Repair(cfg tune.Config, _ map[string]float64) tune.Config {
-	v, o := cfg.Native(c.Param), cfg.Native(c.Other)
-	if v > c.Factor*o {
-		return cfg.WithNative(c.Param, c.Factor*o)
-	}
-	return cfg
 }
 
 // SumSpecConstraint requires Σ weight_i × param_i ≤ factor × specs[SpecKey].
@@ -98,31 +59,6 @@ func (c SumSpecConstraint) Check(cfg tune.Config, specs map[string]float64) stri
 	return ""
 }
 
-// Repair implements Constraint: parameters are scaled down proportionally.
-func (c SumSpecConstraint) Repair(cfg tune.Config, specs map[string]float64) tune.Config {
-	budget := c.Factor * specs[c.SpecKey]
-	if budget == 0 {
-		return cfg
-	}
-	var sum float64
-	for i, p := range c.Params {
-		w := 1.0
-		if i < len(c.Weights) {
-			w = c.Weights[i]
-		}
-		sum += w * cfg.Native(p)
-	}
-	if sum <= budget {
-		return cfg
-	}
-	// Scale slightly under budget so floating-point re-validation passes.
-	scale := budget / sum * 0.995
-	for _, p := range c.Params {
-		cfg = cfg.WithNative(p, cfg.Native(p)*scale)
-	}
-	return cfg
-}
-
 // Checker is a SPEX-style configuration validator for one system.
 type Checker struct {
 	System      string
@@ -140,14 +76,6 @@ func (ch *Checker) Validate(cfg tune.Config, specs map[string]float64) []string 
 	return out
 }
 
-// Repair applies every constraint's repair in order.
-func (ch *Checker) Repair(cfg tune.Config, specs map[string]float64) tune.Config {
-	for _, c := range ch.Constraints {
-		cfg = c.Repair(cfg, specs)
-	}
-	return cfg
-}
-
 // DBMSChecker returns the inferred constraints of the DBMS simulator: the
 // exact conditions under which it degrades into swapping or fails.
 func DBMSChecker() *Checker {
@@ -160,43 +88,4 @@ func DBMSChecker() *Checker {
 		},
 		RangeConstraint{Param: "random_page_cost", Lo: 1, Hi: 10},
 	}}
-}
-
-// HadoopChecker returns Hadoop's crash constraints: the sort buffer must fit
-// the heap and slot heaps must fit node RAM.
-func HadoopChecker() *Checker {
-	return &Checker{System: "hadoop", Constraints: []Constraint{
-		RatioConstraint{Param: "io_sort_mb", Other: "jvm_heap_mb", Factor: 0.65},
-		SumSpecConstraint{
-			Params:  []string{"jvm_heap_mb"},
-			Weights: []float64{16}, // conservative slot-count bound
-			SpecKey: "ram_mb",
-			Factor:  0.9,
-		},
-	}}
-}
-
-// SparkChecker returns Spark's placement constraints.
-func SparkChecker() *Checker {
-	return &Checker{System: "spark", Constraints: []Constraint{
-		SumSpecConstraint{
-			Params:  []string{"spark_executor_memory_mb"},
-			Weights: []float64{1},
-			SpecKey: "ram_mb",
-			Factor:  0.9,
-		},
-	}}
-}
-
-// CheckerFor returns the checker for a target name prefix.
-func CheckerFor(targetName string) (*Checker, error) {
-	switch {
-	case hasPrefix(targetName, "dbms/"):
-		return DBMSChecker(), nil
-	case hasPrefix(targetName, "hadoop/"):
-		return HadoopChecker(), nil
-	case hasPrefix(targetName, "spark/"):
-		return SparkChecker(), nil
-	}
-	return nil, fmt.Errorf("rulebased: no checker for target %q", targetName)
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/tune"
@@ -80,10 +79,7 @@ func NewDrift(name string, cycle bool, phases ...Phase) (*Drift, error) {
 // repository archival groups drift sessions under the same system as their
 // stationary kin ("dbms/oltp-olap-shift").
 func (d *Drift) Name() string {
-	sys := d.phases[0].Target.Name()
-	if i := strings.IndexByte(sys, '/'); i >= 0 {
-		sys = sys[:i]
-	}
+	sys, _ := tune.SplitTargetName(d.phases[0].Target.Name())
 	return sys + "/" + d.name
 }
 

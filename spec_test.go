@@ -433,14 +433,13 @@ func TestSpecRepositoryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Sessions()
+	got, err := st.ForSystem("spark")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 ||
-		got[0].Record.System != "spark" || got[0].Record.Workload != "kmeans" ||
-		len(got[0].Record.Trials) != 8 {
-		t.Fatalf("archived state wrong: %+v", got)
+	if st.Len() != 1 || len(got) != 1 ||
+		got[0].Workload != "kmeans" || len(got[0].Trials) != 8 {
+		t.Fatalf("archived state wrong: %d records, spark ones %+v", st.Len(), got)
 	}
 	st.Close()
 
@@ -456,7 +455,7 @@ func TestSpecRepositoryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	sessions, err := st.Sessions()
+	sessions, err := st.ForSystem("spark")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +469,7 @@ func TestSpecRepositoryLifecycle(t *testing.T) {
 	// Reconstruct the corpus the warm session saw: only the kmeans record
 	// existed when it was submitted (its own archive came later).
 	histOnly := &Repository{}
-	histOnly.Add(sessions[0].Record)
+	histOnly.Add(sessions[0])
 	seeds := tune.WarmConfigs(histOnly, "spark", nil, target.Space(), WarmSeeds)
 	// (nil features: with a single compatible session the mapping has one
 	// candidate regardless of features.)

@@ -3,8 +3,13 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -50,6 +55,9 @@ var retiredSurfaces = []string{
 	// run path and a job scales itself — and the CLI checkpoint id's field
 	// list sanitizer: the id is a hash of the whole spec.
 	`atFidelity\(`, `notSIDRune`,
+	// One-line copies of another entry point: a subscription that ends early
+	// is EventsSince(ctx, 0), and every trial enters a session through Record.
+	`EventsContext\(`, `RecordExternal\(`,
 }
 
 // The one CI step list: the workflow's only command is scripts/ci.sh, and
@@ -143,4 +151,123 @@ func TestRetiredSurfacesStayRetired(t *testing.T) {
 
 func harness(name string) bool {
 	return strings.HasPrefix(name, "benchmark/") || strings.HasPrefix(name, "internal/bench/")
+}
+
+// unusedAPIExempt are method names the standard library calls through its
+// own interfaces (fmt, errors, sort, container/heap, encoding/json).
+var unusedAPIExempt = map[string]bool{
+	"String": true, "Error": true, "MarshalJSON": true, "Len": true, "Less": true,
+	"Swap": true, "Push": true, "Pop": true, "Unwrap": true, "Is": true,
+}
+
+// unusedAPIAllowed are the exported declarations under internal/ that only
+// tests call, each kept for the reason given.
+var unusedAPIAllowed = map[string]string{
+	"tune.Config.With":              "test helper shared by the simulator, tuner and engine tests",
+	"tune.Guardrail.Vetoes":         "test accessor: the guardrail tests count vetoes",
+	"tune.DriftDetector.Detections": "test accessor: the drift tests count detections",
+	"tune.NearestSession":           "the linear-scan oracle the store's VP-tree is checked against",
+	"store.FileStore.Compact":       "the only way to reclaim tombstones; the fault table covers it",
+}
+
+// TestInternalAPIHasCallers fails on an exported function or method under
+// internal/ whose name no non-test Go file uses outside its own declaration:
+// internal/ holds what the commands, the daemon, the experiments, the
+// examples and the benchmark run. A name counts as used wherever it appears
+// as an identifier, so an interface's own method list does not count.
+func TestInternalAPIHasCallers(t *testing.T) {
+	type decl struct{ key, pos string }
+	var decls []decl
+	uses := map[string]int{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		skip := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			skip[fn.Name] = true
+			if !strings.HasPrefix(filepath.ToSlash(path), "internal/") || !fn.Name.IsExported() {
+				continue
+			}
+			key := filepath.Base(filepath.Dir(path)) + "."
+			if fn.Recv != nil {
+				if unusedAPIExempt[fn.Name.Name] {
+					continue
+				}
+				key += receiverName(fn.Recv.List[0].Type) + "."
+			}
+			decls = append(decls, decl{key + fn.Name.Name, fset.Position(fn.Pos()).String()})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						skip[name] = true
+					}
+				}
+			case *ast.Ident:
+				if !skip[n] {
+					uses[n.Name]++
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{}
+	for _, d := range decls {
+		switch name := d.key[strings.LastIndexByte(d.key, '.')+1:]; {
+		case uses[name] > 0:
+		case unusedAPIAllowed[d.key] != "":
+			allowed[d.key] = true
+		default:
+			t.Errorf("%s: %s has no caller outside tests; delete it or move it into a test file", d.pos, d.key)
+		}
+	}
+	for key := range unusedAPIAllowed {
+		if !allowed[key] {
+			t.Errorf("allowlisted %s is gone or has a caller now: drop its entry", key)
+		}
+	}
+}
+
+// receiverName is the type name of a method's receiver, pointer and type
+// parameters stripped.
+func receiverName(x ast.Expr) string {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return fmt.Sprintf("%T", x)
+		}
+	}
 }
