@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // slotScheduleOracle is the list scheduler as first written — a linear scan
@@ -100,23 +103,72 @@ func TestListScheduleMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// sortedAtBySort is SortedAt as first written: sort a copy, index it.
+func sortedAtBySort(xs []float64, k int) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[k]
+}
+
+// TestSortedAtMatchesSort selects every index of 1…400 durations, NaNs now
+// and then among them, and wants the element sorting leaves there.
+func TestSortedAtMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 2000; trial++ {
+		ds := taskDurations(r, 1+r.Intn(400))
+		if r.Intn(8) == 0 {
+			ds[r.Intn(len(ds))] = math.NaN()
+		}
+		k := r.Intn(len(ds))
+		switch r.Intn(10) {
+		case 0:
+			k = 0
+		case 1:
+			k = len(ds) - 1
+		case 2:
+			k = len(ds) / 2
+		}
+		want := sortedAtBySort(ds, k)
+		got := SortedAt(append([]float64(nil), ds...), k)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("n=%d k=%d: selected %v, sorted %v", len(ds), k, got, want)
+		}
+	}
+}
+
 // BenchmarkListSchedule times one stage at the shapes simulated Spark stages
 // take in fleet sessions: tasks at the median (235), the 90th percentile
 // (2 167) and the maximum (4 094), on the median (96) and maximum (128) slot
-// counts.
+// counts. Each shape runs with two kinds of durations: i.i.d. log-normal
+// ones, and a Spark stage's — θ = 0.7 Zipf shares plus a per-task overhead,
+// times an exp(N(0, 0.1)) straggler factor — whose new idle times land where
+// a real stage's do. Like the simulator's, every stage draws fresh noise: an
+// iteration schedules the next of 32 stages drawn alike, so the branch
+// predictor cannot learn one stage's comparisons by heart.
 func BenchmarkListSchedule(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
+	const stages = 32
 	for _, tasks := range []int{235, 2167, 4094} {
-		ds := make([]float64, tasks)
-		for i := range ds {
-			ds[i] = math.Exp(r.NormFloat64() * 0.5)
+		shares := workload.ZipfShares(tasks, 0.7)
+		iid, zipf := make([][]float64, stages), make([][]float64, stages)
+		for s := range stages {
+			iid[s], zipf[s] = make([]float64, tasks), make([]float64, tasks)
+			for i := range tasks {
+				iid[s][i] = math.Exp(r.NormFloat64() * 0.5)
+				zipf[s][i] = (float64(tasks)*shares[i] + 0.01) * math.Exp(r.NormFloat64()*0.1)
+			}
 		}
 		for _, slots := range []int{96, 128} {
-			b.Run(fmt.Sprintf("tasks=%d/slots=%d", tasks, slots), func(b *testing.B) {
-				for b.Loop() {
-					ListSchedule(ds, slots, 0, nil)
-				}
-			})
+			for _, shape := range []struct {
+				name string
+				ds   [][]float64
+			}{{"iid", iid}, {"zipf", zipf}} {
+				b.Run(fmt.Sprintf("tasks=%d/slots=%d/%s", tasks, slots, shape.name), func(b *testing.B) {
+					for i := 0; b.Loop(); i++ {
+						ListSchedule(shape.ds[i%stages], slots, 0, nil)
+					}
+				})
+			}
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/tune"
@@ -247,7 +247,7 @@ func (h *Hadoop) simulate(rng *rand.Rand, fidelity float64, cfg tune.Config) tun
 	}
 	if speculative {
 		// A speculative copy caps stragglers near 1.4× the median.
-		med := medianOf(mapDur)
+		med := cluster.SortedAt(slices.Clone(mapDur), mapTasks/2)
 		for i, d := range mapDur {
 			if d > 1.6*med {
 				backup := med*1.3 + jvmStart
@@ -270,9 +270,7 @@ func (h *Hadoop) simulate(rng *rand.Rand, fidelity float64, cfg tune.Config) tun
 	shuffleDur := shuffleMB / shuffleBW
 	// Reducers begin fetching once slowstart of maps finished; only the
 	// first reduce wave overlaps.
-	sort.Float64s(mapCompletions)
-	idx := int(slowstart * float64(len(mapCompletions)-1))
-	shuffleStart := mapCompletions[idx]
+	shuffleStart := cluster.SortedAt(mapCompletions, int(slowstart*float64(mapTasks-1)))
 	firstWaveFrac := math.Min(1, float64(nNodes*redSlots)/float64(reduceTasks))
 	overlapWindow := math.Max(0, mapEnd-shuffleStart)
 	overlapped := math.Min(shuffleDur*firstWaveFrac, overlapWindow)
@@ -314,7 +312,7 @@ func (h *Hadoop) simulate(rng *rand.Rand, fidelity float64, cfg tune.Config) tun
 		redDur[i] = base * f
 	}
 	if speculative {
-		med := medianOf(redDur)
+		med := cluster.SortedAt(slices.Clone(redDur), reduceTasks/2)
 		for i, d := range redDur {
 			if d > 1.6*med && d > 0 {
 				backup := med*1.3 + jvmStart
@@ -347,12 +345,6 @@ func (h *Hadoop) simulate(rng *rand.Rand, fidelity float64, cfg tune.Config) tun
 	m["skew_max_share"] = shares[0] * float64(reduceTasks)
 
 	return tune.Result{Time: elapsed, Cost: cl.DollarCost(elapsed), Metrics: m}
-}
-
-func medianOf(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[len(s)/2]
 }
 
 // Interface conformance checks.

@@ -11,7 +11,6 @@ package spark
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -463,6 +462,11 @@ func (s *Spark) simulate(job *workload.SparkJob, cfg tune.Config, rng *rand.Rand
 		}
 	}
 
+	// A task runs away from its data with probability nonLocalP and then
+	// reads its input at remoteMBps.
+	nonLocalP := math.Max(0.02, 0.25-0.06*localityWait)
+	remoteMBps := node.NetMBps * share
+
 	skew := job.SkewTheta
 	if sqlAdaptive {
 		skew *= 0.5 // AQE re-splits skewed partitions
@@ -470,7 +474,7 @@ func (s *Spark) simulate(job *workload.SparkJob, cfg tune.Config, rng *rand.Rand
 	// Every stage of a run splits by the same skew, and all of them (bar an
 	// input stage under spark_default_parallelism) into the same number of
 	// tasks: shares holds workload.ZipfShares(len(shares), skew) from one stage to the
-	// next. sorted is quantileOf's scratch, durations every stage's.
+	// next. sorted is cluster.SortedAt's scratch, durations every stage's.
 	var shares, sorted, durations []float64
 	// base holds the task durations of the stage under baseKey up to the
 	// first random draw, and baseSpill the MB it spilled: an iterative job
@@ -537,12 +541,11 @@ func (s *Spark) simulate(job *workload.SparkJob, cfg tune.Config, rng *rand.Rand
 		}
 		durations = append(durations[:0], base...)
 		for i := 0; i < tasks; i++ {
-			dMB := dataMB * shares[i]
 			// Non-local tasks pay a network read after the locality wait
 			// expires; generous waits improve locality at idle cost.
-			nonLocalP := math.Max(0.02, 0.25-0.06*localityWait)
 			if rng.Float64() < nonLocalP {
-				durations[i] += localityWait*0.3 + dMB/(node.NetMBps*share)
+				dMB := dataMB * shares[i]
+				durations[i] += localityWait*0.3 + dMB/remoteMBps
 			}
 			// Scheduling overhead per task.
 			durations[i] += schedOverhead
@@ -555,7 +558,7 @@ func (s *Spark) simulate(job *workload.SparkJob, cfg tune.Config, rng *rand.Rand
 		}
 		if spec {
 			sorted = append(sorted[:0], durations...)
-			med := quantileOf(sorted, specQuantile)
+			med := cluster.SortedAt(sorted, min(max(int(specQuantile*float64(tasks-1)), 0), tasks-1))
 			for i, d := range durations {
 				if d > specMult*med {
 					b := med * 1.35
@@ -675,51 +678,6 @@ type stageKey struct {
 	dataMB, shuffleMB float64
 	readFromCache     bool
 	tasks             int
-}
-
-// quantileOf returns the element sort.Float64s would leave at index
-// int(q·(len-1)) of xs, found by selection; it reorders xs.
-func quantileOf(xs []float64, q float64) float64 {
-	n := int(q * float64(len(xs)-1))
-	if n < 0 {
-		n = 0
-	}
-	if n >= len(xs) {
-		n = len(xs) - 1
-	}
-	// sort.Float64s' order: NaNs first.
-	less := func(a, b float64) bool { return a < b || (a != a && b == b) }
-	lo, hi := 0, len(xs)
-	// Quickselect on the middle element; a range that is small, or is left
-	// after 2·log₂ len rounds, is sorted outright.
-	for limit := 2 * bits.Len(uint(len(xs))); hi-lo > 12 && limit > 0; limit-- {
-		m := xs[lo+(hi-lo)/2]
-		i, j := lo, hi-1
-		for i <= j {
-			for less(xs[i], m) {
-				i++
-			}
-			for less(m, xs[j]) {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		// xs[lo:j+1] ≤ pivot ≤ xs[i:hi], and anything between is the pivot.
-		switch {
-		case n <= j:
-			hi = j + 1
-		case n >= i:
-			lo = i
-		default:
-			return xs[n]
-		}
-	}
-	sort.Float64s(xs[lo:hi])
-	return xs[n]
 }
 
 // Interface conformance checks.

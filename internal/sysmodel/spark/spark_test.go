@@ -254,54 +254,6 @@ func TestMultiMetricBitwiseRepeatable(t *testing.T) {
 	}
 }
 
-// quantileBySort is quantileOf as first written: sort a copy, index it.
-func quantileBySort(xs []float64, q float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(q * float64(len(s)-1))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
-}
-
-// taskDurations draws n durations with the ties a real stage has none of:
-// a few distinct values repeated, so equal order statistics are the common
-// case rather than the never case.
-func taskDurations(r *rand.Rand, n int) []float64 {
-	ds := make([]float64, n)
-	distinct := 1 + r.Intn(n)
-	for i := range ds {
-		ds[i] = float64(1+r.Intn(distinct)) * 0.25
-		if r.Intn(4) == 0 {
-			ds[i] = math.Exp(r.NormFloat64())
-		}
-	}
-	return ds
-}
-
-func TestQuantileOfMatchesSort(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 2000; trial++ {
-		ds := taskDurations(r, 1+r.Intn(400))
-		if r.Intn(8) == 0 {
-			ds[r.Intn(len(ds))] = math.NaN()
-		}
-		q := r.Float64()
-		if r.Intn(10) == 0 {
-			q = float64(r.Intn(3)) * 0.5 // 0, 0.5, 1
-		}
-		want := quantileBySort(ds, q)
-		got := quantileOf(append([]float64(nil), ds...), q)
-		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("n=%d q=%v: selected %v, sorted %v", len(ds), q, got, want)
-		}
-	}
-}
-
 // BenchmarkSimulate times one simulated trial of the spark/pagerank target
 // the registry builds (5 GB, 8 iterations, 16 commodity nodes): 243 random
 // configurations, each run at one of a Hyperband bracket's fidelities 1/9,
@@ -346,7 +298,8 @@ func resultDigest(h hash.Hash64, res tune.Result) {
 // but not different. The digest below is of Run and RunIndexedFidelity over
 // random jobs, spaces, seeds, configurations and fidelities, taken with all
 // four as first written: the linear-scan scheduler (cluster's
-// slotScheduleOracle), quantileBySort above, zipfShares called per stage and
+// slotScheduleOracle), a sorted copy indexed for the quantile (cluster's
+// sortedAtBySort), zipfShares called per stage and
 // every task's duration computed afresh in every stage.
 func TestSimulateResultsUnchanged(t *testing.T) {
 	const want = uint64(0x4342a34598e7daa7)

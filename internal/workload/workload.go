@@ -9,7 +9,10 @@
 // can read them like a Starfish job profile would.
 package workload
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // ---------------------------------------------------------------------------
 // DBMS workloads
@@ -235,17 +238,91 @@ func (j *MRJob) Scaled(f float64) *MRJob {
 
 // ZipfShares returns n partition shares summing to 1 under Zipf skew theta
 // (0 = uniform): how the simulators split a job's data by its SkewTheta.
+// Share i is w_i / (w_1 + … + w_n) with w_i = 1/i^θ, summed from i = 1 up.
+// The weights and their running sums come from a process-wide table per θ
+// for n up to zipfTableCap, so a run divides n times instead of calling
+// math.Pow n times; the bits are the formula's, since the table adds in the
+// same order.
 func ZipfShares(n int, theta float64) []float64 {
-	shares := make([]float64, n)
+	return zipfTables.shares(n, theta)
+}
+
+// zipfTableCap bounds a table's entries: a Spark stage has at most 4 096
+// tasks and a Hadoop job at most 512 reducers.
+const zipfTableCap = 4096
+
+// zipfTable holds w_i = 1/i^θ for i = 1…len and their running sums. A
+// published table is never written again: growing builds a new one.
+type zipfTable struct {
+	weights, sums []float64
+}
+
+// extendZipf returns theta's table with n entries, the first of them t's
+// (t may be nil).
+func extendZipf(t *zipfTable, theta float64, n int) *zipfTable {
+	g := &zipfTable{make([]float64, n), make([]float64, n)}
+	have := 0
 	var h float64
-	for i := 1; i <= n; i++ {
-		shares[i-1] = 1 / math.Pow(float64(i), theta)
-		h += shares[i-1]
+	if t != nil {
+		have = copy(g.weights, t.weights)
+		copy(g.sums, t.sums)
+		h = t.sums[have-1]
 	}
+	for i := have + 1; i <= n; i++ {
+		g.weights[i-1] = 1 / math.Pow(float64(i), theta)
+		h += g.weights[i-1]
+		g.sums[i-1] = h
+	}
+	return g
+}
+
+// zipfRegistry is a set of tables, one per θ. θ is a job constant, so a
+// process holds one or two tables per workload it runs.
+type zipfRegistry struct {
+	mu     sync.Mutex
+	tables map[uint64]*zipfTable
+}
+
+var zipfTables zipfRegistry
+
+// shares is ZipfShares over r's tables.
+func (r *zipfRegistry) shares(n int, theta float64) []float64 {
+	shares := make([]float64, n)
+	if n == 0 {
+		return shares
+	}
+	var t *zipfTable
+	if n <= zipfTableCap {
+		t = r.atLeast(n, theta)
+	} else {
+		t = extendZipf(nil, theta, n)
+	}
+	h := t.sums[n-1]
 	for i := range shares {
-		shares[i] /= h
+		shares[i] = t.weights[i] / h
 	}
 	return shares
+}
+
+// atLeast returns theta's table with at least n ≤ zipfTableCap entries,
+// growing it to twice its length (or n, or the cap) when it is shorter.
+func (r *zipfRegistry) atLeast(n int, theta float64) *zipfTable {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	key := math.Float64bits(theta)
+	t := r.tables[key]
+	if t == nil || len(t.weights) < n {
+		grown := n
+		if t != nil {
+			grown = min(max(n, 2*len(t.weights)), zipfTableCap)
+		}
+		t = extendZipf(t, theta, grown)
+		if r.tables == nil {
+			r.tables = map[uint64]*zipfTable{}
+		}
+		r.tables[key] = t
+	}
+	return t
 }
 
 // Grep is the Pavlo-benchmark selection task: scan-heavy, tiny output.

@@ -82,6 +82,18 @@ stage() {
 		# runs the Go loops alone (kernel_generic.go). Nothing here executes
 		# that build, so at least compile and vet it.
 		GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/mathx/...
+		# arm64 may fuse x*y+z into one rounding, so the simulators' results
+		# are bit for bit there only while their fused sites stay as counted
+		# here (DESIGN §5). A change that moves a count says why in CHANGES.md.
+		GOARCH=arm64 go build -a -gcflags='repro/internal/sysmodel/...=-S' -gcflags='repro/internal/workload=-S' \
+			./internal/sysmodel/... ./internal/workload >"$work/arm64.s" 2>&1
+		for want in sysmodel/spark=11 sysmodel/mapreduce=6 sysmodel/dbms=28 sysmodel/paralleldb=0 sysmodel/cluster=2 workload=0; do
+			pkg=${want%=*}
+			got=$(awk -v p="# repro/internal/$pkg" '/^# /{on=($0==p)} on && /FMADDD|FMSUBD|FNMADDD|FNMSUBD/{n++} END{print n+0}' "$work/arm64.s")
+			if [ "$got" != "${want#*=}" ]; then
+				echo "$pkg has $got arm64 fused multiply-add sites, recorded ${want#*=}" && return 1
+			fi
+		done
 		;;
 	race)
 		# Every Fuzz* target's checked-in seed corpus runs here as a test.
