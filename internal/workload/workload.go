@@ -247,37 +247,31 @@ func ZipfShares(n int, theta float64) []float64 {
 	return zipfTables.shares(n, theta)
 }
 
-// zipfTableCap bounds a table's entries: a Spark stage has at most 4 096
-// tasks and a Hadoop job at most 512 reducers.
+// zipfTableCap is a table's length: a Spark stage has at most 4 096 tasks
+// and a Hadoop job at most 512 reducers.
 const zipfTableCap = 4096
 
 // zipfTable holds w_i = 1/i^θ for i = 1…len and their running sums. A
-// published table is never written again: growing builds a new one.
+// published table is never written again.
 type zipfTable struct {
 	weights, sums []float64
 }
 
-// extendZipf returns theta's table with n entries, the first of them t's
-// (t may be nil).
-func extendZipf(t *zipfTable, theta float64, n int) *zipfTable {
-	g := &zipfTable{make([]float64, n), make([]float64, n)}
-	have := 0
+// newZipfTable returns theta's table with n entries.
+func newZipfTable(theta float64, n int) *zipfTable {
+	t := &zipfTable{make([]float64, n), make([]float64, n)}
 	var h float64
-	if t != nil {
-		have = copy(g.weights, t.weights)
-		copy(g.sums, t.sums)
-		h = t.sums[have-1]
+	for i := 1; i <= n; i++ {
+		t.weights[i-1] = 1 / math.Pow(float64(i), theta)
+		h += t.weights[i-1]
+		t.sums[i-1] = h
 	}
-	for i := have + 1; i <= n; i++ {
-		g.weights[i-1] = 1 / math.Pow(float64(i), theta)
-		h += g.weights[i-1]
-		g.sums[i-1] = h
-	}
-	return g
+	return t
 }
 
-// zipfRegistry is a set of tables, one per θ. θ is a job constant, so a
-// process holds one or two tables per workload it runs.
+// zipfRegistry is a set of tables, one per θ, each built at zipfTableCap
+// entries when its θ is first used. θ is a job constant, so a process holds
+// one or two tables per workload it runs.
 type zipfRegistry struct {
 	mu     sync.Mutex
 	tables map[uint64]*zipfTable
@@ -293,9 +287,9 @@ func (r *zipfRegistry) shares(n int, theta float64) []float64 {
 	}
 	var t *zipfTable
 	if n <= zipfTableCap {
-		t = r.atLeast(n, theta)
+		t = r.table(theta)
 	} else {
-		t = extendZipf(nil, theta, n)
+		t = newZipfTable(theta, n)
 	}
 	h := t.sums[n-1]
 	for i := range shares {
@@ -304,19 +298,14 @@ func (r *zipfRegistry) shares(n int, theta float64) []float64 {
 	return shares
 }
 
-// atLeast returns theta's table with at least n ≤ zipfTableCap entries,
-// growing it to twice its length (or n, or the cap) when it is shorter.
-func (r *zipfRegistry) atLeast(n int, theta float64) *zipfTable {
+// table returns theta's table, building it on first use.
+func (r *zipfRegistry) table(theta float64) *zipfTable {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := math.Float64bits(theta)
 	t := r.tables[key]
-	if t == nil || len(t.weights) < n {
-		grown := n
-		if t != nil {
-			grown = min(max(n, 2*len(t.weights)), zipfTableCap)
-		}
-		t = extendZipf(t, theta, grown)
+	if t == nil {
+		t = newZipfTable(theta, zipfTableCap)
 		if r.tables == nil {
 			r.tables = map[uint64]*zipfTable{}
 		}

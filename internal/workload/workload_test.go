@@ -143,15 +143,16 @@ func sameBits(got, want []float64) bool {
 
 // TestZipfSharesMatchFormula wants the shares of every n in 1…zipfTableCap
 // bit for bit as the formula gives them, at every builtin θ: odd n from a
-// table grown from n = 1 up, even n from one first used at the largest n.
-// Then from a table several goroutines grow at once, and past the cap. The
-// sweep over every n carries the formula's running sum from one n to the
-// next and takes its math.Pow values once per θ — the same values, added in
-// the same order as a fresh call, at a fraction of the cost (this test runs
-// under the race detector too) — while the spot checks call the formula.
+// table first used at n = 1, even n from one first used at the largest n.
+// Then from a table several goroutines first use at once, and past the cap.
+// The sweep over every n carries the formula's running sum from one n to
+// the next and takes its math.Pow values once per θ — the same values, added
+// in the same order as a fresh call, at a fraction of the cost (this test
+// runs under the race detector too) — while the spot checks call the formula.
 func TestZipfSharesMatchFormula(t *testing.T) {
 	for _, theta := range builtinSkews() {
-		var growing, largeFirst, concurrent zipfRegistry
+		var smallFirst, largeFirst, concurrent zipfRegistry
+		smallFirst.shares(1, theta)
 		largeFirst.shares(zipfTableCap, theta)
 		weights := make([]float64, 0, zipfTableCap)
 		var h float64
@@ -169,13 +170,12 @@ func TestZipfSharesMatchFormula(t *testing.T) {
 			weights = append(weights, 1/math.Pow(float64(n), theta))
 			h += weights[n-1]
 			if n%2 == 1 {
-				check("grown from n = 1 up", growing.shares(n, theta))
+				check("first used at n = 1", smallFirst.shares(n, theta))
 			} else {
 				check("first used at the largest n", largeFirst.shares(n, theta))
 			}
 		}
-		// Each goroutine doubles its own n from a different start, so their
-		// first uses and growth steps interleave.
+		// Each goroutine starts at a different n, so their first uses race.
 		var wg sync.WaitGroup
 		for g := 1; g <= 4; g++ {
 			wg.Add(1)
@@ -183,7 +183,7 @@ func TestZipfSharesMatchFormula(t *testing.T) {
 				defer wg.Done()
 				for n := g; n <= zipfTableCap; n = 2*n + 1 {
 					if !sameBits(concurrent.shares(n, theta), zipfSharesFormula(n, theta)) {
-						t.Errorf("θ=%v n=%d, table grown concurrently: shares differ from the formula", theta, n)
+						t.Errorf("θ=%v n=%d, table first used concurrently: shares differ from the formula", theta, n)
 					}
 				}
 			}()

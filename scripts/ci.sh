@@ -81,7 +81,8 @@ stage() {
 		# internal/mathx/linalg has amd64 assembly kernels; every other GOARCH
 		# runs the Go loops alone (kernel_generic.go). Nothing here executes
 		# that build, so at least compile and vet it.
-		GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/mathx/...
+		GOARCH=arm64 go build ./...
+		GOARCH=arm64 go vet ./internal/mathx/...
 		# arm64 may fuse x*y+z into one rounding, so the simulators' results
 		# are bit for bit there only while their fused sites stay as counted
 		# here (DESIGN §5). A change that moves a count says why in CHANGES.md.
