@@ -10,6 +10,7 @@
 //	autotune-evaluator -addr :8081 -workers 4
 //	autotune-evaluator -addr :8081 -coordinator http://localhost:8080 \
 //	    -advertise http://10.0.0.7:8081
+//	autotune-evaluator -addr :8081 -pprof 127.0.0.1:6061   # profiles on a second listener
 //
 // With -coordinator the evaluator announces itself to a running autotuned
 // via POST /evaluators at startup (using -advertise as its reachable base
@@ -32,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -42,8 +44,13 @@ func main() {
 		heartbeat   = flag.Duration("heartbeat", 500*time.Millisecond, "interval between heartbeat frames on an open lease")
 		coordinator = flag.String("coordinator", "", "autotuned base URL to announce this evaluator to at startup")
 		advertise   = flag.String("advertise", "", "base URL coordinators reach this evaluator at (default: http://127.0.0.1<addr>)")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof under /debug/pprof/ on this address, apart from the lease API (default: off)")
 	)
 	flag.Parse()
+
+	if _, err := obs.ServePprof(*pprofAddr); err != nil {
+		fatal(err)
+	}
 
 	if *name == "" {
 		*name = "evaluator" + *addr

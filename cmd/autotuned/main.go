@@ -7,6 +7,7 @@
 //	autotuned -addr :8080 -workers 4
 //	autotuned -addr :8080 -repo /var/lib/autotuned   # durable repository
 //	autotuned -addr :8080 -evaluators http://host1:8081,http://host2:8081
+//	autotuned -addr :8080 -pprof 127.0.0.1:6060      # profiles on a second listener
 //
 // With -evaluators the daemon leases trial evaluations to the named
 // autotune-evaluator processes (more can register at runtime via POST
@@ -45,6 +46,7 @@ import (
 	"time"
 
 	"repro/internal/daemon"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -58,8 +60,13 @@ func main() {
 		eventBuffer = flag.Int("event-buffer", 0, "events retained per session for replay; older events compact into a stream checkpoint (0 = default 4096, negative = unbounded)")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "min new trials between durable session checkpoints (0 = every batch boundary; needs -repo)")
 		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "how long a graceful shutdown waits for in-flight sessions to checkpoint and stop")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof under /debug/pprof/ on this address, apart from the API (default: off)")
 	)
 	flag.Parse()
+
+	if _, err := obs.ServePprof(*pprofAddr); err != nil {
+		fatal(err)
+	}
 
 	d, err := daemon.New(daemon.Options{
 		Workers: *workers, RepoDir: *repoDir, Evaluators: splitURLs(*evals),

@@ -6,8 +6,8 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
+	"repro/internal/mathx/xrand"
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/sysmodel/spark"
 	"repro/internal/tune"
@@ -47,11 +47,11 @@ func main() {
 
 	target = fresh()
 	colt := adaptive.NewCOLT(seed)
-	ctl := colt.Controller(target.Space(), rand.New(rand.NewSource(seed)), batches)
+	ctl := colt.Controller(target.Space(), xrand.New(seed), batches)
 	report("adaptive COLT (from rules)", target.RunAdaptive(rules, ctl))
 
 	target = fresh()
-	ctl2 := colt.Controller(target.Space(), rand.New(rand.NewSource(seed+1)), batches)
+	ctl2 := colt.Controller(target.Space(), xrand.New(seed+1), batches)
 	res := target.RunAdaptive(target.Space().Default(), ctl2)
 	report("adaptive COLT (from default)", res)
 	if res.Metrics["deadline_misses"] > 0 {

@@ -3,12 +3,12 @@ package bench
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"repro"
 	"repro/internal/mathx/gp"
 	"repro/internal/mathx/stat"
+	"repro/internal/mathx/xrand"
 )
 
 // Surrogate measures the scalable-surrogate tier: the exact GP against the
@@ -38,7 +38,7 @@ func Surrogate(o Options) (*Table, error) {
 		return nil, err
 	}
 	space := target.Space()
-	rnd := rand.New(rand.NewSource(o.Seed))
+	rnd := xrand.New(o.Seed)
 
 	// One shared training pool, sliced per row so every tier at a given n
 	// sees the same data.

@@ -1,10 +1,9 @@
 package bench
 
 import (
-	"math/rand"
-
 	"repro"
 	"repro/internal/mathx/stat"
+	"repro/internal/mathx/xrand"
 )
 
 // Motivation regenerates the paper's §1 motivating claims: improper
@@ -38,7 +37,7 @@ func Motivation(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(o.Seed + 11))
+		rng := xrand.New(o.Seed + 11)
 		def := DefaultTime(target, 3)
 		var times []float64
 		fails := 0

@@ -3,10 +3,10 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro"
 	"repro/internal/mathx/stat"
+	"repro/internal/mathx/xrand"
 	"repro/internal/sysmodel/trace"
 	"repro/internal/tune"
 	"repro/internal/tuners/experiment"
@@ -122,7 +122,7 @@ func Table2(o Options) (*Table, error) {
 		checker := rulebased.DBMSChecker()
 		target := targets[2]
 		specs := target.(tune.SpecProvider).Specs()
-		rng := rand.New(rand.NewSource(o.Seed + 41))
+		rng := xrand.New(o.Seed + 41)
 		n := 120
 		if o.Fast {
 			n = 40
@@ -175,7 +175,7 @@ func Table2(o Options) (*Table, error) {
 		specs := target.(tune.SpecProvider).Specs()
 		probe := target.Run(target.Space().Default())
 		tr := simulation.TraceFromMetrics(probe.Metrics, specs)
-		rng := rand.New(rand.NewSource(o.Seed + 42))
+		rng := xrand.New(o.Seed + 42)
 		n := 20
 		if o.Fast {
 			n = 8

@@ -3,10 +3,10 @@ package bench
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/mathx/stat"
+	"repro/internal/mathx/xrand"
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/sysmodel/spark"
 	"repro/internal/tune"
@@ -65,7 +65,7 @@ func SparkParams(o Options) (*Table, error) {
 		// knobs wake up. Screen around the rulebook config plus a randomly
 		// drawn viable configuration per workload and take the union.
 		rulesBase := rulebased.SparkRules().Apply(space, target.Specs(), target.WorkloadFeatures())
-		rng := newRand(o.Seed + 65 + int64(wi))
+		rng := xrand.New(o.Seed + 65 + int64(wi))
 		randBase := rulesBase
 		for tries := 0; tries < 20; tries++ {
 			cand := space.Random(rng)
@@ -174,5 +174,3 @@ func SparkParams(o Options) (*Table, error) {
 	t.Note("paper claim: ~30 of ~200 Spark parameters significantly affect performance")
 	return t, nil
 }
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -2,8 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 
+	"repro/internal/mathx/xrand"
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/sysmodel/spark"
 	"repro/internal/tune"
@@ -90,7 +90,7 @@ type adaptiveStart struct {
 
 func (a *adaptiveStart) Epoch(i int, current tune.Config, prev map[string]float64) tune.Config {
 	if a.ctl == nil {
-		a.ctl = a.inner.Controller(a.start.Space(), rand.New(rand.NewSource(a.inner.Seed)), 1000)
+		a.ctl = a.inner.Controller(a.start.Space(), xrand.New(a.inner.Seed), 1000)
 	}
 	return a.ctl.Epoch(i, current, prev)
 }

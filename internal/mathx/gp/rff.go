@@ -3,10 +3,10 @@ package gp
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"runtime"
 
 	"repro/internal/mathx/linalg"
+	"repro/internal/mathx/xrand"
 )
 
 // RFF is a random-Fourier-feature Bayesian linear regressor (Rahimi &
@@ -85,7 +85,7 @@ func (r *RFF) workers() int {
 // for Matérn 5/2 (ω = z·√(ν/u) with u ~ χ²ν). Deterministic in Seed.
 func (r *RFF) sampleSpectrum(d int) {
 	D := r.features()
-	rng := rand.New(rand.NewSource(r.Seed ^ 0x5eed_f0f0_cafe))
+	rng := xrand.New(r.Seed ^ 0x5eed_f0f0_cafe)
 	r.w0 = linalg.New(D, d)
 	r.b0 = make([]float64, D)
 	for i := 0; i < D; i++ {

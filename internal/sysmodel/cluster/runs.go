@@ -3,20 +3,34 @@ package cluster
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
+	"repro/internal/mathx/xrand"
 	"repro/internal/tune"
 )
 
 // Runs is the run path every simulator shares: a run is a pure function of
 // (construction seed, run index, fidelity, configuration). Run i draws its
-// noise from rand.NewSource(seed + i·mult), mult being the simulator's own
-// multiplier. Each run thus draws a fresh stream, so repeated runs of one
-// configuration vary like real benchmark runs, and runs at reserved indices
-// reproduce exactly what the same sequence of plain Run calls would have
-// produced, on any worker or evaluator process. A simulator embeds *Runs
-// built over its one eval function, and Runs supplies every run entry point
-// of tune.ConcurrentFidelityTarget, plus RunEpochs for tune.AdaptiveTarget.
+// noise from the stream rand.New(rand.NewSource(seed + i·mult)) would give,
+// mult being the simulator's own multiplier. Each run thus draws a fresh
+// stream, so repeated runs of one configuration vary like real benchmark
+// runs, and runs at reserved indices reproduce exactly what the same
+// sequence of plain Run calls would have produced, on any worker or
+// evaluator process. A simulator embeds *Runs built over its one eval
+// function, and Runs supplies every run entry point of
+// tune.ConcurrentFidelityTarget, plus RunEpochs for tune.AdaptiveTarget.
+//
+// The stream comes from xrand, not from rand.NewSource, which fills a
+// 607-word register at seeding. That fill is a closed form — word i is
+// three values of x ← 48271·x mod 2³¹−1, the k-th being seed·48271ᵏ, XORed
+// with a constant — so xrand reseeds in constant time and computes each
+// word from a table of powers at the draw that first reads it: the first
+// 334 draws read every word once, in a fixed order. The registers come from
+// a process-wide pool: a run takes one, reseeds it and puts it back once
+// eval or the epoch fold is done, so eval must not keep its rng. A dbms run
+// draws 2 to 5 values; seeding plus 3 draws costs 0.11 µs pooled against
+// 17.5 µs over rand.NewSource (BenchmarkNoise; DESIGN §5 has the table).
 type Runs struct {
 	seed, mult int64
 	eval       func(rng *rand.Rand, f float64, cfg tune.Config) tune.Result
@@ -31,8 +45,17 @@ func NewRuns(seed, mult int64, eval func(rng *rand.Rand, f float64, cfg tune.Con
 	return &Runs{seed: seed, mult: mult, eval: eval}
 }
 
-// noise returns run index i's noise stream.
-func (r *Runs) noise(i int64) *rand.Rand { return rand.New(rand.NewSource(r.seed + i*r.mult)) }
+// noiseStreams pools the runs' noise registers (*rand.Rand over an xrand
+// source); a run reseeds the one it takes.
+var noiseStreams = sync.Pool{New: func() any { return xrand.New(0) }}
+
+// noise returns run index i's noise stream, taken from the pool; the caller
+// puts it back when the run is done.
+func (r *Runs) noise(i int64) *rand.Rand {
+	rng := noiseStreams.Get().(*rand.Rand)
+	rng.Seed(r.seed + i*r.mult)
+	return rng
+}
 
 // ReserveRuns implements tune.ConcurrentTarget.
 func (r *Runs) ReserveRuns(n int64) int64 { return r.n.Add(n) - n + 1 }
@@ -41,7 +64,12 @@ func (r *Runs) ReserveRuns(n int64) int64 { return r.n.Add(n) - n + 1 }
 func (r *Runs) Run(cfg tune.Config) tune.Result { return r.RunIndexed(r.ReserveRuns(1), cfg) }
 
 // RunIndexed implements tune.ConcurrentTarget.
-func (r *Runs) RunIndexed(i int64, cfg tune.Config) tune.Result { return r.eval(r.noise(i), 1, cfg) }
+func (r *Runs) RunIndexed(i int64, cfg tune.Config) tune.Result {
+	rng := r.noise(i)
+	res := r.eval(rng, 1, cfg)
+	noiseStreams.Put(rng)
+	return res
+}
 
 // RunFidelity implements tune.FidelityTarget. The simulators are pure and
 // fast, so ctx is not consulted.
@@ -51,7 +79,10 @@ func (r *Runs) RunFidelity(ctx context.Context, f float64, cfg tune.Config) tune
 
 // RunIndexedFidelity implements tune.ConcurrentFidelityTarget.
 func (r *Runs) RunIndexedFidelity(_ context.Context, i int64, f float64, cfg tune.Config) tune.Result {
-	return r.eval(r.noise(i), tune.ClampFidelity(f), cfg)
+	rng := r.noise(i)
+	res := r.eval(rng, tune.ClampFidelity(f), cfg)
+	noiseStreams.Put(rng)
+	return res
 }
 
 // RunEpochs is one adaptive run of epochs epochs on the next run index's
@@ -80,5 +111,6 @@ func (r *Runs) RunEpochs(start tune.Config, ctrl tune.EpochController, epochs in
 		}
 		prev = res.Metrics
 	}
+	noiseStreams.Put(rng)
 	return total
 }

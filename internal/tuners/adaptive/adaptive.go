@@ -27,6 +27,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/mathx/xrand"
 	"repro/internal/tune"
 )
 
@@ -241,7 +242,7 @@ func (t *COLT) Check(target tune.Target, _ tune.Budget) error {
 func (t *COLT) Tune(ctx context.Context, target tune.Target, b tune.Budget) (*tune.TuningResult, error) {
 	space := target.Space()
 	return tuneAdaptive(ctx, t.Name(), target, b, space.Default(), func(r, epochs int) tune.EpochController {
-		return t.Controller(space, rand.New(rand.NewSource(t.Seed+int64(r)*7919)), epochs)
+		return t.Controller(space, xrand.New(t.Seed+int64(r)*7919), epochs)
 	})
 }
 

@@ -2,8 +2,8 @@ package adaptive
 
 import (
 	"context"
-	"math/rand"
 
+	"repro/internal/mathx/xrand"
 	"repro/internal/tune"
 )
 
@@ -173,7 +173,7 @@ func (r *Recommender) Tune(ctx context.Context, target tune.Target, b tune.Budge
 	}
 	return tuneAdaptive(ctx, r.Name(), target, b, start, func(i, epochs int) tune.EpochController {
 		return &controller{
-			rng:        rand.New(rand.NewSource(r.Seed + int64(i)*104729)),
+			rng:        xrand.New(r.Seed + int64(i)*104729),
 			radius:     0.08, // refine, don't wander: the start is informed
 			switchCost: switchCost,
 			epochs:     epochs,

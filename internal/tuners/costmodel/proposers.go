@@ -3,10 +3,10 @@ package costmodel
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/mathx/linalg"
 	"repro/internal/mathx/opt"
+	"repro/internal/mathx/xrand"
 	"repro/internal/sysmodel/mapreduce"
 	"repro/internal/sysmodel/spark"
 	"repro/internal/tune"
@@ -40,7 +40,7 @@ func (t *Starfish) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer
 	h := target.(*mapreduce.Hadoop)
 	job, cl := h.Job(), h.Cluster()
 	space := target.Space()
-	rng := rand.New(rand.NewSource(t.Seed + 17))
+	rng := xrand.New(t.Seed + 17)
 	best := opt.RecursiveRandomSearch(func(x []float64) float64 {
 		return Predict(job, cl, space.FromVector(x))
 	}, space.Dim(), starfishSearchBudget, rng)

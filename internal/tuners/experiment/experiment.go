@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/mathx/opt"
 	"repro/internal/mathx/sample"
+	"repro/internal/mathx/xrand"
 	"repro/internal/tune"
 )
 
@@ -63,7 +64,7 @@ func (t *RRS) Name() string { return "experiment/rrs" }
 func (t *RRS) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
 	space := target.Space()
 	return tune.Sequential(func(run tune.RunFunc) {
-		rng := rand.New(rand.NewSource(t.Seed))
+		rng := xrand.New(t.Seed)
 		opt.RecursiveRandomSearch(objective(space, run), space.Dim(), b.Trials, rng)
 	}), nil
 }
@@ -189,7 +190,7 @@ func (t *SARD) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, er
 		}
 		base := best.cfg.Vector()
 		f := objective(space, run)
-		rng := rand.New(rand.NewSource(t.Seed + 1))
+		rng := xrand.New(t.Seed + 1)
 		opt.RecursiveRandomSearch(func(sub []float64) float64 {
 			x := append([]float64(nil), base...)
 			for i, v := range sub {
@@ -226,7 +227,7 @@ func (t *AdaptiveSampling) NewProposer(target tune.Target, b tune.Budget) (tune.
 
 func (t *AdaptiveSampling) plan(space *tune.Space, run tune.RunFunc) {
 	d := space.Dim()
-	rng := rand.New(rand.NewSource(t.Seed))
+	rng := xrand.New(t.Seed)
 	boot := max(d, 5) // random bootstrap runs
 	var best incumbent
 	var seen [][]float64

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mathx/gp"
 	"repro/internal/mathx/sample"
+	"repro/internal/mathx/xrand"
 	"repro/internal/tune"
 )
 
@@ -26,7 +27,7 @@ type randomProposer struct {
 
 // NewProposer implements tune.BatchTuner.
 func (t *Random) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
-	return &randomProposer{space: target.Space(), rng: rand.New(rand.NewSource(t.Seed))}, nil
+	return &randomProposer{space: target.Space(), rng: xrand.New(t.Seed)}, nil
 }
 
 func (p *randomProposer) Propose(n int) []tune.Config {
@@ -89,7 +90,7 @@ type itunedProposer struct {
 func (t *ITuned) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
 	space := target.Space()
 	d := space.Dim()
-	rng := rand.New(rand.NewSource(t.Seed))
+	rng := xrand.New(t.Seed)
 	initN := min(max(b.Trials/3, 4), 10) // the Latin-hypercube design
 	p := &itunedProposer{
 		space: space, rng: rng,

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/mathx/cluster"
 	"repro/internal/mathx/lasso"
+	"repro/internal/mathx/xrand"
 	"repro/internal/tune"
 )
 
@@ -64,7 +65,7 @@ func (t *OtterTune) MappedWorkload(system string, trials []tune.Trial) string {
 		return ""
 	}
 	sessions, _ := t.Repo.ForSystem(system) // in memory: never fails
-	pruned := pruneMetrics(sessions, otPrunedMetrics, rand.New(rand.NewSource(t.Seed)))
+	pruned := pruneMetrics(sessions, otPrunedMetrics, xrand.New(t.Seed))
 	var initial []tune.Trial
 	for _, tr := range trials[:otInitObs+1] {
 		// The model refuses a non-finite objective, and the trial's metrics with it.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mathx/nn"
 	"repro/internal/mathx/opt"
 	"repro/internal/mathx/sample"
+	"repro/internal/mathx/xrand"
 	"repro/internal/tune"
 )
 
@@ -42,7 +43,7 @@ type otProposer struct {
 func (t *OtterTune) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
 	space := target.Space()
 	d := space.Dim()
-	rng := rand.New(rand.NewSource(t.Seed))
+	rng := xrand.New(t.Seed)
 
 	system, _ := tune.SplitTargetName(target.Name())
 	sessions, _ := t.Repo.ForSystem(system) // in memory: never fails
@@ -139,7 +140,7 @@ type neuralProposer struct {
 func (t *NeuralTuner) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
 	space := target.Space()
 	d := space.Dim()
-	rng := rand.New(rand.NewSource(t.Seed))
+	rng := xrand.New(t.Seed)
 	// The surrogate's seed observations: 2·dim, at least 6, at most half a
 	// budget of four or more trials.
 	initN := max(2*d, 6)
@@ -163,7 +164,7 @@ func (p *neuralProposer) Propose(n int) []tune.Config {
 	d := p.space.Dim()
 	var x []float64
 	if len(p.xs) >= 4 && p.rng.Float64() >= neuralEpsilon {
-		net := nn.NewMLP(rand.New(rand.NewSource(p.t.Seed+int64(len(p.xs)))), d, neuralHidden, neuralHidden, 1)
+		net := nn.NewMLP(xrand.New(p.t.Seed+int64(len(p.xs))), d, neuralHidden, neuralHidden, 1)
 		net.Train(p.xs, p.ys, 150, 0.01)
 		best := opt.RecursiveRandomSearch(func(q []float64) float64 {
 			return net.Predict(q)

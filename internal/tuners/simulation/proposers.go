@@ -1,9 +1,8 @@
 package simulation
 
 import (
-	"math/rand"
-
 	"repro/internal/mathx/opt"
+	"repro/internal/mathx/xrand"
 	"repro/internal/sysmodel/trace"
 	"repro/internal/tune"
 )
@@ -50,7 +49,7 @@ func (p *traceProposer) ensureSearch() {
 		return
 	}
 	p.searched = true
-	rng := rand.New(rand.NewSource(p.t.Seed + 99))
+	rng := xrand.New(p.t.Seed + 99)
 	best := opt.RecursiveRandomSearch(func(x []float64) float64 {
 		cfg := p.space.FromVector(x)
 		res := ResourcesFor(cfg, p.specs)
@@ -95,7 +94,7 @@ type proxyProposer struct {
 // phase — simulated replica executions cost no trial budget.
 func (t *ScaledProxy) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, error) {
 	space := target.Space()
-	rng := rand.New(rand.NewSource(t.Seed + 7))
+	rng := xrand.New(t.Seed + 7)
 	// Keep the best few distinct proxy candidates.
 	type cand struct {
 		x []float64

@@ -125,7 +125,7 @@ stage() {
 	loc) scripts/loc.sh ;;
 	bench-smoke)
 		# One iteration of each kernel benchmark, beside the package it measures.
-		go test -run '^$' -bench 'GPFit/n=60|SurrogateFit/tier=sparse/n=500|CholeskyInto/n=(12|160)|BlockedCholesky/parallel/n=256|CheckpointSession|FeatureIndex(Build|Nearest)/n=100000|EventJSON|Simulate|ListSchedule' \
+		go test -run '^$' -bench 'GPFit/n=60|SurrogateFit/tier=sparse/n=500|CholeskyInto/n=(12|160)|BlockedCholesky/parallel/n=256|CheckpointSession|FeatureIndex(Build|Nearest)/n=100000|EventJSON|Simulate|ListSchedule|Noise' \
 			-benchtime=1x ./internal/mathx/... ./internal/tune ./internal/tune/store ./internal/sysmodel/...
 		;;
 	benchtab)
@@ -147,8 +147,11 @@ stage() {
 		grep -q '"archived_as":1' "$work/status.json"
 		curl -sf http://127.0.0.1:8321/repository/sessions | grep -q '"workload":"tpch"'
 		stop_servers
-		serve 127.0.0.1:8321 -repo "$work/repo"
+		# The restarted daemon also serves profiles, on their own listener only.
+		serve 127.0.0.1:8321 -repo "$work/repo" -pprof 127.0.0.1:8322
 		curl -sf http://127.0.0.1:8321/repository/sessions | grep -q '"workload":"tpch"'
+		curl -sf http://127.0.0.1:8322/debug/pprof/ | grep -q goroutine
+		test "$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:8321/debug/pprof/)" = 404
 		stop_servers
 		echo "daemon smoke passed: $(grep -c '^event:' "$work/events.txt") events streamed; repository survived restart"
 		;;
@@ -161,10 +164,11 @@ stage() {
 		go build -o "$work/autotune-evaluator" ./cmd/autotune-evaluator
 		spec='{"system":"dbms","workload":"tpch","tuner":"ituned","seed":42,"budget":{"trials":16},"parallel":2,"fidelity":{"strategy":"hyperband"},"target":{"scale_gb":2}}'
 		for addr in 127.0.0.1:8333 127.0.0.1:8334; do
-			"$work/autotune-evaluator" -addr "$addr" -workers 2 &
+			"$work/autotune-evaluator" -addr "$addr" -workers 2 -pprof "127.0.0.1:$((${addr##*:} + 10))" &
 			pids+=($!)
 			wait_healthz "$addr"
 		done
+		curl -sf http://127.0.0.1:8343/debug/pprof/ | grep -q goroutine
 		serve 127.0.0.1:8331
 		run_session 127.0.0.1:8331 "$spec" "$work/events-local.txt" >/dev/null
 		serve 127.0.0.1:8332 -evaluators http://127.0.0.1:8333,http://127.0.0.1:8334

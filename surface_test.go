@@ -93,7 +93,8 @@ func ciForks(name string, lines []string) (forks []string) {
 // in-memory repository is the linear-scan oracle, not a second index), one
 // launch site (only Spec.JobOn calls JobWithWarm outside the harnesses that
 // decorate its sources, benchmark/ and the experiments' cell runner in
-// internal/bench) and one CI step list (scripts/ci.sh).
+// internal/bench), one CI step list (scripts/ci.sh) and one seeding
+// mechanism (xrand.New; only benchmark/ and tests call rand.NewSource).
 func TestRetiredSurfacesStayRetired(t *testing.T) {
 	if _, err := exec.LookPath("git"); err != nil {
 		t.Skip("git is not installed")
@@ -137,6 +138,11 @@ func TestRetiredSurfacesStayRetired(t *testing.T) {
 			if !exempt(name) && retired.MatchString(line) {
 				t.Errorf("%s:%d mentions a retired surface: %s", name, i+1, strings.TrimSpace(line))
 			}
+			if source && !strings.HasPrefix(name, "benchmark/") && strings.Contains(line, "rand.NewSource(") &&
+				!strings.HasPrefix(strings.TrimSpace(line), "//") {
+				t.Errorf("%s:%d seeds a math/rand source; use xrand.New, which draws the same stream: %s",
+					name, i+1, strings.TrimSpace(line))
+			}
 			if source && !harness(name) && strings.Contains(line, "JobWithWarm(") &&
 				!strings.HasPrefix(strings.TrimSpace(line), "//") && !strings.Contains(line, "func (s Spec) JobWithWarm(") {
 				launches = append(launches, name+": "+strings.TrimSpace(line))
@@ -154,10 +160,12 @@ func harness(name string) bool {
 }
 
 // unusedAPIExempt are method names the standard library calls through its
-// own interfaces (fmt, errors, sort, container/heap, encoding/json).
+// own interfaces (fmt, errors, sort, container/heap, encoding/json,
+// math/rand's Source64).
 var unusedAPIExempt = map[string]bool{
 	"String": true, "Error": true, "MarshalJSON": true, "Len": true, "Less": true,
 	"Swap": true, "Push": true, "Pop": true, "Unwrap": true, "Is": true,
+	"Int63": true, "Uint64": true, "Seed": true,
 }
 
 // unusedAPIAllowed are the exported declarations under internal/ that only
