@@ -19,6 +19,8 @@
 //	GET    /healthz               liveness probe with session, repository,
 //	                              and evaluator-fleet summaries, and the
 //	                              linalg kernel in use
+//	GET    /metrics               runtime gauges (heap, allocation, GC,
+//	                              goroutines) in Prometheus text
 //
 // With remote evaluators (Options.Evaluators, or registered at runtime) the
 // daemon leases trial evaluations to an autotune-evaluator fleet through
@@ -56,6 +58,7 @@ import (
 	repro "repro"
 	"repro/internal/dist"
 	"repro/internal/mathx/linalg"
+	"repro/internal/obs"
 	"repro/internal/tune"
 	"repro/internal/tune/store"
 )
@@ -201,6 +204,7 @@ func (s *Server) Close() error {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.healthz)
+	mux.HandleFunc("GET /metrics", obs.ServeMetrics)
 	mux.HandleFunc("GET /evaluators", s.evaluators)
 	mux.HandleFunc("POST /evaluators", s.addEvaluator)
 	mux.HandleFunc("POST /sessions", s.create)

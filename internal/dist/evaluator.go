@@ -11,6 +11,7 @@ import (
 
 	repro "repro"
 	"repro/internal/mathx/linalg"
+	"repro/internal/obs"
 	"repro/internal/tune"
 )
 
@@ -104,6 +105,7 @@ func (e *Evaluator) Info() Info {
 //	                stream until the TrialCompletion frame closes the lease
 //	POST /register  a coordinator announces itself; returns Info
 //	GET  /healthz   liveness + Info + the linalg kernel in use
+//	GET  /metrics   runtime gauges, Prometheus text (obs.ServeMetrics)
 func (e *Evaluator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /evaluate", e.evaluate)
@@ -112,6 +114,7 @@ func (e *Evaluator) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(map[string]any{"status": "ok", "info": e.Info(), "linalg_kernel": linalg.Kernel()})
 	})
+	mux.HandleFunc("GET /metrics", obs.ServeMetrics)
 	return mux
 }
 

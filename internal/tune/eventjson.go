@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync/atomic"
 )
 
 // The event encoder. AppendJSON is the only encoder of an Event — the
@@ -58,10 +59,7 @@ func (e Event) AppendJSON(dst []byte) ([]byte, error) {
 		}
 	}
 	w.raw("}")
-	if w.err != nil {
-		return dst, w.err
-	}
-	return w.b, nil
+	return w.done(dst)
 }
 
 // jsonWriter appends JSON to b. err keeps the first failure, which can only
@@ -74,6 +72,14 @@ type jsonWriter struct {
 func (w *jsonWriter) raw(s string) { w.b = append(w.b, s...) }
 func (w *jsonWriter) str(s string) { w.b = appendJSONString(w.b, s) }
 func (w *jsonWriter) int(n int)    { w.b = strconv.AppendInt(w.b, int64(n), 10) }
+
+// done returns what was written past dst, or dst and the first error.
+func (w *jsonWriter) done(dst []byte) ([]byte, error) {
+	if w.err != nil {
+		return dst, w.err
+	}
+	return w.b, nil
+}
 
 // float appends f as encoding/json does: the shortest 'f' form, or 'e' for
 // magnitudes below 1e-6 or from 1e21 up with the exponent's leading zero
@@ -129,7 +135,7 @@ func (w *jsonWriter) result(r *Result) {
 	w.optStr(`,"fail_reason":`, r.FailReason)
 	if len(r.Metrics) > 0 {
 		w.raw(`,"metrics":`)
-		object(w, r.Metrics, w.float)
+		w.floatMap(r.Metrics)
 	}
 	w.optFloat(`,"fidelity":`, r.Fidelity)
 	w.raw("}")
@@ -186,7 +192,7 @@ func (w *jsonWriter) summary(s *StreamSummary) {
 	w.optInt(`,"best_trial":`, s.BestTrial)
 	if len(s.BestConfig) > 0 {
 		w.raw(`,"best_config":`)
-		object(w, s.BestConfig, w.str)
+		w.strMap(s.BestConfig)
 	}
 	if s.BestResult != nil {
 		w.raw(`,"best_result":`)
@@ -199,10 +205,10 @@ func (w *jsonWriter) summary(s *StreamSummary) {
 	w.raw("}")
 }
 
-// object writes m as a JSON object, its keys in byte order (encoding/json's
-// map key order) and each value by value.
-func object[V any](w *jsonWriter, m map[string]V, value func(V)) {
-	var buf [32]string // a result's metrics fit: no allocation
+// strMap writes m as a JSON object, its keys in byte order (encoding/json's
+// map key order). It is written once per stream checkpoint: no memo.
+func (w *jsonWriter) strMap(m map[string]string) {
+	var buf [32]string // a configuration's knobs fit: no allocation
 	keys := buf[:0]
 	for k := range m {
 		keys = append(keys, k)
@@ -215,9 +221,76 @@ func object[V any](w *jsonWriter, m map[string]V, value func(V)) {
 		}
 		w.str(k)
 		w.raw(":")
-		value(m[k])
+		w.str(m[k])
 	}
 	w.raw("}")
+}
+
+// floatMap writes m as a JSON object, its keys in byte order. A session's
+// trials report the same metric names, and each trial's map is written about
+// five times (its trial_done event, the session_done trial list, the
+// checkpoint log, the WAL and a segment), so the sorted, quoted key list is
+// memoized per key count and reused while it fits: same length and every key
+// found means the same key set. A miss rolls the output back and publishes the
+// list of m's own keys.
+func (w *jsonWriter) floatMap(m map[string]float64) {
+	n := len(m)
+	if n >= len(keyMemo) {
+		w.keyed(sortedKeys(m), m)
+		return
+	}
+	if kl := keyMemo[n].Load(); kl != nil && w.keyed(kl, m) {
+		return
+	}
+	kl := sortedKeys(m)
+	keyMemo[n].Store(kl)
+	w.keyed(kl, m)
+}
+
+// keyMemo holds, per key count, the last key list floatMap published for maps
+// of that count; indexing by count keeps two systems' metric sets (dbms and
+// spark sessions run side by side) from evicting each other.
+var keyMemo [65]atomic.Pointer[keyList]
+
+// keyList is a sorted key set, immutable once published: quoted[i] is key i
+// as a JSON string and a colon, after a comma from the second key on.
+type keyList struct {
+	keys, quoted []string
+}
+
+func sortedKeys(m map[string]float64) *keyList {
+	kl := &keyList{keys: make([]string, 0, len(m)), quoted: make([]string, len(m))}
+	for k := range m {
+		kl.keys = append(kl.keys, k)
+	}
+	slices.Sort(kl.keys)
+	for i, k := range kl.keys {
+		var q []byte
+		if i > 0 {
+			q = append(q, ',')
+		}
+		q = append(appendJSONString(q, k), ':')
+		kl.quoted[i] = string(q)
+	}
+	return kl
+}
+
+// keyed writes m's values under kl's keys. It reports false, with w.b as it
+// found it, when kl holds a key m lacks.
+func (w *jsonWriter) keyed(kl *keyList, m map[string]float64) bool {
+	start := len(w.b)
+	w.raw("{")
+	for i, k := range kl.keys {
+		v, ok := m[k]
+		if !ok {
+			w.b = w.b[:start]
+			return false
+		}
+		w.raw(kl.quoted[i])
+		w.float(v)
+	}
+	w.raw("}")
+	return true
 }
 
 // appendJSONString appends s as a JSON string. Printable ASCII other than

@@ -459,3 +459,37 @@ func BenchmarkEventJSON(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRecordJSON encodes the archive record of a 30-trial iTuned dbms
+// session (22 metrics a trial), with the appender and with the reflection
+// oracle.
+func BenchmarkRecordJSON(b *testing.B) {
+	evs := sessionEvents(b, repro.Spec{System: "dbms", Workload: "tpch", Tuner: "ituned", Seed: 1, Budget: repro.Budget{Trials: 30}})
+	rec := tune.NewSessionRecord("dbms", "tpch", map[string]float64{"scale_gb": 10}, evs[len(evs)-1].Final)
+	if n := len(rec.Trials[0].Metrics); len(rec.Trials) != 30 || n != 22 {
+		b.Fatalf("record has %d trials of %d metrics, want 30 of 22", len(rec.Trials), n)
+	}
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = rec.AppendJSON(buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(buf)))
+	})
+	b.Run("reflect", func(b *testing.B) {
+		b.ReportAllocs()
+		var n int
+		for i := 0; i < b.N; i++ {
+			data, err := json.Marshal(&rec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n = len(data)
+		}
+		b.SetBytes(int64(n))
+	})
+}

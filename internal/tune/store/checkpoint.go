@@ -84,17 +84,37 @@ type ckptBoundary struct {
 	RunsReserved int64              `json:"runs_reserved"`
 }
 
-// appendCkptLine appends body's enveloped, newline-terminated line to buf.
-func appendCkptLine(buf []byte, body any) ([]byte, error) {
-	b, err := json.Marshal(body)
+// appendCkptHeader appends h's enveloped, newline-terminated line to buf. It
+// is written once per session, and its UpdatedAt and its spec (which
+// json.Marshal compacts and HTML-escapes) are what encoding/json makes of
+// them, so it stays on json.Marshal.
+func appendCkptHeader(buf []byte, h ckptHeader) ([]byte, error) {
+	body, err := json.Marshal(h)
 	if err != nil {
 		return buf, err
 	}
+	return appendCkptEnvelope(buf, body), nil
+}
+
+// appendCkptBoundary appends b's enveloped, newline-terminated line to buf,
+// its body the bytes json.Marshal writes for b.
+func appendCkptBoundary(buf []byte, b ckptBoundary) ([]byte, error) {
+	body, err := tune.AppendReplayTrialsJSON([]byte(`{"trials":`), b.Trials)
+	if err != nil {
+		return buf, err
+	}
+	body = append(body, `,"runs_reserved":`...)
+	body = strconv.AppendInt(body, b.RunsReserved, 10)
+	return appendCkptEnvelope(buf, append(body, '}')), nil
+}
+
+// appendCkptEnvelope appends the line {"crc":<CRC-32 of body>,"body":body}.
+func appendCkptEnvelope(buf, body []byte) []byte {
 	buf = append(buf, `{"crc":`...)
-	buf = strconv.AppendUint(buf, uint64(crc32.ChecksumIEEE(b)), 10)
+	buf = strconv.AppendUint(buf, uint64(crc32.ChecksumIEEE(body)), 10)
 	buf = append(buf, `,"body":`...)
-	buf = append(buf, b...)
-	return append(buf, "}\n"...), nil
+	buf = append(buf, body...)
+	return append(buf, "}\n"...)
 }
 
 // ckptBody checks a line's envelope and decodes its body into v.
@@ -249,7 +269,7 @@ func (s *FileStore) reopenCkptLog(l *ckptLog, sid, path string) {
 // A failed append has been cut back; the log is dropped anyway, so the next
 // save rewrites the whole state rather than trust the file further.
 func (l *ckptLog) append(cp SessionCheckpoint) error {
-	line, err := appendCkptLine(nil, ckptBoundary{Trials: cp.Replay.Trials[l.trials:], RunsReserved: cp.Replay.RunsReserved})
+	line, err := appendCkptBoundary(nil, ckptBoundary{Trials: cp.Replay.Trials[l.trials:], RunsReserved: cp.Replay.RunsReserved})
 	if err != nil {
 		return fmt.Errorf("store: encoding checkpoint %s: %w", cp.SID, err)
 	}
@@ -268,9 +288,9 @@ func (l *ckptLog) append(cp SessionCheckpoint) error {
 // one rewrites again.
 func (s *FileStore) rewriteCkptLog(l *ckptLog, path string, cp SessionCheckpoint) error {
 	l.close()
-	buf, err := appendCkptLine(nil, ckptHeader{SID: cp.SID, Spec: cp.Spec, UpdatedAt: cp.UpdatedAt})
+	buf, err := appendCkptHeader(nil, ckptHeader{SID: cp.SID, Spec: cp.Spec, UpdatedAt: cp.UpdatedAt})
 	if err == nil {
-		buf, err = appendCkptLine(buf, ckptBoundary{Trials: cp.Replay.Trials, RunsReserved: cp.Replay.RunsReserved})
+		buf, err = appendCkptBoundary(buf, ckptBoundary{Trials: cp.Replay.Trials, RunsReserved: cp.Replay.RunsReserved})
 	}
 	if err != nil {
 		return fmt.Errorf("store: encoding checkpoint %s: %w", cp.SID, err)

@@ -201,7 +201,7 @@ func TestCheckpointsSkipCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	header := good[:bytes.IndexByte(good, '\n')+1]
-	nosid, err := appendCkptLine(nil, ckptHeader{Spec: json.RawMessage(`{}`)})
+	nosid, err := appendCkptHeader(nil, ckptHeader{Spec: json.RawMessage(`{}`)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,16 +138,18 @@ func writeSegment(dst io.Writer, recs []Stored) ([]segEntry, error) {
 	off := int64(len(segMagic))
 	entries := make([]segEntry, 0, len(recs))
 	var frame [8]byte
-	for _, st := range recs {
-		payload, err := json.Marshal(st)
-		if err != nil {
+	var payload []byte // one buffer for the segment's payloads
+	for i := range recs {
+		st := &recs[i]
+		var err error
+		if payload, err = st.appendJSON(payload[:0]); err != nil {
 			return nil, fmt.Errorf("store: encoding record %d: %w", st.ID, err)
 		}
 		binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
 		w.Write(frame[:])
 		w.Write(payload)
-		e := entryFor(st)
+		e := entryFor(*st)
 		e.off = off + 8
 		e.length = uint32(len(payload))
 		entries = append(entries, e)

@@ -34,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -44,6 +45,18 @@ import (
 type Stored struct {
 	ID     int64              `json:"id"`
 	Record tune.SessionRecord `json:"record"`
+}
+
+// appendJSON appends st as json.Marshal writes it: a segment's payload.
+func (st *Stored) appendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, st.ID, 10)
+	dst = append(dst, `,"record":`...)
+	dst, err := st.Record.AppendJSON(dst)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, '}'), nil
 }
 
 // Summary is the index-resident digest of one archived session: everything
@@ -135,6 +148,22 @@ type logEntry struct {
 	Op     string              `json:"op"` // "add" or "del"
 	ID     int64               `json:"id"`
 	Record *tune.SessionRecord `json:"record,omitempty"`
+}
+
+// appendLine appends e's WAL line, newline included: what json.Marshal
+// writes for e. Op is one of two ASCII words and needs no escaping.
+func (e *logEntry) appendLine(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"op":"`...)
+	dst = append(dst, e.Op...)
+	dst = append(dst, `","id":`...)
+	dst = strconv.AppendInt(dst, e.ID, 10)
+	if e.Record != nil {
+		var err error
+		if dst, err = e.Record.AppendJSON(append(dst, `,"record":`...)); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, "}\n"...), nil
 }
 
 // recRef locates one live record: a (segment, entry) pair, or a tail id
@@ -388,11 +417,11 @@ func (s *FileStore) appendEntry(e logEntry) error {
 	if s.closed {
 		return fmt.Errorf("store: %s is closed", s.dir)
 	}
-	line, err := json.Marshal(e)
+	line, err := e.appendLine(nil)
 	if err != nil {
 		return fmt.Errorf("store: encoding log entry: %w", err)
 	}
-	if err := s.wal.append(append(line, '\n')); err != nil {
+	if err := s.wal.append(line); err != nil {
 		return fmt.Errorf("store: appending to WAL: %w", err)
 	}
 	s.walLen++

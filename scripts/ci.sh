@@ -125,7 +125,7 @@ stage() {
 	loc) scripts/loc.sh ;;
 	bench-smoke)
 		# One iteration of each kernel benchmark, beside the package it measures.
-		go test -run '^$' -bench 'GPFit/n=60|SurrogateFit/tier=sparse/n=500|CholeskyInto/n=(12|160)|BlockedCholesky/parallel/n=256|CheckpointSession|FeatureIndex(Build|Nearest)/n=100000|EventJSON|Simulate|ListSchedule|Noise' \
+		go test -run '^$' -bench 'GPFit/n=60|SurrogateFit/tier=sparse/n=500|CholeskyInto/n=(12|160)|BlockedCholesky/parallel/n=256|CheckpointSession|FeatureIndex(Build|Nearest)/n=100000|EventJSON|RecordJSON|Simulate|ListSchedule|Noise' \
 			-benchtime=1x ./internal/mathx/... ./internal/tune ./internal/tune/store ./internal/sysmodel/...
 		;;
 	benchtab)
@@ -146,6 +146,8 @@ stage() {
 		grep -q '"best"' "$work/status.json"
 		grep -q '"archived_as":1' "$work/status.json"
 		curl -sf http://127.0.0.1:8321/repository/sessions | grep -q '"workload":"tpch"'
+		# Runtime gauges are served on the API listener, in Prometheus text.
+		curl -sf http://127.0.0.1:8321/metrics | grep -q '^go_memstats_alloc_bytes_total [0-9]'
 		stop_servers
 		# The restarted daemon also serves profiles, on their own listener only.
 		serve 127.0.0.1:8321 -repo "$work/repo" -pprof 127.0.0.1:8322
@@ -169,6 +171,7 @@ stage() {
 			wait_healthz "$addr"
 		done
 		curl -sf http://127.0.0.1:8343/debug/pprof/ | grep -q goroutine
+		curl -sf http://127.0.0.1:8333/metrics | grep -q '^go_goroutines [0-9]'
 		serve 127.0.0.1:8331
 		run_session 127.0.0.1:8331 "$spec" "$work/events-local.txt" >/dev/null
 		serve 127.0.0.1:8332 -evaluators http://127.0.0.1:8333,http://127.0.0.1:8334
