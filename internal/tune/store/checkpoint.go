@@ -85,36 +85,42 @@ type ckptBoundary struct {
 }
 
 // appendCkptHeader appends h's enveloped, newline-terminated line to buf. It
-// is written once per session, and its UpdatedAt and its spec (which
-// json.Marshal compacts and HTML-escapes) are what encoding/json makes of
-// them, so it stays on json.Marshal.
+// stays on json.Marshal: it is written once per session, and its fields are
+// encoding/json's to format — a time.Time, and a json.RawMessage spec that
+// json.Marshal compacts and HTML-escapes.
 func appendCkptHeader(buf []byte, h ckptHeader) ([]byte, error) {
 	body, err := json.Marshal(h)
 	if err != nil {
 		return buf, err
 	}
-	return appendCkptEnvelope(buf, body), nil
+	return append(append(appendCkptHead(buf, body), body...), "}\n"...), nil
 }
 
 // appendCkptBoundary appends b's enveloped, newline-terminated line to buf,
-// its body the bytes json.Marshal writes for b.
+// its body the bytes json.Marshal writes for b. The body is encoded in place
+// behind room for the longest envelope head, and the head, once the body's
+// CRC is known, is written up against it.
 func appendCkptBoundary(buf []byte, b ckptBoundary) ([]byte, error) {
-	body, err := tune.AppendReplayTrialsJSON([]byte(`{"trials":`), b.Trials)
+	const room = len(`{"crc":4294967295,"body":`)
+	line, err := tune.AppendReplayTrialsJSON(append(buf, `{"crc":4294967295,"body":{"trials":`...), b.Trials)
 	if err != nil {
 		return buf, err
 	}
-	body = append(body, `,"runs_reserved":`...)
-	body = strconv.AppendInt(body, b.RunsReserved, 10)
-	return appendCkptEnvelope(buf, append(body, '}')), nil
+	line = append(line, `,"runs_reserved":`...)
+	line = append(strconv.AppendInt(line, b.RunsReserved, 10), '}')
+	var h [room]byte
+	head := appendCkptHead(h[:0], line[len(buf)+room:])
+	n := copy(line[len(buf)+len(head):], line[len(buf)+room:])
+	copy(line[len(buf):], head)
+	return append(line[:len(buf)+len(head)+n], "}\n"...), nil
 }
 
-// appendCkptEnvelope appends the line {"crc":<CRC-32 of body>,"body":body}.
-func appendCkptEnvelope(buf, body []byte) []byte {
+// appendCkptHead appends the envelope up to body: {"crc":<CRC-32 of
+// body>,"body":.
+func appendCkptHead(buf, body []byte) []byte {
 	buf = append(buf, `{"crc":`...)
 	buf = strconv.AppendUint(buf, uint64(crc32.ChecksumIEEE(body)), 10)
-	buf = append(buf, `,"body":`...)
-	buf = append(buf, body...)
-	return append(buf, "}\n"...)
+	return append(buf, `,"body":`...)
 }
 
 // ckptBody checks a line's envelope and decodes its body into v.
@@ -269,10 +275,13 @@ func (s *FileStore) reopenCkptLog(l *ckptLog, sid, path string) {
 // A failed append has been cut back; the log is dropped anyway, so the next
 // save rewrites the whole state rather than trust the file further.
 func (l *ckptLog) append(cp SessionCheckpoint) error {
-	line, err := appendCkptBoundary(nil, ckptBoundary{Trials: cp.Replay.Trials[l.trials:], RunsReserved: cp.Replay.RunsReserved})
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
+	line, err := appendCkptBoundary((*buf)[:0], ckptBoundary{Trials: cp.Replay.Trials[l.trials:], RunsReserved: cp.Replay.RunsReserved})
 	if err != nil {
 		return fmt.Errorf("store: encoding checkpoint %s: %w", cp.SID, err)
 	}
+	*buf = line
 	if err := l.log.append(line); err != nil {
 		l.close()
 		return fmt.Errorf("store: appending checkpoint %s: %w", cp.SID, err)
@@ -288,13 +297,16 @@ func (l *ckptLog) append(cp SessionCheckpoint) error {
 // one rewrites again.
 func (s *FileStore) rewriteCkptLog(l *ckptLog, path string, cp SessionCheckpoint) error {
 	l.close()
-	buf, err := appendCkptHeader(nil, ckptHeader{SID: cp.SID, Spec: cp.Spec, UpdatedAt: cp.UpdatedAt})
+	pooled := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(pooled)
+	buf, err := appendCkptHeader((*pooled)[:0], ckptHeader{SID: cp.SID, Spec: cp.Spec, UpdatedAt: cp.UpdatedAt})
 	if err == nil {
 		buf, err = appendCkptBoundary(buf, ckptBoundary{Trials: cp.Replay.Trials, RunsReserved: cp.Replay.RunsReserved})
 	}
 	if err != nil {
 		return fmt.Errorf("store: encoding checkpoint %s: %w", cp.SID, err)
 	}
+	*pooled = buf
 	if err = s.fs.MkdirAll(filepath.Dir(path), 0o755); err == nil {
 		err = installBytes(s.fs, path, buf)
 	}

@@ -39,15 +39,18 @@ func checkRecord(t *testing.T, id int64, rec tune.SessionRecord) {
 	checkLine(t, fmt.Sprintf("segment payload %d", id), payload, err, st, "")
 }
 
-// checkBoundary checks a checkpoint boundary line: its envelope and body.
+// checkBoundary checks a checkpoint boundary line, envelope and body,
+// appended behind a line already in the buffer (as a rewrite appends it).
 func checkBoundary(t *testing.T, b ckptBoundary) {
 	t.Helper()
-	line, err := appendCkptBoundary(nil, b)
+	const before = "{\"crc\":1,\"body\":{}}\n"
+	line, err := appendCkptBoundary([]byte(before), b)
 	body, wantErr := json.Marshal(b)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("boundary: writer error %v, json.Marshal error %v", err, wantErr)
 	}
-	if err == nil && !bytes.Equal(line, appendCkptEnvelope(nil, body)) {
+	want := append(append(appendCkptHead([]byte(before), body), body...), "}\n"...)
+	if err == nil && !bytes.Equal(line, want) {
 		t.Fatalf("boundary:\n  wrote    %s\n  json.Marshal %s", line, body)
 	}
 }

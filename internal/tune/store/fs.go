@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // This file is how the store makes bytes durable; every write the store makes
@@ -80,6 +81,12 @@ func scanLog(data []byte, accept func(line []byte) bool) (good int) {
 	}
 	return good
 }
+
+// lineBufs recycles the buffers WAL and checkpoint lines are encoded in
+// (*[]byte). A line is dropped once it is durable; without the pool each
+// append would hand its bytes, and the doublings that grew them, to the
+// collector.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendLog is an open JSON-lines log. The file holds size bytes, every one
 // fsynced, and — unless torn — nothing after them, so the next line always

@@ -417,10 +417,13 @@ func (s *FileStore) appendEntry(e logEntry) error {
 	if s.closed {
 		return fmt.Errorf("store: %s is closed", s.dir)
 	}
-	line, err := e.appendLine(nil)
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
+	line, err := e.appendLine((*buf)[:0])
 	if err != nil {
 		return fmt.Errorf("store: encoding log entry: %w", err)
 	}
+	*buf = line
 	if err := s.wal.append(line); err != nil {
 		return fmt.Errorf("store: appending to WAL: %w", err)
 	}
