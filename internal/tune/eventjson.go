@@ -250,7 +250,7 @@ func (w *jsonWriter) floatMap(m map[string]float64) {
 // keyMemo holds, per key count, the last key list floatMap published for maps
 // of that count; indexing by count keeps two systems' metric sets (dbms and
 // spark sessions run side by side) from evicting each other.
-var keyMemo [65]atomic.Pointer[keyList]
+var keyMemo [65]atomic.Pointer[keyList] // maps of up to 64 keys
 
 // keyList is a sorted key set, immutable once published: quoted[i] is key i
 // as a JSON string and a colon, after a comma from the second key on.

@@ -1,8 +1,11 @@
 package tune
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -49,3 +52,36 @@ func TestKeyMemoPerCount(t *testing.T) {
 		t.Errorf("after a swapped key: count 23 holds %v, count 31 holds %v", got, memoKeys(31))
 	}
 }
+
+// TestKeyMemoConcurrent encodes, from four goroutines at once, records whose
+// metric maps share one key count but not their keys, so every encode races
+// the others' publishes and rollbacks; each must still write json.Marshal's
+// bytes.
+func TestKeyMemoConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		m := map[string]float64{}
+		for i := 0; i < 19; i++ {
+			m[fmt.Sprintf("g%d_metric_%02d", g*(i%2), i)] = float64(g*100+i) / 7
+		}
+		rec := SessionRecord{System: "dbms", Trials: []TrialRecord{{Time: 1, Metrics: m}}}
+		want, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < 500; i++ {
+				if buf, err = rec.AppendJSON(buf[:0]); err != nil || !bytes.Equal(buf, want) {
+					t.Errorf("goroutine %d, encode %d: %v\n  %s\nwant\n  %s", g, i, err, buf, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestKeyMemoConcurrentRace3(t *testing.T) { TestKeyMemoConcurrent(t) }
