@@ -26,8 +26,8 @@ var runtimeGauges = []struct {
 
 // ServeMetrics answers GET /metrics with the process's runtime gauges in
 // the Prometheus text format. The service processes mount it on their API
-// listener: it reads only runtime counters, so it costs a client nothing and
-// reveals nothing about sessions.
+// listener: it reads only the runtime's counters, never session state, so a
+// scrape takes none of the service's locks.
 func ServeMetrics(w http.ResponseWriter, _ *http.Request) {
 	var samples []metrics.Sample
 	for _, g := range runtimeGauges {
