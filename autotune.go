@@ -68,9 +68,6 @@ type (
 	// FidelityTarget is a Target with a cheaper low-fidelity evaluation
 	// path (sampled workload, input fraction, trace prefix).
 	FidelityTarget = tune.FidelityTarget
-	// FidelitySpace is the geometric ladder of budget levels a
-	// multi-fidelity session evaluates trials at.
-	FidelitySpace = tune.FidelitySpace
 	// SurrogateSpec selects the GP surrogate tier (exact, sparse
 	// inducing-point, or random-Fourier-features) and its switch-over
 	// thresholds for the model-based tuners.

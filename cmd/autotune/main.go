@@ -66,7 +66,6 @@ func parseFlags(args []string) (o options, err error) {
 	fs.IntVar(&o.spec.Budget.Trials, "trials", 30, "trial budget (real runs)")
 	fs.IntVar(&o.spec.Parallel, "parallel", 1, "worker count for batch trial evaluation (same result at any value)")
 	fs.BoolVar(&o.spec.Memo, "memo", false, "memoize repeat evaluations of identical configurations")
-	fs.IntVar(&o.spec.MemoCap, "memo-cap", 0, "bound the memo cache to N results with cost-aware GDSF eviction (0 = unbounded; implies -memo)")
 	fs.Int64Var(&o.spec.Seed, "seed", 42, "random seed")
 	fs.Float64Var(&o.spec.Target.ScaleGB, "scale", 0, "input scale in GB (0 = default)")
 	fs.IntVar(&o.spec.Target.Nodes, "nodes", 16, "cluster size for distributed systems")
@@ -79,8 +78,6 @@ func parseFlags(args []string) (o options, err error) {
 	fs.BoolVar(&o.spec.WarmStart, "warm-start", false, "seed the tuner from the nearest past workload in -repo")
 	fs.BoolVar(&o.resume, "resume", false, "with -repo: durably checkpoint progress at batch boundaries and resume the interrupted session of the identical spec (every tuning flag the same)")
 	fs.StringVar(&fid.Strategy, "fidelity", "", `multi-fidelity bracket strategy: "hyperband" or "halving" (off when empty)`)
-	fs.Float64Var(&fid.Min, "fidelity-min", 0, "lowest fidelity fraction evaluated (0 = default 1/9)")
-	fs.Float64Var(&fid.Eta, "fidelity-eta", 0, "rung promotion ratio (0 = default 3)")
 	fs.StringVar(&sur.Tier, "surrogate", "", `GP surrogate tier for model-based tuners: "auto", "exact", "sparse", or "rff" (empty = auto)`)
 	fs.IntVar(&sur.SparseAbove, "sparse-above", 0, "trial count above which auto surrogate mode leaves the exact GP (0 = default 160)")
 	fs.IntVar(&sur.RFFAbove, "rff-above", 0, "trial count above which auto surrogate mode switches to random Fourier features (0 = default 1500)")

@@ -29,17 +29,13 @@ func TestFlagsMapToSpec(t *testing.T) {
 		}},
 		{"-parallel 4", func(s *repro.Spec) { s.Parallel = 4 }},
 		{"-memo", func(s *repro.Spec) { s.Memo = true }},
-		{"-memo-cap 8", func(s *repro.Spec) { s.MemoCap = 8 }},
 		{"-scale 4.5", func(s *repro.Spec) { s.Target.ScaleGB = 4.5 }},
 		{"-nodes 8", func(s *repro.Spec) { s.Target.Nodes = 8 }},
 		{"-hetero", func(s *repro.Spec) { s.Target.Heterogeneous = true }},
 		{"-tenants 0.3", func(s *repro.Spec) { s.Target.TenantLoad = 0.3 }},
 		{"-repo /r -warm-start", func(s *repro.Spec) { s.WarmStart = true }},
 		{"-fidelity hyperband", func(s *repro.Spec) { s.Fidelity = &repro.FidelitySpec{Strategy: "hyperband"} }},
-		{"-fidelity halving -fidelity-min 0.2 -fidelity-eta 4", func(s *repro.Spec) {
-			s.Fidelity = &repro.FidelitySpec{Strategy: "halving", Min: 0.2, Eta: 4}
-		}},
-		{"-fidelity-min 0.2 -fidelity-eta 4", func(*repro.Spec) {}}, // no schedule without a strategy
+		{"-fidelity halving", func(s *repro.Spec) { s.Fidelity = &repro.FidelitySpec{Strategy: "halving"} }},
 		{"-surrogate sparse", func(s *repro.Spec) { s.Surrogate = &repro.SurrogateSpec{Tier: "sparse"} }},
 		{"-sparse-above 100", func(s *repro.Spec) { s.Surrogate = &repro.SurrogateSpec{SparseAbove: 100} }},
 		{"-rff-above 2000", func(s *repro.Spec) { s.Surrogate = &repro.SurrogateSpec{RFFAbove: 2000} }},

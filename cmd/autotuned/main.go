@@ -14,8 +14,8 @@
 // /evaluators); event streams and results stay byte-identical to local
 // evaluation, only wall-clock and fault exposure change.
 //
-// Everything that shapes one session's results — parallelism, the memo
-// ("memo", "memo_cap"), fidelity, scenarios — is in its POSTed spec, which a
+// Everything that shapes one session's results — parallelism, the memo,
+// fidelity, scenarios — is in its POSTed spec, which a
 // checkpoint records; the flags only size and place the service.
 //
 // With -repo the daemon archives every completed session into the named
@@ -57,7 +57,7 @@ func main() {
 		evals       = flag.String("evaluators", "", "comma-separated base URLs of autotune-evaluator processes to lease trials to")
 		maxSessions = flag.Int("max-sessions", 0, "max unfinished sessions before POST /sessions returns 429 (0 = unlimited)")
 		maxQueue    = flag.Int("max-queue", 0, "max sessions queued for a scheduler slot before POST /sessions returns 429 (0 = unlimited)")
-		eventBuffer = flag.Int("event-buffer", 0, "events retained per session for replay; older events compact into a stream checkpoint (0 = default 4096, negative = unbounded)")
+		eventBuffer = flag.Int("event-buffer", 0, "events retained per session for replay; older events compact into a stream checkpoint (0 = default 4096)")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "min new trials between durable session checkpoints (0 = every batch boundary; needs -repo)")
 		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "how long a graceful shutdown waits for in-flight sessions to checkpoint and stop")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof under /debug/pprof/ on this address, apart from the API (default: off)")

@@ -85,8 +85,7 @@ type Options struct {
 	// overload signal). 0 means unlimited.
 	MaxQueue int
 	// EventBuffer is each session's event retention bound (engine ring
-	// size): 0 = the engine default, negative = unbounded (the pre-bounding
-	// behavior).
+	// size): 0 = the engine default. New refuses a negative value.
 	EventBuffer int
 	// CheckpointEvery throttles session checkpointing: at least this many
 	// new trials between durable snapshots (0 = every batch/rung boundary).
@@ -140,6 +139,9 @@ type session struct {
 // (crash or drain) is resubmitted with its observation history replayed, so
 // interrupted sessions continue instead of vanishing.
 func New(o Options) (*Server, error) {
+	if o.EventBuffer < 0 {
+		return nil, fmt.Errorf("daemon: event buffer must be ≥ 0 (0 = the default %d), got %d", repro.DefaultEventBuffer, o.EventBuffer)
+	}
 	s := &Server{
 		eng:      repro.NewEngine(repro.EngineOptions{Workers: o.Workers}),
 		pool:     dist.NewPool(o.Evaluators, dist.PoolOptions{Name: "autotuned"}),

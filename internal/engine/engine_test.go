@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -318,6 +319,94 @@ func TestMemoKeyedByConfigAndFidelity(t *testing.T) {
 		}
 		if res.Trials[0].Result.Time == res.Trials[3].Result.Time {
 			t.Errorf("workers=%d: a@1 returned the a@⅓ result — the memo ignored fidelity", workers)
+		}
+	}
+}
+
+// cyclingProposer proposes `distinct` configurations round-robin, up to four
+// per batch, so a session longer than `distinct` trials repeats each one.
+type cyclingProposer struct {
+	space    *tune.Space
+	distinct int
+	n        int
+}
+
+func (p *cyclingProposer) Propose(n int) []tune.Config {
+	out := make([]tune.Config, 0, min(n, 4))
+	for range cap(out) {
+		out = append(out, p.space.FromVector([]float64{float64(p.n%p.distinct) / float64(p.distinct)}))
+		p.n++
+	}
+	return out
+}
+func (p *cyclingProposer) Observe(tune.Trial) {}
+
+// TestEngineMemoDeterministicAcrossWorkers: with the memo on, the recorded
+// trials are identical at any worker count — hits and stores happen in
+// batch order on the driver goroutine.
+func TestEngineMemoDeterministicAcrossWorkers(t *testing.T) {
+	b := tune.Budget{Trials: 24}
+	run := func(workers int) *tune.TuningResult {
+		tgt := newCountingTarget()
+		return tuneJob(t, Job{Tuner: proposing(&cyclingProposer{space: tgt.space, distinct: 3}), Target: tgt, Budget: b, Parallel: workers, Memo: true})
+	}
+	seq := run(1)
+	for _, w := range []int{2, 8} {
+		sameResult(t, seq, run(w), fmt.Sprintf("memo workers=1 vs %d", w))
+	}
+}
+
+// TestMemoHoldsAtMostTrialsPlusOne pins why the memo needs no bound: it
+// stores one result per evaluated run (and a resume seeds it with replayed
+// trials), so at every batch boundary it holds at most the session's
+// recorded trials plus the one result a budget cut discards — fresh, at
+// any worker count, and resumed from a checkpoint.
+func TestMemoHoldsAtMostTrialsPlusOne(t *testing.T) {
+	b := tune.Budget{Trials: 40}
+	const distinct = 30 // thirty fresh configurations, then ten repeats
+	for _, workers := range []int{1, 4} {
+		var mid *tune.Replay // a checkpoint from the middle of the session
+		ref := newCountingTarget()
+		tuneJob(t, Job{Tuner: proposing(&cyclingProposer{space: ref.space, distinct: distinct}), Target: ref, Budget: b,
+			Parallel: workers, Memo: true, Checkpoint: func(cs tune.CheckpointState) {
+				if mid == nil && len(cs.Trials) >= b.Trials/2 {
+					r := cs.Replay()
+					mid = &r
+				}
+			}})
+		if mid == nil {
+			t.Fatalf("workers=%d: no checkpoint offered past trial %d", workers, b.Trials/2)
+		}
+		for _, replay := range []*tune.Replay{nil, mid} {
+			label := fmt.Sprintf("workers=%d resumed=%v", workers, replay != nil)
+			tgt := newCountingTarget()
+			job := Job{Target: tgt, Budget: b, Parallel: workers, Memo: true, Replay: replay}
+			ev, rep, err := job.evaluator(tune.Resolve(tgt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			outer := ev
+			if rep != nil {
+				outer = rep.live
+			}
+			memo := outer.(*memoized).memo
+			peak := 0
+			check := func(trials int) {
+				if len(memo) > trials+1 {
+					t.Errorf("%s: the memo holds %d results after %d trials", label, len(memo), trials)
+				}
+				peak = max(peak, len(memo))
+			}
+			res, err := tune.Drive(context.Background(), "stub", tgt, b,
+				tune.LiftProposer(&cyclingProposer{space: tgt.space, distinct: distinct}), ev,
+				func(s *tune.Session) { check(len(s.Trials())) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(len(res.Trials))
+			if len(res.Trials) != b.Trials || peak != distinct {
+				t.Errorf("%s: %d trials, the memo peaked at %d results; want %d and %d", label, len(res.Trials), peak, b.Trials, distinct)
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ func fidelityDBMS(seed int64) *dbms.DBMS {
 
 func hyperbandITuned(t *testing.T, seed int64) *tune.MultiFidelityTuner {
 	t.Helper()
-	mf, err := tune.NewMultiFidelity(experiment.NewITuned(seed), tune.FidelitySpace{}, tune.StrategyHyperband, seed)
+	mf, err := tune.NewMultiFidelity(experiment.NewITuned(seed), tune.StrategyHyperband, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func (f *faultTarget) RunIndexedFidelity(ctx context.Context, _ int64, fid float
 // the incumbent.
 func TestFidelityFailingLowRungsDoNotWedgeTheSchedule(t *testing.T) {
 	target := newFaultTarget(false)
-	mf, err := tune.NewMultiFidelity(&experiment.Random{Seed: 9}, tune.FidelitySpace{}, tune.StrategyHyperband, 9)
+	mf, err := tune.NewMultiFidelity(&experiment.Random{Seed: 9}, tune.StrategyHyperband, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestFidelityFailingLowRungsDoNotWedgeTheSchedule(t *testing.T) {
 // fresh session afterwards.
 func TestFidelityHangingEvalsCancelWithoutDeadlockOrSlotLeak(t *testing.T) {
 	target := newFaultTarget(true)
-	mf, err := tune.NewMultiFidelity(&experiment.Random{Seed: 11}, tune.FidelitySpace{}, tune.StrategyHyperband, 11)
+	mf, err := tune.NewMultiFidelity(&experiment.Random{Seed: 11}, tune.StrategyHyperband, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestFidelityHangingEvalsCancelWithoutDeadlockOrSlotLeak(t *testing.T) {
 // identical at any worker count.
 func TestFidelityStopMidRungCancelsSuperfluousEvals(t *testing.T) {
 	stream := func(workers int) string {
-		mf, err := tune.NewMultiFidelity(&experiment.Random{Seed: 3}, tune.FidelitySpace{}, tune.StrategyHalving, 3)
+		mf, err := tune.NewMultiFidelity(&experiment.Random{Seed: 3}, tune.StrategyHalving, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func pipelineRows() []pipelineRow {
 	plainTarget := func() tune.Target { return dbmsTarget(seed) }
 	fidelity := func(inner tune.BatchTuner, strategy string) func(*testing.T) (tune.Tuner, tune.Target) {
 		return func(t *testing.T) (tune.Tuner, tune.Target) {
-			mf, err := tune.NewMultiFidelity(inner, tune.FidelitySpace{}, strategy, seed)
+			mf, err := tune.NewMultiFidelity(inner, strategy, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

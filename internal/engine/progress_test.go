@@ -28,14 +28,14 @@ func foldSessions(t *testing.T) []foldSession {
 	const seed = 17
 	var out []foldSession
 	record := func(name string, job Job) {
-		job.Name, job.EventBuffer = name, -1
+		job.Name = name // DefaultEventBuffer outlasts these sessions: History is the whole stream
 		run := New(Options{}).Submit(job)
 		if _, err := run.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, foldSession{name, run.History()})
 	}
-	mf, err := tune.NewMultiFidelity(&experiment.Random{Seed: seed}, tune.FidelitySpace{}, tune.StrategyHyperband, seed)
+	mf, err := tune.NewMultiFidelity(&experiment.Random{Seed: seed}, tune.StrategyHyperband, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,14 @@ func TestOneFold(t *testing.T) {
 		// Every other stream fits its ring: no synthetic frame is ever sent.
 	}
 	for _, s := range foldSessions(t) {
-		for _, bufCap := range []int{1, 7, 64, -1} {
-			name := fmt.Sprintf("%s/%d", s.name, bufCap)
+		for _, buffer := range []int{1, 7, 64, -1} {
+			name := fmt.Sprintf("%s/%d", s.name, buffer)
+			// -1 leaves the ring to the engine: DefaultEventBuffer, which
+			// every one of these streams fits.
+			bufCap := buffer
+			if bufCap < 0 {
+				bufCap = DefaultEventBuffer
+			}
 			t.Run(name, func(t *testing.T) {
 				agree := func(r *Run, label string, other tune.StreamSummary) {
 					t.Helper()

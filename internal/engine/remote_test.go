@@ -52,7 +52,7 @@ func TestRemoteBackendMatchesLocal(t *testing.T) {
 func TestRemoteFidelityMatchesLocal(t *testing.T) {
 	b := tune.Budget{Trials: 40}
 	run := func(remote RemoteBackend) *tune.TuningResult {
-		mf, err := tune.NewMultiFidelity(experiment.NewITuned(7), tune.FidelitySpace{}, tune.StrategyHyperband, 7)
+		mf, err := tune.NewMultiFidelity(experiment.NewITuned(7), tune.StrategyHyperband, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,11 +32,11 @@ func reservedRuns(caps tune.Capabilities) int64 {
 // replayed serves log's trials, in order, for the batches the fresh proposer
 // proposes, then delegates to live.
 type replayed struct {
-	live  tune.Evaluator
-	caps  tune.Capabilities
-	cache *gdsfMemo // nil: memo disabled
-	log   *tune.Replay
-	pos   int // log trials served so far
+	live tune.Evaluator
+	caps tune.Capabilities
+	memo map[string]tune.Result // nil: memo disabled
+	log  *tune.Replay
+	pos  int // log trials served so far
 }
 
 func (r *replayed) Evaluate(ctx context.Context, batch []tune.Candidate, yield func(int, tune.Result) bool) error {
@@ -57,8 +57,8 @@ func (r *replayed) Evaluate(ctx context.Context, batch []tune.Candidate, yield f
 		}
 		// Seed the memo so post-resume repeat proposals hit it exactly as
 		// they would have without the interruption.
-		if r.cache != nil {
-			r.cache.put(candidateKey(c), rt.Result)
+		if r.memo != nil {
+			r.memo[candidateKey(c)] = rt.Result
 		}
 		if r.pos++; r.pos == n {
 			// Replayed trials consume no target runs, so the counter is

@@ -24,9 +24,9 @@ const (
 )
 
 // DefaultEventBuffer is how many events a run retains for replay when the
-// job does not choose a buffer size. Sessions shorter than this behave
-// exactly like the old unbounded log; longer sessions fold their oldest
-// events into a compacted stream checkpoint.
+// job does not choose a buffer size. Sessions shorter than this keep every
+// event; longer sessions fold their oldest events into a compacted stream
+// checkpoint.
 const DefaultEventBuffer = 4096
 
 // eventBaseBytes is the accounting estimate for one retained event's fixed
@@ -59,7 +59,7 @@ type Run struct {
 	buf    []tune.Event  // event ring: grows to bufCap, then wraps
 	head   int           // index of the oldest retained event once wrapped
 	total  int           // events ever appended == Seq of the newest
-	bufCap int           // retention bound; <0 means unbounded
+	bufCap int           // retention bound
 	notify chan struct{} // closed and replaced on every append
 	// progress folds every appended event, summary every evicted one.
 	progress tune.StreamSummary
@@ -98,7 +98,7 @@ func (e *Engine) submit(ctx context.Context, job Job, record bool) *Run {
 		ctx = context.Background()
 	}
 	bufCap := job.EventBuffer
-	if bufCap == 0 {
+	if bufCap <= 0 {
 		bufCap = DefaultEventBuffer
 	}
 	rctx, cancel := context.WithCancel(ctx)
@@ -202,7 +202,7 @@ func (r *Run) appendLocked(ev tune.Event) {
 	r.total++
 	ev.Seq = r.total
 	r.progress.Add(ev)
-	if r.bufCap < 0 || len(r.buf) < r.bufCap {
+	if len(r.buf) < r.bufCap {
 		r.buf = append(r.buf, ev)
 	} else {
 		// The evicted prefix folds into the summary, so a summary-then-tail

@@ -26,11 +26,6 @@ type Job struct {
 	// measurements of a noisy target are sometimes deliberate — without it the
 	// session reproduces the inline drive loop exactly.
 	Memo bool
-	// MemoCap bounds the memo cache to this many retained results, evicting
-	// by cost-aware GDSF (see gdsfMemo); >0 implies Memo, 0 retains every
-	// result. Eviction decisions happen in batch order on the driver
-	// goroutine, so results stay deterministic at any worker count.
-	MemoCap int
 	// Remote, when non-nil, adds a remote evaluator fleet's slots to this
 	// job's trial evaluation. The backend must be bound to this job's
 	// target sysmodel (dist.Pool.Backend); results are identical with or
@@ -47,10 +42,10 @@ type Job struct {
 	// not archived. The callback owns durability and error handling.
 	Archive func(tune.SessionRecord)
 	// EventBuffer bounds how many events the run handle retains for replay
-	// (0 = DefaultEventBuffer, negative = unbounded). Events evicted from
-	// the buffer are folded into a compacted stream checkpoint, so late or
-	// slow subscribers of a long session receive a summary plus the tail
-	// instead of stalling the run or growing memory without bound.
+	// (≤ 0 = DefaultEventBuffer). Events evicted from the buffer are folded
+	// into a compacted stream checkpoint, so late or slow subscribers of a
+	// long session receive a summary plus the tail instead of stalling the
+	// run or growing memory without bound.
 	EventBuffer int
 	// Checkpoint, when non-nil, receives the session's resumable state at
 	// every batch/rung boundary (throttled by CheckpointEvery) — the hook

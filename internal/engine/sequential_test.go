@@ -119,7 +119,7 @@ func TestSequentialReleasesCoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyperband, err := tune.NewMultiFidelity(rrs(0), tune.FidelitySpace{}, tune.StrategyHyperband, seed)
+	hyperband, err := tune.NewMultiFidelity(rrs(0), tune.StrategyHyperband, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

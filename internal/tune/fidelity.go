@@ -14,45 +14,21 @@ import (
 // implement. The bracket tuner itself lives in multifidelity.go; the drive
 // loop every schedule runs through lives in drive.go.
 
-// FidelitySpace describes the geometric ladder of budget levels a
-// multi-fidelity tuner evaluates trials at: Min, Min·Eta, Min·Eta², …, 1.
-// The zero value selects the defaults (Min 1/9, Eta 3), giving the ladder
-// 1/9 → 1/3 → 1.
-type FidelitySpace struct {
-	// Min is the lowest fidelity evaluated, as a fraction of the full
-	// workload (0 < Min ≤ 1).
-	Min float64 `json:"min,omitempty"`
-	// Eta is the promotion ratio between rungs: each rung promotes roughly
-	// the best 1/Eta of its members to Eta× the fidelity (Eta > 1).
-	Eta float64 `json:"eta,omitempty"`
-}
+// The fidelity ladder is fidelityMin, fidelityMin·fidelityEta, …, 1 — that
+// is 1/9 → 1/3 → 1 — and each rung promotes roughly the best 1/fidelityEta
+// of its members to the next.
+const (
+	fidelityMin = 1.0 / 9
+	fidelityEta = 3
+)
 
-// withDefaults fills zero fields and clamps pathological values so schedule
-// arithmetic is always well-defined. Callers wanting errors instead of
-// clamping validate before constructing (see repro.FidelitySpec).
-func (f FidelitySpace) withDefaults() FidelitySpace {
-	if !(f.Min > 0 && f.Min <= 1) {
-		f.Min = 1.0 / 9
-	}
-	// The floor matches ClampFidelity: a ladder rung below what targets
-	// will actually evaluate would re-measure the same workload twice.
-	if f.Min < MinFidelity {
-		f.Min = MinFidelity
-	}
-	if !(f.Eta > 1) {
-		f.Eta = 3
-	}
-	return f
-}
-
-// Levels returns the fidelity ladder in increasing order. The top level is
-// always exactly 1 (full fidelity).
-func (f FidelitySpace) Levels() []float64 {
-	f = f.withDefaults()
+// fidelityLevels returns the fidelity ladder in increasing order. The top
+// level is always exactly 1 (full fidelity).
+func fidelityLevels() []float64 {
 	var out []float64
 	// The 1e-9 slack keeps float drift (e.g. (1/9)·3·3 ≠ 1 exactly) from
 	// minting a spurious near-1 level below the true top.
-	for v := f.Min; v < 1-1e-9 && len(out) < 64; v *= f.Eta {
+	for v := fidelityMin; v < 1-1e-9; v *= fidelityEta {
 		out = append(out, v)
 	}
 	return append(out, 1)
@@ -82,14 +58,14 @@ func (b Bracket) Trials() int {
 }
 
 // bracketFrom builds the successive-halving bracket that starts n
-// configurations at levels[start]: rung i runs floor(n/Eta^i) configurations
+// configurations at levels[start]: rung i runs floor(n/η^i) configurations
 // at levels[start+i], clamped to at least one — a bracket always carries
 // its best survivor all the way to full fidelity, even when the rounded
 // base width would halve to zero before the ladder tops out.
-func (f FidelitySpace) bracketFrom(levels []float64, start, n int) Bracket {
+func bracketFrom(levels []float64, start, n int) Bracket {
 	rungs := make([]Rung, 0, len(levels)-start)
 	for i := 0; start+i < len(levels); i++ {
-		w := int(float64(n) / math.Pow(f.Eta, float64(i)))
+		w := int(float64(n) / math.Pow(fidelityEta, float64(i)))
 		if w < 1 {
 			w = 1
 		}
@@ -99,26 +75,25 @@ func (f FidelitySpace) bracketFrom(levels []float64, start, n int) Bracket {
 }
 
 // HalvingBracket returns the single most exploratory successive-halving
-// bracket: Eta^(levels-1) configurations starting at the lowest fidelity,
-// halved by Eta per rung up to full fidelity.
-func HalvingBracket(f FidelitySpace) Bracket {
-	f = f.withDefaults()
-	levels := f.Levels()
-	n := int(math.Round(math.Pow(f.Eta, float64(len(levels)-1))))
-	return f.bracketFrom(levels, 0, n)
+// bracket: η^(levels-1) configurations starting at the lowest fidelity,
+// halved by η per rung up to full fidelity.
+func HalvingBracket() Bracket {
+	levels := fidelityLevels()
+	n := int(math.Round(math.Pow(fidelityEta, float64(len(levels)-1))))
+	return bracketFrom(levels, 0, n)
 }
 
 // hyperbandSweep returns one full Hyperband sweep: brackets from most
 // exploratory (all rungs, widest base) to a single full-fidelity rung,
 // trading off aggressive early-stopping against the risk that low fidelity
 // misleads (see DESIGN.md §11).
-func (f FidelitySpace) hyperbandSweep() []Bracket {
-	levels := f.Levels()
+func hyperbandSweep() []Bracket {
+	levels := fidelityLevels()
 	smax := len(levels) - 1
 	out := make([]Bracket, 0, smax+1)
 	for s := smax; s >= 0; s-- {
-		n := int(math.Ceil(float64(smax+1) / float64(s+1) * math.Pow(f.Eta, float64(s))))
-		out = append(out, f.bracketFrom(levels, smax-s, n))
+		n := int(math.Ceil(float64(smax+1) / float64(s+1) * math.Pow(fidelityEta, float64(s))))
+		out = append(out, bracketFrom(levels, smax-s, n))
 	}
 	return out
 }
@@ -139,8 +114,7 @@ const (
 // trials as a width-1 full-fidelity top rung — its best screen is promoted
 // to a complete run — so every schedule produces at least one result
 // capable of holding the incumbent, however small the budget.
-func Schedule(f FidelitySpace, strategy string, trials int) []Bracket {
-	f = f.withDefaults()
+func Schedule(strategy string, trials int) []Bracket {
 	if trials <= 0 {
 		return nil
 	}
@@ -149,9 +123,9 @@ func Schedule(f FidelitySpace, strategy string, trials int) []Bracket {
 	for remaining > 0 {
 		var sweep []Bracket
 		if strategy == StrategyHalving {
-			sweep = []Bracket{HalvingBracket(f)}
+			sweep = []Bracket{HalvingBracket()}
 		} else {
-			sweep = f.hyperbandSweep()
+			sweep = hyperbandSweep()
 		}
 		for _, br := range sweep {
 			if remaining <= 0 {
@@ -207,9 +181,7 @@ func clipBracket(br Bracket, budget int) Bracket {
 }
 
 // MinFidelity is the smallest workload fraction a target evaluates: the
-// shared floor of ClampFidelity, FidelitySpace defaults, and spec
-// validation, so the ladder never holds a rung below what targets will
-// actually run.
+// floor of ClampFidelity, so every system interprets a tiny fraction alike.
 const MinFidelity = 0.001
 
 // ClampFidelity bounds a fidelity fraction to [MinFidelity, 1], mapping

@@ -16,7 +16,6 @@ import (
 // one comparable scale (see mfProposer.normalize).
 type MultiFidelityTuner struct {
 	inner    BatchTuner
-	fs       FidelitySpace
 	strategy string
 	seed     int64
 }
@@ -24,7 +23,7 @@ type MultiFidelityTuner struct {
 // NewMultiFidelity wraps inner in the given fidelity schedule. Strategy is
 // StrategyHyperband (also the default for ""), or StrategyHalving. The seed
 // threads into rung promotion tie-breaks.
-func NewMultiFidelity(inner BatchTuner, fs FidelitySpace, strategy string, seed int64) (*MultiFidelityTuner, error) {
+func NewMultiFidelity(inner BatchTuner, strategy string, seed int64) (*MultiFidelityTuner, error) {
 	switch strategy {
 	case "":
 		strategy = StrategyHyperband
@@ -35,7 +34,7 @@ func NewMultiFidelity(inner BatchTuner, fs FidelitySpace, strategy string, seed 
 	if inner == nil {
 		return nil, fmt.Errorf("tune: multi-fidelity requires an inner ask/tell tuner")
 	}
-	return &MultiFidelityTuner{inner: inner, fs: fs.withDefaults(), strategy: strategy, seed: seed}, nil
+	return &MultiFidelityTuner{inner: inner, strategy: strategy, seed: seed}, nil
 }
 
 // Name implements Tuner, e.g. "hyperband(ituned)".
@@ -64,9 +63,8 @@ func (t *MultiFidelityTuner) NewFidelityProposer(target Target, b Budget) (Fidel
 	}
 	return &mfProposer{
 		inner:    p,
-		fs:       t.fs,
 		seed:     t.seed,
-		schedule: Schedule(t.fs, t.strategy, b.Trials),
+		schedule: Schedule(t.strategy, b.Trials),
 	}, nil
 }
 
@@ -84,7 +82,6 @@ type mfMember struct {
 // keeps event streams byte-identical at any parallelism.
 type mfProposer struct {
 	inner    Proposer
-	fs       FidelitySpace
 	seed     int64
 	schedule []Bracket
 
@@ -165,7 +162,7 @@ func (p *mfProposer) startBracket() {
 		// Shrunk widths never exceed the scheduled ones, so the budget
 		// bound is preserved.
 		for i := range p.widths {
-			if w := int(float64(len(cfgs)) / math.Pow(p.fs.Eta, float64(i))); w < p.widths[i] {
+			if w := int(float64(len(cfgs)) / math.Pow(fidelityEta, float64(i))); w < p.widths[i] {
 				p.widths[i] = w
 			}
 			if p.widths[i] < 1 {

@@ -367,7 +367,13 @@ func saveOp(cp SessionCheckpoint) op {
 // deleted. Close follows. A lookup after the bulk append builds the feature
 // index, and one after the fold checks it followed the records into the new
 // segment.
-func lifetime() []op {
+//
+// The store then restarts on the same directory for the second list: five
+// deletes of the oldest record — the fourth folds the tail, and the fifth,
+// which leaves as many tombstones as live records, compacts — and a lookup
+// that checks the index followed the records through the compaction. Close
+// follows again.
+func lifetime() [2][]op {
 	ops := []op{
 		appendOp(rec("dbms", "tpch", 1)),
 		appendOp(rec("dbms", "oltp", 2)),
@@ -386,7 +392,7 @@ func lifetime() []op {
 	for i := 0; i < 4; i++ {
 		ops = append(ops, appendOp(rec("dbms", fmt.Sprintf("w%d", i), 2)))
 	}
-	return append(ops,
+	ops = append(ops,
 		nearestOp,
 		deleteOp(func(int) int { return 0 }), // the oldest: folded by the first delete
 		func(s *FileStore, _ *model) (func(*model), error) { return func(*model) {}, s.Compact() },
@@ -394,6 +400,9 @@ func lifetime() []op {
 			return func(m *model) { delete(m.ckpts, "s2") }, s.DeleteCheckpoint("s2")
 		},
 	)
+	oldest := deleteOp(func(int) int { return 0 })
+	restarted := []op{oldest, oldest, oldest, oldest, oldest, nearestOp}
+	return [2][]op{ops, restarted}
 }
 
 // lifetimeRun is what one run of the lifetime observed.
@@ -408,42 +417,46 @@ type lifetimeRun struct {
 
 // runLifetime runs the lifetime in dir through fs, continuing past errors,
 // calls after (if set) once each operation i has returned, and closes the
-// store.
+// store after each of its two lists. A restart whose Open fails ends the run.
 func runLifetime(dir string, fs *faultFS, after func(i int, r *lifetimeRun)) lifetimeRun {
 	r := lifetimeRun{acked: model{ckpts: map[string]SessionCheckpoint{}}, hit: -1}
-	s, err := openFS(dir, fs)
-	if err != nil {
-		return r
-	}
-	r.opened = true
-	s.compactEvery = 4
-	for i, op := range lifetime() {
-		before := fs.faulted()
-		effect, err := op(s, &r.acked)
-		if errors.Is(err, errWrongAnswer) {
-			r.wrong = append(r.wrong, err)
-			continue
+	i := -1
+	for _, ops := range lifetime() {
+		s, err := openFS(dir, fs)
+		if err != nil {
+			break
 		}
-		if before == 0 && fs.faulted() > 0 {
-			r.hit = i
-			r.inflight = r.acked.clone()
-			effect(&r.inflight)
-		} else if err == nil && r.hit >= 0 {
-			effect(&r.inflight)
+		r.opened = true
+		s.compactEvery = 4
+		for _, op := range ops {
+			i++
+			before := fs.faulted()
+			effect, err := op(s, &r.acked)
+			if errors.Is(err, errWrongAnswer) {
+				r.wrong = append(r.wrong, err)
+				continue
+			}
+			if before == 0 && fs.faulted() > 0 {
+				r.hit = i
+				r.inflight = r.acked.clone()
+				effect(&r.inflight)
+			} else if err == nil && r.hit >= 0 {
+				effect(&r.inflight)
+			}
+			if err == nil {
+				effect(&r.acked)
+			} else {
+				r.failed = append(r.failed, i)
+			}
+			if after != nil {
+				after(i, &r)
+			}
 		}
-		if err == nil {
-			effect(&r.acked)
-		} else {
-			r.failed = append(r.failed, i)
-		}
-		if after != nil {
-			after(i, &r)
-		}
+		s.Close()
 	}
 	if r.hit < 0 {
 		r.inflight = r.acked
 	}
-	s.Close()
 	return r
 }
 

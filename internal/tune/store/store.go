@@ -21,7 +21,9 @@
 // missing its newline or cut mid-JSON by a crash) is truncated away,
 // recovering every complete record. When the tail grows past
 // DefaultCompactEvery entries or DefaultCompactBytes bytes it is folded into
-// a new segment and truncated. Every write goes through fs.go: one
+// a new segment and truncated; once the tombstones number at least
+// DefaultCompactEvery and at least the live records, every live record is
+// rewritten into one fresh segment instead. Every write goes through fs.go: one
 // append-only log type, one atomic install, one file-system seam. This is the
 // only layout the store reads: Open refuses a directory still in a retired
 // one (see errLegacyLayout).
@@ -89,9 +91,6 @@ type Store interface {
 	Append(rec tune.SessionRecord) (int64, error)
 	// Delete durably removes the record with the given id.
 	Delete(id int64) error
-	// Compact folds the tail and every segment into one fresh segment,
-	// dropping tombstones.
-	Compact() error
 	// WarmConfigs warm-starts from the nearest transferable session of the
 	// named system — identical results to tune.WarmConfigs over the
 	// materialized corpus, but served by the feature index with lazy
@@ -133,7 +132,7 @@ const (
 )
 
 // DefaultCompactEvery is the tail length that triggers an automatic fold
-// into a new segment.
+// into a new segment, and the fewest tombstones that trigger a compaction.
 const DefaultCompactEvery = 128
 
 // DefaultCompactBytes is the WAL byte size that triggers an automatic fold
@@ -181,8 +180,10 @@ type FileStore struct {
 
 	// compactEvery is the number of WAL entries and compactBytes the WAL
 	// byte size that trigger an automatic tail fold on the next mutation,
-	// whichever fires first; 0 disables a trigger. Open sets the defaults;
-	// only in-package tests change them, right after Open.
+	// whichever fires first; 0 disables a trigger. Tombstones reaching both
+	// compactEvery and the live record count trigger a compaction instead.
+	// Open sets the defaults; only in-package tests change them, right after
+	// Open.
 	compactEvery int
 	compactBytes int64
 
@@ -746,12 +747,20 @@ func (s *FileStore) Nearest(system string, features map[string]float64) (Summary
 	return sum, found
 }
 
-// maybeCompactLocked folds the tail when the WAL has grown past
-// compactEvery entries or compactBytes bytes — whichever fires first. Fold
-// failure is not an error for the triggering mutation — the mutation itself
-// is already durable in the log; the oversized WAL will be retried on the
-// next mutation and folded at the latest on reopen.
+// maybeCompactLocked reclaims space after a mutation. Once the tombstones
+// reach both compactEvery and the live record count — at least as many dead
+// records as live ones — it compacts, which empties the WAL too.
+// Otherwise it folds the tail when the WAL has grown past compactEvery
+// entries or compactBytes bytes, whichever fires first. Neither failing is
+// an error for the triggering mutation — the mutation itself is already
+// durable in the log; the work is retried on the next mutation and at the
+// latest on reopen.
 func (s *FileStore) maybeCompactLocked() {
+	if dead := len(s.dead); s.compactEvery > 0 && dead >= s.compactEvery && dead >= s.lenLocked() {
+		if s.compactLocked() == nil {
+			return
+		}
+	}
 	byCount := s.compactEvery > 0 && s.walLen >= s.compactEvery
 	bySize := s.compactBytes > 0 && s.wal.size >= s.compactBytes
 	if byCount || bySize {
@@ -846,11 +855,9 @@ func deadList(dead map[int64]bool) []int64 {
 	return out
 }
 
-// Compact implements Store: a full rewrite of every live record into one
-// fresh segment, dropping tombstones and old segment files.
-func (s *FileStore) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// compactLocked rewrites every live record into one fresh segment, dropping
+// tombstones and old segment files.
+func (s *FileStore) compactLocked() error {
 	if s.closed {
 		return fmt.Errorf("store: %s is closed", s.dir)
 	}

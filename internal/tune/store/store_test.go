@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -138,6 +139,13 @@ func TestStoreDeleteSurvivesReopen(t *testing.T) {
 	}
 }
 
+// Compact runs a compaction now, whatever the tombstone trigger says.
+func (s *FileStore) Compact() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.compactLocked()
+}
+
 func TestStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
@@ -175,6 +183,66 @@ func TestStoreCompaction(t *testing.T) {
 	// Explicit compaction with an empty WAL is a no-op that still succeeds.
 	if err := s2.Compact(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeleteHeavyTrafficReopensToTheSameCorpus: deletes outpacing appends
+// leave tombstones that reach the live record count, so the store compacts
+// itself, more than once; after every delete the trigger is spent, lookups
+// agree with the linear scan throughout, and a reopen gives the same corpus.
+func TestDeleteHeavyTrafficReopensToTheSameCorpus(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	dir := t.TempDir()
+	s := open(t, dir)
+	s.compactEvery = 8
+	var live []int64
+	compactions := 0
+	for i := 0; i < 500; i++ {
+		// 150 appends fill several segments; then three deletes to one append.
+		if len(live) == 0 || i < 150 || rng.Float64() < 0.25 {
+			id, err := s.Append(randOracleRecord(rng, "dbms"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, id)
+			continue
+		}
+		at := rng.Intn(len(live))
+		tombstones := len(s.dead)
+		if err := s.Delete(live[at]); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live[:at], live[at+1:]...)
+		if tombstones > 0 && len(s.dead) == 0 {
+			compactions++
+		}
+		if d := len(s.dead); d >= s.compactEvery && d >= s.Len() {
+			t.Fatalf("operation %d: %d tombstones, %d live records, and no compaction", i, d, s.Len())
+		}
+		if i%29 == 0 {
+			assertStoreMatchesOracle(t, s, "dbms", randOracleQuery(rng))
+		}
+	}
+	if compactions < 2 {
+		t.Fatalf("%d compactions, want several", compactions)
+	}
+	before := sessions(t, s)
+	ids := make([]int64, len(before))
+	for i, st := range before {
+		ids[i] = st.ID
+	}
+	if !reflect.DeepEqual(ids, live) {
+		t.Fatalf("live ids %v, want %v", ids, live)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := open(t, dir)
+	if after := sessions(t, s2); !reflect.DeepEqual(after, before) {
+		t.Fatalf("reopened store holds %d records, want the %d it held before", len(after), len(before))
+	}
+	for q := 0; q < 4; q++ {
+		assertStoreMatchesOracle(t, s2, "dbms", randOracleQuery(rng))
 	}
 }
 

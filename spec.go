@@ -41,12 +41,6 @@ type Spec struct {
 	Parallel int `json:"parallel,omitempty"`
 	// Memo enables the config-keyed result memo cache for this session.
 	Memo bool `json:"memo,omitempty"`
-	// MemoCap bounds the memo cache to this many retained results with
-	// cost-aware GDSF eviction; >0 implies Memo, 0 retains every result.
-	// Bounded sessions still evaluate deterministically at any
-	// parallelism — only which repeats are served memoized can differ
-	// from the unbounded cache.
-	MemoCap int `json:"memo_cap,omitempty"`
 	// WarmStart seeds the session's proposer with the best configurations
 	// transferred from the mapped nearest past workload of the same system
 	// in the store the job is built on (see JobOn and tune.WarmConfigs). It
@@ -93,34 +87,22 @@ type Spec struct {
 }
 
 // FidelitySpec configures multi-fidelity tuning for a session (see
-// tune.FidelitySpace and tune.Schedule).
+// tune.Schedule). Every schedule climbs the ladder 1/9 → 1/3 → 1.
 type FidelitySpec struct {
 	// Strategy selects the bracket schedule: "hyperband" (default) cycles
 	// full Hyperband sweeps; "halving" repeats the single most exploratory
 	// successive-halving bracket.
 	Strategy string `json:"strategy,omitempty"`
-	// Min is the lowest fidelity evaluated, as a fraction of the full
-	// workload (default 1/9).
-	Min float64 `json:"min,omitempty"`
-	// Eta is the rung promotion ratio (default 3).
-	Eta float64 `json:"eta,omitempty"`
 }
 
-// validate rejects out-of-range fidelity options with descriptive errors.
+// validate rejects an unknown strategy with a descriptive error.
 func (f *FidelitySpec) validate() error {
 	switch f.Strategy {
 	case "", tune.StrategyHyperband, tune.StrategyHalving:
-	default:
-		return fmt.Errorf("repro: unknown fidelity strategy %q (have %s, %s)",
-			f.Strategy, tune.StrategyHyperband, tune.StrategyHalving)
+		return nil
 	}
-	if f.Min != 0 && !(f.Min >= tune.MinFidelity && f.Min <= 1) {
-		return fmt.Errorf("repro: fidelity min must be within [%v, 1] (0 selects the default of 1/9), got %v", tune.MinFidelity, f.Min)
-	}
-	if f.Eta != 0 && !(f.Eta >= 1.5 && f.Eta <= 10) {
-		return fmt.Errorf("repro: fidelity eta must be within [1.5, 10] (0 selects the default of 3), got %v", f.Eta)
-	}
-	return nil
+	return fmt.Errorf("repro: unknown fidelity strategy %q (have %s, %s)",
+		f.Strategy, tune.StrategyHyperband, tune.StrategyHalving)
 }
 
 // WarmSeeds is how many transferred configurations a warm-started session
@@ -179,9 +161,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Parallel < 0 {
 		return fmt.Errorf("repro: parallel must be ≥ 0, got %d", s.Parallel)
-	}
-	if s.MemoCap < 0 {
-		return fmt.Errorf("repro: memo_cap must be ≥ 0 (0 = unbounded), got %d", s.MemoCap)
 	}
 	if err := s.Target.validate(); err != nil {
 		return err
@@ -371,8 +350,7 @@ func (s Spec) JobWithWarm(corpus tune.Corpus, warm tune.WarmSource, archive func
 	}
 	if s.Fidelity != nil {
 		// Validate keeps fidelity apart from the three scenario wrappers.
-		if tuner, err = tune.NewMultiFidelity(bt,
-			tune.FidelitySpace{Min: s.Fidelity.Min, Eta: s.Fidelity.Eta}, s.Fidelity.Strategy, s.Seed); err != nil {
+		if tuner, err = tune.NewMultiFidelity(bt, s.Fidelity.Strategy, s.Seed); err != nil {
 			return Job{}, err
 		}
 	}
@@ -390,7 +368,6 @@ func (s Spec) JobWithWarm(corpus tune.Corpus, warm tune.WarmSource, archive func
 		Budget:   s.Budget,
 		Parallel: s.Parallel,
 		Memo:     s.Memo,
-		MemoCap:  s.MemoCap,
 		System:   s.System,
 		Workload: s.Workload,
 		Archive:  archive,

@@ -31,7 +31,6 @@ func TestSpecCrossProduct(t *testing.T) {
 	}{
 		{name: "plain", apply: func(*Spec) {}},
 		{name: "memo", apply: func(s *Spec) { s.Memo = true }},
-		{name: "memo_cap 3", apply: func(s *Spec) { s.MemoCap = 3 }},
 		{name: "parallel 4", apply: func(s *Spec) { s.Parallel = 4 }},
 		{name: "hyperband", apply: func(s *Spec) { s.Fidelity = &FidelitySpec{Strategy: "hyperband"} }},
 		{name: "halving", apply: func(s *Spec) { s.Fidelity = &FidelitySpec{Strategy: "halving"} }},

@@ -29,7 +29,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		Proxy:    &ProxySpec{ScaleGB: 4, Nodes: 4},
 		Parallel: 4,
 		Memo:     true,
-		Fidelity: &FidelitySpec{Strategy: "hyperband", Min: 0.1, Eta: 2.5},
+		Fidelity: &FidelitySpec{Strategy: "hyperband"},
 		Surrogate: &SurrogateSpec{
 			Tier: "auto", SparseAbove: 200, RFFAbove: 2000,
 			Inducing: 48, Features: 256,
@@ -47,7 +47,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed the spec:\n  in:  %+v\n  out: %+v", spec, back)
 	}
 	// Wire names stay snake_case: remote clients program against them.
-	for _, key := range []string{`"system"`, `"workload"`, `"tuner"`, `"seed"`, `"budget"`, `"trials"`, `"sim_time"`, `"scale_gb"`, `"tenant_load"`, `"full_spark_space"`, `"proxy"`, `"parallel"`, `"memo"`, `"fidelity"`, `"strategy"`, `"eta"`, `"surrogate"`, `"sparse_above"`, `"rff_above"`, `"inducing"`, `"features"`} {
+	for _, key := range []string{`"system"`, `"workload"`, `"tuner"`, `"seed"`, `"budget"`, `"trials"`, `"sim_time"`, `"scale_gb"`, `"tenant_load"`, `"full_spark_space"`, `"proxy"`, `"parallel"`, `"memo"`, `"fidelity"`, `"strategy"`, `"surrogate"`, `"sparse_above"`, `"rff_above"`, `"inducing"`, `"features"`} {
 		if !bytes.Contains(data, []byte(key)) {
 			t.Errorf("spec JSON missing %s: %s", key, data)
 		}
@@ -76,10 +76,6 @@ func TestSpecValidate(t *testing.T) {
 		{func(s *Spec) { s.Target.TenantLoad = 0.95 }, "TenantLoad"},
 		{func(s *Spec) { s.Proxy = &ProxySpec{ScaleGB: 0} }, "proxy"},
 		{func(s *Spec) { s.Fidelity = &FidelitySpec{Strategy: "nosuch"} }, "fidelity strategy"},
-		{func(s *Spec) { s.Fidelity = &FidelitySpec{Min: -0.5} }, "fidelity min"},
-		{func(s *Spec) { s.Fidelity = &FidelitySpec{Min: 1.5} }, "fidelity min"},
-		{func(s *Spec) { s.Fidelity = &FidelitySpec{Eta: 1.01} }, "fidelity eta"},
-		{func(s *Spec) { s.Fidelity = &FidelitySpec{Eta: 50} }, "fidelity eta"},
 		{func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "kriging"} }, "unknown surrogate tier"},
 		{func(s *Spec) { s.Surrogate = &SurrogateSpec{SparseAbove: -3} }, "non-negative"},
 		{func(s *Spec) { s.Surrogate = &SurrogateSpec{SparseAbove: 500, RFFAbove: 100} }, "rff_above"},
@@ -684,7 +680,7 @@ func TestSpecFidelityMaterialization(t *testing.T) {
 	}
 }
 
-// TestSpecMemoWithFidelity: Memo/MemoCap combined with a fidelity schedule
+// TestSpecMemoWithFidelity: Memo combined with a fidelity schedule
 // is honoured, not ignored — the memo is keyed by (configuration, fidelity),
 // so rungs still re-measure promoted configurations and the whole event
 // stream stays byte-identical at parallel 1 and parallel 4.
@@ -693,7 +689,7 @@ func TestSpecMemoWithFidelity(t *testing.T) {
 		run, err := Start(context.Background(), Spec{
 			System: "dbms", Workload: "tpch", Tuner: "random",
 			Seed: 9, Budget: Budget{Trials: 30}, Target: TargetOptions{ScaleGB: 2},
-			Fidelity: &FidelitySpec{Strategy: "hyperband"}, MemoCap: 4, Parallel: parallel,
+			Fidelity: &FidelitySpec{Strategy: "hyperband"}, Memo: true, Parallel: parallel,
 		})
 		if err != nil {
 			t.Fatal(err)

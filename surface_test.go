@@ -58,6 +58,10 @@ var retiredSurfaces = []string{
 	// One-line copies of another entry point: a subscription that ends early
 	// is EventsSince(ctx, 0), and every trial enters a session through Record.
 	`EventsContext\(`, `RecordExternal\(`,
+	// Settable values no program set to anything but their default: the
+	// memo's bound and its eviction policy (the memo never outgrows its
+	// session), and the fidelity ladder's lowest rung and promotion ratio.
+	`MemoCap`, `memo_cap`, `memo-cap`, `gdsf`, `GDSF`, `FidelitySpace`, `fidelity-min`, `fidelity-eta`,
 }
 
 // The one CI step list: the workflow's only command is scripts/ci.sh, and
@@ -175,7 +179,6 @@ var unusedAPIAllowed = map[string]string{
 	"tune.Guardrail.Vetoes":         "test accessor: the guardrail tests count vetoes",
 	"tune.DriftDetector.Detections": "test accessor: the drift tests count detections",
 	"tune.NearestSession":           "the linear-scan oracle the store's VP-tree is checked against",
-	"store.FileStore.Compact":       "the only way to reclaim tombstones; the fault table covers it",
 }
 
 // TestInternalAPIHasCallers fails on an exported function or method under
