@@ -41,7 +41,7 @@ func main() {
 		addr        = flag.String("addr", ":8081", "listen address")
 		workers     = flag.Int("workers", 1, "concurrent evaluations admitted")
 		name        = flag.String("name", "", "evaluator name in registrations and health reports (default: the listen address)")
-		heartbeat   = flag.Duration("heartbeat", 500*time.Millisecond, "interval between heartbeat frames on an open lease")
+		heartbeat   = flag.Duration("heartbeat", 500*time.Millisecond, "interval between heartbeat frames on an open lease; a coordinator declares a lease lost after ten pass without a frame")
 		coordinator = flag.String("coordinator", "", "autotuned base URL to announce this evaluator to at startup")
 		advertise   = flag.String("advertise", "", "base URL coordinators reach this evaluator at (default: http://127.0.0.1<addr>)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof under /debug/pprof/ on this address, apart from the lease API (default: off)")

@@ -58,7 +58,6 @@ func main() {
 		maxSessions = flag.Int("max-sessions", 0, "max unfinished sessions before POST /sessions returns 429 (0 = unlimited)")
 		maxQueue    = flag.Int("max-queue", 0, "max sessions queued for a scheduler slot before POST /sessions returns 429 (0 = unlimited)")
 		eventBuffer = flag.Int("event-buffer", 0, "events retained per session for replay; older events compact into a stream checkpoint (0 = default 4096)")
-		ckptEvery   = flag.Int("checkpoint-every", 0, "min new trials between durable session checkpoints (0 = every batch boundary; needs -repo)")
 		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "how long a graceful shutdown waits for in-flight sessions to checkpoint and stop")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof under /debug/pprof/ on this address, apart from the API (default: off)")
 	)
@@ -71,7 +70,7 @@ func main() {
 	d, err := daemon.New(daemon.Options{
 		Workers: *workers, RepoDir: *repoDir, Evaluators: splitURLs(*evals),
 		MaxSessions: *maxSessions, MaxQueue: *maxQueue,
-		EventBuffer: *eventBuffer, CheckpointEvery: *ckptEvery,
+		EventBuffer: *eventBuffer,
 	})
 	if err != nil {
 		fatal(err)

@@ -87,10 +87,6 @@ type Options struct {
 	// EventBuffer is each session's event retention bound (engine ring
 	// size): 0 = the engine default. New refuses a negative value.
 	EventBuffer int
-	// CheckpointEvery throttles session checkpointing: at least this many
-	// new trials between durable snapshots (0 = every batch/rung boundary).
-	// Only meaningful with a RepoDir.
-	CheckpointEvery int
 }
 
 // sseWriteTimeout bounds each SSE write: a client that stops reading long
@@ -528,7 +524,6 @@ func (s *Server) startSession(spec repro.Spec, sid string, replay *tune.Replay, 
 		Target:   spec.Target,
 	})
 	job.EventBuffer = s.opts.EventBuffer
-	job.CheckpointEvery = s.opts.CheckpointEvery
 	if s.repo != nil && replay == nil {
 		job.Checkpoint(tune.CheckpointState{})
 		if sess.ckptErr != nil {
@@ -837,13 +832,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// Draining reports whether a graceful drain has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // —— repository endpoints ——————————————————————————————————————————————————

@@ -23,7 +23,7 @@ func newFleet(t *testing.T, n int, opts func(i int) EvaluatorOptions) (*Pool, []
 	var urls []string
 	evs := make([]*Evaluator, n)
 	for i := 0; i < n; i++ {
-		o := EvaluatorOptions{Workers: 2, HeartbeatEvery: 20 * time.Millisecond}
+		o := EvaluatorOptions{Workers: 2, HeartbeatEvery: 50 * time.Millisecond}
 		if opts != nil {
 			o = opts(i)
 		}
@@ -32,10 +32,7 @@ func newFleet(t *testing.T, n int, opts func(i int) EvaluatorOptions) (*Pool, []
 		t.Cleanup(srv.Close)
 		urls = append(urls, srv.URL)
 	}
-	pool := NewPool(urls, PoolOptions{
-		HeartbeatTimeout: 500 * time.Millisecond,
-		RetryBackoff:     5 * time.Millisecond,
-	})
+	pool := NewPool(urls, PoolOptions{RetryBackoff: 5 * time.Millisecond})
 	return pool, evs
 }
 
@@ -124,7 +121,7 @@ func TestLeaseRequeueOnDrop(t *testing.T) {
 	local := tuneWith(t, nil, "ituned", 15)
 	var drops atomic.Int64
 	pool, _ := newFleet(t, 2, func(i int) EvaluatorOptions {
-		o := EvaluatorOptions{Workers: 2, HeartbeatEvery: 20 * time.Millisecond}
+		o := EvaluatorOptions{Workers: 2, HeartbeatEvery: 50 * time.Millisecond}
 		if i == 0 {
 			o.Fault = func(a TrialAssignment) Fault {
 				if a.RunIndex%3 == 0 {
@@ -164,10 +161,7 @@ func TestLeaseRequeueOnFrozenEvaluator(t *testing.T) {
 		t.Cleanup(srv.Close)
 		urls = append(urls, srv.URL)
 	}
-	pool := NewPool(urls, PoolOptions{
-		HeartbeatTimeout: 100 * time.Millisecond,
-		RetryBackoff:     5 * time.Millisecond,
-	})
+	pool := NewPool(urls, PoolOptions{RetryBackoff: 5 * time.Millisecond})
 	sameResult(t, local, tuneWith(t, pool.Backend(dbmsModel), "ituned", 12), "local vs frozen evaluator")
 	if freezes.Load() > 0 && pool.Retries() == 0 {
 		t.Fatal("freezes were injected but the pool recorded no requeues")
@@ -182,12 +176,9 @@ func TestDeadEvaluatorIsRoutedAround(t *testing.T) {
 	dead := httptest.NewServer(NewEvaluator(EvaluatorOptions{}).Handler())
 	deadURL := dead.URL
 	dead.Close()
-	live := httptest.NewServer(NewEvaluator(EvaluatorOptions{Workers: 2, HeartbeatEvery: 20 * time.Millisecond}).Handler())
+	live := httptest.NewServer(NewEvaluator(EvaluatorOptions{Workers: 2, HeartbeatEvery: 50 * time.Millisecond}).Handler())
 	t.Cleanup(live.Close)
-	pool := NewPool([]string{deadURL, live.URL}, PoolOptions{
-		HeartbeatTimeout: 500 * time.Millisecond,
-		RetryBackoff:     5 * time.Millisecond,
-	})
+	pool := NewPool([]string{deadURL, live.URL}, PoolOptions{RetryBackoff: 5 * time.Millisecond})
 	sameResult(t, local, tuneWith(t, pool.Backend(dbmsModel), "ituned", 12), "local vs half-dead fleet")
 }
 
@@ -198,11 +189,10 @@ func TestHeartbeatsKeepSlowLeasesAlive(t *testing.T) {
 	pool, _ := newFleet(t, 1, func(int) EvaluatorOptions {
 		return EvaluatorOptions{
 			Workers:        2,
-			HeartbeatEvery: 20 * time.Millisecond,
+			HeartbeatEvery: 10 * time.Millisecond, // a 100 ms lease timeout
 			Fault:          func(TrialAssignment) Fault { return Fault{Delay: 250 * time.Millisecond} },
 		}
 	})
-	pool.opts.HeartbeatTimeout = 100 * time.Millisecond
 	back := pool.Backend(dbmsModel)
 	target, err := repro.NewTarget("dbms", "tpch", 7)
 	if err != nil {
@@ -221,6 +211,33 @@ func TestHeartbeatsKeepSlowLeasesAlive(t *testing.T) {
 	local := target.(tune.ConcurrentTarget).RunIndexed(1, target.Space().Default())
 	if res.Time != local.Time {
 		t.Fatalf("remote %v != local %v", res.Time, local.Time)
+	}
+}
+
+// TestLeaseTimeoutFollowsTheEvaluatorsBeat: a lease is timed by its own
+// evaluator's heartbeat interval, which registration reports, not by a fixed
+// span. An evaluator beating every 6 s answers after 5.5 s of silence, longer
+// than the 5 s a fixed timeout allowed, and its first lease completes.
+func TestLeaseTimeoutFollowsTheEvaluatorsBeat(t *testing.T) {
+	pool, evs := newFleet(t, 1, func(int) EvaluatorOptions {
+		return EvaluatorOptions{
+			Workers:        1,
+			HeartbeatEvery: 6 * time.Second,
+			Fault:          func(TrialAssignment) Fault { return Fault{Delay: 5500 * time.Millisecond} },
+		}
+	})
+	if got := evs[0].Info().HeartbeatMs; got != 6000 {
+		t.Fatalf("Info().HeartbeatMs = %d, want 6000", got)
+	}
+	target, err := repro.NewTarget("dbms", "tpch", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Backend(dbmsModel).Evaluate(context.Background(), 1, 0, target.Space().Default()); err != nil {
+		t.Fatalf("a lease inside ten of its evaluator's beats was lost: %v", err)
+	}
+	if pool.Retries() != 0 {
+		t.Fatalf("the lease burned %d retries, want 0", pool.Retries())
 	}
 }
 
@@ -312,7 +329,7 @@ func TestCancellationAbortsLease(t *testing.T) {
 	pool, _ := newFleet(t, 1, func(int) EvaluatorOptions {
 		return EvaluatorOptions{
 			Workers:        1,
-			HeartbeatEvery: 10 * time.Millisecond,
+			HeartbeatEvery: 50 * time.Millisecond,
 			Fault:          func(TrialAssignment) Fault { return Fault{Hang: true} },
 		}
 	})

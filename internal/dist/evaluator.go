@@ -24,8 +24,8 @@ type EvaluatorOptions struct {
 	// server-side with their lease's heartbeats still flowing (default 1).
 	Workers int
 	// HeartbeatEvery is the interval between heartbeat frames on an open
-	// lease (default 500ms). Coordinators time leases out after missing
-	// several of these.
+	// lease (default 500ms). Info reports it, and a coordinator declares a
+	// lease lost after ten of these pass without a frame.
 	HeartbeatEvery time.Duration
 	// Fault, when non-nil, is consulted once per assignment — fault
 	// injection for tests and chaos drills. Production evaluators leave
@@ -60,9 +60,8 @@ type Evaluator struct {
 	evaluations atomic.Int64
 	inflight    atomic.Int64
 
-	mu          sync.Mutex
-	coordinator string                 // last registered coordinator
-	targets     map[string]*boundModel // sysmodel key → built target
+	mu      sync.Mutex
+	targets map[string]*boundModel // sysmodel key → built target
 }
 
 // boundModel caches one reconstructed target with its resolved capabilities.
@@ -94,6 +93,7 @@ func (e *Evaluator) Info() Info {
 	return Info{
 		Name:        e.opts.Name,
 		Workers:     e.opts.Workers,
+		HeartbeatMs: e.opts.HeartbeatEvery.Milliseconds(),
 		Evaluations: e.evaluations.Load(),
 		InFlight:    e.inflight.Load(),
 	}
@@ -124,9 +124,6 @@ func (e *Evaluator) register(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf(`{"error":%q}`, "decoding registration: "+err.Error()), http.StatusBadRequest)
 		return
 	}
-	e.mu.Lock()
-	e.coordinator = reg.Coordinator
-	e.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(e.Info())
 }

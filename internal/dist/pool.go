@@ -21,10 +21,6 @@ type PoolOptions struct {
 	// Name identifies the coordinator in registration handshakes
 	// (default "coordinator").
 	Name string
-	// HeartbeatTimeout is how long a lease may go without a frame before
-	// it is declared lost and the trial requeued (default 5s — ten beats
-	// at the evaluator default).
-	HeartbeatTimeout time.Duration
 	// MaxRetries bounds how many times one trial is requeued after lease
 	// loss before Evaluate gives up with an EvaluationLostError
 	// (default 3; the first attempt is not a retry).
@@ -47,11 +43,20 @@ type Pool struct {
 	remotes []*remote
 }
 
+// leaseBeats is how many of its evaluator's heartbeat intervals a lease may
+// go without a frame before it is declared lost and the trial requeued.
+const leaseBeats = 10
+
+// unregisteredBeat is the heartbeat interval assumed for an evaluator whose
+// registration has not succeeded: the evaluator default.
+const unregisteredBeat = 500 * time.Millisecond
+
 // remote is one fleet member with its routing state.
 type remote struct {
 	url     string
 	name    string
 	workers int
+	beat    time.Duration // the evaluator's heartbeat interval
 
 	inflight    atomic.Int64
 	completed   atomic.Int64
@@ -108,9 +113,6 @@ func NewPool(urls []string, o PoolOptions) *Pool {
 	if o.Name == "" {
 		o.Name = "coordinator"
 	}
-	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 5 * time.Second
-	}
 	if o.MaxRetries < 0 {
 		o.MaxRetries = 0
 	} else if o.MaxRetries == 0 {
@@ -143,7 +145,7 @@ func (p *Pool) Add(url string) {
 		}
 	}
 	if r == nil {
-		r = &remote{url: url, workers: 1}
+		r = &remote{url: url, workers: 1, beat: unregisteredBeat}
 		p.remotes = append(p.remotes, r)
 	}
 	p.mu.Unlock()
@@ -156,6 +158,9 @@ func (p *Pool) Add(url string) {
 	r.name = info.Name
 	if info.Workers > 0 {
 		r.workers = info.Workers
+	}
+	if info.HeartbeatMs > 0 {
+		r.beat = time.Duration(info.HeartbeatMs) * time.Millisecond
 	}
 	p.mu.Unlock()
 }
@@ -388,9 +393,13 @@ func (p *Pool) tryEval(ctx context.Context, r *remote, a TrialAssignment) (tune.
 		return tune.Result{}, err
 	}
 
-	// The watchdog cancels the lease context when frames stop arriving;
-	// every frame — heartbeat or completion — rearms it.
-	watchdog := time.AfterFunc(p.opts.HeartbeatTimeout, cancel)
+	// The watchdog cancels the lease context when frames stop arriving for
+	// leaseBeats of the evaluator's own heartbeat intervals; every frame —
+	// heartbeat or completion — rearms it.
+	p.mu.Lock()
+	timeout := leaseBeats * r.beat
+	p.mu.Unlock()
+	watchdog := time.AfterFunc(timeout, cancel)
 	defer watchdog.Stop()
 	dec := json.NewDecoder(resp.Body)
 	for {
@@ -400,14 +409,14 @@ func (p *Pool) tryEval(ctx context.Context, r *remote, a TrialAssignment) (tune.
 				return tune.Result{}, ctx.Err()
 			}
 			if lctx.Err() != nil {
-				err = fmt.Errorf("dist: evaluator %s: lease heartbeat timed out after %v", r.url, p.opts.HeartbeatTimeout)
+				err = fmt.Errorf("dist: evaluator %s: lease heartbeat timed out after %v", r.url, timeout)
 			} else {
 				err = fmt.Errorf("dist: evaluator %s: lease closed without completion: %w", r.url, err)
 			}
 			r.fail(err)
 			return tune.Result{}, err
 		}
-		watchdog.Reset(p.opts.HeartbeatTimeout)
+		watchdog.Reset(timeout)
 		if fr.Completion == nil {
 			continue
 		}

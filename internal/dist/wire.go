@@ -119,10 +119,12 @@ type registration struct {
 }
 
 // Info describes one evaluator: its self-chosen name, how many concurrent
-// evaluations it admits, and its lifetime counters.
+// evaluations it admits, its heartbeat interval (which times its leases),
+// and its lifetime counters.
 type Info struct {
 	Name        string `json:"name"`
 	Workers     int    `json:"workers"`
+	HeartbeatMs int64  `json:"heartbeat_ms"`
 	Evaluations int64  `json:"evaluations"`
 	InFlight    int64  `json:"in_flight"`
 }

@@ -44,7 +44,6 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	var cps []tune.CheckpointState
 	ref := job(21)
 	ref.Checkpoint = func(cs tune.CheckpointState) { cps = append(cps, cs) }
-	ref.CheckpointEvery = 1
 	refRun := New(Options{Workers: 1}).Submit(ref)
 	refEvents := marshaledEvents(t, refRun)
 	refRes, err := refRun.Wait(nil)
@@ -93,7 +92,7 @@ func TestCheckpointResumeMatchesUninterruptedFidelity(t *testing.T) {
 	var cps []tune.CheckpointState
 	ref := Job{
 		Name: "fid", Tuner: hyperbandITuned(t, 13), Target: fidelityDBMS(13), Budget: b,
-		Checkpoint: func(cs tune.CheckpointState) { cps = append(cps, cs) }, CheckpointEvery: 1,
+		Checkpoint: func(cs tune.CheckpointState) { cps = append(cps, cs) },
 	}
 	refRun := New(Options{Workers: 1}).Submit(ref)
 	refEvents := marshaledEvents(t, refRun)
@@ -171,7 +170,6 @@ func TestCheckpointResumeThroughDriftReanchor(t *testing.T) {
 	var cps []tune.CheckpointState
 	ref := mkJob()
 	ref.Checkpoint = func(cs tune.CheckpointState) { cps = append(cps, cs) }
-	ref.CheckpointEvery = 1
 	refRun := New(Options{Workers: 1}).Submit(ref)
 	refEvents := collectEvents(t, refRun)
 	refRes, err := refRun.Wait(nil)
@@ -239,7 +237,7 @@ func TestReplayDivergenceDetected(t *testing.T) {
 	ref := Job{
 		Name: "div", Tuner: experiment.NewITuned(3), Target: dbmsTarget(3),
 		Budget:     tune.Budget{Trials: 8},
-		Checkpoint: func(cs tune.CheckpointState) { cps = append(cps, cs) }, CheckpointEvery: 1,
+		Checkpoint: func(cs tune.CheckpointState) { cps = append(cps, cs) },
 	}
 	if _, err := New(Options{Workers: 1}).Submit(ref).Wait(nil); err != nil {
 		t.Fatal(err)
@@ -277,7 +275,7 @@ func TestReplayRequiresRunIndexDeterminism(t *testing.T) {
 	offered := false
 	plain := Job{Name: "plain", Tuner: experiment.NewITuned(2), Target: newGatedTarget(),
 		Budget:     tune.Budget{Trials: 2},
-		Checkpoint: func(tune.CheckpointState) { offered = true }, CheckpointEvery: 1}
+		Checkpoint: func(tune.CheckpointState) { offered = true }}
 	run := New(Options{Workers: 1}).Submit(plain)
 	tgt := plain.Target.(*gatedTarget)
 	for i := 0; i < 2; i++ {
@@ -289,30 +287,6 @@ func TestReplayRequiresRunIndexDeterminism(t *testing.T) {
 	}
 	if offered {
 		t.Error("checkpoint offered for a target that cannot be resumed")
-	}
-}
-
-// TestCheckpointEveryThrottles: CheckpointEvery N only offers a checkpoint
-// once N new trials have accumulated since the last one.
-func TestCheckpointEveryThrottles(t *testing.T) {
-	count := func(every int) int {
-		var n int
-		job := Job{
-			Name: "throttle", Tuner: experiment.NewITuned(6), Target: dbmsTarget(6),
-			Budget:     tune.Budget{Trials: 12},
-			Checkpoint: func(tune.CheckpointState) { n++ }, CheckpointEvery: every,
-		}
-		if _, err := New(Options{Workers: 1}).Submit(job).Wait(nil); err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	fine, coarse := count(1), count(6)
-	if fine == 0 || coarse == 0 {
-		t.Fatalf("checkpoints: every=1 → %d, every=6 → %d; want both positive", fine, coarse)
-	}
-	if coarse >= fine {
-		t.Errorf("every=6 offered %d checkpoints, every=1 offered %d; throttling had no effect", coarse, fine)
 	}
 }
 

@@ -108,7 +108,6 @@ func (j *Job) drive(ctx context.Context, fp tune.FidelityProposer) (*tune.Tuning
 	if rep != nil {
 		lastCkpt = len(j.Replay.Trials) // replayed boundaries are already durable
 	}
-	every := max(j.CheckpointEvery, 1)
 	boundary := func(s *tune.Session) {
 		// A one-slot session evaluates inline and never blocks, so without this
 		// yield it holds its processor until the 10 ms preemption tick: the
@@ -119,10 +118,10 @@ func (j *Job) drive(ctx context.Context, fp tune.FidelityProposer) (*tune.Tuning
 		if j.Checkpoint == nil || !caps.Indexed() {
 			return
 		}
-		// Offer the session's resumable state once at least `every` new trials
-		// were observed since the last snapshot; see tune.CheckpointState for
-		// the aliasing contract.
-		if trials := s.Trials(); len(trials)-lastCkpt >= every {
+		// Offer the session's resumable state when a trial was observed since
+		// the last snapshot; see tune.CheckpointState for the aliasing
+		// contract.
+		if trials := s.Trials(); len(trials) > lastCkpt {
 			j.Checkpoint(tune.CheckpointState{Trials: trials, RunsReserved: reservedRuns(caps)})
 			lastCkpt = len(trials)
 		}

@@ -210,7 +210,7 @@ func TestPipelineEquivalence(t *testing.T) {
 				t.Run(entry.name, func(t *testing.T) {
 					job := func() Job {
 						tuner, target := row.mk(t)
-						j := Job{Name: row.name, Tuner: tuner, Target: target, Budget: b, Parallel: entry.parallel, CheckpointEvery: 1}
+						j := Job{Name: row.name, Tuner: tuner, Target: target, Budget: b, Parallel: entry.parallel}
 						if entry.slots > 0 {
 							_, mirror := row.mk(t)
 							j.Remote = stubRemote{caps: tune.Resolve(mirror), slots: entry.slots}

@@ -192,3 +192,12 @@ func TestProgressTracksLiveRun(t *testing.T) {
 		t.Fatalf("Progress %+v, subscriber fold %+v", p, sub.Rendered())
 	}
 }
+
+// Summary reports the compacted fold of every event evicted from the ring
+// so far. ok is false while nothing has been evicted (the retained events
+// are the full history).
+func (r *Run) Summary() (s tune.StreamSummary, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.summary.Rendered(), r.summary.CoveredThrough > 0
+}

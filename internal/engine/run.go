@@ -383,15 +383,6 @@ func (r *Run) History() []tune.Event {
 	return r.tailLocked(0)
 }
 
-// Summary reports the compacted fold of every event evicted from the ring
-// so far. ok is false while nothing has been evicted (the retained events
-// are the full history).
-func (r *Run) Summary() (s tune.StreamSummary, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.summary.Rendered(), r.summary.CoveredThrough > 0
-}
-
 // Events returns an ordered event stream for the run. Every call starts a
 // fresh subscription that replays the run's retained history from the first
 // event and then follows live until SessionDone, after which the channel

@@ -48,7 +48,7 @@ type Job struct {
 	// run or growing memory without bound.
 	EventBuffer int
 	// Checkpoint, when non-nil, receives the session's resumable state at
-	// every batch/rung boundary (throttled by CheckpointEvery) — the hook
+	// every batch/rung boundary that observed a trial — the hook
 	// crash-resumable services persist through. Only offered for targets
 	// with index-keyed noise (tune.ConcurrentTarget): without run-index
 	// determinism a resumed session could not reproduce the uninterrupted
@@ -57,9 +57,6 @@ type Job struct {
 	// on the driver goroutine, so slow sinks stall the session, not other
 	// sessions.
 	Checkpoint func(tune.CheckpointState)
-	// CheckpointEvery throttles Checkpoint: at least this many new trials
-	// must have been observed since the last snapshot (0 = every boundary).
-	CheckpointEvery int
 	// Replay, when non-empty, resumes an interrupted session: the recorded
 	// observations are fed back to a fresh proposer in order (re-emitting
 	// their events) before any new evaluation, and the target's reserved-

@@ -333,3 +333,14 @@ func TestDotAndNorm(t *testing.T) {
 		t.Error("squared norm wrong")
 	}
 }
+
+// T returns the transpose.
+func (m *Matrix) T() *Matrix {
+	out := New(m.C, m.R)
+	for i := 0; i < m.R; i++ {
+		for j := 0; j < m.C; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}

@@ -51,17 +51,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// T returns the transpose.
-func (m *Matrix) T() *Matrix {
-	out := New(m.C, m.R)
-	for i := 0; i < m.R; i++ {
-		for j := 0; j < m.C; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
 // AddDiag adds v to the diagonal in place and returns m.
 func (m *Matrix) AddDiag(v float64) *Matrix {
 	n := m.R

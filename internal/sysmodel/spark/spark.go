@@ -245,12 +245,6 @@ func (s *Spark) Space() *tune.Space { return s.s }
 // Specs implements tune.SpecProvider.
 func (s *Spark) Specs() map[string]float64 { return s.cl.Specs() }
 
-// Cluster exposes the deployment for cost models and rules.
-func (s *Spark) Cluster() *cluster.Cluster { return s.cl }
-
-// Job exposes the job profile for cost models.
-func (s *Spark) Job() *workload.SparkJob { return s.job }
-
 // WorkloadFeatures implements tune.Describer.
 func (s *Spark) WorkloadFeatures() map[string]float64 {
 	iters := float64(s.job.Iterations)

@@ -619,18 +619,6 @@ func (it *fiIter) expand(item fiItem) {
 	push(n.outside, n.rOut-dq)
 }
 
-// Walk yields (index, reference d²) in exactly the oracle's rank order until
-// yield returns false.
-func (ix *FeatureIndex) Walk(features map[string]float64, yield func(i int, d2 float64) bool) {
-	it := ix.iter(ix.prepare(features))
-	for {
-		i, d2, ok := it.next()
-		if !ok || !yield(i, d2) {
-			return
-		}
-	}
-}
-
 // CorpusIndex maintains per-system feature indexes over a growing corpus:
 // an immutable tree over the prefix seen at the last rebuild plus a small
 // linear tail of recent additions, rebuilt when the tail outgrows its bound

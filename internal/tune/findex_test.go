@@ -496,3 +496,15 @@ func TestFeatureIndexBuildSameTreeAtAnyGOMAXPROCS(t *testing.T) {
 func TestFeatureIndexBuildSameTreeAtAnyGOMAXPROCSRace3(t *testing.T) {
 	TestFeatureIndexBuildSameTreeAtAnyGOMAXPROCS(t)
 }
+
+// Walk yields (index, reference d²) in exactly the oracle's rank order until
+// yield returns false.
+func (ix *FeatureIndex) Walk(features map[string]float64, yield func(i int, d2 float64) bool) {
+	it := ix.iter(ix.prepare(features))
+	for {
+		i, d2, ok := it.next()
+		if !ok || !yield(i, d2) {
+			return
+		}
+	}
+}

@@ -62,15 +62,51 @@ type segEntry struct {
 	feats    []tune.KV // sorted by key
 }
 
-// segment is an open, immutable segment file.
+// segment is an open, immutable segment file, or the store's tail: the
+// records appended since the last fold, held in memory with no file.
 type segment struct {
 	path    string
-	f       *os.File
+	f       *os.File // nil for the tail
 	entries []segEntry
 	// sorted records whether ids ascend in file order (always true for
 	// segments this code writes from ordinary histories); id lookups fall
 	// back to a linear scan otherwise.
 	sorted bool
+	recs   map[int64]tune.SessionRecord // the tail's records by id
+}
+
+// newTail returns an empty tail segment.
+func newTail() *segment {
+	return &segment{sorted: true, recs: map[int64]tune.SessionRecord{}}
+}
+
+// add appends st to the tail, its entry built as writeSegment builds it.
+func (sg *segment) add(st Stored) {
+	if n := len(sg.entries); n > 0 && sg.entries[n-1].id >= st.ID {
+		sg.sorted = false
+	}
+	sg.entries = append(sg.entries, entryFor(st))
+	sg.recs[st.ID] = st.Record
+}
+
+// remove drops the tail's entry ei and its record.
+func (sg *segment) remove(ei int) {
+	delete(sg.recs, sg.entries[ei].id)
+	sg.entries = append(sg.entries[:ei], sg.entries[ei+1:]...)
+}
+
+// find returns the position of id's entry.
+func (sg *segment) find(id int64) (int, bool) {
+	if !sg.sorted {
+		for ei := range sg.entries {
+			if sg.entries[ei].id == id {
+				return ei, true
+			}
+		}
+		return 0, false
+	}
+	ei := sort.Search(len(sg.entries), func(i int) bool { return sg.entries[i].id >= id })
+	return ei, ei < len(sg.entries) && sg.entries[ei].id == id
 }
 
 func entriesSorted(entries []segEntry) bool {
@@ -88,8 +124,12 @@ func (sg *segment) close() {
 	}
 }
 
-// readRecord loads and verifies one record payload.
+// readRecord loads and verifies one record payload; the tail returns its
+// record from memory.
 func (sg *segment) readRecord(e *segEntry) (tune.SessionRecord, error) {
+	if sg.f == nil {
+		return sg.recs[e.id], nil
+	}
 	buf := make([]byte, e.length)
 	if _, err := sg.f.ReadAt(buf, e.off); err != nil {
 		return tune.SessionRecord{}, fmt.Errorf("store: reading record %d from %s: %w", e.id, sg.path, err)

@@ -19,14 +19,17 @@
 // acknowledged record survives a crash. Loading reads the manifest, each
 // committed segment's index, and the tail; a torn tail (a final line
 // missing its newline or cut mid-JSON by a crash) is truncated away,
-// recovering every complete record. When the tail grows past
-// DefaultCompactEvery entries or DefaultCompactBytes bytes it is folded into
-// a new segment and truncated; once the tombstones number at least
-// DefaultCompactEvery and at least the live records, every live record is
-// rewritten into one fresh segment instead. Every write goes through fs.go: one
-// append-only log type, one atomic install, one file-system seam. This is the
-// only layout the store reads: Open refuses a directory still in a retired
-// one (see errLegacyLayout).
+// recovering every complete record. In memory the tail is the next segment,
+// one with no file: index entries built as writeSegment builds them, and the
+// records themselves where a file has payloads. Every live record is thus an
+// entry of a segment. When the tail grows past DefaultCompactEvery entries or
+// DefaultCompactBytes bytes it is folded: written out as a segment file that
+// takes its place entry for entry, and the WAL truncated. Once the tombstones
+// number at least DefaultCompactEvery and at least the live records, every
+// live record is rewritten into one fresh segment instead. Every write goes
+// through fs.go: one append-only log type, one atomic install, one
+// file-system seam. This is the only layout the store reads: Open refuses a
+// directory still in a retired one (see errLegacyLayout).
 package store
 
 import (
@@ -165,10 +168,10 @@ func (e *logEntry) appendLine(dst []byte) ([]byte, error) {
 	return append(dst, "}\n"...), nil
 }
 
-// recRef locates one live record: a (segment, entry) pair, or a tail id
-// when seg is negative.
+// recRef locates one live record: entry ent of segment seg, where segment
+// len(segs) is the tail.
 type recRef struct {
-	seg int32 // -1 = tail
+	seg int32
 	ent int32
 	id  int64
 }
@@ -196,21 +199,22 @@ type FileStore struct {
 	// walk is read-only, so concurrent lookups serve in parallel; only when
 	// the index must be (re)built does a lookup upgrade to the write lock
 	// (see lookupWalk).
-	mu        sync.RWMutex
-	wal       *appendLog // its size is the WAL's bytes since the last fold
-	lock      *os.File   // held flock guarding the directory against other processes
-	closed    bool
-	man       manifest
-	segs      []*segment
-	tailOrder []int64
-	tailRecs  map[int64]tune.SessionRecord
-	dead      map[int64]bool // tombstoned segment-resident ids
-	walLen    int            // entries in the WAL since the last fold
-	nextID    int64
+	mu     sync.RWMutex
+	wal    *appendLog // its size is the WAL's bytes since the last fold
+	lock   *os.File   // held flock guarding the directory against other processes
+	closed bool
+	man    manifest
+	segs   []*segment     // the committed segments
+	tail   *segment       // the WAL's records: segment len(segs), with no file
+	dead   map[int64]bool // tombstoned ids of committed segments
+	walLen int            // entries in the WAL since the last fold
+	nextID int64
 
 	// Lazy feature-space index over the live corpus; refs maps its walk
-	// positions back to records. Invalidated by deletes, preserved (with
-	// refs rebuilt) across folds, which keep the live order.
+	// positions back to records. Invalidated by deletes. A fold keeps both:
+	// the tail becomes segment len(segs) entry for entry, so every ref still
+	// names the same record. A compaction re-derives refs, since dropping dead
+	// records moves no live position.
 	corpus   *tune.CorpusIndex
 	refs     []recRef
 	corpusOK bool
@@ -240,7 +244,7 @@ func openFS(dir string, fs fileSystem) (*FileStore, error) {
 		compactEvery: DefaultCompactEvery,
 		compactBytes: DefaultCompactBytes,
 		nextID:       1,
-		tailRecs:     map[int64]tune.SessionRecord{},
+		tail:         newTail(),
 		dead:         map[int64]bool{},
 		ckpts:        map[string]*ckptLog{},
 	}
@@ -328,28 +332,19 @@ func errLegacyLayout(path string) error {
 	return fmt.Errorf("store: %s is in a layout this release no longer reads; %s is the last release that reads and converts it — run that on the directory once, then retry", path, lastLegacyRelease)
 }
 
-// findSeg locates a live-or-dead segment-resident id.
+// segAt returns segment i, the tail being segment len(segs).
+func (s *FileStore) segAt(i int) *segment {
+	if i == len(s.segs) {
+		return s.tail
+	}
+	return s.segs[i]
+}
+
+// findSeg locates a live-or-dead id, the tail included.
 func (s *FileStore) findSeg(id int64) (segIdx, entIdx int, ok bool) {
-	for si, sg := range s.segs {
-		if !sg.sorted {
-			for ei := range sg.entries {
-				if sg.entries[ei].id == id {
-					return si, ei, true
-				}
-			}
-			continue
-		}
-		lo, hi := 0, len(sg.entries)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if sg.entries[mid].id < id {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(sg.entries) && sg.entries[lo].id == id {
-			return si, lo, true
+	for si := 0; si <= len(s.segs); si++ {
+		if ei, ok := s.segAt(si).find(id); ok {
+			return si, ei, true
 		}
 	}
 	return 0, 0, false
@@ -388,26 +383,24 @@ func (s *FileStore) apply(e logEntry) {
 			s.nextID = e.ID + 1
 		}
 		// A crash between a fold's manifest install and its WAL truncation
-		// replays entries already folded into a segment: skip them.
-		if _, _, folded := s.findSeg(e.ID); folded {
-			return
+		// replays entries already folded into a segment: skip them. A repeated
+		// tail id keeps its place and takes the newer record.
+		si, ei, found := s.findSeg(e.ID)
+		switch {
+		case !found:
+			s.tail.add(Stored{ID: e.ID, Record: *e.Record})
+		case si == len(s.segs):
+			s.tail.entries[ei] = entryFor(Stored{ID: e.ID, Record: *e.Record})
+			s.tail.recs[e.ID] = *e.Record
 		}
-		if _, dup := s.tailRecs[e.ID]; !dup {
-			s.tailOrder = append(s.tailOrder, e.ID)
-		}
-		s.tailRecs[e.ID] = *e.Record
 	case "del":
-		if _, ok := s.tailRecs[e.ID]; ok {
-			delete(s.tailRecs, e.ID)
-			for i, id := range s.tailOrder {
-				if id == e.ID {
-					s.tailOrder = append(s.tailOrder[:i], s.tailOrder[i+1:]...)
-					break
-				}
-			}
-			return
-		}
-		if _, _, ok := s.findSeg(e.ID); ok {
+		// A tail record goes without a tombstone: no committed file holds it.
+		si, ei, found := s.findSeg(e.ID)
+		switch {
+		case !found:
+		case si == len(s.segs):
+			s.tail.remove(ei)
+		default:
 			s.dead[e.ID] = true
 		}
 	}
@@ -441,12 +434,12 @@ func (s *FileStore) Append(rec tune.SessionRecord) (int64, error) {
 		return 0, err
 	}
 	s.nextID++
-	s.tailOrder = append(s.tailOrder, id)
-	s.tailRecs[id] = rec
+	s.tail.add(Stored{ID: id, Record: rec})
 	if s.corpusOK {
 		// Appends extend the live order, so the lazy index stays valid.
-		s.corpus.AddKV(rec.System, tune.FeatureList(rec.Features), len(s.refs))
-		s.refs = append(s.refs, recRef{seg: -1, id: id})
+		ent := len(s.tail.entries) - 1
+		s.corpus.AddKV(rec.System, s.tail.entries[ent].feats, len(s.refs))
+		s.refs = append(s.refs, recRef{seg: int32(len(s.segs)), ent: int32(ent), id: id})
 	}
 	s.maybeCompactLocked()
 	return id, nil
@@ -500,13 +493,7 @@ func (s *FileStore) BulkAppend(recs []tune.SessionRecord) (int64, error) {
 func (s *FileStore) Delete(id int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live := false
-	if _, ok := s.tailRecs[id]; ok {
-		live = true
-	} else if _, _, ok := s.findSeg(id); ok && !s.dead[id] {
-		live = true
-	}
-	if !live {
+	if _, _, ok := s.findSeg(id); !ok || s.dead[id] {
 		return fmt.Errorf("store: no session %d", id)
 	}
 	if err := s.appendEntry(logEntry{Op: "del", ID: id}); err != nil {
@@ -528,7 +515,8 @@ func (s *FileStore) invalidateCorpusLocked() {
 
 // iterLiveLocked visits every live record reference in insertion order.
 func (s *FileStore) iterLiveLocked(visit func(ref recRef) bool) {
-	for si, sg := range s.segs {
+	for si := 0; si <= len(s.segs); si++ {
+		sg := s.segAt(si)
 		for ei := range sg.entries {
 			id := sg.entries[ei].id
 			if s.dead[id] {
@@ -539,33 +527,27 @@ func (s *FileStore) iterLiveLocked(visit func(ref recRef) bool) {
 			}
 		}
 	}
-	for _, id := range s.tailOrder {
-		if !visit(recRef{seg: -1, id: id}) {
-			return
-		}
-	}
+}
+
+// entryLocked returns the index entry behind a reference.
+func (s *FileStore) entryLocked(ref recRef) *segEntry {
+	return &s.segAt(int(ref.seg)).entries[ref.ent]
 }
 
 // readRefLocked loads the record behind a reference.
 func (s *FileStore) readRefLocked(ref recRef) (tune.SessionRecord, error) {
-	if ref.seg < 0 {
-		return s.tailRecs[ref.id], nil
-	}
-	return s.segs[ref.seg].readRecord(&s.segs[ref.seg].entries[ref.ent])
+	return s.segAt(int(ref.seg)).readRecord(s.entryLocked(ref))
 }
 
 // Get implements Store.
 func (s *FileStore) Get(id int64) (Stored, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if rec, ok := s.tailRecs[id]; ok {
-		return Stored{ID: id, Record: rec}, true, nil
-	}
 	si, ei, ok := s.findSeg(id)
 	if !ok || s.dead[id] {
 		return Stored{}, false, nil
 	}
-	rec, err := s.segs[si].readRecord(&s.segs[si].entries[ei])
+	rec, err := s.readRefLocked(recRef{seg: int32(si), ent: int32(ei), id: id})
 	if err != nil {
 		return Stored{}, false, err
 	}
@@ -585,15 +567,7 @@ func (s *FileStore) Summaries() []Summary {
 }
 
 func (s *FileStore) summaryLocked(ref recRef) Summary {
-	if ref.seg < 0 {
-		rec := s.tailRecs[ref.id]
-		sum := Summary{ID: ref.id, System: rec.System, Workload: rec.Workload, Trials: len(rec.Trials)}
-		if at := rec.BestTrial(); at >= 0 {
-			sum.BestTime = rec.Trials[at].Time
-		}
-		return sum
-	}
-	e := &s.segs[ref.seg].entries[ref.ent]
+	e := s.entryLocked(ref)
 	sum := Summary{ID: e.id, System: e.system, Workload: e.workload, Trials: int(e.ntrials)}
 	if !math.IsNaN(e.best) {
 		sum.BestTime = e.best
@@ -609,16 +583,14 @@ func (s *FileStore) ForSystem(system string) ([]tune.SessionRecord, error) {
 	var out []tune.SessionRecord
 	var err error
 	s.iterLiveLocked(func(ref recRef) bool {
-		if ref.seg >= 0 && s.segs[ref.seg].entries[ref.ent].system != system {
+		if s.entryLocked(ref).system != system {
 			return true
 		}
 		var rec tune.SessionRecord
 		if rec, err = s.readRefLocked(ref); err != nil {
 			return false
 		}
-		if rec.System == system { // a tail record's system is only on the record
-			out = append(out, rec)
-		}
+		out = append(out, rec)
 		return true
 	})
 	if err != nil {
@@ -628,7 +600,7 @@ func (s *FileStore) ForSystem(system string) ([]tune.SessionRecord, error) {
 }
 
 func (s *FileStore) lenLocked() int {
-	n := len(s.tailOrder)
+	n := len(s.tail.entries)
 	for _, sg := range s.segs {
 		n += len(sg.entries)
 	}
@@ -650,29 +622,12 @@ func (s *FileStore) ensureCorpusLocked() {
 	s.corpus = tune.NewCorpusIndex()
 	s.refs = s.refs[:0]
 	s.iterLiveLocked(func(ref recRef) bool {
-		var system string
-		var feats []tune.KV
-		if ref.seg < 0 {
-			rec := s.tailRecs[ref.id]
-			system, feats = rec.System, tune.FeatureList(rec.Features)
-		} else {
-			e := &s.segs[ref.seg].entries[ref.ent]
-			system, feats = e.system, e.feats
-		}
-		s.corpus.AddKV(system, feats, len(s.refs))
+		e := s.entryLocked(ref)
+		s.corpus.AddKV(e.system, e.feats, len(s.refs))
 		s.refs = append(s.refs, ref)
 		return true
 	})
 	s.corpusOK = true
-}
-
-// nparamsLocked returns a live record's parameter arity without reading the
-// payload when the index already carries it.
-func (s *FileStore) nparamsLocked(ref recRef) int {
-	if ref.seg < 0 {
-		return len(s.tailRecs[ref.id].ParamNames)
-	}
-	return int(s.segs[ref.seg].entries[ref.ent].nparams)
 }
 
 // lookupWalk runs one indexed nearest-first walk with reader concurrency.
@@ -683,7 +638,7 @@ func (s *FileStore) nparamsLocked(ref recRef) int {
 // needed. Slow path: take the write lock, (re)build under it (double-checked
 // — another lookup may have rebuilt while this one waited), and serve there.
 // Whichever lock is held, it is held across visit, so closures may touch
-// refs, segment entries, and tail records freely.
+// refs and segment entries freely.
 func (s *FileStore) lookupWalk(system string, features map[string]float64, visit func(pos, ord int) bool) {
 	s.mu.RLock()
 	if s.corpusOK && s.corpus.Ready(system) {
@@ -720,7 +675,7 @@ func (s *FileStore) WarmConfigs(system string, features map[string]float64, spac
 	var out []tune.Config
 	s.lookupWalk(system, features, func(pos, _ int) bool {
 		ref := s.refs[pos]
-		if s.nparamsLocked(ref) != len(names) {
+		if int(s.entryLocked(ref).nparams) != len(names) {
 			return true
 		}
 		rec, err := s.readRefLocked(ref)
@@ -800,42 +755,35 @@ func (s *FileStore) foldTailLocked() error {
 	if s.closed {
 		return fmt.Errorf("store: %s is closed", s.dir)
 	}
-	if len(s.tailOrder) == 0 && len(s.man.Deleted) == len(s.dead) && s.walLen == 0 {
+	if len(s.tail.entries) == 0 && len(s.man.Deleted) == len(s.dead) && s.walLen == 0 {
 		return nil
 	}
 	man := s.man
 	man.NextID = s.nextID
 	man.Deleted = deadList(s.dead)
-	recs := make([]Stored, 0, len(s.tailOrder))
-	for _, id := range s.tailOrder {
-		recs = append(recs, Stored{ID: id, Record: s.tailRecs[id]})
+	recs := make([]Stored, len(s.tail.entries))
+	for i := range s.tail.entries {
+		id := s.tail.entries[i].id
+		recs[i] = Stored{ID: id, Record: s.tail.recs[id]}
 	}
 	sg, err := s.commitLocked(man, recs)
 	if err != nil {
 		return err
 	}
 	if sg != nil {
+		// The new segment takes the tail's index, entry for entry, so the
+		// refs into the tail now name the same records on disk.
 		s.segs = append(s.segs, sg)
-		s.tailOrder = nil
-		s.tailRecs = map[int64]tune.SessionRecord{}
+		s.tail = newTail()
 	}
 	return s.resetWALLocked()
 }
 
-// resetWALLocked empties the WAL once a commit holds everything in it, and
-// re-derives the index's record references: the live order is unchanged, so
-// positions (and the corpus index built over them) survive. The truncate is
-// the only fallible step after a commit point, and failing it loses nothing:
-// replay skips entries a committed segment already holds, and the next fold
-// empties the WAL again.
+// resetWALLocked empties the WAL once a commit holds everything in it. The
+// truncate is the only fallible step after a commit point, and failing it
+// loses nothing: replay skips entries a committed segment already holds, and
+// the next fold empties the WAL again.
 func (s *FileStore) resetWALLocked() error {
-	if s.corpusOK {
-		s.refs = s.refs[:0]
-		s.iterLiveLocked(func(ref recRef) bool {
-			s.refs = append(s.refs, ref)
-			return true
-		})
-	}
 	if err := s.wal.reset(); err != nil {
 		return fmt.Errorf("store: truncating WAL: %w", err)
 	}
@@ -883,12 +831,20 @@ func (s *FileStore) compactLocked() error {
 	if sg != nil {
 		s.segs = []*segment{sg}
 	}
-	s.tailOrder = nil
-	s.tailRecs = map[int64]tune.SessionRecord{}
+	s.tail = newTail()
 	s.dead = map[int64]bool{}
 	for _, sg := range old {
 		sg.close()
 		_ = s.fs.Remove(sg.path) // no longer named: a leftover is ignored
+	}
+	if s.corpusOK {
+		// The live order is unchanged, so the index's positions survive;
+		// only the references move to the new segment.
+		s.refs = s.refs[:0]
+		s.iterLiveLocked(func(ref recRef) bool {
+			s.refs = append(s.refs, ref)
+			return true
+		})
 	}
 	return s.resetWALLocked()
 }

@@ -392,8 +392,8 @@ func TestForSystemReadsOnlyItsOwnPayloads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(s.segs) != 2 || len(s.tailOrder) != 2 {
-		t.Fatalf("layout: %d segments, %d tail records; want 2 and 2", len(s.segs), len(s.tailOrder))
+	if len(s.segs) != 2 || len(s.tail.entries) != 2 {
+		t.Fatalf("layout: %d segments, %d tail records; want 2 and 2", len(s.segs), len(s.tail.entries))
 	}
 	for _, sg := range s.segs {
 		f, err := os.OpenFile(sg.path, os.O_WRONLY, 0)
@@ -454,8 +454,9 @@ func TestStoreSingleOwner(t *testing.T) {
 
 // TestIndexStatsCountsBuilds: the first lookup collects the corpus (all a
 // lookup for an absent system has to do), the first one per system builds its
-// tree, later ones and appends inside the tail bound reuse it, and a delete
-// invalidates it.
+// tree, later ones and appends inside the tail bound reuse it, a delete
+// invalidates it, and a fold keeps it: the tail becomes a segment entry for
+// entry, so every walk position still names its record.
 func TestIndexStatsCountsBuilds(t *testing.T) {
 	s := open(t, t.TempDir())
 	var ids []int64
@@ -490,6 +491,29 @@ func TestIndexStatsCountsBuilds(t *testing.T) {
 	}
 	s.Nearest("dbms", q)
 	want("lookup after a delete", 3, 3)
+	s.compactEvery = 4
+	segs := len(s.segs)
+	for n := 2; n <= 3; n++ { // inside the indexed scales: no rebuild is due
+		if _, err := s.Append(rec("dbms", "tpcds", n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.segs) != segs+1 || len(s.tail.entries) != 1 {
+		t.Fatalf("layout: %d segments, %d tail records; want a fold then one append", len(s.segs), len(s.tail.entries))
+	}
+	var recs []tune.SessionRecord
+	var all []int64
+	for _, st := range sessions(t, s) {
+		recs, all = append(recs, st.Record), append(all, st.ID)
+	}
+	var wantIDs []int64
+	for _, at := range tune.RankSessions(recs, q) {
+		wantIDs = append(wantIDs, all[at])
+	}
+	if got := rankIDs(s, "dbms", q, 0); !reflect.DeepEqual(got, wantIDs) {
+		t.Fatalf("walk after a fold = %v, want %v", got, wantIDs)
+	}
+	want("lookups after a fold", 3, 3)
 }
 
 // lookupSpace matches the two-parameter records rec() builds, so

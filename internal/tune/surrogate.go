@@ -106,9 +106,6 @@ func NewSurrogateSelector(cfg *SurrogateConfig) *SurrogateSelector {
 	return &SurrogateSelector{cfg: cfg.withDefaults()}
 }
 
-// Config returns the resolved (defaults-filled) configuration.
-func (s *SurrogateSelector) Config() SurrogateConfig { return s.cfg }
-
 // TierFor returns the tier a model over n observations of dimension d should
 // use: the forced tier when one is configured, otherwise exact while
 // n ≤ SparseAbove, RFF past RFFAbove observations or above rffDimAbove

@@ -326,3 +326,6 @@ func TestAcquireRound(t *testing.T) {
 }
 
 func TestAcquireRoundRace3(t *testing.T) { TestAcquireRound(t) }
+
+// Config returns the resolved (defaults-filled) configuration.
+func (s *SurrogateSelector) Config() SurrogateConfig { return s.cfg }

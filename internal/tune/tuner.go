@@ -276,29 +276,11 @@ func (s *Session) gate() {
 	}
 }
 
-// Best returns the incumbent configuration and result. If no trial was run
-// the target default is returned with a zero Result.
-func (s *Session) Best() (Config, Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.hasBest {
-		return s.target.Space().Default(), Result{}
-	}
-	return s.best, s.bestRes
-}
-
 // Trials returns the recorded trials. The caller must not modify the slice.
 func (s *Session) Trials() []Trial {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.trials
-}
-
-// SimTimeUsed returns the cumulative simulated seconds consumed.
-func (s *Session) SimTimeUsed() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.simUsed
 }
 
 // Finish packages the session into a TuningResult for the named tuner.

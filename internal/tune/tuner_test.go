@@ -235,3 +235,21 @@ func TestSplitTargetName(t *testing.T) {
 		}
 	}
 }
+
+// Best returns the incumbent configuration and result. If no trial was run
+// the target default is returned with a zero Result.
+func (s *Session) Best() (Config, Result) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.hasBest {
+		return s.target.Space().Default(), Result{}
+	}
+	return s.best, s.bestRes
+}
+
+// SimTimeUsed returns the cumulative simulated seconds consumed.
+func (s *Session) SimTimeUsed() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.simUsed
+}

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -62,6 +65,9 @@ var retiredSurfaces = []string{
 	// memo's bound and its eviction policy (the memo never outgrows its
 	// session), and the fidelity ladder's lowest rung and promotion ratio.
 	`MemoCap`, `memo_cap`, `memo-cap`, `gdsf`, `GDSF`, `FidelitySpace`, `fidelity-min`, `fidelity-eta`,
+	// The checkpoint throttle every program left at one trial, and the pool's
+	// fixed lease timeout: a lease is timed by its evaluator's own heartbeat.
+	`checkpoint-every`, `CheckpointEvery\b`, `HeartbeatTimeout`,
 }
 
 // The one CI step list: the workflow's only command is scripts/ci.sh, and
@@ -179,82 +185,142 @@ var unusedAPIAllowed = map[string]string{
 	"tune.Guardrail.Vetoes":         "test accessor: the guardrail tests count vetoes",
 	"tune.DriftDetector.Detections": "test accessor: the drift tests count detections",
 	"tune.NearestSession":           "the linear-scan oracle the store's VP-tree is checked against",
+	"tune.SurrogateModel.Model":     "test accessor: the GP tuners' tests read the surrogate a round fitted",
 }
 
 // TestInternalAPIHasCallers fails on an exported function or method under
-// internal/ whose name no non-test Go file uses outside its own declaration:
-// internal/ holds what the commands, the daemon, the experiments, the
-// examples and the benchmark run. A name counts as used wherever it appears
-// as an identifier, so an interface's own method list does not count.
+// internal/ that no non-test Go file of the module uses: internal/ holds what
+// the commands, the daemon, the experiments, the examples and the benchmark
+// run. Every package is type-checked, so a use is a reference to the
+// declaration itself, not to a name it shares. A method also counts as used
+// when a type holding it, declared or promoted from an embedded field,
+// implements an interface whose method of that name is used.
 func TestInternalAPIHasCallers(t *testing.T) {
-	type decl struct{ key, pos string }
-	var decls []decl
-	uses := map[string]int{}
+	// The standard library is type-checked from source; without cgo its
+	// packages need no C toolchain.
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	std := importer.ForCompiler(fset, "source", nil)
+	type decl struct {
+		key string
+		obj types.Object
+	}
+	var decls []decl
+	used := map[types.Object]bool{}
+	var named []*types.TypeName
+	checked := map[string]*types.Package{}
+	var load func(path string) (*types.Package, error)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if path == "repro" || strings.HasPrefix(path, "repro/") {
+			return load(path)
+		}
+		return std.Import(path)
+	})
+	load = func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		dir := strings.TrimPrefix(strings.TrimPrefix(path, "repro"), "/")
+		if dir == "" {
+			dir = "."
+		}
+		bp, err := build.Default.ImportDir(dir, 0)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "out") {
-				return filepath.SkipDir
+		var files []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
 			}
-			return nil
+			files = append(files, f)
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		skip := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
+		checked[path] = pkg
+		for _, obj := range info.Uses {
+			used[obj] = true
+		}
+		for _, obj := range info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				named = append(named, tn)
 			}
-			skip[fn.Name] = true
-			if !strings.HasPrefix(filepath.ToSlash(path), "internal/") || !fn.Name.IsExported() {
-				continue
-			}
-			key := filepath.Base(filepath.Dir(path)) + "."
-			if fn.Recv != nil {
-				if unusedAPIExempt[fn.Name.Name] {
+		}
+		if !strings.HasPrefix(filepath.ToSlash(dir), "internal/") {
+			return pkg, nil
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() {
 					continue
 				}
-				key += receiverName(fn.Recv.List[0].Type) + "."
-			}
-			decls = append(decls, decl{key + fn.Name.Name, fset.Position(fn.Pos()).String()})
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						skip[name] = true
+				key := pkg.Name() + "."
+				if fn.Recv != nil {
+					if unusedAPIExempt[fn.Name.Name] {
+						continue
 					}
+					key += receiverName(fn.Recv.List[0].Type) + "."
 				}
-			case *ast.Ident:
-				if !skip[n] {
-					uses[n.Name]++
-				}
+				decls = append(decls, decl{key + fn.Name.Name, info.Defs[fn.Name]})
 			}
-			return true
-		})
-		return nil
+		}
+		return pkg, nil
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "out") {
+			return filepath.SkipDir
+		}
+		if _, err := build.Default.ImportDir(path, 0); err != nil {
+			if _, none := err.(*build.NoGoError); none {
+				return nil
+			}
+			return err
+		}
+		_, err = load(strings.TrimSuffix("repro/"+filepath.ToSlash(path), "/."))
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A used interface method reaches the method of that name on every
+	// module type that implements the interface.
+	for obj := range used {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Signature().Recv() == nil {
+			continue
+		}
+		iface, ok := fn.Signature().Recv().Type().Underlying().(*types.Interface)
+		if !ok {
+			continue
+		}
+		for _, tn := range named {
+			if _, isIface := tn.Type().Underlying().(*types.Interface); isIface {
+				continue
+			}
+			if ptr := types.NewPointer(tn.Type()); types.Implements(tn.Type(), iface) || types.Implements(ptr, iface) {
+				if m, _, _ := types.LookupFieldOrMethod(ptr, false, fn.Pkg(), fn.Name()); m != nil {
+					used[m] = true
+				}
+			}
+		}
+	}
 	allowed := map[string]bool{}
 	for _, d := range decls {
-		switch name := d.key[strings.LastIndexByte(d.key, '.')+1:]; {
-		case uses[name] > 0:
+		switch {
+		case used[d.obj]:
 		case unusedAPIAllowed[d.key] != "":
 			allowed[d.key] = true
 		default:
-			t.Errorf("%s: %s has no caller outside tests; delete it or move it into a test file", d.pos, d.key)
+			t.Errorf("%s: %s has no caller outside tests; delete it or move it into a test file", fset.Position(d.obj.Pos()), d.key)
 		}
 	}
 	for key := range unusedAPIAllowed {
@@ -263,6 +329,11 @@ func TestInternalAPIHasCallers(t *testing.T) {
 		}
 	}
 }
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // receiverName is the type name of a method's receiver, pointer and type
 // parameters stripped.
