@@ -65,7 +65,6 @@ func parseFlags(args []string) (o options, err error) {
 	fs.StringVar(&o.spec.Tuner, "tuner", "ituned", "tuning approach (see -list)")
 	fs.IntVar(&o.spec.Budget.Trials, "trials", 30, "trial budget (real runs)")
 	fs.IntVar(&o.spec.Parallel, "parallel", 1, "worker count for batch trial evaluation (same result at any value)")
-	fs.BoolVar(&o.spec.Memo, "memo", false, "memoize repeat evaluations of identical configurations")
 	fs.Int64Var(&o.spec.Seed, "seed", 42, "random seed")
 	fs.Float64Var(&o.spec.Target.ScaleGB, "scale", 0, "input scale in GB (0 = default)")
 	fs.IntVar(&o.spec.Target.Nodes, "nodes", 16, "cluster size for distributed systems")

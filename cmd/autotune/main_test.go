@@ -28,7 +28,6 @@ func TestFlagsMapToSpec(t *testing.T) {
 			s.System, s.Workload, s.Tuner, s.Seed, s.Budget.Trials = "spark", "pagerank", "ottertune", 7, 12
 		}},
 		{"-parallel 4", func(s *repro.Spec) { s.Parallel = 4 }},
-		{"-memo", func(s *repro.Spec) { s.Memo = true }},
 		{"-scale 4.5", func(s *repro.Spec) { s.Target.ScaleGB = 4.5 }},
 		{"-nodes 8", func(s *repro.Spec) { s.Target.Nodes = 8 }},
 		{"-hetero", func(s *repro.Spec) { s.Target.Heterogeneous = true }},

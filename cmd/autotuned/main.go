@@ -14,9 +14,9 @@
 // /evaluators); event streams and results stay byte-identical to local
 // evaluation, only wall-clock and fault exposure change.
 //
-// Everything that shapes one session's results — parallelism, the memo,
-// fidelity, scenarios — is in its POSTed spec, which a
-// checkpoint records; the flags only size and place the service.
+// Everything that shapes one session's results — parallelism, fidelity,
+// scenarios — is in its POSTed spec, which a checkpoint records; the flags
+// only size and place the service.
 //
 // With -repo the daemon archives every completed session into the named
 // directory, serves the corpus under /repository/sessions, survives

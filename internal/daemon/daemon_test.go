@@ -279,7 +279,8 @@ func TestDaemonRefusesRetiredSettings(t *testing.T) {
 	// appears nowhere in the tree (TestRetiredSurfacesStayRetired).
 	memoBound := `"memo` + `_cap": 4`
 	specs := []struct{ spec, field string }{
-		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "memo": true, ` + memoBound + `}`, `"memo_` + `cap"`},
+		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "memo": true}`, `"memo"`},
+		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, ` + memoBound + `}`, `"memo_` + `cap"`},
 		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "fidelity": {"strategy": "halving", "min": 0.2}}`, `"min"`},
 		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "fidelity": {"strategy": "halving", "eta": 4}}`, `"eta"`},
 	}
@@ -296,10 +297,10 @@ func TestDaemonRefusesRetiredSettings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// s1–s3 carry a retired setting; s4, the same spec without one, resumes.
+	// s1–s4 carry a retired setting; s5, the same spec without one, resumes.
 	plain := `{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}}`
-	for i, spec := range []string{specs[0].spec, specs[1].spec, specs[2].spec, plain} {
-		if err := st.SaveCheckpoint(store.SessionCheckpoint{SID: fmt.Sprintf("s%d", i+1), Spec: json.RawMessage(spec)}); err != nil {
+	for i, c := range append(specs, struct{ spec, field string }{spec: plain}) {
+		if err := st.SaveCheckpoint(store.SessionCheckpoint{SID: fmt.Sprintf("s%d", i+1), Spec: json.RawMessage(c.spec)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,15 +311,15 @@ func TestDaemonRefusesRetiredSettings(t *testing.T) {
 	srv.mu.Lock()
 	ids, resumed := srv.order, srv.resumed
 	srv.mu.Unlock()
-	if len(ids) != 1 || ids[0] != "s4" || resumed != 1 {
-		t.Errorf("startup resumed %d sessions %v, want only s4", resumed, ids)
+	if len(ids) != 1 || ids[0] != "s5" || resumed != 1 {
+		t.Errorf("startup resumed %d sessions %v, want only s5", resumed, ids)
 	}
 	cps, err := srv.repo.Checkpoints()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cp := range cps {
-		if cp.SID != "s4" {
+		if cp.SID != "s5" {
 			t.Errorf("checkpoint %s carrying a retired setting survived startup", cp.SID)
 		}
 	}

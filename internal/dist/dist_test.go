@@ -32,7 +32,7 @@ func newFleet(t *testing.T, n int, opts func(i int) EvaluatorOptions) (*Pool, []
 		t.Cleanup(srv.Close)
 		urls = append(urls, srv.URL)
 	}
-	pool := NewPool(urls, PoolOptions{RetryBackoff: 5 * time.Millisecond})
+	pool := NewPool(urls, PoolOptions{})
 	return pool, evs
 }
 
@@ -161,7 +161,7 @@ func TestLeaseRequeueOnFrozenEvaluator(t *testing.T) {
 		t.Cleanup(srv.Close)
 		urls = append(urls, srv.URL)
 	}
-	pool := NewPool(urls, PoolOptions{RetryBackoff: 5 * time.Millisecond})
+	pool := NewPool(urls, PoolOptions{})
 	sameResult(t, local, tuneWith(t, pool.Backend(dbmsModel), "ituned", 12), "local vs frozen evaluator")
 	if freezes.Load() > 0 && pool.Retries() == 0 {
 		t.Fatal("freezes were injected but the pool recorded no requeues")
@@ -178,7 +178,7 @@ func TestDeadEvaluatorIsRoutedAround(t *testing.T) {
 	dead.Close()
 	live := httptest.NewServer(NewEvaluator(EvaluatorOptions{Workers: 2, HeartbeatEvery: 50 * time.Millisecond}).Handler())
 	t.Cleanup(live.Close)
-	pool := NewPool([]string{deadURL, live.URL}, PoolOptions{RetryBackoff: 5 * time.Millisecond})
+	pool := NewPool([]string{deadURL, live.URL}, PoolOptions{})
 	sameResult(t, local, tuneWith(t, pool.Backend(dbmsModel), "ituned", 12), "local vs half-dead fleet")
 }
 
@@ -268,7 +268,7 @@ func TestExhaustedRetriesBecomeEvaluationLost(t *testing.T) {
 	dead := httptest.NewServer(NewEvaluator(EvaluatorOptions{}).Handler())
 	deadURL := dead.URL
 	dead.Close()
-	pool := NewPool([]string{deadURL}, PoolOptions{MaxRetries: 2, RetryBackoff: time.Millisecond})
+	pool := NewPool([]string{deadURL}, PoolOptions{})
 	target, err := repro.NewTarget("dbms", "tpch", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -281,11 +281,11 @@ func TestExhaustedRetriesBecomeEvaluationLost(t *testing.T) {
 	if !errors.As(err, &lost) {
 		t.Fatalf("err = %v, want *engine.EvaluationLostError", err)
 	}
-	if lost.RunIndex != 3 || lost.Attempts != 3 {
-		t.Fatalf("lost = {RunIndex: %d, Attempts: %d}, want {3, 3}", lost.RunIndex, lost.Attempts)
+	if lost.RunIndex != 3 || lost.Attempts != maxRetries+1 {
+		t.Fatalf("lost = {RunIndex: %d, Attempts: %d}, want {3, %d}", lost.RunIndex, lost.Attempts, maxRetries+1)
 	}
-	if got := pool.Retries(); got != 2 {
-		t.Fatalf("pool.Retries() = %d, want 2", got)
+	if got := pool.Retries(); got != maxRetries {
+		t.Fatalf("pool.Retries() = %d, want %d", got, maxRetries)
 	}
 }
 
@@ -307,7 +307,7 @@ func TestCompletionForAnotherTrialIsRequeued(t *testing.T) {
 		json.NewEncoder(w).Encode(frame{Completion: &TrialCompletion{ID: a.ID, RunIndex: a.RunIndex + 1, Result: tune.Result{Time: 1}}})
 	}))
 	t.Cleanup(srv.Close)
-	pool := NewPool([]string{srv.URL}, PoolOptions{MaxRetries: 2, RetryBackoff: time.Millisecond})
+	pool := NewPool([]string{srv.URL}, PoolOptions{})
 	target, err := repro.NewTarget("dbms", "tpch", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +317,8 @@ func TestCompletionForAnotherTrialIsRequeued(t *testing.T) {
 	if !errors.As(err, &lost) {
 		t.Fatalf("err = %v (result %+v), want *engine.EvaluationLostError", err, res)
 	}
-	if lost.RunIndex != 3 || lost.Attempts != 3 || pool.Retries() != 2 {
-		t.Fatalf("lost = {RunIndex: %d, Attempts: %d}, retries %d; want {3, 3}, 2", lost.RunIndex, lost.Attempts, pool.Retries())
+	if lost.RunIndex != 3 || lost.Attempts != maxRetries+1 || pool.Retries() != maxRetries {
+		t.Fatalf("lost = {RunIndex: %d, Attempts: %d}, retries %d; want {3, %d}, %d", lost.RunIndex, lost.Attempts, pool.Retries(), maxRetries+1, maxRetries)
 	}
 }
 

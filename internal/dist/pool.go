@@ -21,14 +21,16 @@ type PoolOptions struct {
 	// Name identifies the coordinator in registration handshakes
 	// (default "coordinator").
 	Name string
-	// MaxRetries bounds how many times one trial is requeued after lease
-	// loss before Evaluate gives up with an EvaluationLostError
-	// (default 3; the first attempt is not a retry).
-	MaxRetries int
-	// RetryBackoff is the wait before the first retry, doubling per
-	// subsequent retry (default 100ms).
-	RetryBackoff time.Duration
 }
+
+// maxRetries bounds how many times one trial is requeued after lease loss
+// before Evaluate gives up with an EvaluationLostError (the first attempt is
+// not a retry); retryBackoff is the wait before the first retry, doubling
+// per subsequent retry.
+const (
+	maxRetries   = 3
+	retryBackoff = 100 * time.Millisecond
+)
 
 // Pool is the client side of the evaluator fleet: it tracks registered
 // evaluators, leases trials to them with heartbeat monitoring, and requeues
@@ -112,14 +114,6 @@ func (e *PermanentError) Error() string {
 func NewPool(urls []string, o PoolOptions) *Pool {
 	if o.Name == "" {
 		o.Name = "coordinator"
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	} else if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 100 * time.Millisecond
 	}
 	p := &Pool{opts: o, client: &http.Client{}}
 	for _, u := range urls {
@@ -299,7 +293,7 @@ type backend struct {
 func (b *backend) Slots() int { return b.pool.Slots() }
 
 // Evaluate leases one trial to the fleet, requeueing on lease loss with
-// doubling backoff until MaxRetries is exhausted. Deterministic
+// doubling backoff until maxRetries is exhausted. Deterministic
 // evaluator-side failures (PermanentError) and context cancellation are
 // surfaced immediately; transport loss exhausting its retries becomes an
 // *engine.EvaluationLostError (errors.Is engine.ErrEvaluationLost).
@@ -314,8 +308,8 @@ func (b *backend) Evaluate(ctx context.Context, idx int64, f float64, cfg tune.C
 		SysModel: b.model,
 	}
 	var last error
-	backoff := b.pool.opts.RetryBackoff
-	for attempt := 0; attempt <= b.pool.opts.MaxRetries; attempt++ {
+	backoff := retryBackoff
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			b.pool.retries.Add(1)
 			select {
@@ -345,7 +339,7 @@ func (b *backend) Evaluate(ctx context.Context, idx int64, f float64, cfg tune.C
 	}
 	return tune.Result{}, &engine.EvaluationLostError{
 		RunIndex: idx,
-		Attempts: b.pool.opts.MaxRetries + 1,
+		Attempts: maxRetries + 1,
 		Last:     last,
 	}
 }

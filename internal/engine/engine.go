@@ -2,10 +2,9 @@
 // proposes configurations (tune.BatchTuner, tune.FidelityBatchTuner — all but
 // the adaptive family, whose unit of work is a controlled run) through the one
 // drive loop, tune.Drive, with an evaluator that fans each proposed batch out
-// to a worker pool (and a remote fleet's slots), memoizes repeated
-// evaluations in a candidate-keyed cache and replays checkpointed history on
-// resume — and it schedules many independent (target, tuner) sessions
-// concurrently.
+// to a worker pool (and a remote fleet's slots) and replays checkpointed
+// history on resume — and it schedules many independent (target, tuner)
+// sessions concurrently. Every recorded trial is one run of the target.
 //
 // Determinism is the design constraint everything here bends around: for a
 // fixed seed the engine produces bit-identical results at any worker count.
@@ -18,23 +17,20 @@
 //     their run-to-run noise by a reserved index, assigned in proposal
 //     order, so a trial's noise does not depend on which worker ran it
 //     first. Targets without the interface are evaluated sequentially.
-//  3. Cache and replay decisions happen on the driver goroutine, before and
-//     after the fan-out, never inside it.
+//  3. Replay decisions happen on the driver goroutine, before the fan-out,
+//     never inside it.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/tune"
 )
 
-// Options configures an Engine. A session's own setup — parallelism, memo,
+// Options configures an Engine. A session's own setup — parallelism,
 // remote fleet, checkpoints, replay — is its Job's; the engine only owns the
 // scheduler.
 type Options struct {
@@ -139,7 +135,7 @@ func (j *Job) drive(ctx context.Context, fp tune.FidelityProposer) (*tune.Tuning
 // evaluator builds the evaluator stack the job's fields ask for, outermost
 // first:
 //
-//	replay prefix → memo → pool (or inline) → target capabilities
+//	replay prefix → pool (or inline) → target capabilities
 //
 // It returns the outermost layer, and the replay layer when the job resumes.
 func (j *Job) evaluator(caps tune.Capabilities) (tune.Evaluator, *replayed, error) {
@@ -147,27 +143,21 @@ func (j *Job) evaluator(caps tune.Capabilities) (tune.Evaluator, *replayed, erro
 	if workers := max(j.Parallel, 1); caps.Indexed() && (workers > 1 || j.Remote != nil) {
 		ev = &pool{caps: caps, workers: workers, remote: j.Remote, lookahead: j.Budget.SimTime > 0}
 	}
-	var memo map[string]tune.Result
-	if j.Memo {
-		memo = map[string]tune.Result{}
-		ev = &memoized{next: ev, memo: memo}
-	}
 	if j.Replay.Empty() {
 		return ev, nil, nil
 	}
 	if !caps.Indexed() {
 		return nil, nil, fmt.Errorf("engine: replay: target %q has no run-index determinism (tune.ConcurrentTarget); sessions on it cannot be resumed", j.Target.Name())
 	}
-	rep := &replayed{live: ev, caps: caps, memo: memo, log: j.Replay}
+	rep := &replayed{live: ev, caps: caps, log: j.Replay}
 	return rep, rep, nil
 }
 
 // pool is the ordered streaming dispatch: local workers and the remote
 // fleet's slots pull batch positions from one queue, and results are yielded
 // in proposal order as soon as their turn is complete. Run indices are
-// reserved here on the driver goroutine, in proposal order, for exactly the
-// candidates that evaluate (memo hits and duplicates never reach the pool);
-// because every evaluation is pure in (seed, index, fidelity, config) it
+// reserved here on the driver goroutine, in proposal order, one per
+// candidate; because every evaluation is pure in (seed, index, fidelity, config) it
 // does not matter which executor ran which trial.
 //
 // Waste past a budget cut is bounded two ways. The batch context is
@@ -272,82 +262,4 @@ func (p *pool) evalRemote(ctx context.Context, idx int64, c tune.Candidate) (tun
 		err = fmt.Errorf("engine: remote evaluation: %w", err)
 	}
 	return res, err
-}
-
-// memoized decorates an evaluator with the result memo. Lookups, in-batch
-// duplicate folding and stores all happen on the driver goroutine in batch
-// order, so hits and misses are independent of how the misses were
-// scheduled. The key is the exact candidate — unit-cube vector and
-// normalized fidelity — so a rung that re-measures a promoted configuration
-// at a higher fidelity is a miss, and a repeated (config, fidelity) pair is
-// a hit. The memo holds one result per evaluated run, so it never outgrows
-// the session's own trial list by more than the one result a budget cut
-// discards: it needs no bound of its own.
-type memoized struct {
-	next tune.Evaluator
-	memo map[string]tune.Result
-}
-
-func (m *memoized) Evaluate(ctx context.Context, batch []tune.Candidate, yield func(int, tune.Result) bool) error {
-	n := len(batch)
-	results := make([]tune.Result, n)
-	keys := make([]string, n)
-	dupOf := make([]int, n) // earlier in-batch position with the same key, else -1
-	var misses []tune.Candidate
-	var missAt []int // batch position of each miss
-	firstAt := map[string]int{}
-	for i, c := range batch {
-		keys[i], dupOf[i] = candidateKey(c), -1
-		if r, ok := m.memo[keys[i]]; ok {
-			results[i] = r
-		} else if at, ok := firstAt[keys[i]]; ok {
-			dupOf[i] = at
-		} else {
-			firstAt[keys[i]] = i
-			misses = append(misses, c)
-			missAt = append(missAt, i)
-		}
-	}
-	// flush yields the hits and duplicates queued before position upto.
-	cur, live := 0, true
-	flush := func(upto int) bool {
-		for ; live && cur < upto; cur++ {
-			if dupOf[cur] >= 0 {
-				results[cur] = results[dupOf[cur]]
-			}
-			live = yield(cur, results[cur])
-		}
-		return live
-	}
-	if len(misses) > 0 {
-		err := m.next.Evaluate(ctx, misses, func(k int, res tune.Result) bool {
-			at := missAt[k]
-			if !flush(at) {
-				return false
-			}
-			results[at] = res
-			m.memo[keys[at]] = res
-			return flush(at + 1)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	flush(n)
-	return nil
-}
-
-// candidateKey renders a candidate's exact unit-cube coordinates and
-// normalized fidelity as a map key (hex float bits, so distinct candidates
-// never collide).
-func candidateKey(c tune.Candidate) string {
-	v := c.Config.Vector()
-	var b strings.Builder
-	b.Grow((len(v) + 1) * 17)
-	for _, x := range v {
-		b.WriteString(strconv.FormatUint(math.Float64bits(x), 16))
-		b.WriteByte(',')
-	}
-	b.WriteString(strconv.FormatUint(math.Float64bits(tune.NormFidelity(c.Fidelity)), 16))
-	return b.String()
 }

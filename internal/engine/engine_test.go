@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -185,25 +184,13 @@ func (p *repeatProposer) Propose(n int) []tune.Config {
 }
 func (p *repeatProposer) Observe(tune.Trial) {}
 
-// TestMemoCacheDeduplicates: repeated proposals of one configuration cost
-// one real run with the cache on, one per trial with it off — and the
-// session still records every trial either way.
-func TestMemoCacheDeduplicates(t *testing.T) {
-	b := tune.Budget{Trials: 8}
-
-	cached := newCountingTarget()
-	r := tuneJob(t, Job{Tuner: proposing(&repeatProposer{cfg: cached.space.Default()}), Target: cached, Budget: b, Parallel: 4, Memo: true})
-	if got := cached.calls.Load(); got != 1 {
-		t.Errorf("cache on: %d real runs, want 1", got)
-	}
-	if len(r.Trials) != 8 {
-		t.Errorf("cache on: %d trials recorded, want 8", len(r.Trials))
-	}
-
-	uncached := newCountingTarget()
-	tuneJob(t, Job{Tuner: proposing(&repeatProposer{cfg: uncached.space.Default()}), Target: uncached, Budget: b, Parallel: 4})
-	if got := uncached.calls.Load(); got != 8 {
-		t.Errorf("cache off (default): %d real runs, want 8", got)
+// TestRepeatedProposalCostsOneRunEach: every recorded trial is one real
+// run, so repeated proposals of one configuration cost one run apiece.
+func TestRepeatedProposalCostsOneRunEach(t *testing.T) {
+	tgt := newCountingTarget()
+	tuneJob(t, Job{Tuner: proposing(&repeatProposer{cfg: tgt.space.Default()}), Target: tgt, Budget: tune.Budget{Trials: 8}, Parallel: 4})
+	if got := tgt.calls.Load(); got != 8 {
+		t.Errorf("%d real runs for 8 trials, want 8", got)
 	}
 }
 
@@ -286,130 +273,6 @@ func (p *scriptedRungs) ProposeFidelity(n int) []tune.Candidate {
 }
 func (p *scriptedRungs) ObserveFidelity(tune.Trial) {}
 func (p *scriptedRungs) PruneNotices() []int        { return nil }
-
-// TestMemoKeyedByConfigAndFidelity: with the memo on, a repeated (config,
-// fidelity) candidate costs one real run — within a rung and across rungs —
-// while the same configuration at a different fidelity is a miss; every
-// trial is still recorded, stamped with its own fidelity.
-func TestMemoKeyedByConfigAndFidelity(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		tgt := &countingFidelityTarget{countingTarget: newCountingTarget()}
-		a, b := tgt.space.Default(), tgt.space.Default().With("a", 0.25)
-		at := func(cfg tune.Config, f float64) tune.Candidate { return tune.Candidate{Config: cfg, Fidelity: f} }
-		fp := &scriptedRungs{rungs: [][]tune.Candidate{
-			{at(a, 1.0/3), at(b, 1.0/3), at(a, 1.0/3)}, // in-rung duplicate of a@⅓
-			{at(a, 1), at(a, 1.0/3), at(b, 1)},         // a@1 and b@1 are new; a@⅓ is a hit
-			{at(a, 0), at(b, 1.0/3)},                   // 0 and 1 both mean full fidelity: two hits
-		}}
-		res := tuneJob(t, Job{Tuner: proposing(fp), Target: tgt, Budget: tune.Budget{Trials: 20}, Parallel: workers, Memo: true})
-		if got := tgt.calls.Load(); got != 4 {
-			t.Errorf("workers=%d: %d real runs, want 4 (a@⅓, b@⅓, a@1, b@1)", workers, got)
-		}
-		if len(res.Trials) != 8 {
-			t.Fatalf("workers=%d: %d trials recorded, want 8", workers, len(res.Trials))
-		}
-		wantFid := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3, 0, 1.0 / 3, 0, 0, 1.0 / 3}
-		for i, tr := range res.Trials {
-			if tr.Result.Fidelity != wantFid[i] {
-				t.Errorf("workers=%d: trial %d stamped fidelity %v, want %v", workers, i+1, tr.Result.Fidelity, wantFid[i])
-			}
-		}
-		if res.Trials[0].Result.Time != res.Trials[2].Result.Time || res.Trials[0].Result.Time != res.Trials[4].Result.Time {
-			t.Errorf("workers=%d: repeated a@⅓ trials differ: %v", workers, res.Trials)
-		}
-		if res.Trials[0].Result.Time == res.Trials[3].Result.Time {
-			t.Errorf("workers=%d: a@1 returned the a@⅓ result — the memo ignored fidelity", workers)
-		}
-	}
-}
-
-// cyclingProposer proposes `distinct` configurations round-robin, up to four
-// per batch, so a session longer than `distinct` trials repeats each one.
-type cyclingProposer struct {
-	space    *tune.Space
-	distinct int
-	n        int
-}
-
-func (p *cyclingProposer) Propose(n int) []tune.Config {
-	out := make([]tune.Config, 0, min(n, 4))
-	for range cap(out) {
-		out = append(out, p.space.FromVector([]float64{float64(p.n%p.distinct) / float64(p.distinct)}))
-		p.n++
-	}
-	return out
-}
-func (p *cyclingProposer) Observe(tune.Trial) {}
-
-// TestEngineMemoDeterministicAcrossWorkers: with the memo on, the recorded
-// trials are identical at any worker count — hits and stores happen in
-// batch order on the driver goroutine.
-func TestEngineMemoDeterministicAcrossWorkers(t *testing.T) {
-	b := tune.Budget{Trials: 24}
-	run := func(workers int) *tune.TuningResult {
-		tgt := newCountingTarget()
-		return tuneJob(t, Job{Tuner: proposing(&cyclingProposer{space: tgt.space, distinct: 3}), Target: tgt, Budget: b, Parallel: workers, Memo: true})
-	}
-	seq := run(1)
-	for _, w := range []int{2, 8} {
-		sameResult(t, seq, run(w), fmt.Sprintf("memo workers=1 vs %d", w))
-	}
-}
-
-// TestMemoHoldsAtMostTrialsPlusOne pins why the memo needs no bound: it
-// stores one result per evaluated run (and a resume seeds it with replayed
-// trials), so at every batch boundary it holds at most the session's
-// recorded trials plus the one result a budget cut discards — fresh, at
-// any worker count, and resumed from a checkpoint.
-func TestMemoHoldsAtMostTrialsPlusOne(t *testing.T) {
-	b := tune.Budget{Trials: 40}
-	const distinct = 30 // thirty fresh configurations, then ten repeats
-	for _, workers := range []int{1, 4} {
-		var mid *tune.Replay // a checkpoint from the middle of the session
-		ref := newCountingTarget()
-		tuneJob(t, Job{Tuner: proposing(&cyclingProposer{space: ref.space, distinct: distinct}), Target: ref, Budget: b,
-			Parallel: workers, Memo: true, Checkpoint: func(cs tune.CheckpointState) {
-				if mid == nil && len(cs.Trials) >= b.Trials/2 {
-					r := cs.Replay()
-					mid = &r
-				}
-			}})
-		if mid == nil {
-			t.Fatalf("workers=%d: no checkpoint offered past trial %d", workers, b.Trials/2)
-		}
-		for _, replay := range []*tune.Replay{nil, mid} {
-			label := fmt.Sprintf("workers=%d resumed=%v", workers, replay != nil)
-			tgt := newCountingTarget()
-			job := Job{Target: tgt, Budget: b, Parallel: workers, Memo: true, Replay: replay}
-			ev, rep, err := job.evaluator(tune.Resolve(tgt))
-			if err != nil {
-				t.Fatal(err)
-			}
-			outer := ev
-			if rep != nil {
-				outer = rep.live
-			}
-			memo := outer.(*memoized).memo
-			peak := 0
-			check := func(trials int) {
-				if len(memo) > trials+1 {
-					t.Errorf("%s: the memo holds %d results after %d trials", label, len(memo), trials)
-				}
-				peak = max(peak, len(memo))
-			}
-			res, err := tune.Drive(context.Background(), "stub", tgt, b,
-				tune.LiftProposer(&cyclingProposer{space: tgt.space, distinct: distinct}), ev,
-				func(s *tune.Session) { check(len(s.Trials())) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(len(res.Trials))
-			if len(res.Trials) != b.Trials || peak != distinct {
-				t.Errorf("%s: %d trials, the memo peaked at %d results; want %d and %d", label, len(res.Trials), peak, b.Trials, distinct)
-			}
-		}
-	}
-}
 
 // TestTunerWithoutAFormIsRefused: a tuner the engine has no way to drive
 // fails its session with tune.CheckTuner's refusal — the one a job build

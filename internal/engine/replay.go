@@ -34,7 +34,6 @@ func reservedRuns(caps tune.Capabilities) int64 {
 type replayed struct {
 	live tune.Evaluator
 	caps tune.Capabilities
-	memo map[string]tune.Result // nil: memo disabled
 	log  *tune.Replay
 	pos  int // log trials served so far
 }
@@ -54,11 +53,6 @@ func (r *replayed) Evaluate(ctx context.Context, batch []tune.Candidate, yield f
 		// not rounding.
 		if !slices.Equal(c.Config.Vector(), rt.Vector) || tune.NormFidelity(c.Fidelity) != tune.NormFidelity(rt.Result.Fidelity) {
 			return r.fail("fresh proposer diverged from the checkpointed history (spec, seed, or warm-start corpus changed since the checkpoint)")
-		}
-		// Seed the memo so post-resume repeat proposals hit it exactly as
-		// they would have without the interruption.
-		if r.memo != nil {
-			r.memo[candidateKey(c)] = rt.Result
 		}
 		if r.pos++; r.pos == n {
 			// Replayed trials consume no target runs, so the counter is

@@ -145,7 +145,7 @@ func (r *Run) archive(res *tune.TuningResult, err error) {
 	if r.job.Archive == nil || err != nil || res == nil || len(res.Trials) == 0 {
 		return
 	}
-	system, workload := r.job.names()
+	system, workload := tune.SplitTargetName(r.job.Target.Name())
 	var features map[string]float64
 	if d, ok := r.job.Target.(tune.Describer); ok {
 		features = d.WorkloadFeatures()

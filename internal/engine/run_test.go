@@ -316,7 +316,7 @@ func TestRunArchivesOnSuccess(t *testing.T) {
 	}
 	rec := got[0]
 	if rec.System != "dbms" || rec.Workload != "tpch" {
-		t.Errorf("derived naming = %s/%s", rec.System, rec.Workload)
+		t.Errorf("archived as %s/%s, want the target's name dbms/tpch", rec.System, rec.Workload)
 	}
 	if len(rec.Trials) != len(res.Trials) {
 		t.Errorf("archived %d trials, result had %d", len(rec.Trials), len(res.Trials))
@@ -326,18 +326,6 @@ func TestRunArchivesOnSuccess(t *testing.T) {
 	}
 	if len(rec.ParamNames) != dbmsTarget(5).Space().Dim() {
 		t.Errorf("param names = %v", rec.ParamNames)
-	}
-
-	// Explicit naming wins over derivation.
-	named := job
-	named.System, named.Workload = "sys", "wl"
-	named.Target = dbmsTarget(6)
-	run2 := New(Options{Workers: 1}).Submit(named)
-	if _, err := run2.Wait(nil); err != nil {
-		t.Fatal(err)
-	}
-	if last := got[len(got)-1]; last.System != "sys" || last.Workload != "wl" {
-		t.Errorf("explicit naming ignored: %s/%s", last.System, last.Workload)
 	}
 
 	// A cancelled run must not archive.

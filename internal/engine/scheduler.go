@@ -19,23 +19,12 @@ type Job struct {
 	// job (≤1 or 0 means sequential). Results are identical at any value
 	// for a fixed seed; only wall-clock changes.
 	Parallel int
-	// Memo enables the config-keyed result memo cache: proposing an
-	// already-evaluated configuration (at the same fidelity) returns the
-	// memoized result instead of a fresh noisy run, so converged tuners stop
-	// paying wall-clock for repeat proposals. Off by default because repeated
-	// measurements of a noisy target are sometimes deliberate — without it the
-	// session reproduces the inline drive loop exactly.
-	Memo bool
 	// Remote, when non-nil, adds a remote evaluator fleet's slots to this
 	// job's trial evaluation. The backend must be bound to this job's
 	// target sysmodel (dist.Pool.Backend); results are identical with or
 	// without it — remote evaluation is pure in (seed, run index, config) —
 	// so only wall-clock and fault exposure change.
 	Remote RemoteBackend
-	// System and Workload name the target for repository archival. When
-	// either is empty it is derived from Target.Name() ("dbms/tpch" →
-	// system "dbms", workload "tpch").
-	System, Workload string
 	// Archive, when non-nil, receives the finished session's record after
 	// a successful run, before the run is marked done — Wait returning
 	// means the record has been handed off. Failed or cancelled runs are
@@ -65,23 +54,6 @@ type Job struct {
 	// checkpoint of the same spec; a divergence (the fresh proposer
 	// proposing something other than the recorded history) fails the run.
 	Replay *tune.Replay
-}
-
-// names returns the job's repository system/workload naming, deriving
-// missing parts from the target name.
-func (j Job) names() (system, workload string) {
-	system, workload = j.System, j.Workload
-	if system != "" && workload != "" {
-		return system, workload
-	}
-	sys, wl := tune.SplitTargetName(j.Target.Name())
-	if system == "" {
-		system = sys
-	}
-	if workload == "" {
-		workload = wl
-	}
-	return system, workload
 }
 
 // JobResult pairs a job with its outcome.

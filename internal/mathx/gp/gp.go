@@ -317,16 +317,6 @@ func (g *GP) baseAt(d2, l float64) float64 {
 	}
 }
 
-// logMarginal returns the log marginal likelihood under the current
-// hyperparameters; −Inf if factorization fails.
-func (g *GP) logMarginal() float64 {
-	if err := g.refit(); err != nil {
-		return math.Inf(-1)
-	}
-	n := float64(len(g.ys))
-	return -0.5*linalg.Dot(g.ys, g.alpha) - 0.5*g.chol.LogDet() - 0.5*n*math.Log(2*math.Pi)
-}
-
 // optimizeHypers grid-searches lengthscale × noise × signal variance over
 // ranges suited to unit-cube inputs and standardized outputs. The grid is
 // factored: one base kernel build per lengthscale, then each (noise, signal)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/mathx/linalg"
 )
 
 func trainGrid(f func(x []float64) float64, n int, rng *rand.Rand) (xs [][]float64, ys []float64) {
@@ -90,6 +92,16 @@ func TestExpectedImprovement(t *testing.T) {
 	if eiGood <= eiBad {
 		t.Errorf("EI(good)=%v should exceed EI(bad)=%v", eiGood, eiBad)
 	}
+}
+
+// logMarginal returns the log marginal likelihood under the current
+// hyperparameters; −Inf if factorization fails.
+func (g *GP) logMarginal() float64 {
+	if err := g.refit(); err != nil {
+		return math.Inf(-1)
+	}
+	n := float64(len(g.ys))
+	return -0.5*linalg.Dot(g.ys, g.alpha) - 0.5*g.chol.LogDet() - 0.5*n*math.Log(2*math.Pi)
 }
 
 func TestHyperoptImprovesLikelihood(t *testing.T) {

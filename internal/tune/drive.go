@@ -14,8 +14,8 @@ import (
 // A trial batch is always []Candidate (a plain proposal is a candidate at
 // fidelity 0), the proposer is always seen as a FidelityProposer (LiftProposer
 // adapts a plain one), and the loop is parameterized only by its Evaluator:
-// Inline here, the engine's worker/remote pool, and the memo and replay
-// decorators the engine stacks on top.
+// Inline here, the engine's worker/remote pool, and the replay decorator
+// the engine stacks on top.
 
 // Capabilities is a target's evaluation faces — index-keyed noise and the
 // low-fidelity path — resolved once at session start, so no driver, evaluator
@@ -89,8 +89,8 @@ func (c Capabilities) Eval(ctx context.Context, idx int64, cand Candidate) (Resu
 // yield(i, result) for batch positions 0, 1, 2, … in that order on the
 // caller's goroutine — however the evaluations were scheduled — and stop as
 // soon as yield returns false (the session was cut; whatever is still in
-// flight is superfluous). Evaluators compose: the engine's memo and replay
-// layers are Evaluators wrapping another.
+// flight is superfluous). Evaluators compose: the engine's replay layer is
+// an Evaluator wrapping another.
 type Evaluator interface {
 	Evaluate(ctx context.Context, batch []Candidate, yield func(i int, res Result) bool) error
 }

@@ -720,7 +720,7 @@ func TestGoldenMultiEvaluatorTopology(t *testing.T) {
 			t.Cleanup(srv.Close)
 			urls = append(urls, srv.URL)
 		}
-		return dist.NewPool(urls, dist.PoolOptions{RetryBackoff: 5 * time.Millisecond})
+		return dist.NewPool(urls, dist.PoolOptions{})
 	}
 	stream := func(t *testing.T, spec repro.Spec, parallel int, pool *dist.Pool) []string {
 		t.Helper()

@@ -74,9 +74,11 @@ type TargetFactory struct {
 	// list declares an open-ended workload namespace: Spec validation
 	// then defers workload checking to New.
 	Workloads []string
-	// New builds a target bound to the named workload. Options arrive
-	// pre-validated (see TargetOptions); unknown workloads should return
-	// a descriptive error.
+	// New builds a target bound to the named workload, named
+	// "system/workload": the repository, the warm start and the
+	// repository-driven tuners all read the session's system from that
+	// name. Options arrive pre-validated (see TargetOptions); unknown
+	// workloads should return a descriptive error.
 	New func(workload string, seed int64, opts TargetOptions) (Target, error)
 }
 
@@ -160,7 +162,8 @@ func Workloads(system string) []string {
 	return out
 }
 
-// NewTarget builds a simulated system bound to a named workload.
+// NewTarget builds a simulated system bound to a named workload. It
+// refuses a factory whose target is not named "system/workload".
 func NewTarget(system, wl string, seed int64, opts ...TargetOptions) (Target, error) {
 	var o TargetOptions
 	if len(opts) > 0 {
@@ -175,7 +178,14 @@ func NewTarget(system, wl string, seed int64, opts ...TargetOptions) (Target, er
 	if !ok {
 		return nil, fmt.Errorf("repro: unknown system %q (have %s)", system, strings.Join(Systems(), ", "))
 	}
-	return f.New(wl, seed, o)
+	target, err := f.New(wl, seed, o)
+	if err != nil {
+		return nil, err
+	}
+	if want := system + "/" + wl; target.Name() != want {
+		return nil, fmt.Errorf("repro: system %q built a target named %q, want %q", system, target.Name(), want)
+	}
+	return target, nil
 }
 
 // Tuners lists available tuner names with their survey category, sorted.

@@ -39,8 +39,6 @@ type Spec struct {
 	// Parallel is the worker count for batch trial evaluation within the
 	// session (0/1 = sequential; results identical at any value).
 	Parallel int `json:"parallel,omitempty"`
-	// Memo enables the config-keyed result memo cache for this session.
-	Memo bool `json:"memo,omitempty"`
 	// WarmStart seeds the session's proposer with the best configurations
 	// transferred from the mapped nearest past workload of the same system
 	// in the store the job is built on (see JobOn and tune.WarmConfigs). It
@@ -367,9 +365,6 @@ func (s Spec) JobWithWarm(corpus tune.Corpus, warm tune.WarmSource, archive func
 		Target:   target,
 		Budget:   s.Budget,
 		Parallel: s.Parallel,
-		Memo:     s.Memo,
-		System:   s.System,
-		Workload: s.Workload,
 		Archive:  archive,
 	}, nil
 }

@@ -30,7 +30,6 @@ func TestSpecCrossProduct(t *testing.T) {
 		slots int
 	}{
 		{name: "plain", apply: func(*Spec) {}},
-		{name: "memo", apply: func(s *Spec) { s.Memo = true }},
 		{name: "parallel 4", apply: func(s *Spec) { s.Parallel = 4 }},
 		{name: "hyperband", apply: func(s *Spec) { s.Fidelity = &FidelitySpec{Strategy: "hyperband"} }},
 		{name: "halving", apply: func(s *Spec) { s.Fidelity = &FidelitySpec{Strategy: "halving"} }},
@@ -39,7 +38,7 @@ func TestSpecCrossProduct(t *testing.T) {
 		{name: "drift_detect", apply: func(s *Spec) { s.DriftDetect = true }},
 		{name: "pareto+guardrail+drift", apply: func(s *Spec) { s.Pareto, s.Guardrail, s.DriftDetect = true, 1200, true }},
 		{name: "sim_time", apply: func(s *Spec) { s.Budget.SimTime = 4000 }},
-		{name: "fidelity+memo+parallel", apply: func(s *Spec) { s.Fidelity, s.Memo, s.Parallel = &FidelitySpec{}, true, 2 }},
+		{name: "fidelity+parallel", apply: func(s *Spec) { s.Fidelity, s.Parallel = &FidelitySpec{}, 2 }},
 		{name: "surrogate sparse", apply: func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "sparse"} }},
 		{name: "surrogate rff", apply: func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "rff"} }},
 		// Exact → sparse → RFF inside the 12-trial session.

@@ -16,7 +16,7 @@ func FuzzSpecJSONRoundTrip(f *testing.F) {
 	f.Add(`{"system":"dbms","workload":"tpch","tuner":"ituned","seed":42,"budget":{"trials":30}}`)
 	f.Add(`{"system":"spark","workload":"pagerank","tuner":"ottertune","seed":7,` +
 		`"budget":{"trials":20,"sim_time":500},"target":{"scale_gb":2,"nodes":8,` +
-		`"heterogeneous":true,"tenant_load":0.3},"parallel":4,"memo":true}`)
+		`"heterogeneous":true,"tenant_load":0.3},"parallel":4}`)
 	f.Add(`{"system":"hadoop","workload":"terasort","tuner":"scaled-proxy",` +
 		`"budget":{"trials":5},"proxy":{"scale_gb":1,"nodes":4}}`)
 	f.Add(`{"system":"spark","workload":"kmeans","tuner":"ituned",` +

@@ -28,7 +28,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		},
 		Proxy:    &ProxySpec{ScaleGB: 4, Nodes: 4},
 		Parallel: 4,
-		Memo:     true,
 		Fidelity: &FidelitySpec{Strategy: "hyperband"},
 		Surrogate: &SurrogateSpec{
 			Tier: "auto", SparseAbove: 200, RFFAbove: 2000,
@@ -47,7 +46,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed the spec:\n  in:  %+v\n  out: %+v", spec, back)
 	}
 	// Wire names stay snake_case: remote clients program against them.
-	for _, key := range []string{`"system"`, `"workload"`, `"tuner"`, `"seed"`, `"budget"`, `"trials"`, `"sim_time"`, `"scale_gb"`, `"tenant_load"`, `"full_spark_space"`, `"proxy"`, `"parallel"`, `"memo"`, `"fidelity"`, `"strategy"`, `"surrogate"`, `"sparse_above"`, `"rff_above"`, `"inducing"`, `"features"`} {
+	for _, key := range []string{`"system"`, `"workload"`, `"tuner"`, `"seed"`, `"budget"`, `"trials"`, `"sim_time"`, `"scale_gb"`, `"tenant_load"`, `"full_spark_space"`, `"proxy"`, `"parallel"`, `"fidelity"`, `"strategy"`, `"surrogate"`, `"sparse_above"`, `"rff_above"`, `"inducing"`, `"features"`} {
 		if !bytes.Contains(data, []byte(key)) {
 			t.Errorf("spec JSON missing %s: %s", key, data)
 		}
@@ -289,15 +288,23 @@ func TestScenarioEventStreamsDeterministicAcrossParallel(t *testing.T) {
 
 // flatTarget is a minimal external system: quadratic bowl around a=0.7.
 type flatTarget struct {
+	name  string
 	space *tune.Space
 	seed  int64
 }
 
-func (f *flatTarget) Name() string       { return "customsys/bowl" }
+func (f *flatTarget) Name() string       { return f.name }
 func (f *flatTarget) Space() *tune.Space { return f.space }
 func (f *flatTarget) Run(cfg tune.Config) tune.Result {
 	d := cfg.Float("a") - 0.7
 	return tune.Result{Time: 1 + d*d}
+}
+
+// bowlFactory builds flatTargets named for the given system.
+func bowlFactory(system string) TargetFactory {
+	return TargetFactory{New: func(wl string, seed int64, o TargetOptions) (Target, error) {
+		return &flatTarget{name: system + "/" + wl, space: tune.NewSpace(tune.Float("a", 0, 1, 0.5)), seed: seed}, nil
+	}}
 }
 
 // fixedTuner is a minimal external algorithm: a straight-line loop over a
@@ -319,12 +326,9 @@ func (f *fixedTuner) NewProposer(target tune.Target, b tune.Budget) (tune.Propos
 // drives them through the full declarative path: Spec → Start → events →
 // result. This is the extension seam the daemon exposes to other systems.
 func TestRegistriesPlugInByName(t *testing.T) {
-	err := RegisterTarget("customsys", TargetFactory{
-		Workloads: []string{"bowl"},
-		New: func(wl string, seed int64, o TargetOptions) (Target, error) {
-			return &flatTarget{space: tune.NewSpace(tune.Float("a", 0, 1, 0.5)), seed: seed}, nil
-		},
-	})
+	custom := bowlFactory("customsys")
+	custom.Workloads = []string{"bowl"}
+	err := RegisterTarget("customsys", custom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,16 +372,15 @@ func TestRegistriesPlugInByName(t *testing.T) {
 
 	// A factory with no declared workload list accepts open-ended names:
 	// Spec validation defers to the factory, like NewTarget does.
-	if err := RegisterTarget("customopen", TargetFactory{
-		New: func(wl string, seed int64, o TargetOptions) (Target, error) {
-			return &flatTarget{space: tune.NewSpace(tune.Float("a", 0, 1, 0.5)), seed: seed}, nil
-		},
-	}); err != nil {
+	if err := RegisterTarget("customopen", bowlFactory("customopen")); err != nil {
 		t.Fatal(err)
 	}
 	openSpec := Spec{System: "customopen", Workload: "anything-goes", Tuner: "custom-fixed", Budget: Budget{Trials: 1}}
 	if err := openSpec.Validate(); err != nil {
 		t.Errorf("open workload namespace rejected: %v", err)
+	}
+	if _, err := openSpec.Job(); err != nil {
+		t.Errorf("open workload namespace refused at build: %v", err)
 	}
 
 	// Duplicate and malformed registrations are rejected.
@@ -392,6 +395,19 @@ func TestRegistriesPlugInByName(t *testing.T) {
 	}
 	if err := RegisterTuner("", "", "", nil); err == nil {
 		t.Error("empty RegisterTuner should error")
+	}
+}
+
+// TestNewTargetRefusesMisnamedTarget: a factory whose target is named for
+// another system is refused, naming both, since its sessions would be
+// archived under one system and read back under another.
+func TestNewTargetRefusesMisnamedTarget(t *testing.T) {
+	if err := RegisterTarget("custommisnamed", bowlFactory("customsys")); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewTarget("custommisnamed", "bowl", 1)
+	if err == nil || !strings.Contains(err.Error(), `"custommisnamed"`) || !strings.Contains(err.Error(), `"customsys/bowl"`) {
+		t.Errorf("NewTarget on a misnamed factory = %v, want a refusal naming the system and the target", err)
 	}
 }
 
@@ -680,16 +696,15 @@ func TestSpecFidelityMaterialization(t *testing.T) {
 	}
 }
 
-// TestSpecMemoWithFidelity: Memo combined with a fidelity schedule
-// is honoured, not ignored — the memo is keyed by (configuration, fidelity),
-// so rungs still re-measure promoted configurations and the whole event
-// stream stays byte-identical at parallel 1 and parallel 4.
-func TestSpecMemoWithFidelity(t *testing.T) {
+// TestSpecFidelityRemeasuresPromoted: a fidelity schedule re-measures each
+// promoted configuration at the higher rung as a fresh run, and the whole
+// event stream stays byte-identical at parallel 1 and parallel 4.
+func TestSpecFidelityRemeasuresPromoted(t *testing.T) {
 	stream := func(parallel int) []byte {
 		run, err := Start(context.Background(), Spec{
 			System: "dbms", Workload: "tpch", Tuner: "random",
 			Seed: 9, Budget: Budget{Trials: 30}, Target: TargetOptions{ScaleGB: 2},
-			Fidelity: &FidelitySpec{Strategy: "hyperband"}, Memo: true, Parallel: parallel,
+			Fidelity: &FidelitySpec{Strategy: "hyperband"}, Parallel: parallel,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -722,11 +737,11 @@ func TestSpecMemoWithFidelity(t *testing.T) {
 			}
 		}
 		if promoted == 0 {
-			t.Fatal("no configuration was measured at two fidelities; the memo served a rung from the wrong fidelity")
+			t.Fatal("no configuration was measured at two fidelities")
 		}
 		return out
 	}
 	if seq, par := stream(1), stream(4); !bytes.Equal(seq, par) {
-		t.Fatalf("memo + fidelity stream differs across parallelism:\nparallel 1:\n%s\nparallel 4:\n%s", seq, par)
+		t.Fatalf("fidelity stream differs across parallelism:\nparallel 1:\n%s\nparallel 4:\n%s", seq, par)
 	}
 }

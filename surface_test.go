@@ -68,6 +68,11 @@ var retiredSurfaces = []string{
 	// The checkpoint throttle every program left at one trial, and the pool's
 	// fixed lease timeout: a lease is timed by its evaluator's own heartbeat.
 	`checkpoint-every`, `CheckpointEvery\b`, `HeartbeatTimeout`,
+	// The session's result memo and the pool's retry knobs only tests set:
+	// every recorded trial is one run, and a lost lease is retried a fixed
+	// number of times.
+	`\bMemo\b`, `json:"memo[",]`, `-memo\b`, `(type |&|\*)memoized\b`, `candidateKey`,
+	`\bMaxRetries\b`, `\bRetryBackoff\b`,
 }
 
 // The one CI step list: the workflow's only command is scripts/ci.sh, and
@@ -171,11 +176,11 @@ func harness(name string) bool {
 
 // unusedAPIExempt are method names the standard library calls through its
 // own interfaces (fmt, errors, sort, container/heap, encoding/json,
-// math/rand's Source64).
+// math/rand's Source64, flag.Value and its boolean form).
 var unusedAPIExempt = map[string]bool{
 	"String": true, "Error": true, "MarshalJSON": true, "Len": true, "Less": true,
 	"Swap": true, "Push": true, "Pop": true, "Unwrap": true, "Is": true,
-	"Int63": true, "Uint64": true, "Seed": true,
+	"Int63": true, "Uint64": true, "Seed": true, "Set": true, "IsBoolFlag": true,
 }
 
 // unusedAPIAllowed are the exported declarations under internal/ that only
@@ -188,13 +193,16 @@ var unusedAPIAllowed = map[string]string{
 	"tune.SurrogateModel.Model":     "test accessor: the GP tuners' tests read the surrogate a round fitted",
 }
 
-// TestInternalAPIHasCallers fails on an exported function or method under
-// internal/ that no non-test Go file of the module uses: internal/ holds what
-// the commands, the daemon, the experiments, the examples and the benchmark
-// run. Every package is type-checked, so a use is a reference to the
-// declaration itself, not to a name it shares. A method also counts as used
-// when a type holding it, declared or promoted from an embedded field,
-// implements an interface whose method of that name is used.
+// TestInternalAPIHasCallers fails on a function or method that no non-test Go
+// file of the module uses: any one under internal/, which holds what the
+// commands, the daemon, the experiments, the examples and the benchmark run,
+// and elsewhere any that only its own package can reach (an unexported name,
+// or a method of an unexported type). Every package is type-checked, so a
+// use is a reference to the declaration itself, not to a name it shares. A
+// method also counts as used when a type holding it, declared or promoted
+// from an embedded field, implements an interface whose method of that name
+// is used; a method of an interface literal that a type assertion names is
+// used by the assertion.
 func TestInternalAPIHasCallers(t *testing.T) {
 	// The standard library is type-checked from source; without cgo its
 	// packages need no C toolchain.
@@ -251,23 +259,38 @@ func TestInternalAPIHasCallers(t *testing.T) {
 				named = append(named, tn)
 			}
 		}
-		if !strings.HasPrefix(filepath.ToSlash(dir), "internal/") {
-			return pkg, nil
-		}
+		internal := strings.HasPrefix(filepath.ToSlash(dir), "internal/")
 		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if a, ok := n.(*ast.TypeAssertExpr); ok {
+					if it, ok := a.Type.(*ast.InterfaceType); ok {
+						for _, m := range it.Methods.List {
+							for _, name := range m.Names {
+								used[info.Defs[name]] = true
+							}
+						}
+					}
+				}
+				return true
+			})
 			for _, d := range f.Decls {
 				fn, ok := d.(*ast.FuncDecl)
-				if !ok || !fn.Name.IsExported() {
+				if !ok || fn.Name.Name == "init" || fn.Name.Name == "main" && fn.Recv == nil {
 					continue
 				}
 				key := pkg.Name() + "."
+				local := !fn.Name.IsExported()
 				if fn.Recv != nil {
 					if unusedAPIExempt[fn.Name.Name] {
 						continue
 					}
-					key += receiverName(fn.Recv.List[0].Type) + "."
+					recv := receiverName(fn.Recv.List[0].Type)
+					local = local || !ast.IsExported(recv)
+					key += recv + "."
 				}
-				decls = append(decls, decl{key + fn.Name.Name, info.Defs[fn.Name]})
+				if internal || local {
+					decls = append(decls, decl{key + fn.Name.Name, info.Defs[fn.Name]})
+				}
 			}
 		}
 		return pkg, nil
