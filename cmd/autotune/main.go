@@ -33,6 +33,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -53,13 +54,18 @@ type options struct {
 	repoDir, evaluators           string
 }
 
+// errCommandLine marks a command line the flag set refused, once it has
+// printed why and the usage.
+var errCommandLine = errors.New("autotune: bad command line")
+
 // parseFlags maps the command line onto a session spec. Every tuning flag
 // lands in one Spec field, so what the CLI runs is what the daemon would run
-// for the same spec.
+// for the same spec. A flag the set does not define, or -h, is an error
+// wrapping errCommandLine (and flag.ErrHelp for -h).
 func parseFlags(args []string) (o options, err error) {
 	var fid repro.FidelitySpec
 	var sur repro.SurrogateSpec
-	fs := flag.NewFlagSet("autotune", flag.ExitOnError)
+	fs := flag.NewFlagSet("autotune", flag.ContinueOnError)
 	fs.StringVar(&o.spec.System, "system", "dbms", "system to tune (dbms, hadoop, spark, paralleldb)")
 	fs.StringVar(&o.spec.Workload, "workload", "tpch", "workload name (see -list)")
 	fs.StringVar(&o.spec.Tuner, "tuner", "ituned", "tuning approach (see -list)")
@@ -84,7 +90,9 @@ func parseFlags(args []string) (o options, err error) {
 	fs.BoolVar(&o.spec.Pareto, "pareto", false, "multi-objective tuning: a latency-vs-cost scalarization sweep that reports the Pareto front")
 	fs.Float64Var(&o.spec.Guardrail, "guardrail", 0, "objective guardrail in seconds: screen proposals through a safety surrogate and count violations (0 = off)")
 	fs.BoolVar(&o.spec.DriftDetect, "drift-detect", false, "watch for workload drift and restart the search from the remaining budget when it fires")
-	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
+	if err := fs.Parse(args); err != nil {
+		return o, fmt.Errorf("%w: %w", errCommandLine, err)
+	}
 	if fid.Strategy != "" {
 		o.spec.Fidelity = &fid
 	}
@@ -97,8 +105,14 @@ func parseFlags(args []string) (o options, err error) {
 	return o, nil
 }
 
+// main exits 0 on success and after -h, 2 on a command line the flag set
+// refused, and 1 on any other error.
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errCommandLine):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "autotune:", err)
 		os.Exit(1)
 	}

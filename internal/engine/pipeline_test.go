@@ -56,14 +56,14 @@ func pipelineRows() []pipelineRow {
 		{name: "ituned", trials: 14, want: tune.IncumbentImproved,
 			mk: func(*testing.T) (tune.Tuner, tune.Target) { return experiment.NewITuned(seed), plainTarget() }},
 		// The model lifecycle (tune.SurrogateModel): the session crosses exact →
-		// sparse at n = 22, then alternates append rounds with tail-triggered
-		// rebuilds (a quarter of 16 inducing points = one batch of four), so
-		// half the resume boundaries cut inside a tail and the resumed run has
-		// to arrive at the same size-at-last-Fit by replay alone.
-		{name: "ituned(sparse)", trials: 60, want: tune.IncumbentImproved,
+		// sparse at n = 22, then appends four batches of four before each
+		// tail-triggered rebuild (a quarter of 64 inducing points), at n = 42
+		// and 62, so most resume boundaries cut inside a tail and the resumed
+		// run has to arrive at the same size-at-last-Fit by replay alone.
+		{name: "ituned(sparse)", trials: 70, want: tune.IncumbentImproved,
 			mk: func(*testing.T) (tune.Tuner, tune.Target) {
 				it := experiment.NewITuned(seed)
-				it.Surrogate = &tune.SurrogateConfig{SparseAbove: 20, Inducing: 16}
+				it.Surrogate = &tune.SurrogateConfig{SparseAbove: 20}
 				return it, plainTarget()
 			}},
 		{name: "random", trials: 12, want: tune.IncumbentImproved,

@@ -28,6 +28,16 @@ const (
 // dimension-independent past the feature projection.
 const rffDimAbove = 32
 
+// The sparse tier conditions on m = sparseInducing inducing points and the
+// RFF tier on D = rffFeatures random features. Either tier's hyperparameter
+// search runs on sparseInducing points, the inducing set or the RFF tier's
+// k-center subset of the same size, and a model absorbs appended
+// observations until they reach a quarter of it (SurrogateModel.Sync).
+const (
+	sparseInducing = 64
+	rffFeatures    = 128
+)
+
 // SurrogateConfig selects the GP surrogate tier for the model-based tuners
 // and carries the switch-over thresholds on specs and wire forms, so a
 // session's tier schedule — and therefore its event stream — is a pure
@@ -43,10 +53,6 @@ type SurrogateConfig struct {
 	// RFFAbove is the training-set size beyond which auto mode switches from
 	// sparse to RFF (default 1500).
 	RFFAbove int `json:"rff_above,omitempty"`
-	// Inducing caps the sparse tier's inducing-point count m (default 64).
-	Inducing int `json:"inducing,omitempty"`
-	// Features is the RFF tier's random feature count D (default 128).
-	Features int `json:"features,omitempty"`
 }
 
 // Validate rejects unknown tiers and non-sensical thresholds. A nil config
@@ -60,7 +66,7 @@ func (c *SurrogateConfig) Validate() error {
 	default:
 		return fmt.Errorf("tune: unknown surrogate tier %q", c.Tier)
 	}
-	if c.SparseAbove < 0 || c.RFFAbove < 0 || c.Inducing < 0 || c.Features < 0 {
+	if c.SparseAbove < 0 || c.RFFAbove < 0 {
 		return fmt.Errorf("tune: surrogate thresholds must be non-negative")
 	}
 	if c.SparseAbove > 0 && c.RFFAbove > 0 && c.RFFAbove < c.SparseAbove {
@@ -83,12 +89,6 @@ func (c *SurrogateConfig) withDefaults() SurrogateConfig {
 	}
 	if out.RFFAbove == 0 {
 		out.RFFAbove = 1500
-	}
-	if out.Inducing == 0 {
-		out.Inducing = 64
-	}
-	if out.Features == 0 {
-		out.Features = 128
 	}
 	return out
 }
@@ -133,10 +133,10 @@ func (s *SurrogateSelector) New(kernel gp.KernelKind, tier string, seed int64) g
 	switch tier {
 	case SurrogateSparse:
 		sp := gp.NewSparse(kernel)
-		sp.MaxInducing = s.cfg.Inducing
+		sp.MaxInducing = sparseInducing
 		return sp
 	case SurrogateRFF:
-		return gp.NewRFF(kernel, s.cfg.Features, seed)
+		return gp.NewRFF(kernel, rffFeatures, seed)
 	default:
 		return gp.New(kernel)
 	}
@@ -230,7 +230,7 @@ func (m *SurrogateModel) Sync(searchUpTo int) gp.Surrogate {
 	}
 	tier := m.sel.TierFor(n, len(m.xs[0]))
 	if m.model != nil && tier == m.model.Tier() && tier != SurrogateExact &&
-		m.model.TrainingSize()-m.fitN < m.sel.hyperSubset(tier)/4 && m.absorb() {
+		m.model.TrainingSize()-m.fitN < sparseInducing/4 && m.absorb() {
 		return m.model
 	}
 	model := m.sel.New(m.kernel, tier, m.seed)
@@ -349,14 +349,4 @@ func (m *SurrogateModel) Acquire(k int, active []int, polish int, rng *rand.Rand
 		out = append(out, embed(make([]float64, len(base)), sub))
 	}
 	return out
-}
-
-// hyperSubset is the size of the subset a tier's hyperparameter search runs
-// on: the inducing set for the sparse tier, the RFF tier's fixed 64-point
-// k-center subset.
-func (s *SurrogateSelector) hyperSubset(tier string) int {
-	if tier == SurrogateSparse {
-		return s.cfg.Inducing
-	}
-	return 64
 }

@@ -15,8 +15,8 @@ func TestSurrogateConfigValidate(t *testing.T) {
 		{},
 		{Tier: SurrogateAuto},
 		{Tier: SurrogateExact},
-		{Tier: SurrogateSparse, Inducing: 32},
-		{Tier: SurrogateRFF, Features: 64},
+		{Tier: SurrogateSparse},
+		{Tier: SurrogateRFF},
 		{SparseAbove: 100, RFFAbove: 1000},
 	}
 	for _, c := range good {
@@ -27,7 +27,7 @@ func TestSurrogateConfigValidate(t *testing.T) {
 	bad := []*SurrogateConfig{
 		{Tier: "kriging"},
 		{SparseAbove: -1},
-		{Inducing: -5},
+		{RFFAbove: -5},
 		{SparseAbove: 500, RFFAbove: 100},
 	}
 	for _, c := range bad {
@@ -72,8 +72,7 @@ func TestSurrogateSelectorTierFor(t *testing.T) {
 
 func TestSurrogateSelectorDefaults(t *testing.T) {
 	cfg := NewSurrogateSelector(nil).Config()
-	if cfg.Tier != SurrogateAuto || cfg.SparseAbove != 160 || cfg.RFFAbove != 1500 ||
-		cfg.Inducing != 64 || cfg.Features != 128 {
+	if cfg.Tier != SurrogateAuto || cfg.SparseAbove != 160 || cfg.RFFAbove != 1500 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	// Partial configs keep explicit fields and fill the rest.
@@ -84,7 +83,7 @@ func TestSurrogateSelectorDefaults(t *testing.T) {
 }
 
 func TestSurrogateSelectorNew(t *testing.T) {
-	sel := NewSurrogateSelector(&SurrogateConfig{Inducing: 16, Features: 32})
+	sel := NewSurrogateSelector(nil)
 	if got := sel.New(gp.Matern52, SurrogateExact, 1).Tier(); got != "exact" {
 		t.Errorf("New(exact).Tier() = %q", got)
 	}
@@ -92,15 +91,15 @@ func TestSurrogateSelectorNew(t *testing.T) {
 	if got := sp.Tier(); got != "sparse" {
 		t.Errorf("New(sparse).Tier() = %q", got)
 	}
-	if m := sp.(*gp.SparseGP).MaxInducing; m != 16 {
-		t.Errorf("sparse MaxInducing = %d, want 16", m)
+	if m := sp.(*gp.SparseGP).MaxInducing; m != 64 {
+		t.Errorf("sparse MaxInducing = %d, want 64", m)
 	}
 	rf := sel.New(gp.Matern52, SurrogateRFF, 7)
 	if got := rf.Tier(); got != "rff" {
 		t.Errorf("New(rff).Tier() = %q", got)
 	}
-	if d := rf.(*gp.RFF).Features; d != 32 {
-		t.Errorf("rff Features = %d, want 32", d)
+	if d := rf.(*gp.RFF).Features; d != 128 {
+		t.Errorf("rff Features = %d, want 128", d)
 	}
 	if s := rf.(*gp.RFF).Seed; s != 7 {
 		t.Errorf("rff Seed = %d, want 7", s)
@@ -120,10 +119,9 @@ func (refusingAppend) Append([]float64, float64) error { return errors.New("refu
 // the same instance returned, everywhere in between.
 func TestSurrogateModelLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	// Sparse above 12 with a 16-point subset (tail limit 4: one appended round
-	// of four reaches it); RFF above 40 with its fixed 64-point subset (limit
-	// 16: four appended rounds).
-	lm := NewSurrogateModel(&SurrogateConfig{SparseAbove: 12, RFFAbove: 40, Inducing: 16, Features: 32}, gp.Matern52, 1)
+	// Sparse above 12, RFF above 40, each tier with a 64-point subset (tail
+	// limit 16: four appended rounds reach it).
+	lm := NewSurrogateModel(&SurrogateConfig{SparseAbove: 12, RFFAbove: 40}, gp.Matern52, 1)
 	n := 0
 	grow := func(k int) {
 		for i := 0; i < k; i++ {
@@ -147,7 +145,7 @@ func TestSurrogateModelLifecycle(t *testing.T) {
 		} else if n > 12 {
 			wantTier = SurrogateSparse
 		}
-		limit := map[string]int{SurrogateExact: 0, SurrogateSparse: 4, SurrogateRFF: 16}[wantTier]
+		limit := map[string]int{SurrogateExact: 0, SurrogateSparse: 16, SurrogateRFF: 16}[wantTier]
 		wantRebuild := last == nil || last.Tier() != wantTier || last.TrainingSize()-fitN >= limit
 		if round == 19 { // an RFF append round, by the rule — until the model refuses
 			if wantRebuild {

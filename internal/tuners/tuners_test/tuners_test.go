@@ -528,8 +528,8 @@ func TestGoldenSurrogateAboveThresholdDeterministic(t *testing.T) {
 		name string
 		cfg  *repro.SurrogateSpec
 	}{
-		{"sparse", &repro.SurrogateSpec{SparseAbove: 8, RFFAbove: 1500, Inducing: 8}},
-		{"rff", &repro.SurrogateSpec{Tier: "rff", Features: 64}},
+		{"sparse", &repro.SurrogateSpec{SparseAbove: 8, RFFAbove: 1500}},
+		{"rff", &repro.SurrogateSpec{Tier: "rff"}},
 	}
 	for _, tuner := range []string{"ituned", "ottertune"} {
 		for _, tc := range configs {

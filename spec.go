@@ -108,11 +108,10 @@ func (f *FidelitySpec) validate() error {
 const WarmSeeds = 3
 
 // ProxySpec describes the scaled-down replica used by the scaled-proxy
-// tuner: the spec's system and workload rebuilt at ScaleGB (and optionally
-// Nodes), seeded independently of the full-scale target.
+// tuner: the spec's system and workload, on the spec's cluster, rebuilt at
+// ScaleGB and seeded independently of the full-scale target.
 type ProxySpec struct {
 	ScaleGB float64 `json:"scale_gb"`
-	Nodes   int     `json:"nodes,omitempty"`
 }
 
 // Name returns the session's display name, "system/workload/tuner".
@@ -163,13 +162,8 @@ func (s Spec) Validate() error {
 	if err := s.Target.validate(); err != nil {
 		return err
 	}
-	if s.Proxy != nil {
-		if !(s.Proxy.ScaleGB > 0) {
-			return fmt.Errorf("repro: proxy scale_gb must be > 0, got %v", s.Proxy.ScaleGB)
-		}
-		if s.Proxy.Nodes < 0 {
-			return fmt.Errorf("repro: proxy nodes must be ≥ 0, got %d", s.Proxy.Nodes)
-		}
+	if s.Proxy != nil && !(s.Proxy.ScaleGB > 0) {
+		return fmt.Errorf("repro: proxy scale_gb must be > 0, got %v", s.Proxy.ScaleGB)
 	}
 	if s.Fidelity != nil {
 		if err := s.Fidelity.validate(); err != nil {
@@ -275,9 +269,6 @@ func (s Spec) JobWithWarm(corpus tune.Corpus, warm tune.WarmSource, archive func
 	if s.Proxy != nil {
 		po := s.Target
 		po.ScaleGB = s.Proxy.ScaleGB
-		if s.Proxy.Nodes > 0 {
-			po.Nodes = s.Proxy.Nodes
-		}
 		// The replica gets its own derived seed so its simulations draw a
 		// noise stream independent of the full-scale target's.
 		proxy, err := NewTarget(s.System, s.Workload, s.Seed+1, po)

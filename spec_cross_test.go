@@ -66,7 +66,7 @@ func TestSpecCrossProduct(t *testing.T) {
 				for _, shape := range shapes {
 					spec := Spec{System: tg.system, Workload: tg.workload, Tuner: tuner, Seed: 5, Budget: Budget{Trials: 12}}
 					if tuner == "scaled-proxy" {
-						spec.Proxy = &ProxySpec{ScaleGB: 0.1, Nodes: 2}
+						spec.Proxy = &ProxySpec{ScaleGB: 0.1}
 					}
 					shape.apply(&spec)
 					label := fmt.Sprintf("%s/%s %s", tg.system, tg.workload, shape.name)

@@ -18,7 +18,7 @@ func FuzzSpecJSONRoundTrip(f *testing.F) {
 		`"budget":{"trials":20,"sim_time":500},"target":{"scale_gb":2,"nodes":8,` +
 		`"heterogeneous":true,"tenant_load":0.3},"parallel":4}`)
 	f.Add(`{"system":"hadoop","workload":"terasort","tuner":"scaled-proxy",` +
-		`"budget":{"trials":5},"proxy":{"scale_gb":1,"nodes":4}}`)
+		`"budget":{"trials":5},"proxy":{"scale_gb":1}}`)
 	f.Add(`{"system":"spark","workload":"kmeans","tuner":"ituned",` +
 		`"budget":{"trials":9},"repository":"/tmp/repo","warm_start":true}`)
 	f.Add(`{"budget":{"trials":-1}}`)

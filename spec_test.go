@@ -26,13 +26,10 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			ScaleGB: 80, Nodes: 32, Heterogeneous: true,
 			TenantLoad: 0.3, FullSparkSpace: true,
 		},
-		Proxy:    &ProxySpec{ScaleGB: 4, Nodes: 4},
-		Parallel: 4,
-		Fidelity: &FidelitySpec{Strategy: "hyperband"},
-		Surrogate: &SurrogateSpec{
-			Tier: "auto", SparseAbove: 200, RFFAbove: 2000,
-			Inducing: 48, Features: 256,
-		},
+		Proxy:     &ProxySpec{ScaleGB: 4},
+		Parallel:  4,
+		Fidelity:  &FidelitySpec{Strategy: "hyperband"},
+		Surrogate: &SurrogateSpec{Tier: "auto", SparseAbove: 200, RFFAbove: 2000},
 	}
 	data, err := json.Marshal(spec)
 	if err != nil {
@@ -46,7 +43,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed the spec:\n  in:  %+v\n  out: %+v", spec, back)
 	}
 	// Wire names stay snake_case: remote clients program against them.
-	for _, key := range []string{`"system"`, `"workload"`, `"tuner"`, `"seed"`, `"budget"`, `"trials"`, `"sim_time"`, `"scale_gb"`, `"tenant_load"`, `"full_spark_space"`, `"proxy"`, `"parallel"`, `"fidelity"`, `"strategy"`, `"surrogate"`, `"sparse_above"`, `"rff_above"`, `"inducing"`, `"features"`} {
+	for _, key := range []string{`"system"`, `"workload"`, `"tuner"`, `"seed"`, `"budget"`, `"trials"`, `"sim_time"`, `"scale_gb"`, `"tenant_load"`, `"full_spark_space"`, `"proxy"`, `"parallel"`, `"fidelity"`, `"strategy"`, `"surrogate"`, `"sparse_above"`, `"rff_above"`} {
 		if !bytes.Contains(data, []byte(key)) {
 			t.Errorf("spec JSON missing %s: %s", key, data)
 		}

@@ -14,7 +14,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -73,6 +75,14 @@ var retiredSurfaces = []string{
 	// number of times.
 	`\bMemo\b`, `json:"memo[",]`, `-memo\b`, `(type |&|\*)memoized\b`, `candidateKey`,
 	`\bMaxRetries\b`, `\bRetryBackoff\b`,
+	// The evaluator's fault hook only tests set, and the surrogate's and the
+	// proxy's values no program set: a test puts its faults in front of an
+	// evaluator's handler, the sparse and RFF tiers run at m = 64 and D = 128,
+	// and a proxy runs on its spec's cluster. gp.SparseGP.MaxInducing, a
+	// session record's features and a target's nodes stay.
+	`dist\.Fault\b`, `Fault\{`, `Fault func\(`, `type Fault\b`, `opts\.Fault\b`, `fault\.(Hang|Mute|Drop|Delay)\b`,
+	`\.Inducing\b`, `\bInducing(:|\s+int\b)`, `cfg\.Features\b`, `int\s+\x60json:"(inducing|features)\b`,
+	`"(inducing|features)":\s*\d`, `Proxy\.Nodes\b`, `ProxySpec\{[^}]*\bNodes:`, `"proxy":\s*\{[^}]*"nodes"`,
 }
 
 // The one CI step list: the workflow's only command is scripts/ci.sh, and
@@ -118,7 +128,20 @@ func TestRetiredSurfacesStayRetired(t *testing.T) {
 	if err != nil {
 		t.Skipf("not a git checkout: %v", err)
 	}
-	retired := regexp.MustCompile(strings.Join(retiredSurfaces, "|"))
+	// One regexp per surface: most carry a literal the matcher scans for,
+	// which their alternation would not.
+	var retired []*regexp.Regexp
+	for _, surface := range retiredSurfaces {
+		retired = append(retired, regexp.MustCompile(surface))
+	}
+	mentionsRetired := func(line string) bool {
+		for _, re := range retired {
+			if re.MatchString(line) {
+				return true
+			}
+		}
+		return false
+	}
 	// The top-level history, planning and reference documents may name what
 	// was retired; the user-facing README.md and DESIGN.md may not.
 	exempt := func(name string) bool {
@@ -150,7 +173,7 @@ func TestRetiredSurfacesStayRetired(t *testing.T) {
 			t.Error(fork)
 		}
 		for i, line := range lines {
-			if !exempt(name) && retired.MatchString(line) {
+			if !exempt(name) && mentionsRetired(line) {
 				t.Errorf("%s:%d mentions a retired surface: %s", name, i+1, strings.TrimSpace(line))
 			}
 			if source && !strings.HasPrefix(name, "benchmark/") && strings.Contains(line, "rand.NewSource(") &&
@@ -193,30 +216,31 @@ var unusedAPIAllowed = map[string]string{
 	"tune.SurrogateModel.Model":     "test accessor: the GP tuners' tests read the surrogate a round fitted",
 }
 
-// TestInternalAPIHasCallers fails on a function or method that no non-test Go
-// file of the module uses: any one under internal/, which holds what the
-// commands, the daemon, the experiments, the examples and the benchmark run,
-// and elsewhere any that only its own package can reach (an unexported name,
-// or a method of an unexported type). Every package is type-checked, so a
-// use is a reference to the declaration itself, not to a name it shares. A
-// method also counts as used when a type holding it, declared or promoted
-// from an embedded field, implements an interface whose method of that name
-// is used; a method of an interface literal that a type assertion names is
-// used by the assertion.
-func TestInternalAPIHasCallers(t *testing.T) {
-	// The standard library is type-checked from source; without cgo its
-	// packages need no C toolchain.
+// module is the module's non-test Go code, type-checked once per test binary
+// (loadModule): every package under the root outside hidden, testdata and out
+// directories, each after the packages it imports.
+type module struct {
+	fset *token.FileSet
+	pkgs []*modulePackage
+}
+
+// modulePackage is one type-checked package with its syntax and its
+// identifier and expression facts.
+type modulePackage struct {
+	dir   string
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// loadModule parses and type-checks every non-test Go file of the module
+// once; the standard library is type-checked from source, and without cgo
+// its packages need no C toolchain.
+var loadModule = sync.OnceValues(func() (*module, error) {
 	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
 	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
-	type decl struct {
-		key string
-		obj types.Object
-	}
-	var decls []decl
-	used := map[types.Object]bool{}
-	var named []*types.TypeName
+	m := &module{fset: token.NewFileSet()}
+	std := importer.ForCompiler(m.fset, "source", nil)
 	checked := map[string]*types.Package{}
 	var load func(path string) (*types.Package, error)
 	imp := importerFunc(func(path string) (*types.Package, error) {
@@ -239,60 +263,23 @@ func TestInternalAPIHasCallers(t *testing.T) {
 		}
 		var files []*ast.File
 		for _, name := range bp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
 				return nil, err
 			}
 			files = append(files, f)
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-		pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
+		info := &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(path, m.fset, files, info)
 		if err != nil {
 			return nil, err
 		}
 		checked[path] = pkg
-		for _, obj := range info.Uses {
-			used[obj] = true
-		}
-		for _, obj := range info.Defs {
-			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
-				named = append(named, tn)
-			}
-		}
-		internal := strings.HasPrefix(filepath.ToSlash(dir), "internal/")
-		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if a, ok := n.(*ast.TypeAssertExpr); ok {
-					if it, ok := a.Type.(*ast.InterfaceType); ok {
-						for _, m := range it.Methods.List {
-							for _, name := range m.Names {
-								used[info.Defs[name]] = true
-							}
-						}
-					}
-				}
-				return true
-			})
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Name.Name == "init" || fn.Name.Name == "main" && fn.Recv == nil {
-					continue
-				}
-				key := pkg.Name() + "."
-				local := !fn.Name.IsExported()
-				if fn.Recv != nil {
-					if unusedAPIExempt[fn.Name.Name] {
-						continue
-					}
-					recv := receiverName(fn.Recv.List[0].Type)
-					local = local || !ast.IsExported(recv)
-					key += recv + "."
-				}
-				if internal || local {
-					decls = append(decls, decl{key + fn.Name.Name, info.Defs[fn.Name]})
-				}
-			}
-		}
+		m.pkgs = append(m.pkgs, &modulePackage{dir: filepath.ToSlash(dir), pkg: pkg, files: files, info: info})
 		return pkg, nil
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -311,8 +298,75 @@ func TestInternalAPIHasCallers(t *testing.T) {
 		_, err = load(strings.TrimSuffix("repro/"+filepath.ToSlash(path), "/."))
 		return err
 	})
+	return m, err
+})
+
+// TestInternalAPIHasCallers fails on a function or method that no non-test Go
+// file of the module uses: any one under internal/, which holds what the
+// commands, the daemon, the experiments, the examples and the benchmark run,
+// and elsewhere any that only its own package can reach (an unexported name,
+// or a method of an unexported type). Every package is type-checked, so a
+// use is a reference to the declaration itself, not to a name it shares. A
+// method also counts as used when a type holding it, declared or promoted
+// from an embedded field, implements an interface whose method of that name
+// is used; a method of an interface literal that a type assertion names is
+// used by the assertion.
+func TestInternalAPIHasCallers(t *testing.T) {
+	mod, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
+	}
+	type decl struct {
+		key string
+		obj types.Object
+	}
+	var decls []decl
+	used := map[types.Object]bool{}
+	var named []*types.TypeName
+	for _, p := range mod.pkgs {
+		info := p.info
+		for _, obj := range info.Uses {
+			used[obj] = true
+		}
+		for _, obj := range info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				named = append(named, tn)
+			}
+		}
+		internal := strings.HasPrefix(p.dir, "internal/")
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if a, ok := n.(*ast.TypeAssertExpr); ok {
+					if it, ok := a.Type.(*ast.InterfaceType); ok {
+						for _, m := range it.Methods.List {
+							for _, name := range m.Names {
+								used[info.Defs[name]] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Name.Name == "init" || fn.Name.Name == "main" && fn.Recv == nil {
+					continue
+				}
+				key := p.pkg.Name() + "."
+				local := !fn.Name.IsExported()
+				if fn.Recv != nil {
+					if unusedAPIExempt[fn.Name.Name] {
+						continue
+					}
+					recv := receiverName(fn.Recv.List[0].Type)
+					local = local || !ast.IsExported(recv)
+					key += recv + "."
+				}
+				if internal || local {
+					decls = append(decls, decl{key + fn.Name.Name, info.Defs[fn.Name]})
+				}
+			}
+		}
 	}
 	// A used interface method reaches the method of that name on every
 	// module type that implements the interface.
@@ -343,7 +397,7 @@ func TestInternalAPIHasCallers(t *testing.T) {
 		case unusedAPIAllowed[d.key] != "":
 			allowed[d.key] = true
 		default:
-			t.Errorf("%s: %s has no caller outside tests; delete it or move it into a test file", fset.Position(d.obj.Pos()), d.key)
+			t.Errorf("%s: %s has no caller outside tests; delete it or move it into a test file", mod.fset.Position(d.obj.Pos()), d.key)
 		}
 	}
 	for key := range unusedAPIAllowed {
@@ -351,6 +405,246 @@ func TestInternalAPIHasCallers(t *testing.T) {
 			t.Errorf("allowlisted %s is gone or has a caller now: drop its entry", key)
 		}
 	}
+}
+
+// settableRoots are the structs whose exported fields are settable values:
+// the session spec with every struct it nests, and the options of the target
+// and tuner registries, the engine's job, the daemon and the evaluator fleet.
+var settableRoots = []struct {
+	pkg, name string
+	nested    bool
+}{
+	{"repro", "Spec", true},
+	{"repro", "TargetOptions", false},
+	{"repro", "TunerOptions", false},
+	{"repro/internal/engine", "Job", false},
+	{"repro/internal/daemon", "Options", false},
+	{"repro/internal/dist", "PoolOptions", false},
+	{"repro/internal/dist", "EvaluatorOptions", false},
+}
+
+// settableAllowed are the settable values no program sets, each kept for the
+// reason given.
+var settableAllowed = map[string]string{
+	"daemon.Options.Workers":               "autotuned -workers: an operator sizes the session slots to the host's cores",
+	"daemon.Options.RepoDir":               "autotuned -repo: an operator puts the repository on the host's disk",
+	"daemon.Options.Evaluators":            "autotuned -evaluators: the fleet an operator runs beside the daemon",
+	"daemon.Options.MaxSessions":           "autotuned -max-sessions: an operator sizes admission to the host's memory",
+	"daemon.Options.MaxQueue":              "autotuned -max-queue: an operator sizes the admission queue to the host",
+	"daemon.Options.EventBuffer":           "autotuned -event-buffer: an operator sizes each session's replay to the host's memory",
+	"dist.EvaluatorOptions.HeartbeatEvery": "autotune-evaluator -heartbeat: an operator sizes the lease beat to the network",
+	"tune.Budget.SimTime":                  "the cost axis (ROADMAP) decides what a simulated-time budget means",
+	"repro.TargetOptions.FullSparkSpace":   "the only space wider than rffDimAbove: the paper's ~200-knob Spark surface (§2.4)",
+	"tune.SurrogateConfig.Tier":            "the determinism corpus's short sessions reach the sparse and RFF tiers only this way",
+	"tune.SurrogateConfig.SparseAbove":     "the determinism corpus's short sessions reach the sparse tier only this way",
+	"tune.SurrogateConfig.RFFAbove":        "the determinism corpus's short sessions reach the switch from sparse to RFF only this way",
+}
+
+// TestSettableValuesHaveSetters fails on a settable value (an exported field
+// of a settableRoots struct) that no non-test Go file of the module writes.
+// A write is a composite-literal key or an assignment. Three kinds do not
+// count: a flag registration or a copy of a flag's value (a command flag
+// follows the field it fills), JSON decoding (it writes nothing in the
+// source), and a default, a constant written under a check of the same
+// field. A copy from another field is a write; the field copied is judged on
+// its own.
+func TestSettableValuesHaveSetters(t *testing.T) {
+	mod, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[*types.Var]string{} // a settable value → "pkg.Type.Field"
+	var cover func(tn *types.TypeName, nested bool)
+	cover = func(tn *types.TypeName, nested bool) {
+		st := tn.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if _, seen := fields[f]; seen || !f.Exported() {
+				continue
+			}
+			fields[f] = tn.Pkg().Name() + "." + tn.Name() + "." + f.Name()
+			if inner := moduleStruct(f.Type()); nested && inner != nil {
+				cover(inner, true)
+			}
+		}
+	}
+	for _, root := range settableRoots {
+		found := false
+		for _, p := range mod.pkgs {
+			if tn, ok := p.pkg.Scope().Lookup(root.name).(*types.TypeName); ok && p.pkg.Path() == root.pkg {
+				cover(tn, root.nested)
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("settable root %s.%s is gone: drop it from settableRoots", root.pkg, root.name)
+		}
+	}
+	written := map[*types.Var]bool{}
+	for _, p := range mod.pkgs {
+		info := p.info
+		flags := flagVars(info, p.files)
+		// A value that reads a flag, as splitURLs(*evals) does, is that
+		// flag's value.
+		fromFlag := func(x ast.Expr) (reads bool) {
+			ast.Inspect(x, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				reads = reads || ok && flags[info.Uses[id]]
+				return !reads
+			})
+			return reads
+		}
+		for _, f := range p.files {
+			var stack []ast.Node
+			write := func(id *ast.Ident, value ast.Expr) {
+				fv, ok := info.Uses[id].(*types.Var)
+				if _, covered := fields[fv]; !ok || !covered {
+					return
+				}
+				if value != nil && (fromFlag(value) || info.Types[value].Value != nil && checked(info, stack, fv)) {
+					return
+				}
+				written[fv] = true
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								write(key, kv.Value)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							var value ast.Expr
+							if len(n.Rhs) == len(n.Lhs) && n.Tok == token.ASSIGN {
+								value = n.Rhs[i]
+							}
+							write(sel.Sel, value)
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+						write(sel.Sel, nil)
+					}
+				}
+				return true
+			})
+		}
+	}
+	keys := make([]*types.Var, 0, len(fields))
+	for f := range fields {
+		keys = append(keys, f)
+	}
+	sort.Slice(keys, func(i, j int) bool { return fields[keys[i]] < fields[keys[j]] })
+	allowed := map[string]bool{}
+	for _, f := range keys {
+		key := fields[f]
+		switch {
+		case written[f]:
+		case settableAllowed[key] != "":
+			allowed[key] = true
+		default:
+			t.Errorf("%s: %s is settable but no program sets it; retire it, or allowlist it with a reason", mod.fset.Position(f.Pos()), key)
+		}
+	}
+	for key := range settableAllowed {
+		if !allowed[key] {
+			t.Errorf("allowlisted settable value %s is gone or has a setter now: drop its entry", key)
+		}
+	}
+}
+
+// moduleStruct is the module's named struct type t is or points to, or nil.
+func moduleStruct(t types.Type) *types.TypeName {
+	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || !strings.HasPrefix(named.Obj().Pkg().Path()+"/", "repro/") {
+		return nil
+	}
+	if _, ok := named.Underlying().(*types.Struct); !ok {
+		return nil
+	}
+	return named.Obj()
+}
+
+// flagVars are the variables a package binds to command flags: those a flag
+// function's result is assigned to (v := flag.Int(…)) and those handed to
+// one by address (fs.IntVar(&v, …)).
+func flagVars(info *types.Info, files []*ast.File) map[types.Object]bool {
+	vars := map[types.Object]bool{}
+	isFlag := func(x ast.Expr) bool {
+		call, ok := ast.Unparen(x).(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		fn, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		obj := info.Uses[fn.Sel]
+		return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "flag"
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ValueSpec:
+				for i, id := range n.Names {
+					if len(n.Values) == len(n.Names) && isFlag(n.Values[i]) {
+						vars[info.Defs[id]] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok && len(n.Rhs) == len(n.Lhs) && isFlag(n.Rhs[i]) {
+						vars[info.ObjectOf(id)] = true
+					}
+				}
+			case *ast.CallExpr:
+				for _, arg := range n.Args {
+					if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND && isFlag(n) {
+						if id, ok := ast.Unparen(u.X).(*ast.Ident); ok {
+							vars[info.Uses[id]] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return vars
+}
+
+// checked reports whether the innermost statements around a write sit under
+// an if whose condition reads the field written: a default.
+func checked(info *types.Info, stack []ast.Node, field *types.Var) bool {
+	for _, n := range stack {
+		ifs, ok := n.(*ast.IfStmt)
+		if !ok {
+			continue
+		}
+		reads := false
+		ast.Inspect(ifs.Cond, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && info.Uses[id] == field {
+				reads = true
+			}
+			return !reads
+		})
+		if reads {
+			return true
+		}
+	}
+	return false
 }
 
 // importerFunc adapts a function to types.Importer.
