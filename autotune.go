@@ -68,10 +68,6 @@ type (
 	// FidelityTarget is a Target with a cheaper low-fidelity evaluation
 	// path (sampled workload, input fraction, trace prefix).
 	FidelityTarget = tune.FidelityTarget
-	// SurrogateSpec selects the GP surrogate tier (exact, sparse
-	// inducing-point, or random-Fourier-features) and its switch-over
-	// thresholds for the model-based tuners.
-	SurrogateSpec = tune.SurrogateConfig
 	// Job is one (target, tuner) session for TuneJobs and Engine.Submit.
 	Job = engine.Job
 	// JobResult pairs a Job with its outcome.

@@ -64,7 +64,6 @@ var errCommandLine = errors.New("autotune: bad command line")
 // wrapping errCommandLine (and flag.ErrHelp for -h).
 func parseFlags(args []string) (o options, err error) {
 	var fid repro.FidelitySpec
-	var sur repro.SurrogateSpec
 	fs := flag.NewFlagSet("autotune", flag.ContinueOnError)
 	fs.StringVar(&o.spec.System, "system", "dbms", "system to tune (dbms, hadoop, spark, paralleldb)")
 	fs.StringVar(&o.spec.Workload, "workload", "tpch", "workload name (see -list)")
@@ -83,9 +82,6 @@ func parseFlags(args []string) (o options, err error) {
 	fs.BoolVar(&o.spec.WarmStart, "warm-start", false, "seed the tuner from the nearest past workload in -repo")
 	fs.BoolVar(&o.resume, "resume", false, "with -repo: durably checkpoint progress at batch boundaries and resume the interrupted session of the identical spec (every tuning flag the same)")
 	fs.StringVar(&fid.Strategy, "fidelity", "", `multi-fidelity bracket strategy: "hyperband" or "halving" (off when empty)`)
-	fs.StringVar(&sur.Tier, "surrogate", "", `GP surrogate tier for model-based tuners: "auto", "exact", "sparse", or "rff" (empty = auto)`)
-	fs.IntVar(&sur.SparseAbove, "sparse-above", 0, "trial count above which auto surrogate mode leaves the exact GP (0 = default 160)")
-	fs.IntVar(&sur.RFFAbove, "rff-above", 0, "trial count above which auto surrogate mode switches to random Fourier features (0 = default 1500)")
 	fs.StringVar(&o.evaluators, "evaluators", "", "comma-separated base URLs of autotune-evaluator processes to lease trials to")
 	fs.BoolVar(&o.spec.Pareto, "pareto", false, "multi-objective tuning: a latency-vs-cost scalarization sweep that reports the Pareto front")
 	fs.Float64Var(&o.spec.Guardrail, "guardrail", 0, "objective guardrail in seconds: screen proposals through a safety surrogate and count violations (0 = off)")
@@ -95,9 +91,6 @@ func parseFlags(args []string) (o options, err error) {
 	}
 	if fid.Strategy != "" {
 		o.spec.Fidelity = &fid
-	}
-	if sur != (repro.SurrogateSpec{}) {
-		o.spec.Surrogate = &sur
 	}
 	if (o.spec.WarmStart || o.resume) && o.repoDir == "" {
 		return o, fmt.Errorf("-warm-start and -resume require -repo (past sessions and checkpoints live in the repository directory)")

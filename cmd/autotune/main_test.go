@@ -37,9 +37,6 @@ func TestFlagsMapToSpec(t *testing.T) {
 		{"-repo /r -warm-start", func(s *repro.Spec) { s.WarmStart = true }},
 		{"-fidelity hyperband", func(s *repro.Spec) { s.Fidelity = &repro.FidelitySpec{Strategy: "hyperband"} }},
 		{"-fidelity halving", func(s *repro.Spec) { s.Fidelity = &repro.FidelitySpec{Strategy: "halving"} }},
-		{"-surrogate sparse", func(s *repro.Spec) { s.Surrogate = &repro.SurrogateSpec{Tier: "sparse"} }},
-		{"-sparse-above 100", func(s *repro.Spec) { s.Surrogate = &repro.SurrogateSpec{SparseAbove: 100} }},
-		{"-rff-above 2000", func(s *repro.Spec) { s.Surrogate = &repro.SurrogateSpec{RFFAbove: 2000} }},
 		{"-pareto", func(s *repro.Spec) { s.Pareto = true }},
 		{"-guardrail 1200", func(s *repro.Spec) { s.Guardrail = 1200 }},
 		{"-drift-detect", func(s *repro.Spec) { s.DriftDetect = true }},
@@ -65,7 +62,8 @@ func TestFlagsMapToSpec(t *testing.T) {
 	// Retired flags are unknown: parseFlags returns the refusal instead of
 	// exiting. Their names are spelled in pieces so that they appear nowhere
 	// in the tree (TestRetiredSurfacesStayRetired).
-	for _, args := range []string{"-me" + "mo", "-me" + "mo-cap 4", "-fidelity hyperband -fidelity" + "-min 0.2", "-fidelity hyperband -fidelity" + "-eta 4"} {
+	for _, args := range []string{"-me" + "mo", "-me" + "mo-cap 4", "-fidelity hyperband -fidelity" + "-min 0.2", "-fidelity hyperband -fidelity" + "-eta 4",
+		"-surro" + "gate sparse", "-sparse" + "-above 100", "-rff" + "-above 2000"} {
 		_, err := parseFlags(strings.Fields(args))
 		if !errors.Is(err, errCommandLine) || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%q: err = %v, want an unknown-flag refusal", args, err)

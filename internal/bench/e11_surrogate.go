@@ -91,14 +91,13 @@ func Surrogate(o Options) (*Table, error) {
 			make func() gp.Surrogate
 		}{
 			{"exact GP", nil}, // reuses the reference fit above
-			{"sparse GP (m=64)", func() gp.Surrogate {
+			{fmt.Sprintf("sparse GP (m=%d)", gp.DefaultInducing), func() gp.Surrogate {
 				s := gp.NewSparse(gp.Matern52)
-				s.MaxInducing = 64
 				s.Hyper = hp
 				return s
 			}},
-			{"RFF (D=128)", func() gp.Surrogate {
-				r := gp.NewRFF(gp.Matern52, 128, o.Seed)
+			{fmt.Sprintf("RFF (D=%d)", gp.DefaultFeatures), func() gp.Surrogate {
+				r := gp.NewRFF(gp.Matern52, o.Seed)
 				r.Hyper = hp
 				return r
 			}},

@@ -257,8 +257,6 @@ func TestDaemonRejectsBadSpecs(t *testing.T) {
 		`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 1}, "bogus_field": 1}`,
 		`{"system": "nosuch", "workload": "x", "tuner": "ituned", "budget": {"trials": 1}}`,
 		`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 1}, "target": {"tenant_load": 2}}`,
-		`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 1}, "surrogate": {"tier": "kriging"}}`,
-		`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 1}, "surrogate": {"sparse_above": 500, "rff_above": 100}}`,
 	} {
 		_, code, body := postSpec(t, ts, spec)
 		if code != http.StatusBadRequest {
@@ -275,17 +273,20 @@ func TestDaemonRejectsBadSpecs(t *testing.T) {
 // naming the field, a checkpoint whose spec carries one is dropped at
 // startup instead of resumed, and a negative event buffer fails New.
 func TestDaemonRefusesRetiredSettings(t *testing.T) {
-	// The memo's bound and the surrogate's and proxy's retired values are
-	// spelled in pieces so that they appear nowhere in the tree
-	// (TestRetiredSurfacesStayRetired).
+	// The memo's bound, the surrogate setting and the proxy's retired value
+	// are spelled in pieces so that they appear nowhere in the tree
+	// (TestRetiredSurfacesStayRetired). A spec with a surrogate setting is
+	// refused for the setting itself, whatever it nests.
 	memoBound := `"memo` + `_cap": 4`
+	surrogate := `"surro` + `gate"`
 	specs := []struct{ spec, field string }{
 		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "memo": true}`, `"memo"`},
 		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, ` + memoBound + `}`, `"memo_` + `cap"`},
 		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "fidelity": {"strategy": "halving", "min": 0.2}}`, `"min"`},
 		{`{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}, "fidelity": {"strategy": "halving", "eta": 4}}`, `"eta"`},
-		{`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 4}, "surrogate": {"sparse_above": 8, "induc` + `ing": 8}}`, `"inducing"`},
-		{`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 4}, "surrogate": {"tier": "rff", "feat` + `ures": 64}}`, `"features"`},
+		{`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 4}, ` + surrogate + `: {"tier": "sparse"}}`, surrogate},
+		{`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 4}, ` + surrogate + `: {"sparse` + `_above": 8, "induc` + `ing": 8}}`, surrogate},
+		{`{"system": "dbms", "workload": "tpch", "tuner": "ituned", "budget": {"trials": 4}, ` + surrogate + `: {"tier": "rff", "feat` + `ures": 64}}`, surrogate},
 		{`{"system": "hadoop", "workload": "terasort", "tuner": "scaled-proxy", "budget": {"trials": 4}, "proxy": {"scale_gb": 1, "no` + `des": 4}}`, `"nodes"`},
 	}
 	ts := newTestServer(t)
@@ -301,7 +302,7 @@ func TestDaemonRefusesRetiredSettings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// s1–s7 carry a retired setting; s8, a spec without one, resumes.
+	// s1–s8 carry a retired setting; s9, a spec without one, resumes.
 	plain := `{"system": "dbms", "workload": "tpch", "tuner": "random", "budget": {"trials": 4}}`
 	for i, c := range append(specs, struct{ spec, field string }{spec: plain}) {
 		if err := st.SaveCheckpoint(store.SessionCheckpoint{SID: fmt.Sprintf("s%d", i+1), Spec: json.RawMessage(c.spec)}); err != nil {
@@ -315,15 +316,15 @@ func TestDaemonRefusesRetiredSettings(t *testing.T) {
 	srv.mu.Lock()
 	ids, resumed := srv.order, srv.resumed
 	srv.mu.Unlock()
-	if len(ids) != 1 || ids[0] != "s8" || resumed != 1 {
-		t.Errorf("startup resumed %d sessions %v, want only s8", resumed, ids)
+	if len(ids) != 1 || ids[0] != "s9" || resumed != 1 {
+		t.Errorf("startup resumed %d sessions %v, want only s9", resumed, ids)
 	}
 	cps, err := srv.repo.Checkpoints()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cp := range cps {
-		if cp.SID != "s8" {
+		if cp.SID != "s9" {
 			t.Errorf("checkpoint %s carrying a retired setting survived startup", cp.SID)
 		}
 	}
@@ -366,32 +367,6 @@ func TestDaemonRefusesUnrunnableSpecs(t *testing.T) {
 		if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, c.want) {
 			t.Errorf("POST %s = %d %q, want 400 with %q", c.spec, code, msg, c.want)
 		}
-	}
-}
-
-// TestDaemonSurrogateSpecRuns: a spec pinning the surrogate tier schedule is
-// accepted, runs to completion, and the recorded spec echoes the schedule.
-func TestDaemonSurrogateSpecRuns(t *testing.T) {
-	ts := newTestServer(t)
-	id, code, body := postSpec(t, ts, `{
-		"system": "dbms", "workload": "tpch", "tuner": "ituned",
-		"seed": 7, "budget": {"trials": 12}, "parallel": 2,
-		"target": {"scale_gb": 2},
-		"surrogate": {"sparse_above": 8}}`)
-	if code != http.StatusCreated || id == "" {
-		t.Fatalf("POST /sessions = %d, %v", code, body)
-	}
-	st := waitDone(t, ts, id)
-	if s, _ := st["state"].(string); s != "done" {
-		t.Fatalf("surrogate session state = %v", st)
-	}
-	if n, _ := st["trials_done"].(float64); n != 12 {
-		t.Errorf("trials_done = %v, want 12", st["trials_done"])
-	}
-	spec, _ := st["spec"].(map[string]any)
-	sur, _ := spec["surrogate"].(map[string]any)
-	if v, _ := sur["sparse_above"].(float64); v != 8 {
-		t.Errorf("recorded spec surrogate = %v, want sparse_above 8", spec["surrogate"])
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/sysmodel/dbms"
 	"repro/internal/tune"
 	"repro/internal/tuners/experiment"
+	"repro/internal/tuners/ml"
 	"repro/internal/tuners/simulation"
 	"repro/internal/workload"
 )
@@ -29,7 +30,7 @@ type pipelineRow struct {
 	mk     func(t *testing.T) (tune.Tuner, tune.Target)
 }
 
-func pipelineRows() []pipelineRow {
+func pipelineRows(t *testing.T) []pipelineRow {
 	const seed = 17
 	plainTarget := func() tune.Target { return dbmsTarget(seed) }
 	fidelity := func(inner tune.BatchTuner, strategy string) func(*testing.T) (tune.Tuner, tune.Target) {
@@ -52,20 +53,27 @@ func pipelineRows() []pipelineRow {
 		}
 		return d
 	}
+	// One past session of the target's system for the repository-driven row.
+	past := dbmsTarget(seed + 1)
+	res, err := driveInline(context.Background(), &experiment.Random{Seed: seed}, past, tune.Budget{Trials: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := &tune.Repository{}
+	corpus.AddResult("dbms", "tpch", past.WorkloadFeatures(), res)
 	return []pipelineRow{
 		{name: "ituned", trials: 14, want: tune.IncumbentImproved,
 			mk: func(*testing.T) (tune.Tuner, tune.Target) { return experiment.NewITuned(seed), plainTarget() }},
-		// The model lifecycle (tune.SurrogateModel): the session crosses exact →
-		// sparse at n = 22, then appends four batches of four before each
-		// tail-triggered rebuild (a quarter of 64 inducing points), at n = 42
-		// and 62, so most resume boundaries cut inside a tail and the resumed
-		// run has to arrive at the same size-at-last-Fit by replay alone.
-		{name: "ituned(sparse)", trials: 70, want: tune.IncumbentImproved,
-			mk: func(*testing.T) (tune.Tuner, tune.Target) {
-				it := experiment.NewITuned(seed)
-				it.Surrogate = &tune.SurrogateConfig{SparseAbove: 20}
-				return it, plainTarget()
-			}},
+		// The model lifecycle (tune.SurrogateModel) at the production
+		// thresholds: OtterTune places the corpus's 150 trials ahead of its
+		// own, so the model fits exact at n = 156 and 160, crosses to sparse
+		// at 164, appends a batch of four a round until the appended tail has
+		// reached a quarter of its 64 inducing points, rebuilds at 184 and
+		// appends its last two trials at 188. Every boundary past the crossing
+		// cuts inside a tail, and the resumed run has to arrive at the same
+		// size-at-last-Fit by replay alone.
+		{name: "ottertune(corpus)", trials: 40, want: tune.IncumbentImproved,
+			mk: func(*testing.T) (tune.Tuner, tune.Target) { return ml.NewOtterTune(seed, corpus), plainTarget() }},
 		{name: "random", trials: 12, want: tune.IncumbentImproved,
 			mk: func(*testing.T) (tune.Tuner, tune.Target) { return &experiment.Random{Seed: seed}, plainTarget() }},
 		{name: "hyperband(random)", trials: 30, want: tune.TrialPruned,
@@ -176,7 +184,7 @@ func sameStream(t *testing.T, label string, want, got []byte) {
 // engine at 1 worker, at 4 workers, and at 1 worker plus 2 remote slots —
 // both uninterrupted and killed and resumed at every batch/rung boundary.
 func TestPipelineEquivalence(t *testing.T) {
-	for _, row := range pipelineRows() {
+	for _, row := range pipelineRows(t) {
 		t.Run(row.name, func(t *testing.T) {
 			b := tune.Budget{Trials: row.trials}
 

@@ -47,7 +47,7 @@ func TestSequentialReleasesCoroutine(t *testing.T) {
 		}}), cancel
 	}
 	var shift pipelineRow
-	for _, row := range pipelineRows() {
+	for _, row := range pipelineRows(t) {
 		if row.name == "drift_detect(rrs)" {
 			shift = row
 		}

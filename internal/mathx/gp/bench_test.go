@@ -66,12 +66,8 @@ func BenchmarkSurrogateFit(b *testing.B) {
 		make func() gp.Surrogate
 	}{
 		{"exact", func() gp.Surrogate { return gp.New(gp.Matern52) }},
-		{"sparse", func() gp.Surrogate {
-			s := gp.NewSparse(gp.Matern52)
-			s.MaxInducing = 64
-			return s
-		}},
-		{"rff", func() gp.Surrogate { return gp.NewRFF(gp.Matern52, 128, 1) }},
+		{"sparse", func() gp.Surrogate { return gp.NewSparse(gp.Matern52) }},
+		{"rff", func() gp.Surrogate { return gp.NewRFF(gp.Matern52, 1) }},
 	}
 	for _, tier := range tiers {
 		for _, n := range []int{200, 500, 2000} {

@@ -26,7 +26,7 @@ import (
 type RFF struct {
 	Kernel KernelKind
 	Hyper  Hyper
-	// Features is the random feature count D (default 128).
+	// Features is the random feature count D (0 = DefaultFeatures).
 	Features int
 	// Seed drives the spectral sampling (default 0 — still deterministic).
 	Seed int64
@@ -45,18 +45,10 @@ type RFF struct {
 	wsV   []float64 // D: forward-solve scratch; Append's rank-1 vector, solveWeights' right-hand side
 }
 
-// hyperSubset is the k-center subset size the RFF hyperparameter search runs
-// on; Fit reserves capacity for half as many Appends (see
-// SparseGP.appendRoom).
-const hyperSubset = 64
-
-// NewRFF returns an RFF surrogate with the given kernel, feature count
-// (0 = default 128), and spectral seed.
-func NewRFF(kernel KernelKind, features int, seed int64) *RFF {
-	return &RFF{
-		Kernel: kernel, Features: features, Seed: seed,
-		Hyper: Hyper{SignalVar: 1, Lengthscale: 0.3, NoiseStd: 0.1},
-	}
+// NewRFF returns an RFF surrogate with the given kernel, DefaultFeatures
+// features and the given spectral seed.
+func NewRFF(kernel KernelKind, seed int64) *RFF {
+	return &RFF{Kernel: kernel, Seed: seed, Hyper: Hyper{SignalVar: 1, Lengthscale: 0.3, NoiseStd: 0.1}}
 }
 
 // Tier implements Surrogate.
@@ -69,7 +61,7 @@ func (r *RFF) features() int {
 	if r.Features > 0 {
 		return r.Features
 	}
-	return 128
+	return DefaultFeatures
 }
 
 func (r *RFF) workers() int {
@@ -125,17 +117,19 @@ func (r *RFF) featureInto(dst, p []float64) {
 }
 
 // Fit implements Surrogate: sample the spectrum, optionally select
-// hyperparameters on a deterministic k-center subset, build the feature
-// matrix, and factor the Gram matrix — O(n·D²).
+// hyperparameters on a deterministic k-center subset of DefaultInducing
+// points, build the feature matrix, and factor the Gram matrix — O(n·D²).
+// It reserves capacity for half as many Appends as the subset holds (see
+// SparseGP.appendRoom).
 func (r *RFF) Fit(x [][]float64, y []float64, optimize bool) error {
-	d, err := r.load(x, y, hyperSubset/2)
+	d, err := r.load(x, y, DefaultInducing/2)
 	if err != nil {
 		r.lg = nil
 		return err
 	}
 	r.sampleSpectrum(d)
 	if optimize {
-		sub := kCenterIndices(r.x, min(hyperSubset, len(y)))
+		sub := kCenterIndices(r.x, min(DefaultInducing, len(y)))
 		r.Hyper = subsetHypers(r.Kernel, r.x, r.yRaw, sub, r.Hyper)
 	}
 	return r.refit()
@@ -146,7 +140,7 @@ func (r *RFF) Fit(x [][]float64, y []float64, optimize bool) error {
 func (r *RFF) refit() error {
 	n, d := r.x.R, r.x.C
 	D := r.w0.R
-	r.phi = newRows(n, D, hyperSubset/2)
+	r.phi = newRows(n, D, DefaultInducing/2)
 	xd := r.x.Data
 	parallelGram((n+255)/256, r.workers(), func(c int) {
 		lo, hi := c*256, (c+1)*256

@@ -30,7 +30,7 @@ import (
 type SparseGP struct {
 	Kernel KernelKind
 	Hyper  Hyper
-	// MaxInducing caps the inducing set size m (default 64).
+	// MaxInducing caps the inducing set size m (0 = DefaultInducing).
 	MaxInducing int
 	// Workers bounds the fan-out of the parallel fit stages
 	// (0 = GOMAXPROCS). Results are bit-identical at every value.
@@ -66,7 +66,7 @@ func (s *SparseGP) maxInducing() int {
 	if s.MaxInducing > 0 {
 		return s.MaxInducing
 	}
-	return 64
+	return DefaultInducing
 }
 
 // appendRoom is how many Appends Fit reserves capacity for: half the

@@ -40,6 +40,16 @@ type Surrogate interface {
 	Tier() string
 }
 
+// The scalable tiers' sizes, which every program runs: the sparse tier
+// conditions on DefaultInducing inducing points and the RFF tier on
+// DefaultFeatures random features. Either tier's hyperparameter search runs
+// on DefaultInducing points — the inducing set, or the RFF tier's k-center
+// subset of the same size.
+const (
+	DefaultInducing = 64
+	DefaultFeatures = 128
+)
+
 // Interface conformance.
 var (
 	_ Surrogate = (*GP)(nil)

@@ -8,6 +8,14 @@ import (
 	"repro/internal/mathx/linalg"
 )
 
+// rffWith returns an RFF surrogate with features random features instead of
+// DefaultFeatures.
+func rffWith(kernel KernelKind, features int, seed int64) *RFF {
+	r := NewRFF(kernel, seed)
+	r.Features = features
+	return r
+}
+
 // testSurface is a smooth deterministic function on [0,1]² the convergence
 // tests model.
 func testSurface(x []float64) float64 {
@@ -135,7 +143,7 @@ func TestRFFConvergesToExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		rmse := func(D int) float64 {
-			rf := NewRFF(kernel, D, 9)
+			rf := rffWith(kernel, D, 9)
 			rf.Hyper = ex.Hyper
 			if err := rf.Fit(xs, ys, false); err != nil {
 				t.Fatal(err)
@@ -164,7 +172,7 @@ func TestRFFConvergesToExact(t *testing.T) {
 // full set lands (same hyperparameters), up to rank-1-update rounding.
 func TestRFFAppendMatchesFullFit(t *testing.T) {
 	xs, ys := surfaceData(30, 4)
-	inc := NewRFF(SquaredExponential, 128, 5)
+	inc := NewRFF(SquaredExponential, 5)
 	if err := inc.Fit(xs[:20], ys[:20], false); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +181,7 @@ func TestRFFAppendMatchesFullFit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full := NewRFF(SquaredExponential, 128, 5)
+	full := NewRFF(SquaredExponential, 5)
 	full.Hyper = inc.Hyper
 	if err := full.Fit(xs, ys, false); err != nil {
 		t.Fatal(err)
@@ -254,7 +262,7 @@ func TestSparseWorkerCountInvariance(t *testing.T) {
 // regression test for the batched-path guard fix.
 func TestUnfittedSurrogateGuards(t *testing.T) {
 	pts := [][]float64{{0.2, 0.8}, {0.5, 0.5}}
-	for _, s := range []Surrogate{New(Matern52), NewSparse(Matern52), NewRFF(Matern52, 32, 0)} {
+	for _, s := range []Surrogate{New(Matern52), NewSparse(Matern52), rffWith(Matern52, 32, 0)} {
 		for _, p := range pts {
 			if mu, sigma := s.Predict(p); mu != 0 || !math.IsInf(sigma, 1) {
 				t.Fatalf("%s: unfitted Predict(%v) = (%v, %v), want (0, +Inf)", s.Tier(), p, mu, sigma)
@@ -285,7 +293,7 @@ func TestSurrogateTierNames(t *testing.T) {
 	if tier := NewSparse(Matern52).Tier(); tier != "sparse" {
 		t.Fatalf("sparse tier = %q", tier)
 	}
-	if tier := NewRFF(Matern52, 0, 0).Tier(); tier != "rff" {
+	if tier := NewRFF(Matern52, 0).Tier(); tier != "rff" {
 		t.Fatalf("rff tier = %q", tier)
 	}
 }
@@ -301,7 +309,7 @@ func TestSurrogateFitErrors(t *testing.T) {
 		{"ragged", [][]float64{{1, 2}, {3}}, []float64{1, 2}},
 	}
 	for _, c := range cases {
-		for _, s := range []Surrogate{NewSparse(Matern52), NewRFF(Matern52, 16, 0)} {
+		for _, s := range []Surrogate{NewSparse(Matern52), rffWith(Matern52, 16, 0)} {
 			if err := s.Fit(c.x, c.y, false); err == nil {
 				t.Fatalf("%s/%s: Fit accepted invalid training set", s.Tier(), c.name)
 			}
@@ -309,7 +317,7 @@ func TestSurrogateFitErrors(t *testing.T) {
 	}
 	// Append dimension mismatch after a valid fit.
 	xs, ys := surfaceData(10, 11)
-	for _, s := range []Surrogate{NewSparse(Matern52), NewRFF(Matern52, 16, 0)} {
+	for _, s := range []Surrogate{NewSparse(Matern52), rffWith(Matern52, 16, 0)} {
 		if err := s.Fit(xs, ys, false); err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +332,7 @@ func TestSurrogateFitErrors(t *testing.T) {
 // and not degrade the fit.
 func TestSurrogateOptimizeSelectsHypers(t *testing.T) {
 	xs, ys := surfaceData(120, 12)
-	for _, s := range []Surrogate{NewSparse(SquaredExponential), NewRFF(SquaredExponential, 256, 1)} {
+	for _, s := range []Surrogate{NewSparse(SquaredExponential), rffWith(SquaredExponential, 256, 1)} {
 		if err := s.Fit(xs, ys, true); err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +377,7 @@ func TestSparseAcquisitions(t *testing.T) {
 	if err := sp.Fit(xs, ys, false); err != nil {
 		t.Fatal(err)
 	}
-	rf := NewRFF(SquaredExponential, 128, 2)
+	rf := NewRFF(SquaredExponential, 2)
 	if err := rf.Fit(xs, ys, false); err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +470,7 @@ func TestSparseAppendMatchesFullFitRace3(t *testing.T) { TestSparseAppendMatches
 func TestAppendAndPredictAllocateNothing(t *testing.T) {
 	xs, ys := surfaceData(320, 5)
 	p := []float64{0.3, 0.7}
-	for _, s := range []Surrogate{New(Matern52), NewSparse(Matern52), NewRFF(Matern52, 0, 1)} {
+	for _, s := range []Surrogate{New(Matern52), NewSparse(Matern52), NewRFF(Matern52, 1)} {
 		if err := s.Fit(xs[:300], ys[:300], false); err != nil {
 			t.Fatal(err)
 		}
@@ -552,7 +560,7 @@ func TestNonFiniteObservationsAreRefused(t *testing.T) {
 		for _, mk := range []func() Surrogate{
 			func() Surrogate { return New(Matern52) },
 			func() Surrogate { return NewSparse(Matern52) },
-			func() Surrogate { return NewRFF(Matern52, 32, 1) },
+			func() Surrogate { return rffWith(Matern52, 32, 1) },
 		} {
 			s := mk()
 			badY := append(append([]float64(nil), ys[:29]...), bad)

@@ -95,7 +95,7 @@ func NewGuardrail(inner Proposer, space *Space, limit float64) (*Guardrail, erro
 	}
 	return &Guardrail{
 		inner: inner, space: space, limit: limit,
-		model: NewSurrogateModel(nil, gp.Matern52, 0),
+		model: NewSurrogateModel(gp.Matern52, 0),
 	}, nil
 }
 

@@ -1,7 +1,6 @@
 package tune
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -9,134 +8,77 @@ import (
 	"repro/internal/mathx/opt"
 )
 
-// Surrogate tier names accepted by SurrogateConfig.Tier.
+// The surrogate tiers, as gp.Surrogate.Tier names them.
 const (
-	// SurrogateAuto switches exact → sparse → RFF by training-set size and
-	// dimensionality (the default).
-	SurrogateAuto = "auto"
-	// SurrogateExact always fits the exact O(n³) GP.
+	// SurrogateExact is the exact O(n³) GP.
 	SurrogateExact = "exact"
-	// SurrogateSparse always fits the inducing-point (FITC) GP.
+	// SurrogateSparse is the inducing-point (FITC) GP.
 	SurrogateSparse = "sparse"
-	// SurrogateRFF always fits the random-Fourier-feature regressor.
+	// SurrogateRFF is the random-Fourier-feature regressor.
 	SurrogateRFF = "rff"
 )
 
-// rffDimAbove is the input dimensionality above which auto mode prefers RFF
-// over the sparse GP: inducing-point coverage of a high-dimensional cube
+// rffDimAbove is the input dimensionality above which the schedule prefers
+// RFF over the sparse GP: inducing-point coverage of a high-dimensional cube
 // degrades (k-center needs exponentially many centers), while RFF cost is
 // dimension-independent past the feature projection.
 const rffDimAbove = 32
 
-// The sparse tier conditions on m = sparseInducing inducing points and the
-// RFF tier on D = rffFeatures random features. Either tier's hyperparameter
-// search runs on sparseInducing points, the inducing set or the RFF tier's
-// k-center subset of the same size, and a model absorbs appended
-// observations until they reach a quarter of it (SurrogateModel.Sync).
-const (
-	sparseInducing = 64
-	rffFeatures    = 128
-)
-
-// SurrogateConfig selects the GP surrogate tier for the model-based tuners
-// and carries the switch-over thresholds on specs and wire forms, so a
-// session's tier schedule — and therefore its event stream — is a pure
-// function of the spec at any parallelism. The zero value means auto with
-// the default thresholds.
+// SurrogateConfig holds the training-set sizes at which the tier schedule
+// switches. Every session runs the defaults; the config exists for callers
+// that time the tiers through a selector.
 type SurrogateConfig struct {
-	// Tier is one of "auto", "exact", "sparse", "rff" ("" = auto).
-	Tier string `json:"tier,omitempty"`
-	// SparseAbove is the training-set size beyond which auto mode leaves the
-	// exact tier (default 160). Below it the exact path is byte-identical to
-	// a build without any surrogate config.
-	SparseAbove int `json:"sparse_above,omitempty"`
-	// RFFAbove is the training-set size beyond which auto mode switches from
-	// sparse to RFF (default 1500).
-	RFFAbove int `json:"rff_above,omitempty"`
-}
-
-// Validate rejects unknown tiers and non-sensical thresholds. A nil config
-// is valid (auto everywhere).
-func (c *SurrogateConfig) Validate() error {
-	if c == nil {
-		return nil
-	}
-	switch c.Tier {
-	case "", SurrogateAuto, SurrogateExact, SurrogateSparse, SurrogateRFF:
-	default:
-		return fmt.Errorf("tune: unknown surrogate tier %q", c.Tier)
-	}
-	if c.SparseAbove < 0 || c.RFFAbove < 0 {
-		return fmt.Errorf("tune: surrogate thresholds must be non-negative")
-	}
-	if c.SparseAbove > 0 && c.RFFAbove > 0 && c.RFFAbove < c.SparseAbove {
-		return fmt.Errorf("tune: surrogate rff_above (%d) below sparse_above (%d)", c.RFFAbove, c.SparseAbove)
-	}
-	return nil
-}
-
-// withDefaults fills zero fields; nil maps to the all-default config.
-func (c *SurrogateConfig) withDefaults() SurrogateConfig {
-	out := SurrogateConfig{}
-	if c != nil {
-		out = *c
-	}
-	if out.Tier == "" {
-		out.Tier = SurrogateAuto
-	}
-	if out.SparseAbove == 0 {
-		out.SparseAbove = 160
-	}
-	if out.RFFAbove == 0 {
-		out.RFFAbove = 1500
-	}
-	return out
+	// SparseAbove is the training-set size beyond which a model leaves the
+	// exact tier (0 = 160).
+	SparseAbove int
+	// RFFAbove is the training-set size beyond which a model switches from
+	// sparse to RFF (0 = 1500).
+	RFFAbove int
 }
 
 // SurrogateSelector resolves which surrogate tier a model-based tuner fits
-// at a given training-set size. It is pure arithmetic over the resolved
-// config, so the tier schedule is deterministic for a fixed spec; the state
-// of a session's model lives in SurrogateModel.
+// at a given training-set size. It is pure arithmetic over its thresholds,
+// so the tier schedule is deterministic; the state of a session's model
+// lives in SurrogateModel.
 type SurrogateSelector struct {
-	cfg SurrogateConfig
+	sparseAbove, rffAbove int
 }
 
-// NewSurrogateSelector builds a selector from cfg (nil = all defaults).
+// NewSurrogateSelector builds a selector from cfg (nil = the defaults).
 func NewSurrogateSelector(cfg *SurrogateConfig) *SurrogateSelector {
-	return &SurrogateSelector{cfg: cfg.withDefaults()}
+	s := &SurrogateSelector{sparseAbove: 160, rffAbove: 1500}
+	if cfg != nil && cfg.SparseAbove > 0 {
+		s.sparseAbove = cfg.SparseAbove
+	}
+	if cfg != nil && cfg.RFFAbove > 0 {
+		s.rffAbove = cfg.RFFAbove
+	}
+	return s
 }
 
 // TierFor returns the tier a model over n observations of dimension d should
-// use: the forced tier when one is configured, otherwise exact while
-// n ≤ SparseAbove, RFF past RFFAbove observations or above rffDimAbove
-// dimensions, and sparse in between.
+// use: exact while n ≤ SparseAbove, RFF past RFFAbove observations or above
+// rffDimAbove dimensions, and sparse in between.
 func (s *SurrogateSelector) TierFor(n, d int) string {
-	if s.cfg.Tier != SurrogateAuto {
-		return s.cfg.Tier
-	}
-	if n <= s.cfg.SparseAbove {
+	if n <= s.sparseAbove {
 		return SurrogateExact
 	}
-	if n > s.cfg.RFFAbove || d > rffDimAbove {
+	if n > s.rffAbove || d > rffDimAbove {
 		return SurrogateRFF
 	}
 	return SurrogateSparse
 }
 
-// New constructs a fresh surrogate of the given tier. The seed feeds the RFF
+// New constructs a fresh surrogate of the given tier: gp.New for the exact
+// tier, and the sparse and RFF tiers at gp's sizes. The seed feeds the RFF
 // spectral sampler, so sessions differing only in seed explore different
-// feature draws while staying individually deterministic. Exact-tier
-// construction is exactly gp.New — the historical code path — which is what
-// keeps below-threshold sessions byte-identical to builds without a
-// surrogate config.
+// feature draws while staying individually deterministic.
 func (s *SurrogateSelector) New(kernel gp.KernelKind, tier string, seed int64) gp.Surrogate {
 	switch tier {
 	case SurrogateSparse:
-		sp := gp.NewSparse(kernel)
-		sp.MaxInducing = sparseInducing
-		return sp
+		return gp.NewSparse(kernel)
 	case SurrogateRFF:
-		return gp.NewRFF(kernel, rffFeatures, seed)
+		return gp.NewRFF(kernel, seed)
 	default:
 		return gp.New(kernel)
 	}
@@ -174,10 +116,10 @@ type SurrogateModel struct {
 	scores []float64
 }
 
-// NewSurrogateModel returns the model of one session under cfg (nil = all
-// defaults); kernel and seed are what SurrogateSelector.New takes.
-func NewSurrogateModel(cfg *SurrogateConfig, kernel gp.KernelKind, seed int64) *SurrogateModel {
-	return &SurrogateModel{sel: NewSurrogateSelector(cfg), kernel: kernel, seed: seed, incumbent: math.Inf(1)}
+// NewSurrogateModel returns the model of one session on the tier schedule;
+// kernel and seed are what SurrogateSelector.New takes.
+func NewSurrogateModel(kernel gp.KernelKind, seed int64) *SurrogateModel {
+	return &SurrogateModel{sel: NewSurrogateSelector(nil), kernel: kernel, seed: seed, incumbent: math.Inf(1)}
 }
 
 // Observe adds one observation and reports whether it was accepted. A
@@ -230,7 +172,7 @@ func (m *SurrogateModel) Sync(searchUpTo int) gp.Surrogate {
 	}
 	tier := m.sel.TierFor(n, len(m.xs[0]))
 	if m.model != nil && tier == m.model.Tier() && tier != SurrogateExact &&
-		m.model.TrainingSize()-m.fitN < sparseInducing/4 && m.absorb() {
+		m.model.TrainingSize()-m.fitN < gp.DefaultInducing/4 && m.absorb() {
 		return m.model
 	}
 	model := m.sel.New(m.kernel, tier, m.seed)

@@ -2,6 +2,7 @@ package tune
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,36 +10,8 @@ import (
 	"repro/internal/mathx/gp"
 )
 
-func TestSurrogateConfigValidate(t *testing.T) {
-	good := []*SurrogateConfig{
-		nil,
-		{},
-		{Tier: SurrogateAuto},
-		{Tier: SurrogateExact},
-		{Tier: SurrogateSparse},
-		{Tier: SurrogateRFF},
-		{SparseAbove: 100, RFFAbove: 1000},
-	}
-	for _, c := range good {
-		if err := c.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v, want nil", c, err)
-		}
-	}
-	bad := []*SurrogateConfig{
-		{Tier: "kriging"},
-		{SparseAbove: -1},
-		{RFFAbove: -5},
-		{SparseAbove: 500, RFFAbove: 100},
-	}
-	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("Validate(%+v) = nil, want error", c)
-		}
-	}
-}
-
 func TestSurrogateSelectorTierFor(t *testing.T) {
-	auto := NewSurrogateSelector(nil)
+	sched := NewSurrogateSelector(nil)
 	cases := []struct {
 		n, d int
 		want string
@@ -48,62 +21,52 @@ func TestSurrogateSelectorTierFor(t *testing.T) {
 		{161, 4, SurrogateSparse},
 		{1500, 4, SurrogateSparse},
 		{1501, 4, SurrogateRFF},
-		{200, 40, SurrogateRFF}, // high dimension prefers RFF
+		{160, 40, SurrogateExact},
+		{161, 33, SurrogateRFF}, // high dimension prefers RFF
+		{161, 32, SurrogateSparse},
 	}
 	for _, c := range cases {
-		if got := auto.TierFor(c.n, c.d); got != c.want {
-			t.Errorf("auto TierFor(%d, %d) = %q, want %q", c.n, c.d, got, c.want)
+		if got := sched.TierFor(c.n, c.d); got != c.want {
+			t.Errorf("TierFor(%d, %d) = %q, want %q", c.n, c.d, got, c.want)
 		}
-	}
-	// Forced tiers ignore size.
-	forced := NewSurrogateSelector(&SurrogateConfig{Tier: SurrogateRFF})
-	if got := forced.TierFor(3, 2); got != SurrogateRFF {
-		t.Errorf("forced TierFor = %q, want rff", got)
-	}
-	// Custom thresholds.
-	custom := NewSurrogateSelector(&SurrogateConfig{SparseAbove: 8, RFFAbove: 20})
-	if got := custom.TierFor(9, 2); got != SurrogateSparse {
-		t.Errorf("custom TierFor(9) = %q, want sparse", got)
-	}
-	if got := custom.TierFor(21, 2); got != SurrogateRFF {
-		t.Errorf("custom TierFor(21) = %q, want rff", got)
 	}
 }
 
 func TestSurrogateSelectorDefaults(t *testing.T) {
-	cfg := NewSurrogateSelector(nil).Config()
-	if cfg.Tier != SurrogateAuto || cfg.SparseAbove != 160 || cfg.RFFAbove != 1500 {
-		t.Fatalf("defaults = %+v", cfg)
+	for _, cfg := range []*SurrogateConfig{nil, {}} {
+		sel := NewSurrogateSelector(cfg)
+		if sel.sparseAbove != 160 || sel.rffAbove != 1500 {
+			t.Fatalf("NewSurrogateSelector(%v) switches at %d and %d, want 160 and 1500", cfg, sel.sparseAbove, sel.rffAbove)
+		}
 	}
-	// Partial configs keep explicit fields and fill the rest.
-	cfg = NewSurrogateSelector(&SurrogateConfig{SparseAbove: 40}).Config()
-	if cfg.SparseAbove != 40 || cfg.RFFAbove != 1500 {
-		t.Fatalf("partial defaults = %+v", cfg)
+	// A config moves the thresholds it sets and keeps the other default.
+	custom := NewSurrogateSelector(&SurrogateConfig{SparseAbove: 8})
+	if got := custom.TierFor(9, 2); got != SurrogateSparse {
+		t.Errorf("custom TierFor(9) = %q, want sparse", got)
+	}
+	if got := custom.TierFor(1501, 2); got != SurrogateRFF {
+		t.Errorf("custom TierFor(1501) = %q, want rff", got)
 	}
 }
 
 func TestSurrogateSelectorNew(t *testing.T) {
 	sel := NewSurrogateSelector(nil)
-	if got := sel.New(gp.Matern52, SurrogateExact, 1).Tier(); got != "exact" {
-		t.Errorf("New(exact).Tier() = %q", got)
+	for _, tier := range []string{SurrogateExact, SurrogateSparse, SurrogateRFF} {
+		if got := sel.New(gp.Matern52, tier, 1).Tier(); got != tier {
+			t.Errorf("New(%s).Tier() = %q", tier, got)
+		}
 	}
-	sp := sel.New(gp.Matern52, SurrogateSparse, 1)
-	if got := sp.Tier(); got != "sparse" {
-		t.Errorf("New(sparse).Tier() = %q", got)
-	}
-	if m := sp.(*gp.SparseGP).MaxInducing; m != 64 {
-		t.Errorf("sparse MaxInducing = %d, want 64", m)
-	}
-	rf := sel.New(gp.Matern52, SurrogateRFF, 7)
-	if got := rf.Tier(); got != "rff" {
-		t.Errorf("New(rff).Tier() = %q", got)
-	}
-	if d := rf.(*gp.RFF).Features; d != 128 {
-		t.Errorf("rff Features = %d, want 128", d)
-	}
-	if s := rf.(*gp.RFF).Seed; s != 7 {
+	if s := sel.New(gp.Matern52, SurrogateRFF, 7).(*gp.RFF).Seed; s != 7 {
 		t.Errorf("rff Seed = %d, want 7", s)
 	}
+}
+
+// describe names a model's tier and size for a failure message.
+func describe(m gp.Surrogate) string {
+	if m == nil {
+		return "no model"
+	}
+	return fmt.Sprintf("a %s model over %d rows", m.Tier(), m.TrainingSize())
 }
 
 // refusingAppend is a fitted surrogate whose next Append fails.
@@ -111,22 +74,27 @@ type refusingAppend struct{ gp.Surrogate }
 
 func (refusingAppend) Append([]float64, float64) error { return errors.New("refused") }
 
-// TestSurrogateModelLifecycle walks one history through the three tiers in
-// rounds of four observations and checks every Sync against the rule: the
-// exact tier is rebuilt every call; a sparse or RFF model is rebuilt at a tier
-// change, once the appended tail has reached a quarter of its hyper-search
-// subset, and after a refused Append — in the same round — and is appended to,
-// the same instance returned, everywhere in between.
+// TestSurrogateModelLifecycle walks one history across the schedule's two
+// size switches in rounds of four observations and checks every Sync against
+// the rule: the exact tier is rebuilt every call; a sparse or RFF model is
+// rebuilt at a tier change, after SetPrior, once the appended tail has reached
+// a quarter of its hyper-search subset, and after a refused Append — in the
+// same round — and is appended to, the same instance returned, everywhere in
+// between. A prior block carries the history to each switch: 148 rows put the
+// first rounds at n = 152–160 and the switch to sparse at 164; 1 460 rows
+// then put the model in the sparse tier at n = 1 496 and the switch to RFF at
+// 1 504.
 func TestSurrogateModelLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	// Sparse above 12, RFF above 40, each tier with a 64-point subset (tail
-	// limit 16: four appended rounds reach it).
-	lm := NewSurrogateModel(&SurrogateConfig{SparseAbove: 12, RFFAbove: 40}, gp.Matern52, 1)
-	n := 0
+	point := func() ([]float64, float64) {
+		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		return x, math.Sin(3*x[0]) + x[1]*x[2]
+	}
+	lm := NewSurrogateModel(gp.Matern52, 1)
+	n := 0 // prior rows and observations
 	grow := func(k int) {
 		for i := 0; i < k; i++ {
-			x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			if !lm.Observe(x, math.Sin(3*x[0])+x[1]*x[2]) {
+			if !lm.Observe(point()) {
 				t.Fatal("a finite observation was refused")
 			}
 			n++
@@ -136,36 +104,46 @@ func TestSurrogateModelLifecycle(t *testing.T) {
 		t.Fatal("Sync on an empty history must report no model")
 	}
 	var last gp.Surrogate
-	fitN := 0
-	for round := 0; round < 22; round++ {
-		grow(4)
-		wantTier := SurrogateExact
-		if n > 40 {
-			wantTier = SurrogateRFF
-		} else if n > 12 {
-			wantTier = SurrogateSparse
+	fitN, prior := 0, 0
+	for _, phase := range []struct{ prior, rounds int }{{148, 8}, {1460, 10}} {
+		xs, ys := make([][]float64, phase.prior), make([]float64, phase.prior)
+		for i := range xs {
+			xs[i], ys[i] = point()
 		}
-		limit := map[string]int{SurrogateExact: 0, SurrogateSparse: 16, SurrogateRFF: 16}[wantTier]
-		wantRebuild := last == nil || last.Tier() != wantTier || last.TrainingSize()-fitN >= limit
-		if round == 19 { // an RFF append round, by the rule — until the model refuses
-			if wantRebuild {
-				t.Fatal("round 19 was meant to be an append round")
+		lm.SetPrior(xs, ys)
+		n += phase.prior - prior
+		prior, last = phase.prior, nil // SetPrior: the next Sync rebuilds
+		for round := 0; round < phase.rounds; round++ {
+			grow(4)
+			wantTier, limit := SurrogateExact, 0
+			if n > 1500 {
+				wantTier, limit = SurrogateRFF, gp.DefaultInducing/4
+			} else if n > 160 {
+				wantTier, limit = SurrogateSparse, gp.DefaultInducing/4
 			}
-			lm.model = refusingAppend{last}
-			wantRebuild = true
+			wantRebuild := last == nil || last.Tier() != wantTier || last.TrainingSize()-fitN >= limit
+			if n == 1512 { // an RFF append round, by the rule — until the model refuses
+				if wantRebuild {
+					t.Fatal("n = 1512 was meant to be an append round")
+				}
+				lm.model = refusingAppend{last}
+				wantRebuild = true
+			}
+			m := lm.Sync(math.MaxInt)
+			if m == nil || m != lm.Model() || m.Tier() != wantTier || m.TrainingSize() != n {
+				t.Fatalf("n=%d: got %s, want a model of the %s tier over all %d rows", n, describe(m), wantTier, n)
+			}
+			if rebuilt := m != last; rebuilt != wantRebuild {
+				t.Fatalf("n=%d (%s, last fit at %d): rebuilt = %v, want %v", n, wantTier, fitN, rebuilt, wantRebuild)
+			}
+			if m != last {
+				fitN = n
+			}
+			last = m
 		}
-		m := lm.Sync(math.MaxInt)
-		if m == nil || m != lm.Model() || m.Tier() != wantTier || m.TrainingSize() != n {
-			t.Fatalf("round %d (n=%d): got %v, want a %s model over all %d observations", round, n, m, wantTier, n)
-		}
-		if rebuilt := m != last; rebuilt != wantRebuild {
-			t.Fatalf("round %d (n=%d, %s, tail %d): rebuilt = %v, want %v",
-				round, n, wantTier, last.TrainingSize()-fitN, rebuilt, wantRebuild)
-		}
-		if m != last {
-			fitN = n
-		}
-		last = m
+	}
+	if fitN != 1532 || last.Tier() != SurrogateRFF {
+		t.Fatalf("the walk ended on a %s model last fitted at n = %d, want rff at 1532", last.Tier(), fitN)
 	}
 	// Nothing new: the same instance, whatever the tail.
 	if m := lm.Sync(math.MaxInt); m != last {
@@ -177,7 +155,7 @@ func TestSurrogateModelLifecycle(t *testing.T) {
 			t.Fatalf("Observe accepted %v", y)
 		}
 	}
-	if xs, _ := lm.Observations(); len(xs) != n || lm.Sync(math.MaxInt) != last {
+	if xs, _ := lm.Observations(); len(xs) != n-prior || lm.Sync(math.MaxInt) != last {
 		t.Fatal("a refused observation changed the history")
 	}
 	// ... and a history the tiers refuse all the same (here: forced in behind
@@ -189,11 +167,86 @@ func TestSurrogateModelLifecycle(t *testing.T) {
 	}
 	lm.ys[len(lm.ys)-1] = 1
 	if m := lm.Sync(math.MaxInt); m == nil || m == last || m.TrainingSize() != n {
-		t.Fatalf("Sync after a failed round: got %v, want a rebuilt model", m)
+		t.Fatalf("Sync after a failed round: got %s, want a rebuilt model", describe(m))
 	}
 }
 
 func TestSurrogateModelLifecycleRace3(t *testing.T) { TestSurrogateModelLifecycle(t) }
+
+// TestSurrogateModelAtTheSwitches drives a model across each switch of the
+// schedule — exact → sparse at n = 161, sparse → RFF at n = 1 501 and exact →
+// RFF at n = 161 with d = 33 — on two inputs real tuning produces: a constant
+// objective, and a few configurations measured over and over. A prior block
+// (SetPrior) brings the history to one row short of the switch and Observe
+// crosses it. On both sides Sync returns a model of the scheduled tier whose
+// Predict is finite, and Acquire returns points of the unit cube.
+func TestSurrogateModelAtTheSwitches(t *testing.T) {
+	switches := []struct {
+		name     string
+		d, last  int // the switch lies between n = last and last+1
+		from, to string
+	}{
+		{"exact-sparse", 4, 160, SurrogateExact, SurrogateSparse},
+		{"sparse-rff", 4, 1500, SurrogateSparse, SurrogateRFF},
+		{"exact-rff-d33", 33, 160, SurrogateExact, SurrogateRFF},
+	}
+	histories := []struct {
+		name  string
+		point func(rng *rand.Rand, repeated [][]float64, i int) ([]float64, float64)
+	}{
+		{"constant", func(rng *rand.Rand, repeated [][]float64, _ int) ([]float64, float64) {
+			x := make([]float64, len(repeated[0]))
+			for j := range x {
+				x[j] = rng.Float64()
+			}
+			return x, 7
+		}},
+		{"repeated", func(_ *rand.Rand, repeated [][]float64, i int) ([]float64, float64) {
+			return repeated[i%len(repeated)], float64(i%len(repeated)) + 0.01*float64(i%7)
+		}},
+	}
+	for _, sw := range switches {
+		for _, h := range histories {
+			t.Run(sw.name+"/"+h.name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(7))
+				repeated := make([][]float64, 3)
+				for i := range repeated {
+					repeated[i] = make([]float64, sw.d)
+					for j := range repeated[i] {
+						repeated[i][j] = rng.Float64()
+					}
+				}
+				xs, ys := make([][]float64, sw.last-1), make([]float64, sw.last-1)
+				for i := range xs {
+					xs[i], ys[i] = h.point(rng, repeated, i)
+				}
+				m := NewSurrogateModel(gp.Matern52, 1)
+				m.SetPrior(xs, ys)
+				for i, tier := range []string{sw.from, sw.to} {
+					if !m.Observe(h.point(rng, repeated, sw.last-1+i)) {
+						t.Fatal("a finite observation was refused")
+					}
+					n := sw.last + i
+					model := m.Sync(80)
+					if model == nil || model.Tier() != tier || model.TrainingSize() != n {
+						t.Fatalf("n=%d: Sync returned %s, want a model of the %s tier over %d rows", n, describe(model), tier, n)
+					}
+					probes := append([][]float64{xs[0], repeated[0]}, m.Acquire(4, nil, 20, rng)...)
+					for k, p := range probes {
+						for _, v := range p {
+							if k >= 2 && !(v >= 0 && v <= 1) {
+								t.Fatalf("n=%d: Acquire returned %v, outside the unit cube", n, p)
+							}
+						}
+						if mu, sigma := model.Predict(p); !finite(mu) || !finite(sigma) {
+							t.Fatalf("n=%d: Predict(%v) = (%v, %v), want finite", n, p, mu, sigma)
+						}
+					}
+				}
+			})
+		}
+	}
+}
 
 // peakEI is a stub surrogate whose expected improvement is a bump of the
 // given height around c (0 = no positive EI anywhere); Acquire calls nothing
@@ -223,7 +276,7 @@ func TestAcquireRound(t *testing.T) {
 	base := []float64{0.11, 0.22, 0.33, 0.44, 0.55}
 	identity := []int{0, 1, 2, 3, 4}
 	fitted := func() *SurrogateModel {
-		m := NewSurrogateModel(nil, gp.Matern52, 1)
+		m := NewSurrogateModel(gp.Matern52, 1)
 		rng := rand.New(rand.NewSource(8))
 		for i := 0; i < 12; i++ {
 			x := make([]float64, d)
@@ -239,7 +292,7 @@ func TestAcquireRound(t *testing.T) {
 		return m
 	}
 	stub := func(height float64) *SurrogateModel {
-		m := NewSurrogateModel(nil, gp.Matern52, 1)
+		m := NewSurrogateModel(gp.Matern52, 1)
 		m.Observe(base, 1)
 		m.model = peakEI{c: []float64{0.7, 0.7, 0.7, 0.7, 0.7}, height: height}
 		return m
@@ -324,6 +377,3 @@ func TestAcquireRound(t *testing.T) {
 }
 
 func TestAcquireRoundRace3(t *testing.T) { TestAcquireRound(t) }
-
-// Config returns the resolved (defaults-filled) configuration.
-func (s *SurrogateSelector) Config() SurrogateConfig { return s.cfg }

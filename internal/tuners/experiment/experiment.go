@@ -282,14 +282,9 @@ func (t *AdaptiveSampling) plan(space *tune.Space, run tune.RunFunc) {
 // Latin-hypercube initialization of budget/3 points, clamped to [4, 10].
 type ITuned struct {
 	Seed int64
-	// Surrogate selects the GP surrogate tier and its switch-over
-	// thresholds (nil = auto with defaults). Below the sparse threshold the
-	// exact tier runs the historical code path, so event streams recorded
-	// without a surrogate config stay byte-identical.
-	Surrogate *tune.SurrogateConfig
 }
 
-// NewITuned returns an iTuned tuner with the auto surrogate tier.
+// NewITuned returns an iTuned tuner.
 func NewITuned(seed int64) *ITuned { return &ITuned{Seed: seed} }
 
 // Name implements tune.Tuner.

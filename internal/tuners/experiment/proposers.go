@@ -94,7 +94,7 @@ func (t *ITuned) NewProposer(target tune.Target, b tune.Budget) (tune.Proposer, 
 	initN := min(max(b.Trials/3, 4), 10) // the Latin-hypercube design
 	p := &itunedProposer{
 		space: space, rng: rng,
-		model: tune.NewSurrogateModel(t.Surrogate, gp.Matern52, t.Seed),
+		model: tune.NewSurrogateModel(gp.Matern52, t.Seed),
 	}
 	for _, x := range sample.LatinHypercube(initN, d, rng) {
 		p.pending = append(p.pending, space.FromVector(x))

@@ -32,11 +32,6 @@ type OtterTune struct {
 	Seed int64
 	// Repo is the corpus of past sessions; nil degrades to cold-start GP.
 	Repo *tune.Repository
-	// Surrogate selects the GP surrogate tier and its switch-over
-	// thresholds (nil = auto with defaults). The mapped workload's
-	// observations count toward the tier decision: a large transferred
-	// corpus pushes the model into the sparse or RFF tier immediately.
-	Surrogate *tune.SurrogateConfig
 }
 
 const (

@@ -57,7 +57,7 @@ func (t *OtterTune) NewProposer(target tune.Target, b tune.Budget) (tune.Propose
 
 	p := &otProposer{
 		t: t, space: space, rng: rng,
-		model:    tune.NewSurrogateModel(t.Surrogate, gp.Matern52, t.Seed),
+		model:    tune.NewSurrogateModel(gp.Matern52, t.Seed),
 		sessions: sessions, pruned: pruned, active: active,
 	}
 	p.pending = append(p.pending, space.Default())

@@ -445,63 +445,12 @@ func TestGoldenDeterminismCorpus(t *testing.T) {
 	}
 }
 
-// TestGoldenSurrogateBelowThresholdBitIdentical pins the surrogate tier's
-// compatibility guarantee: a session that carries a surrogate config but
-// stays below the sparse threshold must produce an event stream
-// byte-identical to the same spec with no surrogate config at all — the
-// exact tier below threshold IS the historical code path, not a lookalike.
-func TestGoldenSurrogateBelowThresholdBitIdentical(t *testing.T) {
-	stream := func(spec repro.Spec) []string {
-		t.Helper()
-		eng := repro.NewEngine(repro.EngineOptions{Workers: spec.Parallel})
-		run, err := repro.StartOn(context.Background(), eng, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var events []string
-		for ev := range run.Events() {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			events = append(events, string(data))
-		}
-		if _, err := run.Wait(nil); err != nil {
-			t.Fatal(err)
-		}
-		return events
-	}
-	for _, tuner := range []string{"ituned", "ottertune"} {
-		t.Run(tuner, func(t *testing.T) {
-			base := repro.Spec{
-				System: "dbms", Workload: "tpch", Tuner: tuner,
-				Seed: 11, Budget: repro.Budget{Trials: 8},
-				Target: repro.TargetOptions{ScaleGB: 2}, Parallel: 1,
-			}
-			withCfg := base
-			withCfg.Surrogate = &repro.SurrogateSpec{} // auto, default thresholds
-			plain := stream(base)
-			configured := stream(withCfg)
-			if len(plain) == 0 {
-				t.Fatal("no events streamed")
-			}
-			if len(plain) != len(configured) {
-				t.Fatalf("event counts differ: %d vs %d", len(plain), len(configured))
-			}
-			for i := range plain {
-				if plain[i] != configured[i] {
-					t.Fatalf("event %d differs with surrogate config present:\n  none: %s\n  auto: %s",
-						i, plain[i], configured[i])
-				}
-			}
-		})
-	}
-}
-
 // TestGoldenSurrogateAboveThresholdDeterministic runs sessions that cross
-// into the sparse and RFF tiers (tiny thresholds / forced tier) and requires
-// the event stream to stay byte-identical at -parallel 1 vs 4 — the
-// determinism contract extends past the exact-GP wall.
+// the schedule's switches at the production thresholds and requires the event
+// stream to stay byte-identical at -parallel 1 vs 4 — the determinism
+// contract extends past the exact-GP wall. On dbms/tpch iTuned and OtterTune
+// leave the exact tier for the sparse one past n = 160; on spark/pagerank's
+// full ~200-knob space (d > 32) OtterTune leaves it for RFF.
 func TestGoldenSurrogateAboveThresholdDeterministic(t *testing.T) {
 	stream := func(spec repro.Spec, parallel int) []string {
 		t.Helper()
@@ -524,37 +473,44 @@ func TestGoldenSurrogateAboveThresholdDeterministic(t *testing.T) {
 		}
 		return events
 	}
-	configs := []struct {
+	for _, tc := range []struct {
 		name string
-		cfg  *repro.SurrogateSpec
+		spec repro.Spec
 	}{
-		{"sparse", &repro.SurrogateSpec{SparseAbove: 8, RFFAbove: 1500}},
-		{"rff", &repro.SurrogateSpec{Tier: "rff"}},
-	}
-	for _, tuner := range []string{"ituned", "ottertune"} {
-		for _, tc := range configs {
-			t.Run(tuner+"/"+tc.name, func(t *testing.T) {
-				spec := repro.Spec{
-					System: "dbms", Workload: "tpch", Tuner: tuner,
-					Seed: 11, Budget: repro.Budget{Trials: 20},
-					Target:    repro.TargetOptions{ScaleGB: 2},
-					Surrogate: tc.cfg,
+		{"ituned/sparse", repro.Spec{
+			System: "dbms", Workload: "tpch", Tuner: "ituned", Seed: 11,
+			Budget: repro.Budget{Trials: 200}, Target: repro.TargetOptions{ScaleGB: 2},
+		}},
+		{"ottertune/sparse", repro.Spec{
+			System: "dbms", Workload: "tpch", Tuner: "ottertune", Seed: 11,
+			Budget: repro.Budget{Trials: 200}, Target: repro.TargetOptions{ScaleGB: 2},
+		}},
+		{"ottertune/rff", repro.Spec{
+			System: "spark", Workload: "pagerank", Tuner: "ottertune", Seed: 11,
+			Budget: repro.Budget{Trials: 170}, Target: repro.TargetOptions{ScaleGB: 1, FullSparkSpace: true},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq := stream(tc.spec, 1)
+			par := stream(tc.spec, 4)
+			done := 0
+			for _, ev := range seq {
+				if strings.Contains(ev, `"kind":"trial_done"`) {
+					done++
 				}
-				seq := stream(spec, 1)
-				par := stream(spec, 4)
-				if len(seq) == 0 {
-					t.Fatal("no events streamed")
+			}
+			if done != tc.spec.Budget.Trials {
+				t.Fatalf("%d trials done, want all %d: the session never synced a model past n = 160", done, tc.spec.Budget.Trials)
+			}
+			if len(seq) != len(par) {
+				t.Fatalf("event counts differ: %d vs %d", len(seq), len(par))
+			}
+			for i := range seq {
+				if seq[i] != par[i] {
+					t.Fatalf("event %d differs across parallelism:\n  p1: %s\n  p4: %s", i, seq[i], par[i])
 				}
-				if len(seq) != len(par) {
-					t.Fatalf("event counts differ: %d vs %d", len(seq), len(par))
-				}
-				for i := range seq {
-					if seq[i] != par[i] {
-						t.Fatalf("event %d differs across parallelism:\n  p1: %s\n  p4: %s", i, seq[i], par[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -63,9 +63,6 @@ type TunerOptions struct {
 	TargetName string
 	// Proxy is the scaled replica required by the "scaled-proxy" tuner.
 	Proxy Target
-	// Surrogate selects the GP surrogate tier for the model-based tuners
-	// (ituned, ottertune); nil means auto with default thresholds.
-	Surrogate *SurrogateSpec
 }
 
 // TargetFactory builds targets for one registered system.
@@ -408,18 +405,14 @@ var builtinTuners = []builtinTuner{
 		return experiment.NewAdaptiveSampling(o.Seed), nil
 	}},
 	{"ituned", "experiment-driven", "LHS + Gaussian process + EI (Duan et al.)", func(o TunerOptions) (Tuner, error) {
-		t := experiment.NewITuned(o.Seed)
-		t.Surrogate = o.Surrogate
-		return t, nil
+		return experiment.NewITuned(o.Seed), nil
 	}},
 	{"ottertune", "machine learning", "metric pruning + Lasso + workload mapping + GP (Van Aken et al.)", func(o TunerOptions) (Tuner, error) {
 		repo, err := tune.Snapshot(o.Repo, o.TargetName)
 		if err != nil {
 			return nil, err
 		}
-		t := ml.NewOtterTune(o.Seed, repo)
-		t.Surrogate = o.Surrogate
-		return t, nil
+		return ml.NewOtterTune(o.Seed, repo), nil
 	}},
 	{"neural", "machine learning", "MLP surrogate search (Rodd & Kulkarni)", func(o TunerOptions) (Tuner, error) {
 		return ml.NewNeuralTuner(o.Seed), nil

@@ -74,14 +74,6 @@ type Spec struct {
 	// ask/tell tuner; incompatible with Fidelity. Pair with a drifting
 	// workload (e.g. dbms "oltp-olap-shift" or "diurnal").
 	DriftDetect bool `json:"drift_detect,omitempty"`
-	// Surrogate selects the GP surrogate tier for the model-based tuners
-	// (ituned, ottertune) and the trial-count thresholds at which a session
-	// switches exact → sparse → RFF. nil means auto with default
-	// thresholds; below the sparse threshold the exact tier runs the
-	// historical code path, so sessions recorded without this field replay
-	// byte-identically. Carried on the wire form so a recorded spec pins
-	// its tier schedule.
-	Surrogate *SurrogateSpec `json:"surrogate,omitempty"`
 }
 
 // FidelitySpec configures multi-fidelity tuning for a session (see
@@ -178,9 +170,6 @@ func (s Spec) Validate() error {
 	if s.Fidelity != nil && (s.Pareto || s.Guardrail > 0 || s.DriftDetect) {
 		return fmt.Errorf("repro: pareto, guardrail, and drift_detect are incompatible with a fidelity schedule")
 	}
-	if err := s.Surrogate.Validate(); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -265,7 +254,7 @@ func (s Spec) JobWithWarm(corpus tune.Corpus, warm tune.WarmSource, archive func
 	if corpus != nil {
 		corpus = &readOnce{corpus: corpus, read: map[string]corpusRead{}}
 	}
-	topt := TunerOptions{Seed: s.Seed, Repo: corpus, TargetName: target.Name(), Surrogate: s.Surrogate}
+	topt := TunerOptions{Seed: s.Seed, Repo: corpus, TargetName: target.Name()}
 	if s.Proxy != nil {
 		po := s.Target
 		po.ScaleGB = s.Proxy.ScaleGB

@@ -39,10 +39,6 @@ func TestSpecCrossProduct(t *testing.T) {
 		{name: "pareto+guardrail+drift", apply: func(s *Spec) { s.Pareto, s.Guardrail, s.DriftDetect = true, 1200, true }},
 		{name: "sim_time", apply: func(s *Spec) { s.Budget.SimTime = 4000 }},
 		{name: "fidelity+parallel", apply: func(s *Spec) { s.Fidelity, s.Parallel = &FidelitySpec{}, 2 }},
-		{name: "surrogate sparse", apply: func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "sparse"} }},
-		{name: "surrogate rff", apply: func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "rff"} }},
-		// Exact → sparse → RFF inside the 12-trial session.
-		{name: "surrogate switch", apply: func(s *Spec) { s.Surrogate = &SurrogateSpec{SparseAbove: 3, RFFAbove: 7} }},
 		{name: "remote slots", apply: func(*Spec) {}, slots: 2},
 	}
 	// The sequential-body tuners: only a fidelity schedule may refuse them (a

@@ -26,10 +26,9 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			ScaleGB: 80, Nodes: 32, Heterogeneous: true,
 			TenantLoad: 0.3, FullSparkSpace: true,
 		},
-		Proxy:     &ProxySpec{ScaleGB: 4},
-		Parallel:  4,
-		Fidelity:  &FidelitySpec{Strategy: "hyperband"},
-		Surrogate: &SurrogateSpec{Tier: "auto", SparseAbove: 200, RFFAbove: 2000},
+		Proxy:    &ProxySpec{ScaleGB: 4},
+		Parallel: 4,
+		Fidelity: &FidelitySpec{Strategy: "hyperband"},
 	}
 	data, err := json.Marshal(spec)
 	if err != nil {
@@ -43,7 +42,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed the spec:\n  in:  %+v\n  out: %+v", spec, back)
 	}
 	// Wire names stay snake_case: remote clients program against them.
-	for _, key := range []string{`"system"`, `"workload"`, `"tuner"`, `"seed"`, `"budget"`, `"trials"`, `"sim_time"`, `"scale_gb"`, `"tenant_load"`, `"full_spark_space"`, `"proxy"`, `"parallel"`, `"fidelity"`, `"strategy"`, `"surrogate"`, `"sparse_above"`, `"rff_above"`} {
+	for _, key := range []string{`"system"`, `"workload"`, `"tuner"`, `"seed"`, `"budget"`, `"trials"`, `"sim_time"`, `"scale_gb"`, `"tenant_load"`, `"full_spark_space"`, `"proxy"`, `"parallel"`, `"fidelity"`, `"strategy"`} {
 		if !bytes.Contains(data, []byte(key)) {
 			t.Errorf("spec JSON missing %s: %s", key, data)
 		}
@@ -72,9 +71,6 @@ func TestSpecValidate(t *testing.T) {
 		{func(s *Spec) { s.Target.TenantLoad = 0.95 }, "TenantLoad"},
 		{func(s *Spec) { s.Proxy = &ProxySpec{ScaleGB: 0} }, "proxy"},
 		{func(s *Spec) { s.Fidelity = &FidelitySpec{Strategy: "nosuch"} }, "fidelity strategy"},
-		{func(s *Spec) { s.Surrogate = &SurrogateSpec{Tier: "kriging"} }, "unknown surrogate tier"},
-		{func(s *Spec) { s.Surrogate = &SurrogateSpec{SparseAbove: -3} }, "non-negative"},
-		{func(s *Spec) { s.Surrogate = &SurrogateSpec{SparseAbove: 500, RFFAbove: 100} }, "rff_above"},
 	}
 	for _, c := range cases {
 		spec := ok

@@ -83,6 +83,14 @@ var retiredSurfaces = []string{
 	`dist\.Fault\b`, `Fault\{`, `Fault func\(`, `type Fault\b`, `opts\.Fault\b`, `fault\.(Hang|Mute|Drop|Delay)\b`,
 	`\.Inducing\b`, `\bInducing(:|\s+int\b)`, `cfg\.Features\b`, `int\s+\x60json:"(inducing|features)\b`,
 	`"(inducing|features)":\s*\d`, `Proxy\.Nodes\b`, `ProxySpec\{[^}]*\bNodes:`, `"proxy":\s*\{[^}]*"nodes"`,
+	// The per-session surrogate setting: every session runs one tier schedule
+	// (exact while n ≤ 160, RFF past 1 500 observations or 32 dimensions,
+	// sparse between). gp.Surrogate, tune.SurrogateModel, SurrogateSelector,
+	// SurrogateConfig's two thresholds and the tier names stay, and so do the
+	// "surrogate" experiment and the benchmark's mention of sparse_above.
+	`SurrogateSpec`, `SurrogateAuto`, `\b(Spec|TunerOptions)\.Surrogate\b`, `Surrogate\s+\*(tune\.)?SurrogateConfig\b`,
+	`SurrogateConfig\) Validate`, `json:"(surrogate|tier|sparse_above|rff_above)\b`, `"surrogate":\s*\{\s*"`,
+	`"(sparse|rff)_above"`, `(^|[\s"'\x60])-(surrogate|sparse-above|rff-above)\b`, `Var\([^,]+, "surrogate"`,
 }
 
 // The one CI step list: the workflow's only command is scripts/ci.sh, and
@@ -435,9 +443,6 @@ var settableAllowed = map[string]string{
 	"dist.EvaluatorOptions.HeartbeatEvery": "autotune-evaluator -heartbeat: an operator sizes the lease beat to the network",
 	"tune.Budget.SimTime":                  "the cost axis (ROADMAP) decides what a simulated-time budget means",
 	"repro.TargetOptions.FullSparkSpace":   "the only space wider than rffDimAbove: the paper's ~200-knob Spark surface (§2.4)",
-	"tune.SurrogateConfig.Tier":            "the determinism corpus's short sessions reach the sparse and RFF tiers only this way",
-	"tune.SurrogateConfig.SparseAbove":     "the determinism corpus's short sessions reach the sparse tier only this way",
-	"tune.SurrogateConfig.RFFAbove":        "the determinism corpus's short sessions reach the switch from sparse to RFF only this way",
 }
 
 // TestSettableValuesHaveSetters fails on a settable value (an exported field
