@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/sysmodel/cluster"
@@ -30,7 +31,7 @@ type pipelineRow struct {
 	mk     func(t *testing.T) (tune.Tuner, tune.Target)
 }
 
-func pipelineRows(t *testing.T) []pipelineRow {
+func pipelineRows() []pipelineRow {
 	const seed = 17
 	plainTarget := func() tune.Target { return dbmsTarget(seed) }
 	fidelity := func(inner tune.BatchTuner, strategy string) func(*testing.T) (tune.Tuner, tune.Target) {
@@ -53,14 +54,18 @@ func pipelineRows(t *testing.T) []pipelineRow {
 		}
 		return d
 	}
-	// One past session of the target's system for the repository-driven row.
-	past := dbmsTarget(seed + 1)
-	res, err := driveInline(context.Background(), &experiment.Random{Seed: seed}, past, tune.Budget{Trials: 150})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus := &tune.Repository{}
-	corpus.AddResult("dbms", "tpch", past.WorkloadFeatures(), res)
+	// One past session of the target's system for the repository-driven row,
+	// run the first time that row builds its tuner.
+	corpus := sync.OnceValues(func() (*tune.Repository, error) {
+		past := dbmsTarget(seed + 1)
+		res, err := driveInline(context.Background(), &experiment.Random{Seed: seed}, past, tune.Budget{Trials: 150})
+		if err != nil {
+			return nil, err
+		}
+		repo := &tune.Repository{}
+		repo.AddResult("dbms", "tpch", past.WorkloadFeatures(), res)
+		return repo, nil
+	})
 	return []pipelineRow{
 		{name: "ituned", trials: 14, want: tune.IncumbentImproved,
 			mk: func(*testing.T) (tune.Tuner, tune.Target) { return experiment.NewITuned(seed), plainTarget() }},
@@ -71,9 +76,16 @@ func pipelineRows(t *testing.T) []pipelineRow {
 		// reached a quarter of its 64 inducing points, rebuilds at 184 and
 		// appends its last two trials at 188. Every boundary past the crossing
 		// cuts inside a tail, and the resumed run has to arrive at the same
-		// size-at-last-Fit by replay alone.
+		// size-at-last-Fit by replay alone. ml's
+		// TestOtterTuneCorpusPriorCrossesTiers fails if the crossing stops.
 		{name: "ottertune(corpus)", trials: 40, want: tune.IncumbentImproved,
-			mk: func(*testing.T) (tune.Tuner, tune.Target) { return ml.NewOtterTune(seed, corpus), plainTarget() }},
+			mk: func(t *testing.T) (tune.Tuner, tune.Target) {
+				repo, err := corpus()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ml.NewOtterTune(seed, repo), plainTarget()
+			}},
 		{name: "random", trials: 12, want: tune.IncumbentImproved,
 			mk: func(*testing.T) (tune.Tuner, tune.Target) { return &experiment.Random{Seed: seed}, plainTarget() }},
 		{name: "hyperband(random)", trials: 30, want: tune.TrialPruned,
@@ -184,7 +196,7 @@ func sameStream(t *testing.T, label string, want, got []byte) {
 // engine at 1 worker, at 4 workers, and at 1 worker plus 2 remote slots —
 // both uninterrupted and killed and resumed at every batch/rung boundary.
 func TestPipelineEquivalence(t *testing.T) {
-	for _, row := range pipelineRows(t) {
+	for _, row := range pipelineRows() {
 		t.Run(row.name, func(t *testing.T) {
 			b := tune.Budget{Trials: row.trials}
 

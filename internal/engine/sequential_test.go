@@ -47,7 +47,7 @@ func TestSequentialReleasesCoroutine(t *testing.T) {
 		}}), cancel
 	}
 	var shift pipelineRow
-	for _, row := range pipelineRows(t) {
+	for _, row := range pipelineRows() {
 		if row.name == "drift_detect(rrs)" {
 			shift = row
 		}

@@ -26,13 +26,14 @@ import (
 type RFF struct {
 	Kernel KernelKind
 	Hyper  Hyper
-	// Features is the random feature count D (0 = DefaultFeatures).
-	Features int
 	// Seed drives the spectral sampling (default 0 — still deterministic).
 	Seed int64
 	// Workers bounds the fan-out of the parallel fit stages
 	// (0 = GOMAXPROCS). Results are bit-identical at every value.
 	Workers int
+	// featureCount is the random feature count D (0 = DefaultFeatures); only
+	// gp's tests set it.
+	featureCount int
 
 	trainingSet
 	w0    *linalg.Matrix // D×d unit-lengthscale frequencies
@@ -58,8 +59,8 @@ func (r *RFF) Tier() string { return "rff" }
 func (r *RFF) TrainingSize() int { return len(r.yRaw) }
 
 func (r *RFF) features() int {
-	if r.Features > 0 {
-		return r.Features
+	if r.featureCount > 0 {
+		return r.featureCount
 	}
 	return DefaultFeatures
 }

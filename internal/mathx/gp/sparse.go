@@ -30,11 +30,12 @@ import (
 type SparseGP struct {
 	Kernel KernelKind
 	Hyper  Hyper
-	// MaxInducing caps the inducing set size m (0 = DefaultInducing).
-	MaxInducing int
 	// Workers bounds the fan-out of the parallel fit stages
 	// (0 = GOMAXPROCS). Results are bit-identical at every value.
 	Workers int
+	// inducingCap caps the inducing set size m (0 = DefaultInducing); only
+	// gp's tests set it.
+	inducingCap int
 
 	trainingSet
 	inducing  []int          // ascending row indices of the inducing set
@@ -63,8 +64,8 @@ func (s *SparseGP) Tier() string { return "sparse" }
 func (s *SparseGP) TrainingSize() int { return len(s.yRaw) }
 
 func (s *SparseGP) maxInducing() int {
-	if s.MaxInducing > 0 {
-		return s.MaxInducing
+	if s.inducingCap > 0 {
+		return s.inducingCap
 	}
 	return DefaultInducing
 }

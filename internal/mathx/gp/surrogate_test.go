@@ -12,7 +12,7 @@ import (
 // DefaultFeatures.
 func rffWith(kernel KernelKind, features int, seed int64) *RFF {
 	r := NewRFF(kernel, seed)
-	r.Features = features
+	r.featureCount = features
 	return r
 }
 
@@ -83,7 +83,7 @@ func TestSparseMatchesExactAtFullInducing(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp := NewSparse(kernel)
-		sp.MaxInducing = len(xs)
+		sp.inducingCap = len(xs)
 		if err := sp.Fit(xs, ys, false); err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestSparseConvergesWithInducing(t *testing.T) {
 	}
 	rmse := func(m int) float64 {
 		sp := NewSparse(SquaredExponential)
-		sp.MaxInducing = m
+		sp.inducingCap = m
 		if err := sp.Fit(xs, ys, false); err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestRFFAppendMatchesFullFitRace3(t *testing.T) { TestRFFAppendMatchesFullFi
 func TestSparseAppendConditionsOnNewData(t *testing.T) {
 	xs, ys := surfaceData(50, 6)
 	sp := NewSparse(Matern52)
-	sp.MaxInducing = 25
+	sp.inducingCap = 25
 	if err := sp.Fit(xs[:40], ys[:40], true); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestExactGPBlockedRefitPath(t *testing.T) {
 func TestSparseAcquisitions(t *testing.T) {
 	xs, ys := surfaceData(30, 14)
 	sp := NewSparse(SquaredExponential)
-	sp.MaxInducing = 12
+	sp.inducingCap = 12
 	if err := sp.Fit(xs, ys, false); err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestForwardVarianceMatchesFullSolve(t *testing.T) {
 func TestSparseAppendMatchesFullFit(t *testing.T) {
 	xs, ys := surfaceData(55, 4)
 	inc := NewSparse(Matern52)
-	inc.MaxInducing = 20
+	inc.inducingCap = 20
 	if err := inc.Fit(xs[:40], ys[:40], true); err != nil {
 		t.Fatal(err)
 	}

@@ -18,52 +18,41 @@ const (
 	SurrogateRFF = "rff"
 )
 
-// rffDimAbove is the input dimensionality above which the schedule prefers
-// RFF over the sparse GP: inducing-point coverage of a high-dimensional cube
-// degrades (k-center needs exponentially many centers), while RFF cost is
-// dimension-independent past the feature projection.
-const rffDimAbove = 32
+// The tier schedule's switches: a model stays exact while it holds at most
+// sparseAbove observations, and leaves the sparse tier for RFF past rffAbove
+// observations or above rffDimAbove input dimensions — inducing-point
+// coverage of a high-dimensional cube degrades (k-center needs exponentially
+// many centers), while RFF cost is dimension-independent past the feature
+// projection.
+const (
+	sparseAbove = 160
+	rffAbove    = 1500
+	rffDimAbove = 32
+)
 
-// SurrogateConfig holds the training-set sizes at which the tier schedule
-// switches. Every session runs the defaults; the config exists for callers
-// that time the tiers through a selector.
-type SurrogateConfig struct {
-	// SparseAbove is the training-set size beyond which a model leaves the
-	// exact tier (0 = 160).
-	SparseAbove int
-	// RFFAbove is the training-set size beyond which a model switches from
-	// sparse to RFF (0 = 1500).
-	RFFAbove int
-}
+// SurrogateConfig carries nothing: every session runs the one tier schedule.
+// The type remains so a caller that passes nil to NewSurrogateSelector keeps
+// compiling.
+type SurrogateConfig struct{}
 
 // SurrogateSelector resolves which surrogate tier a model-based tuner fits
-// at a given training-set size. It is pure arithmetic over its thresholds,
-// so the tier schedule is deterministic; the state of a session's model
-// lives in SurrogateModel.
-type SurrogateSelector struct {
-	sparseAbove, rffAbove int
-}
+// at a given training-set size. It is pure arithmetic over the schedule's
+// constants, so the tier schedule is deterministic; the state of a session's
+// model lives in SurrogateModel.
+type SurrogateSelector struct{}
 
-// NewSurrogateSelector builds a selector from cfg (nil = the defaults).
-func NewSurrogateSelector(cfg *SurrogateConfig) *SurrogateSelector {
-	s := &SurrogateSelector{sparseAbove: 160, rffAbove: 1500}
-	if cfg != nil && cfg.SparseAbove > 0 {
-		s.sparseAbove = cfg.SparseAbove
-	}
-	if cfg != nil && cfg.RFFAbove > 0 {
-		s.rffAbove = cfg.RFFAbove
-	}
-	return s
-}
+// NewSurrogateSelector returns the selector of the tier schedule; the config
+// is ignored.
+func NewSurrogateSelector(*SurrogateConfig) *SurrogateSelector { return &SurrogateSelector{} }
 
 // TierFor returns the tier a model over n observations of dimension d should
-// use: exact while n ≤ SparseAbove, RFF past RFFAbove observations or above
-// rffDimAbove dimensions, and sparse in between.
-func (s *SurrogateSelector) TierFor(n, d int) string {
-	if n <= s.sparseAbove {
+// use: exact while n ≤ 160, RFF past 1 500 observations or above 32
+// dimensions, and sparse in between.
+func (*SurrogateSelector) TierFor(n, d int) string {
+	if n <= sparseAbove {
 		return SurrogateExact
 	}
-	if n > s.rffAbove || d > rffDimAbove {
+	if n > rffAbove || d > rffDimAbove {
 		return SurrogateRFF
 	}
 	return SurrogateSparse
@@ -73,7 +62,7 @@ func (s *SurrogateSelector) TierFor(n, d int) string {
 // tier, and the sparse and RFF tiers at gp's sizes. The seed feeds the RFF
 // spectral sampler, so sessions differing only in seed explore different
 // feature draws while staying individually deterministic.
-func (s *SurrogateSelector) New(kernel gp.KernelKind, tier string, seed int64) gp.Surrogate {
+func (*SurrogateSelector) New(kernel gp.KernelKind, tier string, seed int64) gp.Surrogate {
 	switch tier {
 	case SurrogateSparse:
 		return gp.NewSparse(kernel)
@@ -100,7 +89,6 @@ func (s *SurrogateSelector) New(kernel gp.KernelKind, tier string, seed int64) g
 // function of the Observe/Sync sequence, which a resumed session replays, so
 // parallelism and resume change nothing.
 type SurrogateModel struct {
-	sel    *SurrogateSelector
 	kernel gp.KernelKind
 	seed   int64
 
@@ -119,7 +107,7 @@ type SurrogateModel struct {
 // NewSurrogateModel returns the model of one session on the tier schedule;
 // kernel and seed are what SurrogateSelector.New takes.
 func NewSurrogateModel(kernel gp.KernelKind, seed int64) *SurrogateModel {
-	return &SurrogateModel{sel: NewSurrogateSelector(nil), kernel: kernel, seed: seed, incumbent: math.Inf(1)}
+	return &SurrogateModel{kernel: kernel, seed: seed, incumbent: math.Inf(1)}
 }
 
 // Observe adds one observation and reports whether it was accepted. A
@@ -170,12 +158,13 @@ func (m *SurrogateModel) Sync(searchUpTo int) gp.Surrogate {
 	if m.model != nil && m.model.TrainingSize() == n {
 		return m.model // nothing arrived since the last Sync
 	}
-	tier := m.sel.TierFor(n, len(m.xs[0]))
+	var sel SurrogateSelector
+	tier := sel.TierFor(n, len(m.xs[0]))
 	if m.model != nil && tier == m.model.Tier() && tier != SurrogateExact &&
 		m.model.TrainingSize()-m.fitN < gp.DefaultInducing/4 && m.absorb() {
 		return m.model
 	}
-	model := m.sel.New(m.kernel, tier, m.seed)
+	model := sel.New(m.kernel, tier, m.seed)
 	if err := model.Fit(m.xs, m.ys, n <= searchUpTo || tier != SurrogateExact); err != nil {
 		model = nil
 	}

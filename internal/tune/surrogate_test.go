@@ -32,20 +32,19 @@ func TestSurrogateSelectorTierFor(t *testing.T) {
 	}
 }
 
+// TestSurrogateSelectorDefaults checks that the config a caller hands the
+// selector, nil or empty, leaves the one schedule's switches where they are.
 func TestSurrogateSelectorDefaults(t *testing.T) {
 	for _, cfg := range []*SurrogateConfig{nil, {}} {
 		sel := NewSurrogateSelector(cfg)
-		if sel.sparseAbove != 160 || sel.rffAbove != 1500 {
-			t.Fatalf("NewSurrogateSelector(%v) switches at %d and %d, want 160 and 1500", cfg, sel.sparseAbove, sel.rffAbove)
+		for _, c := range []struct {
+			n    int
+			want string
+		}{{160, SurrogateExact}, {161, SurrogateSparse}, {1500, SurrogateSparse}, {1501, SurrogateRFF}} {
+			if got := sel.TierFor(c.n, 4); got != c.want {
+				t.Errorf("NewSurrogateSelector(%v).TierFor(%d, 4) = %q, want %q", cfg, c.n, got, c.want)
+			}
 		}
-	}
-	// A config moves the thresholds it sets and keeps the other default.
-	custom := NewSurrogateSelector(&SurrogateConfig{SparseAbove: 8})
-	if got := custom.TierFor(9, 2); got != SurrogateSparse {
-		t.Errorf("custom TierFor(9) = %q, want sparse", got)
-	}
-	if got := custom.TierFor(1501, 2); got != SurrogateRFF {
-		t.Errorf("custom TierFor(1501) = %q, want rff", got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/sysmodel/dbms"
 	"repro/internal/tune"
+	"repro/internal/tuners/experiment"
 	"repro/internal/workload"
 )
 
@@ -195,6 +196,49 @@ func TestOtterTuneAppendsBetweenRebuilds(t *testing.T) {
 	}
 	if best >= initial {
 		t.Errorf("200 trials did not improve on the initial batch: %v vs %v", best, initial)
+	}
+}
+
+// TestOtterTuneCorpusPriorCrossesTiers pins what the engine's
+// ottertune(corpus) pipeline row rests on: with one 150-trial dbms/tpch
+// session in the corpus, OtterTune maps its target onto that session and
+// places all 150 trials ahead of its own, so a 40-trial session fits exact
+// first and ends on the sparse tier at the production threshold.
+func TestOtterTuneCorpusPriorCrossesTiers(t *testing.T) {
+	const seed, trials = 17, 40
+	past := testTarget(seed + 1)
+	b := tune.Budget{Trials: 150}
+	rp, err := (&experiment.Random{Seed: seed}).NewProposer(past, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tune.DriveProposer(context.Background(), "random", past, b, rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := &tune.Repository{}
+	corpus.AddResult("dbms", "tpch", past.WorkloadFeatures(), res)
+
+	target := testTarget(seed)
+	op, err := NewOtterTune(seed, corpus).NewProposer(target, tune.Budget{Trials: trials})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := op.(*otProposer)
+	exact := false
+	drive(t, p, target, trials, func(int) {
+		if m := p.model.Model(); m != nil && m.Tier() == tune.SurrogateExact {
+			exact = true
+		}
+	})
+	m := p.model.Sync(80)
+	if m == nil {
+		t.Fatalf("no model after %d trials", trials)
+	}
+	own, _, _ := observed(p.model)
+	if prior := m.TrainingSize() - own; !exact || m.Tier() != tune.SurrogateSparse || prior != 150 {
+		t.Errorf("after %d trials: the %s tier over a %d-row prior, exact fits before it: %v; want sparse, 150 and true",
+			trials, m.Tier(), prior, exact)
 	}
 }
 

@@ -78,17 +78,18 @@ var retiredSurfaces = []string{
 	// The evaluator's fault hook only tests set, and the surrogate's and the
 	// proxy's values no program set: a test puts its faults in front of an
 	// evaluator's handler, the sparse and RFF tiers run at m = 64 and D = 128,
-	// and a proxy runs on its spec's cluster. gp.SparseGP.MaxInducing, a
-	// session record's features and a target's nodes stay.
+	// and a proxy runs on its spec's cluster. A session record's features and
+	// a target's nodes stay.
 	`dist\.Fault\b`, `Fault\{`, `Fault func\(`, `type Fault\b`, `opts\.Fault\b`, `fault\.(Hang|Mute|Drop|Delay)\b`,
-	`\.Inducing\b`, `\bInducing(:|\s+int\b)`, `cfg\.Features\b`, `int\s+\x60json:"(inducing|features)\b`,
+	`\.Inducing\b`, `\bInducing(:|\s+int\b)`, `\bMaxInducing\b`, `\bRFF\{[^}]*\bFeatures:`, `cfg\.Features\b`, `int\s+\x60json:"(inducing|features)\b`,
 	`"(inducing|features)":\s*\d`, `Proxy\.Nodes\b`, `ProxySpec\{[^}]*\bNodes:`, `"proxy":\s*\{[^}]*"nodes"`,
 	// The per-session surrogate setting: every session runs one tier schedule
 	// (exact while n ≤ 160, RFF past 1 500 observations or 32 dimensions,
-	// sparse between). gp.Surrogate, tune.SurrogateModel, SurrogateSelector,
-	// SurrogateConfig's two thresholds and the tier names stay, and so do the
-	// "surrogate" experiment and the benchmark's mention of sparse_above.
-	`SurrogateSpec`, `SurrogateAuto`, `\b(Spec|TunerOptions)\.Surrogate\b`, `Surrogate\s+\*(tune\.)?SurrogateConfig\b`,
+	// sparse between), its switches constants of package tune.
+	// gp.Surrogate, tune.SurrogateModel, SurrogateSelector, the empty
+	// SurrogateConfig and the tier names stay, and so do the "surrogate"
+	// experiment and the benchmark's mention of sparse_above.
+	`SurrogateSpec`, `SurrogateAuto`, `\b(SparseAbove|RFFAbove)\b`, `\b(Spec|TunerOptions)\.Surrogate\b`, `Surrogate\s+\*(tune\.)?SurrogateConfig\b`,
 	`SurrogateConfig\) Validate`, `json:"(surrogate|tier|sparse_above|rff_above)\b`, `"surrogate":\s*\{\s*"`,
 	`"(sparse|rff)_above"`, `(^|[\s"'\x60])-(surrogate|sparse-above|rff-above)\b`, `Var\([^,]+, "surrogate"`,
 }
