@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -28,7 +29,15 @@ func TestKillNineMidSessionResumes(t *testing.T) {
 		t.Fatalf("building autotuned: %v\n%s", err, out)
 	}
 	repoDir := t.TempDir()
-	const addr = "127.0.0.1:18361"
+	// A loopback port free at the start of this run, kept for both daemon
+	// lifetimes: concurrent runs of the test never share a daemon, and no
+	// stale listener on a fixed port answers for the one this run started.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
 	base := "http://" + addr
 
 	start := func() *exec.Cmd {

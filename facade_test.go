@@ -3,9 +3,11 @@ package repro
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"slices"
 	"testing"
 
+	"repro/internal/mathx/xrand"
 	"repro/internal/tune"
 	"repro/internal/tuners/experiment"
 )
@@ -24,6 +26,65 @@ func TestNewTargetAllSystems(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEveryTargetKeepsTheRunContract: every registered system/workload pair
+// is a pure function of (seed, run index, fidelity, config) — the contract
+// that lets the inline evaluator reserve one index per candidate and the
+// pool, the fleet and resume name a run by its index. n Run calls on one
+// instance equal RunIndexed(1…n) on a fresh twin bit for bit, and for a
+// fidelity target RunFidelity equals RunIndexedFidelity the same way. The
+// 40 runs cross the drifting workloads' phase boundaries.
+func TestEveryTargetKeepsTheRunContract(t *testing.T) {
+	const runs, fid = 40, 1.0 / 9
+	ctx := context.Background()
+	for _, sys := range Systems() {
+		for _, wl := range Workloads(sys) {
+			build := func() Target {
+				target, err := NewTarget(sys, wl, 3)
+				if err != nil {
+					t.Fatalf("NewTarget(%s, %s): %v", sys, wl, err)
+				}
+				return target
+			}
+			seq, twin := build(), build()
+			rng := xrand.New(5)
+			cfgs := make([]tune.Config, runs)
+			for i := range cfgs {
+				cfgs[i] = seq.Space().Random(rng)
+			}
+			for i, cfg := range cfgs {
+				if got, want := seq.Run(cfg), twin.RunIndexed(int64(i+1), cfg); !sameRunBits(got, want) {
+					t.Errorf("%s/%s: Run call %d = %+v, RunIndexed(%d) = %+v", sys, wl, i+1, got, i+1, want)
+				}
+			}
+			fseq, ok := build().(tune.FidelityTarget)
+			if !ok {
+				continue
+			}
+			ftwin := build().(tune.FidelityTarget)
+			for i, cfg := range cfgs {
+				if got, want := fseq.RunFidelity(ctx, fid, cfg), ftwin.RunIndexedFidelity(ctx, int64(i+1), fid, cfg); !sameRunBits(got, want) {
+					t.Errorf("%s/%s: RunFidelity call %d = %+v, RunIndexedFidelity(%d) = %+v", sys, wl, i+1, got, i+1, want)
+				}
+			}
+		}
+	}
+}
+
+// sameRunBits compares two results field by field, floats by their bits.
+func sameRunBits(a, b tune.Result) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !same(a.Time, b.Time) || !same(a.Cost, b.Cost) || !same(a.Fidelity, b.Fidelity) ||
+		a.Failed != b.Failed || a.FailReason != b.FailReason || len(a.Metrics) != len(b.Metrics) {
+		return false
+	}
+	for k, v := range a.Metrics {
+		if w, ok := b.Metrics[k]; !ok || !same(v, w) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestBuiltinWorkloads pins each builtin system's workload list and its

@@ -50,7 +50,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -263,9 +262,10 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	// admissionSummary reports the backpressure state: the configured caps,
 	// how many submissions they have refused, and whether a drain is under
-	// way. memorySummary pairs process heap figures with the summed
-	// per-session event-ring estimates — the number the bounded-stream work
-	// keeps flat no matter how long sessions run.
+	// way. memorySummary sums the per-session event-ring estimates — the
+	// number the bounded-stream work keeps flat no matter how long sessions
+	// run; the process heap is on GET /metrics, which reads it without
+	// stopping the world on every health probe.
 	type admissionSummary struct {
 		MaxSessions int   `json:"max_sessions,omitempty"`
 		MaxQueue    int   `json:"max_queue,omitempty"`
@@ -274,10 +274,8 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 		Resumed     int   `json:"resumed,omitempty"`
 	}
 	type memorySummary struct {
-		HeapAllocBytes   uint64 `json:"heap_alloc_bytes"`
-		HeapSysBytes     uint64 `json:"heap_sys_bytes"`
-		EventRingBytes   int    `json:"event_ring_bytes"`
-		EventSubscribers int    `json:"event_subscribers"`
+		EventRingBytes   int `json:"event_ring_bytes"`
+		EventSubscribers int `json:"event_subscribers"`
 	}
 	// scenarioSummary aggregates scenario-class progress across every
 	// session the daemon holds. GuardrailViolations is the first-class
@@ -324,10 +322,6 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 		scen.GuardrailViolations += p.GuardrailViolations
 		scen.DriftDetections += p.DriftDetections
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mem.HeapAllocBytes = ms.HeapAlloc
-	mem.HeapSysBytes = ms.HeapSys
 	repo := repoSummaryz{Enabled: s.repo != nil}
 	if s.repo != nil {
 		repo.Sessions = s.repo.Len()

@@ -124,13 +124,13 @@ var (
 	slowTrial atomic.Int64 // nanoseconds
 )
 
-type slowTarget struct{ tune.ConcurrentTarget }
+type slowTarget struct{ tune.Target }
 
 func (slowTarget) Name() string { return "slowdbms/tpch" }
 
 func (s slowTarget) RunIndexed(i int64, cfg tune.Config) tune.Result {
 	time.Sleep(time.Duration(slowTrial.Load()))
-	return s.ConcurrentTarget.RunIndexed(i, cfg)
+	return s.Target.RunIndexed(i, cfg)
 }
 
 func init() {
@@ -141,7 +141,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return slowTarget{t.(tune.ConcurrentTarget)}, nil
+			return slowTarget{t}, nil
 		},
 	})
 	if err != nil {
@@ -300,7 +300,7 @@ func TestHeartbeatsKeepSlowLeasesAlive(t *testing.T) {
 	if pool.Retries() != 0 {
 		t.Fatalf("slow-but-heartbeating lease burned %d retries, want 0", pool.Retries())
 	}
-	local := target.(tune.ConcurrentTarget).RunIndexed(1, target.Space().Default())
+	local := target.RunIndexed(1, target.Space().Default())
 	if res.Time != local.Time {
 		t.Fatalf("remote %v != local %v", res.Time, local.Time)
 	}

@@ -201,9 +201,6 @@ func (e *Evaluator) target(m SysModel) (*boundModel, error) {
 		return nil, err
 	}
 	bm := &boundModel{space: t.Space(), caps: tune.Resolve(t)}
-	if !bm.caps.Indexed() {
-		return nil, fmt.Errorf("dist: target %q has no run-index-keyed evaluation path", t.Name())
-	}
 	e.targets[key] = bm
 	return bm, nil
 }

@@ -252,41 +252,16 @@ func TestReplayDivergenceDetected(t *testing.T) {
 	}
 }
 
-// TestReplayRequiresRunIndexDeterminism: targets without run-index noise
-// determinism (no tune.ConcurrentTarget) cannot be resumed — and are never
-// offered checkpoints to resume from in the first place. Sequential tuners
-// without an ask/tell form refuse non-empty replays too.
-func TestReplayRequiresRunIndexDeterminism(t *testing.T) {
+// TestReplayRequiresAskTell: a tuner without an ask/tell form (the adaptive
+// family's shape) cannot replay a checkpointed history, so a non-empty
+// replay is refused.
+func TestReplayRequiresAskTell(t *testing.T) {
 	replay := tune.Replay{Trials: []tune.ReplayTrial{{Vector: []float64{0.5}, Result: tune.Result{Time: 1}}}}
-	job := Job{Name: "plain", Tuner: experiment.NewITuned(2), Target: newGatedTarget(),
-		Budget: tune.Budget{Trials: 2}, Replay: &replay}
-	_, err := New(Options{Workers: 1}).Submit(job).Wait(nil)
-	if err == nil || !strings.Contains(err.Error(), "run-index determinism") {
-		t.Fatalf("replay on a plain target = %v, want a run-index determinism error", err)
-	}
-
 	seq := Job{Name: "seq", Tuner: &seqTuner{n: 2}, Target: newGatedTarget(),
 		Budget: tune.Budget{Trials: 2}, Replay: &replay}
-	_, err = New(Options{Workers: 1}).Submit(seq).Wait(nil)
+	_, err := New(Options{Workers: 1}).Submit(seq).Wait(nil)
 	if err == nil || !strings.Contains(err.Error(), "ask/tell") {
 		t.Fatalf("replay with a sequential tuner = %v, want an ask/tell error", err)
-	}
-
-	offered := false
-	plain := Job{Name: "plain", Tuner: experiment.NewITuned(2), Target: newGatedTarget(),
-		Budget:     tune.Budget{Trials: 2},
-		Checkpoint: func(tune.CheckpointState) { offered = true }}
-	run := New(Options{Workers: 1}).Submit(plain)
-	tgt := plain.Target.(*gatedTarget)
-	for i := 0; i < 2; i++ {
-		<-tgt.started
-		tgt.release <- struct{}{}
-	}
-	if _, err := run.Wait(nil); err != nil {
-		t.Fatal(err)
-	}
-	if offered {
-		t.Error("checkpoint offered for a target that cannot be resumed")
 	}
 }
 

@@ -13,10 +13,9 @@
 //  1. Proposers are single-threaded. The loop asks for a batch, the evaluator
 //     evaluates it, and the proposer is told every outcome in proposal order
 //     ("ordered observation merge") — never in completion order.
-//  2. Run-index reservation. Targets implementing tune.ConcurrentTarget key
-//     their run-to-run noise by a reserved index, assigned in proposal
-//     order, so a trial's noise does not depend on which worker ran it
-//     first. Targets without the interface are evaluated sequentially.
+//  2. Run-index reservation. Every tune.Target keys its run-to-run noise by
+//     a reserved index, assigned in proposal order, so a trial's noise does
+//     not depend on which worker ran it first.
 //  3. Replay decisions happen on the driver goroutine, before the fan-out,
 //     never inside it.
 package engine
@@ -90,10 +89,8 @@ func (j *Job) tune(ctx context.Context) (*tune.TuningResult, error) {
 
 // drive runs tune.Drive over the job's evaluator stack, offering
 // checkpoints at batch boundaries. Parallel and remote evaluation,
-// checkpoints and resume all ride on run-index reservation: without an
-// index-keyed noise stream an evaluation could not name which draw of the
-// target's noise it is, so plain targets stay inline, uncheckpointed and
-// non-resumable.
+// checkpoints and resume all ride on run-index reservation: an evaluation
+// names which draw of the target's noise it is by its reserved index.
 func (j *Job) drive(ctx context.Context, fp tune.FidelityProposer) (*tune.TuningResult, error) {
 	caps := tune.Resolve(j.Target)
 	ev, rep, err := j.evaluator(caps)
@@ -111,7 +108,7 @@ func (j *Job) drive(ctx context.Context, fp tune.FidelityProposer) (*tune.Tuning
 		// running a session so does the collector's mark worker, while the other
 		// sessions allocate past the heap goal (peak RSS then follows timing).
 		runtime.Gosched()
-		if j.Checkpoint == nil || !caps.Indexed() {
+		if j.Checkpoint == nil {
 			return
 		}
 		// Offer the session's resumable state when a trial was observed since
@@ -140,14 +137,11 @@ func (j *Job) drive(ctx context.Context, fp tune.FidelityProposer) (*tune.Tuning
 // It returns the outermost layer, and the replay layer when the job resumes.
 func (j *Job) evaluator(caps tune.Capabilities) (tune.Evaluator, *replayed, error) {
 	ev := tune.Inline(caps)
-	if workers := max(j.Parallel, 1); caps.Indexed() && (workers > 1 || j.Remote != nil) {
+	if workers := max(j.Parallel, 1); workers > 1 || j.Remote != nil {
 		ev = &pool{caps: caps, workers: workers, remote: j.Remote, lookahead: j.Budget.SimTime > 0}
 	}
 	if j.Replay.Empty() {
 		return ev, nil, nil
-	}
-	if !caps.Indexed() {
-		return nil, nil, fmt.Errorf("engine: replay: target %q has no run-index determinism (tune.ConcurrentTarget); sessions on it cannot be resumed", j.Target.Name())
 	}
 	rep := &replayed{live: ev, caps: caps, log: j.Replay}
 	return rep, rep, nil

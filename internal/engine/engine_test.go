@@ -336,11 +336,11 @@ type yieldProbe struct {
 	third bool
 }
 
-func (y *yieldProbe) Run(cfg tune.Config) tune.Result {
+func (y *yieldProbe) RunIndexed(i int64, cfg tune.Config) tune.Result {
 	if y.calls.Load() == 2 {
 		y.third = y.ran.Load()
 	}
-	return y.countingTarget.Run(cfg)
+	return y.countingTarget.RunIndexed(i, cfg)
 }
 
 // TestInlineSessionYieldsAtBatchBoundaries: a one-slot session evaluates

@@ -18,7 +18,7 @@ import (
 // same-seed target instance — the in-process stand-in for an evaluator
 // process that rebuilt the target from the assignment's sysmodel.
 type mirrorBackend struct {
-	ct    tune.ConcurrentFidelityTarget
+	ct    tune.FidelityTarget
 	slots int
 	calls atomic.Int64
 }
@@ -64,34 +64,6 @@ func TestRemoteFidelityMatchesLocal(t *testing.T) {
 	if back.calls.Load() == 0 {
 		t.Fatal("remote backend was never used")
 	}
-}
-
-// TestRemoteIgnoredForPlainTargets: a target without run-index reservation
-// cannot name which noise draw an assignment evaluates, so remote slots
-// must stay unused rather than corrupt determinism.
-func TestRemoteIgnoredForPlainTargets(t *testing.T) {
-	back := &failingBackend{slots: 4}
-	seq := &sequentialTarget{space: tune.NewSpace(tune.Float("a", 0, 1, 0.5))}
-	res := tuneJob(t, Job{Tuner: &experiment.Random{Seed: 3}, Target: seq, Budget: tune.Budget{Trials: 6}, Parallel: 4, Remote: back})
-	if len(res.Trials) != 6 {
-		t.Fatalf("recorded %d trials, want 6", len(res.Trials))
-	}
-	if back.calls.Load() != 0 {
-		t.Fatalf("remote backend used %d times on a plain target", back.calls.Load())
-	}
-}
-
-// sequentialTarget has no ConcurrentTarget face.
-type sequentialTarget struct {
-	space *tune.Space
-	runs  atomic.Int64
-}
-
-func (s *sequentialTarget) Name() string       { return "stub/sequential" }
-func (s *sequentialTarget) Space() *tune.Space { return s.space }
-func (s *sequentialTarget) Run(cfg tune.Config) tune.Result {
-	s.runs.Add(1)
-	return tune.Result{Time: 1 + cfg.Float("a")}
 }
 
 // failingBackend loses every evaluation it is handed.
@@ -161,7 +133,7 @@ func TestEvaluationLostSurfacesThroughWait(t *testing.T) {
 // index, so behavior is deterministic and race-free) it either succeeds,
 // stalls briefly before losing the lease, or loses it immediately.
 type flakyBackend struct {
-	ct    tune.ConcurrentTarget
+	ct    tune.Target
 	slots int
 	seed  int64
 }

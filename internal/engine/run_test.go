@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,6 +121,7 @@ func TestEventsReplayForLateSubscribers(t *testing.T) {
 // deterministic: the test controls exactly when trials complete.
 type gatedTarget struct {
 	space   *tune.Space
+	runs    atomic.Int64
 	started chan struct{}
 	release chan struct{}
 }
@@ -132,9 +134,13 @@ func newGatedTarget() *gatedTarget {
 	}
 }
 
-func (g *gatedTarget) Name() string       { return "stub/gated" }
-func (g *gatedTarget) Space() *tune.Space { return g.space }
+func (g *gatedTarget) Name() string              { return "stub/gated" }
+func (g *gatedTarget) Space() *tune.Space        { return g.space }
+func (g *gatedTarget) ReserveRuns(n int64) int64 { return g.runs.Add(n) - n + 1 }
 func (g *gatedTarget) Run(cfg tune.Config) tune.Result {
+	return g.RunIndexed(g.ReserveRuns(1), cfg)
+}
+func (g *gatedTarget) RunIndexed(int64, tune.Config) tune.Result {
 	g.started <- struct{}{}
 	<-g.release
 	return tune.Result{Time: 1}

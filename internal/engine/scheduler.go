@@ -38,13 +38,10 @@ type Job struct {
 	EventBuffer int
 	// Checkpoint, when non-nil, receives the session's resumable state at
 	// every batch/rung boundary that observed a trial — the hook
-	// crash-resumable services persist through. Only offered for targets
-	// with index-keyed noise (tune.ConcurrentTarget): without run-index
-	// determinism a resumed session could not reproduce the uninterrupted
-	// one. The snapshot's Trials alias live session state; the callback
-	// must copy what it keeps (tune.CheckpointState.Replay does) and runs
-	// on the driver goroutine, so slow sinks stall the session, not other
-	// sessions.
+	// crash-resumable services persist through. The snapshot's Trials
+	// alias live session state; the callback must copy what it keeps
+	// (tune.CheckpointState.Replay does) and runs on the driver goroutine,
+	// so slow sinks stall the session, not other sessions.
 	Checkpoint func(tune.CheckpointState)
 	// Replay, when non-empty, resumes an interrupted session: the recorded
 	// observations are fed back to a fresh proposer in order (re-emitting

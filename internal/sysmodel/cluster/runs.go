@@ -19,7 +19,7 @@ import (
 // sequence of plain Run calls would have produced, on any worker or
 // evaluator process. A simulator embeds *Runs built over its one eval
 // function, and Runs supplies every run entry point of
-// tune.ConcurrentFidelityTarget, plus RunEpochs for tune.AdaptiveTarget.
+// tune.FidelityTarget, plus RunEpochs for tune.AdaptiveTarget.
 //
 // The stream comes from xrand, not from rand.NewSource, which fills a
 // 607-word register at seeding. That fill is a closed form — word i is
@@ -57,13 +57,13 @@ func (r *Runs) noise(i int64) *rand.Rand {
 	return rng
 }
 
-// ReserveRuns implements tune.ConcurrentTarget.
+// ReserveRuns implements tune.Target.
 func (r *Runs) ReserveRuns(n int64) int64 { return r.n.Add(n) - n + 1 }
 
 // Run implements tune.Target.
 func (r *Runs) Run(cfg tune.Config) tune.Result { return r.RunIndexed(r.ReserveRuns(1), cfg) }
 
-// RunIndexed implements tune.ConcurrentTarget.
+// RunIndexed implements tune.Target.
 func (r *Runs) RunIndexed(i int64, cfg tune.Config) tune.Result {
 	rng := r.noise(i)
 	res := r.eval(rng, 1, cfg)
@@ -77,7 +77,7 @@ func (r *Runs) RunFidelity(ctx context.Context, f float64, cfg tune.Config) tune
 	return r.RunIndexedFidelity(ctx, r.ReserveRuns(1), f, cfg)
 }
 
-// RunIndexedFidelity implements tune.ConcurrentFidelityTarget.
+// RunIndexedFidelity implements tune.FidelityTarget.
 func (r *Runs) RunIndexedFidelity(_ context.Context, i int64, f float64, cfg tune.Config) tune.Result {
 	rng := r.noise(i)
 	res := r.eval(rng, tune.ClampFidelity(f), cfg)

@@ -83,7 +83,7 @@ func Space(ramMB float64) *tune.Space {
 }
 
 // DBMS is a simulated database bound to a node and a workload. It implements
-// tune.ConcurrentFidelityTarget through the embedded cluster.Runs, and
+// tune.FidelityTarget through the embedded cluster.Runs, and
 // tune.SpecProvider, tune.AdaptiveTarget and tune.Describer.
 type DBMS struct {
 	*cluster.Runs
@@ -596,9 +596,9 @@ func (d *DBMS) simulate(rng *rand.Rand, opsFraction float64, cfg tune.Config) tu
 
 // Interface conformance checks.
 var (
-	_ tune.Target                   = (*DBMS)(nil)
-	_ tune.SpecProvider             = (*DBMS)(nil)
-	_ tune.AdaptiveTarget           = (*DBMS)(nil)
-	_ tune.Describer                = (*DBMS)(nil)
-	_ tune.ConcurrentFidelityTarget = (*DBMS)(nil)
+	_ tune.Target         = (*DBMS)(nil)
+	_ tune.SpecProvider   = (*DBMS)(nil)
+	_ tune.AdaptiveTarget = (*DBMS)(nil)
+	_ tune.Describer      = (*DBMS)(nil)
+	_ tune.FidelityTarget = (*DBMS)(nil)
 )

@@ -73,7 +73,7 @@ func Space(c *cluster.Cluster) *tune.Space {
 }
 
 // Hadoop is a simulated MapReduce cluster bound to one job. It implements
-// tune.ConcurrentFidelityTarget through the embedded cluster.Runs, and
+// tune.FidelityTarget through the embedded cluster.Runs, and
 // tune.SpecProvider and tune.Describer.
 type Hadoop struct {
 	*cluster.Runs
@@ -349,8 +349,8 @@ func (h *Hadoop) simulate(rng *rand.Rand, fidelity float64, cfg tune.Config) tun
 
 // Interface conformance checks.
 var (
-	_ tune.Target                   = (*Hadoop)(nil)
-	_ tune.SpecProvider             = (*Hadoop)(nil)
-	_ tune.Describer                = (*Hadoop)(nil)
-	_ tune.ConcurrentFidelityTarget = (*Hadoop)(nil)
+	_ tune.Target         = (*Hadoop)(nil)
+	_ tune.SpecProvider   = (*Hadoop)(nil)
+	_ tune.Describer      = (*Hadoop)(nil)
+	_ tune.FidelityTarget = (*Hadoop)(nil)
 )

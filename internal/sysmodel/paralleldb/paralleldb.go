@@ -39,7 +39,7 @@ func Space() *tune.Space {
 }
 
 // ParallelDB is a simulated shared-nothing database running one of the
-// Pavlo tasks. It implements tune.ConcurrentFidelityTarget through the
+// Pavlo tasks. It implements tune.FidelityTarget through the
 // embedded cluster.Runs, and tune.SpecProvider.
 type ParallelDB struct {
 	*cluster.Runs
@@ -121,7 +121,7 @@ func (p *ParallelDB) simulate(rng *rand.Rand, fidelity float64, cfg tune.Config)
 
 // Interface conformance checks.
 var (
-	_ tune.Target                   = (*ParallelDB)(nil)
-	_ tune.SpecProvider             = (*ParallelDB)(nil)
-	_ tune.ConcurrentFidelityTarget = (*ParallelDB)(nil)
+	_ tune.Target         = (*ParallelDB)(nil)
+	_ tune.SpecProvider   = (*ParallelDB)(nil)
+	_ tune.FidelityTarget = (*ParallelDB)(nil)
 )

@@ -202,7 +202,7 @@ func FullSpace(cl *cluster.Cluster) *tune.Space {
 }
 
 // Spark is a simulated Spark deployment bound to one job. It implements
-// tune.ConcurrentFidelityTarget through the embedded cluster.Runs, and
+// tune.FidelityTarget through the embedded cluster.Runs, and
 // tune.SpecProvider, tune.AdaptiveTarget and tune.Describer.
 type Spark struct {
 	*cluster.Runs
@@ -676,9 +676,9 @@ type stageKey struct {
 
 // Interface conformance checks.
 var (
-	_ tune.Target                   = (*Spark)(nil)
-	_ tune.SpecProvider             = (*Spark)(nil)
-	_ tune.AdaptiveTarget           = (*Spark)(nil)
-	_ tune.Describer                = (*Spark)(nil)
-	_ tune.ConcurrentFidelityTarget = (*Spark)(nil)
+	_ tune.Target         = (*Spark)(nil)
+	_ tune.SpecProvider   = (*Spark)(nil)
+	_ tune.AdaptiveTarget = (*Spark)(nil)
+	_ tune.Describer      = (*Spark)(nil)
+	_ tune.FidelityTarget = (*Spark)(nil)
 )

@@ -13,8 +13,8 @@ package tune
 //     same state, proposing the same next batch.
 //   - Session accounting (trials, sim-time, incumbent) folds over the same
 //     records in the same order.
-//   - Target noise is keyed by (construction seed, run index, config) for
-//     ConcurrentTarget sysmodels, so restoring the reserved-run counter makes
+//   - Target noise is keyed by (construction seed, run index, config) —
+//     the Target contract — so restoring the reserved-run counter makes
 //     every post-resume evaluation draw the identical noise it would have
 //     drawn in an uninterrupted run.
 //

@@ -17,35 +17,21 @@ import (
 // Inline here, the engine's worker/remote pool, and the replay decorator
 // the engine stacks on top.
 
-// Capabilities is a target's evaluation faces — index-keyed noise and the
-// low-fidelity path — resolved once at session start, so no driver, evaluator
-// or remote worker probes interfaces or decides "full vs partial fidelity →
-// which Run method" on its own.
+// Capabilities is a target's evaluation faces — the run-indexed path every
+// target has and the low-fidelity path some have — resolved once at session
+// start, so no driver, evaluator or remote worker probes interfaces or
+// decides "full vs partial fidelity → which Run method" on its own.
 type Capabilities struct {
 	Target
-	ct  ConcurrentTarget
-	ft  FidelityTarget
-	cft ConcurrentFidelityTarget
+	ft FidelityTarget
 }
 
 // Resolve probes t's capabilities.
 func Resolve(t Target) Capabilities {
 	c := Capabilities{Target: t}
-	c.ct, _ = t.(ConcurrentTarget)
 	c.ft, _ = t.(FidelityTarget)
-	c.cft, _ = t.(ConcurrentFidelityTarget)
 	return c
 }
-
-// Indexed reports whether every evaluation path the target has is keyed by a
-// reserved run index. It gates everything that relies on run-index
-// determinism: parallel and remote evaluation, checkpoints, and resume.
-func (c Capabilities) Indexed() bool {
-	return c.ct != nil && (c.ft == nil || c.cft != nil)
-}
-
-// ReserveRuns claims n run indices on an Indexed target and returns the first.
-func (c Capabilities) ReserveRuns(n int64) int64 { return c.ct.ReserveRuns(n) }
 
 // RequireFidelity is the one check (and the one message) for a fidelity
 // schedule meeting a target that cannot run partial workloads.
@@ -56,31 +42,19 @@ func (c Capabilities) RequireFidelity() error {
 	return nil
 }
 
-// NextRun as Eval's run index draws the target's own run counter (Run,
-// RunFidelity) instead of an index reserved by the caller.
-const NextRun int64 = -1
-
-// Eval runs one candidate: idx NextRun evaluates on the target's own run
-// counter, any other idx on that reserved index (the target must be
-// Indexed). Full-fidelity candidates take the plain path, so a fidelity
-// session's top-rung trials draw the plain noise stream; partial results are
-// stamped with the fidelity they measured.
+// Eval runs one candidate on reserved run index idx. Full-fidelity
+// candidates take the plain path, so a fidelity session's top-rung trials
+// draw the plain noise stream; partial results are stamped with the
+// fidelity they measured.
 func (c Capabilities) Eval(ctx context.Context, idx int64, cand Candidate) (Result, error) {
 	fid := NormFidelity(cand.Fidelity)
-	switch {
-	case fid == 0 && idx == NextRun:
-		return c.Run(cand.Config), nil
-	case fid == 0:
-		return c.ct.RunIndexed(idx, cand.Config), nil
-	case c.ft == nil:
+	if fid == 0 {
+		return c.RunIndexed(idx, cand.Config), nil
+	}
+	if c.ft == nil {
 		return Result{}, c.RequireFidelity()
 	}
-	var res Result
-	if idx == NextRun {
-		res = c.ft.RunFidelity(ctx, fid, cand.Config)
-	} else {
-		res = c.cft.RunIndexedFidelity(ctx, idx, fid, cand.Config)
-	}
+	res := c.ft.RunIndexedFidelity(ctx, idx, fid, cand.Config)
 	res.Fidelity = fid
 	return res, nil
 }
@@ -96,15 +70,16 @@ type Evaluator interface {
 }
 
 // Inline is the sequential evaluator: each candidate runs on the caller's
-// goroutine, on the target's own run counter, only once the previous one has
-// been yielded — so nothing is ever evaluated past a budget cut.
+// goroutine, on a run index reserved just before it runs, only once the
+// previous one has been yielded — so nothing is ever evaluated, and no index
+// reserved, past a budget cut.
 func Inline(c Capabilities) Evaluator { return inline{c} }
 
 type inline struct{ caps Capabilities }
 
 func (e inline) Evaluate(ctx context.Context, batch []Candidate, yield func(int, Result) bool) error {
 	for i, cand := range batch {
-		res, err := e.caps.Eval(ctx, NextRun, cand)
+		res, err := e.caps.Eval(ctx, e.caps.ReserveRuns(1), cand)
 		if err != nil {
 			return err
 		}

@@ -10,15 +10,19 @@ import (
 
 // eventTarget is a deterministic two-parameter stub whose runtime improves
 // as "a" grows, so incumbent improvements are predictable.
-type eventTarget struct{ space *Space }
+type eventTarget struct {
+	runCounter
+	space *Space
+}
 
 func newEventTarget() *eventTarget {
 	return &eventTarget{space: NewSpace(Float("a", 0, 1, 0.5))}
 }
 
-func (t *eventTarget) Name() string  { return "stub/events" }
-func (t *eventTarget) Space() *Space { return t.space }
-func (t *eventTarget) Run(cfg Config) Result {
+func (t *eventTarget) Name() string          { return "stub/events" }
+func (t *eventTarget) Space() *Space         { return t.space }
+func (t *eventTarget) Run(cfg Config) Result { return t.RunIndexed(t.ReserveRuns(1), cfg) }
+func (t *eventTarget) RunIndexed(_ int64, cfg Config) Result {
 	return Result{Time: 10 - cfg.Float("a"), Metrics: map[string]float64{"m": cfg.Float("a")}}
 }
 

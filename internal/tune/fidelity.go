@@ -209,31 +209,33 @@ type Candidate struct {
 // trace prefix for replay-based prediction.
 //
 // Contract:
-//   - RunFidelity(ctx, 1, cfg) is equivalent to Run(cfg): full fidelity is
-//     the plain path.
+//   - RunFidelity(ctx, f, cfg) is shorthand for
+//     RunIndexedFidelity(ctx, ReserveRuns(1), f, cfg), and
+//     RunIndexedFidelity is deterministic in (seed, i, f, cfg) and safe for
+//     concurrent use, like RunIndexed.
+//   - Full fidelity is the plain path: RunIndexedFidelity(ctx, i, 1, cfg)
+//     is equivalent to RunIndexed(i, cfg).
 //   - Monotone cost: the expected Result.Time (the evaluation's cost) is
 //     non-decreasing in f. Low fidelity is cheap by construction, which is
 //     what makes rung-based early-stopping pay.
-//   - Cancellation: RunFidelity must return promptly once ctx is done
-//     (returning a failed Result is fine). The engine cancels superfluous
-//     low-rung evaluations once a rung's promotion set is decided; a target
-//     that ignores ctx merely wastes the cancelled work, but a target that
+//   - Cancellation: a run must return promptly once ctx is done (returning
+//     a failed Result is fine). The engine cancels superfluous low-rung
+//     evaluations once a rung's promotion set is decided; a target that
+//     ignores ctx merely wastes the cancelled work, but a target that
 //     blocks forever would wedge its worker.
 type FidelityTarget interface {
 	Target
-	// RunFidelity executes fraction f ∈ (0, 1] of the workload under cfg.
+	// RunFidelity executes fraction f ∈ (0, 1] of the workload under cfg
+	// on the next run index.
 	RunFidelity(ctx context.Context, f float64, cfg Config) Result
-}
-
-// ConcurrentFidelityTarget extends FidelityTarget with index-keyed noise for
-// deterministic parallel evaluation, mirroring ConcurrentTarget: the engine
-// reserves run indices in proposal order and RunIndexedFidelity must be
-// deterministic in (seed, i, f, cfg) and safe for concurrent use.
-type ConcurrentFidelityTarget interface {
-	FidelityTarget
-	ConcurrentTarget
+	// RunIndexedFidelity executes fraction f of the workload under cfg
+	// using run index i's noise stream.
 	RunIndexedFidelity(ctx context.Context, i int64, f float64, cfg Config) Result
 }
+
+// ConcurrentFidelityTarget is FidelityTarget under its former name, kept
+// because the benchmark harness's tracing decorator names it.
+type ConcurrentFidelityTarget = FidelityTarget
 
 // FidelityProposer is the ask/tell face of a multi-fidelity schedule. It is
 // driven like a Proposer — propose, evaluate, observe in proposal order —

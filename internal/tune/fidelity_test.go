@@ -279,8 +279,8 @@ func driveSchedule(ctx context.Context, mf *MultiFidelityTuner, target Target, b
 	return Drive(ctx, mf.Name(), target, b, fp, Inline(Resolve(target)), nil)
 }
 
-// TestDriveFidelityRequiresFidelityTarget: a plain target is rejected
-// descriptively by both the check and the construction.
+// TestDriveFidelityRequiresFidelityTarget: a target without a fidelity path
+// is rejected descriptively by both the check and the construction.
 func TestDriveFidelityRequiresFidelityTarget(t *testing.T) {
 	target := newStubTarget()
 	inner := &streamTuner{p: &streamProposer{rng: rand.New(rand.NewSource(1)), space: target.Space()}}
@@ -302,11 +302,11 @@ func TestDriveFidelityRequiresFidelityTarget(t *testing.T) {
 	}
 }
 
-// runCandidate evaluates c on target's own run counter and records it — one
+// runCandidate evaluates c on target's next run index and records it — one
 // step of the inline drive loop.
 func runCandidate(t *testing.T, s *Session, target Target, c Candidate) {
 	t.Helper()
-	res, err := Resolve(target).Eval(context.Background(), NextRun, c)
+	res, err := Resolve(target).Eval(context.Background(), target.ReserveRuns(1), c)
 	if err != nil {
 		t.Fatal(err)
 	}

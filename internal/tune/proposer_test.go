@@ -9,6 +9,7 @@ import (
 // flatTarget returns a fixed time per configuration, marking one point as
 // failing.
 type flatTarget struct {
+	runCounter
 	space *Space
 	fail  string
 }
@@ -17,9 +18,10 @@ func newFlatTarget() *flatTarget {
 	return &flatTarget{space: NewSpace(Float("a", 0, 10, 5))}
 }
 
-func (s *flatTarget) Name() string  { return "stub/target" }
-func (s *flatTarget) Space() *Space { return s.space }
-func (s *flatTarget) Run(cfg Config) Result {
+func (s *flatTarget) Name() string          { return "stub/target" }
+func (s *flatTarget) Space() *Space         { return s.space }
+func (s *flatTarget) Run(cfg Config) Result { return s.RunIndexed(s.ReserveRuns(1), cfg) }
+func (s *flatTarget) RunIndexed(_ int64, cfg Config) Result {
 	if cfg.String() == s.fail {
 		return Result{Time: 100, Failed: true, FailReason: "stub"}
 	}

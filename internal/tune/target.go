@@ -42,16 +42,30 @@ func (r Result) Objective() float64 {
 }
 
 // Target is the black box a tuner optimizes: a system bound to a workload.
-// Run must be deterministic given the target's construction seed and the
-// sequence of calls (each call may draw fresh noise from the target's own
-// stream, so repeated runs of the same configuration vary realistically).
+// Every run is a pure function of (construction seed, run index, config):
+// the run's noise stream is keyed by a run index rather than by call order,
+// so repeated runs of one configuration vary realistically yet any run can
+// be reproduced on its own. That is what lets the engine reserve a block of
+// indices in proposal order, fan the runs out to workers or remote
+// evaluators, merge results in index order, and resume a checkpointed
+// session by restoring the counter: the trial sequence is bit-identical at
+// any degree of parallelism. cluster.Runs meets this contract for a
+// simulator built over one eval function.
 type Target interface {
 	// Name identifies the system+workload pair, e.g. "dbms/tpch".
 	Name() string
 	// Space returns the configuration space of the target.
 	Space() *Space
-	// Run executes the workload once under cfg.
+	// Run executes the workload once under cfg on the next run index:
+	// shorthand for RunIndexed(ReserveRuns(1), cfg).
 	Run(cfg Config) Result
+	// ReserveRuns atomically claims n run indices and returns the first
+	// (1-based); ReserveRuns(0) reads the counter without claiming any.
+	ReserveRuns(n int64) int64
+	// RunIndexed executes the workload once under cfg using run index i's
+	// noise stream. It must be safe for concurrent use and deterministic
+	// in (seed, i, cfg).
+	RunIndexed(i int64, cfg Config) Result
 }
 
 // SplitTargetName splits a target name ("system/workload") at its first '/'.
@@ -59,24 +73,6 @@ type Target interface {
 func SplitTargetName(name string) (system, workload string) {
 	system, workload, _ = strings.Cut(name, "/")
 	return system, workload
-}
-
-// ConcurrentTarget is implemented by targets whose per-run noise stream is
-// keyed by a run index rather than by call order, allowing deterministic
-// parallel evaluation: the engine reserves a contiguous block of indices in
-// proposal order, fans the runs out to a worker pool, and merges results
-// back in index order. Because run i's noise depends only on (construction
-// seed, i, cfg), the merged trial sequence is bit-identical at any degree
-// of parallelism.
-type ConcurrentTarget interface {
-	Target
-	// ReserveRuns atomically claims n run indices and returns the first.
-	// Plain Run is equivalent to RunIndexed(ReserveRuns(1), cfg).
-	ReserveRuns(n int64) int64
-	// RunIndexed executes the workload once under cfg using run index i's
-	// noise stream. It must be safe for concurrent use and deterministic
-	// in (seed, i, cfg).
-	RunIndexed(i int64, cfg Config) Result
 }
 
 // SpecProvider is implemented by targets that can describe their hardware

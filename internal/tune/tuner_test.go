@@ -6,11 +6,19 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
+// runCounter is the run-index counter of a noise-free test target, whose
+// RunIndexed ignores the index.
+type runCounter struct{ n atomic.Int64 }
+
+func (c *runCounter) ReserveRuns(n int64) int64 { return c.n.Add(n) - n + 1 }
+
 // stubTarget is a quadratic bowl with its minimum at (0.7, 0.3).
 type stubTarget struct {
+	runCounter
 	space *Space
 	runs  int
 }
@@ -19,9 +27,10 @@ func newStubTarget() *stubTarget {
 	return &stubTarget{space: NewSpace(Float("x", 0, 1, 0.5), Float("y", 0, 1, 0.5))}
 }
 
-func (s *stubTarget) Name() string  { return "stub/bowl" }
-func (s *stubTarget) Space() *Space { return s.space }
-func (s *stubTarget) Run(cfg Config) Result {
+func (s *stubTarget) Name() string          { return "stub/bowl" }
+func (s *stubTarget) Space() *Space         { return s.space }
+func (s *stubTarget) Run(cfg Config) Result { return s.RunIndexed(s.ReserveRuns(1), cfg) }
+func (s *stubTarget) RunIndexed(_ int64, cfg Config) Result {
 	s.runs++
 	x, y := cfg.Float("x"), cfg.Float("y")
 	t := 1 + 10*((x-0.7)*(x-0.7)+(y-0.3)*(y-0.3))

@@ -152,11 +152,15 @@ func (p *countingProposer) Propose(n int) []Config {
 func (p *countingProposer) Observe(t Trial)   { p.observed = append(p.observed, t) }
 func (p *countingProposer) Recommend() Config { return p.rec }
 
-type constTarget struct{ space *Space }
+type constTarget struct {
+	runCounter
+	space *Space
+}
 
-func (c constTarget) Name() string  { return "dbms/const" }
-func (c constTarget) Space() *Space { return c.space }
-func (c constTarget) Run(cfg Config) Result {
+func (c *constTarget) Name() string          { return "dbms/const" }
+func (c *constTarget) Space() *Space         { return c.space }
+func (c *constTarget) Run(cfg Config) Result { return c.RunIndexed(c.ReserveRuns(1), cfg) }
+func (c *constTarget) RunIndexed(_ int64, cfg Config) Result {
 	// Objective: distance from (0.1, 0.1), so transferred seeds near it win.
 	v := cfg.Vector()
 	d := (v[0]-0.1)*(v[0]-0.1) + (v[1]-0.1)*(v[1]-0.1)
@@ -203,7 +207,7 @@ func (t warmBatchTuner) NewProposer(target Target, b Budget) (Proposer, error) {
 
 func TestWarmStartTunerSeedsSessions(t *testing.T) {
 	space := warmSpace()
-	target := constTarget{space: space}
+	target := &constTarget{space: space}
 	seed := space.FromVector([]float64{0.1, 0.1})
 	wrapped := WarmStartTuner(warmBatchTuner{space: space}, []Config{seed})
 	if wrapped.Name() != "counting" {

@@ -215,8 +215,9 @@ type infAt struct {
 	k, runs int
 }
 
-func (f *infAt) Run(cfg tune.Config) tune.Result {
-	res := f.Target.Run(cfg)
+func (f *infAt) Run(cfg tune.Config) tune.Result { return f.RunIndexed(f.ReserveRuns(1), cfg) }
+func (f *infAt) RunIndexed(i int64, cfg tune.Config) tune.Result {
+	res := f.Target.RunIndexed(i, cfg)
 	if f.runs++; f.runs == f.k {
 		res.Time = math.Inf(1)
 	}

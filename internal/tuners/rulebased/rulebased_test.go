@@ -98,3 +98,7 @@ type spaceTarget struct{ space *tune.Space }
 func (s spaceTarget) Name() string                { return "dbms/rules" }
 func (s spaceTarget) Space() *tune.Space          { return s.space }
 func (s spaceTarget) Run(tune.Config) tune.Result { return tune.Result{Time: 1} }
+func (s spaceTarget) ReserveRuns(int64) int64     { return 1 }
+func (s spaceTarget) RunIndexed(int64, tune.Config) tune.Result {
+	return tune.Result{Time: 1}
+}

@@ -119,19 +119,13 @@ func (t *ScaledProxy) NewProposer(target tune.Target, b tune.Budget) (tune.Propo
 			top = top[:proxyVerify]
 		}
 	}
-	// An indexed replica runs each session's search on indices 1, 2, … — the
-	// runs a fresh replica's own counter would draw — so sessions sharing the
+	// Each session's search runs the replica on indices 1, 2, … — the runs
+	// a fresh replica's own counter would draw — so sessions sharing the
 	// tuner share no noise stream.
-	runProxy := t.Proxy.Run
-	if ct, ok := t.Proxy.(tune.ConcurrentTarget); ok {
-		var run int64
-		runProxy = func(cfg tune.Config) tune.Result {
-			run++
-			return ct.RunIndexed(run, cfg)
-		}
-	}
+	var run int64
 	opt.RecursiveRandomSearch(func(x []float64) float64 {
-		res := runProxy(space.FromVector(x))
+		run++
+		res := t.Proxy.RunIndexed(run, space.FromVector(x))
 		f := res.Objective()
 		consider(x, f)
 		return f

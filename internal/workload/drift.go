@@ -21,7 +21,7 @@ import (
 //
 // Determinism under parallelism: the phase a trial runs against is keyed by
 // the trial's 1-based GLOBAL run index, claimed through this target's own
-// atomic counter exactly like any ConcurrentTarget's noise stream. Workers
+// atomic counter exactly like any target's noise stream. Workers
 // evaluating out of order still hit the same phase per index, so event
 // streams stay byte-identical at any worker count, and checkpoint-resume
 // replays land every historical trial in its original phase.
@@ -32,12 +32,12 @@ type Phase struct {
 	// Name labels the phase in the drift target's name ("oltp", "peak").
 	Name string
 	// Target is the stationary system+workload this phase runs.
-	Target tune.ConcurrentTarget
+	Target tune.Target
 	// Runs is how many consecutive run indices the phase owns; > 0.
 	Runs int64
 }
 
-// Drift is a tune.ConcurrentTarget that schedules trials across phases.
+// Drift is a tune.Target that schedules trials across phases.
 // All phases must share one configuration space: drift changes the
 // workload, not the system being tuned.
 type Drift struct {
@@ -87,7 +87,7 @@ func (d *Drift) Name() string {
 func (d *Drift) Space() *tune.Space { return d.phases[0].Target.Space() }
 
 // phaseOf maps a 1-based global run index to its scheduled phase.
-func (d *Drift) phaseOf(i int64) tune.ConcurrentTarget {
+func (d *Drift) phaseOf(i int64) tune.Target {
 	if i < 1 {
 		i = 1
 	}
@@ -107,10 +107,10 @@ func (d *Drift) phaseOf(i int64) tune.ConcurrentTarget {
 // Run implements tune.Target.
 func (d *Drift) Run(cfg tune.Config) tune.Result { return d.RunIndexed(d.ReserveRuns(1), cfg) }
 
-// ReserveRuns implements tune.ConcurrentTarget.
+// ReserveRuns implements tune.Target.
 func (d *Drift) ReserveRuns(n int64) int64 { return d.runs.Add(n) - n + 1 }
 
-// RunIndexed implements tune.ConcurrentTarget: the scheduled phase runs the
+// RunIndexed implements tune.Target: the scheduled phase runs the
 // trial under the GLOBAL index, so a phase target's noise stream is keyed
 // the same way whether it runs standalone or inside a drift schedule.
 func (d *Drift) RunIndexed(i int64, cfg tune.Config) tune.Result {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/tune"
 )
 
-// phaseTarget is a stationary ConcurrentTarget whose every run returns a
+// phaseTarget is a stationary target whose every run returns a
 // fixed time, so tests can read which phase served an index off the Result.
 type phaseTarget struct {
 	name  string

@@ -104,8 +104,10 @@ var registry = struct {
 }
 
 // RegisterTarget makes a system constructible by name through NewTarget
-// and Spec. It errors on an empty name, a nil factory, or a name already
-// registered.
+// and Spec. Its targets keep the run contract documented on Target — each
+// run a pure function of (seed, run index, fidelity, config) — which
+// parallel evaluation, the evaluator fleet and resume rely on. It errors
+// on an empty name, a nil factory, or a name already registered.
 func RegisterTarget(system string, f TargetFactory) error {
 	if system == "" || f.New == nil {
 		return fmt.Errorf("repro: RegisterTarget requires a system name and a New func")

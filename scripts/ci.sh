@@ -147,7 +147,9 @@ stage() {
 		grep -q '"archived_as":1' "$work/status.json"
 		curl -sf http://127.0.0.1:8321/repository/sessions | grep -q '"workload":"tpch"'
 		# Runtime gauges are served on the API listener, in Prometheus text.
-		curl -sf http://127.0.0.1:8321/metrics | grep -q '^go_memstats_alloc_bytes_total [0-9]'
+		curl -sf http://127.0.0.1:8321/metrics >"$work/metrics.txt"
+		grep -q '^go_memstats_alloc_bytes_total [0-9]' "$work/metrics.txt"
+		grep -q '^go_memstats_heap_inuse_bytes [0-9]' "$work/metrics.txt"
 		stop_servers
 		# The restarted daemon also serves profiles, on their own listener only.
 		serve 127.0.0.1:8321 -repo "$work/repo" -pprof 127.0.0.1:8322

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/tune"
@@ -279,16 +280,22 @@ func TestScenarioEventStreamsDeterministicAcrossParallel(t *testing.T) {
 
 // —— registry plug-ins ————————————————————————————————————————————————————
 
-// flatTarget is a minimal external system: quadratic bowl around a=0.7.
+// flatTarget is a minimal external system: quadratic bowl around a=0.7,
+// noise-free, so its runs ignore their index.
 type flatTarget struct {
 	name  string
 	space *tune.Space
 	seed  int64
+	runs  atomic.Int64
 }
 
-func (f *flatTarget) Name() string       { return f.name }
-func (f *flatTarget) Space() *tune.Space { return f.space }
+func (f *flatTarget) Name() string              { return f.name }
+func (f *flatTarget) Space() *tune.Space        { return f.space }
+func (f *flatTarget) ReserveRuns(n int64) int64 { return f.runs.Add(n) - n + 1 }
 func (f *flatTarget) Run(cfg tune.Config) tune.Result {
+	return f.RunIndexed(f.ReserveRuns(1), cfg)
+}
+func (f *flatTarget) RunIndexed(_ int64, cfg tune.Config) tune.Result {
 	d := cfg.Float("a") - 0.7
 	return tune.Result{Time: 1 + d*d}
 }

@@ -92,6 +92,17 @@ var retiredSurfaces = []string{
 	`SurrogateSpec`, `SurrogateAuto`, `\b(SparseAbove|RFFAbove)\b`, `\b(Spec|TunerOptions)\.Surrogate\b`, `Surrogate\s+\*(tune\.)?SurrogateConfig\b`,
 	`SurrogateConfig\) Validate`, `json:"(surrogate|tier|sparse_above|rff_above)\b`, `"surrogate":\s*\{\s*"`,
 	`"(sparse|rff)_above"`, `(^|[\s"'\x60])-(surrogate|sparse-above|rff-above)\b`, `Var\([^,]+, "surrogate"`,
+	// The un-indexed evaluation path: every tune.Target is run-indexed, so
+	// there is no second target interface, no own-counter run index and no
+	// capability gate on parallelism, checkpoints or resume.
+	// tune.ConcurrentFidelityTarget stays as an alias of FidelityTarget.
+	`\bConcurrentTarget\b`, `\bNextRun\b`, `\.Indexed\(\)`,
+}
+
+// retiredAllowed maps a file that only a benchmark change may edit to the
+// retired surface it may still mention until then.
+var retiredAllowed = map[string]string{
+	"benchmark/decorator_test.go": `\bConcurrentTarget\b`,
 }
 
 // The one CI step list: the workflow's only command is scripts/ci.sh, and
@@ -143,9 +154,9 @@ func TestRetiredSurfacesStayRetired(t *testing.T) {
 	for _, surface := range retiredSurfaces {
 		retired = append(retired, regexp.MustCompile(surface))
 	}
-	mentionsRetired := func(line string) bool {
+	mentionsRetired := func(name, line string) bool {
 		for _, re := range retired {
-			if re.MatchString(line) {
+			if re.MatchString(line) && retiredAllowed[name] != re.String() {
 				return true
 			}
 		}
@@ -182,7 +193,7 @@ func TestRetiredSurfacesStayRetired(t *testing.T) {
 			t.Error(fork)
 		}
 		for i, line := range lines {
-			if !exempt(name) && mentionsRetired(line) {
+			if !exempt(name) && mentionsRetired(name, line) {
 				t.Errorf("%s:%d mentions a retired surface: %s", name, i+1, strings.TrimSpace(line))
 			}
 			if source && !strings.HasPrefix(name, "benchmark/") && strings.Contains(line, "rand.NewSource(") &&
