@@ -114,63 +114,114 @@ func (g *GP) Fit(x [][]float64, y []float64, optimize bool) error {
 	for i, v := range g.yRaw {
 		g.ys[i] = (v - g.yMean) / g.yStd
 	}
-	g.buildD2()
+	g.d2 = sqDistMatrix(g.x, g.d2)
 	if optimize {
 		g.optimizeHypers()
 	}
 	return g.refit()
 }
 
-// buildD2 fills the pairwise squared-distance cache from the training inputs.
-func (g *GP) buildD2() {
-	n, d := g.x.R, g.x.C
-	if g.d2 == nil || g.d2.R != n {
-		g.d2 = linalg.New(n, n)
-	}
-	xd := g.x.Data
-	dd := g.d2.Data
-	for i := 0; i < n; i++ {
-		xi := xd[i*d : (i+1)*d]
-		dd[i*n+i] = 0
-		for j := i + 1; j < n; j++ {
-			xj := xd[j*d : (j+1)*d]
-			var s float64
-			for k, v := range xi {
-				diff := v - xj[k]
-				s += diff * diff
+// expChunk is how many kernel values kernelRow hands linalg.ExpInto at once:
+// its scratch is a stack array of this size, so rows built concurrently
+// (SparseGP.refit's workers) share nothing.
+const expChunk = 64
+
+// kernelRow overwrites row, which holds squared distances, with sv·k(d²) at
+// lengthscale l. It is every tier's one kernel formula, so the tiers agree on
+// kernel values bit for bit; sv = 1 is the unit-signal-variance kernel
+// exactly. Each chunk is three passes: the exponent's argument, one
+// linalg.ExpInto, then the scale.
+func kernelRow(kernel KernelKind, row []float64, sv, l float64) {
+	var e [expChunk]float64
+	twoL2 := 2 * l * l
+	for len(row) > 0 {
+		c := row[:min(len(row), expChunk)]
+		row = row[len(c):]
+		arg := e[:len(c)]
+		switch kernel {
+		case Matern52:
+			for i, d2 := range c {
+				r := math.Sqrt(d2) / l
+				c[i] = r
+				arg[i] = -(sqrt5 * r)
 			}
-			dd[i*n+j] = s
-			dd[j*n+i] = s
+			linalg.ExpInto(arg, arg)
+			for i, r := range c {
+				s5 := sqrt5 * r
+				c[i] = sv * ((1 + s5 + 5*r*r/3) * arg[i])
+			}
+		default:
+			for i, d2 := range c {
+				arg[i] = -d2 / twoL2
+			}
+			linalg.ExpInto(arg, arg)
+			for i, v := range arg {
+				c[i] = sv * v
+			}
 		}
 	}
 }
 
-// baseKernelInto writes the unit-signal-variance kernel matrix for
-// lengthscale l into b, reading only the distance cache. Per-pair constants
-// (√5, 2ℓ²) are hoisted out of the loops.
-func (g *GP) baseKernelInto(b *linalg.Matrix, l float64) {
-	n := g.d2.R
-	dd := g.d2.Data
-	bd := b.Data
-	switch g.Kernel {
-	case Matern52:
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				r := math.Sqrt(dd[i*n+j]) / l
-				s5 := sqrt5 * r
-				v := (1 + s5 + 5*r*r/3) * math.Exp(-s5)
-				bd[i*n+j] = v
-				bd[j*n+i] = v
-			}
+// sqDistsInto sets dst[i] = ‖rows[i] − p‖² for the first len(dst) rows of
+// the row-major rows, len(p) wide. Four rows run at once as four independent
+// sums, each added in the one-row loop's order, so a distance's bits do not
+// depend on where its row falls.
+func sqDistsInto(dst, rows, p []float64) {
+	d := len(p)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0, r1, r2, r3 := rows[i*d:][:d], rows[(i+1)*d:][:d], rows[(i+2)*d:][:d], rows[(i+3)*d:][:d]
+		var s0, s1, s2, s3 float64
+		for k, v := range p {
+			d0, d1, d2, d3 := r0[k]-v, r1[k]-v, r2[k]-v, r3[k]-v
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
 		}
-	default:
-		twoL2 := 2 * l * l
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				v := math.Exp(-dd[i*n+j] / twoL2)
-				bd[i*n+j] = v
-				bd[j*n+i] = v
-			}
+		out := dst[i : i+4 : i+4]
+		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+	}
+	for ; i < len(dst); i++ {
+		r := rows[i*d:][:d]
+		var s float64
+		for k, v := range p {
+			diff := r[k] - v
+			s += diff * diff
+		}
+		dst[i] = s
+	}
+}
+
+// sqDistMatrix returns the pairwise squared distances of x's rows, reusing
+// dst when it has the size.
+func sqDistMatrix(x, dst *linalg.Matrix) *linalg.Matrix {
+	n, d := x.R, x.C
+	if dst == nil || dst.R != n {
+		dst = linalg.New(n, n)
+	}
+	dd := dst.Data
+	for i := 0; i < n; i++ {
+		dd[i*n+i] = 0
+		sqDistsInto(dd[i*n+i+1:(i+1)*n], x.Data[(i+1)*d:], x.Data[i*d:(i+1)*d])
+		for j := i + 1; j < n; j++ {
+			dd[j*n+i] = dd[i*n+j]
+		}
+	}
+	return dst
+}
+
+// kernelMatrixInto writes sv·k(d²) for the n×n squared distances d2 into
+// k, which may be d2: it builds each row's upper part and mirrors it.
+func kernelMatrixInto(kernel KernelKind, k, d2 *linalg.Matrix, sv, l float64) {
+	n := d2.R
+	kd := k.Data
+	for i := 0; i < n; i++ {
+		row := kd[i*n+i : (i+1)*n]
+		copy(row, d2.Data[i*n+i:(i+1)*n])
+		kernelRow(kernel, row, sv, l)
+		for j := i + 1; j < n; j++ {
+			kd[j*n+i] = kd[i*n+j]
 		}
 	}
 }
@@ -196,11 +247,7 @@ func factorInPlaceWithJitter(k, l *linalg.Matrix, jitter float64, maxTries int) 
 func (g *GP) refit() error {
 	n := g.x.R
 	k := linalg.New(n, n)
-	g.baseKernelInto(k, g.Hyper.Lengthscale)
-	sv := g.Hyper.SignalVar
-	for i := range k.Data {
-		k.Data[i] *= sv
-	}
+	kernelMatrixInto(g.Kernel, k, g.d2, g.Hyper.SignalVar, g.Hyper.Lengthscale)
 	noise := g.Hyper.NoiseStd * g.Hyper.NoiseStd
 	k.AddDiag(noise + 1e-8)
 	var (
@@ -256,18 +303,11 @@ func (g *GP) Append(x []float64, y float64) error {
 	for i := 0; i < n; i++ {
 		copy(nd2.Data[i*m:i*m+n], g.d2.Data[i*n:(i+1)*n])
 	}
-	xn := nx.Data[n*d : m*d]
-	for i := 0; i < n; i++ {
-		xi := nx.Data[i*d : (i+1)*d]
-		var s float64
-		for k, v := range xi {
-			diff := v - xn[k]
-			s += diff * diff
-		}
+	dn := nd2.Data[n*m : n*m+n]
+	sqDistsInto(dn, nx.Data, nx.Data[n*d:m*d])
+	for i, s := range dn {
 		nd2.Data[i*m+n] = s
-		nd2.Data[n*m+i] = s
 	}
-	nd2.Data[n*m+n] = 0
 	g.x, g.d2 = nx, nd2
 
 	g.yRaw = append(g.yRaw, y)
@@ -286,13 +326,12 @@ func (g *GP) Append(x []float64, y float64) error {
 		// bordered row cannot reproduce exactly; refactorize instead.
 		return g.refit()
 	}
-	sv, l := g.Hyper.SignalVar, g.Hyper.Lengthscale
-	row := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row[i] = sv * g.baseAt(nd2.Data[n*m+i], l)
-	}
+	sv := g.Hyper.SignalVar
+	row := append([]float64(nil), dn...)
+	kernelRow(g.Kernel, row, sv, g.Hyper.Lengthscale)
+	// k(x, x) is sv exactly: both kernels are 1 at distance 0.
 	noise := g.Hyper.NoiseStd * g.Hyper.NoiseStd
-	diag := sv*g.baseAt(0, l) + (noise + 1e-8)
+	diag := sv + (noise + 1e-8)
 	ch, err := g.chol.Extend(row, diag)
 	if err != nil {
 		return g.refit()
@@ -302,19 +341,6 @@ func (g *GP) Append(x []float64, y float64) error {
 	ch.SolveVecInto(g.alpha, g.ys)
 	g.growWorkspaces(m)
 	return nil
-}
-
-// baseAt evaluates the unit-signal-variance kernel at squared distance d2,
-// with the same arithmetic as baseKernelInto.
-func (g *GP) baseAt(d2, l float64) float64 {
-	switch g.Kernel {
-	case Matern52:
-		r := math.Sqrt(d2) / l
-		s5 := sqrt5 * r
-		return (1 + s5 + 5*r*r/3) * math.Exp(-s5)
-	default:
-		return math.Exp(-d2 / (2 * l * l))
-	}
 }
 
 // optimizeHypers grid-searches lengthscale × noise × signal variance over
@@ -335,7 +361,7 @@ func (g *GP) optimizeHypers() {
 	best := math.Inf(-1)
 	bestH := g.Hyper
 	for _, l := range lengths {
-		g.baseKernelInto(b, l)
+		kernelMatrixInto(g.Kernel, b, g.d2, 1, l)
 		for _, nz := range noises {
 			noise := nz * nz
 			for _, sv := range signals {
@@ -372,12 +398,11 @@ func (g *GP) Predict(p []float64) (mu, sigma float64) {
 	if g.chol == nil {
 		return 0, math.Inf(1)
 	}
-	n, d := g.x.R, g.x.C
-	ks := g.wsK[:n]
-	g.kernelVecInto(ks, p, n, d)
+	ks := g.wsK[:g.x.R]
+	g.kernelVecInto(ks, p)
 	muStd := linalg.Dot(ks, g.alpha)
 	// k*ᵀK⁻¹k* = ‖L⁻¹k*‖²: the forward half of the solve suffices.
-	v := g.wsV[:n]
+	v := g.wsV[:len(ks)]
 	g.chol.SolveLowerInto(v, ks)
 	varStd := g.Hyper.SignalVar - linalg.Dot(v, v)
 	if varStd < 1e-12 {
@@ -387,34 +412,9 @@ func (g *GP) Predict(p []float64) (mu, sigma float64) {
 }
 
 // kernelVecInto fills ks with k(x_i, p) for every training point.
-func (g *GP) kernelVecInto(ks, p []float64, n, d int) {
-	xd := g.x.Data
-	sv, l := g.Hyper.SignalVar, g.Hyper.Lengthscale
-	switch g.Kernel {
-	case Matern52:
-		for i := 0; i < n; i++ {
-			xi := xd[i*d : (i+1)*d]
-			var d2 float64
-			for k, v := range xi {
-				diff := v - p[k]
-				d2 += diff * diff
-			}
-			r := math.Sqrt(d2) / l
-			s5 := sqrt5 * r
-			ks[i] = sv * ((1 + s5 + 5*r*r/3) * math.Exp(-s5))
-		}
-	default:
-		twoL2 := 2 * l * l
-		for i := 0; i < n; i++ {
-			xi := xd[i*d : (i+1)*d]
-			var d2 float64
-			for k, v := range xi {
-				diff := v - p[k]
-				d2 += diff * diff
-			}
-			ks[i] = sv * math.Exp(-d2/twoL2)
-		}
-	}
+func (g *GP) kernelVecInto(ks, p []float64) {
+	sqDistsInto(ks, g.x.Data, p)
+	kernelRow(g.Kernel, ks, g.Hyper.SignalVar, g.Hyper.Lengthscale)
 }
 
 // ExpectedImprovement returns EI at p for minimization against the incumbent

@@ -146,3 +146,92 @@ func TestConstantTargets(t *testing.T) {
 		t.Error("TrainingSize wrong")
 	}
 }
+
+// randomRows is n points of [0,1]^d, flat and as rows.
+func randomRows(n, d int, rng *rand.Rand) (flat []float64, rows [][]float64) {
+	flat = make([]float64, n*d)
+	for i := range flat {
+		flat[i] = rng.Float64()
+	}
+	for i := 0; i < n; i++ {
+		rows = append(rows, flat[i*d:(i+1)*d])
+	}
+	return flat, rows
+}
+
+// The kernel rows are the per-pair formula, bit for bit, at every length
+// around the ExpInto chunk and across both kernels; the four-row distance
+// loop is the one-row loop.
+func TestKernelRowMatchesPairFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, 3, 4, 5, 63, 64, 65, 130, 161} {
+		for _, d := range []int{1, 2, 7} {
+			flat, _ := randomRows(n, d, rng)
+			p, _ := randomRows(1, d, rng)
+			dist := make([]float64, n)
+			sqDistsInto(dist, flat, p)
+			for i := 0; i < n; i++ {
+				var s float64
+				for k, v := range flat[i*d : (i+1)*d] {
+					diff := v - p[k]
+					s += diff * diff
+				}
+				if math.Float64bits(dist[i]) != math.Float64bits(s) {
+					t.Fatalf("n=%d d=%d: distance %d is %v, one-row loop %v", n, d, i, dist[i], s)
+				}
+			}
+			for _, kernel := range []KernelKind{SquaredExponential, Matern52} {
+				sv, l := 0.5+rng.Float64(), 0.05+rng.Float64()
+				row := append([]float64(nil), dist...)
+				kernelRow(kernel, row, sv, l)
+				for i, d2 := range dist {
+					var want float64
+					if kernel == Matern52 {
+						r := math.Sqrt(d2) / l
+						s5 := sqrt5 * r
+						want = sv * ((1 + s5 + 5*r*r/3) * math.Exp(-s5))
+					} else {
+						want = sv * math.Exp(-d2/(2*l*l))
+					}
+					if math.Float64bits(row[i]) != math.Float64bits(want) {
+						t.Fatalf("kernel %v n=%d: k[%d] = %v, per-pair formula %v", kernel, n, i, row[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkKernelRow is one kernel row, squared distances included, at the
+// sizes the GP tuners score candidates at: the exact tier's vector at
+// n = 160 (its last size) and the sparse tier's row at m = 64.
+func BenchmarkKernelRow(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	const d = 10
+	_, xs := randomRows(300, d, rng)
+	ys := make([]float64, len(xs))
+	for i, x := range xs {
+		ys[i] = bowl(x)
+	}
+	p, _ := randomRows(1, d, rng)
+	b.Run("exact/n=160", func(b *testing.B) {
+		g := New(Matern52)
+		if err := g.Fit(xs[:160], ys[:160], false); err != nil {
+			b.Fatal(err)
+		}
+		ks := make([]float64, 160)
+		for b.Loop() {
+			g.kernelVecInto(ks, p)
+		}
+	})
+	b.Run("sparse/m=64", func(b *testing.B) {
+		s := NewSparse(Matern52)
+		if err := s.Fit(xs, ys, false); err != nil {
+			b.Fatal(err)
+		}
+		ks := make([]float64, DefaultInducing)
+		for b.Loop() {
+			s.kernelRowInto(ks, p)
+		}
+	})
+}

@@ -97,18 +97,9 @@ func (s *SparseGP) Fit(x [][]float64, y []float64, optimize bool) error {
 
 // kernelRowInto writes k(p, z_j) for every inducing point into dst.
 func (s *SparseGP) kernelRowInto(dst, p []float64) {
-	m, d := s.z.R, s.z.C
-	zd := s.z.Data
-	sv, l := s.Hyper.SignalVar, s.Hyper.Lengthscale
-	for j := 0; j < m; j++ {
-		zj := zd[j*d : (j+1)*d]
-		var d2 float64
-		for k, v := range zj {
-			diff := v - p[k]
-			d2 += diff * diff
-		}
-		dst[j] = sv * baseKernelAt(s.Kernel, d2, l)
-	}
+	dst = dst[:s.z.R]
+	sqDistsInto(dst, s.z.Data, p)
+	kernelRow(s.Kernel, dst, s.Hyper.SignalVar, s.Hyper.Lengthscale)
 }
 
 // refit rebuilds the FITC conditioning for the current hyperparameters and
@@ -120,26 +111,12 @@ func (s *SparseGP) refit() error {
 	for i, at := range s.inducing {
 		copy(s.z.Data[i*d:(i+1)*d], s.x.Data[at*d:(at+1)*d])
 	}
-	sv, l := s.Hyper.SignalVar, s.Hyper.Lengthscale
+	sv := s.Hyper.SignalVar
 	noise := s.Hyper.NoiseStd*s.Hyper.NoiseStd + 1e-8
 
 	// Kmm with jitter, factored once.
-	kmm := linalg.New(m, m)
-	zd := s.z.Data
-	for i := 0; i < m; i++ {
-		zi := zd[i*d : (i+1)*d]
-		for j := i; j < m; j++ {
-			zj := zd[j*d : (j+1)*d]
-			var d2 float64
-			for k, v := range zi {
-				diff := v - zj[k]
-				d2 += diff * diff
-			}
-			v := sv * baseKernelAt(s.Kernel, d2, l)
-			kmm.Data[i*m+j] = v
-			kmm.Data[j*m+i] = v
-		}
-	}
+	kmm := sqDistMatrix(s.z, nil)
+	kernelMatrixInto(s.Kernel, kmm, kmm, sv, s.Hyper.Lengthscale)
 	kmm.AddDiag(1e-8)
 	lm, added, err := linalg.CholeskyWithJitter(kmm, 1e-8, 8)
 	if err != nil {
@@ -293,19 +270,5 @@ func (s *SparseGP) growWorkspaces(m int) {
 		s.wsK = make([]float64, m)
 		s.wsU = make([]float64, m)
 		s.wsW = make([]float64, m)
-	}
-}
-
-// baseKernelAt evaluates the unit-signal-variance kernel at squared
-// distance d2 — the same arithmetic as the exact GP's baseAt, shared so the
-// tiers agree on kernel values bit-for-bit.
-func baseKernelAt(kernel KernelKind, d2, l float64) float64 {
-	switch kernel {
-	case Matern52:
-		r := math.Sqrt(d2) / l
-		s5 := sqrt5 * r
-		return (1 + s5 + 5*r*r/3) * math.Exp(-s5)
-	default:
-		return math.Exp(-d2 / (2 * l * l))
 	}
 }

@@ -234,26 +234,17 @@ func kCenterIndices(x *linalg.Matrix, m int) []int {
 	for k := range centroid {
 		centroid[k] /= float64(n)
 	}
-	sq := func(a, b []float64) float64 {
-		var s float64
-		for k, v := range a {
-			diff := v - b[k]
-			s += diff * diff
-		}
-		return s
-	}
+	minD, dist := make([]float64, n), make([]float64, n)
+	sqDistsInto(dist, xd, centroid)
 	first, firstD := 0, math.Inf(-1)
-	for i := 0; i < n; i++ {
-		if dd := sq(xd[i*d:(i+1)*d], centroid); dd > firstD {
+	for i, dd := range dist {
+		if dd > firstD {
 			first, firstD = i, dd
 		}
 	}
 	chosen := make([]int, 0, m)
 	chosen = append(chosen, first)
-	minD := make([]float64, n)
-	for i := 0; i < n; i++ {
-		minD[i] = sq(xd[i*d:(i+1)*d], xd[first*d:(first+1)*d])
-	}
+	sqDistsInto(minD, xd, xd[first*d:(first+1)*d])
 	for len(chosen) < m {
 		next, nextD := -1, math.Inf(-1)
 		for i := 0; i < n; i++ {
@@ -265,8 +256,9 @@ func kCenterIndices(x *linalg.Matrix, m int) []int {
 			break // every remaining row coincides with a chosen one
 		}
 		chosen = append(chosen, next)
-		for i := 0; i < n; i++ {
-			if dd := sq(xd[i*d:(i+1)*d], xd[next*d:(next+1)*d]); dd < minD[i] {
+		sqDistsInto(dist, xd, xd[next*d:(next+1)*d])
+		for i, dd := range dist {
+			if dd < minD[i] {
 				minD[i] = dd
 			}
 		}

@@ -415,7 +415,7 @@ func TestForwardVarianceMatchesFullSolve(t *testing.T) {
 				}
 				_, sigma := g.Predict(p)
 				got := (sigma / g.yStd) * (sigma / g.yStd)
-				g.kernelVecInto(ks, p, n, 4)
+				g.kernelVecInto(ks, p)
 				g.chol.SolveVecInto(v, ks)
 				want := math.Max(g.Hyper.SignalVar-linalg.Dot(ks, v), 1e-12)
 				if math.Abs(got-want) > 1e-9 || got < 1e-12*(1-1e-9) {

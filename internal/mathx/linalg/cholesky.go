@@ -34,8 +34,9 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 // bit, so the threshold is invisible in every result.
 const kernelMinLen = 8
 
-// Kernel names the path dot4 and CholeskyInto take in this process: "avx2"
-// for the assembly kernels, "generic" for the Go loops alone.
+// Kernel names the path dot4, CholeskyInto and ExpInto take in this
+// process: "avx2" for the assembly kernels, "generic" for the Go loops
+// alone.
 func Kernel() string {
 	if useAVX2 {
 		return "avx2"

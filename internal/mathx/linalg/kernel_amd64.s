@@ -171,3 +171,103 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// The exp kernel: expAVX2 runs four lanes of the FMA path of math.Exp
+// ($GOROOT/src/math/exp_amd64.s, label avxfma) — the method of N. Shibata,
+// "Efficient evaluation methods of elementary functions suitable for SIMD
+// computation", ISC 2010, with the constants of its SLEEF implementation.
+// Each lane performs that path's instructions in its order, so it returns
+// math.Exp's bits wherever math.Exp takes the path (kernel_amd64.go's probe
+// decides that). On |x| ≤ 708 the scaled exponent k+1023 lies in [2, 2044],
+// so neither the denormal nor the overflow branch of the scalar ldexp is
+// taken; a quad with a lane outside that range, or a NaN lane, ends the call.
+// Only VEX-encoded instructions run in the loop: a legacy-SSE one there
+// costs a state transition per quad.
+
+#define EXP_CONST(off, val) \
+	DATA expconst<>+(off)(SB)/8, val; \
+	DATA expconst<>+(off+8)(SB)/8, val; \
+	DATA expconst<>+(off+16)(SB)/8, val; \
+	DATA expconst<>+(off+24)(SB)/8, val
+
+EXP_CONST(0, $0x7FFFFFFFFFFFFFFF)                              // |x| mask
+EXP_CONST(32, $708.0)                                          // kernel range
+EXP_CONST(64, $1.4426950408889634073599246810018920)           // LOG2E
+EXP_CONST(96, $0.69314718055966295651160180568695068359375)    // LN2U
+EXP_CONST(128, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+EXP_CONST(160, $0.0625)
+EXP_CONST(192, $2.4801587301587301587e-5)
+EXP_CONST(224, $1.9841269841269841270e-4)
+EXP_CONST(256, $1.3888888888888888889e-3)
+EXP_CONST(288, $8.3333333333333333333e-3)
+EXP_CONST(320, $4.1666666666666666667e-2)
+EXP_CONST(352, $1.6666666666666666667e-1)
+EXP_CONST(384, $0.5)
+EXP_CONST(416, $1.0)
+EXP_CONST(448, $2.0)
+EXP_CONST(480, $0x3FF)                                         // exponent bias
+GLOBL expconst<>(SB), RODATA|NOPTR, $512
+
+// func expAVX2(dst, src *float64, n int) int
+//
+// Sets dst[i] = math.Exp(src[i]) for the whole quads of n elements, stopping
+// before the first quad with a lane outside [-708, 708] or a NaN lane; it
+// returns the number of elements done. dst may be src.
+TEXT ·expAVX2(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), DX
+	SHLQ         $3, DX
+	ANDQ         $~31, DX              // DX = end offset of the whole quads
+	XORQ         CX, CX
+	VMOVUPD      expconst<>+0(SB), Y12 // |x| mask
+	VMOVUPD      expconst<>+32(SB), Y13 // 708
+	VMOVUPD      expconst<>+448(SB), Y14 // 2.0
+	VMOVUPD      expconst<>+480(SB), Y15 // bias
+	CMPQ         CX, DX
+	JEQ          exp_done
+
+exp_quad:
+	VMOVUPD      (SI)(CX*1), Y0         // x
+	VANDPD       Y12, Y0, Y1
+	VCMPPD       $0x12, Y13, Y1, Y1     // |x| <= 708, ordered: false on NaN
+	VMOVMSKPD    Y1, AX
+	CMPL         AX, $15
+	JNE          exp_done
+	VMULPD       expconst<>+64(SB), Y0, Y1
+	VCVTPD2DQY   Y1, X2                 // k = round(x·LOG2E)
+	VCVTDQ2PD    X2, Y1
+	VFNMADD231PD expconst<>+96(SB), Y1, Y0  // x -= k·LN2U, fused
+	VFNMADD231PD expconst<>+128(SB), Y1, Y0 // x -= k·LN2L, fused
+	VMULPD       expconst<>+160(SB), Y0, Y0
+	VMOVUPD      expconst<>+192(SB), Y1
+	VFMADD213PD  expconst<>+224(SB), Y0, Y1
+	VFMADD213PD  expconst<>+256(SB), Y0, Y1
+	VFMADD213PD  expconst<>+288(SB), Y0, Y1
+	VFMADD213PD  expconst<>+320(SB), Y0, Y1
+	VFMADD213PD  expconst<>+352(SB), Y0, Y1
+	VFMADD213PD  expconst<>+384(SB), Y0, Y1
+	VFMADD213PD  expconst<>+416(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       Y14, Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       Y14, Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       Y14, Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       Y14, Y0, Y1
+	VFMADD213PD  expconst<>+416(SB), Y1, Y0
+	VPMOVSXDQ    X2, Y3                 // ldexp: 2^k from (k+1023)<<52
+	VPADDQ       Y15, Y3, Y3
+	VPSLLQ       $52, Y3, Y3
+	VMULPD       Y3, Y0, Y0
+	VMOVUPD      Y0, (DI)(CX*1)
+	ADDQ         $32, CX
+	CMPQ         CX, DX
+	JNE          exp_quad
+
+exp_done:
+	VZEROUPPER
+	SHRQ         $3, CX
+	MOVQ         CX, ret+24(FP)
+	RET

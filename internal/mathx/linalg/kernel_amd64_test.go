@@ -292,10 +292,11 @@ func TestKernelName(t *testing.T) {
 	}
 }
 
-// FuzzKernels reads the input as float64s and holds both kernels to the
-// contract on them: the two halves as a dot product at a data-dependent
-// alignment, and the largest square that fits as both a matrix to factor and
-// a half-finished factor to take one column step on.
+// FuzzKernels reads the input as float64s and holds the kernels to the
+// contract on them: all of them as exponents, the two halves as a dot
+// product at a data-dependent alignment, and the largest square that fits as
+// both a matrix to factor and a half-finished factor to take one column step
+// on.
 func FuzzKernels(f *testing.F) {
 	seed := func(xs ...float64) {
 		b := make([]byte, 0, 8*len(xs))
@@ -320,6 +321,13 @@ func FuzzKernels(f *testing.F) {
 		xs := make([]float64, len(data)/8)
 		for i := range xs {
 			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		got := make([]float64, len(xs))
+		ExpInto(got, xs)
+		for i, x := range xs {
+			if math.Float64bits(got[i]) != math.Float64bits(math.Exp(x)) {
+				t.Fatalf("ExpInto[%d] of %d: exp(%v) = %x, math.Exp %x", i, len(xs), x, math.Float64bits(got[i]), math.Float64bits(math.Exp(x)))
+			}
 		}
 		half := len(xs) / 2
 		off := len(data) % 4

@@ -36,11 +36,13 @@ func sessionStream(t *testing.T, spec repro.Spec) []byte {
 // Nothing above linalg may be able to tell which path it ran on: a whole
 // model-based session — GP fits past the frozen-hyperparameter threshold for
 // iTuned, the warm-started mapped GP for OtterTune — emits the same bytes
-// with the kernels on and off.
+// with the kernels on and off, and so does a random search on Spark, whose
+// every trial draws its tasks' stragglers through ExpInto.
 func TestSessionStreamsIdenticalOnBothKernels(t *testing.T) {
 	specs := []repro.Spec{
 		{System: "dbms", Workload: "tpch", Tuner: "ituned", Seed: 3, Budget: repro.Budget{Trials: 80}},
 		{System: "spark", Workload: "pagerank", Tuner: "ottertune", Seed: 3, Budget: repro.Budget{Trials: 40}},
+		{System: "spark", Workload: "pagerank", Tuner: "random", Seed: 5, Budget: repro.Budget{Trials: 60}},
 	}
 	for _, spec := range specs {
 		t.Run(spec.Tuner, func(t *testing.T) {

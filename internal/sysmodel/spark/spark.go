@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/mathx/linalg"
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/tune"
 	"repro/internal/workload"
@@ -468,8 +469,9 @@ func (s *Spark) simulate(job *workload.SparkJob, cfg tune.Config, rng *rand.Rand
 	// Every stage of a run splits by the same skew, and all of them (bar an
 	// input stage under spark_default_parallelism) into the same number of
 	// tasks: shares holds workload.ZipfShares(len(shares), skew) from one stage to the
-	// next. sorted is cluster.SortedAt's scratch, durations every stage's.
-	var shares, sorted, durations []float64
+	// next. sorted is cluster.SortedAt's scratch, durations every stage's,
+	// and noise and slow hold its tasks' straggler draws.
+	var shares, sorted, durations, noise, slow []float64
 	// base holds the task durations of the stage under baseKey up to the
 	// first random draw, and baseSpill the MB it spilled: an iterative job
 	// repeats its second stage to the end, so those stages redo only the
@@ -534,6 +536,8 @@ func (s *Spark) simulate(job *workload.SparkJob, cfg tune.Config, rng *rand.Rand
 			}
 		}
 		durations = append(durations[:0], base...)
+		noise = slices.Grow(noise[:0], tasks)[:tasks]
+		slow = slices.Grow(slow[:0], tasks)[:tasks]
 		for i := 0; i < tasks; i++ {
 			// Non-local tasks pay a network read after the locality wait
 			// expires; generous waits improve locality at idle cost.
@@ -543,12 +547,17 @@ func (s *Spark) simulate(job *workload.SparkJob, cfg tune.Config, rng *rand.Rand
 			}
 			// Scheduling overhead per task.
 			durations[i] += schedOverhead
-			// Straggler noise.
-			f := math.Exp(rng.NormFloat64() * 0.10)
+			// Straggler noise: a lognormal factor, and a 2–4× slowdown for
+			// one task in fifty (a multiplier of 1 elsewhere is exact).
+			noise[i] = rng.NormFloat64() * 0.10
+			slow[i] = 1
 			if rng.Float64() < 0.02 {
-				f *= 2 + 2*rng.Float64()
+				slow[i] = 2 + 2*rng.Float64()
 			}
-			durations[i] *= f
+		}
+		linalg.ExpInto(noise, noise)
+		for i, f := range noise {
+			durations[i] *= f * slow[i]
 		}
 		if spec {
 			sorted = append(sorted[:0], durations...)

@@ -83,6 +83,9 @@ stage() {
 		# that build, so at least compile and vet it.
 		GOARCH=arm64 go build ./...
 		GOARCH=arm64 go vet ./internal/mathx/...
+		# math.Exp runs its SSE path here, so the probe must turn the exp
+		# kernel off and ExpInto must still be math.Exp (DESIGN §9).
+		GODEBUG=cpu.fma=off go test -count=1 -run 'Exp|Kernel' ./internal/mathx/linalg
 		# arm64 may fuse x*y+z into one rounding, so the simulators' results
 		# are bit for bit there only while their fused sites stay as counted
 		# here (DESIGN §5). A change that moves a count says why in CHANGES.md.
@@ -125,7 +128,7 @@ stage() {
 	loc) scripts/loc.sh ;;
 	bench-smoke)
 		# One iteration of each kernel benchmark, beside the package it measures.
-		go test -run '^$' -bench 'GPFit/n=60|SurrogateFit/tier=sparse/n=500|CholeskyInto/n=(12|160)|BlockedCholesky/parallel/n=256|CheckpointSession|FeatureIndex(Build|Nearest)/n=100000|EventJSON|RecordJSON|Simulate|ListSchedule|Noise' \
+		go test -run '^$' -bench 'GPFit/n=60|KernelRow|ExpInto|SurrogateFit/tier=sparse/n=500|CholeskyInto/n=(12|160)|BlockedCholesky/parallel/n=256|CheckpointSession|FeatureIndex(Build|Nearest)/n=100000|EventJSON|RecordJSON|Simulate|ListSchedule|Noise' \
 			-benchtime=1x ./internal/mathx/... ./internal/tune ./internal/tune/store ./internal/sysmodel/...
 		;;
 	benchtab)
