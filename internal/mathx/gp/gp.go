@@ -45,8 +45,10 @@ const (
 	Matern52
 )
 
-// sqrt5 hoists the Matérn constant out of the per-pair kernel math.
-var sqrt5 = math.Sqrt(5)
+// exactAppendRoom is how many Appends an exact Fit reserves room for in its
+// column copy of the inputs; Appends past it re-lay the copy at twice the
+// stride.
+const exactAppendRoom = 16
 
 // blockedFitMinN is the training-set size at which refit switches from the
 // serial Cholesky to the blocked parallel factorization. It sits far above
@@ -69,7 +71,7 @@ type GP struct {
 	Kernel KernelKind
 	Hyper  Hyper
 
-	x      *linalg.Matrix // n×d training inputs (deep copy of the caller's rows)
+	x      columns        // the n training inputs, column-major (deep copy of the caller's rows)
 	d2     *linalg.Matrix // n×n pairwise squared distances, built once per Fit
 	yRaw   []float64
 	yMean  float64
@@ -103,7 +105,10 @@ func (g *GP) Fit(x [][]float64, y []float64, optimize bool) error {
 		return err
 	}
 	n := len(x)
-	g.x = linalg.FromRows(x)
+	g.x.reset(n, len(x[0]), exactAppendRoom)
+	for i, row := range x {
+		g.x.set(i, row)
+	}
 	g.yRaw = append(g.yRaw[:0], y...)
 	g.yMean = stat.Mean(y)
 	g.yStd = stat.Std(y)
@@ -114,7 +119,7 @@ func (g *GP) Fit(x [][]float64, y []float64, optimize bool) error {
 	for i, v := range g.yRaw {
 		g.ys[i] = (v - g.yMean) / g.yStd
 	}
-	g.d2 = sqDistMatrix(g.x, g.d2)
+	g.d2 = g.x.sqDistMatrix(g.d2)
 	if optimize {
 		g.optimizeHypers()
 	}
@@ -130,7 +135,8 @@ const expChunk = 64
 // lengthscale l. It is every tier's one kernel formula, so the tiers agree on
 // kernel values bit for bit; sv = 1 is the unit-signal-variance kernel
 // exactly. Each chunk is three passes: the exponent's argument, one
-// linalg.ExpInto, then the scale.
+// linalg.ExpInto, then the scale; the Matérn kernel's first and last passes
+// are linalg.MaternArgInto and linalg.MaternScaleInto.
 func kernelRow(kernel KernelKind, row []float64, sv, l float64) {
 	var e [expChunk]float64
 	twoL2 := 2 * l * l
@@ -140,16 +146,9 @@ func kernelRow(kernel KernelKind, row []float64, sv, l float64) {
 		arg := e[:len(c)]
 		switch kernel {
 		case Matern52:
-			for i, d2 := range c {
-				r := math.Sqrt(d2) / l
-				c[i] = r
-				arg[i] = -(sqrt5 * r)
-			}
+			linalg.MaternArgInto(c, arg, l)
 			linalg.ExpInto(arg, arg)
-			for i, r := range c {
-				s5 := sqrt5 * r
-				c[i] = sv * ((1 + s5 + 5*r*r/3) * arg[i])
-			}
+			linalg.MaternScaleInto(c, arg, sv)
 		default:
 			for i, d2 := range c {
 				arg[i] = -d2 / twoL2
@@ -162,48 +161,69 @@ func kernelRow(kernel KernelKind, row []float64, sv, l float64) {
 	}
 }
 
-// sqDistsInto sets dst[i] = ‖rows[i] − p‖² for the first len(dst) rows of
-// the row-major rows, len(p) wide. Four rows run at once as four independent
-// sums, each added in the one-row loop's order, so a distance's bits do not
-// depend on where its row falls.
-func sqDistsInto(dst, rows, p []float64) {
-	d := len(p)
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		r0, r1, r2, r3 := rows[i*d:][:d], rows[(i+1)*d:][:d], rows[(i+2)*d:][:d], rows[(i+3)*d:][:d]
-		var s0, s1, s2, s3 float64
-		for k, v := range p {
-			d0, d1, d2, d3 := r0[k]-v, r1[k]-v, r2[k]-v, r3[k]-v
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
-		}
-		out := dst[i : i+4 : i+4]
-		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-	}
-	for ; i < len(dst); i++ {
-		r := rows[i*d:][:d]
-		var s float64
-		for k, v := range p {
-			diff := r[k] - v
-			s += diff * diff
-		}
-		dst[i] = s
+// columns is a column-major copy of a set of input rows, the layout every
+// distance a kernel row needs is read from: input k of row i sits at
+// data[k·stride+i], so linalg.SqDistsCols measures a row per vector lane.
+// A stride above n leaves room for rows push adds in place.
+type columns struct {
+	data         []float64
+	n, d, stride int
+}
+
+// reset sizes c for n rows of d inputs and room more, reusing its array when
+// it is large enough; set then writes the rows.
+func (c *columns) reset(n, d, room int) {
+	c.n, c.d, c.stride = n, d, n+room
+	c.data = resize(c.data, d*c.stride)
+}
+
+// set writes row i.
+func (c *columns) set(i int, row []float64) {
+	for k, v := range row[:c.d] {
+		c.data[k*c.stride+i] = v
 	}
 }
 
-// sqDistMatrix returns the pairwise squared distances of x's rows, reusing
+// push appends a row: in place while the stride has room, otherwise after
+// re-laying the copy at twice the stride.
+func (c *columns) push(row []float64) {
+	if c.n == c.stride {
+		old, oldStride := c.data, c.stride
+		c.stride = 2*c.stride + 1
+		c.data = make([]float64, c.d*c.stride)
+		for k := 0; k < c.d; k++ {
+			copy(c.data[k*c.stride:k*c.stride+c.n], old[k*oldStride:k*oldStride+c.n])
+		}
+	}
+	c.n++
+	c.set(c.n-1, row)
+}
+
+// sqDistsInto sets dst[j] = ‖row(from+j) − p‖² for every j < len(dst), with
+// the bits of the one-row loop over the row-major row.
+func (c *columns) sqDistsInto(dst []float64, from int, p []float64) {
+	if c.d == 0 {
+		clear(dst) // no columns to offset into
+		return
+	}
+	linalg.SqDistsCols(dst, c.data[from:], c.stride, p)
+}
+
+// sqDistMatrix returns the pairwise squared distances of c's rows, reusing
 // dst when it has the size.
-func sqDistMatrix(x, dst *linalg.Matrix) *linalg.Matrix {
-	n, d := x.R, x.C
+func (c *columns) sqDistMatrix(dst *linalg.Matrix) *linalg.Matrix {
+	n := c.n
 	if dst == nil || dst.R != n {
 		dst = linalg.New(n, n)
 	}
 	dd := dst.Data
+	p := make([]float64, c.d)
 	for i := 0; i < n; i++ {
+		for k := range p {
+			p[k] = c.data[k*c.stride+i]
+		}
 		dd[i*n+i] = 0
-		sqDistsInto(dd[i*n+i+1:(i+1)*n], x.Data[(i+1)*d:], x.Data[i*d:(i+1)*d])
+		c.sqDistsInto(dd[i*n+i+1:(i+1)*n], i+1, p)
 		for j := i + 1; j < n; j++ {
 			dd[j*n+i] = dd[i*n+j]
 		}
@@ -245,7 +265,7 @@ func factorInPlaceWithJitter(k, l *linalg.Matrix, jitter float64, maxTries int) 
 // refit factors the kernel matrix for the current hyperparameters and solves
 // for alpha. The kernel matrix derives from the distance cache.
 func (g *GP) refit() error {
-	n := g.x.R
+	n := g.x.n
 	k := linalg.New(n, n)
 	kernelMatrixInto(g.Kernel, k, g.d2, g.Hyper.SignalVar, g.Hyper.Lengthscale)
 	noise := g.Hyper.NoiseStd * g.Hyper.NoiseStd
@@ -288,27 +308,25 @@ func (g *GP) Append(x []float64, y float64) error {
 	if g.chol == nil {
 		return errors.New("gp: Append before Fit")
 	}
-	n, d := g.x.R, g.x.C
-	if len(x) != d {
+	n := g.x.n
+	if len(x) != g.x.d {
 		return errors.New("gp: Append dimension mismatch")
 	}
 	if err := checkObservation(x, y); err != nil {
 		return err
 	}
 	m := n + 1
-	nx := linalg.New(m, d)
-	copy(nx.Data, g.x.Data)
-	copy(nx.Data[n*d:], x)
 	nd2 := linalg.New(m, m)
 	for i := 0; i < n; i++ {
 		copy(nd2.Data[i*m:i*m+n], g.d2.Data[i*n:(i+1)*n])
 	}
 	dn := nd2.Data[n*m : n*m+n]
-	sqDistsInto(dn, nx.Data, nx.Data[n*d:m*d])
+	g.x.sqDistsInto(dn, 0, x)
 	for i, s := range dn {
 		nd2.Data[i*m+n] = s
 	}
-	g.x, g.d2 = nx, nd2
+	g.x.push(x)
+	g.d2 = nd2
 
 	g.yRaw = append(g.yRaw, y)
 	g.yMean = stat.Mean(g.yRaw)
@@ -352,7 +370,7 @@ func (g *GP) optimizeHypers() {
 	lengths := []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2}
 	noises := []float64{0.01, 0.05, 0.1, 0.2, 0.4}
 	signals := []float64{0.5, 1.0, 2.0}
-	n := g.x.R
+	n := g.x.n
 	b := linalg.New(n, n)
 	k := linalg.New(n, n)
 	ch := &linalg.Cholesky{L: linalg.New(n, n)}
@@ -398,7 +416,7 @@ func (g *GP) Predict(p []float64) (mu, sigma float64) {
 	if g.chol == nil {
 		return 0, math.Inf(1)
 	}
-	ks := g.wsK[:g.x.R]
+	ks := g.wsK[:g.x.n]
 	g.kernelVecInto(ks, p)
 	muStd := linalg.Dot(ks, g.alpha)
 	// k*ᵀK⁻¹k* = ‖L⁻¹k*‖²: the forward half of the solve suffices.
@@ -413,7 +431,7 @@ func (g *GP) Predict(p []float64) (mu, sigma float64) {
 
 // kernelVecInto fills ks with k(x_i, p) for every training point.
 func (g *GP) kernelVecInto(ks, p []float64) {
-	sqDistsInto(ks, g.x.Data, p)
+	g.x.sqDistsInto(ks, 0, p)
 	kernelRow(g.Kernel, ks, g.Hyper.SignalVar, g.Hyper.Lengthscale)
 }
 
@@ -432,12 +450,7 @@ func (g *GP) ScoreCandidates(points [][]float64, best float64, dst []float64) []
 }
 
 // TrainingSize returns the number of conditioning points.
-func (g *GP) TrainingSize() int {
-	if g.x == nil {
-		return 0
-	}
-	return g.x.R
-}
+func (g *GP) TrainingSize() int { return g.x.n }
 
 // Tier implements Surrogate: the exact O(n³) tier.
 func (g *GP) Tier() string { return "exact" }

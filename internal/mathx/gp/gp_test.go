@@ -147,6 +147,8 @@ func TestConstantTargets(t *testing.T) {
 	}
 }
 
+var sqrt5 = math.Sqrt(5)
+
 // randomRows is n points of [0,1]^d, flat and as rows.
 func randomRows(n, d int, rng *rand.Rand) (flat []float64, rows [][]float64) {
 	flat = make([]float64, n*d)
@@ -160,16 +162,21 @@ func randomRows(n, d int, rng *rand.Rand) (flat []float64, rows [][]float64) {
 }
 
 // The kernel rows are the per-pair formula, bit for bit, at every length
-// around the ExpInto chunk and across both kernels; the four-row distance
-// loop is the one-row loop.
+// around the ExpInto chunk and across both kernels; a distance read from the
+// column-major copy is the one-row loop's.
 func TestKernelRowMatchesPairFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{0, 1, 3, 4, 5, 63, 64, 65, 130, 161} {
 		for _, d := range []int{1, 2, 7} {
 			flat, _ := randomRows(n, d, rng)
 			p, _ := randomRows(1, d, rng)
+			var cols columns
+			cols.reset(n, d, 3)
+			for i := 0; i < n; i++ {
+				cols.set(i, flat[i*d:(i+1)*d])
+			}
 			dist := make([]float64, n)
-			sqDistsInto(dist, flat, p)
+			cols.sqDistsInto(dist, 0, p)
 			for i := 0; i < n; i++ {
 				var s float64
 				for k, v := range flat[i*d : (i+1)*d] {
@@ -198,6 +205,42 @@ func TestKernelRowMatchesPairFormula(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// Appends past the room Fit reserves in the exact GP's column copy re-lay it
+// at a wider stride; the model must still be the full fit's, bit for bit.
+func TestExactAppendPastColumnRoomMatchesFullFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	_, xs := randomRows(20+3*exactAppendRoom, 4, rng)
+	ys := make([]float64, len(xs))
+	for i, x := range xs {
+		ys[i] = bowl(x)
+	}
+	inc := New(Matern52)
+	if err := inc.Fit(xs[:20], ys[:20], true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 20; i < len(xs); i++ {
+		if err := inc.Append(xs[i], ys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if inc.x.stride <= 20+exactAppendRoom {
+		t.Fatalf("column stride %d: the appends never re-laid the copy", inc.x.stride)
+	}
+	full := New(Matern52)
+	full.Hyper = inc.Hyper
+	if err := full.Fit(xs, ys, false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		p, _ := randomRows(1, 4, rng)
+		am, as := inc.Predict(p)
+		fm, fs := full.Predict(p)
+		if math.Float64bits(am) != math.Float64bits(fm) || math.Float64bits(as) != math.Float64bits(fs) {
+			t.Fatalf("at %v: appended (%v, %v), full fit (%v, %v)", p, am, as, fm, fs)
 		}
 	}
 }

@@ -38,8 +38,8 @@ type SparseGP struct {
 	inducingCap int
 
 	trainingSet
-	inducing  []int          // ascending row indices of the inducing set
-	z         *linalg.Matrix // m×d inducing inputs
+	inducing  []int   // ascending row indices of the inducing set
+	z         columns // the m inducing inputs, column-major
 	lm        *linalg.Cholesky
 	knm       *linalg.Matrix // n×m cross-kernel rows (grown in place by Append)
 	lam       []float64      // FITC diagonal Λᵢ (includes noise)
@@ -97,8 +97,8 @@ func (s *SparseGP) Fit(x [][]float64, y []float64, optimize bool) error {
 
 // kernelRowInto writes k(p, z_j) for every inducing point into dst.
 func (s *SparseGP) kernelRowInto(dst, p []float64) {
-	dst = dst[:s.z.R]
-	sqDistsInto(dst, s.z.Data, p)
+	dst = dst[:s.z.n]
+	s.z.sqDistsInto(dst, 0, p)
 	kernelRow(s.Kernel, dst, s.Hyper.SignalVar, s.Hyper.Lengthscale)
 }
 
@@ -107,15 +107,15 @@ func (s *SparseGP) kernelRowInto(dst, p []float64) {
 func (s *SparseGP) refit() error {
 	n, d := s.x.R, s.x.C
 	m := len(s.inducing)
-	s.z = linalg.New(m, d)
+	s.z.reset(m, d, 0)
 	for i, at := range s.inducing {
-		copy(s.z.Data[i*d:(i+1)*d], s.x.Data[at*d:(at+1)*d])
+		s.z.set(i, s.x.Data[at*d:(at+1)*d])
 	}
 	sv := s.Hyper.SignalVar
 	noise := s.Hyper.NoiseStd*s.Hyper.NoiseStd + 1e-8
 
 	// Kmm with jitter, factored once.
-	kmm := sqDistMatrix(s.z, nil)
+	kmm := s.z.sqDistMatrix(nil)
 	kernelMatrixInto(s.Kernel, kmm, kmm, sv, s.Hyper.Lengthscale)
 	kmm.AddDiag(1e-8)
 	lm, added, err := linalg.CholeskyWithJitter(kmm, 1e-8, 8)

@@ -213,7 +213,8 @@ func appendRow(m *linalg.Matrix, row []float64) []float64 {
 // sparse-tier sessions byte-identical at any parallelism. Indices are
 // returned in ascending order, none twice: when fewer than m rows are
 // distinct the selection stops at the distinct count instead of picking
-// coincident points at distance 0. Cost O(n·m·d).
+// coincident points at distance 0. Cost O(n·m·d), over a column-major copy of
+// x.
 func kCenterIndices(x *linalg.Matrix, m int) []int {
 	n, d := x.R, x.C
 	if m >= n {
@@ -234,8 +235,13 @@ func kCenterIndices(x *linalg.Matrix, m int) []int {
 	for k := range centroid {
 		centroid[k] /= float64(n)
 	}
+	var cols columns
+	cols.reset(n, d, 0)
+	for i := 0; i < n; i++ {
+		cols.set(i, xd[i*d:(i+1)*d])
+	}
 	minD, dist := make([]float64, n), make([]float64, n)
-	sqDistsInto(dist, xd, centroid)
+	cols.sqDistsInto(dist, 0, centroid)
 	first, firstD := 0, math.Inf(-1)
 	for i, dd := range dist {
 		if dd > firstD {
@@ -244,7 +250,7 @@ func kCenterIndices(x *linalg.Matrix, m int) []int {
 	}
 	chosen := make([]int, 0, m)
 	chosen = append(chosen, first)
-	sqDistsInto(minD, xd, xd[first*d:(first+1)*d])
+	cols.sqDistsInto(minD, 0, xd[first*d:(first+1)*d])
 	for len(chosen) < m {
 		next, nextD := -1, math.Inf(-1)
 		for i := 0; i < n; i++ {
@@ -256,7 +262,7 @@ func kCenterIndices(x *linalg.Matrix, m int) []int {
 			break // every remaining row coincides with a chosen one
 		}
 		chosen = append(chosen, next)
-		sqDistsInto(dist, xd, xd[next*d:(next+1)*d])
+		cols.sqDistsInto(dist, 0, xd[next*d:(next+1)*d])
 		for i, dd := range dist {
 			if dd < minD[i] {
 				minD[i] = dd

@@ -150,12 +150,9 @@ func (c *Cholesky) Extend(row []float64, diag float64) (*Cholesky, error) {
 	for i := 0; i < n; i++ {
 		copy(nl.Data[i*m:i*m+i+1], old[i*n:i*n+i+1])
 	}
+	// The new row is L⁻¹·row; dot4 multiplies its pairs either way round.
 	last := nl.Data[n*m : n*m+n]
-	for j := 0; j < n; j++ {
-		rowj := nl.Data[j*m : j*m+j]
-		s := row[j] - dot4(last[:j], rowj)
-		last[j] = s / nl.Data[j*m+j]
-	}
+	c.SolveLowerInto(last, row)
 	d := diag - dot4(last, last)
 	if d <= 0 || math.IsNaN(d) {
 		return nil, ErrNotPositiveDefinite
@@ -167,11 +164,39 @@ func (c *Cholesky) Extend(row []float64, diag float64) (*Cholesky, error) {
 // SolveLowerInto solves the triangular system L·y = b into the preallocated
 // dst (forward substitution only). The GP grid search uses it to get the
 // quadratic form yᵀA⁻¹y = ‖L⁻¹y‖² without the backward half of a full solve.
-// dst and b may alias.
+// dst and b may alias. Row i is (b[i] − dot4(L[i,:i], y[:i]))/L[i][i]; with
+// the kernels on, rows run in blocks of four from a row i ≡ 0 mod 4, whose
+// prefix y[:i] is whole quads for all four: one kernel call accumulates the
+// four rows' lanes over it, then row i+r adds its r tail products to lane 0
+// in order and reduces as (s0+s1)+(s2+s3) — dot4's arithmetic, row by row.
 func (c *Cholesky) SolveLowerInto(dst, b []float64) {
 	n := c.L.R
 	ld := c.L.Data
-	for i := 0; i < n; i++ {
+	i := 0
+	if useAVX2 {
+		var acc [16]float64 // all +0 for the first block, whose prefix is empty
+		for ; i+4 <= n; i += 4 {
+			if i > 0 {
+				solveLower4AVX2(&acc, &ld[i*n], n, &dst[0], i)
+			}
+			// Row i+r is acc[4r:4r+4] with its r tail products added to
+			// lane 0, written out row by row.
+			y, bb := dst[i:i+4:i+4], b[i:i+4:i+4]
+			l0, l1 := ld[i*n+i:][:1], ld[(i+1)*n+i:][:2]
+			l2, l3 := ld[(i+2)*n+i:][:3], ld[(i+3)*n+i:][:4]
+			y[0] = (bb[0] - ((acc[0] + acc[1]) + (acc[2] + acc[3]))) / l0[0]
+			s := acc[4] + l1[0]*y[0]
+			y[1] = (bb[1] - ((s + acc[5]) + (acc[6] + acc[7]))) / l1[1]
+			s = acc[8] + l2[0]*y[0]
+			s += l2[1] * y[1]
+			y[2] = (bb[2] - ((s + acc[9]) + (acc[10] + acc[11]))) / l2[2]
+			s = acc[12] + l3[0]*y[0]
+			s += l3[1] * y[1]
+			s += l3[2] * y[2]
+			y[3] = (bb[3] - ((s + acc[13]) + (acc[14] + acc[15]))) / l3[3]
+		}
+	}
+	for ; i < n; i++ {
 		s := b[i] - dot4(ld[i*n:i*n+i], dst[:i])
 		dst[i] = s / ld[i*n+i]
 	}

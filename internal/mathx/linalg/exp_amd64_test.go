@@ -195,11 +195,7 @@ func BenchmarkExpInto(b *testing.B) {
 	fill(src, func() float64 { return -30 * r.Float64() })
 	dst := make([]float64, len(src))
 	for _, on := range []bool{true, false} {
-		name := "loop"
-		if on {
-			name = "kernel"
-		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(kernelLabel(on), func(b *testing.B) {
 			ForceKernel(b, on)
 			for b.Loop() {
 				ExpInto(dst, src)

@@ -3,8 +3,8 @@ package linalg
 import "math"
 
 // useAVX2 selects the assembly kernels in kernel_amd64.s over the Go loops
-// in cholesky.go and exp.go. It is decided once, here; only tests assign it
-// again, to run both paths on one host.
+// in cholesky.go, exp.go and rows.go. It is decided once, here; only tests
+// assign it again, to run both paths on one host.
 var useAVX2 = detectAVX2() && expKernelMatches()
 
 // detectAVX2 reports whether the CPU has AVX2 and FMA and the OS saves the
@@ -69,6 +69,31 @@ func dot4AVX2(a, b *float64, n int) float64
 //
 //go:noescape
 func cholColumnAVX2(l, a *float64, n, j, i, groups int, d float64)
+
+// solveLower4AVX2 sets acc[4r+q] to lane q of dot4's accumulator for row r
+// of the four rows at l, l+stride, l+2·stride, l+3·stride over their first n
+// elements against x[:n]; n is a multiple of 4.
+//
+//go:noescape
+func solveLower4AVX2(acc *[16]float64, l *float64, stride int, x *float64, n int)
+
+// sqDistsColsAVX2 is SqDistsCols over the first n rows, n a multiple of 4,
+// bit for bit.
+//
+//go:noescape
+func sqDistsColsAVX2(dst, cols *float64, stride, n int, p *float64, d int)
+
+// maternArgAVX2 is MaternArgInto's loop over the whole quads of n, bit for
+// bit.
+//
+//go:noescape
+func maternArgAVX2(r, arg *float64, n int, l, sqrt5 float64)
+
+// maternScaleAVX2 is MaternScaleInto's loop over the whole quads of n, bit
+// for bit.
+//
+//go:noescape
+func maternScaleAVX2(k, e *float64, n int, sv, sqrt5 float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -271,3 +271,222 @@ exp_done:
 	SHRQ         $3, CX
 	MOVQ         CX, ret+24(FP)
 	RET
+
+// func solveLower4AVX2(acc *[16]float64, l *float64, stride int, x *float64, n int)
+//
+// The shared prefix of four rows of a forward substitution: for the rows at
+// l, l+stride, l+2·stride and l+3·stride (stride in elements), acc[4r+q] is
+// lane q of dot4's accumulator for row r over its first n elements against
+// x[:n], n a multiple of 4. Like cholColumnAVX2, the rows share each load of
+// x and keep one accumulator register apiece; the caller adds each row's
+// tail to lane 0 and reduces.
+TEXT ·solveLower4AVX2(SB), NOSPLIT, $0-40
+	MOVQ   acc+0(FP), DI
+	MOVQ   l+8(FP), SI
+	MOVQ   stride+16(FP), R11
+	MOVQ   x+24(FP), BX
+	MOVQ   n+32(FP), DX
+	SHLQ   $3, R11           // R11 = row stride in bytes
+	SHLQ   $3, DX            // DX = n*8, end offset of the prefix
+	LEAQ   (SI)(R11*1), R8
+	LEAQ   (SI)(R11*2), R9
+	LEAQ   (R8)(R11*2), R10
+	XORQ   CX, CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	CMPQ   CX, DX
+	JEQ    sl_store
+
+sl_quad:
+	VMOVUPD (BX)(CX*1), Y4
+	VMULPD  (SI)(CX*1), Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	VMULPD  (R8)(CX*1), Y4, Y6
+	VADDPD  Y6, Y1, Y1
+	VMULPD  (R9)(CX*1), Y4, Y7
+	VADDPD  Y7, Y2, Y2
+	VMULPD  (R10)(CX*1), Y4, Y8
+	VADDPD  Y8, Y3, Y3
+	ADDQ    $32, CX
+	CMPQ    CX, DX
+	JNE     sl_quad
+
+sl_store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func sqDistsColsAVX2(dst, cols *float64, stride, n int, p *float64, d int)
+//
+// dst[i] = Σ_k (cols[k·stride+i] − p[k])² for i < n, n a multiple of 4: one
+// row per lane, 16 rows per pass (four quads), then a quad per pass. Each
+// lane starts at +0 and adds (c−p)·(c−p) for k = 0 … d−1 — the one-row
+// loop's operations in its order.
+TEXT ·sqDistsColsAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ cols+8(FP), SI
+	MOVQ stride+16(FP), R11
+	MOVQ n+24(FP), DX
+	MOVQ p+32(FP), BX
+	MOVQ d+40(FP), R12
+	SHLQ $3, R11           // R11 = column stride in bytes
+	SHLQ $3, DX            // DX = n*8, end offset of the rows
+	LEAQ (BX)(R12*8), R12  // R12 = &p[d]
+	XORQ CX, CX            // CX = offset of the pass's first row
+
+sd_pass16:
+	MOVQ   DX, AX
+	SUBQ   CX, AX
+	CMPQ   AX, $128
+	JLT    sd_pass4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	LEAQ   (SI)(CX*1), R8  // R8 = &cols[k·stride+i], k = 0
+	MOVQ   BX, R9          // R9 = &p[k]
+	CMPQ   R9, R12
+	JEQ    sd_store16
+
+sd_k16:
+	VBROADCASTSD (R9), Y4
+	VMOVUPD      (R8), Y5
+	VSUBPD       Y4, Y5, Y5
+	VMULPD       Y5, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VMOVUPD      32(R8), Y6
+	VSUBPD       Y4, Y6, Y6
+	VMULPD       Y6, Y6, Y6
+	VADDPD       Y6, Y1, Y1
+	VMOVUPD      64(R8), Y7
+	VSUBPD       Y4, Y7, Y7
+	VMULPD       Y7, Y7, Y7
+	VADDPD       Y7, Y2, Y2
+	VMOVUPD      96(R8), Y8
+	VSUBPD       Y4, Y8, Y8
+	VMULPD       Y8, Y8, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         R11, R8
+	ADDQ         $8, R9
+	CMPQ         R9, R12
+	JNE          sd_k16
+
+sd_store16:
+	VMOVUPD Y0, (DI)(CX*1)
+	VMOVUPD Y1, 32(DI)(CX*1)
+	VMOVUPD Y2, 64(DI)(CX*1)
+	VMOVUPD Y3, 96(DI)(CX*1)
+	ADDQ    $128, CX
+	JMP     sd_pass16
+
+sd_pass4:
+	CMPQ   CX, DX
+	JEQ    sd_done
+	VXORPD Y0, Y0, Y0
+	LEAQ   (SI)(CX*1), R8
+	MOVQ   BX, R9
+	CMPQ   R9, R12
+	JEQ    sd_store4
+
+sd_k4:
+	VBROADCASTSD (R9), Y4
+	VMOVUPD      (R8), Y5
+	VSUBPD       Y4, Y5, Y5
+	VMULPD       Y5, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         R11, R8
+	ADDQ         $8, R9
+	CMPQ         R9, R12
+	JNE          sd_k4
+
+sd_store4:
+	VMOVUPD Y0, (DI)(CX*1)
+	ADDQ    $32, CX
+	JMP     sd_pass4
+
+sd_done:
+	VZEROUPPER
+	RET
+
+// The Matérn 5/2 passes of gp's kernel row, four lanes at a time. Constants
+// come in by VBROADCASTSD, from memory or the argument frame: only
+// VEX-encoded instructions run, as in the exp kernel.
+DATA maternconst<>+0(SB)/8, $0x8000000000000000 // sign bit, for −x
+DATA maternconst<>+8(SB)/8, $1.0
+DATA maternconst<>+16(SB)/8, $5.0
+DATA maternconst<>+24(SB)/8, $3.0
+GLOBL maternconst<>(SB), RODATA|NOPTR, $32
+
+// func maternArgAVX2(r, arg *float64, n int, l, sqrt5 float64)
+//
+// For the whole quads of n: r[i] = √r[i] / l, then arg[i] = −(sqrt5·r[i]).
+TEXT ·maternArgAVX2(SB), NOSPLIT, $0-40
+	MOVQ         r+0(FP), DI
+	MOVQ         arg+8(FP), SI
+	MOVQ         n+16(FP), DX
+	VBROADCASTSD l+24(FP), Y12
+	VBROADCASTSD sqrt5+32(FP), Y13
+	VBROADCASTSD maternconst<>+0(SB), Y14
+	SHLQ         $3, DX
+	ANDQ         $~31, DX
+	XORQ         CX, CX
+	CMPQ         CX, DX
+	JEQ          ma_done
+
+ma_quad:
+	VSQRTPD (DI)(CX*1), Y0
+	VDIVPD  Y12, Y0, Y0
+	VMOVUPD Y0, (DI)(CX*1)
+	VMULPD  Y13, Y0, Y1
+	VXORPD  Y14, Y1, Y1
+	VMOVUPD Y1, (SI)(CX*1)
+	ADDQ    $32, CX
+	CMPQ    CX, DX
+	JNE     ma_quad
+
+ma_done:
+	VZEROUPPER
+	RET
+
+// func maternScaleAVX2(k, e *float64, n int, sv, sqrt5 float64)
+//
+// For the whole quads of n, with r = k[i]:
+// k[i] = sv·(((1 + sqrt5·r) + ((5·r)·r)/3)·e[i]).
+TEXT ·maternScaleAVX2(SB), NOSPLIT, $0-40
+	MOVQ         k+0(FP), DI
+	MOVQ         e+8(FP), SI
+	MOVQ         n+16(FP), DX
+	VBROADCASTSD sv+24(FP), Y12
+	VBROADCASTSD sqrt5+32(FP), Y13
+	VBROADCASTSD maternconst<>+8(SB), Y14  // 1
+	VBROADCASTSD maternconst<>+16(SB), Y15 // 5
+	VBROADCASTSD maternconst<>+24(SB), Y11 // 3
+	SHLQ         $3, DX
+	ANDQ         $~31, DX
+	XORQ         CX, CX
+	CMPQ         CX, DX
+	JEQ          ms_done
+
+ms_quad:
+	VMOVUPD (DI)(CX*1), Y0  // r
+	VMULPD  Y13, Y0, Y1     // s5 = sqrt5·r
+	VADDPD  Y14, Y1, Y1     // 1 + s5
+	VMULPD  Y15, Y0, Y2     // 5·r
+	VMULPD  Y0, Y2, Y2      // (5·r)·r
+	VDIVPD  Y11, Y2, Y2     // /3
+	VADDPD  Y2, Y1, Y1
+	VMULPD  (SI)(CX*1), Y1, Y1
+	VMULPD  Y12, Y1, Y1
+	VMOVUPD Y1, (DI)(CX*1)
+	ADDQ    $32, CX
+	CMPQ    CX, DX
+	JNE     ms_quad
+
+ms_done:
+	VZEROUPPER
+	RET

@@ -258,8 +258,8 @@ func TestCholeskyExtendBitIdenticalOnBothKernelsRace3(t *testing.T) {
 	TestCholeskyExtendBitIdenticalOnBothKernels(t)
 }
 
-// The triangular solves reach the kernel only through dot4; one check that
-// they do, at a size whose rows straddle kernelMinLen.
+// A full solve: the forward half in blocks of four rows, the backward half
+// scalar; one check at sizes around kernelMinLen and each n mod 4.
 func TestSolveKernelMatchesGoLoop(t *testing.T) {
 	ForceKernel(t, true)
 	r := rand.New(rand.NewSource(29))
@@ -281,6 +281,128 @@ func TestSolveKernelMatchesGoLoop(t *testing.T) {
 
 func TestSolveKernelMatchesGoLoopRace3(t *testing.T) { TestSolveKernelMatchesGoLoop(t) }
 
+// solveLowerDef is SolveLowerInto's definition, row by row: y[i] =
+// (b[i] − dot4(L[i,:i], y[:i]))/L[i][i], dot4 as its Go loop.
+func solveLowerDef(l *Matrix, b []float64) []float64 {
+	n := l.R
+	y := make([]float64, n)
+	for i := range y {
+		row := l.Data[i*n : i*n+i]
+		var s0, s1, s2, s3 float64
+		k := 0
+		for ; k+4 <= i; k += 4 {
+			s0 += row[k] * y[k]
+			s1 += row[k+1] * y[k+1]
+			s2 += row[k+2] * y[k+2]
+			s3 += row[k+3] * y[k+3]
+		}
+		for ; k < i; k++ {
+			s0 += row[k] * y[k]
+		}
+		y[i] = (b[i] - ((s0 + s1) + (s2 + s3))) / l.Data[i*n+i]
+	}
+	return y
+}
+
+// checkSolveLower holds SolveLowerInto on the selected path to its
+// definition, into a separate dst and into b itself (SolveVecInto solves in
+// place).
+func checkSolveLower(t testing.TB, label string, l *Matrix, b []float64) {
+	t.Helper()
+	want := solveLowerDef(l, b)
+	ch := &Cholesky{L: l}
+	got := make([]float64, l.R)
+	ch.SolveLowerInto(got, b)
+	if at := sameFloats(want, got); at >= 0 {
+		t.Fatalf("%s n=%d kernel=%s: y[%d] = %x, definition %x", label, l.R, Kernel(), at,
+			math.Float64bits(got[at]), math.Float64bits(want[at]))
+	}
+	inPlace := append([]float64(nil), b...)
+	ch.SolveLowerInto(inPlace, inPlace)
+	if at := sameFloats(want, inPlace); at >= 0 {
+		t.Fatalf("%s n=%d kernel=%s in place: y[%d] = %x, definition %x", label, l.R, Kernel(), at,
+			math.Float64bits(inPlace[at]), math.Float64bits(want[at]))
+	}
+}
+
+// Every n from 0 to 300 — each n mod 4, and the rows under kernelMinLen the
+// blocked path also takes — on the leading blocks of a real factor, where
+// the sums are the size of b and a reordered add shows in y, and on
+// arbitrary lower triangles holding ±0, denormals, NaN and ±Inf, with the
+// selector forced each way.
+func TestSolveLowerKernelMatchesGoLoop(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		t.Run(fmt.Sprintf("avx2=%v", on), func(t *testing.T) {
+			ForceKernel(t, on)
+			const maxN = 300
+			r := rand.New(rand.NewSource(37))
+			factor, err := NewCholesky(randSPD(maxN, r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf, b := make([]float64, maxN*maxN), make([]float64, maxN)
+			draws := map[string]func() float64{
+				"factor": r.NormFloat64,
+				"nasty":  func() float64 { return nastyValue(r) },
+				"naninf": func() float64 {
+					switch r.Intn(200) {
+					case 0:
+						return math.NaN()
+					case 1:
+						return math.Inf(1 - 2*r.Intn(2))
+					}
+					return nastyValue(r)
+				},
+			}
+			for _, name := range []string{"factor", "nasty", "naninf"} {
+				fill(buf, draws[name])
+				fill(b, draws[name])
+				for n := 0; n <= maxN; n++ {
+					l := &Matrix{R: n, C: n, Data: buf[:n*n]}
+					if name == "factor" { // the leading n×n block of a factor is one
+						l = New(n, n)
+						for i := 0; i < n; i++ {
+							copy(l.Data[i*n:i*n+i+1], factor.L.Data[i*maxN:i*maxN+i+1])
+						}
+					}
+					checkSolveLower(t, name, l, b[:n])
+				}
+			}
+		})
+	}
+}
+
+func TestSolveLowerKernelMatchesGoLoopRace3(t *testing.T) { TestSolveLowerKernelMatchesGoLoop(t) }
+
+// BenchmarkSolveLower is one forward substitution at the sizes a GP tuner
+// predicts at: the sparse tier's m = 64 and the exact tier's last n = 160.
+func BenchmarkSolveLower(b *testing.B) {
+	for _, n := range []int{64, 160} {
+		ch, err := NewCholesky(benchSPD(n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rhs, y := make([]float64, n), make([]float64, n)
+		fill(rhs, rand.New(rand.NewSource(5)).NormFloat64)
+		for _, on := range []bool{true, false} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, kernelLabel(on)), func(b *testing.B) {
+				ForceKernel(b, on)
+				for b.Loop() {
+					ch.SolveLowerInto(y, rhs)
+				}
+			})
+		}
+	}
+}
+
+// kernelLabel names a benchmark's path.
+func kernelLabel(on bool) string {
+	if on {
+		return "kernel"
+	}
+	return "loop"
+}
+
 func TestKernelName(t *testing.T) {
 	ForceKernel(t, true)
 	if got := Kernel(); got != "avx2" {
@@ -293,10 +415,12 @@ func TestKernelName(t *testing.T) {
 }
 
 // FuzzKernels reads the input as float64s and holds the kernels to the
-// contract on them: all of them as exponents, the two halves as a dot
-// product at a data-dependent alignment, and the largest square that fits as
-// both a matrix to factor and a half-finished factor to take one column step
-// on.
+// contract on them: all of them as exponents, as squared distances and
+// exponentials of the Matérn passes, and as a column-major copy of rows to
+// measure distances to; the two halves as a dot product at a data-dependent
+// alignment; and the largest square that fits as a matrix to factor, a
+// half-finished factor to take one column step on, and a lower triangle to
+// solve against.
 func FuzzKernels(f *testing.F) {
 	seed := func(xs ...float64) {
 		b := make([]byte, 0, 8*len(xs))
@@ -329,6 +453,25 @@ func FuzzKernels(f *testing.F) {
 				t.Fatalf("ExpInto[%d] of %d: exp(%v) = %x, math.Exp %x", i, len(xs), x, math.Float64bits(got[i]), math.Float64bits(math.Exp(x)))
 			}
 		}
+		if len(xs) > 0 {
+			e := make([]float64, len(xs))
+			for i, x := range xs {
+				e[len(xs)-1-i] = x
+			}
+			checkMatern(t, "fuzz", xs, e, xs[0], xs[len(xs)-1])
+		}
+		if d := 1 + len(data)%5; len(xs) > d {
+			p, cols := xs[:d], xs[d:]
+			stride := len(cols) / d
+			n := max(stride-len(data)%3, 0)
+			rows := make([]float64, n*d)
+			for i := 0; i < n; i++ {
+				for k := 0; k < d; k++ {
+					rows[i*d+k] = cols[k*stride+i]
+				}
+			}
+			checkSqDistsCols(t, "fuzz", rows, cols, stride, 0, n, p)
+		}
 		half := len(xs) / 2
 		off := len(data) % 4
 		if off > half {
@@ -356,5 +499,6 @@ func FuzzKernels(f *testing.F) {
 		if at := sameFloats(cref, ckern); at >= 0 {
 			t.Fatalf("column step n=%d j=%d differs at row %d", n, j, j+1+at)
 		}
+		checkSolveLower(t, "fuzz", m, xs[len(xs)-n:])
 	})
 }

@@ -84,8 +84,12 @@ stage() {
 		GOARCH=arm64 go build ./...
 		GOARCH=arm64 go vet ./internal/mathx/...
 		# math.Exp runs its SSE path here, so the probe must turn the exp
-		# kernel off and ExpInto must still be math.Exp (DESIGN §9).
-		GODEBUG=cpu.fma=off go test -count=1 -run 'Exp|Kernel' ./internal/mathx/linalg
+		# kernel off and ExpInto must still be math.Exp (DESIGN §9); the other
+		# kernels step aside with it, and their Go loops (the forward solve,
+		# the column distances, the Matérn passes) must still be the
+		# definitions, in linalg and in gp's kernel row.
+		GODEBUG=cpu.fma=off go test -count=1 -run 'Exp|Kernel|Solve|Extend' ./internal/mathx/linalg
+		GODEBUG=cpu.fma=off go test -count=1 -run 'KernelRow' ./internal/mathx/gp
 		# arm64 may fuse x*y+z into one rounding, so the simulators' results
 		# are bit for bit there only while their fused sites stay as counted
 		# here (DESIGN §5). A change that moves a count says why in CHANGES.md.
@@ -128,7 +132,7 @@ stage() {
 	loc) scripts/loc.sh ;;
 	bench-smoke)
 		# One iteration of each kernel benchmark, beside the package it measures.
-		go test -run '^$' -bench 'GPFit/n=60|KernelRow|ExpInto|SurrogateFit/tier=sparse/n=500|CholeskyInto/n=(12|160)|BlockedCholesky/parallel/n=256|CheckpointSession|FeatureIndex(Build|Nearest)/n=100000|EventJSON|RecordJSON|Simulate|ListSchedule|Noise' \
+		go test -run '^$' -bench 'GPFit/n=60|KernelRow|ExpInto|SolveLower|SqDists|SurrogateFit/tier=sparse/n=500|CholeskyInto/n=(12|160)|BlockedCholesky/parallel/n=256|CheckpointSession|FeatureIndex(Build|Nearest)/n=100000|EventJSON|RecordJSON|Simulate|ListSchedule|Noise' \
 			-benchtime=1x ./internal/mathx/... ./internal/tune ./internal/tune/store ./internal/sysmodel/...
 		;;
 	benchtab)
