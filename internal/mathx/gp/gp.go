@@ -50,12 +50,6 @@ const (
 // stride.
 const exactAppendRoom = 16
 
-// blockedFitMinN is the training-set size at which refit switches from the
-// serial Cholesky to the blocked parallel factorization. It sits far above
-// every golden-pinned fit (n ≤ ~80), so recorded exact-GP event streams keep
-// their exact bits.
-const blockedFitMinN = 256
-
 // Hyper holds GP hyperparameters: signal variance, lengthscale, and
 // observation noise standard deviation — all in standardized-y units.
 type Hyper struct {
@@ -127,8 +121,7 @@ func (g *GP) Fit(x [][]float64, y []float64, optimize bool) error {
 }
 
 // expChunk is how many kernel values kernelRow hands linalg.ExpInto at once:
-// its scratch is a stack array of this size, so rows built concurrently
-// (SparseGP.refit's workers) share nothing.
+// its scratch is a stack array of this size.
 const expChunk = 64
 
 // kernelRow overwrites row, which holds squared distances, with sv·k(d²) at
@@ -246,22 +239,6 @@ func kernelMatrixInto(kernel KernelKind, k, d2 *linalg.Matrix, sv, l float64) {
 	}
 }
 
-// factorInPlaceWithJitter factors k into l, adding exponentially growing
-// jitter to k's diagonal until factorization succeeds (the workspace form of
-// linalg.CholeskyWithJitter; k is scratch and may be mutated).
-func factorInPlaceWithJitter(k, l *linalg.Matrix, jitter float64, maxTries int) (float64, bool) {
-	added := 0.0
-	for try := 0; try < maxTries; try++ {
-		if linalg.CholeskyInto(k, l) == nil {
-			return added, true
-		}
-		step := jitter * math.Pow(10, float64(try))
-		k.AddDiag(step)
-		added += step
-	}
-	return added, false
-}
-
 // refit factors the kernel matrix for the current hyperparameters and solves
 // for alpha. The kernel matrix derives from the distance cache.
 func (g *GP) refit() error {
@@ -270,19 +247,8 @@ func (g *GP) refit() error {
 	kernelMatrixInto(g.Kernel, k, g.d2, g.Hyper.SignalVar, g.Hyper.Lengthscale)
 	noise := g.Hyper.NoiseStd * g.Hyper.NoiseStd
 	k.AddDiag(noise + 1e-8)
-	var (
-		ch    *linalg.Cholesky
-		added float64
-		err   error
-	)
-	if n >= blockedFitMinN {
-		// Large fits amortize goroutine fan-out: the blocked factorization is
-		// bit-identical at every worker count, though not to the serial path —
-		// which is why the threshold sits far above every golden-pinned fit.
-		ch, added, err = linalg.ParallelCholeskyWithJitter(k, 1e-8, 8, 0)
-	} else {
-		ch, added, err = linalg.CholeskyWithJitter(k, 1e-8, 8)
-	}
+	l := linalg.New(n, n)
+	added, err := linalg.CholeskyWithJitter(k, l)
 	if err != nil {
 		// Invalidate rather than leave a factor sized for the previous
 		// training set: Predict then reports total uncertainty instead of
@@ -290,10 +256,10 @@ func (g *GP) refit() error {
 		g.chol = nil
 		return err
 	}
-	g.chol = ch
+	g.chol = &linalg.Cholesky{L: l}
 	g.jitter = added
 	g.alpha = resize(g.alpha, n)
-	ch.SolveVecInto(g.alpha, g.ys)
+	g.chol.SolveVecInto(g.alpha, g.ys)
 	g.growWorkspaces(n)
 	return nil
 }
@@ -393,7 +359,7 @@ func (g *GP) optimizeHypers() {
 					}
 				}
 				k.AddDiag(noise + 1e-8)
-				if _, ok := factorInPlaceWithJitter(k, ch.L, 1e-8, 8); !ok {
+				if _, err := linalg.CholeskyWithJitter(k, ch.L); err != nil {
 					continue
 				}
 				// yᵀK⁻¹y = ‖L⁻¹y‖²: the forward half of the solve suffices.

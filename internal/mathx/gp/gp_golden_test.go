@@ -59,8 +59,8 @@ func (g *naiveGP) refit() error {
 	}
 	noise := g.hyper.NoiseStd * g.hyper.NoiseStd
 	k.AddDiag(noise + 1e-8)
-	ch, _, err := linalg.CholeskyWithJitter(k, 1e-8, 8)
-	if err != nil {
+	ch := &linalg.Cholesky{L: linalg.New(n, n)}
+	if _, err := linalg.CholeskyWithJitter(k, ch.L); err != nil {
 		return err
 	}
 	g.chol = ch

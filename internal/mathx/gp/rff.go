@@ -3,7 +3,6 @@ package gp
 import (
 	"errors"
 	"math"
-	"runtime"
 
 	"repro/internal/mathx/linalg"
 	"repro/internal/mathx/xrand"
@@ -28,9 +27,6 @@ type RFF struct {
 	Hyper  Hyper
 	// Seed drives the spectral sampling (default 0 — still deterministic).
 	Seed int64
-	// Workers bounds the fan-out of the parallel fit stages
-	// (0 = GOMAXPROCS). Results are bit-identical at every value.
-	Workers int
 	// featureCount is the random feature count D (0 = DefaultFeatures); only
 	// gp's tests set it.
 	featureCount int
@@ -63,13 +59,6 @@ func (r *RFF) features() int {
 		return r.featureCount
 	}
 	return DefaultFeatures
-}
-
-func (r *RFF) workers() int {
-	if r.Workers > 0 {
-		return r.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // sampleSpectrum draws the D×d unit-lengthscale frequency matrix and D
@@ -143,21 +132,15 @@ func (r *RFF) refit() error {
 	D := r.w0.R
 	r.phi = newRows(n, D, DefaultInducing/2)
 	xd := r.x.Data
-	parallelGram((n+255)/256, r.workers(), func(c int) {
-		lo, hi := c*256, (c+1)*256
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			r.featureInto(r.phi.Data[i*D:(i+1)*D], xd[i*d:(i+1)*d])
-		}
-	})
+	for i := 0; i < n; i++ {
+		r.featureInto(r.phi.Data[i*D:(i+1)*D], xd[i*d:(i+1)*d])
+	}
 	r.noise = r.Hyper.NoiseStd*r.Hyper.NoiseStd + 1e-8
-	base := linalg.New(D, D)
-	base.AddDiag(r.noise)
-	g := accumGram(base, r.phi, nil, r.workers())
-	lg, _, err := linalg.CholeskyWithJitter(g, 1e-8, 8)
-	if err != nil {
+	g := linalg.New(D, D)
+	g.AddDiag(r.noise)
+	accumGram(g, r.phi, nil)
+	lg := &linalg.Cholesky{L: linalg.New(D, D)}
+	if _, err := linalg.CholeskyWithJitter(g, lg.L); err != nil {
 		r.lg = nil
 		return err
 	}

@@ -3,7 +3,6 @@ package gp
 import (
 	"errors"
 	"math"
-	"runtime"
 
 	"repro/internal/mathx/linalg"
 )
@@ -30,9 +29,6 @@ import (
 type SparseGP struct {
 	Kernel KernelKind
 	Hyper  Hyper
-	// Workers bounds the fan-out of the parallel fit stages
-	// (0 = GOMAXPROCS). Results are bit-identical at every value.
-	Workers int
 	// inducingCap caps the inducing set size m (0 = DefaultInducing); only
 	// gp's tests set it.
 	inducingCap int
@@ -114,39 +110,33 @@ func (s *SparseGP) refit() error {
 	sv := s.Hyper.SignalVar
 	noise := s.Hyper.NoiseStd*s.Hyper.NoiseStd + 1e-8
 
-	// Kmm with jitter, factored once.
+	// Kmm with jitter, factored once. The factor is of a copy: Kmm itself
+	// seeds the information matrix A below.
 	kmm := s.z.sqDistMatrix(nil)
 	kernelMatrixInto(s.Kernel, kmm, kmm, sv, s.Hyper.Lengthscale)
 	kmm.AddDiag(1e-8)
-	lm, added, err := linalg.CholeskyWithJitter(kmm, 1e-8, 8)
+	lm := &linalg.Cholesky{L: linalg.New(m, m)}
+	added, err := linalg.CholeskyWithJitter(kmm.Clone(), lm.L)
 	if err != nil {
 		s.invalidate()
 		return err
 	}
 	s.lm, s.jitterKmm = lm, added
 
-	// Cross-kernel rows and the whitened rows V = (Lmm⁻¹·Knmᵀ)ᵀ.
+	// Cross-kernel rows, and the FITC diagonal from each row whitened by
+	// Lmm: prior variance minus the Nyström explained part, plus noise;
+	// floored to keep the weights finite on duplicated points.
 	s.knm = newRows(n, m, s.appendRoom())
-	xd := s.x.Data
-	parallelGram((n+255)/256, s.workers(), func(c int) {
-		lo, hi := c*256, (c+1)*256
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			s.kernelRowInto(s.knm.Data[i*m:(i+1)*m], xd[i*d:(i+1)*d])
-		}
-	})
-	v := linalg.New(n, m)
-	lm.SolveLowerEach(v, s.knm, s.workers())
-
-	// FITC diagonal: prior variance minus the Nyström explained part, plus
-	// noise; floored to keep the weights finite on duplicated points.
 	s.lam = make([]float64, n, n+s.appendRoom())
+	wts := make([]float64, n) // 1/Λᵢ
+	xd := s.x.Data
+	v := make([]float64, m)
 	for i := 0; i < n; i++ {
-		row := v.Data[i*m : (i+1)*m]
+		row := s.knm.Data[i*m : (i+1)*m]
+		s.kernelRowInto(row, xd[i*d:(i+1)*d])
+		lm.SolveLowerInto(v, row)
 		var q float64
-		for _, w := range row {
+		for _, w := range v {
 			q += w * w
 		}
 		li := sv - q + noise
@@ -154,16 +144,14 @@ func (s *SparseGP) refit() error {
 			li = 1e-10
 		}
 		s.lam[i] = li
+		wts[i] = 1 / li
 	}
 
-	// Information matrix A = Kmm + Σ kmᵢ·kmᵢᵀ/Λᵢ and its factor.
-	wts := make([]float64, n)
-	for i := range wts {
-		wts[i] = 1 / s.lam[i]
-	}
-	a := accumGram(kmm, s.knm, wts, s.workers())
-	la, _, err := linalg.CholeskyWithJitter(a, 1e-8, 8)
-	if err != nil {
+	// Information matrix A = Kmm + Σ kmᵢ·kmᵢᵀ/Λᵢ, summed into Kmm, and its
+	// factor.
+	accumGram(kmm, s.knm, wts)
+	la := &linalg.Cholesky{L: linalg.New(m, m)}
+	if _, err := linalg.CholeskyWithJitter(kmm, la.L); err != nil {
 		s.invalidate()
 		return err
 	}
@@ -187,13 +175,6 @@ func (s *SparseGP) solveAlpha() {
 		}
 	}
 	s.la.SolveVecInto(s.alpha, b)
-}
-
-func (s *SparseGP) workers() int {
-	if s.Workers > 0 {
-		return s.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (s *SparseGP) invalidate() {

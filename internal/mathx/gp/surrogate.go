@@ -3,7 +3,6 @@ package gp
 import (
 	"errors"
 	"math"
-	"sync"
 
 	"repro/internal/mathx/linalg"
 	"repro/internal/mathx/stat"
@@ -303,27 +302,21 @@ func subsetHypers(kernel KernelKind, x *linalg.Matrix, yRaw []float64, subset []
 	return g.Hyper
 }
 
-// accumGram accumulates base + Σᵢ wᵢ·rowᵢ·rowᵢᵀ over the rows of rows,
-// returning a new m×m symmetric matrix. weights may be nil (all 1). The sum
-// is chunked at a fixed width and the per-chunk partial matrices are merged
-// in chunk order, so the result is bit-identical at every worker count: the
-// chunk boundaries — not the worker count — define the floating-point
-// grouping. This is the O(n·m²) information-matrix build shared by the
-// sparse GP (A = Kmm + Kmn·Λ⁻¹·Knm) and the RFF regressor (G = ΦᵀΦ + λI).
-func accumGram(base *linalg.Matrix, rows *linalg.Matrix, weights []float64, workers int) *linalg.Matrix {
+// accumGram adds Σᵢ wᵢ·rowᵢ·rowᵢᵀ over the rows of rows into the m×m
+// symmetric matrix out. weights may be nil (all 1). The sum is chunked at a
+// fixed width of 256 rows and each chunk's partial matrix is merged into out
+// in chunk order, a single chunk too: the chunk boundaries define the
+// floating-point grouping. This is the O(n·m²) information-matrix build
+// shared by the sparse GP (A = Kmm + Kmn·Λ⁻¹·Knm) and the RFF regressor
+// (G = ΦᵀΦ + λI).
+func accumGram(out, rows *linalg.Matrix, weights []float64) {
 	const gramChunk = 256
 	n, m := rows.R, rows.C
-	out := base.Clone()
-	nchunks := (n + gramChunk - 1) / gramChunk
-	parts := make([]*linalg.Matrix, nchunks)
-	parallelGram(nchunks, workers, func(c int) {
-		p := linalg.New(m, m)
-		pd := p.Data
-		lo, hi := c*gramChunk, (c+1)*gramChunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
+	od := out.Data
+	pd := make([]float64, m*m) // the chunk's partial sum, lower triangle
+	for lo := 0; lo < n; lo += gramChunk {
+		clear(pd)
+		for i := lo; i < min(lo+gramChunk, n); i++ {
 			row := rows.Data[i*m : (i+1)*m]
 			w := 1.0
 			if weights != nil {
@@ -340,11 +333,6 @@ func accumGram(base *linalg.Matrix, rows *linalg.Matrix, weights []float64, work
 				}
 			}
 		}
-		parts[c] = p
-	})
-	od := out.Data
-	for _, p := range parts { // fixed merge order: chunk 0, 1, 2, …
-		pd := p.Data
 		for a := 0; a < m; a++ {
 			for b := 0; b <= a; b++ {
 				od[a*m+b] += pd[a*m+b]
@@ -356,36 +344,4 @@ func accumGram(base *linalg.Matrix, rows *linalg.Matrix, weights []float64, work
 			od[a*m+b] = od[b*m+a]
 		}
 	}
-	return out
-}
-
-// parallelGram runs fn(c) for c in [0, chunks) across up to workers
-// goroutines. Each chunk writes only its own slot, so scheduling order is
-// invisible in the result.
-func parallelGram(chunks, workers int, fn func(c int)) {
-	if workers <= 1 || chunks <= 1 {
-		for c := 0; c < chunks; c++ {
-			fn(c)
-		}
-		return
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	var wg sync.WaitGroup
-	step := (chunks + workers - 1) / workers
-	for lo := 0; lo < chunks; lo += step {
-		hi := lo + step
-		if hi > chunks {
-			hi = chunks
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for c := lo; c < hi; c++ {
-				fn(c)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -7,11 +7,10 @@ import (
 	"sync"
 )
 
-// This file holds the blocked, multi-core factorization path used by large
-// Gaussian-process fits. The serial CholeskyInto stays the hot path below
-// parallelMinDim — its arithmetic is pinned bit-for-bit by the golden GP
-// tests — while matrices big enough to amortize goroutine fan-out go
-// through the right-looking blocked algorithm here.
+// This file holds a blocked, multi-core factorization that no model fit
+// calls: every fit factors with the serial CholeskyInto on its caller's
+// goroutine, which beats this path at the sizes a fit reaches. It stays as
+// the benchmark's probe of a multi-core factorization.
 //
 // Determinism contract: for a fixed input and block size, the blocked
 // factorization produces bit-identical output at every worker count,
@@ -21,16 +20,15 @@ import (
 // dependency steps of each block column. How the disjoint blocks are dealt
 // to workers is therefore invisible in the result. The blocked result is
 // NOT bit-identical to the serial CholeskyInto — the trailing updates chunk
-// the inner dot products differently — which is why below-threshold exact
-// GP fits must keep using the serial path.
+// the inner dot products differently.
 
 // cholBlock is the blocked-Cholesky panel width. Changing it changes the
 // floating-point grouping (and so the exact bits); it is a constant, not a
 // knob, so recorded event streams stay reproducible across machines.
 const cholBlock = 64
 
-// parallelMinDim is the matrix dimension below which the parallel entry
-// points fall back to the serial kernels: fan-out overhead beats the win.
+// parallelMinDim is the matrix dimension below which ParallelCholeskyInto
+// falls back to the serial kernels: fan-out overhead beats the win.
 const parallelMinDim = 128
 
 // resolveWorkers maps the workers argument onto [1, GOMAXPROCS].
@@ -167,47 +165,6 @@ func ParallelCholeskyInto(a, l *Matrix, workers int) error {
 		})
 	}
 	return nil
-}
-
-// ParallelCholeskyWithJitter is CholeskyWithJitter over the blocked parallel
-// factorization: it factors a, adding exponentially growing diagonal jitter
-// until factorization succeeds, and returns the factor and the jitter added.
-func ParallelCholeskyWithJitter(a *Matrix, jitter float64, maxTries, workers int) (*Cholesky, float64, error) {
-	cur := a.Clone()
-	l := New(a.R, a.R)
-	added := 0.0
-	for try := 0; try < maxTries; try++ {
-		if err := ParallelCholeskyInto(cur, l, workers); err == nil {
-			return &Cholesky{L: l}, added, nil
-		}
-		step := jitter * math.Pow(10, float64(try))
-		cur.AddDiag(step)
-		added += step
-	}
-	return nil, added, ErrNotPositiveDefinite
-}
-
-// SolveLowerEach solves L·xᵢ = bᵢ for every row bᵢ of b, writing xᵢ into the
-// corresponding row of dst, with the independent per-row solves fanned
-// across up to workers goroutines (0 = GOMAXPROCS). dst and b must be r×n
-// for an n×n factor; dst may alias b. Each row is solved with the exact
-// serial SolveLowerInto arithmetic, so results are bit-identical at every
-// worker count. This is the batched triangular solve behind the sparse GP's
-// O(n·m²) whitening of the cross-kernel matrix.
-func (c *Cholesky) SolveLowerEach(dst, b *Matrix, workers int) {
-	n := c.L.R
-	if b.C != n || dst.C != n || dst.R != b.R {
-		panic("linalg: SolveLowerEach dimension mismatch")
-	}
-	rows := b.R
-	if rows*n < parallelMinDim*parallelMinDim {
-		workers = 1
-	}
-	parallelRanges(rows, resolveWorkers(workers), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c.SolveLowerInto(dst.Data[i*n:(i+1)*n], b.Data[i*n:(i+1)*n])
-		}
-	})
 }
 
 // Rank1Update rewrites the factor in place so that it factors A + v·vᵀ,

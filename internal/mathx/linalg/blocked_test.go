@@ -77,57 +77,6 @@ func TestParallelCholeskyRejectsIndefinite(t *testing.T) {
 	if err := ParallelCholeskyInto(a, l, 4); err != ErrNotPositiveDefinite {
 		t.Fatalf("expected ErrNotPositiveDefinite, got %v", err)
 	}
-	if _, _, err := ParallelCholeskyWithJitter(a, 1e-8, 3, 4); err != ErrNotPositiveDefinite {
-		t.Fatalf("jittered: expected ErrNotPositiveDefinite, got %v", err)
-	}
-}
-
-func TestParallelCholeskyWithJitterRecovers(t *testing.T) {
-	// Singular (rank-deficient) matrix: jitter must rescue it.
-	n := 130
-	a := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Data[i*n+j] = 1 // ones matrix, rank 1
-		}
-	}
-	ch, added, err := ParallelCholeskyWithJitter(a, 1e-8, 8, 4)
-	if err != nil {
-		t.Fatalf("jitter failed to recover: %v", err)
-	}
-	if added <= 0 {
-		t.Fatalf("expected positive jitter, got %v", added)
-	}
-	if ch.L.R != n {
-		t.Fatalf("factor size %d != %d", ch.L.R, n)
-	}
-}
-
-func TestSolveLowerEachMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n, rows := 160, 300
-	a := randSPD(n, rng)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := New(rows, n)
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	want := New(rows, n)
-	for i := 0; i < rows; i++ {
-		ch.SolveLowerInto(want.Data[i*n:(i+1)*n], b.Data[i*n:(i+1)*n])
-	}
-	for _, w := range []int{1, 2, 5} {
-		got := New(rows, n)
-		ch.SolveLowerEach(got, b, w)
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("workers=%d: bit drift at flat index %d", w, i)
-			}
-		}
-	}
 }
 
 func TestRank1UpdateMatchesRefactorization(t *testing.T) {

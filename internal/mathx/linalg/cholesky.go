@@ -240,22 +240,25 @@ func (c *Cholesky) LogDet() float64 {
 	return 2 * s
 }
 
-// CholeskyWithJitter factors a, adding exponentially growing jitter to the
-// diagonal until the factorization succeeds (up to maxTries). It returns the
-// factorization and the jitter that was needed.
-func CholeskyWithJitter(a *Matrix, jitter float64, maxTries int) (*Cholesky, float64, error) {
-	cur := a.Clone()
-	added := 0.0
-	for try := 0; try < maxTries; try++ {
-		ch, err := NewCholesky(cur)
-		if err == nil {
-			return ch, added, nil
+// jitterTries is how many diagonal jitter steps CholeskyWithJitter adds
+// before it gives up; step try is 1e-8·10^try.
+const jitterTries = 8
+
+// CholeskyWithJitter factors a into the preallocated n×n matrix l, adding
+// exponentially growing jitter (1e-8·10^try, try < jitterTries) to a's
+// diagonal in place until the factorization succeeds. It returns the jitter
+// added; a is scratch. A wrongly sized l returns CholeskyInto's dimension
+// error at once, with a unedited.
+func CholeskyWithJitter(a, l *Matrix) (added float64, err error) {
+	for try := 0; try < jitterTries; try++ {
+		if err = CholeskyInto(a, l); err != ErrNotPositiveDefinite {
+			return added, err
 		}
-		step := jitter * math.Pow(10, float64(try))
-		cur.AddDiag(step)
+		step := 1e-8 * math.Pow(10, float64(try))
+		a.AddDiag(step)
 		added += step
 	}
-	return nil, added, ErrNotPositiveDefinite
+	return added, ErrNotPositiveDefinite
 }
 
 // SolveNNLS solves min ‖X·β − y‖ subject to β ≥ 0 using projected

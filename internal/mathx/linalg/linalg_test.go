@@ -294,12 +294,58 @@ func TestSolveVecIntoMatchesSolveVec(t *testing.T) {
 func TestCholeskyWithJitterRecovers(t *testing.T) {
 	// Singular matrix: jitter should make it factorizable.
 	a := FromRows([][]float64{{1, 1}, {1, 1}})
-	ch, added, err := CholeskyWithJitter(a, 1e-10, 12)
+	l := New(2, 2)
+	added, err := CholeskyWithJitter(a, l)
 	if err != nil {
 		t.Fatalf("jitter failed: %v", err)
 	}
-	if added <= 0 || ch == nil {
-		t.Error("expected positive jitter")
+	if added <= 0 {
+		t.Errorf("expected positive jitter, got %v", added)
+	}
+	if a.At(0, 0) != 1+added || a.At(1, 1) != 1+added {
+		t.Errorf("the jitter must land on a's diagonal: %v", a.Data)
+	}
+	// l factors the jittered a.
+	want, err := NewCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.L.Data {
+		if l.Data[i] != want.L.Data[i] {
+			t.Fatalf("factor differs from the jittered matrix's at %d: %v vs %v", i, l.Data[i], want.L.Data[i])
+		}
+	}
+}
+
+// TestCholeskyWithJitterRefusesIndefinite: a matrix no jitter step rescues
+// is refused once the schedule runs out.
+func TestCholeskyWithJitterRefusesIndefinite(t *testing.T) {
+	a := FromRows([][]float64{{-1, 0, 0}, {0, -1, 0}, {0, 0, -1}})
+	added, err := CholeskyWithJitter(a, New(3, 3))
+	if err != ErrNotPositiveDefinite {
+		t.Fatalf("expected ErrNotPositiveDefinite, got %v", err)
+	}
+	if added <= 0 {
+		t.Fatalf("the schedule must have run: added %v", added)
+	}
+}
+
+// TestCholeskyWithJitterDimensionMismatch: a wrongly sized l is a dimension
+// error at once, with no jitter added to a.
+func TestCholeskyWithJitterDimensionMismatch(t *testing.T) {
+	a := FromRows([][]float64{{1, 1}, {1, 1}})
+	before := a.Clone()
+	added, err := CholeskyWithJitter(a, New(3, 3))
+	if err == nil || err == ErrNotPositiveDefinite {
+		t.Fatalf("expected the dimension error, got %v", err)
+	}
+	if added != 0 {
+		t.Fatalf("added %v jitter before reporting the dimension error", added)
+	}
+	for i := range a.Data {
+		if a.Data[i] != before.Data[i] {
+			t.Fatalf("a edited at %d: %v vs %v", i, a.Data[i], before.Data[i])
+		}
 	}
 }
 

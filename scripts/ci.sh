@@ -132,7 +132,7 @@ stage() {
 	loc) scripts/loc.sh ;;
 	bench-smoke)
 		# One iteration of each kernel benchmark, beside the package it measures.
-		go test -run '^$' -bench 'GPFit/n=60|KernelRow|ExpInto|SolveLower|SqDists|SurrogateFit/tier=sparse/n=500|CholeskyInto/n=(12|160)|BlockedCholesky/parallel/n=256|CheckpointSession|FeatureIndex(Build|Nearest)/n=100000|EventJSON|RecordJSON|Simulate|ListSchedule|Noise' \
+		go test -run '^$' -bench 'GPFit/n=(60|500)|KernelRow|ExpInto|SolveLower|SqDists|SurrogateFit/tier=sparse/n=500|CholeskyInto/n=(12|160)|BlockedCholesky/parallel/n=256|CheckpointSession|FeatureIndex(Build|Nearest)/n=100000|EventJSON|RecordJSON|Simulate|ListSchedule|Noise' \
 			-benchtime=1x ./internal/mathx/... ./internal/tune ./internal/tune/store ./internal/sysmodel/...
 		;;
 	benchtab)

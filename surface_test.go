@@ -97,6 +97,10 @@ var retiredSurfaces = []string{
 	// capability gate on parallelism, checkpoints or resume.
 	// tune.ConcurrentFidelityTarget stays as an alias of FidelityTarget.
 	`\bConcurrentTarget\b`, `\bNextRun\b`, `\.Indexed\(\)`,
+	// The GP fits' own fan-out, the exact fit's blocked branch and the second
+	// jitter loop: every fit runs on its caller's goroutine and factors with
+	// linalg.CholeskyWithJitter (TestGPStartsNoGoroutines).
+	`ParallelCholeskyWithJitter`, `SolveLowerEach`, `parallelGram`, `blockedFitMinN`,
 }
 
 // retiredAllowed maps a file that only a benchmark change may edit to the
@@ -210,6 +214,39 @@ func TestRetiredSurfacesStayRetired(t *testing.T) {
 	if len(launches) != 1 {
 		t.Errorf("want exactly one JobWithWarm call outside the harnesses (in Spec.JobOn), have %d:\n%s",
 			len(launches), strings.Join(launches, "\n"))
+	}
+}
+
+// TestGPStartsNoGoroutines: a GP fit runs on its caller's goroutine, so an
+// engine slot running a model-based session uses one CPU, as every other
+// slot does (DESIGN §4). No non-test file of package gp imports sync or
+// runtime or starts a goroutine.
+func TestGPStartsNoGoroutines(t *testing.T) {
+	names, err := filepath.Glob("internal/mathx/gp/*.go")
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no gp sources found: %v", err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if path := strings.Trim(imp.Path.Value, `"`); path == "sync" || path == "runtime" ||
+				strings.HasPrefix(path, "sync/") || strings.HasPrefix(path, "runtime/") {
+				t.Errorf("%s imports %s", fset.Position(imp.Pos()), path)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s starts a goroutine", fset.Position(g.Pos()))
+			}
+			return true
+		})
 	}
 }
 
@@ -428,8 +465,9 @@ func TestInternalAPIHasCallers(t *testing.T) {
 }
 
 // settableRoots are the structs whose exported fields are settable values:
-// the session spec with every struct it nests, and the options of the target
-// and tuner registries, the engine's job, the daemon and the evaluator fleet.
+// the session spec with every struct it nests, the options of the target and
+// tuner registries, the engine's job, the daemon and the evaluator fleet, and
+// the three GP tiers a session fits.
 var settableRoots = []struct {
 	pkg, name string
 	nested    bool
@@ -441,6 +479,9 @@ var settableRoots = []struct {
 	{"repro/internal/daemon", "Options", false},
 	{"repro/internal/dist", "PoolOptions", false},
 	{"repro/internal/dist", "EvaluatorOptions", false},
+	{"repro/internal/mathx/gp", "GP", false},
+	{"repro/internal/mathx/gp", "SparseGP", false},
+	{"repro/internal/mathx/gp", "RFF", false},
 }
 
 // settableAllowed are the settable values no program sets, each kept for the
