@@ -19,8 +19,9 @@ import (
 // mean on a held-out grid — the accuracy each cheaper tier trades for its
 // asymptotic win (exact O(n³) fit vs sparse O(nm²) vs RFF O(nD²)).
 //
-// Timings are min-of-3 wall clock so the table is stable on a loaded host;
-// agreement is fully deterministic (fixed seed, fixed hyperparameters).
+// Only agreement is stable: it is fully deterministic (fixed seed, fixed
+// hyperparameters). The fit, score and speedup columns are one run's
+// min-of-3 wall clock, and move from run to run on a loaded host.
 func Surrogate(o Options) (*Table, error) {
 	t := &Table{
 		Title: "E11 (surrogate): exact vs sparse-inducing vs RFF surrogate cost and agreement (dbms/tpch)",
@@ -130,7 +131,7 @@ func Surrogate(o Options) (*Table, error) {
 		}
 	}
 	t.Note("seed %d; hyperparameters searched once on the exact GP and shared (timed fits use optimize=false) so rows compare factorization cost; agreement = rmse of posterior means vs the exact GP over 256 held-out candidates, in training-σy units", o.Seed)
-	t.Note("timings are min-of-3 wall clock; agreement and speedup trends are the stable columns")
+	t.Note("only agreement is stable; fit, score and fit speedup are this run's min-of-3 wall clock and move between runs")
 	return t, nil
 }
 

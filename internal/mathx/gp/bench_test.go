@@ -58,8 +58,11 @@ func BenchmarkGPFit(b *testing.B) {
 }
 
 // BenchmarkSurrogateFit compares the three surrogate tiers on identical
-// training sets with fixed hyperparameters (optimize=false everywhere):
-// pure conditioning cost, exact O(n³) vs sparse O(nm²) vs RFF O(nD²).
+// training sets with fixed hyperparameters (optimize=false): pure
+// conditioning cost, exact O(n³) vs sparse O(nm²) vs RFF O(nD²). One more
+// row, tier=sparse/n=300/optimize, is a sparse fit that searches its
+// hyperparameters on its 64-point subset (subsetHypers) first, as every
+// sparse refit of a tuning session does.
 func BenchmarkSurrogateFit(b *testing.B) {
 	tiers := []struct {
 		name string
@@ -83,6 +86,15 @@ func BenchmarkSurrogateFit(b *testing.B) {
 			})
 		}
 	}
+	b.Run("tier=sparse/n=300/optimize", func(b *testing.B) {
+		xs, ys := surrogateTrainingSet(300, 7)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := gp.NewSparse(gp.Matern52).Fit(xs, ys, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkGPAppend measures incremental conditioning on one new observation

@@ -13,8 +13,10 @@
 //	K(σ², ℓ, σ_n) = σ²·B(ℓ) + (σ_n² + ε)·I
 //
 // so the 7×5×3 grid needs only 7 transcendental-heavy kernel builds — one
-// per lengthscale — with each of the 105 candidates costing a scale, a
-// diagonal add, and a Cholesky factorization into reused workspaces.
+// per lengthscale — and its 105 candidates go four to a lane block: four
+// scaled copies with their diagonal adds, factored and solved by one
+// linalg.CholeskyLanes and one linalg.SolveLowerLanes, each lane with the
+// bits of its own linalg.CholeskyInto.
 //
 // A fitted GP can also absorb one new observation with unchanged
 // hyperparameters in O(n²) via Append, which extends the Cholesky factor by
@@ -327,52 +329,102 @@ func (g *GP) Append(x []float64, y float64) error {
 	return nil
 }
 
-// optimizeHypers grid-searches lengthscale × noise × signal variance over
-// ranges suited to unit-cube inputs and standardized outputs. The grid is
-// factored: one base kernel build per lengthscale, then each (noise, signal)
-// candidate is a scale plus diagonal add into reused workspaces — 7 kernel
-// builds for 105 candidates instead of 105.
+// The hyperparameter grid: lengthscales × noise standard deviations ×
+// signal variances, over ranges suited to unit-cube inputs and standardized
+// outputs.
+var (
+	gridLengths = [...]float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2}
+	gridNoises  = [...]float64{0.01, 0.05, 0.1, 0.2, 0.4}
+	gridSignals = [...]float64{0.5, 1.0, 2.0}
+)
+
+// optimizeHypers sets g.Hyper to the grid candidate of highest
+// log-marginal likelihood, the first in scanHyperGrid's order on a tie; it
+// keeps g.Hyper when no candidate's kernel matrix factors.
 func (g *GP) optimizeHypers() {
-	lengths := []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2}
-	noises := []float64{0.01, 0.05, 0.1, 0.2, 0.4}
-	signals := []float64{0.5, 1.0, 2.0}
-	n := g.x.n
+	best := math.Inf(-1)
+	scanHyperGrid(g.Kernel, g.d2, g.ys, func(h Hyper, lm float64) {
+		if lm > best {
+			best, g.Hyper = lm, h
+		}
+	})
+}
+
+// scanHyperGrid calls visit with the log-marginal likelihood of ys under
+// every grid candidate whose kernel matrix factors, lengthscale-major, then
+// noise, then signal variance, for the inputs whose pairwise squared
+// distances are d2. The grid is factored: one base kernel build B per
+// lengthscale, and each (noise, signal) candidate is σ²·B + (σ_n² + 1e-8)·I,
+// packed four candidates to a lane block for linalg.CholeskyLanes and
+// linalg.SolveLowerLanes (the last block's spare lane repeats the last
+// candidate and is not scored).
+// A lane that succeeds is the factor linalg.CholeskyWithJitter's first,
+// jitter-free try gives; a lane that fails is rebuilt and handed to that
+// very call, so every candidate scores as on its own.
+func scanHyperGrid(kernel KernelKind, d2 *linalg.Matrix, ys []float64, visit func(h Hyper, lm float64)) {
+	const lanes = linalg.Lanes
+	candidates := len(gridNoises) * len(gridSignals)
+	n := d2.R
 	b := linalg.New(n, n)
-	k := linalg.New(n, n)
+	quads := make([]float64, lanes*n*n) // a lane block's matrices, factored in place
+	y4 := make([]float64, lanes*n)
+	z4 := make([]float64, lanes*n)
+	for i, v := range ys {
+		for c := 0; c < lanes; c++ {
+			y4[lanes*i+c] = v
+		}
+	}
+	// ch serves each lane's LogDet (which reads only the diagonal) and the
+	// jitter fallback, which rebuilds its candidate in k.
 	ch := &linalg.Cholesky{L: linalg.New(n, n)}
+	k := linalg.New(n, n)
 	z := make([]float64, n)
 	logConst := 0.5 * float64(n) * math.Log(2*math.Pi)
-	best := math.Inf(-1)
-	bestH := g.Hyper
-	for _, l := range lengths {
-		kernelMatrixInto(g.Kernel, b, g.d2, 1, l)
-		for _, nz := range noises {
-			noise := nz * nz
-			for _, sv := range signals {
-				// Only the lower triangle feeds the factorization; scaling
-				// the upper half of the candidate matrix would be wasted.
-				for i := 0; i < n; i++ {
-					brow := b.Data[i*n : i*n+i+1]
-					krow := k.Data[i*n : i*n+i+1]
-					for t, v := range brow {
-						krow[t] = sv * v
+	for _, l := range gridLengths {
+		kernelMatrixInto(kernel, b, d2, 1, l)
+		for q0 := 0; q0 < candidates; q0 += lanes {
+			var hs [lanes]Hyper
+			var sv, diag [lanes]float64
+			for c := range hs {
+				q := min(q0+c, candidates-1)
+				nz := gridNoises[q/len(gridSignals)]
+				hs[c] = Hyper{SignalVar: gridSignals[q%len(gridSignals)], Lengthscale: l, NoiseStd: nz}
+				sv[c], diag[c] = hs[c].SignalVar, nz*nz+1e-8
+			}
+			// Only the lower triangle feeds the factorization.
+			for i := 0; i < n; i++ {
+				row := quads[lanes*i*n : lanes*(i*n+i+1)]
+				linalg.ScaleLanesInto(row, b.Data[i*n:i*n+i+1], &sv)
+				for c, dg := range diag {
+					row[lanes*i+c] += dg
+				}
+			}
+			failed := linalg.CholeskyLanes(quads, quads, n)
+			// yᵀK⁻¹y = ‖L⁻¹y‖²: the forward half of the solve suffices.
+			linalg.SolveLowerLanes(z4, quads, y4, n)
+			for c := 0; c < lanes && q0+c < candidates; c++ {
+				if failed&(1<<c) == 0 {
+					for i := range z {
+						z[i] = z4[lanes*i+c]
+						ch.L.Data[i*n+i] = quads[lanes*(i*n+i)+c]
 					}
+				} else {
+					for i := 0; i < n; i++ {
+						krow := k.Data[i*n : i*n+i+1]
+						for t, v := range b.Data[i*n : i*n+i+1] {
+							krow[t] = sv[c] * v
+						}
+					}
+					k.AddDiag(diag[c])
+					if _, err := linalg.CholeskyWithJitter(k, ch.L); err != nil {
+						continue
+					}
+					ch.SolveLowerInto(z, ys)
 				}
-				k.AddDiag(noise + 1e-8)
-				if _, err := linalg.CholeskyWithJitter(k, ch.L); err != nil {
-					continue
-				}
-				// yᵀK⁻¹y = ‖L⁻¹y‖²: the forward half of the solve suffices.
-				ch.SolveLowerInto(z, g.ys)
-				lm := -0.5*linalg.Dot(z, z) - 0.5*ch.LogDet() - logConst
-				if lm > best {
-					best = lm
-					bestH = Hyper{SignalVar: sv, Lengthscale: l, NoiseStd: nz}
-				}
+				visit(hs[c], -0.5*linalg.Dot(z, z)-0.5*ch.LogDet()-logConst)
 			}
 		}
 	}
-	g.Hyper = bestH
 }
 
 // Predict returns the posterior mean and standard deviation at point p in

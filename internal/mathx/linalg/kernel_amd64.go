@@ -77,6 +77,21 @@ func cholColumnAVX2(l, a *float64, n, j, i, groups int, d float64)
 //go:noescape
 func solveLower4AVX2(acc *[16]float64, l *float64, stride int, x *float64, n int)
 
+// choleskyLanesAVX2 is CholeskyLanes for n ≥ 1, bit for bit.
+//
+//go:noescape
+func choleskyLanesAVX2(l, a *float64, n int) int
+
+// solveLowerLanesAVX2 is SolveLowerLanes for n ≥ 1, bit for bit.
+//
+//go:noescape
+func solveLowerLanesAVX2(dst, l, b *float64, n int)
+
+// scaleLanesAVX2 is ScaleLanesInto for n ≥ 1 elements of src, bit for bit.
+//
+//go:noescape
+func scaleLanesAVX2(dst, src *float64, n int, s *[Lanes]float64)
+
 // sqDistsColsAVX2 is SqDistsCols over the first n rows, n a multiple of 4,
 // bit for bit.
 //

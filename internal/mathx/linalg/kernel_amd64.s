@@ -490,3 +490,314 @@ ms_quad:
 ms_done:
 	VZEROUPPER
 	RET
+
+// The lane kernels: CholeskyLanes and SolveLowerLanes on four interleaved
+// systems (lanes.go has the layout). Lane c of every register is system c,
+// so each of dot4's partial sums s0…s3 is one register whose lanes are the
+// four systems' sums, a tail product is added to s0 as a whole vector, and
+// the reduce (s0+s1)+(s2+s3) is two vertical adds and a third: no shuffles
+// and no horizontal adds, and every lane sees exactly its Go loop's
+// operations.
+
+// func choleskyLanesAVX2(l, a *float64, n int) int
+//
+// For each column j and each row i ≥ j, with s = dot4(l[i][:j], l[j][:j])
+// per lane: l[j][j] = √(a[j][j] − s), the lane's bit set in the result when
+// !(a[j][j] − s > 0), then l[i][j] = (a[i][j] − s) / l[j][j]; row j's
+// strict upper part is zeroed. l may be a. The rows below the diagonal go
+// three to a pass, sharing each load of row j, with one set of four
+// accumulators apiece; the last rows of a column, and the diagonal, go one
+// at a time. n is read from the argument frame where needed.
+TEXT ·choleskyLanesAVX2(SB), NOSPLIT, $0-32
+	MOVQ   l+0(FP), BX       // BX = &l[j][0]
+	MOVQ   a+8(FP), DI       // DI = &a[j][j]
+	MOVQ   n+16(FP), R12
+	SHLQ   $5, R12           // R12 = row stride in bytes (n quads)
+	XORQ   R13, R13          // R13 = j
+	VXORPD Y15, Y15, Y15     // failed lanes, as compare masks
+
+cl_col:
+	MOVQ R13, DX
+	SHLQ $5, DX              // DX = byte offset of column j in a row
+	MOVQ DX, R9
+	ANDQ $~127, R9           // R9 = where the tail of a row's l[i][:j] begins
+	MOVQ BX, R8              // R8 = &l[i][0], i = j
+	MOVQ DI, R10             // R10 = &a[i][j]
+	MOVQ R13, AX             // AX = i
+
+cl_row:
+	XORQ   CX, CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	CMPQ   CX, R9
+	JEQ    cl_tail
+
+cl_quad:
+	VMOVUPD (BX)(CX*1), Y4
+	VMULPD  (R8)(CX*1), Y4, Y4
+	VADDPD  Y4, Y0, Y0
+	VMOVUPD 32(BX)(CX*1), Y5
+	VMULPD  32(R8)(CX*1), Y5, Y5
+	VADDPD  Y5, Y1, Y1
+	VMOVUPD 64(BX)(CX*1), Y6
+	VMULPD  64(R8)(CX*1), Y6, Y6
+	VADDPD  Y6, Y2, Y2
+	VMOVUPD 96(BX)(CX*1), Y7
+	VMULPD  96(R8)(CX*1), Y7, Y7
+	VADDPD  Y7, Y3, Y3
+	ADDQ    $128, CX
+	CMPQ    CX, R9
+	JNE     cl_quad
+
+cl_tail:
+	CMPQ CX, DX
+	JEQ  cl_reduce
+
+cl_one:
+	VMOVUPD (BX)(CX*1), Y4
+	VMULPD  (R8)(CX*1), Y4, Y4
+	VADDPD  Y4, Y0, Y0
+	ADDQ    $32, CX
+	CMPQ    CX, DX
+	JNE     cl_one
+
+cl_reduce:
+	VADDPD  Y1, Y0, Y0
+	VADDPD  Y3, Y2, Y2
+	VADDPD  Y2, Y0, Y0       // (s0+s1)+(s2+s3)
+	VMOVUPD (R10), Y4
+	VSUBPD  Y0, Y4, Y4       // a[i][j] − s
+	CMPQ    AX, R13
+	JNE     cl_last
+	VXORPD  Y6, Y6, Y6       // +0
+	VCMPPD  $0x1A, Y6, Y4, Y5 // !(d > 0), true on NaN
+	VORPD   Y5, Y15, Y15
+	VSQRTPD Y4, Y8           // Y8 = l[j][j], the column's divisor
+	VMOVUPD Y8, (R8)(DX*1)
+	LEAQ    32(DX), CX
+
+cl_zero:
+	CMPQ    CX, R12
+	JEQ     cl_below
+	VMOVUPD Y6, (R8)(CX*1)
+	ADDQ    $32, CX
+	JMP     cl_zero
+
+cl_last:
+	VDIVPD  Y8, Y4, Y4
+	VMOVUPD Y4, (R8)(DX*1)
+	ADDQ    R12, R8
+	ADDQ    R12, R10
+	INCQ    AX
+	JMP     cl_triples
+
+cl_below:
+	ADDQ R12, R8
+	ADDQ R12, R10
+	INCQ AX
+
+cl_triples:
+	MOVQ n+16(FP), CX
+	SUBQ AX, CX              // CX = rows left in the column
+	CMPQ CX, $3
+	JLT  cl_few
+	LEAQ (R8)(R12*1), SI     // SI = &l[i+1][0]
+	LEAQ (R8)(R12*2), R11    // R11 = &l[i+2][0]
+	XORQ   CX, CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
+	CMPQ   CX, R9
+	JEQ    cl_ttail
+
+cl_tquad:
+	VMOVUPD (BX)(CX*1), Y9
+	VMULPD  (R8)(CX*1), Y9, Y14
+	VADDPD  Y14, Y0, Y0
+	VMULPD  (SI)(CX*1), Y9, Y14
+	VADDPD  Y14, Y4, Y4
+	VMULPD  (R11)(CX*1), Y9, Y14
+	VADDPD  Y14, Y10, Y10
+	VMOVUPD 32(BX)(CX*1), Y9
+	VMULPD  32(R8)(CX*1), Y9, Y14
+	VADDPD  Y14, Y1, Y1
+	VMULPD  32(SI)(CX*1), Y9, Y14
+	VADDPD  Y14, Y5, Y5
+	VMULPD  32(R11)(CX*1), Y9, Y14
+	VADDPD  Y14, Y11, Y11
+	VMOVUPD 64(BX)(CX*1), Y9
+	VMULPD  64(R8)(CX*1), Y9, Y14
+	VADDPD  Y14, Y2, Y2
+	VMULPD  64(SI)(CX*1), Y9, Y14
+	VADDPD  Y14, Y6, Y6
+	VMULPD  64(R11)(CX*1), Y9, Y14
+	VADDPD  Y14, Y12, Y12
+	VMOVUPD 96(BX)(CX*1), Y9
+	VMULPD  96(R8)(CX*1), Y9, Y14
+	VADDPD  Y14, Y3, Y3
+	VMULPD  96(SI)(CX*1), Y9, Y14
+	VADDPD  Y14, Y7, Y7
+	VMULPD  96(R11)(CX*1), Y9, Y14
+	VADDPD  Y14, Y13, Y13
+	ADDQ    $128, CX
+	CMPQ    CX, R9
+	JNE     cl_tquad
+
+cl_ttail:
+	CMPQ CX, DX
+	JEQ  cl_treduce
+
+cl_tone:
+	VMOVUPD (BX)(CX*1), Y9
+	VMULPD  (R8)(CX*1), Y9, Y14
+	VADDPD  Y14, Y0, Y0
+	VMULPD  (SI)(CX*1), Y9, Y14
+	VADDPD  Y14, Y4, Y4
+	VMULPD  (R11)(CX*1), Y9, Y14
+	VADDPD  Y14, Y10, Y10
+	ADDQ    $32, CX
+	CMPQ    CX, DX
+	JNE     cl_tone
+
+cl_treduce:
+	VADDPD  Y1, Y0, Y0
+	VADDPD  Y3, Y2, Y2
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y5, Y4, Y4
+	VADDPD  Y7, Y6, Y6
+	VADDPD  Y6, Y4, Y4
+	VADDPD  Y11, Y10, Y10
+	VADDPD  Y13, Y12, Y12
+	VADDPD  Y12, Y10, Y10
+	VMOVUPD (R10), Y1
+	VSUBPD  Y0, Y1, Y1
+	VDIVPD  Y8, Y1, Y1
+	VMOVUPD Y1, (R8)(DX*1)
+	VMOVUPD (R10)(R12*1), Y5
+	VSUBPD  Y4, Y5, Y5
+	VDIVPD  Y8, Y5, Y5
+	VMOVUPD Y5, (SI)(DX*1)
+	VMOVUPD (R10)(R12*2), Y11
+	VSUBPD  Y10, Y11, Y11
+	VDIVPD  Y8, Y11, Y11
+	VMOVUPD Y11, (R11)(DX*1)
+	LEAQ    (R11)(R12*1), R8
+	LEAQ    (R10)(R12*2), R10
+	ADDQ    R12, R10
+	ADDQ    $3, AX
+	JMP     cl_triples
+
+cl_few:
+	CMPQ CX, $0
+	JNE  cl_row
+	ADDQ R12, BX
+	LEAQ 32(DI)(R12*1), DI
+	INCQ R13
+	CMPQ R13, n+16(FP)
+	JNE  cl_col
+	VMOVMSKPD Y15, AX
+	VZEROUPPER
+	MOVQ AX, ret+24(FP)
+	RET
+
+// func solveLowerLanesAVX2(dst, l, b *float64, n int)
+//
+// For each row i: y[i] = (b[i] − dot4(l[i][:i], y[:i])) / l[i][i] per lane,
+// y being dst. dst may be b.
+TEXT ·solveLowerLanesAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ l+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), R11
+	MOVQ R11, R12
+	SHLQ $5, R12             // R12 = row stride in bytes
+	XORQ DX, DX              // DX = byte offset of entry i, in a row and in y
+
+sl4_row:
+	MOVQ   DX, R9
+	ANDQ   $~127, R9
+	XORQ   CX, CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	CMPQ   CX, R9
+	JEQ    sl4_tail
+
+sl4_quad:
+	VMOVUPD (DI)(CX*1), Y4
+	VMULPD  (SI)(CX*1), Y4, Y4
+	VADDPD  Y4, Y0, Y0
+	VMOVUPD 32(DI)(CX*1), Y5
+	VMULPD  32(SI)(CX*1), Y5, Y5
+	VADDPD  Y5, Y1, Y1
+	VMOVUPD 64(DI)(CX*1), Y6
+	VMULPD  64(SI)(CX*1), Y6, Y6
+	VADDPD  Y6, Y2, Y2
+	VMOVUPD 96(DI)(CX*1), Y7
+	VMULPD  96(SI)(CX*1), Y7, Y7
+	VADDPD  Y7, Y3, Y3
+	ADDQ    $128, CX
+	CMPQ    CX, R9
+	JNE     sl4_quad
+
+sl4_tail:
+	CMPQ CX, DX
+	JEQ  sl4_reduce
+
+sl4_one:
+	VMOVUPD (DI)(CX*1), Y4
+	VMULPD  (SI)(CX*1), Y4, Y4
+	VADDPD  Y4, Y0, Y0
+	ADDQ    $32, CX
+	CMPQ    CX, DX
+	JNE     sl4_one
+
+sl4_reduce:
+	VADDPD  Y1, Y0, Y0
+	VADDPD  Y3, Y2, Y2
+	VADDPD  Y2, Y0, Y0
+	VMOVUPD (BX)(DX*1), Y4
+	VSUBPD  Y0, Y4, Y4
+	VDIVPD  (SI)(DX*1), Y4, Y4
+	VMOVUPD Y4, (DI)(DX*1)
+	ADDQ    R12, SI
+	ADDQ    $32, DX
+	CMPQ    DX, R12
+	JNE     sl4_row
+	VZEROUPPER
+	RET
+
+// func scaleLanesAVX2(dst, src *float64, n int, s *[4]float64)
+//
+// dst[4t+c] = src[t]·s[c] for t < n: one broadcast and one multiply per
+// element of src.
+TEXT ·scaleLanesAVX2(SB), NOSPLIT, $0-32
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    n+16(FP), DX
+	MOVQ    s+24(FP), AX
+	VMOVUPD (AX), Y1
+	LEAQ    (SI)(DX*8), DX   // DX = &src[n]
+
+sc_one:
+	VBROADCASTSD (SI), Y0
+	VMULPD       Y1, Y0, Y0
+	VMOVUPD      Y0, (DI)
+	ADDQ         $8, SI
+	ADDQ         $32, DI
+	CMPQ         SI, DX
+	JNE          sc_one
+	VZEROUPPER
+	RET

@@ -420,7 +420,7 @@ func TestKernelName(t *testing.T) {
 // measure distances to; the two halves as a dot product at a data-dependent
 // alignment; and the largest square that fits as a matrix to factor, a
 // half-finished factor to take one column step on, and a lower triangle to
-// solve against.
+// solve against; four rotations of the input as lanes to factor and solve.
 func FuzzKernels(f *testing.F) {
 	seed := func(xs ...float64) {
 		b := make([]byte, 0, 8*len(xs))
@@ -500,5 +500,6 @@ func FuzzKernels(f *testing.F) {
 			t.Fatalf("column step n=%d j=%d differs at row %d", n, j, j+1+at)
 		}
 		checkSolveLower(t, "fuzz", m, xs[len(xs)-n:])
+		fuzzLanes(t, xs)
 	})
 }

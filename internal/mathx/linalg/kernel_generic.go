@@ -19,6 +19,16 @@ func solveLower4AVX2(acc *[16]float64, l *float64, stride int, x *float64, n int
 	panic("linalg: no kernel on this GOARCH")
 }
 
+func choleskyLanesAVX2(l, a *float64, n int) int { panic("linalg: no kernel on this GOARCH") }
+
+func solveLowerLanesAVX2(dst, l, b *float64, n int) {
+	panic("linalg: no kernel on this GOARCH")
+}
+
+func scaleLanesAVX2(dst, src *float64, n int, s *[Lanes]float64) {
+	panic("linalg: no kernel on this GOARCH")
+}
+
 func sqDistsColsAVX2(dst, cols *float64, stride, n int, p *float64, d int) {
 	panic("linalg: no kernel on this GOARCH")
 }
