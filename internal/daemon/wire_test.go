@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 )
 
@@ -110,6 +111,70 @@ func TestEventWireGolden(t *testing.T) {
 		checkWire(t, wire, []string{"session_done"}, "06ea2942e00c433b4ac9c74fa74e6a2dc8680c7b587715e8df90f51bbd20e1f8")
 		del(t, ts, busy)
 	})
+}
+
+// TestConcurrentStreamsReplayIdentically: finished sessions of several
+// lengths, streamed whole and resumed by four clients at once, again and
+// again, through the pooled frame buffers and encoders: every stream
+// repeats the bytes its first reading got.
+func TestConcurrentStreamsReplayIdentically(t *testing.T) {
+	ts, _ := newTestServerWith(t, Options{Workers: 2})
+	var urls []string
+	for _, spec := range []string{
+		`{"system": "dbms", "workload": "tpch", "tuner": "random", "seed": 1, "budget": {"trials": 8}}`,
+		`{"system": "dbms", "workload": "oltp", "tuner": "ituned", "seed": 2, "budget": {"trials": 30}}`,
+		`{"system": "dbms", "workload": "tpch", "tuner": "random", "seed": 3, "budget": {"trials": 24},
+			"fidelity": {"strategy": "hyperband"}}`,
+		`{"system": "dbms", "workload": "tpch", "tuner": "random", "seed": 4, "budget": {"trials": 200}}`,
+	} {
+		id, code, body := postSpec(t, ts, spec)
+		if code != http.StatusCreated {
+			t.Fatalf("POST = %d %v", code, body)
+		}
+		waitDone(t, ts, id)
+		urls = append(urls, ts.URL+"/sessions/"+id+"/events", ts.URL+"/sessions/"+id+"/events?after=5")
+	}
+	get := func(url string) ([]byte, error) {
+		resp, err := http.Get(url)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		return io.ReadAll(resp.Body)
+	}
+	want := make([][]byte, len(urls))
+	for i, url := range urls {
+		var err error
+		if want[i], err = get(url); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				for i := range urls {
+					i := (i + c) % len(urls) // the clients interleave different streams
+					got, err := get(urls[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(got, want[i]) {
+						t.Errorf("%s: stream differs from its first reading (%d bytes, want %d)", urls[i], len(got), len(want[i]))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestConcurrentStreamsReplayIdenticallyRace3(t *testing.T) {
+	TestConcurrentStreamsReplayIdentically(t)
 }
 
 // wireBody returns the raw body of a finished session's event stream.

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strconv"
 	"sync/atomic"
+	"unsafe"
 )
 
 // The event encoder. AppendJSON is the only encoder of an Event — the
@@ -23,8 +25,11 @@ import (
 // ParetoIncumbent and GuardrailViolation; the outcome on SessionDone; the
 // summary on StreamCheckpoint and StreamLagged. A NaN or infinite float
 // anywhere in the event is an error, returned with dst unchanged.
-func (e Event) AppendJSON(dst []byte) ([]byte, error) {
-	w := jsonWriter{b: dst}
+func (e Event) AppendJSON(dst []byte) ([]byte, error) { return e.appendJSON(dst, nil) }
+
+// appendJSON is AppendJSON through a stream's memo, or through none.
+func (e Event) appendJSON(dst []byte, memo *StreamEncoder) ([]byte, error) {
+	w := jsonWriter{b: dst, memo: memo}
 	w.raw(`{"kind":`)
 	w.str(string(e.Kind))
 	w.raw(`,"seq":`)
@@ -33,16 +38,19 @@ func (e Event) AppendJSON(dst []byte) ([]byte, error) {
 	w.optFloat(`,"fidelity":`, e.Fidelity)
 	if e.Config.Dims() > 0 { // an invalid or empty config is an empty map: omitted
 		w.raw(`,"config":`)
-		w.b = e.Config.appendJSON(w.b)
+		w.config(e.Trial, e.Config)
 	}
 	switch e.Kind {
 	case TrialDone, IncumbentImproved, ParetoIncumbent:
 		w.raw(`,"result":`)
-		w.result(&e.Result)
+		w.trialResult(e.Trial, &e.Result)
 		w.optFloat(`,"sim_time_used":`, e.SimTimeUsed)
+		if e.Kind == IncumbentImproved && memo != nil {
+			memo.best = e.Trial
+		}
 	case GuardrailViolation:
 		w.raw(`,"result":`)
-		w.result(&e.Result)
+		w.trialResult(e.Trial, &e.Result)
 		w.optFloat(`,"limit":`, e.Limit)
 	case SessionDone:
 		if e.Final != nil {
@@ -63,10 +71,12 @@ func (e Event) AppendJSON(dst []byte) ([]byte, error) {
 }
 
 // jsonWriter appends JSON to b. err keeps the first failure, which can only
-// be a non-finite float.
+// be a non-finite float. memo, when set, is the SSE stream the bytes go to:
+// see StreamEncoder.
 type jsonWriter struct {
-	b   []byte
-	err error
+	b    []byte
+	err  error
+	memo *StreamEncoder
 }
 
 func (w *jsonWriter) raw(s string) { w.b = append(w.b, s...) }
@@ -141,6 +151,126 @@ func (w *jsonWriter) result(r *Result) {
 	w.raw("}")
 }
 
+// StreamEncoder encodes one event stream, an SSE subscription: Append
+// writes exactly the bytes AppendJSON writes, but renders each trial's
+// config and result once per stream. A stream writes trial N's config in
+// trial_started and again in trial_done, most incumbent_improved events,
+// session_done's trial list and best; its result in trial_done and again in
+// incumbent_improved, session_done and the summaries. The first rendering is
+// kept in one byte arena, and every later one copies those bytes — when the
+// value is provably the one rendered: for a Config the same space and the
+// same backing array of x (a Config is immutable), for a Result the same
+// scalar fields, bit for bit, and the same Metrics map (a recorded Result is
+// never mutated: recordLocked hands every event and the session's trial
+// list the same value). Anything else — a resumed stream's first trials, a
+// replayed session, a hand-built event — misses and renders afresh.
+//
+// The arena holds each trial's two objects once, so it never outgrows the
+// session_done frame the stream writes anyway. An encoder belongs to one
+// stream and one goroutine; its zero value is ready, and Reset readies it
+// for the next stream.
+type StreamEncoder struct {
+	arena  []byte
+	base   int         // trial number of trials[0]
+	trials []trialMemo // trials base, base+1, …
+	best   int         // trial of the last incumbent_improved written
+}
+
+// trialMemo is one trial's kept bytes, arena[cfg.at:cfg.end] and
+// arena[res.at:res.end] (an empty span: not written yet), and the values
+// they render.
+type trialMemo struct {
+	cfg, res span
+	config   Config
+	result   Result
+}
+
+type span struct{ at, end int }
+
+// Append appends ev as a JSON object to dst, as ev.AppendJSON(dst) does.
+func (s *StreamEncoder) Append(dst []byte, ev Event) ([]byte, error) {
+	return ev.appendJSON(dst, s)
+}
+
+// Reset forgets the stream, keeping the arena for the next one.
+func (s *StreamEncoder) Reset() {
+	clear(s.trials) // drop the configs and metric maps
+	s.arena, s.trials, s.base, s.best = s.arena[:0], s.trials[:0], 0, 0
+}
+
+// Size returns the bytes the encoder holds.
+func (s *StreamEncoder) Size() int {
+	return cap(s.arena) + cap(s.trials)*int(unsafe.Sizeof(trialMemo{}))
+}
+
+// entry returns trial n's memo, appending it after the last trial; nil for a
+// trial before the first (n ≤ 0 included) or without a memo. Trials arrive in
+// order, so a gap — a resumed stream past its opening summary — starts over
+// from n.
+func (s *StreamEncoder) entry(n int) *trialMemo {
+	if s == nil || n <= 0 || n < s.base {
+		return nil
+	}
+	i := n - s.base
+	if i > len(s.trials) {
+		s.Reset()
+		s.base, i = n, 0
+	}
+	if i == len(s.trials) {
+		s.trials = append(s.trials, trialMemo{})
+	}
+	return &s.trials[i]
+}
+
+// keep appends b to the arena and returns where it lies.
+func (s *StreamEncoder) keep(b []byte) span {
+	at := len(s.arena)
+	s.arena = append(s.arena, b...)
+	return span{at, len(s.arena)}
+}
+
+// config writes c, trial n's configuration, from the memo when it can.
+func (w *jsonWriter) config(n int, c Config) {
+	var m *trialMemo
+	if c.Dims() > 0 {
+		m = w.memo.entry(n)
+	}
+	if m != nil && m.cfg.end > 0 && c.space == m.config.space && len(c.x) == len(m.config.x) && &c.x[0] == &m.config.x[0] {
+		w.b = append(w.b, w.memo.arena[m.cfg.at:m.cfg.end]...)
+		return
+	}
+	start := len(w.b)
+	w.b = c.appendJSON(w.b)
+	if m != nil && m.cfg.end == 0 {
+		m.cfg, m.config = w.memo.keep(w.b[start:]), c
+	}
+}
+
+// trialResult writes r, trial n's result, from the memo when it can.
+func (w *jsonWriter) trialResult(n int, r *Result) {
+	m := w.memo.entry(n)
+	if m != nil && m.res.end > 0 && sameResult(r, &m.result) {
+		w.b = append(w.b, w.memo.arena[m.res.at:m.res.end]...)
+		return
+	}
+	start := len(w.b)
+	w.result(r)
+	if m != nil && m.res.end == 0 && w.err == nil {
+		m.res, m.result = w.memo.keep(w.b[start:]), *r
+	}
+}
+
+// sameResult reports whether a and b render the same bytes because they are
+// the same value: equal scalars bit for bit (0 and -0 render differently)
+// and one Metrics map.
+func sameResult(a, b *Result) bool {
+	return math.Float64bits(a.Time) == math.Float64bits(b.Time) &&
+		math.Float64bits(a.Cost) == math.Float64bits(b.Cost) &&
+		math.Float64bits(a.Fidelity) == math.Float64bits(b.Fidelity) &&
+		a.Failed == b.Failed && a.FailReason == b.FailReason &&
+		reflect.ValueOf(a.Metrics).UnsafePointer() == reflect.ValueOf(b.Metrics).UnsafePointer()
+}
+
 func (w *jsonWriter) trials(ts []Trial) {
 	w.raw("[")
 	for i := range ts {
@@ -150,9 +280,9 @@ func (w *jsonWriter) trials(ts []Trial) {
 		w.raw(`{"n":`)
 		w.int(ts[i].N)
 		w.raw(`,"config":`)
-		w.b = ts[i].Config.appendJSON(w.b)
+		w.config(ts[i].N, ts[i].Config)
 		w.raw(`,"result":`)
-		w.result(&ts[i].Result)
+		w.trialResult(ts[i].N, &ts[i].Result)
 		w.raw("}")
 	}
 	w.raw("]")
@@ -163,10 +293,16 @@ func (w *jsonWriter) tuningResult(r *TuningResult) {
 	w.str(r.Tuner)
 	w.raw(`,"target":`)
 	w.str(r.Target)
+	// The best is the last incumbent_improved this stream wrote, unless a
+	// drift re-anchor or a recommendation replaced it: identity decides.
+	best := 0
+	if w.memo != nil {
+		best = w.memo.best
+	}
 	w.raw(`,"best":`)
-	w.b = r.Best.appendJSON(w.b)
+	w.config(best, r.Best)
 	w.raw(`,"best_result":`)
-	w.result(&r.BestResult)
+	w.trialResult(best, &r.BestResult)
 	if len(r.Trials) > 0 {
 		w.raw(`,"trials":`)
 		w.trials(r.Trials)
@@ -196,7 +332,7 @@ func (w *jsonWriter) summary(s *StreamSummary) {
 	}
 	if s.BestResult != nil {
 		w.raw(`,"best_result":`)
-		w.result(s.BestResult)
+		w.trialResult(s.BestTrial, s.BestResult)
 	}
 	w.optInt(`,"pareto_points":`, s.ParetoPoints)
 	w.optInt(`,"guardrail_violations":`, s.GuardrailViolations)
@@ -228,11 +364,11 @@ func (w *jsonWriter) strMap(m map[string]string) {
 
 // floatMap writes m as a JSON object, its keys in byte order. A session's
 // trials report the same metric names, and each trial's map is written about
-// five times (its trial_done event, the session_done trial list, the
-// checkpoint log, the WAL and a segment), so the sorted, quoted key list is
-// memoized per key count and reused while it fits: same length and every key
-// found means the same key set. A miss rolls the output back and publishes the
-// list of m's own keys.
+// four times (once per SSE stream, whose StreamEncoder copies its trial_done
+// bytes into the later events, then the checkpoint log, the WAL and a
+// segment), so the sorted, quoted key list is memoized per key count and
+// reused while it fits: same length and every key found means the same key
+// set. A miss rolls the output back and publishes the list of m's own keys.
 func (w *jsonWriter) floatMap(m map[string]float64) {
 	n := len(m)
 	if n >= len(keyMemo) {

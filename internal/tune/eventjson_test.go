@@ -332,6 +332,131 @@ func TestEventJSONMatchesReflection(t *testing.T) {
 	}
 }
 
+// checkStream streams evs through enc and asserts every frame is
+// AppendJSON's.
+func checkStream(t *testing.T, enc *tune.StreamEncoder, evs []tune.Event) {
+	t.Helper()
+	var got, want []byte
+	for i, ev := range evs {
+		var gerr, werr error
+		got, gerr = enc.Append(got[:0], ev)
+		want, werr = ev.AppendJSON(want[:0])
+		if (gerr != nil) != (werr != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("event %d (%s seq %d) through the stream memo:\n got %s (%v)\nwant %s (%v)", i, ev.Kind, ev.Seq, got, gerr, want, werr)
+		}
+	}
+}
+
+// TestStreamEncoderMatchesAppendJSON: every event of the real sessions,
+// streamed through one reused encoder from every offset — the memo cold,
+// warm, and resumed behind a stream_checkpoint that folds the skipped prefix,
+// with a stream_lagged after the last event — writes AppendJSON's bytes.
+func TestStreamEncoderMatchesAppendJSON(t *testing.T) {
+	var enc tune.StreamEncoder
+	for _, s := range realSessions {
+		s.spec.Seed, s.spec.Target.ScaleGB = 11, 2
+		t.Run(s.name, func(t *testing.T) {
+			evs := sessionEvents(t, s.spec)
+			for k := range evs {
+				var sum tune.StreamSummary
+				var stream []tune.Event
+				for _, ev := range evs[:k] {
+					sum.Add(ev)
+				}
+				if k > 0 {
+					cp := sum.Rendered()
+					stream = append(stream, tune.Event{Kind: tune.StreamCheckpoint, Seq: cp.CoveredThrough, Summary: &cp})
+				}
+				for _, ev := range evs[k:] {
+					sum.Add(ev)
+					stream = append(stream, ev)
+				}
+				lag := sum.Rendered()
+				lag.Dropped = 1
+				stream = append(stream, tune.Event{Kind: tune.StreamLagged, Seq: lag.CoveredThrough, Summary: &lag})
+				enc.Reset()
+				checkStream(t, &enc, stream)
+			}
+		})
+	}
+}
+
+// TestStreamEncoderMisses: a later event of the same trial that carries
+// another value — a different vector, a different result scalar, -0 for 0,
+// another Metrics map — renders afresh, as do a session_done best and a
+// summary best_result that are not the values the stream wrote for that
+// trial. The memo trusts identity, not content: the same map, mutated,
+// still hits.
+func TestStreamEncoderMisses(t *testing.T) {
+	space := awkwardSpace()
+	a := space.FromVector([]float64{0, 1, 0.3, 1, 0, 0.99, 0.5})
+	b := space.FromVector([]float64{1, 0, 1, 0.5, 1, 0.6, 0})
+	m := map[string]float64{"m": 1}
+	r := tune.Result{Time: 1, Metrics: m}
+	other := []tune.Result{
+		{Time: 2, Metrics: m},
+		{Time: 1, Cost: 1, Metrics: m},
+		{Time: 1, Failed: true, Metrics: m},
+		{Time: 1, FailReason: "oom", Metrics: m},
+		{Time: 1, Fidelity: 0.5, Metrics: m},
+		{Time: 1, Metrics: map[string]float64{"m": 2}},
+		{Time: 1},
+	}
+	started := tune.Event{Kind: tune.TrialStarted, Seq: 1, Trial: 1, Config: a}
+	done := tune.Event{Kind: tune.TrialDone, Seq: 2, Trial: 1, Config: a, Result: r}
+	cases := map[string][]tune.Event{
+		"vector": {started, {Kind: tune.TrialDone, Seq: 2, Trial: 1, Config: b, Result: r}},
+		"negative zero": {{Kind: tune.TrialDone, Seq: 1, Trial: 1, Config: a},
+			{Kind: tune.IncumbentImproved, Seq: 2, Trial: 1, Config: a, Result: tune.Result{Time: math.Copysign(0, -1)}}},
+		"best": {started, done, {Kind: tune.IncumbentImproved, Seq: 3, Trial: 1, Config: a, Result: r},
+			{Kind: tune.SessionDone, Seq: 4, Final: &tune.TuningResult{Best: b, BestResult: other[0],
+				Trials: []tune.Trial{{N: 1, Config: a, Result: r}}}}},
+		"trials": {started, done, {Kind: tune.SessionDone, Seq: 3, Final: &tune.TuningResult{Best: a, BestResult: r,
+			Trials: []tune.Trial{{N: 1, Config: b, Result: other[0]}}, Front: []tune.Trial{{N: 1, Config: a, Result: other[5]}}}}},
+	}
+	for i, res := range other {
+		cases[fmt.Sprintf("result %d", i)] = []tune.Event{started, done,
+			{Kind: tune.IncumbentImproved, Seq: 3, Trial: 1, Config: a, Result: res},
+			{Kind: tune.StreamLagged, Seq: 3, Summary: &tune.StreamSummary{CoveredThrough: 3, BestTrial: 1, BestResult: &other[(i+1)%len(other)]}}}
+	}
+	for name, evs := range cases {
+		t.Run(name, func(t *testing.T) {
+			var enc tune.StreamEncoder
+			checkStream(t, &enc, evs)
+		})
+	}
+
+	var enc tune.StreamEncoder
+	checkStream(t, &enc, []tune.Event{started, done})
+	m["m"] = 2
+	got, err := enc.Append(nil, tune.Event{Kind: tune.IncumbentImproved, Seq: 3, Trial: 1, Config: a, Result: r})
+	if err != nil || !bytes.Contains(got, []byte(`"metrics":{"m":1}`)) {
+		t.Errorf("a mutated map of the same result re-rendered: %s (%v)", got, err)
+	}
+}
+
+// TestStreamEncoderAllocatesNothingWarm: once its buffers have grown, an
+// encoder streams an 8-trial session, session_done included, without
+// allocating.
+func TestStreamEncoderAllocatesNothingWarm(t *testing.T) {
+	evs := sessionEvents(t, repro.Spec{System: "dbms", Workload: "tpch", Tuner: "random", Seed: 1, Budget: repro.Budget{Trials: 8}})
+	var enc tune.StreamEncoder
+	var buf []byte
+	stream := func() {
+		enc.Reset()
+		for _, ev := range evs {
+			var err error
+			if buf, err = enc.Append(buf[:0], ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stream()
+	if allocs := testing.AllocsPerRun(20, stream); allocs != 0 {
+		t.Errorf("a warm stream of %d events costs %v allocations, want 0", len(evs), allocs)
+	}
+}
+
 // FuzzEventJSON: for any fail reason, metric name and value, fidelity and
 // error text, the appender and the reflection oracle agree byte for byte or
 // both fail.
@@ -413,7 +538,8 @@ func TestFormatValueMatchesSprintf(t *testing.T) {
 
 // BenchmarkEventJSON encodes a trial_done and the session_done of an
 // 8-trial dbms session and of a 300-trial iTuned session, with the appender
-// and with the reflection oracle.
+// and with the reflection oracle; then each session's whole stream, through
+// a StreamEncoder and through the appender.
 func BenchmarkEventJSON(b *testing.B) {
 	short := sessionEvents(b, repro.Spec{System: "dbms", Workload: "tpch", Tuner: "random", Seed: 1, Budget: repro.Budget{Trials: 8}})
 	long := sessionEvents(b, repro.Spec{System: "dbms", Workload: "tpch", Tuner: "ituned", Seed: 1, Budget: repro.Budget{Trials: 300}})
@@ -455,6 +581,39 @@ func BenchmarkEventJSON(b *testing.B) {
 					n = len(data)
 				}
 				b.SetBytes(int64(n))
+			})
+		})
+	}
+	// A whole SSE stream: through one reused StreamEncoder, and event by
+	// event through AppendJSON.
+	for _, c := range []struct {
+		name string
+		evs  []tune.Event
+	}{{"stream_8", short}, {"stream_300", long}} {
+		b.Run(c.name, func(b *testing.B) {
+			stream := func(b *testing.B, appendJSON func([]byte, tune.Event) ([]byte, error), reset func()) {
+				b.ReportAllocs()
+				var buf []byte
+				var n int
+				for i := 0; i < b.N; i++ {
+					n = 0
+					for _, ev := range c.evs {
+						var err error
+						if buf, err = appendJSON(buf[:0], ev); err != nil {
+							b.Fatal(err)
+						}
+						n += len(buf)
+					}
+					reset()
+				}
+				b.SetBytes(int64(n))
+			}
+			b.Run("memo", func(b *testing.B) {
+				var enc tune.StreamEncoder
+				stream(b, enc.Append, enc.Reset)
+			})
+			b.Run("append", func(b *testing.B) {
+				stream(b, func(dst []byte, ev tune.Event) ([]byte, error) { return ev.AppendJSON(dst) }, func() {})
 			})
 		})
 	}

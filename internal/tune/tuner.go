@@ -169,6 +169,11 @@ func (s *Session) Record(c Candidate, res Result) Trial {
 	return s.recordLocked(c.Config, res)
 }
 
+// recordLocked appends the trial and emits its events. Every event of the
+// trial and the trial list carry the same res, and nothing mutates it
+// afterwards — not its Metrics map either: proposers, wrappers and the
+// store read recorded results or copy them before changing a field. A
+// StreamEncoder relies on that to render each result once per stream.
 func (s *Session) recordLocked(cfg Config, res Result) Trial {
 	s.simUsed += res.Time
 	t := Trial{N: len(s.trials) + 1, Config: cfg, Result: res}
