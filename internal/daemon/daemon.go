@@ -100,9 +100,11 @@ type Server struct {
 	pool *dist.Pool  // always non-nil; empty without evaluators
 	opts Options
 
-	// drainCh is closed when a graceful drain begins: open SSE streams
-	// write a terminal "draining" event and admission refuses new work.
-	drainCh chan struct{}
+	// drainCtx is cancelled when a graceful drain begins: every SSE stream's
+	// context derives from it, so Drain ends them all at once, and each
+	// writes a terminal "draining" event.
+	drainCtx   context.Context
+	endStreams context.CancelFunc
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -141,9 +143,9 @@ func New(o Options) (*Server, error) {
 		eng:      repro.NewEngine(repro.EngineOptions{Workers: o.Workers}),
 		pool:     dist.NewPool(o.Evaluators, dist.PoolOptions{Name: "autotuned"}),
 		opts:     o,
-		drainCh:  make(chan struct{}),
 		sessions: map[string]*session{},
 	}
+	s.drainCtx, s.endStreams = context.WithCancel(context.Background())
 	if o.RepoDir != "" {
 		st, err := store.Open(o.RepoDir)
 		if err != nil {
@@ -667,7 +669,10 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request) {
 // The handler defends the daemon against its clients: every write runs
 // under sseWriteTimeout (a blocked client is disconnected, not buffered
 // indefinitely), and a graceful drain terminates the stream with a
-// "draining" event telling the client to reconnect after the restart.
+// "draining" event telling the client to reconnect after the restart. Drain
+// ends every stream before it stops a session, so no stream is sent an event
+// appended after the drain began, and one that already sent session_done
+// gets no draining frame.
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.lookup(r)
 	if err != nil {
@@ -710,27 +715,24 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		fl.Flush()
 		return true
 	}
-	events := sess.Run.EventsSince(r.Context(), after)
-	for {
-		select {
-		case ev, ok := <-events:
-			if !ok {
-				return
-			}
-			if !write(ev) {
-				return
-			}
-			after = ev.Seq
-		case <-s.drainCh:
-			// Terminal: the session is being checkpointed; the client should
-			// reconnect (with Last-Event-ID) against the next daemon start. The
-			// frame repeats the last id this client was sent, so a reconnect
-			// resumes past it instead of replaying from the start.
-			write(tune.Event{Kind: tune.Draining, Seq: after})
-			return
-		case <-r.Context().Done():
+	// The stream ends when the client goes away or a drain begins. AfterFunc
+	// starts no goroutine until the client's context is done.
+	ctx, cancel := context.WithCancel(s.drainCtx)
+	defer cancel()
+	defer context.AfterFunc(r.Context(), cancel)()
+	var kind tune.EventKind
+	for ev := range sess.Run.EventsSince(ctx, after) {
+		if !write(ev) {
 			return
 		}
+		after, kind = ev.Seq, ev.Kind
+	}
+	if kind != tune.SessionDone && s.drainCtx.Err() != nil && r.Context().Err() == nil {
+		// Terminal: the session is being checkpointed; the client should
+		// reconnect (with Last-Event-ID) against the next daemon start. The
+		// frame repeats the last id this client was sent, so a reconnect
+		// resumes past it instead of replaying the stream from the start.
+		write(tune.Event{Kind: tune.Draining, Seq: after})
 	}
 }
 
@@ -833,16 +835,15 @@ func (s *Server) stop(w http.ResponseWriter, r *http.Request) {
 // settle until ctx expires; it is idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	first := !s.draining
 	s.draining = true
 	sessions := make([]*session, 0, len(s.order))
 	for _, id := range s.order {
 		sessions = append(sessions, s.sessions[id])
 	}
 	s.mu.Unlock()
-	if first {
-		close(s.drainCh)
-	}
+	// Streams end before any session is stopped, so none of them is sent an
+	// event appended from here on: not the stopped sessions' session_done.
+	s.endStreams()
 	for _, sess := range sessions {
 		switch sess.Run.State() {
 		case repro.RunDone, repro.RunFailed:

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/tune"
 	"repro/internal/tune/store"
 )
 
@@ -329,10 +331,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestDrainClosesStreamsAndRefusesWork: Drain ends open SSE streams with a
 // terminal "draining" event, flips admission to 503, and checkpoints
-// in-flight sessions so a later start can resume them.
+// in-flight sessions so a later start can resume them. Streams end before
+// any session is stopped: a stream is sent no event once Drain has begun
+// (not the stopped session's session_done), exactly one draining frame, and
+// none at all when it already sent session_done.
 func TestDrainClosesStreamsAndRefusesWork(t *testing.T) {
 	dir := t.TempDir()
 	ts, srv := newTestServerWith(t, Options{Workers: 1, RepoDir: dir})
+	doneID, code, _ := postSpec(t, ts, `{"system": "dbms", "workload": "tpch", "tuner": "random",
+		"seed": 5, "budget": {"trials": 8}}`)
+	if code != http.StatusCreated {
+		t.Fatalf("POST = %d", code)
+	}
+	waitDone(t, ts, doneID)
 	id, code, _ := postSpec(t, ts, fmt.Sprintf(longSpec, 2))
 	if code != http.StatusCreated {
 		t.Fatalf("POST = %d", code)
@@ -346,11 +357,21 @@ func TestDrainClosesStreamsAndRefusesWork(t *testing.T) {
 		}
 		streamed <- readSSE(t, resp)
 	}()
-	waitFor(t, "the stream to attach", func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return srv.sessions[id].Run.Subscribers() > 0
-	})
+	// Two clients stop reading mid-frame while Drain runs: one in the live
+	// session's first frame, one in the finished session's session_done. (A
+	// client that attaches late starts at a stream_checkpoint, so the first
+	// frame is the one every client is sure to be sent.)
+	live := holdStream(srv, id, "\nevent: ")
+	finished := holdStream(srv, doneID, "\nevent: session_done\n")
+	srv.mu.Lock()
+	run := srv.sessions[id].Run
+	srv.mu.Unlock()
+	<-live.held
+	// Paused, the session cannot run to its end (and its session_done into
+	// the streams) on a host slow to reach Drain.
+	run.Pause()
+	<-finished.held
+	waitFor(t, "both streams to attach", func() bool { return run.Subscribers() == 2 })
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -364,6 +385,24 @@ func TestDrainClosesStreamsAndRefusesWork(t *testing.T) {
 	if last := evs[len(evs)-1]; last.Name != "draining" {
 		t.Fatalf("stream ended with %q, want draining", last.Name)
 	}
+	for _, ev := range evs[:len(evs)-1] {
+		if ev.Name == "draining" || ev.Name == "session_done" {
+			t.Fatalf("drained stream sent %s %s before its last frame", ev.Name, ev.ID)
+		}
+	}
+	if h := run.History(); h[len(h)-1].Kind != tune.SessionDone {
+		t.Fatalf("stopped session's history ends with %s", h[len(h)-1].Kind)
+	}
+
+	// The held clients read on: the live stream's first frame is followed by
+	// the draining frame alone, the finished stream's session_done by nothing.
+	if got := live.release(); len(got) != 2 || got[1].Name != "draining" || got[1].ID != got[0].ID {
+		t.Errorf("stream held in its first frame across Drain sent %v, want that frame, then draining with its id", frameNames(got))
+	}
+	if got := finished.release(); len(got) == 0 || got[len(got)-1].Name != "session_done" {
+		t.Errorf("stream held in session_done across Drain sent %v, want session_done last", frameNames(got))
+	}
+
 	if _, code, body := postSpec(t, ts, fmt.Sprintf(longSpec, 3)); code != http.StatusServiceUnavailable {
 		t.Errorf("POST while draining = %d %v, want 503", code, body)
 	}
@@ -375,6 +414,63 @@ func TestDrainClosesStreamsAndRefusesWork(t *testing.T) {
 	if len(cps) != 1 || cps[0].SID != id {
 		t.Fatalf("checkpoints after drain = %+v, want one for %s", cps, id)
 	}
+}
+
+func TestDrainClosesStreamsAndRefusesWorkRace3(t *testing.T) { TestDrainClosesStreamsAndRefusesWork(t) }
+
+// heldStream is an SSE client, in process, that stops reading in the first
+// frame containing a marker: the handler's Write blocks there until release.
+type heldStream struct {
+	mark   string
+	header http.Header
+	out    bytes.Buffer
+	held   chan struct{} // closed once the handler is blocked in the marked frame
+	resume chan struct{}
+	served chan struct{} // closed when the handler returns
+}
+
+// holdStream serves session id's event stream to a heldStream.
+func holdStream(srv *Server, id, mark string) *heldStream {
+	w := &heldStream{mark: mark, header: http.Header{}, held: make(chan struct{}),
+		resume: make(chan struct{}), served: make(chan struct{})}
+	req := httptest.NewRequest(http.MethodGet, "/sessions/"+id+"/events", nil)
+	go func() {
+		defer close(w.served)
+		srv.Handler().ServeHTTP(w, req)
+	}()
+	return w
+}
+
+func (w *heldStream) Header() http.Header { return w.header }
+func (w *heldStream) WriteHeader(int)     {}
+func (w *heldStream) Flush()              {}
+func (w *heldStream) Write(p []byte) (int, error) {
+	if w.mark != "" && bytes.Contains(p, []byte(w.mark)) {
+		w.mark = ""
+		close(w.held)
+		<-w.resume
+	}
+	return w.out.Write(p)
+}
+
+// release lets the handler write on and returns every frame it wrote.
+func (w *heldStream) release() []sseEvent {
+	close(w.resume)
+	<-w.served
+	var out []sseEvent
+	for ev := range sseFrames(&w.out) {
+		out = append(out, ev)
+	}
+	return out
+}
+
+// frameNames renders frames as "id:event" for failure messages.
+func frameNames(evs []sseEvent) []string {
+	out := make([]string, len(evs))
+	for i, ev := range evs {
+		out[i] = ev.ID + ":" + ev.Name
+	}
+	return out
 }
 
 // TestRestartResumesInFlightSessions is the in-process crash-resume

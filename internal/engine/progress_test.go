@@ -1,10 +1,10 @@
 package engine
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"iter"
 	"reflect"
 	"testing"
 
@@ -73,12 +73,11 @@ func received(r *Run) []tune.Event {
 	if evicted {
 		n++ // the stream_checkpoint
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sub := r.EventsSince(ctx, 0)
+	next, stop := iter.Pull(r.Events())
+	defer stop()
 	out := make([]tune.Event, n)
 	for i := range out {
-		out[i] = <-sub
+		out[i], _ = next()
 	}
 	return out
 }
@@ -119,7 +118,7 @@ func TestOneFold(t *testing.T) {
 					}
 				}
 				h := sha256.New()
-				r := &Run{bufCap: bufCap, notify: make(chan struct{})}
+				r := &Run{bufCap: bufCap}
 				var fresh tune.StreamSummary
 				for i, ev := range s.events {
 					r.observe(ev)
@@ -143,24 +142,25 @@ func TestOneFold(t *testing.T) {
 
 				// A subscriber that read event 1 and then fell behind the whole
 				// rest of the session at once is lapped exactly once.
-				lag := &Run{bufCap: bufCap, notify: make(chan struct{})}
+				lag := &Run{bufCap: bufCap}
 				lag.observe(s.events[0])
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				sub := lag.EventsSince(ctx, 0)
+				next, stop := iter.Pull(lag.Events())
+				defer stop()
 				var folded tune.StreamSummary
-				folded.Add(<-sub)
+				ev, _ := next()
+				folded.Add(ev)
 				lag.mu.Lock()
 				for _, ev := range s.events[1:] {
 					lag.appendLocked(ev)
 				}
 				lag.mu.Unlock()
-				if ev := <-sub; ev.Kind == tune.StreamLagged {
+				if ev, _ := next(); ev.Kind == tune.StreamLagged {
 					data, _ := json.Marshal(ev)
 					h.Write(data)
 					folded.Add(ev)
 					for range lag.History() {
-						folded.Add(<-sub)
+						ev, _ := next()
+						folded.Add(ev)
 					}
 					agree(lag, "lapped subscriber", folded)
 				}

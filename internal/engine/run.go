@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"iter"
+	"slices"
 	"sync"
 
 	"repro/internal/tune"
@@ -30,7 +32,7 @@ const (
 const DefaultEventBuffer = 4096
 
 // eventBaseBytes is the accounting estimate for one retained event's fixed
-// footprint (struct, strings, channel bookkeeping); each configuration
+// footprint (struct, strings, ring bookkeeping); each configuration
 // dimension adds eventDimBytes. Estimates, not measurements — healthz uses
 // them to report order-of-magnitude stream memory per run.
 const (
@@ -56,16 +58,18 @@ type Run struct {
 	sem    chan struct{} // the owning engine's scheduler slots
 
 	mu     sync.Mutex
-	buf    []tune.Event  // event ring: grows to bufCap, then wraps
-	head   int           // index of the oldest retained event once wrapped
-	total  int           // events ever appended == Seq of the newest
-	bufCap int           // retention bound
-	notify chan struct{} // closed and replaced on every append
+	buf    []tune.Event // event ring: grows to bufCap, then wraps
+	head   int          // index of the oldest retained event once wrapped
+	total  int          // events ever appended == Seq of the newest
+	bufCap int          // retention bound
+	// notify is made by a reader about to wait and closed (then dropped) by
+	// the next append, so an append nobody waits for allocates nothing.
+	notify chan struct{}
 	// progress folds every appended event, summary every evicted one.
 	progress tune.StreamSummary
 	summary  tune.StreamSummary
 	memBytes int // estimated bytes retained by the ring
-	subs     int // live subscription goroutines (gauge)
+	subs     int // live iterations of EventsSince (gauge)
 
 	running   bool
 	finished  bool
@@ -109,7 +113,6 @@ func (e *Engine) submit(ctx context.Context, job Job, record bool) *Run {
 		done:   make(chan struct{}),
 		sem:    e.sem,
 		bufCap: bufCap,
-		notify: make(chan struct{}),
 	}
 	go r.run(record)
 	return r
@@ -213,8 +216,10 @@ func (r *Run) appendLocked(ev tune.Event) {
 		r.head = (r.head + 1) % r.bufCap
 	}
 	r.memBytes += eventBytes(ev)
-	close(r.notify)
-	r.notify = make(chan struct{})
+	if r.notify != nil {
+		close(r.notify)
+		r.notify = nil
+	}
 }
 
 // eventBytes estimates one event's retained footprint for memory accounting.
@@ -228,21 +233,16 @@ func (r *Run) oldestLocked() int {
 	return r.total - len(r.buf) + 1
 }
 
-// tailLocked copies the retained events with Seq > after, in order.
-func (r *Run) tailLocked(after int) []tune.Event {
+// appendTailLocked appends the retained events with Seq > after to dst, in
+// order, growing dst at most once.
+func (r *Run) appendTailLocked(dst []tune.Event, after int) []tune.Event {
 	oldest := r.oldestLocked()
-	if after < oldest-1 {
-		after = oldest - 1
+	after = max(after, oldest-1)
+	dst = slices.Grow(dst, max(r.total-after, 0))
+	for seq := after + 1; seq <= r.total; seq++ {
+		dst = append(dst, r.buf[(r.head+seq-oldest)%len(r.buf)])
 	}
-	n := r.total - after
-	if n <= 0 {
-		return nil
-	}
-	out := make([]tune.Event, n)
-	for i := 0; i < n; i++ {
-		out[i] = r.buf[(r.head+(after-oldest+1)+i)%len(r.buf)]
-	}
-	return out
+	return dst
 }
 
 // Progress is the fold of every event appended so far: trials done and
@@ -263,9 +263,9 @@ func (r *Run) MemoryBytes() int {
 	return r.memBytes
 }
 
-// Subscribers reports how many event subscriptions are currently live —
-// an observability gauge, used by tests to assert that disconnected
-// subscribers are cleaned up.
+// Subscribers reports how many iterations of EventsSince are currently
+// live — an observability gauge, used by tests to assert that readers that
+// stopped early or disconnected are released.
 func (r *Run) Subscribers() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -380,101 +380,99 @@ func (r *Run) State() RunState {
 func (r *Run) History() []tune.Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.tailLocked(0)
+	return r.appendTailLocked(nil, 0)
 }
 
-// Events returns an ordered event stream for the run. Every call starts a
-// fresh subscription that replays the run's retained history from the first
-// event and then follows live until SessionDone, after which the channel
-// closes. For sessions within the event buffer, late and repeated
-// subscribers see the identical sequence; past it, the evicted prefix is
-// replaced by one synthetic stream_checkpoint event carrying its compacted
-// summary. The caller must drain the channel (or use EventsSince with a
-// cancellable context to abandon it early).
-func (r *Run) Events() <-chan tune.Event {
+// Events returns the run's ordered event stream: EventsSince with no context
+// and no resume point. Every range over it replays the run's retained
+// history from the first event and then follows live until SessionDone. For
+// sessions within the event buffer, late and repeated readers see the
+// identical sequence; past it, the evicted prefix is replaced by one
+// synthetic stream_checkpoint event carrying its compacted summary. A reader
+// may break out at any time.
+func (r *Run) Events() iter.Seq[tune.Event] {
 	return r.EventsSince(context.Background(), 0)
 }
 
-// EventsSince streams the run's events with Seq > after — the resume form
+// EventsSince yields the run's events with Seq > after — the resume form
 // behind SSE Last-Event-ID. Three regimes:
 //
-//   - after within the ring: the subscriber gets the retained tail and then
+//   - after within the ring: the reader gets the retained tail and then
 //     follows live. Reconnecting clients lose nothing.
 //   - after (or the whole requested prefix) already evicted: the first
-//     delivered event is a synthetic StreamCheckpoint whose Summary compacts
+//     yielded event is a synthetic StreamCheckpoint whose Summary compacts
 //     everything through its Seq; retained events follow from Seq+1.
-//   - a live subscriber consuming slower than the session appends, once the
+//   - a live reader consuming slower than the session appends, once the
 //     ring laps it: a synthetic StreamLagged (Summary plus Dropped count)
 //     tells it what it missed, then the stream continues from the ring.
 //
-// Synthetic events are per-subscriber and never retained; a subscriber that
-// keeps up never sees one. The channel closes after SessionDone or when ctx
-// is cancelled.
-func (r *Run) EventsSince(ctx context.Context, after int) <-chan tune.Event {
+// Synthetic events are per-reader and never retained; a reader that keeps
+// up never sees one. The sequence is pulled on the reader's goroutine: each
+// iteration copies what the ring holds past its position into one buffer it
+// keeps, yields it, and waits for the next append only when it has nothing
+// left. No goroutine runs on its behalf. Iteration ends after SessionDone,
+// when the reader breaks out, or when ctx is cancelled — ctx is checked
+// before every yield, so nothing is yielded once it is done.
+func (r *Run) EventsSince(ctx context.Context, after int) iter.Seq[tune.Event] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make(chan tune.Event)
-	r.mu.Lock()
-	r.subs++
-	r.mu.Unlock()
-	go func() {
-		defer close(out)
+	return func(yield func(tune.Event) bool) {
+		r.mu.Lock()
+		r.subs++
+		r.mu.Unlock()
 		defer func() {
 			r.mu.Lock()
 			r.subs--
 			r.mu.Unlock()
 		}()
-		sent := after     // Seq of the last event delivered (or resumed past)
-		caughtUp := false // true once this subscriber has observed ring state
+		sent := after     // Seq of the last event yielded (or resumed past)
+		caughtUp := false // true once this reader has observed ring state
+		var batch []tune.Event
 		for {
 			r.mu.Lock()
-			var synth *tune.Event
+			batch = batch[:0]
 			if oldest := r.oldestLocked(); sent < oldest-1 {
 				// The events after sent were evicted: compact them into one
-				// synthetic event. A fresh or reconnecting subscriber gets a
-				// checkpoint; one that was already attached and fell behind
-				// gets a lagged notice with its personal drop count.
+				// synthetic event (its Seq is oldest-1) ahead of the tail. A
+				// fresh or reconnecting reader gets a checkpoint; one that was
+				// already attached and fell behind gets a lagged notice with
+				// its personal drop count.
 				sum := r.summary.Rendered()
 				kind := tune.StreamCheckpoint
 				if caughtUp {
 					kind = tune.StreamLagged
 					sum.Dropped = oldest - 1 - sent
 				}
-				synth = &tune.Event{Kind: kind, Seq: sum.CoveredThrough, Summary: &sum}
-				sent = oldest - 1
+				batch = append(batch, tune.Event{Kind: kind, Seq: sum.CoveredThrough, Summary: &sum})
 			}
-			batch := r.tailLocked(sent)
-			notify := r.notify
-			finished := r.finished
+			batch = r.appendTailLocked(batch, sent)
+			var wait chan struct{}
+			if len(batch) == 0 && !r.finished {
+				if r.notify == nil {
+					r.notify = make(chan struct{})
+				}
+				wait = r.notify
+			}
 			r.mu.Unlock()
 			caughtUp = true
-			if synth != nil {
-				select {
-				case out <- *synth:
-				case <-ctx.Done():
-					return
-				}
-			}
 			for _, ev := range batch {
-				select {
-				case out <- ev:
-					sent = ev.Seq
-				case <-ctx.Done():
+				if ctx.Err() != nil || !yield(ev) {
 					return
 				}
+				sent = ev.Seq
 			}
-			if synth == nil && len(batch) == 0 {
-				if finished {
-					return
-				}
-				select {
-				case <-notify:
-				case <-ctx.Done():
-					return
-				}
+			if len(batch) > 0 {
+				continue
+			}
+			if wait == nil {
+				return // finished, and every event yielded
+			}
+			select {
+			case <-wait:
+			case <-ctx.Done():
+				return
 			}
 		}
-	}()
-	return out
+	}
 }

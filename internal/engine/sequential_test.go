@@ -150,7 +150,7 @@ func TestSequentialReleasesCoroutine(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			c.run(t)
-			// Subscription pumps and pool workers exit on their own schedule;
+			// Run goroutines and pool workers exit on their own schedule;
 			// a parked coroutine never would.
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > base {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"iter"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,12 +143,13 @@ func TestSlowSubscriberGetsLagged(t *testing.T) {
 		Name: "lag", Tuner: &seqTuner{n: 10}, Target: target,
 		Budget: tune.Budget{Trials: 10}, EventBuffer: 3,
 	})
-	events := run.EventsSince(context.Background(), 0)
+	next, stop := iter.Pull(run.Events())
+	defer stop()
 	// A trial's events are emitted when it is recorded, so the first one
 	// arrives once trial 1 has been released.
 	<-target.started
 	target.release <- struct{}{}
-	first := <-events // subscriber is now attached and caught up
+	first, _ := next() // subscriber is now attached and caught up
 	if first.Seq != 1 {
 		t.Fatalf("first event seq = %d, want 1", first.Seq)
 	}
@@ -158,38 +161,39 @@ func TestSlowSubscriberGetsLagged(t *testing.T) {
 	if _, err := run.Wait(nil); err != nil {
 		t.Fatal(err)
 	}
-	var rest []tune.Event
-	for ev := range events {
-		rest = append(rest, ev)
+	evs := []tune.Event{first}
+	for ev, ok := next(); ok; ev, ok = next() {
+		evs = append(evs, ev)
 	}
-	// The subscription's pump may hold a batch it read before the stall (real
-	// events then precede the notice), and may have been lapped once already
-	// when it read it (then there are two notices). What must hold is the
-	// accounting: real events arrive in order, every gap between them holds
-	// exactly one stream_lagged reporting its size, and the stall left a gap.
-	seq, lagged, bridged := first.Seq, 0, false
-	for i, ev := range rest {
-		if ev.Kind == tune.StreamLagged {
-			lagged++
-			if ev.Summary == nil || bridged || i+1 == len(rest) {
-				t.Fatalf("lagged event %d of %d (summary %+v) does not sit alone in a gap", i, len(rest), ev.Summary)
-			}
-			if want := rest[i+1].Seq - 1 - seq; want <= 0 || ev.Summary.Dropped != want {
-				t.Errorf("dropped = %d, tail resumes at %d after seq %d: want %d",
-					ev.Summary.Dropped, rest[i+1].Seq, seq, want)
-			}
-			bridged = true
+	// The subscriber may still hold real events of the batch it read before
+	// the stall; after them comes exactly one stream_lagged, whose drop count
+	// is the gap it bridges, and then the ring's tail.
+	lagged := -1
+	for i, ev := range evs {
+		if ev.Kind != tune.StreamLagged {
 			continue
 		}
-		if ev.Seq <= seq || (ev.Seq != seq+1 && !bridged) {
-			t.Fatalf("event %d has seq %d after seq %d with no lag notice between", i, ev.Seq, seq)
+		if lagged >= 0 {
+			t.Fatalf("second stream_lagged at event %d (first at %d)", i, lagged)
 		}
-		seq, bridged = ev.Seq, false
+		lagged = i
 	}
-	if lagged == 0 {
-		t.Error("the ring lapped the stalled subscriber, yet no stream_lagged arrived")
+	if lagged < 0 || lagged == len(evs)-1 {
+		t.Fatalf("stream_lagged at %d of %d events: want one, between real events", lagged, len(evs))
 	}
-	if last := rest[len(rest)-1]; last.Kind != tune.SessionDone {
+	notice, before, after := evs[lagged], evs[lagged-1], evs[lagged+1]
+	if want := after.Seq - 1 - before.Seq; want <= 0 || notice.Summary == nil || notice.Summary.Dropped != want {
+		t.Errorf("stream_lagged %+v between seq %d and %d: want dropped %d", notice.Summary, before.Seq, after.Seq, want)
+	}
+	if notice.Seq != after.Seq-1 {
+		t.Errorf("stream_lagged seq %d, tail resumes at %d", notice.Seq, after.Seq)
+	}
+	for i := 1; i < len(evs); i++ {
+		if i != lagged && i != lagged+1 && evs[i].Seq != evs[i-1].Seq+1 {
+			t.Fatalf("event %d has seq %d after seq %d with no lag notice between", i, evs[i].Seq, evs[i-1].Seq)
+		}
+	}
+	if last := evs[len(evs)-1]; last.Kind != tune.SessionDone {
 		t.Errorf("stream ended with %s", last.Kind)
 	}
 }
@@ -197,9 +201,9 @@ func TestSlowSubscriberGetsLagged(t *testing.T) {
 func TestSlowSubscriberGetsLaggedRace5(t *testing.T) { TestSlowSubscriberGetsLagged(t) }
 
 // TestSubscriberCleanupOnDisconnect is the regression test for subscriber
-// leaks: cancelled subscriptions release their goroutines (the Subscribers
-// gauge returns to zero) even while the run is still in flight, and
-// drained streams on a finished run do the same.
+// leaks: readers whose context is cancelled mid-run are released (the
+// Subscribers gauge returns to zero) while the run is still in flight, and
+// drained streams on a finished run are too.
 func TestSubscriberCleanupOnDisconnect(t *testing.T) {
 	target := newGatedTarget()
 	run := New(Options{Workers: 1}).Submit(Job{
@@ -209,14 +213,21 @@ func TestSubscriberCleanupOnDisconnect(t *testing.T) {
 	<-target.started
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 5
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		run.EventsSince(ctx, 0) // deliberately never drained
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range run.EventsSince(ctx, 0) {
+			}
+		}()
 	}
-	if got := run.Subscribers(); got != n {
-		t.Fatalf("Subscribers = %d after %d subscriptions, want %d", got, n, n)
-	}
+	waitGauge(t, run, n, "with readers waiting on a run that has emitted nothing")
 	cancel()
-	waitGauge(t, run, 0, "after cancelling subscriptions mid-run")
+	wg.Wait()
+	if got := run.Subscribers(); got != 0 {
+		t.Fatalf("Subscribers = %d after cancelling every reader mid-run, want 0", got)
+	}
 
 	// Finished-run streams clean up after draining too.
 	target.release <- struct{}{}
@@ -228,7 +239,55 @@ func TestSubscriberCleanupOnDisconnect(t *testing.T) {
 	for ev := range run.Events() {
 		_ = ev
 	}
-	waitGauge(t, run, 0, "after draining a finished stream")
+	if got := run.Subscribers(); got != 0 {
+		t.Fatalf("Subscribers = %d after draining a finished stream, want 0", got)
+	}
+}
+
+// TestEarlyExitEndsSubscription: a reader that breaks out of its range, and
+// one whose context is cancelled while it waits for the next event, are
+// released by the time their loop returns — no goroutine is left behind to
+// deliver the events nobody reads.
+func TestEarlyExitEndsSubscription(t *testing.T) {
+	target := newGatedTarget()
+	run := New(Options{Workers: 1}).Submit(Job{
+		Name: "exit", Tuner: &seqTuner{n: 2}, Target: target,
+		Budget: tune.Budget{Trials: 2},
+	})
+	<-target.started
+	target.release <- struct{}{}
+	<-target.started // trial 1 is recorded, trial 2 is blocked
+	n := 0
+	for range run.Events() {
+		n++
+		break
+	}
+	if got := run.Subscribers(); n != 1 || got != 0 {
+		t.Fatalf("after breaking out at event %d: Subscribers = %d, want 0", n, got)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	last := len(run.History())
+	done := make(chan int)
+	go func() {
+		n := 0
+		for range run.EventsSince(ctx, last) { // nothing past last until trial 2
+			n++
+		}
+		done <- n
+	}()
+	waitGauge(t, run, 1, "with a reader waiting past the last event")
+	cancel()
+	if n := <-done; n != 0 {
+		t.Errorf("cancelled reader was yielded %d events, want 0", n)
+	}
+	if got := run.Subscribers(); got != 0 {
+		t.Fatalf("Subscribers = %d after cancelling a waiting reader, want 0", got)
+	}
+	target.release <- struct{}{}
+	if _, err := run.Wait(nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // waitGauge polls the Subscribers gauge until it reaches want.
@@ -261,4 +320,50 @@ func TestMemoryBytesBounded(t *testing.T) {
 	if got := run.MemoryBytes(); got <= 0 || got > ceiling {
 		t.Errorf("MemoryBytes = %d, want in (0, %d]", got, ceiling)
 	}
+}
+
+// BenchmarkEventsSince measures one reader of a 32-event stream: live, where
+// the reader waits on its own goroutine while the events are appended, and
+// replay, where the run has already finished.
+func BenchmarkEventsSince(b *testing.B) {
+	const n = 32
+	appendAll := func(r *Run) {
+		for i := 1; i < n; i++ {
+			r.observe(tune.Event{Kind: tune.TrialDone, Trial: i})
+		}
+		r.mu.Lock()
+		r.finished = true
+		r.appendLocked(tune.Event{Kind: tune.SessionDone})
+		r.mu.Unlock()
+	}
+	count := func(r *Run) int {
+		got := 0
+		for range r.Events() {
+			got++
+		}
+		return got
+	}
+	b.Run("live", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := &Run{bufCap: DefaultEventBuffer}
+			got := make(chan int)
+			go func() { got <- count(r) }()
+			appendAll(r)
+			if k := <-got; k != n {
+				b.Fatalf("read %d events, want %d", k, n)
+			}
+		}
+	})
+	b.Run("replay", func(b *testing.B) {
+		r := &Run{bufCap: DefaultEventBuffer}
+		appendAll(r)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if k := count(r); k != n {
+				b.Fatalf("read %d events, want %d", k, n)
+			}
+		}
+	})
 }

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/sysmodel/cluster"
 	"repro/internal/tune"
@@ -82,6 +83,11 @@ func Space(ramMB float64) *tune.Space {
 	)
 }
 
+// spaces holds one Space per node RAM size (float64 → *tune.Space): a Space
+// is immutable, so every target on a node class shares one instead of
+// rebuilding it per session. The bundled node classes bound its size.
+var spaces sync.Map
+
 // DBMS is a simulated database bound to a node and a workload. It implements
 // tune.FidelityTarget through the embedded cluster.Runs, and
 // tune.SpecProvider, tune.AdaptiveTarget and tune.Describer.
@@ -103,7 +109,11 @@ type DBMS struct {
 // not operation count — are unchanged, so low fidelity ranks configurations
 // faithfully here (see DESIGN.md §11).
 func New(node cluster.Node, wl *workload.DBWorkload, seed int64) *DBMS {
-	d := &DBMS{node: node, wl: wl, space: Space(node.RAMMB), NoiseStd: 0.03}
+	space, ok := spaces.Load(node.RAMMB)
+	if !ok {
+		space, _ = spaces.LoadOrStore(node.RAMMB, Space(node.RAMMB))
+	}
+	d := &DBMS{node: node, wl: wl, space: space.(*tune.Space), NoiseStd: 0.03}
 	d.Runs = cluster.NewRuns(seed, 2654435761, d.simulate)
 	return d
 }

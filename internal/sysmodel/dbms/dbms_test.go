@@ -27,6 +27,24 @@ func newOLTP(seed int64) *DBMS {
 	return New(cluster.CommodityNode(), workload.OLTP(64, 2), seed)
 }
 
+// TestTargetsOnOneNodeShareSpace: targets on one node class share one
+// immutable Space, whatever their workload and seed; another RAM size gets
+// its own, bounded by that RAM.
+func TestTargetsOnOneNodeShareSpace(t *testing.T) {
+	a, b := newTPCH(1), newOLTP(2)
+	if a.Space() != b.Space() {
+		t.Error("two targets on the commodity node built two spaces")
+	}
+	beefy := New(cluster.BeefyNode(), workload.TPCHLike(4), 1)
+	if beefy.Space() == a.Space() {
+		t.Fatal("nodes with different RAM share one space")
+	}
+	hi := func(d *DBMS) float64 { p, _ := d.Space().Param(BufferPoolMB); return p.Max }
+	if hi(beefy) != 0.95*cluster.BeefyNode().RAMMB || hi(a) != 0.95*cluster.CommodityNode().RAMMB {
+		t.Errorf("buffer pool bounds %v, %v do not follow each node's RAM", hi(a), hi(beefy))
+	}
+}
+
 func TestDeterministicPerSeed(t *testing.T) {
 	a, b := newTPCH(7), newTPCH(7)
 	cfg := a.Space().Default()

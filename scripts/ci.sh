@@ -133,8 +133,8 @@ stage() {
 	loc) scripts/loc.sh ;;
 	bench-smoke)
 		# One iteration of each kernel benchmark, beside the package it measures.
-		go test -run '^$' -bench 'GPFit/n=(20|60|500)$|KernelRow|ExpInto|SolveLower|SqDists|Lanes|SurrogateFit/tier=sparse/n=500|SurrogateFit/tier=sparse/n=300/optimize|CholeskyInto/n=(12|160)|BlockedCholesky/parallel/n=256|CheckpointSession|FeatureIndex(Build|Nearest)/n=100000|EventJSON|RecordJSON|Simulate|ListSchedule|Noise' \
-			-benchtime=1x ./internal/mathx/... ./internal/tune ./internal/tune/store ./internal/sysmodel/...
+		go test -run '^$' -bench 'GPFit/n=(20|60|500)$|KernelRow|ExpInto|SolveLower|SqDists|Lanes|SurrogateFit/tier=sparse/n=500|SurrogateFit/tier=sparse/n=300/optimize|CholeskyInto/n=(12|160)|BlockedCholesky/parallel/n=256|CheckpointSession|FeatureIndex(Build|Nearest)/n=100000|EventJSON|EventsSince|RecordJSON|Simulate|ListSchedule|Noise' \
+			-benchtime=1x ./internal/mathx/... ./internal/tune ./internal/tune/store ./internal/engine ./internal/sysmodel/...
 		;;
 	benchtab)
 		# A failing tuning session exits 1 naming its experiment and cell; the

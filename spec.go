@@ -157,6 +157,11 @@ func (s Spec) Validate() error {
 	if s.Proxy != nil && !(s.Proxy.ScaleGB > 0) {
 		return fmt.Errorf("repro: proxy scale_gb must be > 0, got %v", s.Proxy.ScaleGB)
 	}
+	// Only scaled-proxy searches the replica; any other tuner would have it
+	// built and then ignore it (DESIGN.md §2, "Refused, not inert").
+	if s.Proxy != nil && s.Tuner != "scaled-proxy" {
+		return fmt.Errorf("repro: proxy configures the scaled-proxy tuner's replica; tuner %q does not use one", s.Tuner)
+	}
 	if s.Fidelity != nil {
 		if err := s.Fidelity.validate(); err != nil {
 			return err

@@ -71,6 +71,7 @@ func TestSpecValidate(t *testing.T) {
 		{func(s *Spec) { s.Parallel = -1 }, "parallel"},
 		{func(s *Spec) { s.Target.TenantLoad = 0.95 }, "TenantLoad"},
 		{func(s *Spec) { s.Proxy = &ProxySpec{ScaleGB: 0} }, "proxy"},
+		{func(s *Spec) { s.Proxy = &ProxySpec{ScaleGB: 1} }, "does not use one"},
 		{func(s *Spec) { s.Fidelity = &FidelitySpec{Strategy: "nosuch"} }, "fidelity strategy"},
 	}
 	for _, c := range cases {
