@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -60,34 +61,61 @@ type sseEvent struct {
 	Data []byte
 }
 
-// readSSE parses an SSE stream until it closes.
-func readSSE(t *testing.T, resp *http.Response) []sseEvent {
-	t.Helper()
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Type"); got != "text/event-stream" {
-		t.Fatalf("events content type = %q", got)
-	}
-	var out []sseEvent
-	var cur sseEvent
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			cur.ID = strings.TrimPrefix(line, "id: ")
-		case strings.HasPrefix(line, "event: "):
-			cur.Name = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			cur.Data = []byte(strings.TrimPrefix(line, "data: "))
-		case line == "":
-			if cur.Name != "" {
-				out = append(out, cur)
+// sseMaxLine caps one line of an event stream: a session_done frame carries
+// every trial in one data line (DESIGN §6).
+const sseMaxLine = 64 << 20
+
+// sseFrames parses an SSE body frame by frame as it arrives, on the reader's
+// goroutine. A read or scan error ends the sequence as its last pair.
+func sseFrames(body io.Reader) iter.Seq2[sseEvent, error] {
+	return func(yield func(sseEvent, error) bool) {
+		var cur sseEvent
+		sc := bufio.NewScanner(body)
+		sc.Buffer(nil, sseMaxLine)
+		for sc.Scan() {
+			line := sc.Text()
+			switch {
+			case strings.HasPrefix(line, "id: "):
+				cur.ID = strings.TrimPrefix(line, "id: ")
+			case strings.HasPrefix(line, "event: "):
+				cur.Name = strings.TrimPrefix(line, "event: ")
+			case strings.HasPrefix(line, "data: "):
+				cur.Data = []byte(strings.TrimPrefix(line, "data: "))
+			case line == "":
+				if cur.Name != "" && !yield(cur, nil) {
+					return
+				}
+				cur = sseEvent{}
 			}
-			cur = sseEvent{}
+		}
+		if err := sc.Err(); err != nil {
+			yield(sseEvent{}, err)
 		}
 	}
-	if err := sc.Err(); err != nil {
+}
+
+// parseSSE reads an event stream to its end and closes it; it never calls
+// t.Fatal, so any goroutine may run it.
+func parseSSE(resp *http.Response) ([]sseEvent, error) {
+	defer resp.Body.Close()
+	if got := resp.Header.Get("Content-Type"); got != "text/event-stream" {
+		return nil, fmt.Errorf("events content type = %q", got)
+	}
+	var out []sseEvent
+	for ev, err := range sseFrames(resp.Body) {
+		if err != nil {
+			return out, err
+		}
+		out = append(out, ev)
+	}
+	return out, nil
+}
+
+// readSSE is parseSSE on the test's goroutine, failing the test on an error.
+func readSSE(t *testing.T, resp *http.Response) []sseEvent {
+	t.Helper()
+	out, err := parseSSE(resp)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -1,13 +1,11 @@
 package daemon
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -348,14 +346,19 @@ func TestDrainClosesStreamsAndRefusesWork(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("POST = %d", code)
 	}
-	streamed := make(chan []sseEvent, 1)
+	type stream struct {
+		evs []sseEvent
+		err error
+	}
+	streamed := make(chan stream, 1)
 	go func() {
 		resp, err := http.Get(ts.URL + "/sessions/" + id + "/events")
 		if err != nil {
-			streamed <- nil
+			streamed <- stream{err: err}
 			return
 		}
-		streamed <- readSSE(t, resp)
+		evs, err := parseSSE(resp)
+		streamed <- stream{evs, err}
 	}()
 	// Two clients stop reading mid-frame while Drain runs: one in the live
 	// session's first frame, one in the finished session's session_done. (A
@@ -378,8 +381,12 @@ func TestDrainClosesStreamsAndRefusesWork(t *testing.T) {
 	if err := srv.Drain(drainCtx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	evs := <-streamed
-	if evs == nil || len(evs) == 0 {
+	got := <-streamed
+	if got.err != nil {
+		t.Fatalf("drained stream: %v", got.err)
+	}
+	evs := got.evs
+	if len(evs) == 0 {
 		t.Fatal("drained stream delivered nothing")
 	}
 	if last := evs[len(evs)-1]; last.Name != "draining" {
@@ -396,10 +403,10 @@ func TestDrainClosesStreamsAndRefusesWork(t *testing.T) {
 
 	// The held clients read on: the live stream's first frame is followed by
 	// the draining frame alone, the finished stream's session_done by nothing.
-	if got := live.release(); len(got) != 2 || got[1].Name != "draining" || got[1].ID != got[0].ID {
+	if got := live.release(t); len(got) != 2 || got[1].Name != "draining" || got[1].ID != got[0].ID {
 		t.Errorf("stream held in its first frame across Drain sent %v, want that frame, then draining with its id", frameNames(got))
 	}
-	if got := finished.release(); len(got) == 0 || got[len(got)-1].Name != "session_done" {
+	if got := finished.release(t); len(got) == 0 || got[len(got)-1].Name != "session_done" {
 		t.Errorf("stream held in session_done across Drain sent %v, want session_done last", frameNames(got))
 	}
 
@@ -454,11 +461,14 @@ func (w *heldStream) Write(p []byte) (int, error) {
 }
 
 // release lets the handler write on and returns every frame it wrote.
-func (w *heldStream) release() []sseEvent {
+func (w *heldStream) release(t *testing.T) []sseEvent {
 	close(w.resume)
 	<-w.served
 	var out []sseEvent
-	for ev := range sseFrames(&w.out) {
+	for ev, err := range sseFrames(&w.out) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		out = append(out, ev)
 	}
 	return out
@@ -692,31 +702,6 @@ func TestCheckpointErrorSurfacesInStatus(t *testing.T) {
 	resp.Body.Close()
 }
 
-// sseFrames parses an SSE body frame by frame as it arrives; the channel
-// closes when the body ends (or is closed).
-func sseFrames(body io.Reader) <-chan sseEvent {
-	out := make(chan sseEvent)
-	go func() {
-		defer close(out)
-		var cur sseEvent
-		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "id: "):
-				cur.ID = strings.TrimPrefix(line, "id: ")
-			case strings.HasPrefix(line, "event: "):
-				cur.Name = strings.TrimPrefix(line, "event: ")
-			case line == "" && cur.Name != "":
-				out <- cur
-				cur = sseEvent{}
-			}
-		}
-	}()
-	return out
-}
-
 // TestDrainFrameKeepsTheClientsPosition: the terminal draining frame carries
 // the last id its client was sent, so an EventSource reconnecting after the
 // restart (Last-Event-ID is the last id it saw) resumes past everything it
@@ -734,12 +719,14 @@ func TestDrainFrameKeepsTheClientsPosition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	frames := sseFrames(resp.Body)
 	held := ""                // an EventSource keeps the last id field it saw
 	seen := map[string]bool{} // ids of the events the client holds
 	drained := make(chan error, 1)
 	last := sseEvent{}
-	for ev := range frames {
+	for ev, err := range sseFrames(resp.Body) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ev.ID != "" {
 			held = ev.ID
 		}
@@ -772,9 +759,11 @@ func TestDrainFrameKeepsTheClientsPosition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := sseFrames(resp2.Body)
 	n := 0
-	for ev := range after {
+	for ev, err := range sseFrames(resp2.Body) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		if seen[ev.ID] {
 			t.Errorf("reconnecting with Last-Event-ID %s replayed event %s, which the client already holds", held, ev.ID)
 		}
@@ -783,8 +772,6 @@ func TestDrainFrameKeepsTheClientsPosition(t *testing.T) {
 		}
 	}
 	resp2.Body.Close()
-	for range after {
-	}
 	if n == 0 {
 		t.Fatal("no event arrived after the reconnect")
 	}

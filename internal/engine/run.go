@@ -350,9 +350,6 @@ func (r *Run) Result() (*tune.TuningResult, error) {
 	return r.result, r.err
 }
 
-// Name returns the submitted job's name.
-func (r *Run) Name() string { return r.job.Name }
-
 // State reports the run's current lifecycle state. A pause requested on a
 // still-queued run reports pending until the run starts and reaches its
 // first trial boundary.

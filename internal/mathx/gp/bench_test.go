@@ -96,39 +96,3 @@ func BenchmarkSurrogateFit(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkGPAppend measures incremental conditioning on one new observation
-// — the exact tier's bordered-Cholesky append — against the
-// O(n³) hyper-searched refit it replaces (BenchmarkGPFit at the same n).
-func BenchmarkGPAppend(b *testing.B) {
-	for _, n := range []int{20, 40, 60} {
-		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
-			target := benchTarget(6)
-			space := target.Space()
-			var xs [][]float64
-			var ys []float64
-			rnd := space.Default()
-			for i := 0; i <= n; i++ {
-				rng, x := rand.New(rand.NewSource(int64(i))), rnd.Vector()
-				for j := range x {
-					x[j] += (rng.Float64()*2 - 1) * 0.3
-				}
-				rnd = space.FromVector(x)
-				xs = append(xs, rnd.Vector())
-				ys = append(ys, target.Run(rnd).Time)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g := gp.New(gp.Matern52)
-				if err := g.Fit(xs[:n], ys[:n], true); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := g.Append(xs[n], ys[n]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -19,8 +19,7 @@
 // bits of its own linalg.CholeskyInto.
 //
 // A fitted GP can also absorb one new observation with unchanged
-// hyperparameters in O(n²) via Append, which extends the Cholesky factor by
-// a bordered row (bit-identical to refactorizing from scratch).
+// hyperparameters via Append, which is a Fit of the grown training set.
 //
 // A GP instance is not safe for concurrent use: Predict and the acquisition
 // functions share per-instance workspaces to stay allocation-free. Distinct
@@ -32,7 +31,6 @@ import (
 	"math"
 
 	"repro/internal/mathx/linalg"
-	"repro/internal/mathx/stat"
 )
 
 // KernelKind selects the covariance function.
@@ -46,11 +44,6 @@ const (
 	// performance surfaces with cliffs better than the RBF.
 	Matern52
 )
-
-// exactAppendRoom is how many Appends an exact Fit reserves room for in its
-// column copy of the inputs; Appends past it re-lay the copy at twice the
-// stride.
-const exactAppendRoom = 16
 
 // Hyper holds GP hyperparameters: signal variance, lengthscale, and
 // observation noise standard deviation — all in standardized-y units.
@@ -67,15 +60,14 @@ type GP struct {
 	Kernel KernelKind
 	Hyper  Hyper
 
-	x      columns        // the n training inputs, column-major (deep copy of the caller's rows)
-	d2     *linalg.Matrix // n×n pairwise squared distances, built once per Fit
-	yRaw   []float64
-	yMean  float64
-	yStd   float64
-	ys     []float64 // standardized targets, computed once per Fit/Append
-	chol   *linalg.Cholesky
-	alpha  []float64
-	jitter float64 // extra diagonal jitter the factorization needed
+	x     columns        // the n training inputs, column-major (deep copy of the caller's rows)
+	d2    *linalg.Matrix // n×n pairwise squared distances, built once per Fit
+	yRaw  []float64
+	yMean float64
+	yStd  float64
+	ys    []float64 // standardized targets, computed once per Fit
+	chol  *linalg.Cholesky
+	alpha []float64
 
 	// Reusable workspaces for Predict/EI (kernel vector and solve
 	// scratch). These make single-point prediction allocation-free but make
@@ -100,21 +92,12 @@ func (g *GP) Fit(x [][]float64, y []float64, optimize bool) error {
 		g.chol = nil // a refused Fit must not leave the previous model answering
 		return err
 	}
-	n := len(x)
-	g.x.reset(n, len(x[0]), exactAppendRoom)
+	g.x.reset(len(x), len(x[0]))
 	for i, row := range x {
 		g.x.set(i, row)
 	}
 	g.yRaw = append(g.yRaw[:0], y...)
-	g.yMean = stat.Mean(y)
-	g.yStd = stat.Std(y)
-	if g.yStd < 1e-12 {
-		g.yStd = 1
-	}
-	g.ys = resize(g.ys, n)
-	for i, v := range g.yRaw {
-		g.ys[i] = (v - g.yMean) / g.yStd
-	}
+	g.ys, g.yMean, g.yStd = standardize(g.ys, g.yRaw)
 	g.d2 = g.x.sqDistMatrix(g.d2)
 	if optimize {
 		g.optimizeHypers()
@@ -158,40 +141,37 @@ func kernelRow(kernel KernelKind, row []float64, sv, l float64) {
 
 // columns is a column-major copy of a set of input rows, the layout every
 // distance a kernel row needs is read from: input k of row i sits at
-// data[k·stride+i], so linalg.SqDistsCols measures a row per vector lane.
-// A stride above n leaves room for rows push adds in place.
+// data[k·n+i], so linalg.SqDistsCols measures a row per vector lane.
 type columns struct {
-	data         []float64
-	n, d, stride int
+	data []float64
+	n, d int
 }
 
-// reset sizes c for n rows of d inputs and room more, reusing its array when
-// it is large enough; set then writes the rows.
-func (c *columns) reset(n, d, room int) {
-	c.n, c.d, c.stride = n, d, n+room
-	c.data = resize(c.data, d*c.stride)
+// reset sizes c for n rows of d inputs, reusing its array when it is large
+// enough; set then writes the rows.
+func (c *columns) reset(n, d int) {
+	c.n, c.d = n, d
+	c.data = resize(c.data, d*n)
 }
 
 // set writes row i.
 func (c *columns) set(i int, row []float64) {
 	for k, v := range row[:c.d] {
-		c.data[k*c.stride+i] = v
+		c.data[k*c.n+i] = v
 	}
 }
 
-// push appends a row: in place while the stride has room, otherwise after
-// re-laying the copy at twice the stride.
-func (c *columns) push(row []float64) {
-	if c.n == c.stride {
-		old, oldStride := c.data, c.stride
-		c.stride = 2*c.stride + 1
-		c.data = make([]float64, c.d*c.stride)
-		for k := 0; k < c.d; k++ {
-			copy(c.data[k*c.stride:k*c.stride+c.n], old[k*oldStride:k*oldStride+c.n])
+// rows returns a row-major copy of c's rows.
+func (c *columns) rows() [][]float64 {
+	flat := make([]float64, c.n*c.d)
+	out := make([][]float64, c.n)
+	for i := range out {
+		out[i] = flat[i*c.d : (i+1)*c.d]
+		for k := range out[i] {
+			out[i][k] = c.data[k*c.n+i]
 		}
 	}
-	c.n++
-	c.set(c.n-1, row)
+	return out
 }
 
 // sqDistsInto sets dst[j] = ‖row(from+j) − p‖² for every j < len(dst), with
@@ -201,7 +181,7 @@ func (c *columns) sqDistsInto(dst []float64, from int, p []float64) {
 		clear(dst) // no columns to offset into
 		return
 	}
-	linalg.SqDistsCols(dst, c.data[from:], c.stride, p)
+	linalg.SqDistsCols(dst, c.data[from:], c.n, p)
 }
 
 // sqDistMatrix returns the pairwise squared distances of c's rows, reusing
@@ -215,7 +195,7 @@ func (c *columns) sqDistMatrix(dst *linalg.Matrix) *linalg.Matrix {
 	p := make([]float64, c.d)
 	for i := 0; i < n; i++ {
 		for k := range p {
-			p[k] = c.data[k*c.stride+i]
+			p[k] = c.data[k*n+i]
 		}
 		dd[i*n+i] = 0
 		c.sqDistsInto(dd[i*n+i+1:(i+1)*n], i+1, p)
@@ -250,8 +230,7 @@ func (g *GP) refit() error {
 	noise := g.Hyper.NoiseStd * g.Hyper.NoiseStd
 	k.AddDiag(noise + 1e-8)
 	l := linalg.New(n, n)
-	added, err := linalg.CholeskyWithJitter(k, l)
-	if err != nil {
+	if _, err := linalg.CholeskyWithJitter(k, l); err != nil {
 		// Invalidate rather than leave a factor sized for the previous
 		// training set: Predict then reports total uncertainty instead of
 		// panicking on mismatched lengths.
@@ -259,7 +238,6 @@ func (g *GP) refit() error {
 		return err
 	}
 	g.chol = &linalg.Cholesky{L: l}
-	g.jitter = added
 	g.alpha = resize(g.alpha, n)
 	g.chol.SolveVecInto(g.alpha, g.ys)
 	g.growWorkspaces(n)
@@ -267,66 +245,21 @@ func (g *GP) refit() error {
 }
 
 // Append conditions a fitted GP on one more observation without changing
-// hyperparameters. The distance cache gains a row, the Cholesky factor is
-// extended by a bordered row in O(n²) (bit-identical to refactorizing the
-// extended matrix from scratch), targets are re-standardized, and alpha is
-// re-solved. When the extension is not positive definite — or the previous
-// factorization needed extra jitter — it falls back to a full refit.
+// hyperparameters: it is a Fit of the stored rows and x, optimize off. A
+// refused observation leaves the model as it was.
 func (g *GP) Append(x []float64, y float64) error {
 	if g.chol == nil {
 		return errors.New("gp: Append before Fit")
 	}
-	n := g.x.n
 	if len(x) != g.x.d {
 		return errors.New("gp: Append dimension mismatch")
 	}
 	if err := checkObservation(x, y); err != nil {
 		return err
 	}
-	m := n + 1
-	nd2 := linalg.New(m, m)
-	for i := 0; i < n; i++ {
-		copy(nd2.Data[i*m:i*m+n], g.d2.Data[i*n:(i+1)*n])
-	}
-	dn := nd2.Data[n*m : n*m+n]
-	g.x.sqDistsInto(dn, 0, x)
-	for i, s := range dn {
-		nd2.Data[i*m+n] = s
-	}
-	g.x.push(x)
-	g.d2 = nd2
-
-	g.yRaw = append(g.yRaw, y)
-	g.yMean = stat.Mean(g.yRaw)
-	g.yStd = stat.Std(g.yRaw)
-	if g.yStd < 1e-12 {
-		g.yStd = 1
-	}
-	g.ys = resize(g.ys, m)
-	for i, v := range g.yRaw {
-		g.ys[i] = (v - g.yMean) / g.yStd
-	}
-
-	if g.jitter != 0 {
-		// The live factor carries stepwise jitter whose addition order a
-		// bordered row cannot reproduce exactly; refactorize instead.
-		return g.refit()
-	}
-	sv := g.Hyper.SignalVar
-	row := append([]float64(nil), dn...)
-	kernelRow(g.Kernel, row, sv, g.Hyper.Lengthscale)
-	// k(x, x) is sv exactly: both kernels are 1 at distance 0.
-	noise := g.Hyper.NoiseStd * g.Hyper.NoiseStd
-	diag := sv + (noise + 1e-8)
-	ch, err := g.chol.Extend(row, diag)
-	if err != nil {
-		return g.refit()
-	}
-	g.chol = ch
-	g.alpha = resize(g.alpha, m)
-	ch.SolveVecInto(g.alpha, g.ys)
-	g.growWorkspaces(m)
-	return nil
+	// The grown targets may share yRaw's array; Fit copies them onto it in
+	// place.
+	return g.Fit(append(g.x.rows(), x), append(g.yRaw, y), false)
 }
 
 // The hyperparameter grid: lengthscales × noise standard deviations ×

@@ -198,41 +198,83 @@ func TestGoldenFitPredictEI(t *testing.T) {
 	}
 }
 
-// TestAppendMatchesFullFit: conditioning on one new observation via the
-// bordered Cholesky must agree bit for bit with refitting the whole
-// training set from scratch under the same hyperparameters.
+// TestAppendMatchesFullFit: conditioning on one new observation must agree
+// bit for bit with refitting the whole training set from scratch under the
+// same hyperparameters, from a grid-fitted base and from a base whose
+// factorization needed jitter.
 func TestAppendMatchesFullFit(t *testing.T) {
-	for _, kernel := range []KernelKind{SquaredExponential, Matern52} {
-		xs, ys := goldenData(24, 3, 9)
-		inc := New(kernel)
-		if err := inc.Fit(xs[:20], ys[:20], true); err != nil {
-			t.Fatal(err)
+	xs, ys := goldenData(24, 3, 9)
+	// The first ten rows twice, at a signal variance that swamps the 1e-8
+	// diagonal: the kernel matrix is singular to rounding.
+	var dupX [][]float64
+	var dupY []float64
+	for i := 0; i < 24; i++ {
+		at := i
+		if i < 20 {
+			at = i % 10
 		}
-		h := inc.Hyper
-		for i := 20; i < 24; i++ {
-			if err := inc.Append(xs[i], ys[i]); err != nil {
+		dupX, dupY = append(dupX, xs[at]), append(dupY, ys[at])
+	}
+	for _, kernel := range []KernelKind{SquaredExponential, Matern52} {
+		for _, c := range []struct {
+			name   string
+			xs     [][]float64
+			ys     []float64
+			hyper  *Hyper // nil: select by the grid
+			jitter bool
+		}{
+			{"grid", xs, ys, nil, false},
+			{"jittered", dupX, dupY, &Hyper{SignalVar: 1e10, Lengthscale: 0.3, NoiseStd: 0}, true},
+		} {
+			inc := New(kernel)
+			if c.hyper != nil {
+				inc.Hyper = *c.hyper
+			}
+			if err := inc.Fit(c.xs[:20], c.ys[:20], c.hyper == nil); err != nil {
 				t.Fatal(err)
 			}
-		}
-		full := New(kernel)
-		full.Hyper = h
-		if err := full.Fit(xs, ys, false); err != nil {
-			t.Fatal(err)
-		}
-		if inc.TrainingSize() != 24 {
-			t.Fatalf("TrainingSize = %d after appends", inc.TrainingSize())
-		}
-		rng := rand.New(rand.NewSource(10))
-		for i := 0; i < 25; i++ {
-			p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			am, as := inc.Predict(p)
-			fm, fs := full.Predict(p)
-			if am != fm || as != fs {
-				t.Fatalf("kernel %v: Append diverged from full fit at %v: (%v,%v) vs (%v,%v)",
-					kernel, p, am, as, fm, fs)
+			if got := baseJitter(inc) != 0; got != c.jitter {
+				t.Fatalf("kernel %v %s: base factor needed jitter = %v, want %v", kernel, c.name, got, c.jitter)
+			}
+			h := inc.Hyper
+			for i := 20; i < 24; i++ {
+				if err := inc.Append(c.xs[i], c.ys[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			full := New(kernel)
+			full.Hyper = h
+			if err := full.Fit(c.xs, c.ys, false); err != nil {
+				t.Fatal(err)
+			}
+			if inc.TrainingSize() != 24 {
+				t.Fatalf("TrainingSize = %d after appends", inc.TrainingSize())
+			}
+			rng := rand.New(rand.NewSource(10))
+			for i := 0; i < 25; i++ {
+				p := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+				am, as := inc.Predict(p)
+				fm, fs := full.Predict(p)
+				if math.Float64bits(am) != math.Float64bits(fm) || math.Float64bits(as) != math.Float64bits(fs) {
+					t.Fatalf("kernel %v %s: Append diverged from full fit at %v: (%v,%v) vs (%v,%v)",
+						kernel, c.name, p, am, as, fm, fs)
+				}
 			}
 		}
 	}
+}
+
+// baseJitter is the diagonal jitter g's kernel matrix needs to factor.
+func baseJitter(g *GP) float64 {
+	n := g.x.n
+	k := linalg.New(n, n)
+	kernelMatrixInto(g.Kernel, k, g.d2, g.Hyper.SignalVar, g.Hyper.Lengthscale)
+	k.AddDiag(g.Hyper.NoiseStd*g.Hyper.NoiseStd + 1e-8)
+	added, err := linalg.CholeskyWithJitter(k, linalg.New(n, n))
+	if err != nil {
+		panic(err)
+	}
+	return added
 }
 
 func TestAppendErrors(t *testing.T) {

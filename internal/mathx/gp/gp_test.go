@@ -171,7 +171,7 @@ func TestKernelRowMatchesPairFormula(t *testing.T) {
 			flat, _ := randomRows(n, d, rng)
 			p, _ := randomRows(1, d, rng)
 			var cols columns
-			cols.reset(n, d, 3)
+			cols.reset(n, d)
 			for i := 0; i < n; i++ {
 				cols.set(i, flat[i*d:(i+1)*d])
 			}
@@ -205,42 +205,6 @@ func TestKernelRowMatchesPairFormula(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// Appends past the room Fit reserves in the exact GP's column copy re-lay it
-// at a wider stride; the model must still be the full fit's, bit for bit.
-func TestExactAppendPastColumnRoomMatchesFullFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	_, xs := randomRows(20+3*exactAppendRoom, 4, rng)
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = bowl(x)
-	}
-	inc := New(Matern52)
-	if err := inc.Fit(xs[:20], ys[:20], true); err != nil {
-		t.Fatal(err)
-	}
-	for i := 20; i < len(xs); i++ {
-		if err := inc.Append(xs[i], ys[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if inc.x.stride <= 20+exactAppendRoom {
-		t.Fatalf("column stride %d: the appends never re-laid the copy", inc.x.stride)
-	}
-	full := New(Matern52)
-	full.Hyper = inc.Hyper
-	if err := full.Fit(xs, ys, false); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 25; i++ {
-		p, _ := randomRows(1, 4, rng)
-		am, as := inc.Predict(p)
-		fm, fs := full.Predict(p)
-		if math.Float64bits(am) != math.Float64bits(fm) || math.Float64bits(as) != math.Float64bits(fs) {
-			t.Fatalf("at %v: appended (%v, %v), full fit (%v, %v)", p, am, as, fm, fs)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func (s *SparseGP) kernelRowInto(dst, p []float64) {
 func (s *SparseGP) refit() error {
 	n, d := s.x.R, s.x.C
 	m := len(s.inducing)
-	s.z.reset(m, d, 0)
+	s.z.reset(m, d)
 	for i, at := range s.inducing {
 		s.z.set(i, s.x.Data[at*d:(at+1)*d])
 	}

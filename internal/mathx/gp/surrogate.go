@@ -235,7 +235,7 @@ func kCenterIndices(x *linalg.Matrix, m int) []int {
 		centroid[k] /= float64(n)
 	}
 	var cols columns
-	cols.reset(n, d, 0)
+	cols.reset(n, d)
 	for i := 0; i < n; i++ {
 		cols.set(i, xd[i*d:(i+1)*d])
 	}

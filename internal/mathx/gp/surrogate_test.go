@@ -438,7 +438,8 @@ func TestSparseAppendMatchesFullFitRace3(t *testing.T) { TestSparseAppendMatches
 
 // TestAppendAndPredictAllocateNothing: inside the capacity Fit reserves, the
 // sparse and RFF Appends grow the model in place, and every tier's Predict
-// runs on per-instance workspaces.
+// runs on per-instance workspaces. The exact tier's Append is a Fit of the
+// grown set, which allocates.
 func TestAppendAndPredictAllocateNothing(t *testing.T) {
 	xs, ys := surfaceData(320, 5)
 	p := []float64{0.3, 0.7}
@@ -446,7 +447,7 @@ func TestAppendAndPredictAllocateNothing(t *testing.T) {
 		if err := s.Fit(xs[:300], ys[:300], false); err != nil {
 			t.Fatal(err)
 		}
-		if s.Tier() != "exact" { // the exact tier's Append re-allocates by design (GP.Append)
+		if s.Tier() != "exact" {
 			next := 300
 			if n := testing.AllocsPerRun(15, func() {
 				if err := s.Append(xs[next], ys[next]); err != nil {

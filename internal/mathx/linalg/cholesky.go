@@ -47,9 +47,8 @@ func Kernel() string {
 // dot4 returns Σ a[i]·b[i] accumulated in four interleaved partial sums.
 // The interleaving breaks the floating-point add dependency chain (the
 // Cholesky inner-loop bottleneck) while keeping a fixed, deterministic
-// summation order. CholeskyInto and Extend share it so a bordered extension
-// stays bit-identical to a full refactorization. The loop below is the
-// specification; dot4AVX2 reproduces its every rounding step.
+// summation order. The loop below is the specification; dot4AVX2 reproduces
+// its every rounding step.
 func dot4(a, b []float64) float64 {
 	b = b[:len(a)] // bounds-check elimination hint
 	if useAVX2 && len(a) >= kernelMinLen {
@@ -107,7 +106,7 @@ func CholeskyInto(a, l *Matrix) error {
 		for i := j + 1; i < n; i++ {
 			// dot4(ld[i*n:i*n+j], rowj) inlined by hand (a closed loop keeps
 			// the callee out of the inliner); accumulation order must stay
-			// identical to dot4 so Extend remains bit-compatible.
+			// identical to dot4 so both paths agree bit for bit.
 			ri := ld[i*n : i*n+j]
 			ri = ri[:len(rowj)]
 			var s0, s1, s2, s3 float64
@@ -125,40 +124,6 @@ func CholeskyInto(a, l *Matrix) error {
 		}
 	}
 	return nil
-}
-
-// Extend returns the factor of the (n+1)×(n+1) bordered matrix
-//
-//	[ A   r ]
-//	[ rᵀ  d ]
-//
-// given the receiver's factor of A, the cross row r, and the new diagonal
-// entry d. It costs O(n²) — one forward substitution plus a copy — versus
-// O(n³) for refactorizing from scratch, and computes every entry with the
-// same arithmetic, in the same order, as NewCholesky on the bordered matrix,
-// so the result is bit-identical to a full refactorization. This is what
-// makes incremental GP conditioning safe under the repository's determinism
-// guarantee.
-func (c *Cholesky) Extend(row []float64, diag float64) (*Cholesky, error) {
-	n := c.L.R
-	if len(row) != n {
-		return nil, errors.New("linalg: extend row length mismatch")
-	}
-	m := n + 1
-	nl := New(m, m)
-	old := c.L.Data
-	for i := 0; i < n; i++ {
-		copy(nl.Data[i*m:i*m+i+1], old[i*n:i*n+i+1])
-	}
-	// The new row is L⁻¹·row; dot4 multiplies its pairs either way round.
-	last := nl.Data[n*m : n*m+n]
-	c.SolveLowerInto(last, row)
-	d := diag - dot4(last, last)
-	if d <= 0 || math.IsNaN(d) {
-		return nil, ErrNotPositiveDefinite
-	}
-	nl.Data[n*m+n] = math.Sqrt(d)
-	return &Cholesky{L: nl}, nil
 }
 
 // SolveLowerInto solves the triangular system L·y = b into the preallocated

@@ -243,21 +243,6 @@ func TestCholeskyIntoKernelMatchesGoLoop(t *testing.T) {
 
 func TestCholeskyIntoKernelMatchesGoLoopRace3(t *testing.T) { TestCholeskyIntoKernelMatchesGoLoop(t) }
 
-// Extend promises the factor a refactorization would give; that must hold on
-// each path, and (dot4 being shared) across them.
-func TestCholeskyExtendBitIdenticalOnBothKernels(t *testing.T) {
-	for _, on := range []bool{true, false} {
-		t.Run(fmt.Sprintf("avx2=%v", on), func(t *testing.T) {
-			ForceKernel(t, on)
-			assertExtendBitIdentical(t)
-		})
-	}
-}
-
-func TestCholeskyExtendBitIdenticalOnBothKernelsRace3(t *testing.T) {
-	TestCholeskyExtendBitIdenticalOnBothKernels(t)
-}
-
 // A full solve: the forward half in blocks of four rows, the backward half
 // scalar; one check at sizes around kernelMinLen and each n mod 4.
 func TestSolveKernelMatchesGoLoop(t *testing.T) {

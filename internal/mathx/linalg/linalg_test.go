@@ -178,65 +178,6 @@ func randSPD(n int, r *rand.Rand) *Matrix {
 	return b.T().Mul(b).AddDiag(1)
 }
 
-// Extend must produce the factor a full refactorization of the bordered
-// matrix would — bit for bit, not just within tolerance. That equality is
-// what lets the GP condition on one new observation in O(n²) without
-// breaking the repository's byte-identical determinism guarantee.
-func TestCholeskyExtendBitIdenticalToFullFactorization(t *testing.T) {
-	assertExtendBitIdentical(t)
-}
-
-// assertExtendBitIdentical is the body of the test above; the kernel tests
-// repeat it with the assembly kernels forced on and forced off. Sizes reach
-// past kernelMinLen so both row lengths occur.
-func assertExtendBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(40)
-		a := randSPD(n+1, rng)
-		lead := New(n, n)
-		for i := 0; i < n; i++ {
-			copy(lead.Data[i*n:(i+1)*n], a.Data[i*(n+1):i*(n+1)+n])
-		}
-		base, err := NewCholesky(lead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		row := make([]float64, n)
-		for j := 0; j < n; j++ {
-			row[j] = a.At(n, j)
-		}
-		ext, err := base.Extend(row, a.At(n, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := NewCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range full.L.Data {
-			if ext.L.Data[i] != full.L.Data[i] {
-				t.Fatalf("n=%d: Extend differs from full factorization at flat index %d: %v vs %v",
-					n, i, ext.L.Data[i], full.L.Data[i])
-			}
-		}
-	}
-}
-
-func TestCholeskyExtendRejectsBadInput(t *testing.T) {
-	ch, err := NewCholesky(FromRows([][]float64{{4, 2}, {2, 3}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ch.Extend([]float64{1}, 5); err == nil {
-		t.Error("short row should error")
-	}
-	// A bordered matrix that is not positive definite: diag too small.
-	if _, err := ch.Extend([]float64{2, 2}, 0.5); err == nil {
-		t.Error("indefinite extension should error")
-	}
-}
-
 func TestCholeskyIntoMatchesNewCholesky(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	n := 9

@@ -101,6 +101,10 @@ var retiredSurfaces = []string{
 	// jitter loop: every fit runs on its caller's goroutine and factors with
 	// linalg.CholeskyWithJitter (TestGPStartsNoGoroutines).
 	`ParallelCholeskyWithJitter`, `SolveLowerEach`, `parallelGram`, `blockedFitMinN`,
+	// The exact tier's bordered append and its column room: GP.Append is a Fit
+	// of the grown set. And the run accessor nothing called, which the
+	// callers check missed because tune.Tuner has a Name method too.
+	`\bExtend\b`, `exactAppendRoom`, `\bg\.jitter\b`, `func \(r \*Run\) Name\(`,
 }
 
 // retiredAllowed maps a file that only a benchmark change may edit to the
